@@ -31,58 +31,19 @@
 //! ```
 
 use crate::error::{DiskError, DiskResult};
+use crate::segment::SegmentKind;
 use ev_core::feature::FeatureVector;
 use ev_core::ids::{Eid, Vid};
 use ev_core::region::CellId;
 use ev_core::scenario::{Detection, EScenario, VScenario, ZoneAttr};
 use ev_core::time::Timestamp;
 
-/// Appends little-endian primitives to a byte buffer.
-#[derive(Debug, Default)]
-pub struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-impl ByteWriter {
-    /// A fresh, empty writer.
-    #[must_use]
-    pub fn new() -> Self {
-        ByteWriter::default()
-    }
-
-    /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a `u16`, little-endian.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u32`, little-endian.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`, little-endian.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as the little-endian bytes of its bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    /// The accumulated bytes.
-    #[must_use]
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
 /// Reads little-endian primitives from a byte slice, tracking position.
+///
+/// Every read is bounds-checked against the bytes remaining, and a
+/// variable-length run is only ever handed out as a sub-slice of the
+/// input — so a length or count prefix can never drive an allocation
+/// larger than the input that declared it.
 #[derive(Debug)]
 pub struct ByteReader<'a> {
     bytes: &'a [u8],
@@ -129,27 +90,38 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    /// Reads an `f64` from its little-endian bit pattern.
-    pub fn get_f64(&mut self, what: &'static str) -> DiskResult<f64> {
-        Ok(f64::from_bits(self.get_u64(what)?))
+    fn finish(self, what: &'static str) -> DiskResult<()> {
+        if self.remaining() != 0 {
+            return Err(DiskError::corrupt(format!(
+                "{} trailing bytes after {what} payload",
+                self.remaining()
+            )));
+        }
+        Ok(())
     }
 }
 
-/// Encodes one E-Scenario into a record payload.
-#[must_use]
-pub fn encode_escenario(s: &EScenario) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(s.time().tick());
-    w.put_u64(s.cell().index() as u64);
-    w.put_u32(s.len() as u32);
+/// Appends one E-Scenario record payload to `out`.
+pub fn encode_escenario_into(s: &EScenario, out: &mut Vec<u8>) {
+    out.reserve(20 + s.len() * 9);
+    out.extend_from_slice(&s.time().tick().to_le_bytes());
+    out.extend_from_slice(&(s.cell().index() as u64).to_le_bytes());
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     for (eid, attr) in s.iter() {
-        w.put_u64(eid.as_u64());
-        w.put_u8(match attr {
+        out.extend_from_slice(&eid.as_u64().to_le_bytes());
+        out.push(match attr {
             ZoneAttr::Inclusive => 0,
             ZoneAttr::Vague => 1,
         });
     }
-    w.into_bytes()
+}
+
+/// Encodes one E-Scenario into a fresh record payload.
+#[must_use]
+pub fn encode_escenario(s: &EScenario) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_escenario_into(s, &mut out);
+    out
 }
 
 /// Decodes one E-Scenario record payload.
@@ -177,30 +149,32 @@ pub fn decode_escenario(payload: &[u8]) -> DiskResult<EScenario> {
         };
         s.insert(eid, attr);
     }
-    if r.remaining() != 0 {
-        return Err(DiskError::corrupt(format!(
-            "{} trailing bytes after e-record payload",
-            r.remaining()
-        )));
-    }
+    r.finish("e-record")?;
     Ok(s)
 }
 
-/// Encodes one V-Scenario into a record payload.
-#[must_use]
-pub fn encode_vscenario(s: &VScenario) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(s.time().tick());
-    w.put_u64(s.cell().index() as u64);
-    w.put_u32(s.len() as u32);
+/// Appends one V-Scenario record payload to `out`.
+pub fn encode_vscenario_into(s: &VScenario, out: &mut Vec<u8>) {
+    out.extend_from_slice(&s.time().tick().to_le_bytes());
+    out.extend_from_slice(&(s.cell().index() as u64).to_le_bytes());
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     for d in s.detections() {
-        w.put_u64(d.vid.as_u64());
-        w.put_u32(d.feature.dim() as u32);
-        for &c in d.feature.components() {
-            w.put_f64(c);
+        let components = d.feature.components();
+        out.reserve(12 + components.len() * 8);
+        out.extend_from_slice(&d.vid.as_u64().to_le_bytes());
+        out.extend_from_slice(&(components.len() as u32).to_le_bytes());
+        for c in components {
+            out.extend_from_slice(&c.to_le_bytes());
         }
     }
-    w.into_bytes()
+}
+
+/// Encodes one V-Scenario into a fresh record payload.
+#[must_use]
+pub fn encode_vscenario(s: &VScenario) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_vscenario_into(s, &mut out);
+    out
 }
 
 /// Decodes one V-Scenario record payload.
@@ -218,21 +192,74 @@ pub fn decode_vscenario(payload: &[u8]) -> DiskResult<VScenario> {
     for _ in 0..count {
         let vid = Vid::new(r.get_u64("v-record vid")?);
         let dim = r.get_u32("v-record feature dim")? as usize;
-        let mut components = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            components.push(r.get_f64("v-record feature component")?);
-        }
+        // The declared dimension is bounded by the bytes actually
+        // present *before* anything is allocated for it.
+        let byte_len = dim.checked_mul(8).ok_or_else(|| {
+            DiskError::corrupt(format!(
+                "feature dimension {dim} overflows the address space"
+            ))
+        })?;
+        let raw = r.take(byte_len, "v-record feature components")?;
+        let components = raw
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes")))
+            .collect();
         let feature = FeatureVector::new(components)
             .map_err(|e| DiskError::corrupt(format!("invalid stored feature vector: {e}")))?;
         s.push(Detection { vid, feature });
     }
-    if r.remaining() != 0 {
-        return Err(DiskError::corrupt(format!(
-            "{} trailing bytes after v-record payload",
-            r.remaining()
-        )));
-    }
+    r.finish("v-record")?;
     Ok(s)
+}
+
+/// A scenario type the store persists: which segment kind holds it,
+/// the `(time, cell)` key its segment's bounds absorb, and its payload
+/// codec. Implemented for [`EScenario`] and [`VScenario`] only, so the
+/// segment writer and the load loop exist once, not once per kind.
+pub(crate) trait Record: Sized {
+    /// The segment kind that holds records of this type.
+    const KIND: SegmentKind;
+
+    /// `(tick, cell index)` of this record.
+    fn time_cell(&self) -> (u64, u64);
+
+    /// Appends this record's payload to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>);
+
+    /// Decodes one payload.
+    fn decode(payload: &[u8]) -> DiskResult<Self>;
+}
+
+impl Record for EScenario {
+    const KIND: SegmentKind = SegmentKind::EScenario;
+
+    fn time_cell(&self) -> (u64, u64) {
+        (self.time().tick(), self.cell().index() as u64)
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_escenario_into(self, out);
+    }
+
+    fn decode(payload: &[u8]) -> DiskResult<Self> {
+        decode_escenario(payload)
+    }
+}
+
+impl Record for VScenario {
+    const KIND: SegmentKind = SegmentKind::VScenario;
+
+    fn time_cell(&self) -> (u64, u64) {
+        (self.time().tick(), self.cell().index() as u64)
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_vscenario_into(self, out);
+    }
+
+    fn decode(payload: &[u8]) -> DiskResult<Self> {
+        decode_vscenario(payload)
+    }
 }
 
 #[cfg(test)]

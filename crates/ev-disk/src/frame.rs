@@ -48,21 +48,29 @@ pub enum FrameEvent {
     },
 }
 
-/// Appends one frame around `payload` to `out`.
+/// Appends one frame to `out`, letting `encode` write the payload in
+/// place: the length prefix is reserved, back-patched once the payload
+/// is known, and the CRC taken over the bytes just written — no
+/// per-record payload buffer exists.
 ///
 /// # Panics
 ///
-/// Panics if `payload` is empty or longer than
-/// [`MAX_FRAME_PAYLOAD`] — both are programming errors, not data
+/// Panics if `encode` writes nothing or more than
+/// [`MAX_FRAME_PAYLOAD`] bytes — both are programming errors, not data
 /// conditions (the codec never produces them).
-pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
+pub fn write_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    encode(out);
+    let payload_start = len_at + 4;
+    let payload_len = out.len() - payload_start;
     assert!(
-        !payload.is_empty() && payload.len() <= MAX_FRAME_PAYLOAD,
+        (1..=MAX_FRAME_PAYLOAD).contains(&payload_len),
         "frame payloads are 1..=MAX_FRAME_PAYLOAD bytes"
     );
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out[len_at..payload_start].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    let crc = crc32(&out[payload_start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Classifies the bytes at `pos` (a frame boundary) of `bytes`.
@@ -118,8 +126,8 @@ mod tests {
 
     fn two_frames() -> Vec<u8> {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"first payload");
-        write_frame(&mut buf, b"second");
+        write_frame(&mut buf, |out| out.extend_from_slice(b"first payload"));
+        write_frame(&mut buf, |out| out.extend_from_slice(b"second"));
         buf
     }
 

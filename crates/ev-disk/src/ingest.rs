@@ -2,16 +2,22 @@
 //! checkpoints.
 //!
 //! [`DiskStore::append`] is batch-shaped — every call seals one or two
-//! brand-new segments and pays two `fsync`s plus a manifest commit. A
+//! brand-new segments and pays their `fsync`s plus a manifest commit. A
 //! live serve loop ingests *small* batches continuously, so the
 //! [`IngestWriter`] amortizes that cost: arriving records are framed
-//! into **open** segment files (one per [`SegmentKind`], same
-//! CRC-framed format as batch segments) and only a periodic
-//! **checkpoint** pays the durability protocol of `DESIGN.md` §6:
+//! into **open** segments (one per [`SegmentKind`](crate::SegmentKind),
+//! written by the same streaming segment writer `append` uses, so the
+//! bytes are the same) and only a periodic **checkpoint** pays the
+//! durability protocol of `DESIGN.md` §6 — the very commit a batch
+//! append ends with:
 //!
 //! ```text
-//! fsync(open segments) → fsync(dir) → append manifest entries → fsync(manifest)
+//! write out + fsync(open segments) → fsync(dir) → append manifest entries → fsync(manifest)
 //! ```
+//!
+//! Between checkpoints a staged record sits in the writer's chunk
+//! buffer or in the not-yet-synced file; the two are equally
+//! uncommitted, so nothing is written per push unless a chunk fills.
 //!
 //! Everything a checkpoint has committed is exactly as durable as a
 //! batch append. Everything after the last checkpoint is *crash-shaped
@@ -29,18 +35,13 @@
 //! segments are open; [`IngestWriter::finish`] checkpoints and hands
 //! the store back.
 
-use std::fs::File;
-use std::io::Write;
-use std::path::PathBuf;
-
 use ev_core::scenario::{EScenario, VScenario};
 
-use crate::codec;
-use crate::error::{DiskError, DiskResult};
-use crate::frame::write_frame;
+use crate::codec::Record;
+use crate::error::DiskResult;
 use crate::manifest::ManifestEntry;
-use crate::segment::{self, SegmentBounds, SegmentKind};
-use crate::store::{fsync_dir, DiskStore};
+use crate::segment::SegmentFile;
+use crate::store::DiskStore;
 
 /// When the writer checkpoints on its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,69 +84,6 @@ pub struct StreamAppendReceipt {
     pub checkpoint: Option<Vec<ManifestEntry>>,
 }
 
-/// One segment file being grown in place; sealed at checkpoint time.
-#[derive(Debug)]
-struct OpenSegment {
-    seq: u64,
-    kind: SegmentKind,
-    path: PathBuf,
-    file: File,
-    records: u64,
-    bounds: SegmentBounds,
-    len: u64,
-}
-
-impl OpenSegment {
-    fn create(store: &mut DiskStore, kind: SegmentKind) -> DiskResult<Self> {
-        let seq = store.reserve_seq();
-        let path = store.dir().join(format!("seg-{seq:06}-{}.seg", kind.tag()));
-        let mut file = File::create(&path).map_err(|e| DiskError::io("creating", &path, e))?;
-        let header = segment::header(kind);
-        file.write_all(&header)
-            .map_err(|e| DiskError::io("writing segment header", &path, e))?;
-        Ok(OpenSegment {
-            seq,
-            kind,
-            path,
-            file,
-            records: 0,
-            bounds: SegmentBounds::empty(),
-            len: header.len() as u64,
-        })
-    }
-
-    /// Frames one batch of encoded records into the open file with a
-    /// single write.
-    fn push(&mut self, records: &[(u64, u64, Vec<u8>)]) -> DiskResult<()> {
-        let mut buf = Vec::new();
-        for (time, cell, payload) in records {
-            self.bounds.absorb(*time, *cell);
-            write_frame(&mut buf, payload);
-        }
-        self.file
-            .write_all(&buf)
-            .map_err(|e| DiskError::io("appending to open segment", &self.path, e))?;
-        self.records += records.len() as u64;
-        self.len += buf.len() as u64;
-        Ok(())
-    }
-
-    /// Makes the file durable and returns the manifest entry committing
-    /// it.
-    fn seal(self) -> DiskResult<ManifestEntry> {
-        self.file
-            .sync_all()
-            .map_err(|e| DiskError::io("fsyncing open segment", &self.path, e))?;
-        Ok(ManifestEntry {
-            seq: self.seq,
-            kind: self.kind,
-            records: self.records,
-            bounds: self.bounds,
-            file_len: self.len,
-        })
-    }
-}
-
 /// Streaming writer over a [`DiskStore`]: frames arriving E/V-Scenarios
 /// into open segments and commits them with periodic manifest
 /// checkpoints. See the [module docs](self) for the durability
@@ -178,8 +116,8 @@ impl OpenSegment {
 #[derive(Debug)]
 pub struct IngestWriter {
     store: DiskStore,
-    open_e: Option<OpenSegment>,
-    open_v: Option<OpenSegment>,
+    open_e: Option<SegmentFile<EScenario>>,
+    open_v: Option<SegmentFile<VScenario>>,
     staged: u64,
     policy: CheckpointPolicy,
 }
@@ -216,57 +154,16 @@ impl IngestWriter {
     ///
     /// # Errors
     ///
-    /// [`DiskError::Io`] on write or fsync failure. The open segments
-    /// stay uncommitted, so a failed push never damages committed data.
+    /// [`DiskError::Io`](crate::DiskError::Io) on write or fsync
+    /// failure. The open segments stay uncommitted, so a failed push
+    /// never damages committed data.
     pub fn push(
         &mut self,
         e_batch: &[EScenario],
         v_batch: &[VScenario],
     ) -> DiskResult<StreamAppendReceipt> {
-        if !e_batch.is_empty() {
-            if self.open_e.is_none() {
-                self.open_e = Some(OpenSegment::create(
-                    &mut self.store,
-                    SegmentKind::EScenario,
-                )?);
-            }
-            let records: Vec<(u64, u64, Vec<u8>)> = e_batch
-                .iter()
-                .map(|s| {
-                    (
-                        s.time().tick(),
-                        s.cell().index() as u64,
-                        codec::encode_escenario(s),
-                    )
-                })
-                .collect();
-            self.open_e
-                .as_mut()
-                .expect("open E segment just ensured")
-                .push(&records)?;
-        }
-        if !v_batch.is_empty() {
-            if self.open_v.is_none() {
-                self.open_v = Some(OpenSegment::create(
-                    &mut self.store,
-                    SegmentKind::VScenario,
-                )?);
-            }
-            let records: Vec<(u64, u64, Vec<u8>)> = v_batch
-                .iter()
-                .map(|s| {
-                    (
-                        s.time().tick(),
-                        s.cell().index() as u64,
-                        codec::encode_vscenario(s),
-                    )
-                })
-                .collect();
-            self.open_v
-                .as_mut()
-                .expect("open V segment just ensured")
-                .push(&records)?;
-        }
+        stage(&mut self.store, &mut self.open_e, e_batch)?;
+        stage(&mut self.store, &mut self.open_v, v_batch)?;
         let appended = (e_batch.len() + v_batch.len()) as u64;
         self.staged += appended;
         let checkpoint = if self.policy.records_per_checkpoint > 0
@@ -289,22 +186,17 @@ impl IngestWriter {
     ///
     /// # Errors
     ///
-    /// [`DiskError::Io`] on fsync or manifest-append failure.
+    /// [`DiskError::Io`](crate::DiskError::Io) on write, fsync or
+    /// manifest-append failure.
     pub fn checkpoint(&mut self) -> DiskResult<Vec<ManifestEntry>> {
         let mut entries = Vec::new();
-        for open in [self.open_e.take(), self.open_v.take()]
-            .into_iter()
-            .flatten()
-        {
+        if let Some(open) = self.open_e.take() {
             entries.push(open.seal()?);
         }
-        if entries.is_empty() {
-            return Ok(entries);
+        if let Some(open) = self.open_v.take() {
+            entries.push(open.seal()?);
         }
-        // Segment contents are durable; now make their directory names
-        // durable, then commit them in one manifest append.
-        fsync_dir(self.store.dir())?;
-        self.store.commit_entries(&entries)?;
+        self.store.commit_sealed(&entries)?;
         self.staged = 0;
         Ok(entries)
     }
@@ -320,9 +212,27 @@ impl IngestWriter {
     }
 }
 
+/// Frames `batch` into the open segment of its kind, creating the
+/// segment file on first use.
+fn stage<R: Record>(
+    store: &mut DiskStore,
+    open: &mut Option<SegmentFile<R>>,
+    batch: &[R],
+) -> DiskResult<()> {
+    if batch.is_empty() {
+        return Ok(());
+    }
+    let segment = match open {
+        Some(segment) => segment,
+        None => open.insert(store.new_segment()?),
+    };
+    segment.push(batch)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::SegmentKind;
     use ev_core::ids::Eid;
     use ev_core::region::CellId;
     use ev_core::scenario::ZoneAttr;

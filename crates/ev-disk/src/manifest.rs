@@ -19,11 +19,11 @@
 //! manifest tail (truncated on recovery); it can never leave an entry
 //! that points at missing or incomplete data.
 
-use crate::codec::{ByteReader, ByteWriter};
+use crate::codec::ByteReader;
 use crate::error::{DiskError, DiskResult};
 use crate::format::{FORMAT_VERSION, HEADER_LEN, MANIFEST_ENTRY_PAYLOAD_LEN, MANIFEST_MAGIC};
 use crate::frame::{next_frame, write_frame, FrameEvent};
-use crate::segment::{SegmentBounds, SegmentKind};
+use crate::segment::{self, SegmentBounds, SegmentKind};
 
 /// One committed segment, as recorded in the manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,22 +45,25 @@ impl ManifestEntry {
     /// (`seg-000042-e.seg`).
     #[must_use]
     pub fn file_name(&self) -> String {
-        format!("seg-{:06}-{}.seg", self.seq, self.kind.tag())
+        segment::file_name(self.seq, self.kind)
     }
 
     /// Encodes the fixed 57-byte entry payload.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u64(self.seq);
-        w.put_u8(self.kind.byte());
-        w.put_u64(self.records);
-        w.put_u64(self.bounds.min_time);
-        w.put_u64(self.bounds.max_time);
-        w.put_u64(self.bounds.min_cell);
-        w.put_u64(self.bounds.max_cell);
-        w.put_u64(self.file_len);
-        let bytes = w.into_bytes();
+        let mut bytes = Vec::with_capacity(MANIFEST_ENTRY_PAYLOAD_LEN);
+        bytes.extend_from_slice(&self.seq.to_le_bytes());
+        bytes.push(self.kind.byte());
+        for field in [
+            self.records,
+            self.bounds.min_time,
+            self.bounds.max_time,
+            self.bounds.min_cell,
+            self.bounds.max_cell,
+            self.file_len,
+        ] {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
         debug_assert_eq!(bytes.len(), MANIFEST_ENTRY_PAYLOAD_LEN);
         bytes
     }
@@ -112,7 +115,9 @@ pub fn manifest_header() -> Vec<u8> {
 #[must_use]
 pub fn encode_entry_frame(entry: &ManifestEntry) -> Vec<u8> {
     let mut out = Vec::new();
-    write_frame(&mut out, &entry.encode());
+    write_frame(&mut out, |payload| {
+        payload.extend_from_slice(&entry.encode())
+    });
     out
 }
 

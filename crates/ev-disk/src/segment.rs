@@ -12,14 +12,22 @@
 //! frames…      len u32 | payload | crc32(payload) u32, one per record
 //! ```
 //!
-//! Record payloads use the [`codec`] layouts. The writer
-//! also computes the segment's cell/time bounds, which the manifest
-//! stores so loads can skip segments that cannot intersect a query.
+//! Record payloads use the [`codec`](crate::codec) layouts. Segments
+//! are written by one streaming writer that frames records in place
+//! into a bounded buffer and also computes the segment's cell/time
+//! bounds, which the manifest stores so loads can skip segments that
+//! cannot intersect a query.
 
-use crate::codec;
+use std::fs::File;
+use std::io::{self, Write};
+use std::marker::PhantomData;
+use std::path::{Path, PathBuf};
+
+use crate::codec::Record;
 use crate::error::{DiskError, DiskResult};
 use crate::format::{FORMAT_VERSION, HEADER_LEN, KIND_E, KIND_V, SEGMENT_MAGIC};
 use crate::frame::{next_frame, write_frame, FrameEvent};
+use crate::manifest::ManifestEntry;
 use ev_core::scenario::{EScenario, VScenario};
 
 /// Which record codec a segment holds.
@@ -114,8 +122,134 @@ impl SegmentBounds {
     }
 }
 
-/// The in-memory result of encoding a segment: its bytes plus the
-/// metadata the manifest entry needs.
+/// File name of segment `seq` of `kind` (`seg-000042-e.seg`).
+pub(crate) fn file_name(seq: u64, kind: SegmentKind) -> String {
+    format!("seg-{seq:06}-{}.seg", kind.tag())
+}
+
+/// Bytes the streaming writer gathers before handing them to its sink.
+/// Large enough that a segment leaves in few writes, small enough that
+/// writing one never holds more than about a mebibyte of it in memory.
+const WRITE_CHUNK: usize = 1 << 20;
+
+/// The one segment-writing path: frames records of one kind in place
+/// into a bounded buffer and hands the buffer to `sink` whenever it
+/// has grown past [`WRITE_CHUNK`] (on a frame boundary), accumulating
+/// the record count, bounds and byte length the manifest entry needs.
+/// At no point does more than one chunk plus one frame of the segment
+/// exist in memory.
+#[derive(Debug)]
+pub(crate) struct SegmentWriter<R, W> {
+    sink: W,
+    buf: Vec<u8>,
+    flushed: u64,
+    records: u64,
+    bounds: SegmentBounds,
+    _records: PhantomData<fn(&R)>,
+}
+
+impl<R: Record, W: Write> SegmentWriter<R, W> {
+    /// A writer whose first bytes out are the segment header.
+    pub(crate) fn new(sink: W) -> Self {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&SEGMENT_MAGIC);
+        buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        buf.push(R::KIND.byte());
+        buf.push(0);
+        SegmentWriter {
+            sink,
+            buf,
+            flushed: 0,
+            records: 0,
+            bounds: SegmentBounds::empty(),
+            _records: PhantomData,
+        }
+    }
+
+    /// Frames one record.
+    pub(crate) fn push(&mut self, record: &R) -> io::Result<()> {
+        let (time, cell) = record.time_cell();
+        self.bounds.absorb(time, cell);
+        write_frame(&mut self.buf, |out| record.encode_into(out));
+        self.records += 1;
+        if self.buf.len() >= WRITE_CHUNK {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.sink.write_all(&self.buf)?;
+        self.flushed += self.buf.len() as u64;
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// Hands the remaining bytes to the sink and returns it with the
+    /// manifest entry describing everything written, numbered `seq`.
+    pub(crate) fn finish(mut self, seq: u64) -> io::Result<(W, ManifestEntry)> {
+        self.flush()?;
+        let entry = ManifestEntry {
+            seq,
+            kind: R::KIND,
+            records: self.records,
+            bounds: self.bounds,
+            file_len: self.flushed,
+        };
+        Ok((self.sink, entry))
+    }
+}
+
+/// A segment file being written: a [`SegmentWriter`] over a fresh file,
+/// made durable and turned into its manifest entry by
+/// [`seal`](SegmentFile::seal). Until that entry is committed the file
+/// is an orphan that the next open removes.
+#[derive(Debug)]
+pub(crate) struct SegmentFile<R> {
+    seq: u64,
+    path: PathBuf,
+    writer: SegmentWriter<R, File>,
+}
+
+impl<R: Record> SegmentFile<R> {
+    /// Creates segment `seq` in `dir`. Nothing is written until the
+    /// first chunk fills or the segment is sealed.
+    pub(crate) fn create(dir: &Path, seq: u64) -> DiskResult<Self> {
+        let path = dir.join(file_name(seq, R::KIND));
+        let file = File::create(&path).map_err(|e| DiskError::io("creating", &path, e))?;
+        Ok(SegmentFile {
+            seq,
+            path,
+            writer: SegmentWriter::new(file),
+        })
+    }
+
+    /// Frames `batch` into the segment.
+    pub(crate) fn push(&mut self, batch: &[R]) -> DiskResult<()> {
+        for record in batch {
+            self.writer
+                .push(record)
+                .map_err(|e| DiskError::io("writing", &self.path, e))?;
+        }
+        Ok(())
+    }
+
+    /// Writes out what is buffered, fsyncs the file and returns the
+    /// manifest entry that commits it.
+    pub(crate) fn seal(self) -> DiskResult<ManifestEntry> {
+        let SegmentFile { seq, path, writer } = self;
+        let (file, entry) = writer
+            .finish(seq)
+            .map_err(|e| DiskError::io("writing", &path, e))?;
+        file.sync_all()
+            .map_err(|e| DiskError::io("fsyncing", &path, e))?;
+        Ok(entry)
+    }
+}
+
+/// A whole segment encoded in memory, with the metadata its manifest
+/// entry would carry. Tests and tools only: the store streams segments
+/// to their files and never holds one whole.
 #[derive(Debug)]
 pub struct EncodedSegment {
     /// Complete file contents (header + frames).
@@ -128,47 +262,32 @@ pub struct EncodedSegment {
     pub bounds: SegmentBounds,
 }
 
-pub(crate) fn header(kind: SegmentKind) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(HEADER_LEN);
-    bytes.extend_from_slice(&SEGMENT_MAGIC);
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.push(kind.byte());
-    bytes.push(0);
-    bytes
+fn encode_segment<R: Record>(records: &[R]) -> EncodedSegment {
+    let mut writer = SegmentWriter::new(Vec::new());
+    for record in records {
+        writer.push(record).expect("writing to a Vec cannot fail");
+    }
+    let (bytes, entry) = writer.finish(0).expect("writing to a Vec cannot fail");
+    EncodedSegment {
+        bytes,
+        kind: entry.kind,
+        records: entry.records,
+        bounds: entry.bounds,
+    }
 }
 
-/// Encodes an E-Scenario batch as one segment.
+/// Encodes an E-Scenario batch as one in-memory segment, through the
+/// same writer that streams segments to disk.
 #[must_use]
 pub fn encode_e_segment(scenarios: &[EScenario]) -> EncodedSegment {
-    let mut bytes = header(SegmentKind::EScenario);
-    let mut bounds = SegmentBounds::empty();
-    for s in scenarios {
-        bounds.absorb(s.time().tick(), s.cell().index() as u64);
-        write_frame(&mut bytes, &codec::encode_escenario(s));
-    }
-    EncodedSegment {
-        bytes,
-        kind: SegmentKind::EScenario,
-        records: scenarios.len() as u64,
-        bounds,
-    }
+    encode_segment(scenarios)
 }
 
-/// Encodes a V-Scenario batch as one segment.
+/// Encodes a V-Scenario batch as one in-memory segment, through the
+/// same writer that streams segments to disk.
 #[must_use]
 pub fn encode_v_segment(scenarios: &[VScenario]) -> EncodedSegment {
-    let mut bytes = header(SegmentKind::VScenario);
-    let mut bounds = SegmentBounds::empty();
-    for s in scenarios {
-        bounds.absorb(s.time().tick(), s.cell().index() as u64);
-        write_frame(&mut bytes, &codec::encode_vscenario(s));
-    }
-    EncodedSegment {
-        bytes,
-        kind: SegmentKind::VScenario,
-        records: scenarios.len() as u64,
-        bounds,
-    }
+    encode_segment(scenarios)
 }
 
 /// Validates a segment header and returns its kind.
@@ -269,6 +388,41 @@ pub fn scan(bytes: &[u8]) -> DiskResult<(SegmentKind, SegmentScan)> {
     }
 }
 
+/// Appends every record of a fully valid segment of `R`'s kind to
+/// `out`, checking and decoding frame by frame in one pass.
+///
+/// # Errors
+///
+/// [`DiskError::Corrupt`] when the segment is of the other kind, has a
+/// torn or damaged frame, or a payload fails the record codec.
+pub(crate) fn decode_segment<R: Record>(bytes: &[u8], out: &mut Vec<R>) -> DiskResult<()> {
+    let kind = parse_header(bytes)?;
+    if kind != R::KIND {
+        return Err(DiskError::corrupt(format!(
+            "expected a {:?} segment, found {kind:?}",
+            R::KIND
+        )));
+    }
+    let mut pos = HEADER_LEN;
+    loop {
+        match next_frame(bytes, pos) {
+            FrameEvent::Frame {
+                payload_start,
+                payload_len,
+                next_pos,
+            } => {
+                out.push(R::decode(
+                    &bytes[payload_start..payload_start + payload_len],
+                )?);
+                pos = next_pos;
+            }
+            FrameEvent::End => return Ok(()),
+            FrameEvent::Torn { .. } => return Err(DiskError::corrupt("segment has a torn tail")),
+            FrameEvent::Damaged { reason, .. } => return Err(DiskError::corrupt(reason)),
+        }
+    }
+}
+
 /// Decodes every E-record of a fully valid segment.
 ///
 /// # Errors
@@ -276,19 +430,9 @@ pub fn scan(bytes: &[u8]) -> DiskResult<(SegmentKind, SegmentScan)> {
 /// [`DiskError::Corrupt`] when the segment is not an E segment, has a
 /// torn or damaged frame, or a payload fails the record codec.
 pub fn decode_e_segment(bytes: &[u8]) -> DiskResult<Vec<EScenario>> {
-    let (kind, scan) = scan(bytes)?;
-    if kind != SegmentKind::EScenario {
-        return Err(DiskError::corrupt("expected an E segment, found kind V"));
-    }
-    if scan.torn || scan.damage.is_some() || scan.valid_len != bytes.len() {
-        return Err(DiskError::corrupt(
-            scan.damage.unwrap_or("segment has a torn tail"),
-        ));
-    }
-    scan.payloads
-        .iter()
-        .map(|&(start, len)| codec::decode_escenario(&bytes[start..start + len]))
-        .collect()
+    let mut out = Vec::new();
+    decode_segment(bytes, &mut out)?;
+    Ok(out)
 }
 
 /// Decodes every V-record of a fully valid segment.
@@ -297,19 +441,9 @@ pub fn decode_e_segment(bytes: &[u8]) -> DiskResult<Vec<EScenario>> {
 ///
 /// As [`decode_e_segment`], for V segments.
 pub fn decode_v_segment(bytes: &[u8]) -> DiskResult<Vec<VScenario>> {
-    let (kind, scan) = scan(bytes)?;
-    if kind != SegmentKind::VScenario {
-        return Err(DiskError::corrupt("expected a V segment, found kind E"));
-    }
-    if scan.torn || scan.damage.is_some() || scan.valid_len != bytes.len() {
-        return Err(DiskError::corrupt(
-            scan.damage.unwrap_or("segment has a torn tail"),
-        ));
-    }
-    scan.payloads
-        .iter()
-        .map(|&(start, len)| codec::decode_vscenario(&bytes[start..start + len]))
-        .collect()
+    let mut out = Vec::new();
+    decode_segment(bytes, &mut out)?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -352,7 +486,7 @@ mod tests {
             assert!(scan.damage.is_none(), "truncation is torn, not damaged");
             // Every surviving payload still decodes.
             for &(start, len) in &scan.payloads {
-                codec::decode_escenario(&seg.bytes[start..start + len]).unwrap();
+                crate::codec::decode_escenario(&seg.bytes[start..start + len]).unwrap();
             }
         }
     }

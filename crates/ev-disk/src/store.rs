@@ -3,19 +3,21 @@
 //!
 //! # Durability protocol
 //!
-//! An append commits in this order, fsyncing at each arrow:
+//! An append streams its E and its V batch into one new segment file
+//! each, then commits both at once, fsyncing at each arrow:
 //!
 //! ```text
-//! write segment file → fsync(segment) → fsync(dir)
-//!   → append manifest entry → fsync(manifest)
+//! stream segment file(s) → fsync(each segment) → fsync(dir)
+//!   → append the manifest entries in one write → fsync(manifest)
 //! ```
 //!
 //! A crash at any point leaves exactly one of two benign shapes:
-//! an **orphan segment** (file on disk, no manifest entry — the append
-//! never committed; recovery deletes it) or a **torn manifest tail**
-//! (partial final entry — recovery truncates it, which also orphans the
-//! segment it was committing). Neither shape can lose a *committed*
-//! append, and neither is reported as corruption.
+//! **orphan segments** (files on disk, complete or cut short, with no
+//! manifest entry — the append never committed; recovery deletes them)
+//! or a **torn manifest tail** (partial final entry — recovery
+//! truncates it, keeping the E entry if that one is whole and
+//! orphaning the segment whose entry was lost). Neither shape can lose
+//! a *committed* append, and neither is reported as corruption.
 //!
 //! Anything else — a checksum mismatch in the middle of a file, a
 //! committed segment whose length disagrees with its manifest entry —
@@ -37,10 +39,10 @@ use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{names, Telemetry};
 use ev_vision::cost::CostModel;
 
-use crate::codec;
+use crate::codec::{self, Record};
 use crate::error::{DiskError, DiskResult, RecoveryError};
 use crate::manifest::{self, ManifestEntry};
-use crate::segment::{self, SegmentBounds, SegmentKind};
+use crate::segment::{self, SegmentBounds, SegmentFile, SegmentKind};
 
 /// File name of the manifest inside a corpus directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -105,7 +107,7 @@ pub struct DiskStore {
     telemetry: Telemetry,
 }
 
-pub(crate) fn fsync_dir(dir: &Path) -> DiskResult<()> {
+fn fsync_dir(dir: &Path) -> DiskResult<()> {
     // Directory fsync makes the new directory entry itself durable;
     // without it a crash can lose the file name while keeping the data.
     let d = File::open(dir).map_err(|e| DiskError::io("opening directory", dir, e))?;
@@ -468,7 +470,7 @@ impl DiskStore {
     }
 
     /// Durably appends one batch of E- and/or V-Scenarios, each as one
-    /// new immutable segment, committing them to the manifest.
+    /// new immutable segment, committing both with one manifest write.
     ///
     /// Empty slices are skipped; appending two empty batches is a
     /// no-op. Records with the same `(cell, time)` as earlier ones
@@ -483,72 +485,50 @@ impl DiskStore {
         e_batch: &[EScenario],
         v_batch: &[VScenario],
     ) -> DiskResult<AppendReceipt> {
-        let mut receipt = AppendReceipt {
-            e_segment: None,
-            v_segment: None,
+        let receipt = AppendReceipt {
+            e_segment: self.write_segment(e_batch)?,
+            v_segment: self.write_segment(v_batch)?,
         };
-        if !e_batch.is_empty() {
-            receipt.e_segment = Some(self.append_segment(segment::encode_e_segment(e_batch))?);
-        }
-        if !v_batch.is_empty() {
-            receipt.v_segment = Some(self.append_segment(segment::encode_v_segment(v_batch))?);
-        }
+        let entries: Vec<ManifestEntry> = [receipt.e_segment, receipt.v_segment]
+            .into_iter()
+            .flatten()
+            .collect();
+        self.commit_sealed(&entries)?;
         Ok(receipt)
     }
 
-    fn append_segment(&mut self, encoded: segment::EncodedSegment) -> DiskResult<ManifestEntry> {
-        let entry = ManifestEntry {
-            seq: self.next_seq,
-            kind: encoded.kind,
-            records: encoded.records,
-            bounds: encoded.bounds,
-            file_len: encoded.bytes.len() as u64,
-        };
-        let seg_path = self.dir.join(entry.file_name());
-        write_durable(&seg_path, &encoded.bytes)?;
-        fsync_dir(&self.dir)?;
-
-        let manifest_path = self.dir.join(MANIFEST_FILE);
-        let mut f = OpenOptions::new()
-            .append(true)
-            .open(&manifest_path)
-            .map_err(|e| DiskError::io("opening manifest for append", &manifest_path, e))?;
-        f.write_all(&manifest::encode_entry_frame(&entry))
-            .map_err(|e| DiskError::io("appending manifest entry", &manifest_path, e))?;
-        f.sync_all()
-            .map_err(|e| DiskError::io("fsyncing manifest", &manifest_path, e))?;
-
-        self.next_seq += 1;
-        self.entries.push(entry);
-        if self.telemetry.counters_on() {
-            let registry = self.telemetry.registry();
-            registry.counter(names::DISK_SEGMENTS_WRITTEN).inc();
-            registry
-                .gauge(names::DISK_MANIFEST_ENTRIES)
-                .set(self.entries.len() as f64);
+    /// Streams `batch` into one new segment file and fsyncs it; the
+    /// returned entry is not committed yet. `None` for an empty batch.
+    fn write_segment<R: Record>(&mut self, batch: &[R]) -> DiskResult<Option<ManifestEntry>> {
+        if batch.is_empty() {
+            return Ok(None);
         }
-        Ok(entry)
+        let mut segment = self.new_segment()?;
+        segment.push(batch)?;
+        segment.seal().map(Some)
     }
 
-    /// Hands out the next unused segment sequence number. The caller
-    /// owns the number forever: even if the segment it names is never
-    /// committed, recovery deletes the orphan file without reusing the
-    /// sequence (see `orphan_segment_is_removed_on_open`).
-    pub(crate) fn reserve_seq(&mut self) -> u64 {
+    /// Starts a segment file under the next unused sequence number.
+    /// The number is spent whatever becomes of the file: if the segment
+    /// is never committed, recovery deletes the orphan without reusing
+    /// the sequence (see `orphan_segment_is_removed_on_open`).
+    pub(crate) fn new_segment<R: Record>(&mut self) -> DiskResult<SegmentFile<R>> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        seq
+        SegmentFile::create(&self.dir, seq)
     }
 
-    /// Commits a batch of already-durable segments in one manifest
-    /// append + fsync. The caller must have fsync'd the segment files
-    /// *and* the directory first; a crash mid-append leaves a torn
+    /// Commits sealed (written and fsync'd) segments: one directory
+    /// fsync makes their names durable, then one manifest append +
+    /// fsync commits them all. A crash before the manifest write leaves
+    /// every one of them an orphan; a crash inside it leaves a torn
     /// manifest tail, which the next open truncates — keeping a prefix
     /// of `entries` and orphaning the rest.
-    pub(crate) fn commit_entries(&mut self, entries: &[ManifestEntry]) -> DiskResult<()> {
+    pub(crate) fn commit_sealed(&mut self, entries: &[ManifestEntry]) -> DiskResult<()> {
         if entries.is_empty() {
             return Ok(());
         }
+        fsync_dir(&self.dir)?;
         let manifest_path = self.dir.join(MANIFEST_FILE);
         let mut f = OpenOptions::new()
             .append(true)
@@ -575,20 +555,20 @@ impl DiskStore {
         Ok(())
     }
 
-    /// Reads, checks and decodes the segments selected by `filter`
-    /// (over the manifest's per-segment bounds), returning the decoded
-    /// record payload groups in commit order.
-    fn load_segments(
+    /// Loads the records of every segment of `R`'s kind that `filter`
+    /// (over the manifest's per-segment bounds) selects, in commit
+    /// order. One segment at a time is read, length-checked, verified
+    /// and decoded, and its bytes dropped before the next is read.
+    fn load_records<R: Record>(
         &self,
-        kind: SegmentKind,
         mut filter: impl FnMut(&ManifestEntry) -> bool,
-    ) -> DiskResult<Vec<Vec<u8>>> {
-        let mut files = Vec::new();
+    ) -> DiskResult<Vec<R>> {
+        let mut records = Vec::new();
         let mut opened = 0u64;
         let mut pruned = 0u64;
         let mut bytes_read = 0u64;
-        let mut records = 0u64;
-        for entry in self.entries.iter().filter(|e| e.kind == kind) {
+        let mut records_read = 0u64;
+        for entry in self.entries.iter().filter(|e| e.kind == R::KIND) {
             if !filter(entry) {
                 pruned += 1;
                 continue;
@@ -603,19 +583,19 @@ impl DiskStore {
                 }
                 .into());
             }
+            segment::decode_segment(&bytes, &mut records)?;
             opened += 1;
             bytes_read += bytes.len() as u64;
-            records += entry.records;
-            files.push(bytes);
+            records_read += entry.records;
         }
         if self.telemetry.counters_on() {
             let registry = self.telemetry.registry();
             registry.counter(names::DISK_SEGMENTS_OPENED).add(opened);
             registry.counter(names::DISK_SEGMENTS_PRUNED).add(pruned);
             registry.counter(names::DISK_BYTES_READ).add(bytes_read);
-            registry.counter(names::DISK_RECORDS_READ).add(records);
+            registry.counter(names::DISK_RECORDS_READ).add(records_read);
         }
-        Ok(files)
+        Ok(records)
     }
 
     /// Loads every committed E-Scenario into an in-memory
@@ -656,11 +636,7 @@ impl DiskStore {
         filter: impl FnMut(&ManifestEntry) -> bool,
     ) -> DiskResult<EScenarioStore> {
         let mut span = self.telemetry.span("disk_load_estore", "disk");
-        let files = self.load_segments(SegmentKind::EScenario, filter)?;
-        let mut scenarios = Vec::new();
-        for bytes in &files {
-            scenarios.extend(segment::decode_e_segment(bytes)?);
-        }
+        let scenarios = self.load_records(filter)?;
         span.arg("records", serde_json::Value::Int(scenarios.len() as i128));
         Ok(EScenarioStore::from_scenarios(scenarios))
     }
@@ -673,11 +649,7 @@ impl DiskStore {
     /// As [`DiskStore::load_estore`].
     pub fn load_video(&self, cost: CostModel) -> DiskResult<VideoStore> {
         let mut span = self.telemetry.span("disk_load_video", "disk");
-        let files = self.load_segments(SegmentKind::VScenario, |_| true)?;
-        let mut scenarios = Vec::new();
-        for bytes in &files {
-            scenarios.extend(segment::decode_v_segment(bytes)?);
-        }
+        let scenarios = self.load_records(|_| true)?;
         span.arg("records", serde_json::Value::Int(scenarios.len() as i128));
         Ok(VideoStore::new(scenarios, cost))
     }

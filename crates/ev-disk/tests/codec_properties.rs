@@ -5,6 +5,11 @@
 //! arbitrary scenarios survive encode → decode byte-identically,
 //! arbitrary junk never panics a decoder, and any prefix cut of a
 //! segment scans to a prefix of its records.
+//!
+//! This binary also runs under a counting allocator, so "rejected"
+//! includes "before anything was allocated for it": no length or count
+//! prefix read from hostile bytes may size an allocation beyond the
+//! input that carried it.
 
 use ev_core::feature::FeatureVector;
 use ev_core::ids::{Eid, Vid};
@@ -12,9 +17,178 @@ use ev_core::region::CellId;
 use ev_core::scenario::{Detection, EScenario, VScenario, ZoneAttr};
 use ev_core::time::Timestamp;
 use ev_disk::codec::{decode_escenario, decode_vscenario, encode_escenario, encode_vscenario};
-use ev_disk::format::HEADER_LEN;
-use ev_disk::segment::{decode_e_segment, encode_e_segment, encode_v_segment, scan};
+use ev_disk::format::{HEADER_LEN, MANIFEST_ENTRY_PAYLOAD_LEN, MAX_FRAME_PAYLOAD};
+use ev_disk::manifest::{scan_manifest, ManifestEntry};
+use ev_disk::segment::{
+    decode_e_segment, decode_v_segment, encode_e_segment, encode_v_segment, scan,
+};
+use ev_disk::DiskError;
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, noting per thread the largest single request.
+struct Counting;
+
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates or registers anything.
+    static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: allocations made while a thread is being torn down
+    // are simply not counted.
+    let _ = LARGEST_REQUEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; `note` only reads and
+// writes a thread-local integer and neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's `layout` obligations pass through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with `layout`; the caller guarantees the rest.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `decode` over `input` and fails if any single allocation it
+/// made exceeds `2 × input + 64 KiB` — room for a decoded copy and for
+/// error strings, none for a size taken from the input on trust.
+fn assert_allocations_bounded_by_input<T>(
+    what: &str,
+    input: &[u8],
+    decode: impl FnOnce(&[u8]) -> T,
+) -> T {
+    LARGEST_REQUEST.with(|largest| largest.set(0));
+    let out = decode(input);
+    let largest = LARGEST_REQUEST.with(Cell::get);
+    let bound = 2 * input.len() + (64 << 10);
+    assert!(
+        largest <= bound,
+        "{what}: a {largest}-byte allocation from {} input bytes (bound {bound})",
+        input.len()
+    );
+    out
+}
+
+fn assert_corrupt<T: std::fmt::Debug>(what: &str, result: Result<T, DiskError>) {
+    assert!(
+        matches!(result, Err(DiskError::Corrupt { .. })),
+        "{what}: expected DiskError::Corrupt, got {result:?}"
+    );
+}
+
+/// `time | cell | count` — the fixed head of both record payloads.
+fn record_head(count: u32) -> Vec<u8> {
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&7u64.to_le_bytes());
+    payload.extend_from_slice(&3u64.to_le_bytes());
+    payload.extend_from_slice(&count.to_le_bytes());
+    payload
+}
+
+/// A V payload announcing one detection of dimension `dim`, followed by
+/// only `present` component bytes.
+fn v_payload_with_dim(dim: u32, present: usize) -> Vec<u8> {
+    let mut payload = record_head(1);
+    payload.extend_from_slice(&9u64.to_le_bytes());
+    payload.extend_from_slice(&dim.to_le_bytes());
+    payload.extend(std::iter::repeat_n(0u8, present));
+    payload
+}
+
+/// A segment of `kind` whose single frame declares `len` payload bytes
+/// and supplies `present`.
+fn segment_with_frame_len(kind: u8, len: u32, present: usize) -> Vec<u8> {
+    let mut bytes = b"EVSG\x01\x00".to_vec();
+    bytes.extend_from_slice(&[kind, 0]);
+    bytes.extend_from_slice(&len.to_le_bytes());
+    bytes.extend(std::iter::repeat_n(0xA5u8, present));
+    bytes
+}
+
+/// Crafted length and count prefixes: each is refused as corruption,
+/// and refused *before* it sizes an allocation.
+#[test]
+fn hostile_prefixes_are_corruption_and_never_drive_an_allocation() {
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        ("v count = u32::MAX", record_head(u32::MAX)),
+        ("v dim = u32::MAX", v_payload_with_dim(u32::MAX, 64)),
+        // dim × 8 = 2³², which wraps to 0 in a 32-bit `usize`.
+        ("v dim × 8 overflows u32", v_payload_with_dim(1 << 29, 64)),
+        (
+            "v dim one past the bytes present",
+            v_payload_with_dim(9, 64),
+        ),
+    ];
+    for (what, payload) in &cases {
+        let result = assert_allocations_bounded_by_input(what, payload, decode_vscenario);
+        assert_corrupt(what, result);
+    }
+
+    let e_count = record_head(u32::MAX);
+    let result =
+        assert_allocations_bounded_by_input("e count = u32::MAX", &e_count, decode_escenario);
+    assert_corrupt("e count = u32::MAX", result);
+
+    for (what, len) in [
+        ("frame len = u32::MAX", u32::MAX),
+        ("frame len = MAX_FRAME_PAYLOAD", MAX_FRAME_PAYLOAD as u32),
+        ("frame len one past the bytes present", 65),
+    ] {
+        let e_seg = segment_with_frame_len(0, len, 64);
+        let result = assert_allocations_bounded_by_input(what, &e_seg, decode_e_segment);
+        assert_corrupt(what, result);
+        let v_seg = segment_with_frame_len(1, len, 64);
+        let result = assert_allocations_bounded_by_input(what, &v_seg, decode_v_segment);
+        assert_corrupt(what, result);
+        // The tolerant scanner classifies the same bytes as a torn tail
+        // without allocating for the declared length either.
+        let (_, scanned) =
+            assert_allocations_bounded_by_input(what, &v_seg, scan).expect("the header is intact");
+        assert!(scanned.torn && scanned.payloads.is_empty(), "{what}");
+    }
+
+    // Manifest: a huge frame length is a torn tail, an entry of the
+    // wrong size is corruption; neither allocates for what it claims.
+    let mut manifest = b"EVMF\x01\x00\x00\x00".to_vec();
+    manifest.extend_from_slice(&u32::MAX.to_le_bytes());
+    manifest.extend_from_slice(&[0xA5; 64]);
+    let scanned =
+        assert_allocations_bounded_by_input("manifest frame len", &manifest, scan_manifest)
+            .expect("the header is intact");
+    assert!(scanned.torn && scanned.entries.is_empty());
+    let short_entry = vec![0u8; MANIFEST_ENTRY_PAYLOAD_LEN - 1];
+    let result = assert_allocations_bounded_by_input(
+        "manifest entry length",
+        &short_entry,
+        ManifestEntry::decode,
+    );
+    assert_corrupt("manifest entry length", result);
+}
 
 /// Raw draw for an E-Scenario: time, cell, `(eid, attr)` entries.
 type ERaw = (u64, usize, Vec<(u64, u8)>);
@@ -96,9 +270,10 @@ proptest! {
     /// on — the decoders guard every length and every enum byte.
     #[test]
     fn junk_never_panics_a_decoder(bytes in prop::collection::vec(0u8..=255, 0..256)) {
-        let _ = decode_escenario(&bytes);
-        let _ = decode_vscenario(&bytes);
-        let _ = scan(&bytes);
+        let _ = assert_allocations_bounded_by_input("junk e-record", &bytes, decode_escenario);
+        let _ = assert_allocations_bounded_by_input("junk v-record", &bytes, decode_vscenario);
+        let _ = assert_allocations_bounded_by_input("junk segment", &bytes, scan);
+        let _ = assert_allocations_bounded_by_input("junk manifest", &bytes, scan_manifest);
     }
 
     /// A decoded payload with trailing garbage is rejected: record

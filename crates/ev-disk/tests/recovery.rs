@@ -435,3 +435,153 @@ fn the_canonical_crash_shape_heals_to_the_committed_prefix() {
     assert_records_committed(&store, &all_e, &all_v);
     let _ = fs::remove_dir_all(&dir);
 }
+
+// ---- crash shapes of the batched append commit --------------------------
+//
+// `DiskStore::append` streams its E segment, then its V segment, fsyncs
+// each, fsyncs the directory and only then commits both with a single
+// manifest write. The tests below stop that sequence at each point a
+// crash can, by running a third append to completion on a built corpus
+// and then rolling the files back to what would have been on disk.
+
+/// A third append on top of [`build_corpus`], whose V segment spans more
+/// than one of the writer's ~1 MiB chunks. Returns the manifest length
+/// before it and the batches it committed as segments 4 (E) and 5 (V).
+fn third_append(dir: &Path) -> (u64, Vec<EScenario>, Vec<VScenario>) {
+    let manifest_before = fs::metadata(dir.join(MANIFEST_FILE))
+        .expect("manifest")
+        .len();
+    let e3 = vec![escenario(20, 0, &[1, 8]), escenario(20, 3, &[9])];
+    let wide: Vec<u64> = (0..400).collect();
+    let v3: Vec<VScenario> = (0..160).map(|i| vscenario(20 + i, 3, &wide)).collect();
+    let mut store = DiskStore::open(dir).expect("built corpus opens");
+    let receipt = store.append(&e3, &v3).expect("third append");
+    assert_eq!(receipt.e_segment.expect("E entry").seq, 4);
+    let v_entry = receipt.v_segment.expect("V entry");
+    assert_eq!(v_entry.seq, 5);
+    assert!(
+        v_entry.file_len > 2 << 20,
+        "the V segment must span several write chunks"
+    );
+    (manifest_before, e3, v3)
+}
+
+fn truncate(path: &Path, len: u64) {
+    let f = fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .expect("open for truncate");
+    f.set_len(len).expect("truncate");
+    f.sync_all().expect("sync");
+}
+
+#[test]
+fn crash_before_the_manifest_write_orphans_both_segments() {
+    for mode in [RecoveryMode::Strict, RecoveryMode::Salvage] {
+        let dir = temp_dir("crash-uncommitted");
+        let (all_e, all_v) = build_corpus(&dir);
+        let (manifest_before, _, _) = third_append(&dir);
+        // Both segment files are durable; the manifest write never ran.
+        truncate(&dir.join(MANIFEST_FILE), manifest_before);
+
+        let mut store =
+            DiskStore::open_with(&dir, mode, Telemetry::disabled()).expect("heals a crash");
+        let rec = *store.recovery();
+        assert_eq!(rec.orphan_segments_removed, 2, "{mode:?}");
+        assert_eq!(rec.manifest_bytes_truncated, 0, "{mode:?}");
+        assert_eq!(rec.records_dropped, 0, "{mode:?}");
+        assert_eq!(
+            store.segments().len(),
+            4,
+            "{mode:?}: nothing of it committed"
+        );
+        assert!(!dir.join("seg-000004-e.seg").exists());
+        assert!(!dir.join("seg-000005-v.seg").exists());
+        assert_eq!(
+            store.load_estore().expect("loads").iter().count(),
+            all_e.len()
+        );
+        assert_records_committed(&store, &all_e, &all_v);
+
+        // The lost append's sequence numbers are spent, not reused.
+        let receipt = store
+            .append(&[escenario(30, 0, &[1])], &[vscenario(30, 0, &[1])])
+            .expect("append after recovery");
+        assert_eq!(receipt.e_segment.expect("E entry").seq, 6, "{mode:?}");
+        assert_eq!(receipt.v_segment.expect("V entry").seq, 7, "{mode:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn manifest_torn_inside_the_v_entry_keeps_the_e_entry() {
+    let dir = temp_dir("crash-torn-v-entry");
+    let (mut all_e, all_v) = build_corpus(&dir);
+    let (manifest_before, e3, _) = third_append(&dir);
+    let entry_frame = (FRAME_OVERHEAD + MANIFEST_ENTRY_PAYLOAD_LEN) as u64;
+    // The one manifest write persisted the E entry and half the V entry.
+    truncate(
+        &dir.join(MANIFEST_FILE),
+        manifest_before + entry_frame + entry_frame / 2,
+    );
+
+    let store = DiskStore::open(&dir).expect("strict open heals a torn tail");
+    let rec = store.recovery();
+    assert_eq!(
+        rec.manifest_entries_kept, 5,
+        "four old entries + the E entry"
+    );
+    assert_eq!(rec.manifest_bytes_truncated, entry_frame / 2);
+    assert_eq!(
+        rec.orphan_segments_removed, 1,
+        "the V segment lost its entry"
+    );
+    assert_eq!(rec.records_dropped, 0);
+    assert!(dir.join("seg-000004-e.seg").exists());
+    assert!(!dir.join("seg-000005-v.seg").exists());
+
+    all_e.extend(e3);
+    assert_eq!(
+        store.load_estore().expect("loads").iter().count(),
+        all_e.len(),
+        "the E half of the append is committed"
+    );
+    assert_eq!(
+        store
+            .load_video(CostModel::free())
+            .expect("loads")
+            .scenarios()
+            .count(),
+        all_v.len(),
+        "the V half is not"
+    );
+    assert_records_committed(&store, &all_e, &all_v);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn segment_torn_mid_chunk_and_uncommitted_is_an_orphan() {
+    for mode in [RecoveryMode::Strict, RecoveryMode::Salvage] {
+        let dir = temp_dir("crash-mid-chunk");
+        let (all_e, all_v) = build_corpus(&dir);
+        let (manifest_before, _, _) = third_append(&dir);
+        // The crash came while the V segment was streaming out: one
+        // whole chunk and part of the next reached the file, cutting a
+        // frame in two; nothing was committed.
+        truncate(&dir.join("seg-000005-v.seg"), (1 << 20) + 12_345);
+        truncate(&dir.join(MANIFEST_FILE), manifest_before);
+
+        let store = DiskStore::open_with(&dir, mode, Telemetry::disabled()).expect("heals a crash");
+        let rec = store.recovery();
+        assert_eq!(rec.orphan_segments_removed, 2, "{mode:?}");
+        assert_eq!(
+            rec.segments_salvaged, 0,
+            "{mode:?}: orphans are not salvaged"
+        );
+        assert_eq!(rec.records_dropped, 0, "{mode:?}");
+        assert_eq!(store.segments().len(), 4, "{mode:?}");
+        assert!(!dir.join("seg-000005-v.seg").exists());
+        assert_records_committed(&store, &all_e, &all_v);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}

@@ -68,6 +68,48 @@ fn persisted_corpus_matches_byte_identically_to_memory() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// The segment writer streams a segment out in chunks of about a
+/// mebibyte. A V segment several chunks long — so most flushes happen
+/// mid-batch, with further frames still to come — must read back and
+/// match exactly as the single-chunk corpora above do.
+#[test]
+fn multi_chunk_v_segment_matches_byte_identically_to_memory() {
+    let d = EvDataset::generate(&DatasetConfig {
+        population: 150,
+        duration: 300,
+        feature_dim: 256,
+        ..DatasetConfig::default()
+    })
+    .expect("valid config");
+    let dir = temp_dir("chunks");
+    persist(&dir, &d);
+
+    let backend = DiskBackend::open(&dir, d.video.cost_model()).expect("reopen corpus");
+    let v_segment = (backend.disk().segments().iter())
+        .find(|entry| entry.file_name().ends_with("-v.seg"))
+        .expect("a V segment was committed");
+    assert!(
+        v_segment.file_len > 4 << 20,
+        "the V segment must span several write chunks, got {} bytes",
+        v_segment.file_len
+    );
+    assert_eq!(backend.estore(), &d.estore);
+    let loaded: Vec<_> = backend.video().scenarios().collect();
+    let original: Vec<_> = d.video.scenarios().collect();
+    assert_eq!(
+        loaded, original,
+        "every V record survives the chunked write"
+    );
+
+    let targets = sample_targets(&d, 50, 1);
+    let config = RefineConfig::default();
+    let memory = match_with_refinement(&d.estore, &d.video, &targets, &config);
+    let disk = match_with_refinement_on(&backend, &targets, &config);
+    assert_same_report(&disk, &memory);
+
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 #[test]
 fn crash_mid_append_recovers_to_a_byte_identical_report() {
     // Two committed ingest batches (colliding scenario ids resolve
