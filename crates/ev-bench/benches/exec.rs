@@ -1,49 +1,15 @@
-//! Benchmarks the work-stealing executor under the sharded matching
-//! pipeline and writes the scaling record to `results/BENCH_exec.json`.
+//! Records the deterministic virtual-time scaling curve of the
+//! MapReduce engine in `results/BENCH_exec.json`.
 //!
-//! Two curves, because they answer different questions:
-//!
-//! * **wall** — real elapsed time of [`sharded_match`] at 1/2/4/8
-//!   threads on *this* machine. On a single-core host the curve is flat
-//!   (there is nothing to steal a core from); on an n-core host it bends
-//!   down. `host_parallelism` is recorded so the reader can interpret
-//!   the numbers.
-//! * **virtual** — the deterministic makespan of the same MapReduce
-//!   engine under [`Backend::Simulated`], which models the paper's
-//!   Figure 9 cluster experiment in virtual time units and is
-//!   independent of the host. This is where the ≥2× speedup at 4
-//!   workers is asserted.
-//!
-//! Custom main (no criterion harness): the results must land in a JSON
-//! record, so we drain [`Criterion::take_results`] ourselves.
+//! The curve is the makespan of one job under [`Backend::Simulated`],
+//! which models the paper's Figure 9 cluster experiment in virtual time
+//! units: it is independent of the host, and it is where the ≥2×
+//! speedup at 4 workers is asserted. Wall-clock scaling of the one
+//! real-thread pipeline (`dag_match`) is `benches/dag.rs`'s record.
 
-use criterion::{BenchResult, Criterion};
-use ev_datagen::{sample_targets, DatasetConfig, EvDataset};
 use ev_mapreduce::{Backend, ClusterConfig, Emitter, FaultPlan, MapReduce, Mapper, Reducer};
-use ev_matching::parallel::ParallelSplitConfig;
-use ev_matching::sharded::sharded_match;
-use ev_matching::vfilter::VFilterConfig;
-use ev_telemetry::Telemetry;
 use serde::Serialize;
 use std::path::Path;
-
-/// One exported wall-clock measurement.
-#[derive(Debug, Serialize)]
-struct Entry {
-    id: String,
-    per_iter_ns: u64,
-    iterations: u64,
-}
-
-impl From<BenchResult> for Entry {
-    fn from(r: BenchResult) -> Self {
-        Entry {
-            id: r.id,
-            per_iter_ns: u64::try_from(r.per_iter.as_nanos()).unwrap_or(u64::MAX),
-            iterations: r.iterations,
-        }
-    }
-}
 
 /// One point of the deterministic virtual-makespan curve.
 #[derive(Debug, Serialize)]
@@ -56,32 +22,15 @@ struct VirtualPoint {
 /// The full `BENCH_exec.json` record.
 #[derive(Debug, Serialize)]
 struct Record {
-    population: u64,
-    duration: u64,
-    targets: usize,
-    /// `std::thread::available_parallelism()` on the benchmark host.
-    /// Wall-clock scaling is bounded by this number; the virtual curve
-    /// is not.
+    /// `std::thread::available_parallelism()` on the benchmark host
+    /// (recorded like every bench header; the virtual curve does not
+    /// depend on it).
     host_parallelism: usize,
-    /// threads=1 report compared field-by-field against threads=4.
-    byte_identical: bool,
     /// Deterministic simulated-cluster speedup at 4 workers vs 1
     /// (virtual makespan ratio; the acceptance bar is ≥ 2).
     virtual_speedup_at_4_workers: f64,
-    /// Wall-clock speedup of sharded_match at 4 threads vs 1 on this
-    /// host (≈1.0 when `host_parallelism` is 1).
-    wall_speedup_at_4_threads: f64,
     virtual_curve: Vec<VirtualPoint>,
-    wall_results: Vec<Entry>,
     note: &'static str,
-}
-
-fn per_iter_ns(results: &[Entry], id: &str) -> f64 {
-    results
-        .iter()
-        .find(|e| e.id == id)
-        .map(|e| e.per_iter_ns as f64)
-        .expect("benchmark id present")
 }
 
 // -- the virtual-cluster workload (Figure 9 model) ----------------------
@@ -129,58 +78,7 @@ fn virtual_makespan(workers: usize) -> u64 {
 
 fn main() {
     let host_parallelism = ev_bench::announce_host_parallelism();
-    let population = 200;
-    let duration = 250;
-    let n_targets = 40;
-    let data = EvDataset::generate(&DatasetConfig {
-        population,
-        duration,
-        ..DatasetConfig::default()
-    })
-    .expect("valid config");
-    let targets = sample_targets(&data, n_targets, 1);
-    let split_config = ParallelSplitConfig {
-        seed: 9,
-        max_iterations: None,
-    };
-    let vconfig = VFilterConfig::default();
-    let telemetry = Telemetry::disabled();
 
-    let run = |threads: usize| {
-        data.video.reset_usage();
-        sharded_match(
-            threads,
-            &data.estore,
-            &data.video,
-            &targets,
-            &split_config,
-            &vconfig,
-            telemetry,
-        )
-        .expect("sharded match succeeds")
-    };
-
-    // -- thread-count independence (the merge invariant) ----------------
-    let reference = run(1);
-    let wide = run(4);
-    let byte_identical = reference.outcomes == wide.outcomes
-        && reference.lists == wide.lists
-        && reference.selected_scenarios == wide.selected_scenarios
-        && reference.rounds == wide.rounds;
-    assert!(byte_identical, "threads=4 diverged from threads=1");
-
-    // -- wall-clock curve on this host ----------------------------------
-    let mut c = Criterion::default();
-    let mut group = c.benchmark_group("exec_sharded_wall");
-    group.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_function(format!("threads/{threads}"), |b| {
-            b.iter(|| run(threads).outcomes.len());
-        });
-    }
-    group.finish();
-
-    // -- deterministic virtual curve (Figure 9 model) -------------------
     let m1 = virtual_makespan(1);
     let virtual_curve: Vec<VirtualPoint> = [1usize, 2, 4, 8, 14]
         .into_iter()
@@ -203,28 +101,14 @@ fn main() {
         "virtual speedup at 4 workers must be >= 2x, got {virtual_speedup_at_4_workers:.2}x"
     );
 
-    let wall_results: Vec<Entry> = c.take_results().into_iter().map(Entry::from).collect();
     let record = Record {
-        population,
-        duration,
-        targets: n_targets,
         host_parallelism,
-        byte_identical,
         virtual_speedup_at_4_workers,
-        wall_speedup_at_4_threads: per_iter_ns(&wall_results, "exec_sharded_wall/threads/1")
-            / per_iter_ns(&wall_results, "exec_sharded_wall/threads/4"),
         virtual_curve,
-        wall_results,
-        note: "wall speedup is bounded by host_parallelism; the virtual curve is the \
-               host-independent Figure 9 cluster model (see EXPERIMENTS.md)",
+        note: "the host-independent Figure 9 cluster model (see EXPERIMENTS.md); \
+               real-thread wall scaling is BENCH_dag.json",
     };
 
-    for e in &record.wall_results {
-        println!(
-            "{:<40} {:>12} ns/iter  ({} iters)",
-            e.id, e.per_iter_ns, e.iterations
-        );
-    }
     for p in &record.virtual_curve {
         println!(
             "virtual workers={:<3} makespan={:>8} units  speedup {:.2}x",
@@ -232,12 +116,8 @@ fn main() {
         );
     }
     println!(
-        "byte_identical: {}   virtual speedup @4: {:.2}x   wall speedup @4: {:.2}x \
-         (host has {} core(s))",
-        record.byte_identical,
-        record.virtual_speedup_at_4_workers,
-        record.wall_speedup_at_4_threads,
-        record.host_parallelism
+        "virtual speedup @4: {:.2}x",
+        record.virtual_speedup_at_4_workers
     );
 
     // Anchor to the workspace-root results directory regardless of the

@@ -1,7 +1,6 @@
 //! Benchmarks the similarity kernel of `DESIGN.md` §9 — the per-pair
-//! scalar reference against the SoA block kernel and the 8-bit
-//! quantized prefilter — and writes the record to
-//! `results/BENCH_kernel.json`.
+//! scalar reference against the SoA block kernel — and writes the
+//! record to `results/BENCH_kernel.json`.
 //!
 //! Workload: a generated appearance gallery packed once into a
 //! [`FeatureBlock`], scanned by a batch of noisy candidate descriptors,
@@ -9,17 +8,15 @@
 //! steady-state cost of one candidate-vs-row comparison
 //! (`ns/comparison`): total scan time over `candidates × rows`,
 //! best-of-`REPS`. The gallery build is paid outside the timed region
-//! for the block paths — exactly how the matcher amortizes it through
+//! for the block path — exactly how the matcher amortizes it through
 //! the gallery cache — and the scalar path has no build to pay.
 //!
-//! Before timing, every candidate's block and quantized maxima are
-//! asserted **bitwise equal** to the scalar fold, so the speedups below
-//! are speedups of the same answer, not of a looser one.
+//! Before timing, every candidate's block maximum is asserted **bitwise
+//! equal** to the scalar fold, so the speedups below are speedups of
+//! the same answer, not of a looser one.
 //!
 //! Acceptance (`ISSUE` / CI): the block kernel must be at least 2×
-//! faster than the scalar path per comparison at every dim ≥ 64. The
-//! quantized prefilter's win is workload-dependent (it is off by
-//! default), so its speedup and pruning rate are recorded, not gated.
+//! faster than the scalar path per comparison at every dim ≥ 64.
 //!
 //! `EVM_BENCH_SHORT=1` (set by CI) shrinks reps and the candidate batch
 //! so the smoke run stays in CI budget; the JSON is emitted either way.
@@ -53,14 +50,8 @@ struct Cell {
     candidates: usize,
     scalar_ns_per_cmp: f64,
     block_ns_per_cmp: f64,
-    quantized_ns_per_cmp: f64,
     /// `scalar / block`; gated at ≥ 2 for dim ≥ 64.
     block_speedup: f64,
-    /// `scalar / quantized`; recorded, not gated.
-    quantized_speedup: f64,
-    /// Gallery rows the prefilter proved unable to win, over all
-    /// candidate-vs-gallery scans (0 where quantization is bypassed).
-    pruned_fraction: f64,
     /// Always true — asserted, not sampled — but recorded so the JSON
     /// is self-describing.
     bitwise_equal: bool,
@@ -86,21 +77,19 @@ fn timed(f: &mut impl FnMut() -> f64) -> u64 {
     u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Best-of-`reps` for all three paths with the reps **interleaved**
-/// (scalar, block, quantized, scalar, ...): a noise spike on a busy CI
-/// host then lands on every path equally instead of skewing one side
-/// of a speedup ratio.
+/// Best-of-`reps` for both paths with the reps **interleaved**
+/// (scalar, block, scalar, ...): a noise spike on a busy CI host then
+/// lands on both paths equally instead of skewing one side of the
+/// speedup ratio.
 fn best_of_interleaved(
     reps: usize,
     mut scalar: impl FnMut() -> f64,
     mut block: impl FnMut() -> f64,
-    mut quant: impl FnMut() -> f64,
-) -> (u64, u64, u64) {
-    let mut best = (u64::MAX, u64::MAX, u64::MAX);
+) -> (u64, u64) {
+    let mut best = (u64::MAX, u64::MAX);
     for _ in 0..reps {
         best.0 = best.0.min(timed(&mut scalar));
         best.1 = best.1.min(timed(&mut block));
-        best.2 = best.2.min(timed(&mut quant));
     }
     best
 }
@@ -117,13 +106,11 @@ fn main() {
     for dim in DIMS {
         let gallery = AppearanceGallery::generate(ROWS, dim, SEED + dim as u64);
         let block = gallery.to_block();
-        assert!(block.has_quantized(), "dim {dim} must quantize");
         let truth: Vec<&FeatureVector> = (0..ROWS)
             .map(|p| gallery.feature_of(PersonId::new(p)).expect("in range"))
             .collect();
         // Candidates are noisy observations of real rows, so the scans
-        // see realistic near/far score spreads (what the prefilter's
-        // pruning rate depends on).
+        // see realistic near/far score spreads.
         let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ dim as u64);
         let candidates: Vec<FeatureVector> = (0..n_candidates)
             .map(|i| {
@@ -136,25 +123,19 @@ fn main() {
         for metric in METRICS {
             let kernel = Kernel::prepare(metric, dim).expect("prepare kernel");
 
-            // Bitwise-equivalence check first: the timed paths must all
+            // Bitwise-equivalence check first: the timed paths must
             // return the same bits before their speeds mean anything.
-            let mut pruned_total = 0usize;
             for cand in &candidates {
                 let scalar = truth
                     .iter()
                     .map(|row| cand.similarity(row, metric).expect("uniform dims"))
                     .fold(0.0f64, f64::max);
                 let batch = kernel.score_max(cand, &block).expect("block scan");
-                let (quant, pruned) = kernel
-                    .score_max_quantized(cand, &block)
-                    .expect("quantized scan");
                 assert_eq!(scalar.to_bits(), batch.to_bits(), "{metric:?} dim {dim}");
-                assert_eq!(scalar.to_bits(), quant.to_bits(), "{metric:?} dim {dim}");
-                pruned_total += pruned;
             }
 
             let comparisons = (candidates.len() as u64 * ROWS) as f64;
-            let (scalar_ns, block_ns, quant_ns) = best_of_interleaved(
+            let (scalar_ns, block_ns) = best_of_interleaved(
                 reps,
                 || {
                     let mut acc = 0.0;
@@ -173,21 +154,10 @@ fn main() {
                     }
                     acc
                 },
-                || {
-                    let mut acc = 0.0;
-                    for cand in &candidates {
-                        acc += kernel
-                            .score_max_quantized(cand, &block)
-                            .expect("quantized scan")
-                            .0;
-                    }
-                    acc
-                },
             );
 
             let scalar_per = scalar_ns as f64 / comparisons;
             let block_per = block_ns as f64 / comparisons;
-            let quant_per = quant_ns as f64 / comparisons;
             cells.push(Cell {
                 metric: format!("{metric:?}"),
                 dim,
@@ -195,10 +165,7 @@ fn main() {
                 candidates: candidates.len(),
                 scalar_ns_per_cmp: scalar_per,
                 block_ns_per_cmp: block_per,
-                quantized_ns_per_cmp: quant_per,
                 block_speedup: scalar_per / block_per,
-                quantized_speedup: scalar_per / quant_per,
-                pruned_fraction: pruned_total as f64 / comparisons,
                 bitwise_equal: true,
             });
         }
@@ -206,16 +173,8 @@ fn main() {
 
     for c in &cells {
         println!(
-            "{:>12} dim {:>3}: scalar {:>7.2} ns/cmp, block {:>6.2} ({:>5.2}x), \
-             quantized {:>6.2} ({:>5.2}x, {:>4.1}% pruned)",
-            c.metric,
-            c.dim,
-            c.scalar_ns_per_cmp,
-            c.block_ns_per_cmp,
-            c.block_speedup,
-            c.quantized_ns_per_cmp,
-            c.quantized_speedup,
-            c.pruned_fraction * 100.0
+            "{:>12} dim {:>3}: scalar {:>7.2} ns/cmp, block {:>6.2} ({:>5.2}x)",
+            c.metric, c.dim, c.scalar_ns_per_cmp, c.block_ns_per_cmp, c.block_speedup
         );
     }
     for c in &cells {
@@ -238,8 +197,7 @@ fn main() {
         gate_min_dim: GATE_MIN_DIM,
         cells,
         note: "ns per candidate-vs-row comparison, best-of-reps full-gallery scans; \
-               block and quantized maxima are asserted bitwise equal to the scalar \
-               fold before timing",
+               block maxima are asserted bitwise equal to the scalar fold before timing",
     };
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     std::fs::create_dir_all(&dir).expect("create results dir");

@@ -45,7 +45,7 @@ pub mod time;
 pub use error::{Error, Result};
 pub use feature::FeatureVector;
 pub use ids::{Eid, PersonId, Vid};
-pub use kernel::{FeatureBlock, Kernel, KernelMode};
+pub use kernel::{FeatureBlock, Kernel};
 pub use region::{CellId, GridRegion};
 pub use scenario::{EScenario, EvScenario, ScenarioId, VScenario, ZoneAttr};
 pub use time::{TimeRange, Timestamp};

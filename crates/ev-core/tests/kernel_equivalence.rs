@@ -1,7 +1,6 @@
 //! Property suite for the similarity kernel (DESIGN.md §9): the block
 //! path must reproduce the scalar per-pair path **bitwise** across all
-//! three metrics and arbitrary dimensionalities, and the quantized
-//! prefilter must keep exact maxima and full top-k recall.
+//! three metrics and arbitrary dimensionalities.
 
 use ev_core::feature::{FeatureVector, Metric};
 use ev_core::kernel::{FeatureBlock, Kernel};
@@ -54,76 +53,5 @@ proptest! {
         let scalar_max = sims.iter().fold(0.0f64, |a, &s| a.max(s));
         let max = kernel.score_max(&cand, &block).expect("shapes agree");
         prop_assert_eq!(scalar_max.to_bits(), max.to_bits());
-    }
-
-    /// The quantized prefilter never changes the returned membership:
-    /// pruning only removes rows *proven* unable to hold the maximum.
-    #[test]
-    fn quantized_max_is_bitwise_exact(
-        dim in 1usize..128,
-        n in 1usize..64,
-        raw in prop::collection::vec(0.0f64..1.0, 64..256),
-        pick in any::<u32>(),
-    ) {
-        let (rows, cand) = world(dim, n, &raw);
-        let metric = metric_of(pick as u8);
-        let block = FeatureBlock::build("prop", rows.iter()).expect("uniform dims");
-        let kernel = Kernel::prepare(metric, dim).expect("dim >= 1");
-        let exact = kernel.score_max(&cand, &block).expect("shapes agree");
-        let (quant, pruned) = kernel
-            .score_max_quantized(&cand, &block)
-            .expect("shapes agree");
-        prop_assert_eq!(exact.to_bits(), quant.to_bits());
-        prop_assert!(pruned < rows.len(), "at least the argmax row survives");
-    }
-
-    /// Recall 1.0 at the reported k: the prefilter's survivor set
-    /// contains the exact top-k rows for every k.
-    #[test]
-    fn prefilter_survivors_contain_the_exact_topk(
-        dim in 1usize..96,
-        n in 2usize..48,
-        k in 1usize..8,
-        raw in prop::collection::vec(0.0f64..1.0, 64..256),
-        pick in any::<u32>(),
-    ) {
-        let (rows, cand) = world(dim, n, &raw);
-        let metric = metric_of(pick as u8);
-        let block = FeatureBlock::build("prop", rows.iter()).expect("uniform dims");
-        let kernel = Kernel::prepare(metric, dim).expect("dim >= 1");
-        let mut sims = vec![0.0; rows.len()];
-        kernel.score_into(&cand, &block, &mut sims).expect("shapes agree");
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_by(|&i, &j| sims[j].total_cmp(&sims[i]));
-        let k = k.min(rows.len());
-        let survivors = kernel.prefilter_topk(&cand, &block, k).expect("shapes agree");
-        for &top in &order[..k] {
-            prop_assert!(
-                survivors.contains(&top),
-                "k={} lost exact top row {} (sim {})", k, top, sims[top]
-            );
-        }
-    }
-
-    /// The f32 mirror tracks the exact path within f32-scale error —
-    /// it is the approximate fast path, never the report path.
-    #[test]
-    fn f32_mirror_stays_close(
-        dim in 1usize..256,
-        n in 1usize..24,
-        raw in prop::collection::vec(0.0f64..1.0, 64..256),
-        pick in any::<u32>(),
-    ) {
-        let (rows, cand) = world(dim, n, &raw);
-        let metric = metric_of(pick as u8);
-        let block = FeatureBlock::build("prop", rows.iter()).expect("uniform dims");
-        let kernel = Kernel::prepare(metric, dim).expect("dim >= 1");
-        let mut exact = vec![0.0f64; rows.len()];
-        let mut approx = vec![0.0f32; rows.len()];
-        kernel.score_into(&cand, &block, &mut exact).expect("shapes agree");
-        kernel.score_into_f32(&cand, &block, &mut approx).expect("shapes agree");
-        for (e, a) in exact.iter().zip(&approx) {
-            prop_assert!((e - f64::from(*a)).abs() < 1e-4, "{} vs {}", e, a);
-        }
     }
 }

@@ -5,24 +5,21 @@
 //! that design. `ev-mapreduce` uses it as its
 //! [`WorkStealing`](../ev_mapreduce/enum.Backend.html) backend, so the
 //! engine's straggler/speculation/retry logic drives actual OS threads,
-//! and `ev-matching` runs its cell-sharded matching on it directly. The
-//! crate is intentionally zero-dependency (std only) and `forbid`s
-//! unsafe code.
+//! and the stage-DAG scheduler (`ev_mapreduce::dag`) runs the matching
+//! pipeline on it. The crate is intentionally zero-dependency (std
+//! only) and `forbid`s unsafe code.
 //!
 //! # Execution model
 //!
 //! An [`Executor`] is only a thread-count; every
-//! [`session`](Executor::session) (or
-//! [`map_ordered`](Executor::map_ordered)) call spins up that many
-//! scoped workers, so borrowed
-//! closures work without `'static` bounds and nothing outlives the
-//! call.
+//! [`session`](Executor::session) call spins up that many scoped
+//! workers, so borrowed closures work without `'static` bounds and
+//! nothing outlives the call.
 //!
 //! * **Per-worker deques.** Each worker owns a `Mutex<VecDeque>` of
 //!   `(task id, payload)` entries. The driver pushes submissions
-//!   round-robin (or pinned via [`SessionHandle::submit_to`], which the
-//!   sharded matcher uses for shard affinity). Owners pop from the
-//!   *front* (oldest first).
+//!   round-robin (or pinned via [`SessionHandle::submit_to`]). Owners
+//!   pop from the *front* (oldest first).
 //! * **Steal-half.** An idle worker scans the other deques in ring
 //!   order and, on finding a non-empty victim, takes the newest
 //!   ⌈len/2⌉ entries in one lock acquisition — the victim keeps the
@@ -38,9 +35,9 @@
 //!   `Err(`[`TaskPanic`]`)` completion and its worker keeps serving the
 //!   queue. `ev-mapreduce` maps such completions onto its failed-attempt
 //!   retry path.
-//! * **Deterministic ordered merge.** Results are keyed by the caller's
-//!   task id; [`Executor::map_ordered`] returns them in input order, so
-//!   outputs never depend on which worker ran what when.
+//! * **Deterministic merge.** Results are keyed by the caller's task
+//!   id ([`Completion::task`]), so a driver that places them by id gets
+//!   outputs that never depend on which worker ran what when.
 //! * **Shutdown.** When the driver returns (or unwinds), a guard flips
 //!   the shutdown flag and wakes every parked worker; tasks still queued
 //!   are dropped without running (counted in
@@ -53,8 +50,17 @@
 //! use ev_exec::Executor;
 //!
 //! let exec = Executor::new(4);
-//! let (squares, stats) = exec.map_ordered((0u64..64).collect(), |_ctx, x| x * x);
-//! let squares: Vec<u64> = squares.into_iter().map(Result::unwrap).collect();
+//! let (squares, stats) = exec.session(
+//!     |_ctx, x: u64| x * x,
+//!     |handle| {
+//!         handle.submit_batch((0u64..64).map(|i| (i, i)));
+//!         let mut squares = vec![0; 64];
+//!         while let Some(done) = handle.recv() {
+//!             squares[done.task as usize] = done.result.unwrap();
+//!         }
+//!         squares
+//!     },
+//! );
 //! assert_eq!(squares[7], 49);
 //! assert_eq!(stats.tasks_executed, 64);
 //! ```
@@ -513,67 +519,31 @@ impl Executor {
         let stats = shared.into_stats(self.threads);
         (out, stats)
     }
-
-    /// Static batch fan-out: runs `work` over every item and returns the
-    /// results *in input order* (the deterministic ordered merge), each
-    /// individually `Err` if its task panicked.
-    pub fn map_ordered<I, T, F>(
-        &self,
-        items: Vec<I>,
-        work: F,
-    ) -> (Vec<Result<T, TaskPanic>>, ExecStats)
-    where
-        I: Send,
-        T: Send,
-        F: Fn(WorkerCtx, I) -> T + Sync,
-    {
-        self.map_ordered_observed(items, work, &NoopObserver)
-    }
-
-    /// [`map_ordered`](Executor::map_ordered) with an [`ExecObserver`]
-    /// whose callbacks fire from inside the worker threads.
-    pub fn map_ordered_observed<I, T, F>(
-        &self,
-        items: Vec<I>,
-        work: F,
-        observer: &dyn ExecObserver,
-    ) -> (Vec<Result<T, TaskPanic>>, ExecStats)
-    where
-        I: Send,
-        T: Send,
-        F: Fn(WorkerCtx, I) -> T + Sync,
-    {
-        let n = items.len();
-        self.session_observed(
-            work,
-            move |handle| {
-                for (i, item) in items.into_iter().enumerate() {
-                    handle.submit(i as TaskId, item);
-                }
-                let mut slots: Vec<Option<Result<T, TaskPanic>>> = (0..n).map(|_| None).collect();
-                let mut filled = 0usize;
-                while filled < n {
-                    let c = handle.recv().expect("submitted tasks all complete");
-                    let slot = &mut slots[c.task as usize];
-                    debug_assert!(slot.is_none(), "map_ordered task ids are unique");
-                    if slot.is_none() {
-                        filled += 1;
-                    }
-                    *slot = Some(c.result);
-                }
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("every slot filled"))
-                    .collect()
-            },
-            observer,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `work` over `0..n` (task id = item) and returns every
+    /// completion's result by task id.
+    fn run_all<T: Send>(
+        exec: Executor,
+        n: u64,
+        work: impl Fn(WorkerCtx, u64) -> T + Sync,
+        observer: &dyn ExecObserver,
+    ) -> (Vec<Result<T, TaskPanic>>, ExecStats) {
+        exec.session_observed(
+            work,
+            |handle| {
+                handle.submit_batch((0..n).map(|i| (i, i)));
+                let mut done: Vec<_> = std::iter::from_fn(|| handle.recv()).collect();
+                done.sort_by_key(|c| c.task);
+                done.into_iter().map(|c| c.result).collect()
+            },
+            observer,
+        )
+    }
 
     #[test]
     fn submit_batch_counts_through_the_submission_hook() {
@@ -603,9 +573,8 @@ mod tests {
     }
 
     #[test]
-    fn map_ordered_preserves_input_order() {
-        let exec = Executor::new(4);
-        let (out, stats) = exec.map_ordered((0u64..200).collect(), |_ctx, x| x * 3);
+    fn completions_are_keyed_by_task_id() {
+        let (out, stats) = run_all(Executor::new(4), 200, |_ctx, x| x * 3, &NoopObserver);
         let out: Vec<u64> = out.into_iter().map(Result::unwrap).collect();
         assert_eq!(out, (0u64..200).map(|x| x * 3).collect::<Vec<_>>());
         assert_eq!(stats.tasks_executed, 200);
@@ -617,7 +586,7 @@ mod tests {
     fn zero_threads_clamps_to_one() {
         let exec = Executor::new(0);
         assert_eq!(exec.threads(), 1);
-        let (out, stats) = exec.map_ordered(vec![5u64], |_ctx, x| x + 1);
+        let (out, stats) = run_all(exec, 1, |_ctx, x| x + 6, &NoopObserver);
         assert_eq!(out[0].as_ref().unwrap(), &6);
         assert_eq!(stats.per_worker_executed, vec![1]);
     }
@@ -632,11 +601,15 @@ mod tests {
 
     #[test]
     fn panics_are_isolated_per_task() {
-        let exec = Executor::new(3);
-        let (out, stats) = exec.map_ordered((0u64..30).collect(), |_ctx, x| {
-            assert!(x % 7 != 3, "injected panic on {x}");
-            x
-        });
+        let (out, stats) = run_all(
+            Executor::new(3),
+            30,
+            |_ctx, x| {
+                assert!(x % 7 != 3, "injected panic on {x}");
+                x
+            },
+            &NoopObserver,
+        );
         let mut panicked = 0;
         for (i, r) in out.iter().enumerate() {
             if i as u64 % 7 == 3 {
@@ -729,9 +702,9 @@ mod tests {
             steals: AtomicU64::new(0),
             moved: AtomicU64::new(0),
         };
-        let exec = Executor::new(4);
-        let (_, stats) = exec.map_ordered_observed(
-            (0u64..200).collect(),
+        let (_, stats) = run_all(
+            Executor::new(4),
+            200,
             |_ctx, x| {
                 assert!(x != 13, "injected panic");
                 let mut acc = x;
@@ -844,8 +817,7 @@ mod tests {
 
     #[test]
     fn stats_roll_up_per_worker_counts() {
-        let exec = Executor::new(2);
-        let (_, stats) = exec.map_ordered((0u64..50).collect(), |_ctx, x| x);
+        let (_, stats) = run_all(Executor::new(2), 50, |_ctx, x| x, &NoopObserver);
         assert_eq!(stats.per_worker_executed.len(), 2);
         assert_eq!(
             stats.per_worker_executed.iter().sum::<u64>(),

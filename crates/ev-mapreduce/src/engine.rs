@@ -189,10 +189,10 @@ fn schedule(
 /// into telemetry: steals become `task_stolen` trace instants and
 /// flight entries attributed to the stage's [`TraceCtx`], and task
 /// durations feed the exact-latency reservoir behind the
-/// `evm_exec_task_latency_p*` gauges. Usable by any direct `ev-exec`
-/// embedder (the sharded matcher passes one to `map_ordered_observed`).
+/// `evm_exec_task_latency_p*` gauges. Shared with the stage-DAG
+/// scheduler.
 #[derive(Debug, Clone)]
-pub struct TelemetryExecObserver {
+pub(crate) struct TelemetryExecObserver {
     telemetry: Telemetry,
     stage: &'static str,
     ctx: TraceCtx,
@@ -200,8 +200,7 @@ pub struct TelemetryExecObserver {
 
 impl TelemetryExecObserver {
     /// An observer attributing events to `stage` under `ctx`.
-    #[must_use]
-    pub fn new(telemetry: &Telemetry, stage: &'static str, ctx: TraceCtx) -> Self {
+    pub(crate) fn new(telemetry: &Telemetry, stage: &'static str, ctx: TraceCtx) -> Self {
         TelemetryExecObserver {
             telemetry: telemetry.clone(),
             stage,

@@ -6,8 +6,7 @@
 //! (see DESIGN.md §2): a deterministic, multi-threaded engine with the
 //! four classic stages —
 //!
-//! 1. **split** — the input is chunked into fixed-size splits (optionally
-//!    placed on the simulated distributed file system in [`dfs`]);
+//! 1. **split** — the input is chunked into fixed-size splits;
 //! 2. **map** — map tasks run in parallel, emitting `(key, value)` pairs
 //!    through an [`Emitter`]; the [`Backend`] decides whether "in
 //!    parallel" means real work-stealing threads (`ev-exec`) or a
@@ -64,12 +63,11 @@
 mod api;
 mod config;
 pub mod dag;
-pub mod dfs;
 mod engine;
 mod metrics;
 
 pub use api::{Combiner, Emitter, HashPartitioner, Mapper, Partitioner, Reducer};
 pub use config::{Backend, ClusterConfig, FaultPlan};
 pub use dag::{DagConfig, DagMetrics, DagRun, DagSpec, DepKind, StageDep, StageId, TaskCtx};
-pub use engine::{JobError, JobResult, MapReduce, TelemetryExecObserver};
-pub use metrics::{record_exec_stats, JobMetrics};
+pub use engine::{JobError, JobResult, MapReduce};
+pub use metrics::JobMetrics;

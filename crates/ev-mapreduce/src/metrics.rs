@@ -154,7 +154,7 @@ impl JobMetrics {
     }
 
     /// Folds one executor session's counters into the job totals.
-    pub fn record_exec_session(&mut self, stats: &ev_exec::ExecStats) {
+    pub(crate) fn record_exec_session(&mut self, stats: &ev_exec::ExecStats) {
         self.steal_ops += stats.steal_ops;
         self.tasks_stolen += stats.tasks_stolen;
         self.queue_depth_peaks += stats.queue_depth_peak;
@@ -166,7 +166,7 @@ impl JobMetrics {
 /// count and queue-depth peak as gauges, and the per-worker executed
 /// task counts as observations of the `evm_exec_worker_tasks`
 /// histogram (its spread shows how evenly stealing balanced the load).
-pub fn record_exec_stats(registry: &MetricsRegistry, stats: &ev_exec::ExecStats) {
+pub(crate) fn record_exec_stats(registry: &MetricsRegistry, stats: &ev_exec::ExecStats) {
     registry
         .counter(names::EXEC_TASKS_EXECUTED)
         .add(stats.tasks_executed);

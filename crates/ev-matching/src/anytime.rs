@@ -508,10 +508,9 @@ pub fn partial_filter_one_instrumented(
         // unit the exhaustive scan charges, so the ledger shows the
         // work actually done.
         video.charge_comparison();
-        // The configured kernel scores here exactly as in the
-        // exhaustive scan — every mode returns the same bits, so the
+        // The same scoring point as the exhaustive scan, so the
         // refined value can replace both bounds at once.
-        let p = vfilter::score_membership(cands[ci].1, entries[ei], config, tel);
+        let p = vfilter::score_membership(cands[ci].1, entries[ei], config.metric, tel);
         let lp = p.ln();
         lnp_lo[ci][ei] = lp;
         lnp_hi[ci][ei] = lp;

@@ -34,16 +34,17 @@
 //!   branch for branch, so the final state is byte-identical.
 //! * `assemble` — anchors, list padding and uniqueness fixups, exactly
 //!   the sequential post-processing.
-//! * `extract×4` / `score×4` / `finalize` — the V stage as in the
-//!   sharded pipeline: warm the gallery cache, score per-EID slices
-//!   with exclusion off, then one driver-equivalent conflict fixup.
+//! * `extract×4` / `score×4` / `finalize` — the V stage: warm the
+//!   gallery cache, score per-EID slices with exclusion off, then one
+//!   driver-equivalent conflict fixup.
 //!
 //! The stage geometry (4 signature partitions, 4 V partitions) is
-//! pinned like the sharded pipeline's job geometry, so the outputs are
-//! a pure function of `(store, video, targets, seed)` — independent of
+//! pinned, so the outputs are a pure function of
+//! `(store, video, targets, seed)` — independent of
 //! [`DagConfig::threads`], of panic retries, and of lineage recomputes.
 //! The equivalence tests assert the resulting [`MatchReport`] matches
-//! the MapReduce and sharded paths byte for byte (timings aside).
+//! the MapReduce path byte for byte (timings aside) and itself at every
+//! thread count.
 
 use crate::parallel::{resolve_conflicts, ParallelSplitConfig, SetId};
 use crate::setsplit::{attach_anchors, SplitOutput};
@@ -64,8 +65,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Signature-stage partitions, pinned so the stage output is
-/// independent of the thread count (same move as the sharded
-/// pipeline's fixed job geometry).
+/// independent of the thread count.
 const SIG_PARTITIONS: usize = 4;
 /// Extract/score-stage partitions, pinned for the same reason.
 const V_PARTITIONS: usize = 4;
@@ -555,8 +555,7 @@ pub fn dag_match_on<B: StoreBackend>(
 /// computing.
 ///
 /// The report is byte-identical (timings aside) to
-/// [`parallel_match`](crate::parallel::parallel_match) and
-/// [`sharded_match`](crate::sharded::sharded_match) at every thread
+/// [`parallel_match`](crate::parallel::parallel_match) at every thread
 /// count.
 ///
 /// [`EvMatcher::match_universal`]: crate::matcher::EvMatcher::match_universal
@@ -866,6 +865,63 @@ mod tests {
         assert_eq!(report.outcomes, reference.outcomes);
         assert_eq!(report.lists, reference.lists);
         assert_eq!(report.selected_scenarios, reference.selected_scenarios);
+    }
+
+    fn run_anytime(threads: usize, anytime: Option<crate::anytime::AnytimeConfig>) -> MatchReport {
+        // Fresh stores per run so extraction caching cannot leak across
+        // thread counts.
+        let (store, video) = world();
+        dag_match(
+            &DagConfig::new(threads),
+            &store,
+            &video,
+            &targets(),
+            &ParallelSplitConfig {
+                seed: 7,
+                max_iterations: None,
+            },
+            &VFilterConfig {
+                anytime,
+                ..VFilterConfig::default()
+            },
+            Telemetry::disabled(),
+        )
+        .unwrap()
+    }
+
+    fn assert_same_report(report: &MatchReport, reference: &MatchReport, threads: usize) {
+        assert_eq!(report.outcomes, reference.outcomes, "threads={threads}");
+        assert_eq!(report.lists, reference.lists, "threads={threads}");
+        assert_eq!(
+            report.selected_scenarios, reference.selected_scenarios,
+            "threads={threads}"
+        );
+    }
+
+    #[test]
+    fn anytime_report_is_thread_count_invariant() {
+        // Approximate matching is a deterministic per-EID function of
+        // (list, gallery, config); the scheduler must not perturb it.
+        let approximate = Some(crate::anytime::AnytimeConfig {
+            confidence: 0.6,
+            budget_scenarios: Some(2),
+        });
+        let reference = run_anytime(1, approximate);
+        for threads in [2, 4] {
+            assert_same_report(&run_anytime(threads, approximate), &reference, threads);
+        }
+    }
+
+    #[test]
+    fn full_confidence_anytime_is_byte_identical_to_exact() {
+        // `confidence: 1.0` with no budget is not approximate at all:
+        // at every thread count the report must equal the default
+        // config's, byte for byte.
+        let exact = run_anytime(1, None);
+        for threads in [1, 2, 4] {
+            let report = run_anytime(threads, Some(crate::anytime::AnytimeConfig::default()));
+            assert_same_report(&report, &exact, threads);
+        }
     }
 
     #[test]

@@ -31,13 +31,12 @@
 //!   MapReduce adaptation (one EID per mapper).
 //! * [`parallel`] — the MapReduce parallelization (paper Algorithm 3) of
 //!   both stages on the [`ev_mapreduce`] engine.
-//! * [`sharded`] — real multi-core execution: the same pipeline sharded
-//!   by cell across the `ev-exec` work-stealing thread pool, with a
-//!   thread-count-independent (byte-identical) [`MatchReport`].
-//! * [`dagflow`] — the whole pipeline as **one stage-DAG submission**
-//!   on the lineage-tracking scheduler in [`ev_mapreduce::dag`]:
-//!   splitting rounds overlap instead of barriering, and a lost worker
-//!   costs only the partitions it was computing.
+//! * [`dagflow`] — real multi-core execution: the whole pipeline as
+//!   **one stage-DAG submission** on the lineage-tracking scheduler in
+//!   [`ev_mapreduce::dag`]. Splitting rounds overlap instead of
+//!   barriering, a lost worker costs only the partitions it was
+//!   computing, and the [`MatchReport`] is byte-identical at every
+//!   thread count.
 //! * [`incremental`] — updates over a growing corpus: keep confident
 //!   matches, re-run only new or ambiguous EIDs.
 //! * [`matcher`] — the high-level [`EvMatcher`] API
@@ -62,7 +61,6 @@ pub mod parallel;
 pub mod practical;
 pub mod refine;
 pub mod setsplit;
-pub mod sharded;
 mod types;
 pub mod vfilter;
 

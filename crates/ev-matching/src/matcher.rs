@@ -36,17 +36,12 @@ pub enum ExecutionMode {
     Sequential,
     /// MapReduce pipeline (Algorithm 3) on a simulated cluster.
     Parallel(ClusterConfig),
-    /// Cell-sharded pipeline on this many real threads of the `ev-exec`
-    /// work-stealing pool; the report is byte-identical for every
-    /// thread count (see [`crate::sharded`]).
-    Sharded(usize),
     /// The whole pipeline — every splitting round plus VID filtering —
     /// as **one submission** to the lineage-tracking stage-DAG
     /// scheduler on this many threads (see [`crate::dagflow`]).
     /// Independent rounds overlap instead of barriering, and a worker
     /// panic recomputes only the lost partitions. The report is
-    /// byte-identical to [`ExecutionMode::Sharded`] at every thread
-    /// count.
+    /// byte-identical at every thread count.
     Dag(usize),
 }
 
@@ -225,18 +220,6 @@ impl<'a> EvMatcher<'a> {
                     &self.config.vfilter,
                 )
             }
-            ExecutionMode::Sharded(threads) => crate::sharded::sharded_match(
-                *threads,
-                self.estore,
-                self.video,
-                targets,
-                &ParallelSplitConfig {
-                    seed: self.split_seed(),
-                    max_iterations: None,
-                },
-                &self.config.vfilter,
-                &self.telemetry,
-            ),
             ExecutionMode::Dag(threads) => crate::dagflow::dag_match(
                 &ev_mapreduce::DagConfig::new(*threads),
                 self.estore,
@@ -350,22 +333,6 @@ mod tests {
                 reduce_partitions: 2,
                 ..ClusterConfig::default()
             }),
-            ..MatcherConfig::default()
-        };
-        let matcher = EvMatcher::new(&store, &video, config);
-        let targets: BTreeSet<Eid> = (0..4).map(Eid::from_u64).collect();
-        let report = matcher.match_many(&targets).unwrap();
-        assert_eq!(report.outcomes.len(), 4);
-        for o in &report.outcomes {
-            assert_eq!(o.vid.map(Vid::as_u64), Some(o.eid.as_u64()));
-        }
-    }
-
-    #[test]
-    fn match_many_sharded() {
-        let (store, video) = world();
-        let config = MatcherConfig {
-            execution: ExecutionMode::Sharded(3),
             ..MatcherConfig::default()
         };
         let matcher = EvMatcher::new(&store, &video, config);

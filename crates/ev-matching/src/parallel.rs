@@ -160,7 +160,7 @@ pub fn parallel_split_scan(
     )
 }
 
-pub(crate) fn parallel_split_impl(
+fn parallel_split_impl(
     engine: &MapReduce,
     store: &EScenarioStore,
     targets: &BTreeSet<Eid>,
@@ -760,37 +760,6 @@ mod tests {
         assert_eq!(report.outcomes.len(), 8);
         assert!(report.majority_rate() > 0.9);
         assert!(!report.selected_scenarios.is_empty());
-    }
-
-    #[test]
-    fn parallel_match_is_kernel_mode_invariant() {
-        // The mapreduce pipeline forwards `VFilterConfig` into every
-        // mapper (including the exclusion-aware conflict fixup), so the
-        // kernel choice must never change its report.
-        let run = |kernel: ev_core::kernel::KernelMode| {
-            let (store, video) = world();
-            parallel_match(
-                &engine(),
-                &store,
-                &video,
-                &targets(0..8),
-                &ParallelSplitConfig::default(),
-                &VFilterConfig {
-                    kernel,
-                    ..VFilterConfig::default()
-                },
-            )
-            .unwrap()
-        };
-        let reference = run(ev_core::kernel::KernelMode::Scalar);
-        for kernel in [
-            ev_core::kernel::KernelMode::Block,
-            ev_core::kernel::KernelMode::Quantized,
-        ] {
-            let report = run(kernel);
-            assert_eq!(report.outcomes, reference.outcomes, "kernel={kernel}");
-            assert_eq!(report.lists, reference.lists, "kernel={kernel}");
-        }
     }
 
     #[test]

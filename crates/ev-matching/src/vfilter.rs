@@ -32,7 +32,7 @@
 use crate::types::{MatchOutcome, ScenarioList};
 use ev_core::feature::{FeatureVector, Metric};
 use ev_core::ids::{Eid, Vid};
-use ev_core::kernel::{FeatureBlock, Kernel, KernelMode};
+use ev_core::kernel::{FeatureBlock, Kernel};
 use ev_core::scenario::{ScenarioId, VScenario};
 use ev_store::VideoStore;
 use ev_telemetry::{names, Telemetry};
@@ -58,14 +58,6 @@ pub struct VFilterConfig {
     /// configuration routes every `filter_one` through
     /// [`crate::anytime`]'s bounded early-terminating scorer.
     pub anytime: Option<crate::anytime::AnytimeConfig>,
-    /// Which similarity kernel scores candidate-vs-gallery memberships
-    /// (CLI `--kernel`). `Scalar` is the per-pair reference path;
-    /// `Block` (the default) streams the SoA [`FeatureBlock`] and is
-    /// bitwise identical to it; `Quantized` adds the 8-bit prefilter
-    /// (still bitwise-exact maxima — see
-    /// [`Kernel::score_max_quantized`]).
-    #[serde(default)]
-    pub kernel: KernelMode,
 }
 
 impl Default for VFilterConfig {
@@ -75,7 +67,6 @@ impl Default for VFilterConfig {
             exclusion: true,
             min_margin: 0.01,
             anytime: None,
-            kernel: KernelMode::default(),
         }
     }
 }
@@ -114,7 +105,7 @@ pub(crate) type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 /// Both argmaxes of the majority pipeline — the per-scenario choice
 /// (score = joint membership probability) and the majority vote itself
 /// (score = vote count) — resolve ties through this one predicate, so
-/// the sequential, sharded and anytime paths agree bit-for-bit on tied
+/// the sequential, DAG and anytime paths agree bit-for-bit on tied
 /// inputs. Scores compare with [`f64::total_cmp`], so a NaN cannot
 /// poison the ordering.
 ///
@@ -227,56 +218,27 @@ impl CacheEntry {
 }
 
 /// Membership probability `P(VID ∈ S) = max_i sim(rep, f_i)` for one
-/// `(candidate, scenario)` pair under the configured kernel — the
-/// single scoring point shared by the exact scan below and the anytime
-/// refiner's exact evaluations, so every kernel mode flows through both
-/// paths identically.
+/// `(candidate, scenario)` pair — the single scoring point shared by
+/// the exact scan below and the anytime refiner's exact evaluations.
 ///
-/// All three modes return the **same bits**: `Block` accumulates each
-/// row in scalar order (see [`ev_core::kernel`]), `Quantized` only
-/// prunes rows proven unable to hold the maximum, and every error the
-/// scalar path maps to `0.0` (mixed-dimensionality gallery, candidate
-/// vs gallery dimension mismatch, empty scenario) maps to `0.0` here
-/// too.
+/// Bitwise the scalar reference
+/// `ev_vision::reid::membership_probability(..).unwrap_or(0.0)`: the
+/// block kernel accumulates each row in scalar order (see
+/// [`ev_core::kernel`]), and every error the scalar scan maps to `0.0`
+/// (mixed-dimensionality gallery, candidate vs gallery dimension
+/// mismatch, empty scenario) maps to `0.0` here too.
 pub(crate) fn score_membership(
     rep: &FeatureVector,
     entry: &CacheEntry,
-    config: &VFilterConfig,
+    metric: Metric,
     tel: &Telemetry,
 ) -> f64 {
-    match config.kernel {
-        KernelMode::Scalar => {
-            ev_vision::reid::membership_probability(rep, &entry.scenario, config.metric)
-                .unwrap_or(0.0)
-        }
-        KernelMode::Block => {
-            let Some(block) = entry.block(tel) else {
-                return 0.0;
-            };
-            match Kernel::prepare(config.metric, rep.dim()) {
-                Ok(kernel) => kernel.score_max(rep, block).unwrap_or(0.0),
-                Err(_) => 0.0,
-            }
-        }
-        KernelMode::Quantized => {
-            let Some(block) = entry.block(tel) else {
-                return 0.0;
-            };
-            let Ok(kernel) = Kernel::prepare(config.metric, rep.dim()) else {
-                return 0.0;
-            };
-            match kernel.score_max_quantized(rep, block) {
-                Ok((p, pruned)) => {
-                    if pruned > 0 && tel.counters_on() {
-                        tel.registry()
-                            .counter(names::KERNEL_PREFILTER_ROWS_PRUNED)
-                            .add(pruned as u64);
-                    }
-                    p
-                }
-                Err(_) => 0.0,
-            }
-        }
+    let Some(block) = entry.block(tel) else {
+        return 0.0;
+    };
+    match Kernel::prepare(metric, rep.dim()) {
+        Ok(kernel) => kernel.score_max(rep, block).unwrap_or(0.0),
+        Err(_) => 0.0,
     }
 }
 
@@ -505,7 +467,7 @@ pub fn filter_one_instrumented(
             // is one nearest-neighbour query in a real pipeline.
             video.charge_comparison();
             let scoring_start = scoring_hist.as_ref().map(|_| Instant::now());
-            lp += score_membership(rep, e, config, tel).ln();
+            lp += score_membership(rep, e, config.metric, tel).ln();
             if let (Some(hist), Some(start)) = (&scoring_hist, scoring_start) {
                 hist.record(start.elapsed().as_nanos() as u64);
             }
@@ -935,7 +897,7 @@ mod tests {
     fn tied_galleries_vote_identically_end_to_end() {
         // Two identical-feature candidates: every per-scenario score
         // ties, so the whole pipeline must settle on the lower VID —
-        // deterministically, whichever path (sequential/sharded/anytime)
+        // deterministically, whichever path (sequential/DAG/anytime)
         // scored it.
         let video = VideoStore::new(
             vec![
@@ -954,6 +916,70 @@ mod tests {
         assert_eq!(out.vid, Some(Vid::new(4)), "lower VID wins the tie");
         assert_eq!(out.votes, vec![Vid::new(4), Vid::new(4)]);
         assert!((out.vote_share - 1.0).abs() < 1e-12);
+    }
+
+    /// The production scorer against the scalar reference: same bits on
+    /// random galleries under every metric, and `0.0` wherever the
+    /// reference errors or has nothing to scan.
+    #[test]
+    fn score_membership_is_bitwise_the_scalar_reference() {
+        use rand::{Rng, SeedableRng};
+        let entry = |s: VScenario| CacheEntry::new(Arc::new(s), BTreeMap::new());
+        let check = |rep: &FeatureVector, e: &CacheEntry, metric: Metric| {
+            let got = score_membership(rep, e, metric, Telemetry::disabled());
+            let want =
+                ev_vision::reid::membership_probability(rep, &e.scenario, metric).unwrap_or(0.0);
+            assert_eq!(got.to_bits(), want.to_bits(), "{metric:?}: {got} vs {want}");
+            got
+        };
+        let metrics = [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine];
+
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5C0E);
+        for _ in 0..60 {
+            // Up to 20 rows: galleries on both sides of the 8-row lane.
+            let (dim, rows) = (rng.gen_range(1..40usize), rng.gen_range(1..21u64));
+            let mut random = || -> Vec<f64> { (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect() };
+            let people: Vec<(u64, Vec<f64>)> = (0..rows).map(|v| (v, random())).collect();
+            let rep = fv(&random());
+            let people: Vec<(u64, &[f64])> = people.iter().map(|(v, f)| (*v, &f[..])).collect();
+            let e = entry(vscenario(0, 0, &people));
+            for metric in metrics {
+                assert!(check(&rep, &e, metric) > 0.0);
+            }
+        }
+
+        let rep = fv(&[0.9, 0.9]);
+        let mixed = entry(vscenario(0, 1, &[(1, &[0.9, 0.9]), (2, &[0.1, 0.1, 0.7])]));
+        let other_dim = entry(vscenario(0, 2, &[(1, &[0.9, 0.9, 0.9])]));
+        let empty = entry(vscenario(0, 3, &[]));
+        for metric in metrics {
+            assert_eq!(check(&rep, &mixed, metric), 0.0, "stray row dimension");
+            assert_eq!(check(&rep, &other_dim, metric), 0.0, "candidate dimension");
+            assert_eq!(check(&rep, &empty, metric), 0.0, "empty gallery");
+        }
+    }
+
+    /// Scenarios that exist but hold zero detections cast zero votes:
+    /// the explicit NoEvidence outcome, exact scan and anytime alike.
+    #[test]
+    fn empty_galleries_flow_to_no_evidence() {
+        let video = VideoStore::new(
+            vec![vscenario(0, 0, &[]), vscenario(1, 1, &[])],
+            CostModel::free(),
+        );
+        let list = vec![sid(0, 0), sid(1, 1)];
+        for anytime in [
+            None,
+            Some(crate::anytime::AnytimeConfig::with_confidence(0.5)),
+        ] {
+            let config = VFilterConfig {
+                anytime,
+                ..VFilterConfig::default()
+            };
+            let out = filter_one(Eid::from_u64(9), &list, &video, &config, &BTreeSet::new());
+            assert!(out.is_no_evidence(), "{anytime:?}: {out:?}");
+            assert!(!out.vote_share.is_nan());
+        }
     }
 
     #[test]

@@ -24,9 +24,9 @@ pub struct IngestStats {
 
 /// An immutable, indexed collection of E-Scenarios.
 ///
-/// Indexes are built once at construction: scenario-id lookup, a
-/// time-major index (for Algorithm 3's pick-a-random-timestamp step) and a
-/// cell-major index (for spatial queries). The inverted EID → scenario
+/// Indexes are built once at construction: scenario-id lookup and a
+/// time-major index (for Algorithm 3's pick-a-random-timestamp step and
+/// range queries). The inverted EID → scenario
 /// index ([`ScenarioIndex`]) is built lazily on first use and then shared
 /// by every pipeline reading the store.
 #[derive(Debug)]
@@ -34,7 +34,6 @@ pub struct EScenarioStore {
     scenarios: Vec<EScenario>,
     by_id: BTreeMap<ScenarioId, usize>,
     by_time: BTreeMap<Timestamp, Vec<usize>>,
-    by_cell: BTreeMap<CellId, Vec<usize>>,
     /// Lazily built inverted index. Excluded from equality, cloning and
     /// serialization: it is derived state, rebuilt on demand.
     inverted: OnceLock<ScenarioIndex>,
@@ -46,7 +45,6 @@ impl Clone for EScenarioStore {
             scenarios: self.scenarios.clone(),
             by_id: self.by_id.clone(),
             by_time: self.by_time.clone(),
-            by_cell: self.by_cell.clone(),
             // A clone starts with a fresh (unbuilt) index so its usage
             // counters are independent of the original's.
             inverted: OnceLock::new(),
@@ -90,17 +88,14 @@ impl EScenarioStore {
         let scenarios: Vec<EScenario> = dedup.into_values().collect();
         let mut by_id = BTreeMap::new();
         let mut by_time: BTreeMap<Timestamp, Vec<usize>> = BTreeMap::new();
-        let mut by_cell: BTreeMap<CellId, Vec<usize>> = BTreeMap::new();
         for (i, s) in scenarios.iter().enumerate() {
             by_id.insert(s.id(), i);
             by_time.entry(s.time()).or_default().push(i);
-            by_cell.entry(s.cell()).or_default().push(i);
         }
         EScenarioStore {
             scenarios,
             by_id,
             by_time,
-            by_cell,
             inverted: OnceLock::new(),
         }
     }
@@ -163,20 +158,6 @@ impl EScenarioStore {
             .map(|&i| &self.scenarios[i])
     }
 
-    /// All distinct cells with at least one scenario, ascending.
-    pub(crate) fn cell_ids(&self) -> impl Iterator<Item = CellId> + '_ {
-        self.by_cell.keys().copied()
-    }
-
-    /// Scenarios covering `cell`, in time order.
-    pub fn at_cell(&self, cell: CellId) -> impl Iterator<Item = &EScenario> {
-        self.by_cell
-            .get(&cell)
-            .into_iter()
-            .flatten()
-            .map(|&i| &self.scenarios[i])
-    }
-
     /// Spatiotemporal range query: scenarios within `range` and, if given,
     /// restricted to `cells`.
     pub fn query<'a>(
@@ -225,7 +206,7 @@ impl EScenarioStore {
     /// id strictly greater than everything already stored (the common
     /// shape of an incremental ingest: today's snapshots all sort after
     /// yesterday's, because scenario ids order time-major). It appends
-    /// to the scenario vector, splices the id/time/cell maps, and — if
+    /// to the scenario vector, splices the id/time maps, and — if
     /// the inverted index was already built — extends its posting lists
     /// in place, all in `O(batch × log |store|)` work. Posting lists
     /// stay sorted because every appended id is greater than every id
@@ -271,7 +252,6 @@ impl EScenarioStore {
             let i = self.scenarios.len();
             self.by_id.insert(s.id(), i);
             self.by_time.entry(s.time()).or_default().push(i);
-            self.by_cell.entry(s.cell()).or_default().push(i);
             self.scenarios.push(s);
         }
         IngestStats {
@@ -349,14 +329,6 @@ mod tests {
         assert_eq!(s.at_time(Timestamp::new(9)).count(), 0);
         let times: Vec<u64> = s.times().map(Timestamp::tick).collect();
         assert_eq!(times, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn cell_index() {
-        let s = store();
-        assert_eq!(s.at_cell(CellId::new(0)).count(), 2);
-        assert_eq!(s.at_cell(CellId::new(2)).count(), 1);
-        assert_eq!(s.at_cell(CellId::new(9)).count(), 0);
     }
 
     #[test]
@@ -466,7 +438,6 @@ mod tests {
             assert_eq!(spliced, reference, "EID {e}: splice matches rebuild");
         }
         assert_eq!(s.at_time(Timestamp::new(3)).count(), 1);
-        assert_eq!(s.at_cell(CellId::new(0)).count(), 3);
     }
 
     #[test]

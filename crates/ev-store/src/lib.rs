@@ -4,8 +4,8 @@
 //! different cost profiles:
 //!
 //! * [`EScenarioStore`] — cheap, fully materialized E-Scenarios with a
-//!   time-major and cell-major index and range queries (the "big spatial
-//!   data" side of the paper's related work);
+//!   time-major index and spatiotemporal range queries (the "big
+//!   spatial data" side of the paper's related work);
 //! * [`VideoStore`] — the raw video corpus. A V-Scenario is only *handles*
 //!   until [`VideoStore::extract`] runs human detection and feature
 //!   extraction on it, which charges the vision cost model. Extraction is
@@ -33,11 +33,9 @@
 mod backend;
 mod estore;
 mod index;
-mod shard;
 mod video;
 
 pub use backend::{MemoryBackend, StoreBackend};
 pub use estore::{EScenarioStore, IngestStats};
 pub use index::{IndexStatsSnapshot, ScenarioIndex};
-pub use shard::CellShard;
 pub use video::{VideoStore, VideoStoreStats};

@@ -26,16 +26,13 @@ pub const VFILTER_CANDIDATES_SCORED: &str = "evm_vfilter_candidates_scored";
 /// Histogram of per-scenario scoring latency, nanoseconds.
 pub const VFILTER_SCORING_NS: &str = "evm_vfilter_scoring_ns";
 
-/// SoA feature blocks packed for gallery-cache entries (kernel modes
-/// `block`/`quantized`; one per scenario, memoized like the gallery).
+/// SoA feature blocks packed for gallery-cache entries (one per
+/// scenario, memoized like the gallery).
 pub const KERNEL_BLOCKS_BUILT: &str = "evm_kernel_blocks_built";
 /// Galleries the block builder rejected because their rows disagreed on
 /// dimensionality (the whole gallery scores membership 0, exactly like
-/// the scalar path's per-pair error).
+/// the scalar reference's per-pair error).
 pub const KERNEL_GALLERIES_REJECTED: &str = "evm_kernel_galleries_rejected";
-/// Gallery rows the quantized prefilter pruned without exact rescoring
-/// (their similarity upper bound provably lost to the best lower bound).
-pub const KERNEL_PREFILTER_ROWS_PRUNED: &str = "evm_kernel_prefilter_rows_pruned";
 
 /// V-Scenarios whose exact scoring the anytime matcher skipped entirely
 /// (their votes settled, or became irrelevant, on cheap bounds alone).
@@ -215,7 +212,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     VFILTER_CANDIDATES_SCORED,
     KERNEL_BLOCKS_BUILT,
     KERNEL_GALLERIES_REJECTED,
-    KERNEL_PREFILTER_ROWS_PRUNED,
     ANYTIME_SCENARIOS_SKIPPED,
     ANYTIME_CANDIDATES_PRUNED,
     MAPREDUCE_MAP_TASKS,

@@ -62,7 +62,7 @@ fn span_tree_with_steal_and_retry_edges_survives_serialization() {
     tracer.instant_ctx("retry_scheduled", "event", attempt_b0, Vec::new());
     tracer.complete_ctx("extract[1]#0", "task", t0, attempt_b0, Vec::new());
     tracer.complete_ctx("extract[1]#1", "task", t0, attempt_b1, Vec::new());
-    tracer.complete_ctx("shard_extract", "stage", t0, stage, Vec::new());
+    tracer.complete_ctx("dag_extract", "stage", t0, stage, Vec::new());
     tracer.complete_ctx("mapreduce_job", "round", t0, job, Vec::new());
 
     // Serialize to text and forget the in-memory events: everything
@@ -90,7 +90,7 @@ fn span_tree_with_steal_and_retry_edges_survives_serialization() {
     // Parent/child nesting: job → stage → each attempt, joined purely
     // on the serialized span ids.
     let job_span = int_field(find(events, "mapreduce_job"), "span_id").expect("job span_id");
-    let stage_event = find(events, "shard_extract");
+    let stage_event = find(events, "dag_extract");
     assert_eq!(int_field(stage_event, "parent_span_id"), Some(job_span));
     let stage_span = int_field(stage_event, "span_id").expect("stage span_id");
     for name in ["extract[0]#0", "extract[1]#0", "extract[1]#1"] {

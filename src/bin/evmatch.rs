@@ -10,9 +10,7 @@
 //!                   [dataset + matcher flags as for match]
 //! evmatch match     [--population N] [--duration T] [--seed S]
 //!                   [--targets K] [--mode ideal|practical]
-//!                   [--workers W | --threads N]
-//!                   [--scheduler sharded|dag] [--universal]
-//!                   [--kernel scalar|block|quantized]
+//!                   [--workers W | --threads N] [--universal]
 //!                   [--confidence P] [--budget-scenarios N]
 //!                   [--telemetry off|counters|full] [--trace-out PATH]
 //!                   [--metrics-out PATH] [--json]
@@ -43,27 +41,15 @@
 //! (see [`evmatch::serve`] and the stdin protocol on `cmd_serve`).
 //!
 //! `--workers W` runs the MapReduce pipeline (Algorithm 3);
-//! `--threads N` runs the cell-sharded pipeline on `N` real threads of
-//! the `ev-exec` work-stealing pool — its report is byte-identical for
-//! every `N`, so the flag only changes wall time. The two flags are
-//! mutually exclusive.
-//!
-//! `--scheduler` picks the thread pipeline `--threads` runs: `sharded`
-//! (the default) barriers between phases, `dag` submits the whole job
-//! — every splitting round plus VID filtering — as **one** stage DAG
-//! to the lineage-tracking scheduler (`DESIGN.md` §11), so independent
-//! rounds overlap and a lost worker recomputes only its lost
-//! partitions. Both produce byte-identical reports. `--universal`
-//! matches every EID present in the E-data instead of a sampled target
-//! set; with `--scheduler dag` the whole universal matching job is a
-//! single DAG submission.
-//!
-//! `--kernel` selects the similarity kernel of `DESIGN.md` §9 used to
-//! score VID galleries: `scalar` is the per-pair reference, `block`
-//! (the default) scores packed SoA gallery blocks, and `quantized`
-//! additionally prunes rows with an 8-bit prefilter before exact
-//! rescoring. All three produce byte-identical match reports — the
-//! flag only changes wall time.
+//! `--threads N` submits the whole job — every splitting round plus
+//! VID filtering — as **one** stage DAG to the lineage-tracking
+//! scheduler (`DESIGN.md` §11) on `N` real threads of the `ev-exec`
+//! work-stealing pool, so independent rounds overlap and a lost worker
+//! recomputes only its lost partitions. Its report is byte-identical
+//! for every `N`, so the flag only changes wall time. The two flags
+//! are mutually exclusive. `--universal` matches every EID present in
+//! the E-data instead of a sampled target set; with `--threads` the
+//! whole universal matching job is a single DAG submission.
 //!
 //! `--metrics-out` implies the `counters` telemetry level and
 //! `--trace-out` implies `full`; an explicit `--telemetry` wins over
@@ -102,16 +88,6 @@ use evmatch::prelude::*;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// Which thread pipeline `--threads` selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SchedulerKind {
-    /// Phase-barriered cell-sharded pipeline (`crate::matching::sharded`).
-    Sharded,
-    /// One stage-DAG submission with lineage recovery
-    /// (`crate::matching::dagflow`).
-    Dag,
-}
-
 #[derive(Debug)]
 struct CommonArgs {
     population: u64,
@@ -121,11 +97,9 @@ struct CommonArgs {
     mode: SplitMode,
     workers: Option<usize>,
     threads: Option<usize>,
-    scheduler: Option<SchedulerKind>,
     universal: bool,
     confidence: Option<f64>,
     budget_scenarios: Option<usize>,
-    kernel: KernelMode,
     json: bool,
     telemetry: Option<TelemetryLevel>,
     trace_out: Option<String>,
@@ -209,11 +183,9 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
         mode: SplitMode::Practical,
         workers: None,
         threads: None,
-        scheduler: None,
         universal: false,
         confidence: None,
         budget_scenarios: None,
-        kernel: KernelMode::default(),
         json: false,
         telemetry: None,
         trace_out: None,
@@ -240,13 +212,6 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
             "--targets" => out.targets = take()?.parse().map_err(|e| format!("{e}"))?,
             "--workers" => out.workers = Some(take()?.parse().map_err(|e| format!("{e}"))?),
             "--threads" => out.threads = Some(take()?.parse().map_err(|e| format!("{e}"))?),
-            "--scheduler" => {
-                out.scheduler = Some(match take()?.as_str() {
-                    "sharded" => SchedulerKind::Sharded,
-                    "dag" => SchedulerKind::Dag,
-                    other => return Err(format!("unknown scheduler {other} (sharded | dag)")),
-                })
-            }
             "--universal" => out.universal = true,
             "--confidence" => {
                 let p: f64 = take()?.parse().map_err(|e| format!("{e}"))?;
@@ -258,7 +223,6 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
             "--budget-scenarios" => {
                 out.budget_scenarios = Some(take()?.parse().map_err(|e| format!("{e}"))?);
             }
-            "--kernel" => out.kernel = take()?.parse().map_err(|e| format!("{e}"))?,
             "--mode" => {
                 out.mode = match take()?.as_str() {
                     "ideal" => SplitMode::Ideal,
@@ -339,30 +303,17 @@ fn cmd_generate(args: &CommonArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// The execution mode the `--workers` / `--threads` / `--scheduler`
-/// flags select. `--scheduler dag` without `--threads` runs the DAG
-/// pipeline single-threaded (the report is thread-count-invariant
-/// anyway).
+/// The execution mode the `--workers` / `--threads` flags select.
 fn execution_mode(args: &CommonArgs) -> Result<ExecutionMode, String> {
-    if args.scheduler.is_some() && args.workers.is_some() {
-        return Err("--scheduler picks a --threads pipeline; it conflicts with --workers".into());
-    }
     match (args.workers, args.threads) {
         (Some(_), Some(_)) => Err("--workers and --threads are mutually exclusive".into()),
-        (None, Some(n)) => Ok(match args.scheduler {
-            Some(SchedulerKind::Dag) => ExecutionMode::Dag(n.max(1)),
-            _ => ExecutionMode::Sharded(n.max(1)),
-        }),
+        (None, Some(n)) => Ok(ExecutionMode::Dag(n.max(1))),
         (Some(w), None) => Ok(ExecutionMode::Parallel(ClusterConfig {
             workers: w.max(1),
             reduce_partitions: w.max(1),
             ..ClusterConfig::default()
         })),
-        (None, None) => Ok(match args.scheduler {
-            Some(SchedulerKind::Dag) => ExecutionMode::Dag(1),
-            Some(SchedulerKind::Sharded) => ExecutionMode::Sharded(1),
-            None => ExecutionMode::Sequential,
-        }),
+        (None, None) => Ok(ExecutionMode::Sequential),
     }
 }
 
@@ -376,7 +327,6 @@ fn run_match(args: &CommonArgs) -> Result<(EvDataset, MatchReport), String> {
         ..MatcherConfig::default()
     };
     config.vfilter.anytime = args.anytime();
-    config.vfilter.kernel = args.kernel;
     let telemetry = Telemetry::new(args.telemetry_level());
     if telemetry.counters_on() {
         names::preregister(telemetry.registry());
@@ -506,6 +456,12 @@ fn cmd_ingest(args: &CommonArgs) -> Result<(), String> {
 /// quit        final apply + checkpoint, then clean shutdown
 /// ```
 ///
+/// A line the loop cannot act on — an unknown command, an argument that
+/// is not a number — is reported on stdout and skipped: only `quit`,
+/// end of input or a storage error ends the session, so a typo never
+/// costs the final checkpoint. `ingest N` stops at the last tick the
+/// generated world holds and says so.
+///
 /// The event source is the deterministic dataset the flags describe,
 /// replayed in time order from a cursor that resumes past whatever the
 /// corpus already holds — so repeated serve sessions model a service
@@ -551,7 +507,6 @@ fn cmd_serve(args: &CommonArgs) -> Result<(), String> {
     config.matcher.mode = args.mode;
     config.matcher.execution = execution_mode(args)?;
     config.matcher.vfilter.anytime = args.anytime();
-    config.matcher.vfilter.kernel = args.kernel;
 
     let mut live = LiveCorpus::open(dir, config, &telemetry).map_err(|e| {
         telemetry.dump_flight("disk_corruption");
@@ -582,6 +537,11 @@ fn cmd_serve(args: &CommonArgs) -> Result<(), String> {
         .iter()
         .last()
         .map_or(0, |s| s.time().tick() + 1);
+    let source_end: u64 = e_by_tick
+        .keys()
+        .chain(v_by_tick.keys())
+        .max()
+        .map_or(0, |&last| last + 1);
 
     println!(
         "serve: corpus {dir} at epoch {} ({} E-scenarios applied, cursor at tick {cursor})",
@@ -597,9 +557,10 @@ fn cmd_serve(args: &CommonArgs) -> Result<(), String> {
         let Some(cmd) = parts.next() else { continue };
         match cmd {
             "ingest" => {
-                let n: u64 = parts
-                    .next()
-                    .map_or(Ok(1), |v| v.parse().map_err(|e| format!("{e}")))?;
+                let Some(requested) = numeric_arg(parts.next(), 1u64, "ingest N") else {
+                    continue;
+                };
+                let n = requested.min(source_end.saturating_sub(cursor));
                 let mut accepted = 0u64;
                 let mut applied = false;
                 for _ in 0..n {
@@ -615,6 +576,13 @@ fn cmd_serve(args: &CommonArgs) -> Result<(), String> {
                      staged {}, auto-applied: {applied}",
                     live.staged_events(),
                 );
+                if n < requested {
+                    println!(
+                        "source exhausted: the generated world ends at tick {source_end}, \
+                         {} requested tick(s) skipped",
+                        requested - n,
+                    );
+                }
             }
             "apply" => {
                 live.apply().map_err(|e| e.to_string())?;
@@ -626,9 +594,9 @@ fn cmd_serve(args: &CommonArgs) -> Result<(), String> {
                 );
             }
             "query" => {
-                let k: usize = parts
-                    .next()
-                    .map_or(Ok(args.targets), |v| v.parse().map_err(|e| format!("{e}")))?;
+                let Some(k) = numeric_arg(parts.next(), args.targets, "query [K]") else {
+                    continue;
+                };
                 let q: BTreeSet<Eid> = targets.iter().take(k.max(1)).copied().collect();
                 let answer = live.query(&q).map_err(|e| e.to_string())?;
                 let stats = score_report(&dataset, &answer.report);
@@ -667,6 +635,23 @@ fn cmd_serve(args: &CommonArgs) -> Result<(), String> {
     write_telemetry(args, &telemetry)?;
     args.hold_metrics_server(server);
     Ok(())
+}
+
+/// A serve command's optional numeric argument (`default` when absent).
+/// One that does not parse is reported on stdout and yields `None`, so
+/// the caller skips the line instead of ending the session.
+fn numeric_arg<T>(arg: Option<&str>, default: T, usage: &str) -> Option<T>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    match arg.map_or(Ok(default), str::parse) {
+        Ok(value) => Some(value),
+        Err(e) => {
+            println!("bad argument {:?} ({e}); usage: {usage}", arg.unwrap_or(""));
+            None
+        }
+    }
 }
 
 /// Writes the run profile to the requested `--metrics-out` /
@@ -749,7 +734,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
     // 1b. Sequential run with the anytime scorer: only the sequential
     //     refine loop routes telemetry into the bounded scorer, so the
     //     anytime pruning counters must be exercised here, not in the
-    //     sharded run below.
+    //     parallel runs below.
     {
         let tel = Telemetry::new(TelemetryLevel::Full);
         let mut cfg = MatcherConfig {
@@ -767,10 +752,8 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
         absorb_into(&mut seen, &tel);
     }
 
-    // 1c. Quantized-kernel scan over a hand-built corpus: one packed
-    //     gallery whose far rows the 8-bit prefilter provably prunes
-    //     (block-built + rows-pruned counters) and one dimension-mixed
-    //     gallery the block build rejects (galleries-rejected counter).
+    // 1c. A dimension-mixed gallery the block build rejects (the
+    //     galleries-rejected counter); the generated world has none.
     {
         use evmatch::core::feature::FeatureVector;
         use evmatch::core::region::CellId;
@@ -779,59 +762,26 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
         use evmatch::matching::vfilter::{self, GalleryCache, VFilterConfig};
 
         let tel = Telemetry::new(TelemetryLevel::Counters);
-        let mut packed = VScenario::new(CellId::new(0), Timestamp::new(0));
-        packed.push(Detection {
-            vid: Vid::new(0),
-            feature: FeatureVector::from_clamped(vec![0.9; 64]),
-        });
-        for p in 1..12u64 {
-            packed.push(Detection {
-                vid: Vid::new(p),
-                feature: FeatureVector::from_clamped(vec![0.1; 64]),
+        let mut mixed = VScenario::new(CellId::new(1), Timestamp::new(1));
+        for (vid, dim) in [(0, 64), (1, 63)] {
+            mixed.push(Detection {
+                vid: Vid::new(vid),
+                feature: FeatureVector::from_clamped(vec![0.5; dim]),
             });
         }
-        let mut mixed = VScenario::new(CellId::new(1), Timestamp::new(1));
-        mixed.push(Detection {
-            vid: Vid::new(0),
-            feature: FeatureVector::from_clamped(vec![0.9; 64]),
-        });
-        mixed.push(Detection {
-            vid: Vid::new(1),
-            feature: FeatureVector::from_clamped(vec![0.5; 63]),
-        });
-        let video = VideoStore::new(
-            vec![packed, mixed],
-            evmatch::vision::cost::CostModel::free(),
-        );
-        let list = vec![
-            ScenarioId::new(Timestamp::new(0), CellId::new(0)),
-            ScenarioId::new(Timestamp::new(1), CellId::new(1)),
-        ];
-        let cfg = VFilterConfig {
-            kernel: KernelMode::Quantized,
-            ..VFilterConfig::default()
-        };
-        let out = vfilter::filter_one_instrumented(
+        let video = VideoStore::new(vec![mixed], evmatch::vision::cost::CostModel::free());
+        let _ = vfilter::filter_one_instrumented(
             Eid::from_u64(1),
-            &list,
+            &vec![ScenarioId::new(Timestamp::new(1), CellId::new(1))],
             &video,
-            &cfg,
+            &VFilterConfig::default(),
             &std::collections::BTreeSet::new(),
             &mut GalleryCache::new(),
             &tel,
         );
-        if out.is_no_evidence() {
-            return Err("smoke quantized scan produced no evidence".into());
-        }
         absorb_into(&mut seen, &tel);
-        for name in [
-            names::KERNEL_BLOCKS_BUILT,
-            names::KERNEL_GALLERIES_REJECTED,
-            names::KERNEL_PREFILTER_ROWS_PRUNED,
-        ] {
-            if !seen.contains(name) {
-                return Err(format!("quantized smoke scan did not emit {name}"));
-            }
+        if !seen.contains(names::KERNEL_GALLERIES_REJECTED) {
+            return Err("mixed-dimension smoke gallery was not rejected".into());
         }
     }
 
@@ -863,26 +813,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
         absorb_into(&mut seen, &tel);
     }
 
-    // 3. Cell-sharded run with the anytime scorer: exec observer
-    //    latency reservoir plus the anytime pruning counters.
-    {
-        let tel = Telemetry::new(TelemetryLevel::Full);
-        let mut cfg = MatcherConfig {
-            execution: ExecutionMode::Sharded(4),
-            ..MatcherConfig::default()
-        };
-        cfg.vfilter.anytime = Some(AnytimeConfig {
-            confidence: 0.9,
-            budget_scenarios: Some(3),
-        });
-        EvMatcher::new(&dataset.estore, &dataset.video, cfg)
-            .with_telemetry(&tel)
-            .match_many(&targets)
-            .map_err(|e| format!("smoke sharded run: {e}"))?;
-        absorb_into(&mut seen, &tel);
-    }
-
-    // 4. Tracer-ring overflow: a tiny ring forced to evict, mirrored
+    // 3. Tracer-ring overflow: a tiny ring forced to evict, mirrored
     //    into the drop counter by sync_derived_metrics.
     {
         let tel = Telemetry::with_trace_capacity(TelemetryLevel::Full, 8);
@@ -898,7 +829,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
     let scratch = std::env::temp_dir().join(format!("evmatch-smoke-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).map_err(|e| format!("creating {scratch:?}: {e}"))?;
     let gate = (|| -> Result<(), String> {
-        // 5. A flight-recorder dump: record real entries, dump, and
+        // 4. A flight-recorder dump: record real entries, dump, and
         //    strict-check the artifact round-trips as JSON.
         {
             let tel = Telemetry::new(TelemetryLevel::Counters);
@@ -918,7 +849,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             absorb_into(&mut seen, &tel);
         }
 
-        // 6. Disk round-trip: one ingest, one recovering reopen+load.
+        // 5. Disk round-trip: one ingest, one recovering reopen+load.
         {
             let tel = Telemetry::new(TelemetryLevel::Counters);
             let dir = scratch.join("corpus");
@@ -942,7 +873,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             absorb_into(&mut seen, &tel);
         }
 
-        // 7. A flight dump triggered the engine-internal way: a job
+        // 6. A flight dump triggered the engine-internal way: a job
         //    whose retry budget a 100% failure rate must exhaust.
         {
             let tel = Telemetry::new(TelemetryLevel::Counters);
@@ -984,7 +915,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             absorb_into(&mut seen, &tel);
         }
 
-        // 8. Streaming serve loop: ingest half the world, apply, stage
+        // 7. Streaming serve loop: ingest half the world, apply, stage
         //    the rest, query stale then fresh — the serve-layer
         //    counters, staleness/epoch gauges, query-latency histogram
         //    and the Algorithm-1 delta-update (incr) metrics.
@@ -1044,7 +975,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             absorb_into(&mut seen, &tel);
         }
 
-        // 9. The stage-DAG pipeline under injected worker loss *and*
+        // 8. The stage-DAG pipeline under injected worker loss *and*
         //    cache pressure, so every `evm_dag_*` metric carries a live
         //    value: retries from the panics, recomputes + evictions
         //    from the squeezed partition cache. The report must still

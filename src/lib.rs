@@ -70,7 +70,7 @@ pub mod serve;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use ev_core::{Eid, KernelMode, PersonId, Vid};
+    pub use ev_core::{Eid, PersonId, Vid};
     pub use ev_datagen::{sample_targets, score_report, DatasetConfig, EvDataset};
     pub use ev_disk::{DiskBackend, DiskStore, RecoveryMode};
     pub use ev_fusion::FusedIndex;

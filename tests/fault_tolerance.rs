@@ -131,18 +131,3 @@ fn hopeless_cluster_reports_task_exhaustion() {
         other => panic!("expected TaskExhausted, got {other:?}"),
     }
 }
-
-#[test]
-fn dfs_survives_node_loss_with_replication() {
-    use evmatch::mapreduce::dfs::{Dfs, NodeId};
-    let dfs = Dfs::new(5, 64, 3).unwrap();
-    let payload: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-    dfs.put("/captures/day-0.log", payload.clone()).unwrap();
-    dfs.fail_node(NodeId(1));
-    dfs.fail_node(NodeId(3));
-    assert_eq!(dfs.get("/captures/day-0.log").unwrap(), &payload[..]);
-    let created = dfs.rebalance();
-    assert!(created > 0);
-    dfs.fail_node(NodeId(0));
-    assert_eq!(dfs.get("/captures/day-0.log").unwrap(), &payload[..]);
-}

@@ -1,5 +1,7 @@
 //! The MapReduce pipelines must compute the same thing as their
-//! sequential references, deterministically, at any cluster width.
+//! sequential references, deterministically, at any cluster width —
+//! and the stage DAG, the one real-thread path, the same thing as
+//! MapReduce at any thread count.
 
 use evmatch::mapreduce::{ClusterConfig, MapReduce};
 use evmatch::matching::edp::{edp_engine, match_edp, match_edp_parallel, EdpConfig};
@@ -128,9 +130,9 @@ fn parallel_match_accuracy_is_comparable_to_sequential() {
 }
 
 #[test]
-fn sharded_report_is_byte_identical_across_thread_counts() {
-    use evmatch::matching::parallel::ParallelSplitConfig;
-    use evmatch::matching::sharded::sharded_match;
+fn dag_report_is_byte_identical_across_thread_counts() {
+    use evmatch::mapreduce::DagConfig;
+    use evmatch::matching::dagflow::dag_match;
 
     let d = dataset();
     let targets = sample_targets(&d, 40, 6);
@@ -138,10 +140,19 @@ fn sharded_report_is_byte_identical_across_thread_counts() {
         seed: 11,
         max_iterations: None,
     };
+    let assert_same = |report: &MatchReport, reference: &MatchReport, what: &str| {
+        assert_eq!(report.outcomes, reference.outcomes, "{what}");
+        assert_eq!(report.lists, reference.lists, "{what}");
+        assert_eq!(
+            report.selected_scenarios, reference.selected_scenarios,
+            "{what}"
+        );
+        assert_eq!(report.rounds, reference.rounds, "{what}");
+    };
     let run = |threads: usize| {
         d.video.reset_usage();
-        sharded_match(
-            threads,
+        dag_match(
+            &DagConfig::new(threads),
             &d.estore,
             &d.video,
             &targets,
@@ -152,25 +163,37 @@ fn sharded_report_is_byte_identical_across_thread_counts() {
         .unwrap()
     };
     let reference = run(1);
-    let ncpu = std::thread::available_parallelism().map_or(4, |n| n.get().max(2));
-    for threads in [2, ncpu] {
-        let report = run(threads);
-        assert_eq!(report.outcomes, reference.outcomes, "threads={threads}");
-        assert_eq!(report.lists, reference.lists, "threads={threads}");
-        assert_eq!(
-            report.selected_scenarios, reference.selected_scenarios,
-            "threads={threads}"
-        );
-        assert_eq!(report.rounds, reference.rounds, "threads={threads}");
+    for threads in [2, 4] {
+        assert_same(&run(threads), &reference, &format!("threads={threads}"));
     }
+
+    // The one real-thread path against Algorithm 3 on the engine, at
+    // the pinned job geometry.
+    d.video.reset_usage();
+    let engine = MapReduce::new(ClusterConfig {
+        workers: 2,
+        split_size: 8,
+        reduce_partitions: 4,
+        ..ClusterConfig::default()
+    });
+    let mapreduce = parallel_match(
+        &engine,
+        &d.estore,
+        &d.video,
+        &targets,
+        &split_config,
+        &VFilterConfig::default(),
+    )
+    .unwrap();
+    assert_same(&reference, &mapreduce, "dag vs mapreduce");
 }
 
 #[test]
-fn matcher_facade_runs_sharded_mode() {
+fn matcher_facade_runs_dag_mode() {
     let d = dataset();
     let targets = sample_targets(&d, 25, 7);
     let config = MatcherConfig {
-        execution: ExecutionMode::Sharded(2),
+        execution: ExecutionMode::Dag(2),
         ..MatcherConfig::default()
     };
     let matcher = EvMatcher::new(&d.estore, &d.video, config);

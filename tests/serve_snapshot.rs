@@ -220,3 +220,59 @@ fn apply_every_bounds_staleness() {
     live.finish().expect("clean shutdown");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
+
+/// The `evmatch serve` stdin loop: a line it cannot act on is reported
+/// and skipped, an over-long `ingest` stops where the generated world
+/// ends, and the session still reaches the final checkpoint.
+#[test]
+fn serve_stdin_loop_survives_malformed_lines() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    let dir = temp_dir("stdin");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_evmatch"))
+        .args(["serve", "--population", "40", "--duration", "30"])
+        .args(["--targets", "5", "--data-dir"])
+        .arg(&dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn evmatch serve");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(
+            b"ingest abc\ningest -1\nquery x\nfrobnicate\n\
+              ingest 10\ningest 18446744073709551615\napply\nquery 2\n",
+        )
+        .expect("write the script");
+    // Dropping stdin above ends the input: the loop must fall through
+    // to the clean shutdown without a `quit`.
+    let out = child.wait_with_output().expect("evmatch serve exits");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stdout:\n{stdout}\nstderr:\n{stderr}");
+    for bad in ["\"abc\"", "\"-1\"", "\"x\""] {
+        assert!(stdout.contains(&format!("bad argument {bad}")), "{stdout}");
+    }
+    assert!(stdout.contains("unknown command frobnicate"), "{stdout}");
+    assert!(stdout.contains("from 10 tick(s); cursor at tick 10"));
+    let end = stdout
+        .split("source exhausted: the generated world ends at tick ")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .unwrap_or_else(|| panic!("the huge ingest must report exhaustion:\n{stdout}"));
+    assert!(
+        stdout.contains(&format!("cursor at tick {end}, staged")),
+        "the huge ingest stops at the world's last tick:\n{stdout}"
+    );
+    assert!(stdout.contains("query: 2 EIDs at epoch 1"), "{stdout}");
+    assert!(stdout.contains("shut down cleanly"), "{stdout}");
+
+    // Every staged event survived: a restart resumes past the source.
+    let store = evmatch::disk::DiskStore::open(&dir).expect("reopen the corpus");
+    assert!(!store.load_estore().expect("load").is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
