@@ -1,13 +1,15 @@
 //! Records the deterministic virtual-time scaling curve of the
 //! MapReduce engine in `results/BENCH_exec.json`.
 //!
-//! The curve is the makespan of one job under [`Backend::Simulated`],
-//! which models the paper's Figure 9 cluster experiment in virtual time
-//! units: it is independent of the host, and it is where the ≥2×
-//! speedup at 4 workers is asserted. Wall-clock scaling of the one
-//! real-thread pipeline (`dag_match`) is `benches/dag.rs`'s record.
+//! The curve is `JobMetrics::virtual_makespan_units` of one job — the
+//! scheduler's `DagSpec::virtual_makespan` of the job's two-stage spec
+//! — which models the paper's Figure 9 cluster experiment in virtual
+//! time units (one per task): it is independent of the host, and it is
+//! where the ≥2× speedup at 4 workers is asserted. Wall-clock scaling
+//! of the one real-thread pipeline (`dag_match`) is `benches/dag.rs`'s
+//! record.
 
-use ev_mapreduce::{Backend, ClusterConfig, Emitter, FaultPlan, MapReduce, Mapper, Reducer};
+use ev_mapreduce::{ClusterConfig, Emitter, FaultPlan, MapReduce, Mapper, Reducer};
 use serde::Serialize;
 use std::path::Path;
 
@@ -26,7 +28,7 @@ struct Record {
     /// (recorded like every bench header; the virtual curve does not
     /// depend on it).
     host_parallelism: usize,
-    /// Deterministic simulated-cluster speedup at 4 workers vs 1
+    /// Deterministic virtual-cluster speedup at 4 workers vs 1
     /// (virtual makespan ratio; the acceptance bar is ≥ 2).
     virtual_speedup_at_4_workers: f64,
     virtual_curve: Vec<VirtualPoint>,
@@ -65,8 +67,6 @@ fn virtual_makespan(workers: usize) -> u64 {
         workers,
         reduce_partitions: 4,
         split_size: 1,
-        backend: Backend::Simulated,
-        task_overhead_units: 5_000,
         faults: FaultPlan::default(),
     };
     MapReduce::new(cfg)

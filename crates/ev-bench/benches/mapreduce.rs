@@ -1,10 +1,8 @@
 //! Criterion benchmarks of the MapReduce engine substrate: scaling with
-//! workers, combiner effect, and speculative execution under stragglers.
+//! workers and combiner effect.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ev_mapreduce::{
-    ClusterConfig, Combiner, Emitter, FaultPlan, HashPartitioner, MapReduce, Mapper, Reducer,
-};
+use ev_mapreduce::{ClusterConfig, Combiner, Emitter, HashPartitioner, MapReduce, Mapper, Reducer};
 
 struct Tokenize;
 impl Mapper<String> for Tokenize {
@@ -63,7 +61,6 @@ fn bench_worker_scaling(c: &mut Criterion) {
                     workers,
                     reduce_partitions: workers,
                     split_size: 64,
-                    task_overhead_units: 50_000,
                     ..ClusterConfig::default()
                 });
                 let input = corpus(4096);
@@ -112,40 +109,5 @@ fn bench_combiner(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_speculation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mapreduce_stragglers");
-    group.sample_size(10);
-    let input = corpus(2048);
-    for (name, speculative) in [("no-speculation", false), ("speculation", true)] {
-        group.bench_function(name, |b| {
-            let engine = MapReduce::new(ClusterConfig {
-                faults: FaultPlan {
-                    straggler_rate: 0.2,
-                    straggler_factor: 10,
-                    speculative_execution: speculative,
-                    seed: 7,
-                    ..FaultPlan::default()
-                },
-                split_size: 32,
-                task_overhead_units: 200_000,
-                ..ClusterConfig::default()
-            });
-            b.iter(|| {
-                engine
-                    .run(input.clone(), &Tokenize, &Sum)
-                    .expect("healthy cluster")
-                    .output
-                    .len()
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_worker_scaling,
-    bench_combiner,
-    bench_speculation
-);
+criterion_group!(benches, bench_worker_scaling, bench_combiner);
 criterion_main!(benches);

@@ -2,11 +2,10 @@
 //!
 //! The paper's §V distributes set splitting and VID filtering over a
 //! MapReduce cluster; this crate is the *real-thread* substrate for
-//! that design. `ev-mapreduce` uses it as its
-//! [`WorkStealing`](../ev_mapreduce/enum.Backend.html) backend, so the
-//! engine's straggler/speculation/retry logic drives actual OS threads,
-//! and the stage-DAG scheduler (`ev_mapreduce::dag`) runs the matching
-//! pipeline on it. The crate is intentionally zero-dependency (std
+//! that design. The stage-DAG scheduler (`ev_mapreduce::dag`) is its
+//! one client: MapReduce jobs and the one-submission matching pipeline
+//! both run as stage graphs on it, so lineage and retry logic drive
+//! actual OS threads. The crate is intentionally zero-dependency (std
 //! only) and `forbid`s unsafe code.
 //!
 //! # Execution model
@@ -474,9 +473,9 @@ impl Executor {
 
     /// Runs a dynamic session: `driver` runs on the calling thread and
     /// submits/receives through the [`SessionHandle`] while the workers
-    /// execute `work`. Used by the MapReduce engine, whose retry and
-    /// speculative-execution logic decides mid-flight what to submit
-    /// next.
+    /// execute `work`. Used by the stage-DAG scheduler, whose
+    /// dependency, retry and lineage logic decides mid-flight what to
+    /// submit next.
     pub fn session<I, T, R, F, D>(&self, work: F, driver: D) -> (R, ExecStats)
     where
         I: Send,

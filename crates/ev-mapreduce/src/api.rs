@@ -42,8 +42,8 @@ impl<K, V> Emitter<K, V> {
 
 /// Transforms one input record into intermediate `(key, value)` pairs.
 ///
-/// A mapper must be deterministic given its input: speculative execution
-/// may run the same task twice and keep either attempt's output.
+/// A mapper must be deterministic given its input: a retry or a lineage
+/// recompute may run the same task again and keep that attempt's output.
 pub trait Mapper<I>: Sync {
     /// Intermediate key type.
     type Key;

@@ -2,41 +2,42 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Simulated fault behaviour of the cluster.
+/// Injected fault behaviour of the cluster.
 ///
-/// Failures and stragglers are drawn deterministically from `seed`, the
-/// task id and the attempt number, so a job either always or never
-/// exercises a given fault path for a fixed configuration.
+/// Failures are drawn deterministically from `seed`, the stage, the task
+/// and the attempt number, so a job either always or never exercises a
+/// given fault path for a fixed configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Probability that a task *attempt* fails and must be retried.
     pub task_failure_rate: f64,
-    /// Probability that a task attempt straggles (runs `straggler_factor`
-    /// times its normal busy-work).
-    pub straggler_rate: f64,
-    /// Extra work multiplier for straggling attempts (≥ 1).
-    pub straggler_factor: u64,
     /// Maximum attempts per task before the job aborts.
     pub max_attempts: u32,
-    /// Launch a backup attempt for straggling tasks and keep the first
-    /// finisher (speculative execution).
-    pub speculative_execution: bool,
     /// Seed for the deterministic fault draws.
     pub seed: u64,
 }
 
 impl Default for FaultPlan {
-    /// A healthy cluster: no faults, no stragglers, 4 attempts allowed.
+    /// A healthy cluster: no faults, 4 attempts allowed.
     fn default() -> Self {
         FaultPlan {
             task_failure_rate: 0.0,
-            straggler_rate: 0.0,
-            straggler_factor: 8,
             max_attempts: 4,
-            speculative_execution: false,
             seed: 0,
         }
     }
+}
+
+/// SplitMix64: cheap deterministic per-(seed, stage, task, attempt) draw.
+fn fault_draw(seed: u64, stage: u64, task: u64, attempt: u64) -> f64 {
+    let mut z = seed
+        .wrapping_add(stage.wrapping_mul(0x9e3779b97f4a7c15))
+        .wrapping_add(task.wrapping_mul(0xbf58476d1ce4e5b9))
+        .wrapping_add(attempt.wrapping_mul(0x94d049bb133111eb));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^= z >> 31;
+    (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 impl FaultPlan {
@@ -44,20 +45,13 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`ev_core::Error::InvalidParameter`] if a rate is outside
-    /// `[0, 1)` for failures / `[0, 1]` for stragglers, `max_attempts` is
-    /// zero, or `straggler_factor` is zero.
+    /// Returns [`ev_core::Error::InvalidParameter`] if the failure rate
+    /// is outside `[0, 1)` or `max_attempts` is zero.
     pub fn validate(&self) -> ev_core::Result<()> {
         if !self.task_failure_rate.is_finite() || !(0.0..1.0).contains(&self.task_failure_rate) {
             return Err(ev_core::Error::InvalidParameter {
                 name: "task_failure_rate",
                 reason: format!("must be in [0, 1), got {}", self.task_failure_rate),
-            });
-        }
-        if !self.straggler_rate.is_finite() || !(0.0..=1.0).contains(&self.straggler_rate) {
-            return Err(ev_core::Error::InvalidParameter {
-                name: "straggler_rate",
-                reason: format!("must be in [0, 1], got {}", self.straggler_rate),
             });
         }
         if self.max_attempts == 0 {
@@ -66,33 +60,16 @@ impl FaultPlan {
                 reason: "at least one attempt is required".into(),
             });
         }
-        if self.straggler_factor == 0 {
-            return Err(ev_core::Error::InvalidParameter {
-                name: "straggler_factor",
-                reason: "multiplier must be at least 1".into(),
-            });
-        }
         Ok(())
     }
-}
 
-/// How the engine turns scheduled task attempts into executed work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Backend {
-    /// Real OS threads on the `ev-exec` work-stealing pool: `workers`
-    /// threads with per-worker deques, steal-half balancing and
-    /// per-task panic isolation. Stragglers burn real CPU; speculative
-    /// races resolve by actual wall-clock order.
-    WorkStealing,
-    /// Deterministic single-threaded *virtual-time* simulation of a
-    /// `workers`-node cluster. Attempt costs, completion order,
-    /// failures and speculation races are all pure functions of the
-    /// configuration — no wall clock is read for any scheduling
-    /// decision, so fault/straggler metrics are exactly reproducible.
-    /// Straggler busy-work is not burned, which also makes this the
-    /// cheap backend for fault-injection tests and the
-    /// cluster-scaling model of the paper's Figure 9.
-    Simulated,
+    /// Does this attempt fail? Pure in (plan, stage, task, attempt), so
+    /// the fault story of a run repeats exactly whatever the schedule.
+    pub(crate) fn attempt_fails(&self, stage: usize, task: usize, attempt: u32) -> bool {
+        self.task_failure_rate > 0.0
+            && fault_draw(self.seed, stage as u64, task as u64, attempt.into())
+                < self.task_failure_rate
+    }
 }
 
 /// Shape of the cluster.
@@ -107,13 +84,6 @@ pub struct ClusterConfig {
     pub reduce_partitions: usize,
     /// Fault-injection plan.
     pub faults: FaultPlan,
-    /// Busy-work units burned per map task attempt, simulating fixed task
-    /// overhead (JVM start-up, scheduling) — lets stragglers and
-    /// speculation have something to be slow *at* even for cheap mappers.
-    pub task_overhead_units: u64,
-    /// Execution backend: real work-stealing threads or the
-    /// deterministic virtual-time simulation.
-    pub backend: Backend,
 }
 
 impl Default for ClusterConfig {
@@ -127,22 +97,21 @@ impl Default for ClusterConfig {
             split_size: 64,
             reduce_partitions: workers,
             faults: FaultPlan::default(),
-            task_overhead_units: 0,
-            backend: Backend::WorkStealing,
         }
     }
 }
 
 impl ClusterConfig {
-    /// The paper's 14-node cluster shape (14 workers). Simulated: a
-    /// laptop cannot *be* 14 machines, but it can schedule like them in
-    /// virtual time.
+    /// The paper's 14-node cluster shape (14 workers). A laptop cannot
+    /// *be* 14 machines: it runs the job on 14 threads, and
+    /// [`JobMetrics::virtual_makespan_units`](crate::JobMetrics::virtual_makespan_units)
+    /// prices the same job on 14 workers in host-independent virtual
+    /// time.
     #[must_use]
     pub fn paper_cluster() -> Self {
         ClusterConfig {
             workers: 14,
             reduce_partitions: 14,
-            backend: Backend::Simulated,
             ..ClusterConfig::default()
         }
     }
@@ -203,23 +172,15 @@ mod tests {
         let c = ClusterConfig::paper_cluster();
         assert_eq!(c.workers, 14);
         assert_eq!(c.reduce_partitions, 14);
-        assert_eq!(
-            c.backend,
-            Backend::Simulated,
-            "14 nodes only exist in virtual time"
-        );
     }
 
     #[test]
-    fn backend_defaults_to_real_threads_and_round_trips() {
-        use serde::{Deserialize, Serialize};
-        assert_eq!(ClusterConfig::default().backend, Backend::WorkStealing);
-        let sim = ClusterConfig {
-            backend: Backend::Simulated,
-            ..ClusterConfig::default()
-        };
-        let back = ClusterConfig::from_value(&sim.to_value()).expect("config round-trips");
-        assert_eq!(back, sim);
+    fn fault_draw_is_deterministic_and_uniform() {
+        let a = fault_draw(1, 0, 2, 3);
+        assert_eq!(a, fault_draw(1, 0, 2, 3));
+        assert_ne!(a, fault_draw(1, 0, 2, 4));
+        let mean: f64 = (0..10_000).map(|i| fault_draw(42, 0, i, 0)).sum::<f64>() / 10_000.0;
+        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
     }
 
     #[test]
@@ -242,14 +203,6 @@ mod tests {
 
         let mut c = ClusterConfig::default();
         c.faults.max_attempts = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = ClusterConfig::default();
-        c.faults.straggler_rate = -0.1;
-        assert!(c.validate().is_err());
-
-        let mut c = ClusterConfig::default();
-        c.faults.straggler_factor = 0;
         assert!(c.validate().is_err());
     }
 }

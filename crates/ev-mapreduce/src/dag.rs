@@ -1,12 +1,10 @@
 //! Stage-DAG scheduler with partition lineage over `ev-exec`.
 //!
-//! The classic engine in this crate runs one job at a time with a full
-//! barrier between the map and reduce stages of each job, and between
-//! the jobs of an iterated driver (the Algorithm 3 splitter submits two
-//! jobs *per round*). This module generalizes that shape: a whole
-//! computation is declared up front as a **graph of stages**, each stage
-//! split into numbered **partitions**, each partition produced by one
-//! task. Edges are either
+//! This is the crate's one scheduler. A whole computation is declared
+//! up front as a **graph of stages**, each stage split into numbered
+//! **partitions**, each partition produced by one task; a
+//! [`MapReduce`](crate::MapReduce) job is the two-stage case (`map`,
+//! then `reduce` on a shuffle edge). Edges are either
 //!
 //! * [`DepKind::Narrow`] — child partition `p` reads exactly one parent
 //!   partition (`p % parent.partitions`, which covers both the
@@ -37,8 +35,9 @@
 //! on demand, transitively if its own inputs are also gone. A worker
 //! panic loses exactly one in-flight partition; only that partition is
 //! rescheduled (its pinned inputs are untouched), and after
-//! [`DagConfig::max_attempts`] consecutive losses the run aborts with
-//! the engine's [`JobError::WorkerPanicked`] semantics.
+//! [`FaultPlan::max_attempts`] consecutive losses the run aborts:
+//! [`JobError::TaskExhausted`] when the last loss was an injected
+//! fault, [`JobError::WorkerPanicked`] when it was a real panic.
 //!
 //! Determinism: a partition's value is a pure function of its lineage,
 //! so recomputation (and any schedule interleaving) reproduces the same
@@ -63,17 +62,21 @@
 //! ```
 
 use crate::config::FaultPlan;
-use crate::engine::{attempt_fails, TelemetryExecObserver};
 use crate::JobError;
 use ev_telemetry::{Telemetry, TraceCtx};
 use serde::Value;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once};
+use std::time::Instant;
+
+/// Payload prefix of every [`FaultPlan`]-injected panic; the panic hook
+/// and the exhaustion typing both key on it.
+const INJECTED_FAULT: &str = "injected fault";
 
 /// Silence the default panic-hook backtrace for *injected* fault
 /// panics only. Every `FaultPlan` fault is a real `panic!` whose
-/// `String` payload starts with `"injected fault"`; ev-exec's per-task
+/// `String` payload starts with [`INJECTED_FAULT`]; ev-exec's per-task
 /// isolation always catches it, so the default hook's stderr backtrace
 /// is pure noise (a high failure rate can print thousands). The
 /// wrapper is installed once per process — it forwards every other
@@ -86,7 +89,7 @@ fn quiet_injected_fault_panics() {
             let injected = info
                 .payload()
                 .downcast_ref::<String>()
-                .is_some_and(|s| s.starts_with("injected fault"));
+                .is_some_and(|s| s.starts_with(INJECTED_FAULT));
             if !injected {
                 prev(info);
             }
@@ -168,34 +171,30 @@ struct Stage<'a, P> {
     keep: bool,
 }
 
-/// Scheduler configuration: thread count, retry budget, cache budget
-/// and the (engine-shared) fault-injection plan.
+/// Scheduler configuration: thread count, cache budget and the
+/// fault-injection plan (which carries the retry budget).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DagConfig {
     /// Worker threads for the single `ev-exec` session (min 1).
     pub threads: usize,
-    /// Maximum executions of one partition's task before the run aborts
-    /// with [`JobError::WorkerPanicked`].
-    pub max_attempts: u32,
     /// Soft cap on cached partitions; `None` keeps every partition
     /// until its last consumer finishes. Pressure evictions may force
     /// lineage recomputes.
     pub cache_capacity: Option<usize>,
-    /// Fault injection: `task_failure_rate` draws become real
-    /// in-worker panics (killing the attempt mid-stage), retried up to
-    /// `max_attempts` — `faults.max_attempts` is ignored in favour of
-    /// the field above.
+    /// Fault injection and retry budget: `task_failure_rate` draws
+    /// become real in-worker panics (killing the attempt mid-stage),
+    /// and a partition whose task is lost `max_attempts` times in a row
+    /// — to injected faults or real panics — aborts the run.
     pub faults: FaultPlan,
 }
 
 impl DagConfig {
-    /// A healthy configuration with `threads` workers, 4 attempts and
-    /// an unbounded cache.
+    /// A healthy configuration with `threads` workers, the default
+    /// [`FaultPlan`] (no faults, 4 attempts) and an unbounded cache.
     #[must_use]
     pub fn new(threads: usize) -> Self {
         DagConfig {
             threads,
-            max_attempts: 4,
             cache_capacity: None,
             faults: FaultPlan::default(),
         }
@@ -400,8 +399,10 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
     /// # Errors
     ///
     /// [`JobError::InvalidConfig`] if the spec or fault plan is
-    /// malformed; [`JobError::WorkerPanicked`] when one partition's
-    /// task panicked [`DagConfig::max_attempts`] times in a row.
+    /// malformed. When one partition's task is lost
+    /// [`FaultPlan::max_attempts`] times in a row:
+    /// [`JobError::TaskExhausted`] if the final loss was an injected
+    /// fault, [`JobError::WorkerPanicked`] if it was a real panic.
     #[allow(clippy::too_many_lines)]
     pub fn run(
         &self,
@@ -411,21 +412,26 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
     ) -> Result<DagRun<P>, JobError> {
         self.validate()?;
         config.faults.validate().map_err(JobError::InvalidConfig)?;
-        if config.max_attempts == 0 {
-            return Err(JobError::InvalidConfig(ev_core::Error::InvalidParameter {
-                name: "max_attempts",
-                reason: "at least one attempt is required".into(),
-            }));
-        }
         let dag_ctx = parent_ctx.child();
         let mut dag_span = telemetry.span_ctx("dag_run", "pipeline", dag_ctx);
         dag_span.arg("stages", Value::Int(self.stages.len() as i128));
-        telemetry
-            .flight()
-            .instant("dag_started", dag_ctx, Vec::new());
+        let flight = telemetry.flight();
+        flight.instant("job_started", dag_ctx, Vec::new());
 
         let kept = self.kept_stages();
         let stage_ctxs: Vec<TraceCtx> = self.stages.iter().map(|_| dag_ctx.child()).collect();
+        if flight.enabled() {
+            for (stage, &ctx) in self.stages.iter().zip(&stage_ctxs) {
+                flight.instant(
+                    "stage_started",
+                    ctx,
+                    vec![
+                        ("stage".to_string(), Value::Str(stage.name.to_string())),
+                        ("tasks".to_string(), Value::Int(stage.partitions as i128)),
+                    ],
+                );
+            }
+        }
 
         // Static consumer counts: how many tasks read each partition.
         let mut consumers: HashMap<Part, usize> = HashMap::new();
@@ -440,7 +446,8 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
         }
 
         let observer = DagObserver {
-            inner: TelemetryExecObserver::new(telemetry, "dag", dag_ctx),
+            telemetry,
+            ctx: dag_ctx,
             submitted: AtomicU64::new(0),
         };
         let tel = telemetry;
@@ -451,7 +458,7 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
 
         // Worker side: unwrap the payload, optionally lose the attempt
         // to an injected panic, and run the partition's compute under a
-        // per-attempt span (the engine's attempt_work shape).
+        // per-attempt span.
         let work = |_wctx: ev_exec::WorkerCtx, payload: Payload<P>| -> P {
             let Payload {
                 stage,
@@ -461,16 +468,17 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
                 ctx,
             } = payload;
             let name = self.stages[stage].name;
+            let flight_start = tel.flight().enabled().then(Instant::now);
             let mut span = tel.span_ctx(format!("{name}[{partition}]"), "task", ctx);
             span.arg("stage", Value::Str(name.to_string()));
             span.arg("partition", Value::Int(partition as i128));
             span.arg("attempt", Value::Int(i128::from(attempt)));
-            if attempt_fails(faults, stage as u64, partition, attempt) {
+            if faults.attempt_fails(stage, partition, attempt) {
                 // A real panic, not a flagged failure: the attempt dies
                 // mid-stage and ev-exec's per-task isolation catches it.
-                panic!("injected fault: {name}[{partition}] attempt {attempt}");
+                panic!("{INJECTED_FAULT}: {name}[{partition}] attempt {attempt}");
             }
-            (self.stages[stage].compute)(
+            let value = (self.stages[stage].compute)(
                 TaskCtx {
                     stage: name,
                     stage_id: StageId(stage),
@@ -478,7 +486,22 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
                     attempt,
                 },
                 &inputs,
-            )
+            );
+            // Completed attempts go to the flight recorder too, so a
+            // post-mortem dump shows the healthy work around a crash.
+            if let Some(start) = flight_start {
+                tel.flight().span(
+                    format!("{name}[{partition}]#{attempt}"),
+                    ctx,
+                    start,
+                    vec![
+                        ("stage".to_string(), Value::Str(name.to_string())),
+                        ("partition".to_string(), Value::Int(partition as i128)),
+                        ("outcome".to_string(), Value::Str("done".to_string())),
+                    ],
+                );
+            }
+            value
         };
 
         let exec = ev_exec::Executor::new(config.threads);
@@ -586,9 +609,9 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
         now
     }
 
-    /// Virtual-time makespan of the same work under the classic
-    /// engine's discipline — stages execute one at a time with a full
-    /// barrier between them: `Σ ⌈partitions/workers⌉ · cost`.
+    /// Virtual-time makespan of the same work when stages execute one
+    /// at a time with a full barrier between them (an iterated
+    /// job-per-round driver): `Σ ⌈partitions/workers⌉ · cost`.
     #[must_use]
     pub fn barriered_makespan(&self, workers: usize) -> u64 {
         let workers = workers.max(1) as u64;
@@ -610,25 +633,40 @@ struct Payload<P> {
     ctx: TraceCtx,
 }
 
-/// The session observer: forwards steals/latency to telemetry and
-/// counts submissions through the driver-side hook.
-struct DagObserver {
-    inner: TelemetryExecObserver,
+/// The session observer bridging executor events into telemetry:
+/// steals become `task_stolen` trace instants and flight entries under
+/// the run's [`TraceCtx`], task durations feed the exact-latency
+/// reservoir behind the `evm_exec_task_latency_p*` gauges, and
+/// submissions are counted through the driver-side hook.
+struct DagObserver<'t> {
+    telemetry: &'t Telemetry,
+    ctx: TraceCtx,
     submitted: AtomicU64,
 }
 
-impl ev_exec::ExecObserver for DagObserver {
+impl ev_exec::ExecObserver for DagObserver<'_> {
     fn wants_timing(&self) -> bool {
-        ev_exec::ExecObserver::wants_timing(&self.inner)
+        self.telemetry.counters_on()
     }
     fn steal(&self, thief: usize, victim: usize, moved: usize) {
-        self.inner.steal(thief, victim, moved);
+        let args = vec![
+            ("thief".to_string(), Value::Int(thief as i128)),
+            ("victim".to_string(), Value::Int(victim as i128)),
+            ("moved".to_string(), Value::Int(moved as i128)),
+        ];
+        self.telemetry
+            .event_ctx("task_stolen", self.ctx, args.clone());
+        self.telemetry
+            .flight()
+            .instant("task_stolen", self.ctx, args);
     }
     fn task_submitted(&self, _worker: usize, _task: ev_exec::TaskId) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
     }
-    fn task_finished(&self, ctx: ev_exec::WorkerCtx, dur_ns: u64, panicked: bool) {
-        self.inner.task_finished(ctx, dur_ns, panicked);
+    fn task_finished(&self, _ctx: ev_exec::WorkerCtx, dur_ns: u64, _panicked: bool) {
+        if dur_ns > 0 {
+            self.telemetry.task_latency().record(dur_ns);
+        }
     }
 }
 
@@ -690,28 +728,48 @@ impl<P: Send + Sync> Driver<'_, '_, P> {
             self.inflight.remove(&task);
             match completion.result {
                 Err(panic) => {
+                    let max_attempts = self.config.faults.max_attempts;
                     let failures = self.failures.entry(task).or_insert(0);
                     *failures += 1;
-                    self.metrics.retries += u64::from(*failures < self.config.max_attempts);
+                    let failures = *failures;
+                    self.metrics.retries += u64::from(failures < max_attempts);
                     let (s, p) = task;
-                    let args = vec![
-                        (
-                            "stage".to_string(),
-                            Value::Str(self.spec.stages[s].name.to_string()),
-                        ),
-                        ("partition".to_string(), Value::Int(p as i128)),
-                        ("failures".to_string(), Value::Int(i128::from(*failures))),
+                    let stage = self.spec.stages[s].name;
+                    let injected = panic.message.starts_with(INJECTED_FAULT);
+                    let mut args = vec![
+                        ("stage".to_string(), Value::Str(stage.to_string())),
+                        ("task".to_string(), Value::Int(p as i128)),
+                        ("failures".to_string(), Value::Int(i128::from(failures))),
                     ];
-                    self.tel
-                        .event_ctx("task_failed", self.stage_ctxs[s], args.clone());
+                    let event = if injected {
+                        "task_failed"
+                    } else {
+                        args.push(("message".to_string(), Value::Str(panic.message.clone())));
+                        "task_panicked"
+                    };
+                    self.tel.event_ctx(event, self.stage_ctxs[s], args.clone());
                     self.tel
                         .flight()
-                        .instant("task_failed", self.stage_ctxs[s], args);
-                    if *failures >= self.config.max_attempts {
-                        self.tel.dump_flight("worker_panicked");
-                        return Err(JobError::WorkerPanicked {
-                            stage: self.spec.stages[s].name,
-                            message: panic.message,
+                        .instant(event, self.stage_ctxs[s], args.clone());
+                    if failures >= max_attempts {
+                        self.tel.flight().instant(
+                            "retry_budget_exhausted",
+                            self.stage_ctxs[s],
+                            args,
+                        );
+                        return Err(if injected {
+                            self.tel.dump_flight("task_exhausted");
+                            JobError::TaskExhausted {
+                                stage,
+                                task: p,
+                                attempts: failures,
+                            }
+                        } else {
+                            self.tel.dump_flight("worker_panicked");
+                            JobError::WorkerPanicked {
+                                stage,
+                                message: panic.message,
+                            }
                         });
                     }
                     // Lineage recovery: only the lost partition is
@@ -1027,7 +1085,10 @@ mod tests {
         let err = dag
             .run(
                 &DagConfig {
-                    max_attempts: 2,
+                    faults: FaultPlan {
+                        max_attempts: 2,
+                        ..FaultPlan::default()
+                    },
                     ..DagConfig::new(1)
                 },
                 Telemetry::disabled(),
@@ -1050,11 +1111,10 @@ mod tests {
         let faulted = run_dag(
             &dag,
             &DagConfig {
-                max_attempts: 16,
                 faults: FaultPlan {
                     task_failure_rate: 0.4,
+                    max_attempts: 16,
                     seed: 11,
-                    ..FaultPlan::default()
                 },
                 ..DagConfig::new(2)
             },

@@ -1,16 +1,17 @@
-//! The job executor: split → map → shuffle → reduce with retries and
-//! speculative execution.
+//! The MapReduce job builder: split → map → shuffle → reduce, declared
+//! as a two-stage [`DagSpec`] and run by the stage-DAG scheduler.
 
 use crate::api::{Combiner, Emitter, HashPartitioner, Mapper, Partitioner, Reducer};
-use crate::config::{Backend, ClusterConfig, FaultPlan};
+use crate::config::ClusterConfig;
+use crate::dag::{DagConfig, DagSpec, StageDep};
 use crate::metrics::JobMetrics;
 use ev_telemetry::{Telemetry, TraceCtx};
 use serde::Value;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::Hash;
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Errors a job can end with.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,7 +19,8 @@ use std::time::Instant;
 pub enum JobError {
     /// The cluster configuration failed validation.
     InvalidConfig(ev_core::Error),
-    /// A task exhausted its retry budget.
+    /// A task lost its last allowed attempt to an injected
+    /// [`FaultPlan`](crate::FaultPlan) fault.
     TaskExhausted {
         /// Which stage the task belonged to.
         stage: &'static str,
@@ -27,10 +29,9 @@ pub enum JobError {
         /// Attempts consumed.
         attempts: u32,
     },
-    /// A task panicked on the work-stealing backend and the panic
-    /// exhausted its retry budget. Panics are isolated per task attempt
-    /// and retried like injected failures; this error means every
-    /// allowed attempt panicked.
+    /// A task lost its last allowed attempt to a real panic. Panics
+    /// are isolated per task attempt and retried like injected faults;
+    /// this error means the retry budget ran out on one.
     WorkerPanicked {
         /// Which stage the task belonged to.
         stage: &'static str,
@@ -80,7 +81,8 @@ pub struct JobResult<K, T> {
 
 /// The MapReduce engine. Create one per cluster configuration and submit
 /// jobs with [`run`](MapReduce::run) or
-/// [`run_with`](MapReduce::run_with).
+/// [`run_with`](MapReduce::run_with). Each job is one two-stage
+/// [`DagSpec`] submission on `workers` threads.
 #[derive(Debug, Clone)]
 pub struct MapReduce {
     config: ClusterConfig,
@@ -88,151 +90,27 @@ pub struct MapReduce {
     parent_ctx: TraceCtx,
 }
 
-/// SplitMix64: cheap deterministic per-(seed, task, attempt) draw.
-pub(crate) fn fault_draw(seed: u64, stage: u64, task: u64, attempt: u64) -> f64 {
-    let mut z = seed
-        .wrapping_add(stage.wrapping_mul(0x9e3779b97f4a7c15))
-        .wrapping_add(task.wrapping_mul(0xbf58476d1ce4e5b9))
-        .wrapping_add(attempt.wrapping_mul(0x94d049bb133111eb));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Burns `units` of deterministic CPU work (same kernel as the vision
-/// cost model, duplicated to avoid a dependency cycle).
-fn burn(units: u64) -> u64 {
-    let mut acc: u64 = 0x9e37_79b9_7f4a_7c15;
-    for i in 0..units {
-        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i | 1);
-        acc ^= acc >> 29;
-    }
-    std::hint::black_box(acc)
-}
-
-/// Does this attempt fail, per the fault plan? Pure in (plan, stage,
-/// task, attempt) — both backends consult the same draw.
-pub(crate) fn attempt_fails(faults: &FaultPlan, stage_id: u64, task: usize, attempt: u32) -> bool {
-    faults.task_failure_rate > 0.0
-        && fault_draw(faults.seed, stage_id, task as u64, attempt.into()) < faults.task_failure_rate
-}
-
-/// Does this attempt straggle? Same determinism contract as
-/// [`attempt_fails`], drawn from an independent stream.
-fn attempt_straggles(faults: &FaultPlan, stage_id: u64, task: usize, attempt: u32) -> bool {
-    faults.straggler_rate > 0.0
-        && fault_draw(faults.seed ^ 0x5757, stage_id, task as u64, attempt.into())
-            < faults.straggler_rate
-}
-
-/// A map task's payload: the (possibly combined) pairs plus the raw
-/// pre-combine emit count.
-type MapPayload<K, V> = (Vec<(K, V)>, u64);
 /// Reduce outputs grouped by key.
 type Grouped<K, T> = Vec<(K, Vec<T>)>;
 
-enum TaskOutcome<T> {
-    Done { task: usize, payload: T },
-    Failed { task: usize },
-}
-
-/// Schedules the next attempt of `task` through `submit`, plus an
-/// immediate speculative backup when the fault plan marks the attempt
-/// straggling. Shared by both backends so attempt numbering, metrics
-/// and telemetry events are identical regardless of how attempts
-/// actually execute.
-#[allow(clippy::too_many_arguments)]
-fn schedule(
-    task: usize,
-    attempts_next: &mut [u32],
-    metrics: &mut JobMetrics,
-    submit: &mut dyn FnMut(usize, u32),
-    faults: &FaultPlan,
-    stage_id: u64,
-    stage_name: &'static str,
-    tel: &Telemetry,
-    stage_ctx: TraceCtx,
-) {
-    let attempt = attempts_next[task];
-    attempts_next[task] += 1;
-    metrics.map_attempts += u64::from(stage_id == 0);
-    submit(task, attempt);
-    let straggles = attempt_straggles(faults, stage_id, task, attempt);
-    if straggles {
-        let args = vec![
-            ("stage".to_string(), Value::Str(stage_name.to_string())),
-            ("task".to_string(), Value::Int(task as i128)),
-            ("attempt".to_string(), Value::Int(i128::from(attempt))),
-        ];
-        tel.event_ctx("straggler_detected", stage_ctx, args.clone());
-        tel.flight().instant("straggler_detected", stage_ctx, args);
-    }
-    if straggles && faults.speculative_execution {
-        let backup = attempts_next[task];
-        attempts_next[task] += 1;
-        metrics.speculative_attempts += 1;
-        metrics.map_attempts += u64::from(stage_id == 0);
-        let args = vec![
-            ("stage".to_string(), Value::Str(stage_name.to_string())),
-            ("task".to_string(), Value::Int(task as i128)),
-            ("attempt".to_string(), Value::Int(i128::from(backup))),
-        ];
-        tel.event_ctx("speculative_launched", stage_ctx, args.clone());
-        tel.flight()
-            .instant("speculative_launched", stage_ctx, args);
-        submit(task, backup);
-    }
-}
-
-/// The [`ev_exec::ExecObserver`] bridging worker-side executor events
-/// into telemetry: steals become `task_stolen` trace instants and
-/// flight entries attributed to the stage's [`TraceCtx`], and task
-/// durations feed the exact-latency reservoir behind the
-/// `evm_exec_task_latency_p*` gauges. Shared with the stage-DAG
-/// scheduler.
-#[derive(Debug, Clone)]
-pub(crate) struct TelemetryExecObserver {
-    telemetry: Telemetry,
-    stage: &'static str,
-    ctx: TraceCtx,
-}
-
-impl TelemetryExecObserver {
-    /// An observer attributing events to `stage` under `ctx`.
-    pub(crate) fn new(telemetry: &Telemetry, stage: &'static str, ctx: TraceCtx) -> Self {
-        TelemetryExecObserver {
-            telemetry: telemetry.clone(),
-            stage,
-            ctx,
-        }
-    }
-}
-
-impl ev_exec::ExecObserver for TelemetryExecObserver {
-    fn wants_timing(&self) -> bool {
-        self.telemetry.counters_on()
-    }
-
-    fn steal(&self, thief: usize, victim: usize, moved: usize) {
-        let args = vec![
-            ("stage".to_string(), Value::Str(self.stage.to_string())),
-            ("thief".to_string(), Value::Int(thief as i128)),
-            ("victim".to_string(), Value::Int(victim as i128)),
-            ("moved".to_string(), Value::Int(moved as i128)),
-        ];
-        self.telemetry
-            .event_ctx("task_stolen", self.ctx, args.clone());
-        self.telemetry
-            .flight()
-            .instant("task_stolen", self.ctx, args);
-    }
-
-    fn task_finished(&self, _ctx: ev_exec::WorkerCtx, dur_ns: u64, _panicked: bool) {
-        if dur_ns > 0 {
-            self.telemetry.task_latency().record(dur_ns);
-        }
-    }
+/// One partition of a job's two-stage spec.
+enum Part<K, V, T> {
+    /// A map task's output: its (possibly combined) pairs pre-bucketed
+    /// by reduce partition, in emission order within each bucket.
+    Map {
+        buckets: Vec<Vec<(K, V)>>,
+        /// Pairs emitted before the combiner ran.
+        raw: u64,
+        /// Failed attempts before this one.
+        retries: u32,
+        finished: Instant,
+    },
+    /// A reduce task's output, in key order.
+    Reduce {
+        groups: Grouped<K, T>,
+        /// Time spent merging and grouping the partition's buckets.
+        shuffle: Duration,
+    },
 }
 
 impl MapReduce {
@@ -249,8 +127,8 @@ impl MapReduce {
 
     /// Attaches a telemetry handle: finished jobs record their
     /// [`JobMetrics`] into its registry, and at the `full` level every
-    /// task attempt becomes a trace span with retry / speculative /
-    /// straggler instant events.
+    /// task attempt becomes a trace span with `task_failed` /
+    /// `task_panicked` instant events.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.telemetry = telemetry.clone();
@@ -258,9 +136,9 @@ impl MapReduce {
     }
 
     /// Parents every job span under `ctx` (e.g. a matching pipeline's
-    /// span), so the exported trace links the job → round → task →
-    /// attempt tree back to the query that submitted it. Jobs run
-    /// without a parent start a fresh trace.
+    /// span), so the exported trace links the job → stage → task tree
+    /// back to the query that submitted it. Jobs run without a parent
+    /// start a fresh trace.
     #[must_use]
     pub fn with_parent_ctx(mut self, ctx: TraceCtx) -> Self {
         self.parent_ctx = ctx;
@@ -284,9 +162,7 @@ impl MapReduce {
     ///
     /// # Errors
     ///
-    /// Returns [`JobError::InvalidConfig`] for a bad configuration or
-    /// [`JobError::TaskExhausted`] if fault injection defeats the retry
-    /// budget.
+    /// As [`run_with`](MapReduce::run_with).
     pub fn run<I, M, R>(
         &self,
         inputs: Vec<I>,
@@ -297,9 +173,9 @@ impl MapReduce {
         I: Send + Sync,
         M: Mapper<I>,
         M::Key: Ord + Hash + Clone + Send + Sync,
-        M::Value: Send + Sync,
+        M::Value: Clone + Send + Sync,
         R: Reducer<M::Key, M::Value>,
-        R::Output: Send + Clone,
+        R::Output: Clone + Send + Sync,
     {
         self.run_with(
             inputs,
@@ -312,11 +188,19 @@ impl MapReduce {
 
     /// Runs a job with an optional combiner and a custom partitioner.
     ///
+    /// The job is a two-stage [`DagSpec`]: a `map` stage with one
+    /// partition per input split, whose output is pre-bucketed by the
+    /// partitioner, and a `reduce` stage of `reduce_partitions`
+    /// partitions on a shuffle edge — each merges its bucket from every
+    /// map partition in map-task order (so value order does not depend
+    /// on which worker ran what when), groups by key and reduces.
+    ///
     /// # Errors
     ///
-    /// Returns [`JobError::InvalidConfig`] for a bad configuration or
+    /// Returns [`JobError::InvalidConfig`] for a bad configuration,
     /// [`JobError::TaskExhausted`] if fault injection defeats the retry
-    /// budget.
+    /// budget, or [`JobError::WorkerPanicked`] if a panicking mapper,
+    /// combiner or reducer does.
     pub fn run_with<I, M, R, C, P>(
         &self,
         inputs: Vec<I>,
@@ -329,112 +213,136 @@ impl MapReduce {
         I: Send + Sync,
         M: Mapper<I>,
         M::Key: Ord + Hash + Clone + Send + Sync,
-        M::Value: Send + Sync,
+        M::Value: Clone + Send + Sync,
         R: Reducer<M::Key, M::Value>,
-        R::Output: Send + Clone,
+        R::Output: Clone + Send + Sync,
         C: Combiner<M::Key, M::Value>,
         P: Partitioner<M::Key>,
     {
         self.config.validate().map_err(JobError::InvalidConfig)?;
         let job_ctx = self.parent_ctx.child();
         let mut job_span = self.telemetry.span_ctx("mapreduce_job", "round", job_ctx);
-        self.telemetry
-            .flight()
-            .instant("job_started", job_ctx, Vec::new());
         let job_start = Instant::now();
         let mut metrics = JobMetrics::default();
 
-        // ---- split ----
         let splits: Vec<&[I]> = inputs.chunks(self.config.split_size).collect();
-        metrics.map_tasks = splits.len();
-
-        // ---- map ----
-        let map_start = Instant::now();
-        let map_outputs: Vec<MapPayload<M::Key, M::Value>> = self.run_stage(
-            "map",
-            0,
-            job_ctx,
-            splits.len(),
-            &mut metrics,
-            |task| {
-                let mut emitter = Emitter::new();
-                for record in splits[task] {
-                    mapper.map(record, &mut emitter);
-                }
-                let pairs = emitter.into_pairs();
-                let raw = pairs.len() as u64;
-                let combined = match combiner {
-                    None => pairs,
-                    Some(c) => {
-                        // Group this task's pairs by key, combine each
-                        // group locally.
-                        let mut groups: BTreeMap<M::Key, Vec<M::Value>> = BTreeMap::new();
-                        for (k, v) in pairs {
-                            groups.entry(k).or_default().push(v);
-                        }
-                        let mut combined = Vec::new();
-                        for (k, vs) in groups {
-                            for v in c.combine(&k, vs) {
-                                combined.push((k.clone(), v));
-                            }
-                        }
-                        combined
-                    }
-                };
-                (combined, raw)
-            },
-            |payload: &MapPayload<M::Key, M::Value>| payload.1,
-            &mut |m, raw| m.pre_combine_pairs += raw,
-        )?;
-        metrics.map_time = map_start.elapsed();
-
-        // ---- shuffle: partition, route, sort, group ----
-        let shuffle_start = Instant::now();
         let partitions = self.config.reduce_partitions;
-        let mut buckets: Vec<BTreeMap<M::Key, Vec<M::Value>>> =
-            (0..partitions).map(|_| BTreeMap::new()).collect();
-        // Iterate tasks in task order so value order is deterministic
-        // regardless of which worker ran which task when.
-        for (pairs, _) in map_outputs {
-            metrics.shuffled_pairs += pairs.len() as u64;
-            for (k, v) in pairs {
-                let p = partitioner.partition(&k, partitions);
-                buckets[p].entry(k).or_default().push(v);
-            }
+        if splits.is_empty() {
+            return Ok(JobResult {
+                output: Vec::new(),
+                grouped: Vec::new(),
+                metrics,
+            });
         }
-        if combiner.is_none() {
-            metrics.pre_combine_pairs = metrics.shuffled_pairs;
-        }
-        metrics.distinct_keys = buckets.iter().map(|b| b.len() as u64).sum();
-        metrics.shuffle_time = shuffle_start.elapsed();
 
-        // ---- reduce ----
-        let reduce_start = Instant::now();
-        let nonempty: Vec<usize> = (0..partitions)
-            .filter(|&p| !buckets[p].is_empty())
-            .collect();
-        metrics.reduce_tasks = nonempty.len();
-        let reduced: Vec<Grouped<M::Key, R::Output>> = self.run_stage(
+        let mut spec: DagSpec<'_, Part<M::Key, M::Value, R::Output>> = DagSpec::new();
+        let splits = &splits;
+        let map = spec.stage("map", splits.len(), Vec::new(), move |task, _| {
+            let mut emitter = Emitter::new();
+            for record in splits[task.partition] {
+                mapper.map(record, &mut emitter);
+            }
+            let pairs = emitter.into_pairs();
+            let raw = pairs.len() as u64;
+            let mut buckets: Vec<Vec<(M::Key, M::Value)>> =
+                (0..partitions).map(|_| Vec::new()).collect();
+            let mut route = |k: M::Key, v: M::Value| {
+                buckets[partitioner.partition(&k, partitions)].push((k, v));
+            };
+            match combiner {
+                None => pairs.into_iter().for_each(|(k, v)| route(k, v)),
+                Some(c) => {
+                    // Group this task's pairs by key, combine each
+                    // group locally.
+                    let mut groups: BTreeMap<M::Key, Vec<M::Value>> = BTreeMap::new();
+                    for (k, v) in pairs {
+                        groups.entry(k).or_default().push(v);
+                    }
+                    for (k, vs) in groups {
+                        for v in c.combine(&k, vs) {
+                            route(k.clone(), v);
+                        }
+                    }
+                }
+            }
+            Part::Map {
+                buckets,
+                raw,
+                retries: task.attempt,
+                finished: Instant::now(),
+            }
+        });
+        // The job reads the map stage's counters after the run.
+        spec.keep(map);
+        let reduce = spec.stage(
             "reduce",
-            1,
-            job_ctx,
-            nonempty.len(),
-            &mut metrics,
-            |idx| {
-                let bucket = &buckets[nonempty[idx]];
-                bucket
-                    .iter()
-                    .map(|(k, vs)| (k.clone(), reducer.reduce(k, vs)))
-                    .collect()
+            partitions,
+            vec![StageDep::shuffle(map)],
+            move |task, maps| {
+                let shuffle_start = Instant::now();
+                let mut bucket: BTreeMap<&M::Key, Vec<M::Value>> = BTreeMap::new();
+                for part in maps {
+                    let Part::Map { buckets, .. } = &**part else {
+                        unreachable!("the reduce stage reads only map partitions");
+                    };
+                    for (k, v) in &buckets[task.partition] {
+                        bucket.entry(k).or_default().push(v.clone());
+                    }
+                }
+                let shuffle = shuffle_start.elapsed();
+                let groups = bucket
+                    .into_iter()
+                    .map(|(k, vs)| (k.clone(), reducer.reduce(k, &vs)))
+                    .collect();
+                Part::Reduce { groups, shuffle }
             },
-            |_out: &Grouped<M::Key, R::Output>| 0,
-            &mut |_m, _raw| {},
+        );
+
+        metrics.map_tasks = splits.len();
+        metrics.virtual_makespan_units = spec.virtual_makespan(self.config.workers);
+        let mut run = spec.run(
+            &DagConfig {
+                threads: self.config.workers,
+                cache_capacity: None,
+                faults: self.config.faults,
+            },
+            &self.telemetry,
+            job_ctx,
         )?;
-        metrics.reduce_time = reduce_start.elapsed();
+        let job_end = Instant::now();
+
+        let mut last_map = job_start;
+        for part in &run.outputs[&map] {
+            let Part::Map {
+                buckets,
+                raw,
+                retries,
+                finished,
+            } = &**part
+            else {
+                unreachable!("the map stage produces map partitions");
+            };
+            metrics.map_attempts += 1 + u64::from(*retries);
+            metrics.pre_combine_pairs += raw;
+            metrics.shuffled_pairs += buckets.iter().map(|b| b.len() as u64).sum::<u64>();
+            last_map = last_map.max(*finished);
+        }
+        metrics.failed_attempts = run.metrics.retries;
+        metrics.map_time = last_map - job_start;
+        metrics.reduce_time = job_end - last_map;
 
         // Merge partitions into key order.
-        let mut grouped: Vec<(M::Key, Vec<R::Output>)> = reduced.into_iter().flatten().collect();
+        let mut grouped: Grouped<M::Key, R::Output> = Vec::new();
+        for part in run.outputs.remove(&reduce).unwrap_or_default() {
+            let Some(Part::Reduce { groups, shuffle }) = Arc::into_inner(part) else {
+                unreachable!("the finished run holds the only handle to its reduce partitions");
+            };
+            metrics.reduce_tasks += usize::from(!groups.is_empty());
+            metrics.shuffle_time += shuffle;
+            grouped.extend(groups);
+        }
         grouped.sort_by(|a, b| a.0.cmp(&b.0));
+        metrics.distinct_keys = grouped.len() as u64;
         let output = grouped
             .iter()
             .flat_map(|(_, outs)| outs.iter())
@@ -450,11 +358,6 @@ impl MapReduce {
             ev_telemetry::names::MAPREDUCE_FAILED_ATTEMPTS,
             job_ctx,
             metrics.failed_attempts,
-        );
-        flight.counter_delta(
-            ev_telemetry::names::MAPREDUCE_SPECULATIVE_ATTEMPTS,
-            job_ctx,
-            metrics.speculative_attempts,
         );
         flight.span(
             "mapreduce_job",
@@ -480,425 +383,6 @@ impl MapReduce {
             grouped,
             metrics,
         })
-    }
-
-    /// Runs one stage's tasks with retry, straggler simulation and
-    /// speculative execution, dispatching on the configured
-    /// [`Backend`]. `work` must be safe to run multiple times for the
-    /// same task (pure).
-    #[allow(clippy::too_many_arguments)]
-    fn run_stage<T, F, S>(
-        &self,
-        stage_name: &'static str,
-        stage_id: u64,
-        job_ctx: TraceCtx,
-        task_count: usize,
-        metrics: &mut JobMetrics,
-        work: F,
-        size_of: S,
-        on_raw: &mut dyn FnMut(&mut JobMetrics, u64),
-    ) -> Result<Vec<T>, JobError>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        S: Fn(&T) -> u64 + Sync,
-    {
-        if task_count == 0 {
-            return Ok(Vec::new());
-        }
-        let stage_ctx = job_ctx.child();
-        let mut stage_span = self.telemetry.span_ctx(stage_name, "stage", stage_ctx);
-        stage_span.arg("tasks", Value::Int(task_count as i128));
-        self.telemetry.flight().instant(
-            "stage_started",
-            stage_ctx,
-            vec![
-                ("stage".to_string(), Value::Str(stage_name.to_string())),
-                ("tasks".to_string(), Value::Int(task_count as i128)),
-            ],
-        );
-        let results = match self.config.backend {
-            Backend::WorkStealing => self
-                .run_stage_stealing(stage_name, stage_id, stage_ctx, task_count, metrics, &work)?,
-            Backend::Simulated => self
-                .run_stage_simulated(stage_name, stage_id, stage_ctx, task_count, metrics, &work)?,
-        };
-        let mut out = Vec::with_capacity(task_count);
-        for payload in results {
-            let payload = payload.expect("all tasks completed");
-            on_raw(metrics, size_of(&payload));
-            out.push(payload);
-        }
-        Ok(out)
-    }
-
-    /// The real-thread backend: every scheduled attempt becomes an
-    /// `ev-exec` task on a work-stealing pool of `workers` OS threads.
-    /// The driver loop below runs on the submitting thread and owns all
-    /// retry / speculation bookkeeping; workers only execute attempts.
-    ///
-    /// A worker panic is isolated to its attempt and surfaces here as a
-    /// failed attempt (retried up to the budget, then
-    /// [`JobError::WorkerPanicked`]).
-    #[allow(clippy::too_many_arguments)]
-    fn run_stage_stealing<T, F>(
-        &self,
-        stage_name: &'static str,
-        stage_id: u64,
-        stage_ctx: TraceCtx,
-        task_count: usize,
-        metrics: &mut JobMetrics,
-        work: &F,
-    ) -> Result<Vec<Option<T>>, JobError>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let tel = &self.telemetry;
-        let faults = self.config.faults;
-        let overhead = self.config.task_overhead_units;
-        let exec = ev_exec::Executor::new(self.config.workers);
-        let observer = TelemetryExecObserver::new(tel, stage_name, stage_ctx);
-
-        // One attempt, executed on whichever worker claims it. The
-        // payload carries the attempt's TraceCtx (child of the stage
-        // span), allocated at submission — so the span the worker
-        // records is causally parented no matter which thread runs it,
-        // or whether it was stolen first.
-        let attempt_work =
-            |_ctx: ev_exec::WorkerCtx, (task, attempt, attempt_ctx): (usize, u32, TraceCtx)| {
-                let attempt_start = (tel.tracing_on() || tel.flight().enabled()).then(Instant::now);
-                let close_span = |outcome: &'static str| {
-                    if let Some(start) = attempt_start {
-                        let args = vec![
-                            ("stage".to_string(), Value::Str(stage_name.to_string())),
-                            ("task".to_string(), Value::Int(task as i128)),
-                            ("attempt".to_string(), Value::Int(i128::from(attempt))),
-                            ("outcome".to_string(), Value::Str(outcome.to_string())),
-                        ];
-                        if tel.tracing_on() {
-                            tel.tracer().complete_ctx(
-                                format!("{stage_name}[{task}]#{attempt}"),
-                                "task",
-                                start,
-                                attempt_ctx,
-                                args.clone(),
-                            );
-                        }
-                        tel.flight().span(
-                            format!("{stage_name}[{task}]#{attempt}"),
-                            attempt_ctx,
-                            start,
-                            args,
-                        );
-                    }
-                };
-                if attempt_fails(&faults, stage_id, task, attempt) {
-                    tel.event_ctx(
-                        "task_failed",
-                        attempt_ctx,
-                        vec![
-                            ("stage".to_string(), Value::Str(stage_name.to_string())),
-                            ("task".to_string(), Value::Int(task as i128)),
-                            ("attempt".to_string(), Value::Int(i128::from(attempt))),
-                        ],
-                    );
-                    close_span("failed");
-                    return TaskOutcome::Failed { task };
-                }
-                // Fixed task overhead; stragglers burn a multiple.
-                if overhead > 0 {
-                    let units = if attempt_straggles(&faults, stage_id, task, attempt) {
-                        overhead * faults.straggler_factor
-                    } else {
-                        overhead
-                    };
-                    let _ = burn(units);
-                }
-                let payload = work(task);
-                close_span("done");
-                TaskOutcome::Done { task, payload }
-            };
-
-        let (outcome, stats) = exec.session_observed(
-            attempt_work,
-            |handle| {
-                let mut attempts_next: Vec<u32> = vec![0; task_count];
-                let mut failures: Vec<u32> = vec![0; task_count];
-                let mut results: Vec<Option<T>> = (0..task_count).map(|_| None).collect();
-                let mut remaining = task_count;
-                let mut submit = |task: usize, attempt: u32| {
-                    handle.submit(task as u64, (task, attempt, stage_ctx.child()));
-                };
-                for task in 0..task_count {
-                    schedule(
-                        task,
-                        &mut attempts_next,
-                        metrics,
-                        &mut submit,
-                        &faults,
-                        stage_id,
-                        stage_name,
-                        tel,
-                        stage_ctx,
-                    );
-                }
-                while remaining > 0 {
-                    // Invariant: every unfinished task has at least one
-                    // attempt outstanding (failures resubmit before the next
-                    // recv), so the session cannot drain early.
-                    let completion = handle
-                        .recv()
-                        .expect("unfinished tasks always have an attempt in flight");
-                    let (task, panic_message) = match completion.result {
-                        Ok(TaskOutcome::Done { task, payload }) => {
-                            if results[task].is_none() {
-                                results[task] = Some(payload);
-                                remaining -= 1;
-                            }
-                            // Else: a speculative or duplicate attempt lost
-                            // the race; drop its output.
-                            continue;
-                        }
-                        Ok(TaskOutcome::Failed { task }) => (task, None),
-                        Err(panic) => {
-                            let task = completion.task as usize;
-                            let args = vec![
-                                ("stage".to_string(), Value::Str(stage_name.to_string())),
-                                ("task".to_string(), Value::Int(task as i128)),
-                                ("message".to_string(), Value::Str(panic.message.clone())),
-                            ];
-                            tel.event_ctx("task_panicked", stage_ctx, args.clone());
-                            tel.flight().instant("task_panicked", stage_ctx, args);
-                            (task, Some(panic.message))
-                        }
-                    };
-                    if results[task].is_some() {
-                        continue; // another attempt already won
-                    }
-                    metrics.failed_attempts += 1;
-                    failures[task] += 1;
-                    if failures[task] >= faults.max_attempts {
-                        tel.flight().instant(
-                            "retry_budget_exhausted",
-                            stage_ctx,
-                            vec![
-                                ("stage".to_string(), Value::Str(stage_name.to_string())),
-                                ("task".to_string(), Value::Int(task as i128)),
-                                (
-                                    "attempts".to_string(),
-                                    Value::Int(i128::from(failures[task])),
-                                ),
-                            ],
-                        );
-                        return match panic_message {
-                            Some(message) => {
-                                tel.dump_flight("worker_panicked");
-                                Err(JobError::WorkerPanicked {
-                                    stage: stage_name,
-                                    message,
-                                })
-                            }
-                            None => {
-                                tel.dump_flight("task_exhausted");
-                                Err(JobError::TaskExhausted {
-                                    stage: stage_name,
-                                    task,
-                                    attempts: failures[task],
-                                })
-                            }
-                        };
-                    }
-                    let retry_args = vec![
-                        ("stage".to_string(), Value::Str(stage_name.to_string())),
-                        ("task".to_string(), Value::Int(task as i128)),
-                        (
-                            "failures".to_string(),
-                            Value::Int(i128::from(failures[task])),
-                        ),
-                    ];
-                    tel.event_ctx("retry_scheduled", stage_ctx, retry_args.clone());
-                    tel.flight()
-                        .instant("retry_scheduled", stage_ctx, retry_args);
-                    schedule(
-                        task,
-                        &mut attempts_next,
-                        metrics,
-                        &mut submit,
-                        &faults,
-                        stage_id,
-                        stage_name,
-                        tel,
-                        stage_ctx,
-                    );
-                }
-                Ok(results)
-            },
-            &observer,
-        );
-        metrics.record_exec_session(&stats);
-        if tel.counters_on() {
-            crate::metrics::record_exec_stats(tel.registry(), &stats);
-        }
-        outcome
-    }
-
-    /// The deterministic backend: a single-threaded discrete-event
-    /// simulation of a `workers`-node cluster running in *virtual
-    /// time*. Each attempt costs `1 + task_overhead_units` virtual
-    /// units (times `straggler_factor` when it straggles); attempts are
-    /// list-scheduled onto the earliest-free simulated worker and
-    /// complete in `(done_at, seq)` order, so failure retries and
-    /// speculation races resolve identically on every run and every
-    /// host. No wall clock is read for any scheduling decision.
-    ///
-    /// Only winning attempts execute `work` (losers are charged virtual
-    /// time, not CPU), which makes this backend cheap enough for dense
-    /// fault-injection sweeps and for the paper's Figure 9
-    /// cluster-scaling model. The stage's virtual makespan accumulates
-    /// into [`JobMetrics::virtual_makespan_units`].
-    fn run_stage_simulated<T, F>(
-        &self,
-        stage_name: &'static str,
-        stage_id: u64,
-        stage_ctx: TraceCtx,
-        task_count: usize,
-        metrics: &mut JobMetrics,
-        work: &F,
-    ) -> Result<Vec<Option<T>>, JobError>
-    where
-        F: Fn(usize) -> T,
-    {
-        let tel = &self.telemetry;
-        let faults = self.config.faults;
-        let overhead = self.config.task_overhead_units;
-
-        let mut attempts_next: Vec<u32> = vec![0; task_count];
-        let mut failures: Vec<u32> = vec![0; task_count];
-        let mut results: Vec<Option<T>> = (0..task_count).map(|_| None).collect();
-        let mut remaining = task_count;
-
-        // Simulated workers, keyed by the virtual time they free up;
-        // ties break on worker index. Completion events order by
-        // (done_at, seq): seq is the global submission number, so
-        // simultaneous completions resolve in submission order.
-        let mut free: BinaryHeap<Reverse<(u64, usize)>> =
-            (0..self.config.workers).map(|w| Reverse((0, w))).collect();
-        let mut events: BinaryHeap<Reverse<(u64, u64, usize, u32)>> = BinaryHeap::new();
-        let mut seq: u64 = 0;
-        let mut now: u64 = 0;
-
-        fn assign(
-            task: usize,
-            attempt: u32,
-            cost: u64,
-            now: u64,
-            free: &mut BinaryHeap<Reverse<(u64, usize)>>,
-            events: &mut BinaryHeap<Reverse<(u64, u64, usize, u32)>>,
-            seq: &mut u64,
-        ) {
-            let Reverse((free_at, worker)) = free.pop().expect("worker heap never empties");
-            let start = free_at.max(now);
-            let done = start + cost;
-            free.push(Reverse((done, worker)));
-            *seq += 1;
-            events.push(Reverse((done, *seq, task, attempt)));
-        }
-
-        macro_rules! sim_schedule {
-            ($task:expr) => {
-                schedule(
-                    $task,
-                    &mut attempts_next,
-                    metrics,
-                    &mut |task, attempt| {
-                        let units = if attempt_straggles(&faults, stage_id, task, attempt) {
-                            overhead * faults.straggler_factor
-                        } else {
-                            overhead
-                        };
-                        assign(
-                            task,
-                            attempt,
-                            1 + units,
-                            now,
-                            &mut free,
-                            &mut events,
-                            &mut seq,
-                        );
-                    },
-                    &faults,
-                    stage_id,
-                    stage_name,
-                    tel,
-                    stage_ctx,
-                )
-            };
-        }
-
-        for task in 0..task_count {
-            sim_schedule!(task);
-        }
-
-        while remaining > 0 {
-            let Reverse((done_at, _seq, task, attempt)) = events
-                .pop()
-                .expect("unfinished tasks always have an attempt in flight");
-            now = done_at;
-            if attempt_fails(&faults, stage_id, task, attempt) {
-                let fail_args = vec![
-                    ("stage".to_string(), Value::Str(stage_name.to_string())),
-                    ("task".to_string(), Value::Int(task as i128)),
-                    ("attempt".to_string(), Value::Int(i128::from(attempt))),
-                ];
-                tel.event_ctx("task_failed", stage_ctx, fail_args.clone());
-                tel.flight().instant("task_failed", stage_ctx, fail_args);
-                if results[task].is_some() {
-                    continue; // another attempt already won
-                }
-                metrics.failed_attempts += 1;
-                failures[task] += 1;
-                if failures[task] >= faults.max_attempts {
-                    tel.flight().instant(
-                        "retry_budget_exhausted",
-                        stage_ctx,
-                        vec![
-                            ("stage".to_string(), Value::Str(stage_name.to_string())),
-                            ("task".to_string(), Value::Int(task as i128)),
-                            (
-                                "attempts".to_string(),
-                                Value::Int(i128::from(failures[task])),
-                            ),
-                        ],
-                    );
-                    tel.dump_flight("task_exhausted");
-                    return Err(JobError::TaskExhausted {
-                        stage: stage_name,
-                        task,
-                        attempts: failures[task],
-                    });
-                }
-                let retry_args = vec![
-                    ("stage".to_string(), Value::Str(stage_name.to_string())),
-                    ("task".to_string(), Value::Int(task as i128)),
-                    (
-                        "failures".to_string(),
-                        Value::Int(i128::from(failures[task])),
-                    ),
-                ];
-                tel.event_ctx("retry_scheduled", stage_ctx, retry_args.clone());
-                tel.flight()
-                    .instant("retry_scheduled", stage_ctx, retry_args);
-                sim_schedule!(task);
-            } else if results[task].is_none() {
-                results[task] = Some(work(task));
-                remaining -= 1;
-            }
-            // Else: a speculative loser — its virtual cost was charged
-            // to its worker, but `work` never runs for it.
-        }
-        metrics.virtual_makespan_units += now;
-        Ok(results)
     }
 }
 
@@ -1043,7 +527,6 @@ mod tests {
                 task_failure_rate: 0.4,
                 max_attempts: 50,
                 seed: 3,
-                ..FaultPlan::default()
             },
             split_size: 5,
             ..ClusterConfig::default()
@@ -1064,7 +547,6 @@ mod tests {
                 task_failure_rate: 0.95,
                 max_attempts: 2,
                 seed: 1,
-                ..FaultPlan::default()
             },
             split_size: 1,
             ..ClusterConfig::default()
@@ -1086,71 +568,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, JobError::InvalidConfig(_)));
         assert!(err.to_string().contains("worker"));
-    }
-
-    #[test]
-    fn speculative_execution_launches_backups_and_keeps_results_correct() {
-        let cfg = ClusterConfig {
-            faults: FaultPlan {
-                straggler_rate: 0.5,
-                straggler_factor: 4,
-                speculative_execution: true,
-                seed: 9,
-                ..FaultPlan::default()
-            },
-            split_size: 5,
-            task_overhead_units: 10_000,
-            ..ClusterConfig::default()
-        };
-        let engine = MapReduce::new(cfg);
-        let result = engine.run(corpus(100), &Tokenize, &Sum).unwrap();
-        assert_wordcount_correct(&result.output, 100);
-        assert!(
-            result.metrics.speculative_attempts > 0,
-            "half the tasks straggle; backups must launch"
-        );
-    }
-
-    #[test]
-    fn stragglers_without_speculation_still_finish() {
-        let cfg = ClusterConfig {
-            faults: FaultPlan {
-                straggler_rate: 0.3,
-                straggler_factor: 3,
-                speculative_execution: false,
-                seed: 5,
-                ..FaultPlan::default()
-            },
-            split_size: 10,
-            task_overhead_units: 1_000,
-            ..ClusterConfig::default()
-        };
-        let result = MapReduce::new(cfg)
-            .run(corpus(100), &Tokenize, &Sum)
-            .unwrap();
-        assert_wordcount_correct(&result.output, 100);
-        assert_eq!(result.metrics.speculative_attempts, 0);
-    }
-
-    #[test]
-    fn failures_and_speculation_compose() {
-        let cfg = ClusterConfig {
-            faults: FaultPlan {
-                task_failure_rate: 0.2,
-                straggler_rate: 0.3,
-                straggler_factor: 2,
-                speculative_execution: true,
-                max_attempts: 50,
-                seed: 11,
-            },
-            split_size: 4,
-            task_overhead_units: 500,
-            ..ClusterConfig::default()
-        };
-        let result = MapReduce::new(cfg)
-            .run(corpus(100), &Tokenize, &Sum)
-            .unwrap();
-        assert_wordcount_correct(&result.output, 100);
     }
 
     #[test]
@@ -1195,7 +612,6 @@ mod tests {
                 task_failure_rate: 0.4,
                 max_attempts: 50,
                 seed: 3,
-                ..FaultPlan::default()
             },
             split_size: 5,
             ..ClusterConfig::default()
@@ -1214,9 +630,8 @@ mod tests {
         );
         let events = tel.tracer().events();
         assert!(events.iter().any(|e| e.name == "task_failed"));
-        assert!(events.iter().any(|e| e.name == "retry_scheduled"));
         assert!(events.iter().any(|e| e.cat == "task" && e.ph == 'X'));
-        assert!(events.iter().any(|e| e.cat == "stage" && e.name == "map"));
+        assert!(events.iter().any(|e| e.name == "dag_run"));
         assert!(events.iter().any(|e| e.name == "mapreduce_job"));
     }
 
@@ -1239,18 +654,16 @@ mod tests {
     }
 
     #[test]
-    fn simulated_backend_is_deterministic_including_fault_metrics() {
+    fn fault_story_repeats_run_to_run() {
+        // `attempt_fails` is a pure function of seed/stage/task/attempt,
+        // so two real-thread runs of one flaky plan lose exactly the
+        // same attempts whatever the schedule.
         let cfg = ClusterConfig {
-            workers: 14,
+            workers: 4,
             reduce_partitions: 14,
             split_size: 4,
-            backend: Backend::Simulated,
-            task_overhead_units: 1_000, // virtual units only: never burned
             faults: FaultPlan {
                 task_failure_rate: 0.25,
-                straggler_rate: 0.3,
-                straggler_factor: 4,
-                speculative_execution: true,
                 max_attempts: 50,
                 seed: 21,
             },
@@ -1263,34 +676,22 @@ mod tests {
             .unwrap();
         assert_wordcount_correct(&a.output, 200);
         assert_eq!(a.output, b.output);
-        // The whole fault story is reproducible, not just the output:
         assert_eq!(a.metrics.map_attempts, b.metrics.map_attempts);
         assert_eq!(a.metrics.failed_attempts, b.metrics.failed_attempts);
-        assert_eq!(
-            a.metrics.speculative_attempts,
-            b.metrics.speculative_attempts
-        );
-        assert_eq!(
-            a.metrics.virtual_makespan_units,
-            b.metrics.virtual_makespan_units
-        );
         assert!(a.metrics.failed_attempts > 0, "25% failure rate must bite");
-        assert!(a.metrics.speculative_attempts > 0);
-        assert!(a.metrics.virtual_makespan_units > 0);
+        assert!(a.metrics.map_attempts > a.metrics.map_tasks as u64);
     }
 
     #[test]
-    fn simulated_makespan_shrinks_with_more_workers() {
+    fn virtual_makespan_shrinks_with_more_workers() {
         // The Figure 9 model: same job, wider virtual cluster, smaller
-        // virtual makespan. Exact values are asserted stable elsewhere;
-        // here we pin the scaling direction.
+        // virtual makespan — 100 map tasks + 4 reduce tasks at one unit
+        // each, whatever the host.
         let makespan = |workers: usize| {
             let cfg = ClusterConfig {
                 workers,
                 reduce_partitions: 4,
                 split_size: 2,
-                backend: Backend::Simulated,
-                task_overhead_units: 5_000,
                 faults: FaultPlan::default(),
             };
             MapReduce::new(cfg)
@@ -1299,30 +700,9 @@ mod tests {
                 .metrics
                 .virtual_makespan_units
         };
-        let (m1, m4, m14) = (makespan(1), makespan(4), makespan(14));
-        assert!(m1 > m4, "1 worker ({m1}) must be slower than 4 ({m4})");
-        assert!(m4 > m14, "4 workers ({m4}) must be slower than 14 ({m14})");
-        assert!(
-            m1 >= 3 * m4,
-            "100 uniform map tasks should scale near-linearly to 4 workers ({m1} vs {m4})"
-        );
-    }
-
-    #[test]
-    fn work_stealing_backend_records_exec_session_stats() {
-        let cfg = ClusterConfig {
-            workers: 4,
-            split_size: 5,
-            ..ClusterConfig::default()
-        };
-        assert_eq!(cfg.backend, Backend::WorkStealing);
-        let result = MapReduce::new(cfg)
-            .run(corpus(100), &Tokenize, &Sum)
-            .unwrap();
-        assert_wordcount_correct(&result.output, 100);
         assert_eq!(
-            result.metrics.virtual_makespan_units, 0,
-            "real threads, no virtual time"
+            (makespan(1), makespan(4), makespan(14)),
+            (104, 25 + 1, 8 + 1)
         );
     }
 
@@ -1354,14 +734,5 @@ mod tests {
             }
             other => panic!("expected WorkerPanicked, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn fault_draw_is_deterministic_and_uniform() {
-        let a = fault_draw(1, 0, 2, 3);
-        assert_eq!(a, fault_draw(1, 0, 2, 3));
-        assert_ne!(a, fault_draw(1, 0, 2, 4));
-        let mean: f64 = (0..10_000).map(|i| fault_draw(42, 0, i, 0)).sum::<f64>() / 10_000.0;
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
     }
 }

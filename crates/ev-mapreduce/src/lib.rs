@@ -1,26 +1,31 @@
-//! A from-scratch MapReduce engine.
+//! A from-scratch MapReduce engine on one stage-DAG scheduler.
 //!
 //! The paper parallelizes EV-Matching with MapReduce on a 14-node Spark
 //! cluster (paper §V). This workspace has no Spark, so this crate
 //! reimplements the programming model the algorithms actually rely on
-//! (see DESIGN.md §2): a deterministic, multi-threaded engine with the
-//! four classic stages —
+//! (see DESIGN.md §2 and §7). There is exactly one scheduler,
+//! [`DagSpec::run`]: a graph of stages over numbered partitions, run on
+//! real `ev-exec` work-stealing threads with partition lineage,
+//! injected-fault retry and a host-independent
+//! [`virtual_makespan`](DagSpec::virtual_makespan) model. A
+//! [`MapReduce`] job is the two-stage case —
 //!
 //! 1. **split** — the input is chunked into fixed-size splits;
-//! 2. **map** — map tasks run in parallel, emitting `(key, value)` pairs
-//!    through an [`Emitter`]; the [`Backend`] decides whether "in
-//!    parallel" means real work-stealing threads (`ev-exec`) or a
-//!    deterministic virtual-time simulation of the cluster;
-//! 3. **shuffle** — pairs are hash-partitioned by key, routed to their
-//!    reduce partition, sorted and grouped (deterministically, regardless
-//!    of task scheduling);
-//! 4. **reduce** — reduce tasks aggregate each key's values in parallel.
+//! 2. **map** — one partition per split runs the [`Mapper`] (and the
+//!    optional [`Combiner`]), emitting `(key, value)` pairs through an
+//!    [`Emitter`] and pre-bucketing them with the [`Partitioner`];
+//! 3. **shuffle** — a [`DepKind::Shuffle`] edge: every reduce partition
+//!    merges its bucket from every map partition in map-task order and
+//!    groups by key (deterministically, regardless of task scheduling);
+//! 4. **reduce** — each partition's [`Reducer`] aggregates its keys.
 //!
-//! On top of the happy path the engine simulates the failure modes a real
-//! cluster master must handle: injected task failures with bounded retry,
-//! deterministic stragglers, and **speculative execution** that launches
-//! backup attempts for straggling tasks and keeps whichever finishes
-//! first. [`JobMetrics`] reports per-stage timings and counters.
+//! On top of the happy path the scheduler handles the failure mode a
+//! real cluster master must: a [`FaultPlan`] injects task failures as
+//! real in-worker panics, lost partitions are retried from lineage up
+//! to `max_attempts`, and exhaustion is typed
+//! ([`JobError::TaskExhausted`] for an injected fault,
+//! [`JobError::WorkerPanicked`] for a real panic). [`JobMetrics`]
+//! reports per-job counters and timings.
 //!
 //! # Example
 //!
@@ -67,7 +72,7 @@ mod engine;
 mod metrics;
 
 pub use api::{Combiner, Emitter, HashPartitioner, Mapper, Partitioner, Reducer};
-pub use config::{Backend, ClusterConfig, FaultPlan};
+pub use config::{ClusterConfig, FaultPlan};
 pub use dag::{DagConfig, DagMetrics, DagRun, DagSpec, DepKind, StageDep, StageId, TaskCtx};
 pub use engine::{JobError, JobResult, MapReduce};
 pub use metrics::JobMetrics;

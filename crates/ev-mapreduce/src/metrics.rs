@@ -9,14 +9,13 @@ use std::time::Duration;
 pub struct JobMetrics {
     /// Number of map tasks (input splits).
     pub map_tasks: usize,
-    /// Number of reduce tasks (partitions with at least the shuffle run).
+    /// Reduce partitions that received at least one key (an empty
+    /// partition still runs, as a no-op task).
     pub reduce_tasks: usize,
-    /// Total map-task attempts, including retries and speculative copies.
+    /// Total map-task attempts, including retries.
     pub map_attempts: u64,
-    /// Attempts that failed and were retried.
+    /// Attempts (map or reduce) that failed and were retried.
     pub failed_attempts: u64,
-    /// Speculative backup attempts launched for stragglers.
-    pub speculative_attempts: u64,
     /// Intermediate pairs leaving the map stage (after combining).
     pub shuffled_pairs: u64,
     /// Intermediate pairs before the combiner ran (equals
@@ -24,22 +23,19 @@ pub struct JobMetrics {
     pub pre_combine_pairs: u64,
     /// Distinct keys seen by the reduce stage.
     pub distinct_keys: u64,
-    /// Work-stealing backend: successful steal operations across stages.
-    pub steal_ops: u64,
-    /// Work-stealing backend: tasks migrated between worker deques.
-    pub tasks_stolen: u64,
-    /// Work-stealing backend: per-stage worker-deque high-water marks,
-    /// summed over stages.
-    pub queue_depth_peaks: u64,
-    /// Simulated backend: virtual scheduling units from job start to the
-    /// last attempt completion, summed over stages (the deterministic
-    /// makespan the Figure 9 cluster-scaling model reports).
+    /// Host-independent virtual time of the job: the
+    /// [`DagSpec::virtual_makespan`](crate::DagSpec::virtual_makespan)
+    /// of its two-stage spec on `workers` identical workers at one unit
+    /// per task (the deterministic makespan the Figure 9
+    /// cluster-scaling model reports).
     pub virtual_makespan_units: u64,
-    /// Wall time of the map stage.
+    /// Wall time from job start to the last map task's completion.
     pub map_time: Duration,
-    /// Wall time of the shuffle (partition + sort + group).
+    /// Time reduce tasks spent merging and grouping their buckets,
+    /// summed over partitions.
     pub shuffle_time: Duration,
-    /// Wall time of the reduce stage.
+    /// Wall time from the last map task's completion to the end of the
+    /// job (the reduce tasks, shuffle merge included).
     pub reduce_time: Duration,
     /// End-to-end wall time.
     pub total_time: Duration,
@@ -70,13 +66,9 @@ impl JobMetrics {
         self.reduce_tasks += other.reduce_tasks;
         self.map_attempts += other.map_attempts;
         self.failed_attempts += other.failed_attempts;
-        self.speculative_attempts += other.speculative_attempts;
         self.shuffled_pairs += other.shuffled_pairs;
         self.pre_combine_pairs += other.pre_combine_pairs;
         self.distinct_keys += other.distinct_keys;
-        self.steal_ops += other.steal_ops;
-        self.tasks_stolen += other.tasks_stolen;
-        self.queue_depth_peaks += other.queue_depth_peaks;
         self.virtual_makespan_units += other.virtual_makespan_units;
         self.map_time += other.map_time;
         self.shuffle_time += other.shuffle_time;
@@ -115,9 +107,6 @@ impl JobMetrics {
             .counter(names::MAPREDUCE_FAILED_ATTEMPTS)
             .add(self.failed_attempts);
         registry
-            .counter(names::MAPREDUCE_SPECULATIVE_ATTEMPTS)
-            .add(self.speculative_attempts);
-        registry
             .counter(names::MAPREDUCE_SHUFFLED_PAIRS)
             .add(self.shuffled_pairs);
         registry
@@ -126,15 +115,6 @@ impl JobMetrics {
         registry
             .counter(names::MAPREDUCE_DISTINCT_KEYS)
             .add(self.distinct_keys);
-        registry
-            .counter(names::MAPREDUCE_STEAL_OPS)
-            .add(self.steal_ops);
-        registry
-            .counter(names::MAPREDUCE_TASKS_STOLEN)
-            .add(self.tasks_stolen);
-        registry
-            .counter(names::MAPREDUCE_QUEUE_DEPTH_PEAKS)
-            .add(self.queue_depth_peaks);
         registry
             .counter(names::MAPREDUCE_VIRTUAL_MAKESPAN_UNITS)
             .add(self.virtual_makespan_units);
@@ -151,13 +131,6 @@ impl JobMetrics {
             .gauge(names::MAPREDUCE_TOTAL_TIME_SECONDS)
             .set(self.total_time.as_secs_f64());
         self.index.record_to(registry);
-    }
-
-    /// Folds one executor session's counters into the job totals.
-    pub(crate) fn record_exec_session(&mut self, stats: &ev_exec::ExecStats) {
-        self.steal_ops += stats.steal_ops;
-        self.tasks_stolen += stats.tasks_stolen;
-        self.queue_depth_peaks += stats.queue_depth_peak;
     }
 }
 

@@ -2,10 +2,11 @@
 //! and thread counts, the execution order must respect every declared
 //! dependency, and the outputs must not depend on the thread count.
 
-use ev_mapreduce::{DagConfig, DagSpec, DepKind, StageDep, StageId};
+use ev_mapreduce::{DagConfig, DagSpec, DepKind, FaultPlan, JobError, StageDep, StageId};
 use ev_telemetry::{Telemetry, TraceCtx};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 /// A random DAG shape: per stage, a partition count plus raw dependency
@@ -164,4 +165,48 @@ proptest! {
         let (_, outputs) = run_shape(&stages, threads);
         prop_assert_eq!(outputs, reference);
     }
+}
+
+/// One retry budget: the scheduler honours `faults.max_attempts`, so a
+/// partition that always fails runs exactly that many times before the
+/// run aborts — `WorkerPanicked` for a real panic, `TaskExhausted` when
+/// the final loss was an injected fault.
+#[test]
+fn an_always_failing_partition_aborts_after_exactly_max_attempts() {
+    let config = |task_failure_rate| DagConfig {
+        faults: FaultPlan {
+            task_failure_rate,
+            max_attempts: 2,
+            seed: 1,
+        },
+        ..DagConfig::new(2)
+    };
+    let executions = AtomicU32::new(0);
+    let mut dag: DagSpec<'_, u64> = DagSpec::new();
+    dag.stage("doomed", 1, Vec::new(), |_, _| {
+        executions.fetch_add(1, Ordering::Relaxed);
+        panic!("partition bug");
+    });
+    let err = dag
+        .run(&config(0.0), Telemetry::disabled(), TraceCtx::root())
+        .unwrap_err();
+    assert!(
+        matches!(&err, JobError::WorkerPanicked { stage: "doomed", message } if message.contains("partition bug")),
+        "got {err:?}"
+    );
+    assert_eq!(executions.load(Ordering::Relaxed), 2);
+
+    let mut dag: DagSpec<'_, u64> = DagSpec::new();
+    dag.stage("flaky", 1, Vec::new(), |_, _| 0);
+    let err = dag
+        .run(&config(0.999_999), Telemetry::disabled(), TraceCtx::root())
+        .unwrap_err();
+    assert_eq!(
+        err,
+        JobError::TaskExhausted {
+            stage: "flaky",
+            task: 0,
+            attempts: 2
+        }
+    );
 }

@@ -492,9 +492,9 @@ fn round_times(
 ///
 /// # Errors
 ///
-/// Propagates [`JobError`] from the scheduler
-/// ([`JobError::WorkerPanicked`] once a partition exhausts
-/// [`DagConfig::max_attempts`]).
+/// Propagates [`JobError`] from the scheduler (a partition that
+/// exhausts [`FaultPlan::max_attempts`](ev_mapreduce::FaultPlan::max_attempts)
+/// aborts the run).
 pub fn dag_split(
     config: &DagConfig,
     store: &EScenarioStore,
@@ -712,7 +712,7 @@ mod tests {
     use ev_core::region::CellId;
     use ev_core::scenario::{Detection, EScenario, VScenario};
     use ev_core::time::Timestamp;
-    use ev_mapreduce::{Backend, ClusterConfig, MapReduce};
+    use ev_mapreduce::{ClusterConfig, MapReduce};
     use ev_vision::cost::CostModel;
 
     fn world() -> (EScenarioStore, VideoStore) {
@@ -933,34 +933,5 @@ mod tests {
             overlapped < barriered,
             "snapshot scans must overlap: {overlapped} vs {barriered}"
         );
-    }
-
-    #[test]
-    fn simulated_backend_reference_is_irrelevant_to_flow() {
-        // Guard: the DAG path never consults the engine backend; the
-        // split must also match a Simulated-backend engine run.
-        let (store, _) = world();
-        let split_config = ParallelSplitConfig {
-            seed: 5,
-            max_iterations: None,
-        };
-        let engine = MapReduce::new(ClusterConfig {
-            workers: 3,
-            split_size: 8,
-            reduce_partitions: 4,
-            backend: Backend::Simulated,
-            ..ClusterConfig::default()
-        });
-        let reference = parallel_split(&engine, &store, &targets(), &split_config).unwrap();
-        let dag = dag_split(
-            &DagConfig::new(3),
-            &store,
-            &targets(),
-            &split_config,
-            Telemetry::disabled(),
-        )
-        .unwrap();
-        assert_eq!(dag.lists, reference.lists);
-        assert_eq!(dag.recorded, reference.recorded);
     }
 }

@@ -34,7 +34,10 @@ use std::time::Instant;
 pub enum ExecutionMode {
     /// Single-threaded reference pipeline with refinement (Algorithm 2).
     Sequential,
-    /// MapReduce pipeline (Algorithm 3) on a simulated cluster.
+    /// MapReduce pipeline (Algorithm 3, see [`crate::parallel`]): every
+    /// splitting round and the VID-filtering step is a barriered
+    /// MapReduce job, each a two-stage submission to the stage-DAG
+    /// scheduler on the cluster's `workers` threads.
     Parallel(ClusterConfig),
     /// The whole pipeline — every splitting round plus VID filtering —
     /// as **one submission** to the lineage-tracking stage-DAG
@@ -185,9 +188,9 @@ impl<'a> EvMatcher<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`ev_mapreduce::JobError`] only in parallel mode, when the
-    /// engine rejects its configuration or injected faults exhaust a
-    /// task's retry budget.
+    /// Returns [`ev_mapreduce::JobError`] only in the parallel and DAG
+    /// modes, when the scheduler rejects its configuration or a task
+    /// exhausts its retry budget.
     pub fn match_many(
         &self,
         targets: &BTreeSet<Eid>,

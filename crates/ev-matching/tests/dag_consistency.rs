@@ -145,11 +145,10 @@ fn worker_loss_recomputes_only_lost_partitions() {
     let faulty_tel = Telemetry::new(TelemetryLevel::Counters);
     let faulty = run_dag(
         &DagConfig {
-            max_attempts: 24,
             faults: FaultPlan {
                 task_failure_rate: 0.25,
+                max_attempts: 24,
                 seed: 9,
-                ..FaultPlan::default()
             },
             ..DagConfig::new(2)
         },

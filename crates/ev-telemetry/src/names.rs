@@ -46,33 +46,26 @@ pub const ANYTIME_CONVERGENCE_ROUNDS: &str = "evm_anytime_convergence_rounds";
 
 /// Map tasks executed (first attempts).
 pub const MAPREDUCE_MAP_TASKS: &str = "evm_mapreduce_map_tasks";
-/// Reduce tasks executed.
+/// Reduce partitions that received at least one key.
 pub const MAPREDUCE_REDUCE_TASKS: &str = "evm_mapreduce_reduce_tasks";
-/// Map-task attempts launched (first tries + retries + backups).
+/// Map-task attempts launched (first tries + retries).
 pub const MAPREDUCE_MAP_ATTEMPTS: &str = "evm_mapreduce_map_attempts";
 /// Attempts that failed and were retried.
 pub const MAPREDUCE_FAILED_ATTEMPTS: &str = "evm_mapreduce_failed_attempts";
-/// Speculative backup attempts launched for stragglers.
-pub const MAPREDUCE_SPECULATIVE_ATTEMPTS: &str = "evm_mapreduce_speculative_attempts";
 /// Key/value pairs shuffled between map and reduce.
 pub const MAPREDUCE_SHUFFLED_PAIRS: &str = "evm_mapreduce_shuffled_pairs";
 /// Pairs before the map-side combiner ran.
 pub const MAPREDUCE_PRE_COMBINE_PAIRS: &str = "evm_mapreduce_pre_combine_pairs";
 /// Distinct keys seen by the reduce stage.
 pub const MAPREDUCE_DISTINCT_KEYS: &str = "evm_mapreduce_distinct_keys";
-/// Successful steal operations on the work-stealing backend.
-pub const MAPREDUCE_STEAL_OPS: &str = "evm_mapreduce_steal_ops";
-/// Tasks migrated between worker deques by steals.
-pub const MAPREDUCE_TASKS_STOLEN: &str = "evm_mapreduce_tasks_stolen";
-/// Per-stage worker-deque depth high-water marks, summed over stages.
-pub const MAPREDUCE_QUEUE_DEPTH_PEAKS: &str = "evm_mapreduce_queue_depth_peaks";
-/// Virtual makespan units accumulated by the simulated backend.
+/// Virtual makespan units of the jobs' two-stage specs on their
+/// configured worker counts (host-independent).
 pub const MAPREDUCE_VIRTUAL_MAKESPAN_UNITS: &str = "evm_mapreduce_virtual_makespan_units";
-/// Map-stage wall time, seconds.
+/// Wall time from job start to the last map completion, seconds.
 pub const MAPREDUCE_MAP_TIME_SECONDS: &str = "evm_mapreduce_map_time_seconds";
-/// Shuffle wall time, seconds.
+/// Time reduce tasks spent merging and grouping, summed, seconds.
 pub const MAPREDUCE_SHUFFLE_TIME_SECONDS: &str = "evm_mapreduce_shuffle_time_seconds";
-/// Reduce-stage wall time, seconds.
+/// Wall time from the last map completion to job end, seconds.
 pub const MAPREDUCE_REDUCE_TIME_SECONDS: &str = "evm_mapreduce_reduce_time_seconds";
 /// End-to-end job wall time, seconds.
 pub const MAPREDUCE_TOTAL_TIME_SECONDS: &str = "evm_mapreduce_total_time_seconds";
@@ -218,13 +211,9 @@ pub const ALL_COUNTERS: &[&str] = &[
     MAPREDUCE_REDUCE_TASKS,
     MAPREDUCE_MAP_ATTEMPTS,
     MAPREDUCE_FAILED_ATTEMPTS,
-    MAPREDUCE_SPECULATIVE_ATTEMPTS,
     MAPREDUCE_SHUFFLED_PAIRS,
     MAPREDUCE_PRE_COMBINE_PAIRS,
     MAPREDUCE_DISTINCT_KEYS,
-    MAPREDUCE_STEAL_OPS,
-    MAPREDUCE_TASKS_STOLEN,
-    MAPREDUCE_QUEUE_DEPTH_PEAKS,
     MAPREDUCE_VIRTUAL_MAKESPAN_UNITS,
     EXEC_TASKS_EXECUTED,
     EXEC_TASKS_PANICKED,

@@ -1,12 +1,11 @@
-//! Matching on an unreliable cluster: the MapReduce engine retries
-//! injected task failures and launches speculative backups for
-//! stragglers, and the matching results come out identical to a healthy
-//! run (paper §V-A: "task failure recovery [is] managed by a master
-//! machine").
+//! Matching on an unreliable cluster: the scheduler retries injected
+//! task failures from lineage, and the matching results come out
+//! identical to a healthy run (paper §V-A: "task failure recovery [is]
+//! managed by a master machine").
 //!
 //! The flaky run carries a full-level [`Telemetry`] handle, so after it
-//! finishes we can replay the engine's fault-recovery decisions as a
-//! timeline of trace events.
+//! finishes we can replay the scheduler's lost attempts as a timeline
+//! of trace events.
 //!
 //! ```text
 //! cargo run --release --example unreliable_cluster
@@ -19,7 +18,7 @@ use evmatch::matching::vfilter::VFilterConfig;
 use evmatch::prelude::*;
 use serde_json::Value;
 
-/// Renders one instant event's args as `stage=map task=3 attempt=1`.
+/// Renders one instant event's args as `stage=map task=3 failures=1`.
 fn fmt_args(event: &TraceEvent) -> String {
     event
         .args
@@ -51,13 +50,9 @@ fn main() {
     let flaky = ClusterConfig {
         faults: FaultPlan {
             task_failure_rate: 0.25,
-            straggler_rate: 0.2,
-            straggler_factor: 6,
-            speculative_execution: true,
             max_attempts: 20,
             seed: 99,
         },
-        task_overhead_units: 20_000,
         ..healthy.clone()
     };
 
@@ -84,30 +79,23 @@ fn main() {
         report
     };
 
-    println!(
-        "matching {} EIDs on a 4-worker simulated cluster...\n",
-        targets.len()
-    );
+    println!("matching {} EIDs on a 4-worker cluster...\n", targets.len());
     let clean = run("healthy", &healthy, Telemetry::disabled());
     let tel = Telemetry::new(TelemetryLevel::Full);
     let noisy = run("flaky", &flaky, &tel);
 
-    // Replay the engine's fault-recovery decisions, oldest first.
+    // Replay the lost attempts, oldest first; each one below the retry
+    // budget was rescheduled from lineage.
     let timeline: Vec<TraceEvent> = tel
         .tracer()
         .events()
         .into_iter()
-        .filter(|e| {
-            matches!(
-                e.name.as_str(),
-                "task_failed" | "retry_scheduled" | "straggler_detected" | "speculative_launched"
-            )
-        })
+        .filter(|e| matches!(e.name.as_str(), "task_failed" | "task_panicked"))
         .collect();
     println!("\nfault-recovery timeline ({} events):", timeline.len());
     for event in &timeline {
         println!(
-            "  {:>9.3} ms  {:<21} {}",
+            "  {:>9.3} ms  {:<13} {}",
             event.ts_us as f64 / 1000.0,
             event.name,
             fmt_args(event)
@@ -116,13 +104,12 @@ fn main() {
     let registry = tel.registry();
     let counter = |name| registry.counter_value(name).unwrap_or(0);
     println!(
-        "attempts: {} map / {} failed / {} speculative",
+        "attempts: {} map / {} failed",
         counter(names::MAPREDUCE_MAP_ATTEMPTS),
         counter(names::MAPREDUCE_FAILED_ATTEMPTS),
-        counter(names::MAPREDUCE_SPECULATIVE_ATTEMPTS),
     );
     assert!(
-        timeline.iter().any(|e| e.name == "retry_scheduled"),
+        timeline.iter().any(|e| e.name == "task_failed"),
         "a 25% failure rate must trigger at least one retry"
     );
 
@@ -133,6 +120,6 @@ fn main() {
         .iter()
         .zip(&noisy.outcomes)
         .all(|(a, b)| a.eid == b.eid && a.vid == b.vid);
-    println!("\nresults identical under 25% task failures + 20% stragglers: {same}");
+    println!("\nresults identical under 25% task failures: {same}");
     assert!(same, "fault tolerance must preserve results");
 }

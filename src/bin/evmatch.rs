@@ -40,7 +40,9 @@
 //! consistent applied snapshot, and every answer reports its staleness
 //! (see [`evmatch::serve`] and the stdin protocol on `cmd_serve`).
 //!
-//! `--workers W` runs the MapReduce pipeline (Algorithm 3);
+//! `--workers W` runs the MapReduce pipeline (Algorithm 3): per-round
+//! jobs with a barrier between them, each a two-stage submission to
+//! the stage-DAG scheduler on `W` threads;
 //! `--threads N` submits the whole job — every splitting round plus
 //! VID filtering — as **one** stage DAG to the lineage-tracking
 //! scheduler (`DESIGN.md` §11) on `N` real threads of the `ev-exec`
@@ -785,8 +787,8 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
         }
     }
 
-    // 2. MapReduce run with injected failures, stragglers and
-    //    speculation on real threads: engine, retry and exec metrics.
+    // 2. MapReduce run with injected failures on real threads: engine,
+    //    retry and exec metrics.
     {
         let tel = Telemetry::new(TelemetryLevel::Full);
         let cfg = MatcherConfig {
@@ -796,13 +798,9 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
                 split_size: 4,
                 faults: FaultPlan {
                     task_failure_rate: 0.2,
-                    straggler_rate: 0.3,
-                    straggler_factor: 2,
-                    speculative_execution: true,
                     max_attempts: 50,
                     seed: 11,
                 },
-                ..ClusterConfig::default()
             }),
             ..MatcherConfig::default()
         };
@@ -873,8 +871,8 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             absorb_into(&mut seen, &tel);
         }
 
-        // 6. A flight dump triggered the engine-internal way: a job
-        //    whose retry budget a 100% failure rate must exhaust.
+        // 6. A flight dump triggered the scheduler-internal way: a job
+        //    whose retry budget a 95% failure rate must exhaust.
         {
             let tel = Telemetry::new(TelemetryLevel::Counters);
             tel.flight().set_enabled(true);
@@ -889,7 +887,6 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
                     task_failure_rate: 0.95,
                     max_attempts: 2,
                     seed: 1,
-                    ..FaultPlan::default()
                 },
                 ..ClusterConfig::default()
             })
@@ -1003,12 +1000,11 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             .map_err(|e| format!("smoke dag run: {e}"))?;
             let stressed = dag_match(
                 &DagConfig {
-                    max_attempts: 24,
                     cache_capacity: Some(2),
                     faults: FaultPlan {
                         task_failure_rate: 0.2,
+                        max_attempts: 24,
                         seed: 7,
-                        ..FaultPlan::default()
                     },
                     ..DagConfig::new(2)
                 },

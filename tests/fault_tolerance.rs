@@ -1,7 +1,8 @@
 //! Fault-injection integration: the matching pipelines must survive task
-//! failures and stragglers with identical results.
+//! failures with identical results.
 
-use evmatch::mapreduce::{ClusterConfig, FaultPlan, MapReduce};
+use evmatch::mapreduce::{ClusterConfig, DagConfig, FaultPlan, JobError, MapReduce};
+use evmatch::matching::dagflow::dag_match;
 use evmatch::matching::parallel::{parallel_match, ParallelSplitConfig};
 use evmatch::matching::vfilter::VFilterConfig;
 use evmatch::prelude::*;
@@ -45,7 +46,6 @@ fn injected_failures_do_not_change_matching_results() {
             task_failure_rate: 0.3,
             max_attempts: 30,
             seed: 17,
-            ..FaultPlan::default()
         },
         ..healthy()
     };
@@ -65,9 +65,17 @@ fn injected_failures_do_not_change_matching_results() {
 }
 
 #[test]
-fn stragglers_with_speculation_preserve_results() {
+fn injected_failures_agree_between_parallel_and_dag() {
+    // One flaky `FaultPlan` through both pipelines: the jobs of
+    // `parallel_match` and the single submission of `dag_match` share
+    // the scheduler's fault path, and both must reproduce the clean run.
     let d = dataset();
     let targets = sample_targets(&d, 25, 2);
+    let flaky = FaultPlan {
+        task_failure_rate: 0.3,
+        max_attempts: 30,
+        seed: 23,
+    };
 
     d.video.reset_usage();
     let clean = parallel_match(
@@ -80,20 +88,12 @@ fn stragglers_with_speculation_preserve_results() {
     )
     .unwrap();
 
-    let straggly = ClusterConfig {
-        faults: FaultPlan {
-            straggler_rate: 0.3,
-            straggler_factor: 5,
-            speculative_execution: true,
-            seed: 23,
-            ..FaultPlan::default()
-        },
-        task_overhead_units: 10_000,
-        ..healthy()
-    };
     d.video.reset_usage();
-    let slow = parallel_match(
-        &MapReduce::new(straggly),
+    let parallel = parallel_match(
+        &MapReduce::new(ClusterConfig {
+            faults: flaky,
+            ..healthy()
+        }),
         &d.estore,
         &d.video,
         &targets,
@@ -102,7 +102,25 @@ fn stragglers_with_speculation_preserve_results() {
     )
     .unwrap();
 
-    assert_eq!(clean.outcomes, slow.outcomes);
+    d.video.reset_usage();
+    let dag = dag_match(
+        &DagConfig {
+            faults: flaky,
+            ..DagConfig::new(4)
+        },
+        &d.estore,
+        &d.video,
+        &targets,
+        &ParallelSplitConfig::default(),
+        &VFilterConfig::default(),
+        Telemetry::disabled(),
+    )
+    .unwrap();
+
+    assert_eq!(clean.outcomes, parallel.outcomes);
+    assert_eq!(clean.lists, parallel.lists);
+    assert_eq!(clean.outcomes, dag.outcomes);
+    assert_eq!(clean.lists, dag.lists);
 }
 
 #[test]
@@ -114,7 +132,6 @@ fn hopeless_cluster_reports_task_exhaustion() {
             task_failure_rate: 0.97,
             max_attempts: 2,
             seed: 3,
-            ..FaultPlan::default()
         },
         ..healthy()
     };
@@ -129,5 +146,33 @@ fn hopeless_cluster_reports_task_exhaustion() {
     match result {
         Err(evmatch::mapreduce::JobError::TaskExhausted { .. }) => {}
         other => panic!("expected TaskExhausted, got {other:?}"),
+    }
+}
+
+#[test]
+fn hopeless_dag_reports_task_exhaustion() {
+    // The same hopeless plan through the one-submission pipeline: an
+    // exhausted injected fault is `TaskExhausted` there too.
+    let d = dataset();
+    let targets = sample_targets(&d, 10, 3);
+    let result = dag_match(
+        &DagConfig {
+            faults: FaultPlan {
+                task_failure_rate: 0.97,
+                max_attempts: 2,
+                seed: 3,
+            },
+            ..DagConfig::new(4)
+        },
+        &d.estore,
+        &d.video,
+        &targets,
+        &ParallelSplitConfig::default(),
+        &VFilterConfig::default(),
+        Telemetry::disabled(),
+    );
+    match result {
+        Err(JobError::TaskExhausted { attempts: 2, .. }) => {}
+        other => panic!("expected TaskExhausted after 2 attempts, got {other:?}"),
     }
 }
