@@ -23,7 +23,6 @@ use criterion::{BenchResult, Criterion};
 use ev_datagen::{sample_targets, DatasetConfig, EvDataset};
 use ev_mapreduce::DagConfig;
 use ev_matching::dagflow::{dag_match, round_pipeline_shape};
-use ev_matching::parallel::ParallelSplitConfig;
 use ev_matching::vfilter::VFilterConfig;
 use ev_telemetry::Telemetry;
 use serde::Serialize;
@@ -117,10 +116,6 @@ fn main() {
     })
     .expect("valid config");
     let targets = sample_targets(&data, n_targets, 1);
-    let split_config = ParallelSplitConfig {
-        seed: 9,
-        max_iterations: None,
-    };
     let vconfig = VFilterConfig::default();
     let telemetry = Telemetry::disabled();
 
@@ -131,7 +126,7 @@ fn main() {
             &data.estore,
             &data.video,
             &targets,
-            &split_config,
+            9,
             &vconfig,
             telemetry,
         )

@@ -15,13 +15,16 @@
 
 use criterion::{BenchResult, Criterion};
 use ev_datagen::{sample_targets, DatasetConfig, EvDataset};
-use ev_mapreduce::{ClusterConfig, MapReduce};
-use ev_matching::parallel::{parallel_match, ParallelSplitConfig};
+use ev_mapreduce::DagConfig;
+use ev_matching::dagflow::dag_match;
 use ev_matching::vfilter::VFilterConfig;
 use ev_telemetry::{MetricsServer, Telemetry, TelemetryLevel};
 use serde::Serialize;
 use std::collections::BTreeSet;
 use std::path::Path;
+
+/// Threads every measured pipeline runs on.
+const WORKERS: usize = 4;
 
 /// One exported measurement.
 #[derive(Debug, Serialize)]
@@ -66,23 +69,19 @@ fn per_iter_ns(results: &[Entry], id: &str) -> f64 {
         .expect("benchmark id present")
 }
 
-/// One full parallel match on a fresh engine wired to `tel`.
+/// One full parallel match on `WORKERS` threads wired to `tel`.
 fn run_pipeline(data: &EvDataset, targets: &BTreeSet<ev_core::ids::Eid>, tel: &Telemetry) -> usize {
     data.video.reset_usage();
-    let engine = MapReduce::new(ClusterConfig {
-        workers: 4,
-        ..ClusterConfig::default()
-    })
-    .with_telemetry(tel);
-    parallel_match(
-        &engine,
+    dag_match(
+        &DagConfig::new(WORKERS),
         &data.estore,
         &data.video,
         targets,
-        &ParallelSplitConfig::default(),
+        0,
         &VFilterConfig::default(),
+        tel,
     )
-    .expect("healthy cluster cannot fail")
+    .expect("a fault-free run cannot fail")
     .outcomes
     .len()
 }
@@ -108,7 +107,6 @@ fn main() {
     let population = 400;
     let duration = 300;
     let n_targets = 100;
-    let workers = 4;
     let data = EvDataset::generate(&DatasetConfig {
         population,
         duration,
@@ -175,7 +173,7 @@ fn main() {
         population,
         duration,
         targets: n_targets,
-        workers,
+        workers: WORKERS,
         host_parallelism,
         flight_overhead_pct: (flight - baseline) / baseline * 100.0,
         flight_serve_overhead_pct: (flight_serve - baseline) / baseline * 100.0,

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ev_datagen::{sample_targets, DatasetConfig, EvDataset};
-use ev_mapreduce::ClusterConfig;
+use ev_mapreduce::DagConfig;
 use ev_matching::edp::{match_edp, EdpConfig};
 use ev_matching::refine::{match_with_refinement, RefineConfig, SplitMode};
 use ev_matching::vfilter::{filter_one, VFilterConfig};
@@ -52,18 +52,19 @@ fn bench_pipelines(c: &mut Criterion) {
     });
 
     group.bench_function("ss_parallel", |b| {
-        let engine = ev_mapreduce::MapReduce::new(ClusterConfig::default());
+        let config = DagConfig::new(ev_mapreduce::ClusterConfig::default().workers);
         b.iter(|| {
             data.video.reset_usage();
-            ev_matching::parallel::parallel_match(
-                &engine,
+            ev_matching::dagflow::dag_match(
+                &config,
                 &data.estore,
                 &data.video,
                 &targets,
-                &ev_matching::parallel::ParallelSplitConfig::default(),
+                0,
                 &VFilterConfig::default(),
+                ev_telemetry::Telemetry::disabled(),
             )
-            .expect("healthy cluster")
+            .expect("a fault-free run cannot fail")
             .outcomes
             .len()
         });

@@ -6,7 +6,6 @@ use crate::experiments::Scale;
 use crate::report::{num, Table};
 use crate::runner::{run_ss, run_ss_parallel};
 use ev_datagen::{sample_targets, score_report, DatasetConfig, EvDataset};
-use ev_mapreduce::ClusterConfig;
 use ev_matching::refine::{match_with_refinement, RefineConfig, SplitMode};
 use ev_matching::setsplit::{SelectionStrategy, SetSplitConfig};
 use ev_vision::cost::CostModel;
@@ -198,8 +197,8 @@ pub fn ablate_mobility(scale: Scale) -> Table {
     table
 }
 
-/// Cluster-width ablation: wall time of the parallel pipeline vs worker
-/// count (the engine's scalability).
+/// Cluster-width ablation: wall time of the parallel pipeline (one
+/// stage-DAG submission) vs worker-thread count.
 #[must_use]
 pub fn ablate_workers(scale: Scale) -> Table {
     let (population, duration, matched) = scale_params(scale);
@@ -224,12 +223,7 @@ pub fn ablate_workers(scale: Scale) -> Table {
         if workers > max_workers.max(2) * 2 {
             continue; // pointless oversubscription on this machine
         }
-        let cluster = ClusterConfig {
-            workers,
-            reduce_partitions: workers,
-            ..ClusterConfig::default()
-        };
-        let summary = run_ss_parallel(&dataset, &targets, &cluster, 3);
+        let summary = run_ss_parallel(&dataset, &targets, workers, 3);
         table.push_row(vec![
             workers.to_string(),
             num(summary.e_secs, 3),

@@ -86,8 +86,8 @@ fn density_dataset(scale: Scale, side: u32, cost: CostModel) -> EvDataset {
     EvDataset::generate(&config).expect("valid config")
 }
 
-/// The simulated cluster used for the timing figures: the paper's 14
-/// workers, clamped to this machine's parallelism.
+/// The cluster used for the timing figures: the paper's 14 workers,
+/// clamped to this machine's parallelism.
 fn timing_cluster() -> ClusterConfig {
     ClusterConfig {
         workers: ClusterConfig::paper_cluster()
@@ -206,8 +206,9 @@ pub fn fig6(scale: Scale) -> Table {
     table
 }
 
-/// Fig. 8: E/V/total processing time vs number of matched EIDs, on the
-/// simulated cluster with the vision cost model enabled.
+/// Fig. 8: E/V/total processing time vs number of matched EIDs, both
+/// algorithms in parallel on `timing_cluster`'s threads with the
+/// vision cost model enabled.
 #[must_use]
 pub fn fig8(scale: Scale) -> Table {
     let config = DatasetConfig {
@@ -232,7 +233,7 @@ pub fn fig8(scale: Scale) -> Table {
     );
     for matched in scale.timing_matched_axis() {
         let targets = sample_targets(&dataset, matched, 11);
-        let ss = run_ss_parallel(&dataset, &targets, &cluster, 11);
+        let ss = run_ss_parallel(&dataset, &targets, cluster.workers, 11);
         let edp = run_edp_parallel(&dataset, &targets, &cluster, 11);
         table.push_row(vec![
             matched.to_string(),
@@ -249,8 +250,9 @@ pub fn fig8(scale: Scale) -> Table {
          faster than EDP overall because EDP processes many more scenarios in its V stage",
     );
     table.push_note(format!(
-        "simulated cluster: {} workers; vision cost model charges {} work units per \
-         extracted detection and {} per feature comparison",
+        "{} worker threads (SS: one stage-DAG submission; EDP: one MapReduce job per \
+         stage); vision cost model charges {} work units per extracted detection and \
+         {} per feature comparison",
         cluster.workers,
         CostModel::default().v_extraction,
         CostModel::default().v_comparison,
@@ -282,7 +284,7 @@ pub fn fig9(scale: Scale) -> Table {
     for side in scale.grid_sides() {
         let dataset = density_dataset(scale, side, CostModel::default());
         let targets = sample_targets(&dataset, matched, 11);
-        let ss = run_ss_parallel(&dataset, &targets, &cluster, 11);
+        let ss = run_ss_parallel(&dataset, &targets, cluster.workers, 11);
         let edp = run_edp_parallel(&dataset, &targets, &cluster, 11);
         table.push_row(vec![
             num(dataset.config.density(), 0),

@@ -3,9 +3,9 @@
 
 use ev_core::ids::Eid;
 use ev_datagen::{score_report, EvDataset};
-use ev_mapreduce::{ClusterConfig, MapReduce};
+use ev_mapreduce::{ClusterConfig, DagConfig};
+use ev_matching::dagflow::dag_match;
 use ev_matching::edp::{edp_engine, match_edp, match_edp_parallel, EdpConfig};
-use ev_matching::parallel::{parallel_match, ParallelSplitConfig};
 use ev_matching::refine::{
     match_with_refinement, match_with_refinement_instrumented, RefineConfig, SplitMode,
 };
@@ -124,33 +124,30 @@ pub fn run_edp(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -> RunSu
     summarize(dataset, targets, Algo::Edp, &report)
 }
 
-/// Runs parallel SS (Algorithm 3 on the MapReduce engine) over `targets`.
+/// Runs parallel SS (Algorithm 3 as one stage-DAG submission) over
+/// `targets` on `threads` threads.
 ///
 /// # Panics
 ///
-/// Panics if the engine rejects the (validated) cluster configuration —
-/// impossible for the configurations the experiments use.
+/// Panics if the scheduler fails — impossible without injected faults.
 #[must_use]
 pub fn run_ss_parallel(
     dataset: &EvDataset,
     targets: &BTreeSet<Eid>,
-    cluster: &ClusterConfig,
+    threads: usize,
     seed: u64,
 ) -> RunSummary {
     dataset.video.reset_usage();
-    let engine = MapReduce::new(cluster.clone());
-    let report = parallel_match(
-        &engine,
+    let report = dag_match(
+        &DagConfig::new(threads),
         &dataset.estore,
         &dataset.video,
         targets,
-        &ParallelSplitConfig {
-            seed,
-            max_iterations: None,
-        },
+        seed,
         &VFilterConfig::default(),
+        Telemetry::disabled(),
     )
-    .expect("healthy cluster cannot fail");
+    .expect("a fault-free run cannot fail");
     summarize(dataset, targets, Algo::Ss, &report)
 }
 
@@ -262,7 +259,7 @@ mod tests {
             reduce_partitions: 2,
             ..ClusterConfig::default()
         };
-        let ss = run_ss_parallel(&d, &targets, &cluster, 0);
+        let ss = run_ss_parallel(&d, &targets, cluster.workers, 0);
         let edp = run_edp_parallel(&d, &targets, &cluster, 0);
         assert_eq!(ss.matched, 15);
         assert!(edp.selected > 0);

@@ -139,7 +139,7 @@ impl EvDataset {
 
 /// A generated dataset is itself a corpus backend, so the
 /// backend-generic pipelines (`match_with_refinement_on`,
-/// `update_matches_on`, `parallel_match_on`) run directly against it.
+/// `update_matches_on`) run directly against it.
 impl StoreBackend for EvDataset {
     fn estore(&self) -> &EScenarioStore {
         &self.estore

@@ -87,7 +87,6 @@ pub struct JobResult<K, T> {
 pub struct MapReduce {
     config: ClusterConfig,
     telemetry: Telemetry,
-    parent_ctx: TraceCtx,
 }
 
 /// Reduce outputs grouped by key.
@@ -121,7 +120,6 @@ impl MapReduce {
         MapReduce {
             config,
             telemetry: Telemetry::disabled().clone(),
-            parent_ctx: TraceCtx::default(),
         }
     }
 
@@ -132,16 +130,6 @@ impl MapReduce {
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.telemetry = telemetry.clone();
-        self
-    }
-
-    /// Parents every job span under `ctx` (e.g. a matching pipeline's
-    /// span), so the exported trace links the job → stage → task tree
-    /// back to the query that submitted it. Jobs run without a parent
-    /// start a fresh trace.
-    #[must_use]
-    pub fn with_parent_ctx(mut self, ctx: TraceCtx) -> Self {
-        self.parent_ctx = ctx;
         self
     }
 
@@ -220,7 +208,7 @@ impl MapReduce {
         P: Partitioner<M::Key>,
     {
         self.config.validate().map_err(JobError::InvalidConfig)?;
-        let job_ctx = self.parent_ctx.child();
+        let job_ctx = TraceCtx::root();
         let mut job_span = self.telemetry.span_ctx("mapreduce_job", "round", job_ctx);
         let job_start = Instant::now();
         let mut metrics = JobMetrics::default();

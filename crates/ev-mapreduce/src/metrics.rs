@@ -1,6 +1,6 @@
 //! Job execution metrics.
 
-use ev_telemetry::{names, IndexCounters, MetricsRegistry};
+use ev_telemetry::{names, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -39,13 +39,6 @@ pub struct JobMetrics {
     pub reduce_time: Duration,
     /// End-to-end wall time.
     pub total_time: Duration,
-    /// Index/cache-layer work absorbed while preparing or
-    /// post-processing job inputs (the engine itself never touches an
-    /// index; drivers report through
-    /// [`JobMetrics::record_index_counters`]). Shared with the
-    /// sequential pipeline's `StageTimings` via
-    /// [`ev_telemetry::IndexCounters`].
-    pub index: IndexCounters,
 }
 
 impl JobMetrics {
@@ -59,40 +52,8 @@ impl JobMetrics {
         1.0 - self.shuffled_pairs as f64 / self.pre_combine_pairs as f64
     }
 
-    /// Merges another job's metrics into this one (for multi-job
-    /// pipelines such as iterative set splitting).
-    pub fn absorb(&mut self, other: &JobMetrics) {
-        self.map_tasks += other.map_tasks;
-        self.reduce_tasks += other.reduce_tasks;
-        self.map_attempts += other.map_attempts;
-        self.failed_attempts += other.failed_attempts;
-        self.shuffled_pairs += other.shuffled_pairs;
-        self.pre_combine_pairs += other.pre_combine_pairs;
-        self.distinct_keys += other.distinct_keys;
-        self.virtual_makespan_units += other.virtual_makespan_units;
-        self.map_time += other.map_time;
-        self.shuffle_time += other.shuffle_time;
-        self.reduce_time += other.reduce_time;
-        self.total_time += other.total_time;
-        self.index.absorb(&other.index);
-    }
-
-    /// The index/cache counter triple shared with the sequential
-    /// pipeline.
-    #[must_use]
-    pub fn index_counters(&self) -> IndexCounters {
-        self.index
-    }
-
-    /// Folds one batch of index-layer counters into the job totals —
-    /// the single conversion path between driver-side counters and job
-    /// metrics.
-    pub fn record_index_counters(&mut self, counters: &IndexCounters) {
-        self.index.absorb(counters);
-    }
-
-    /// Adds every field to its canonical `evm_mapreduce_*` /
-    /// `evm_index_*` metric in `registry`.
+    /// Adds every field to its canonical `evm_mapreduce_*` metric in
+    /// `registry`.
     pub fn record_to(&self, registry: &MetricsRegistry) {
         registry
             .counter(names::MAPREDUCE_MAP_TASKS)
@@ -130,7 +91,6 @@ impl JobMetrics {
         registry
             .gauge(names::MAPREDUCE_TOTAL_TIME_SECONDS)
             .set(self.total_time.as_secs_f64());
-        self.index.record_to(registry);
     }
 }
 
@@ -185,59 +145,8 @@ mod tests {
         assert_eq!(m.combine_ratio(), 0.0);
     }
 
-    #[test]
-    fn absorb_accumulates() {
-        let mut a = JobMetrics {
-            map_tasks: 2,
-            shuffled_pairs: 10,
-            map_time: Duration::from_millis(5),
-            ..JobMetrics::default()
-        };
-        let b = JobMetrics {
-            map_tasks: 3,
-            shuffled_pairs: 7,
-            map_time: Duration::from_millis(3),
-            ..JobMetrics::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.map_tasks, 5);
-        assert_eq!(a.shuffled_pairs, 17);
-        assert_eq!(a.map_time, Duration::from_millis(8));
-    }
-
-    #[test]
-    fn index_counters_record_and_absorb() {
-        let mut a = JobMetrics::default();
-        a.record_index_counters(&IndexCounters {
-            postings_probed: 5,
-            cache_hits: 2,
-            scans_avoided: 9,
-        });
-        a.record_index_counters(&IndexCounters {
-            postings_probed: 1,
-            cache_hits: 1,
-            scans_avoided: 1,
-        });
-        let mut b = JobMetrics::default();
-        b.record_index_counters(&IndexCounters {
-            postings_probed: 10,
-            cache_hits: 20,
-            scans_avoided: 30,
-        });
-        a.absorb(&b);
-        assert_eq!(
-            a.index_counters(),
-            IndexCounters {
-                postings_probed: 16,
-                cache_hits: 23,
-                scans_avoided: 40,
-            }
-        );
-    }
-
     /// Fills every serialized leaf with a distinct non-zero value so
-    /// any field `absorb`/`record_to` forgets shows up as an exact
-    /// mismatch.
+    /// any field `record_to` forgets shows up as missing.
     fn distinct_metrics() -> JobMetrics {
         fn fill(value: &Value, next: &mut i128) -> Value {
             match value {
@@ -268,31 +177,6 @@ mod tests {
         JobMetrics::from_value(&filled).expect("JobMetrics round-trips")
     }
 
-    /// Field-enumeration guard: absorbing a copy of itself must double
-    /// *every* serialized leaf, so a newly added counter cannot be
-    /// silently dropped from `JobMetrics::absorb`.
-    #[test]
-    fn absorb_covers_every_field() {
-        fn assert_doubled(path: &str, before: &Value, after: &Value) {
-            match (before, after) {
-                (Value::Int(a), Value::Int(b)) => {
-                    assert_eq!(*b, 2 * *a, "absorb dropped or mis-merged field {path}");
-                }
-                (Value::Obj(xs), Value::Obj(ys)) => {
-                    assert_eq!(xs.len(), ys.len());
-                    for ((k, x), (_, y)) in xs.iter().zip(ys) {
-                        assert_doubled(&format!("{path}.{k}"), x, y);
-                    }
-                }
-                other => panic!("unexpected field shape at {path}: {other:?}"),
-            }
-        }
-        let base = distinct_metrics();
-        let mut doubled = base.clone();
-        doubled.absorb(&base);
-        assert_doubled("metrics", &base.to_value(), &doubled.to_value());
-    }
-
     /// Every serialized field must surface in the registry under its
     /// canonical name.
     #[test]
@@ -308,20 +192,11 @@ mod tests {
                 .chain(snapshot.gauges.keys())
                 .any(|k| k.starts_with(prefix))
         };
-        for (field, value) in base.to_value().as_obj().unwrap() {
-            if field == "index" {
-                for (leaf, _) in value.as_obj().unwrap() {
-                    assert!(
-                        exported(&format!("evm_index_{leaf}")),
-                        "index counter {leaf} not exported"
-                    );
-                }
-            } else {
-                assert!(
-                    exported(&format!("evm_mapreduce_{field}")),
-                    "field {field} not exported to the registry"
-                );
-            }
+        for (field, _) in base.to_value().as_obj().unwrap() {
+            assert!(
+                exported(&format!("evm_mapreduce_{field}")),
+                "field {field} not exported to the registry"
+            );
         }
     }
 }

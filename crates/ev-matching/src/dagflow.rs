@@ -1,12 +1,13 @@
-//! The matching pipeline as one stage-DAG submission (ROADMAP item 3).
+//! EV-Matching in parallel (paper §V, Algorithm 3) as **one stage-DAG
+//! submission** on the [`ev_mapreduce::dag`] scheduler.
 //!
-//! [`parallel_match`](crate::parallel::parallel_match) submits two
-//! MapReduce jobs *per splitting round*, each with a full barrier, and
-//! only then starts VID filtering. This module declares the whole
-//! computation — every round of Algorithm 3 set splitting *and* the
-//! V stage — as a single [`DagSpec`] on the
-//! [`ev_mapreduce::dag`] scheduler, so the expensive per-timestamp
-//! snapshot scans all overlap instead of waiting for earlier rounds:
+//! The paper parallelises EID set splitting as iterations of two
+//! shuffles — one by EID, one by membership signature — followed by
+//! parallel VID filtering (§V-C). This module declares every round of
+//! that splitter *and* the V stage as a single [`DagSpec`], so rounds
+//! pipeline through narrow and shuffle edges instead of waiting on job
+//! barriers, and a lost worker costs only the partitions it was
+//! computing:
 //!
 //! ```text
 //! init ──────────► sig(0)×4 ─► merge(0) ─► sig(1)×4 ─► merge(1) ─► … ─► assemble
@@ -17,51 +18,56 @@
 //!                                               finalize ◄── score×4 ◄──────┘
 //! ```
 //!
-//! * `snap(t)` — one stage per candidate timestamp: scan
-//!   `store.at_time(t)` for inclusive-zone members of the target
-//!   universe. No dependencies, so every round's scan runs as early as
-//!   a worker is free. Scans for rounds the splitter never enters
-//!   (because the partition is already fully split) are wasted work —
-//!   the price of overlap; they cannot change the result.
-//! * `sig(t)` — 4 pinned partitions computing each live EID's
-//!   membership signature (the map+reduce of Algorithm 3's first job),
-//!   reading `snap(t)` (narrow broadcast) and the previous round's
-//!   state (narrow).
-//! * `merge(t)` — a real shuffle over the signature partitions: group
-//!   EIDs by signature (the second job), derive the refined blocks and
-//!   the round's effective scenarios, and fold them into the carried
-//!   round state. Replicates `parallel_split_impl`'s round logic
-//!   branch for branch, so the final state is byte-identical.
+//! * `snap(t)` — Algorithm 3's *preprocess*, one stage per timestamp of
+//!   the seeded random order: scan `store.at_time(t)` for
+//!   inclusive-zone members of the target universe (paper Fig. 4's
+//!   identified EID sets). No dependencies, so every round's scan runs
+//!   as early as a worker is free. Scans for rounds the splitter never
+//!   enters (because the partition is already fully split) are wasted
+//!   work — the price of overlap; they cannot change the result.
+//! * `sig(t)` — the *map + shuffle-by-EID + reduce* of a round: the map
+//!   emits `(eid, set id)` for every set (live block or scenario at
+//!   `t`) holding the EID, the shuffle groups by EID, the reduce sorts
+//!   an EID's set ids into its *membership signature*. Here 4 pinned
+//!   partitions each compute the signatures of their slice of the live
+//!   EIDs, reading `snap(t)` (narrow broadcast) and the previous
+//!   round's state (narrow).
+//! * `merge(t)` — the *second shuffle, by signature*: a shuffle edge
+//!   over the signature partitions groups EIDs by signature; each group
+//!   is one block of the refined partition, and the scenario ids on
+//!   which sibling signatures differ are the round's *effective*
+//!   scenarios. Both fold into the carried round state.
 //! * `assemble` — anchors, list padding and uniqueness fixups, exactly
-//!   the sequential post-processing.
-//! * `extract×4` / `score×4` / `finalize` — the V stage: warm the
-//!   gallery cache, score per-EID slices with exclusion off, then one
-//!   driver-equivalent conflict fixup.
+//!   the sequential post-processing. Its completion ends the E stage.
+//! * `extract×4` / `score×4` / `finalize` — the V stage (§V-C): one
+//!   stage extracts every selected V-Scenario ("these visual operations
+//!   require no data dependency"), the next scores per-EID slices with
+//!   exclusion off, and `finalize` resolves conflicting claims, since
+//!   parallel scorers cannot see each other's matches.
 //!
 //! The stage geometry (4 signature partitions, 4 V partitions) is
 //! pinned, so the outputs are a pure function of
 //! `(store, video, targets, seed)` — independent of
 //! [`DagConfig::threads`], of panic retries, and of lineage recomputes.
-//! The equivalence tests assert the resulting [`MatchReport`] matches
-//! the MapReduce path byte for byte (timings aside) and itself at every
-//! thread count.
+//! The tests hold [`dag_split`] to a literal reading of Algorithm 3,
+//! field for field, at every thread count, under injected faults and
+//! under cache pressure.
 
-use crate::parallel::{resolve_conflicts, ParallelSplitConfig, SetId};
 use crate::setsplit::{attach_anchors, SplitOutput};
 use crate::types::{IndexCounters, MatchOutcome, MatchReport, ScenarioList, StageTimings};
 use crate::vfilter::{filter_one, VFilterConfig};
-use ev_core::ids::Eid;
+use ev_core::ids::{Eid, Vid};
 use ev_core::partition::EidPartition;
 use ev_core::scenario::{ScenarioId, ZoneAttr};
 use ev_mapreduce::dag::{DagConfig, DagSpec, StageDep, StageId};
 use ev_mapreduce::JobError;
-use ev_store::{EScenarioStore, StoreBackend, VideoStore};
+use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{Telemetry, TraceCtx};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Signature-stage partitions, pinned so the stage output is
@@ -70,6 +76,18 @@ const SIG_PARTITIONS: usize = 4;
 /// Extract/score-stage partitions, pinned for the same reason.
 const V_PARTITIONS: usize = 4;
 
+/// Identifier of an EID set flowing through a splitting round: either a
+/// block of the current partition or an E-Scenario. The variant order
+/// is load-bearing: signatures sort block first, so `merge` emits the
+/// refined blocks grouped by parent block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum SetId {
+    /// The `i`-th live block of the current partition.
+    Block(usize),
+    /// An E-Scenario snapshotted at the round's timestamp.
+    Scenario(ScenarioId),
+}
+
 /// Splitter state carried from round to round through the merge chain.
 #[derive(Debug, Clone, Default)]
 struct RoundState {
@@ -77,7 +95,8 @@ struct RoundState {
     recorded: Vec<ScenarioId>,
     lists: BTreeMap<Eid, ScenarioList>,
     examined: usize,
-    /// The sequential loop would have `break`ed before this round.
+    /// The partition was fully split before this round; later rounds
+    /// pass the state through untouched.
     finished: bool,
 }
 
@@ -142,8 +161,8 @@ impl Flow {
 }
 
 /// The live blocks of a round, their universe, and the restricted
-/// scenario sets — `parallel_split_impl`'s preprocess, recomputed
-/// identically wherever a stage needs it.
+/// scenario sets — the round's preprocess, recomputed identically
+/// wherever a stage needs it.
 struct RoundView {
     live: Vec<BTreeSet<Eid>>,
     done: Vec<BTreeSet<Eid>>,
@@ -177,17 +196,16 @@ impl RoundView {
         }
     }
 
-    /// Is this round a no-op? Mirrors the sequential loop: it breaks
-    /// when every block is a singleton and skips the round when no
-    /// scenario at the timestamp touches the live universe.
+    /// Is this round a no-op? The splitter stops once every block is a
+    /// singleton.
     fn inactive(&self, state: &RoundState) -> bool {
         state.finished || state.blocks.iter().all(|b| b.len() == 1) || self.live.is_empty()
     }
 }
 
 /// One EID's membership signature: the sorted ids of every set
-/// (restricted scenario or live block) containing it — what the first
-/// job's shuffle+reduce produces for the EID.
+/// (restricted scenario or live block) containing it — what the
+/// shuffle-by-EID and its reduce produce for the EID.
 fn signature_of(eid: Eid, view: &RoundView) -> Vec<SetId> {
     let mut sig: Vec<SetId> = view
         .scenario_sets
@@ -206,18 +224,18 @@ fn signature_of(eid: Eid, view: &RoundView) -> Vec<SetId> {
     sig
 }
 
-/// Builds the full matching DAG over `times` (already shuffled and
-/// truncated to the round budget) and returns the spec plus the ids of
-/// the `assemble` and `finalize` stages.
+/// Builds the matching DAG over `times` (already shuffled): the
+/// splitter, plus the V stage over `v_stage`'s footage when given.
+/// Returns the spec and the ids of the `assemble` and `finalize`
+/// stages. `e_done` receives the instant `assemble` first completes.
 #[allow(clippy::too_many_lines)]
 fn build_match_spec<'a>(
     store: &'a EScenarioStore,
-    video: &'a VideoStore,
     targets: &'a BTreeSet<Eid>,
     times: &[ev_core::time::Timestamp],
-    vfilter: &'a VFilterConfig,
     split_seed: u64,
-    with_vstage: bool,
+    e_done: &'a OnceLock<Instant>,
+    v_stage: Option<(&'a VideoStore, &'a VFilterConfig)>,
 ) -> (DagSpec<'a, Flow>, StageId, Option<StageId>) {
     let mut dag: DagSpec<'a, Flow> = DagSpec::new();
 
@@ -287,7 +305,7 @@ fn build_match_spec<'a>(
                 let state = inputs[SIG_PARTITIONS + 1].as_round();
                 let mut next = state.clone();
                 if state.finished || state.blocks.iter().all(|b| b.len() == 1) {
-                    // The sequential loop breaks before this round.
+                    // Fully split: the splitter stops before this round.
                     next.finished = true;
                     return Flow::Round(next);
                 }
@@ -302,13 +320,13 @@ fn build_match_spec<'a>(
                 next.examined += snap_examined;
                 if view.scenario_sets.is_empty() {
                     // Nothing at this timestamp touches the live
-                    // universe: the round is a no-op, but the loop
-                    // reorders blocks as live ++ done.
+                    // universe: the round is a no-op, but the blocks
+                    // come out reordered as live ++ done.
                     next.blocks = view.live.into_iter().chain(view.done).collect();
                     return Flow::Round(next);
                 }
-                // The shuffle: group EIDs by signature, sorted by
-                // signature — exactly the engine's key-ordered output.
+                // The shuffle: group EIDs by signature, in signature
+                // order.
                 let mut groups: BTreeMap<Vec<SetId>, Vec<Eid>> = BTreeMap::new();
                 for part in &inputs[..SIG_PARTITIONS] {
                     for (eid, sig) in part.as_sigs() {
@@ -390,18 +408,22 @@ fn build_match_spec<'a>(
             );
             let partition = EidPartition::from_blocks(state.blocks.clone())
                 .expect("merge output blocks are disjoint by construction");
-            Flow::Split(SplitOutput {
+            let split = SplitOutput {
                 recorded: state.recorded.clone(),
                 lists,
                 partition,
                 scenarios_examined: state.examined,
-            })
+            };
+            // The E stage ends here; a lineage recompute of this
+            // partition must not move the mark, hence first-set-wins.
+            let _ = e_done.set(Instant::now());
+            Flow::Split(split)
         },
     );
     dag.keep(assemble);
-    if !with_vstage {
+    let Some((video, vfilter)) = v_stage else {
         return (dag, assemble, None);
-    }
+    };
 
     let extract = dag.stage(
         "dag_extract",
@@ -427,8 +449,8 @@ fn build_match_spec<'a>(
     let score = dag.stage(
         "dag_score",
         V_PARTITIONS,
-        // The shuffle edge on extract is the cache-warm-up barrier the
-        // MapReduce path gets from running its extraction job first.
+        // The shuffle edge on extract is the cache-warm-up barrier:
+        // every gallery is extracted once before any scorer reads it.
         vec![StageDep::narrow(assemble), StageDep::shuffle(extract)],
         move |ctx, inputs| {
             let split = inputs[0].as_split();
@@ -458,13 +480,12 @@ fn build_match_spec<'a>(
                 .iter()
                 .flat_map(|p| p.as_outcomes().iter().cloned())
                 .collect();
-            // The MapReduce comparison job hands the fixup outcomes in
-            // key (= EID) order; reproduce that before resolving.
+            // Partition order is not EID order; the report lists
+            // outcomes by EID (the fixup rewrites them in place).
             outcomes.sort_by_key(|o| o.eid);
             if vfilter.exclusion {
                 resolve_conflicts(&mut outcomes, &split.lists, video, vfilter);
             }
-            outcomes.sort_by_key(|o| o.eid);
             Flow::Outcomes(outcomes)
         },
     );
@@ -472,23 +493,69 @@ fn build_match_spec<'a>(
     (dag, assemble, Some(finalize))
 }
 
-/// The shuffled, budget-truncated timestamp order — identical to
-/// `parallel_split_impl`'s draw.
-fn round_times(
-    store: &EScenarioStore,
-    config: &ParallelSplitConfig,
-) -> Vec<ev_core::time::Timestamp> {
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+/// Exclusion after the fact: parallel scorers cannot see each other's
+/// matches, so when several EIDs claim the same VID the strongest claim
+/// wins and the losers re-filter with the claimed VIDs ruled out
+/// (sequentially — this tail is small).
+fn resolve_conflicts(
+    outcomes: &mut [MatchOutcome],
+    lists: &BTreeMap<Eid, ScenarioList>,
+    video: &VideoStore,
+    config: &VFilterConfig,
+) {
+    for _ in 0..8 {
+        let mut claims: BTreeMap<Vid, Vec<usize>> = BTreeMap::new();
+        for (i, o) in outcomes.iter().enumerate() {
+            if let Some(vid) = o.vid {
+                if o.is_majority() {
+                    claims.entry(vid).or_default().push(i);
+                }
+            }
+        }
+        let mut losers: Vec<usize> = Vec::new();
+        for claimants in claims.values() {
+            if claimants.len() < 2 {
+                continue;
+            }
+            let winner = *claimants
+                .iter()
+                .max_by(|&&a, &&b| {
+                    let oa = &outcomes[a];
+                    let ob = &outcomes[b];
+                    // total_cmp: a NaN score must not silently tie and
+                    // hand the win to iteration order.
+                    oa.vote_share
+                        .total_cmp(&ob.vote_share)
+                        .then(oa.confidence.total_cmp(&ob.confidence))
+                        .then(ob.eid.cmp(&oa.eid))
+                })
+                .expect("claimants non-empty");
+            losers.extend(claimants.iter().filter(|&&i| i != winner));
+        }
+        if losers.is_empty() {
+            return;
+        }
+        let excluded: BTreeSet<Vid> = claims.keys().copied().collect();
+        for i in losers {
+            let eid = outcomes[i].eid;
+            let list = lists.get(&eid).cloned().unwrap_or_default();
+            outcomes[i] = filter_one(eid, &list, video, config, &excluded);
+        }
+    }
+}
+
+/// The round order: every timestamp of the store, shuffled by `seed`.
+fn round_times(store: &EScenarioStore, seed: u64) -> Vec<ev_core::time::Timestamp> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut times: Vec<_> = store.times().collect();
     times.shuffle(&mut rng);
-    times.truncate(config.max_iterations.unwrap_or(usize::MAX).min(times.len()));
     times
 }
 
 /// Algorithm 3 set splitting as one DAG submission: all snapshot scans
-/// overlap, rounds pipeline through the merge chain. Byte-identical to
-/// [`parallel_split`](crate::parallel::parallel_split) at every thread
-/// count.
+/// overlap, rounds pipeline through the merge chain. `seed` fixes the
+/// random timestamp order (and the list padding draws); the output is
+/// the same at every thread count.
 ///
 /// # Errors
 ///
@@ -499,66 +566,29 @@ pub fn dag_split(
     config: &DagConfig,
     store: &EScenarioStore,
     targets: &BTreeSet<Eid>,
-    split_config: &ParallelSplitConfig,
+    seed: u64,
     telemetry: &Telemetry,
 ) -> Result<SplitOutput, JobError> {
-    let times = round_times(store, split_config);
-    let video = VideoStore::new(Vec::new(), ev_vision::cost::CostModel::free());
-    let vfilter = VFilterConfig::default();
-    let (dag, assemble, _) = build_match_spec(
-        store,
-        &video,
-        targets,
-        &times,
-        &vfilter,
-        split_config.seed,
-        false,
-    );
+    let times = round_times(store, seed);
+    let e_done = OnceLock::new();
+    let (dag, assemble, _) = build_match_spec(store, targets, &times, seed, &e_done, None);
     let run = dag.run(config, telemetry, TraceCtx::root())?;
-    Ok(extract_split(&run.outputs[&assemble][0]))
-}
-
-fn extract_split(flow: &Arc<Flow>) -> SplitOutput {
-    flow.as_split().clone()
-}
-
-/// Full matching pipeline over any [`StoreBackend`] as a single DAG
-/// submission. See [`dag_match`].
-///
-/// # Errors
-///
-/// Propagates [`JobError`] from the scheduler.
-pub fn dag_match_on<B: StoreBackend>(
-    config: &DagConfig,
-    backend: &B,
-    targets: &BTreeSet<Eid>,
-    split_config: &ParallelSplitConfig,
-    vfilter_config: &VFilterConfig,
-    telemetry: &Telemetry,
-) -> Result<MatchReport, JobError> {
-    dag_match(
-        config,
-        backend.estore(),
-        backend.video(),
-        targets,
-        split_config,
-        vfilter_config,
-        telemetry,
-    )
+    Ok(run.outputs[&assemble][0].as_split().clone())
 }
 
 /// Full matching pipeline — every splitting round plus extraction,
 /// scoring and conflict resolution — submitted as **one** stage DAG.
-/// Universal matching ([`EvMatcher::match_universal`]
-/// with [`ExecutionMode::Dag`]) runs through here: the whole job is a
-/// single graph, so a lost worker costs only the partitions it was
-/// computing.
+/// [`EvMatcher`] with [`ExecutionMode::Dag`] runs through here,
+/// universal matching included: the whole job is a single graph, so a
+/// lost worker costs only the partitions it was computing.
 ///
-/// The report is byte-identical (timings aside) to
-/// [`parallel_match`](crate::parallel::parallel_match) at every thread
-/// count.
+/// The report is byte-identical (timings aside) at every thread count.
+/// `timings.e_stage` runs from submission to the first completion of
+/// `assemble` and `timings.v_stage` is the rest of the submission's
+/// wall (every V stage depends on `assemble`, so V strictly follows
+/// E); their sum is the wall time of the submission.
 ///
-/// [`EvMatcher::match_universal`]: crate::matcher::EvMatcher::match_universal
+/// [`EvMatcher`]: crate::matcher::EvMatcher
 /// [`ExecutionMode::Dag`]: crate::matcher::ExecutionMode::Dag
 ///
 /// # Errors
@@ -569,7 +599,7 @@ pub fn dag_match(
     store: &EScenarioStore,
     video: &VideoStore,
     targets: &BTreeSet<Eid>,
-    split_config: &ParallelSplitConfig,
+    split_seed: u64,
     vfilter_config: &VFilterConfig,
     telemetry: &Telemetry,
 ) -> Result<MatchReport, JobError> {
@@ -580,20 +610,24 @@ pub fn dag_match(
     let cache_hits_before = video.stats().cache_hits;
     let extracted_before = video.stats().extracted_scenarios;
 
-    let times = round_times(store, split_config);
+    let times = round_times(store, split_seed);
+    let e_done = OnceLock::new();
     let start = Instant::now();
     let (dag, assemble, finalize) = build_match_spec(
         store,
-        video,
         targets,
         &times,
-        vfilter_config,
-        split_config.seed,
-        true,
+        split_seed,
+        &e_done,
+        Some((video, vfilter_config)),
     );
     let run = dag.run(config, telemetry, pipeline_ctx)?;
     let elapsed = start.elapsed();
-    let split = extract_split(&run.outputs[&assemble][0]);
+    let e_stage = e_done
+        .get()
+        .expect("a finished run computed assemble")
+        .duration_since(start);
+    let split = run.outputs[&assemble][0].as_split().clone();
     let finalize = finalize.expect("V stage requested");
     let outcomes = run.outputs[&finalize][0].as_outcomes().to_vec();
 
@@ -613,11 +647,8 @@ pub fn dag_match(
         selected_scenarios: split.selected(),
         lists: split.lists,
         timings: StageTimings {
-            // E and V work overlap inside the single submission, so the
-            // whole wall time is charged to the E slot; a per-stage
-            // split would be fiction here.
-            e_stage: elapsed,
-            v_stage: std::time::Duration::ZERO,
+            e_stage,
+            v_stage: elapsed.saturating_sub(e_stage),
             index,
         },
         rounds: 1,
@@ -643,9 +674,10 @@ pub fn dag_match(
                 .set(cache_hits as f64 / total as f64);
         }
         report.timings.record_to(registry);
-        // As in the other parallel paths: Algorithm 3 records whole
-        // timestamp snapshots, so the Theorem 4.2/4.4 bounds do not
-        // apply and fully_split stays false.
+        // Algorithm 3 records whole timestamp snapshots, so the
+        // Theorem 4.2/4.4 bounds on the recorded count do not apply
+        // and fully_split stays false even when the partition is
+        // fully split.
         crate::refine::record_paper_gauges(
             registry,
             targets.len(),
@@ -706,16 +738,22 @@ pub fn round_pipeline_shape(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::{parallel_match, parallel_split};
+    use crate::setsplit::{
+        ensure_unique_against_universe, extend_lists, split_ideal, SetSplitConfig,
+    };
     use ev_core::feature::FeatureVector;
-    use ev_core::ids::Vid;
     use ev_core::region::CellId;
     use ev_core::scenario::{Detection, EScenario, VScenario};
     use ev_core::time::Timestamp;
-    use ev_mapreduce::{ClusterConfig, MapReduce};
+    use ev_mapreduce::FaultPlan;
+    use ev_telemetry::TelemetryLevel;
     use ev_vision::cost::CostModel;
+    use proptest::prelude::*;
+    use rand::Rng;
 
     fn world() -> (EScenarioStore, VideoStore) {
+        // 8 persons; the three timestamps split them by one bit each,
+        // so everyone is distinguished.
         let layout: Vec<(u64, usize, Vec<u64>)> = vec![
             (0, 0, vec![0, 1, 2, 3]),
             (0, 1, vec![4, 5, 6, 7]),
@@ -751,64 +789,170 @@ mod tests {
         (0..8).map(Eid::from_u64).collect()
     }
 
-    #[test]
-    fn dag_split_equals_the_mapreduce_split() {
-        let (store, _) = world();
-        for seed in [0, 3, 7] {
-            let split_config = ParallelSplitConfig {
-                seed,
-                max_iterations: None,
-            };
-            let engine = MapReduce::new(ClusterConfig {
-                workers: 2,
-                split_size: 8,
-                reduce_partitions: 4,
-                ..ClusterConfig::default()
-            });
-            let reference = parallel_split(&engine, &store, &targets(), &split_config).unwrap();
-            let dag = dag_split(
-                &DagConfig::new(2),
-                &store,
-                &targets(),
-                &split_config,
-                Telemetry::disabled(),
-            )
-            .unwrap();
-            assert_eq!(dag.recorded, reference.recorded, "seed={seed}");
-            assert_eq!(dag.lists, reference.lists, "seed={seed}");
-            assert_eq!(dag.partition, reference.partition, "seed={seed}");
-            assert_eq!(
-                dag.scenarios_examined, reference.scenarios_examined,
-                "seed={seed}"
-            );
+    /// Algorithm 3 read literally, with no stages and no signatures
+    /// as data: each round groups the live EIDs by (their block, the
+    /// scenarios at `t` holding them inclusively); a group is a refined
+    /// block, and a scenario on which two sibling groups differ is
+    /// effective. The oracle for [`dag_split`].
+    fn algorithm3_reference(
+        store: &EScenarioStore,
+        targets: &BTreeSet<Eid>,
+        seed: u64,
+    ) -> SplitOutput {
+        let mut blocks: Vec<BTreeSet<Eid>> = if targets.is_empty() {
+            Vec::new()
+        } else {
+            vec![targets.clone()]
+        };
+        let mut recorded = Vec::new();
+        let mut lists: BTreeMap<Eid, ScenarioList> =
+            targets.iter().map(|&e| (e, Vec::new())).collect();
+        let mut examined = 0;
+        for t in round_times(store, seed) {
+            if blocks.iter().all(|b| b.len() == 1) {
+                break;
+            }
+            let (live, done): (Vec<_>, Vec<_>) = blocks.into_iter().partition(|b| b.len() > 1);
+            examined += store.at_time(t).count();
+            let mut groups: BTreeMap<(usize, BTreeSet<ScenarioId>), BTreeSet<Eid>> =
+                BTreeMap::new();
+            for (i, block) in live.iter().enumerate() {
+                for &eid in block {
+                    let seen = store
+                        .at_time(t)
+                        .filter(|s| s.contains_inclusive(eid))
+                        .map(EScenario::id)
+                        .collect();
+                    groups.entry((i, seen)).or_default().insert(eid);
+                }
+            }
+            if groups.keys().all(|(_, seen)| seen.is_empty()) {
+                blocks = live.into_iter().chain(done).collect();
+                continue;
+            }
+            let mut effective: BTreeSet<ScenarioId> = BTreeSet::new();
+            for i in 0..live.len() {
+                let siblings: Vec<&BTreeSet<ScenarioId>> = groups
+                    .keys()
+                    .filter(|(block, _)| *block == i)
+                    .map(|(_, seen)| seen)
+                    .collect();
+                for &id in siblings.iter().flat_map(|seen| seen.iter()) {
+                    if siblings.iter().any(|seen| !seen.contains(&id)) {
+                        effective.insert(id);
+                    }
+                }
+            }
+            for id in effective {
+                recorded.push(id);
+                for ((_, seen), eids) in &groups {
+                    if seen.contains(&id) {
+                        for eid in eids {
+                            lists.get_mut(eid).expect("live EIDs are targets").push(id);
+                        }
+                    }
+                }
+            }
+            blocks = done.into_iter().chain(groups.into_values()).collect();
+        }
+        attach_anchors(store, &mut lists, false);
+        extend_lists(store, &mut lists, 3, seed, true, false);
+        ensure_unique_against_universe(store, &mut lists, seed, true, false);
+        SplitOutput {
+            recorded,
+            lists,
+            partition: EidPartition::from_blocks(blocks).unwrap(),
+            scenarios_examined: examined,
+        }
+    }
+
+    /// 12 people wander 3 cells for `ticks` ticks; a person may be heard
+    /// in several cells at once, and a quarter of the readings are vague.
+    fn random_store(seed: u64, ticks: u64) -> EScenarioStore {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut es = Vec::new();
+        for t in 0..ticks {
+            for c in 0..3 {
+                let mut e = EScenario::new(CellId::new(c), Timestamp::new(t));
+                for p in 0..12 {
+                    if rng.gen_bool(1.0 / 3.0) {
+                        let attr = if rng.gen_bool(0.25) {
+                            ZoneAttr::Vague
+                        } else {
+                            ZoneAttr::Inclusive
+                        };
+                        e.insert(Eid::from_u64(p), attr);
+                    }
+                }
+                if !e.is_empty() {
+                    es.push(e);
+                }
+            }
+        }
+        EScenarioStore::from_scenarios(es)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The one differential test of the parallel splitter: the DAG
+        /// equals the literal reference field for field, whatever the
+        /// thread count, injected task loss or cache pressure.
+        #[test]
+        fn dag_split_is_algorithm_3_field_for_field(
+            world_seed in 0u64..1000,
+            // A squeezed cache recomputes round states through the whole
+            // merge chain, at a cost exponential in the round count.
+            ticks in 3u64..=6,
+            seed in 0u64..8,
+            flaky in any::<bool>(),
+            squeezed in any::<bool>(),
+        ) {
+            let store = random_store(world_seed, ticks);
+            // Persons 10 and 11 are bystanders; EIDs 12 and 13 never appear.
+            let targets: BTreeSet<Eid> =
+                (0..10).chain(12..14).map(Eid::from_u64).collect();
+            let reference = algorithm3_reference(&store, &targets, seed);
+            for threads in [1, 2, 4] {
+                let config = DagConfig {
+                    cache_capacity: squeezed.then_some(2),
+                    faults: FaultPlan {
+                        task_failure_rate: if flaky { 0.2 } else { 0.0 },
+                        max_attempts: 40,
+                        seed: world_seed,
+                    },
+                    ..DagConfig::new(threads)
+                };
+                let dag = dag_split(&config, &store, &targets, seed, Telemetry::disabled()).unwrap();
+                prop_assert_eq!(&dag.recorded, &reference.recorded, "threads={}", threads);
+                prop_assert_eq!(&dag.lists, &reference.lists, "threads={}", threads);
+                prop_assert_eq!(&dag.partition, &reference.partition, "threads={}", threads);
+                prop_assert_eq!(dag.scenarios_examined, reference.scenarios_examined);
+            }
         }
     }
 
     #[test]
-    fn dag_split_respects_the_iteration_cap() {
+    fn dag_split_distinguishes_everyone_at_sequential_granularity() {
         let (store, _) = world();
-        let split_config = ParallelSplitConfig {
-            seed: 0,
-            max_iterations: Some(1),
-        };
-        let engine = MapReduce::new(ClusterConfig {
-            workers: 1,
-            split_size: 8,
-            reduce_partitions: 4,
-            ..ClusterConfig::default()
-        });
-        let reference = parallel_split(&engine, &store, &targets(), &split_config).unwrap();
-        let dag = dag_split(
-            &DagConfig::new(1),
+        let out = dag_split(
+            &DagConfig::new(4),
             &store,
             &targets(),
-            &split_config,
+            3,
             Telemetry::disabled(),
         )
         .unwrap();
-        assert!(!dag.fully_split(), "one timestamp cannot split 8 EIDs");
-        assert_eq!(dag.partition, reference.partition);
-        assert_eq!(dag.scenarios_examined, reference.scenarios_examined);
+        assert!(out.fully_split(), "partition: {:?}", out.partition);
+        assert!(
+            out.lists.values().all(|l| !l.is_empty()),
+            "every EID needs footage"
+        );
+        let sequential = split_ideal(&store, &targets(), &SetSplitConfig::default());
+        assert_eq!(
+            out.partition.block_count(),
+            sequential.partition.block_count()
+        );
     }
 
     #[test]
@@ -818,10 +962,7 @@ mod tests {
             &DagConfig::new(2),
             &store,
             &BTreeSet::new(),
-            &ParallelSplitConfig {
-                seed: 0,
-                max_iterations: None,
-            },
+            0,
             Telemetry::disabled(),
         )
         .unwrap();
@@ -829,64 +970,81 @@ mod tests {
         assert!(out.lists.is_empty());
     }
 
-    #[test]
-    fn dag_match_agrees_with_the_mapreduce_path() {
-        let (store, video) = world();
-        let split_config = ParallelSplitConfig {
-            seed: 3,
-            max_iterations: None,
-        };
-        let report = dag_match(
-            &DagConfig::new(4),
-            &store,
-            &video,
-            &targets(),
-            &split_config,
-            &VFilterConfig::default(),
-            Telemetry::disabled(),
-        )
-        .unwrap();
-        let (store2, video2) = world();
-        let engine = MapReduce::new(ClusterConfig {
-            workers: 1,
-            split_size: 8,
-            reduce_partitions: 4,
-            ..ClusterConfig::default()
-        });
-        let reference = parallel_match(
-            &engine,
-            &store2,
-            &video2,
-            &targets(),
-            &split_config,
-            &VFilterConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(report.outcomes, reference.outcomes);
-        assert_eq!(report.lists, reference.lists);
-        assert_eq!(report.selected_scenarios, reference.selected_scenarios);
-    }
-
-    fn run_anytime(threads: usize, anytime: Option<crate::anytime::AnytimeConfig>) -> MatchReport {
+    fn run_match(
+        threads: usize,
+        vfilter: &VFilterConfig,
+        telemetry: &Telemetry,
+    ) -> (MatchReport, VideoStore) {
         // Fresh stores per run so extraction caching cannot leak across
-        // thread counts.
+        // runs.
         let (store, video) = world();
-        dag_match(
+        let report = dag_match(
             &DagConfig::new(threads),
             &store,
             &video,
             &targets(),
-            &ParallelSplitConfig {
-                seed: 7,
-                max_iterations: None,
-            },
-            &VFilterConfig {
-                anytime,
-                ..VFilterConfig::default()
-            },
-            Telemetry::disabled(),
+            7,
+            vfilter,
+            telemetry,
         )
-        .unwrap()
+        .unwrap();
+        (report, video)
+    }
+
+    #[test]
+    fn dag_match_awards_every_vid_to_its_one_claimant() {
+        let (report, _) = run_match(4, &VFilterConfig::default(), Telemetry::disabled());
+        assert_eq!(report.outcomes.len(), 8);
+        assert!(!report.selected_scenarios.is_empty());
+        // VID = EID number in this world, so a right answer for all
+        // eight also means no VID was awarded twice.
+        for o in &report.outcomes {
+            assert!(o.is_majority());
+            assert_eq!(o.vid.map(Vid::as_u64), Some(o.eid.as_u64()));
+        }
+    }
+
+    #[test]
+    fn extraction_warms_the_cache_before_scoring() {
+        let (report, video) = run_match(2, &VFilterConfig::default(), Telemetry::disabled());
+        let stats = video.stats();
+        assert_eq!(
+            stats.extracted_scenarios,
+            report.selected_scenarios.len(),
+            "each selected scenario is extracted exactly once"
+        );
+        assert!(stats.cache_hits > 0, "scoring reuses the extractions");
+    }
+
+    #[test]
+    fn report_splits_the_submission_wall_into_e_and_v() {
+        let tel = Telemetry::new(TelemetryLevel::Full);
+        let (report, _) = run_match(2, &VFilterConfig::default(), &tel);
+        let timings = report.timings;
+        assert!(timings.e_stage > std::time::Duration::ZERO);
+        assert!(
+            timings.v_stage > std::time::Duration::ZERO,
+            "V follows E: {timings:?}"
+        );
+        // e + v is the wall of the submission: no shorter than the
+        // scheduler's own run span, no longer than the pipeline span
+        // around the whole call.
+        let events = tel.tracer().events();
+        let dur_us = |name: &str| {
+            let span = events.iter().find(|e| e.name == name && e.ph == 'X');
+            u128::from(span.unwrap_or_else(|| panic!("no {name} span")).dur_us)
+        };
+        let total_us = timings.total().as_micros();
+        assert!(dur_us("dag_run") <= total_us, "{timings:?}");
+        assert!(total_us <= dur_us("dag_match"), "{timings:?}");
+    }
+
+    fn run_anytime(threads: usize, anytime: Option<crate::anytime::AnytimeConfig>) -> MatchReport {
+        let vfilter = VFilterConfig {
+            anytime,
+            ..VFilterConfig::default()
+        };
+        run_match(threads, &vfilter, Telemetry::disabled()).0
     }
 
     fn assert_same_report(report: &MatchReport, reference: &MatchReport, threads: usize) {

@@ -29,10 +29,10 @@
 //! * [`edp`] — the **EDP baseline** from Teng et al. \[24\]: per-EID
 //!   two-stage E-filtering and V-identification, with the paper's
 //!   MapReduce adaptation (one EID per mapper).
-//! * [`parallel`] — the MapReduce parallelization (paper Algorithm 3) of
-//!   both stages on the [`ev_mapreduce`] engine.
-//! * [`dagflow`] — real multi-core execution: the whole pipeline as
-//!   **one stage-DAG submission** on the lineage-tracking scheduler in
+//! * [`dagflow`] — the parallelization (paper §V, Algorithm 3) of both
+//!   stages: every splitting round (shuffle by EID, then by membership
+//!   signature) plus parallel VID filtering as **one stage-DAG
+//!   submission** on the lineage-tracking scheduler in
 //!   [`ev_mapreduce::dag`]. Splitting rounds overlap instead of
 //!   barriering, a lost worker costs only the partitions it was
 //!   computing, and the [`MatchReport`] is byte-identical at every
@@ -57,7 +57,6 @@ pub mod dagflow;
 pub mod edp;
 pub mod incremental;
 pub mod matcher;
-pub mod parallel;
 pub mod practical;
 pub mod refine;
 pub mod setsplit;

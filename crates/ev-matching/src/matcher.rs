@@ -8,21 +8,19 @@
 //!   split), so this path uses the per-EID greedy E-filtering of the EDP
 //!   family, which is exactly what a single-target query wants.
 //! * [`match_many`](EvMatcher::match_many) — a requested EID set, via
-//!   set splitting + VID filtering + refinement, sequentially or on the
-//!   MapReduce engine.
+//!   set splitting + VID filtering: sequentially with refinement
+//!   (Algorithms 1–2), or in parallel as one stage DAG (Algorithm 3).
 //! * [`match_universal`](EvMatcher::match_universal) — every EID present
 //!   in the E-data gets labeled; afterwards any query is an index lookup.
 //!   "Note that the larger the matching size is, the less time it costs
 //!   per EID-VID pair" (§I).
 
 use crate::edp::{efilter_one, EdpConfig};
-use crate::parallel::{parallel_match, ParallelSplitConfig};
 use crate::refine::{match_with_refinement_instrumented, RefineConfig, SplitMode};
 use crate::setsplit::SetSplitConfig;
 use crate::types::{IndexCounters, MatchReport, StageTimings};
 use crate::vfilter::{filter_one, VFilterConfig};
 use ev_core::ids::Eid;
-use ev_mapreduce::{ClusterConfig, MapReduce};
 use ev_store::{EScenarioStore, StoreBackend, VideoStore};
 use ev_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
@@ -32,16 +30,11 @@ use std::time::Instant;
 /// How [`EvMatcher::match_many`] executes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ExecutionMode {
-    /// Single-threaded reference pipeline with refinement (Algorithm 2).
+    /// Single-threaded pipeline with refinement (Algorithms 1–2).
     Sequential,
-    /// MapReduce pipeline (Algorithm 3, see [`crate::parallel`]): every
-    /// splitting round and the VID-filtering step is a barriered
-    /// MapReduce job, each a two-stage submission to the stage-DAG
-    /// scheduler on the cluster's `workers` threads.
-    Parallel(ClusterConfig),
-    /// The whole pipeline — every splitting round plus VID filtering —
-    /// as **one submission** to the lineage-tracking stage-DAG
-    /// scheduler on this many threads (see [`crate::dagflow`]).
+    /// The parallel pipeline (Algorithm 3): every splitting round plus
+    /// VID filtering as **one submission** to the lineage-tracking
+    /// stage-DAG scheduler on this many threads (see [`crate::dagflow`]).
     /// Independent rounds overlap instead of barriering, and a worker
     /// panic recomputes only the lost partitions. The report is
     /// byte-identical at every thread count.
@@ -109,7 +102,7 @@ impl<'a> EvMatcher<'a> {
     }
 
     /// Attaches a telemetry handle; every pipeline the matcher runs —
-    /// including the MapReduce engine in parallel mode — records spans
+    /// including the stage-DAG scheduler in DAG mode — records spans
     /// and metrics through it.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
@@ -188,9 +181,9 @@ impl<'a> EvMatcher<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`ev_mapreduce::JobError`] only in the parallel and DAG
-    /// modes, when the scheduler rejects its configuration or a task
-    /// exhausts its retry budget.
+    /// Returns [`ev_mapreduce::JobError`] only in the DAG mode, when the
+    /// scheduler rejects its configuration or a task exhausts its retry
+    /// budget.
     pub fn match_many(
         &self,
         targets: &BTreeSet<Eid>,
@@ -209,29 +202,12 @@ impl<'a> EvMatcher<'a> {
                 &BTreeSet::new(),
                 &self.telemetry,
             )),
-            ExecutionMode::Parallel(cluster) => {
-                let engine = MapReduce::new(cluster.clone()).with_telemetry(&self.telemetry);
-                parallel_match(
-                    &engine,
-                    self.estore,
-                    self.video,
-                    targets,
-                    &ParallelSplitConfig {
-                        seed: self.split_seed(),
-                        max_iterations: None,
-                    },
-                    &self.config.vfilter,
-                )
-            }
             ExecutionMode::Dag(threads) => crate::dagflow::dag_match(
                 &ev_mapreduce::DagConfig::new(*threads),
                 self.estore,
                 self.video,
                 targets,
-                &ParallelSplitConfig {
-                    seed: self.split_seed(),
-                    max_iterations: None,
-                },
+                self.split_seed(),
                 &self.config.vfilter,
                 &self.telemetry,
             ),
@@ -318,27 +294,6 @@ mod tests {
     fn match_many_sequential() {
         let (store, video) = world();
         let matcher = EvMatcher::new(&store, &video, MatcherConfig::default());
-        let targets: BTreeSet<Eid> = (0..4).map(Eid::from_u64).collect();
-        let report = matcher.match_many(&targets).unwrap();
-        assert_eq!(report.outcomes.len(), 4);
-        for o in &report.outcomes {
-            assert_eq!(o.vid.map(Vid::as_u64), Some(o.eid.as_u64()));
-        }
-    }
-
-    #[test]
-    fn match_many_parallel() {
-        let (store, video) = world();
-        let config = MatcherConfig {
-            execution: ExecutionMode::Parallel(ClusterConfig {
-                workers: 3,
-                split_size: 2,
-                reduce_partitions: 2,
-                ..ClusterConfig::default()
-            }),
-            ..MatcherConfig::default()
-        };
-        let matcher = EvMatcher::new(&store, &video, config);
         let targets: BTreeSet<Eid> = (0..4).map(Eid::from_u64).collect();
         let report = matcher.match_many(&targets).unwrap();
         assert_eq!(report.outcomes.len(), 4);

@@ -87,10 +87,8 @@ impl MatchOutcome {
 ///
 /// The E stage reads the scenario store through its inverted index
 /// ([`ev_store::ScenarioIndex`]); the V stage reads footage through a
-/// [`GalleryCache`](crate::vfilter::GalleryCache). The type itself is
-/// shared with `ev_mapreduce::JobMetrics` through
-/// [`ev_telemetry::IndexCounters`], so both pipelines merge and export
-/// the triple through one code path.
+/// [`GalleryCache`](crate::vfilter::GalleryCache). The type lives in
+/// [`ev_telemetry`], next to the `evm_index_*` names it exports to.
 pub use ev_telemetry::IndexCounters;
 
 /// Wall-clock timings of the two pipeline stages (paper Figs. 8–9 report
@@ -228,28 +226,6 @@ mod tests {
             index: IndexCounters::default(),
         };
         assert_eq!(t.total(), Duration::from_millis(10));
-    }
-
-    #[test]
-    fn index_counters_merge_componentwise() {
-        let a = IndexCounters {
-            postings_probed: 1,
-            cache_hits: 2,
-            scans_avoided: 3,
-        };
-        let b = IndexCounters {
-            postings_probed: 10,
-            cache_hits: 20,
-            scans_avoided: 30,
-        };
-        assert_eq!(
-            a.merged(&b),
-            IndexCounters {
-                postings_probed: 11,
-                cache_hits: 22,
-                scans_avoided: 33,
-            }
-        );
     }
 
     #[test]

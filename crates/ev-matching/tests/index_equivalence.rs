@@ -2,8 +2,8 @@
 //! scan-based reference implementations, and pins the Theorem 4.2/4.4
 //! scenario-count bounds.
 //!
-//! The contract under test: index-backed `split_ideal`,
-//! `parallel_split` and cached `filter_vids` must produce **identical**
+//! The contract under test: index-backed `split_ideal` and cached
+//! `filter_vids` must produce **identical**
 //! outputs (`==` on every field, including float scores and list
 //! orders) to their pre-index twins, across strategies and seeds.
 
@@ -12,8 +12,6 @@ use ev_core::ids::{Eid, Vid};
 use ev_core::region::CellId;
 use ev_core::scenario::{Detection, EScenario, VScenario, ZoneAttr};
 use ev_core::time::Timestamp;
-use ev_mapreduce::{ClusterConfig, MapReduce};
-use ev_matching::parallel::{parallel_split, parallel_split_scan, ParallelSplitConfig};
 use ev_matching::setsplit::{
     reference, split_ideal, SelectionStrategy, SetSplitConfig, SplitOutput,
 };
@@ -120,31 +118,6 @@ fn split_ideal_equivalence_covers_missing_and_inseparable_eids() {
         let scanned = reference::split_ideal_scan(&store, &t, &cfg);
         assert_eq!(indexed, scanned, "divergence under {strategy:?}");
         assert!(!indexed.fully_split(), "0 and 1 are inseparable");
-    }
-}
-
-#[test]
-fn parallel_split_is_identical_to_its_scan_twin() {
-    let engine = MapReduce::new(ClusterConfig {
-        workers: 4,
-        split_size: 2,
-        reduce_partitions: 3,
-        ..ClusterConfig::default()
-    });
-    for world_seed in [1, 2] {
-        let (store, _) = random_world(world_seed, 3, 10, 12);
-        for split_seed in [0, 5] {
-            let cfg = ParallelSplitConfig {
-                seed: split_seed,
-                max_iterations: None,
-            };
-            let indexed = parallel_split(&engine, &store, &targets(12), &cfg).unwrap();
-            let scanned = parallel_split_scan(&engine, &store, &targets(12), &cfg).unwrap();
-            assert_eq!(
-                indexed, scanned,
-                "divergence: world {world_seed}, seed {split_seed}"
-            );
-        }
     }
 }
 

@@ -1,10 +1,9 @@
 //! The shared index/cache counter triple.
 //!
-//! Both the sequential pipeline (`ev_matching::StageTimings`) and the
-//! distributed engine (`ev_mapreduce::JobMetrics`) report how much work
-//! the index/cache layer absorbed. The type lives here — below both
-//! crates — so there is exactly one definition, one merge, and one
-//! export path into the registry.
+//! Every matching pipeline (`ev_matching::StageTimings`) reports how
+//! much work the index/cache layer absorbed. The type lives here, next
+//! to the canonical metric names, so there is exactly one definition
+//! and one export path into the registry.
 
 use crate::metrics::MetricsRegistry;
 use crate::names;
@@ -26,21 +25,6 @@ pub struct IndexCounters {
 }
 
 impl IndexCounters {
-    /// Counter-wise sum with `other`.
-    #[must_use]
-    pub fn merged(&self, other: &IndexCounters) -> IndexCounters {
-        IndexCounters {
-            postings_probed: self.postings_probed + other.postings_probed,
-            cache_hits: self.cache_hits + other.cache_hits,
-            scans_avoided: self.scans_avoided + other.scans_avoided,
-        }
-    }
-
-    /// Folds `other` into `self` counter-wise.
-    pub fn absorb(&mut self, other: &IndexCounters) {
-        *self = self.merged(other);
-    }
-
     /// Adds the triple to the canonical `evm_index_*` counters.
     pub fn record_to(&self, registry: &MetricsRegistry) {
         registry
@@ -58,55 +42,6 @@ impl IndexCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::Value;
-
-    #[test]
-    fn merge_and_absorb_agree() {
-        let a = IndexCounters {
-            postings_probed: 1,
-            cache_hits: 2,
-            scans_avoided: 3,
-        };
-        let b = IndexCounters {
-            postings_probed: 10,
-            cache_hits: 20,
-            scans_avoided: 30,
-        };
-        let mut c = a;
-        c.absorb(&b);
-        assert_eq!(c, a.merged(&b));
-        assert_eq!(c.postings_probed, 11);
-        assert_eq!(c.cache_hits, 22);
-        assert_eq!(c.scans_avoided, 33);
-    }
-
-    /// Field-enumeration guard: `absorb` must sum *every* serialized
-    /// field, so a newly added counter cannot be silently dropped.
-    #[test]
-    fn absorb_covers_every_field() {
-        let mut distinct = IndexCounters::default();
-        let value = serde_json::to_value(&distinct);
-        let fields = value.as_obj().expect("struct serializes as an object");
-        // Rebuild with each field set to a distinct non-zero value.
-        let rebuilt = Value::Obj(
-            fields
-                .iter()
-                .enumerate()
-                .map(|(i, (k, _))| (k.clone(), Value::Int(i as i128 + 1)))
-                .collect(),
-        );
-        distinct = serde_json::from_str(&rebuilt.to_json()).expect("round-trip");
-        let mut doubled = distinct;
-        doubled.absorb(&distinct);
-        let before = serde_json::to_value(&distinct);
-        let after = serde_json::to_value(&doubled);
-        for ((k, a), (_, b)) in before.as_obj().unwrap().iter().zip(after.as_obj().unwrap()) {
-            let (Value::Int(a), Value::Int(b)) = (a, b) else {
-                panic!("field {k} is not an integer counter");
-            };
-            assert_eq!(*b, 2 * *a, "absorb dropped field {k}");
-        }
-    }
 
     #[test]
     fn record_to_exports_every_field() {

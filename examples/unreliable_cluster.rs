@@ -12,13 +12,13 @@
 //! ```
 
 use ev_telemetry::{names, TraceEvent};
-use evmatch::mapreduce::{ClusterConfig, FaultPlan, MapReduce};
-use evmatch::matching::parallel::{parallel_match, ParallelSplitConfig};
+use evmatch::mapreduce::{DagConfig, FaultPlan};
+use evmatch::matching::dagflow::dag_match;
 use evmatch::matching::vfilter::VFilterConfig;
 use evmatch::prelude::*;
 use serde_json::Value;
 
-/// Renders one instant event's args as `stage=map task=3 failures=1`.
+/// Renders one instant event's args as `stage=dag_score task=3 failures=1`.
 fn fmt_args(event: &TraceEvent) -> String {
     event
         .args
@@ -41,31 +41,26 @@ fn main() {
     .expect("valid config");
     let targets = sample_targets(&dataset, 40, 9);
 
-    let healthy = ClusterConfig {
-        workers: 4,
-        reduce_partitions: 4,
-        split_size: 16,
-        ..ClusterConfig::default()
-    };
-    let flaky = ClusterConfig {
+    let healthy = DagConfig::new(4);
+    let flaky = DagConfig {
         faults: FaultPlan {
             task_failure_rate: 0.25,
             max_attempts: 20,
             seed: 99,
         },
-        ..healthy.clone()
+        ..healthy
     };
 
-    let run = |name: &str, cluster: &ClusterConfig, telemetry: &Telemetry| {
+    let run = |name: &str, cluster: &DagConfig, telemetry: &Telemetry| {
         dataset.video.reset_usage();
-        let engine = MapReduce::new(cluster.clone()).with_telemetry(telemetry);
-        let report = parallel_match(
-            &engine,
+        let report = dag_match(
+            cluster,
             &dataset.estore,
             &dataset.video,
             &targets,
-            &ParallelSplitConfig::default(),
+            0,
             &VFilterConfig::default(),
+            telemetry,
         )
         .expect("retries must absorb the injected failures");
         let stats = score_report(&dataset, &report);
@@ -104,9 +99,9 @@ fn main() {
     let registry = tel.registry();
     let counter = |name| registry.counter_value(name).unwrap_or(0);
     println!(
-        "attempts: {} map / {} failed",
-        counter(names::MAPREDUCE_MAP_ATTEMPTS),
-        counter(names::MAPREDUCE_FAILED_ATTEMPTS),
+        "tasks: {} run / {} retried",
+        counter(names::DAG_TASKS_TOTAL),
+        counter(names::DAG_TASK_RETRIES),
     );
     assert!(
         timeline.iter().any(|e| e.name == "task_failed"),

@@ -10,7 +10,7 @@
 //!                   [dataset + matcher flags as for match]
 //! evmatch match     [--population N] [--duration T] [--seed S]
 //!                   [--targets K] [--mode ideal|practical]
-//!                   [--workers W | --threads N] [--universal]
+//!                   [--threads N] [--universal]
 //!                   [--confidence P] [--budget-scenarios N]
 //!                   [--telemetry off|counters|full] [--trace-out PATH]
 //!                   [--metrics-out PATH] [--json]
@@ -40,18 +40,17 @@
 //! consistent applied snapshot, and every answer reports its staleness
 //! (see [`evmatch::serve`] and the stdin protocol on `cmd_serve`).
 //!
-//! `--workers W` runs the MapReduce pipeline (Algorithm 3): per-round
-//! jobs with a barrier between them, each a two-stage submission to
-//! the stage-DAG scheduler on `W` threads;
-//! `--threads N` submits the whole job — every splitting round plus
-//! VID filtering — as **one** stage DAG to the lineage-tracking
-//! scheduler (`DESIGN.md` §11) on `N` real threads of the `ev-exec`
-//! work-stealing pool, so independent rounds overlap and a lost worker
-//! recomputes only its lost partitions. Its report is byte-identical
-//! for every `N`, so the flag only changes wall time. The two flags
-//! are mutually exclusive. `--universal` matches every EID present in
-//! the E-data instead of a sampled target set; with `--threads` the
-//! whole universal matching job is a single DAG submission.
+//! Without `--threads` the sequential pipeline runs (Algorithms 1–2:
+//! set splitting, VID filtering, refinement). `--threads N` runs the
+//! parallel pipeline (Algorithm 3): the whole job — every splitting
+//! round plus VID filtering — is **one** stage DAG submitted to the
+//! lineage-tracking scheduler (`DESIGN.md` §11) on `N` real threads of
+//! the `ev-exec` work-stealing pool, so independent rounds overlap and
+//! a lost worker recomputes only its lost partitions. Its report is
+//! byte-identical for every `N`, so the value only changes wall time.
+//! `--universal` matches every EID present in the E-data instead of a
+//! sampled target set; with `--threads` the whole universal matching
+//! job is a single DAG submission.
 //!
 //! `--metrics-out` implies the `counters` telemetry level and
 //! `--trace-out` implies `full`; an explicit `--telemetry` wins over
@@ -97,7 +96,6 @@ struct CommonArgs {
     seed: u64,
     targets: usize,
     mode: SplitMode,
-    workers: Option<usize>,
     threads: Option<usize>,
     universal: bool,
     confidence: Option<f64>,
@@ -176,6 +174,17 @@ impl CommonArgs {
     }
 }
 
+/// Value flags only one subcommand reads (kept in `CommonArgs::rest`).
+const SUBCOMMAND_FLAGS: &[&str] = &[
+    "apply-every",
+    "checkpoint-every",
+    "in",
+    "eid",
+    "cell",
+    "from",
+    "to",
+];
+
 fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
     let mut out = CommonArgs {
         population: 300,
@@ -183,7 +192,6 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
         seed: 42,
         targets: 50,
         mode: SplitMode::Practical,
-        workers: None,
         threads: None,
         universal: false,
         confidence: None,
@@ -212,7 +220,6 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
             "--duration" => out.duration = take()?.parse().map_err(|e| format!("{e}"))?,
             "--seed" => out.seed = take()?.parse().map_err(|e| format!("{e}"))?,
             "--targets" => out.targets = take()?.parse().map_err(|e| format!("{e}"))?,
-            "--workers" => out.workers = Some(take()?.parse().map_err(|e| format!("{e}"))?),
             "--threads" => out.threads = Some(take()?.parse().map_err(|e| format!("{e}"))?),
             "--universal" => out.universal = true,
             "--confidence" => {
@@ -251,8 +258,14 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
                 }
             }
             other if other.starts_with("--") => {
-                let key = other.trim_start_matches("--").to_string();
-                out.rest.insert(key, take()?);
+                let key = other.trim_start_matches("--");
+                // A flag nobody reads must not be swallowed: a retired
+                // or misspelt execution flag would silently select the
+                // sequential pipeline.
+                if !SUBCOMMAND_FLAGS.contains(&key) {
+                    return Err(format!("unknown flag {other}"));
+                }
+                out.rest.insert(key.to_string(), take()?);
             }
             other => return Err(format!("unexpected argument {other}")),
         }
@@ -305,24 +318,16 @@ fn cmd_generate(args: &CommonArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// The execution mode the `--workers` / `--threads` flags select.
-fn execution_mode(args: &CommonArgs) -> Result<ExecutionMode, String> {
-    match (args.workers, args.threads) {
-        (Some(_), Some(_)) => Err("--workers and --threads are mutually exclusive".into()),
-        (None, Some(n)) => Ok(ExecutionMode::Dag(n.max(1))),
-        (Some(w), None) => Ok(ExecutionMode::Parallel(ClusterConfig {
-            workers: w.max(1),
-            reduce_partitions: w.max(1),
-            ..ClusterConfig::default()
-        })),
-        (None, None) => Ok(ExecutionMode::Sequential),
-    }
+/// The execution mode `--threads` selects.
+fn execution_mode(args: &CommonArgs) -> ExecutionMode {
+    args.threads
+        .map_or(ExecutionMode::Sequential, |n| ExecutionMode::Dag(n.max(1)))
 }
 
 fn run_match(args: &CommonArgs) -> Result<(EvDataset, MatchReport), String> {
     let dataset = build_dataset(args)?;
     let targets = sample_targets(&dataset, args.targets, args.seed);
-    let execution = execution_mode(args)?;
+    let execution = execution_mode(args);
     let mut config = MatcherConfig {
         mode: args.mode,
         execution,
@@ -507,7 +512,7 @@ fn cmd_serve(args: &CommonArgs) -> Result<(), String> {
         ..ServeConfig::default()
     };
     config.matcher.mode = args.mode;
-    config.matcher.execution = execution_mode(args)?;
+    config.matcher.execution = execution_mode(args);
     config.matcher.vfilter.anytime = args.anytime();
 
     let mut live = LiveCorpus::open(dir, config, &telemetry).map_err(|e| {
@@ -692,7 +697,9 @@ const REQUIRED_METRICS: &[&str] = &[
 /// there without an emission site (or an emission site whose metric
 /// name drifted from the constant) fails this gate.
 fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
-    use evmatch::mapreduce::{FaultPlan, MapReduce};
+    use evmatch::mapreduce::{DagConfig, FaultPlan};
+    use evmatch::matching::dagflow::dag_match;
+    use evmatch::matching::vfilter::VFilterConfig;
     use std::collections::BTreeSet;
 
     fn absorb_into(seen: &mut BTreeSet<String>, tel: &Telemetry) {
@@ -761,7 +768,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
         use evmatch::core::region::CellId;
         use evmatch::core::scenario::{Detection, ScenarioId, VScenario};
         use evmatch::core::time::Timestamp;
-        use evmatch::matching::vfilter::{self, GalleryCache, VFilterConfig};
+        use evmatch::matching::vfilter::{self, GalleryCache};
 
         let tel = Telemetry::new(TelemetryLevel::Counters);
         let mut mixed = VScenario::new(CellId::new(1), Timestamp::new(1));
@@ -787,27 +794,37 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
         }
     }
 
-    // 2. MapReduce run with injected failures on real threads: engine,
-    //    retry and exec metrics.
+    // 2. MapReduce jobs (the parallel EDP baseline) with injected
+    //    failures on real threads: engine, retry and exec metrics.
     {
+        use evmatch::matching::edp::{edp_engine, match_edp_parallel, EdpConfig};
         let tel = Telemetry::new(TelemetryLevel::Full);
-        let cfg = MatcherConfig {
-            execution: ExecutionMode::Parallel(ClusterConfig {
-                workers: 4,
-                reduce_partitions: 4,
-                split_size: 4,
-                faults: FaultPlan {
-                    task_failure_rate: 0.2,
-                    max_attempts: 50,
-                    seed: 11,
-                },
-            }),
-            ..MatcherConfig::default()
-        };
-        EvMatcher::new(&dataset.estore, &dataset.video, cfg)
-            .with_telemetry(&tel)
-            .match_many(&targets)
-            .map_err(|e| format!("smoke mapreduce run: {e}"))?;
+        let engine = edp_engine(ClusterConfig {
+            workers: 4,
+            reduce_partitions: 4,
+            faults: FaultPlan {
+                task_failure_rate: 0.2,
+                max_attempts: 50,
+                seed: 11,
+            },
+            ..ClusterConfig::default()
+        })
+        .with_telemetry(&tel);
+        match_edp_parallel(
+            &engine,
+            &dataset.estore,
+            &dataset.video,
+            &targets,
+            &EdpConfig::default(),
+        )
+        .map_err(|e| format!("smoke mapreduce run: {e}"))?;
+        let failed = tel
+            .registry()
+            .counter_value(names::MAPREDUCE_FAILED_ATTEMPTS)
+            .unwrap_or(0);
+        if failed == 0 {
+            return Err("flaky smoke jobs recorded no failed attempts".into());
+        }
         absorb_into(&mut seen, &tel);
     }
 
@@ -871,8 +888,9 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             absorb_into(&mut seen, &tel);
         }
 
-        // 6. A flight dump triggered the scheduler-internal way: a job
-        //    whose retry budget a 95% failure rate must exhaust.
+        // 6. A flight dump triggered the scheduler-internal way: a
+        //    submission whose retry budget a 95% failure rate must
+        //    exhaust.
         {
             let tel = Telemetry::new(TelemetryLevel::Counters);
             tel.flight().set_enabled(true);
@@ -881,23 +899,21 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
                 .registry()
                 .counter_value(names::FLIGHT_DUMPS)
                 .unwrap_or(0);
-            let engine = MapReduce::new(ClusterConfig {
-                split_size: 1,
-                faults: FaultPlan {
-                    task_failure_rate: 0.95,
-                    max_attempts: 2,
-                    seed: 1,
+            let failed = dag_match(
+                &DagConfig {
+                    faults: FaultPlan {
+                        task_failure_rate: 0.95,
+                        max_attempts: 2,
+                        seed: 1,
+                    },
+                    ..DagConfig::new(2)
                 },
-                ..ClusterConfig::default()
-            })
-            .with_telemetry(&tel);
-            let failed = evmatch::matching::parallel::parallel_match(
-                &engine,
                 &dataset.estore,
                 &dataset.video,
                 &targets,
-                &evmatch::matching::parallel::ParallelSplitConfig::default(),
-                &evmatch::matching::vfilter::VFilterConfig::default(),
+                args.seed,
+                &VFilterConfig::default(),
+                &tel,
             );
             if failed.is_ok() {
                 return Err("exhaustion probe unexpectedly succeeded".into());
@@ -978,22 +994,13 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
         //    from the squeezed partition cache. The report must still
         //    be byte-identical to an unfaulted run.
         {
-            use evmatch::mapreduce::DagConfig;
-            use evmatch::matching::dagflow::dag_match;
-            use evmatch::matching::parallel::ParallelSplitConfig;
-            use evmatch::matching::vfilter::VFilterConfig;
-
             let tel = Telemetry::new(TelemetryLevel::Full);
-            let split = ParallelSplitConfig {
-                seed: args.seed,
-                max_iterations: None,
-            };
             let healthy = dag_match(
                 &DagConfig::new(2),
                 &dataset.estore,
                 &dataset.video,
                 &targets,
-                &split,
+                args.seed,
                 &VFilterConfig::default(),
                 Telemetry::disabled(),
             )
@@ -1011,7 +1018,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
                 &dataset.estore,
                 &dataset.video,
                 &targets,
-                &split,
+                args.seed,
                 &VFilterConfig::default(),
                 &tel,
             )

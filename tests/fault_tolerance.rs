@@ -1,9 +1,11 @@
 //! Fault-injection integration: the matching pipelines must survive task
-//! failures with identical results.
+//! failures with identical results, and report an exhausted retry
+//! budget as `TaskExhausted` — through the stage DAG and through the
+//! MapReduce engine alike.
 
-use evmatch::mapreduce::{ClusterConfig, DagConfig, FaultPlan, JobError, MapReduce};
+use evmatch::mapreduce::{ClusterConfig, DagConfig, FaultPlan, JobError};
 use evmatch::matching::dagflow::dag_match;
-use evmatch::matching::parallel::{parallel_match, ParallelSplitConfig};
+use evmatch::matching::edp::{edp_engine, match_edp_parallel, EdpConfig};
 use evmatch::matching::vfilter::VFilterConfig;
 use evmatch::prelude::*;
 
@@ -16,158 +18,82 @@ fn dataset() -> EvDataset {
     .expect("valid config")
 }
 
-fn healthy() -> ClusterConfig {
-    ClusterConfig {
-        workers: 4,
-        reduce_partitions: 4,
-        split_size: 8,
-        ..ClusterConfig::default()
-    }
-}
+/// A plan almost every attempt fails under, with room for one retry.
+const HOPELESS: FaultPlan = FaultPlan {
+    task_failure_rate: 0.97,
+    max_attempts: 2,
+    seed: 3,
+};
 
 #[test]
 fn injected_failures_do_not_change_matching_results() {
     let d = dataset();
     let targets = sample_targets(&d, 30, 1);
-
-    d.video.reset_usage();
-    let clean = parallel_match(
-        &MapReduce::new(healthy()),
-        &d.estore,
-        &d.video,
-        &targets,
-        &ParallelSplitConfig::default(),
-        &VFilterConfig::default(),
-    )
-    .unwrap();
-
-    let flaky_cluster = ClusterConfig {
-        faults: FaultPlan {
-            task_failure_rate: 0.3,
-            max_attempts: 30,
-            seed: 17,
-        },
-        ..healthy()
+    let run = |faults: FaultPlan| {
+        d.video.reset_usage();
+        dag_match(
+            &DagConfig {
+                faults,
+                ..DagConfig::new(4)
+            },
+            &d.estore,
+            &d.video,
+            &targets,
+            0,
+            &VFilterConfig::default(),
+            Telemetry::disabled(),
+        )
+        .unwrap()
     };
-    d.video.reset_usage();
-    let flaky = parallel_match(
-        &MapReduce::new(flaky_cluster),
-        &d.estore,
-        &d.video,
-        &targets,
-        &ParallelSplitConfig::default(),
-        &VFilterConfig::default(),
-    )
-    .unwrap();
+    let clean = run(FaultPlan::default());
+    let flaky = run(FaultPlan {
+        task_failure_rate: 0.3,
+        max_attempts: 30,
+        seed: 17,
+    });
 
     assert_eq!(clean.outcomes, flaky.outcomes);
     assert_eq!(clean.lists, flaky.lists);
 }
 
 #[test]
-fn injected_failures_agree_between_parallel_and_dag() {
-    // One flaky `FaultPlan` through both pipelines: the jobs of
-    // `parallel_match` and the single submission of `dag_match` share
-    // the scheduler's fault path, and both must reproduce the clean run.
-    let d = dataset();
-    let targets = sample_targets(&d, 25, 2);
-    let flaky = FaultPlan {
-        task_failure_rate: 0.3,
-        max_attempts: 30,
-        seed: 23,
-    };
-
-    d.video.reset_usage();
-    let clean = parallel_match(
-        &MapReduce::new(healthy()),
-        &d.estore,
-        &d.video,
-        &targets,
-        &ParallelSplitConfig::default(),
-        &VFilterConfig::default(),
-    )
-    .unwrap();
-
-    d.video.reset_usage();
-    let parallel = parallel_match(
-        &MapReduce::new(ClusterConfig {
-            faults: flaky,
-            ..healthy()
-        }),
-        &d.estore,
-        &d.video,
-        &targets,
-        &ParallelSplitConfig::default(),
-        &VFilterConfig::default(),
-    )
-    .unwrap();
-
-    d.video.reset_usage();
-    let dag = dag_match(
-        &DagConfig {
-            faults: flaky,
-            ..DagConfig::new(4)
-        },
-        &d.estore,
-        &d.video,
-        &targets,
-        &ParallelSplitConfig::default(),
-        &VFilterConfig::default(),
-        Telemetry::disabled(),
-    )
-    .unwrap();
-
-    assert_eq!(clean.outcomes, parallel.outcomes);
-    assert_eq!(clean.lists, parallel.lists);
-    assert_eq!(clean.outcomes, dag.outcomes);
-    assert_eq!(clean.lists, dag.lists);
-}
-
-#[test]
 fn hopeless_cluster_reports_task_exhaustion() {
+    // The MapReduce engine (the parallel EDP baseline's jobs).
     let d = dataset();
     let targets = sample_targets(&d, 10, 3);
-    let doomed = ClusterConfig {
-        faults: FaultPlan {
-            task_failure_rate: 0.97,
-            max_attempts: 2,
-            seed: 3,
-        },
-        ..healthy()
-    };
-    let result = parallel_match(
-        &MapReduce::new(doomed),
+    let engine = edp_engine(ClusterConfig {
+        workers: 4,
+        reduce_partitions: 4,
+        faults: HOPELESS,
+        ..ClusterConfig::default()
+    });
+    let result = match_edp_parallel(
+        &engine,
         &d.estore,
         &d.video,
         &targets,
-        &ParallelSplitConfig::default(),
-        &VFilterConfig::default(),
+        &EdpConfig::default(),
     );
     match result {
-        Err(evmatch::mapreduce::JobError::TaskExhausted { .. }) => {}
-        other => panic!("expected TaskExhausted, got {other:?}"),
+        Err(JobError::TaskExhausted { attempts: 2, .. }) => {}
+        other => panic!("expected TaskExhausted after 2 attempts, got {other:?}"),
     }
 }
 
 #[test]
 fn hopeless_dag_reports_task_exhaustion() {
-    // The same hopeless plan through the one-submission pipeline: an
-    // exhausted injected fault is `TaskExhausted` there too.
+    // The same hopeless plan through the one-submission pipeline.
     let d = dataset();
     let targets = sample_targets(&d, 10, 3);
     let result = dag_match(
         &DagConfig {
-            faults: FaultPlan {
-                task_failure_rate: 0.97,
-                max_attempts: 2,
-                seed: 3,
-            },
+            faults: HOPELESS,
             ..DagConfig::new(4)
         },
         &d.estore,
         &d.video,
         &targets,
-        &ParallelSplitConfig::default(),
+        0,
         &VFilterConfig::default(),
         Telemetry::disabled(),
     );

@@ -1,14 +1,15 @@
-//! The MapReduce pipelines must compute the same thing as their
-//! sequential references, deterministically, at any cluster width —
-//! and the stage DAG, the one real-thread path, the same thing as
-//! MapReduce at any thread count.
+//! The parallel pipelines must compute the same thing as their
+//! sequential references, deterministically: the MapReduce EDP baseline
+//! at any cluster width, and the stage DAG (Algorithm 3) at any thread
+//! count, under injected worker loss and under cache pressure.
 
-use evmatch::mapreduce::{ClusterConfig, MapReduce};
+use evmatch::mapreduce::{ClusterConfig, DagConfig, FaultPlan};
+use evmatch::matching::dagflow::{dag_match, dag_split};
 use evmatch::matching::edp::{edp_engine, match_edp, match_edp_parallel, EdpConfig};
-use evmatch::matching::parallel::{parallel_match, parallel_split, ParallelSplitConfig};
 use evmatch::matching::setsplit::{split_ideal, SetSplitConfig};
 use evmatch::matching::vfilter::VFilterConfig;
 use evmatch::prelude::*;
+use evmatch::telemetry::names;
 
 fn dataset() -> EvDataset {
     EvDataset::generate(&DatasetConfig {
@@ -19,13 +20,48 @@ fn dataset() -> EvDataset {
     .expect("valid config")
 }
 
-fn cluster(workers: usize) -> ClusterConfig {
-    ClusterConfig {
-        workers,
-        reduce_partitions: workers.max(2),
-        split_size: 8,
-        ..ClusterConfig::default()
-    }
+/// A short world for the lineage tests: under cache pressure an
+/// evicted round state is recomputed through the whole merge chain
+/// before it, and the cost explodes with the timestamp count (release
+/// build, capacity 2: 0.2 s at 80 timestamps, 5 s at 120, 137 s at 160).
+fn short_dataset() -> EvDataset {
+    EvDataset::generate(&DatasetConfig {
+        population: 60,
+        duration: 40,
+        ..DatasetConfig::default()
+    })
+    .expect("valid config")
+}
+
+/// One DAG submission over `d` with a fresh extraction cache.
+fn run_dag(
+    d: &EvDataset,
+    targets: &std::collections::BTreeSet<Eid>,
+    config: &DagConfig,
+    seed: u64,
+    telemetry: &Telemetry,
+) -> MatchReport {
+    d.video.reset_usage();
+    dag_match(
+        config,
+        &d.estore,
+        &d.video,
+        targets,
+        seed,
+        &VFilterConfig::default(),
+        telemetry,
+    )
+    .expect("dag pipeline")
+}
+
+fn assert_same(report: &MatchReport, reference: &MatchReport, what: &str) {
+    assert_eq!(report.outcomes, reference.outcomes, "{what}: outcomes");
+    assert_eq!(report.lists, reference.lists, "{what}: lists");
+    assert_eq!(
+        report.selected_scenarios, reference.selected_scenarios,
+        "{what}: selected scenarios"
+    );
+    assert_eq!(report.rounds, reference.rounds, "{what}: rounds");
 }
 
 #[test]
@@ -37,7 +73,11 @@ fn parallel_edp_equals_sequential_edp() {
     d.video.reset_usage();
     let sequential = match_edp(&d.estore, &d.video, &targets, &config);
     d.video.reset_usage();
-    let engine = edp_engine(cluster(4));
+    let engine = edp_engine(ClusterConfig {
+        workers: 4,
+        reduce_partitions: 4,
+        ..ClusterConfig::default()
+    });
     let parallel = match_edp_parallel(&engine, &d.estore, &d.video, &targets, &config).unwrap();
 
     assert_eq!(sequential.outcomes, parallel.outcomes);
@@ -46,42 +86,36 @@ fn parallel_edp_equals_sequential_edp() {
 }
 
 #[test]
-fn parallel_split_is_deterministic_across_worker_counts() {
+fn dag_split_is_deterministic_across_thread_counts() {
     let d = dataset();
     let targets = sample_targets(&d, 40, 2);
-    let config = ParallelSplitConfig {
-        seed: 5,
-        max_iterations: None,
-    };
-    let reference =
-        parallel_split(&MapReduce::new(cluster(1)), &d.estore, &targets, &config).unwrap();
-    for workers in [2, 4, 8] {
-        let run = parallel_split(
-            &MapReduce::new(cluster(workers)),
+    let split = |threads: usize| {
+        dag_split(
+            &DagConfig::new(threads),
             &d.estore,
             &targets,
-            &config,
+            5,
+            Telemetry::disabled(),
         )
-        .unwrap();
-        assert_eq!(run.recorded, reference.recorded, "workers={workers}");
-        assert_eq!(run.lists, reference.lists, "workers={workers}");
-        assert_eq!(
-            run.partition.block_count(),
-            reference.partition.block_count()
-        );
+        .unwrap()
+    };
+    let reference = split(1);
+    for threads in [2, 4, 8] {
+        assert_eq!(split(threads), reference, "threads={threads}");
     }
 }
 
 #[test]
-fn parallel_split_reaches_sequential_granularity() {
+fn dag_split_reaches_sequential_granularity() {
     let d = dataset();
     let targets = sample_targets(&d, 40, 3);
     let sequential = split_ideal(&d.estore, &targets, &SetSplitConfig::default());
-    let parallel = parallel_split(
-        &MapReduce::new(cluster(4)),
+    let parallel = dag_split(
+        &DagConfig::new(4),
         &d.estore,
         &targets,
-        &ParallelSplitConfig::default(),
+        0,
+        Telemetry::disabled(),
     )
     .unwrap();
     assert_eq!(parallel.fully_split(), sequential.fully_split());
@@ -92,7 +126,7 @@ fn parallel_split_reaches_sequential_granularity() {
 }
 
 #[test]
-fn parallel_match_accuracy_is_comparable_to_sequential() {
+fn dag_match_accuracy_is_comparable_to_sequential() {
     let d = dataset();
     let targets = sample_targets(&d, 40, 4);
 
@@ -100,16 +134,7 @@ fn parallel_match_accuracy_is_comparable_to_sequential() {
     let matcher = EvMatcher::new(&d.estore, &d.video, MatcherConfig::default());
     let seq_stats = score_report(&d, &matcher.match_many(&targets).unwrap());
 
-    d.video.reset_usage();
-    let par = parallel_match(
-        &MapReduce::new(cluster(4)),
-        &d.estore,
-        &d.video,
-        &targets,
-        &ParallelSplitConfig::default(),
-        &VFilterConfig::default(),
-    )
-    .unwrap();
+    let par = run_dag(&d, &targets, &DagConfig::new(4), 0, Telemetry::disabled());
     let par_stats = score_report(&d, &par);
 
     assert!(
@@ -131,61 +156,93 @@ fn parallel_match_accuracy_is_comparable_to_sequential() {
 
 #[test]
 fn dag_report_is_byte_identical_across_thread_counts() {
-    use evmatch::mapreduce::DagConfig;
-    use evmatch::matching::dagflow::dag_match;
-
     let d = dataset();
     let targets = sample_targets(&d, 40, 6);
-    let split_config = ParallelSplitConfig {
-        seed: 11,
-        max_iterations: None,
-    };
-    let assert_same = |report: &MatchReport, reference: &MatchReport, what: &str| {
-        assert_eq!(report.outcomes, reference.outcomes, "{what}");
-        assert_eq!(report.lists, reference.lists, "{what}");
-        assert_eq!(
-            report.selected_scenarios, reference.selected_scenarios,
-            "{what}"
-        );
-        assert_eq!(report.rounds, reference.rounds, "{what}");
-    };
-    let run = |threads: usize| {
-        d.video.reset_usage();
-        dag_match(
-            &DagConfig::new(threads),
-            &d.estore,
-            &d.video,
+    let run = |threads| {
+        run_dag(
+            &d,
             &targets,
-            &split_config,
-            &VFilterConfig::default(),
+            &DagConfig::new(threads),
+            11,
             Telemetry::disabled(),
         )
-        .unwrap()
     };
     let reference = run(1);
     for threads in [2, 4] {
         assert_same(&run(threads), &reference, &format!("threads={threads}"));
     }
+}
 
-    // The one real-thread path against Algorithm 3 on the engine, at
-    // the pinned job geometry.
-    d.video.reset_usage();
-    let engine = MapReduce::new(ClusterConfig {
-        workers: 2,
-        split_size: 8,
-        reduce_partitions: 4,
-        ..ClusterConfig::default()
-    });
-    let mapreduce = parallel_match(
-        &engine,
-        &d.estore,
-        &d.video,
+/// Injected worker panics lose partitions mid-run; lineage must retry
+/// exactly the lost partitions (tasks = clean + retries + recomputes)
+/// and the final report must not change.
+#[test]
+fn worker_loss_recomputes_only_lost_partitions() {
+    let d = short_dataset();
+    let targets = sample_targets(&d, 25, 8);
+    let clean_tel = Telemetry::new(TelemetryLevel::Counters);
+    let reference = run_dag(&d, &targets, &DagConfig::new(2), 7, &clean_tel);
+    let clean_tasks = clean_tel.registry().counter(names::DAG_TASKS_TOTAL).get();
+    assert!(clean_tasks > 0, "the run is observable");
+    assert_eq!(
+        clean_tel.registry().counter(names::DAG_TASK_RETRIES).get(),
+        0,
+        "no retries without faults"
+    );
+
+    let faulty_tel = Telemetry::new(TelemetryLevel::Counters);
+    let faulty = run_dag(
+        &d,
         &targets,
-        &split_config,
-        &VFilterConfig::default(),
-    )
-    .unwrap();
-    assert_same(&reference, &mapreduce, "dag vs mapreduce");
+        &DagConfig {
+            faults: FaultPlan {
+                task_failure_rate: 0.25,
+                max_attempts: 24,
+                seed: 9,
+            },
+            ..DagConfig::new(2)
+        },
+        7,
+        &faulty_tel,
+    );
+    assert_same(&faulty, &reference, "after injected worker loss");
+
+    let registry = faulty_tel.registry();
+    let tasks = registry.counter(names::DAG_TASKS_TOTAL).get();
+    let retries = registry.counter(names::DAG_TASK_RETRIES).get();
+    let recomputed = registry.counter(names::DAG_RECOMPUTED_PARTITIONS).get();
+    assert!(retries > 0, "a 25% failure rate must lose partitions");
+    assert_eq!(
+        tasks,
+        clean_tasks + retries + recomputed,
+        "only lost partitions reran — untouched partitions were not resubmitted"
+    );
+}
+
+/// Cache pressure evicts partitions that later turn out to be needed;
+/// the scheduler must recompute them from lineage without changing the
+/// report.
+#[test]
+fn cache_pressure_recomputes_from_lineage_without_changing_the_report() {
+    let d = short_dataset();
+    let targets = sample_targets(&d, 25, 8);
+    let reference = run_dag(&d, &targets, &DagConfig::new(2), 7, Telemetry::disabled());
+    let tel = Telemetry::new(TelemetryLevel::Counters);
+    let squeezed = run_dag(
+        &d,
+        &targets,
+        &DagConfig {
+            cache_capacity: Some(2),
+            ..DagConfig::new(2)
+        },
+        7,
+        &tel,
+    );
+    assert_same(&squeezed, &reference, "under cache pressure");
+    assert!(
+        tel.registry().counter(names::DAG_CACHE_EVICTIONS).get() > 0,
+        "capacity 2 must force evictions"
+    );
 }
 
 #[test]
@@ -201,19 +258,8 @@ fn matcher_facade_runs_dag_mode() {
     assert_eq!(report.outcomes.len(), 25);
     let stats = score_report(&d, &report);
     assert!(stats.accuracy > 0.7, "{:.1}%", stats.percent());
-}
-
-#[test]
-fn matcher_facade_runs_parallel_mode() {
-    let d = dataset();
-    let targets = sample_targets(&d, 25, 5);
-    let config = MatcherConfig {
-        execution: ExecutionMode::Parallel(cluster(3)),
-        ..MatcherConfig::default()
-    };
-    let matcher = EvMatcher::new(&d.estore, &d.video, config);
-    let report = matcher.match_many(&targets).unwrap();
-    assert_eq!(report.outcomes.len(), 25);
-    let stats = score_report(&d, &report);
-    assert!(stats.accuracy > 0.7, "{:.1}%", stats.percent());
+    // V strictly follows E inside the one submission, and both are
+    // reported.
+    assert!(report.timings.e_stage > std::time::Duration::ZERO);
+    assert!(report.timings.v_stage > std::time::Duration::ZERO);
 }
