@@ -9,7 +9,6 @@
 use crate::report::{num, Table};
 use crate::runner::{average, run_edp, run_edp_parallel, run_ss, run_ss_parallel, RunSummary};
 use ev_datagen::{sample_targets, DatasetConfig, EvDataset};
-use ev_mapreduce::ClusterConfig;
 use ev_vision::cost::CostModel;
 
 /// Experiment scale: `Full` mirrors the paper's axes; `Quick` shrinks
@@ -86,15 +85,10 @@ fn density_dataset(scale: Scale, side: u32, cost: CostModel) -> EvDataset {
     EvDataset::generate(&config).expect("valid config")
 }
 
-/// The cluster used for the timing figures: the paper's 14 workers,
-/// clamped to this machine's parallelism.
-fn timing_cluster() -> ClusterConfig {
-    ClusterConfig {
-        workers: ClusterConfig::paper_cluster()
-            .workers
-            .min(ClusterConfig::default().workers),
-        ..ClusterConfig::default()
-    }
+/// Threads for the timing figures: the paper's 14 workers, clamped to
+/// this machine's parallelism.
+fn timing_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get().min(14))
 }
 
 fn averaged<F>(seeds: &[u64], mut run: F) -> RunSummary
@@ -207,7 +201,7 @@ pub fn fig6(scale: Scale) -> Table {
 }
 
 /// Fig. 8: E/V/total processing time vs number of matched EIDs, both
-/// algorithms in parallel on `timing_cluster`'s threads with the
+/// algorithms in parallel on `timing_threads` threads with the
 /// vision cost model enabled.
 #[must_use]
 pub fn fig8(scale: Scale) -> Table {
@@ -217,7 +211,7 @@ pub fn fig8(scale: Scale) -> Table {
         ..DatasetConfig::paper()
     };
     let dataset = EvDataset::generate(&config).expect("valid config");
-    let cluster = timing_cluster();
+    let threads = timing_threads();
     let mut table = Table::new(
         "fig8",
         "Processing time (s) vs number of matched EIDs",
@@ -233,8 +227,8 @@ pub fn fig8(scale: Scale) -> Table {
     );
     for matched in scale.timing_matched_axis() {
         let targets = sample_targets(&dataset, matched, 11);
-        let ss = run_ss_parallel(&dataset, &targets, cluster.workers, 11);
-        let edp = run_edp_parallel(&dataset, &targets, &cluster, 11);
+        let ss = run_ss_parallel(&dataset, &targets, threads, 11);
+        let edp = run_edp_parallel(&dataset, &targets, threads, 11);
         table.push_row(vec![
             matched.to_string(),
             num(ss.e_secs, 3),
@@ -250,10 +244,10 @@ pub fn fig8(scale: Scale) -> Table {
          faster than EDP overall because EDP processes many more scenarios in its V stage",
     );
     table.push_note(format!(
-        "{} worker threads (SS: one stage-DAG submission; EDP: one MapReduce job per \
-         stage); vision cost model charges {} work units per extracted detection and \
+        "{} worker threads (SS and EDP: one stage-DAG submission each; EDP runs one \
+         partition per EID); vision cost model charges {} work units per extracted detection and \
          {} per feature comparison",
-        cluster.workers,
+        threads,
         CostModel::default().v_extraction,
         CostModel::default().v_comparison,
     ));
@@ -263,7 +257,7 @@ pub fn fig8(scale: Scale) -> Table {
 /// Fig. 9: E/V/total processing time vs density.
 #[must_use]
 pub fn fig9(scale: Scale) -> Table {
-    let cluster = timing_cluster();
+    let threads = timing_threads();
     let matched = match scale {
         Scale::Full => 300,
         Scale::Quick => 60,
@@ -284,8 +278,8 @@ pub fn fig9(scale: Scale) -> Table {
     for side in scale.grid_sides() {
         let dataset = density_dataset(scale, side, CostModel::default());
         let targets = sample_targets(&dataset, matched, 11);
-        let ss = run_ss_parallel(&dataset, &targets, cluster.workers, 11);
-        let edp = run_edp_parallel(&dataset, &targets, &cluster, 11);
+        let ss = run_ss_parallel(&dataset, &targets, threads, 11);
+        let edp = run_edp_parallel(&dataset, &targets, threads, 11);
         table.push_row(vec![
             num(dataset.config.density(), 0),
             num(ss.e_secs, 3),

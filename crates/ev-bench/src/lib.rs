@@ -21,65 +21,40 @@ pub mod runner;
 pub use experiments::Scale;
 pub use report::Table;
 
-/// Logical CPUs available to this process, for bench JSON headers.
-///
-/// Wall-clock speedups are meaningless without knowing how many cores
-/// the host actually offered, so every `BENCH_*.json` records this in
-/// its header. Falls back to 1 where the platform cannot say.
-#[must_use]
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Prints the host-parallelism banner every wall-clock bench opens
-/// with, and returns the core count for the JSON header.
-///
-/// Burying the core count at the bottom of a JSON file let single-core
-/// runs masquerade as "no speedup" regressions; this puts it on the
-/// first line of output and warns out loud when the host offers only
-/// one logical CPU (wall-clock curves are then flat by construction —
-/// read the virtual-time curves instead).
-#[must_use]
-pub fn announce_host_parallelism() -> usize {
-    let cores = host_parallelism();
-    println!("host_parallelism: {cores} logical CPU(s)");
-    if cores == 1 {
-        eprintln!(
-            "warning: single-core host — wall-clock speedups are bounded at ~1.0x; \
-             judge scaling by the virtual (simulated) curves, not the wall clock"
-        );
-    }
-    cores
+/// The regeneration function behind an experiment id, or `None` for an
+/// unknown id. `fig5` and `fig7` share their sweep and each id returns
+/// its own table.
+fn experiment(id: &str) -> Option<fn(Scale) -> Vec<Table>> {
+    let run: fn(Scale) -> Vec<Table> = match id {
+        "fig5" => |scale| vec![experiments::fig5_fig7(scale).0],
+        "fig7" => |scale| vec![experiments::fig5_fig7(scale).1],
+        "fig5+7" | "fig5_7" => |scale| {
+            let (a, b) = experiments::fig5_fig7(scale);
+            vec![a, b]
+        },
+        "fig6" => |scale| vec![experiments::fig6(scale)],
+        "fig8" => |scale| vec![experiments::fig8(scale)],
+        "fig9" => |scale| vec![experiments::fig9(scale)],
+        "fig10" => |scale| vec![experiments::fig10(scale)],
+        "fig11" => |scale| vec![experiments::fig11(scale)],
+        "table1" => |scale| vec![experiments::table1(scale)],
+        "table2" => |scale| vec![experiments::table2(scale)],
+        "ablate-selection" => |scale| vec![ablations::ablate_selection(scale)],
+        "ablate-vague" => |scale| vec![ablations::ablate_vague(scale)],
+        "ablate-refine" => |scale| vec![ablations::ablate_refine(scale)],
+        "ablate-mobility" => |scale| vec![ablations::ablate_mobility(scale)],
+        "ablate-workers" => |scale| vec![ablations::ablate_workers(scale)],
+        _ => return None,
+    };
+    Some(run)
 }
 
 /// Runs the experiment with the given id at the given scale.
 ///
-/// Returns `None` for an unknown id. `fig5` and `fig7` share their sweep
-/// and each id returns its own table.
+/// Returns `None` for an unknown id.
 #[must_use]
 pub fn run_experiment(id: &str, scale: Scale) -> Option<Vec<Table>> {
-    let tables = match id {
-        "fig5" => vec![experiments::fig5_fig7(scale).0],
-        "fig7" => vec![experiments::fig5_fig7(scale).1],
-        "fig5+7" | "fig5_7" => {
-            let (a, b) = experiments::fig5_fig7(scale);
-            vec![a, b]
-        }
-        "fig6" => vec![experiments::fig6(scale)],
-        "fig8" => vec![experiments::fig8(scale)],
-        "fig9" => vec![experiments::fig9(scale)],
-        "fig10" => vec![experiments::fig10(scale)],
-        "fig11" => vec![experiments::fig11(scale)],
-        "table1" => vec![experiments::table1(scale)],
-        "table2" => vec![experiments::table2(scale)],
-        "ablate-selection" => vec![ablations::ablate_selection(scale)],
-        "ablate-vague" => vec![ablations::ablate_vague(scale)],
-        "ablate-refine" => vec![ablations::ablate_refine(scale)],
-        "ablate-mobility" => vec![ablations::ablate_mobility(scale)],
-        "ablate-workers" => vec![ablations::ablate_workers(scale)],
-        _ => return None,
-    };
-    Some(tables)
+    experiment(id).map(|run| run(scale))
 }
 
 /// All experiment ids in presentation order.
@@ -113,11 +88,15 @@ mod tests {
 
     #[test]
     fn all_ids_resolve() {
-        // Only check the ids dispatch (running them all is the
-        // integration suite's job); use a known-cheap one end to end.
+        // Dispatch only; running them all is the integration suite's job.
         for id in all_experiment_ids() {
-            assert!(matches!(id, _s), "id list should be non-empty and static");
+            assert!(
+                experiment(id).is_some(),
+                "{id} is listed but not dispatched"
+            );
         }
+        assert!(experiment("fig99").is_none());
+        // A known-cheap one end to end.
         let tables = run_experiment("ablate-vague", Scale::Quick).unwrap();
         assert_eq!(tables.len(), 1);
     }

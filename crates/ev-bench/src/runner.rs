@@ -3,12 +3,10 @@
 
 use ev_core::ids::Eid;
 use ev_datagen::{score_report, EvDataset};
-use ev_mapreduce::{ClusterConfig, DagConfig};
+use ev_mapreduce::DagConfig;
 use ev_matching::dagflow::dag_match;
-use ev_matching::edp::{edp_engine, match_edp, match_edp_parallel, EdpConfig};
-use ev_matching::refine::{
-    match_with_refinement, match_with_refinement_instrumented, RefineConfig, SplitMode,
-};
+use ev_matching::edp::{match_edp, match_edp_parallel, EdpConfig};
+use ev_matching::refine::{match_with_refinement, RefineConfig, SplitMode};
 use ev_matching::vfilter::VFilterConfig;
 use ev_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
@@ -80,38 +78,6 @@ pub fn run_ss(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -> RunSum
     summarize(dataset, targets, Algo::Ss, &report)
 }
 
-/// [`run_ss`] with a telemetry handle threaded through the pipeline, so
-/// experiments can export run profiles (and the telemetry bench can
-/// price each level). With a disabled handle this measures the same
-/// work as `run_ss`.
-#[must_use]
-pub fn run_ss_telemetry(
-    dataset: &EvDataset,
-    targets: &BTreeSet<Eid>,
-    seed: u64,
-    telemetry: &Telemetry,
-) -> RunSummary {
-    dataset.video.reset_usage();
-    let mut config = RefineConfig {
-        mode: SplitMode::Practical,
-        ..RefineConfig::default()
-    };
-    if let ev_matching::setsplit::SelectionStrategy::RandomTime { seed: s } =
-        &mut config.split.strategy
-    {
-        *s = seed;
-    }
-    let report = match_with_refinement_instrumented(
-        &dataset.estore,
-        &dataset.video,
-        targets,
-        &config,
-        &BTreeSet::new(),
-        telemetry,
-    );
-    summarize(dataset, targets, Algo::Ss, &report)
-}
-
 /// Runs sequential EDP over `targets`.
 #[must_use]
 pub fn run_edp(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -> RunSummary {
@@ -151,26 +117,33 @@ pub fn run_ss_parallel(
     summarize(dataset, targets, Algo::Ss, &report)
 }
 
-/// Runs parallel EDP (one EID per mapper) over `targets`.
+/// Runs parallel EDP (one stage-DAG submission, one partition per
+/// EID) over `targets` on `threads` threads.
 ///
 /// # Panics
 ///
-/// Panics if the engine rejects the (validated) cluster configuration.
+/// Panics if the scheduler fails — impossible without injected faults.
 #[must_use]
 pub fn run_edp_parallel(
     dataset: &EvDataset,
     targets: &BTreeSet<Eid>,
-    cluster: &ClusterConfig,
+    threads: usize,
     seed: u64,
 ) -> RunSummary {
     dataset.video.reset_usage();
-    let engine = edp_engine(cluster.clone());
     let config = EdpConfig {
         seed,
         ..EdpConfig::default()
     };
-    let report = match_edp_parallel(&engine, &dataset.estore, &dataset.video, targets, &config)
-        .expect("healthy cluster cannot fail");
+    let report = match_edp_parallel(
+        &DagConfig::new(threads),
+        &dataset.estore,
+        &dataset.video,
+        targets,
+        &config,
+        Telemetry::disabled(),
+    )
+    .expect("a fault-free run cannot fail");
     summarize(dataset, targets, Algo::Edp, &report)
 }
 
@@ -253,14 +226,8 @@ mod tests {
     fn parallel_runners_work() {
         let d = dataset();
         let targets = sample_targets(&d, 15, 2);
-        let cluster = ClusterConfig {
-            workers: 2,
-            split_size: 4,
-            reduce_partitions: 2,
-            ..ClusterConfig::default()
-        };
-        let ss = run_ss_parallel(&d, &targets, cluster.workers, 0);
-        let edp = run_edp_parallel(&d, &targets, &cluster, 0);
+        let ss = run_ss_parallel(&d, &targets, 2, 0);
+        let edp = run_edp_parallel(&d, &targets, 2, 0);
         assert_eq!(ss.matched, 15);
         assert!(edp.selected > 0);
         assert!(ss.accuracy_pct > 50.0);

@@ -3,10 +3,10 @@
 //! The paper's §V distributes set splitting and VID filtering over a
 //! MapReduce cluster; this crate is the *real-thread* substrate for
 //! that design. The stage-DAG scheduler (`ev_mapreduce::dag`) is its
-//! one client: MapReduce jobs and the one-submission matching pipeline
-//! both run as stage graphs on it, so lineage and retry logic drive
-//! actual OS threads. The crate is intentionally zero-dependency (std
-//! only) and `forbid`s unsafe code.
+//! one client: the one-submission matching pipeline and the parallel
+//! EDP baseline both run as stage graphs on it, so lineage and retry
+//! logic drive actual OS threads. The crate is intentionally
+//! zero-dependency (std only) and `forbid`s unsafe code.
 //!
 //! # Execution model
 //!
@@ -146,9 +146,8 @@ pub struct Completion<T> {
     pub result: Result<T, TaskPanic>,
 }
 
-/// Counters describing one session's execution, used by `ev-mapreduce`
-/// and `ev-matching` to export the canonical `evm_exec_*` /
-/// `evm_mapreduce_steal_*` metrics.
+/// Counters describing one session's execution, which `ev-mapreduce`'s
+/// scheduler exports as the canonical `evm_exec_*` metrics.
 ///
 /// # Snapshot guarantee
 ///

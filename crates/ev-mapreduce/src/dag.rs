@@ -2,9 +2,8 @@
 //!
 //! This is the crate's one scheduler. A whole computation is declared
 //! up front as a **graph of stages**, each stage split into numbered
-//! **partitions**, each partition produced by one task; a
-//! [`MapReduce`](crate::MapReduce) job is the two-stage case (`map`,
-//! then `reduce` on a shuffle edge). Edges are either
+//! **partitions**, each partition produced by one task. Edges are
+//! either
 //!
 //! * [`DepKind::Narrow`] — child partition `p` reads exactly one parent
 //!   partition (`p % parent.partitions`, which covers both the
@@ -61,9 +60,8 @@
 //! assert_eq!(*run.outputs[&sum][0], 6);
 //! ```
 
-use crate::config::FaultPlan;
-use crate::JobError;
-use ev_telemetry::{Telemetry, TraceCtx};
+use crate::{FaultPlan, JobError};
+use ev_telemetry::{names, MetricsRegistry, Telemetry, TraceCtx};
 use serde::Value;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -224,8 +222,7 @@ pub struct DagMetrics {
 
 impl DagMetrics {
     /// Records the run's counters as `evm_dag_*` metrics.
-    pub fn record_to(&self, registry: &ev_telemetry::MetricsRegistry) {
-        use ev_telemetry::names;
+    pub fn record_to(&self, registry: &MetricsRegistry) {
         registry
             .counter(names::DAG_TASKS_TOTAL)
             .add(self.tasks_submitted);
@@ -240,6 +237,34 @@ impl DagMetrics {
         registry
             .gauge(names::DAG_CACHE_PEAK_PARTITIONS)
             .set(self.cache_peak as f64);
+    }
+}
+
+/// Exports one `ev-exec` session's counters to the canonical
+/// `evm_exec_*` metrics: aggregate counters, the per-session worker
+/// count and queue-depth peak as gauges, and the per-worker executed
+/// task counts as observations of the `evm_exec_worker_tasks`
+/// histogram (its spread shows how evenly stealing balanced the load).
+fn record_exec_stats(registry: &MetricsRegistry, stats: &ev_exec::ExecStats) {
+    registry
+        .counter(names::EXEC_TASKS_EXECUTED)
+        .add(stats.tasks_executed);
+    registry
+        .counter(names::EXEC_TASKS_PANICKED)
+        .add(stats.tasks_panicked);
+    registry.counter(names::EXEC_STEAL_OPS).add(stats.steal_ops);
+    registry
+        .counter(names::EXEC_TASKS_STOLEN)
+        .add(stats.tasks_stolen);
+    registry
+        .gauge(names::EXEC_WORKERS)
+        .set(stats.threads as f64);
+    registry
+        .gauge(names::EXEC_QUEUE_DEPTH_PEAK)
+        .set(stats.queue_depth_peak as f64);
+    let histogram = registry.histogram(names::EXEC_WORKER_TASKS);
+    for &count in &stats.per_worker_executed {
+        histogram.record(count);
     }
 }
 
@@ -535,7 +560,7 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
             &observer,
         );
         if telemetry.counters_on() {
-            crate::metrics::record_exec_stats(telemetry.registry(), &stats);
+            record_exec_stats(telemetry.registry(), &stats);
         }
         let mut run = driver_out?;
         run.metrics.tasks_submitted = observer.submitted.load(Ordering::Relaxed);
@@ -1106,29 +1131,40 @@ mod tests {
 
     #[test]
     fn injected_faults_panic_and_recover() {
+        use ev_telemetry::TelemetryLevel;
         let (dag, d) = diamond();
         let clean = run_dag(&dag, &DagConfig::new(2));
-        let faulted = run_dag(
-            &dag,
-            &DagConfig {
-                faults: FaultPlan {
-                    task_failure_rate: 0.4,
-                    max_attempts: 16,
-                    seed: 11,
-                },
-                ..DagConfig::new(2)
+        let flaky = |threads| DagConfig {
+            faults: FaultPlan {
+                task_failure_rate: 0.4,
+                max_attempts: 16,
+                seed: 11,
             },
-        );
+            ..DagConfig::new(threads)
+        };
+        let tel = Telemetry::new(TelemetryLevel::Full);
+        let faulted = dag.run(&flaky(2), &tel, TraceCtx::root()).unwrap();
         assert_eq!(*faulted.outputs[&d][0], *clean.outputs[&d][0]);
-        assert!(
-            faulted.metrics.retries > 0,
-            "rate 0.4 over 7 tasks must hit"
-        );
+        let retries = faulted.metrics.retries;
+        assert!(retries > 0, "rate 0.4 over 7 tasks must hit");
         assert_eq!(
             faulted.metrics.tasks_submitted,
-            7 + faulted.metrics.retries,
+            7 + retries,
             "unaffected partitions never reran"
         );
+        // The fault draw is pure in (seed, stage, task, attempt), so
+        // the same attempts are lost whatever the schedule.
+        assert_eq!(run_dag(&dag, &flaky(4)).metrics.retries, retries);
+        // Each lost attempt is one `task_failed` event, and the
+        // registry mirrors the run's counter.
+        assert_eq!(
+            tel.registry().counter_value(names::DAG_TASK_RETRIES),
+            Some(retries)
+        );
+        let events = tel.tracer().events();
+        let failed = events.iter().filter(|e| e.name == "task_failed").count();
+        assert_eq!(failed as u64, retries);
+        assert!(events.iter().any(|e| e.cat == "task" && e.ph == 'X'));
     }
 
     #[test]
@@ -1178,6 +1214,20 @@ mod tests {
         assert_eq!(dag.barriered_makespan(2), 24);
         assert_eq!(dag.virtual_makespan(2), 12);
         assert_eq!(dag.virtual_makespan(1), 24, "1 worker cannot overlap");
+    }
+
+    #[test]
+    fn virtual_makespan_shrinks_with_more_workers() {
+        // The cluster-scaling model: 200 one-unit tasks feeding 4
+        // one-unit tasks over a shuffle edge, whatever the host.
+        let mut dag: DagSpec<'_, u64> = DagSpec::new();
+        let wide = dag.stage("wide", 200, Vec::new(), |_, _| 0);
+        dag.stage("narrow", 4, vec![StageDep::shuffle(wide)], |_, _| 0);
+        let units = |workers| dag.virtual_makespan(workers);
+        assert_eq!((units(1), units(4), units(14)), (204, 50 + 1, 15 + 1));
+        // 4.0x at 4 workers, 12.75x at 14.
+        assert_eq!(units(1) * 4, units(4) * 16);
+        assert_eq!(units(1) * 4, units(14) * 51);
     }
 
     #[test]

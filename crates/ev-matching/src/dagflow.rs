@@ -693,8 +693,8 @@ pub fn dag_match(
 }
 
 /// The *shape* of an `R`-round splitter DAG with representative virtual
-/// costs (snapshot scans dominate), for the makespan models in
-/// `BENCH_dag`: [`DagSpec::virtual_makespan`] prices the overlapped
+/// costs (snapshot scans dominate), for the makespan columns of
+/// `ablate-workers`: [`DagSpec::virtual_makespan`] prices the overlapped
 /// schedule, [`DagSpec::barriered_makespan`] the classic
 /// stage-at-a-time engine on the same work.
 #[must_use]

@@ -12,18 +12,19 @@
 //!
 //! For a fair comparison with the parallel set-splitting algorithm, the
 //! paper adapts EDP to MapReduce "by assigning each mapper one EID
-//! matching task" (§VI-B); [`match_edp_parallel`] does exactly that on
-//! the [`ev_mapreduce`] engine. Scenario selections are *not* shared
-//! between EIDs — the reuse that makes set splitting cheaper simply does
-//! not happen, although a scenario picked independently for two EIDs is
-//! only extracted (and counted) once.
+//! matching task" (§VI-B); [`match_edp_parallel`] does exactly that as
+//! one [`ev_mapreduce::DagSpec`] with a partition per EID. Scenario
+//! selections are *not* shared between EIDs — the reuse that makes set
+//! splitting cheaper simply does not happen, although a scenario picked
+//! independently for two EIDs is only extracted (and counted) once.
 
 use crate::types::{IndexCounters, MatchOutcome, MatchReport, ScenarioList, StageTimings};
 use crate::vfilter::{filter_one, filter_one_cached, GalleryCache, VFilterConfig};
 use ev_core::ids::Eid;
 use ev_core::scenario::ScenarioId;
-use ev_mapreduce::{ClusterConfig, Emitter, MapReduce, Mapper, Reducer};
+use ev_mapreduce::{DagConfig, DagSpec, JobError, StageDep};
 use ev_store::{EScenarioStore, VideoStore};
+use ev_telemetry::{Telemetry, TraceCtx};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -153,109 +154,95 @@ pub fn match_edp(
     }
 }
 
-/// E-stage mapper of the MapReduce adaptation: one EID's E-filtering per
-/// map task.
-struct EFilterMapper<'a> {
-    store: &'a EScenarioStore,
-    config: EdpConfig,
+/// One partition of the parallel EDP job.
+enum EdpPart {
+    /// `efilter`: one EID's scenario list, stamped when it was ready.
+    List(ScenarioList, Instant),
+    /// `videntify`: that EID's match.
+    Outcome(MatchOutcome),
 }
 
-impl Mapper<Eid> for EFilterMapper<'_> {
-    type Key = Eid;
-    type Value = ScenarioList;
-
-    fn map(&self, eid: &Eid, out: &mut Emitter<Self::Key, Self::Value>) {
-        out.emit(*eid, efilter_one(self.store, *eid, &self.config));
-    }
-}
-
-struct ListReducer;
-impl Reducer<Eid, ScenarioList> for ListReducer {
-    type Output = (Eid, ScenarioList);
-    fn reduce(&self, key: &Eid, values: &[ScenarioList]) -> Vec<(Eid, ScenarioList)> {
-        values
-            .first()
-            .map(|l| (*key, l.clone()))
-            .into_iter()
-            .collect()
-    }
-}
-
-/// V-stage mapper: one EID's V-identification per map task.
-struct VIdentifyMapper<'a> {
-    video: &'a VideoStore,
-    config: EdpConfig,
-}
-
-impl Mapper<(Eid, ScenarioList)> for VIdentifyMapper<'_> {
-    type Key = Eid;
-    type Value = MatchOutcome;
-
-    fn map(&self, record: &(Eid, ScenarioList), out: &mut Emitter<Self::Key, Self::Value>) {
-        let outcome = filter_one(
-            record.0,
-            &record.1,
-            self.video,
-            &self.config.vfilter,
-            &BTreeSet::new(),
-        );
-        out.emit(record.0, outcome);
-    }
-}
-
-struct OutcomeReducer;
-impl Reducer<Eid, MatchOutcome> for OutcomeReducer {
-    type Output = MatchOutcome;
-    fn reduce(&self, _key: &Eid, values: &[MatchOutcome]) -> Vec<MatchOutcome> {
-        values.first().cloned().into_iter().collect()
-    }
-}
-
-/// The paper's MapReduce adaptation of EDP: "assigning each mapper one
-/// EID matching task" (§VI-B), as two jobs so the E- and V-stage times
-/// stay separable the way Figs. 8–9 report them.
+/// The paper's parallel adaptation of EDP: "assigning each mapper one
+/// EID matching task" (§VI-B), as one [`DagSpec`] submission — an
+/// `efilter` stage with one partition per EID and a `videntify` stage
+/// on a narrow edge, so an EID is identified as soon as its own list
+/// exists. `timings.e_stage` runs from submission to the last `efilter`
+/// completion and `timings.v_stage` is the rest of the submission's
+/// wall, so the E- and V-stage times stay separable the way Figs. 8–9
+/// report them.
 ///
 /// # Errors
 ///
-/// Propagates [`ev_mapreduce::JobError`] from the engine (configuration or
-/// injected-fault exhaustion).
+/// Propagates [`JobError`] from the scheduler (an invalid fault plan,
+/// or a partition that exhausts its retry budget).
 pub fn match_edp_parallel(
-    engine: &MapReduce,
+    config: &DagConfig,
     store: &EScenarioStore,
     video: &VideoStore,
     targets: &BTreeSet<Eid>,
-    config: &EdpConfig,
-) -> Result<MatchReport, ev_mapreduce::JobError> {
-    // E stage: per-EID E-filtering, one EID per mapper.
+    edp: &EdpConfig,
+    telemetry: &Telemetry,
+) -> Result<MatchReport, JobError> {
+    // A stage needs at least one partition; no targets, no job.
+    if targets.is_empty() {
+        return Ok(MatchReport {
+            rounds: 1,
+            ..MatchReport::default()
+        });
+    }
     let index_before = store.index().stats();
-    let e_start = Instant::now();
-    let inputs: Vec<Eid> = targets.iter().copied().collect();
-    let e_result = engine.run(
-        inputs,
-        &EFilterMapper {
-            store,
-            config: *config,
-        },
-        &ListReducer,
-    )?;
-    let lists: BTreeMap<Eid, ScenarioList> = e_result.output.into_iter().collect();
-    let e_stage = e_start.elapsed();
+    let eids: Vec<Eid> = targets.iter().copied().collect();
+    let eids = &eids;
 
-    // V stage: per-EID V-identification, one EID per mapper. The video
-    // store deduplicates extraction of incidentally shared scenarios.
-    let v_start = Instant::now();
-    let v_inputs: Vec<(Eid, ScenarioList)> = lists.iter().map(|(&e, l)| (e, l.clone())).collect();
-    let v_result = engine.run(
-        v_inputs,
-        &VIdentifyMapper {
-            video,
-            config: *config,
+    let mut dag: DagSpec<'_, EdpPart> = DagSpec::new();
+    let efilter = dag.stage("efilter", eids.len(), Vec::new(), move |ctx, _| {
+        let list = efilter_one(store, eids[ctx.partition], edp);
+        EdpPart::List(list, Instant::now())
+    });
+    // The report reads the lists, and a kept partition is never
+    // recomputed, so its stamp is its one completion's.
+    dag.keep(efilter);
+    // The video store deduplicates extraction of incidentally shared
+    // scenarios.
+    let videntify = dag.stage(
+        "videntify",
+        eids.len(),
+        vec![StageDep::narrow(efilter)],
+        move |ctx, inputs| {
+            let EdpPart::List(list, _) = &*inputs[0] else {
+                unreachable!("videntify reads only efilter partitions");
+            };
+            EdpPart::Outcome(filter_one(
+                eids[ctx.partition],
+                list,
+                video,
+                &edp.vfilter,
+                &BTreeSet::new(),
+            ))
         },
-        &OutcomeReducer,
-    )?;
-    let mut outcomes = v_result.output;
-    outcomes.sort_by_key(|o| o.eid);
-    let v_stage = v_start.elapsed();
+    );
+    let start = Instant::now();
+    let run = dag.run(config, telemetry, TraceCtx::root())?;
+    let elapsed = start.elapsed();
+
+    let mut lists: BTreeMap<Eid, ScenarioList> = BTreeMap::new();
+    let mut e_end = start;
+    for (&eid, part) in eids.iter().zip(&run.outputs[&efilter]) {
+        let EdpPart::List(list, finished) = &**part else {
+            unreachable!("the efilter stage produces lists");
+        };
+        lists.insert(eid, list.clone());
+        e_end = e_end.max(*finished);
+    }
+    // Partition order is EID order.
+    let outcomes = run.outputs[&videntify]
+        .iter()
+        .map(|part| match &**part {
+            EdpPart::Outcome(outcome) => outcome.clone(),
+            EdpPart::List(..) => unreachable!("the videntify stage produces outcomes"),
+        })
+        .collect();
+    let e_stage = e_end - start;
 
     let index_delta = store.index().stats().since(&index_before);
     let selected = lists.values().flat_map(|l| l.iter().copied()).collect();
@@ -265,7 +252,7 @@ pub fn match_edp_parallel(
         selected_scenarios: selected,
         timings: StageTimings {
             e_stage,
-            v_stage,
+            v_stage: elapsed.saturating_sub(e_stage),
             index: IndexCounters {
                 postings_probed: index_delta.postings_probed,
                 cache_hits: 0,
@@ -274,14 +261,6 @@ pub fn match_edp_parallel(
         },
         rounds: 1,
     })
-}
-
-/// Builds a default engine for [`match_edp_parallel`] whose split size is
-/// one — each mapper gets exactly one EID, as the paper specifies.
-#[must_use]
-pub fn edp_engine(mut cluster: ClusterConfig) -> MapReduce {
-    cluster.split_size = 1;
-    MapReduce::new(cluster)
 }
 
 #[cfg(test)]
@@ -391,18 +370,21 @@ mod tests {
         let (store, video) = world();
         let targets: BTreeSet<Eid> = (0..4).map(Eid::from_u64).collect();
         let sequential = match_edp(&store, &video, &targets, &EdpConfig::default());
-        let engine = edp_engine(ClusterConfig::default());
-        let parallel =
-            match_edp_parallel(&engine, &store, &video, &targets, &EdpConfig::default()).unwrap();
-        assert_eq!(sequential.outcomes, parallel.outcomes);
-        assert_eq!(sequential.lists, parallel.lists);
-        assert_eq!(sequential.selected_scenarios, parallel.selected_scenarios);
-    }
-
-    #[test]
-    fn edp_engine_uses_one_eid_per_mapper() {
-        let engine = edp_engine(ClusterConfig::paper_cluster());
-        assert_eq!(engine.config().split_size, 1);
-        assert_eq!(engine.config().workers, 14);
+        let parallel = |targets: &BTreeSet<Eid>| {
+            match_edp_parallel(
+                &DagConfig::new(2),
+                &store,
+                &video,
+                targets,
+                &EdpConfig::default(),
+                Telemetry::disabled(),
+            )
+            .unwrap()
+        };
+        let report = parallel(&targets);
+        assert_eq!(sequential.outcomes, report.outcomes);
+        assert_eq!(sequential.lists, report.lists);
+        assert_eq!(sequential.selected_scenarios, report.selected_scenarios);
+        assert!(parallel(&BTreeSet::new()).outcomes.is_empty());
     }
 }

@@ -28,7 +28,7 @@
 //!   missing EIDs/VIDs.
 //! * [`edp`] — the **EDP baseline** from Teng et al. \[24\]: per-EID
 //!   two-stage E-filtering and V-identification, with the paper's
-//!   MapReduce adaptation (one EID per mapper).
+//!   parallel adaptation (one EID per task, as one stage DAG).
 //! * [`dagflow`] — the parallelization (paper §V, Algorithm 3) of both
 //!   stages: every splitting round (shuffle by EID, then by membership
 //!   signature) plus parallel VID filtering as **one stage-DAG

@@ -68,7 +68,7 @@ impl MatchOutcome {
     }
 
     /// Whether a VID was produced with a strict vote majority — the
-    /// paper's accuracy criterion ("the majority of the VIDs chosen from
+    /// paper's accuracy rule ("the majority of the VIDs chosen from
     /// the scenarios for this EID is the right VID", §VI-B).
     #[must_use]
     pub fn is_majority(&self) -> bool {

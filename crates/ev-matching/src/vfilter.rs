@@ -8,7 +8,7 @@
 //! `P(VID ∈ S) = max_i sim(VID, VID_i)` (paper Eq. 1 and §IV-B2). In
 //! every scenario the highest-scoring present candidate is *chosen*; the
 //! matched VID is the majority of those per-scenario choices — exactly
-//! the accuracy criterion of paper §VI-B.
+//! the accuracy rule of paper §VI-B.
 //!
 //! Already-matched VIDs can be *excluded* from later candidacies ("VIDs
 //! that have been already matched may help distinguishing those remain

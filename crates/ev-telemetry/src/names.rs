@@ -44,32 +44,6 @@ pub const ANYTIME_CANDIDATES_PRUNED: &str = "evm_anytime_candidates_pruned";
 /// before its stop rule fired (0 = settled on cheap bounds alone).
 pub const ANYTIME_CONVERGENCE_ROUNDS: &str = "evm_anytime_convergence_rounds";
 
-/// Map tasks executed (first attempts).
-pub const MAPREDUCE_MAP_TASKS: &str = "evm_mapreduce_map_tasks";
-/// Reduce partitions that received at least one key.
-pub const MAPREDUCE_REDUCE_TASKS: &str = "evm_mapreduce_reduce_tasks";
-/// Map-task attempts launched (first tries + retries).
-pub const MAPREDUCE_MAP_ATTEMPTS: &str = "evm_mapreduce_map_attempts";
-/// Attempts that failed and were retried.
-pub const MAPREDUCE_FAILED_ATTEMPTS: &str = "evm_mapreduce_failed_attempts";
-/// Key/value pairs shuffled between map and reduce.
-pub const MAPREDUCE_SHUFFLED_PAIRS: &str = "evm_mapreduce_shuffled_pairs";
-/// Pairs before the map-side combiner ran.
-pub const MAPREDUCE_PRE_COMBINE_PAIRS: &str = "evm_mapreduce_pre_combine_pairs";
-/// Distinct keys seen by the reduce stage.
-pub const MAPREDUCE_DISTINCT_KEYS: &str = "evm_mapreduce_distinct_keys";
-/// Virtual makespan units of the jobs' two-stage specs on their
-/// configured worker counts (host-independent).
-pub const MAPREDUCE_VIRTUAL_MAKESPAN_UNITS: &str = "evm_mapreduce_virtual_makespan_units";
-/// Wall time from job start to the last map completion, seconds.
-pub const MAPREDUCE_MAP_TIME_SECONDS: &str = "evm_mapreduce_map_time_seconds";
-/// Time reduce tasks spent merging and grouping, summed, seconds.
-pub const MAPREDUCE_SHUFFLE_TIME_SECONDS: &str = "evm_mapreduce_shuffle_time_seconds";
-/// Wall time from the last map completion to job end, seconds.
-pub const MAPREDUCE_REDUCE_TIME_SECONDS: &str = "evm_mapreduce_reduce_time_seconds";
-/// End-to-end job wall time, seconds.
-pub const MAPREDUCE_TOTAL_TIME_SECONDS: &str = "evm_mapreduce_total_time_seconds";
-
 /// Task attempts executed by `ev-exec` sessions (panicked ones included).
 pub const EXEC_TASKS_EXECUTED: &str = "evm_exec_tasks_executed";
 /// Task attempts isolated after panicking inside an `ev-exec` worker.
@@ -207,14 +181,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     KERNEL_GALLERIES_REJECTED,
     ANYTIME_SCENARIOS_SKIPPED,
     ANYTIME_CANDIDATES_PRUNED,
-    MAPREDUCE_MAP_TASKS,
-    MAPREDUCE_REDUCE_TASKS,
-    MAPREDUCE_MAP_ATTEMPTS,
-    MAPREDUCE_FAILED_ATTEMPTS,
-    MAPREDUCE_SHUFFLED_PAIRS,
-    MAPREDUCE_PRE_COMBINE_PAIRS,
-    MAPREDUCE_DISTINCT_KEYS,
-    MAPREDUCE_VIRTUAL_MAKESPAN_UNITS,
     EXEC_TASKS_EXECUTED,
     EXEC_TASKS_PANICKED,
     EXEC_STEAL_OPS,
@@ -249,10 +215,6 @@ pub const ALL_COUNTERS: &[&str] = &[
 pub const ALL_GAUGES: &[&str] = &[
     SETSPLIT_BLOCKS,
     VFILTER_GALLERY_HIT_RATIO,
-    MAPREDUCE_MAP_TIME_SECONDS,
-    MAPREDUCE_SHUFFLE_TIME_SECONDS,
-    MAPREDUCE_REDUCE_TIME_SECONDS,
-    MAPREDUCE_TOTAL_TIME_SECONDS,
     EXEC_WORKERS,
     EXEC_QUEUE_DEPTH_PEAK,
     EXEC_TASK_LATENCY_P50_NS,
@@ -288,7 +250,7 @@ pub const ALL_HISTOGRAMS: &[&str] = &[
 
 /// Registers every canonical metric at its zero value, so an exported
 /// profile always contains the full schema even when a run never touched
-/// some subsystem (e.g. a sequential run records no mapreduce attempts).
+/// some subsystem (e.g. a sequential run records no DAG task retries).
 pub fn preregister(registry: &crate::MetricsRegistry) {
     for &name in ALL_COUNTERS {
         let _ = registry.counter(name);

@@ -32,8 +32,8 @@ pub fn next_span_id() -> u64 {
 
 /// Causal trace context: the identity of one span plus the ids linking
 /// it to its trace and parent. Propagated by value from job submission
-/// through `ev-mapreduce` rounds into every `ev-exec` task closure, so
-/// distributed work can always be attributed to the job → round → task
+/// through `ev-mapreduce` stages into every `ev-exec` task closure, so
+/// distributed work can always be attributed to the job → stage → task
 /// → attempt chain that caused it.
 ///
 /// A zeroed context (`TraceCtx::default()`) means "no causal parent";

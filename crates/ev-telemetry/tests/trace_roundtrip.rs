@@ -63,7 +63,7 @@ fn span_tree_with_steal_and_retry_edges_survives_serialization() {
     tracer.complete_ctx("extract[1]#0", "task", t0, attempt_b0, Vec::new());
     tracer.complete_ctx("extract[1]#1", "task", t0, attempt_b1, Vec::new());
     tracer.complete_ctx("dag_extract", "stage", t0, stage, Vec::new());
-    tracer.complete_ctx("mapreduce_job", "round", t0, job, Vec::new());
+    tracer.complete_ctx("dag_run", "pipeline", t0, job, Vec::new());
 
     // Serialize to text and forget the in-memory events: everything
     // below works off the parsed document only.
@@ -77,7 +77,7 @@ fn span_tree_with_steal_and_retry_edges_survives_serialization() {
     assert_eq!(events.len(), 7, "all recorded events exported");
 
     // Every event of the tree carries the one trace id.
-    let trace_id = int_field(find(events, "mapreduce_job"), "trace_id").expect("job trace_id");
+    let trace_id = int_field(find(events, "dag_run"), "trace_id").expect("job trace_id");
     for event in events {
         assert_eq!(
             int_field(event, "trace_id"),
@@ -89,7 +89,7 @@ fn span_tree_with_steal_and_retry_edges_survives_serialization() {
 
     // Parent/child nesting: job → stage → each attempt, joined purely
     // on the serialized span ids.
-    let job_span = int_field(find(events, "mapreduce_job"), "span_id").expect("job span_id");
+    let job_span = int_field(find(events, "dag_run"), "span_id").expect("job span_id");
     let stage_event = find(events, "dag_extract");
     assert_eq!(int_field(stage_event, "parent_span_id"), Some(job_span));
     let stage_span = int_field(stage_event, "span_id").expect("stage span_id");

@@ -9,8 +9,8 @@
 //! [`CostModel`] restores the asymmetry two ways at once:
 //!
 //! * [`CostModel::charge`] performs deterministic **busy-work** calibrated
-//!   in abstract *work units*, so parallel execution over the MapReduce
-//!   engine yields genuine wall-clock speedups; and
+//!   in abstract *work units*, so parallel execution on the stage-DAG
+//!   scheduler yields genuine wall-clock speedups; and
 //! * a [`CostLedger`] tallies simulated work units per stage, giving
 //!   machine-independent numbers the experiment harness can report
 //!   alongside wall time.

@@ -675,7 +675,9 @@ fn write_telemetry(args: &CommonArgs, telemetry: &Telemetry) -> Result<(), Strin
     Ok(())
 }
 
-/// Metrics that every exported `match` profile must contain.
+/// Metrics that every exported `match` profile must contain. The two
+/// `evm_dag_*` names are real counts under `--threads N`; a sequential
+/// profile carries them at zero through `names::preregister`.
 const REQUIRED_METRICS: &[&str] = &[
     names::STAGE_E_SECONDS,
     names::STAGE_V_SECONDS,
@@ -686,8 +688,8 @@ const REQUIRED_METRICS: &[&str] = &[
     names::THEOREM_UPPER_BOUND,
     names::FULLY_SPLIT,
     names::VFILTER_GALLERY_HIT_RATIO,
-    names::MAPREDUCE_MAP_ATTEMPTS,
-    names::MAPREDUCE_FAILED_ATTEMPTS,
+    names::DAG_TASKS_TOTAL,
+    names::DAG_TASK_RETRIES,
 ];
 
 /// `check-metrics --smoke`: runs an in-process battery that touches
@@ -794,36 +796,35 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
         }
     }
 
-    // 2. MapReduce jobs (the parallel EDP baseline) with injected
-    //    failures on real threads: engine, retry and exec metrics.
+    // 2. The parallel EDP baseline (one stage-DAG submission, one
+    //    partition per EID) with injected failures on real threads:
+    //    scheduler, retry and exec metrics.
     {
-        use evmatch::matching::edp::{edp_engine, match_edp_parallel, EdpConfig};
+        use evmatch::matching::edp::{match_edp_parallel, EdpConfig};
         let tel = Telemetry::new(TelemetryLevel::Full);
-        let engine = edp_engine(ClusterConfig {
-            workers: 4,
-            reduce_partitions: 4,
+        let flaky = DagConfig {
             faults: FaultPlan {
                 task_failure_rate: 0.2,
                 max_attempts: 50,
                 seed: 11,
             },
-            ..ClusterConfig::default()
-        })
-        .with_telemetry(&tel);
+            ..DagConfig::new(4)
+        };
         match_edp_parallel(
-            &engine,
+            &flaky,
             &dataset.estore,
             &dataset.video,
             &targets,
             &EdpConfig::default(),
+            &tel,
         )
-        .map_err(|e| format!("smoke mapreduce run: {e}"))?;
-        let failed = tel
+        .map_err(|e| format!("smoke parallel EDP run: {e}"))?;
+        let retries = tel
             .registry()
-            .counter_value(names::MAPREDUCE_FAILED_ATTEMPTS)
+            .counter_value(names::DAG_TASK_RETRIES)
             .unwrap_or(0);
-        if failed == 0 {
-            return Err("flaky smoke jobs recorded no failed attempts".into());
+        if retries == 0 {
+            return Err("flaky smoke EDP job recorded no task retries".into());
         }
         absorb_into(&mut seen, &tel);
     }

@@ -21,7 +21,7 @@
 //! | [`store`] | `ev-store` | scenario database and lazy video store |
 //! | [`disk`] | `ev-disk` | persistent segmented corpus with crash-safe append |
 //! | [`exec`] | `ev-exec` | zero-dependency work-stealing thread-pool executor |
-//! | [`mapreduce`] | `ev-mapreduce` | the from-scratch MapReduce engine |
+//! | [`mapreduce`] | `ev-mapreduce` | the stage-DAG scheduler (`DagSpec`), fault plans, job errors |
 //! | [`matching`] | `ev-matching` | set splitting, VID filtering, EDP, Algorithm 3 |
 //! | [`datagen`] | `ev-datagen` | end-to-end synthetic dataset generation |
 //! | [`fusion`] | `ev-fusion` | fused E+V queries over matched identities |
@@ -74,7 +74,6 @@ pub mod prelude {
     pub use ev_datagen::{sample_targets, score_report, DatasetConfig, EvDataset};
     pub use ev_disk::{DiskBackend, DiskStore, RecoveryMode};
     pub use ev_fusion::FusedIndex;
-    pub use ev_mapreduce::ClusterConfig;
     pub use ev_matching::matcher::ExecutionMode;
     pub use ev_matching::refine::SplitMode;
     pub use ev_matching::{

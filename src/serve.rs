@@ -412,7 +412,7 @@ impl<'t> LiveCorpus<'t> {
 
     /// Answers a match query for `targets` on the current applied
     /// snapshot, routed through the full [`EvMatcher`] pipeline
-    /// (sequential, MapReduce, or the stage DAG per
+    /// (sequential or the stage DAG, per
     /// [`ServeConfig::matcher`]). The answer is stamped with the epoch
     /// it reflects and the number of staged (invisible) events.
     ///

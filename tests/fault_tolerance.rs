@@ -1,11 +1,11 @@
 //! Fault-injection integration: the matching pipelines must survive task
 //! failures with identical results, and report an exhausted retry
-//! budget as `TaskExhausted` — through the stage DAG and through the
-//! MapReduce engine alike.
+//! budget as `TaskExhausted` — Algorithm 3 and the parallel EDP
+//! baseline alike.
 
-use evmatch::mapreduce::{ClusterConfig, DagConfig, FaultPlan, JobError};
+use evmatch::mapreduce::{DagConfig, FaultPlan, JobError};
 use evmatch::matching::dagflow::dag_match;
-use evmatch::matching::edp::{edp_engine, match_edp_parallel, EdpConfig};
+use evmatch::matching::edp::{match_edp_parallel, EdpConfig};
 use evmatch::matching::vfilter::VFilterConfig;
 use evmatch::prelude::*;
 
@@ -58,21 +58,19 @@ fn injected_failures_do_not_change_matching_results() {
 
 #[test]
 fn hopeless_cluster_reports_task_exhaustion() {
-    // The MapReduce engine (the parallel EDP baseline's jobs).
+    // The parallel EDP baseline's job.
     let d = dataset();
     let targets = sample_targets(&d, 10, 3);
-    let engine = edp_engine(ClusterConfig {
-        workers: 4,
-        reduce_partitions: 4,
-        faults: HOPELESS,
-        ..ClusterConfig::default()
-    });
     let result = match_edp_parallel(
-        &engine,
+        &DagConfig {
+            faults: HOPELESS,
+            ..DagConfig::new(4)
+        },
         &d.estore,
         &d.video,
         &targets,
         &EdpConfig::default(),
+        Telemetry::disabled(),
     );
     match result {
         Err(JobError::TaskExhausted { attempts: 2, .. }) => {}

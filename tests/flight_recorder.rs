@@ -3,28 +3,10 @@
 //! attempt to its job, stage and task — the artifact an operator reads
 //! when a run died and the process is already gone.
 
-use evmatch::mapreduce::{ClusterConfig, Emitter, FaultPlan, JobError, MapReduce, Mapper, Reducer};
+use evmatch::mapreduce::{DagConfig, DagSpec, FaultPlan, JobError};
 use evmatch::prelude::*;
+use evmatch::telemetry::TraceCtx;
 use serde_json::Value;
-
-/// Panics on one specific input line, succeeds on the rest.
-struct PanicOnMarker;
-impl Mapper<String> for PanicOnMarker {
-    type Key = String;
-    type Value = u64;
-    fn map(&self, line: &String, out: &mut Emitter<String, u64>) {
-        assert!(!line.contains("poison"), "injected mapper panic");
-        out.emit(line.clone(), 1);
-    }
-}
-
-struct Count;
-impl Reducer<String, u64> for Count {
-    type Output = (String, u64);
-    fn reduce(&self, key: &String, values: &[u64]) -> Vec<(String, u64)> {
-        vec![(key.clone(), values.len() as u64)]
-    }
-}
 
 /// Integer field of a parsed flight entry.
 fn int_field(entry: &Value, key: &str) -> Option<i128> {
@@ -51,20 +33,30 @@ fn worker_panic_dumps_an_attributable_flight_recording() {
     telemetry.flight().set_enabled(true);
     telemetry.set_flight_dir(Some(scratch.clone()));
 
-    // One poisoned split among healthy ones: the panic must be
+    // One poisoned partition among healthy ones: the panic must be
     // attributed to its exact task, not just "the job died".
     let mut lines: Vec<String> = (0..8).map(|i| format!("line{i}")).collect();
     lines.insert(5, "poison".to_string());
-    let engine = MapReduce::new(ClusterConfig {
-        split_size: 1,
-        faults: FaultPlan {
-            max_attempts: 2,
-            ..FaultPlan::default()
-        },
-        ..ClusterConfig::default()
-    })
-    .with_telemetry(&telemetry);
-    let err = engine.run(lines, &PanicOnMarker, &Count).unwrap_err();
+    let mut dag: DagSpec<'_, usize> = DagSpec::new();
+    let lines = &lines;
+    dag.stage("map", lines.len(), Vec::new(), move |task, _| {
+        let line = &lines[task.partition];
+        assert!(!line.contains("poison"), "injected mapper panic");
+        line.len()
+    });
+    let err = dag
+        .run(
+            &DagConfig {
+                faults: FaultPlan {
+                    max_attempts: 2,
+                    ..FaultPlan::default()
+                },
+                ..DagConfig::new(2)
+            },
+            &telemetry,
+            TraceCtx::root(),
+        )
+        .unwrap_err();
     assert!(
         matches!(err, JobError::WorkerPanicked { stage: "map", .. }),
         "expected WorkerPanicked, got {err:?}"

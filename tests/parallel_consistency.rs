@@ -1,11 +1,11 @@
 //! The parallel pipelines must compute the same thing as their
-//! sequential references, deterministically: the MapReduce EDP baseline
-//! at any cluster width, and the stage DAG (Algorithm 3) at any thread
-//! count, under injected worker loss and under cache pressure.
+//! sequential references, deterministically: the parallel EDP baseline
+//! and the stage DAG (Algorithm 3) at any thread count, under injected
+//! worker loss and under cache pressure.
 
-use evmatch::mapreduce::{ClusterConfig, DagConfig, FaultPlan};
+use evmatch::mapreduce::{DagConfig, FaultPlan};
 use evmatch::matching::dagflow::{dag_match, dag_split};
-use evmatch::matching::edp::{edp_engine, match_edp, match_edp_parallel, EdpConfig};
+use evmatch::matching::edp::{match_edp, match_edp_parallel, EdpConfig};
 use evmatch::matching::setsplit::{split_ideal, SetSplitConfig};
 use evmatch::matching::vfilter::VFilterConfig;
 use evmatch::prelude::*;
@@ -72,17 +72,19 @@ fn parallel_edp_equals_sequential_edp() {
 
     d.video.reset_usage();
     let sequential = match_edp(&d.estore, &d.video, &targets, &config);
-    d.video.reset_usage();
-    let engine = edp_engine(ClusterConfig {
-        workers: 4,
-        reduce_partitions: 4,
-        ..ClusterConfig::default()
-    });
-    let parallel = match_edp_parallel(&engine, &d.estore, &d.video, &targets, &config).unwrap();
-
-    assert_eq!(sequential.outcomes, parallel.outcomes);
-    assert_eq!(sequential.lists, parallel.lists);
-    assert_eq!(sequential.selected_scenarios, parallel.selected_scenarios);
+    for threads in [1, 2, 4] {
+        d.video.reset_usage();
+        let parallel = match_edp_parallel(
+            &DagConfig::new(threads),
+            &d.estore,
+            &d.video,
+            &targets,
+            &config,
+            Telemetry::disabled(),
+        )
+        .unwrap();
+        assert_same(&parallel, &sequential, &format!("threads={threads}"));
+    }
 }
 
 #[test]
