@@ -6,8 +6,9 @@
 //! discrete time model ([`time`]), the gridded surveillance region with
 //! vague-zone classification ([`region`]), appearance feature vectors and
 //! their distance metrics ([`feature`]), the EV-Scenario abstraction
-//! ([`scenario`]), and the partition-refinement data structure at the heart
-//! of EID set splitting ([`partition`]).
+//! ([`scenario`]), and the one partition-refinement data structure at the
+//! heart of EID set splitting ([`partition::EidCover`]: a partition in the
+//! ideal setting, an overlapping cover under vague zones).
 //!
 //! The types here are deliberately free of any algorithmic policy: the
 //! matching algorithms live in `ev-matching`, the synthetic substrates in

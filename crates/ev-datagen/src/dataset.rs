@@ -138,8 +138,8 @@ impl EvDataset {
 }
 
 /// A generated dataset is itself a corpus backend, so the
-/// backend-generic pipelines (`match_with_refinement_on`,
-/// `update_matches_on`) run directly against it.
+/// backend-generic entry point (`EvMatcher::from_backend`) runs
+/// directly against it.
 impl StoreBackend for EvDataset {
     fn estore(&self) -> &EScenarioStore {
         &self.estore

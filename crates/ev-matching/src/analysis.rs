@@ -24,7 +24,8 @@
 
 use crate::setsplit::SplitOutput;
 use ev_core::ids::Eid;
-use ev_core::partition::EidPartition;
+use ev_core::partition::EidCover;
+use ev_core::scenario::ZoneAttr;
 use ev_store::EScenarioStore;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -85,11 +86,10 @@ pub fn audit_split(
 
     // Replay: the recorded scenarios alone must rebuild the same
     // partition granularity.
-    let mut replay = EidPartition::new(targets.iter().copied());
+    let mut replay = EidCover::new(targets.iter().copied());
     for id in &out.recorded {
         if let Some(s) = store.get(*id) {
-            let c: BTreeSet<Eid> = s.eids().filter(|e| targets.contains(e)).collect();
-            replay.split_by(&c);
+            replay.split(s.eids().map(|e| (e, ZoneAttr::Inclusive)));
         }
     }
     let replay_consistent = replay.block_count() == out.partition.block_count();

@@ -57,7 +57,7 @@ use crate::setsplit::{attach_anchors, SplitOutput};
 use crate::types::{IndexCounters, MatchOutcome, MatchReport, ScenarioList, StageTimings};
 use crate::vfilter::{filter_one, VFilterConfig};
 use ev_core::ids::{Eid, Vid};
-use ev_core::partition::EidPartition;
+use ev_core::partition::EidCover;
 use ev_core::scenario::{ScenarioId, ZoneAttr};
 use ev_mapreduce::dag::{DagConfig, DagSpec, StageDep, StageId};
 use ev_mapreduce::JobError;
@@ -401,12 +401,12 @@ fn build_match_spec<'a>(
         move |_ctx, inputs| {
             let state = inputs[0].as_round();
             let mut lists = state.lists.clone();
-            attach_anchors(store, &mut lists, false);
+            attach_anchors(store, &mut lists, false, false);
             crate::setsplit::extend_lists(store, &mut lists, 3, split_seed, true, false);
             crate::setsplit::ensure_unique_against_universe(
                 store, &mut lists, split_seed, true, false,
             );
-            let partition = EidPartition::from_blocks(state.blocks.clone())
+            let partition = EidCover::from_blocks(state.blocks.clone())
                 .expect("merge output blocks are disjoint by construction");
             let split = SplitOutput {
                 recorded: state.recorded.clone(),
@@ -855,13 +855,13 @@ mod tests {
             }
             blocks = done.into_iter().chain(groups.into_values()).collect();
         }
-        attach_anchors(store, &mut lists, false);
+        attach_anchors(store, &mut lists, false, false);
         extend_lists(store, &mut lists, 3, seed, true, false);
         ensure_unique_against_universe(store, &mut lists, seed, true, false);
         SplitOutput {
             recorded,
             lists,
-            partition: EidPartition::from_blocks(blocks).unwrap(),
+            partition: EidCover::from_blocks(blocks).unwrap(),
             scenarios_examined: examined,
         }
     }

@@ -12,11 +12,12 @@
 //!    candidacy so incremental runs cannot steal an established
 //!    identity.
 //! 2. **Partition-level delta-updates** — [`IncrementalSplit`] keeps
-//!    the live state of a chronological Algorithm-1 run (the EID
-//!    partition, the recorded splitters, and the pre-padding scenario
-//!    lists) so that freshly ingested scenarios *refine the existing
-//!    blocks* instead of recomputing the whole split. This is the
-//!    engine behind the streaming `evmatch serve` mode.
+//!    the live state of a chronological Algorithm-1 run (the splitting
+//!    loop's own state — the EID cover, the recorded splitters, the
+//!    pre-padding scenario lists — plus the frontier it has walked to)
+//!    so that freshly ingested scenarios *refine the existing blocks*
+//!    instead of recomputing the whole split. This is the engine behind
+//!    the streaming `evmatch serve` mode.
 //!
 //! # The delta-update rule
 //!
@@ -28,10 +29,10 @@
 //! the scenarios a from-scratch run would examine form a *prefix-stable
 //! sequence*: appending a batch extends the sequence at the end and
 //! changes nothing before it. Since every per-scenario decision of
-//! Algorithm 1 depends only on the partition state accumulated so far
-//! and the scenario's own target intersection, replaying just the new
-//! suffix ([`IncrementalSplit::absorb`]) reproduces the from-scratch
-//! run exactly:
+//! Algorithm 1 depends only on the state accumulated so far and the
+//! scenario's own target intersection, feeding just the new suffix to
+//! the same step the batch loop runs ([`IncrementalSplit::absorb`])
+//! reproduces the from-scratch run exactly:
 //!
 //! ```text
 //! absorb(S₀); absorb(S₁ \ S₀); …; absorb(Sₙ \ Sₙ₋₁)
@@ -74,12 +75,11 @@
 //! ```
 
 use crate::refine::{match_with_refinement_excluding, RefineConfig};
-use crate::setsplit::{self, SelectionStrategy, SetSplitConfig, SplitOutput};
-use crate::types::{MatchOutcome, MatchReport, ScenarioList};
+use crate::setsplit::{SelectionStrategy, SetSplitConfig, SplitMode, SplitOutput, SplitState};
+use crate::types::{MatchOutcome, MatchReport};
 use ev_core::ids::{Eid, Vid};
-use ev_core::partition::EidPartition;
-use ev_core::scenario::ScenarioId;
-use ev_store::{EScenarioStore, StoreBackend, VideoStore};
+use ev_core::scenario::{EScenario, ScenarioId};
+use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{names, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -137,14 +137,12 @@ pub struct DeltaStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IncrementalSplit {
-    targets: BTreeSet<Eid>,
     config: SetSplitConfig,
-    partition: EidPartition,
-    recorded: Vec<ScenarioId>,
-    /// Pre-padding lists: recorded splitters containing each EID. The
-    /// padding passes run against the *current* store in [`Self::output`].
-    core_lists: BTreeMap<Eid, ScenarioList>,
-    examined: usize,
+    /// The splitting loop's state, lists pre-padding: the padding passes
+    /// run against the *current* store in [`Self::output`].
+    state: SplitState,
+    /// The largest scenario id examined so far; the next
+    /// [`absorb`](Self::absorb) resumes strictly after it.
     frontier: Option<ScenarioId>,
 }
 
@@ -165,12 +163,8 @@ impl IncrementalSplit {
             "incremental delta-updates require SelectionStrategy::Chronological"
         );
         IncrementalSplit {
-            targets: targets.clone(),
             config: *config,
-            partition: EidPartition::new(targets.iter().copied()),
-            recorded: Vec::new(),
-            core_lists: targets.iter().map(|&e| (e, Vec::new())).collect(),
-            examined: 0,
+            state: SplitState::new(targets, SplitMode::Ideal),
             frontier: None,
         }
     }
@@ -178,32 +172,13 @@ impl IncrementalSplit {
     /// Whether every target is alone in its block.
     #[must_use]
     pub fn is_fully_split(&self) -> bool {
-        self.partition.is_fully_split()
-    }
-
-    /// The current partition.
-    #[must_use]
-    pub fn partition(&self) -> &EidPartition {
-        &self.partition
-    }
-
-    /// Effective splitters recorded so far, in application order.
-    #[must_use]
-    pub fn recorded(&self) -> &[ScenarioId] {
-        &self.recorded
+        self.state.cover.is_fully_split()
     }
 
     /// Scenarios examined so far (effective or not).
     #[must_use]
     pub fn scenarios_examined(&self) -> usize {
-        self.examined
-    }
-
-    /// The largest scenario id examined so far; the next
-    /// [`absorb`](Self::absorb) resumes strictly after it.
-    #[must_use]
-    pub fn frontier(&self) -> Option<ScenarioId> {
-        self.frontier
+        self.state.examined
     }
 
     /// Replays Algorithm 1 over the scenarios of `store` beyond the
@@ -224,47 +199,27 @@ impl IncrementalSplit {
     /// examined/recorded/split counts to the `evm_incr_*` counters and
     /// updates the partition-blocks gauge.
     pub fn absorb_instrumented(&mut self, store: &EScenarioStore, tel: &Telemetry) -> DeltaStats {
-        let cap = self.config.max_scenarios.unwrap_or(usize::MAX);
-        let blocks_before = self.partition.block_count();
-        let recorded_before = self.recorded.len();
-        let mut absorbed = 0usize;
-
+        let (examined, recorded) = (self.state.examined, self.state.recorded.len());
+        let blocks_before = self.state.cover.block_count();
         // `store.iter()` / `iter_after` yield id order = the
         // chronological examination order of `split_ideal`.
-        let suffix: Box<dyn Iterator<Item = &ev_core::scenario::EScenario>> = match self.frontier {
+        let suffix: Box<dyn Iterator<Item = &EScenario>> = match self.frontier {
             Some(f) => Box::new(store.iter_after(f)),
             None => Box::new(store.iter()),
         };
         for scenario in suffix {
-            if self.partition.is_fully_split() || self.examined >= cap {
+            if self.state.done(&self.config) {
                 break;
             }
-            self.examined += 1;
-            absorbed += 1;
             self.frontier = Some(scenario.id());
-            let c: BTreeSet<Eid> = self
-                .targets
-                .iter()
-                .copied()
-                .filter(|&e| scenario.contains(e))
-                .collect();
-            if c.is_empty() {
-                store.index().note_scan_avoided();
-            } else {
-                setsplit::apply_candidate(
-                    scenario.id(),
-                    &c,
-                    &mut self.partition,
-                    &mut self.recorded,
-                    &mut self.core_lists,
-                );
-            }
+            self.state.examine(scenario);
         }
 
+        let blocks = self.state.cover.block_count();
         let stats = DeltaStats {
-            scenarios_absorbed: absorbed,
-            splitters_recorded: self.recorded.len() - recorded_before,
-            blocks_split: self.partition.block_count() - blocks_before,
+            scenarios_absorbed: self.state.examined - examined,
+            splitters_recorded: self.state.recorded.len() - recorded,
+            blocks_split: blocks - blocks_before,
         };
         if tel.counters_on() {
             let registry = tel.registry();
@@ -279,7 +234,7 @@ impl IncrementalSplit {
                 .add(stats.blocks_split as u64);
             registry
                 .gauge(names::INCR_PARTITION_BLOCKS)
-                .set(self.partition.block_count() as f64);
+                .set(blocks as f64);
         }
         stats
     }
@@ -290,17 +245,7 @@ impl IncrementalSplit {
     /// producing exactly what `split_ideal` over that store would.
     #[must_use]
     pub fn output(&self, store: &EScenarioStore) -> SplitOutput {
-        let mut lists = self.core_lists.clone();
-        setsplit::attach_anchors(store, &mut lists, false);
-        // Chronological runs pad with seed 0, matching `split_ideal`.
-        setsplit::extend_lists(store, &mut lists, self.config.min_list_len, 0, false, false);
-        setsplit::ensure_unique_against_universe(store, &mut lists, 0, false, false);
-        SplitOutput {
-            recorded: self.recorded.clone(),
-            lists,
-            partition: self.partition.clone(),
-            scenarios_examined: self.examined,
-        }
+        self.state.clone().into_output(store, &self.config, false)
     }
 }
 
@@ -315,9 +260,7 @@ pub struct IncrementalUpdate {
     pub rematched: BTreeSet<Eid>,
 }
 
-/// Updates a previous matching result against the (grown) corpus, read
-/// through any [`StoreBackend`] — in memory or a reopened `ev-disk`
-/// directory, as in a day-over-day ingest.
+/// Updates a previous matching result against the (grown) corpus.
 ///
 /// * Outcomes of `previous` that are still confident
 ///   ([`MatchOutcome::is_confident`] under the configured margin) are
@@ -325,23 +268,6 @@ pub struct IncrementalUpdate {
 /// * Everything else — ambiguous previous outcomes and the EIDs in
 ///   `new_eids` — runs through the full refinement pipeline on the
 ///   current stores, with the kept VIDs excluded from candidacy.
-#[must_use]
-pub fn update_matches_on<B: StoreBackend>(
-    previous: &MatchReport,
-    new_eids: &BTreeSet<Eid>,
-    backend: &B,
-    config: &RefineConfig,
-) -> IncrementalUpdate {
-    update_matches(
-        previous,
-        new_eids,
-        backend.estore(),
-        backend.video(),
-        config,
-    )
-}
-
-/// See [`update_matches_on`]; this is the concrete-store form.
 #[must_use]
 pub fn update_matches(
     previous: &MatchReport,

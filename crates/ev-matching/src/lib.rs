@@ -5,13 +5,16 @@
 //! footage), this crate matches each requested EID to the VID of the
 //! person carrying it:
 //!
-//! * [`setsplit`] — **EID set splitting** (paper Algorithm 1): refine a
-//!   partition of the requested EIDs with E-Scenarios until every EID is
-//!   alone in its block, recording the *effective* scenarios. Far fewer
-//!   V-Scenarios are touched than matching each EID separately, because
-//!   one scenario helps distinguish every EID it contains.
-//! * [`practical`] — the vague-zone variant for drifting EIDs
-//!   (paper §IV-C2, Theorem 4.3).
+//! * [`setsplit`] — **EID set splitting** (paper Algorithm 1 and its
+//!   vague-zone variant, one loop over one
+//!   [`EidCover`](ev_core::partition::EidCover)): refine a cover of the
+//!   requested EIDs with E-Scenarios until every EID is alone in a block,
+//!   recording the *effective* scenarios. Far fewer V-Scenarios are
+//!   touched than matching each EID separately, because one scenario
+//!   helps distinguish every EID it contains.
+//! * [`practical`] — the entry point of that loop for drifting EIDs
+//!   (paper §IV-C2, Theorem 4.3): vague members stay on both sides of a
+//!   split and lists use inclusive appearances only.
 //! * [`vfilter`] — **VID filtering**: in the V-Scenarios of an EID's
 //!   recorded list, score every VID by the probability product of
 //!   paper §IV-B2 and pick the majority winner, excluding already-matched
@@ -38,7 +41,9 @@
 //!   computing, and the [`MatchReport`] is byte-identical at every
 //!   thread count.
 //! * [`incremental`] — updates over a growing corpus: keep confident
-//!   matches, re-run only new or ambiguous EIDs.
+//!   matches, re-run only new or ambiguous EIDs; and feed appended
+//!   scenarios to the live state of a chronological split instead of
+//!   re-splitting.
 //! * [`matcher`] — the high-level [`EvMatcher`] API
 //!   with elastic matching sizes: single EID, a requested set, or the
 //!   universal dataset.

@@ -1,202 +1,55 @@
 //! EID set splitting for the practical setting with vague zones
-//! (paper §IV-C2, Theorem 4.3).
+//! (paper §IV-C2, Theorem 4.3) — the [`SplitMode::Practical`] entry point
+//! of the one splitting loop in [`setsplit`](crate::setsplit).
 //!
-//! Drifting EIDs are handled by the [`VagueCover`] structure: an EID
-//! observed in a scenario's vague zone is kept on both sides of the
-//! split. The scenario list attached to each EID only includes scenarios
-//! where the EID was observed *inclusively* — "we should try to avoid
-//! using EV-Scenarios with the target EID in the vague zone to
-//! distinguish that EID".
+//! Drifting EIDs are handled inside
+//! [`EidCover`](ev_core::partition::EidCover): an EID observed in a
+//! scenario's vague zone is kept on both sides of the split. The scenario
+//! list attached to each EID only includes scenarios where the EID was
+//! observed *inclusively* — "we should try to avoid using EV-Scenarios
+//! with the target EID in the vague zone to distinguish that EID".
+//! Distinguished EIDs are pruned from the cover as they emerge (the
+//! exclusion step of Theorem 4.1's proof), which lets vague duplicates
+//! collapse and later scenarios work on smaller blocks.
 //!
 //! This is the splitting semantics behind every noisy-data result:
 //! Tables I–II and the missing-rate robustness of Figs. 10–11 run it
-//! (via [`SplitMode::Practical`](crate::refine::SplitMode), the
-//! default), and the `ablate-vague` experiment sweeps the vague-zone
-//! width it depends on. Its scenario cost relative to the ideal
-//! Algorithm 1 is Theorem 4.4's wider bound
-//! ([`analysis`](crate::analysis)).
+//! (it is [`MatcherConfig`](crate::MatcherConfig)'s default), and the
+//! `ablate-vague` experiment sweeps the vague-zone width it depends on.
+//! Its scenario cost relative to the ideal Algorithm 1 is Theorem 4.4's
+//! wider bound ([`analysis`](crate::analysis)).
 
-use crate::setsplit::{SelectionStrategy, SetSplitConfig};
-use crate::types::ScenarioList;
+use crate::setsplit::{split, SetSplitConfig, SplitMode, SplitOutput};
 use ev_core::ids::Eid;
-use ev_core::partition::VagueCover;
-use ev_core::scenario::{EScenario, ScenarioId, ZoneAttr};
 use ev_store::EScenarioStore;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use ev_telemetry::Telemetry;
+use std::collections::BTreeSet;
 
-/// The result of practical EID set splitting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PracticalSplitOutput {
-    /// Effective scenarios, in recording order.
-    pub recorded: Vec<ScenarioId>,
-    /// Per-EID scenario lists (inclusive appearances in recorded
-    /// scenarios, plus an anchor when empty).
-    pub lists: BTreeMap<Eid, ScenarioList>,
-    /// The final cover.
-    pub cover: VagueCover,
-    /// Scenarios examined, effective or not.
-    pub scenarios_examined: usize,
-}
-
-impl PracticalSplitOutput {
-    /// Whether every requested EID was distinguished.
-    #[must_use]
-    pub fn fully_split(&self) -> bool {
-        self.cover.is_fully_split()
-    }
-
-    /// Every distinct scenario the V stage must process.
-    #[must_use]
-    pub fn selected(&self) -> BTreeSet<ScenarioId> {
-        let mut set: BTreeSet<ScenarioId> = self.recorded.iter().copied().collect();
-        for list in self.lists.values() {
-            set.extend(list.iter().copied());
-        }
-        set
-    }
-}
+/// The result of practical EID set splitting: the one [`SplitOutput`].
+pub type PracticalSplitOutput = SplitOutput;
 
 /// Runs practical-setting EID set splitting over `store` for `targets`.
-///
-/// Distinguished EIDs are pruned from the cover as they emerge (the
-/// exclusion step of Theorem 4.1's proof), which lets vague duplicates
-/// collapse and later scenarios work on smaller blocks.
 #[must_use]
 pub fn split_practical(
     store: &EScenarioStore,
     targets: &BTreeSet<Eid>,
     config: &SetSplitConfig,
-) -> PracticalSplitOutput {
-    let mut cover = VagueCover::new(targets.iter().copied());
-    let mut recorded: Vec<ScenarioId> = Vec::new();
-    let mut lists: BTreeMap<Eid, ScenarioList> = targets.iter().map(|&e| (e, Vec::new())).collect();
-    let mut examined = 0usize;
-    let mut pruned: BTreeSet<Eid> = BTreeSet::new();
-    let cap = config.max_scenarios.unwrap_or(usize::MAX);
-
-    let apply = |scenario: &EScenario,
-                 cover: &mut VagueCover,
-                 recorded: &mut Vec<ScenarioId>,
-                 lists: &mut BTreeMap<Eid, ScenarioList>,
-                 pruned: &mut BTreeSet<Eid>| {
-        // Restrict the scenario to the requested universe.
-        let mut restricted = EScenario::new(scenario.cell(), scenario.time());
-        for (eid, attr) in scenario.iter() {
-            if targets.contains(&eid) {
-                restricted.insert(eid, attr);
-            }
-        }
-        if restricted.is_empty() {
-            return;
-        }
-        if cover.split_by_scenario(&restricted).effective {
-            recorded.push(scenario.id());
-            for (eid, attr) in restricted.iter() {
-                if attr == ZoneAttr::Inclusive {
-                    if let Some(list) = lists.get_mut(&eid) {
-                        list.push(scenario.id());
-                    }
-                }
-            }
-            // Prune freshly distinguished EIDs so their vague copies stop
-            // cluttering other blocks.
-            for eid in cover.distinguished() {
-                if pruned.insert(eid) {
-                    cover.prune_distinguished(eid);
-                }
-            }
-        }
-    };
-
-    match config.strategy {
-        SelectionStrategy::Chronological | SelectionStrategy::GreedyBalanced => {
-            // Greedy gain has no clean analogue under vague semantics;
-            // fall back to chronological order for it.
-            for scenario in store.iter() {
-                if cover.is_fully_split() || examined >= cap {
-                    break;
-                }
-                examined += 1;
-                apply(scenario, &mut cover, &mut recorded, &mut lists, &mut pruned);
-            }
-        }
-        SelectionStrategy::RandomTime { seed } => {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut times: Vec<_> = store.times().collect();
-            times.shuffle(&mut rng);
-            'outer: for t in times {
-                for scenario in store.at_time(t) {
-                    if cover.is_fully_split() || examined >= cap {
-                        break 'outer;
-                    }
-                    examined += 1;
-                    apply(scenario, &mut cover, &mut recorded, &mut lists, &mut pruned);
-                }
-            }
-        }
-    }
-
-    // Anchor empty lists on any scenario with an inclusive appearance
-    // (vague appearances are not trustworthy footage pointers), falling
-    // back to a vague appearance if that is all there is.
-    let mut pending: BTreeSet<Eid> = lists
-        .iter()
-        .filter(|(_, l)| l.is_empty())
-        .map(|(&e, _)| e)
-        .collect();
-    if !pending.is_empty() {
-        let mut fallback: BTreeMap<Eid, ScenarioId> = BTreeMap::new();
-        for scenario in store.iter() {
-            if pending.is_empty() {
-                break;
-            }
-            let hits: Vec<(Eid, ZoneAttr)> = scenario
-                .iter()
-                .filter(|(e, _)| pending.contains(e))
-                .collect();
-            for (eid, attr) in hits {
-                if attr == ZoneAttr::Inclusive {
-                    pending.remove(&eid);
-                    if let Some(list) = lists.get_mut(&eid) {
-                        list.push(scenario.id());
-                    }
-                } else {
-                    fallback.entry(eid).or_insert_with(|| scenario.id());
-                }
-            }
-        }
-        for eid in pending {
-            if let Some(id) = fallback.get(&eid) {
-                if let Some(list) = lists.get_mut(&eid) {
-                    list.push(*id);
-                }
-            }
-        }
-    }
-
-    let seed = match config.strategy {
-        SelectionStrategy::RandomTime { seed } => seed,
-        _ => 0,
-    };
-    crate::setsplit::extend_lists(store, &mut lists, config.min_list_len, seed, true, false);
-    crate::setsplit::ensure_unique_against_universe(store, &mut lists, seed, true, false);
-
-    PracticalSplitOutput {
-        recorded,
-        lists,
-        cover,
-        scenarios_examined: examined,
-    }
+) -> SplitOutput {
+    split(
+        store,
+        targets,
+        config,
+        SplitMode::Practical,
+        Telemetry::disabled(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::setsplit::SelectionStrategy;
     use ev_core::region::CellId;
+    use ev_core::scenario::{EScenario, ZoneAttr};
     use ev_core::time::Timestamp;
 
     fn scenario(cell: usize, time: u64, inclusive: &[u64], vague: &[u64]) -> EScenario {
@@ -257,7 +110,7 @@ mod tests {
             scenario(1, 2, &[2], &[]),
         ]);
         let out = split_practical(&store, &targets(0..3), &chrono());
-        assert!(out.fully_split(), "cover: {:?}", out.cover);
+        assert!(out.fully_split(), "cover: {:?}", out.partition);
     }
 
     #[test]
@@ -272,6 +125,28 @@ mod tests {
         // Anchors fall back to vague appearances when nothing better
         // exists.
         assert_eq!(out.lists[&Eid::from_u64(0)].len(), 1);
+        assert_eq!(out.lists[&Eid::from_u64(0)][0].time, Timestamp::new(0));
+    }
+
+    #[test]
+    fn anchors_prefer_a_later_inclusive_appearance() {
+        // Nothing ever splits {0, 1}, so both lists come out empty and
+        // need an anchor. EID 0 is first seen vague, then inclusive: the
+        // later, trustworthy appearance is the anchor. EID 1 is inclusive
+        // from the start.
+        let store = EScenarioStore::from_scenarios(vec![
+            scenario(0, 0, &[1], &[0]),
+            scenario(1, 1, &[0, 1], &[]),
+        ]);
+        let out = split_practical(&store, &targets(0..2), &chrono());
+        assert!(out.recorded.is_empty());
+        let anchor = |e| out.lists[&Eid::from_u64(e)].as_slice();
+        assert_eq!(anchor(0).len(), 1);
+        assert_eq!(anchor(0)[0].time, Timestamp::new(1));
+        assert_eq!(anchor(1)[0].time, Timestamp::new(0));
+        // The ideal setting reads the vague appearance as an appearance.
+        let ideal = crate::setsplit::split_ideal(&store, &targets(0..2), &chrono());
+        assert_eq!(ideal.lists[&Eid::from_u64(0)][0].time, Timestamp::new(0));
     }
 
     #[test]

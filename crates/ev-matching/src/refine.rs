@@ -10,25 +10,16 @@
 //! and filter again, until everything is acceptable or the round budget
 //! is spent.
 
-use crate::practical::split_practical;
-use crate::setsplit::{split_ideal_instrumented, SelectionStrategy, SetSplitConfig};
+pub use crate::setsplit::SplitMode;
+use crate::setsplit::{split, SelectionStrategy, SetSplitConfig};
 use crate::types::{IndexCounters, MatchOutcome, MatchReport, ScenarioList};
 use crate::vfilter::{filter_one_instrumented, GalleryCache, VFilterConfig};
 use ev_core::ids::{Eid, Vid};
-use ev_store::{EScenarioStore, StoreBackend, VideoStore};
+use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{names, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
-
-/// Which splitting semantics a refinement run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SplitMode {
-    /// Ideal-setting partition refinement (Algorithm 1).
-    Ideal,
-    /// Practical-setting vague-zone cover refinement (§IV-C2).
-    Practical,
-}
 
 /// Configuration of the refinement loop.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,18 +55,6 @@ pub fn match_with_refinement(
     config: &RefineConfig,
 ) -> MatchReport {
     match_with_refinement_excluding(store, video, targets, config, &BTreeSet::new())
-}
-
-/// [`match_with_refinement`] over any [`StoreBackend`] — the corpus may
-/// live in memory or be a loaded `ev-disk` directory; the pipeline and
-/// its results are identical either way.
-#[must_use]
-pub fn match_with_refinement_on<B: StoreBackend>(
-    backend: &B,
-    targets: &BTreeSet<Eid>,
-    config: &RefineConfig,
-) -> MatchReport {
-    match_with_refinement(backend.estore(), backend.video(), targets, config)
 }
 
 /// Like [`match_with_refinement`], with VIDs that are already spoken for
@@ -135,26 +114,13 @@ pub fn match_with_refinement_instrumented(
         // --- E stage: rebuild scenario lists for the pending EIDs. ---
         let e_start = Instant::now();
         let split_cfg = reseeded(&config.split, rounds);
-        let mut lists: BTreeMap<Eid, ScenarioList> = match config.mode {
-            SplitMode::Ideal => {
-                let out = split_ideal_instrumented(store, &pending, &split_cfg, tel);
-                if rounds == 1 {
-                    first_round_recorded = out.recorded.len();
-                    first_round_fully_split = out.fully_split();
-                }
-                report.selected_scenarios.extend(out.selected());
-                out.lists
-            }
-            SplitMode::Practical => {
-                let out = split_practical(store, &pending, &split_cfg);
-                if rounds == 1 {
-                    first_round_recorded = out.recorded.len();
-                    first_round_fully_split = out.fully_split();
-                }
-                report.selected_scenarios.extend(out.selected());
-                out.lists
-            }
-        };
+        let out = split(store, &pending, &split_cfg, config.mode, tel);
+        if rounds == 1 {
+            first_round_recorded = out.recorded.len();
+            first_round_fully_split = out.fully_split();
+        }
+        report.selected_scenarios.extend(out.selected());
+        let mut lists: BTreeMap<Eid, ScenarioList> = out.lists;
         if rounds > 1 {
             // Refinement rounds work on few EIDs, where set splitting
             // degenerates (a small universe needs almost no splitters);
@@ -314,29 +280,6 @@ fn reseeded(base: &SetSplitConfig, round: u32) -> SetSplitConfig {
         },
         _ => *base,
     }
-}
-
-/// Convenience wrapper: a single pass (no refinement) in the given mode.
-#[must_use]
-pub fn match_once(
-    store: &EScenarioStore,
-    video: &VideoStore,
-    targets: &BTreeSet<Eid>,
-    mode: SplitMode,
-    split: &SetSplitConfig,
-    vfilter: &VFilterConfig,
-) -> MatchReport {
-    match_with_refinement(
-        store,
-        video,
-        targets,
-        &RefineConfig {
-            mode,
-            split: *split,
-            vfilter: *vfilter,
-            max_rounds: 1,
-        },
-    )
 }
 
 #[cfg(test)]

@@ -1,34 +1,47 @@
-//! EID set splitting for the ideal setting (paper Algorithm 1).
+//! EID set splitting (paper Algorithm 1 and its practical vague-zone
+//! variant, §IV-B1 and §IV-C2) — one splitting loop for both.
 //!
-//! Starting from the trivial partition `{Ueid}`, E-Scenarios are selected
-//! one batch at a time and applied as splitters
-//! ([`EidPartition::split_by`]); *effective* scenarios (those that change
-//! the partition) are recorded. The loop ends when every requested EID is
-//! alone in its block or the scenario pool is exhausted.
+//! Starting from the trivial cover `{Ueid}` ([`EidCover`]), E-Scenarios
+//! are examined one at a time in the order the [`SelectionStrategy`]
+//! gives and applied as splitters; *effective* scenarios (those that
+//! change the cover) are recorded, and the EIDs they distinguish are
+//! pruned from the blocks still holding a tentative copy. The loop ends
+//! when every requested EID is alone in a block, the scenario pool is
+//! exhausted or the examined-scenario cap is hit.
+//!
+//! The step, the scenario order and the output are shared by
+//! [`split_ideal`], [`split_practical`](crate::practical::split_practical),
+//! [`IncrementalSplit`](crate::incremental::IncrementalSplit) and the scan
+//! [`reference`](mod@reference); the [`SplitMode`] enters at two points.
+//! The **ideal** setting reads every member of a scenario as inclusive,
+//! whatever its zone attribute, so the cover stays a partition. The
+//! **practical** setting keeps vague members on both sides of a split and
+//! builds its lists, anchors and padding from inclusive appearances only —
+//! "we should try to avoid using EV-Scenarios with the target EID in the
+//! vague zone to distinguish that EID".
 //!
 //! The scenario list attached to each EID — the input to VID filtering —
 //! is the set of recorded scenarios that *contain* the EID. An EID whose
 //! blocks were always carved off by absence can end with an empty list;
-//! such EIDs get an *anchor* scenario (any scenario containing them) so
-//! the V stage has footage to look at.
+//! such EIDs get an *anchor* scenario (the first scenario containing them)
+//! so the V stage has footage to look at.
 //!
-//! # Index-backed hot path
+//! # Index-backed paths
 //!
-//! All strategies consume the store through its inverted index
-//! ([`ev_store::ScenarioIndex`]): the per-scenario target intersections
-//! are materialized once from the targets' posting lists, and the
-//! quadratic [`SelectionStrategy::GreedyBalanced`] re-scan is replaced by
-//! a lazy-greedy max-heap over cached split gains, invalidated only for
+//! Anchors and padding read the posting lists of the store's inverted
+//! index ([`ev_store::ScenarioIndex`]), and the quadratic
+//! [`SelectionStrategy::GreedyBalanced`] re-scan is replaced by a
+//! lazy-greedy max-heap over cached split gains, invalidated only for
 //! scenarios sharing an EID with a block the last splitter touched
 //! (gains are non-increasing under refinement, so stale heap entries are
 //! safe to recompute on pop). The selection sequence — and therefore the
-//! whole [`SplitOutput`] — is identical to the scan-based reference
-//! implementation kept in [`reference`](mod@reference).
+//! whole [`SplitOutput`] — is identical to the scan-based twin kept in
+//! [`reference`](mod@reference).
 
 use crate::types::ScenarioList;
 use ev_core::ids::Eid;
-use ev_core::partition::EidPartition;
-use ev_core::scenario::{EScenario, ScenarioId};
+use ev_core::partition::EidCover;
+use ev_core::scenario::{EScenario, ScenarioId, ZoneAttr};
 use ev_store::EScenarioStore;
 use ev_telemetry::{names, Telemetry};
 use rand::seq::SliceRandom;
@@ -37,6 +50,16 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+
+/// Which splitting semantics a run uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SplitMode {
+    /// Ideal-setting partition refinement (Algorithm 1): every member of
+    /// a scenario counts as inclusive.
+    Ideal,
+    /// Practical-setting vague-zone cover refinement (§IV-C2).
+    Practical,
+}
 
 /// How the splitting loop picks the next scenarios to try.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,9 +73,11 @@ pub enum SelectionStrategy {
     },
     /// Process scenarios in (time, cell) order.
     Chronological,
-    /// At every step scan the unused scenarios and apply the one with the
-    /// highest split gain (sum over blocks of `min(|A∩C|, |A\C|)`).
-    /// Quadratic — intended for the selection-order ablation only.
+    /// At every step apply the unused scenario with the highest split
+    /// gain (sum over blocks of `min(|A∩C|, |A\C|)`). Intended for the
+    /// selection-order ablation only. The gain has no clean analogue
+    /// under vague semantics, so under [`SplitMode::Practical`] this
+    /// falls back to [`Chronological`](Self::Chronological).
     GreedyBalanced,
 }
 
@@ -83,16 +108,19 @@ impl Default for SetSplitConfig {
     }
 }
 
-/// The result of EID set splitting.
+/// The result of EID set splitting, in either [`SplitMode`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SplitOutput {
     /// Effective scenarios, in the order they were recorded.
     pub recorded: Vec<ScenarioId>,
-    /// Per-EID scenario lists (recorded scenarios containing the EID,
-    /// plus an anchor when that set came out empty).
+    /// Per-EID scenario lists (recorded scenarios containing the EID —
+    /// inclusively, in the practical setting — plus an anchor when that
+    /// set came out empty, plus padding).
     pub lists: BTreeMap<Eid, ScenarioList>,
-    /// The final partition (fully split unless the pool ran dry).
-    pub partition: EidPartition,
+    /// The final cover (fully split unless the pool ran dry): a
+    /// partition in the ideal setting, possibly overlapping where vague
+    /// observations left tentative copies in the practical one.
+    pub partition: EidCover,
     /// Scenarios examined, effective or not.
     pub scenarios_examined: usize,
 }
@@ -117,50 +145,102 @@ impl SplitOutput {
     }
 }
 
-/// Applies one candidate intersection as a splitter, recording it and
-/// extending the member lists when it was effective. Shared with the
-/// streaming delta-update in [`crate::incremental`], which must refine
-/// blocks with byte-identical semantics.
-pub(crate) fn apply_candidate(
-    id: ScenarioId,
-    c: &BTreeSet<Eid>,
-    partition: &mut EidPartition,
-    recorded: &mut Vec<ScenarioId>,
-    lists: &mut BTreeMap<Eid, ScenarioList>,
-) {
-    if c.is_empty() {
-        return;
+/// The live state of a splitting run and its one step,
+/// [`examine`](Self::examine). The batch loop ([`split`]) and the
+/// streaming delta-update in [`crate::incremental`] both drive this, so
+/// they refine blocks with identical semantics by construction.
+#[derive(Debug, Clone)]
+pub(crate) struct SplitState {
+    mode: SplitMode,
+    pub(crate) cover: EidCover,
+    pub(crate) recorded: Vec<ScenarioId>,
+    /// Pre-padding lists: the recorded scenarios containing each EID.
+    lists: BTreeMap<Eid, ScenarioList>,
+    pub(crate) examined: usize,
+    /// EIDs whose tentative copies have been pruned already.
+    pruned: BTreeSet<Eid>,
+}
+
+impl SplitState {
+    pub(crate) fn new(targets: &BTreeSet<Eid>, mode: SplitMode) -> Self {
+        SplitState {
+            mode,
+            cover: EidCover::new(targets.iter().copied()),
+            recorded: Vec::new(),
+            lists: targets.iter().map(|&e| (e, Vec::new())).collect(),
+            examined: 0,
+            pruned: BTreeSet::new(),
+        }
     }
-    if partition.split_by(c).effective {
-        recorded.push(id);
-        for &eid in c {
-            if let Some(list) = lists.get_mut(&eid) {
-                list.push(id);
+
+    /// The loop's stop condition. Monotone: a fully split cover stays
+    /// fully split and the examined count only grows.
+    pub(crate) fn done(&self, config: &SetSplitConfig) -> bool {
+        self.cover.is_fully_split() || self.examined >= config.max_scenarios.unwrap_or(usize::MAX)
+    }
+
+    /// Examines one scenario: splits the cover by its members within the
+    /// universe and, when that was effective, records the scenario,
+    /// appends it to the lists of the members it holds inclusively and
+    /// prunes the EIDs distinguished *at that moment*, in EID order. An
+    /// EID that only becomes distinguished through those prunes waits for
+    /// the next effective split.
+    pub(crate) fn examine(&mut self, scenario: &EScenario) {
+        self.examined += 1;
+        let ideal = self.mode == SplitMode::Ideal;
+        let read = |attr| if ideal { ZoneAttr::Inclusive } else { attr };
+        let members = || scenario.iter().map(|(eid, attr)| (eid, read(attr)));
+        if !self.cover.split(members()).effective {
+            return;
+        }
+        self.recorded.push(scenario.id());
+        for (eid, attr) in members() {
+            if attr == ZoneAttr::Inclusive {
+                if let Some(list) = self.lists.get_mut(&eid) {
+                    list.push(scenario.id());
+                }
             }
         }
-    }
-}
-
-/// Materializes each scenario's intersection with the targets by merging
-/// the targets' posting lists — one pass over `O(Σ_target |postings|)`
-/// records, touching only scenarios that contain at least one target.
-pub(crate) fn candidate_intersections(
-    store: &EScenarioStore,
-    targets: &BTreeSet<Eid>,
-) -> BTreeMap<ScenarioId, BTreeSet<Eid>> {
-    let index = store.index();
-    let mut candidates: BTreeMap<ScenarioId, BTreeSet<Eid>> = BTreeMap::new();
-    for &eid in targets {
-        for &id in index.postings(eid) {
-            candidates.entry(id).or_default().insert(eid);
+        let fresh: Vec<Eid> = self
+            .cover
+            .distinguished()
+            .filter(|&eid| self.pruned.insert(eid))
+            .collect();
+        for eid in fresh {
+            self.cover.prune_distinguished(eid);
         }
     }
-    candidates
+
+    /// Runs the padding passes (anchors, minimum list length, uniqueness
+    /// against the EID universe) over `store` and hands the state out as
+    /// a [`SplitOutput`].
+    pub(crate) fn into_output(
+        self,
+        store: &EScenarioStore,
+        config: &SetSplitConfig,
+        scan: bool,
+    ) -> SplitOutput {
+        let inclusive_only = self.mode == SplitMode::Practical;
+        let min_len = config.min_list_len;
+        let seed = match config.strategy {
+            SelectionStrategy::RandomTime { seed } => seed,
+            _ => 0,
+        };
+        let mut lists = self.lists;
+        attach_anchors(store, &mut lists, inclusive_only, scan);
+        extend_lists(store, &mut lists, min_len, seed, inclusive_only, scan);
+        ensure_unique_against_universe(store, &mut lists, seed, inclusive_only, scan);
+        SplitOutput {
+            recorded: self.recorded,
+            lists,
+            partition: self.cover,
+            scenarios_examined: self.examined,
+        }
+    }
 }
 
-/// Runs ideal-setting EID set splitting over `store` for the requested
-/// `targets`, answering all membership questions from the store's
-/// inverted index. Produces output identical to
+/// Runs ideal-setting EID set splitting (Algorithm 1) over `store` for
+/// the requested `targets`. Produces output identical to
 /// [`reference::split_ideal_scan`].
 ///
 /// EIDs in `targets` that never appear in any scenario simply remain
@@ -172,124 +252,106 @@ pub fn split_ideal(
     targets: &BTreeSet<Eid>,
     config: &SetSplitConfig,
 ) -> SplitOutput {
-    split_ideal_instrumented(store, targets, config, Telemetry::disabled())
+    let tel = Telemetry::disabled();
+    split(store, targets, config, SplitMode::Ideal, tel)
 }
 
-/// [`split_ideal`] with telemetry: records scenarios examined, effective
-/// (recorded) scenarios, splitting rounds, final block count and — for
-/// the greedy strategy, where gains are already computed — a per-round
-/// splitter-gain histogram plus gain-cache invalidation counts. With a
-/// disabled handle this is exactly `split_ideal`.
+/// Runs EID set splitting over `store` for `targets` in the given
+/// [`SplitMode`], with telemetry: a `setsplit` span, the scenarios
+/// examined, the effective (recorded) scenarios and the final block
+/// count — the same names in both modes — and, for the greedy strategy,
+/// a histogram of the selected splitters' gains plus gain-cache
+/// invalidation counts. With a disabled handle this is exactly
+/// [`split_ideal`] / [`split_practical`](crate::practical::split_practical).
 #[must_use]
-pub fn split_ideal_instrumented(
+pub fn split(
     store: &EScenarioStore,
     targets: &BTreeSet<Eid>,
     config: &SetSplitConfig,
+    mode: SplitMode,
     tel: &Telemetry,
 ) -> SplitOutput {
-    let mut split_span = tel.span("setsplit", "stage");
-    let mut partition = EidPartition::new(targets.iter().copied());
-    let mut recorded: Vec<ScenarioId> = Vec::new();
-    let mut lists: BTreeMap<Eid, ScenarioList> = targets.iter().map(|&e| (e, Vec::new())).collect();
-    let mut examined = 0usize;
-    let mut rounds = 0u64;
-    let cap = config.max_scenarios.unwrap_or(usize::MAX);
-    let candidates = candidate_intersections(store, targets);
-    // Sequential strategies never compute split gains, so the gain
-    // histogram there is a profiling-only (full level) extra.
-    let full_gain_hist = tel
-        .tracing_on()
-        .then(|| tel.registry().histogram(names::SETSPLIT_SPLITTER_GAIN));
+    run(store, targets, config, mode, false, tel)
+}
 
-    match config.strategy {
-        SelectionStrategy::Chronological => {
-            for scenario in store.iter() {
-                if partition.is_fully_split() || examined >= cap {
-                    break;
-                }
-                examined += 1;
-                if let Some(c) = candidates.get(&scenario.id()) {
-                    rounds += 1;
-                    if let Some(hist) = &full_gain_hist {
-                        hist.record(split_gain(&partition, c));
-                    }
-                    apply_candidate(scenario.id(), c, &mut partition, &mut recorded, &mut lists);
-                } else {
-                    store.index().note_scan_avoided();
-                }
-            }
-        }
-        SelectionStrategy::RandomTime { seed } => {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut times: Vec<_> = store.times().collect();
-            times.shuffle(&mut rng);
-            'outer: for t in times {
-                for scenario in store.at_time(t) {
-                    if partition.is_fully_split() || examined >= cap {
-                        break 'outer;
-                    }
-                    examined += 1;
-                    if let Some(c) = candidates.get(&scenario.id()) {
-                        rounds += 1;
-                        if let Some(hist) = &full_gain_hist {
-                            hist.record(split_gain(&partition, c));
-                        }
-                        apply_candidate(
-                            scenario.id(),
-                            c,
-                            &mut partition,
-                            &mut recorded,
-                            &mut lists,
-                        );
-                    } else {
-                        store.index().note_scan_avoided();
-                    }
-                }
-            }
-        }
-        SelectionStrategy::GreedyBalanced => {
-            greedy_balanced_indexed(
-                store,
-                &candidates,
-                cap,
-                &mut partition,
-                &mut recorded,
-                &mut lists,
-                &mut examined,
-                tel,
-            );
-            rounds = examined as u64;
-        }
+/// The splitting loop, written once. `scan` selects the index-free twin
+/// of everything that has one (greedy selection, anchors, padding).
+fn run(
+    store: &EScenarioStore,
+    targets: &BTreeSet<Eid>,
+    config: &SetSplitConfig,
+    mode: SplitMode,
+    scan: bool,
+    tel: &Telemetry,
+) -> SplitOutput {
+    let mut span = tel.span("setsplit", "stage");
+    let mut state = SplitState::new(targets, mode);
+    let mut next = scenario_order(store, targets, config.strategy, &state, scan, tel);
+    while !state.done(config) {
+        let Some(scenario) = next(&state.cover) else {
+            break; // pool exhausted, or no scenario can improve the cover
+        };
+        state.examine(scenario);
     }
-
-    attach_anchors(store, &mut lists, false);
-    let seed = match config.strategy {
-        SelectionStrategy::RandomTime { seed } => seed,
-        _ => 0,
-    };
-    extend_lists(store, &mut lists, config.min_list_len, seed, false, false);
-    ensure_unique_against_universe(store, &mut lists, seed, false, false);
+    let out = state.into_output(store, config, scan);
+    let (examined, recorded) = (out.scenarios_examined, out.recorded.len());
     if tel.counters_on() {
         let registry = tel.registry();
-        registry
-            .counter(names::SETSPLIT_SCENARIOS_EXAMINED)
-            .add(examined as u64);
-        registry
-            .counter(names::SETSPLIT_RECORDED)
-            .add(recorded.len() as u64);
-        registry.counter(names::SETSPLIT_ROUNDS).add(rounds);
-        registry
-            .gauge(names::SETSPLIT_BLOCKS)
-            .set(partition.block_count() as f64);
+        let count = |name, n: usize| registry.counter(name).add(n as u64);
+        count(names::SETSPLIT_SCENARIOS_EXAMINED, examined);
+        count(names::SETSPLIT_RECORDED, recorded);
+        let blocks = out.partition.block_count();
+        registry.gauge(names::SETSPLIT_BLOCKS).set(blocks as f64);
     }
-    split_span.arg("examined", serde::Value::Int(examined as i128));
-    split_span.arg("recorded", serde::Value::Int(recorded.len() as i128));
-    drop(split_span);
-    SplitOutput {
-        recorded,
-        lists,
-        partition,
-        scenarios_examined: examined,
+    span.arg("examined", serde::Value::Int(examined as i128));
+    span.arg("recorded", serde::Value::Int(recorded as i128));
+    out
+}
+
+/// Picks the next scenario to examine given the cover as it stands.
+type NextScenario<'a> = Box<dyn FnMut(&EidCover) -> Option<&'a EScenario> + 'a>;
+
+/// The one place a [`SelectionStrategy`] becomes a scenario order.
+fn scenario_order<'a>(
+    store: &'a EScenarioStore,
+    targets: &'a BTreeSet<Eid>,
+    strategy: SelectionStrategy,
+    state: &SplitState,
+    scan: bool,
+    tel: &Telemetry,
+) -> NextScenario<'a> {
+    match (strategy, state.mode) {
+        (SelectionStrategy::RandomTime { seed }, _) => {
+            let mut times: Vec<_> = store.times().collect();
+            times.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
+            let mut walk = times.into_iter().flat_map(move |t| store.at_time(t));
+            Box::new(move |_| walk.next())
+        }
+        // The index-free twin of the heap: re-scan every unused scenario
+        // for the best gain, first one winning ties.
+        (SelectionStrategy::GreedyBalanced, SplitMode::Ideal) if scan => {
+            let mut used: BTreeSet<ScenarioId> = BTreeSet::new();
+            Box::new(move |cover| {
+                let mut best: Option<(u64, &EScenario)> = None;
+                for scenario in store.iter().filter(|s| !used.contains(&s.id())) {
+                    let c = scenario.eids().filter(|e| targets.contains(e)).collect();
+                    let gain = split_gain(cover, &c);
+                    if gain > 0 && best.is_none_or(|(g, _)| gain > g) {
+                        best = Some((gain, scenario));
+                    }
+                }
+                let (_, scenario) = best?;
+                used.insert(scenario.id());
+                Some(scenario)
+            })
+        }
+        (SelectionStrategy::GreedyBalanced, SplitMode::Ideal) => {
+            Box::new(greedy_heap(store, targets, &state.cover, tel))
+        }
+        (SelectionStrategy::Chronological | SelectionStrategy::GreedyBalanced, _) => {
+            let mut walk = store.iter();
+            Box::new(move |_| walk.next())
+        }
     }
 }
 
@@ -303,90 +365,91 @@ pub fn split_ideal_instrumented(
 /// true argmax — the same scenario the quadratic re-scan would pick,
 /// including its smallest-id tie-break. Scenarios whose gain reaches 0
 /// are dropped for good (it can never grow back).
-#[allow(clippy::too_many_arguments)]
-fn greedy_balanced_indexed(
-    store: &EScenarioStore,
-    candidates: &BTreeMap<ScenarioId, BTreeSet<Eid>>,
-    cap: usize,
-    partition: &mut EidPartition,
-    recorded: &mut Vec<ScenarioId>,
-    lists: &mut BTreeMap<Eid, ScenarioList>,
-    examined: &mut usize,
+fn greedy_heap<'a>(
+    store: &'a EScenarioStore,
+    targets: &BTreeSet<Eid>,
+    cover: &EidCover,
     tel: &Telemetry,
-) {
+) -> impl FnMut(&EidCover) -> Option<&'a EScenario> + 'a {
     let index = store.index();
-    let gain_hist = tel
-        .counters_on()
-        .then(|| tel.registry().histogram(names::SETSPLIT_SPLITTER_GAIN));
-    let mut invalidations = 0u64;
-    // (gain, Reverse(id)) orders the heap by gain descending, then id
-    // ascending — matching the scan's first-strictly-greater selection.
-    let mut heap: BinaryHeap<(u64, Reverse<ScenarioId>)> = BinaryHeap::new();
-    let mut gain_cache: BTreeMap<ScenarioId, u64> = BTreeMap::new();
-    let mut dirty: BTreeSet<ScenarioId> = BTreeSet::new();
-    for (&id, c) in candidates {
-        let gain = split_gain(partition, c);
-        if gain > 0 {
-            gain_cache.insert(id, gain);
-            heap.push((gain, Reverse(id)));
+    // Each scenario's intersection with the targets, materialized once
+    // by merging the targets' posting lists.
+    let mut candidates: BTreeMap<ScenarioId, BTreeSet<Eid>> = BTreeMap::new();
+    for &eid in targets {
+        for &id in index.postings(eid) {
+            candidates.entry(id).or_default().insert(eid);
         }
     }
+    let mut gain_cache: BTreeMap<ScenarioId, u64> = candidates
+        .iter()
+        .map(|(&id, c)| (id, split_gain(cover, c)))
+        .filter(|&(_, gain)| gain > 0)
+        .collect();
+    // (gain, Reverse(id)) orders the heap by gain descending, then id
+    // ascending — matching the scan's first-strictly-greater selection.
+    let mut heap: BinaryHeap<(u64, Reverse<ScenarioId>)> = gain_cache
+        .iter()
+        .map(|(&id, &g)| (g, Reverse(id)))
+        .collect();
+    let mut dirty: BTreeSet<ScenarioId> = BTreeSet::new();
+    let metrics = tel.counters_on().then(|| {
+        let gains = tel.registry().histogram(names::SETSPLIT_SPLITTER_GAIN);
+        let invalidations = tel
+            .registry()
+            .counter(names::SETSPLIT_GAIN_CACHE_INVALIDATIONS);
+        (gains, invalidations)
+    });
 
-    while !partition.is_fully_split() && *examined < cap {
+    move |cover| {
         // Lazily pop until a current, positive-gain entry surfaces.
-        let best = loop {
-            let Some((g, Reverse(id))) = heap.pop() else {
-                break None;
-            };
+        let (id, gain) = loop {
+            let (g, Reverse(id)) = heap.pop()?;
             let Some(&cached) = gain_cache.get(&id) else {
                 continue; // already used or dropped
             };
             if dirty.remove(&id) {
-                let gain = split_gain(partition, &candidates[&id]);
+                let gain = split_gain(cover, &candidates[&id]);
                 if gain == 0 {
                     gain_cache.remove(&id);
                 } else {
                     gain_cache.insert(id, gain);
                     heap.push((gain, Reverse(id)));
                 }
-                continue;
-            }
-            if g != cached {
-                continue; // stale duplicate; a fresher entry exists
-            }
-            break Some((id, g));
+            } else if g == cached {
+                break (id, g);
+            } // else a stale duplicate; a fresher entry exists
         };
-        let Some((id, gain)) = best else {
-            break; // no scenario can improve the partition
-        };
-        if let Some(hist) = &gain_hist {
-            hist.record(gain);
-        }
-        *examined += 1;
-        let c = &candidates[&id];
-        // EIDs of every block the splitter intersects: the only blocks —
-        // and therefore the only gains — this split can change.
-        let mut touched: BTreeSet<Eid> = BTreeSet::new();
-        for &eid in c {
-            if let Some(block) = partition.block_of(eid) {
-                touched.extend(block.iter().copied());
-            }
-        }
-        apply_candidate(id, c, partition, recorded, lists);
         gain_cache.remove(&id);
-        for &eid in &touched {
-            for &sid in index.postings(eid) {
-                if gain_cache.contains_key(&sid) && dirty.insert(sid) {
-                    invalidations += 1;
-                }
-            }
+        // EIDs of every block the splitter intersects: the only blocks —
+        // and therefore the only gains — its split can change.
+        let touched: BTreeSet<Eid> = candidates[&id]
+            .iter()
+            .flat_map(|&eid| cover.blocks_of(eid).flatten())
+            .map(|(eid, _)| eid)
+            .collect();
+        let stale = touched.iter().flat_map(|&eid| index.postings(eid));
+        let invalidated = stale
+            .filter(|&sid| gain_cache.contains_key(sid) && dirty.insert(*sid))
+            .count();
+        if let Some((gains, invalidations)) = &metrics {
+            gains.record(gain);
+            invalidations.add(invalidated as u64);
         }
+        store.get(id)
     }
-    if tel.counters_on() {
-        tel.registry()
-            .counter(names::SETSPLIT_GAIN_CACHE_INVALIDATIONS)
-            .add(invalidations);
-    }
+}
+
+/// Sum over blocks of `min(|A ∩ C|, |A \ C|)` — how much discriminating
+/// work the scenario would do.
+fn split_gain(cover: &EidCover, c: &BTreeSet<Eid>) -> u64 {
+    cover
+        .blocks()
+        .map(|block| {
+            let len = block.len();
+            let inside = block.filter(|(eid, _)| c.contains(eid)).count();
+            inside.min(len - inside) as u64
+        })
+        .sum()
 }
 
 /// Ensures each EID's list is *discriminating against the full EID
@@ -490,20 +553,6 @@ pub(crate) fn extend_lists(
     }
 }
 
-/// Sum over blocks of `min(|A ∩ C|, |A \ C|)` — how much discriminating
-/// work the scenario would do.
-fn split_gain(partition: &EidPartition, c: &BTreeSet<Eid>) -> u64 {
-    let mut gain = 0u64;
-    for block in partition.blocks() {
-        if block.len() < 2 {
-            continue;
-        }
-        let inside = block.intersection(c).count();
-        gain += inside.min(block.len() - inside) as u64;
-    }
-    gain
-}
-
 /// The scenarios containing `eid`, in store order, through either the
 /// inverted index (`scan = false`) or a full store scan (`scan = true`,
 /// for the [`reference`] paths). Both yield identical sequences; the
@@ -520,150 +569,61 @@ fn containing_scenarios<'a>(
     }
 }
 
-/// Gives every empty-listed EID one anchor scenario (the first scenario in
-/// store order containing it) so VID filtering has footage to inspect.
+/// Gives every empty-listed EID one anchor scenario so VID filtering has
+/// footage to inspect: the first scenario in store order containing it
+/// or, when `inclusive_only`, the first containing it *inclusively* (vague
+/// appearances are not trustworthy footage pointers), falling back to the
+/// first appearance if vague ones are all there is.
 ///
-/// The index path reads each EID's first posting directly (postings are
-/// in store order, so this is the same anchor the scan would find).
+/// Postings are in store order, so the index path finds the same anchors
+/// the scan does.
 pub(crate) fn attach_anchors(
     store: &EScenarioStore,
     lists: &mut BTreeMap<Eid, ScenarioList>,
+    inclusive_only: bool,
     scan: bool,
 ) {
-    let empties: Vec<Eid> = lists
-        .iter()
-        .filter(|(_, l)| l.is_empty())
-        .map(|(&e, _)| e)
-        .collect();
-    if empties.is_empty() {
-        return;
-    }
-    if !scan {
-        let index = store.index();
-        for eid in empties {
-            if let Some(&id) = index.postings(eid).first() {
-                if let Some(list) = lists.get_mut(&eid) {
-                    list.push(id);
-                }
-            }
-        }
-        return;
-    }
-    let mut pending: BTreeSet<Eid> = empties.into_iter().collect();
-    for scenario in store.iter() {
-        if pending.is_empty() {
-            break;
-        }
-        let found: Vec<Eid> = scenario.eids().filter(|e| pending.contains(e)).collect();
-        for eid in found {
-            pending.remove(&eid);
-            if let Some(list) = lists.get_mut(&eid) {
-                list.push(scenario.id());
-            }
-        }
+    for (&eid, list) in lists.iter_mut().filter(|(_, l)| l.is_empty()) {
+        let mut first = None;
+        let confident = containing_scenarios(store, eid, scan)
+            .inspect(|s| {
+                first.get_or_insert(s.id());
+            })
+            .find(|s| !inclusive_only || s.contains_inclusive(eid))
+            .map(EScenario::id);
+        list.extend(confident.or(first));
     }
 }
 
-/// Scan-based reference implementations, frozen from the pre-index code.
+/// The index-free twin of [`split_ideal`], for the equivalence tests.
 ///
-/// Every membership question here is answered by walking scenario
-/// membership maps, exactly as the original implementation did. The
-/// equivalence tests and the `index` benchmark compare these against the
-/// index-backed hot paths and require byte-identical [`SplitOutput`]s.
+/// It runs the same loop and the same [`EidCover`] step as the hot path —
+/// those are certified elsewhere, against the walk-every-block cover in
+/// `ev-core` and the signature-class property — and differs exactly where
+/// the hot path leans on the inverted index: every
+/// [`SelectionStrategy::GreedyBalanced`] step re-scans the whole store
+/// for the best gain instead of popping the lazy heap, and anchors and
+/// padding find the scenarios containing an EID with
+/// [`EScenarioStore::containing_scan`] instead of its posting list. The
+/// tests require byte-identical [`SplitOutput`]s.
 pub mod reference {
     use super::*;
 
-    /// The pre-index [`split_ideal`]: linear scans
-    /// for candidate intersections and a full re-scan per greedy step.
+    /// [`split_ideal`] without the inverted index.
     #[must_use]
     pub fn split_ideal_scan(
         store: &EScenarioStore,
         targets: &BTreeSet<Eid>,
         config: &SetSplitConfig,
     ) -> SplitOutput {
-        let mut partition = EidPartition::new(targets.iter().copied());
-        let mut recorded: Vec<ScenarioId> = Vec::new();
-        let mut lists: BTreeMap<Eid, ScenarioList> =
-            targets.iter().map(|&e| (e, Vec::new())).collect();
-        let mut examined = 0usize;
-        let cap = config.max_scenarios.unwrap_or(usize::MAX);
-
-        let apply = |scenario: &EScenario,
-                     partition: &mut EidPartition,
-                     recorded: &mut Vec<ScenarioId>,
-                     lists: &mut BTreeMap<Eid, ScenarioList>| {
-            let c: BTreeSet<Eid> = scenario.eids().filter(|e| targets.contains(e)).collect();
-            apply_candidate(scenario.id(), &c, partition, recorded, lists);
-        };
-
-        match config.strategy {
-            SelectionStrategy::Chronological => {
-                for scenario in store.iter() {
-                    if partition.is_fully_split() || examined >= cap {
-                        break;
-                    }
-                    examined += 1;
-                    apply(scenario, &mut partition, &mut recorded, &mut lists);
-                }
-            }
-            SelectionStrategy::RandomTime { seed } => {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let mut times: Vec<_> = store.times().collect();
-                times.shuffle(&mut rng);
-                'outer: for t in times {
-                    for scenario in store.at_time(t) {
-                        if partition.is_fully_split() || examined >= cap {
-                            break 'outer;
-                        }
-                        examined += 1;
-                        apply(scenario, &mut partition, &mut recorded, &mut lists);
-                    }
-                }
-            }
-            SelectionStrategy::GreedyBalanced => {
-                let mut used: BTreeSet<ScenarioId> = BTreeSet::new();
-                while !partition.is_fully_split() && examined < cap {
-                    // Find the unused scenario with the best split gain.
-                    let mut best: Option<(u64, ScenarioId)> = None;
-                    for scenario in store.iter() {
-                        if used.contains(&scenario.id()) {
-                            continue;
-                        }
-                        let c: BTreeSet<Eid> =
-                            scenario.eids().filter(|e| targets.contains(e)).collect();
-                        if c.is_empty() {
-                            continue;
-                        }
-                        let gain = split_gain(&partition, &c);
-                        if gain > 0 && best.is_none_or(|(g, _)| gain > g) {
-                            best = Some((gain, scenario.id()));
-                        }
-                    }
-                    let Some((_, id)) = best else {
-                        break; // no scenario can improve the partition
-                    };
-                    used.insert(id);
-                    examined += 1;
-                    if let Some(scenario) = store.get(id) {
-                        apply(scenario, &mut partition, &mut recorded, &mut lists);
-                    }
-                }
-            }
-        }
-
-        attach_anchors(store, &mut lists, true);
-        let seed = match config.strategy {
-            SelectionStrategy::RandomTime { seed } => seed,
-            _ => 0,
-        };
-        extend_lists(store, &mut lists, config.min_list_len, seed, false, true);
-        ensure_unique_against_universe(store, &mut lists, seed, false, true);
-        SplitOutput {
-            recorded,
-            lists,
-            partition,
-            scenarios_examined: examined,
-        }
+        run(
+            store,
+            targets,
+            config,
+            SplitMode::Ideal,
+            true,
+            Telemetry::disabled(),
+        )
     }
 }
 
@@ -671,7 +631,6 @@ pub mod reference {
 mod tests {
     use super::*;
     use ev_core::region::CellId;
-    use ev_core::scenario::ZoneAttr;
     use ev_core::time::Timestamp;
 
     fn scenario(cell: usize, time: u64, eids: &[u64]) -> EScenario {
@@ -863,7 +822,6 @@ mod tests {
 mod proptests {
     use super::*;
     use ev_core::region::CellId;
-    use ev_core::scenario::ZoneAttr;
     use ev_core::time::Timestamp;
     use proptest::prelude::*;
 
@@ -898,19 +856,12 @@ mod proptests {
             prop_assert!(out.recorded.len() < targets.len());
             prop_assert!(out.partition.check_invariants());
             // Recorded scenarios reproduce the partition from scratch.
-            let mut replay = ev_core::partition::EidPartition::new(
-                targets.iter().copied(),
-            );
+            let mut replay = EidCover::new(targets.iter().copied());
             for id in &out.recorded {
-                let c: BTreeSet<Eid> = store
-                    .get(*id)
-                    .unwrap()
-                    .eids()
-                    .filter(|e| targets.contains(e))
-                    .collect();
-                replay.split_by(&c);
+                let members = store.get(*id).unwrap().eids();
+                replay.split(members.map(|e| (e, ZoneAttr::Inclusive)));
             }
-            prop_assert_eq!(replay.block_count(), out.partition.block_count());
+            prop_assert_eq!(&replay, &out.partition);
         }
     }
 }

@@ -2,17 +2,32 @@
 //! registers through these constants so exported profiles from
 //! different runs and runners are directly comparable.
 
-/// Scenarios examined by the set splitter across all rounds.
+// The five set-splitting names mean the same thing in both split modes
+// and under every selection strategy; each names who reads it.
+
+/// E-Scenarios examined by set splitting, effective or not, summed over
+/// the run's refinement rounds (count). Written by the sequential
+/// splitting loop and by the stage DAG alike. Reader: `evmatch
+/// check-metrics --in` requires `examined >= recorded_total`.
 pub const SETSPLIT_SCENARIOS_EXAMINED: &str = "evm_setsplit_scenarios_examined";
-/// Scenarios recorded (selected as effective) by the set splitter.
+/// Effective E-Scenarios recorded by set splitting, summed over the
+/// run's refinement rounds (count). Reader: `evmatch check-metrics --in`
+/// requires it to cover `evm_recorded_scenarios`, the first round's
+/// share.
 pub const SETSPLIT_RECORDED: &str = "evm_setsplit_recorded_total";
-/// Greedy gain-cache entries invalidated by block splits.
+/// Cached split gains the `GreedyBalanced` heap marked stale because a
+/// split touched a block they share an EID with (count). Stays 0 under
+/// the other strategies and in practical mode, where greedy falls back
+/// to chronological. Reader: README, "Profiling a run".
 pub const SETSPLIT_GAIN_CACHE_INVALIDATIONS: &str = "evm_setsplit_gain_cache_invalidations";
-/// Splitting rounds executed (greedy candidate selections).
-pub const SETSPLIT_ROUNDS: &str = "evm_setsplit_rounds";
-/// Partition blocks after the final split round.
+/// Blocks of the EID cover after the latest sequential split round
+/// (count; at least the round's EID count once it fully split). The
+/// stage DAG does not write it. Reader: README, "Profiling a run".
 pub const SETSPLIT_BLOCKS: &str = "evm_setsplit_blocks";
-/// Histogram of per-round winning splitter gains.
+/// Histogram of the split gain (EIDs, `Σ min(|A∩C|, |A\C|)` over
+/// blocks) of each scenario `GreedyBalanced` selected. Empty under the
+/// other strategies and in practical mode. Reader: README, "Profiling a
+/// run".
 pub const SETSPLIT_SPLITTER_GAIN: &str = "evm_setsplit_splitter_gain";
 
 /// V-Scenario galleries served from the gallery cache.
@@ -159,13 +174,20 @@ pub const DAG_STAGES: &str = "evm_dag_stages";
 /// High-water mark of live cached partitions in the most recent DAG run.
 pub const DAG_CACHE_PEAK_PARTITIONS: &str = "evm_dag_cache_peak_partitions";
 
-/// Scenarios walked by the incremental Algorithm-1 delta-update.
+// The delta-updater is chronological and ideal-mode by construction
+// (`IncrementalSplit`), so these have one definition. Reader of all
+// four: README, "Running a live service".
+
+/// E-Scenarios examined by incremental delta-updates since the corpus
+/// was opened (count) — each stored scenario at most once, where a
+/// re-split per apply would re-examine the whole store.
 pub const INCR_SCENARIOS_ABSORBED: &str = "evm_incr_scenarios_absorbed_total";
-/// Effective splitters recorded by delta-updates (vs. full re-splits).
+/// Effective E-Scenarios recorded by delta-updates (count).
 pub const INCR_SPLITTERS_RECORDED: &str = "evm_incr_splitters_recorded_total";
-/// Partition blocks created by delta-update refinements.
+/// Blocks the watch-set partition gained through delta-updates (count).
 pub const INCR_BLOCKS_SPLIT: &str = "evm_incr_blocks_split_total";
-/// Partition blocks after the latest delta-update.
+/// Blocks of the watch-set partition after the latest delta-update
+/// (count; equals the watch-set size once it is fully split).
 pub const INCR_PARTITION_BLOCKS: &str = "evm_incr_partition_blocks";
 
 /// Every canonical counter name.
@@ -173,7 +195,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     SETSPLIT_SCENARIOS_EXAMINED,
     SETSPLIT_RECORDED,
     SETSPLIT_GAIN_CACHE_INVALIDATIONS,
-    SETSPLIT_ROUNDS,
     VFILTER_GALLERY_HITS,
     VFILTER_GALLERY_MISSES,
     VFILTER_CANDIDATES_SCORED,

@@ -58,7 +58,10 @@
 //! `check-metrics --in PATH` strictly parses an exported Prometheus
 //! profile and verifies the Theorem 4.2/4.4 invariant
 //! `log2(n) <= recorded <= n-1` whenever the run reported a fully split
-//! first round. `check-metrics --smoke` instead runs an in-process
+//! first round, plus the set-splitting consistency
+//! `examined >= recorded_total >= recorded` that holds in both split
+//! modes and under `--threads` (a profile whose splitter exported
+//! nothing fails it). `check-metrics --smoke` instead runs an in-process
 //! battery that exercises every subsystem **without** preregistering
 //! the metric schema, then fails if any canonical name in
 //! `ev_telemetry::names` was never emitted — the guard that keeps
@@ -681,7 +684,7 @@ fn write_telemetry(args: &CommonArgs, telemetry: &Telemetry) -> Result<(), Strin
 const REQUIRED_METRICS: &[&str] = &[
     names::STAGE_E_SECONDS,
     names::STAGE_V_SECONDS,
-    names::SETSPLIT_ROUNDS,
+    names::SETSPLIT_SCENARIOS_EXAMINED,
     names::SETSPLIT_RECORDED,
     names::RECORDED_SCENARIOS,
     names::THEOREM_LOWER_BOUND,
@@ -1076,6 +1079,21 @@ fn cmd_check_metrics(args: &CommonArgs) -> Result<(), String> {
         if exposition.value(name).is_none() {
             return Err(format!("{path}: required metric {name} is missing"));
         }
+    }
+    // The splitter's own counters must account for what the report says
+    // it recorded: every refinement round adds to the totals, the paper
+    // gauge holds the first round's share.
+    let value = |name| exposition.value(name).unwrap_or(0.0);
+    let (examined, recorded_total, first_round) = (
+        value(names::SETSPLIT_SCENARIOS_EXAMINED),
+        value(names::SETSPLIT_RECORDED),
+        value(names::RECORDED_SCENARIOS),
+    );
+    if recorded_total < first_round || examined < recorded_total {
+        return Err(format!(
+            "{path}: set-splitting counters are inconsistent: examined {examined} >= \
+             recorded_total {recorded_total} >= first-round recorded {first_round} does not hold"
+        ));
     }
     let fully_split = exposition.value(names::FULLY_SPLIT).unwrap_or(0.0);
     if fully_split == 1.0 {

@@ -268,16 +268,10 @@ impl<'t> LiveCorpus<'t> {
             staged_e: Vec::new(),
             staged_v: Vec::new(),
             epoch: 0,
-            incr: None,
+            incr,
             telemetry,
             config,
-        }
-        .with_incr(incr))
-    }
-
-    fn with_incr(mut self, incr: Option<IncrementalSplit>) -> Self {
-        self.incr = incr;
-        self
+        })
     }
 
     /// The applied epoch (bumped by every [`apply`](Self::apply)).

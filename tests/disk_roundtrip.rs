@@ -4,7 +4,7 @@
 //! after a crash mid-append is healed on reopen.
 
 use evmatch::disk::{DiskBackend, DiskStore};
-use evmatch::matching::refine::{match_with_refinement, match_with_refinement_on, RefineConfig};
+use evmatch::matching::refine::{match_with_refinement, RefineConfig};
 use evmatch::matching::MatchReport;
 use evmatch::prelude::*;
 use std::fs::OpenOptions;
@@ -62,7 +62,7 @@ fn persisted_corpus_matches_byte_identically_to_memory() {
     let targets = sample_targets(&d, 50, 1);
     let config = RefineConfig::default();
     let memory = match_with_refinement(&d.estore, &d.video, &targets, &config);
-    let disk = match_with_refinement_on(&backend, &targets, &config);
+    let disk = match_with_refinement(backend.estore(), backend.video(), &targets, &config);
     assert_same_report(&disk, &memory);
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -104,7 +104,7 @@ fn multi_chunk_v_segment_matches_byte_identically_to_memory() {
     let targets = sample_targets(&d, 50, 1);
     let config = RefineConfig::default();
     let memory = match_with_refinement(&d.estore, &d.video, &targets, &config);
-    let disk = match_with_refinement_on(&backend, &targets, &config);
+    let disk = match_with_refinement(backend.estore(), backend.video(), &targets, &config);
     assert_same_report(&disk, &memory);
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -159,7 +159,7 @@ fn crash_mid_append_recovers_to_a_byte_identical_report() {
     let targets = sample_targets(&day1, 40, 7);
     let config = RefineConfig::default();
     let memory = match_with_refinement(&estore, &video, &targets, &config);
-    let disk = match_with_refinement_on(&backend, &targets, &config);
+    let disk = match_with_refinement(backend.estore(), backend.video(), &targets, &config);
     assert_same_report(&disk, &memory);
 
     std::fs::remove_dir_all(&dir).expect("cleanup");

@@ -136,3 +136,47 @@ fn match_report_serializes() {
     assert_eq!(back.outcomes, report.outcomes);
     assert_eq!(back.selected_scenarios, report.selected_scenarios);
 }
+
+/// Pins what a match asserts — outcomes, lists, selected scenarios —
+/// across rewrites of the set-splitting layer, by the benchmark adapter's
+/// recipe (FNV-1a over the `Debug` rendering, which prints floats
+/// exactly). The constants come from a build of 687de3f, the commit
+/// before `EidCover`: a change here means a report changed, not that the
+/// pins need refreshing.
+#[test]
+fn report_digests_are_pinned_across_modes() {
+    let d = EvDataset::generate(&DatasetConfig {
+        population: 150,
+        duration: 200,
+        seed: 5,
+        ..DatasetConfig::paper()
+    })
+    .expect("valid config");
+    let targets = sample_targets(&d, 30, 5);
+    let digest = |mode, execution| {
+        let config = MatcherConfig {
+            mode,
+            execution,
+            ..MatcherConfig::default()
+        };
+        let matcher = EvMatcher::new(&d.estore, &d.video, config);
+        let r = matcher.match_many(&targets).unwrap();
+        let text = format!("{:?}{:?}{:?}", r.outcomes, r.lists, r.selected_scenarios);
+        text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    use ExecutionMode::{Dag, Sequential};
+    assert_eq!(
+        [
+            digest(SplitMode::Practical, Sequential),
+            digest(SplitMode::Ideal, Sequential),
+            digest(SplitMode::Practical, Dag(2)),
+        ],
+        [
+            0x35aa_0bdd_a18b_211f,
+            0x9fb1_0223_3bb3_696c,
+            0x0ab9_67a9_9a51_3001
+        ],
+    );
+}
