@@ -18,28 +18,25 @@
 //!
 //! # Lineage and recovery
 //!
-//! Produced partitions are cached as [`Arc`]s keyed by
-//! `(stage, partition)`. The cache is released along two policies:
+//! Produced partitions are cached as [`Arc`]s, one slot per task, and
+//! released by one policy: when the last consumer task of a partition
+//! completes and its stage is not [kept](DagSpec::keep), the slot is
+//! emptied (**natural release**). There is no capacity budget and no
+//! eviction, so a partition some unfinished task still reads is always
+//! cached.
 //!
-//! * **Natural release** — when the last consumer task of a partition
-//!   completes and its stage is not [kept](DagSpec::keep), the entry is
-//!   dropped.
-//! * **Capacity pressure** — with [`DagConfig::cache_capacity`] set,
-//!   inserting beyond the budget evicts the oldest entry that is not an
-//!   input of an in-flight task, even if consumers still need it.
-//!
-//! Because every stage records *how* its partitions are computed (its
-//! compute closure plus its declared dependencies — the partition's
-//! **lineage**), an evicted-but-needed partition is simply recomputed
-//! on demand, transitively if its own inputs are also gone. A worker
-//! panic loses exactly one in-flight partition; only that partition is
-//! rescheduled (its pinned inputs are untouched), and after
-//! [`FaultPlan::max_attempts`] consecutive losses the run aborts:
-//! [`JobError::TaskExhausted`] when the last loss was an injected
-//! fault, [`JobError::WorkerPanicked`] when it was a real panic.
+//! Every stage records *how* its partitions are computed (its compute
+//! closure plus its declared dependencies — the partition's
+//! **lineage**), which is what makes a lost attempt cheap: a worker
+//! panic loses exactly one in-flight partition, and only that partition
+//! is rescheduled, against inputs that are still cached because the
+//! lost attempt released nothing. After [`FaultPlan::max_attempts`]
+//! consecutive losses the run aborts: [`JobError::TaskExhausted`] when
+//! the last loss was an injected fault, [`JobError::WorkerPanicked`]
+//! when it was a real panic.
 //!
 //! Determinism: a partition's value is a pure function of its lineage,
-//! so recomputation (and any schedule interleaving) reproduces the same
+//! so a retry (and any schedule interleaving) reproduces the same
 //! bytes — the property the `ev-matching` DAG pipeline leans on for its
 //! thread-count-invariant `MatchReport`.
 //!
@@ -63,8 +60,7 @@
 use crate::{FaultPlan, JobError};
 use ev_telemetry::{names, MetricsRegistry, Telemetry, TraceCtx};
 use serde::Value;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::{Arc, Once};
 use std::time::Instant;
 
@@ -141,9 +137,8 @@ impl StageDep {
 }
 
 /// Identity of the task computing one partition, passed to the stage's
-/// compute closure. `attempt` distinguishes lineage recomputations and
-/// post-panic retries from first runs (tests use it to panic exactly
-/// once).
+/// compute closure. `attempt` distinguishes post-panic retries from
+/// first runs (tests use it to panic exactly once).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskCtx {
     /// The stage's name.
@@ -152,8 +147,7 @@ pub struct TaskCtx {
     pub stage_id: StageId,
     /// Partition index within the stage.
     pub partition: usize,
-    /// 0 for the first execution, +1 per rerun (panic retry or lineage
-    /// recompute).
+    /// 0 for the first execution, +1 per retry after a lost attempt.
     pub attempt: u32,
 }
 
@@ -169,16 +163,12 @@ struct Stage<'a, P> {
     keep: bool,
 }
 
-/// Scheduler configuration: thread count, cache budget and the
-/// fault-injection plan (which carries the retry budget).
+/// Scheduler configuration: thread count and the fault-injection plan
+/// (which carries the retry budget).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DagConfig {
     /// Worker threads for the single `ev-exec` session (min 1).
     pub threads: usize,
-    /// Soft cap on cached partitions; `None` keeps every partition
-    /// until its last consumer finishes. Pressure evictions may force
-    /// lineage recomputes.
-    pub cache_capacity: Option<usize>,
     /// Fault injection and retry budget: `task_failure_rate` draws
     /// become real in-worker panics (killing the attempt mid-stage),
     /// and a partition whose task is lost `max_attempts` times in a row
@@ -187,13 +177,12 @@ pub struct DagConfig {
 }
 
 impl DagConfig {
-    /// A healthy configuration with `threads` workers, the default
-    /// [`FaultPlan`] (no faults, 4 attempts) and an unbounded cache.
+    /// A healthy configuration with `threads` workers and the default
+    /// [`FaultPlan`] (no faults, 4 attempts).
     #[must_use]
     pub fn new(threads: usize) -> Self {
         DagConfig {
             threads,
-            cache_capacity: None,
             faults: FaultPlan::default(),
         }
     }
@@ -204,18 +193,10 @@ impl DagConfig {
 pub struct DagMetrics {
     /// Stages in the spec.
     pub stages: usize,
-    /// Task attempts submitted to the executor (first runs + retries +
-    /// recomputes), counted through the
-    /// [`ExecObserver::task_submitted`](ev_exec::ExecObserver::task_submitted)
-    /// hook.
+    /// Task attempts submitted to the executor (first runs + retries).
     pub tasks_submitted: u64,
     /// Attempts that panicked and were retried.
     pub retries: u64,
-    /// Previously-produced partitions recomputed from lineage after an
-    /// eviction.
-    pub recomputed_partitions: u64,
-    /// Cache entries dropped (natural releases + pressure evictions).
-    pub cache_evictions: u64,
     /// High-water mark of live cached partitions.
     pub cache_peak: u64,
 }
@@ -227,12 +208,6 @@ impl DagMetrics {
             .counter(names::DAG_TASKS_TOTAL)
             .add(self.tasks_submitted);
         registry.counter(names::DAG_TASK_RETRIES).add(self.retries);
-        registry
-            .counter(names::DAG_RECOMPUTED_PARTITIONS)
-            .add(self.recomputed_partitions);
-        registry
-            .counter(names::DAG_CACHE_EVICTIONS)
-            .add(self.cache_evictions);
         registry.gauge(names::DAG_STAGES).set(self.stages as f64);
         registry
             .gauge(names::DAG_CACHE_PEAK_PARTITIONS)
@@ -240,28 +215,14 @@ impl DagMetrics {
     }
 }
 
-/// Exports one `ev-exec` session's counters to the canonical
-/// `evm_exec_*` metrics: aggregate counters, the per-session worker
-/// count and queue-depth peak as gauges, and the per-worker executed
-/// task counts as observations of the `evm_exec_worker_tasks`
-/// histogram (its spread shows how evenly stealing balanced the load).
+/// Exports one `ev-exec` session's shape to the canonical `evm_exec_*`
+/// metrics: the worker count as a gauge and the per-worker executed
+/// task counts as observations of the `evm_exec_worker_tasks` histogram
+/// (its spread shows how evenly the shared queue fed the workers).
 fn record_exec_stats(registry: &MetricsRegistry, stats: &ev_exec::ExecStats) {
-    registry
-        .counter(names::EXEC_TASKS_EXECUTED)
-        .add(stats.tasks_executed);
-    registry
-        .counter(names::EXEC_TASKS_PANICKED)
-        .add(stats.tasks_panicked);
-    registry.counter(names::EXEC_STEAL_OPS).add(stats.steal_ops);
-    registry
-        .counter(names::EXEC_TASKS_STOLEN)
-        .add(stats.tasks_stolen);
     registry
         .gauge(names::EXEC_WORKERS)
         .set(stats.threads as f64);
-    registry
-        .gauge(names::EXEC_QUEUE_DEPTH_PEAK)
-        .set(stats.queue_depth_peak as f64);
     let histogram = registry.histogram(names::EXEC_WORKER_TASKS);
     for &count in &stats.per_worker_executed {
         histogram.record(count);
@@ -305,6 +266,32 @@ impl<P> Default for DagSpec<'_, P> {
 /// Key of one partition: `(stage index, partition index)`.
 type Part = (usize, usize);
 
+/// The static task graph of a spec: one task per partition, numbered in
+/// `(stage, partition)` order. [`DagSpec::run`] and
+/// [`DagSpec::virtual_makespan`] both schedule over it.
+struct TaskGraph {
+    /// Task index → `(stage, partition)`.
+    parts: Vec<Part>,
+    /// Stage index → task index of its partition 0.
+    offsets: Vec<usize>,
+    /// Per task, the distinct tasks whose partitions it reads.
+    inputs: Vec<Vec<usize>>,
+    /// Per task, the tasks that read its partition, in task order.
+    consumers: Vec<Vec<usize>>,
+}
+
+impl TaskGraph {
+    fn index(&self, (stage, partition): Part) -> usize {
+        self.offsets[stage] + partition
+    }
+
+    /// The schedulers' starting state: per task, how many distinct
+    /// inputs it waits for (it is ready at zero).
+    fn inputs_left(&self) -> Vec<usize> {
+        self.inputs.iter().map(Vec::len).collect()
+    }
+}
+
 impl<'a, P: Send + Sync> DagSpec<'a, P> {
     /// An empty spec.
     #[must_use]
@@ -335,9 +322,8 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
     }
 
     /// Marks a stage's partitions as run outputs: they are returned
-    /// from [`run`](DagSpec::run) and never evicted by the natural
-    /// release policy. Terminal stages (no consumers) are kept
-    /// implicitly.
+    /// from [`run`](DagSpec::run) and never released. Terminal stages
+    /// (no consumers) are kept implicitly.
     pub fn keep(&mut self, id: StageId) {
         self.stages[id.0].keep = true;
     }
@@ -416,6 +402,35 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
             .collect()
     }
 
+    /// Builds the static task graph.
+    fn task_graph(&self) -> TaskGraph {
+        let mut graph = TaskGraph {
+            parts: Vec::new(),
+            offsets: Vec::with_capacity(self.stages.len()),
+            inputs: Vec::new(),
+            consumers: Vec::new(),
+        };
+        for (s, stage) in self.stages.iter().enumerate() {
+            graph.offsets.push(graph.parts.len());
+            graph.parts.extend((0..stage.partitions).map(|p| (s, p)));
+        }
+        graph.consumers.resize(graph.parts.len(), Vec::new());
+        for (task, &(s, p)) in graph.parts.iter().enumerate() {
+            let mut distinct: Vec<usize> = self
+                .inputs_of(s, p)
+                .into_iter()
+                .map(|input| graph.index(input))
+                .collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            for &input in &distinct {
+                graph.consumers[input].push(task);
+            }
+            graph.inputs.push(distinct);
+        }
+        graph
+    }
+
     /// Executes the graph on `config.threads` workers and returns the
     /// kept stages' partitions. `parent_ctx` roots the run's trace
     /// tree; each stage gets a child span so the flight recorder and
@@ -458,23 +473,7 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
             }
         }
 
-        // Static consumer counts: how many tasks read each partition.
-        let mut consumers: HashMap<Part, usize> = HashMap::new();
-        let mut total_tasks = 0usize;
-        for (s, stage) in self.stages.iter().enumerate() {
-            total_tasks += stage.partitions;
-            for p in 0..stage.partitions {
-                for input in self.inputs_of(s, p) {
-                    *consumers.entry(input).or_insert(0) += 1;
-                }
-            }
-        }
-
-        let observer = DagObserver {
-            telemetry,
-            ctx: dag_ctx,
-            submitted: AtomicU64::new(0),
-        };
+        let graph = self.task_graph();
         let tel = telemetry;
         let faults = &config.faults;
         if faults.task_failure_rate > 0.0 {
@@ -484,7 +483,7 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
         // Worker side: unwrap the payload, optionally lose the attempt
         // to an injected panic, and run the partition's compute under a
         // per-attempt span.
-        let work = |_wctx: ev_exec::WorkerCtx, payload: Payload<P>| -> P {
+        let work = |payload: Payload<P>| -> P {
             let Payload {
                 stage,
                 partition,
@@ -493,7 +492,11 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
                 ctx,
             } = payload;
             let name = self.stages[stage].name;
-            let flight_start = tel.flight().enabled().then(Instant::now);
+            let flight_on = tel.flight().enabled();
+            let start = (flight_on || tel.counters_on()).then(Instant::now);
+            let _latency = start
+                .filter(|_| tel.counters_on())
+                .map(|start| LatencyTimer { tel, start });
             let mut span = tel.span_ctx(format!("{name}[{partition}]"), "task", ctx);
             span.arg("stage", Value::Str(name.to_string()));
             span.arg("partition", Value::Int(partition as i128));
@@ -514,7 +517,7 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
             );
             // Completed attempts go to the flight recorder too, so a
             // post-mortem dump shows the healthy work around a crash.
-            if let Some(start) = flight_start {
+            if let Some(start) = start.filter(|_| flight_on) {
                 tel.flight().span(
                     format!("{name}[{partition}]#{attempt}"),
                     ctx,
@@ -530,40 +533,30 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
         };
 
         let exec = ev_exec::Executor::new(config.threads);
-        let (driver_out, stats) = exec.session_observed(
-            work,
-            |handle| {
-                Driver {
-                    spec: self,
-                    config,
-                    tel,
-                    kept: &kept,
-                    stage_ctxs: &stage_ctxs,
-                    consumers,
-                    cache: HashMap::new(),
-                    insert_order: VecDeque::new(),
-                    produced: HashSet::new(),
-                    done: HashSet::new(),
-                    inflight: HashMap::new(),
-                    waiting: HashMap::new(),
-                    waiters_of: HashMap::new(),
-                    failures: HashMap::new(),
-                    attempts: HashMap::new(),
-                    metrics: DagMetrics {
-                        stages: self.stages.len(),
-                        ..DagMetrics::default()
-                    },
-                    total_tasks,
-                }
-                .run(handle)
-            },
-            &observer,
-        );
+        let (driver_out, stats) = exec.session(work, |handle| {
+            Driver {
+                spec: self,
+                graph: &graph,
+                config,
+                tel,
+                kept: &kept,
+                stage_ctxs: &stage_ctxs,
+                deps_left: graph.inputs_left(),
+                consumers_left: graph.consumers.iter().map(Vec::len).collect(),
+                cache: graph.parts.iter().map(|_| None).collect(),
+                live: 0,
+                failures: vec![0; graph.parts.len()],
+                metrics: DagMetrics {
+                    stages: self.stages.len(),
+                    ..DagMetrics::default()
+                },
+            }
+            .run(handle)
+        });
         if telemetry.counters_on() {
             record_exec_stats(telemetry.registry(), &stats);
         }
-        let mut run = driver_out?;
-        run.metrics.tasks_submitted = observer.submitted.load(Ordering::Relaxed);
+        let run = driver_out?;
         if telemetry.counters_on() {
             run.metrics.record_to(telemetry.registry());
         }
@@ -583,38 +576,25 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
     #[must_use]
     pub fn virtual_makespan(&self, workers: usize) -> u64 {
         let workers = workers.max(1);
-        // remaining producer tasks per task, in (stage, partition) key order.
-        let mut deps_left: BTreeMap<Part, usize> = BTreeMap::new();
-        let mut consumers_of: HashMap<Part, Vec<Part>> = HashMap::new();
-        for (s, stage) in self.stages.iter().enumerate() {
-            for p in 0..stage.partitions {
-                let inputs = self.inputs_of(s, p);
-                let distinct: HashSet<Part> = inputs.iter().copied().collect();
-                deps_left.insert((s, p), distinct.len());
-                for input in distinct {
-                    consumers_of.entry(input).or_default().push((s, p));
-                }
-            }
-        }
-        let mut ready: VecDeque<Part> = deps_left
-            .iter()
-            .filter(|&(_, &n)| n == 0)
-            .map(|(&t, _)| t)
+        let graph = self.task_graph();
+        let mut deps_left = graph.inputs_left();
+        let mut ready: VecDeque<usize> = (0..deps_left.len())
+            .filter(|&task| deps_left[task] == 0)
             .collect();
         // (finish time, seq, task) min-heap via Reverse.
-        let mut events: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize, Part)>> =
-            std::collections::BinaryHeap::new();
+        let mut events: BinaryHeap<std::cmp::Reverse<(u64, usize, usize)>> = BinaryHeap::new();
         let mut seq = 0usize;
         let mut free = workers;
         let mut now = 0u64;
         let mut remaining = deps_left.len();
         while remaining > 0 {
             while free > 0 {
-                let Some((s, p)) = ready.pop_front() else {
+                let Some(task) = ready.pop_front() else {
                     break;
                 };
                 free -= 1;
-                events.push(std::cmp::Reverse((now + self.stages[s].cost, seq, (s, p))));
+                let cost = self.stages[graph.parts[task].0].cost;
+                events.push(std::cmp::Reverse((now + cost, seq, task)));
                 seq += 1;
             }
             let Some(std::cmp::Reverse((at, _, task))) = events.pop() else {
@@ -623,10 +603,9 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
             now = at;
             free += 1;
             remaining -= 1;
-            for &consumer in consumers_of.get(&task).map_or(&[][..], Vec::as_slice) {
-                let left = deps_left.get_mut(&consumer).expect("consumer tracked");
-                *left -= 1;
-                if *left == 0 {
+            for &consumer in &graph.consumers[task] {
+                deps_left[consumer] -= 1;
+                if deps_left[consumer] == 0 {
                     ready.push_back(consumer);
                 }
             }
@@ -647,9 +626,8 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
     }
 }
 
-/// What travels to a worker: the task's identity plus its pinned input
-/// partitions (the Arcs keep inputs alive even if the cache evicts
-/// them mid-flight) and the per-attempt trace context.
+/// What travels to a worker: the task's identity, its input partitions
+/// and the per-attempt trace context.
 struct Payload<P> {
     stage: usize,
     partition: usize,
@@ -658,72 +636,42 @@ struct Payload<P> {
     ctx: TraceCtx,
 }
 
-/// The session observer bridging executor events into telemetry:
-/// steals become `task_stolen` trace instants and flight entries under
-/// the run's [`TraceCtx`], task durations feed the exact-latency
-/// reservoir behind the `evm_exec_task_latency_p*` gauges, and
-/// submissions are counted through the driver-side hook.
-struct DagObserver<'t> {
-    telemetry: &'t Telemetry,
-    ctx: TraceCtx,
-    submitted: AtomicU64,
+/// Feeds one attempt's wall time to the exact-latency reservoir behind
+/// the `evm_exec_task_latency_p*` gauges when dropped, so an attempt
+/// that unwinds is timed like one that returns.
+struct LatencyTimer<'t> {
+    tel: &'t Telemetry,
+    start: Instant,
 }
 
-impl ev_exec::ExecObserver for DagObserver<'_> {
-    fn wants_timing(&self) -> bool {
-        self.telemetry.counters_on()
-    }
-    fn steal(&self, thief: usize, victim: usize, moved: usize) {
-        let args = vec![
-            ("thief".to_string(), Value::Int(thief as i128)),
-            ("victim".to_string(), Value::Int(victim as i128)),
-            ("moved".to_string(), Value::Int(moved as i128)),
-        ];
-        self.telemetry
-            .event_ctx("task_stolen", self.ctx, args.clone());
-        self.telemetry
-            .flight()
-            .instant("task_stolen", self.ctx, args);
-    }
-    fn task_submitted(&self, _worker: usize, _task: ev_exec::TaskId) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-    }
-    fn task_finished(&self, _ctx: ev_exec::WorkerCtx, dur_ns: u64, _panicked: bool) {
-        if dur_ns > 0 {
-            self.telemetry.task_latency().record(dur_ns);
-        }
+impl Drop for LatencyTimer<'_> {
+    fn drop(&mut self) {
+        let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.tel.task_latency().record(ns);
     }
 }
 
-/// Driver-side scheduler state for one run.
+/// Driver-side scheduler state for one run: a list scheduler over the
+/// static [`TaskGraph`].
 struct Driver<'d, 'a, P> {
     spec: &'d DagSpec<'a, P>,
+    graph: &'d TaskGraph,
     config: &'d DagConfig,
     tel: &'d Telemetry,
     kept: &'d [bool],
     stage_ctxs: &'d [TraceCtx],
-    /// Remaining consumer tasks per partition (for natural release).
-    consumers: HashMap<Part, usize>,
-    cache: HashMap<Part, Arc<P>>,
-    /// Cache insertion order, for the pressure-eviction scan.
-    insert_order: VecDeque<Part>,
-    /// Ever produced successfully (distinguishes a lineage *re*compute
-    /// from a first computation).
-    produced: HashSet<Part>,
-    /// Completed and not currently being recomputed.
-    done: HashSet<Part>,
-    /// In-flight attempt number per task.
-    inflight: HashMap<Part, u32>,
-    /// task → inputs it still waits for.
-    waiting: HashMap<Part, HashSet<Part>>,
-    /// input → tasks waiting on it.
-    waiters_of: HashMap<Part, Vec<Part>>,
-    /// Consecutive panics per task.
-    failures: HashMap<Part, u32>,
-    /// Next attempt number per task (monotonic across recomputes).
-    attempts: HashMap<Part, u32>,
+    /// Distinct inputs each task still waits for; it launches at zero.
+    deps_left: Vec<usize>,
+    /// Unfinished consumer tasks per partition; at zero a partition of
+    /// a stage that is not kept is released.
+    consumers_left: Vec<usize>,
+    /// Produced and not yet released partitions, by task index.
+    cache: Vec<Option<Arc<P>>>,
+    /// Occupied `cache` slots.
+    live: u64,
+    /// Lost attempts per task, which is also its next attempt number.
+    failures: Vec<u32>,
     metrics: DagMetrics,
-    total_tasks: usize,
 }
 
 impl<P: Send + Sync> Driver<'_, '_, P> {
@@ -731,34 +679,26 @@ impl<P: Send + Sync> Driver<'_, '_, P> {
         mut self,
         handle: &ev_exec::SessionHandle<'_, Payload<P>, P>,
     ) -> Result<DagRun<P>, JobError> {
-        // Launch every dependency-free partition as one stage batch.
-        let mut first_done = 0usize;
-        let sources: Vec<Part> = self
-            .spec
-            .stages
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.deps.is_empty())
-            .flat_map(|(i, s)| (0..s.partitions).map(move |p| (i, p)))
-            .collect();
-        for (s, p) in sources {
-            self.launch((s, p), handle);
+        let graph = self.graph;
+        for task in 0..graph.parts.len() {
+            if self.deps_left[task] == 0 {
+                self.launch(task, handle);
+            }
         }
 
-        while first_done < self.total_tasks {
+        let mut remaining = graph.parts.len();
+        while remaining > 0 {
             let Some(completion) = handle.recv() else {
                 unreachable!("tasks remain but the session is drained");
             };
-            let task = decode(completion.task);
-            self.inflight.remove(&task);
+            let task = usize::try_from(completion.task).expect("task ids are task indices");
             match completion.result {
                 Err(panic) => {
                     let max_attempts = self.config.faults.max_attempts;
-                    let failures = self.failures.entry(task).or_insert(0);
-                    *failures += 1;
-                    let failures = *failures;
+                    self.failures[task] += 1;
+                    let failures = self.failures[task];
                     self.metrics.retries += u64::from(failures < max_attempts);
-                    let (s, p) = task;
+                    let (s, p) = graph.parts[task];
                     let stage = self.spec.stages[s].name;
                     let injected = panic.message.starts_with(INJECTED_FAULT);
                     let mut args = vec![
@@ -798,45 +738,27 @@ impl<P: Send + Sync> Driver<'_, '_, P> {
                         });
                     }
                     // Lineage recovery: only the lost partition is
-                    // rescheduled; its inputs are still pinned (or will
-                    // recompute on demand if pressure-evicted).
+                    // rescheduled. The lost attempt released nothing,
+                    // so its inputs are still cached.
                     self.launch(task, handle);
                 }
                 Ok(value) => {
-                    if self.done.contains(&task) {
-                        continue; // stale duplicate; nothing to do
-                    }
-                    self.failures.remove(&task);
-                    let newly_produced = self.produced.insert(task);
-                    first_done += usize::from(newly_produced);
-                    self.done.insert(task);
-                    self.insert(task, Arc::new(value));
-                    // A finished consumer releases its inputs.
-                    for input in self.spec.inputs_of(task.0, task.1) {
-                        let left = self.consumers.get_mut(&input).expect("input tracked");
-                        *left = left.saturating_sub(1);
-                        if *left == 0 && !self.kept[input.0] {
-                            self.evict(input);
+                    remaining -= 1;
+                    self.cache[task] = Some(Arc::new(value));
+                    self.live += 1;
+                    self.metrics.cache_peak = self.metrics.cache_peak.max(self.live);
+                    // A finished consumer releases the inputs it was
+                    // the last reader of.
+                    for &input in &graph.inputs[task] {
+                        self.consumers_left[input] -= 1;
+                        if self.consumers_left[input] == 0 && !self.kept[graph.parts[input].0] {
+                            self.cache[input] = None;
+                            self.live -= 1;
                         }
                     }
-                    // Wake tasks that were blocked on this partition.
-                    for waiter in self.waiters_of.remove(&task).unwrap_or_default() {
-                        if let Some(missing) = self.waiting.get_mut(&waiter) {
-                            missing.remove(&task);
-                            if missing.is_empty() {
-                                self.waiting.remove(&waiter);
-                                self.launch(waiter, handle);
-                            }
-                        }
-                    }
-                    // First completion unlocks first-time consumers.
-                    if newly_produced {
-                        let ready: Vec<Part> = self
-                            .consumers_of(task)
-                            .into_iter()
-                            .filter(|&c| self.ready_for_first_run(c))
-                            .collect();
-                        for consumer in ready {
+                    for &consumer in &graph.consumers[task] {
+                        self.deps_left[consumer] -= 1;
+                        if self.deps_left[consumer] == 0 {
                             self.launch(consumer, handle);
                         }
                     }
@@ -848,7 +770,7 @@ impl<P: Send + Sync> Driver<'_, '_, P> {
         for (s, stage) in self.spec.stages.iter().enumerate() {
             if self.kept[s] {
                 let parts: Vec<Arc<P>> = (0..stage.partitions)
-                    .map(|p| Arc::clone(self.cache.get(&(s, p)).expect("kept partition cached")))
+                    .map(|p| self.cached(graph.index((s, p)), "kept partition cached"))
                     .collect();
                 outputs.insert(StageId(s), parts);
             }
@@ -859,152 +781,34 @@ impl<P: Send + Sync> Driver<'_, '_, P> {
         })
     }
 
-    /// The consumer tasks reading any partition of `task`'s stage that
-    /// `task` produces — i.e. tasks whose input set contains `task`.
-    fn consumers_of(&self, task: Part) -> Vec<Part> {
-        let mut out = Vec::new();
-        for (c, stage) in self.spec.stages.iter().enumerate().skip(task.0 + 1) {
-            if !stage.deps.iter().any(|d| d.parent.0 == task.0) {
-                continue;
-            }
-            for p in 0..stage.partitions {
-                if self.spec.inputs_of(c, p).contains(&task) {
-                    out.push((c, p));
-                }
-            }
-        }
-        out
+    fn cached(&self, task: usize, invariant: &str) -> Arc<P> {
+        Arc::clone(self.cache[task].as_ref().expect(invariant))
     }
 
-    /// Is `task` eligible for its first run: never produced, not in
-    /// flight, and every input produced at least once?
-    fn ready_for_first_run(&self, task: Part) -> bool {
-        !self.produced.contains(&task)
-            && !self.inflight.contains_key(&task)
-            && !self.waiting.contains_key(&task)
-            && self
-                .spec
-                .inputs_of(task.0, task.1)
-                .iter()
-                .all(|i| self.produced.contains(i))
-    }
-
-    /// Tries to start `task`: gathers inputs from the cache, scheduling
-    /// lineage recomputes for any evicted ones (parking `task` until
-    /// they land), and submits the attempt.
-    fn launch(&mut self, task: Part, handle: &ev_exec::SessionHandle<'_, Payload<P>, P>) {
-        if self.inflight.contains_key(&task) || self.waiting.contains_key(&task) {
-            return;
-        }
-        let (s, p) = task;
-        let needed = self.spec.inputs_of(s, p);
-        let mut missing: HashSet<Part> = HashSet::new();
-        for &input in &needed {
-            if !self.cache.contains_key(&input) {
-                missing.insert(input);
-            }
-        }
-        if !missing.is_empty() {
-            for &input in &missing {
-                self.waiters_of.entry(input).or_default().push(task);
-                if !self.inflight.contains_key(&input) && !self.waiting.contains_key(&input) {
-                    // The input was produced and later evicted: this is
-                    // the lineage recompute path (transitive — its own
-                    // inputs may be gone too).
-                    if self.produced.contains(&input) {
-                        self.metrics.recomputed_partitions += 1;
-                        self.done.remove(&input);
-                        let args = vec![
-                            (
-                                "stage".to_string(),
-                                Value::Str(self.spec.stages[input.0].name.to_string()),
-                            ),
-                            ("partition".to_string(), Value::Int(input.1 as i128)),
-                        ];
-                        self.tel.event_ctx(
-                            "lineage_recompute",
-                            self.stage_ctxs[input.0],
-                            args.clone(),
-                        );
-                        self.tel.flight().instant(
-                            "lineage_recompute",
-                            self.stage_ctxs[input.0],
-                            args,
-                        );
-                    }
-                    self.launch(input, handle);
-                }
-            }
-            self.waiting.insert(task, missing);
-            return;
-        }
-        let inputs: Vec<Arc<P>> = needed
-            .iter()
-            .map(|i| Arc::clone(self.cache.get(i).expect("input present")))
+    /// Submits the next attempt of `task`. A first launch follows the
+    /// completion of its last producer and a relaunch follows a lost
+    /// attempt, which released nothing — either way every input is
+    /// cached.
+    fn launch(&mut self, task: usize, handle: &ev_exec::SessionHandle<'_, Payload<P>, P>) {
+        let (stage, partition) = self.graph.parts[task];
+        let inputs: Vec<Arc<P>> = self
+            .spec
+            .inputs_of(stage, partition)
+            .into_iter()
+            .map(|input| self.cached(self.graph.index(input), "input present"))
             .collect();
-        let attempt = *self
-            .attempts
-            .entry(task)
-            .and_modify(|a| *a += 1)
-            .or_insert(0);
-        self.inflight.insert(task, attempt);
+        self.metrics.tasks_submitted += 1;
         handle.submit(
-            encode(task),
+            task as ev_exec::TaskId,
             Payload {
-                stage: s,
-                partition: p,
-                attempt,
+                stage,
+                partition,
+                attempt: self.failures[task],
                 inputs,
-                ctx: self.stage_ctxs[s].child(),
+                ctx: self.stage_ctxs[stage].child(),
             },
         );
     }
-
-    /// Caches a produced partition, applying capacity pressure.
-    fn insert(&mut self, task: Part, value: Arc<P>) {
-        self.cache.insert(task, value);
-        self.insert_order.push_back(task);
-        self.metrics.cache_peak = self.metrics.cache_peak.max(self.cache.len() as u64);
-        if let Some(cap) = self.config.cache_capacity {
-            while self.cache.len() > cap {
-                // Oldest unpinned, non-kept entry goes first. Pinned =
-                // an input of an in-flight or parked task (eviction
-                // would only cause an immediate recompute).
-                let victim = self.insert_order.iter().copied().find(|&part| {
-                    self.cache.contains_key(&part) && !self.kept[part.0] && !self.pinned(part)
-                });
-                let Some(victim) = victim else {
-                    break; // everything live is needed right now; run over budget
-                };
-                self.evict(victim);
-            }
-        }
-    }
-
-    /// Is `part` an input of an in-flight or parked task? (In-flight
-    /// attempts also hold their own Arcs, but evicting their inputs
-    /// guarantees recompute churn on retry.)
-    fn pinned(&self, part: Part) -> bool {
-        self.inflight
-            .keys()
-            .chain(self.waiting.keys())
-            .any(|&(s, p)| self.spec.inputs_of(s, p).contains(&part))
-    }
-
-    fn evict(&mut self, part: Part) {
-        if self.cache.remove(&part).is_some() {
-            self.metrics.cache_evictions += 1;
-            self.insert_order.retain(|&q| q != part);
-        }
-    }
-}
-
-fn encode((stage, partition): Part) -> ev_exec::TaskId {
-    ((stage as u64) << 32) | partition as u64
-}
-
-fn decode(id: ev_exec::TaskId) -> Part {
-    ((id >> 32) as usize, (id & 0xffff_ffff) as usize)
 }
 
 #[cfg(test)]
@@ -1040,33 +844,15 @@ mod tests {
             assert_eq!(run.metrics.stages, 4);
             assert_eq!(run.metrics.tasks_submitted, 7, "threads={threads}");
             assert_eq!(run.metrics.retries, 0);
-            assert_eq!(run.metrics.recomputed_partitions, 0);
+            // Natural release: both `a` partitions are gone before `d`
+            // lands, in every completion order.
+            assert_eq!(run.metrics.cache_peak, 5, "threads={threads}");
         }
     }
 
     #[test]
-    fn capacity_pressure_forces_lineage_recompute() {
-        // Cache of 1 cannot hold a's two partitions until d reads b and c;
-        // something gets evicted and must be recomputed from lineage.
-        let (dag, d) = diamond();
-        let config = DagConfig {
-            cache_capacity: Some(1),
-            ..DagConfig::new(1)
-        };
-        let run = run_dag(&dag, &config);
-        assert_eq!(*run.outputs[&d][0], 330, "value survives recompute churn");
-        assert!(
-            run.metrics.recomputed_partitions > 0,
-            "capacity 1 must evict a needed partition at least once: {:?}",
-            run.metrics
-        );
-        assert!(run.metrics.cache_evictions > 0);
-        assert!(run.metrics.tasks_submitted > 7, "recomputes resubmit");
-    }
-
-    #[test]
     fn panic_retries_only_the_lost_partition() {
-        use std::sync::atomic::AtomicU64;
+        use std::sync::atomic::{AtomicU64, Ordering};
         let runs: Vec<AtomicU64> = (0..8).map(|_| AtomicU64::new(0)).collect();
         let mut dag: DagSpec<'_, u64> = DagSpec::new();
         let runs_ref = &runs;
@@ -1090,7 +876,6 @@ mod tests {
             .unwrap();
         assert_eq!(*run.outputs[&b][0], 6);
         assert_eq!(run.metrics.retries, 1);
-        assert_eq!(run.metrics.recomputed_partitions, 0, "inputs stayed cached");
         for (p, ran) in runs.iter().enumerate().take(4) {
             assert_eq!(ran.load(Ordering::Relaxed), 1, "partition a[{p}] ran once");
         }

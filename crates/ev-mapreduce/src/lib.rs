@@ -8,7 +8,7 @@
 //! exactly one job API and one scheduler, [`DagSpec`] and
 //! [`DagSpec::run`]: a graph of stages over numbered partitions, joined
 //! by [`DepKind::Narrow`] or [`DepKind::Shuffle`] edges and run on real
-//! `ev-exec` work-stealing threads, with a host-independent
+//! `ev-exec` threads, with a host-independent
 //! [`virtual_makespan`](DagSpec::virtual_makespan) model beside it.
 //! Algorithm 3 (`ev_matching::dagflow`) and the parallel EDP baseline
 //! (`ev_matching::edp::match_edp_parallel`, one partition per EID) are
@@ -16,8 +16,9 @@
 //!
 //! On top of the happy path the scheduler handles the failure mode a
 //! real cluster master must: a [`FaultPlan`] injects task failures as
-//! real in-worker panics, lost partitions are retried from lineage up
-//! to `max_attempts`, and exhaustion is typed
+//! real in-worker panics, a lost partition is retried from its lineage
+//! (its compute closure over inputs that are still cached) up to
+//! `max_attempts`, and exhaustion is typed
 //! ([`JobError::TaskExhausted`] for an injected fault,
 //! [`JobError::WorkerPanicked`] for a real panic). [`DagMetrics`]
 //! reports per-run counters.

@@ -1,8 +1,11 @@
 //! Property tests for the stage-DAG scheduler: for random DAG shapes
 //! and thread counts, the execution order must respect every declared
-//! dependency, and the outputs must not depend on the thread count.
+//! dependency, and the outputs must depend neither on the thread count
+//! nor on injected task loss.
 
-use ev_mapreduce::{DagConfig, DagSpec, DepKind, FaultPlan, JobError, StageDep, StageId};
+use ev_mapreduce::{
+    DagConfig, DagMetrics, DagSpec, DepKind, FaultPlan, JobError, StageDep, StageId,
+};
 use ev_telemetry::{Telemetry, TraceCtx};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -79,8 +82,8 @@ type StageOutputs = Vec<(usize, Vec<u64>)>;
 
 fn run_shape(
     stages: &[(usize, Vec<(usize, DepKind)>)],
-    threads: usize,
-) -> (StartLog, StageOutputs) {
+    config: &DagConfig,
+) -> (StartLog, StageOutputs, DagMetrics) {
     let log: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
     let mut dag: DagSpec<'_, u64> = DagSpec::new();
     for (partitions, edges) in stages {
@@ -102,19 +105,15 @@ fn run_shape(
         });
     }
     let run = dag
-        .run(
-            &DagConfig::new(threads),
-            Telemetry::disabled(),
-            TraceCtx::root(),
-        )
-        .expect("no faults injected");
+        .run(config, Telemetry::disabled(), TraceCtx::root())
+        .expect("the retry budget covers every injected loss");
     let outputs: Vec<(usize, Vec<u64>)> = run
         .outputs
         .iter()
         .map(|(id, parts)| (id.0, parts.iter().map(|p| **p).collect()))
         .collect();
     drop(dag);
-    (log.into_inner().unwrap(), outputs)
+    (log.into_inner().unwrap(), outputs, run.metrics)
 }
 
 proptest! {
@@ -126,7 +125,7 @@ proptest! {
         (shape, threads) in arb_shape(),
     ) {
         let stages = resolve(&shape);
-        let (order, _) = run_shape(&stages, threads);
+        let (order, _, _) = run_shape(&stages, &DagConfig::new(threads));
 
         let total: usize = stages.iter().map(|(p, _)| *p).sum();
         prop_assert_eq!(order.len(), total, "each task runs exactly once");
@@ -154,16 +153,31 @@ proptest! {
         }
     }
 
-    /// Kept/terminal outputs are a pure function of the DAG — the
-    /// thread count never changes them.
+    /// Kept/terminal outputs are a pure function of the DAG — neither
+    /// the thread count nor injected task loss changes them. A lost
+    /// attempt costs exactly one resubmission, and every relaunch finds
+    /// its inputs still cached (`launch` panics otherwise, which would
+    /// fail the run).
     #[test]
     fn outputs_do_not_depend_on_the_thread_count(
         (shape, threads) in arb_shape(),
+        flaky in any::<bool>(),
     ) {
         let stages = resolve(&shape);
-        let (_, reference) = run_shape(&stages, 1);
-        let (_, outputs) = run_shape(&stages, threads);
+        let (_, reference, _) = run_shape(&stages, &DagConfig::new(1));
+        let config = DagConfig {
+            faults: FaultPlan {
+                task_failure_rate: if flaky { 0.2 } else { 0.0 },
+                max_attempts: 40,
+                seed: threads as u64,
+            },
+            ..DagConfig::new(threads)
+        };
+        let (_, outputs, metrics) = run_shape(&stages, &config);
         prop_assert_eq!(outputs, reference);
+        let total: usize = stages.iter().map(|(p, _)| *p).sum();
+        prop_assert_eq!(metrics.tasks_submitted, total as u64 + metrics.retries);
+        prop_assert!(flaky || metrics.retries == 0, "a clean run retried");
     }
 }
 

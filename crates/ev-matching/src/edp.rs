@@ -199,8 +199,8 @@ pub fn match_edp_parallel(
         let list = efilter_one(store, eids[ctx.partition], edp);
         EdpPart::List(list, Instant::now())
     });
-    // The report reads the lists, and a kept partition is never
-    // recomputed, so its stamp is its one completion's.
+    // The report reads the lists. A partition completes exactly once,
+    // so its stamp is that completion's.
     dag.keep(efilter);
     // The video store deduplicates extraction of incidentally shared
     // scenarios.

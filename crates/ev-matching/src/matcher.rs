@@ -36,8 +36,8 @@ pub enum ExecutionMode {
     /// VID filtering as **one submission** to the lineage-tracking
     /// stage-DAG scheduler on this many threads (see [`crate::dagflow`]).
     /// Independent rounds overlap instead of barriering, and a worker
-    /// panic recomputes only the lost partitions. The report is
-    /// byte-identical at every thread count.
+    /// panic reruns only the lost partition, against inputs that are
+    /// still cached. The report is byte-identical at every thread count.
     Dag(usize),
 }
 

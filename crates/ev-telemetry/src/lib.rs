@@ -18,8 +18,8 @@
 //! # Span taxonomy
 //!
 //! Spans nest `pipeline → stage → round → task`, carried in the event
-//! `cat` field; ad-hoc markers (failed attempts, lineage recomputes,
-//! cache invalidations) are instant events under `event`.
+//! `cat` field; ad-hoc markers (failed attempts, cache invalidations)
+//! are instant events under `event`.
 
 mod counters;
 mod flight;

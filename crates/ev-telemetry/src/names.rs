@@ -59,20 +59,15 @@ pub const ANYTIME_CANDIDATES_PRUNED: &str = "evm_anytime_candidates_pruned";
 /// before its stop rule fired (0 = settled on cheap bounds alone).
 pub const ANYTIME_CONVERGENCE_ROUNDS: &str = "evm_anytime_convergence_rounds";
 
-/// Task attempts executed by `ev-exec` sessions (panicked ones included).
-pub const EXEC_TASKS_EXECUTED: &str = "evm_exec_tasks_executed";
-/// Task attempts isolated after panicking inside an `ev-exec` worker.
-pub const EXEC_TASKS_PANICKED: &str = "evm_exec_tasks_panicked";
-/// Successful steal operations inside `ev-exec` sessions.
-pub const EXEC_STEAL_OPS: &str = "evm_exec_steal_ops";
-/// Tasks moved between `ev-exec` worker deques by steals.
-pub const EXEC_TASKS_STOLEN: &str = "evm_exec_tasks_stolen";
-/// Worker threads of the most recent `ev-exec` session.
+// The executor family describes the one `ev-exec` session behind a
+// `--threads N` run (every worker pops one shared FIFO). Reader of
+// both: README, "Running on real threads".
+
+/// Worker threads of the most recent `ev-exec` session (count).
 pub const EXEC_WORKERS: &str = "evm_exec_workers";
-/// Deque-depth high-water mark of the most recent `ev-exec` session.
-pub const EXEC_QUEUE_DEPTH_PEAK: &str = "evm_exec_queue_depth_peak";
-/// Histogram of per-worker executed-task counts (one observation per
-/// worker per session) — its spread is the load-balance picture.
+/// Histogram of per-worker executed task attempts (count; one
+/// observation per worker per session) — its spread shows how evenly
+/// the shared queue fed the workers.
 pub const EXEC_WORKER_TASKS: &str = "evm_exec_worker_tasks";
 
 /// Posting lists fetched from the inverted scenario index.
@@ -115,11 +110,16 @@ pub const TRACE_DROPPED: &str = "evm_trace_dropped_total";
 /// Flight-recorder dumps written (worker panic, job-error exhaustion,
 /// or disk-corruption triggers).
 pub const FLIGHT_DUMPS: &str = "evm_flight_dumps_total";
-/// Exact median task-attempt latency (ns) from the bounded reservoir.
+/// Exact median wall time of a DAG task attempt (nanoseconds; panicked
+/// attempts included), from the bounded reservoir the scheduler's work
+/// closure feeds; published by `sync_derived_metrics`. Reader: `evmatch
+/// check-metrics --in` fails a profile that ran DAG tasks and exports 0.
 pub const EXEC_TASK_LATENCY_P50_NS: &str = "evm_exec_task_latency_p50_ns";
-/// Exact p90 task-attempt latency (ns) from the bounded reservoir.
+/// Exact p90 of the same reservoir (nanoseconds). Reader: README,
+/// "Watching a live run".
 pub const EXEC_TASK_LATENCY_P90_NS: &str = "evm_exec_task_latency_p90_ns";
-/// Exact p99 task-attempt latency (ns) from the bounded reservoir.
+/// Exact p99 of the same reservoir (nanoseconds). Reader: README,
+/// "Watching a live run".
 pub const EXEC_TASK_LATENCY_P99_NS: &str = "evm_exec_task_latency_p99_ns";
 
 /// Segment files committed by `ev-disk` appends.
@@ -158,20 +158,20 @@ pub const SERVE_EPOCH: &str = "evm_serve_epoch";
 /// Histogram of end-to-end serve query latency, nanoseconds.
 pub const SERVE_QUERY_LATENCY_NS: &str = "evm_serve_query_latency_ns";
 
-/// Task attempts submitted to a DAG scheduler session (first runs +
-/// panic retries + lineage recomputes).
+/// Task attempts the DAG scheduler submitted (count; first runs plus
+/// retries, so a clean run reports the spec's partition count). Reader:
+/// `evmatch check-metrics --in` (required; gates the latency gauges).
 pub const DAG_TASKS_TOTAL: &str = "evm_dag_tasks_total";
-/// DAG task attempts that panicked and were retried.
+/// DAG task attempts that were lost to a panic and retried (count).
+/// Reader: `evmatch check-metrics` (`--in` requires it, `--smoke` fails
+/// when injected faults leave it at 0).
 pub const DAG_TASK_RETRIES: &str = "evm_dag_task_retries_total";
-/// Previously-produced DAG partitions recomputed from lineage after a
-/// cache eviction.
-pub const DAG_RECOMPUTED_PARTITIONS: &str = "evm_dag_recomputed_partitions_total";
-/// DAG partition-cache entries dropped (natural releases after the last
-/// consumer plus capacity-pressure evictions).
-pub const DAG_CACHE_EVICTIONS: &str = "evm_dag_cache_evictions_total";
-/// Stages in the most recent DAG submission.
+/// Stages in the most recent DAG submission (count). Reader: README,
+/// "Running on real threads".
 pub const DAG_STAGES: &str = "evm_dag_stages";
-/// High-water mark of live cached partitions in the most recent DAG run.
+/// High-water mark of live cached partitions in the most recent DAG run
+/// (count) — against `evm_dag_tasks_total` it shows natural release at
+/// work. Reader: README, "Running on real threads".
 pub const DAG_CACHE_PEAK_PARTITIONS: &str = "evm_dag_cache_peak_partitions";
 
 // The delta-updater is chronological and ideal-mode by construction
@@ -202,10 +202,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     KERNEL_GALLERIES_REJECTED,
     ANYTIME_SCENARIOS_SKIPPED,
     ANYTIME_CANDIDATES_PRUNED,
-    EXEC_TASKS_EXECUTED,
-    EXEC_TASKS_PANICKED,
-    EXEC_STEAL_OPS,
-    EXEC_TASKS_STOLEN,
     INDEX_POSTINGS_PROBED,
     INDEX_CACHE_HITS,
     INDEX_SCANS_AVOIDED,
@@ -225,8 +221,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     SERVE_QUERIES,
     DAG_TASKS_TOTAL,
     DAG_TASK_RETRIES,
-    DAG_RECOMPUTED_PARTITIONS,
-    DAG_CACHE_EVICTIONS,
     INCR_SCENARIOS_ABSORBED,
     INCR_SPLITTERS_RECORDED,
     INCR_BLOCKS_SPLIT,
@@ -237,7 +231,6 @@ pub const ALL_GAUGES: &[&str] = &[
     SETSPLIT_BLOCKS,
     VFILTER_GALLERY_HIT_RATIO,
     EXEC_WORKERS,
-    EXEC_QUEUE_DEPTH_PEAK,
     EXEC_TASK_LATENCY_P50_NS,
     EXEC_TASK_LATENCY_P90_NS,
     EXEC_TASK_LATENCY_P99_NS,

@@ -1,5 +1,5 @@
 //! Chrome-trace round-trip: a job → stage → task → attempt span tree
-//! with steal and retry edges must survive export to JSON text and be
+//! with failure and retry edges must survive export to JSON text and be
 //! reconstructible from the parsed document alone — the exact contract
 //! `--trace-out` hands to `chrome://tracing` and to post-mortem scripts
 //! that join spans on `args.trace_id` / `args.span_id`.
@@ -42,9 +42,9 @@ fn span_tree_with_steal_and_retry_edges_survives_serialization() {
     let tracer = Tracer::default();
 
     // Record the tree the engine records: one job span over one stage
-    // span over two task attempts, with a steal edge on the first
-    // attempt and a retry edge (attempt 0 fails, attempt 1 succeeds)
-    // on the second task.
+    // span over three task attempts, with a failure edge carrying a
+    // payload on the first and a retry edge (attempt 0 fails, attempt 1
+    // succeeds) on the second task.
     let job = TraceCtx::root();
     let stage = job.child();
     let attempt_a = stage.child();
@@ -53,10 +53,10 @@ fn span_tree_with_steal_and_retry_edges_survives_serialization() {
 
     let t0 = Instant::now();
     tracer.instant_ctx(
-        "task_stolen",
+        "task_failed",
         "event",
         attempt_a,
-        vec![("thief".to_string(), Value::Int(2))],
+        vec![("failures".to_string(), Value::Int(2))],
     );
     tracer.complete_ctx("extract[0]#0", "task", t0, attempt_a, Vec::new());
     tracer.instant_ctx("retry_scheduled", "event", attempt_b0, Vec::new());
@@ -110,16 +110,20 @@ fn span_tree_with_steal_and_retry_edges_survives_serialization() {
         "each attempt gets its own span id",
     );
 
-    // Steal and retry instants survive as 'i' events attributed to the
-    // exact attempt they happened to, payload intact.
-    let steal = find(events, "task_stolen");
-    assert_eq!(str_field(steal, "ph"), Some("i"));
+    // Failure and retry instants survive as 'i' events attributed to
+    // the exact attempt they happened to, payload intact.
+    let failed = find(events, "task_failed");
+    assert_eq!(str_field(failed, "ph"), Some("i"));
     assert_eq!(
-        int_field(steal, "span_id"),
+        int_field(failed, "span_id"),
         int_field(find(events, "extract[0]#0"), "span_id"),
-        "steal edge must name the stolen attempt's span",
+        "failure edge must name the lost attempt's span",
     );
-    assert_eq!(int_field(steal, "thief"), Some(2), "instant args survive");
+    assert_eq!(
+        int_field(failed, "failures"),
+        Some(2),
+        "instant args survive"
+    );
     let retry = find(events, "retry_scheduled");
     assert_eq!(str_field(retry, "ph"), Some("i"));
     assert_eq!(

@@ -1,6 +1,7 @@
-//! Matching on an unreliable cluster: the scheduler retries injected
-//! task failures from lineage, and the matching results come out
-//! identical to a healthy run (paper §V-A: "task failure recovery [is]
+//! Matching on an unreliable cluster: the scheduler reruns each lost
+//! task attempt from its lineage (the same compute over inputs that are
+//! still cached), and the matching results come out identical to a
+//! healthy run (paper §V-A: "task failure recovery [is]
 //! managed by a master machine").
 //!
 //! The flaky run carries a full-level [`Telemetry`] handle, so after it
@@ -80,7 +81,7 @@ fn main() {
     let noisy = run("flaky", &flaky, &tel);
 
     // Replay the lost attempts, oldest first; each one below the retry
-    // budget was rescheduled from lineage.
+    // budget was resubmitted alone — no other partition reran.
     let timeline: Vec<TraceEvent> = tel
         .tracer()
         .events()

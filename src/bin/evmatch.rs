@@ -45,8 +45,8 @@
 //! parallel pipeline (Algorithm 3): the whole job — every splitting
 //! round plus VID filtering — is **one** stage DAG submitted to the
 //! lineage-tracking scheduler (`DESIGN.md` §11) on `N` real threads of
-//! the `ev-exec` work-stealing pool, so independent rounds overlap and
-//! a lost worker recomputes only its lost partitions. Its report is
+//! the `ev-exec` pool, so independent rounds overlap and a lost worker
+//! costs a rerun of only the partition it was computing. Its report is
 //! byte-identical for every `N`, so the value only changes wall time.
 //! `--universal` matches every EID present in the E-data instead of a
 //! sampled target set; with `--threads` the whole universal matching
@@ -668,6 +668,7 @@ where
 /// `--trace-out` paths.
 fn write_telemetry(args: &CommonArgs, telemetry: &Telemetry) -> Result<(), String> {
     if let Some(path) = &args.metrics_out {
+        telemetry.sync_derived_metrics();
         let text = prometheus::render(&telemetry.registry().snapshot());
         std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
     }
@@ -745,10 +746,8 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
         absorb_into(&mut seen, &tel);
     }
 
-    // 1b. Sequential run with the anytime scorer: only the sequential
-    //     refine loop routes telemetry into the bounded scorer, so the
-    //     anytime pruning counters must be exercised here, not in the
-    //     parallel runs below.
+    // 1b. Sequential run with the anytime scorer, the one step that
+    //     configures it: the anytime pruning counters.
     {
         let tel = Telemetry::new(TelemetryLevel::Full);
         let mut cfg = MatcherConfig {
@@ -992,11 +991,9 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             absorb_into(&mut seen, &tel);
         }
 
-        // 8. The stage-DAG pipeline under injected worker loss *and*
-        //    cache pressure, so every `evm_dag_*` metric carries a live
-        //    value: retries from the panics, recomputes + evictions
-        //    from the squeezed partition cache. The report must still
-        //    be byte-identical to an unfaulted run.
+        // 8. The stage-DAG pipeline under injected worker loss, so
+        //    every `evm_dag_*` metric carries a live value. The report
+        //    must still be byte-identical to an unfaulted run.
         {
             let tel = Telemetry::new(TelemetryLevel::Full);
             let healthy = dag_match(
@@ -1011,7 +1008,6 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             .map_err(|e| format!("smoke dag run: {e}"))?;
             let stressed = dag_match(
                 &DagConfig {
-                    cache_capacity: Some(2),
                     faults: FaultPlan {
                         task_failure_rate: 0.2,
                         max_attempts: 24,
@@ -1093,6 +1089,15 @@ fn cmd_check_metrics(args: &CommonArgs) -> Result<(), String> {
         return Err(format!(
             "{path}: set-splitting counters are inconsistent: examined {examined} >= \
              recorded_total {recorded_total} >= first-round recorded {first_round} does not hold"
+        ));
+    }
+    // A profile that ran DAG tasks timed them; a zero median means the
+    // export skipped `sync_derived_metrics`.
+    if value(names::DAG_TASKS_TOTAL) > 0.0 && value(names::EXEC_TASK_LATENCY_P50_NS) == 0.0 {
+        return Err(format!(
+            "{path}: {} tasks ran but {} is 0: derived metrics were not refreshed before export",
+            value(names::DAG_TASKS_TOTAL),
+            names::EXEC_TASK_LATENCY_P50_NS
         ));
     }
     let fully_split = exposition.value(names::FULLY_SPLIT).unwrap_or(0.0);

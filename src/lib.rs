@@ -20,7 +20,7 @@
 //! | [`vision`] | `ev-vision` | synthetic appearance, detection, re-id, costs |
 //! | [`store`] | `ev-store` | scenario database and lazy video store |
 //! | [`disk`] | `ev-disk` | persistent segmented corpus with crash-safe append |
-//! | [`exec`] | `ev-exec` | zero-dependency work-stealing thread-pool executor |
+//! | [`exec`] | `ev-exec` | zero-dependency FIFO thread-pool executor |
 //! | [`mapreduce`] | `ev-mapreduce` | the stage-DAG scheduler (`DagSpec`), fault plans, job errors |
 //! | [`matching`] | `ev-matching` | set splitting, VID filtering, EDP, Algorithm 3 |
 //! | [`datagen`] | `ev-datagen` | end-to-end synthetic dataset generation |

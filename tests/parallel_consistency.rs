@@ -1,7 +1,7 @@
 //! The parallel pipelines must compute the same thing as their
 //! sequential references, deterministically: the parallel EDP baseline
-//! and the stage DAG (Algorithm 3) at any thread count, under injected
-//! worker loss and under cache pressure.
+//! and the stage DAG (Algorithm 3) at any thread count and under
+//! injected worker loss.
 
 use evmatch::mapreduce::{DagConfig, FaultPlan};
 use evmatch::matching::dagflow::{dag_match, dag_split};
@@ -15,19 +15,6 @@ fn dataset() -> EvDataset {
     EvDataset::generate(&DatasetConfig {
         population: 120,
         duration: 250,
-        ..DatasetConfig::default()
-    })
-    .expect("valid config")
-}
-
-/// A short world for the lineage tests: under cache pressure an
-/// evicted round state is recomputed through the whole merge chain
-/// before it, and the cost explodes with the timestamp count (release
-/// build, capacity 2: 0.2 s at 80 timestamps, 5 s at 120, 137 s at 160).
-fn short_dataset() -> EvDataset {
-    EvDataset::generate(&DatasetConfig {
-        population: 60,
-        duration: 40,
         ..DatasetConfig::default()
     })
     .expect("valid config")
@@ -176,11 +163,11 @@ fn dag_report_is_byte_identical_across_thread_counts() {
 }
 
 /// Injected worker panics lose partitions mid-run; lineage must retry
-/// exactly the lost partitions (tasks = clean + retries + recomputes)
-/// and the final report must not change.
+/// exactly the lost partitions (tasks = clean + retries) and the final
+/// report must not change.
 #[test]
 fn worker_loss_recomputes_only_lost_partitions() {
-    let d = short_dataset();
+    let d = dataset();
     let targets = sample_targets(&d, 25, 8);
     let clean_tel = Telemetry::new(TelemetryLevel::Counters);
     let reference = run_dag(&d, &targets, &DagConfig::new(2), 7, &clean_tel);
@@ -212,39 +199,44 @@ fn worker_loss_recomputes_only_lost_partitions() {
     let registry = faulty_tel.registry();
     let tasks = registry.counter(names::DAG_TASKS_TOTAL).get();
     let retries = registry.counter(names::DAG_TASK_RETRIES).get();
-    let recomputed = registry.counter(names::DAG_RECOMPUTED_PARTITIONS).get();
     assert!(retries > 0, "a 25% failure rate must lose partitions");
     assert_eq!(
         tasks,
-        clean_tasks + retries + recomputed,
+        clean_tasks + retries,
         "only lost partitions reran — untouched partitions were not resubmitted"
     );
 }
 
-/// Cache pressure evicts partitions that later turn out to be needed;
-/// the scheduler must recompute them from lineage without changing the
-/// report.
+/// The V stage runs inside DAG tasks; its scorers must count into the
+/// run's telemetry exactly as the sequential refine loop's do, and the
+/// counts are part of the thread-count-invariant result.
 #[test]
-fn cache_pressure_recomputes_from_lineage_without_changing_the_report() {
-    let d = short_dataset();
-    let targets = sample_targets(&d, 25, 8);
-    let reference = run_dag(&d, &targets, &DagConfig::new(2), 7, Telemetry::disabled());
-    let tel = Telemetry::new(TelemetryLevel::Counters);
-    let squeezed = run_dag(
-        &d,
-        &targets,
-        &DagConfig {
-            cache_capacity: Some(2),
-            ..DagConfig::new(2)
-        },
-        7,
-        &tel,
-    );
-    assert_same(&squeezed, &reference, "under cache pressure");
-    assert!(
-        tel.registry().counter(names::DAG_CACHE_EVICTIONS).get() > 0,
-        "capacity 2 must force evictions"
-    );
+fn dag_v_stage_exports_its_counters_at_every_thread_count() {
+    let d = dataset();
+    let targets = sample_targets(&d, 25, 7);
+    let counters = |threads| {
+        d.video.reset_usage();
+        let tel = Telemetry::new(TelemetryLevel::Counters);
+        let config = MatcherConfig {
+            execution: ExecutionMode::Dag(threads),
+            ..MatcherConfig::default()
+        };
+        EvMatcher::new(&d.estore, &d.video, config)
+            .with_telemetry(&tel)
+            .match_many(&targets)
+            .unwrap();
+        let counter = |name| tel.registry().counter(name).get();
+        (
+            counter(names::VFILTER_CANDIDATES_SCORED),
+            counter(names::KERNEL_BLOCKS_BUILT),
+        )
+    };
+    let (scored, blocks) = counters(2);
+    assert!(scored > 0, "dag_score counted no candidates");
+    assert!(blocks > 0, "dag_score counted no feature blocks");
+    for threads in [1, 4] {
+        assert_eq!(counters(threads).0, scored, "threads={threads}");
+    }
 }
 
 #[test]
