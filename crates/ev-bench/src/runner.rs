@@ -79,6 +79,11 @@ pub fn run_ss(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -> RunSum
 }
 
 /// Runs sequential EDP over `targets`.
+///
+/// # Panics
+///
+/// Panics if footage fails to load — impossible for a generated,
+/// in-memory dataset.
 #[must_use]
 pub fn run_edp(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -> RunSummary {
     dataset.video.reset_usage();
@@ -86,7 +91,8 @@ pub fn run_edp(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -> RunSu
         seed,
         ..EdpConfig::default()
     };
-    let report = match_edp(&dataset.estore, &dataset.video, targets, &config);
+    let report = match_edp(&dataset.estore, &dataset.video, targets, &config)
+        .expect("generated footage is resident");
     summarize(dataset, targets, Algo::Edp, &report)
 }
 

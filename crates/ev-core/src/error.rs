@@ -66,6 +66,28 @@ pub enum Error {
         /// The foreign EID.
         eid: crate::ids::Eid,
     },
+    /// Footage a video store holds an index entry for could not be
+    /// loaded when a match asked for it. A match that meets this has no
+    /// report to give: one computed without the footage would be
+    /// indistinguishable from "nobody was detected there".
+    FootageUnavailable {
+        /// The scenario whose footage failed to load.
+        scenario: crate::scenario::ScenarioId,
+        /// Whether the stored bytes are damaged (checksum, codec or
+        /// identity mismatch) rather than unreadable (an I/O failure).
+        corrupt: bool,
+        /// What the backing store reported.
+        reason: String,
+    },
+}
+
+impl Error {
+    /// Whether this error reports damaged stored bytes, as opposed to
+    /// bad arguments or an operating-system failure.
+    #[must_use]
+    pub fn is_corruption(&self) -> bool {
+        matches!(self, Error::FootageUnavailable { corrupt: true, .. })
+    }
 }
 
 impl fmt::Display for Error {
@@ -97,6 +119,9 @@ impl fmt::Display for Error {
             Error::UnknownEid { eid } => {
                 write!(f, "EID {eid} is not part of this partition's universe")
             }
+            Error::FootageUnavailable {
+                scenario, reason, ..
+            } => write!(f, "footage of {scenario} could not be loaded: {reason}"),
         }
     }
 }
@@ -127,6 +152,18 @@ mod tests {
             eid: Eid::from_u64(9),
         };
         assert!(e.to_string().contains("universe"));
+
+        let e = Error::FootageUnavailable {
+            scenario: crate::scenario::ScenarioId::new(
+                crate::time::Timestamp::new(4),
+                crate::region::CellId::new(2),
+            ),
+            corrupt: true,
+            reason: "frame checksum mismatch".into(),
+        };
+        assert!(e.to_string().contains("frame checksum mismatch"));
+        assert!(e.is_corruption());
+        assert!(!Error::UnknownCell { index: 3 }.is_corruption());
     }
 
     #[test]

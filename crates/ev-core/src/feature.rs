@@ -8,6 +8,7 @@
 
 use crate::error::{Error, Result};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The distance metric used to compare feature vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -24,6 +25,11 @@ pub enum Metric {
 
 /// A dense appearance descriptor with components in `[0, 1]`.
 ///
+/// The components are immutable and shared: cloning a feature vector —
+/// and so a [`Detection`](crate::scenario::Detection) or a whole
+/// [`VScenario`](crate::scenario::VScenario) — bumps a reference count
+/// instead of copying `dim × 8` bytes.
+///
 /// # Examples
 ///
 /// ```
@@ -36,7 +42,7 @@ pub enum Metric {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FeatureVector {
-    components: Vec<f64>,
+    components: Arc<[f64]>,
 }
 
 impl FeatureVector {
@@ -47,7 +53,10 @@ impl FeatureVector {
     ///
     /// Returns [`Error::InvalidParameter`] on an empty vector or on any
     /// out-of-range component.
-    pub fn new(components: Vec<f64>) -> Result<Self> {
+    pub fn new(components: impl IntoIterator<Item = f64>) -> Result<Self> {
+        // An exact-size source (a `Vec`, a mapped slice) is collected
+        // straight into the shared allocation.
+        let components: Arc<[f64]> = components.into_iter().collect();
         if components.is_empty() {
             return Err(Error::InvalidParameter {
                 name: "components",
@@ -69,7 +78,7 @@ impl FeatureVector {
     /// (non-finite components become `0`). Handy when adding observation
     /// noise to a ground-truth vector.
     #[must_use]
-    pub fn from_clamped(components: Vec<f64>) -> Self {
+    pub fn from_clamped(components: impl IntoIterator<Item = f64>) -> Self {
         FeatureVector {
             components: components
                 .into_iter()
@@ -151,6 +160,22 @@ mod tests {
     fn from_clamped_sanitizes() {
         let v = FeatureVector::from_clamped(vec![-1.0, 2.0, f64::NAN, 0.5]);
         assert_eq!(v.components(), &[0.0, 1.0, 0.0, 0.5]);
+    }
+
+    #[test]
+    fn clone_shares_the_components() {
+        let a = fv(&[0.2, 0.8, 0.5]);
+        let b = a.clone();
+        assert_eq!(a.components().as_ptr(), b.components().as_ptr());
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn json_form_is_an_object_with_a_components_array() {
+        let a = fv(&[0.25, 0.5, 1.0]);
+        let json = serde_json::to_string(&a).unwrap();
+        assert_eq!(json, r#"{"components":[0.25,0.5,1.0]}"#);
+        assert_eq!(serde_json::from_str::<FeatureVector>(&json).unwrap(), a);
     }
 
     #[test]

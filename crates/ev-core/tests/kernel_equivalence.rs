@@ -19,11 +19,11 @@ fn metric_of(pick: u8) -> Metric {
 fn world(dim: usize, n: usize, raw: &[f64]) -> (Vec<FeatureVector>, FeatureVector) {
     let mut it = raw.iter().copied().cycle();
     let mut rows: Vec<FeatureVector> = (0..n)
-        .map(|_| FeatureVector::from_clamped((0..dim).map(|_| it.next().unwrap()).collect()))
+        .map(|_| FeatureVector::from_clamped((0..dim).map(|_| it.next().unwrap())))
         .collect();
     rows.push(FeatureVector::from_clamped(vec![0.0; dim]));
     rows.push(FeatureVector::from_clamped(vec![1.0; dim]));
-    let cand = FeatureVector::from_clamped((0..dim).map(|_| it.next().unwrap()).collect());
+    let cand = FeatureVector::from_clamped((0..dim).map(|_| it.next().unwrap()));
     (rows, cand)
 }
 

@@ -1,11 +1,14 @@
 //! [`DiskBackend`]: a loaded persistent corpus behind the
 //! [`StoreBackend`] trait.
 //!
-//! Opening a backend replays the manifest, decodes every committed
-//! segment, and materializes the same in-memory stores an all-RAM run
-//! would build — so every pipeline downstream of
-//! [`StoreBackend`] is byte-for-byte oblivious to where the corpus
-//! came from.
+//! Opening a backend replays the manifest and walks every committed
+//! segment once, verifying it. E records are decoded into the same
+//! [`EScenarioStore`] an all-RAM run would build; V records are only
+//! located, and the [`VideoStore`] reads and decodes one when a match
+//! first extracts it (`DESIGN.md` §6.6). Every pipeline downstream of
+//! [`StoreBackend`] is byte-for-byte oblivious to where the corpus came
+//! from — what changes is that memory holds the footage a match
+//! selected, not the corpus.
 
 use std::path::Path;
 
@@ -16,7 +19,8 @@ use ev_vision::cost::CostModel;
 use crate::error::DiskResult;
 use crate::store::{DiskStore, RecoveryMode, RecoveryReport};
 
-/// A persistent corpus, opened, recovered and fully loaded.
+/// A persistent corpus, opened and recovered, its E-data loaded and its
+/// V-data verified and indexed.
 #[derive(Debug)]
 pub struct DiskBackend {
     store: DiskStore,
@@ -26,7 +30,8 @@ pub struct DiskBackend {
 
 impl DiskBackend {
     /// Opens the corpus at `dir` in [`RecoveryMode::Strict`] and loads
-    /// both stores, charging video costs against `cost`.
+    /// both stores (see [`DiskStore::load_estore`],
+    /// [`DiskStore::load_video`]), charging video costs against `cost`.
     ///
     /// # Errors
     ///

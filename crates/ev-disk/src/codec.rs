@@ -35,7 +35,7 @@ use crate::segment::SegmentKind;
 use ev_core::feature::FeatureVector;
 use ev_core::ids::{Eid, Vid};
 use ev_core::region::CellId;
-use ev_core::scenario::{Detection, EScenario, VScenario, ZoneAttr};
+use ev_core::scenario::{Detection, EScenario, ScenarioId, VScenario, ZoneAttr};
 use ev_core::time::Timestamp;
 
 /// Reads little-endian primitives from a byte slice, tracking position.
@@ -153,6 +153,19 @@ pub fn decode_escenario(payload: &[u8]) -> DiskResult<EScenario> {
     Ok(s)
 }
 
+/// The id of the scenario a record payload encodes, without decoding
+/// the rest of it: both layouts open with `time | cell`.
+///
+/// # Errors
+///
+/// [`DiskError::Corrupt`] on a payload shorter than that head.
+pub fn record_id(payload: &[u8]) -> DiskResult<ScenarioId> {
+    let mut r = ByteReader::new(payload);
+    let time = Timestamp::new(r.get_u64("record time")?);
+    let cell = CellId::new(r.get_u64("record cell")? as usize);
+    Ok(ScenarioId::new(time, cell))
+}
+
 /// Appends one V-Scenario record payload to `out`.
 pub fn encode_vscenario_into(s: &VScenario, out: &mut Vec<u8>) {
     out.extend_from_slice(&s.time().tick().to_le_bytes());
@@ -200,10 +213,11 @@ pub fn decode_vscenario(payload: &[u8]) -> DiskResult<VScenario> {
             ))
         })?;
         let raw = r.take(byte_len, "v-record feature components")?;
+        // An exact-size iterator: the components land straight in the
+        // feature's shared storage, one allocation per detection.
         let components = raw
             .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes")))
-            .collect();
+            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes")));
         let feature = FeatureVector::new(components)
             .map_err(|e| DiskError::corrupt(format!("invalid stored feature vector: {e}")))?;
         s.push(Detection { vid, feature });
@@ -298,6 +312,17 @@ mod tests {
     fn vscenario_round_trips_bit_exact() {
         let s = vscenario();
         assert_eq!(decode_vscenario(&encode_vscenario(&s)).unwrap(), s);
+    }
+
+    #[test]
+    fn record_id_reads_the_shared_head_of_both_layouts() {
+        assert_eq!(
+            record_id(&encode_escenario(&escenario())).unwrap(),
+            escenario().id()
+        );
+        let bytes = encode_vscenario(&vscenario());
+        assert_eq!(record_id(&bytes).unwrap(), vscenario().id());
+        assert!(record_id(&bytes[..15]).is_err(), "a cut head is corruption");
     }
 
     #[test]

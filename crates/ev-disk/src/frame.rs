@@ -17,6 +17,9 @@
 use crate::crc::crc32;
 use crate::format::MAX_FRAME_PAYLOAD;
 
+/// How every reader words a frame whose CRC does not match its payload.
+pub(crate) const CRC_MISMATCH: &str = "frame checksum mismatch";
+
 /// What the parser found at a file position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameEvent {
@@ -73,6 +76,31 @@ pub fn write_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
+/// The payload length a frame's `len` prefix declares, or `None` when
+/// no complete frame of that length fits in the `remaining` bytes that
+/// run from the prefix's first byte to end-of-file — a torn tail. The
+/// in-memory scanner and the streaming load walk both size their next
+/// read with this, so a length is bounded by the bytes present before
+/// anything is read or allocated for it.
+pub(crate) fn declared_payload_len(prefix: [u8; 4], remaining: u64) -> Option<usize> {
+    let len = u32::from_le_bytes(prefix) as usize;
+    // An impossible length destroys all framing behind it, so there is
+    // no way to tell a partially persisted (or zero-extended) tail from
+    // deeper damage; treat it as the crash-shaped case and end the
+    // frame stream here.
+    if len == 0 || len > MAX_FRAME_PAYLOAD || remaining < (4 + len + 4) as u64 {
+        return None;
+    }
+    Some(len)
+}
+
+/// Whether `framed` — a payload followed by its 4-byte CRC, as they
+/// sit in a frame — carries the checksum of that payload.
+pub(crate) fn crc_matches(framed: &[u8]) -> bool {
+    let (payload, stored) = framed.split_at(framed.len() - 4);
+    u32::from_le_bytes(stored.try_into().expect("split 4 bytes off")) == crc32(payload)
+}
+
 /// Classifies the bytes at `pos` (a frame boundary) of `bytes`.
 #[must_use]
 pub fn next_frame(bytes: &[u8], pos: usize) -> FrameEvent {
@@ -83,25 +111,13 @@ pub fn next_frame(bytes: &[u8], pos: usize) -> FrameEvent {
     if remaining < 4 {
         return FrameEvent::Torn { at: pos };
     }
-    let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-    if len == 0 || len > MAX_FRAME_PAYLOAD {
-        // An impossible length destroys all framing behind it, so there
-        // is no way to tell a partially persisted (or zero-extended)
-        // tail from deeper damage; treat it as the crash-shaped case
-        // and end the frame stream here.
+    let prefix = bytes[pos..pos + 4].try_into().unwrap();
+    let Some(len) = declared_payload_len(prefix, remaining as u64) else {
         return FrameEvent::Torn { at: pos };
-    }
-    if remaining < 4 + len + 4 {
-        return FrameEvent::Torn { at: pos };
-    }
+    };
     let payload_start = pos + 4;
-    let stored = u32::from_le_bytes(
-        bytes[payload_start + len..payload_start + len + 4]
-            .try_into()
-            .unwrap(),
-    );
-    if stored != crc32(&bytes[payload_start..payload_start + len]) {
-        let next_pos = payload_start + len + 4;
+    let next_pos = payload_start + len + 4;
+    if !crc_matches(&bytes[payload_start..next_pos]) {
         return if next_pos == bytes.len() {
             // The final frame: a torn write can persist the length and
             // part of the payload, leaving stale bytes under the CRC.
@@ -109,14 +125,14 @@ pub fn next_frame(bytes: &[u8], pos: usize) -> FrameEvent {
         } else {
             FrameEvent::Damaged {
                 at: pos,
-                reason: "frame checksum mismatch",
+                reason: CRC_MISMATCH,
             }
         };
     }
     FrameEvent::Frame {
         payload_start,
         payload_len: len,
-        next_pos: payload_start + len + 4,
+        next_pos,
     }
 }
 

@@ -6,11 +6,14 @@
 //! length-prefixed, CRC-32-checksummed **segment** files of E/V-Scenario
 //! records, committed by an append-only fsync'd **manifest** that names
 //! every live segment together with its record count and cell/time
-//! bounds. Opening a corpus replays the manifest, sequential-reads the
-//! committed segments, and hands the decoded scenarios to the ordinary
-//! in-memory stores — so everything downstream of
+//! bounds. Opening a corpus replays the manifest and sequential-reads
+//! the committed segments once, verifying every frame. The E-Scenarios
+//! are decoded into the ordinary in-memory store (they are the index);
+//! the V-Scenarios are only *located*, and each is read, re-verified and
+//! decoded when a match first extracts it — so everything downstream of
 //! [`ev_store::StoreBackend`] is identical between a RAM-built and a
-//! disk-loaded corpus.
+//! disk-loaded corpus, while a disk-loaded one holds in memory only the
+//! footage its matches selected.
 //!
 //! The full byte-level format, the append durability protocol, and the
 //! recovery state machine are specified in `DESIGN.md` §6
@@ -50,7 +53,10 @@
 //! [`RecoveryMode::Strict`] and truncated away in
 //! [`RecoveryMode::Salvage`]. The fault-injection suite in
 //! `tests/recovery.rs` cuts and corrupts corpora at every byte
-//! boundary to hold that line.
+//! boundary to hold that line — including damage that arrives after
+//! the load, which the first extraction of the damaged footage reports
+//! as [`ev_core::Error::FootageUnavailable`] rather than as a scenario
+//! nobody was detected in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

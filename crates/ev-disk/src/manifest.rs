@@ -20,7 +20,7 @@
 //! that points at missing or incomplete data.
 
 use crate::codec::ByteReader;
-use crate::error::{DiskError, DiskResult};
+use crate::error::{DiskError, DiskResult, RecoveryError};
 use crate::format::{FORMAT_VERSION, HEADER_LEN, MANIFEST_ENTRY_PAYLOAD_LEN, MANIFEST_MAGIC};
 use crate::frame::{next_frame, write_frame, FrameEvent};
 use crate::segment::{self, SegmentBounds, SegmentKind};
@@ -46,6 +46,21 @@ impl ManifestEntry {
     #[must_use]
     pub fn file_name(&self) -> String {
         segment::file_name(self.seq, self.kind)
+    }
+
+    /// Holds the segment file's `actual` length to the committed one.
+    /// The manifest is fsynced after the segment, so a mismatch is
+    /// post-commit damage, never an interrupted append.
+    pub(crate) fn check_file_len(&self, actual: u64) -> DiskResult<()> {
+        if actual != self.file_len {
+            return Err(RecoveryError::SegmentLengthMismatch {
+                segment: self.file_name(),
+                committed: self.file_len,
+                actual,
+            }
+            .into());
+        }
+        Ok(())
     }
 
     /// Encodes the fixed 57-byte entry payload.

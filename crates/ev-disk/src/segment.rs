@@ -12,23 +12,28 @@
 //! frames…      len u32 | payload | crc32(payload) u32, one per record
 //! ```
 //!
-//! Record payloads use the [`codec`](crate::codec) layouts. Segments
+//! Record payloads use the [`codec`] layouts. Segments
 //! are written by one streaming writer that frames records in place
 //! into a bounded buffer and also computes the segment's cell/time
-//! bounds, which the manifest stores so loads can skip segments that
-//! cannot intersect a query.
+//! bounds, which the manifest stores. A committed segment is read two
+//! ways, both through `CommittedSegment`: the verifying load walk
+//! over the whole file, and the read of one V frame that walk located.
 
 use std::fs::File;
-use std::io::{self, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
-use crate::codec::Record;
+use crate::codec::{self, Record};
 use crate::error::{DiskError, DiskResult};
 use crate::format::{FORMAT_VERSION, HEADER_LEN, KIND_E, KIND_V, SEGMENT_MAGIC};
-use crate::frame::{next_frame, write_frame, FrameEvent};
+use crate::frame::{
+    crc_matches, declared_payload_len, next_frame, write_frame, FrameEvent, CRC_MISMATCH,
+};
 use crate::manifest::ManifestEntry;
-use ev_core::scenario::{EScenario, VScenario};
+use ev_core::scenario::{EScenario, ScenarioId, VScenario};
+use ev_store::FootageSource;
+use ev_telemetry::{names, Telemetry};
 
 /// Which record codec a segment holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -75,7 +80,8 @@ impl SegmentKind {
 }
 
 /// Spatiotemporal bounds of the records inside one segment, tracked by
-/// the writer and persisted in the manifest for load-time pruning.
+/// the writer and persisted in the manifest (format v1; no load reads
+/// them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentBounds {
     /// Smallest record timestamp (tick).
@@ -103,22 +109,6 @@ impl SegmentBounds {
         self.max_time = self.max_time.max(time);
         self.min_cell = self.min_cell.min(cell);
         self.max_cell = self.max_cell.max(cell);
-    }
-
-    /// Whether `[min_time, max_time]` intersects the half-open tick
-    /// range `[start, end)`.
-    #[must_use]
-    pub fn intersects_time(&self, start: u64, end: u64) -> bool {
-        self.min_time < end && self.max_time >= start
-    }
-
-    /// Whether any of `cells` (raw indices) falls inside
-    /// `[min_cell, max_cell]`.
-    #[must_use]
-    pub fn intersects_cells(&self, cells: &[u64]) -> bool {
-        cells
-            .iter()
-            .any(|&c| c >= self.min_cell && c <= self.max_cell)
     }
 }
 
@@ -423,6 +413,165 @@ pub(crate) fn decode_segment<R: Record>(bytes: &[u8], out: &mut Vec<R>) -> DiskR
     }
 }
 
+/// Bytes the load walk asks the file for at a time (fewer when the file
+/// is smaller).
+const READ_CHUNK: usize = 1 << 20;
+
+/// A committed segment file as its readers see it. The file is opened,
+/// and its length checked against the manifest entry, on every read:
+/// nothing holds a descriptor between reads, so a served corpus that
+/// has checkpointed into hundreds of segments pins none.
+#[derive(Debug)]
+pub(crate) struct CommittedSegment {
+    path: PathBuf,
+    entry: ManifestEntry,
+    telemetry: Telemetry,
+}
+
+impl CommittedSegment {
+    pub(crate) fn new(dir: &Path, entry: ManifestEntry, telemetry: &Telemetry) -> Self {
+        CommittedSegment {
+            path: dir.join(entry.file_name()),
+            entry,
+            telemetry: telemetry.clone(),
+        }
+    }
+
+    fn io(&self, source: io::Error) -> DiskError {
+        DiskError::io("reading segment", &self.path, source)
+    }
+
+    fn open(&self) -> DiskResult<File> {
+        let file = File::open(&self.path).map_err(|e| self.io(e))?;
+        let actual = file.metadata().map_err(|e| self.io(e))?.len();
+        self.entry.check_file_len(actual)?;
+        Ok(file)
+    }
+
+    /// The load walk: one sequential pass that verifies the whole file
+    /// — header and kind, frame lengths chaining exactly to the
+    /// committed length, every frame's CRC, the record count against
+    /// the manifest — through one reused frame buffer, handing each
+    /// payload and its byte offset in the file to `on_frame`. The
+    /// streaming twin of [`decode_segment`], with what to do with a
+    /// payload left to the caller.
+    ///
+    /// # Errors
+    ///
+    /// [`DiskError::Io`] on read failures,
+    /// [`RecoveryError::SegmentLengthMismatch`] when the file is not the
+    /// length the manifest committed, [`DiskError::Corrupt`] on any
+    /// failed check, and whatever `on_frame` returns.
+    pub(crate) fn walk(
+        &self,
+        mut on_frame: impl FnMut(u64, &[u8]) -> DiskResult<()>,
+    ) -> DiskResult<()> {
+        let file_len = self.entry.file_len;
+        // Never more buffer than there are bytes to read.
+        let chunk = READ_CHUNK.min(usize::try_from(file_len).unwrap_or(READ_CHUNK));
+        let mut reader = BufReader::with_capacity(chunk, self.open()?);
+
+        let mut header = Vec::with_capacity(HEADER_LEN);
+        (&mut reader)
+            .take(HEADER_LEN as u64)
+            .read_to_end(&mut header)
+            .map_err(|e| self.io(e))?;
+        let kind = parse_header(&header)?;
+        if kind != self.entry.kind {
+            return Err(DiskError::corrupt(format!(
+                "expected a {:?} segment, found {kind:?}",
+                self.entry.kind
+            )));
+        }
+
+        let torn = || DiskError::corrupt("segment has a torn tail");
+        let mut frame = Vec::new();
+        let mut records = 0u64;
+        let mut pos = HEADER_LEN as u64;
+        while pos < file_len {
+            let remaining = file_len - pos;
+            if remaining < 4 {
+                return Err(torn());
+            }
+            let mut prefix = [0u8; 4];
+            reader.read_exact(&mut prefix).map_err(|e| self.io(e))?;
+            let len = declared_payload_len(prefix, remaining).ok_or_else(torn)?;
+            frame.resize(len + 4, 0);
+            reader.read_exact(&mut frame).map_err(|e| self.io(e))?;
+            let next = pos + (4 + len + 4) as u64;
+            if !crc_matches(&frame) {
+                // As the in-memory scanner has it: damage in the final
+                // frame is a torn tail, damage with more behind it is
+                // not.
+                return Err(if next == file_len {
+                    torn()
+                } else {
+                    DiskError::corrupt(CRC_MISMATCH)
+                });
+            }
+            on_frame(pos + 4, &frame[..len])?;
+            records += 1;
+            pos = next;
+        }
+        if records != self.entry.records {
+            return Err(DiskError::corrupt(format!(
+                "segment {} holds {records} records, the manifest committed {}",
+                self.entry.file_name(),
+                self.entry.records
+            )));
+        }
+        if self.telemetry.counters_on() {
+            let registry = self.telemetry.registry();
+            registry.counter(names::DISK_SEGMENTS_OPENED).inc();
+            registry.counter(names::DISK_BYTES_READ).add(file_len);
+        }
+        Ok(())
+    }
+
+    /// Reads the one V frame whose payload the load walk found at
+    /// `offset`, verifies its CRC again (the file may have changed
+    /// since the walk) and decodes it.
+    fn read_frame(&self, offset: u64, len: u32) -> DiskResult<VScenario> {
+        let mut file = self.open()?;
+        file.seek(SeekFrom::Start(offset)).map_err(|e| self.io(e))?;
+        let mut frame = vec![0u8; len as usize + 4];
+        file.read_exact(&mut frame).map_err(|e| self.io(e))?;
+        if !crc_matches(&frame) {
+            return Err(DiskError::corrupt(CRC_MISMATCH));
+        }
+        let scenario = codec::decode_vscenario(&frame[..len as usize])?;
+        if self.telemetry.counters_on() {
+            let registry = self.telemetry.registry();
+            registry
+                .counter(names::DISK_BYTES_READ)
+                .add(frame.len() as u64);
+            registry.counter(names::DISK_RECORDS_READ).inc();
+        }
+        Ok(scenario)
+    }
+}
+
+impl FootageSource for CommittedSegment {
+    fn load(&self, id: ScenarioId, offset: u64, len: u32) -> ev_core::Result<VScenario> {
+        self.read_frame(offset, len)
+            .and_then(|scenario| {
+                if scenario.id() == id {
+                    return Ok(scenario);
+                }
+                Err(DiskError::corrupt(format!(
+                    "the frame at byte {offset} of {} holds {}, not the {id} indexed there",
+                    self.entry.file_name(),
+                    scenario.id()
+                )))
+            })
+            .map_err(|e| ev_core::Error::FootageUnavailable {
+                scenario: id,
+                corrupt: e.is_corruption(),
+                reason: e.to_string(),
+            })
+    }
+}
+
 /// Decodes every E-record of a fully valid segment.
 ///
 /// # Errors
@@ -507,21 +656,5 @@ mod tests {
     fn kind_mismatch_is_corruption() {
         let seg = encode_e_segment(&scenarios());
         assert!(decode_v_segment(&seg.bytes).is_err());
-    }
-
-    #[test]
-    fn bounds_pruning_predicates() {
-        let b = SegmentBounds {
-            min_time: 10,
-            max_time: 20,
-            min_cell: 3,
-            max_cell: 5,
-        };
-        assert!(b.intersects_time(0, 11));
-        assert!(b.intersects_time(20, 25));
-        assert!(!b.intersects_time(0, 10));
-        assert!(!b.intersects_time(21, 30));
-        assert!(b.intersects_cells(&[5, 9]));
-        assert!(!b.intersects_cells(&[0, 6]));
     }
 }

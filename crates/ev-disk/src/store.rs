@@ -30,19 +30,18 @@ use std::collections::BTreeSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
-use ev_core::region::CellId;
 use ev_core::scenario::{EScenario, VScenario};
-use ev_core::time::TimeRange;
-use ev_store::{EScenarioStore, VideoStore};
+use ev_store::{EScenarioStore, FootageLocation, FootageSource, VideoStore};
 use ev_telemetry::{names, Telemetry};
 use ev_vision::cost::CostModel;
 
 use crate::codec::{self, Record};
 use crate::error::{DiskError, DiskResult, RecoveryError};
 use crate::manifest::{self, ManifestEntry};
-use crate::segment::{self, SegmentBounds, SegmentFile, SegmentKind};
+use crate::segment::{self, CommittedSegment, SegmentBounds, SegmentFile, SegmentKind};
 
 /// File name of the manifest inside a corpus directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -249,14 +248,7 @@ impl DiskStore {
                 RecoveryMode::Strict => {
                     let meta = fs::metadata(&path)
                         .map_err(|e| DiskError::io("stating committed segment", &path, e))?;
-                    if meta.len() != entry.file_len {
-                        return Err(RecoveryError::SegmentLengthMismatch {
-                            segment: entry.file_name(),
-                            committed: entry.file_len,
-                            actual: meta.len(),
-                        }
-                        .into());
-                    }
+                    entry.check_file_len(meta.len())?;
                     kept.push(entry);
                 }
                 RecoveryMode::Salvage => match Self::salvage_segment(&path, entry, &mut report)? {
@@ -555,103 +547,77 @@ impl DiskStore {
         Ok(())
     }
 
-    /// Loads the records of every segment of `R`'s kind that `filter`
-    /// (over the manifest's per-segment bounds) selects, in commit
-    /// order. One segment at a time is read, length-checked, verified
-    /// and decoded, and its bytes dropped before the next is read.
-    fn load_records<R: Record>(
-        &self,
-        mut filter: impl FnMut(&ManifestEntry) -> bool,
-    ) -> DiskResult<Vec<R>> {
-        let mut records = Vec::new();
-        let mut opened = 0u64;
-        let mut pruned = 0u64;
-        let mut bytes_read = 0u64;
-        let mut records_read = 0u64;
-        for entry in self.entries.iter().filter(|e| e.kind == R::KIND) {
-            if !filter(entry) {
-                pruned += 1;
-                continue;
-            }
-            let path = self.dir.join(entry.file_name());
-            let bytes = fs::read(&path).map_err(|e| DiskError::io("reading segment", &path, e))?;
-            if bytes.len() as u64 != entry.file_len {
-                return Err(RecoveryError::SegmentLengthMismatch {
-                    segment: entry.file_name(),
-                    committed: entry.file_len,
-                    actual: bytes.len() as u64,
-                }
-                .into());
-            }
-            segment::decode_segment(&bytes, &mut records)?;
-            opened += 1;
-            bytes_read += bytes.len() as u64;
-            records_read += entry.records;
-        }
-        if self.telemetry.counters_on() {
-            let registry = self.telemetry.registry();
-            registry.counter(names::DISK_SEGMENTS_OPENED).add(opened);
-            registry.counter(names::DISK_SEGMENTS_PRUNED).add(pruned);
-            registry.counter(names::DISK_BYTES_READ).add(bytes_read);
-            registry.counter(names::DISK_RECORDS_READ).add(records_read);
-        }
-        Ok(records)
+    /// The committed segments of `kind`, in commit order, as their
+    /// readers see them.
+    fn committed(&self, kind: SegmentKind) -> impl Iterator<Item = CommittedSegment> + '_ {
+        (self.entries.iter())
+            .filter(move |e| e.kind == kind)
+            .map(|e| CommittedSegment::new(&self.dir, *e, &self.telemetry))
     }
 
     /// Loads every committed E-Scenario into an in-memory
     /// [`EScenarioStore`], later segments superseding earlier ones on
-    /// `(cell, time)` collisions.
+    /// `(cell, time)` collisions. The E side is loaded eagerly — it *is*
+    /// the index the matcher searches — one segment at a time through
+    /// the verifying walk, each record decoded as its frame passes.
     ///
     /// # Errors
     ///
     /// [`DiskError`] on read failures or any frame/record that fails
     /// its checksum or codec.
     pub fn load_estore(&self) -> DiskResult<EScenarioStore> {
-        self.load_estore_where(|_| true)
-    }
-
-    /// As [`DiskStore::load_estore`], but skips whole segments whose
-    /// manifest bounds cannot intersect `cells` × `time` — the
-    /// cell-range pruning path. Records inside surviving segments are
-    /// *not* re-filtered; pruning is a coarse, manifest-only fast path
-    /// and the result may still contain out-of-range records.
-    ///
-    /// # Errors
-    ///
-    /// As [`DiskStore::load_estore`].
-    pub fn load_estore_pruned(
-        &self,
-        cells: &[CellId],
-        time: TimeRange,
-    ) -> DiskResult<EScenarioStore> {
-        let raw: Vec<u64> = cells.iter().map(|c| c.index() as u64).collect();
-        let (start, end) = (time.start.tick(), time.end.tick());
-        self.load_estore_where(|entry| {
-            entry.bounds.intersects_time(start, end) && entry.bounds.intersects_cells(&raw)
-        })
-    }
-
-    fn load_estore_where(
-        &self,
-        filter: impl FnMut(&ManifestEntry) -> bool,
-    ) -> DiskResult<EScenarioStore> {
         let mut span = self.telemetry.span("disk_load_estore", "disk");
-        let scenarios = self.load_records(filter)?;
+        let mut scenarios = Vec::new();
+        for segment in self.committed(SegmentKind::EScenario) {
+            segment.walk(|_, payload| {
+                scenarios.push(codec::decode_escenario(payload)?);
+                Ok(())
+            })?;
+        }
+        if self.telemetry.counters_on() {
+            let registry = self.telemetry.registry();
+            registry
+                .counter(names::DISK_RECORDS_READ)
+                .add(scenarios.len() as u64);
+        }
         span.arg("records", serde_json::Value::Int(scenarios.len() as i128));
         Ok(EScenarioStore::from_scenarios(scenarios))
     }
 
-    /// Loads every committed V-Scenario into an in-memory
-    /// [`VideoStore`] charging costs against `cost`.
+    /// Indexes every committed V-Scenario into a [`VideoStore`] charging
+    /// costs against `cost` — **without decoding any**. The same
+    /// verifying walk [`load_estore`](Self::load_estore) makes runs over
+    /// every V segment, but a frame that passes is only *located*: its
+    /// scenario id is read off the head of the payload and recorded with
+    /// the segment, byte offset and length, later commits superseding
+    /// earlier ones. The store reads, re-verifies and decodes a frame
+    /// when a match first extracts that scenario (see
+    /// [`VideoStore`]'s "What is resident when"), so what a match holds
+    /// in memory is what it selected, not the corpus.
     ///
     /// # Errors
     ///
-    /// As [`DiskStore::load_estore`].
+    /// [`DiskError`] on read failures or any frame that fails its
+    /// checksum or is too short to name its scenario. A payload the
+    /// record codec rejects behind a valid checksum surfaces when it is
+    /// extracted, as [`ev_core::Error::FootageUnavailable`].
     pub fn load_video(&self, cost: CostModel) -> DiskResult<VideoStore> {
         let mut span = self.telemetry.span("disk_load_video", "disk");
-        let scenarios = self.load_records(|_| true)?;
-        span.arg("records", serde_json::Value::Int(scenarios.len() as i128));
-        Ok(VideoStore::new(scenarios, cost))
+        let mut located = Vec::new();
+        for segment in self.committed(SegmentKind::VScenario) {
+            let segment = Arc::new(segment);
+            segment.walk(|offset, payload| {
+                let at = FootageLocation {
+                    source: Arc::clone(&segment) as Arc<dyn FootageSource>,
+                    offset,
+                    len: u32::try_from(payload.len()).expect("frames are at most 2^28 bytes"),
+                };
+                located.push((codec::record_id(payload)?, at));
+                Ok(())
+            })?;
+        }
+        span.arg("records", serde_json::Value::Int(located.len() as i128));
+        Ok(VideoStore::located(located, cost))
     }
 }
 
@@ -659,6 +625,7 @@ impl DiskStore {
 mod tests {
     use super::*;
     use ev_core::ids::Eid;
+    use ev_core::region::CellId;
     use ev_core::scenario::ZoneAttr;
     use ev_core::time::Timestamp;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -720,23 +687,6 @@ mod tests {
         assert!(!dir.join("seg-000007-e.seg").exists());
         // The orphan's sequence number is never reused for a live file.
         assert_eq!(reopened.next_seq, 8);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn pruned_load_skips_disjoint_segments() {
-        let dir = temp_dir("prune");
-        let mut store = DiskStore::create(&dir).unwrap();
-        store.append(&[e(0, 10, 1)], &[]).unwrap();
-        store.append(&[e(9, 500, 2)], &[]).unwrap();
-        let store = DiskStore::open(&dir).unwrap();
-        let pruned = store
-            .load_estore_pruned(
-                &[CellId::new(0)],
-                TimeRange::new(Timestamp::new(0), Timestamp::new(100)),
-            )
-            .unwrap();
-        assert_eq!(pruned.len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -9,7 +9,10 @@
 //! This binary also runs under a counting allocator, so "rejected"
 //! includes "before anything was allocated for it": no length or count
 //! prefix read from hostile bytes may size an allocation beyond the
-//! input that carried it.
+//! input that carried it — in the in-memory decoders and in the
+//! streaming load walk `DiskStore::load_*` reads committed segments
+//! with. The same allocator shows what loading V-data costs: memory for
+//! an index entry per record, not for the records.
 
 use ev_core::feature::FeatureVector;
 use ev_core::ids::{Eid, Vid};
@@ -18,28 +21,35 @@ use ev_core::scenario::{Detection, EScenario, VScenario, ZoneAttr};
 use ev_core::time::Timestamp;
 use ev_disk::codec::{decode_escenario, decode_vscenario, encode_escenario, encode_vscenario};
 use ev_disk::format::{HEADER_LEN, MANIFEST_ENTRY_PAYLOAD_LEN, MAX_FRAME_PAYLOAD};
-use ev_disk::manifest::{scan_manifest, ManifestEntry};
+use ev_disk::manifest::{encode_entry_frame, manifest_header, scan_manifest, ManifestEntry};
 use ev_disk::segment::{
     decode_e_segment, decode_v_segment, encode_e_segment, encode_v_segment, scan,
 };
-use ev_disk::DiskError;
+use ev_disk::{DiskError, DiskStore, SegmentBounds, SegmentKind, MANIFEST_FILE};
+use ev_vision::cost::CostModel;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The system allocator, noting per thread the largest single request.
+/// The system allocator, noting per thread the largest single request
+/// and the bytes requested in total.
 struct Counting;
 
 thread_local! {
-    // Const-initialised and without a destructor, so touching it from
+    // Const-initialised and without a destructor, so touching them from
     // inside the allocator never allocates or registers anything.
     static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+    static TOTAL_REQUESTED: Cell<usize> = const { Cell::new(0) };
 }
 
-fn note(size: usize) {
+/// Notes a request for `size` bytes, `grown` of them new.
+fn note(size: usize, grown: usize) {
     // `try_with`: allocations made while a thread is being torn down
     // are simply not counted.
     let _ = LARGEST_REQUEST.try_with(|largest| largest.set(largest.get().max(size)));
+    let _ = TOTAL_REQUESTED.try_with(|total| total.set(total.get() + grown));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -47,19 +57,19 @@ fn note(size: usize) {
 // writes a thread-local integer and neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(layout.size(), layout.size());
         // SAFETY: the caller's `layout` obligations pass through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(layout.size(), layout.size());
         // SAFETY: as `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
+        note(new_size, new_size.saturating_sub(layout.size()));
         // SAFETY: `ptr` came from this allocator, i.e. from `System`,
         // with `layout`; the caller guarantees the rest.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -130,6 +140,46 @@ fn segment_with_frame_len(kind: u8, len: u32, present: usize) -> Vec<u8> {
     bytes
 }
 
+/// A corpus directory whose one committed segment is `bytes` and whose
+/// manifest vouches for it: right length, `records` records. What the
+/// segment then holds is the load walk's to find out.
+fn corpus_with_segment(kind: SegmentKind, bytes: &[u8], records: u64) -> PathBuf {
+    static DIRS: AtomicU64 = AtomicU64::new(0);
+    let n = DIRS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("ev-disk-codec-{}-{n}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("corpus dir");
+    let entry = ManifestEntry {
+        seq: 0,
+        kind,
+        records,
+        bounds: SegmentBounds {
+            min_time: 0,
+            max_time: 0,
+            min_cell: 0,
+            max_cell: 0,
+        },
+        file_len: bytes.len() as u64,
+    };
+    std::fs::write(dir.join(entry.file_name()), bytes).expect("segment file");
+    let mut manifest = manifest_header();
+    manifest.extend_from_slice(&encode_entry_frame(&entry));
+    std::fs::write(dir.join(MANIFEST_FILE), manifest).expect("manifest");
+    dir
+}
+
+/// Loads the stores of the corpus whose one segment is `bytes`, through
+/// the real open + load path, under the allocation bound.
+fn load_walk(what: &str, kind: SegmentKind, bytes: &[u8]) -> Result<(), DiskError> {
+    let dir = corpus_with_segment(kind, bytes, 1);
+    let store = DiskStore::open(&dir).expect("manifest and file length agree");
+    let result = assert_allocations_bounded_by_input(what, bytes, |_| match kind {
+        SegmentKind::EScenario => store.load_estore().map(|_| ()),
+        SegmentKind::VScenario => store.load_video(CostModel::free()).map(|_| ()),
+    });
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+    result
+}
+
 /// Crafted length and count prefixes: each is refused as corruption,
 /// and refused *before* it sizes an allocation.
 #[test]
@@ -170,7 +220,22 @@ fn hostile_prefixes_are_corruption_and_never_drive_an_allocation() {
         let (_, scanned) =
             assert_allocations_bounded_by_input(what, &v_seg, scan).expect("the header is intact");
         assert!(scanned.torn && scanned.payloads.is_empty(), "{what}");
+        // The load walk streams the same bytes from a committed file:
+        // it sizes its buffers by the bytes that remain, never by the
+        // length a frame declares.
+        assert_corrupt(what, load_walk(what, SegmentKind::EScenario, &e_seg));
+        assert_corrupt(what, load_walk(what, SegmentKind::VScenario, &v_seg));
     }
+
+    // A checksum-valid V frame too short to name its scenario cannot be
+    // located, so the load refuses it (decoding is what is deferred,
+    // not knowing what the corpus holds).
+    let mut headless = b"EVSG\x01\x00\x01\x00".to_vec();
+    ev_disk::frame::write_frame(&mut headless, |out| out.extend_from_slice(&[7; 15]));
+    assert_corrupt(
+        "v frame shorter than time | cell",
+        load_walk("short v frame", SegmentKind::VScenario, &headless),
+    );
 
     // Manifest: a huge frame length is a torn tail, an entry of the
     // wrong size is corruption; neither allocates for what it claims.
@@ -188,6 +253,64 @@ fn hostile_prefixes_are_corruption_and_never_drive_an_allocation() {
         ManifestEntry::decode,
     );
     assert_corrupt("manifest entry length", result);
+}
+
+/// Loading V-data locates it; only extraction decodes it. A corpus of N
+/// records costs the load an index entry per record and one bounded
+/// read buffer — not the bytes of the records.
+#[test]
+fn load_video_allocates_for_the_index_not_for_the_footage() {
+    const RECORDS: usize = 256;
+    let feature = FeatureVector::new(vec![0.5; 128]).expect("valid feature");
+    let scenarios: Vec<VScenario> = (0..RECORDS)
+        .map(|i| {
+            let mut v = VScenario::new(CellId::new(i % 16), Timestamp::new(i as u64));
+            for vid in 0..32 {
+                v.push(Detection {
+                    vid: Vid::new(vid),
+                    feature: feature.clone(),
+                });
+            }
+            v
+        })
+        .collect();
+    let segment = encode_v_segment(&scenarios);
+    assert!(segment.bytes.len() > 8 << 20, "8 MiB of footage");
+    let dir = corpus_with_segment(SegmentKind::VScenario, &segment.bytes, segment.records);
+    let store = DiskStore::open(&dir).expect("corpus opens");
+
+    let allocated_by = |run: &mut dyn FnMut()| {
+        LARGEST_REQUEST.with(|largest| largest.set(0));
+        TOTAL_REQUESTED.with(|total| total.set(0));
+        run();
+        (
+            LARGEST_REQUEST.with(Cell::get),
+            TOTAL_REQUESTED.with(Cell::get),
+        )
+    };
+    let mut video = None;
+    let (largest, total) = allocated_by(&mut || {
+        video = Some(store.load_video(CostModel::free()).expect("loads"));
+    });
+    let video = video.expect("loaded");
+    assert_eq!(video.len(), RECORDS);
+    // One 1 MiB read buffer, one frame buffer (33 KiB here), and a few
+    // hundred bytes per record for its index entries.
+    assert!(largest <= 1 << 20, "largest single request: {largest}");
+    let budget = (1 << 20) + (64 << 10) + RECORDS * 512;
+    assert!(
+        total <= budget,
+        "load_video requested {total} bytes for {RECORDS} records ({} bytes of footage); \
+         budget {budget}",
+        segment.bytes.len()
+    );
+
+    // Extracting one scenario then costs about that scenario.
+    let mut extracted = None;
+    let (_, total) = allocated_by(&mut || extracted = video.extract(scenarios[7].id()));
+    assert_eq!(*extracted.expect("footage"), scenarios[7]);
+    assert!(total <= 128 << 10, "one extraction requested {total} bytes");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// Raw draw for an E-Scenario: time, cell, `(eid, attr)` entries.
@@ -274,6 +397,8 @@ proptest! {
         let _ = assert_allocations_bounded_by_input("junk v-record", &bytes, decode_vscenario);
         let _ = assert_allocations_bounded_by_input("junk segment", &bytes, scan);
         let _ = assert_allocations_bounded_by_input("junk manifest", &bytes, scan_manifest);
+        let _ = load_walk("junk committed e-segment", SegmentKind::EScenario, &bytes);
+        let _ = load_walk("junk committed v-segment", SegmentKind::VScenario, &bytes);
     }
 
     /// A decoded payload with trailing garbage is rejected: record

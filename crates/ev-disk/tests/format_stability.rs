@@ -36,9 +36,8 @@ fn e(time: u64, cell: usize, eids: &[u64]) -> EScenario {
 fn v(time: u64, cell: usize, dims: &[usize]) -> VScenario {
     let mut s = VScenario::new(CellId::new(cell), Timestamp::new(time));
     for (i, &dim) in dims.iter().enumerate() {
-        let components = (0..dim)
-            .map(|k| ((time + 1) as f64 * 0.1 + (i * dim + k) as f64 / 7.0).fract())
-            .collect();
+        let components =
+            (0..dim).map(|k| ((time + 1) as f64 * 0.1 + (i * dim + k) as f64 / 7.0).fract());
         s.push(Detection {
             vid: Vid::new(time * 1000 + cell as u64 * 10 + i as u64),
             feature: FeatureVector::new(components).expect("components in [0, 1)"),

@@ -15,12 +15,16 @@
 //!   that was committed — recovery may lose a suffix, never invent or
 //!   alter data;
 //! * a salvaged corpus reopens cleanly in Strict mode (repairs are
-//!   written back, not recomputed on every open).
+//!   written back, not recomputed on every open);
+//! * V-data is decoded when it is extracted, not when it is loaded, so
+//!   damage that arrives *after* `load_video` is met by `extract`: it
+//!   must surface as the store's typed load error, never as "no
+//!   footage", and must not touch the frames beside it.
 
 use ev_core::feature::FeatureVector;
 use ev_core::ids::{Eid, Vid};
 use ev_core::region::CellId;
-use ev_core::scenario::{Detection, EScenario, VScenario, ZoneAttr};
+use ev_core::scenario::{Detection, EScenario, ScenarioId, VScenario, ZoneAttr};
 use ev_core::time::Timestamp;
 use ev_disk::format::{FRAME_OVERHEAD, HEADER_LEN, MANIFEST_ENTRY_PAYLOAD_LEN};
 use ev_disk::{
@@ -113,8 +117,39 @@ fn assert_records_committed(
     let vs = store
         .load_video(CostModel::free())
         .expect("recovered V-data loads");
+    let mut walked = 0;
     for s in vs.scenarios() {
         assert_eq!(by_id_v.get(&s.id()).copied(), Some(s), "V record altered");
+        walked += 1;
+    }
+    // Loading only located the V frames; the walk decoded them. Every
+    // frame that passed the load must also decode.
+    vs.check_loads().expect("every located V frame decodes");
+    assert_eq!(walked, vs.len(), "the walk skipped located footage");
+}
+
+/// The typed refusal both an open and a load give a committed segment
+/// of the wrong length.
+fn assert_length_mismatch(err: &DiskError, name: &str, committed: u64, actual: u64) {
+    assert!(err.is_corruption(), "{name} cut to {actual}: {err}");
+    match err.as_recovery() {
+        Some(RecoveryError::SegmentLengthMismatch {
+            segment,
+            committed: c,
+            actual: a,
+        }) => {
+            assert_eq!(segment, name, "cut to {actual}");
+            assert_eq!(*c, committed, "cut to {actual}");
+            assert_eq!(*a, actual, "cut to {actual}");
+        }
+        other => panic!("{name} cut to {actual}: expected SegmentLengthMismatch, got {other:?}"),
+    }
+}
+
+fn load_kind(store: &DiskStore, kind: SegmentKind) -> Result<(), DiskError> {
+    match kind {
+        SegmentKind::EScenario => store.load_estore().map(|_| ()),
+        SegmentKind::VScenario => store.load_video(CostModel::free()).map(|_| ()),
     }
 }
 
@@ -182,40 +217,20 @@ fn segment_truncated_at_every_byte_boundary() {
         for len in 0..entry.file_len {
             let _ = fs::remove_dir_all(&trial);
             clone_dir(&golden, &trial);
-            let f = fs::OpenOptions::new()
-                .write(true)
-                .open(trial.join(&name))
-                .expect("open segment");
-            f.set_len(len).expect("truncate");
-            f.sync_all().expect("sync");
-            drop(f);
+            let opened_before = DiskStore::open(&trial).expect("intact corpus opens");
+            truncate(&trial.join(&name), len);
 
             // Strict: a committed segment shorter than its manifest entry
             // is corruption, not crash residue — reported as the typed
-            // refusal carrying the exact segment and both lengths.
-            let strict = DiskStore::open(&trial);
-            match strict {
-                Ok(_) => {
-                    panic!("{name} cut to {len}: strict open must refuse a short committed segment")
-                }
-                Err(err) => {
-                    assert!(err.is_corruption(), "{name} cut to {len}: {err}");
-                    match err.as_recovery() {
-                        Some(RecoveryError::SegmentLengthMismatch {
-                            segment,
-                            committed,
-                            actual,
-                        }) => {
-                            assert_eq!(segment, &name, "cut to {len}");
-                            assert_eq!(*committed, entry.file_len, "cut to {len}");
-                            assert_eq!(*actual, len, "cut to {len}");
-                        }
-                        other => panic!(
-                            "{name} cut to {len}: expected SegmentLengthMismatch, got {other:?}"
-                        ),
-                    }
-                }
-            }
+            // refusal carrying the exact segment and both lengths, by
+            // the open and, when the cut comes after the open, by the
+            // load of that kind (the V walk decodes nothing, and still
+            // refuses every cut).
+            let err = DiskStore::open(&trial).expect_err("strict open refuses a short segment");
+            assert_length_mismatch(&err, &name, entry.file_len, len);
+            let err = load_kind(&opened_before, entry.kind).expect_err("the load refuses it too");
+            assert_length_mismatch(&err, &name, entry.file_len, len);
+            drop(opened_before);
 
             // Salvage: keep the valid prefix (or drop the segment when
             // even the header is gone), and never alter surviving data.
@@ -345,18 +360,24 @@ fn segment_byte_flips_never_panic_and_salvage_always_recovers() {
             fs::write(trial.join(&name), &bytes).expect("write flipped segment");
 
             // Strict open itself succeeds (the length matches; checksums
-            // are verified at load time) — but loading must surface the
-            // damage as an error, never a panic or a silently wrong
-            // record. A flip the format cannot detect (e.g. the reserved
-            // header byte) may load clean; then records must be intact.
+            // are verified at load time) — but loading must refuse the
+            // damage as corruption, never a panic or a silently wrong
+            // record: every byte of a segment is under the header check,
+            // a frame length or a CRC, for E segments (decoded at load)
+            // and V segments (only located at load) alike. The one flip
+            // the format cannot see is the reserved header byte; it
+            // loads clean, and then the records must be intact.
             let store = DiskStore::open(&trial)
                 .unwrap_or_else(|e| panic!("{name} flip at {pos}: strict open: {e}"));
-            let strict_load = match entry.kind {
-                SegmentKind::EScenario => store.load_estore().map(|_| ()),
-                SegmentKind::VScenario => store.load_video(CostModel::free()).map(|_| ()),
-            };
-            if strict_load.is_ok() {
-                assert_records_committed(&store, &all_e, &all_v);
+            match load_kind(&store, entry.kind) {
+                Ok(()) => {
+                    assert_eq!(pos, HEADER_LEN - 1, "{name}: flip at {pos} loaded clean");
+                    assert_records_committed(&store, &all_e, &all_v);
+                }
+                Err(err) => assert!(
+                    matches!(err, DiskError::Corrupt { .. }),
+                    "{name} flip at {pos}: expected DiskError::Corrupt, got {err:?}"
+                ),
             }
             drop(store);
 
@@ -433,6 +454,130 @@ fn the_canonical_crash_shape_heals_to_the_committed_prefix() {
     let vs = store.load_video(CostModel::free()).expect("loads");
     assert_eq!(vs.scenarios().count(), all_v.len());
     assert_records_committed(&store, &all_e, &all_v);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ---- damage that arrives after `load_video` ------------------------------
+//
+// `load_video` verifies every V frame and remembers where it is; the
+// frame is read again, re-verified and decoded when a match first
+// extracts it. The tests below damage a corpus between the two.
+
+fn sid(t: u64, c: usize) -> ScenarioId {
+    ScenarioId::new(Timestamp::new(t), CellId::new(c))
+}
+
+/// The `FootageUnavailable` a store latched, as `(scenario, corrupt,
+/// reason)`.
+fn latched(video: &ev_store::VideoStore) -> (ScenarioId, bool, String) {
+    match video.check_loads() {
+        Err(ev_core::Error::FootageUnavailable {
+            scenario,
+            corrupt,
+            reason,
+        }) => (scenario, corrupt, reason),
+        other => panic!("expected a latched FootageUnavailable, got {other:?}"),
+    }
+}
+
+#[test]
+fn damage_after_load_is_a_typed_error_at_extract_never_missing_footage() {
+    // seg-000001-v.seg holds (0, 0) then (0, 1); seg-000003-v.seg the
+    // day-2 footage. Byte 20 of the first payload is inside (0, 0)'s
+    // first detection.
+    type Damage = fn(&Path);
+    let cases: [(&str, Damage, bool, &str); 3] = [
+        (
+            "flipped payload byte",
+            |seg| {
+                let mut bytes = fs::read(seg).expect("segment bytes");
+                bytes[HEADER_LEN + 4 + 20] ^= 0xFF;
+                fs::write(seg, bytes).expect("write flipped segment");
+            },
+            true,
+            "frame checksum mismatch",
+        ),
+        (
+            "truncated file",
+            |seg| truncate(seg, (HEADER_LEN + 4 + 30) as u64),
+            true,
+            "seg-000001-v.seg",
+        ),
+        (
+            "deleted file",
+            |seg| fs::remove_file(seg).expect("delete segment"),
+            false,
+            "seg-000001-v.seg",
+        ),
+    ];
+
+    for (what, damage, corrupt, reason_has) in cases {
+        let dir = temp_dir("post-load");
+        let (_, all_v) = build_corpus(&dir);
+        let store = DiskStore::open(&dir).expect("intact corpus opens");
+        let video = store
+            .load_video(CostModel::free())
+            .expect("intact V-data loads");
+        assert_eq!(video.len(), all_v.len());
+        damage(&dir.join("seg-000001-v.seg"));
+
+        // Footage in the untouched segment is served as committed.
+        let untouched = video.extract(sid(10, 2)).expect("untouched footage");
+        assert_eq!(*untouched, all_v[3], "{what}");
+        video.check_loads().expect("nothing has failed yet");
+
+        // The damaged frame: no footage comes back, and the store says
+        // why — this is what every matcher checks after its V stage.
+        assert!(video.extract(sid(0, 0)).is_none(), "{what}");
+        let (scenario, is_corrupt, reason) = latched(&video);
+        assert_eq!(scenario, sid(0, 0), "{what}");
+        assert_eq!(is_corrupt, corrupt, "{what}: {reason}");
+        assert!(reason.contains(reason_has), "{what}: {reason}");
+        assert_eq!(video.stats().extracted_scenarios, 1, "{what}");
+
+        // A flip damages one frame; its neighbour in the same file
+        // still reads. A cut or a missing file takes the whole segment.
+        let neighbour = video.extract(sid(0, 1));
+        if what == "flipped payload byte" {
+            assert_eq!(*neighbour.expect("the neighbouring frame"), all_v[1]);
+        } else {
+            assert!(neighbour.is_none(), "{what}");
+        }
+        // The first error stays the reported one.
+        assert_eq!(latched(&video).0, sid(0, 0), "{what}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_valid_frame_of_another_scenario_is_refused_at_extract() {
+    // Two same-shaped scenarios, so their frames are the same length
+    // and can trade places with every length and CRC still right.
+    let dir = temp_dir("swapped-frames");
+    let mut store = DiskStore::create(&dir).expect("fresh corpus");
+    let batch = [vscenario(20, 0, &[1]), vscenario(20, 1, &[2])];
+    let entry = (store.append(&[], &batch).expect("append").v_segment).expect("V entry");
+    let video = store.load_video(CostModel::free()).expect("loads");
+
+    let path = dir.join(entry.file_name());
+    let mut bytes = fs::read(&path).expect("segment bytes");
+    let frame = (bytes.len() - HEADER_LEN) / 2;
+    let (a, b) = bytes[HEADER_LEN..].split_at_mut(frame);
+    a.swap_with_slice(b);
+    fs::write(&path, bytes).expect("write swapped segment");
+
+    assert!(video.extract(sid(20, 0)).is_none());
+    let (scenario, corrupt, reason) = latched(&video);
+    assert_eq!(scenario, sid(20, 0));
+    assert!(corrupt, "{reason}");
+    assert!(
+        reason.contains(&sid(20, 1).to_string()),
+        "the reason names what the frame holds: {reason}"
+    );
+    // A fresh load of the swapped file is a valid corpus again: the
+    // walk indexes each scenario where it now is.
+    let reloaded = store.load_video(CostModel::free()).expect("reloads");
+    assert_eq!(*reloaded.extract(sid(20, 0)).expect("footage"), batch[0]);
     let _ = fs::remove_dir_all(&dir);
 }
 

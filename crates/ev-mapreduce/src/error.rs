@@ -27,6 +27,19 @@ pub enum JobError {
         /// The panic payload message of the final attempt.
         message: String,
     },
+    /// Data the job's tasks read could not be loaded, so there is no
+    /// correct output to give (e.g. footage of a selected V-Scenario
+    /// that failed its checksum when a match extracted it).
+    Input(ev_core::Error),
+}
+
+impl JobError {
+    /// Whether the job failed on damaged stored bytes (see
+    /// [`ev_core::Error::is_corruption`]).
+    #[must_use]
+    pub fn is_corruption(&self) -> bool {
+        matches!(self, JobError::Input(e) if e.is_corruption())
+    }
 }
 
 impl fmt::Display for JobError {
@@ -44,6 +57,7 @@ impl fmt::Display for JobError {
                     "{stage} task panicked on every allowed attempt: {message}"
                 )
             }
+            JobError::Input(e) => write!(f, "job input could not be loaded: {e}"),
         }
     }
 }
@@ -51,7 +65,7 @@ impl fmt::Display for JobError {
 impl std::error::Error for JobError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            JobError::InvalidConfig(e) => Some(e),
+            JobError::InvalidConfig(e) | JobError::Input(e) => Some(e),
             JobError::TaskExhausted { .. } | JobError::WorkerPanicked { .. } => None,
         }
     }

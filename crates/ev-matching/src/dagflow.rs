@@ -612,7 +612,9 @@ pub fn dag_split(
 ///
 /// # Errors
 ///
-/// Propagates [`JobError`] from the scheduler.
+/// Propagates [`JobError`] from the scheduler, and fails with
+/// [`JobError::Input`] when footage the V stages asked for failed to
+/// load (see [`VideoStore::check_loads`]).
 pub fn dag_match(
     config: &DagConfig,
     store: &EScenarioStore,
@@ -643,6 +645,7 @@ pub fn dag_match(
     );
     let run = dag.run(config, telemetry, pipeline_ctx)?;
     let elapsed = start.elapsed();
+    video.check_loads().map_err(JobError::Input)?;
     let e_stage = e_done
         .get()
         .expect("a finished run computed assemble")

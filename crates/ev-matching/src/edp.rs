@@ -108,13 +108,17 @@ pub fn efilter_one(store: &EScenarioStore, eid: Eid, config: &EdpConfig) -> Scen
 /// Matches a set of EIDs with sequential EDP: per-EID E-filtering followed
 /// by per-EID V-identification. Scenario reuse across EIDs is incidental;
 /// the [`VideoStore`] still extracts any shared scenario only once.
-#[must_use]
+///
+/// # Errors
+///
+/// [`ev_core::Error::FootageUnavailable`] when footage a list selects
+/// failed to load (see [`VideoStore::check_loads`]).
 pub fn match_edp(
     store: &EScenarioStore,
     video: &VideoStore,
     targets: &BTreeSet<Eid>,
     config: &EdpConfig,
-) -> MatchReport {
+) -> ev_core::Result<MatchReport> {
     let index_before = store.index().stats();
     let e_start = Instant::now();
     let lists: BTreeMap<Eid, ScenarioList> = targets
@@ -134,10 +138,11 @@ pub fn match_edp(
         .collect();
     outcomes.sort_by_key(|o| o.eid);
     let v_stage = v_start.elapsed();
+    video.check_loads()?;
 
     let index_delta = store.index().stats().since(&index_before);
     let selected: BTreeSet<ScenarioId> = lists.values().flat_map(|l| l.iter().copied()).collect();
-    MatchReport {
+    Ok(MatchReport {
         outcomes,
         lists,
         selected_scenarios: selected,
@@ -151,7 +156,7 @@ pub fn match_edp(
             },
         },
         rounds: 1,
-    }
+    })
 }
 
 /// One partition of the parallel EDP job.
@@ -174,7 +179,8 @@ enum EdpPart {
 /// # Errors
 ///
 /// Propagates [`JobError`] from the scheduler (an invalid fault plan,
-/// or a partition that exhausts its retry budget).
+/// or a partition that exhausts its retry budget), and fails with
+/// [`JobError::Input`] when footage a list selects failed to load.
 pub fn match_edp_parallel(
     config: &DagConfig,
     store: &EScenarioStore,
@@ -224,6 +230,7 @@ pub fn match_edp_parallel(
     let start = Instant::now();
     let run = dag.run(config, telemetry, TraceCtx::root())?;
     let elapsed = start.elapsed();
+    video.check_loads().map_err(JobError::Input)?;
 
     let mut lists: BTreeMap<Eid, ScenarioList> = BTreeMap::new();
     let mut e_end = start;
@@ -340,7 +347,7 @@ mod tests {
     fn edp_matches_everyone_in_the_clean_world() {
         let (store, video) = world();
         let targets: BTreeSet<Eid> = (0..4).map(Eid::from_u64).collect();
-        let report = match_edp(&store, &video, &targets, &EdpConfig::default());
+        let report = match_edp(&store, &video, &targets, &EdpConfig::default()).unwrap();
         assert_eq!(report.outcomes.len(), 4);
         for o in &report.outcomes {
             assert_eq!(
@@ -369,7 +376,7 @@ mod tests {
     fn parallel_edp_agrees_with_sequential() {
         let (store, video) = world();
         let targets: BTreeSet<Eid> = (0..4).map(Eid::from_u64).collect();
-        let sequential = match_edp(&store, &video, &targets, &EdpConfig::default());
+        let sequential = match_edp(&store, &video, &targets, &EdpConfig::default()).unwrap();
         let parallel = |targets: &BTreeSet<Eid>| {
             match_edp_parallel(
                 &DagConfig::new(2),

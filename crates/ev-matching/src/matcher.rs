@@ -21,6 +21,7 @@ use crate::setsplit::SetSplitConfig;
 use crate::types::{IndexCounters, MatchReport, StageTimings};
 use crate::vfilter::{filter_one, VFilterConfig};
 use ev_core::ids::Eid;
+use ev_mapreduce::JobError;
 use ev_store::{EScenarioStore, StoreBackend, VideoStore};
 use ev_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
@@ -125,8 +126,12 @@ impl<'a> EvMatcher<'a> {
     /// Matches a single EID without touching any other
     /// ("we can find the VID corresponding to one specific EID without
     /// matching other EIDs and VIDs", §I).
-    #[must_use]
-    pub fn match_one(&self, eid: Eid) -> MatchReport {
+    ///
+    /// # Errors
+    ///
+    /// [`JobError::Input`] when footage the list selects failed to load
+    /// (see [`VideoStore::check_loads`]).
+    pub fn match_one(&self, eid: Eid) -> Result<MatchReport, JobError> {
         let mut span = self.telemetry.span("match_one", "pipeline");
         let index_before = self.estore.index().stats();
         let e_start = Instant::now();
@@ -147,6 +152,7 @@ impl<'a> EvMatcher<'a> {
             &BTreeSet::new(),
         );
         let v_stage = v_start.elapsed();
+        self.video.check_loads().map_err(JobError::Input)?;
 
         let mut lists = BTreeMap::new();
         lists.insert(eid, list.clone());
@@ -174,34 +180,37 @@ impl<'a> EvMatcher<'a> {
             serde::Value::Bool(report.outcomes[0].vid.is_some()),
         );
         drop(span);
-        report
+        Ok(report)
     }
 
     /// Matches a set of EIDs simultaneously via EID set splitting.
     ///
     /// # Errors
     ///
-    /// Returns [`ev_mapreduce::JobError`] only in the DAG mode, when the
-    /// scheduler rejects its configuration or a task exhausts its retry
-    /// budget.
-    pub fn match_many(
-        &self,
-        targets: &BTreeSet<Eid>,
-    ) -> Result<MatchReport, ev_mapreduce::JobError> {
+    /// [`JobError::Input`] in either mode when footage a selected
+    /// scenario needs failed to load — never a report computed without
+    /// it (see [`VideoStore::check_loads`]); otherwise only in the DAG
+    /// mode, when the scheduler rejects its configuration or a task
+    /// exhausts its retry budget.
+    pub fn match_many(&self, targets: &BTreeSet<Eid>) -> Result<MatchReport, JobError> {
         match &self.config.execution {
-            ExecutionMode::Sequential => Ok(match_with_refinement_instrumented(
-                self.estore,
-                self.video,
-                targets,
-                &RefineConfig {
-                    mode: self.config.mode,
-                    split: self.config.split,
-                    vfilter: self.config.vfilter,
-                    max_rounds: self.config.max_rounds,
-                },
-                &BTreeSet::new(),
-                &self.telemetry,
-            )),
+            ExecutionMode::Sequential => {
+                let report = match_with_refinement_instrumented(
+                    self.estore,
+                    self.video,
+                    targets,
+                    &RefineConfig {
+                        mode: self.config.mode,
+                        split: self.config.split,
+                        vfilter: self.config.vfilter,
+                        max_rounds: self.config.max_rounds,
+                    },
+                    &BTreeSet::new(),
+                    &self.telemetry,
+                );
+                self.video.check_loads().map_err(JobError::Input)?;
+                Ok(report)
+            }
             ExecutionMode::Dag(threads) => crate::dagflow::dag_match(
                 &ev_mapreduce::DagConfig::new(*threads),
                 self.estore,
@@ -228,7 +237,7 @@ impl<'a> EvMatcher<'a> {
     /// # Errors
     ///
     /// Same conditions as [`match_many`](EvMatcher::match_many).
-    pub fn match_universal(&self) -> Result<MatchReport, ev_mapreduce::JobError> {
+    pub fn match_universal(&self) -> Result<MatchReport, JobError> {
         let universe: BTreeSet<Eid> = self
             .estore
             .iter()
@@ -284,7 +293,7 @@ mod tests {
     fn match_one_finds_the_right_vid() {
         let (store, video) = world();
         let matcher = EvMatcher::new(&store, &video, MatcherConfig::default());
-        let report = matcher.match_one(Eid::from_u64(2));
+        let report = matcher.match_one(Eid::from_u64(2)).unwrap();
         assert_eq!(report.outcomes.len(), 1);
         assert_eq!(report.outcomes[0].vid, Some(Vid::new(2)));
         assert!(report.selected_count() >= 2);

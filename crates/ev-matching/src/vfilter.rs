@@ -651,7 +651,7 @@ fn mean_feature(observations: &[&FeatureVector]) -> FeatureVector {
         }
         n += 1.0;
     }
-    FeatureVector::from_clamped(sums.into_iter().map(|s| s / n.max(1.0)).collect())
+    FeatureVector::from_clamped(sums.into_iter().map(|s| s / n.max(1.0)))
 }
 
 #[cfg(test)]

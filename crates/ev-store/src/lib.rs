@@ -10,7 +10,10 @@
 //!   until [`VideoStore::extract`] runs human detection and feature
 //!   extraction on it, which charges the vision cost model. Extraction is
 //!   cached: a V-Scenario reused for several EIDs is processed once
-//!   (paper §IV-A: "we only need to process this V-Scenario once").
+//!   (paper §IV-A: "we only need to process this V-Scenario once"). For
+//!   a corpus opened from disk the handle is literal — a
+//!   [`FootageLocation`] inside a [`FootageSource`] — and the footage
+//!   is read and decoded by the first extraction that asks for it.
 //!
 //! # Example
 //!
@@ -38,4 +41,4 @@ mod video;
 pub use backend::{MemoryBackend, StoreBackend};
 pub use estore::{EScenarioStore, IngestStats};
 pub use index::{IndexStatsSnapshot, ScenarioIndex};
-pub use video::{VideoStore, VideoStoreStats};
+pub use video::{FootageLocation, FootageSource, VideoStore, VideoStoreStats};

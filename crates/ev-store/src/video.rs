@@ -1,11 +1,12 @@
-//! The video store: raw footage handles with lazily cached, cost-charged
-//! V-Scenario extraction.
+//! The video store: footage that becomes resident when it is extracted,
+//! with cost-charged, cached V-Scenario extraction.
 
 use ev_core::scenario::{ScenarioId, VScenario};
 use ev_vision::cost::{CostLedger, CostModel};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Usage statistics of a [`VideoStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -18,6 +19,66 @@ pub struct VideoStoreStats {
     pub extracted_detections: u64,
 }
 
+/// Somewhere encoded footage is kept until a match asks for it — one
+/// committed segment file of an `ev-disk` corpus.
+pub trait FootageSource: fmt::Debug + Send + Sync {
+    /// Reads, verifies and decodes the V-Scenario `id`, whose encoded
+    /// bytes are the `len` bytes at `offset` of this source.
+    ///
+    /// # Errors
+    ///
+    /// [`ev_core::Error::FootageUnavailable`] when the bytes cannot be
+    /// read, fail their integrity check, do not decode, or decode to a
+    /// scenario other than `id`.
+    fn load(&self, id: ScenarioId, offset: u64, len: u32) -> ev_core::Result<VScenario>;
+}
+
+/// Where the encoded bytes of one V-Scenario live.
+#[derive(Debug, Clone)]
+pub struct FootageLocation {
+    /// The source holding the bytes.
+    pub source: Arc<dyn FootageSource>,
+    /// Byte offset of the encoded scenario within the source.
+    pub offset: u64,
+    /// Encoded length in bytes.
+    pub len: u32,
+}
+
+/// One footage entry: decoded in memory, or still where it is stored.
+#[derive(Debug, Clone)]
+enum Slot {
+    Resident(Arc<VScenario>),
+    Located {
+        at: FootageLocation,
+        /// Set by the first request: the decoded footage, or `None` when
+        /// the load failed (the store has latched why).
+        loaded: OnceLock<Option<Arc<VScenario>>>,
+    },
+}
+
+impl Slot {
+    /// The decoded footage, loading it on first use. `OnceLock` makes
+    /// concurrent first requests for one slot load it once.
+    fn footage(
+        &self,
+        id: ScenarioId,
+        load_error: &OnceLock<ev_core::Error>,
+    ) -> Option<&Arc<VScenario>> {
+        match self {
+            Slot::Resident(scenario) => Some(scenario),
+            Slot::Located { at, loaded } => loaded
+                .get_or_init(|| match at.source.load(id, at.offset, at.len) {
+                    Ok(scenario) => Some(Arc::new(scenario)),
+                    Err(e) => {
+                        let _ = load_error.set(e);
+                        None
+                    }
+                })
+                .as_ref(),
+        }
+    }
+}
+
 /// The raw video corpus, keyed by scenario id.
 ///
 /// Conceptually the store holds unprocessed footage; calling
@@ -28,13 +89,33 @@ pub struct VideoStoreStats {
 /// — this is what makes scenario *reuse* across EIDs profitable for the
 /// set-splitting algorithm.
 ///
+/// # What is resident when
+///
+/// Footage handed over decoded ([`new`](VideoStore::new),
+/// [`ingest`](VideoStore::ingest)) is resident from the start. Footage
+/// the store was only told the location of
+/// ([`located`](VideoStore::located) — how `ev-disk` opens a corpus) is
+/// read and decoded by the first [`extract`](VideoStore::extract) that
+/// asks for it (or a [`scenarios`](VideoStore::scenarios) walk) and then
+/// stays resident until the store is dropped: there is no eviction, and
+/// [`reset_usage`](VideoStore::reset_usage) resets accounting only. A
+/// match therefore holds in memory the V-Scenarios it selected, not the
+/// corpus.
+///
+/// A load that fails is never reported as "no footage": `extract`
+/// returns `None` for it, but the store latches the first such error and
+/// [`check_loads`](VideoStore::check_loads) returns it from then on —
+/// every matching entry point checks after its V stage and fails rather
+/// than report without that footage.
+///
 /// The store is `Sync`: parallel mappers may extract concurrently.
 #[derive(Debug)]
 pub struct VideoStore {
-    footage: BTreeMap<ScenarioId, Arc<VScenario>>,
+    footage: BTreeMap<ScenarioId, Slot>,
     cost: CostModel,
     ledger: CostLedger,
     state: Mutex<ExtractState>,
+    load_error: OnceLock<ev_core::Error>,
 }
 
 #[derive(Debug, Default)]
@@ -51,13 +132,34 @@ impl VideoStore {
     pub fn new(scenarios: Vec<VScenario>, cost: CostModel) -> Self {
         let footage = scenarios
             .into_iter()
-            .map(|s| (s.id(), Arc::new(s)))
+            .map(|s| (s.id(), Slot::Resident(Arc::new(s))))
             .collect();
+        VideoStore::over(footage, cost)
+    }
+
+    /// Builds a store over footage that stays where `entries` says it is
+    /// until first asked for. On a scenario-id collision the later entry
+    /// wins.
+    #[must_use]
+    pub fn located(
+        entries: impl IntoIterator<Item = (ScenarioId, FootageLocation)>,
+        cost: CostModel,
+    ) -> Self {
+        let mut footage = BTreeMap::new();
+        for (id, at) in entries {
+            let loaded = OnceLock::new();
+            footage.insert(id, Slot::Located { at, loaded });
+        }
+        VideoStore::over(footage, cost)
+    }
+
+    fn over(footage: BTreeMap<ScenarioId, Slot>, cost: CostModel) -> Self {
         VideoStore {
             footage,
             cost,
             ledger: CostLedger::new(),
             state: Mutex::new(ExtractState::default()),
+            load_error: OnceLock::new(),
         }
     }
 
@@ -82,17 +184,35 @@ impl VideoStore {
     /// Iterates the raw footage in scenario-id order *without*
     /// extracting it (no vision cost is charged). This is the
     /// persistence export path: `ev-disk` walks it to encode
-    /// V-segments.
+    /// V-segments. Footage not resident yet is loaded as the walk
+    /// reaches it; an entry whose load fails is skipped and latched, so
+    /// a walk that must be complete ends with
+    /// [`check_loads`](Self::check_loads).
     pub fn scenarios(&self) -> impl Iterator<Item = &VScenario> {
-        self.footage.values().map(Arc::as_ref)
+        self.footage
+            .iter()
+            .filter_map(|(&id, slot)| slot.footage(id, &self.load_error))
+            .map(Arc::as_ref)
+    }
+
+    /// Fails with the first footage-load error since the store was
+    /// built, if there was one.
+    ///
+    /// # Errors
+    ///
+    /// The latched [`ev_core::Error::FootageUnavailable`].
+    pub fn check_loads(&self) -> ev_core::Result<()> {
+        self.load_error.get().map_or(Ok(()), |e| Err(e.clone()))
     }
 
     /// Extracts the V-Scenario for `id`, charging extraction cost on the
     /// first call and serving from cache afterwards. Returns `None` when
-    /// no footage covers `id` (e.g. nobody was detected there).
+    /// no footage covers `id` (e.g. nobody was detected there) — and
+    /// also when its footage failed to load, which
+    /// [`check_loads`](Self::check_loads) tells apart.
     #[must_use]
     pub fn extract(&self, id: ScenarioId) -> Option<Arc<VScenario>> {
-        let scenario = self.footage.get(&id)?;
+        let scenario = self.footage.get(&id)?.footage(id, &self.load_error)?;
         let first_time = {
             let mut state = self.state.lock();
             if state.processed.contains(&id) {
@@ -148,19 +268,18 @@ impl VideoStore {
     /// Combines this corpus with `newer` footage (e.g. the next day's
     /// ingest); on a scenario-id collision the newer footage wins. The
     /// merged store starts with fresh usage state and this store's cost
-    /// model.
+    /// model; a load failure either side has latched stays latched.
     #[must_use]
     pub fn merged(&self, newer: &VideoStore) -> VideoStore {
         let mut footage = self.footage.clone();
-        for (id, scenario) in &newer.footage {
-            footage.insert(*id, Arc::clone(scenario));
+        for (id, slot) in &newer.footage {
+            footage.insert(*id, slot.clone());
         }
-        VideoStore {
-            footage,
-            cost: self.cost,
-            ledger: CostLedger::new(),
-            state: Mutex::new(ExtractState::default()),
+        let mut merged = VideoStore::over(footage, self.cost);
+        if let Some(e) = self.load_error.get().or(newer.load_error.get()) {
+            merged.load_error = OnceLock::from(e.clone());
         }
+        merged
     }
 
     /// Splices an ingest batch into the store in place — the streaming
@@ -174,7 +293,11 @@ impl VideoStore {
         let state = self.state.get_mut();
         for s in batch {
             let id = s.id();
-            if self.footage.insert(id, Arc::new(s)).is_some() {
+            if self
+                .footage
+                .insert(id, Slot::Resident(Arc::new(s)))
+                .is_some()
+            {
                 state.processed.remove(&id);
             }
         }
@@ -182,7 +305,9 @@ impl VideoStore {
     }
 
     /// Forgets all cached extractions and zeroes the ledger (for running
-    /// several experiments against the same corpus).
+    /// several experiments against the same corpus). Accounting only:
+    /// footage already loaded stays resident, and a latched load error
+    /// stays latched.
     pub fn reset_usage(&self) {
         let mut state = self.state.lock();
         state.processed.clear();
@@ -279,6 +404,142 @@ mod tests {
         assert_eq!(merged.stats(), VideoStoreStats::default(), "fresh usage");
         assert!(merged.extract(id(9, 9)).is_some());
         assert!(merged.extract(id(0, 0)).is_some());
+    }
+
+    /// A source over in-memory scenarios that counts its loads and
+    /// fails the ones listed in `broken`.
+    #[derive(Debug, Default)]
+    struct FakeSource {
+        held: Vec<VScenario>,
+        broken: Vec<u64>,
+        loads: std::sync::atomic::AtomicU64,
+    }
+
+    impl FootageSource for FakeSource {
+        fn load(&self, id: ScenarioId, offset: u64, _len: u32) -> ev_core::Result<VScenario> {
+            self.loads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if self.broken.contains(&offset) {
+                return Err(ev_core::Error::FootageUnavailable {
+                    scenario: id,
+                    corrupt: true,
+                    reason: "fake damage".into(),
+                });
+            }
+            Ok(self.held[offset as usize].clone())
+        }
+    }
+
+    /// A store whose every entry is located in `source`, at the offset
+    /// that is its index there.
+    fn located_store(source: &Arc<FakeSource>) -> VideoStore {
+        let entries = source.held.iter().enumerate().map(|(i, s)| {
+            let at = FootageLocation {
+                source: Arc::clone(source) as Arc<dyn FootageSource>,
+                offset: i as u64,
+                len: 1,
+            };
+            (s.id(), at)
+        });
+        VideoStore::located(entries, CostModel::free())
+    }
+
+    fn loads(source: &FakeSource) -> u64 {
+        source.loads.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    #[test]
+    fn located_footage_loads_on_first_extract_and_stays_resident() {
+        let source = Arc::new(FakeSource {
+            held: vec![vscenario(0, 0, &[1, 2]), vscenario(1, 0, &[3])],
+            ..FakeSource::default()
+        });
+        let s = located_store(&source);
+        assert_eq!(s.len(), 2, "located entries count as footage");
+        assert!(s.contains(id(1, 0)));
+        assert_eq!(loads(&source), 0, "building the store loads nothing");
+
+        assert_eq!(s.extract(id(0, 0)).unwrap().len(), 2);
+        let _ = s.extract(id(0, 0));
+        s.reset_usage();
+        let _ = s.extract(id(0, 0));
+        assert_eq!(
+            loads(&source),
+            1,
+            "loaded once; neither a repeat nor reset_usage reloads"
+        );
+        assert_eq!(s.stats().extracted_scenarios, 1);
+
+        assert_eq!(s.scenarios().count(), 2, "a walk loads the rest");
+        assert_eq!(loads(&source), 2);
+        s.check_loads().unwrap();
+    }
+
+    #[test]
+    fn a_failed_load_is_latched_not_reported_as_missing_footage() {
+        let source = Arc::new(FakeSource {
+            held: vec![vscenario(0, 0, &[1]), vscenario(1, 0, &[3])],
+            broken: vec![1],
+            ..FakeSource::default()
+        });
+        let s = located_store(&source);
+        assert!(s.extract(id(0, 0)).is_some());
+        s.check_loads().unwrap();
+
+        assert!(s.extract(id(1, 0)).is_none());
+        let err = s.check_loads().unwrap_err();
+        assert!(
+            matches!(&err, ev_core::Error::FootageUnavailable { scenario, .. } if *scenario == id(1, 0)),
+            "{err:?}"
+        );
+        assert_eq!(
+            s.stats().extracted_scenarios,
+            1,
+            "a failure extracts nothing"
+        );
+
+        // The failure is remembered, not retried, and survives the
+        // operations that rebuild usage state.
+        assert!(s.extract(id(1, 0)).is_none());
+        assert_eq!(loads(&source), 2);
+        assert_eq!(s.scenarios().count(), 1, "the walk skips it");
+        s.reset_usage();
+        assert_eq!(s.check_loads(), Err(err.clone()));
+        let newer = VideoStore::new(vec![vscenario(9, 9, &[7])], s.cost_model());
+        assert_eq!(s.merged(&newer).check_loads(), Err(err.clone()));
+        assert_eq!(newer.merged(&s).check_loads(), Err(err));
+    }
+
+    #[test]
+    fn ingest_replaces_located_footage_with_resident() {
+        let source = Arc::new(FakeSource {
+            held: vec![vscenario(0, 0, &[1, 2])],
+            ..FakeSource::default()
+        });
+        let mut s = located_store(&source);
+        s.ingest(vec![vscenario(0, 0, &[5])]);
+        assert_eq!(s.extract(id(0, 0)).unwrap().len(), 1);
+        assert_eq!(loads(&source), 0, "the superseded location is never read");
+    }
+
+    #[test]
+    fn concurrent_extraction_loads_each_located_scenario_once() {
+        let source = Arc::new(FakeSource {
+            held: (0..16).map(|i| vscenario(i, 0, &[i as u64])).collect(),
+            ..FakeSource::default()
+        });
+        let s = located_store(&source);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for i in 0..16 {
+                        assert!(s.extract(id(i, 0)).is_some());
+                    }
+                });
+            }
+        });
+        assert_eq!(loads(&source), 16);
+        assert_eq!(s.stats().extracted_scenarios, 16);
     }
 
     #[test]

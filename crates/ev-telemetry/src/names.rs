@@ -122,21 +122,43 @@ pub const EXEC_TASK_LATENCY_P90_NS: &str = "evm_exec_task_latency_p90_ns";
 /// "Watching a live run".
 pub const EXEC_TASK_LATENCY_P99_NS: &str = "evm_exec_task_latency_p99_ns";
 
-/// Segment files committed by `ev-disk` appends.
+// The disk family describes a process's traffic against one `ev-disk`
+// corpus directory. Segments are read two ways — a *load walk* verifies
+// a committed segment end to end when a store is loaded (E records are
+// decoded as it passes, V frames only located), and a *frame read*
+// fetches one located V-Scenario when a match first extracts it — and
+// the three read counters are defined over both.
+
+/// Segment files committed to the manifest by appends and ingest
+/// checkpoints (count). Reader: README, "Persisting a corpus".
 pub const DISK_SEGMENTS_WRITTEN: &str = "evm_disk_segments_written";
-/// Segment files opened and decoded during corpus loads.
+/// Committed segment files a load walk read and verified end to end
+/// (count; frame reads are not counted). Reader: `evmatch check-metrics
+/// --in` takes a non-zero value to mean the profile ran from disk and
+/// applies its disk accounting check.
 pub const DISK_SEGMENTS_OPENED: &str = "evm_disk_segments_opened";
-/// Segment files skipped by cell/time bounds during pruned loads.
-pub const DISK_SEGMENTS_PRUNED: &str = "evm_disk_segments_pruned";
-/// Scenario records decoded from segment files.
+/// Scenario records *decoded* from segment files (count): every E
+/// record at load, a V record only when a match first extracts it — so
+/// a disk-backed match reports its E records plus the V-Scenarios it
+/// extracted, not the size of the corpus. Readers: `evmatch
+/// check-metrics` (`--smoke` holds a disk-backed match to exactly that
+/// sum; `--in` checks the bytes account for it).
 pub const DISK_RECORDS_READ: &str = "evm_disk_records_read";
-/// Segment bytes read from disk during loads.
+/// Bytes read from segment files (bytes): each walked file's length,
+/// plus payload and CRC of each frame read. Reader: `evmatch
+/// check-metrics --in` requires it to cover the walked headers and the
+/// decoded records' frames.
 pub const DISK_BYTES_READ: &str = "evm_disk_bytes_read";
-/// Torn tails truncated and orphan segments removed during recovery.
+/// Repairs opens made to the corpus (count): one per torn or damaged
+/// manifest tail truncated, per orphan segment removed and per segment
+/// salvaged. Reader: README, "Persisting a corpus".
 pub const DISK_RECOVERY_TRUNCATIONS: &str = "evm_disk_recovery_truncations";
-/// Wall time of the last `DiskStore` open (recovery included), seconds.
+/// Wall time of the last `DiskStore` open — manifest replay and
+/// recovery, before any load walk (seconds). Reader: README,
+/// "Persistence".
 pub const DISK_OPEN_SECONDS: &str = "evm_disk_open_seconds";
-/// Live manifest entries after the last open or append.
+/// Live manifest entries after the last open or commit (count). Reader:
+/// README, "Persisting a corpus".
 pub const DISK_MANIFEST_ENTRIES: &str = "evm_disk_manifest_entries";
 
 /// Ingest batches accepted by the streaming serve loop.
@@ -210,7 +232,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     FLIGHT_DUMPS,
     DISK_SEGMENTS_WRITTEN,
     DISK_SEGMENTS_OPENED,
-    DISK_SEGMENTS_PRUNED,
     DISK_RECORDS_READ,
     DISK_BYTES_READ,
     DISK_RECOVERY_TRUNCATIONS,

@@ -33,10 +33,7 @@ impl AppearanceGallery {
         assert!(dim > 0, "appearance dimension must be positive");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let features = (0..population)
-            .map(|_| {
-                let components: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
-                FeatureVector::from_clamped(components)
-            })
+            .map(|_| FeatureVector::from_clamped((0..dim).map(|_| rng.gen::<f64>())))
             .collect();
         AppearanceGallery { features, dim }
     }
@@ -86,12 +83,14 @@ impl AppearanceGallery {
         if sigma <= 0.0 {
             return Some(truth.clone());
         }
-        let noisy: Vec<f64> = truth
-            .components()
-            .iter()
-            .map(|&c| c + gaussian(rng) * sigma)
-            .collect();
-        Some(FeatureVector::from_clamped(noisy))
+        // Built straight into the observation's shared storage: one
+        // allocation per detection.
+        Some(FeatureVector::from_clamped(
+            truth
+                .components()
+                .iter()
+                .map(|&c| c + gaussian(rng) * sigma),
+        ))
     }
 }
 
@@ -126,9 +125,7 @@ impl AppearanceGallery {
         let features = (0..population)
             .map(|i| {
                 let c = &centroids[(i as usize) % clusters];
-                let components: Vec<f64> =
-                    c.iter().map(|&x| x + gaussian(&mut rng) * spread).collect();
-                FeatureVector::from_clamped(components)
+                FeatureVector::from_clamped(c.iter().map(|&x| x + gaussian(&mut rng) * spread))
             })
             .collect();
         AppearanceGallery { features, dim }

@@ -33,7 +33,9 @@ fn main() {
         .expect("non-empty");
     dataset.video.reset_usage();
     let t = Instant::now();
-    let single = matcher.match_one(one);
+    let single = matcher
+        .match_one(one)
+        .expect("generated footage is resident");
     println!(
         "single EID:   {:>4} scenarios, {:>8.1?} total ({:.1?} per pair)",
         single.selected_count(),

@@ -85,7 +85,8 @@
 //! fails on any divergence a converged result is not allowed to show.
 
 use ev_telemetry::{names, prometheus, MetricsServer, Telemetry, TelemetryLevel};
-use evmatch::disk::{DiskBackend, DiskStore, RecoveryMode};
+use evmatch::disk::format::{FRAME_OVERHEAD, HEADER_LEN};
+use evmatch::disk::{AppendReceipt, DiskBackend, DiskError, DiskStore, RecoveryMode};
 use evmatch::fusion::FusedIndex;
 use evmatch::matching::refine::SplitMode;
 use evmatch::prelude::*;
@@ -321,6 +322,24 @@ fn cmd_generate(args: &CommonArgs) -> Result<(), String> {
     Ok(())
 }
 
+/// Words a failure on the disk path. Corruption dumps the flight
+/// recorder first, wherever it was found: refused at open, or met when a
+/// match first read the damaged footage.
+fn disk_failure(telemetry: &Telemetry, corrupt: bool, message: String) -> String {
+    if corrupt {
+        telemetry.dump_flight("disk_corruption");
+    }
+    message
+}
+
+/// Appends the whole generated corpus to `store` as one E and one V
+/// segment.
+fn persist(store: &mut DiskStore, dataset: &EvDataset) -> Result<AppendReceipt, DiskError> {
+    let e_batch: Vec<_> = dataset.estore.iter().cloned().collect();
+    let v_batch: Vec<_> = dataset.video.scenarios().cloned().collect();
+    store.append(&e_batch, &v_batch)
+}
+
 /// The execution mode `--threads` selects.
 fn execution_mode(args: &CommonArgs) -> ExecutionMode {
     args.threads
@@ -350,10 +369,8 @@ fn run_match(args: &CommonArgs) -> Result<(EvDataset, MatchReport), String> {
         let backend =
             DiskBackend::open_with(dir, dataset.video.cost_model(), args.recovery, &telemetry)
                 .map_err(|e| {
-                    if e.is_corruption() {
-                        telemetry.dump_flight("disk_corruption");
-                    }
-                    format!("opening corpus {dir}: {e}")
+                    let message = format!("opening corpus {dir}: {e}");
+                    disk_failure(&telemetry, e.is_corruption(), message)
                 })?;
         if backend.recovery().repaired_anything() {
             eprintln!("recovered corpus {dir}: {:?}", backend.recovery());
@@ -364,7 +381,10 @@ fn run_match(args: &CommonArgs) -> Result<(EvDataset, MatchReport), String> {
         } else {
             matcher.match_many(&targets)
         }
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| {
+            let message = format!("matching from corpus {dir}: {e}");
+            disk_failure(&telemetry, e.is_corruption(), message)
+        })?;
         if telemetry.counters_on() {
             telemetry
                 .registry()
@@ -412,23 +432,18 @@ fn cmd_ingest(args: &CommonArgs) -> Result<(), String> {
     let server = args.start_metrics_server(&telemetry)?;
     let mut store = DiskStore::open_or_create(dir)
         .map_err(|e| {
-            if e.is_corruption() {
-                telemetry.dump_flight("disk_corruption");
-            }
-            format!("opening corpus {dir}: {e}")
+            let message = format!("opening corpus {dir}: {e}");
+            disk_failure(&telemetry, e.is_corruption(), message)
         })?
         .with_telemetry(&telemetry);
     if store.recovery().repaired_anything() {
         eprintln!("recovered corpus {dir}: {:?}", store.recovery());
     }
-    let e_batch: Vec<_> = dataset.estore.iter().cloned().collect();
-    let v_batch: Vec<_> = dataset.video.scenarios().cloned().collect();
-    let receipt = store.append(&e_batch, &v_batch).map_err(|e| {
-        if e.is_corruption() {
-            telemetry.dump_flight("disk_corruption");
-        }
-        format!("appending to corpus {dir}: {e}")
+    let receipt = persist(&mut store, &dataset).map_err(|e| {
+        let message = format!("appending to corpus {dir}: {e}");
+        disk_failure(&telemetry, e.is_corruption(), message)
     })?;
+    let (e_records, v_records) = (dataset.estore.len(), dataset.video.len());
     write_telemetry(args, &telemetry)?;
     args.hold_metrics_server(server);
     if args.json {
@@ -436,8 +451,8 @@ fn cmd_ingest(args: &CommonArgs) -> Result<(), String> {
             "{}",
             serde_json::json!({
                 "data_dir": dir.as_str(),
-                "e_records": e_batch.len(),
-                "v_records": v_batch.len(),
+                "e_records": e_records,
+                "v_records": v_records,
                 "e_segment": receipt.e_segment.map(|s| s.file_name()),
                 "v_segment": receipt.v_segment.map(|s| s.file_name()),
                 "segments_total": store.segments().len(),
@@ -445,9 +460,8 @@ fn cmd_ingest(args: &CommonArgs) -> Result<(), String> {
         );
     } else {
         println!(
-            "ingested {} E-records and {} V-records into {dir} ({} live segments)",
-            e_batch.len(),
-            v_batch.len(),
+            "ingested {e_records} E-records and {v_records} V-records into {dir} \
+             ({} live segments)",
             store.segments().len(),
         );
     }
@@ -519,8 +533,8 @@ fn cmd_serve(args: &CommonArgs) -> Result<(), String> {
     config.matcher.vfilter.anytime = args.anytime();
 
     let mut live = LiveCorpus::open(dir, config, &telemetry).map_err(|e| {
-        telemetry.dump_flight("disk_corruption");
-        format!("opening live corpus {dir}: {e}")
+        let message = format!("opening live corpus {dir}: {e}");
+        disk_failure(&telemetry, e.is_corruption(), message)
     })?;
     if live.disk().recovery().repaired_anything() {
         eprintln!("recovered corpus {dir}: {:?}", live.disk().recovery());
@@ -608,7 +622,10 @@ fn cmd_serve(args: &CommonArgs) -> Result<(), String> {
                     continue;
                 };
                 let q: BTreeSet<Eid> = targets.iter().take(k.max(1)).copied().collect();
-                let answer = live.query(&q).map_err(|e| e.to_string())?;
+                let answer = live.query(&q).map_err(|e| {
+                    let message = format!("answering the query: {e}");
+                    disk_failure(&telemetry, e.is_corruption(), message)
+                })?;
                 let stats = score_report(&dataset, &answer.report);
                 println!(
                     "query: {} EIDs at epoch {} (staleness {} events): {} scenarios selected, \
@@ -867,7 +884,10 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             absorb_into(&mut seen, &tel);
         }
 
-        // 5. Disk round-trip: one ingest, one recovering reopen+load.
+        // 5. Disk round-trip: one ingest, one recovering reopen+load,
+        //    and one small match on the reopened backend, whose footage
+        //    is decoded frame by frame as the match extracts it — the
+        //    decoded-record counter must say exactly that.
         {
             let tel = Telemetry::new(TelemetryLevel::Counters);
             let dir = scratch.join("corpus");
@@ -875,19 +895,31 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             let mut store = DiskStore::open_or_create(&dir)
                 .map_err(|e| format!("opening corpus {dir}: {e}"))?
                 .with_telemetry(&tel);
-            let e_batch: Vec<_> = dataset.estore.iter().cloned().collect();
-            let v_batch: Vec<_> = dataset.video.scenarios().cloned().collect();
-            store
-                .append(&e_batch, &v_batch)
-                .map_err(|e| format!("appending to corpus {dir}: {e}"))?;
+            persist(&mut store, &dataset).map_err(|e| format!("appending to corpus {dir}: {e}"))?;
             drop(store);
-            let _reopened = DiskBackend::open_with(
+            let reopened = DiskBackend::open_with(
                 &dir,
                 dataset.video.cost_model(),
                 RecoveryMode::Salvage,
                 &tel,
             )
             .map_err(|e| format!("reopening corpus {dir}: {e}"))?;
+            EvMatcher::from_backend(&reopened, MatcherConfig::default())
+                .with_telemetry(&tel)
+                .match_many(&targets)
+                .map_err(|e| format!("smoke disk-backed match: {e}"))?;
+            let decoded = tel
+                .registry()
+                .counter_value(names::DISK_RECORDS_READ)
+                .unwrap_or(0);
+            let extracted = reopened.video().stats().extracted_scenarios;
+            if decoded != (reopened.estore().len() + extracted) as u64 {
+                return Err(format!(
+                    "disk-backed smoke match decoded {decoded} records, expected the {} \
+                     E records + the {extracted} V-Scenarios it extracted",
+                    reopened.estore().len()
+                ));
+            }
             absorb_into(&mut seen, &tel);
         }
 
@@ -1098,6 +1130,23 @@ fn cmd_check_metrics(args: &CommonArgs) -> Result<(), String> {
             "{path}: {} tasks ran but {} is 0: derived metrics were not refreshed before export",
             value(names::DAG_TASKS_TOTAL),
             names::EXEC_TASK_LATENCY_P50_NS
+        ));
+    }
+    // A profile that ran from disk (a load walk opened segments) must
+    // account for what it decoded: each walked file is at least a
+    // header, and each decoded record — E at load, V when a match first
+    // extracted it — was read as a frame around at least the
+    // `time | cell | count` head of a payload.
+    let (opened, decoded, bytes) = (
+        value(names::DISK_SEGMENTS_OPENED),
+        value(names::DISK_RECORDS_READ),
+        value(names::DISK_BYTES_READ),
+    );
+    let least = opened * HEADER_LEN as f64 + decoded * (FRAME_OVERHEAD + 20) as f64;
+    if opened > 0.0 && (decoded == 0.0 || bytes < least) {
+        return Err(format!(
+            "{path}: disk counters are inconsistent: {opened} segments walked and {decoded} \
+             records decoded need at least {least} bytes read, the profile says {bytes}"
         ));
     }
     let fully_split = exposition.value(names::FULLY_SPLIT).unwrap_or(0.0);

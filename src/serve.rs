@@ -132,13 +132,28 @@ impl Default for ServeConfig {
 }
 
 /// Everything that can go wrong while serving: disk persistence errors
-/// and (parallel-execution only) matcher engine errors.
+/// and matcher errors.
 #[derive(Debug)]
 pub enum ServeError {
     /// The durability layer failed (write, fsync, manifest, recovery).
     Disk(DiskError),
-    /// The matcher's execution engine rejected the query.
+    /// The query has no report: footage it selected failed to load
+    /// ([`JobError::Input`](ev_mapreduce::JobError::Input)), or
+    /// (parallel execution only) the engine rejected it.
     Match(ev_mapreduce::JobError),
+}
+
+impl ServeError {
+    /// Whether the failure is damaged bytes on disk — found at open or
+    /// when a query first read the footage — rather than an
+    /// operating-system or engine failure.
+    #[must_use]
+    pub fn is_corruption(&self) -> bool {
+        match self {
+            ServeError::Disk(e) => e.is_corruption(),
+            ServeError::Match(e) => e.is_corruption(),
+        }
+    }
 }
 
 impl fmt::Display for ServeError {
@@ -228,8 +243,11 @@ impl fmt::Debug for LiveCorpus<'_> {
 }
 
 impl<'t> LiveCorpus<'t> {
-    /// Opens (or creates) the on-disk corpus at `dir` and loads it into
-    /// memory as epoch 0. Existing corpora are recovered under
+    /// Opens (or creates) the on-disk corpus at `dir` as epoch 0: the
+    /// E-data is loaded, the V-data verified and indexed (its footage is
+    /// read when a query first selects it; footage ingested live stays
+    /// resident until the corpus is reopened). Existing corpora are
+    /// recovered under
     /// [`ServeConfig::recovery`] and a non-empty watch set is absorbed
     /// immediately, so the live index is warm before the first ingest.
     ///
@@ -412,8 +430,10 @@ impl<'t> LiveCorpus<'t> {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Match`] only in parallel execution, when the
-    /// engine rejects its configuration or exhausts retries.
+    /// [`ServeError::Match`] when footage the query selected fails to
+    /// load from the corpus — the answer is never computed without it —
+    /// and, in parallel execution only, when the engine rejects its
+    /// configuration or exhausts retries.
     pub fn query(&self, targets: &BTreeSet<Eid>) -> ServeResult<ServeAnswer> {
         let started = Instant::now();
         let matcher = EvMatcher::new(&self.estore, &self.video, self.config.matcher.clone())

@@ -52,7 +52,8 @@ fn ss_selects_fewer_scenarios_than_edp() {
         &d.video,
         &targets,
         &evmatch::matching::edp::EdpConfig::default(),
-    );
+    )
+    .unwrap();
 
     assert!(
         ss.selected_count() < edp.selected_count(),
@@ -69,7 +70,7 @@ fn single_eid_matching_works_without_touching_others() {
     let d = dataset();
     let eid = sample_targets(&d, 1, 3).into_iter().next().unwrap();
     let matcher = EvMatcher::new(&d.estore, &d.video, MatcherConfig::default());
-    let report = matcher.match_one(eid);
+    let report = matcher.match_one(eid).unwrap();
     assert_eq!(report.outcomes.len(), 1);
     let outcome = &report.outcomes[0];
     assert_eq!(outcome.eid, eid);

@@ -58,7 +58,7 @@ fn parallel_edp_equals_sequential_edp() {
     let config = EdpConfig::default();
 
     d.video.reset_usage();
-    let sequential = match_edp(&d.estore, &d.video, &targets, &config);
+    let sequential = match_edp(&d.estore, &d.video, &targets, &config).unwrap();
     for threads in [1, 2, 4] {
         d.video.reset_usage();
         let parallel = match_edp_parallel(

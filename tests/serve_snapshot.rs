@@ -276,3 +276,81 @@ fn serve_stdin_loop_survives_malformed_lines() {
     assert!(!store.load_estore().expect("load").is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Corruption a query meets mid-session — footage damaged after the
+/// corpus was opened — is reported the way corruption met at open is: a
+/// typed message naming the scenario, and a `disk_corruption` flight
+/// dump. The query gets no answer computed without the footage.
+#[test]
+fn serve_reports_footage_damaged_after_open_and_dumps_the_flight_recorder() {
+    use evmatch::disk::{segment, DiskStore};
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::{Command, Stdio};
+
+    // A corpus holding the first 20 ticks of the world the CLI flags
+    // regenerate, written the way `evmatch serve` would have.
+    let dir = temp_dir("damaged-footage");
+    let flight_dir = temp_dir("damaged-footage-flight");
+    let d = EvDataset::generate(&DatasetConfig {
+        population: 40,
+        duration: 30,
+        ..DatasetConfig::default()
+    })
+    .expect("valid config");
+    let (e, v) = slice(&d, 0, 20);
+    let entry = (DiskStore::create(&dir).expect("fresh corpus"))
+        .append(&e, &v)
+        .expect("append")
+        .v_segment
+        .expect("a V segment");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_evmatch"))
+        .args(["serve", "--population", "40", "--duration", "30"])
+        .args(["--targets", "5", "--data-dir"])
+        .arg(&dir)
+        .arg("--flight-dir")
+        .arg(&flight_dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn evmatch serve");
+    // The prompt line is printed once the corpus is open and loaded.
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    while !line.starts_with("serve: commands:") {
+        line.clear();
+        assert_ne!(stdout.read_line(&mut line).expect("read stdout"), 0, "EOF");
+    }
+
+    // Flip a byte in every V frame, so whatever the query selects is hit.
+    let path = dir.join(entry.file_name());
+    let mut bytes = std::fs::read(&path).expect("segment bytes");
+    let (_, scan) = segment::scan(&bytes).expect("valid segment");
+    for (start, len) in scan.payloads {
+        bytes[start + len / 2] ^= 0xFF;
+    }
+    std::fs::write(&path, bytes).expect("write damaged segment");
+
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    stdin
+        .write_all(b"query 5\nquit\n")
+        .expect("write the script");
+    drop(stdin);
+    let out = child.wait_with_output().expect("evmatch serve exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a runtime error:\n{stderr}");
+    assert!(stderr.contains("answering the query"), "{stderr}");
+    assert!(stderr.contains("could not be loaded"), "{stderr}");
+    assert!(stderr.contains("frame checksum mismatch"), "{stderr}");
+
+    let dumps: Vec<_> = std::fs::read_dir(&flight_dir)
+        .expect("flight dir")
+        .map(|f| f.expect("dir entry").path())
+        .collect();
+    assert_eq!(dumps.len(), 1, "one flight dump: {dumps:?}");
+    let dump = std::fs::read_to_string(&dumps[0]).expect("dump");
+    assert!(dump.contains("disk_corruption"), "{dump}");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&flight_dir);
+}
