@@ -215,6 +215,15 @@ impl DatasetConfig {
                 reason: "appearance features need at least one dimension".into(),
             });
         }
+        if !self.appearance_spread.is_finite() || self.appearance_spread < 0.0 {
+            return Err(ev_core::Error::InvalidParameter {
+                name: "appearance_spread",
+                reason: format!(
+                    "must be non-negative and finite, got {}",
+                    self.appearance_spread
+                ),
+            });
+        }
         // Region geometry is validated by GridRegion::new; run it here so
         // errors surface before the expensive generation starts.
         ev_core::region::GridRegion::new(
@@ -307,6 +316,24 @@ mod tests {
         let mut c = DatasetConfig::default();
         c.feature_dim = 0;
         assert!(c.validate().is_err());
+
+        for spread in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.04] {
+            let mut c = DatasetConfig::default();
+            c.appearance_spread = spread;
+            assert!(
+                matches!(
+                    c.validate(),
+                    Err(ev_core::Error::InvalidParameter {
+                        name: "appearance_spread",
+                        ..
+                    })
+                ),
+                "spread {spread} must be rejected"
+            );
+        }
+        let mut c = DatasetConfig::default();
+        c.appearance_spread = 0.0;
+        assert!(c.validate().is_ok(), "identical cluster mates are legal");
 
         let mut c = DatasetConfig::default();
         c.cell_size = -5.0;

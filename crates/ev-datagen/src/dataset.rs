@@ -30,8 +30,11 @@ pub struct EvDataset {
 }
 
 impl EvDataset {
-    /// Generates a dataset: mobility world → electronic sensing →
-    /// visual sensing → stores.
+    /// Generates a dataset: mobility world → electronic and visual
+    /// sensing, side by side and on every core → stores. The dataset is a
+    /// function of `config` alone: each stage draws from its own stream
+    /// of `config.seed` and the visual fan-out plans its stream offsets
+    /// before it spreads (DESIGN.md §4d).
     ///
     /// # Errors
     ///
@@ -60,24 +63,13 @@ impl EvDataset {
         };
         let traces = world.run(config.duration);
 
-        // 2. Electronic sensing.
+        // 2. Who carries a device, and what everyone looks like: both
+        // cheap, both needed before any sensing starts.
         let roster = EidRoster::with_missing(
             config.population,
             config.eid_missing_rate,
             config.seed.wrapping_add(1),
         );
-        let escenarios = EScenarioBuilder::new(region.clone()).build_practical(
-            &traces,
-            &roster,
-            config.noise,
-            config.window,
-            config.thresholds,
-            config.seed.wrapping_add(2),
-        )?;
-        let estore = EScenarioStore::from_scenarios(escenarios);
-
-        // 3. Visual sensing (independent of the roster: every body is
-        // filmed, device or not).
         let gallery = if config.appearance_clusters > 0 {
             AppearanceGallery::generate_clustered(
                 config.population,
@@ -93,12 +85,37 @@ impl EvDataset {
                 config.seed.wrapping_add(3),
             )
         };
-        let vscenarios = VScenarioBuilder::new(region.clone(), gallery.clone()).build_windowed(
-            &traces,
-            config.detection,
-            config.window,
-            config.seed.wrapping_add(4),
-        );
+
+        // 3. Electronic sensing as one task beside visual sensing (which
+        // fans out itself): they only read `traces` and draw from
+        // independent streams, `seed + 2` and `seed + 4`. Visual sensing
+        // is independent of the roster: every body is filmed, device or
+        // not.
+        let ebuilder = EScenarioBuilder::new(region.clone());
+        let vbuilder = VScenarioBuilder::new(region.clone(), gallery.clone());
+        let (escenarios, vscenarios) = std::thread::scope(|scope| {
+            let electronic = scope.spawn(|| {
+                ebuilder.build_practical(
+                    &traces,
+                    &roster,
+                    config.noise,
+                    config.window,
+                    config.thresholds,
+                    config.seed.wrapping_add(2),
+                )
+            });
+            let vscenarios = vbuilder.build_windowed(
+                &traces,
+                config.detection,
+                config.window,
+                config.seed.wrapping_add(4),
+            );
+            let escenarios = electronic
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (escenarios, vscenarios)
+        });
+        let estore = EScenarioStore::from_scenarios(escenarios?);
         let video = VideoStore::new(vscenarios, config.cost);
 
         // 4. Ground truth.
@@ -153,7 +170,8 @@ impl StoreBackend for EvDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ev_core::scenario::ZoneAttr;
+    use crate::config::Mobility;
+    use ev_core::scenario::{ScenarioId, ZoneAttr};
 
     fn small() -> DatasetConfig {
         DatasetConfig {
@@ -178,16 +196,101 @@ mod tests {
         }
     }
 
+    /// The V side down to the bit, one row per detection: its scenario's
+    /// id, its VID, every feature component by `to_bits`.
+    fn video_bits(video: &VideoStore) -> Vec<(ScenarioId, Vid, Vec<u64>)> {
+        video
+            .scenarios()
+            .flat_map(|s| {
+                s.detections().iter().map(|d| {
+                    let bits = d.feature.components().iter().map(|c| c.to_bits());
+                    (s.id(), d.vid, bits.collect())
+                })
+            })
+            .collect()
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let a = EvDataset::generate(&small()).unwrap();
         let b = EvDataset::generate(&small()).unwrap();
         assert_eq!(a.estore, b.estore);
         assert_eq!(a.truth, b.truth);
+        assert_eq!(a.roster, b.roster);
+        assert_eq!(a.gallery, b.gallery);
+        let video = video_bits(&a.video);
+        assert!(video.len() > 100);
+        assert_eq!(video, video_bits(&b.video));
         let mut c_cfg = small();
         c_cfg.seed += 1;
         let c = EvDataset::generate(&c_cfg).unwrap();
         assert_ne!(a.estore, c.estore);
+        assert_ne!(video, video_bits(&c.video));
+    }
+
+    /// `generate` against its sensing stages run through the builders'
+    /// public API one after the other on this thread, as they ran before
+    /// they overlapped.
+    fn assert_equals_its_stages_in_sequence(config: &DatasetConfig) {
+        let d = EvDataset::generate(config).unwrap();
+        let Mobility::RandomWaypoint(params) = config.mobility else {
+            panic!("written for the random-waypoint corpora");
+        };
+        let population = config.population as usize;
+        let traces = World::random_waypoint(d.region.clone(), population, params, config.seed)
+            .run(config.duration);
+        let escenarios = EScenarioBuilder::new(d.region.clone())
+            .build_practical(
+                &traces,
+                &d.roster,
+                config.noise,
+                config.window,
+                config.thresholds,
+                config.seed + 2,
+            )
+            .unwrap();
+        assert_eq!(d.estore, EScenarioStore::from_scenarios(escenarios));
+        let vscenarios = VScenarioBuilder::new(d.region.clone(), d.gallery.clone()).build_windowed(
+            &traces,
+            config.detection,
+            config.window,
+            config.seed + 4,
+        );
+        assert_eq!(
+            video_bits(&d.video),
+            video_bits(&VideoStore::new(vscenarios, config.cost))
+        );
+    }
+
+    #[test]
+    fn generation_equals_its_stages_in_sequence() {
+        assert_equals_its_stages_in_sequence(&small());
+    }
+
+    /// The three corpora `benchmark/src/adapter.rs` generates, seed 1.
+    /// Run in release: `cargo test --release -p ev-datagen -- --ignored`.
+    #[test]
+    #[ignore = "benchmark scale; run in release (CI step \"Generator differential\")"]
+    fn generation_equals_its_stages_in_sequence_at_benchmark_scale() {
+        let dense = DatasetConfig {
+            feature_dim: 128,
+            seed: 1,
+            ..DatasetConfig::with_grid_side(4)
+        };
+        let paper = DatasetConfig {
+            duration: 300,
+            seed: 1,
+            ..DatasetConfig::paper()
+        };
+        let serve = DatasetConfig {
+            population: 600,
+            duration: 1500,
+            seed: 1,
+            ..DatasetConfig::default()
+        };
+        for config in [dense, paper, serve] {
+            assert_equals_its_stages_in_sequence(&config);
+        }
     }
 
     #[test]

@@ -66,6 +66,18 @@ impl WindowThresholds {
     }
 }
 
+/// How often one device was heard in one cell during one window, and how
+/// many of those hits were in the cell's inclusive zone. The field order
+/// is the scenario order the derived `Ord` sorts rows into.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Tally {
+    window: Timestamp,
+    cell: CellId,
+    eid: Eid,
+    count: u64,
+    deep_hits: u64,
+}
+
 /// Builds E-Scenarios (and raw capture logs) over a [`GridRegion`].
 #[derive(Debug, Clone)]
 pub struct EScenarioBuilder {
@@ -109,6 +121,38 @@ impl EScenarioBuilder {
         scenarios.into_values().collect()
     }
 
+    /// Draws the noisy sensor's captures in the order the `seed` stream
+    /// defines them — person-major, ticks ascending — handing each one
+    /// that was heard to `sink`. The one capture loop: [`capture_log`]
+    /// collects what it yields, [`build_practical`] folds it.
+    ///
+    /// [`capture_log`]: EScenarioBuilder::capture_log
+    /// [`build_practical`]: EScenarioBuilder::build_practical
+    fn for_each_capture(
+        traces: &TraceSet,
+        roster: &EidRoster,
+        noise: SensingNoise,
+        seed: u64,
+        mut sink: impl FnMut(CaptureEvent),
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for (person, trajectory) in traces.iter() {
+            let Some(eid) = roster.eid_of(person) else {
+                continue;
+            };
+            for (offset, &pos) in trajectory.positions.iter().enumerate() {
+                let time = trajectory.start + offset as u64;
+                if let Some(estimated) = noise.observe(pos, &mut rng) {
+                    sink(CaptureEvent {
+                        eid,
+                        time,
+                        estimated,
+                    });
+                }
+            }
+        }
+    }
+
     /// Raw capture log: one [`CaptureEvent`] per (tick, carrier) that the
     /// noisy sensor actually heard. Deterministic for a given `seed`.
     #[must_use]
@@ -119,31 +163,24 @@ impl EScenarioBuilder {
         noise: SensingNoise,
         seed: u64,
     ) -> Vec<CaptureEvent> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut log = Vec::new();
-        for (person, trajectory) in traces.iter() {
-            let Some(eid) = roster.eid_of(person) else {
-                continue;
-            };
-            for (offset, &pos) in trajectory.positions.iter().enumerate() {
-                let t = trajectory.start + offset as u64;
-                if let Some(estimated) = noise.observe(pos, &mut rng) {
-                    log.push(CaptureEvent {
-                        eid,
-                        time: t,
-                        estimated,
-                    });
-                }
-            }
-        }
+        Self::for_each_capture(traces, roster, noise, seed, |event| log.push(event));
         log.sort_by_key(|e| (e.time, e.eid));
         log
     }
 
-    /// Practical-setting E-Scenarios: aggregates a noisy capture log over
+    /// Practical-setting E-Scenarios: aggregates the noisy captures over
     /// consecutive windows of `window` ticks and classifies each (EID,
     /// cell) pair by occurrence fraction against `thresholds`. The
     /// scenario timestamp is the window start.
+    ///
+    /// The captures are folded as they are drawn, never materialised: a
+    /// device's captures arrive with ticks ascending, so its (cell,
+    /// occurrences) tally for one window is complete when its next window
+    /// starts, and only those tallies — about a tenth of the captures at
+    /// the default window — are sorted into scenario order. The result is
+    /// what windowing [`capture_log`](EScenarioBuilder::capture_log)'s
+    /// output gives: counts do not depend on the order they are taken in.
     ///
     /// Estimated positions that fall outside the region (noise can push
     /// them out) are clamped back in, as a real deployment would attribute
@@ -171,45 +208,59 @@ impl EScenarioBuilder {
         thresholds.validate()?;
         noise.validate()?;
 
-        let log = self.capture_log(traces, roster, noise, seed);
         let bounds = self.region.bounds();
-
-        // (window start, cell, eid) -> (occurrences, inclusive-zone hits).
-        // Each capture is additionally classified against the cell's
-        // vague-zone geometry (paper Fig. 2): estimates landing within
-        // `vague_width` of the border are *vague hits* — they could
-        // belong to the neighbouring cell.
-        let mut counts: BTreeMap<(Timestamp, CellId), BTreeMap<Eid, (u64, u64)>> = BTreeMap::new();
-        for event in &log {
+        // One row per cell a device was heard in during one window. A
+        // roster gives each device to one person, so no key repeats.
+        let mut rows: Vec<Tally> = Vec::new();
+        // `rows[open_from..]` is the tally of the device and window being
+        // drawn: a handful of cells, so a scanned list.
+        let mut open: Option<(Eid, Timestamp)> = None;
+        let mut open_from = 0;
+        Self::for_each_capture(traces, roster, noise, seed, |event| {
             let win_start = Timestamp::new((event.time.tick() / window) * window);
+            if open != Some((event.eid, win_start)) {
+                open = Some((event.eid, win_start));
+                open_from = rows.len();
+            }
             let clamped = event.estimated.clamped(bounds);
             let Ok(cell) = self.region.cell_at(clamped) else {
-                continue;
+                return;
             };
-            let deep = self.region.zone_of(cell, clamped) == crate::Zone::Inclusive;
-            let entry = counts
-                .entry((win_start, cell))
-                .or_default()
-                .entry(event.eid)
-                .or_insert((0, 0));
-            entry.0 += 1;
-            entry.1 += u64::from(deep);
-        }
+            // Each capture is additionally classified against the cell's
+            // vague-zone geometry (paper Fig. 2): estimates landing within
+            // `vague_width` of the border are *vague hits* — they could
+            // belong to the neighbouring cell.
+            let deep = u64::from(self.region.zone_of(cell, clamped) == crate::Zone::Inclusive);
+            match rows[open_from..].iter_mut().find(|row| row.cell == cell) {
+                Some(row) => {
+                    row.count += 1;
+                    row.deep_hits += deep;
+                }
+                None => rows.push(Tally {
+                    window: win_start,
+                    cell,
+                    eid: event.eid,
+                    count: 1,
+                    deep_hits: deep,
+                }),
+            }
+        });
+        rows.sort_unstable();
 
         let mut scenarios = Vec::new();
-        for ((start, cell), eids) in counts {
-            let mut scenario = EScenario::new(cell, start);
-            for (eid, (count, deep_hits)) in eids {
-                let fraction = count as f64 / window as f64;
+        for group in rows.chunk_by(|a, b| (a.window, a.cell) == (b.window, b.cell)) {
+            let mut scenario = EScenario::new(group[0].cell, group[0].window);
+            for row in group {
+                let fraction = row.count as f64 / window as f64;
                 if fraction < thresholds.vague {
                     continue; // exclusive, i.e. absent
                 }
                 // Inclusive needs both a dominant occurrence fraction and
                 // a majority of hits safely away from the border.
-                if fraction >= thresholds.inclusive && deep_hits * 2 > count {
-                    scenario.insert(eid, ZoneAttr::Inclusive);
+                if fraction >= thresholds.inclusive && row.deep_hits * 2 > row.count {
+                    scenario.insert(row.eid, ZoneAttr::Inclusive);
                 } else {
-                    scenario.insert(eid, ZoneAttr::Vague);
+                    scenario.insert(row.eid, ZoneAttr::Vague);
                 }
             }
             if !scenario.is_empty() {
@@ -219,6 +270,9 @@ impl EScenarioBuilder {
         Ok(scenarios)
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

@@ -13,6 +13,15 @@
 //! cell border may be attributed to the wrong cell — exactly the
 //! *drifting EID* problem the vague zone exists to absorb.
 //!
+//! The practical builder is one sequential consumer of its noise stream
+//! (a dropped capture skips its position draw, so where a capture's
+//! words sit depends on every draw before it) and never materialises the
+//! capture log: a device's captures arrive with ticks ascending, so
+//! [`EScenarioBuilder::build_practical`] folds them into per-window
+//! tallies as they are drawn and sorts only those.
+//! [`EScenarioBuilder::capture_log`] is the raw-E-data view over the same
+//! capture loop (DESIGN.md §4d, "The generator's stream contract").
+//!
 //! # Example
 //!
 //! ```

@@ -1,7 +1,24 @@
 //! V-Scenario construction: human detection and feature extraction over
 //! the synthetic video corpus.
+//!
+//! Feature extraction is the part of the V side the paper parallelises
+//! "across V-Scenarios", and here it is `dim` Gaussian draws per
+//! detection from **one** ChaCha stream — so the build runs in three
+//! passes that keep the stream's layout while freeing the draws from its
+//! order (DESIGN.md §4d):
+//!
+//! 1. **presence** — who was in which (window, cell), from the traces;
+//! 2. **plan** — one sequential walk that makes every miss draw and gives
+//!    each surviving detection the stream offset a single generator would
+//!    have reached it at;
+//! 3. **fill** — the plan cut into contiguous chunks, one scoped thread
+//!    per chunk, each seeking its own generator to the recorded offsets.
+//!
+//! Offsets come from the plan, never from which thread fills, so the
+//! scenarios are the same bits at any worker count.
 
 use crate::gallery::AppearanceGallery;
+use ev_core::ids::PersonId;
 use ev_core::region::{CellId, GridRegion};
 use ev_core::scenario::{Detection, VScenario};
 use ev_core::time::Timestamp;
@@ -113,6 +130,9 @@ impl VScenarioBuilder {
     /// the cell at any tick of the window; each present person is detected
     /// at most once per scenario.
     ///
+    /// Runs on every core the process may use; the result depends on
+    /// `seed` alone (module docs).
+    ///
     /// # Panics
     ///
     /// Panics if `window` is zero.
@@ -124,10 +144,32 @@ impl VScenarioBuilder {
         window: u64,
         seed: u64,
     ) -> Vec<VScenario> {
+        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        self.build_windowed_on(traces, model, window, seed, workers)
+    }
+
+    /// [`VScenarioBuilder::build_windowed`] with the fill cut into at most
+    /// `workers` chunks. The output does not depend on `workers`: every
+    /// observation's stream offset comes from the plan.
+    pub(crate) fn build_windowed_on(
+        &self,
+        traces: &TraceSet,
+        model: DetectionModel,
+        window: u64,
+        seed: u64,
+        workers: usize,
+    ) -> Vec<VScenario> {
         assert!(window > 0, "window length must be at least one tick");
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        // (window start, cell) -> persons present.
-        let mut presence: BTreeMap<(Timestamp, CellId), Vec<ev_core::PersonId>> = BTreeMap::new();
+        let plan = self.plan(self.presence(traces, window), model, seed);
+        let detections = fill_chunks(&plan.observations, workers, |chunk| {
+            self.fill(chunk, model.feature_sigma, seed)
+        });
+        plan.assemble(detections)
+    }
+
+    /// Who was physically in which (window, cell): persons in id order.
+    fn presence(&self, traces: &TraceSet, window: u64) -> Presence {
+        let mut presence = Presence::new();
         for (person, trajectory) in traces.iter() {
             let mut last: Option<(Timestamp, CellId)> = None;
             for (offset, &pos) in trajectory.positions.iter().enumerate() {
@@ -146,27 +188,148 @@ impl VScenarioBuilder {
                 }
             }
         }
-        let mut scenarios = Vec::with_capacity(presence.len());
+        presence
+    }
+
+    /// Walks `presence` in scenario order with a word cursor over the
+    /// `seed` stream, consuming exactly what one sequential generator
+    /// would: the miss draw is made here (2 words, only at a positive miss
+    /// rate); an observation is only *scheduled* — its offset recorded and
+    /// the cursor advanced past the `4 × dim` words it will read (only at
+    /// a positive sigma, only for a person the gallery knows, mirroring
+    /// where [`AppearanceGallery::observe`] returns before drawing).
+    fn plan(&self, presence: Presence, model: DetectionModel, seed: u64) -> Plan {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let observation_words = if model.feature_sigma > 0.0 {
+            4 * self.gallery.dim() as u64
+        } else {
+            0
+        };
+        let mut cursor = 0u64;
+        let mut plan = Plan::default();
         for ((start, cell), persons) in presence {
-            let mut scenario = VScenario::new(cell, start);
+            let before = plan.observations.len();
             for person in persons {
-                if model.miss_rate > 0.0 && rng.gen::<f64>() < model.miss_rate {
-                    continue; // missed detection
+                if model.miss_rate > 0.0 {
+                    rng.set_word_pos(cursor.into());
+                    cursor += 2;
+                    if rng.gen::<f64>() < model.miss_rate {
+                        continue; // missed detection
+                    }
                 }
-                if let Some(feature) = self.gallery.observe(person, model.feature_sigma, &mut rng) {
-                    scenario.push(Detection {
-                        vid: person.canonical_vid(),
-                        feature,
+                if self.gallery.feature_of(person).is_some() {
+                    plan.observations.push(Planned {
+                        person,
+                        offset: cursor,
                     });
+                    cursor += observation_words;
                 }
             }
-            if !scenario.is_empty() {
-                scenarios.push(scenario);
+            let detected = plan.observations.len() - before;
+            if detected > 0 {
+                plan.scenarios.push((start, cell, detected));
             }
         }
-        scenarios
+        plan
+    }
+
+    /// Makes the planned observations of `chunk`, each from the stream
+    /// offset the plan gave it.
+    fn fill(&self, chunk: &[Planned], sigma: f64, seed: u64) -> Vec<Detection> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        chunk
+            .iter()
+            .map(|planned| {
+                rng.set_word_pos(planned.offset.into());
+                let feature = self
+                    .gallery
+                    .observe(planned.person, sigma, &mut rng)
+                    .expect("the plan schedules only persons the gallery knows");
+                Detection {
+                    vid: planned.person.canonical_vid(),
+                    feature,
+                }
+            })
+            .collect()
     }
 }
+
+/// (window start, cell) -> persons present.
+type Presence = BTreeMap<(Timestamp, CellId), Vec<PersonId>>;
+
+/// One scheduled observation: who is seen, and the word of the V-noise
+/// stream at which its draws start.
+#[derive(Debug)]
+struct Planned {
+    person: PersonId,
+    offset: u64,
+}
+
+/// Everything the fill needs, and nothing that needs the stream's
+/// history: 16 bytes per detection, dropped once the scenarios exist.
+#[derive(Debug, Default)]
+struct Plan {
+    /// The non-empty scenarios in id order, each with how many
+    /// consecutive `observations` are its detections.
+    scenarios: Vec<(Timestamp, CellId, usize)>,
+    observations: Vec<Planned>,
+}
+
+impl Plan {
+    /// Groups `detections` (one per observation, in plan order) into the
+    /// planned scenarios.
+    fn assemble(self, detections: Vec<Detection>) -> Vec<VScenario> {
+        let mut detections = detections.into_iter();
+        self.scenarios
+            .into_iter()
+            .map(|(start, cell, detected)| {
+                let mut scenario = VScenario::new(cell, start);
+                for detection in detections.by_ref().take(detected) {
+                    scenario.push(detection);
+                }
+                scenario
+            })
+            .collect()
+    }
+}
+
+/// A chunk smaller than this is not worth a thread spawn (an observation
+/// is a few microseconds). Tiny under test, so the property-scale
+/// differentials really cut their small plans at every worker count.
+const FILL_GRAIN: usize = if cfg!(test) { 8 } else { 256 };
+
+/// Runs `fill` over `observations` cut into at most `workers` contiguous,
+/// equally long chunks, one scoped thread per chunk, and concatenates the
+/// results in plan order. A plan of fewer than two grains is one chunk
+/// filled on the caller. A panicking worker panics the caller.
+fn fill_chunks<F>(observations: &[Planned], workers: usize, fill: F) -> Vec<Detection>
+where
+    F: Fn(&[Planned]) -> Vec<Detection> + Sync,
+{
+    let chunks = workers.min(observations.len() / FILL_GRAIN).max(1);
+    if chunks == 1 {
+        return fill(observations);
+    }
+    let fill = &fill;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = observations
+            .chunks(observations.len().div_ceil(chunks))
+            .map(|chunk| scope.spawn(move || fill(chunk)))
+            .collect();
+        let mut detections = Vec::with_capacity(observations.len());
+        for handle in handles {
+            detections.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        detections
+    })
+}
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

@@ -14,6 +14,14 @@
 //! E-stage ≪ V-stage asymmetry of the paper's Figures 8–9 emerges in real
 //! wall-clock measurements.
 //!
+//! Building the corpus is the one place this crate starts threads:
+//! [`VScenarioBuilder::build_windowed`] plans every observation's offset
+//! in its ChaCha stream in one sequential pass and then makes the
+//! observations on every core the process may use. There is no
+//! thread-count parameter — the scenarios are bit-identical at any
+//! worker count, because offsets come from the plan and not from which
+//! thread fills (DESIGN.md §4d, "The generator's stream contract").
+//!
 //! # Example
 //!
 //! ```
