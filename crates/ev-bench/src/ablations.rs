@@ -9,6 +9,7 @@ use ev_datagen::{sample_targets, score_report, DatasetConfig, EvDataset};
 use ev_matching::dagflow::round_pipeline_shape;
 use ev_matching::refine::{match_with_refinement, RefineConfig, SplitMode};
 use ev_matching::setsplit::{SelectionStrategy, SetSplitConfig};
+use ev_telemetry::Telemetry;
 use ev_vision::cost::CostModel;
 use std::time::Instant;
 
@@ -57,7 +58,13 @@ pub fn ablate_selection(scale: Scale) -> Table {
             ..RefineConfig::default()
         };
         let start = Instant::now();
-        let report = match_with_refinement(&dataset.estore, &dataset.video, &targets, &config);
+        let report = match_with_refinement(
+            &dataset.estore,
+            &dataset.video,
+            &targets,
+            &config,
+            Telemetry::disabled(),
+        );
         let elapsed = start.elapsed();
         let stats = score_report(&dataset, &report);
         table.push_row(vec![
@@ -140,6 +147,7 @@ pub fn ablate_refine(scale: Scale) -> Table {
                 max_rounds: rounds,
                 ..RefineConfig::default()
             },
+            Telemetry::disabled(),
         );
         let stats = score_report(&dataset, &report);
         table.push_row(vec![

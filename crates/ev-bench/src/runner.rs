@@ -74,7 +74,13 @@ pub fn run_ss(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -> RunSum
     {
         *s = seed;
     }
-    let report = match_with_refinement(&dataset.estore, &dataset.video, targets, &config);
+    let report = match_with_refinement(
+        &dataset.estore,
+        &dataset.video,
+        targets,
+        &config,
+        Telemetry::disabled(),
+    );
     summarize(dataset, targets, Algo::Ss, &report)
 }
 

@@ -48,17 +48,22 @@
 //! ledger.
 //!
 //! `--confidence 1.0` with no budget is **not** approximate:
-//! [`VFilterConfig`] routes it through the exhaustive scanner, so the
-//! exact path stays byte-identical at every thread count.
+//! [`VStage::filter_one`] runs the exhaustive scan for it, so the exact
+//! path stays byte-identical at every thread count.
+//!
+//! The scorer lives here as [`VStage::filter_partial`]. It reads the
+//! candidate model the exact scan reads (`vfilter::candidate_model`:
+//! who is in the running, their representatives, who is present where)
+//! and, when refinement runs to exhaustion, materialises its outcome
+//! through the exact scan's tally (`vfilter::tally`).
 
 use crate::types::{MatchOutcome, ScenarioList};
-use crate::vfilter::{self, CacheEntry, GalleryCache, VFilterConfig};
+use crate::vfilter::{self, CacheEntry, VStage};
 use ev_core::feature::{FeatureVector, Metric};
 use ev_core::ids::{Eid, Vid};
-use ev_store::VideoStore;
-use ev_telemetry::{names, Telemetry};
+use ev_telemetry::names;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Knobs of the anytime scorer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -244,408 +249,334 @@ fn no_evidence(eid: Eid) -> PartialMatchOutcome {
     }
 }
 
-/// Anytime counterpart of [`vfilter::filter_one`]: scores `eid` against
-/// its scenario list under `config.anytime` (defaults apply when
-/// `None`) and returns the bounded partial result.
-#[must_use]
-pub fn partial_filter_one(
-    eid: Eid,
-    list: &ScenarioList,
-    video: &VideoStore,
-    config: &VFilterConfig,
-    excluded: &BTreeSet<Vid>,
-) -> PartialMatchOutcome {
-    partial_filter_one_instrumented(
-        eid,
-        list,
-        video,
-        config,
-        excluded,
-        &mut GalleryCache::new(),
-        Telemetry::disabled(),
-    )
-}
-
-/// [`partial_filter_one`] against a shared cache and telemetry handle —
-/// the entry point [`vfilter::filter_one_instrumented`] delegates to
-/// when the configuration is approximate.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn partial_filter_one_instrumented(
-    eid: Eid,
-    list: &ScenarioList,
-    video: &VideoStore,
-    config: &VFilterConfig,
-    excluded: &BTreeSet<Vid>,
-    cache: &mut GalleryCache,
-    tel: &Telemetry,
-) -> PartialMatchOutcome {
-    let at = config.anytime.unwrap_or_default();
-    let (entries, representatives) = vfilter::candidate_model(list, video, excluded, cache);
-    if entries.is_empty() || representatives.is_empty() {
-        return no_evidence(eid);
-    }
-    if tel.counters_on() {
-        // Parity with the exact path's candidate accounting.
-        tel.registry()
-            .counter(names::VFILTER_CANDIDATES_SCORED)
-            .add(representatives.len() as u64);
-    }
-
-    let cands: Vec<(Vid, &FeatureVector)> = representatives.iter().map(|(&v, r)| (v, r)).collect();
-    let n_c = cands.len();
-    let n_e = entries.len();
-
-    // Interval state per (candidate, scenario): ln-space bounds on the
-    // membership probability, refined to the exact value on demand.
-    let mut lnp_lo = vec![vec![0.0f64; n_e]; n_c];
-    let mut lnp_hi = vec![vec![0.0f64; n_e]; n_c];
-    let mut refined = vec![vec![false; n_e]; n_c];
-    let mut evals = vec![0usize; n_c];
-    let mut entry_touched = vec![false; n_e];
-    // Which candidates are present (votable) per scenario; `m` counts
-    // the scenarios that can vote at all. Presence is determined by the
-    // gallery, not by scoring, so `m` is known upfront and the share
-    // denominators never move. The one `groups` lookup per pair serves
-    // both the presence set and the lower bound's own-first sample.
-    let mut present: Vec<Vec<usize>> = vec![Vec::new(); n_e];
-    for (ci, &(vid, rep)) in cands.iter().enumerate() {
+impl VStage<'_> {
+    /// Anytime counterpart of [`filter_one`](VStage::filter_one): scores
+    /// `eid` against its scenario list under `config.anytime` (defaults
+    /// apply when `None`) and returns the bounded partial result —
+    /// where `filter_one` goes when the configuration is approximate.
+    #[must_use]
+    pub fn filter_partial(
+        &mut self,
+        eid: Eid,
+        list: &ScenarioList,
+        excluded: &BTreeSet<Vid>,
+    ) -> PartialMatchOutcome {
+        let (video, config, tel) = (self.video, self.config, self.telemetry);
+        let at = config.anytime.unwrap_or_default();
+        let model = vfilter::candidate_model(list, video, excluded, self.cache);
+        if model.vids.is_empty() {
+            return no_evidence(eid);
+        }
+        if tel.counters_on() {
+            // Parity with the exact path's candidate accounting.
+            tel.registry()
+                .counter(names::VFILTER_CANDIDATES_SCORED)
+                .add(model.vids.len() as u64);
+        }
+        let (entries, cands, present) = (&model.entries, &model.vids, &model.present);
+        let n_c = cands.len();
+        let n_e = entries.len();
+        // Interval state per (candidate, scenario): ln-space bounds on
+        // the membership probability, refined to the exact value on
+        // demand. Presence is determined by the gallery, not by scoring,
+        // so `m` — the scenarios that can vote at all — is known upfront
+        // and the share denominators never move. A present candidate's
+        // own first detection is the lower bound's sample.
+        let mut lnp_lo = vec![vec![0.0f64; n_e]; n_c];
+        let mut lnp_hi = vec![vec![0.0f64; n_e]; n_c];
         for (ei, e) in entries.iter().enumerate() {
-            let own = e.groups.get(&vid).and_then(|g| g.first()).copied();
-            if own.is_some() {
-                present[ei].push(ci);
+            let mut own = vec![None; n_c];
+            for &(ci, group) in &present[ei] {
+                own[ci] = Some(e.group(group)[0]);
             }
-            let (lb, ub) = cheap_bounds(rep, e, e.bbox(), own, config.metric);
-            lnp_lo[ci][ei] = lb.ln();
-            lnp_hi[ci][ei] = ub.ln();
+            for ci in 0..n_c {
+                let (lb, ub) = cheap_bounds(&model.reps[ci], e, e.bbox(), own[ci], config.metric);
+                lnp_lo[ci][ei] = lb.ln();
+                lnp_hi[ci][ei] = ub.ln();
+            }
         }
-    }
-    let m = present.iter().filter(|p| !p.is_empty()).count();
-    if m == 0 {
-        return no_evidence(eid);
-    }
-
-    let budget_n = at.budget_scenarios.unwrap_or(usize::MAX).min(n_e);
-    let mut settled: Vec<Option<usize>> = vec![None; n_e];
-    let mut j_lo = vec![0.0f64; n_c];
-    let mut j_hi = vec![0.0f64; n_c];
-    let mut counts = vec![0usize; n_c];
-    let mut unsettled = m;
-    let mut rounds: u32 = 0;
-
-    let (leader, conv) = loop {
-        // Joint interval per candidate: ordered fold over the list,
-        // exactly the accumulation the exhaustive scan performs — so a
-        // fully refined row reproduces the exact log-joint bitwise.
-        for ci in 0..n_c {
-            j_lo[ci] = lnp_lo[ci].iter().fold(0.0, |a, &b| a + b);
-            j_hi[ci] = lnp_hi[ci].iter().fold(0.0, |a, &b| a + b);
+        let m = present.iter().filter(|p| !p.is_empty()).count();
+        if m == 0 {
+            return no_evidence(eid);
         }
 
-        // Settle votes: `v` takes a scenario once its joint lower bound
-        // beats every present rival's upper bound under the canonical
-        // `vfilter::beats` tie-break — then `v` is the exact argmax no
-        // matter where inside their intervals the true joints lie.
-        // `beats` is a strict total order on `(score, vid)` keys, so
-        // "beats every rival's optimistic key" ⇔ "beats the *maximum*
-        // rival optimistic key": a top-2 scan (top-2 so a candidate can
-        // exclude itself) replaces the quadratic pairwise check.
-        for ei in 0..n_e {
-            if settled[ei].is_some() || present[ei].is_empty() {
-                continue;
-            }
-            let mut hi1: Option<usize> = None;
-            let mut hi2: Option<usize> = None;
-            for &ci in &present[ei] {
-                if hi1.is_none_or(|h| vfilter::beats(j_hi[h], cands[h].0, j_hi[ci], cands[ci].0)) {
-                    hi2 = hi1;
-                    hi1 = Some(ci);
-                } else if hi2
-                    .is_none_or(|h| vfilter::beats(j_hi[h], cands[h].0, j_hi[ci], cands[ci].0))
-                {
-                    hi2 = Some(ci);
+        let budget_n = at.budget_scenarios.unwrap_or(usize::MAX).min(n_e);
+        let mut refined = vec![vec![false; n_e]; n_c];
+        let mut evals = vec![0usize; n_c];
+        let mut entry_touched = vec![false; n_e];
+        let mut settled: Vec<Option<usize>> = vec![None; n_e];
+        let mut j_lo = vec![0.0f64; n_c];
+        let mut j_hi = vec![0.0f64; n_c];
+        let mut counts = vec![0usize; n_c];
+        let mut unsettled = m;
+        let mut rounds: u32 = 0;
+        // The best and second-best candidate present in a scenario under
+        // `key` (second-best so a candidate can exclude itself): `beats`
+        // is a strict total order on `(score, vid)` keys, so "beats every
+        // rival's key" ⇔ "beats the *maximum* rival key", and a top-2
+        // scan replaces the quadratic pairwise check.
+        let top2 = |pairs: &[(usize, usize)], key: &[f64]| {
+            let better = |h: usize, c: usize| vfilter::beats(key[h], cands[h], key[c], cands[c]);
+            let (mut first, mut second): (Option<usize>, Option<usize>) = (None, None);
+            for &(ci, _) in pairs {
+                if first.is_none_or(|h| better(h, ci)) {
+                    second = first;
+                    first = Some(ci);
+                } else if second.is_none_or(|h| better(h, ci)) {
+                    second = Some(ci);
                 }
             }
-            for &ci in &present[ei] {
-                let rival = if hi1 == Some(ci) { hi2 } else { hi1 };
-                let wins = match rival {
-                    None => true, // sole candidate: the vote is its own
-                    Some(r) => vfilter::beats(j_hi[r], cands[r].0, j_lo[ci], cands[ci].0),
-                };
-                if wins {
-                    // At most one candidate can beat everyone else's
-                    // optimistic key, so first-match order is immaterial.
-                    settled[ei] = Some(ci);
-                    counts[ci] += 1;
-                    unsettled -= 1;
-                    break;
-                }
-            }
-        }
-
-        // Leader and the overtake-margin convergence check: converged
-        // iff even granting every unsettled vote to the best rival
-        // cannot beat the leader (ties resolved toward the lower VID,
-        // as everywhere else).
-        let mut leader: Option<usize> = None;
-        for ci in 0..n_c {
-            if counts[ci] == 0 {
-                continue;
-            }
-            match leader {
-                Some(l)
-                    if !vfilter::beats(
-                        counts[l] as f64,
-                        cands[l].0,
-                        counts[ci] as f64,
-                        cands[ci].0,
-                    ) => {}
-                _ => leader = Some(ci),
-            }
-        }
-        let conv = match leader {
-            None => false,
-            Some(w) => (0..n_c).all(|v| {
-                v == w
-                    || counts[w] > counts[v] + unsettled
-                    || (counts[w] == counts[v] + unsettled && cands[w].0 < cands[v].0)
-            }),
+            move |ci: usize| if first == Some(ci) { second } else { first }
         };
-        let certainty = if conv {
-            1.0
+
+        let (leader, conv) = loop {
+            // Joint interval per candidate: ordered fold over the list,
+            // exactly the accumulation the exhaustive scan performs — so
+            // a fully refined row reproduces the exact log-joint bitwise.
+            for ci in 0..n_c {
+                j_lo[ci] = lnp_lo[ci].iter().fold(0.0, |a, &b| a + b);
+                j_hi[ci] = lnp_hi[ci].iter().fold(0.0, |a, &b| a + b);
+            }
+
+            // Settle votes: `v` takes a scenario once its joint lower
+            // bound beats every present rival's upper bound under the
+            // canonical `vfilter::beats` tie-break — then `v` is the
+            // exact argmax no matter where inside their intervals the
+            // true joints lie.
+            for ei in 0..n_e {
+                if settled[ei].is_some() || present[ei].is_empty() {
+                    continue;
+                }
+                let rival_of = top2(&present[ei], &j_hi);
+                for &(ci, _) in &present[ei] {
+                    let wins = match rival_of(ci) {
+                        None => true, // sole candidate: the vote is its own
+                        Some(r) => vfilter::beats(j_hi[r], cands[r], j_lo[ci], cands[ci]),
+                    };
+                    if wins {
+                        // At most one candidate can beat everyone else's
+                        // optimistic key, so first-match order is
+                        // immaterial.
+                        settled[ei] = Some(ci);
+                        counts[ci] += 1;
+                        unsettled -= 1;
+                        break;
+                    }
+                }
+            }
+
+            // Leader and the overtake-margin convergence check:
+            // converged iff even granting every unsettled vote to the
+            // best rival cannot beat the leader (ties resolved toward
+            // the lower VID, as everywhere else).
+            let leader = vfilter::majority_winner(cands, &counts);
+            let conv = match leader {
+                None => false,
+                Some(w) => (0..n_c).all(|v| {
+                    v == w
+                        || counts[w] > counts[v] + unsettled
+                        || (counts[w] == counts[v] + unsettled && cands[w] < cands[v])
+                }),
+            };
+            let certainty = if conv {
+                1.0
+            } else {
+                match leader {
+                    None => 0.0,
+                    Some(w) => {
+                        let max_rival = (0..n_c)
+                            .filter(|&v| v != w)
+                            .map(|v| counts[v] + unsettled)
+                            .max()
+                            .unwrap_or(0);
+                        if max_rival == 0 {
+                            1.0
+                        } else {
+                            counts[w] as f64 / (counts[w] + max_rival) as f64
+                        }
+                    }
+                }
+            };
+            if certainty >= at.confidence || unsettled == 0 {
+                break (leader, conv);
+            }
+
+            // Refinement round. A candidate is *active* when it is
+            // present in some unsettled scenario and not dominated there
+            // — dominated iff the best rival *pessimistic* key beats its
+            // own optimistic key. Dominated candidates are pruned: their
+            // upper bound already proves they cannot win, and by
+            // transitivity the eventual winner's lower bound will clear
+            // them without further work.
+            let mut active = vec![false; n_c];
+            for ei in 0..n_e {
+                if settled[ei].is_some() || present[ei].is_empty() {
+                    continue;
+                }
+                let rival_of = top2(&present[ei], &j_lo);
+                for &(ci, _) in &present[ei] {
+                    let dominated = rival_of(ci)
+                        .is_some_and(|r| vfilter::beats(j_hi[ci], cands[ci], j_lo[r], cands[r]));
+                    if !dominated {
+                        active[ci] = true;
+                    }
+                }
+            }
+            // Widest-interval-first: of every active `(candidate, entry)`
+            // pair within budget, exactly score the one whose cheap
+            // bounds leave the most ln-space slack — that is where an
+            // exact value tightens a joint interval the most (for a
+            // rival, typically a scenario it is absent from: the
+            // optimistic box bound hides a large penalty there). One
+            // pair per round, globally: the membership evaluations are
+            // the expensive unit, the bound refold above is plain
+            // additions, and a well-bounded candidate (the usual leader,
+            // whose self-match samples are near-tight) must not burn
+            // evaluations just because a rival still needs them.
+            let mut best: Option<(f64, usize, usize)> = None;
+            for ci in (0..n_c).filter(|&ci| active[ci]) {
+                for e in (0..budget_n).filter(|&e| !refined[ci][e]) {
+                    let gap = lnp_hi[ci][e] - lnp_lo[ci][e];
+                    // `-inf - -inf` is NaN (a pair known to be exactly
+                    // 0): nothing to learn, so order it last.
+                    let gap = if gap.is_nan() { -1.0 } else { gap };
+                    // Ties keep the earliest (candidate, entry) pair.
+                    if best.is_none_or(|(bg, _, _)| gap > bg) {
+                        best = Some((gap, ci, e));
+                    }
+                }
+            }
+            let Some((_, ci, ei)) = best else {
+                // Budget exhausted: nothing left that may be scored.
+                break (leader, conv);
+            };
+            // One charged comparison per exactly scored pair — the same
+            // unit the exhaustive scan charges, so the ledger shows the
+            // work actually done — at the same scoring point, so the
+            // refined value can replace both bounds at once.
+            video.charge_comparison();
+            let lp =
+                vfilter::score_membership(&model.reps[ci], entries[ei], config.metric, tel).ln();
+            lnp_lo[ci][ei] = lp;
+            lnp_hi[ci][ei] = lp;
+            refined[ci][ei] = true;
+            evals[ci] += 1;
+            entry_touched[ei] = true;
+            rounds += 1;
+        };
+
+        let candidates_pruned = evals.iter().filter(|&&e| e == 0).count();
+        if tel.counters_on() {
+            let registry = tel.registry();
+            let touched = entry_touched.iter().filter(|&&t| t).count();
+            registry
+                .counter(names::ANYTIME_SCENARIOS_SKIPPED)
+                .add((n_e - touched) as u64);
+            registry
+                .counter(names::ANYTIME_CANDIDATES_PRUNED)
+                .add(candidates_pruned as u64);
+            registry
+                .histogram(names::ANYTIME_CONVERGENCE_ROUNDS)
+                .record(u64::from(rounds));
+        }
+
+        let fully_refined = refined.iter().all(|row| row.iter().all(|&r| r));
+        let outcome = if fully_refined {
+            // Exhaustion: every pair holds its exact value, so `j_lo` is
+            // the exhaustive scan's log-joint and the shared tally makes
+            // the outcome bit-identical to `filter_one`'s.
+            vfilter::tally(eid, &model, &j_lo)
         } else {
             match leader {
-                None => 0.0,
+                None => MatchOutcome::unmatched(eid),
                 Some(w) => {
-                    let max_rival = (0..n_c)
-                        .filter(|&v| v != w)
-                        .map(|v| counts[v] + unsettled)
-                        .max()
-                        .unwrap_or(0);
-                    if max_rival == 0 {
-                        1.0
+                    let confidence = j_lo[w].exp();
+                    let margin = if n_c > 1 {
+                        let rival = (0..n_c)
+                            .filter(|&v| v != w)
+                            .map(|v| j_hi[v])
+                            .fold(f64::NEG_INFINITY, f64::max);
+                        confidence - rival.exp()
                     } else {
-                        counts[w] as f64 / (counts[w] + max_rival) as f64
+                        1.0
+                    };
+                    MatchOutcome {
+                        eid,
+                        vid: Some(cands[w]),
+                        vote_share: counts[w] as f64 / m as f64, // the sound lower bound
+                        confidence,
+                        margin,
+                        votes: settled.iter().flatten().map(|&ci| cands[ci]).collect(),
                     }
                 }
             }
         };
-        if certainty >= at.confidence || unsettled == 0 {
-            break (leader, conv);
-        }
 
-        // Refinement round: every *active* candidate exactly scores a
-        // few more scenarios (widest interval first, within budget).
-        // Active =
-        // present in some unsettled scenario and not dominated there by
-        // a rival's bounds; dominated candidates are pruned — their
-        // upper bound already proves they cannot win, and by
-        // transitivity the eventual winner's lower bound will clear
-        // them without further work.
-        // Same top-2 trick as the settle pass, on the pessimistic keys:
-        // a candidate is dominated iff the best rival *pessimistic* key
-        // beats its own optimistic key.
-        let mut active = vec![false; n_c];
-        for ei in 0..n_e {
-            if settled[ei].is_some() || present[ei].is_empty() {
-                continue;
-            }
-            let mut lo1: Option<usize> = None;
-            let mut lo2: Option<usize> = None;
-            for &ci in &present[ei] {
-                if lo1.is_none_or(|l| vfilter::beats(j_lo[l], cands[l].0, j_lo[ci], cands[ci].0)) {
-                    lo2 = lo1;
-                    lo1 = Some(ci);
-                } else if lo2
-                    .is_none_or(|l| vfilter::beats(j_lo[l], cands[l].0, j_lo[ci], cands[ci].0))
-                {
-                    lo2 = Some(ci);
-                }
-            }
-            for &ci in &present[ei] {
-                let rival = if lo1 == Some(ci) { lo2 } else { lo1 };
-                let dominated = rival
-                    .is_some_and(|r| vfilter::beats(j_hi[ci], cands[ci].0, j_lo[r], cands[r].0));
-                if !dominated {
-                    active[ci] = true;
-                }
-            }
-        }
-        // Widest-interval-first: of every active `(candidate, entry)`
-        // pair, exactly score the one whose cheap bounds leave the most
-        // ln-space slack — that is where an exact value tightens a
-        // joint interval the most (for a rival, typically a scenario it
-        // is absent from: the optimistic box bound hides a large
-        // penalty there). One pair per round, globally: the membership
-        // evaluations are the expensive unit, the bound refold above is
-        // plain additions, and a well-bounded candidate (the usual
-        // leader, whose self-match samples are near-tight) must not
-        // burn evaluations just because a rival still needs them.
-        let mut best: Option<(f64, usize, usize)> = None;
-        for ci in 0..n_c {
-            if !active[ci] {
-                continue;
-            }
-            for e in 0..budget_n {
-                if refined[ci][e] {
-                    continue;
-                }
-                let gap = lnp_hi[ci][e] - lnp_lo[ci][e];
-                // `-inf - -inf` is NaN (a pair known to be exactly 0):
-                // nothing to learn, so order it last.
-                let gap = if gap.is_nan() { -1.0 } else { gap };
-                // Ties keep the earliest (candidate, entry) pair.
-                if best.is_none_or(|(bg, _, _)| gap > bg) {
-                    best = Some((gap, ci, e));
-                }
-            }
-        }
-        let Some((_, ci, ei)) = best else {
-            // Budget exhausted: nothing left that may be scored.
-            break (leader, conv);
+        let (low, high) = match leader {
+            Some(w) => (
+                counts[w] as f64 / m as f64,
+                (counts[w] + unsettled) as f64 / m as f64,
+            ),
+            None => (0.0, 1.0),
         };
-        // One charged comparison per exactly scored pair — the same
-        // unit the exhaustive scan charges, so the ledger shows the
-        // work actually done.
-        video.charge_comparison();
-        // The same scoring point as the exhaustive scan, so the
-        // refined value can replace both bounds at once.
-        let p = vfilter::score_membership(cands[ci].1, entries[ei], config.metric, tel);
-        let lp = p.ln();
-        lnp_lo[ci][ei] = lp;
-        lnp_hi[ci][ei] = lp;
-        refined[ci][ei] = true;
-        evals[ci] += 1;
-        entry_touched[ei] = true;
-        rounds += 1;
-    };
-
-    let candidates_pruned = evals.iter().filter(|&&e| e == 0).count();
-    if tel.counters_on() {
-        let registry = tel.registry();
-        let touched = entry_touched.iter().filter(|&&t| t).count();
-        registry
-            .counter(names::ANYTIME_SCENARIOS_SKIPPED)
-            .add((n_e - touched) as u64);
-        registry
-            .counter(names::ANYTIME_CANDIDATES_PRUNED)
-            .add(candidates_pruned as u64);
-        registry
-            .histogram(names::ANYTIME_CONVERGENCE_ROUNDS)
-            .record(u64::from(rounds));
-    }
-
-    let fully_refined = refined.iter().all(|row| row.iter().all(|&r| r));
-    let outcome = if fully_refined {
-        // Exhaustion: every pair holds its exact value, so materialize
-        // the outcome with the exhaustive scan's own operations — the
-        // result is bit-identical to `vfilter::filter_one`.
-        let log_joint: BTreeMap<Vid, f64> = cands
-            .iter()
-            .enumerate()
-            .map(|(ci, &(v, _))| (v, j_lo[ci]))
-            .collect();
-        let mut votes: Vec<Vid> = Vec::new();
-        for e in &entries {
-            let choice = vfilter::scenario_vote(
-                e.scenario
-                    .vids()
-                    .filter(|v| representatives.contains_key(v)),
-                |v| log_joint[&v],
-            );
-            if let Some(v) = choice {
-                votes.push(v);
-            }
+        PartialMatchOutcome {
+            eid,
+            vid: outcome.vid,
+            vote_share_low: low,
+            vote_share_high: high,
+            scenarios_scored: m - unsettled,
+            scenarios_total: m,
+            converged: conv,
+            rounds,
+            candidates_pruned,
+            outcome,
         }
-        let mut tally: BTreeMap<Vid, usize> = BTreeMap::new();
-        for &v in &votes {
-            *tally.entry(v).or_insert(0) += 1;
-        }
-        // Zero votes is the empty-gallery/no-candidate edge: it flows
-        // to the explicit NoEvidence outcome, exactly as the exhaustive
-        // scan's, instead of aborting the pipeline.
-        match vfilter::majority_winner(&tally) {
-            None => MatchOutcome::no_evidence(eid),
-            Some((winner, count)) => {
-                let confidence = log_joint[&winner].exp();
-                let margin = if log_joint.len() > 1 {
-                    let runner_up = log_joint
-                        .iter()
-                        .filter(|(&v, _)| v != winner)
-                        .map(|(_, &lp)| lp)
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    confidence - runner_up.exp()
-                } else {
-                    1.0
-                };
-                MatchOutcome {
-                    eid,
-                    vid: Some(winner),
-                    vote_share: count as f64 / votes.len() as f64,
-                    confidence,
-                    margin,
-                    votes,
-                }
-            }
-        }
-    } else {
-        match leader {
-            None => MatchOutcome::unmatched(eid),
-            Some(w) => {
-                let votes: Vec<Vid> = settled
-                    .iter()
-                    .filter_map(|s| s.map(|ci| cands[ci].0))
-                    .collect();
-                let confidence = j_lo[w].exp();
-                let margin = if n_c > 1 {
-                    let rival = (0..n_c)
-                        .filter(|&v| v != w)
-                        .map(|v| j_hi[v])
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    confidence - rival.exp()
-                } else {
-                    1.0
-                };
-                MatchOutcome {
-                    eid,
-                    vid: Some(cands[w].0),
-                    vote_share: counts[w] as f64 / m as f64, // the sound lower bound
-                    confidence,
-                    margin,
-                    votes,
-                }
-            }
-        }
-    };
-
-    let (low, high) = match leader {
-        Some(w) => (
-            counts[w] as f64 / m as f64,
-            (counts[w] + unsettled) as f64 / m as f64,
-        ),
-        None => (0.0, 1.0),
-    };
-    PartialMatchOutcome {
-        eid,
-        vid: outcome.vid,
-        vote_share_low: low,
-        vote_share_high: high,
-        scenarios_scored: m - unsettled,
-        scenarios_total: m,
-        converged: conv,
-        rounds,
-        candidates_pruned,
-        outcome,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfilter::{GalleryCache, VFilterConfig};
     use ev_core::region::CellId;
     use ev_core::scenario::{Detection, ScenarioId, VScenario};
     use ev_core::time::Timestamp;
+    use ev_store::VideoStore;
+    use ev_telemetry::Telemetry;
     use ev_vision::cost::CostModel;
+
+    fn stage<'a>(
+        video: &'a VideoStore,
+        config: &'a VFilterConfig,
+        cache: &'a mut GalleryCache,
+    ) -> VStage<'a> {
+        VStage {
+            video,
+            config,
+            cache,
+            telemetry: Telemetry::disabled(),
+        }
+    }
+
+    fn filter_one(
+        eid: Eid,
+        list: &ScenarioList,
+        video: &VideoStore,
+        config: &VFilterConfig,
+        excluded: &BTreeSet<Vid>,
+    ) -> MatchOutcome {
+        stage(video, config, &mut GalleryCache::new()).filter_one(eid, list, excluded)
+    }
+
+    fn partial_filter_one(
+        eid: Eid,
+        list: &ScenarioList,
+        video: &VideoStore,
+        config: &VFilterConfig,
+        excluded: &BTreeSet<Vid>,
+    ) -> PartialMatchOutcome {
+        stage(video, config, &mut GalleryCache::new()).filter_partial(eid, list, excluded)
+    }
 
     fn fv(v: &[f64]) -> FeatureVector {
         FeatureVector::new(v.to_vec()).unwrap()
@@ -717,7 +648,7 @@ mod tests {
     #[test]
     fn converged_result_matches_the_exact_winner() {
         let (video, list) = separable_video();
-        let exact = vfilter::filter_one(
+        let exact = filter_one(
             Eid::from_u64(1),
             &list,
             &video,
@@ -743,7 +674,7 @@ mod tests {
         // Tight clusters settle on bounds alone: the ledger must show
         // strictly fewer charged comparisons than the exhaustive scan.
         let (video, list) = separable_video();
-        let _ = vfilter::filter_one(
+        let _ = filter_one(
             Eid::from_u64(1),
             &list,
             &video,
@@ -772,7 +703,7 @@ mod tests {
     #[test]
     fn via_vfilter_delegation_share_is_the_lower_bound() {
         let (video, list) = separable_video();
-        let out = vfilter::filter_one(
+        let out = filter_one(
             Eid::from_u64(1),
             &list,
             &video,
@@ -829,7 +760,7 @@ mod tests {
         ];
         let list: ScenarioList = vec![sid(0, 0), sid(1, 1)];
         let video = VideoStore::new(scenarios.clone(), CostModel::free());
-        let exact = vfilter::filter_one(
+        let exact = filter_one(
             Eid::from_u64(3),
             &list,
             &video,
@@ -870,7 +801,7 @@ mod tests {
                     feature: fv(&f),
                 });
             }
-            let entry = CacheEntry::new(std::sync::Arc::new(s), BTreeMap::new());
+            let entry = CacheEntry::new(std::sync::Arc::new(s));
             let bbox = entry_box(&entry);
             let rep_f: Vec<f64> = (0..dim).map(|_| next()).collect();
             let rep = fv(&rep_f);

@@ -53,8 +53,8 @@
 //! at every thread count and under injected faults.
 
 use crate::setsplit::{attach_anchors, SplitOutput};
-use crate::types::{IndexCounters, MatchOutcome, MatchReport, ScenarioList, StageTimings};
-use crate::vfilter::{filter_one_instrumented, GalleryCache, VFilterConfig};
+use crate::types::{index_counters, MatchOutcome, MatchReport, ScenarioList, StageTimings};
+use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
 use ev_core::ids::{Eid, Vid};
 use ev_core::partition::EidCover;
 use ev_core::scenario::{ScenarioId, ZoneAttr};
@@ -465,15 +465,13 @@ fn build_match_spec<'a>(
                 .enumerate()
                 .filter(|(rank, _)| rank % V_PARTITIONS == ctx.partition)
                 .map(|(_, (&eid, list))| {
-                    filter_one_instrumented(
-                        eid,
-                        list,
+                    VStage {
                         video,
-                        &score_config,
-                        &BTreeSet::new(),
-                        &mut GalleryCache::new(),
+                        config: &score_config,
+                        cache: &mut GalleryCache::new(),
                         telemetry,
-                    )
+                    }
+                    .filter_one(eid, list, &BTreeSet::new())
                 })
                 .collect();
             Flow::Outcomes(outcomes)
@@ -549,15 +547,13 @@ fn resolve_conflicts(
         for i in losers {
             let eid = outcomes[i].eid;
             let list = lists.get(&eid).cloned().unwrap_or_default();
-            outcomes[i] = filter_one_instrumented(
-                eid,
-                &list,
+            outcomes[i] = VStage {
                 video,
                 config,
-                &excluded,
-                &mut GalleryCache::new(),
+                cache: &mut GalleryCache::new(),
                 telemetry,
-            );
+            }
+            .filter_one(eid, &list, &excluded);
         }
     }
 }
@@ -654,14 +650,9 @@ pub fn dag_match(
     let finalize = finalize.expect("V stage requested");
     let outcomes = run.outputs[&finalize][0].as_outcomes().to_vec();
 
-    let index_delta = store.index().stats().since(&index_before);
     let cache_hits = video.stats().cache_hits - cache_hits_before;
     let extracted = video.stats().extracted_scenarios - extracted_before;
-    let index = IndexCounters {
-        postings_probed: index_delta.postings_probed,
-        cache_hits,
-        scans_avoided: index_delta.scans_avoided,
-    };
+    let index = index_counters(store, &index_before, cache_hits);
 
     let examined = split.scenarios_examined;
     let recorded_len = split.recorded.len();
@@ -690,12 +681,6 @@ pub fn dag_match(
         registry
             .counter(ev_telemetry::names::VFILTER_GALLERY_MISSES)
             .add(extracted as u64);
-        let total = cache_hits + extracted as u64;
-        if total > 0 {
-            registry
-                .gauge(ev_telemetry::names::VFILTER_GALLERY_HIT_RATIO)
-                .set(cache_hits as f64 / total as f64);
-        }
         report.timings.record_to(registry);
         // Algorithm 3 records whole timestamp snapshots, so the
         // Theorem 4.2/4.4 bounds on the recorded count do not apply

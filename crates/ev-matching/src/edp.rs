@@ -18,8 +18,8 @@
 //! splitting cheaper simply does not happen, although a scenario picked
 //! independently for two EIDs is only extracted (and counted) once.
 
-use crate::types::{IndexCounters, MatchOutcome, MatchReport, ScenarioList, StageTimings};
-use crate::vfilter::{filter_one, filter_one_cached, GalleryCache, VFilterConfig};
+use crate::types::{index_counters, MatchOutcome, MatchReport, ScenarioList, StageTimings};
+use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
 use ev_core::ids::Eid;
 use ev_core::scenario::ScenarioId;
 use ev_mapreduce::{DagConfig, DagSpec, JobError, StageDep};
@@ -128,19 +128,21 @@ pub fn match_edp(
     let e_stage = e_start.elapsed();
 
     let v_start = Instant::now();
-    let empty = BTreeSet::new();
     let mut cache = GalleryCache::new();
-    let mut outcomes: Vec<MatchOutcome> = lists
+    let mut stage = VStage {
+        video,
+        config: &config.vfilter,
+        cache: &mut cache,
+        telemetry: Telemetry::disabled(),
+    };
+    // Map order is EID order.
+    let outcomes: Vec<MatchOutcome> = lists
         .iter()
-        .map(|(&eid, list)| {
-            filter_one_cached(eid, list, video, &config.vfilter, &empty, &mut cache)
-        })
+        .map(|(&eid, list)| stage.filter_one(eid, list, &BTreeSet::new()))
         .collect();
-    outcomes.sort_by_key(|o| o.eid);
     let v_stage = v_start.elapsed();
     video.check_loads()?;
 
-    let index_delta = store.index().stats().since(&index_before);
     let selected: BTreeSet<ScenarioId> = lists.values().flat_map(|l| l.iter().copied()).collect();
     Ok(MatchReport {
         outcomes,
@@ -149,11 +151,7 @@ pub fn match_edp(
         timings: StageTimings {
             e_stage,
             v_stage,
-            index: IndexCounters {
-                postings_probed: index_delta.postings_probed,
-                cache_hits: cache.hits(),
-                scans_avoided: index_delta.scans_avoided,
-            },
+            index: index_counters(store, &index_before, cache.hits()),
         },
         rounds: 1,
     })
@@ -218,13 +216,13 @@ pub fn match_edp_parallel(
             let EdpPart::List(list, _) = &*inputs[0] else {
                 unreachable!("videntify reads only efilter partitions");
             };
-            EdpPart::Outcome(filter_one(
-                eids[ctx.partition],
-                list,
+            let mut stage = VStage {
                 video,
-                &edp.vfilter,
-                &BTreeSet::new(),
-            ))
+                config: &edp.vfilter,
+                cache: &mut GalleryCache::new(),
+                telemetry,
+            };
+            EdpPart::Outcome(stage.filter_one(eids[ctx.partition], list, &BTreeSet::new()))
         },
     );
     let start = Instant::now();
@@ -251,7 +249,6 @@ pub fn match_edp_parallel(
         .collect();
     let e_stage = e_end - start;
 
-    let index_delta = store.index().stats().since(&index_before);
     let selected = lists.values().flat_map(|l| l.iter().copied()).collect();
     Ok(MatchReport {
         outcomes,
@@ -260,11 +257,7 @@ pub fn match_edp_parallel(
         timings: StageTimings {
             e_stage,
             v_stage: elapsed.saturating_sub(e_stage),
-            index: IndexCounters {
-                postings_probed: index_delta.postings_probed,
-                cache_hits: 0,
-                scans_avoided: index_delta.scans_avoided,
-            },
+            index: index_counters(store, &index_before, 0),
         },
         rounds: 1,
     })
@@ -370,6 +363,28 @@ mod tests {
             .flat_map(|e| efilter_one(&store, Eid::from_u64(e), &cfg))
             .collect();
         assert!(total.len() >= 4, "little overlap: {}", total.len());
+    }
+
+    #[test]
+    fn parallel_edp_counts_into_the_run_handle() {
+        use ev_telemetry::{names, TelemetryLevel};
+        let (store, video) = world();
+        let targets: BTreeSet<Eid> = (0..4).map(Eid::from_u64).collect();
+        let tel = Telemetry::new(TelemetryLevel::Counters);
+        let config = DagConfig::new(2);
+        match_edp_parallel(
+            &config,
+            &store,
+            &video,
+            &targets,
+            &EdpConfig::default(),
+            &tel,
+        )
+        .unwrap();
+        for name in [names::VFILTER_CANDIDATES_SCORED, names::KERNEL_BLOCKS_BUILT] {
+            let counted = tel.registry().counter_value(name).unwrap_or(0);
+            assert!(counted > 0, "{name} is {counted} under parallel EDP");
+        }
     }
 
     #[test]

@@ -1,23 +1,14 @@
-//! Incremental matching and partition maintenance over a growing
-//! corpus.
+//! Partition maintenance over a growing corpus.
 //!
-//! Surveillance data never stops arriving, and this module holds the
-//! two pieces that keep pace with it without re-running the batch
-//! pipeline from scratch:
-//!
-//! 1. **Report-level reuse** — [`update_matches`] keeps the matches of
-//!    a previous run that are still confident and re-runs the pipeline
-//!    only for the EIDs that need it (newly requested ones and
-//!    previously ambiguous ones), with the kept VIDs excluded from
-//!    candidacy so incremental runs cannot steal an established
-//!    identity.
-//! 2. **Partition-level delta-updates** — [`IncrementalSplit`] keeps
-//!    the live state of a chronological Algorithm-1 run (the splitting
-//!    loop's own state — the EID cover, the recorded splitters, the
-//!    pre-padding scenario lists — plus the frontier it has walked to)
-//!    so that freshly ingested scenarios *refine the existing blocks*
-//!    instead of recomputing the whole split. This is the engine behind
-//!    the streaming `evmatch serve` mode.
+//! Surveillance data never stops arriving. [`IncrementalSplit`] keeps
+//! the live state of a chronological Algorithm-1 run (the splitting
+//! loop's own state — the EID cover, the recorded splitters, the
+//! pre-padding scenario lists — plus the frontier it has walked to) so
+//! that freshly ingested scenarios *refine the existing blocks* instead
+//! of recomputing the whole split. This is the engine behind the
+//! streaming `evmatch serve` mode, which answers its queries with a
+//! fresh [`EvMatcher`](crate::matcher::EvMatcher) run on the applied
+//! snapshot.
 //!
 //! # The delta-update rule
 //!
@@ -60,29 +51,13 @@
 //! prefer a new scenario over previously chosen ones. Both would need
 //! full recomputation, which is why [`IncrementalSplit::new`] insists
 //! on the chronological strategy.
-//!
-//! # Report-level reuse
-//!
-//! Combine [`update_matches`] with
-//! [`EScenarioStore::merged`](ev_store::EScenarioStore::merged) and
-//! [`VideoStore::merged`](ev_store::VideoStore::merged) to append an
-//! ingest batch:
-//!
-//! ```text
-//! let estore = day1.estore.merged(&day2_estore);
-//! let video  = day1.video.merged(&day2_video);
-//! let update = update_matches(&old_report, &new_eids, &estore, &video, &config);
-//! ```
 
-use crate::refine::{match_with_refinement_excluding, RefineConfig};
 use crate::setsplit::{SelectionStrategy, SetSplitConfig, SplitMode, SplitOutput, SplitState};
-use crate::types::{MatchOutcome, MatchReport};
-use ev_core::ids::{Eid, Vid};
+use ev_core::ids::Eid;
 use ev_core::scenario::{EScenario, ScenarioId};
-use ev_store::{EScenarioStore, VideoStore};
+use ev_store::EScenarioStore;
 use ev_telemetry::{names, Telemetry};
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// What one [`IncrementalSplit::absorb`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,6 +82,7 @@ pub struct DeltaStats {
 /// # use ev_core::scenario::EScenario;
 /// # use ev_core::time::Timestamp;
 /// # use ev_store::EScenarioStore;
+/// # use ev_telemetry::Telemetry;
 /// # use std::collections::BTreeSet;
 /// # fn scenario(t: u64, c: usize, people: &[u64]) -> EScenario {
 /// #     let mut s = EScenario::new(CellId::new(c), Timestamp::new(t));
@@ -122,13 +98,13 @@ pub struct DeltaStats {
 /// // Day 1 comes up short: EIDs 1 and 2 are never separated.
 /// let mut store = EScenarioStore::from_scenarios(vec![scenario(0, 0, &[0, 1, 2])]);
 /// let mut live = IncrementalSplit::new(&targets, &config);
-/// live.absorb(&store);
+/// live.absorb(&store, Telemetry::disabled());
 /// assert!(!live.is_fully_split());
 ///
 /// // Day 2 streams in; only the new scenarios are examined.
 /// let delta = store.ingest(vec![scenario(5, 1, &[1]), scenario(6, 0, &[2])]);
 /// assert!(!delta.rebuilt, "appends splice, preserving the contract");
-/// let stats = live.absorb(&store);
+/// let stats = live.absorb(&store, Telemetry::disabled());
 /// assert_eq!(stats.scenarios_absorbed, 2);
 /// assert!(live.is_fully_split());
 ///
@@ -191,14 +167,10 @@ impl IncrementalSplit {
     /// frontier since the last call (`EScenarioStore::ingest` reports
     /// `rebuilt == true` when a batch violated it; rebuild this state
     /// with [`new`](Self::new) + `absorb` in that case).
-    pub fn absorb(&mut self, store: &EScenarioStore) -> DeltaStats {
-        self.absorb_instrumented(store, Telemetry::disabled())
-    }
-
-    /// [`absorb`](Self::absorb) with telemetry: adds the delta's
-    /// examined/recorded/split counts to the `evm_incr_*` counters and
-    /// updates the partition-blocks gauge.
-    pub fn absorb_instrumented(&mut self, store: &EScenarioStore, tel: &Telemetry) -> DeltaStats {
+    ///
+    /// Through `tel` the delta's examined/recorded/split counts add to
+    /// the `evm_incr_*` counters and the partition-blocks gauge updates.
+    pub fn absorb(&mut self, store: &EScenarioStore, tel: &Telemetry) -> DeltaStats {
         let (examined, recorded) = (self.state.examined, self.state.recorded.len());
         let blocks_before = self.state.cover.block_count();
         // `store.iter()` / `iter_after` yield id order = the
@@ -246,190 +218,5 @@ impl IncrementalSplit {
     #[must_use]
     pub fn output(&self, store: &EScenarioStore) -> SplitOutput {
         self.state.clone().into_output(store, &self.config, false)
-    }
-}
-
-/// The result of an incremental update.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct IncrementalUpdate {
-    /// The combined report: kept matches plus fresh ones, in EID order.
-    pub report: MatchReport,
-    /// EIDs whose match was kept from the previous run untouched.
-    pub kept: BTreeSet<Eid>,
-    /// EIDs that were (re-)matched in this update.
-    pub rematched: BTreeSet<Eid>,
-}
-
-/// Updates a previous matching result against the (grown) corpus.
-///
-/// * Outcomes of `previous` that are still confident
-///   ([`MatchOutcome::is_confident`] under the configured margin) are
-///   kept verbatim — their footage has already been paid for.
-/// * Everything else — ambiguous previous outcomes and the EIDs in
-///   `new_eids` — runs through the full refinement pipeline on the
-///   current stores, with the kept VIDs excluded from candidacy.
-#[must_use]
-pub fn update_matches(
-    previous: &MatchReport,
-    new_eids: &BTreeSet<Eid>,
-    store: &EScenarioStore,
-    video: &VideoStore,
-    config: &RefineConfig,
-) -> IncrementalUpdate {
-    let mut kept_outcomes: BTreeMap<Eid, MatchOutcome> = BTreeMap::new();
-    let mut pending: BTreeSet<Eid> = new_eids.clone();
-    let mut kept_vids: BTreeSet<Vid> = BTreeSet::new();
-
-    for outcome in &previous.outcomes {
-        if outcome.is_confident(config.vfilter.min_margin) {
-            if let Some(vid) = outcome.vid {
-                kept_vids.insert(vid);
-            }
-            kept_outcomes.insert(outcome.eid, outcome.clone());
-        } else {
-            pending.insert(outcome.eid);
-        }
-    }
-    // A "new" EID that already has a confident match needs no work.
-    pending.retain(|e| !kept_outcomes.contains_key(e));
-
-    let fresh = if pending.is_empty() {
-        MatchReport::default()
-    } else {
-        match_with_refinement_excluding(store, video, &pending, config, &kept_vids)
-    };
-
-    // Assemble the combined report.
-    let mut report = MatchReport {
-        rounds: fresh.rounds.max(1),
-        timings: fresh.timings,
-        ..MatchReport::default()
-    };
-    for (eid, list) in &previous.lists {
-        if kept_outcomes.contains_key(eid) {
-            report.lists.insert(*eid, list.clone());
-            report.selected_scenarios.extend(list.iter().copied());
-        }
-    }
-    report
-        .selected_scenarios
-        .extend(fresh.selected_scenarios.iter().copied());
-    for (eid, list) in &fresh.lists {
-        report.lists.insert(*eid, list.clone());
-    }
-    let rematched: BTreeSet<Eid> = fresh.outcomes.iter().map(|o| o.eid).collect();
-    let kept: BTreeSet<Eid> = kept_outcomes.keys().copied().collect();
-    report.outcomes = kept_outcomes.into_values().chain(fresh.outcomes).collect();
-    report.outcomes.sort_by_key(|o| o.eid);
-
-    IncrementalUpdate {
-        report,
-        kept,
-        rematched,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::refine::match_with_refinement;
-    use ev_core::feature::FeatureVector;
-    use ev_core::region::CellId;
-    use ev_core::scenario::{Detection, EScenario, VScenario, ZoneAttr};
-    use ev_core::time::Timestamp;
-    use ev_vision::cost::CostModel;
-
-    /// Day 1: persons 0..3 across two cells. Day 2 adds person 3's
-    /// discriminating scenarios.
-    fn day(layout: &[(u64, usize, &[u64])]) -> (EScenarioStore, VideoStore) {
-        let mut es = Vec::new();
-        let mut vs = Vec::new();
-        for &(t, c, people) in layout {
-            let mut e = EScenario::new(CellId::new(c), Timestamp::new(t));
-            let mut v = VScenario::new(CellId::new(c), Timestamp::new(t));
-            for &p in people {
-                e.insert(Eid::from_u64(p), ZoneAttr::Inclusive);
-                let mut f = vec![0.05; 4];
-                f[p as usize] = 0.95;
-                v.push(Detection {
-                    vid: Vid::new(p),
-                    feature: FeatureVector::new(f).expect("valid"),
-                });
-            }
-            es.push(e);
-            vs.push(v);
-        }
-        (
-            EScenarioStore::from_scenarios(es),
-            VideoStore::new(vs, CostModel::free()),
-        )
-    }
-
-    fn targets(raw: impl IntoIterator<Item = u64>) -> BTreeSet<Eid> {
-        raw.into_iter().map(Eid::from_u64).collect()
-    }
-
-    #[test]
-    fn incremental_update_matches_new_eids_without_touching_kept_ones() {
-        // Day 1 distinguishes 0,1,2 but EID 3 never appears.
-        let day1: &[(u64, usize, &[u64])] = &[
-            (0, 0, &[0, 1]),
-            (0, 1, &[2]),
-            (10, 0, &[0, 2]),
-            (10, 1, &[1]),
-        ];
-        let (estore1, video1) = day(day1);
-        let config = RefineConfig::default();
-        let report1 = match_with_refinement(&estore1, &video1, &targets(0..3), &config);
-        assert!(report1.outcomes.iter().all(|o| o.is_majority()));
-
-        // Day 2 brings EID 3 into view.
-        let day2: &[(u64, usize, &[u64])] = &[(20, 0, &[3, 0]), (30, 1, &[3]), (30, 0, &[0])];
-        let (estore2, video2) = day(day2);
-        let estore = estore1.merged(&estore2);
-        let video = video1.merged(&video2);
-
-        let update = update_matches(&report1, &targets([3]), &estore, &video, &config);
-        assert_eq!(update.kept, targets(0..3), "day-1 matches survive");
-        assert_eq!(update.rematched, targets([3]));
-        assert_eq!(update.report.outcomes.len(), 4);
-        let o3 = update.report.outcome_of(Eid::from_u64(3)).expect("matched");
-        assert_eq!(o3.vid, Some(Vid::new(3)));
-        // Kept outcomes are byte-identical to day 1's.
-        for eid in 0..3 {
-            assert_eq!(
-                update.report.outcome_of(Eid::from_u64(eid)),
-                report1.outcome_of(Eid::from_u64(eid)),
-            );
-        }
-    }
-
-    #[test]
-    fn kept_vids_cannot_be_stolen() {
-        let day1: &[(u64, usize, &[u64])] = &[(0, 0, &[0]), (10, 1, &[0])];
-        let (estore, video) = day(day1);
-        let config = RefineConfig::default();
-        let report1 = match_with_refinement(&estore, &video, &targets([0]), &config);
-        assert_eq!(
-            report1.outcome_of(Eid::from_u64(0)).expect("ran").vid,
-            Some(Vid::new(0))
-        );
-        // EID 9 never appears in E-data; its refinement sees only person
-        // 0's footage, but VID 0 is spoken for, so it must stay unmatched
-        // rather than steal the identity.
-        let update = update_matches(&report1, &targets([9]), &estore, &video, &config);
-        let o9 = update.report.outcome_of(Eid::from_u64(9)).expect("present");
-        assert_ne!(o9.vid, Some(Vid::new(0)));
-    }
-
-    #[test]
-    fn empty_update_is_a_no_op() {
-        let day1: &[(u64, usize, &[u64])] = &[(0, 0, &[0, 1]), (10, 0, &[0])];
-        let (estore, video) = day(day1);
-        let config = RefineConfig::default();
-        let report1 = match_with_refinement(&estore, &video, &targets(0..2), &config);
-        let update = update_matches(&report1, &BTreeSet::new(), &estore, &video, &config);
-        assert!(update.rematched.is_empty());
-        assert_eq!(update.report.outcomes.len(), report1.outcomes.len());
     }
 }

@@ -19,11 +19,15 @@
 //!   recorded list, score every VID by the probability product of
 //!   paper §IV-B2 and pick the majority winner, excluding already-matched
 //!   VIDs ("VIDs that have been already matched may help distinguishing
-//!   those remain unmatched", §IV-A).
-//! * [`anytime`] — **anytime VID filtering**: the same majority vote
-//!   with certified early termination — cheap similarity bounds settle
-//!   per-scenario votes without exact scoring, the scan stops once no
-//!   unscored scenario can overturn the leader, and callers get a
+//!   those remain unmatched", §IV-A). Every caller goes through one
+//!   context, [`vfilter::VStage`] (footage, configuration, gallery
+//!   cache, telemetry handle), and its three methods.
+//! * [`anytime`] — **anytime VID filtering**
+//!   ([`VStage::filter_partial`](vfilter::VStage::filter_partial)): the
+//!   same majority vote over the same candidate model with certified
+//!   early termination — cheap similarity bounds settle per-scenario
+//!   votes without exact scoring, the scan stops once no unscored
+//!   scenario can overturn the leader, and callers get a
 //!   [`PartialMatchOutcome`] whose vote-share interval brackets the
 //!   exact answer at any stopping point.
 //! * [`refine`] — **matching refining** (Algorithm 2): rerun splitting and
@@ -40,10 +44,9 @@
 //!   barriering, a lost worker costs only the partitions it was
 //!   computing, and the [`MatchReport`] is byte-identical at every
 //!   thread count.
-//! * [`incremental`] — updates over a growing corpus: keep confident
-//!   matches, re-run only new or ambiguous EIDs; and feed appended
-//!   scenarios to the live state of a chronological split instead of
-//!   re-splitting.
+//! * [`incremental`] — partition maintenance over a growing corpus:
+//!   feed appended scenarios to the live state of a chronological split
+//!   instead of re-splitting.
 //! * [`matcher`] — the high-level [`EvMatcher`] API
 //!   with elastic matching sizes: single EID, a requested set, or the
 //!   universal dataset.

@@ -16,10 +16,10 @@
 //!   per EID-VID pair" (§I).
 
 use crate::edp::{efilter_one, EdpConfig};
-use crate::refine::{match_with_refinement_instrumented, RefineConfig, SplitMode};
+use crate::refine::{match_with_refinement, RefineConfig, SplitMode};
 use crate::setsplit::SetSplitConfig;
-use crate::types::{IndexCounters, MatchReport, StageTimings};
-use crate::vfilter::{filter_one, VFilterConfig};
+use crate::types::{index_counters, MatchReport, StageTimings};
+use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
 use ev_core::ids::Eid;
 use ev_mapreduce::JobError;
 use ev_store::{EScenarioStore, StoreBackend, VideoStore};
@@ -144,19 +144,18 @@ impl<'a> EvMatcher<'a> {
         let e_stage = e_start.elapsed();
 
         let v_start = Instant::now();
-        let outcome = filter_one(
-            eid,
-            &list,
-            self.video,
-            &self.config.vfilter,
-            &BTreeSet::new(),
-        );
+        let outcome = VStage {
+            video: self.video,
+            config: &self.config.vfilter,
+            cache: &mut GalleryCache::new(),
+            telemetry: &self.telemetry,
+        }
+        .filter_one(eid, &list, &BTreeSet::new());
         let v_stage = v_start.elapsed();
         self.video.check_loads().map_err(JobError::Input)?;
 
         let mut lists = BTreeMap::new();
         lists.insert(eid, list.clone());
-        let index_delta = self.estore.index().stats().since(&index_before);
         let report = MatchReport {
             outcomes: vec![outcome],
             lists,
@@ -164,11 +163,7 @@ impl<'a> EvMatcher<'a> {
             timings: StageTimings {
                 e_stage,
                 v_stage,
-                index: IndexCounters {
-                    postings_probed: index_delta.postings_probed,
-                    cache_hits: 0,
-                    scans_avoided: index_delta.scans_avoided,
-                },
+                index: index_counters(self.estore, &index_before, 0),
             },
             rounds: 1,
         };
@@ -195,7 +190,7 @@ impl<'a> EvMatcher<'a> {
     pub fn match_many(&self, targets: &BTreeSet<Eid>) -> Result<MatchReport, JobError> {
         match &self.config.execution {
             ExecutionMode::Sequential => {
-                let report = match_with_refinement_instrumented(
+                let report = match_with_refinement(
                     self.estore,
                     self.video,
                     targets,
@@ -205,7 +200,6 @@ impl<'a> EvMatcher<'a> {
                         vfilter: self.config.vfilter,
                         max_rounds: self.config.max_rounds,
                     },
-                    &BTreeSet::new(),
                     &self.telemetry,
                 );
                 self.video.check_loads().map_err(JobError::Input)?;
@@ -297,6 +291,19 @@ mod tests {
         assert_eq!(report.outcomes.len(), 1);
         assert_eq!(report.outcomes[0].vid, Some(Vid::new(2)));
         assert!(report.selected_count() >= 2);
+    }
+
+    #[test]
+    fn match_one_counts_into_the_attached_handle() {
+        use ev_telemetry::{names, TelemetryLevel};
+        let (store, video) = world();
+        let tel = Telemetry::new(TelemetryLevel::Counters);
+        let matcher = EvMatcher::new(&store, &video, MatcherConfig::default()).with_telemetry(&tel);
+        matcher.match_one(Eid::from_u64(2)).unwrap();
+        for name in [names::VFILTER_CANDIDATES_SCORED, names::KERNEL_BLOCKS_BUILT] {
+            let counted = tel.registry().counter_value(name).unwrap_or(0);
+            assert!(counted > 0, "{name} is {counted} for a single-EID query");
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 
 pub use crate::setsplit::SplitMode;
 use crate::setsplit::{split, SelectionStrategy, SetSplitConfig};
-use crate::types::{IndexCounters, MatchOutcome, MatchReport, ScenarioList};
-use crate::vfilter::{filter_one_instrumented, GalleryCache, VFilterConfig};
+use crate::types::{index_counters, MatchOutcome, MatchReport, ScenarioList};
+use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
 use ev_core::ids::{Eid, Vid};
 use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{names, Telemetry};
@@ -47,48 +47,18 @@ impl Default for RefineConfig {
 }
 
 /// Runs set splitting and VID filtering with refinement (Algorithm 2).
+///
+/// Through `tel` the run records pipeline/round spans, refinement-round
+/// and stage-time metrics, plus the paper's semantic gauges (recorded
+/// scenarios against the Theorem 4.2/4.4 bounds, distinct V-frames,
+/// majority-vote accuracy); pass [`Telemetry::disabled()`] to record
+/// nothing.
 #[must_use]
 pub fn match_with_refinement(
     store: &EScenarioStore,
     video: &VideoStore,
     targets: &BTreeSet<Eid>,
     config: &RefineConfig,
-) -> MatchReport {
-    match_with_refinement_excluding(store, video, targets, config, &BTreeSet::new())
-}
-
-/// Like [`match_with_refinement`], with VIDs that are already spoken for
-/// (e.g. by a previous incremental run) ruled out of every candidacy.
-#[must_use]
-pub fn match_with_refinement_excluding(
-    store: &EScenarioStore,
-    video: &VideoStore,
-    targets: &BTreeSet<Eid>,
-    config: &RefineConfig,
-    excluded: &BTreeSet<Vid>,
-) -> MatchReport {
-    match_with_refinement_instrumented(
-        store,
-        video,
-        targets,
-        config,
-        excluded,
-        Telemetry::disabled(),
-    )
-}
-
-/// [`match_with_refinement_excluding`] with telemetry: pipeline/round
-/// spans, refinement-round and stage-time metrics, plus the paper's
-/// semantic gauges (recorded scenarios against the Theorem 4.2/4.4
-/// bounds, distinct V-frames, majority-vote accuracy). With a disabled
-/// handle this is exactly `match_with_refinement_excluding`.
-#[must_use]
-pub fn match_with_refinement_instrumented(
-    store: &EScenarioStore,
-    video: &VideoStore,
-    targets: &BTreeSet<Eid>,
-    config: &RefineConfig,
-    excluded: &BTreeSet<Vid>,
     tel: &Telemetry,
 ) -> MatchReport {
     let mut pipeline_span = tel.span("match_with_refinement", "pipeline");
@@ -98,7 +68,7 @@ pub fn match_with_refinement_instrumented(
     let mut first_round_recorded = 0usize;
     let mut first_round_fully_split = false;
     let mut accepted: BTreeMap<Eid, MatchOutcome> = BTreeMap::new();
-    let mut matched_vids: BTreeSet<Vid> = excluded.clone();
+    let mut matched_vids: BTreeSet<Vid> = BTreeSet::new();
     let mut pending: BTreeSet<Eid> = targets.clone();
     let mut rounds = 0;
     let index_before = store.index().stats();
@@ -145,49 +115,41 @@ pub fn match_with_refinement_instrumented(
         // --- V stage: filter, longest lists first, excluding VIDs that
         // earlier rounds (or earlier EIDs this round) locked in. ---
         let v_start = Instant::now();
-        let mut order: Vec<(&Eid, &ScenarioList)> = lists.iter().collect();
-        order.sort_by_key(|(eid, list)| (std::cmp::Reverse(list.len()), **eid));
-        for (&eid, list) in order {
-            let outcome = filter_one_instrumented(
-                eid,
-                list,
-                video,
-                &config.vfilter,
-                &matched_vids,
-                &mut cache,
-                tel,
-            );
-            if outcome.is_confident(config.vfilter.min_margin) {
-                if config.vfilter.exclusion {
-                    if let Some(vid) = outcome.vid {
-                        matched_vids.insert(vid);
-                    }
-                }
-                report.lists.insert(eid, list.clone());
-                accepted.insert(eid, outcome);
+        let acceptable = |o: &MatchOutcome| o.is_confident(config.vfilter.min_margin);
+        let outcomes = VStage {
+            video,
+            config: &config.vfilter,
+            cache: &mut cache,
+            telemetry: tel,
+        }
+        .filter_longest_first(&lists, &mut matched_vids, acceptable);
+        let last_round = rounds >= config.max_rounds.max(1);
+        for outcome in outcomes {
+            let eid = outcome.eid;
+            let confident = acceptable(&outcome);
+            if confident {
                 pending.remove(&eid);
-            } else if rounds >= config.max_rounds.max(1) {
-                // Out of budget: keep the best effort; flag it by its
+            }
+            if confident || last_round {
+                // Out of budget keeps the best effort, flagged by its
                 // missing majority ("human intervention may be required",
                 // §IV-C4).
-                report.lists.insert(eid, list.clone());
+                report.lists.insert(eid, lists[&eid].clone());
                 accepted.insert(eid, outcome);
             } else {
                 // Remember the attempt so an exhausted pool still reports
                 // something, but leave the EID pending.
-                report.lists.entry(eid).or_insert_with(|| list.clone());
+                report
+                    .lists
+                    .entry(eid)
+                    .or_insert_with(|| lists[&eid].clone());
                 accepted.entry(eid).or_insert(outcome);
             }
         }
         report.timings.v_stage += v_start.elapsed();
     }
 
-    let index_delta = store.index().stats().since(&index_before);
-    report.timings.index = IndexCounters {
-        postings_probed: index_delta.postings_probed,
-        cache_hits: cache.hits(),
-        scans_avoided: index_delta.scans_avoided,
-    };
+    report.timings.index = index_counters(store, &index_before, cache.hits());
     report.outcomes = accepted.into_values().collect();
     report.outcomes.sort_by_key(|o| o.eid);
     report.rounds = rounds;
@@ -196,18 +158,6 @@ pub fn match_with_refinement_instrumented(
         registry
             .counter(names::REFINE_ROUNDS)
             .add(u64::from(report.rounds));
-        registry
-            .counter(names::VFILTER_GALLERY_HITS)
-            .add(cache.hits());
-        registry
-            .counter(names::VFILTER_GALLERY_MISSES)
-            .add(cache.misses());
-        let total = cache.hits() + cache.misses();
-        if total > 0 {
-            registry
-                .gauge(names::VFILTER_GALLERY_HIT_RATIO)
-                .set(cache.hits() as f64 / total as f64);
-        }
         report.timings.record_to(registry);
         record_paper_gauges(
             registry,
@@ -332,8 +282,13 @@ mod tests {
             (1, 1, &[1, 3], &[1, 3]),
         ];
         let (store, video) = world(layout, 4);
-        let report =
-            match_with_refinement(&store, &video, &targets(0..4), &RefineConfig::default());
+        let report = match_with_refinement(
+            &store,
+            &video,
+            &targets(0..4),
+            &RefineConfig::default(),
+            Telemetry::disabled(),
+        );
         assert_eq!(report.rounds, 1);
         for o in &report.outcomes {
             assert_eq!(o.vid.map(Vid::as_u64), Some(o.eid.as_u64()));
@@ -359,7 +314,8 @@ mod tests {
             max_rounds: 4,
             ..RefineConfig::default()
         };
-        let report = match_with_refinement(&store, &video, &targets(0..3), &cfg);
+        let report =
+            match_with_refinement(&store, &video, &targets(0..3), &cfg, Telemetry::disabled());
         let o1 = report.outcome_of(Eid::from_u64(1)).unwrap();
         assert_eq!(o1.vid, Some(Vid::new(1)), "refinement must recover EID 1");
     }
@@ -374,7 +330,13 @@ mod tests {
             max_rounds: 2,
             ..RefineConfig::default()
         };
-        let report = match_with_refinement(&store, &video, &targets([5, 6]), &cfg);
+        let report = match_with_refinement(
+            &store,
+            &video,
+            &targets([5, 6]),
+            &cfg,
+            Telemetry::disabled(),
+        );
         assert_eq!(report.outcomes.len(), 2, "every EID gets an outcome");
         let o5 = report.outcome_of(Eid::from_u64(5)).unwrap();
         // Either unmatched or (wrongly) matched without our assertion —
@@ -395,7 +357,8 @@ mod tests {
             mode: SplitMode::Practical,
             ..RefineConfig::default()
         };
-        let report = match_with_refinement(&store, &video, &targets(0..3), &cfg);
+        let report =
+            match_with_refinement(&store, &video, &targets(0..3), &cfg, Telemetry::disabled());
         assert_eq!(report.outcomes.len(), 3);
         for o in &report.outcomes {
             assert_eq!(o.vid.map(Vid::as_u64), Some(o.eid.as_u64()));
@@ -427,7 +390,8 @@ mod tests {
             max_rounds: 3,
             ..RefineConfig::default()
         };
-        let report = match_with_refinement(&store, &video, &targets(0..2), &cfg);
+        let report =
+            match_with_refinement(&store, &video, &targets(0..2), &cfg, Telemetry::disabled());
         assert!(!report.selected_scenarios.is_empty());
         for list in report.lists.values() {
             for id in list {
@@ -467,16 +431,10 @@ mod tests {
             mode: SplitMode::Ideal,
             ..RefineConfig::default()
         };
-        let plain = match_with_refinement(&store, &video, &targets(0..4), &cfg);
-        let tel = ev_telemetry::Telemetry::new(ev_telemetry::TelemetryLevel::Full);
-        let instrumented = match_with_refinement_instrumented(
-            &store,
-            &video,
-            &targets(0..4),
-            &cfg,
-            &BTreeSet::new(),
-            &tel,
-        );
+        let plain =
+            match_with_refinement(&store, &video, &targets(0..4), &cfg, Telemetry::disabled());
+        let tel = Telemetry::new(ev_telemetry::TelemetryLevel::Full);
+        let instrumented = match_with_refinement(&store, &video, &targets(0..4), &cfg, &tel);
         assert_eq!(plain.outcomes, instrumented.outcomes);
         assert_eq!(plain.lists, instrumented.lists);
         let snap = tel.registry().snapshot();

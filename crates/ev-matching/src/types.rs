@@ -91,6 +91,22 @@ impl MatchOutcome {
 /// [`ev_telemetry`], next to the `evm_index_*` names it exports to.
 pub use ev_telemetry::IndexCounters;
 
+/// The index/cache counter triple of one pipeline run: what the
+/// scenario index absorbed since `before` (its stats taken before the
+/// run started) plus the galleries the V stage served from cache.
+pub(crate) fn index_counters(
+    store: &ev_store::EScenarioStore,
+    before: &ev_store::IndexStatsSnapshot,
+    cache_hits: u64,
+) -> IndexCounters {
+    let delta = store.index().stats().since(before);
+    IndexCounters {
+        postings_probed: delta.postings_probed,
+        cache_hits,
+        scans_avoided: delta.scans_avoided,
+    }
+}
+
 /// Wall-clock timings of the two pipeline stages (paper Figs. 8–9 report
 /// E time, V time and their sum), plus the index-layer counters for the
 /// run.

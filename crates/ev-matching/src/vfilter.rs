@@ -15,6 +15,16 @@
 //! unmatched", §IV-A); EIDs are processed longest-list-first so the most
 //! constrained matches land before they are needed for exclusion.
 //!
+//! # One context, one body per job
+//!
+//! Every caller — the refinement loop, the stage DAG, EDP, the
+//! single-EID query — builds a [`VStage`] literal (footage,
+//! configuration, gallery cache, telemetry handle) and calls one of its
+//! three methods. Both scorers, the exact scan here and the bounded one
+//! in [`crate::anytime`], read one dense candidate model (candidates
+//! are ordinals into a VID-ascending vector, so every fold visits them
+//! in VID order) and materialise their result through the one tally.
+//!
 //! # Numerics and caching
 //!
 //! Joint membership probabilities are accumulated in **log space**
@@ -24,7 +34,7 @@
 //! [`f64::total_cmp`] so a NaN probability cannot poison an argmax.
 //!
 //! A [`GalleryCache`] memoizes each extracted scenario's detections
-//! grouped by VID. [`filter_vids`] shares one cache across all EIDs —
+//! grouped by VID. A batch shares one cache across all its EIDs —
 //! scenario reuse across lists is the point of set splitting — so each
 //! V-Scenario is fetched and regrouped once, no matter how many EIDs its
 //! footage serves.
@@ -37,10 +47,8 @@ use ev_core::scenario::{ScenarioId, VScenario};
 use ev_store::VideoStore;
 use ev_telemetry::{names, Telemetry};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Configuration of the VID filtering stage.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -55,7 +63,7 @@ pub struct VFilterConfig {
     /// Anytime/approximate evaluation knobs. `None` (the default) runs
     /// the exhaustive scan; `Some` with an
     /// [`approximate`](crate::anytime::AnytimeConfig::approximate)
-    /// configuration routes every `filter_one` through
+    /// configuration routes every [`VStage::filter_one`] through
     /// [`crate::anytime`]'s bounded early-terminating scorer.
     pub anytime: Option<crate::anytime::AnytimeConfig>,
 }
@@ -70,34 +78,6 @@ impl Default for VFilterConfig {
         }
     }
 }
-
-/// Multiply-shift hasher for internal identity keys (`Vid`/`Eid` wrap a
-/// `u64`). The default SipHash is DoS-resistant but costs ~10× more per
-/// op, and the candidate-model accumulation hashes thousands of ids per
-/// EID on the hot path; synthetic ids need no DoS resistance.
-#[derive(Default)]
-pub(crate) struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u64 fields (FNV-1a); id keys never hit this.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn finish(&self) -> u64 {
-        // Fold the entropy-rich high bits into the low bits the table
-        // masks on.
-        self.0 ^ (self.0 >> 31)
-    }
-}
-
-pub(crate) type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// The **single argmax tie-break rule** of the V stage: a higher score
 /// always wins; an *exact* score tie goes to the **lower VID**.
@@ -119,50 +99,50 @@ pub(crate) fn beats(score_a: f64, a: Vid, score_b: f64, b: Vid) -> bool {
     }
 }
 
-/// Per-scenario argmax over the candidates present in a scenario, under
-/// the canonical [`beats`] tie-break (lower VID wins exact ties).
-pub(crate) fn scenario_vote(
-    present: impl IntoIterator<Item = Vid>,
-    score: impl Fn(Vid) -> f64,
-) -> Option<Vid> {
-    let mut best: Option<(f64, Vid)> = None;
-    for vid in present {
-        let s = score(vid);
-        match best {
-            Some((bs, bv)) if !beats(bs, bv, s, vid) => {}
-            _ => best = Some((s, vid)),
+/// Argmax over the candidate ordinals in `among` under the canonical
+/// [`beats`] tie-break; `vids` maps an ordinal to its VID. `beats` is a
+/// strict total order on `(score, VID)` keys, so neither the visiting
+/// order nor a repeated ordinal can change the result.
+pub(crate) fn argmax(
+    vids: &[Vid],
+    among: impl IntoIterator<Item = usize>,
+    score: impl Fn(usize) -> f64,
+) -> Option<usize> {
+    let mut best: Option<usize> = None;
+    for c in among {
+        if best.is_none_or(|b| beats(score(b), vids[b], score(c), vids[c])) {
+            best = Some(c);
         }
     }
-    best.map(|(_, v)| v)
+    best
 }
 
 /// Majority winner across per-scenario votes, under the same canonical
 /// tie-break: most votes wins, an exact vote-count tie goes to the
-/// lower VID. Returns the winner and its vote count.
-pub(crate) fn majority_winner(counts: &BTreeMap<Vid, usize>) -> Option<(Vid, usize)> {
-    let mut best: Option<(usize, Vid)> = None;
-    for (&vid, &c) in counts {
-        match best {
-            Some((bc, bv)) if !beats(bc as f64, bv, c as f64, vid) => {}
-            _ => best = Some((c, vid)),
-        }
-    }
-    best.map(|(c, v)| (v, c))
+/// lower VID. `None` when nobody holds a vote.
+pub(crate) fn majority_winner(vids: &[Vid], counts: &[usize]) -> Option<usize> {
+    let voted = (0..counts.len()).filter(|&c| counts[c] > 0);
+    argmax(vids, voted, |c| counts[c] as f64)
 }
 
 /// One scenario's extracted gallery: the V-Scenario handle plus its
-/// detection indices grouped by VID, in detection order. Concatenating a
+/// detection indices grouped by VID (sorted distinct `vids`, CSR
+/// `starts`/`rows`), each group in detection order. Concatenating a
 /// list's groups in list order reproduces exactly the observation
 /// sequence a direct detection walk would produce, so representatives
 /// computed through the cache are bit-identical to uncached ones.
 pub(crate) struct CacheEntry {
     pub(crate) scenario: Arc<VScenario>,
-    pub(crate) groups: BTreeMap<Vid, Vec<usize>>,
+    /// The distinct VIDs detected in the scenario, ascending.
+    pub(crate) vids: Vec<Vid>,
+    /// `rows[starts[g]..starts[g + 1]]` are group `g`'s detections.
+    starts: Vec<usize>,
+    rows: Vec<usize>,
     /// Per-scenario feature bounding box behind the anytime upper bound
     /// (see [`crate::anytime`]). A property of the gallery alone — no
     /// EID or representative enters it — so it is computed at most once
     /// per scenario and shared by every EID that revisits the entry.
-    pub(crate) bbox: std::cell::OnceCell<Option<crate::anytime::EntryBox>>,
+    bbox: std::cell::OnceCell<Option<crate::anytime::EntryBox>>,
     /// The scenario's detections packed into an SoA [`FeatureBlock`]
     /// for the batch kernel. Like `bbox`, a property of the gallery
     /// alone: packed at most once per cache entry and shared by every
@@ -174,13 +154,33 @@ pub(crate) struct CacheEntry {
 }
 
 impl CacheEntry {
-    pub(crate) fn new(scenario: Arc<VScenario>, groups: BTreeMap<Vid, Vec<usize>>) -> Self {
+    pub(crate) fn new(scenario: Arc<VScenario>) -> Self {
+        let detections = scenario.detections();
+        // One stable sort: within a VID the rows stay in detection order.
+        let mut rows: Vec<usize> = (0..detections.len()).collect();
+        rows.sort_by_key(|&i| detections[i].vid);
+        let (mut vids, mut starts) = (Vec::new(), Vec::new());
+        for (at, &i) in rows.iter().enumerate() {
+            if vids.last() != Some(&detections[i].vid) {
+                vids.push(detections[i].vid);
+                starts.push(at);
+            }
+        }
+        starts.push(rows.len());
         CacheEntry {
             scenario,
-            groups,
+            vids,
+            starts,
+            rows,
             bbox: std::cell::OnceCell::new(),
             block: std::cell::OnceCell::new(),
         }
+    }
+
+    /// The detection indices of `vids[group]`, in detection order
+    /// (never empty).
+    pub(crate) fn group(&self, group: usize) -> &[usize] {
+        &self.rows[self.starts[group]..self.starts[group + 1]]
     }
 
     /// The scenario's detection-feature bounding box, computed on first
@@ -197,22 +197,15 @@ impl CacheEntry {
         self.block.get_or_init(|| {
             let gallery = self.scenario.id().to_string();
             let features = self.scenario.detections().iter().map(|d| &d.feature);
-            match FeatureBlock::build(&gallery, features) {
-                Ok(b) => {
-                    if tel.counters_on() {
-                        tel.registry().counter(names::KERNEL_BLOCKS_BUILT).add(1);
-                    }
-                    Some(b)
-                }
-                Err(_) => {
-                    if tel.counters_on() {
-                        tel.registry()
-                            .counter(names::KERNEL_GALLERIES_REJECTED)
-                            .add(1);
-                    }
-                    None
-                }
+            let block = FeatureBlock::build(&gallery, features).ok();
+            if tel.counters_on() {
+                let name = match block {
+                    Some(_) => names::KERNEL_BLOCKS_BUILT,
+                    None => names::KERNEL_GALLERIES_REJECTED,
+                };
+                tel.registry().counter(name).add(1);
             }
+            block
         })
     }
 }
@@ -249,7 +242,7 @@ pub(crate) fn score_membership(
 /// exclusion, across refiltering rounds. The cache keeps each extracted
 /// scenario's gallery grouped by VID so every revisit skips both the
 /// [`VideoStore`] lookup and the regrouping pass. Misses charge the cost
-/// ledger exactly as the uncached path does; hits touch no footage.
+/// ledger exactly as an uncached extraction does; hits touch no footage.
 #[derive(Default)]
 pub struct GalleryCache {
     entries: BTreeMap<ScenarioId, Option<CacheEntry>>,
@@ -278,274 +271,280 @@ impl GalleryCache {
     }
 
     /// Makes sure `id`'s gallery is resident, extracting it on a miss.
-    pub(crate) fn ensure(&mut self, id: ScenarioId, video: &VideoStore) {
+    fn ensure(&mut self, id: ScenarioId, video: &VideoStore) {
         if self.entries.contains_key(&id) {
             self.hits += 1;
             return;
         }
         self.misses += 1;
-        let entry = video.extract(id).map(|scenario| {
-            let mut groups: BTreeMap<Vid, Vec<usize>> = BTreeMap::new();
-            for (i, d) in scenario.detections().iter().enumerate() {
-                groups.entry(d.vid).or_default().push(i);
-            }
-            CacheEntry::new(scenario, groups)
-        });
-        self.entries.insert(id, entry);
+        self.entries
+            .insert(id, video.extract(id).map(CacheEntry::new));
     }
 
-    pub(crate) fn get(&self, id: ScenarioId) -> Option<&CacheEntry> {
+    fn get(&self, id: ScenarioId) -> Option<&CacheEntry> {
         self.entries.get(&id).and_then(Option::as_ref)
     }
 }
 
-/// Builds the candidate model for one EID's scenario list: the resident
-/// cache entries (footage-bearing scenarios, list order) and each
-/// surviving candidate's appearance representative.
-///
-/// This is the **shared front half** of both the exact and the
-/// [`crate::anytime`] scorers — candidate admission (exclusion, quorum
-/// pruning) and representative computation happen here, once, so the
-/// two paths can never disagree about who is even in the running.
+/// The candidate model of one EID's scenario list — the **shared front
+/// half** of the exact and the [`crate::anytime`] scorers. Candidate
+/// admission (exclusion, quorum pruning) and representative computation
+/// happen here, once, so the two scorers can never disagree about who
+/// is even in the running.
+pub(crate) struct CandidateModel<'a> {
+    /// The resident cache entries: footage-bearing scenarios, list order.
+    pub(crate) entries: Vec<&'a CacheEntry>,
+    /// The admitted candidates, ascending: the index *is* the candidate
+    /// ordinal, so a fold over ordinals visits candidates in VID order.
+    pub(crate) vids: Vec<Vid>,
+    /// Each candidate's appearance representative.
+    pub(crate) reps: Vec<FeatureVector>,
+    /// Per entry, the `(candidate, group)` pairs present there,
+    /// candidate-ascending.
+    pub(crate) present: Vec<Vec<(usize, usize)>>,
+}
+
 pub(crate) fn candidate_model<'a>(
     list: &ScenarioList,
     video: &VideoStore,
     excluded: &BTreeSet<Vid>,
     cache: &'a mut GalleryCache,
-) -> (Vec<&'a CacheEntry>, BTreeMap<Vid, FeatureVector>) {
+) -> CandidateModel<'a> {
     for &id in list {
         cache.ensure(id, video);
     }
     let cache: &'a GalleryCache = cache;
     let entries: Vec<&CacheEntry> = list.iter().filter_map(|&id| cache.get(id)).collect();
-    if entries.is_empty() {
-        return (entries, BTreeMap::new());
-    }
 
     // Candidate pruning (lossless for the final match): the matched VID
     // must win a strict majority of per-scenario votes, and a VID can
     // only be voted where it is present — so anyone present in fewer
     // than half the scenarios can never be the match. At high densities
     // this cuts the candidate set from "everyone in the neighbourhood"
-    // to the handful sharing most of the EID's trajectory.
-    //
-    // Presence is counted first so the observation vectors below are
-    // only ever built for quorum survivors: a dense neighbourhood has
-    // hundreds of transient VIDs per list and a handful of survivors,
-    // and this pass is on the per-EID hot path. The `HashMap` is pure
-    // accumulation — it is never iterated, so the map's nondeterministic
-    // order cannot leak into results.
-    let mut presence: IdHashMap<Vid, usize> = IdHashMap::default();
-    for e in &entries {
-        for &vid in e.groups.keys() {
-            if !excluded.contains(&vid) {
-                *presence.entry(vid).or_insert(0) += 1;
-            }
-        }
-    }
+    // to the handful sharing most of the EID's trajectory. Presence is a
+    // run length in the sorted concatenation of the entries' distinct
+    // VIDs.
+    let mut seen: Vec<Vid> = entries.iter().flat_map(|e| &e.vids).copied().collect();
+    seen.sort_unstable();
     let quorum = entries.len().div_ceil(2);
-
-    // Build each surviving candidate's appearance model: the mean of its
-    // observed features across the list, in list order exactly as a
-    // direct detection walk would visit them (re-identification links
-    // the detections).
-    let mut observations: BTreeMap<Vid, Vec<&FeatureVector>> = BTreeMap::new();
-    for e in &entries {
-        let detections = e.scenario.detections();
-        for (&vid, indices) in &e.groups {
-            if presence.get(&vid).is_some_and(|&p| p >= quorum) {
-                observations
-                    .entry(vid)
-                    .or_default()
-                    .extend(indices.iter().map(|&i| &detections[i].feature));
-            }
-        }
-    }
-    let representatives: BTreeMap<Vid, FeatureVector> = observations
-        .into_iter()
-        .map(|(vid, obs)| (vid, mean_feature(&obs)))
+    let vids: Vec<Vid> = seen
+        .chunk_by(|a, b| a == b)
+        .filter(|run| run.len() >= quorum && !excluded.contains(&run[0]))
+        .map(|run| run[0])
         .collect();
-    (entries, representatives)
-}
 
-/// Filters the VID for a single EID against its scenario list, treating
-/// `excluded` VIDs as already matched to someone else.
-///
-/// Convenience wrapper over [`filter_one_cached`] with a private,
-/// call-local [`GalleryCache`]; batch callers should share one cache.
-#[must_use]
-pub fn filter_one(
-    eid: Eid,
-    list: &ScenarioList,
-    video: &VideoStore,
-    config: &VFilterConfig,
-    excluded: &BTreeSet<Vid>,
-) -> MatchOutcome {
-    filter_one_cached(eid, list, video, config, excluded, &mut GalleryCache::new())
-}
+    // Both sides ascend, so presence is one merge per entry.
+    let present: Vec<Vec<(usize, usize)>> = entries
+        .iter()
+        .map(|e| {
+            let mut pairs = Vec::new();
+            let mut c = 0;
+            for (group, &vid) in e.vids.iter().enumerate() {
+                while c < vids.len() && vids[c] < vid {
+                    c += 1;
+                }
+                if vids.get(c) == Some(&vid) {
+                    pairs.push((c, group));
+                }
+            }
+            pairs
+        })
+        .collect();
 
-/// [`filter_one`] against a shared [`GalleryCache`].
-#[must_use]
-pub fn filter_one_cached(
-    eid: Eid,
-    list: &ScenarioList,
-    video: &VideoStore,
-    config: &VFilterConfig,
-    excluded: &BTreeSet<Vid>,
-    cache: &mut GalleryCache,
-) -> MatchOutcome {
-    filter_one_instrumented(
-        eid,
-        list,
-        video,
-        config,
-        excluded,
-        cache,
-        Telemetry::disabled(),
-    )
-}
-
-/// [`filter_one_cached`] with telemetry: counts candidates scored and,
-/// at the full level, records a per-scenario scoring-latency histogram.
-/// With a disabled handle this is exactly `filter_one_cached`.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn filter_one_instrumented(
-    eid: Eid,
-    list: &ScenarioList,
-    video: &VideoStore,
-    config: &VFilterConfig,
-    excluded: &BTreeSet<Vid>,
-    cache: &mut GalleryCache,
-    tel: &Telemetry,
-) -> MatchOutcome {
-    // Anytime delegation: an approximate configuration routes the whole
-    // EID through the bounded scorer. A non-approximate one (confidence
-    // ≥ 1.0, no budget) falls through to the exhaustive scan below, so
-    // `--confidence 1.0` is *exactly* the exact path.
-    if let Some(at) = config.anytime {
-        if at.approximate() {
-            return crate::anytime::partial_filter_one_instrumented(
-                eid, list, video, config, excluded, cache, tel,
-            )
-            .outcome;
-        }
-    }
-    let (entries, representatives) = candidate_model(list, video, excluded, cache);
-    if entries.is_empty() {
-        // Nothing recorded / no footage for the whole list: there are
-        // zero votes to take a majority over, so this is the explicit
-        // NoEvidence shape (all-zero fields, never `count / 0 = NaN`).
-        return MatchOutcome::no_evidence(eid);
-    }
-    if representatives.is_empty() {
-        // Footage existed but every candidate was excluded or
-        // quorum-pruned — still zero votes, same NoEvidence contract.
-        return MatchOutcome::no_evidence(eid);
-    }
-    if tel.counters_on() {
-        tel.registry()
-            .counter(names::VFILTER_CANDIDATES_SCORED)
-            .add(representatives.len() as u64);
-    }
-    // Per-scenario scoring latency is profiling-only: the clock reads
-    // would dominate the membership computation at the counters level.
-    let scoring_hist = tel
-        .tracing_on()
-        .then(|| tel.registry().histogram(names::VFILTER_SCORING_NS));
-
-    // Joint membership probability per candidate (paper §IV-B2), in log
-    // space: `Σ ln P` survives the long lists that underflow `Π P` to a
-    // meaningless all-zero tie. `ln(0) = -inf` keeps the veto semantics
-    // of an impossible scenario.
-    let mut log_joint: BTreeMap<Vid, f64> = BTreeMap::new();
-    for (&vid, rep) in &representatives {
-        let mut lp = 0.0;
-        for e in &entries {
-            // One charged comparison per (candidate, scenario): matching
-            // a candidate's appearance model against a scenario's gallery
-            // is one nearest-neighbour query in a real pipeline.
-            video.charge_comparison();
-            let scoring_start = scoring_hist.as_ref().map(|_| Instant::now());
-            lp += score_membership(rep, e, config.metric, tel).ln();
-            if let (Some(hist), Some(start)) = (&scoring_hist, scoring_start) {
-                hist.record(start.elapsed().as_nanos() as u64);
+    // Each candidate's appearance model: the component-wise mean of its
+    // observed features, received in list order and, within a gallery,
+    // detection order — exactly as a direct detection walk would visit
+    // them (re-identification links the detections). The first
+    // observation fixes the dimension; malformed ones are ignored.
+    let mut sums: Vec<Vec<f64>> = vec![Vec::new(); vids.len()];
+    let mut n = vec![0.0f64; vids.len()];
+    for (e, pairs) in entries.iter().zip(&present) {
+        let detections = e.scenario.detections();
+        for &(c, group) in pairs {
+            for &row in e.group(group) {
+                let feature = &detections[row].feature;
+                if n[c] == 0.0 {
+                    sums[c].resize(feature.dim(), 0.0);
+                } else if feature.dim() != sums[c].len() {
+                    continue;
+                }
+                for (s, &x) in sums[c].iter_mut().zip(feature.components()) {
+                    *s += x;
+                }
+                n[c] += 1.0;
             }
         }
-        log_joint.insert(vid, lp);
     }
+    let reps = sums
+        .into_iter()
+        .zip(n)
+        .map(|(sums, n)| FeatureVector::from_clamped(sums.into_iter().map(|s| s / n.max(1.0))))
+        .collect();
+    CandidateModel {
+        entries,
+        vids,
+        reps,
+        present,
+    }
+}
 
-    // Per-scenario choice: the present candidate with the largest joint
-    // probability, ties resolved by the canonical [`beats`] rule (lower
-    // VID) — the same rule the majority vote below uses.
+/// The **one tally**: per-scenario choice (the present candidate with
+/// the largest joint probability), majority of those choices, and the
+/// winner's confidence, margin and vote share — every argmax under the
+/// canonical [`beats`] rule. The exact scan and the anytime scorer's
+/// exhaustion branch both materialise their outcome here, from exact
+/// per-candidate log-joints.
+pub(crate) fn tally(eid: Eid, model: &CandidateModel<'_>, log_joint: &[f64]) -> MatchOutcome {
     let mut votes: Vec<Vid> = Vec::new();
-    for e in &entries {
-        let choice = scenario_vote(
-            e.scenario
-                .vids()
-                .filter(|v| representatives.contains_key(v)),
-            |v| log_joint[&v],
-        );
-        if let Some(v) = choice {
-            votes.push(v);
+    let mut counts = vec![0usize; model.vids.len()];
+    for pairs in &model.present {
+        let present = pairs.iter().map(|&(c, _)| c);
+        if let Some(c) = argmax(&model.vids, present, |c| log_joint[c]) {
+            votes.push(model.vids[c]);
+            counts[c] += 1;
         }
-    }
-    if votes.is_empty() {
-        return MatchOutcome::no_evidence(eid);
-    }
-
-    // Majority of the per-scenario choices, under the same tie-break.
-    let mut counts: BTreeMap<Vid, usize> = BTreeMap::new();
-    for &v in &votes {
-        *counts.entry(v).or_insert(0) += 1;
     }
     // No winner means no votes at all — an empty-gallery/no-candidate
-    // edge that must flow to the explicit NoEvidence outcome instead of
-    // aborting the pipeline (the guard above makes this unreachable
-    // today, but the edge belongs to the outcome domain, not a panic).
-    let Some((winner, count)) = majority_winner(&counts) else {
+    // edge that flows to the explicit NoEvidence outcome (all-zero
+    // fields, never `count / 0 = NaN`) instead of aborting the pipeline.
+    let Some(winner) = majority_winner(&model.vids, &counts) else {
         return MatchOutcome::no_evidence(eid);
     };
-    let confidence = log_joint[&winner].exp();
+    let confidence = log_joint[winner].exp();
     let margin = if log_joint.len() > 1 {
-        let runner_up = log_joint
-            .iter()
-            .filter(|(&v, _)| v != winner)
-            .map(|(_, &lp)| lp)
+        let runner_up = (0..log_joint.len())
+            .filter(|&c| c != winner)
+            .map(|c| log_joint[c])
             .fold(f64::NEG_INFINITY, f64::max);
         confidence - runner_up.exp()
     } else {
         1.0
     };
-    // `votes` is non-empty here (guarded above), so the share can never
-    // be the `0 / 0 = NaN` that an empty list would produce.
-    let vote_share = count as f64 / votes.len() as f64;
-    debug_assert!(!vote_share.is_nan());
     MatchOutcome {
         eid,
-        vid: Some(winner),
-        vote_share,
+        vid: Some(model.vids[winner]),
+        vote_share: counts[winner] as f64 / votes.len() as f64,
         confidence,
         margin,
         votes,
     }
 }
 
-/// Filters VIDs for every EID in `lists`, longest list first, excluding
-/// majority-matched VIDs from subsequent candidacies when
-/// [`VFilterConfig::exclusion`] is on. Outcomes are returned in EID
-/// order. One [`GalleryCache`] is shared across the whole batch; pass
-/// your own through [`filter_vids_cached`] to read its hit counters.
-#[must_use]
-pub fn filter_vids(
-    lists: &BTreeMap<Eid, ScenarioList>,
-    video: &VideoStore,
-    config: &VFilterConfig,
-) -> Vec<MatchOutcome> {
-    filter_vids_cached(lists, video, config, &mut GalleryCache::new())
+/// The V stage's context: the footage, the configuration, the gallery
+/// cache and the run's telemetry handle. Built as a literal — a caller
+/// that keeps neither a cache nor a profile writes
+/// `&mut GalleryCache::new()` and [`Telemetry::disabled()`].
+pub struct VStage<'a> {
+    /// The footage scenario lists point into.
+    pub video: &'a VideoStore,
+    /// VID filtering settings.
+    pub config: &'a VFilterConfig,
+    /// Extracted galleries; share one across the EIDs of a batch.
+    pub cache: &'a mut GalleryCache,
+    /// Where the stage counts and traces.
+    pub telemetry: &'a Telemetry,
 }
 
-/// [`filter_vids`] against a caller-owned [`GalleryCache`].
+impl VStage<'_> {
+    /// Filters the VID for a single EID against its scenario list,
+    /// treating `excluded` VIDs as already matched to someone else.
+    ///
+    /// An approximate [`VFilterConfig::anytime`] routes the whole EID
+    /// through [`filter_partial`](Self::filter_partial). A
+    /// non-approximate one (confidence ≥ 1.0, no budget) runs the
+    /// exhaustive scan, so `--confidence 1.0` is *exactly* the exact
+    /// path.
+    #[must_use]
+    pub fn filter_one(
+        &mut self,
+        eid: Eid,
+        list: &ScenarioList,
+        excluded: &BTreeSet<Vid>,
+    ) -> MatchOutcome {
+        if self.config.anytime.is_some_and(|at| at.approximate()) {
+            return self.filter_partial(eid, list, excluded).outcome;
+        }
+        let (video, tel) = (self.video, self.telemetry);
+        let model = candidate_model(list, video, excluded, self.cache);
+        if model.vids.is_empty() {
+            // No footage for the whole list, or every candidate was
+            // excluded or quorum-pruned: zero votes to take a majority
+            // over.
+            return MatchOutcome::no_evidence(eid);
+        }
+        if tel.counters_on() {
+            tel.registry()
+                .counter(names::VFILTER_CANDIDATES_SCORED)
+                .add(model.vids.len() as u64);
+        }
+        // Joint membership probability per candidate (paper §IV-B2), in
+        // log space: `Σ ln P` survives the long lists that underflow
+        // `Π P` to a meaningless all-zero tie. `ln(0) = -inf` keeps the
+        // veto semantics of an impossible scenario.
+        let log_joint: Vec<f64> = model
+            .reps
+            .iter()
+            .map(|rep| {
+                let mut lp = 0.0;
+                for e in &model.entries {
+                    // One charged comparison per (candidate, scenario):
+                    // matching a candidate's appearance model against a
+                    // scenario's gallery is one nearest-neighbour query
+                    // in a real pipeline.
+                    video.charge_comparison();
+                    lp += score_membership(rep, e, self.config.metric, tel).ln();
+                }
+                lp
+            })
+            .collect();
+        tally(eid, &model, &log_joint)
+    }
+
+    /// Filters VIDs for every EID in `lists`, longest list first (ties
+    /// by EID). With [`VFilterConfig::exclusion`] on, the VID of every
+    /// outcome `locks` accepts joins `excluded` and is ruled out of the
+    /// candidacies that follow. Outcomes come back in processing order.
+    ///
+    /// This is the V stage's one exclusion loop, so it also owns the
+    /// `vfilter` stage span and the gallery hit/miss counters.
+    #[must_use]
+    pub fn filter_longest_first(
+        &mut self,
+        lists: &BTreeMap<Eid, ScenarioList>,
+        excluded: &mut BTreeSet<Vid>,
+        locks: impl Fn(&MatchOutcome) -> bool,
+    ) -> Vec<MatchOutcome> {
+        let mut stage_span = self.telemetry.span("vfilter", "stage");
+        stage_span.arg("eids", serde::Value::Int(lists.len() as i128));
+        let (hits_before, misses_before) = (self.cache.hits(), self.cache.misses());
+        let mut order: Vec<(&Eid, &ScenarioList)> = lists.iter().collect();
+        order.sort_by_key(|(eid, list)| (std::cmp::Reverse(list.len()), **eid));
+
+        let mut outcomes: Vec<MatchOutcome> = Vec::with_capacity(lists.len());
+        for (&eid, list) in order {
+            let outcome = self.filter_one(eid, list, excluded);
+            if self.config.exclusion && locks(&outcome) {
+                excluded.extend(outcome.vid);
+            }
+            outcomes.push(outcome);
+        }
+        if self.telemetry.counters_on() {
+            let registry = self.telemetry.registry();
+            registry
+                .counter(names::VFILTER_GALLERY_HITS)
+                .add(self.cache.hits() - hits_before);
+            registry
+                .counter(names::VFILTER_GALLERY_MISSES)
+                .add(self.cache.misses() - misses_before);
+        }
+        outcomes
+    }
+}
+
+/// VID filtering over a whole split, as the benchmark harness times it:
+/// [`VStage::filter_longest_first`] locking in every majority match,
+/// against a caller-owned [`GalleryCache`] (read its hit counters
+/// afterwards), outcomes in EID order.
 #[must_use]
 pub fn filter_vids_cached(
     lists: &BTreeMap<Eid, ScenarioList>,
@@ -553,105 +552,16 @@ pub fn filter_vids_cached(
     config: &VFilterConfig,
     cache: &mut GalleryCache,
 ) -> Vec<MatchOutcome> {
-    filter_vids_instrumented(lists, video, config, cache, Telemetry::disabled())
-}
-
-/// [`filter_vids_cached`] with telemetry: records the batch's gallery
-/// hit/miss deltas, the run-wide hit ratio and a stage span. With a
-/// disabled handle this is exactly `filter_vids_cached`.
-#[must_use]
-pub fn filter_vids_instrumented(
-    lists: &BTreeMap<Eid, ScenarioList>,
-    video: &VideoStore,
-    config: &VFilterConfig,
-    cache: &mut GalleryCache,
-    tel: &Telemetry,
-) -> Vec<MatchOutcome> {
-    let mut stage_span = tel.span("vfilter", "stage");
-    let (hits_before, misses_before) = (cache.hits(), cache.misses());
-    let mut order: Vec<(&Eid, &ScenarioList)> = lists.iter().collect();
-    order.sort_by_key(|(eid, list)| (std::cmp::Reverse(list.len()), **eid));
-
-    let mut excluded: BTreeSet<Vid> = BTreeSet::new();
-    let mut outcomes: Vec<MatchOutcome> = Vec::with_capacity(lists.len());
-    for (&eid, list) in order {
-        let outcome = filter_one_instrumented(eid, list, video, config, &excluded, cache, tel);
-        if config.exclusion && outcome.is_majority() {
-            if let Some(vid) = outcome.vid {
-                excluded.insert(vid);
-            }
-        }
-        outcomes.push(outcome);
-    }
-    outcomes.sort_by_key(|o| o.eid);
-    if tel.counters_on() {
-        let registry = tel.registry();
-        registry
-            .counter(names::VFILTER_GALLERY_HITS)
-            .add(cache.hits() - hits_before);
-        registry
-            .counter(names::VFILTER_GALLERY_MISSES)
-            .add(cache.misses() - misses_before);
-        let hits = registry
-            .counter_value(names::VFILTER_GALLERY_HITS)
-            .unwrap_or(0);
-        let total = hits
-            + registry
-                .counter_value(names::VFILTER_GALLERY_MISSES)
-                .unwrap_or(0);
-        if total > 0 {
-            registry
-                .gauge(names::VFILTER_GALLERY_HIT_RATIO)
-                .set(hits as f64 / total as f64);
-        }
-    }
-    stage_span.arg("eids", serde::Value::Int(lists.len() as i128));
-    drop(stage_span);
-    outcomes
-}
-
-/// The pre-cache [`filter_vids`]: a fresh gallery per EID, so every list
-/// entry re-extracts and regroups. Kept as the reference for the
-/// cache-equivalence tests and the V-stage benchmark.
-#[must_use]
-pub fn filter_vids_uncached(
-    lists: &BTreeMap<Eid, ScenarioList>,
-    video: &VideoStore,
-    config: &VFilterConfig,
-) -> Vec<MatchOutcome> {
-    let mut order: Vec<(&Eid, &ScenarioList)> = lists.iter().collect();
-    order.sort_by_key(|(eid, list)| (std::cmp::Reverse(list.len()), **eid));
-
-    let mut excluded: BTreeSet<Vid> = BTreeSet::new();
-    let mut outcomes: Vec<MatchOutcome> = Vec::with_capacity(lists.len());
-    for (&eid, list) in order {
-        let outcome = filter_one(eid, list, video, config, &excluded);
-        if config.exclusion && outcome.is_majority() {
-            if let Some(vid) = outcome.vid {
-                excluded.insert(vid);
-            }
-        }
-        outcomes.push(outcome);
-    }
+    let mut stage = VStage {
+        video,
+        config,
+        cache,
+        telemetry: Telemetry::disabled(),
+    };
+    let mut outcomes =
+        stage.filter_longest_first(lists, &mut BTreeSet::new(), MatchOutcome::is_majority);
     outcomes.sort_by_key(|o| o.eid);
     outcomes
-}
-
-/// Component-wise mean of a non-empty set of observations.
-fn mean_feature(observations: &[&FeatureVector]) -> FeatureVector {
-    let dim = observations[0].dim();
-    let mut sums = vec![0.0; dim];
-    let mut n: f64 = 0.0;
-    for obs in observations {
-        if obs.dim() != dim {
-            continue; // ignore malformed observations
-        }
-        for (s, &c) in sums.iter_mut().zip(obs.components()) {
-            *s += c;
-        }
-        n += 1.0;
-    }
-    FeatureVector::from_clamped(sums.into_iter().map(|s| s / n.max(1.0)))
 }
 
 #[cfg(test)]
@@ -660,7 +570,11 @@ mod tests {
     use ev_core::region::CellId;
     use ev_core::scenario::{Detection, ScenarioId};
     use ev_core::time::Timestamp;
+    use ev_telemetry::TelemetryLevel;
     use ev_vision::cost::CostModel;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn fv(v: &[f64]) -> FeatureVector {
         FeatureVector::new(v.to_vec()).unwrap()
@@ -679,6 +593,24 @@ mod tests {
 
     fn sid(cell: usize, time: u64) -> ScenarioId {
         ScenarioId::new(Timestamp::new(time), CellId::new(cell))
+    }
+
+    /// [`VStage::filter_one`] for a caller that keeps neither a cache
+    /// nor a profile.
+    fn filter_one(
+        eid: Eid,
+        list: &ScenarioList,
+        video: &VideoStore,
+        config: &VFilterConfig,
+        excluded: &BTreeSet<Vid>,
+    ) -> MatchOutcome {
+        VStage {
+            video,
+            config,
+            cache: &mut GalleryCache::new(),
+            telemetry: Telemetry::disabled(),
+        }
+        .filter_one(eid, list, excluded)
     }
 
     /// Person 1 has feature ~(0.9, 0.9); person 2 ~(0.1, 0.1);
@@ -776,7 +708,12 @@ mod tests {
         let mut lists = BTreeMap::new();
         lists.insert(Eid::from_u64(10), vec![sid(0, 0), sid(1, 1), sid(2, 2)]);
         lists.insert(Eid::from_u64(20), vec![sid(0, 0)]);
-        let outcomes = filter_vids(&lists, &video, &VFilterConfig::default());
+        let outcomes = filter_vids_cached(
+            &lists,
+            &video,
+            &VFilterConfig::default(),
+            &mut GalleryCache::new(),
+        );
         assert_eq!(outcomes.len(), 2);
         assert_eq!(outcomes[0].eid, Eid::from_u64(10), "sorted by EID");
         assert_eq!(outcomes[0].vid, Some(Vid::new(1)));
@@ -793,7 +730,7 @@ mod tests {
             exclusion: false,
             ..VFilterConfig::default()
         };
-        let outcomes = filter_vids(&lists, &video, &cfg);
+        let outcomes = filter_vids_cached(&lists, &video, &cfg, &mut GalleryCache::new());
         assert_eq!(outcomes[0].vid, Some(Vid::new(1)));
         assert_eq!(outcomes[1].vid, Some(Vid::new(1)), "conflict allowed");
     }
@@ -879,18 +816,18 @@ mod tests {
         assert!(!beats(1.0, a, 0.0, b));
         assert!(!beats(1.0, a, 1.0, a), "nothing beats itself");
 
-        // Per-scenario argmax: two candidates at exactly the same score.
-        let vote = scenario_vote([Vid::new(9), Vid::new(4), Vid::new(6)], |_| 0.25);
-        assert_eq!(vote, Some(Vid::new(4)));
+        // Per-scenario argmax: candidates at exactly the same score,
+        // visited out of order.
+        let vids = [Vid::new(4), Vid::new(6), Vid::new(9)];
+        assert_eq!(argmax(&vids, [2, 0, 1], |_| 0.25), Some(0));
         // Duplicates (one VID detected twice) change nothing.
-        let vote = scenario_vote([Vid::new(9), Vid::new(4), Vid::new(4)], |_| 0.25);
-        assert_eq!(vote, Some(Vid::new(4)));
+        assert_eq!(argmax(&vids, [2, 0, 0], |_| 0.25), Some(0));
 
-        // Majority vote: equal counts resolve to the lower VID too.
-        let counts: BTreeMap<Vid, usize> = [(Vid::new(8), 2), (Vid::new(2), 2), (Vid::new(5), 1)]
-            .into_iter()
-            .collect();
-        assert_eq!(majority_winner(&counts), Some((Vid::new(2), 2)));
+        // Majority vote: equal counts resolve to the lower VID too, and
+        // a candidate nobody voted for is not in the running.
+        let vids = [Vid::new(1), Vid::new(2), Vid::new(5), Vid::new(8)];
+        assert_eq!(majority_winner(&vids, &[0, 2, 1, 2]), Some(1));
+        assert_eq!(majority_winner(&vids, &[0, 0, 0, 0]), None);
     }
 
     #[test]
@@ -923,8 +860,7 @@ mod tests {
     /// reference errors or has nothing to scan.
     #[test]
     fn score_membership_is_bitwise_the_scalar_reference() {
-        use rand::{Rng, SeedableRng};
-        let entry = |s: VScenario| CacheEntry::new(Arc::new(s), BTreeMap::new());
+        let entry = |s: VScenario| CacheEntry::new(Arc::new(s));
         let check = |rep: &FeatureVector, e: &CacheEntry, metric: Metric| {
             let got = score_membership(rep, e, metric, Telemetry::disabled());
             let want =
@@ -934,7 +870,7 @@ mod tests {
         };
         let metrics = [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine];
 
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5C0E);
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5C0E);
         for _ in 0..60 {
             // Up to 20 rows: galleries on both sides of the 8-row lane.
             let (dim, rows) = (rng.gen_range(1..40usize), rng.gen_range(1..21u64));
@@ -984,10 +920,287 @@ mod tests {
 
     #[test]
     fn mean_feature_averages_components() {
-        let a = fv(&[0.2, 0.4]);
-        let b = fv(&[0.4, 0.8]);
-        let m = mean_feature(&[&a, &b]);
-        assert!((m.components()[0] - 0.3).abs() < 1e-12);
-        assert!((m.components()[1] - 0.6).abs() < 1e-12);
+        // A candidate's representative is the mean of its observations
+        // across the list.
+        let video = VideoStore::new(
+            vec![
+                vscenario(0, 0, &[(1, &[0.2, 0.4])]),
+                vscenario(1, 1, &[(1, &[0.4, 0.8])]),
+            ],
+            CostModel::free(),
+        );
+        let mut cache = GalleryCache::new();
+        let list = vec![sid(0, 0), sid(1, 1)];
+        let model = candidate_model(&list, &video, &BTreeSet::new(), &mut cache);
+        assert_eq!(model.vids, vec![Vid::new(1)]);
+        let m = model.reps[0].components();
+        assert!((m[0] - 0.3).abs() < 1e-12);
+        assert!((m[1] - 0.6).abs() < 1e-12);
+    }
+
+    /// The candidate model as it stood before the dense one — per-EID
+    /// maps keyed by VID — kept as the differential reference. It shares
+    /// only the gallery cache's extraction with production.
+    fn reference_model<'a>(
+        list: &ScenarioList,
+        video: &VideoStore,
+        excluded: &BTreeSet<Vid>,
+        cache: &'a mut GalleryCache,
+    ) -> (Vec<&'a CacheEntry>, BTreeMap<Vid, FeatureVector>) {
+        for &id in list {
+            cache.ensure(id, video);
+        }
+        let cache: &'a GalleryCache = cache;
+        let entries: Vec<&CacheEntry> = list.iter().filter_map(|&id| cache.get(id)).collect();
+        let groups: Vec<BTreeMap<Vid, Vec<usize>>> = entries
+            .iter()
+            .map(|e| {
+                let mut groups: BTreeMap<Vid, Vec<usize>> = BTreeMap::new();
+                for (i, d) in e.scenario.detections().iter().enumerate() {
+                    groups.entry(d.vid).or_default().push(i);
+                }
+                groups
+            })
+            .collect();
+        let mut presence: BTreeMap<Vid, usize> = BTreeMap::new();
+        for g in &groups {
+            for &vid in g.keys() {
+                if !excluded.contains(&vid) {
+                    *presence.entry(vid).or_insert(0) += 1;
+                }
+            }
+        }
+        let quorum = entries.len().div_ceil(2);
+        let mut observations: BTreeMap<Vid, Vec<&FeatureVector>> = BTreeMap::new();
+        for (e, g) in entries.iter().zip(&groups) {
+            let detections = e.scenario.detections();
+            for (&vid, indices) in g {
+                if presence.get(&vid).is_some_and(|&p| p >= quorum) {
+                    observations
+                        .entry(vid)
+                        .or_default()
+                        .extend(indices.iter().map(|&i| &detections[i].feature));
+                }
+            }
+        }
+        let representatives = observations
+            .into_iter()
+            .map(|(vid, obs)| {
+                let dim = obs[0].dim();
+                let mut sums = vec![0.0; dim];
+                let mut n: f64 = 0.0;
+                for o in obs.iter().filter(|o| o.dim() == dim) {
+                    for (s, &c) in sums.iter_mut().zip(o.components()) {
+                        *s += c;
+                    }
+                    n += 1.0;
+                }
+                let mean = FeatureVector::from_clamped(sums.into_iter().map(|s| s / n.max(1.0)));
+                (vid, mean)
+            })
+            .collect();
+        (entries, representatives)
+    }
+
+    /// The exact scan over [`reference_model`] with the vote → majority →
+    /// margin tail as it stood before the one tally: the differential
+    /// reference for [`VStage::filter_one`]. Scoring goes through
+    /// production's [`score_membership`], which has its own scalar
+    /// reference above.
+    fn reference_filter_one(
+        eid: Eid,
+        list: &ScenarioList,
+        video: &VideoStore,
+        config: &VFilterConfig,
+        excluded: &BTreeSet<Vid>,
+        cache: &mut GalleryCache,
+        tel: &Telemetry,
+    ) -> MatchOutcome {
+        let (entries, representatives) = reference_model(list, video, excluded, cache);
+        if representatives.is_empty() {
+            return MatchOutcome::no_evidence(eid);
+        }
+        if tel.counters_on() {
+            tel.registry()
+                .counter(names::VFILTER_CANDIDATES_SCORED)
+                .add(representatives.len() as u64);
+        }
+
+        let mut log_joint: BTreeMap<Vid, f64> = BTreeMap::new();
+        for (&vid, rep) in &representatives {
+            let mut lp = 0.0;
+            for e in &entries {
+                video.charge_comparison();
+                lp += score_membership(rep, e, config.metric, tel).ln();
+            }
+            log_joint.insert(vid, lp);
+        }
+        let mut votes: Vec<Vid> = Vec::new();
+        for e in &entries {
+            let mut best: Option<(f64, Vid)> = None;
+            for vid in e.scenario.vids().filter(|v| log_joint.contains_key(v)) {
+                let s = log_joint[&vid];
+                match best {
+                    Some((bs, bv)) if !beats(bs, bv, s, vid) => {}
+                    _ => best = Some((s, vid)),
+                }
+            }
+            votes.extend(best.map(|(_, v)| v));
+        }
+        let mut counts: BTreeMap<Vid, usize> = BTreeMap::new();
+        for &v in &votes {
+            *counts.entry(v).or_insert(0) += 1;
+        }
+        let mut best: Option<(usize, Vid)> = None;
+        for (&vid, &c) in &counts {
+            match best {
+                Some((bc, bv)) if !beats(bc as f64, bv, c as f64, vid) => {}
+                _ => best = Some((c, vid)),
+            }
+        }
+        let Some((count, winner)) = best else {
+            return MatchOutcome::no_evidence(eid);
+        };
+        let confidence = log_joint[&winner].exp();
+        let margin = if log_joint.len() > 1 {
+            let runner_up = log_joint
+                .iter()
+                .filter(|(&v, _)| v != winner)
+                .map(|(_, &lp)| lp)
+                .fold(f64::NEG_INFINITY, f64::max);
+            confidence - runner_up.exp()
+        } else {
+            1.0
+        };
+        MatchOutcome {
+            eid,
+            vid: Some(winner),
+            vote_share: count as f64 / votes.len() as f64,
+            confidence,
+            margin,
+            votes,
+        }
+    }
+
+    /// A small adversarial world: six VIDs over up to seven galleries
+    /// whose features come from a three-value palette (so exact score
+    /// ties are common), with empty galleries, a VID detected twice in
+    /// one gallery, stray-dimension rows (a mixed gallery) and whole
+    /// galleries of another dimension (a candidate/gallery mismatch).
+    fn adversarial_scenarios(rng: &mut ChaCha8Rng) -> Vec<VScenario> {
+        fn feature(rng: &mut ChaCha8Rng, dim: usize) -> Vec<f64> {
+            (0..dim)
+                .map(|_| [0.25, 0.5, 0.75][rng.gen_range(0..3usize)])
+                .collect()
+        }
+        let looks: Vec<Vec<f64>> = (0..6).map(|_| feature(rng, 3)).collect();
+        (0..rng.gen_range(1..=7usize))
+            .map(|i| {
+                let gallery_dim = if rng.gen_bool(0.15) { 4 } else { 3 };
+                let mut s = VScenario::new(CellId::new(i), Timestamp::new(i as u64));
+                for _ in 0..rng.gen_range(0..=7usize) {
+                    let vid = rng.gen_range(0..6usize);
+                    let dim = if rng.gen_bool(0.1) { 2 } else { gallery_dim };
+                    let f = if dim == 3 && rng.gen_bool(0.5) {
+                        looks[vid].clone()
+                    } else {
+                        feature(rng, dim)
+                    };
+                    s.push(Detection {
+                        vid: Vid::new(vid as u64),
+                        feature: fv(&f),
+                    });
+                }
+                s
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dense candidate model and the one tally against the
+        /// map-keyed reference: the whole `MatchOutcome` (floats by
+        /// bits, `votes` included), the cost ledger and the V-stage
+        /// counters agree — over lists of even and odd footage-bearing
+        /// length (the quorum edge), ids with no footage, every edge
+        /// `adversarial_scenarios` builds, empty and total exclusion,
+        /// and all three metrics; two lists share each side's cache.
+        #[test]
+        fn filter_one_is_bitwise_the_map_keyed_reference(
+            world_seed in 0u64..1_000_000,
+            metric in 0usize..3,
+            exclude in 0u32..3,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(world_seed);
+            let scenarios = adversarial_scenarios(&mut rng);
+            // Ids 7 and 8 have no footage.
+            let ids: Vec<ScenarioId> = (0..9).map(|i| sid(i, i as u64)).collect();
+            let lists: Vec<ScenarioList> = (0..2)
+                .map(|_| {
+                    (0..rng.gen_range(0..=8usize))
+                        .map(|_| ids[rng.gen_range(0..ids.len())])
+                        .collect()
+                })
+                .collect();
+            let excluded: BTreeSet<Vid> = match exclude {
+                0 => BTreeSet::new(),
+                1 => (0..6).filter(|_| rng.gen_bool(0.3)).map(Vid::new).collect(),
+                _ => (0..6).map(Vid::new).collect(),
+            };
+            let config = VFilterConfig {
+                metric: [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine][metric],
+                ..VFilterConfig::default()
+            };
+            let cost = CostModel { e_record: 0, v_extraction: 3, v_comparison: 5 };
+            let model_video = VideoStore::new(scenarios.clone(), CostModel::free());
+            let (video, ref_video) = (
+                VideoStore::new(scenarios.clone(), cost),
+                VideoStore::new(scenarios, cost),
+            );
+            let (tel, ref_tel) = (
+                Telemetry::new(TelemetryLevel::Counters),
+                Telemetry::new(TelemetryLevel::Counters),
+            );
+            let (mut cache, mut ref_cache) = (GalleryCache::new(), GalleryCache::new());
+            for (i, list) in lists.iter().enumerate() {
+                let eid = Eid::from_u64(i as u64);
+                // Who is in the running, and as what: outcomes alone
+                // cannot see a representative once any gallery of the
+                // list vetoes everyone with a dimension error.
+                let bits = |f: &FeatureVector| -> Vec<u64> {
+                    f.components().iter().map(|c| c.to_bits()).collect()
+                };
+                let (mut c, mut rc) = (GalleryCache::new(), GalleryCache::new());
+                let model = candidate_model(list, &model_video, &excluded, &mut c);
+                let (_, representatives) = reference_model(list, &model_video, &excluded, &mut rc);
+                prop_assert_eq!(
+                    model.vids.iter().copied().zip(model.reps.iter().map(bits)).collect::<Vec<_>>(),
+                    representatives.iter().map(|(&v, r)| (v, bits(r))).collect::<Vec<_>>()
+                );
+                let got = VStage { video: &video, config: &config, cache: &mut cache, telemetry: &tel }
+                    .filter_one(eid, list, &excluded);
+                let want = reference_filter_one(
+                    eid, list, &ref_video, &config, &excluded, &mut ref_cache, &ref_tel,
+                );
+                prop_assert_eq!((got.eid, got.vid, &got.votes), (want.eid, want.vid, &want.votes));
+                prop_assert_eq!(got.vote_share.to_bits(), want.vote_share.to_bits());
+                prop_assert_eq!(got.confidence.to_bits(), want.confidence.to_bits());
+                prop_assert_eq!(got.margin.to_bits(), want.margin.to_bits());
+            }
+            prop_assert_eq!(video.ledger().v_units(), ref_video.ledger().v_units());
+            prop_assert_eq!((cache.hits(), cache.misses()), (ref_cache.hits(), ref_cache.misses()));
+            for name in [
+                names::VFILTER_CANDIDATES_SCORED,
+                names::KERNEL_BLOCKS_BUILT,
+                names::KERNEL_GALLERIES_REJECTED,
+            ] {
+                prop_assert_eq!(
+                    tel.registry().counter_value(name),
+                    ref_tel.registry().counter_value(name),
+                    "{}", name
+                );
+            }
+        }
     }
 }

@@ -14,9 +14,11 @@ use ev_core::ids::{Eid, Vid};
 use ev_core::region::CellId;
 use ev_core::scenario::{Detection, ScenarioId, VScenario};
 use ev_core::time::Timestamp;
-use ev_matching::anytime::{partial_filter_one, AnytimeConfig};
-use ev_matching::vfilter::{filter_one, VFilterConfig};
+use ev_matching::anytime::{AnytimeConfig, PartialMatchOutcome};
+use ev_matching::vfilter::{GalleryCache, VFilterConfig, VStage};
+use ev_matching::{MatchOutcome, ScenarioList};
 use ev_store::VideoStore;
+use ev_telemetry::Telemetry;
 use ev_vision::cost::CostModel;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -24,6 +26,39 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
 
 const EPS: f64 = 1e-12;
+
+fn stage<'a>(
+    video: &'a VideoStore,
+    config: &'a VFilterConfig,
+    cache: &'a mut GalleryCache,
+) -> VStage<'a> {
+    VStage {
+        video,
+        config,
+        cache,
+        telemetry: Telemetry::disabled(),
+    }
+}
+
+fn filter_one(
+    eid: Eid,
+    list: &ScenarioList,
+    video: &VideoStore,
+    config: &VFilterConfig,
+    excluded: &BTreeSet<Vid>,
+) -> MatchOutcome {
+    stage(video, config, &mut GalleryCache::new()).filter_one(eid, list, excluded)
+}
+
+fn partial_filter_one(
+    eid: Eid,
+    list: &ScenarioList,
+    video: &VideoStore,
+    config: &VFilterConfig,
+    excluded: &BTreeSet<Vid>,
+) -> PartialMatchOutcome {
+    stage(video, config, &mut GalleryCache::new()).filter_partial(eid, list, excluded)
+}
 
 /// A random V-world: `people` persons with clustered appearances walk
 /// through `scenarios` galleries; every person appears in each scenario

@@ -12,6 +12,7 @@ use ev_core::time::Timestamp;
 use ev_matching::incremental::IncrementalSplit;
 use ev_matching::setsplit::{split_ideal, SelectionStrategy, SetSplitConfig};
 use ev_store::EScenarioStore;
+use ev_telemetry::Telemetry;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -84,7 +85,7 @@ fn assert_delta_equivalence(
         start = end;
         let receipt = store.ingest(batch);
         assert!(!receipt.rebuilt, "time-ordered batches must splice");
-        live.absorb(&store);
+        live.absorb(&store, Telemetry::disabled());
     }
 
     assert_eq!(store.len(), full_store.len());
@@ -141,10 +142,10 @@ fn absorb_after_full_split_is_a_noop() {
     let half = pool.len() / 2;
     let mut store = EScenarioStore::from_scenarios(pool[..half].to_vec());
     let mut live = IncrementalSplit::new(&targets, &config);
-    live.absorb(&store);
+    live.absorb(&store, Telemetry::disabled());
     let was_fully_split = live.is_fully_split();
     store.ingest(pool[half..].to_vec());
-    let stats = live.absorb(&store);
+    let stats = live.absorb(&store, Telemetry::disabled());
     if was_fully_split {
         assert_eq!(stats.scenarios_absorbed, 0, "fully split: no more work");
     }
@@ -165,7 +166,7 @@ fn cap_spans_absorb_calls() {
     let mut live = IncrementalSplit::new(&targets, &config);
     for chunk in pool.chunks(2) {
         store.ingest(chunk.to_vec());
-        live.absorb(&store);
+        live.absorb(&store, Telemetry::disabled());
     }
     assert!(live.scenarios_examined() <= 4);
     assert_eq!(live.output(&store), expected);

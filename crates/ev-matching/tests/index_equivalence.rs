@@ -2,21 +2,25 @@
 //! scan-based reference implementations, and pins the Theorem 4.2/4.4
 //! scenario-count bounds.
 //!
-//! The contract under test: index-backed `split_ideal` and cached
-//! `filter_vids` must produce **identical**
-//! outputs (`==` on every field, including float scores and list
-//! orders) to their pre-index twins, across strategies and seeds.
+//! The contract under test: index-backed `split_ideal` and
+//! `filter_vids_cached` must produce **identical** outputs (`==` on
+//! every field, including float scores and list orders) to their
+//! pre-index twins, across strategies and seeds — and the V stage's one
+//! exclusion loop is the loop both the harness and refinement run.
 
 use ev_core::feature::FeatureVector;
 use ev_core::ids::{Eid, Vid};
 use ev_core::region::CellId;
 use ev_core::scenario::{Detection, EScenario, VScenario, ZoneAttr};
 use ev_core::time::Timestamp;
+use ev_matching::refine::{match_with_refinement, RefineConfig, SplitMode};
 use ev_matching::setsplit::{
     reference, split_ideal, SelectionStrategy, SetSplitConfig, SplitOutput,
 };
-use ev_matching::vfilter::{filter_vids, filter_vids_uncached, VFilterConfig};
+use ev_matching::vfilter::{filter_vids_cached, GalleryCache, VFilterConfig, VStage};
+use ev_matching::MatchOutcome;
 use ev_store::{EScenarioStore, VideoStore};
+use ev_telemetry::Telemetry;
 use ev_vision::cost::CostModel;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -55,6 +59,19 @@ fn random_world(seed: u64, cells: usize, times: u64, people: u64) -> (EScenarioS
         EScenarioStore::from_scenarios(es),
         VideoStore::new(vs, CostModel::free()),
     )
+}
+
+fn stage<'a>(
+    video: &'a VideoStore,
+    config: &'a VFilterConfig,
+    cache: &'a mut GalleryCache,
+) -> VStage<'a> {
+    VStage {
+        video,
+        config,
+        cache,
+        telemetry: Telemetry::disabled(),
+    }
 }
 
 fn targets(n: u64) -> BTreeSet<Eid> {
@@ -132,14 +149,77 @@ fn cached_vfilter_is_identical_to_the_uncached_reference() {
                 ..VFilterConfig::default()
             };
             video.reset_usage();
-            let cached = filter_vids(&split.lists, &video, &cfg);
+            let cached = filter_vids_cached(&split.lists, &video, &cfg, &mut GalleryCache::new());
+            // The uncached side: the same longest-list-first order, but a
+            // fresh gallery per EID, so every list entry re-extracts and
+            // regroups.
             video.reset_usage();
-            let uncached = filter_vids_uncached(&split.lists, &video, &cfg);
+            let mut order: Vec<_> = split.lists.iter().collect();
+            order.sort_by_key(|(eid, list)| (std::cmp::Reverse(list.len()), **eid));
+            let mut excluded = BTreeSet::new();
+            let mut uncached: Vec<MatchOutcome> = Vec::new();
+            for (&eid, list) in order {
+                let outcome =
+                    stage(&video, &cfg, &mut GalleryCache::new()).filter_one(eid, list, &excluded);
+                if exclusion && outcome.is_majority() {
+                    excluded.extend(outcome.vid);
+                }
+                uncached.push(outcome);
+            }
+            uncached.sort_by_key(|o| o.eid);
             assert_eq!(
                 cached, uncached,
                 "divergence: world {world_seed}, exclusion {exclusion}"
             );
         }
+    }
+}
+
+/// The loop the harness times is the loop the matcher runs: on a
+/// generated corpus `filter_vids_cached` is `filter_longest_first`
+/// locking in majorities, and one refinement round's outcomes are
+/// `filter_longest_first` locking in confident matches over that
+/// round's split.
+#[test]
+fn one_exclusion_loop_serves_the_harness_and_refinement() {
+    for world_seed in [4, 5, 6] {
+        let (store, video) = random_world(world_seed, 4, 12, 16);
+        let split = split_ideal(&store, &targets(16), &SetSplitConfig::default());
+        let cfg = VFilterConfig::default();
+        let by_eid = |mut outcomes: Vec<MatchOutcome>| {
+            outcomes.sort_by_key(|o| o.eid);
+            outcomes
+        };
+
+        let majorities = stage(&video, &cfg, &mut GalleryCache::new()).filter_longest_first(
+            &split.lists,
+            &mut BTreeSet::new(),
+            MatchOutcome::is_majority,
+        );
+        assert_eq!(
+            by_eid(majorities),
+            filter_vids_cached(&split.lists, &video, &cfg, &mut GalleryCache::new()),
+            "world {world_seed}"
+        );
+
+        let report = match_with_refinement(
+            &store,
+            &video,
+            &targets(16),
+            &RefineConfig {
+                mode: SplitMode::Ideal,
+                max_rounds: 1,
+                ..RefineConfig::default()
+            },
+            Telemetry::disabled(),
+        );
+        assert_eq!(report.lists, split.lists, "world {world_seed}");
+        let confident = stage(&video, &cfg, &mut GalleryCache::new()).filter_longest_first(
+            &split.lists,
+            &mut BTreeSet::new(),
+            |o| o.is_confident(cfg.min_margin),
+        );
+        assert_eq!(report.outcomes, by_eid(confident), "world {world_seed}");
     }
 }
 

@@ -297,11 +297,12 @@ impl Telemetry {
         Some(path)
     }
 
-    /// Refreshes metrics derived from non-registry state: mirrors
-    /// tracer ring drops into `evm_trace_dropped_total` (covering
-    /// `set_level` upgrades after construction) and publishes exact
-    /// p50/p90/p99 task-latency gauges from the reservoir. Called
-    /// before every `/metrics` scrape and before profile export.
+    /// Refreshes the derived metrics: mirrors tracer ring drops into
+    /// `evm_trace_dropped_total` (covering `set_level` upgrades after
+    /// construction), publishes exact p50/p90/p99 task-latency gauges
+    /// from the reservoir, and sets the gallery hit ratio from its two
+    /// counters. Called before every `/metrics` scrape and before
+    /// profile export.
     pub fn sync_derived_metrics(&self) {
         if !self.counters_on() {
             return;
@@ -323,6 +324,15 @@ impl Telemetry {
                     self.inner.registry.gauge(name).set(v as f64);
                 }
             }
+        }
+        let counted = |name| self.inner.registry.counter_value(name).unwrap_or(0);
+        let hits = counted(names::VFILTER_GALLERY_HITS);
+        let total = hits + counted(names::VFILTER_GALLERY_MISSES);
+        if total > 0 {
+            self.inner
+                .registry
+                .gauge(names::VFILTER_GALLERY_HIT_RATIO)
+                .set(hits as f64 / total as f64);
         }
     }
 }
@@ -410,6 +420,22 @@ mod tests {
         assert_eq!(tel.registry().counter_value("shared"), Some(3));
         other.set_level(TelemetryLevel::Full);
         assert!(tel.tracing_on());
+    }
+
+    #[test]
+    fn gallery_hit_ratio_follows_its_counters_across_queries() {
+        let tel = Telemetry::new(TelemetryLevel::Counters);
+        let ratio = || {
+            tel.sync_derived_metrics();
+            tel.registry().snapshot().gauges[names::VFILTER_GALLERY_HIT_RATIO]
+        };
+        tel.registry().counter(names::VFILTER_GALLERY_HITS).add(1);
+        tel.registry().counter(names::VFILTER_GALLERY_MISSES).add(3);
+        assert_eq!(ratio(), 0.25);
+        // A second query on the same handle: the gauge describes the
+        // accumulated counters, not the last query.
+        tel.registry().counter(names::VFILTER_GALLERY_HITS).add(4);
+        assert_eq!(ratio(), 0.625);
     }
 
     #[test]

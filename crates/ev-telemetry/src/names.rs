@@ -30,23 +30,46 @@ pub const SETSPLIT_BLOCKS: &str = "evm_setsplit_blocks";
 /// run".
 pub const SETSPLIT_SPLITTER_GAIN: &str = "evm_setsplit_splitter_gain";
 
-/// V-Scenario galleries served from the gallery cache.
-pub const VFILTER_GALLERY_HITS: &str = "evm_vfilter_gallery_hits";
-/// V-Scenario galleries extracted because they were not cached.
-pub const VFILTER_GALLERY_MISSES: &str = "evm_vfilter_gallery_misses";
-/// hits / (hits + misses) across the run.
-pub const VFILTER_GALLERY_HIT_RATIO: &str = "evm_vfilter_gallery_hit_ratio";
-/// Candidate VIDs scored against scenario lists.
-pub const VFILTER_CANDIDATES_SCORED: &str = "evm_vfilter_candidates_scored";
-/// Histogram of per-scenario scoring latency, nanoseconds.
-pub const VFILTER_SCORING_NS: &str = "evm_vfilter_scoring_ns";
+// The V-stage family. Sequential runs count against the run's
+// `GalleryCache`; the stage DAG scores each EID against a call-local
+// cache behind a warm-up stage that extracts every selected gallery
+// once, so there the `VideoStore` is the shared cache and its
+// extraction stats are what the two gallery counters add.
 
-/// SoA feature blocks packed for gallery-cache entries (one per
-/// scenario, memoized like the gallery).
+/// Gallery requests the V stage served without extracting footage
+/// (count): `GalleryCache` hits on the sequential path, `VideoStore`
+/// extraction-cache hits under the stage DAG. Readers:
+/// `sync_derived_metrics` (the hit ratio); README, "Profiling a run".
+pub const VFILTER_GALLERY_HITS: &str = "evm_vfilter_gallery_hits";
+/// Galleries extracted from footage because no cache held them (count;
+/// under the stage DAG, the distinct scenarios the warm-up extracted).
+/// Readers: `sync_derived_metrics`; `evmatch check-metrics --in` takes
+/// a non-zero value to mean a V stage ran.
+pub const VFILTER_GALLERY_MISSES: &str = "evm_vfilter_gallery_misses";
+/// `hits / (hits + misses)` over the two counters above (ratio in
+/// `[0, 1]`), so it accumulates with them across the queries of one
+/// handle; derived by `sync_derived_metrics` before every scrape and
+/// export, never set by a pipeline. Reader: `evmatch check-metrics --in`
+/// (required metric).
+pub const VFILTER_GALLERY_HIT_RATIO: &str = "evm_vfilter_gallery_hit_ratio";
+/// Candidate VIDs admitted to scoring — quorum survivors after
+/// exclusion — summed over every `VStage::filter_one` call, refiltering
+/// included (count). Reader: `evmatch check-metrics --in` fails a
+/// profile whose V stage extracted galleries and scored nobody — a
+/// path that dropped the run's telemetry handle.
+pub const VFILTER_CANDIDATES_SCORED: &str = "evm_vfilter_candidates_scored";
+
+/// SoA feature blocks packed for gallery-cache entries (count; one per
+/// cache entry that is scored, memoized like the gallery — so a
+/// sequential run packs each scenario once and the stage DAG once per
+/// EID that scores it; the anytime scorer packs only the galleries it
+/// scores exactly). Reader: README, "Profiling a run".
 pub const KERNEL_BLOCKS_BUILT: &str = "evm_kernel_blocks_built";
 /// Galleries the block builder rejected because their rows disagreed on
-/// dimensionality (the whole gallery scores membership 0, exactly like
-/// the scalar reference's per-pair error).
+/// dimensionality (count; the whole gallery scores membership 0,
+/// exactly like the scalar reference's per-pair error). Reader:
+/// `evmatch check-metrics --smoke` fails if its mixed gallery is not
+/// rejected.
 pub const KERNEL_GALLERIES_REJECTED: &str = "evm_kernel_galleries_rejected";
 
 /// V-Scenarios whose exact scoring the anytime matcher skipped entirely
@@ -277,7 +300,6 @@ pub const ALL_GAUGES: &[&str] = &[
 /// Every canonical histogram name.
 pub const ALL_HISTOGRAMS: &[&str] = &[
     SETSPLIT_SPLITTER_GAIN,
-    VFILTER_SCORING_NS,
     ANYTIME_CONVERGENCE_ROUNDS,
     EXEC_WORKER_TASKS,
     SERVE_QUERY_LATENCY_NS,

@@ -789,7 +789,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
         use evmatch::core::region::CellId;
         use evmatch::core::scenario::{Detection, ScenarioId, VScenario};
         use evmatch::core::time::Timestamp;
-        use evmatch::matching::vfilter::{self, GalleryCache};
+        use evmatch::matching::vfilter::{GalleryCache, VStage};
 
         let tel = Telemetry::new(TelemetryLevel::Counters);
         let mut mixed = VScenario::new(CellId::new(1), Timestamp::new(1));
@@ -800,14 +800,16 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             });
         }
         let video = VideoStore::new(vec![mixed], evmatch::vision::cost::CostModel::free());
-        let _ = vfilter::filter_one_instrumented(
+        let _ = VStage {
+            video: &video,
+            config: &VFilterConfig::default(),
+            cache: &mut GalleryCache::new(),
+            telemetry: &tel,
+        }
+        .filter_one(
             Eid::from_u64(1),
             &vec![ScenarioId::new(Timestamp::new(1), CellId::new(1))],
-            &video,
-            &VFilterConfig::default(),
-            &std::collections::BTreeSet::new(),
-            &mut GalleryCache::new(),
-            &tel,
+            &BTreeSet::new(),
         );
         absorb_into(&mut seen, &tel);
         if !seen.contains(names::KERNEL_GALLERIES_REJECTED) {
@@ -1132,6 +1134,16 @@ fn cmd_check_metrics(args: &CommonArgs) -> Result<(), String> {
             names::EXEC_TASK_LATENCY_P50_NS
         ));
     }
+    // A V stage that extracted galleries scored candidates against
+    // them; zero means a path dropped the run's telemetry handle.
+    if value(names::VFILTER_GALLERY_MISSES) > 0.0 && value(names::VFILTER_CANDIDATES_SCORED) == 0.0
+    {
+        return Err(format!(
+            "{path}: {} galleries were extracted but {} is 0",
+            value(names::VFILTER_GALLERY_MISSES),
+            names::VFILTER_CANDIDATES_SCORED
+        ));
+    }
     // A profile that ran from disk (a load walk opened segments) must
     // account for what it decoded: each walked file is at least a
     // header, and each decoded record — E at load, V when a match first
@@ -1181,8 +1193,7 @@ fn cmd_check_metrics(args: &CommonArgs) -> Result<(), String> {
 /// 3. `--confidence 1.0` (no budget) reproduces the exact
 ///    `MatchOutcome`s byte for byte.
 fn cmd_check_anytime(args: &CommonArgs) -> Result<(), String> {
-    use evmatch::matching::anytime::partial_filter_one;
-    use evmatch::matching::vfilter::{filter_one, VFilterConfig};
+    use evmatch::matching::vfilter::{GalleryCache, VFilterConfig, VStage};
 
     const EPS: f64 = 1e-12;
     let confidence = args.confidence.unwrap_or(0.95);
@@ -1204,8 +1215,20 @@ fn cmd_check_anytime(args: &CommonArgs) -> Result<(), String> {
     let mut scored = 0usize;
     let mut total = 0usize;
     for (eid, list) in &report.lists {
-        let exact = filter_one(*eid, list, &dataset.video, &exact_cfg, &none);
-        let partial = partial_filter_one(*eid, list, &dataset.video, &anytime_cfg, &none);
+        let exact = VStage {
+            video: &dataset.video,
+            config: &exact_cfg,
+            cache: &mut GalleryCache::new(),
+            telemetry: Telemetry::disabled(),
+        }
+        .filter_one(*eid, list, &none);
+        let partial = VStage {
+            video: &dataset.video,
+            config: &anytime_cfg,
+            cache: &mut GalleryCache::new(),
+            telemetry: Telemetry::disabled(),
+        }
+        .filter_partial(*eid, list, &none);
         if partial.converged {
             converged += 1;
             if partial.vid != exact.vid {

@@ -270,7 +270,7 @@ impl<'t> LiveCorpus<'t> {
         let video = store.load_video(config.cost)?;
         let incr = (!config.watch.is_empty()).then(|| {
             let mut live = IncrementalSplit::new(&config.watch, &watch_split_config(&config));
-            live.absorb_instrumented(&estore, telemetry);
+            live.absorb(&estore, telemetry);
             live
         });
         let writer = IngestWriter::new(
@@ -410,7 +410,7 @@ impl<'t> LiveCorpus<'t> {
                 *live =
                     IncrementalSplit::new(&self.config.watch, &watch_split_config(&self.config));
             }
-            live.absorb_instrumented(&self.estore, self.telemetry);
+            live.absorb(&self.estore, self.telemetry);
         }
         self.epoch += 1;
         if self.telemetry.counters_on() {

@@ -69,8 +69,20 @@ fn persisted_corpus_matches_byte_identically_to_memory() {
 
     let targets = sample_targets(&d, 50, 1);
     let config = RefineConfig::default();
-    let memory = match_with_refinement(&d.estore, &d.video, &targets, &config);
-    let disk = match_with_refinement(backend.estore(), backend.video(), &targets, &config);
+    let memory = match_with_refinement(
+        &d.estore,
+        &d.video,
+        &targets,
+        &config,
+        Telemetry::disabled(),
+    );
+    let disk = match_with_refinement(
+        backend.estore(),
+        backend.video(),
+        &targets,
+        &config,
+        Telemetry::disabled(),
+    );
     assert_same_report(&disk, &memory);
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -111,8 +123,20 @@ fn multi_chunk_v_segment_matches_byte_identically_to_memory() {
 
     let targets = sample_targets(&d, 50, 1);
     let config = RefineConfig::default();
-    let memory = match_with_refinement(&d.estore, &d.video, &targets, &config);
-    let disk = match_with_refinement(backend.estore(), backend.video(), &targets, &config);
+    let memory = match_with_refinement(
+        &d.estore,
+        &d.video,
+        &targets,
+        &config,
+        Telemetry::disabled(),
+    );
+    let disk = match_with_refinement(
+        backend.estore(),
+        backend.video(),
+        &targets,
+        &config,
+        Telemetry::disabled(),
+    );
     assert_same_report(&disk, &memory);
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -166,8 +190,14 @@ fn crash_mid_append_recovers_to_a_byte_identical_report() {
 
     let targets = sample_targets(&day1, 40, 7);
     let config = RefineConfig::default();
-    let memory = match_with_refinement(&estore, &video, &targets, &config);
-    let disk = match_with_refinement(backend.estore(), backend.video(), &targets, &config);
+    let memory = match_with_refinement(&estore, &video, &targets, &config, Telemetry::disabled());
+    let disk = match_with_refinement(
+        backend.estore(),
+        backend.video(),
+        &targets,
+        &config,
+        Telemetry::disabled(),
+    );
     assert_same_report(&disk, &memory);
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
