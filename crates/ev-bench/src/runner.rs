@@ -2,8 +2,8 @@
 //! summarize the metrics every experiment needs.
 
 use ev_core::ids::Eid;
+use ev_dag::DagConfig;
 use ev_datagen::{score_report, EvDataset};
-use ev_mapreduce::DagConfig;
 use ev_matching::dagflow::dag_match;
 use ev_matching::edp::{match_edp, match_edp_parallel, EdpConfig};
 use ev_matching::refine::{match_with_refinement, RefineConfig, SplitMode};

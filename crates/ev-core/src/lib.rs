@@ -13,7 +13,7 @@
 //! The types here are deliberately free of any algorithmic policy: the
 //! matching algorithms live in `ev-matching`, the synthetic substrates in
 //! `ev-mobility` / `ev-sensing` / `ev-vision`, and the parallel execution
-//! engine in `ev-mapreduce`.
+//! engine in `ev-dag`.
 //!
 //! # Example
 //!

@@ -1,4 +1,4 @@
-//! Stage-DAG scheduler with partition lineage over `ev-exec`.
+//! Stage-DAG scheduler with partition lineage over the crate's FIFO pool.
 //!
 //! This is the crate's one scheduler. A whole computation is declared
 //! up front as a **graph of stages**, each stage split into numbered
@@ -13,8 +13,8 @@
 //!
 //! The scheduler launches a partition the moment its inputs exist, so
 //! independent branches (e.g. the splitter's per-timestamp snapshot
-//! scans) overlap instead of barriering, on one [`ev_exec::Executor`]
-//! session for the whole graph.
+//! scans) overlap instead of barriering, on one worker-pool session
+//! for the whole graph.
 //!
 //! # Lineage and recovery
 //!
@@ -43,7 +43,7 @@
 //! # Example
 //!
 //! ```
-//! use ev_mapreduce::dag::{DagConfig, DagSpec, StageDep};
+//! use ev_dag::dag::{DagConfig, DagSpec, StageDep};
 //! use ev_telemetry::{Telemetry, TraceCtx};
 //!
 //! let mut dag: DagSpec<'_, u64> = DagSpec::new();
@@ -57,7 +57,7 @@
 //! assert_eq!(*run.outputs[&sum][0], 6);
 //! ```
 
-use crate::{FaultPlan, JobError};
+use crate::{pool, FaultPlan, JobError};
 use ev_telemetry::{names, MetricsRegistry, Telemetry, TraceCtx};
 use serde::Value;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -70,7 +70,7 @@ const INJECTED_FAULT: &str = "injected fault";
 
 /// Silence the default panic-hook backtrace for *injected* fault
 /// panics only. Every `FaultPlan` fault is a real `panic!` whose
-/// `String` payload starts with [`INJECTED_FAULT`]; ev-exec's per-task
+/// `String` payload starts with [`INJECTED_FAULT`]; the pool's per-task
 /// isolation always catches it, so the default hook's stderr backtrace
 /// is pure noise (a high failure rate can print thousands). The
 /// wrapper is installed once per process — it forwards every other
@@ -141,8 +141,6 @@ impl StageDep {
 /// first runs (tests use it to panic exactly once).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskCtx {
-    /// The stage's name.
-    pub stage: &'static str,
     /// The stage's id.
     pub stage_id: StageId,
     /// Partition index within the stage.
@@ -167,7 +165,9 @@ struct Stage<'a, P> {
 /// (which carries the retry budget).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DagConfig {
-    /// Worker threads for the single `ev-exec` session (min 1).
+    /// Worker threads for the run's one pool session (min 1). A run
+    /// never starts more workers than its graph has tasks: the rest
+    /// could never be handed anything.
     pub threads: usize,
     /// Fault injection and retry budget: `task_failure_rate` draws
     /// become real in-worker panics (killing the attempt mid-stage),
@@ -215,16 +215,16 @@ impl DagMetrics {
     }
 }
 
-/// Exports one `ev-exec` session's shape to the canonical `evm_exec_*`
+/// Exports one pool session's shape to the canonical `evm_exec_*`
 /// metrics: the worker count as a gauge and the per-worker executed
 /// task counts as observations of the `evm_exec_worker_tasks` histogram
 /// (its spread shows how evenly the shared queue fed the workers).
-fn record_exec_stats(registry: &MetricsRegistry, stats: &ev_exec::ExecStats) {
+fn record_exec_stats(registry: &MetricsRegistry, per_worker_executed: &[u64]) {
     registry
         .gauge(names::EXEC_WORKERS)
-        .set(stats.threads as f64);
+        .set(per_worker_executed.len() as f64);
     let histogram = registry.histogram(names::EXEC_WORKER_TASKS);
-    for &count in &stats.per_worker_executed {
+    for &count in per_worker_executed {
         histogram.record(count);
     }
 }
@@ -243,18 +243,10 @@ pub struct DagRun<P> {
 ///
 /// Build with [`stage`](DagSpec::stage), execute with
 /// [`run`](DagSpec::run). The lifetime lets compute closures borrow
-/// stores and configs from the caller's stack, mirroring
-/// [`Executor::session`](ev_exec::Executor::session).
+/// stores and configs from the caller's stack: the pool's workers are
+/// scoped to the run.
 pub struct DagSpec<'a, P> {
     stages: Vec<Stage<'a, P>>,
-}
-
-impl<P> std::fmt::Debug for DagSpec<'_, P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DagSpec")
-            .field("stages", &self.stages.len())
-            .finish_non_exhaustive()
-    }
 }
 
 impl<P> Default for DagSpec<'_, P> {
@@ -335,12 +327,6 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
         self.stages[id.0].cost = units;
     }
 
-    /// Number of declared stages.
-    #[must_use]
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
-
     fn validate(&self) -> Result<(), JobError> {
         for (i, stage) in self.stages.iter().enumerate() {
             if stage.partitions == 0 {
@@ -386,22 +372,6 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
         inputs
     }
 
-    /// Stages whose outputs [`run`](DagSpec::run) returns: explicitly
-    /// kept ones plus terminal ones.
-    fn kept_stages(&self) -> Vec<bool> {
-        let mut has_consumer = vec![false; self.stages.len()];
-        for stage in &self.stages {
-            for dep in &stage.deps {
-                has_consumer[dep.parent.0] = true;
-            }
-        }
-        self.stages
-            .iter()
-            .zip(&has_consumer)
-            .map(|(s, &consumed)| s.keep || !consumed)
-            .collect()
-    }
-
     /// Builds the static task graph.
     fn task_graph(&self) -> TaskGraph {
         let mut graph = TaskGraph {
@@ -439,7 +409,9 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
     /// # Errors
     ///
     /// [`JobError::InvalidConfig`] if the spec or fault plan is
-    /// malformed. When one partition's task is lost
+    /// malformed, or the OS refuses one of the worker threads
+    /// `config.threads` asks for (the ones already started are shut down
+    /// first; nothing ran). When one partition's task is lost
     /// [`FaultPlan::max_attempts`] times in a row:
     /// [`JobError::TaskExhausted`] if the final loss was an injected
     /// fault, [`JobError::WorkerPanicked`] if it was a real panic.
@@ -458,7 +430,6 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
         let flight = telemetry.flight();
         flight.instant("job_started", dag_ctx, Vec::new());
 
-        let kept = self.kept_stages();
         let stage_ctxs: Vec<TraceCtx> = self.stages.iter().map(|_| dag_ctx.child()).collect();
         if flight.enabled() {
             for (stage, &ctx) in self.stages.iter().zip(&stage_ctxs) {
@@ -474,6 +445,12 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
         }
 
         let graph = self.task_graph();
+        // Stages whose outputs the run returns: explicitly kept ones
+        // plus terminal ones (an edge always reads partition 0).
+        let terminal = |s: usize| graph.consumers[graph.index((s, 0))].is_empty();
+        let kept: Vec<bool> = (self.stages.iter().enumerate())
+            .map(|(s, stage)| stage.keep || terminal(s))
+            .collect();
         let tel = telemetry;
         let faults = &config.faults;
         if faults.task_failure_rate > 0.0 {
@@ -503,12 +480,11 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
             span.arg("attempt", Value::Int(i128::from(attempt)));
             if faults.attempt_fails(stage, partition, attempt) {
                 // A real panic, not a flagged failure: the attempt dies
-                // mid-stage and ev-exec's per-task isolation catches it.
+                // mid-stage and the pool's per-task isolation catches it.
                 panic!("{INJECTED_FAULT}: {name}[{partition}] attempt {attempt}");
             }
             let value = (self.stages[stage].compute)(
                 TaskCtx {
-                    stage: name,
                     stage_id: StageId(stage),
                     partition,
                     attempt,
@@ -532,8 +508,9 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
             value
         };
 
-        let exec = ev_exec::Executor::new(config.threads);
-        let (driver_out, stats) = exec.session(work, |handle| {
+        // More workers than tasks could never all be handed something.
+        let workers = config.threads.clamp(1, graph.parts.len().max(1));
+        let session = pool::session(workers, work, |handle| {
             Driver {
                 spec: self,
                 graph: &graph,
@@ -553,8 +530,14 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
             }
             .run(handle)
         });
+        let (driver_out, per_worker_executed) = session.map_err(|refused| {
+            JobError::InvalidConfig(ev_core::Error::InvalidParameter {
+                name: "threads",
+                reason: format!("the OS refused one of {workers} worker threads: {refused}"),
+            })
+        })?;
         if telemetry.counters_on() {
-            record_exec_stats(telemetry.registry(), &stats);
+            record_exec_stats(telemetry.registry(), &per_worker_executed);
         }
         let run = driver_out?;
         if telemetry.counters_on() {
@@ -675,10 +658,7 @@ struct Driver<'d, 'a, P> {
 }
 
 impl<P: Send + Sync> Driver<'_, '_, P> {
-    fn run(
-        mut self,
-        handle: &ev_exec::SessionHandle<'_, Payload<P>, P>,
-    ) -> Result<DagRun<P>, JobError> {
+    fn run(mut self, handle: &pool::Session<'_, Payload<P>, P>) -> Result<DagRun<P>, JobError> {
         let graph = self.graph;
         for task in 0..graph.parts.len() {
             if self.deps_left[task] == 0 {
@@ -688,19 +668,18 @@ impl<P: Send + Sync> Driver<'_, '_, P> {
 
         let mut remaining = graph.parts.len();
         while remaining > 0 {
-            let Some(completion) = handle.recv() else {
+            let Some((task, result)) = handle.recv() else {
                 unreachable!("tasks remain but the session is drained");
             };
-            let task = usize::try_from(completion.task).expect("task ids are task indices");
-            match completion.result {
-                Err(panic) => {
+            match result {
+                Err(message) => {
                     let max_attempts = self.config.faults.max_attempts;
                     self.failures[task] += 1;
                     let failures = self.failures[task];
                     self.metrics.retries += u64::from(failures < max_attempts);
                     let (s, p) = graph.parts[task];
                     let stage = self.spec.stages[s].name;
-                    let injected = panic.message.starts_with(INJECTED_FAULT);
+                    let injected = message.starts_with(INJECTED_FAULT);
                     let mut args = vec![
                         ("stage".to_string(), Value::Str(stage.to_string())),
                         ("task".to_string(), Value::Int(p as i128)),
@@ -709,7 +688,7 @@ impl<P: Send + Sync> Driver<'_, '_, P> {
                     let event = if injected {
                         "task_failed"
                     } else {
-                        args.push(("message".to_string(), Value::Str(panic.message.clone())));
+                        args.push(("message".to_string(), Value::Str(message.clone())));
                         "task_panicked"
                     };
                     self.tel.event_ctx(event, self.stage_ctxs[s], args.clone());
@@ -731,10 +710,7 @@ impl<P: Send + Sync> Driver<'_, '_, P> {
                             }
                         } else {
                             self.tel.dump_flight("worker_panicked");
-                            JobError::WorkerPanicked {
-                                stage,
-                                message: panic.message,
-                            }
+                            JobError::WorkerPanicked { stage, message }
                         });
                     }
                     // Lineage recovery: only the lost partition is
@@ -789,7 +765,7 @@ impl<P: Send + Sync> Driver<'_, '_, P> {
     /// completion of its last producer and a relaunch follows a lost
     /// attempt, which released nothing — either way every input is
     /// cached.
-    fn launch(&mut self, task: usize, handle: &ev_exec::SessionHandle<'_, Payload<P>, P>) {
+    fn launch(&mut self, task: usize, handle: &pool::Session<'_, Payload<P>, P>) {
         let (stage, partition) = self.graph.parts[task];
         let inputs: Vec<Arc<P>> = self
             .spec
@@ -799,7 +775,7 @@ impl<P: Send + Sync> Driver<'_, '_, P> {
             .collect();
         self.metrics.tasks_submitted += 1;
         handle.submit(
-            task as ev_exec::TaskId,
+            task,
             Payload {
                 stage,
                 partition,
@@ -978,6 +954,44 @@ mod tests {
     }
 
     #[test]
+    fn a_run_starts_at_most_one_worker_per_task() {
+        use ev_telemetry::TelemetryLevel;
+        let (dag, d) = diamond();
+        let tel = Telemetry::new(TelemetryLevel::Counters);
+        // 200 000 threads is more than an OS will start; the diamond
+        // has 7 tasks, and an 8th worker could never be handed one.
+        let run = dag
+            .run(&DagConfig::new(200_000), &tel, TraceCtx::default())
+            .unwrap();
+        assert_eq!(*run.outputs[&d][0], 10 + 20 + 100 + 200);
+        assert_eq!(tel.registry().gauge_value(names::EXEC_WORKERS), Some(7.0));
+    }
+
+    #[test]
+    fn a_refused_worker_thread_is_an_invalid_config() {
+        let (dag, _) = diamond();
+        pool::REFUSE_SPAWN_AT.set(Some(1));
+        let refused = dag.run(
+            &DagConfig::new(4),
+            Telemetry::disabled(),
+            TraceCtx::default(),
+        );
+        pool::REFUSE_SPAWN_AT.set(None);
+        match refused {
+            Err(JobError::InvalidConfig(ev_core::Error::InvalidParameter { name, reason })) => {
+                assert_eq!(name, "threads");
+                assert!(
+                    reason.contains("refused one of 4 worker threads"),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        // Nothing is left behind: the same spec runs on the same thread.
+        run_dag(&dag, &DagConfig::new(4));
+    }
+
+    #[test]
     fn makespan_models_price_round_overlap() {
         // Two independent chains of 3 stages, 1 partition each, cost 4.
         let mut dag: DagSpec<'_, u64> = DagSpec::new();
@@ -991,7 +1005,7 @@ mod tests {
             let deps = prev2.map(StageDep::narrow).into_iter().collect();
             prev2 = Some(dag.stage("right", 1, deps, |_, _| 0));
         }
-        for id in 0..dag.stage_count() {
+        for id in 0..6 {
             dag.set_cost(StageId(id), 4);
         }
         // Barriered: 6 stages × 4 units, serial. Overlapped on 2

@@ -3,9 +3,7 @@
 //! dependency, and the outputs must depend neither on the thread count
 //! nor on injected task loss.
 
-use ev_mapreduce::{
-    DagConfig, DagMetrics, DagSpec, DepKind, FaultPlan, JobError, StageDep, StageId,
-};
+use ev_dag::{DagConfig, DagMetrics, DagSpec, DepKind, FaultPlan, JobError, StageDep, StageId};
 use ev_telemetry::{Telemetry, TraceCtx};
 use proptest::prelude::*;
 use std::collections::BTreeMap;

@@ -1,5 +1,5 @@
 //! EV-Matching in parallel (paper §V, Algorithm 3) as **one stage-DAG
-//! submission** on the [`ev_mapreduce::dag`] scheduler.
+//! submission** on the [`ev_dag::dag`] scheduler.
 //!
 //! The paper parallelises EID set splitting as iterations of two
 //! shuffles — one by EID, one by membership signature — followed by
@@ -18,27 +18,37 @@
 //!                                               finalize ◄── score×4 ◄──────┘
 //! ```
 //!
+//! Between `init` and `assemble` an EID is its **ordinal** — its index
+//! in the sorted target universe, [`EidCover`]'s numbering — and the
+//! carried round state is a handful of flat vectors over ordinals and
+//! block ids, so what passes along an edge is small and a stage reads a
+//! block by index, never by searching sets of EIDs.
+//!
 //! * `snap(t)` — Algorithm 3's *preprocess*, one stage per timestamp of
 //!   the seeded random order: scan `store.at_time(t)` for
 //!   inclusive-zone members of the target universe (paper Fig. 4's
-//!   identified EID sets). No dependencies, so every round's scan runs
-//!   as early as a worker is free. Scans for rounds the splitter never
-//!   enters (because the partition is already fully split) are wasted
-//!   work — the price of overlap; they cannot change the result.
+//!   identified EID sets), as ordinals. No dependencies, so every
+//!   round's scan runs as early as a worker is free. Scans for rounds
+//!   the splitter never enters (because the partition is already fully
+//!   split) are wasted work — the price of overlap; they cannot change
+//!   the result.
 //! * `sig(t)` — the *map + shuffle-by-EID + reduce* of a round: the map
 //!   emits `(eid, set id)` for every set (live block or scenario at
 //!   `t`) holding the EID, the shuffle groups by EID, the reduce sorts
 //!   an EID's set ids into its *membership signature*. Here 4 pinned
-//!   partitions each compute the signatures of their slice of the live
-//!   EIDs, reading `snap(t)` (narrow broadcast) and the previous
+//!   partitions each compute the signatures of their slice of the
+//!   live EIDs, reading `snap(t)` (narrow broadcast) and the previous
 //!   round's state (narrow).
 //! * `merge(t)` — the *second shuffle, by signature*: a shuffle edge
-//!   over the signature partitions groups EIDs by signature; each group
-//!   is one block of the refined partition, and the scenario ids on
-//!   which sibling signatures differ are the round's *effective*
-//!   scenarios. Both fold into the carried round state.
-//! * `assemble` — anchors, list padding and uniqueness fixups, exactly
-//!   the sequential post-processing. Its completion ends the E stage.
+//!   over the signature partitions, grouped by sorting; each group of
+//!   equal signatures is one block of the refined partition, and the
+//!   scenarios on which sibling signatures differ are the round's
+//!   *effective* scenarios — judged against the partition the round
+//!   began with, so two scenarios at one timestamp that split the same
+//!   block both count. Both fold into the carried round state.
+//! * `assemble` — back to EIDs: the list log grouped per EID, then
+//!   anchors, list padding and uniqueness fixups, exactly the
+//!   sequential post-processing. Its completion ends the E stage.
 //! * `extract×4` / `score×4` / `finalize` — the V stage (§V-C): one
 //!   stage extracts every selected V-Scenario ("these visual operations
 //!   require no data dependency"), the next scores per-EID slices with
@@ -58,15 +68,15 @@ use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
 use ev_core::ids::{Eid, Vid};
 use ev_core::partition::EidCover;
 use ev_core::scenario::{ScenarioId, ZoneAttr};
-use ev_mapreduce::dag::{DagConfig, DagSpec, StageDep, StageId};
-use ev_mapreduce::JobError;
+use ev_dag::dag::{DagConfig, DagSpec, StageDep, StageId, TaskCtx};
+use ev_dag::JobError;
 use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{Telemetry, TraceCtx};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Signature-stage partitions, pinned so the stage output is
@@ -75,43 +85,60 @@ const SIG_PARTITIONS: usize = 4;
 /// Extract/score-stage partitions, pinned for the same reason.
 const V_PARTITIONS: usize = 4;
 
-/// Identifier of an EID set flowing through a splitting round: either a
-/// block of the current partition or an E-Scenario. The variant order
-/// is load-bearing: signatures sort block first, so `merge` emits the
-/// refined blocks grouped by parent block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum SetId {
-    /// The `i`-th live block of the current partition.
-    Block(usize),
-    /// An E-Scenario snapshotted at the round's timestamp.
-    Scenario(ScenarioId),
+/// One timestamp's scenarios in id order, each with the ordinals of its
+/// inclusive-zone members inside the target universe (possibly none).
+type Snapshot = Vec<(ScenarioId, Vec<u32>)>;
+
+/// One live EID's membership signature in a round: the block holding it
+/// and the (ascending) snapshot indices of the scenarios at the round's
+/// timestamp holding it — what the shuffle-by-EID and its reduce
+/// produce for the EID. The field order is load-bearing: the derived
+/// order sorts by block first, then by scenario set, so `merge` finds
+/// each refined block as a run of the sorted signatures, grouped by
+/// parent block.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct Signature {
+    block: u32,
+    scenarios: Vec<u32>,
+    ordinal: u32,
 }
 
 /// Splitter state carried from round to round through the merge chain.
 #[derive(Debug, Clone, Default)]
 struct RoundState {
-    blocks: Vec<BTreeSet<Eid>>,
+    /// Target ordinal → id of the block holding it.
+    block_of: Vec<u32>,
+    /// Block id → member count. A block that splits keeps its id for
+    /// its first child and the other children are appended, so no id is
+    /// ever vacated.
+    block_len: Vec<u32>,
     recorded: Vec<ScenarioId>,
-    lists: BTreeMap<Eid, ScenarioList>,
+    /// Append-only log of list entries, `(ordinal, scenario)` in
+    /// recording order; `assemble` groups it per EID once.
+    list_log: Vec<(u32, ScenarioId)>,
     examined: usize,
-    /// The partition was fully split before this round; later rounds
-    /// pass the state through untouched.
+    /// Every block is a singleton: the splitter has stopped, and later
+    /// rounds pass the state through untouched.
     finished: bool,
+}
+
+impl RoundState {
+    /// Whether the ordinal still shares its block — only such EIDs take
+    /// part in a round.
+    fn is_live(&self, ordinal: u32) -> bool {
+        self.block_len[self.block_of[ordinal as usize] as usize] > 1
+    }
 }
 
 /// The partition payload flowing through the matching DAG.
 #[derive(Debug, Clone)]
 enum Flow {
-    /// `snap(t)`: every scenario at the timestamp (id, inclusive-zone
-    /// members ∩ target universe — possibly empty) plus the examined
-    /// count the round would charge.
-    Snap {
-        scenarios: Vec<(ScenarioId, Vec<Eid>)>,
-        examined: usize,
-    },
-    /// `sig(t)` partition: (EID, membership signature) pairs for this
-    /// partition's slice of the live universe.
-    Sigs(Vec<(Eid, Vec<SetId>)>),
+    /// `snap(t)`: every scenario at the timestamp; the round charges
+    /// its length as examined.
+    Snap(Snapshot),
+    /// `sig(t)` partition: the signatures of this partition's slice of
+    /// the live universe.
+    Sigs(Vec<Signature>),
     /// Splitter state after a round (or the initial state).
     Round(RoundState),
     /// `extract` partition: galleries forced into the cache (the
@@ -124,16 +151,13 @@ enum Flow {
 }
 
 impl Flow {
-    fn as_snap(&self) -> (&[(ScenarioId, Vec<Eid>)], usize) {
+    fn as_snap(&self) -> &Snapshot {
         match self {
-            Flow::Snap {
-                scenarios,
-                examined,
-            } => (scenarios, *examined),
+            Flow::Snap(s) => s,
             other => unreachable!("expected Snap, got {other:?}"),
         }
     }
-    fn as_sigs(&self) -> &[(Eid, Vec<SetId>)] {
+    fn as_sigs(&self) -> &[Signature] {
         match self {
             Flow::Sigs(s) => s,
             other => unreachable!("expected Sigs, got {other:?}"),
@@ -159,71 +183,119 @@ impl Flow {
     }
 }
 
-/// The live blocks of a round, their universe, and the restricted
-/// scenario sets — the round's preprocess, recomputed identically
-/// wherever a stage needs it.
-struct RoundView {
-    live: Vec<BTreeSet<Eid>>,
-    done: Vec<BTreeSet<Eid>>,
-    live_universe: BTreeSet<Eid>,
-    /// Scenario id → members ∩ live universe (non-empty only), in
-    /// snapshot order.
-    scenario_sets: Vec<(ScenarioId, Vec<Eid>)>,
-}
-
-impl RoundView {
-    fn build(state: &RoundState, snapshot: &[(ScenarioId, Vec<Eid>)]) -> RoundView {
-        let (live, done): (Vec<BTreeSet<Eid>>, Vec<BTreeSet<Eid>>) =
-            state.blocks.iter().cloned().partition(|b| b.len() > 1);
-        let live_universe: BTreeSet<Eid> = live.iter().flatten().copied().collect();
-        let scenario_sets: Vec<(ScenarioId, Vec<Eid>)> = snapshot
-            .iter()
-            .filter_map(|(id, members)| {
-                let members: Vec<Eid> = members
-                    .iter()
-                    .filter(|e| live_universe.contains(e))
-                    .copied()
-                    .collect();
-                (!members.is_empty()).then_some((*id, members))
-            })
-            .collect();
-        RoundView {
-            live,
-            done,
-            live_universe,
-            scenario_sets,
+/// `sig(t)`, one partition: the signatures of every `SIG_PARTITIONS`-th
+/// live ordinal, starting at the `partition`-th.
+fn signatures(state: &RoundState, snapshot: &Snapshot, partition: usize) -> Vec<Signature> {
+    if state.finished {
+        return Vec::new();
+    }
+    // Ordinal → its signature's index in `sigs`; `u32::MAX`, which no
+    // index reaches, for an ordinal that is not live or not this
+    // partition's.
+    let mut slot_of = vec![u32::MAX; state.block_of.len()];
+    let mut sigs = Vec::new();
+    let live = (0..state.block_of.len() as u32).filter(|&o| state.is_live(o));
+    for o in live.skip(partition).step_by(SIG_PARTITIONS) {
+        slot_of[o as usize] = sigs.len() as u32;
+        sigs.push(Signature {
+            block: state.block_of[o as usize],
+            scenarios: Vec::new(),
+            ordinal: o,
+        });
+    }
+    // One pass over the snapshot in index order leaves every
+    // signature's scenario set sorted.
+    for (i, (_, members)) in snapshot.iter().enumerate() {
+        for &o in members {
+            if let Some(sig) = sigs.get_mut(slot_of[o as usize] as usize) {
+                sig.scenarios.push(i as u32);
+            }
         }
     }
+    sigs
+}
 
-    /// Is this round a no-op? The splitter stops once every block is a
-    /// singleton.
-    fn inactive(&self, state: &RoundState) -> bool {
-        state.finished || state.blocks.iter().all(|b| b.len() == 1) || self.live.is_empty()
+/// `merge(t)`: the state after the round at `snapshot`'s timestamp,
+/// from the state before it and every live EID's signature.
+fn merge_round(state: &RoundState, snapshot: &Snapshot, mut sigs: Vec<&Signature>) -> RoundState {
+    let mut next = state.clone();
+    if state.finished {
+        // Fully split: the splitter stops before this round.
+        return next;
     }
+    // Every scenario at the timestamp counts as examined the moment
+    // the round is entered.
+    next.examined += snapshot.len();
+    // The shuffle: sorted, each parent block is one run of signatures
+    // and each of its refined children a run of equal scenario sets.
+    sigs.sort_unstable();
+    let mut holders = vec![0usize; snapshot.len()];
+    let mut effective = vec![false; snapshot.len()];
+    for parent in sigs.chunk_by(|a, b| a.block == b.block) {
+        let children: Vec<&[&Signature]> =
+            parent.chunk_by(|a, b| a.scenarios == b.scenarios).collect();
+        if children.len() < 2 {
+            continue; // the block did not split
+        }
+        for child in &children[1..] {
+            let id = next.block_len.len() as u32;
+            next.block_len.push(child.len() as u32);
+            next.block_len[parent[0].block as usize] -= child.len() as u32;
+            for sig in *child {
+                next.block_of[sig.ordinal as usize] = id;
+            }
+        }
+        // A scenario some of the siblings hold and some do not is what
+        // told them apart.
+        let held = || children.iter().flat_map(|c| &c[0].scenarios);
+        for &i in held() {
+            holders[i as usize] += 1;
+        }
+        for &i in held() {
+            effective[i as usize] |= holders[i as usize] < children.len();
+        }
+        for &i in held() {
+            holders[i as usize] = 0;
+        }
+    }
+    for (i, (id, members)) in snapshot.iter().enumerate() {
+        if effective[i] {
+            next.recorded.push(*id);
+            // Judged on the partition the round began with: an EID
+            // that was already alone then takes nothing from it.
+            let live = members.iter().filter(|&&o| state.is_live(o));
+            next.list_log.extend(live.map(|&o| (o, *id)));
+        }
+    }
+    next.finished = next.block_len.iter().all(|&len| len == 1);
+    next
 }
 
-/// One EID's membership signature: the sorted ids of every set
-/// (restricted scenario or live block) containing it — what the
-/// shuffle-by-EID and its reduce produce for the EID.
-fn signature_of(eid: Eid, view: &RoundView) -> Vec<SetId> {
-    let mut sig: Vec<SetId> = view
-        .scenario_sets
-        .iter()
-        .filter(|(_, members)| members.contains(&eid))
-        .map(|(id, _)| SetId::Scenario(*id))
-        .collect();
-    sig.extend(
-        view.live
-            .iter()
-            .enumerate()
-            .filter(|(_, block)| block.contains(&eid))
-            .map(|(i, _)| SetId::Block(i)),
-    );
-    sig.sort_unstable();
-    sig
+/// Declares one splitting round after the round (or `init`) that
+/// produced `prev` — `snap`, `sig`×4 reading it and `prev`, `merge`
+/// reading all three — and returns their ids in that order. The one
+/// definition of the round geometry: the pipeline and the shape
+/// `ablate-workers` prices are both built from it.
+fn round_stages<'a, P: Send + Sync>(
+    dag: &mut DagSpec<'a, P>,
+    prev: StageId,
+    snap: impl Fn(TaskCtx, &[Arc<P>]) -> P + Sync + 'a,
+    sig: impl Fn(TaskCtx, &[Arc<P>]) -> P + Sync + 'a,
+    merge: impl Fn(TaskCtx, &[Arc<P>]) -> P + Sync + 'a,
+) -> [StageId; 3] {
+    let snap = dag.stage("dag_snapshot", 1, Vec::new(), snap);
+    let sig_deps = vec![StageDep::narrow(snap), StageDep::narrow(prev)];
+    let sig = dag.stage("dag_signatures", SIG_PARTITIONS, sig_deps, sig);
+    let merge_deps = vec![
+        StageDep::shuffle(sig),
+        StageDep::narrow(snap),
+        StageDep::narrow(prev),
+    ];
+    [snap, sig, dag.stage("dag_merge", 1, merge_deps, merge)]
 }
 
-/// Builds the matching DAG over `times` (already shuffled): the
+/// Builds the matching DAG for the sorted target `universe`, one round
+/// per timestamp of the store in `split_seed`'s random order: the
 /// splitter, plus the V stage over `v_stage`'s footage when given.
 /// Returns the spec and the ids of the `assemble` and `finalize`
 /// stages. `e_done` receives the instant `assemble` completes; the V
@@ -231,168 +303,50 @@ fn signature_of(eid: Eid, view: &RoundView) -> Vec<SetId> {
 #[allow(clippy::too_many_lines)]
 fn build_match_spec<'a>(
     store: &'a EScenarioStore,
-    targets: &'a BTreeSet<Eid>,
-    times: &[ev_core::time::Timestamp],
+    universe: &'a [Eid],
     split_seed: u64,
     e_done: &'a OnceLock<Instant>,
     v_stage: Option<(&'a VideoStore, &'a VFilterConfig)>,
     telemetry: &'a Telemetry,
 ) -> (DagSpec<'a, Flow>, StageId, Option<StageId>) {
+    assert!(u32::try_from(universe.len()).is_ok(), "32-bit ordinals");
     let mut dag: DagSpec<'a, Flow> = DagSpec::new();
 
     let init = dag.stage("dag_init", 1, Vec::new(), move |_ctx, _inputs| {
         Flow::Round(RoundState {
-            blocks: if targets.is_empty() {
-                Vec::new()
-            } else {
-                vec![targets.clone()]
-            },
-            lists: targets.iter().map(|&e| (e, Vec::new())).collect(),
+            block_of: vec![0; universe.len()],
+            block_len: Vec::from_iter((!universe.is_empty()).then_some(universe.len() as u32)),
+            finished: universe.len() <= 1,
             ..RoundState::default()
         })
     });
 
     let mut prev_round = init;
-    for &t in times {
-        let snap = dag.stage("dag_snapshot", 1, Vec::new(), move |_ctx, _inputs| {
-            let scenarios: Vec<(ScenarioId, Vec<Eid>)> = store
-                .at_time(t)
-                .map(|scenario| {
-                    let members: Vec<Eid> = scenario
-                        .iter()
-                        .filter(|(e, attr)| *attr == ZoneAttr::Inclusive && targets.contains(e))
-                        .map(|(e, _)| e)
-                        .collect();
-                    (scenario.id(), members)
-                })
-                .collect();
-            let examined = scenarios.len();
-            Flow::Snap {
-                scenarios,
-                examined,
-            }
-        });
-        let sig = dag.stage(
-            "dag_signatures",
-            SIG_PARTITIONS,
-            vec![StageDep::narrow(snap), StageDep::narrow(prev_round)],
-            move |ctx, inputs| {
-                let (snapshot, _) = inputs[0].as_snap();
-                let state = inputs[1].as_round();
-                let view = RoundView::build(state, snapshot);
-                if view.inactive(state) || view.scenario_sets.is_empty() {
-                    return Flow::Sigs(Vec::new());
-                }
-                let sigs: Vec<(Eid, Vec<SetId>)> = view
-                    .live_universe
+    for t in round_times(store, split_seed) {
+        let snap = move |_: TaskCtx, _: &[Arc<Flow>]| {
+            // `at_time` yields in scenario-id order, so a snapshot
+            // index orders scenarios exactly as their ids do.
+            let scenarios = store.at_time(t).map(|scenario| {
+                let members = scenario
                     .iter()
-                    .enumerate()
-                    .filter(|(rank, _)| rank % SIG_PARTITIONS == ctx.partition)
-                    .map(|(_, &eid)| (eid, signature_of(eid, &view)))
+                    .filter(|(_, attr)| *attr == ZoneAttr::Inclusive)
+                    .filter_map(|(e, _)| universe.binary_search(&e).ok())
+                    .map(|ordinal| ordinal as u32)
                     .collect();
-                Flow::Sigs(sigs)
-            },
-        );
-        let merge = dag.stage(
-            "dag_merge",
-            1,
-            vec![
-                StageDep::shuffle(sig),
-                StageDep::narrow(snap),
-                StageDep::narrow(prev_round),
-            ],
-            move |_ctx, inputs| {
-                let (snapshot, snap_examined) = inputs[SIG_PARTITIONS].as_snap();
-                let state = inputs[SIG_PARTITIONS + 1].as_round();
-                let mut next = state.clone();
-                if state.finished || state.blocks.iter().all(|b| b.len() == 1) {
-                    // Fully split: the splitter stops before this round.
-                    next.finished = true;
-                    return Flow::Round(next);
-                }
-                let view = RoundView::build(state, snapshot);
-                if view.live.is_empty() {
-                    next.blocks = view.done;
-                    next.finished = true;
-                    return Flow::Round(next);
-                }
-                // Every scenario at the timestamp counts as examined
-                // the moment the round is entered.
-                next.examined += snap_examined;
-                if view.scenario_sets.is_empty() {
-                    // Nothing at this timestamp touches the live
-                    // universe: the round is a no-op, but the blocks
-                    // come out reordered as live ++ done.
-                    next.blocks = view.live.into_iter().chain(view.done).collect();
-                    return Flow::Round(next);
-                }
-                // The shuffle: group EIDs by signature, in signature
-                // order.
-                let mut groups: BTreeMap<Vec<SetId>, Vec<Eid>> = BTreeMap::new();
-                for part in &inputs[..SIG_PARTITIONS] {
-                    for (eid, sig) in part.as_sigs() {
-                        groups.entry(sig.clone()).or_default().push(*eid);
-                    }
-                }
-                for eids in groups.values_mut() {
-                    eids.sort_unstable();
-                    eids.dedup();
-                }
-                let scenario_members: BTreeMap<ScenarioId, &Vec<Eid>> = view
-                    .scenario_sets
-                    .iter()
-                    .map(|(id, members)| (*id, members))
-                    .collect();
-                let mut children_of: BTreeMap<usize, Vec<&Vec<SetId>>> = BTreeMap::new();
-                let mut new_blocks: Vec<BTreeSet<Eid>> = view.done;
-                for (signature, eids) in &groups {
-                    let block_id = signature.iter().find_map(|s| match s {
-                        SetId::Block(i) => Some(*i),
-                        SetId::Scenario(_) => None,
-                    });
-                    if let Some(b) = block_id {
-                        children_of.entry(b).or_default().push(signature);
-                    }
-                    new_blocks.push(eids.iter().copied().collect());
-                }
-                let mut effective: BTreeSet<ScenarioId> = BTreeSet::new();
-                for children in children_of.values() {
-                    if children.len() < 2 {
-                        continue; // the block did not split
-                    }
-                    let union: BTreeSet<ScenarioId> = children
-                        .iter()
-                        .flat_map(|sig| sig.iter())
-                        .filter_map(|s| match s {
-                            SetId::Scenario(id) => Some(*id),
-                            SetId::Block(_) => None,
-                        })
-                        .collect();
-                    for id in union {
-                        let holders = children
-                            .iter()
-                            .filter(|sig| sig.contains(&SetId::Scenario(id)))
-                            .count();
-                        if holders > 0 && holders < children.len() {
-                            effective.insert(id);
-                        }
-                    }
-                }
-                for id in effective {
-                    next.recorded.push(id);
-                    if let Some(members) = scenario_members.get(&id) {
-                        for &eid in *members {
-                            if let Some(list) = next.lists.get_mut(&eid) {
-                                list.push(id);
-                            }
-                        }
-                    }
-                }
-                next.blocks = new_blocks;
-                Flow::Round(next)
-            },
-        );
-        prev_round = merge;
+                (scenario.id(), members)
+            });
+            Flow::Snap(scenarios.collect())
+        };
+        let sig = |ctx: TaskCtx, inputs: &[Arc<Flow>]| {
+            let (snapshot, state) = (inputs[0].as_snap(), inputs[1].as_round());
+            Flow::Sigs(signatures(state, snapshot, ctx.partition))
+        };
+        let merge = |_: TaskCtx, inputs: &[Arc<Flow>]| {
+            let (sigs, rest) = inputs.split_at(SIG_PARTITIONS);
+            let sigs = sigs.iter().flat_map(|part| part.as_sigs()).collect();
+            Flow::Round(merge_round(rest[1].as_round(), rest[0].as_snap(), sigs))
+        };
+        [_, _, prev_round] = round_stages(&mut dag, prev_round, snap, sig, merge);
     }
 
     let assemble = dag.stage(
@@ -401,14 +355,23 @@ fn build_match_spec<'a>(
         vec![StageDep::narrow(prev_round)],
         move |_ctx, inputs| {
             let state = inputs[0].as_round();
-            let mut lists = state.lists.clone();
+            let mut by_ordinal = vec![ScenarioList::new(); universe.len()];
+            for &(ordinal, id) in &state.list_log {
+                by_ordinal[ordinal as usize].push(id);
+            }
+            let mut lists: BTreeMap<Eid, ScenarioList> =
+                universe.iter().copied().zip(by_ordinal).collect();
             attach_anchors(store, &mut lists, false, false);
             crate::setsplit::extend_lists(store, &mut lists, 3, split_seed, true, false);
             crate::setsplit::ensure_unique_against_universe(
                 store, &mut lists, split_seed, true, false,
             );
-            let partition = EidCover::from_blocks(state.blocks.clone())
-                .expect("merge output blocks are disjoint by construction");
+            let mut blocks = vec![BTreeSet::new(); state.block_len.len()];
+            for (&eid, &block) in universe.iter().zip(&state.block_of) {
+                blocks[block as usize].insert(eid);
+            }
+            let partition = EidCover::from_blocks(blocks)
+                .expect("every ordinal has one block and no block id is vacant");
             let split = SplitOutput {
                 recorded: state.recorded.clone(),
                 lists,
@@ -437,11 +400,7 @@ fn build_match_spec<'a>(
                 .values()
                 .flat_map(|l| l.iter().copied())
                 .collect();
-            for (_, &id) in distinct
-                .iter()
-                .enumerate()
-                .filter(|(rank, _)| rank % V_PARTITIONS == ctx.partition)
-            {
+            for &id in distinct.iter().skip(ctx.partition).step_by(V_PARTITIONS) {
                 let _ = video.extract(id);
             }
             Flow::Extracted
@@ -462,9 +421,9 @@ fn build_match_spec<'a>(
             let outcomes: Vec<MatchOutcome> = split
                 .lists
                 .iter()
-                .enumerate()
-                .filter(|(rank, _)| rank % V_PARTITIONS == ctx.partition)
-                .map(|(_, (&eid, list))| {
+                .skip(ctx.partition)
+                .step_by(V_PARTITIONS)
+                .map(|(&eid, list)| {
                     VStage {
                         video,
                         config: &score_config,
@@ -574,7 +533,7 @@ fn round_times(store: &EScenarioStore, seed: u64) -> Vec<ev_core::time::Timestam
 /// # Errors
 ///
 /// Propagates [`JobError`] from the scheduler (a partition that
-/// exhausts [`FaultPlan::max_attempts`](ev_mapreduce::FaultPlan::max_attempts)
+/// exhausts [`FaultPlan::max_attempts`](ev_dag::FaultPlan::max_attempts)
 /// aborts the run).
 pub fn dag_split(
     config: &DagConfig,
@@ -583,10 +542,9 @@ pub fn dag_split(
     seed: u64,
     telemetry: &Telemetry,
 ) -> Result<SplitOutput, JobError> {
-    let times = round_times(store, seed);
+    let universe: Vec<Eid> = targets.iter().copied().collect();
     let e_done = OnceLock::new();
-    let (dag, assemble, _) =
-        build_match_spec(store, targets, &times, seed, &e_done, None, telemetry);
+    let (dag, assemble, _) = build_match_spec(store, &universe, seed, &e_done, None, telemetry);
     let run = dag.run(config, telemetry, TraceCtx::root())?;
     Ok(run.outputs[&assemble][0].as_split().clone())
 }
@@ -627,13 +585,12 @@ pub fn dag_match(
     let cache_hits_before = video.stats().cache_hits;
     let extracted_before = video.stats().extracted_scenarios;
 
-    let times = round_times(store, split_seed);
+    let universe: Vec<Eid> = targets.iter().copied().collect();
     let e_done = OnceLock::new();
     let start = Instant::now();
     let (dag, assemble, finalize) = build_match_spec(
         store,
-        targets,
-        &times,
+        &universe,
         split_seed,
         &e_done,
         Some((video, vfilter_config)),
@@ -656,6 +613,7 @@ pub fn dag_match(
 
     let examined = split.scenarios_examined;
     let recorded_len = split.recorded.len();
+    let blocks = split.partition.block_count();
     let report = MatchReport {
         outcomes,
         selected_scenarios: split.selected(),
@@ -675,6 +633,9 @@ pub fn dag_match(
         registry
             .counter(ev_telemetry::names::SETSPLIT_RECORDED)
             .add(recorded_len as u64);
+        registry
+            .gauge(ev_telemetry::names::SETSPLIT_BLOCKS)
+            .set(blocks as f64);
         registry
             .counter(ev_telemetry::names::VFILTER_GALLERY_HITS)
             .add(cache_hits);
@@ -713,28 +674,11 @@ pub fn round_pipeline_shape(
     merge_cost: u64,
 ) -> DagSpec<'static, u64> {
     let mut dag: DagSpec<'static, u64> = DagSpec::new();
-    let init = dag.stage("dag_init", 1, Vec::new(), |_, _| 0);
-    let mut prev = init;
+    let mut prev = dag.stage("dag_init", 1, Vec::new(), |_, _| 0);
     for _ in 0..rounds {
-        let snap = dag.stage("dag_snapshot", 1, Vec::new(), |_, _| 0);
+        let [snap, sig, merge] = round_stages(&mut dag, prev, |_, _| 0, |_, _| 0, |_, _| 0);
         dag.set_cost(snap, snap_cost);
-        let sig = dag.stage(
-            "dag_signatures",
-            SIG_PARTITIONS,
-            vec![StageDep::narrow(snap), StageDep::narrow(prev)],
-            |_, _| 0,
-        );
         dag.set_cost(sig, sig_cost);
-        let merge = dag.stage(
-            "dag_merge",
-            1,
-            vec![
-                StageDep::shuffle(sig),
-                StageDep::narrow(snap),
-                StageDep::narrow(prev),
-            ],
-            |_, _| 0,
-        );
         dag.set_cost(merge, merge_cost);
         prev = merge;
     }
@@ -753,7 +697,7 @@ mod tests {
     use ev_core::region::CellId;
     use ev_core::scenario::{Detection, EScenario, VScenario};
     use ev_core::time::Timestamp;
-    use ev_mapreduce::FaultPlan;
+    use ev_dag::FaultPlan;
     use ev_telemetry::TelemetryLevel;
     use ev_vision::cost::CostModel;
     use proptest::prelude::*;
@@ -937,6 +881,48 @@ mod tests {
     }
 
     #[test]
+    fn complementary_scenarios_at_one_timestamp_are_both_recorded() {
+        // Block {a, b}; at the one timestamp `a` is heard in cell 0 and
+        // `b` in cell 1. Algorithm 3 judges effectiveness against the
+        // partition the round began with, so both scenarios are
+        // recorded; refining a cover scenario by scenario would record
+        // the first and find the second with nothing left to split.
+        let (a, b) = (Eid::from_u64(1), Eid::from_u64(2));
+        let scenarios: Vec<EScenario> = [(0, a), (1, b)]
+            .into_iter()
+            .map(|(cell, eid)| {
+                let mut e = EScenario::new(CellId::new(cell), Timestamp::new(0));
+                e.insert(eid, ZoneAttr::Inclusive);
+                e
+            })
+            .collect();
+        let ids: Vec<ScenarioId> = scenarios.iter().map(EScenario::id).collect();
+        let store = EScenarioStore::from_scenarios(scenarios);
+        let targets = BTreeSet::from([a, b]);
+
+        let out = dag_split(
+            &DagConfig::new(2),
+            &store,
+            &targets,
+            0,
+            Telemetry::disabled(),
+        );
+        let out = out.unwrap();
+        assert_eq!(out.recorded, ids, "both halves of the split are recorded");
+        assert_eq!(out.lists[&a], [ids[0]]);
+        assert_eq!(out.lists[&b], [ids[1]]);
+        assert!(out.fully_split());
+        assert_eq!(out.scenarios_examined, 2);
+
+        let mut cover = EidCover::new(targets);
+        let effective = store
+            .iter()
+            .filter(|s| cover.split(s.iter()).effective)
+            .count();
+        assert_eq!(effective, 1, "successive refinement records only one");
+    }
+
+    #[test]
     fn dag_split_distinguishes_everyone_at_sequential_granularity() {
         let (store, _) = world();
         let out = dag_split(
@@ -1006,6 +992,17 @@ mod tests {
             assert!(o.is_majority());
             assert_eq!(o.vid.map(Vid::as_u64), Some(o.eid.as_u64()));
         }
+    }
+
+    #[test]
+    fn dag_match_exports_the_cover_block_count() {
+        let tel = Telemetry::new(TelemetryLevel::Counters);
+        run_match(2, &VFilterConfig::default(), &tel);
+        // `world()` tells all eight targets apart.
+        let blocks = tel
+            .registry()
+            .gauge_value(ev_telemetry::names::SETSPLIT_BLOCKS);
+        assert_eq!(blocks, Some(8.0), "the DAG path sets the gauge too");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! For a fair comparison with the parallel set-splitting algorithm, the
 //! paper adapts EDP to MapReduce "by assigning each mapper one EID
 //! matching task" (§VI-B); [`match_edp_parallel`] does exactly that as
-//! one [`ev_mapreduce::DagSpec`] with a partition per EID. Scenario
+//! one [`ev_dag::DagSpec`] with a partition per EID. Scenario
 //! selections are *not* shared between EIDs — the reuse that makes set
 //! splitting cheaper simply does not happen, although a scenario picked
 //! independently for two EIDs is only extracted (and counted) once.
@@ -22,7 +22,7 @@ use crate::types::{index_counters, MatchOutcome, MatchReport, ScenarioList, Stag
 use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
 use ev_core::ids::Eid;
 use ev_core::scenario::ScenarioId;
-use ev_mapreduce::{DagConfig, DagSpec, JobError, StageDep};
+use ev_dag::{DagConfig, DagSpec, JobError, StageDep};
 use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{Telemetry, TraceCtx};
 use rand::seq::SliceRandom;

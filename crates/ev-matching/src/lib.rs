@@ -40,7 +40,7 @@
 //!   stages: every splitting round (shuffle by EID, then by membership
 //!   signature) plus parallel VID filtering as **one stage-DAG
 //!   submission** on the lineage-tracking scheduler in
-//!   [`ev_mapreduce::dag`]. Splitting rounds overlap instead of
+//!   [`ev_dag::dag`]. Splitting rounds overlap instead of
 //!   barriering, a lost worker costs only the partitions it was
 //!   computing, and the [`MatchReport`] is byte-identical at every
 //!   thread count.

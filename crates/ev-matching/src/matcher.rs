@@ -21,7 +21,7 @@ use crate::setsplit::SetSplitConfig;
 use crate::types::{index_counters, MatchReport, StageTimings};
 use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
 use ev_core::ids::Eid;
-use ev_mapreduce::JobError;
+use ev_dag::JobError;
 use ev_store::{EScenarioStore, StoreBackend, VideoStore};
 use ev_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
@@ -206,7 +206,7 @@ impl<'a> EvMatcher<'a> {
                 Ok(report)
             }
             ExecutionMode::Dag(threads) => crate::dagflow::dag_match(
-                &ev_mapreduce::DagConfig::new(*threads),
+                &ev_dag::DagConfig::new(*threads),
                 self.estore,
                 self.video,
                 targets,

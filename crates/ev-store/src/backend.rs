@@ -5,7 +5,7 @@
 //! over where those live — built in memory ([`MemoryBackend`]), loaded
 //! from a persistent segment directory (`ev_disk::DiskBackend`), or
 //! generated (`ev_datagen::EvDataset`) — so `refine`, the incremental
-//! updater and the mapreduce driver run unchanged against any of them.
+//! updater and the stage-DAG pipeline run unchanged against any of them.
 
 use crate::estore::EScenarioStore;
 use crate::video::VideoStore;

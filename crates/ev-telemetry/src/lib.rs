@@ -3,7 +3,7 @@
 //! registry (counters / gauges / log-bucketed histograms) with
 //! Prometheus text and JSON export, and a shared [`IndexCounters`]
 //! type unifying the index/cache counter plumbing that was previously
-//! duplicated between `ev-matching` and `ev-mapreduce`.
+//! duplicated between `ev-matching` and the scheduler (`ev-dag`).
 //!
 //! # Cost model
 //!

@@ -20,9 +20,9 @@ pub const SETSPLIT_RECORDED: &str = "evm_setsplit_recorded_total";
 /// the other strategies and in practical mode, where greedy falls back
 /// to chronological. Reader: README, "Profiling a run".
 pub const SETSPLIT_GAIN_CACHE_INVALIDATIONS: &str = "evm_setsplit_gain_cache_invalidations";
-/// Blocks of the EID cover after the latest sequential split round
-/// (count; at least the round's EID count once it fully split). The
-/// stage DAG does not write it. Reader: README, "Profiling a run".
+/// Blocks of the EID cover after the latest split round — sequential,
+/// or the stage DAG's one round (count; at least the round's EID count
+/// once it fully split). Reader: README, "Profiling a run".
 pub const SETSPLIT_BLOCKS: &str = "evm_setsplit_blocks";
 /// Histogram of the split gain (EIDs, `Σ min(|A∩C|, |A\C|)` over
 /// blocks) of each scenario `GreedyBalanced` selected. Empty under the
@@ -82,11 +82,12 @@ pub const ANYTIME_CANDIDATES_PRUNED: &str = "evm_anytime_candidates_pruned";
 /// before its stop rule fired (0 = settled on cheap bounds alone).
 pub const ANYTIME_CONVERGENCE_ROUNDS: &str = "evm_anytime_convergence_rounds";
 
-// The executor family describes the one `ev-exec` session behind a
+// The executor family describes the one `ev-dag` pool session behind a
 // `--threads N` run (every worker pops one shared FIFO). Reader of
 // both: README, "Running on real threads".
 
-/// Worker threads of the most recent `ev-exec` session (count).
+/// Worker threads of the most recent pool session (count; `N` capped
+/// at the number of tasks in the run's graph).
 pub const EXEC_WORKERS: &str = "evm_exec_workers";
 /// Histogram of per-worker executed task attempts (count; one
 /// observation per worker per session) — its spread shows how evenly

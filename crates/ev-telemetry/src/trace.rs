@@ -32,7 +32,7 @@ pub fn next_span_id() -> u64 {
 
 /// Causal trace context: the identity of one span plus the ids linking
 /// it to its trace and parent. Propagated by value from job submission
-/// through `ev-mapreduce` stages into every `ev-exec` task closure, so
+/// through `ev-dag` stages into every pool task closure, so
 /// distributed work can always be attributed to the job → stage → task
 /// → attempt chain that caused it.
 ///

@@ -13,7 +13,7 @@
 //! ```
 
 use ev_telemetry::{names, TraceEvent};
-use evmatch::mapreduce::{DagConfig, FaultPlan};
+use evmatch::dag::{DagConfig, FaultPlan};
 use evmatch::matching::dagflow::dag_match;
 use evmatch::matching::vfilter::VFilterConfig;
 use evmatch::prelude::*;

@@ -45,7 +45,8 @@
 //! parallel pipeline (Algorithm 3): the whole job — every splitting
 //! round plus VID filtering — is **one** stage DAG submitted to the
 //! lineage-tracking scheduler (`DESIGN.md` §11) on `N` real threads of
-//! the `ev-exec` pool, so independent rounds overlap and a lost worker
+//! `ev-dag`'s pool (at most one per task of the graph; `N` must be at
+//! least 1), so independent rounds overlap and a lost worker
 //! costs a rerun of only the partition it was computing. Its report is
 //! byte-identical for every `N`, so the value only changes wall time.
 //! `--universal` matches every EID present in the E-data instead of a
@@ -224,7 +225,13 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
             "--duration" => out.duration = take()?.parse().map_err(|e| format!("{e}"))?,
             "--seed" => out.seed = take()?.parse().map_err(|e| format!("{e}"))?,
             "--targets" => out.targets = take()?.parse().map_err(|e| format!("{e}"))?,
-            "--threads" => out.threads = Some(take()?.parse().map_err(|e| format!("{e}"))?),
+            "--threads" => {
+                let n: usize = take()?.parse().map_err(|e| format!("{e}"))?;
+                if n == 0 {
+                    return Err("--threads must be at least 1".into());
+                }
+                out.threads = Some(n);
+            }
             "--universal" => out.universal = true,
             "--confidence" => {
                 let p: f64 = take()?.parse().map_err(|e| format!("{e}"))?;
@@ -343,7 +350,7 @@ fn persist(store: &mut DiskStore, dataset: &EvDataset) -> Result<AppendReceipt, 
 /// The execution mode `--threads` selects.
 fn execution_mode(args: &CommonArgs) -> ExecutionMode {
     args.threads
-        .map_or(ExecutionMode::Sequential, |n| ExecutionMode::Dag(n.max(1)))
+        .map_or(ExecutionMode::Sequential, ExecutionMode::Dag)
 }
 
 fn run_match(args: &CommonArgs) -> Result<(EvDataset, MatchReport), String> {
@@ -720,7 +727,7 @@ const REQUIRED_METRICS: &[&str] = &[
 /// there without an emission site (or an emission site whose metric
 /// name drifted from the constant) fails this gate.
 fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
-    use evmatch::mapreduce::{DagConfig, FaultPlan};
+    use evmatch::dag::{DagConfig, FaultPlan};
     use evmatch::matching::dagflow::dag_match;
     use evmatch::matching::vfilter::VFilterConfig;
     use std::collections::BTreeSet;

@@ -20,8 +20,7 @@
 //! | [`vision`] | `ev-vision` | synthetic appearance, detection, re-id, costs |
 //! | [`store`] | `ev-store` | scenario database and lazy video store |
 //! | [`disk`] | `ev-disk` | persistent segmented corpus with crash-safe append |
-//! | [`exec`] | `ev-exec` | zero-dependency FIFO thread-pool executor |
-//! | [`mapreduce`] | `ev-mapreduce` | the stage-DAG scheduler (`DagSpec`), fault plans, job errors |
+//! | [`dag`] | `ev-dag` | the stage-DAG scheduler (`DagSpec`) on its private FIFO pool, fault plans, job errors |
 //! | [`matching`] | `ev-matching` | set splitting, VID filtering, EDP, Algorithm 3 |
 //! | [`datagen`] | `ev-datagen` | end-to-end synthetic dataset generation |
 //! | [`fusion`] | `ev-fusion` | fused E+V queries over matched identities |
@@ -54,11 +53,10 @@
 #![warn(missing_docs)]
 
 pub use ev_core as core;
+pub use ev_dag as dag;
 pub use ev_datagen as datagen;
 pub use ev_disk as disk;
-pub use ev_exec as exec;
 pub use ev_fusion as fusion;
-pub use ev_mapreduce as mapreduce;
 pub use ev_matching as matching;
 pub use ev_mobility as mobility;
 pub use ev_sensing as sensing;

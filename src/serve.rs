@@ -138,9 +138,9 @@ pub enum ServeError {
     /// The durability layer failed (write, fsync, manifest, recovery).
     Disk(DiskError),
     /// The query has no report: footage it selected failed to load
-    /// ([`JobError::Input`](ev_mapreduce::JobError::Input)), or
+    /// ([`JobError::Input`](ev_dag::JobError::Input)), or
     /// (parallel execution only) the engine rejected it.
-    Match(ev_mapreduce::JobError),
+    Match(ev_dag::JobError),
 }
 
 impl ServeError {
@@ -180,8 +180,8 @@ impl From<DiskError> for ServeError {
     }
 }
 
-impl From<ev_mapreduce::JobError> for ServeError {
-    fn from(e: ev_mapreduce::JobError) -> Self {
+impl From<ev_dag::JobError> for ServeError {
+    fn from(e: ev_dag::JobError) -> Self {
         ServeError::Match(e)
     }
 }

@@ -7,8 +7,8 @@
 //! typed error, never a report computed without it.
 
 use evmatch::core::scenario::ScenarioId;
+use evmatch::dag::JobError;
 use evmatch::disk::{DiskBackend, DiskStore};
-use evmatch::mapreduce::JobError;
 use evmatch::matching::refine::{match_with_refinement, RefineConfig};
 use evmatch::matching::MatchReport;
 use evmatch::prelude::*;

@@ -3,7 +3,7 @@
 //! budget as `TaskExhausted` — Algorithm 3 and the parallel EDP
 //! baseline alike.
 
-use evmatch::mapreduce::{DagConfig, FaultPlan, JobError};
+use evmatch::dag::{DagConfig, FaultPlan, JobError};
 use evmatch::matching::dagflow::dag_match;
 use evmatch::matching::edp::{match_edp_parallel, EdpConfig};
 use evmatch::matching::vfilter::VFilterConfig;

@@ -3,7 +3,7 @@
 //! attempt to its job, stage and task — the artifact an operator reads
 //! when a run died and the process is already gone.
 
-use evmatch::mapreduce::{DagConfig, DagSpec, FaultPlan, JobError};
+use evmatch::dag::{DagConfig, DagSpec, FaultPlan, JobError};
 use evmatch::prelude::*;
 use evmatch::telemetry::TraceCtx;
 use serde_json::Value;

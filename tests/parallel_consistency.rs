@@ -3,7 +3,7 @@
 //! and the stage DAG (Algorithm 3) at any thread count and under
 //! injected worker loss.
 
-use evmatch::mapreduce::{DagConfig, FaultPlan};
+use evmatch::dag::{DagConfig, FaultPlan};
 use evmatch::matching::dagflow::{dag_match, dag_split};
 use evmatch::matching::edp::{match_edp, match_edp_parallel, EdpConfig};
 use evmatch::matching::setsplit::{split_ideal, SetSplitConfig};
