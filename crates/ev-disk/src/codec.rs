@@ -101,9 +101,13 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// Bytes of the `time | cell | count` head both payload layouts open
+/// with.
+const RECORD_HEAD_LEN: usize = 20;
+
 /// Appends one E-Scenario record payload to `out`.
 pub fn encode_escenario_into(s: &EScenario, out: &mut Vec<u8>) {
-    out.reserve(20 + s.len() * 9);
+    out.reserve(s.encoded_len());
     out.extend_from_slice(&s.time().tick().to_le_bytes());
     out.extend_from_slice(&(s.cell().index() as u64).to_le_bytes());
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
@@ -168,16 +172,21 @@ pub fn record_id(payload: &[u8]) -> DiskResult<ScenarioId> {
 
 /// Appends one V-Scenario record payload to `out`.
 pub fn encode_vscenario_into(s: &VScenario, out: &mut Vec<u8>) {
+    out.reserve(s.encoded_len());
     out.extend_from_slice(&s.time().tick().to_le_bytes());
     out.extend_from_slice(&(s.cell().index() as u64).to_le_bytes());
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     for d in s.detections() {
         let components = d.feature.components();
-        out.reserve(12 + components.len() * 8);
         out.extend_from_slice(&d.vid.as_u64().to_le_bytes());
         out.extend_from_slice(&(components.len() as u32).to_le_bytes());
-        for c in components {
-            out.extend_from_slice(&c.to_le_bytes());
+        // One resize and one pass over fixed-width chunks: the
+        // components go out at the rate of a slice copy, not one
+        // length-checked append each.
+        let start = out.len();
+        out.resize(start + components.len() * 8, 0);
+        for (bytes, c) in out[start..].chunks_exact_mut(8).zip(components) {
+            bytes.copy_from_slice(&c.to_le_bytes());
         }
     }
 }
@@ -230,12 +239,16 @@ pub fn decode_vscenario(payload: &[u8]) -> DiskResult<VScenario> {
 /// the `(time, cell)` key its segment's bounds absorb, and its payload
 /// codec. Implemented for [`EScenario`] and [`VScenario`] only, so the
 /// segment writer and the load loop exist once, not once per kind.
-pub(crate) trait Record: Sized {
+/// `Sync`, because a batch is framed by several threads at once.
+pub(crate) trait Record: Sized + Sync {
     /// The segment kind that holds records of this type.
     const KIND: SegmentKind;
 
     /// `(tick, cell index)` of this record.
     fn time_cell(&self) -> (u64, u64);
+
+    /// Exactly the bytes [`encode_into`](Record::encode_into) appends.
+    fn encoded_len(&self) -> usize;
 
     /// Appends this record's payload to `out`.
     fn encode_into(&self, out: &mut Vec<u8>);
@@ -249,6 +262,10 @@ impl Record for EScenario {
 
     fn time_cell(&self) -> (u64, u64) {
         (self.time().tick(), self.cell().index() as u64)
+    }
+
+    fn encoded_len(&self) -> usize {
+        RECORD_HEAD_LEN + self.len() * 9
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -265,6 +282,11 @@ impl Record for VScenario {
 
     fn time_cell(&self) -> (u64, u64) {
         (self.time().tick(), self.cell().index() as u64)
+    }
+
+    fn encoded_len(&self) -> usize {
+        let detections = self.detections().iter();
+        RECORD_HEAD_LEN + detections.map(|d| 12 + d.feature.dim() * 8).sum::<usize>()
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -304,6 +326,7 @@ mod tests {
     fn escenario_round_trips() {
         let s = escenario();
         assert_eq!(decode_escenario(&encode_escenario(&s)).unwrap(), s);
+        assert_eq!(s.encoded_len(), encode_escenario(&s).len());
         let empty = EScenario::new(CellId::new(0), Timestamp::new(0));
         assert_eq!(decode_escenario(&encode_escenario(&empty)).unwrap(), empty);
     }
@@ -312,6 +335,43 @@ mod tests {
     fn vscenario_round_trips_bit_exact() {
         let s = vscenario();
         assert_eq!(decode_vscenario(&encode_vscenario(&s)).unwrap(), s);
+        assert_eq!(s.encoded_len(), encode_vscenario(&s).len());
+    }
+
+    /// The V encoder as it was before components went out a slice at a
+    /// time: eight bytes appended per component.
+    fn encode_vscenario_by_component(s: &VScenario) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&s.time().tick().to_le_bytes());
+        out.extend_from_slice(&(s.cell().index() as u64).to_le_bytes());
+        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        for d in s.detections() {
+            out.extend_from_slice(&d.vid.as_u64().to_le_bytes());
+            out.extend_from_slice(&(d.feature.dim() as u32).to_le_bytes());
+            for c in d.feature.components() {
+                out.extend_from_slice(&c.to_le_bytes());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn v_encode_is_the_per_component_encoder_byte_for_byte() {
+        let mut s = vscenario();
+        // Every bit pattern a clamped component can carry survives.
+        for (i, dim) in [1usize, 7, 8, 64, 129].into_iter().enumerate() {
+            let components = (0..dim).map(|c| 1.0 / (1 + c + i) as f64);
+            s.push(Detection {
+                vid: Vid::new(100 + i as u64),
+                feature: FeatureVector::new(components).unwrap(),
+            });
+        }
+        assert_eq!(encode_vscenario(&s), encode_vscenario_by_component(&s));
+        // Appending to a buffer that already holds bytes leaves them be.
+        let mut out = vec![0xEE; 5];
+        encode_vscenario_into(&s, &mut out);
+        assert_eq!(out[..5], [0xEE; 5]);
+        assert_eq!(out[5..], encode_vscenario_by_component(&s));
     }
 
     #[test]

@@ -333,4 +333,47 @@ mod tests {
         assert_eq!(store.record_count(SegmentKind::VScenario), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// One `serve-mixed` ingest window — 600 people on 10 × 10 cells,
+    /// 10 ticks, 64-dimensional features: every cell reports once — is
+    /// far under the writer's byte grain, so serving never pays a thread
+    /// spawn per window (which doubled `serve.ingest_s.p50` when it
+    /// did), however wide the host.
+    #[test]
+    fn a_served_window_is_framed_on_the_caller() {
+        use crate::segment::WORKERS_SPAWNED;
+        use ev_core::feature::FeatureVector;
+        use ev_core::scenario::Detection;
+
+        let feature = FeatureVector::new(vec![0.5; 64]).unwrap();
+        let window = |tick: u64| -> (Vec<EScenario>, Vec<VScenario>) {
+            (0..100usize)
+                .map(|cell| {
+                    let mut e = EScenario::new(CellId::new(cell), Timestamp::new(tick));
+                    let mut v = VScenario::new(CellId::new(cell), Timestamp::new(tick));
+                    for person in 0..6u64 {
+                        e.insert(Eid::from_u64(cell as u64 * 6 + person), ZoneAttr::Inclusive);
+                        v.push(Detection {
+                            vid: ev_core::Vid::new(cell as u64 * 6 + person),
+                            feature: feature.clone(),
+                        });
+                    }
+                    (e, v)
+                })
+                .unzip()
+        };
+
+        let dir = temp_dir("window");
+        let store = DiskStore::create(&dir).unwrap();
+        let mut writer = IngestWriter::new(store, CheckpointPolicy::default());
+        WORKERS_SPAWNED.set(0);
+        for tick in (0..300).step_by(10) {
+            let (e, v) = window(tick);
+            writer.push(&e, &v).unwrap();
+        }
+        let store = writer.finish().unwrap();
+        assert_eq!(WORKERS_SPAWNED.get(), 0);
+        assert_eq!(store.record_count(SegmentKind::VScenario), 3000);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -30,10 +30,11 @@ use std::collections::BTreeSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ev_core::scenario::{EScenario, VScenario};
+use ev_core::scenario::{EScenario, ScenarioId, VScenario};
 use ev_store::{EScenarioStore, FootageLocation, FootageSource, VideoStore};
 use ev_telemetry::{names, Telemetry};
 use ev_vision::cost::CostModel;
@@ -602,23 +603,100 @@ impl DiskStore {
     /// record codec rejects behind a valid checksum surfaces when it is
     /// extracted, as [`ev_core::Error::FootageUnavailable`].
     pub fn load_video(&self, cost: CostModel) -> DiskResult<VideoStore> {
+        let segments = self.committed(SegmentKind::VScenario).count();
+        let workers = if segments > 1 {
+            segment::host_workers().min(segments)
+        } else {
+            1
+        };
+        self.load_video_on(workers, cost)
+    }
+
+    /// [`load_video`](Self::load_video) with the verifying walks of the
+    /// V segments spread over `workers` threads. Every segment is walked
+    /// into a list of its own and the lists are read back in commit
+    /// order, so supersession is manifest order and the error reported
+    /// is that of the earliest damaged segment — the store and the error
+    /// are the sequential walk's at any width.
+    fn load_video_on(&self, workers: usize, cost: CostModel) -> DiskResult<VideoStore> {
+        let segments: Vec<_> = (self.committed(SegmentKind::VScenario))
+            .map(Arc::new)
+            .collect();
         let mut span = self.telemetry.span("disk_load_video", "disk");
+        span.arg("segments", serde_json::Value::Int(segments.len() as i128));
+        span.arg("workers", serde_json::Value::Int(workers as i128));
         let mut located = Vec::new();
-        for segment in self.committed(SegmentKind::VScenario) {
-            let segment = Arc::new(segment);
-            segment.walk(|offset, payload| {
-                let at = FootageLocation {
-                    source: Arc::clone(&segment) as Arc<dyn FootageSource>,
-                    offset,
-                    len: u32::try_from(payload.len()).expect("frames are at most 2^28 bytes"),
-                };
-                located.push((codec::record_id(payload)?, at));
-                Ok(())
-            })?;
+        if workers <= 1 {
+            for segment in &segments {
+                located.extend(locate(segment)?);
+            }
+        } else {
+            for walked in walk_side_by_side(&segments, workers) {
+                located.extend(walked?);
+            }
         }
         span.arg("records", serde_json::Value::Int(located.len() as i128));
         Ok(VideoStore::located(located, cost))
     }
+}
+
+/// Where the V-Scenarios of one segment live, in file order.
+type Located = Vec<(ScenarioId, FootageLocation)>;
+
+/// The verifying walk over one V segment, recording each frame that
+/// passes under the scenario id read off the head of its payload.
+fn locate(segment: &Arc<CommittedSegment>) -> DiskResult<Located> {
+    let mut located = Vec::new();
+    segment.walk(|offset, payload| {
+        let at = FootageLocation {
+            source: Arc::clone(segment) as Arc<dyn FootageSource>,
+            offset,
+            len: u32::try_from(payload.len()).expect("frames are at most 2^28 bytes"),
+        };
+        located.push((codec::record_id(payload)?, at));
+        Ok(())
+    })?;
+    Ok(located)
+}
+
+/// [`locate`] over every segment by `workers` walkers, each taking the
+/// next unwalked segment: this thread and `workers - 1` scoped ones —
+/// fewer if the OS refuses a thread, the walkers there are sharing the
+/// same work. The results come back in the order of `segments`; a
+/// panicking walk panics the caller.
+fn walk_side_by_side(
+    segments: &[Arc<CommittedSegment>],
+    workers: usize,
+) -> Vec<DiskResult<Located>> {
+    let next = AtomicUsize::new(0);
+    let walk = || {
+        let mut mine = Vec::new();
+        // `Relaxed`: the counter hands out indices and publishes
+        // nothing; results travel through `join`.
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(segment) = segments.get(i) else {
+                return mine;
+            };
+            mine.push((i, locate(segment)));
+        }
+    };
+    let mut walked: Vec<_> = std::thread::scope(|scope| {
+        let others: Vec<_> = (1..workers)
+            .map_while(|_| segment::spawn_worker(scope, walk).ok())
+            .collect();
+        let mut walked = walk();
+        for other in others {
+            walked.extend(
+                other
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        walked
+    });
+    walked.sort_by_key(|&(i, _)| i);
+    walked.into_iter().map(|(_, located)| located).collect()
 }
 
 #[cfg(test)]
@@ -695,6 +773,267 @@ mod tests {
         let dir = temp_dir("recreate");
         DiskStore::create(&dir).unwrap();
         assert!(DiskStore::create(&dir).is_err());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The V-Scenario at `(cell, time)`: `detections` detections of
+    /// `dim` components, the first seen as `vid`.
+    fn v(cell: usize, time: u64, vid: u64, detections: u64, dim: usize) -> VScenario {
+        use ev_core::feature::FeatureVector;
+        use ev_core::scenario::Detection;
+        let feature = FeatureVector::new(vec![0.25; dim]).unwrap();
+        let mut s = VScenario::new(CellId::new(cell), Timestamp::new(time));
+        for d in 0..detections {
+            s.push(Detection {
+                vid: ev_core::Vid::new(vid + d),
+                feature: feature.clone(),
+            });
+        }
+        s
+    }
+
+    /// `store`'s V side loaded at width `workers`.
+    fn load_on(store: &DiskStore, workers: usize) -> DiskResult<VideoStore> {
+        store.load_video_on(workers, CostModel::free())
+    }
+
+    /// A corpus of four V segments of five small scenarios each.
+    fn four_v_segments(tag: &str) -> PathBuf {
+        let dir = temp_dir(tag);
+        let mut store = DiskStore::create(&dir).unwrap();
+        for batch in 0..4u64 {
+            let scenarios: Vec<_> = (0..5).map(|i| v(i, batch, 10 * batch, 3, 4)).collect();
+            store.append(&[], &scenarios).unwrap();
+        }
+        dir
+    }
+
+    /// `(id, offset, len)` of every V frame of `store`, per segment in
+    /// commit order, as `workers` walkers find them (`1`: the
+    /// sequential walk).
+    fn index_on(store: &DiskStore, workers: usize) -> Vec<Vec<(ScenarioId, u64, u32)>> {
+        let segments: Vec<_> = (store.committed(SegmentKind::VScenario))
+            .map(Arc::new)
+            .collect();
+        let walked = match workers {
+            1 => segments.iter().map(locate).collect(),
+            _ => walk_side_by_side(&segments, workers),
+        };
+        let flat = |located: DiskResult<Located>| {
+            let located = located.unwrap();
+            (located.iter())
+                .map(|(id, at)| (*id, at.offset, at.len))
+                .collect()
+        };
+        walked.into_iter().map(flat).collect()
+    }
+
+    #[test]
+    fn segments_walked_side_by_side_load_the_sequential_store() {
+        let dir = four_v_segments("wide");
+        let store = DiskStore::open(&dir).unwrap();
+        let want = index_on(&store, 1);
+        assert_eq!(want.iter().map(Vec::len).sum::<usize>(), 20);
+        for workers in [2, 3, 8] {
+            assert_eq!(index_on(&store, workers), want, "{workers} workers");
+            assert_eq!(load_on(&store, workers).unwrap().len(), 20);
+        }
+        // A host out of threads: the walkers there are walk everything.
+        for started in [0, 1] {
+            segment::WORKERS_SPAWNED.set(0);
+            segment::REFUSE_SPAWNS_FROM.set(Some(started));
+            let walked = index_on(&store, 3);
+            segment::REFUSE_SPAWNS_FROM.set(None);
+            assert_eq!(segment::WORKERS_SPAWNED.get(), started);
+            assert_eq!(walked, want, "{started} of 2 threads started");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn damage_reads_the_same_at_any_width_and_the_earliest_segment_wins() {
+        let dir = four_v_segments("damage");
+        let store = DiskStore::open(&dir).unwrap();
+        let files: Vec<PathBuf> = (store.segments().iter())
+            .map(|e| dir.join(e.file_name()))
+            .collect();
+        let pristine: Vec<Vec<u8>> = files.iter().map(|f| fs::read(f).unwrap()).collect();
+        let flipped = |k: usize| {
+            let mut bytes = pristine[k].clone();
+            bytes[pristine[k].len() / 2] ^= 0x40;
+            bytes
+        };
+        let cut = |k: usize| pristine[k][..pristine[k].len() - 1].to_vec();
+
+        // (what is wrong with which segments, what the error must say)
+        type Damage = Vec<(usize, Vec<u8>)>;
+        let cases: Vec<(Damage, String)> = vec![
+            (vec![(0, flipped(0))], "checksum".into()),
+            (vec![(2, flipped(2))], "checksum".into()),
+            (vec![(3, cut(3))], store.segments()[3].file_name()),
+            (
+                vec![(1, cut(1)), (2, flipped(2))],
+                store.segments()[1].file_name(),
+            ),
+            (vec![(1, flipped(1)), (3, cut(3))], "checksum".into()),
+            (
+                vec![(2, cut(2)), (0, cut(0))],
+                store.segments()[0].file_name(),
+            ),
+        ];
+        for (damage, says) in cases {
+            for (k, bytes) in &damage {
+                fs::write(&files[*k], bytes).unwrap();
+            }
+            let sequential = load_on(&store, 1).unwrap_err().to_string();
+            assert!(sequential.contains(&says), "{sequential:?} names {says:?}");
+            for workers in [2, 3, 8] {
+                let wide = load_on(&store, workers).unwrap_err().to_string();
+                assert_eq!(wide, sequential, "{workers} workers");
+            }
+            for (k, _) in &damage {
+                fs::write(&files[*k], &pristine[*k]).unwrap();
+            }
+        }
+        assert_eq!(load_on(&store, 3).unwrap().len(), 20, "healed");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn later_v_segments_supersede_earlier_at_any_width() {
+        let dir = temp_dir("supersede-v");
+        let mut store = DiskStore::create(&dir).unwrap();
+        store
+            .append(&[], &[v(0, 1, 10, 1, 4), v(1, 1, 11, 1, 4)])
+            .unwrap();
+        store.append(&[], &[v(2, 1, 12, 1, 4)]).unwrap();
+        store.append(&[], &[v(0, 1, 99, 1, 4)]).unwrap(); // same (cell, time)
+        let store = DiskStore::open(&dir).unwrap();
+        let id = v(0, 1, 0, 0, 4).id();
+        let loads = [1, 2, 3].map(|workers| load_on(&store, workers).unwrap());
+        for video in loads
+            .iter()
+            .chain([&store.load_video(CostModel::free()).unwrap()])
+        {
+            assert_eq!(video.len(), 3);
+            let seen = video.extract(id).expect("footage");
+            assert!(seen.contains(ev_core::Vid::new(99)));
+            assert!(!seen.contains(ev_core::Vid::new(10)));
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Batches wide enough that `append` frames them on every core it
+    /// has, three V segments so `load_video` walks them side by side:
+    /// the disk counters are what the inline paths count.
+    #[test]
+    fn counters_read_the_same_after_a_parallel_append_and_open() {
+        use ev_telemetry::TelemetryLevel;
+        let dir = temp_dir("counters");
+        let written = Telemetry::new(TelemetryLevel::Counters);
+        let mut store = DiskStore::create(&dir).unwrap().with_telemetry(&written);
+        for batch in 0..3u64 {
+            let e_batch: Vec<_> = (0..7)
+                .map(|i| e(i, batch, 100 * batch + i as u64))
+                .collect();
+            let v_batch: Vec<_> = (0..70).map(|i| v(i, batch, 0, 64, 128)).collect();
+            let receipt = store.append(&e_batch, &v_batch).unwrap();
+            assert!(
+                receipt.v_segment.unwrap().file_len > 4 << 20,
+                "over the grain"
+            );
+        }
+        let counter = |tel: &Telemetry, name| tel.registry().counter_value(name).unwrap_or(0);
+        assert_eq!(counter(&written, names::DISK_SEGMENTS_WRITTEN), 6);
+
+        let len_of = |kind| -> u64 {
+            let of_kind = store.segments().iter().filter(|e| e.kind == kind);
+            of_kind.map(|e| e.file_len).sum()
+        };
+        let (e_bytes, v_bytes) = (
+            len_of(SegmentKind::EScenario),
+            len_of(SegmentKind::VScenario),
+        );
+        let opened = |load: &dyn Fn(&DiskStore) -> VideoStore| {
+            let tel = Telemetry::new(TelemetryLevel::Counters);
+            let store = DiskStore::open_with(&dir, RecoveryMode::Strict, &tel).unwrap();
+            assert_eq!(store.load_estore().unwrap().len(), 21);
+            let video = load(&store);
+            assert!(video.extract(v(3, 1, 0, 0, 1).id()).is_some());
+            [
+                counter(&tel, names::DISK_SEGMENTS_OPENED),
+                counter(&tel, names::DISK_BYTES_READ),
+                counter(&tel, names::DISK_RECORDS_READ),
+            ]
+        };
+        let one_frame = (20 + 64 * (12 + 128 * 8) + 4) as u64;
+        let want = [6, e_bytes + v_bytes + one_frame, 21 + 1];
+        assert_eq!(opened(&|s| s.load_video(CostModel::free()).unwrap()), want);
+        assert_eq!(opened(&|s| load_on(s, 1).unwrap()), want, "the inline walk");
+        assert_eq!(opened(&|s| load_on(s, 3).unwrap()), want, "three walkers");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_load_span_says_how_wide_it_ran() {
+        use ev_telemetry::TelemetryLevel;
+        let dir = four_v_segments("span");
+        let tel = Telemetry::new(TelemetryLevel::Full);
+        let store = DiskStore::open_with(&dir, RecoveryMode::Strict, &tel).unwrap();
+        load_on(&store, 3).unwrap();
+        let events = tel.tracer().events();
+        let span = (events.iter())
+            .find(|event| event.name == "disk_load_video")
+            .expect("the load is a span");
+        let arg = |key: &str| {
+            let found = span.args.iter().find(|(k, _)| k == key);
+            found.map(|(_, value)| value.clone())
+        };
+        assert_eq!(arg("segments"), Some(serde_json::Value::Int(4)));
+        assert_eq!(arg("workers"), Some(serde_json::Value::Int(3)));
+        assert_eq!(arg("records"), Some(serde_json::Value::Int(20)));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `dense-query`'s V side — 2 400 scenarios of 64 detections of 128
+    /// components, 160 MB in three batches: the files `append` writes
+    /// are the sequential encoder's, and the index the side-by-side
+    /// walk builds is the sequential walk's. Run in release:
+    /// `cargo test --release -p ev-disk -- --ignored`.
+    #[test]
+    #[ignore = "benchmark scale; run in release (CI step \"Generator differential\")"]
+    fn a_dense_query_corpus_is_the_sequential_bytes_and_the_sequential_index() {
+        let dir = temp_dir("dense");
+        let mut store = DiskStore::create(&dir).unwrap();
+        for batch in 0..3usize {
+            let scenarios: Vec<_> = (0..800)
+                .map(|i| {
+                    v(
+                        i % 16,
+                        (batch * 800 + i) as u64 / 16 * 10,
+                        i as u64,
+                        64,
+                        128,
+                    )
+                })
+                .collect();
+            let entry = store.append(&[], &scenarios).unwrap().v_segment.unwrap();
+            let sequential = segment::encode_v_segment(&scenarios);
+            assert_eq!(entry.records, sequential.records);
+            assert_eq!(entry.bounds, sequential.bounds);
+            let file = fs::read(dir.join(entry.file_name())).unwrap();
+            assert!(
+                file == sequential.bytes,
+                "batch {batch}: the file is the encoder's"
+            );
+        }
+        let store = DiskStore::open(&dir).unwrap();
+        let want = index_on(&store, 1);
+        assert_eq!(want.iter().map(Vec::len).sum::<usize>(), 2400);
+        for workers in [2, 3, 7] {
+            assert_eq!(index_on(&store, workers), want, "{workers} workers");
+        }
+        assert_eq!(store.load_video(CostModel::free()).unwrap().len(), 2400);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

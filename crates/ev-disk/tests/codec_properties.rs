@@ -11,8 +11,15 @@
 //! prefix read from hostile bytes may size an allocation beyond the
 //! input that carried it — in the in-memory decoders and in the
 //! streaming load walk `DiskStore::load_*` reads committed segments
-//! with. The same allocator shows what loading V-data costs: memory for
-//! an index entry per record, not for the records.
+//! with. The same allocator shows what loading V-data costs — memory for
+//! an index entry per record, not for the records — and what writing it
+//! costs: a bounded set of buffers, not the batch.
+//!
+//! The allocator counts **process-wide**: the load walks and the segment
+//! writer run on worker threads, whose allocations a per-thread count
+//! would never see. So every test in this binary holds [`serial`] for
+//! its whole body — a count taken while another test allocates would be
+//! that test's too.
 
 use ev_core::feature::FeatureVector;
 use ev_core::ids::{Eid, Vid};
@@ -23,38 +30,76 @@ use ev_disk::codec::{decode_escenario, decode_vscenario, encode_escenario, encod
 use ev_disk::format::{HEADER_LEN, MANIFEST_ENTRY_PAYLOAD_LEN, MAX_FRAME_PAYLOAD};
 use ev_disk::manifest::{encode_entry_frame, manifest_header, scan_manifest, ManifestEntry};
 use ev_disk::segment::{
-    decode_e_segment, decode_v_segment, encode_e_segment, encode_v_segment, scan,
+    decode_e_segment, decode_v_segment, encode_e_segment, encode_v_segment, scan, READ_CHUNK,
+    RUN_BYTES, WRITE_CHUNK,
 };
 use ev_disk::{DiskError, DiskStore, SegmentBounds, SegmentKind, MANIFEST_FILE};
 use ev_vision::cost::CostModel;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-/// The system allocator, noting per thread the largest single request
-/// and the bytes requested in total.
+/// The system allocator, noting across all threads the largest single
+/// request, the bytes requested in total, the bytes live now and the
+/// most that were ever live.
 struct Counting;
 
-thread_local! {
-    // Const-initialised and without a destructor, so touching them from
-    // inside the allocator never allocates or registers anything.
-    static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
-    static TOTAL_REQUESTED: Cell<usize> = const { Cell::new(0) };
-}
+// `Relaxed` throughout: the four are statistics. A test reads them
+// after joining (inside the call it measures) every thread that
+// allocated.
+static LARGEST_REQUEST: AtomicUsize = AtomicUsize::new(0);
+static TOTAL_REQUESTED: AtomicUsize = AtomicUsize::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK_LIVE: AtomicUsize = AtomicUsize::new(0);
 
 /// Notes a request for `size` bytes, `grown` of them new.
 fn note(size: usize, grown: usize) {
-    // `try_with`: allocations made while a thread is being torn down
-    // are simply not counted.
-    let _ = LARGEST_REQUEST.try_with(|largest| largest.set(largest.get().max(size)));
-    let _ = TOTAL_REQUESTED.try_with(|total| total.set(total.get() + grown));
+    LARGEST_REQUEST.fetch_max(size, Ordering::Relaxed);
+    TOTAL_REQUESTED.fetch_add(grown, Ordering::Relaxed);
+    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
+    PEAK_LIVE.fetch_max(live, Ordering::Relaxed);
+}
+
+/// Held by every test of this binary for its whole body, so that what
+/// the allocator counts between a reset and a read is one test's.
+fn serial() -> MutexGuard<'static, ()> {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    // A test that failed while holding it has poisoned nothing: the
+    // guarded value is `()`.
+    ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// What the allocator saw while something ran, on whatever threads.
+struct Allocated {
+    /// The largest single request.
+    largest: usize,
+    /// Bytes requested in total, freed since or not: what a walk that
+    /// allocates for every record and drops it again cannot hide.
+    total: usize,
+    /// The most bytes live at once, beyond those live at the start.
+    held: usize,
+}
+
+fn allocated_by(run: impl FnOnce()) -> Allocated {
+    let before = LIVE.load(Ordering::Relaxed);
+    LARGEST_REQUEST.store(0, Ordering::Relaxed);
+    TOTAL_REQUESTED.store(0, Ordering::Relaxed);
+    PEAK_LIVE.store(before, Ordering::Relaxed);
+    run();
+    Allocated {
+        largest: LARGEST_REQUEST.load(Ordering::Relaxed),
+        total: TOTAL_REQUESTED.load(Ordering::Relaxed),
+        held: PEAK_LIVE.load(Ordering::Relaxed) - before,
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; `note` only reads and
-// writes a thread-local integer and neither allocates nor unwinds.
+// which upholds the `GlobalAlloc` contract; `note` only updates atomic
+// integers and neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size(), layout.size());
@@ -69,6 +114,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         note(new_size, new_size.saturating_sub(layout.size()));
         // SAFETY: `ptr` came from this allocator, i.e. from `System`,
         // with `layout`; the caller guarantees the rest.
@@ -76,6 +122,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -92,16 +139,15 @@ fn assert_allocations_bounded_by_input<T>(
     input: &[u8],
     decode: impl FnOnce(&[u8]) -> T,
 ) -> T {
-    LARGEST_REQUEST.with(|largest| largest.set(0));
-    let out = decode(input);
-    let largest = LARGEST_REQUEST.with(Cell::get);
+    let mut out = None;
+    let Allocated { largest, .. } = allocated_by(|| out = Some(decode(input)));
     let bound = 2 * input.len() + (64 << 10);
     assert!(
         largest <= bound,
         "{what}: a {largest}-byte allocation from {} input bytes (bound {bound})",
         input.len()
     );
-    out
+    out.expect("decode ran")
 }
 
 fn assert_corrupt<T: std::fmt::Debug>(what: &str, result: Result<T, DiskError>) {
@@ -184,6 +230,7 @@ fn load_walk(what: &str, kind: SegmentKind, bytes: &[u8]) -> Result<(), DiskErro
 /// and refused *before* it sizes an allocation.
 #[test]
 fn hostile_prefixes_are_corruption_and_never_drive_an_allocation() {
+    let _serial = serial();
     let cases: Vec<(&str, Vec<u8>)> = vec![
         ("v count = u32::MAX", record_head(u32::MAX)),
         ("v dim = u32::MAX", v_payload_with_dim(u32::MAX, 64)),
@@ -255,14 +302,23 @@ fn hostile_prefixes_are_corruption_and_never_drive_an_allocation() {
     assert_corrupt("manifest entry length", result);
 }
 
-/// Loading V-data locates it; only extraction decodes it. A corpus of N
-/// records costs the load an index entry per record and one bounded
-/// read buffer — not the bytes of the records.
-#[test]
-fn load_video_allocates_for_the_index_not_for_the_footage() {
-    const RECORDS: usize = 256;
+/// Threads the process may run on — the width `DiskStore::append` and
+/// `load_video` work at.
+fn host_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
+
+/// Three batches of V-Scenarios, each over the segment writer's byte
+/// grain: 32 detections of dimension 128 a scenario, 33 KiB a frame.
+const BATCHES: usize = 3;
+const BATCH_RECORDS: usize = 160;
+const FRAME_BYTES: usize = 4 + 20 + 32 * (12 + 128 * 8) + 4;
+const BATCH_BYTES: usize = BATCH_RECORDS * FRAME_BYTES;
+const _: () = assert!(BATCH_BYTES > 5 << 20, "over the writer's 4 MiB grain");
+
+fn footage() -> Vec<VScenario> {
     let feature = FeatureVector::new(vec![0.5; 128]).expect("valid feature");
-    let scenarios: Vec<VScenario> = (0..RECORDS)
+    (0..BATCHES * BATCH_RECORDS)
         .map(|i| {
             let mut v = VScenario::new(CellId::new(i % 16), Timestamp::new(i as u64));
             for vid in 0..32 {
@@ -273,41 +329,103 @@ fn load_video_allocates_for_the_index_not_for_the_footage() {
             }
             v
         })
-        .collect();
-    let segment = encode_v_segment(&scenarios);
-    assert!(segment.bytes.len() > 8 << 20, "8 MiB of footage");
-    let dir = corpus_with_segment(SegmentKind::VScenario, &segment.bytes, segment.records);
+        .collect()
+}
+
+fn fresh_corpus(tag: &str) -> (PathBuf, DiskStore) {
+    static DIRS: AtomicU64 = AtomicU64::new(0);
+    let n = DIRS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("ev-disk-{tag}-{}-{n}", std::process::id()));
+    let store = DiskStore::create(&dir).expect("fresh corpus");
+    (dir, store)
+}
+
+/// Writing V-data holds a bounded set of buffers, never the batch: at
+/// no point more than two run buffers per framing thread and the one
+/// write chunk.
+#[test]
+fn append_allocates_a_bounded_set_of_buffers_not_the_batch() {
+    let _serial = serial();
+    let scenarios = footage();
+    let (dir, mut store) = fresh_corpus("append-budget");
+    for batch in scenarios.chunks(BATCH_RECORDS) {
+        let mut entry = None;
+        let Allocated { largest, held, .. } = allocated_by(|| {
+            entry = store.append(&[], batch).expect("appends").v_segment;
+        });
+        let entry = entry.expect("a V segment");
+        assert_eq!(entry.file_len, (HEADER_LEN + BATCH_BYTES) as u64);
+        let framers = host_workers().min(BATCH_BYTES.div_ceil(RUN_BYTES));
+        assert!(largest <= WRITE_CHUNK, "largest single request: {largest}");
+        // Beside the buffers: the list of runs, thread handles, channel
+        // nodes, paths and the manifest entry.
+        let budget = WRITE_CHUNK + 2 * framers * RUN_BYTES + (64 << 10);
+        assert!(
+            held <= budget,
+            "append held {held} bytes of a {BATCH_BYTES}-byte batch on {framers} framers; \
+             budget {budget}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Loading V-data locates it; only extraction decodes it. A corpus of N
+/// records in three segments costs the load one read buffer and one
+/// frame buffer per segment walked — as many of them at once as there
+/// are walking threads — and an index entry per record: not the bytes
+/// of the records, neither held nor requested and given back.
+#[test]
+fn load_video_allocates_for_the_index_not_for_the_footage() {
+    let _serial = serial();
+    const RECORDS: usize = BATCHES * BATCH_RECORDS;
+    // A walk's read buffer, and its frame buffer however it grew to a
+    // frame (doubling from nothing requests at most twice the frame).
+    const PER_WALK: usize = READ_CHUNK + 2 * FRAME_BYTES;
+    // A few hundred bytes per record for its index entries — the
+    // per-segment lists, their concatenation, the store's map — and,
+    // beside them, thread handles, paths and the span.
+    const INDEX: usize = RECORDS * 512 + (64 << 10);
+
+    let scenarios = footage();
+    let (dir, mut store) = fresh_corpus("load-budget");
+    for batch in scenarios.chunks(BATCH_RECORDS) {
+        store.append(&[], batch).expect("appends");
+    }
     let store = DiskStore::open(&dir).expect("corpus opens");
 
-    let allocated_by = |run: &mut dyn FnMut()| {
-        LARGEST_REQUEST.with(|largest| largest.set(0));
-        TOTAL_REQUESTED.with(|total| total.set(0));
-        run();
-        (
-            LARGEST_REQUEST.with(Cell::get),
-            TOTAL_REQUESTED.with(Cell::get),
-        )
-    };
     let mut video = None;
-    let (largest, total) = allocated_by(&mut || {
+    let allocated = allocated_by(|| {
         video = Some(store.load_video(CostModel::free()).expect("loads"));
     });
     let video = video.expect("loaded");
     assert_eq!(video.len(), RECORDS);
-    // One 1 MiB read buffer, one frame buffer (33 KiB here), and a few
-    // hundred bytes per record for its index entries.
+    let Allocated {
+        largest,
+        total,
+        held,
+    } = allocated;
+    let footage_bytes = BATCHES * BATCH_BYTES;
     assert!(largest <= 1 << 20, "largest single request: {largest}");
-    let budget = (1 << 20) + (64 << 10) + RECORDS * 512;
+    // In total: a walk that decoded or copied every frame and dropped
+    // it again would request the footage, 16 MB, over the load.
+    let budget = BATCHES * PER_WALK + INDEX;
     assert!(
         total <= budget,
-        "load_video requested {total} bytes for {RECORDS} records ({} bytes of footage); \
-         budget {budget}",
-        segment.bytes.len()
+        "load_video requested {total} bytes for {RECORDS} records ({footage_bytes} bytes of \
+         footage) in {BATCHES} segments; budget {budget}"
+    );
+    // At once: only as many walks as there are walkers.
+    let walkers = host_workers().min(BATCHES);
+    let budget = walkers * PER_WALK + INDEX;
+    assert!(
+        held <= budget,
+        "load_video held {held} bytes for {RECORDS} records ({footage_bytes} bytes of footage) \
+         on {walkers} walkers; budget {budget}"
     );
 
     // Extracting one scenario then costs about that scenario.
     let mut extracted = None;
-    let (_, total) = allocated_by(&mut || extracted = video.extract(scenarios[7].id()));
+    let Allocated { total, .. } = allocated_by(|| extracted = video.extract(scenarios[7].id()));
     assert_eq!(*extracted.expect("footage"), scenarios[7]);
     assert!(total <= 128 << 10, "one extraction requested {total} bytes");
     std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -373,6 +491,7 @@ proptest! {
     /// attribute mix, timestamp or cell.
     #[test]
     fn escenario_roundtrips(raw in arb_e_raw()) {
+        let _serial = serial();
         let s = build_e(&raw);
         let payload = encode_escenario(&s);
         let back = decode_escenario(&payload).expect("own encoding decodes");
@@ -383,6 +502,7 @@ proptest! {
     /// go through `to_bits`, never a lossy text form.
     #[test]
     fn vscenario_roundtrips(raw in arb_v_raw()) {
+        let _serial = serial();
         let s = build_v(&raw);
         let payload = encode_vscenario(&s);
         let back = decode_vscenario(&payload).expect("own encoding decodes");
@@ -393,6 +513,7 @@ proptest! {
     /// on — the decoders guard every length and every enum byte.
     #[test]
     fn junk_never_panics_a_decoder(bytes in prop::collection::vec(0u8..=255, 0..256)) {
+        let _serial = serial();
         let _ = assert_allocations_bounded_by_input("junk e-record", &bytes, decode_escenario);
         let _ = assert_allocations_bounded_by_input("junk v-record", &bytes, decode_vscenario);
         let _ = assert_allocations_bounded_by_input("junk segment", &bytes, scan);
@@ -405,6 +526,7 @@ proptest! {
     /// boundaries come from the frame, so slack bytes mean corruption.
     #[test]
     fn trailing_bytes_are_rejected(raw in arb_e_raw(), extra in 1usize..16) {
+        let _serial = serial();
         let mut payload = encode_escenario(&build_e(&raw));
         payload.extend(std::iter::repeat_n(0u8, extra));
         prop_assert!(decode_escenario(&payload).is_err());
@@ -416,6 +538,7 @@ proptest! {
     fn e_segment_roundtrips_with_tight_bounds(
         raws in prop::collection::vec(arb_e_raw(), 1..10)
     ) {
+        let _serial = serial();
         let scenarios: Vec<EScenario> = raws.iter().map(build_e).collect();
         let seg = encode_e_segment(&scenarios);
         prop_assert_eq!(seg.records, scenarios.len() as u64);
@@ -437,6 +560,7 @@ proptest! {
         raws in prop::collection::vec(arb_v_raw(), 1..6),
         cut in any::<prop::sample::Index>(),
     ) {
+        let _serial = serial();
         let scenarios: Vec<VScenario> = raws.iter().map(build_v).collect();
         let seg = encode_v_segment(&scenarios);
         let len = cut.index(seg.bytes.len() - HEADER_LEN) + HEADER_LEN;

@@ -12,12 +12,13 @@
 //!    each surviving detection the stream offset a single generator would
 //!    have reached it at;
 //! 3. **fill** — the plan cut into contiguous chunks, one scoped thread
-//!    per chunk, each seeking its own generator to the recorded offsets.
+//!    per chunk, each seeking its own generator to the recorded offsets
+//!    and taking an observation's `4 × dim` words in one call.
 //!
 //! Offsets come from the plan, never from which thread fills, so the
 //! scenarios are the same bits at any worker count.
 
-use crate::gallery::AppearanceGallery;
+use crate::gallery::{AppearanceGallery, WORDS_PER_GAUSSIAN};
 use ev_core::ids::PersonId;
 use ev_core::region::{CellId, GridRegion};
 use ev_core::scenario::{Detection, VScenario};
@@ -201,7 +202,7 @@ impl VScenarioBuilder {
     fn plan(&self, presence: Presence, model: DetectionModel, seed: u64) -> Plan {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let observation_words = if model.feature_sigma > 0.0 {
-            4 * self.gallery.dim() as u64
+            (WORDS_PER_GAUSSIAN * self.gallery.dim()) as u64
         } else {
             0
         };

@@ -5,6 +5,13 @@
 //! copy. Distinct persons get independently drawn vectors, which in a
 //! `[0, 1]^d` cube are far apart with overwhelming probability for
 //! d ≳ 32 — mirroring how real re-id features separate identities.
+//!
+//! An observation draws its noise in bulk: the `4 × dim` stream words its
+//! `dim` Gaussian samples consume come out of the generator in one
+//! [`ChaCha8Rng::fill_words`] call and are turned into samples four at a
+//! time, in stream order, by the expressions a one-at-a-time draw uses —
+//! same words, same bits, same position afterwards (DESIGN.md §4d). The
+//! one-at-a-time observation stays in the tests as the reference.
 
 use ev_core::feature::FeatureVector;
 use ev_core::ids::PersonId;
@@ -83,15 +90,27 @@ impl AppearanceGallery {
         if sigma <= 0.0 {
             return Some(truth.clone());
         }
-        // Built straight into the observation's shared storage: one
-        // allocation per detection.
+        let mut words = vec![0u32; WORDS_PER_GAUSSIAN * self.dim];
+        rng.fill_words(&mut words);
+        // Built straight into the observation's shared storage.
         Some(FeatureVector::from_clamped(
-            truth
-                .components()
-                .iter()
-                .map(|&c| c + gaussian(rng) * sigma),
+            (truth.components().iter())
+                .zip(words.chunks_exact(WORDS_PER_GAUSSIAN))
+                .map(|(&c, w)| c + box_muller(unit(w[0], w[1]), unit(w[2], w[3])) * sigma),
         ))
     }
+}
+
+/// Stream words one Gaussian sample consumes: two `f64` draws of two
+/// words each. The V-sensing plan advances its cursor by this much per
+/// component (`builder.rs`).
+pub(crate) const WORDS_PER_GAUSSIAN: usize = 4;
+
+/// What `rng.gen::<f64>()` makes of two consecutive stream words, `lo`
+/// drawn first: the `u64` that `next_u64` forms of them, through the
+/// generator crate's own conversion.
+fn unit(lo: u32, hi: u32) -> f64 {
+    rand::unit_f64((u64::from(hi) << 32) | u64::from(lo))
 }
 
 impl AppearanceGallery {
@@ -132,11 +151,17 @@ impl AppearanceGallery {
     }
 }
 
-/// One standard-normal sample via Box–Muller.
+/// One standard-normal sample via Box–Muller, from its two uniform
+/// draws in the order they are made.
+fn box_muller(first: f64, second: f64) -> f64 {
+    let u1 = 1.0 - first;
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * second).cos()
+}
+
+/// One standard-normal sample drawn from `rng`.
 fn gaussian(rng: &mut ChaCha8Rng) -> f64 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+    let first: f64 = rng.gen();
+    box_muller(first, rng.gen())
 }
 
 #[cfg(test)]
@@ -190,6 +215,48 @@ mod tests {
             let obs = g.observe(PersonId::new(i), 0.05, &mut rng).unwrap();
             let d = truth.distance(&obs, Metric::NormalizedL2).unwrap();
             assert!(d < 0.12, "observation drifted too far: {d}");
+        }
+    }
+
+    impl AppearanceGallery {
+        /// `observe` as it was before the words came out in bulk: one
+        /// Gaussian drawn per component, straight from the generator.
+        fn observe_by_draw(
+            &self,
+            person: PersonId,
+            sigma: f64,
+            rng: &mut ChaCha8Rng,
+        ) -> FeatureVector {
+            let truth = self.feature_of(person).unwrap();
+            FeatureVector::from_clamped(
+                truth
+                    .components()
+                    .iter()
+                    .map(|&c| c + gaussian(rng) * sigma),
+            )
+        }
+    }
+
+    #[test]
+    fn a_bulk_observation_is_the_one_at_a_time_observation_bit_for_bit() {
+        for dim in [1, 3, 4, 5, 16, 64, 128] {
+            let g = AppearanceGallery::generate_clustered(6, dim, 2, 0.04, dim as u64);
+            // Every alignment of the first word within a ChaCha block.
+            for start in 0..20u128 {
+                let mut bulk = ChaCha8Rng::seed_from_u64(11);
+                bulk.set_word_pos(start);
+                let mut by_draw = bulk.clone();
+                for person in 0..6 {
+                    let person = PersonId::new(person);
+                    let got = g.observe(person, 0.05, &mut bulk).unwrap();
+                    let want = g.observe_by_draw(person, 0.05, &mut by_draw);
+                    let bits = |f: &FeatureVector| -> Vec<u64> {
+                        f.components().iter().map(|c| c.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&got), bits(&want), "dim {dim} from word {start}");
+                    assert_eq!(bulk.get_word_pos(), by_draw.get_word_pos());
+                }
+            }
         }
     }
 
