@@ -303,7 +303,6 @@ impl VStage<'_> {
         let budget_n = at.budget_scenarios.unwrap_or(usize::MAX).min(n_e);
         let mut refined = vec![vec![false; n_e]; n_c];
         let mut evals = vec![0usize; n_c];
-        let mut entry_touched = vec![false; n_e];
         let mut settled: Vec<Option<usize>> = vec![None; n_e];
         let mut j_lo = vec![0.0f64; n_c];
         let mut j_hi = vec![0.0f64; n_c];
@@ -461,25 +460,10 @@ impl VStage<'_> {
             lnp_hi[ci][ei] = lp;
             refined[ci][ei] = true;
             evals[ci] += 1;
-            entry_touched[ei] = true;
             rounds += 1;
         };
 
         let candidates_pruned = evals.iter().filter(|&&e| e == 0).count();
-        if tel.counters_on() {
-            let registry = tel.registry();
-            let touched = entry_touched.iter().filter(|&&t| t).count();
-            registry
-                .counter(names::ANYTIME_SCENARIOS_SKIPPED)
-                .add((n_e - touched) as u64);
-            registry
-                .counter(names::ANYTIME_CANDIDATES_PRUNED)
-                .add(candidates_pruned as u64);
-            registry
-                .histogram(names::ANYTIME_CONVERGENCE_ROUNDS)
-                .record(u64::from(rounds));
-        }
-
         let fully_refined = refined.iter().all(|row| row.iter().all(|&r| r));
         let outcome = if fully_refined {
             // Exhaustion: every pair holds its exact value, so `j_lo` is

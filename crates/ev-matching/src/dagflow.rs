@@ -62,8 +62,11 @@
 //! [`dag_split`] to a literal reading of Algorithm 3, field for field,
 //! at every thread count and under injected faults.
 
-use crate::setsplit::{attach_anchors, SplitOutput};
-use crate::types::{index_counters, MatchOutcome, MatchReport, ScenarioList, StageTimings};
+use crate::refine::{record_run, RunFacts};
+use crate::setsplit::{
+    attach_anchors, ensure_unique_against_universe, extend_lists, record_split, SplitOutput,
+};
+use crate::types::{MatchOutcome, MatchReport, ScenarioList, StageTimings};
 use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
 use ev_core::ids::{Eid, Vid};
 use ev_core::partition::EidCover;
@@ -144,8 +147,11 @@ enum Flow {
     /// `extract` partition: galleries forced into the cache (the
     /// payload is the side effect).
     Extracted,
-    /// `score`/`finalize`: match outcomes.
+    /// `score`: match outcomes.
     Outcomes(Vec<MatchOutcome>),
+    /// `finalize`: every outcome in EID order, and the scenario-list
+    /// entries conflict resolution sent through `filter_one` again.
+    Final(Vec<MatchOutcome>, u64),
     /// `assemble`: the finished split.
     Split(SplitOutput),
 }
@@ -361,11 +367,9 @@ fn build_match_spec<'a>(
             }
             let mut lists: BTreeMap<Eid, ScenarioList> =
                 universe.iter().copied().zip(by_ordinal).collect();
-            attach_anchors(store, &mut lists, false, false);
-            crate::setsplit::extend_lists(store, &mut lists, 3, split_seed, true, false);
-            crate::setsplit::ensure_unique_against_universe(
-                store, &mut lists, split_seed, true, false,
-            );
+            attach_anchors(store, &mut lists, false);
+            let selected = extend_lists(store, &mut lists, 3, split_seed, true);
+            ensure_unique_against_universe(store, &mut lists, selected, split_seed, true);
             let mut blocks = vec![BTreeSet::new(); state.block_len.len()];
             for (&eid, &block) in universe.iter().zip(&state.block_of) {
                 blocks[block as usize].insert(eid);
@@ -449,10 +453,12 @@ fn build_match_spec<'a>(
             // Partition order is not EID order; the report lists
             // outcomes by EID (the fixup rewrites them in place).
             outcomes.sort_by_key(|o| o.eid);
-            if vfilter.exclusion {
-                resolve_conflicts(&mut outcomes, &split.lists, video, vfilter, telemetry);
-            }
-            Flow::Outcomes(outcomes)
+            let refiltered = if vfilter.exclusion {
+                resolve_conflicts(&mut outcomes, &split.lists, video, vfilter, telemetry)
+            } else {
+                0
+            };
+            Flow::Final(outcomes, refiltered)
         },
     );
     dag.keep(finalize);
@@ -462,14 +468,16 @@ fn build_match_spec<'a>(
 /// Exclusion after the fact: parallel scorers cannot see each other's
 /// matches, so when several EIDs claim the same VID the strongest claim
 /// wins and the losers re-filter with the claimed VIDs ruled out
-/// (sequentially — this tail is small).
+/// (sequentially — this tail is small). Returns the scenario-list
+/// entries the re-filtering asked galleries for.
 fn resolve_conflicts(
     outcomes: &mut [MatchOutcome],
     lists: &BTreeMap<Eid, ScenarioList>,
     video: &VideoStore,
     config: &VFilterConfig,
     telemetry: &Telemetry,
-) {
+) -> u64 {
+    let mut refiltered = 0;
     for _ in 0..8 {
         let mut claims: BTreeMap<Vid, Vec<usize>> = BTreeMap::new();
         for (i, o) in outcomes.iter().enumerate() {
@@ -500,12 +508,13 @@ fn resolve_conflicts(
             losers.extend(claimants.iter().filter(|&&i| i != winner));
         }
         if losers.is_empty() {
-            return;
+            break;
         }
         let excluded: BTreeSet<Vid> = claims.keys().copied().collect();
         for i in losers {
             let eid = outcomes[i].eid;
             let list = lists.get(&eid).cloned().unwrap_or_default();
+            refiltered += list.len() as u64;
             outcomes[i] = VStage {
                 video,
                 config,
@@ -515,6 +524,7 @@ fn resolve_conflicts(
             .filter_one(eid, &list, &excluded);
         }
     }
+    refiltered
 }
 
 /// The round order: every timestamp of the store, shuffled by `seed`.
@@ -581,10 +591,6 @@ pub fn dag_match(
     let pipeline_ctx = TraceCtx::root();
     let mut pipeline_span = telemetry.span_ctx("dag_match", "pipeline", pipeline_ctx);
     pipeline_span.arg("threads", serde::Value::Int(config.threads as i128));
-    let index_before = store.index().stats();
-    let cache_hits_before = video.stats().cache_hits;
-    let extracted_before = video.stats().extracted_scenarios;
-
     let universe: Vec<Eid> = targets.iter().copied().collect();
     let e_done = OnceLock::new();
     let start = Instant::now();
@@ -605,56 +611,41 @@ pub fn dag_match(
         .duration_since(start);
     let split = run.outputs[&assemble][0].as_split().clone();
     let finalize = finalize.expect("V stage requested");
-    let outcomes = run.outputs[&finalize][0].as_outcomes().to_vec();
+    let Flow::Final(outcomes, refiltered) = &*run.outputs[&finalize][0] else {
+        unreachable!("the finalize stage produces the final outcomes");
+    };
+    record_split(telemetry, &split);
 
-    let cache_hits = video.stats().cache_hits - cache_hits_before;
-    let extracted = video.stats().extracted_scenarios - extracted_before;
-    let index = index_counters(store, &index_before, cache_hits);
-
-    let examined = split.scenarios_examined;
-    let recorded_len = split.recorded.len();
-    let blocks = split.partition.block_count();
+    let recorded = split.recorded.len();
     let report = MatchReport {
-        outcomes,
+        outcomes: outcomes.clone(),
         selected_scenarios: split.selected(),
         lists: split.lists,
         timings: StageTimings {
             e_stage,
             v_stage: elapsed.saturating_sub(e_stage),
-            index,
         },
         rounds: 1,
     };
     if telemetry.counters_on() {
-        let registry = telemetry.registry();
-        registry
-            .counter(ev_telemetry::names::SETSPLIT_SCENARIOS_EXAMINED)
-            .add(examined as u64);
-        registry
-            .counter(ev_telemetry::names::SETSPLIT_RECORDED)
-            .add(recorded_len as u64);
-        registry
-            .gauge(ev_telemetry::names::SETSPLIT_BLOCKS)
-            .set(blocks as f64);
-        registry
-            .counter(ev_telemetry::names::VFILTER_GALLERY_HITS)
-            .add(cache_hits);
-        registry
-            .counter(ev_telemetry::names::VFILTER_GALLERY_MISSES)
-            .add(extracted as u64);
-        report.timings.record_to(registry);
-        // Algorithm 3 records whole timestamp snapshots, so the
-        // Theorem 4.2/4.4 bounds on the recorded count do not apply
-        // and fully_split stays false even when the partition is
-        // fully split.
-        crate::refine::record_paper_gauges(
-            registry,
-            targets.len(),
-            recorded_len,
-            false,
-            extracted as u64,
-            &report,
-        );
+        // Every scorer fetched its own galleries, behind a warm-up that
+        // extracted each distinct one once; what the run asked for is
+        // the lists themselves, once each, plus what conflict resolution
+        // redid.
+        let lists = &report.lists;
+        let requests: usize = lists.values().map(Vec::len).sum();
+        let distinct: BTreeSet<ScenarioId> = lists.values().flatten().copied().collect();
+        let facts = RunFacts {
+            targets: targets.len(),
+            recorded,
+            // Algorithm 3 records whole timestamp snapshots, so the
+            // Theorem 4.2/4.4 bounds on the recorded count do not apply
+            // even when the partition is fully split.
+            fully_split: false,
+            gallery_hits: requests as u64 + refiltered - distinct.len() as u64,
+            gallery_misses: distinct.len() as u64,
+        };
+        record_run(telemetry, &facts, report.timings);
     }
     pipeline_span.arg("outcomes", serde::Value::Int(report.outcomes.len() as i128));
     drop(pipeline_span);
@@ -690,9 +681,7 @@ pub fn round_pipeline_shape(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::setsplit::{
-        ensure_unique_against_universe, extend_lists, split_ideal, SetSplitConfig,
-    };
+    use crate::setsplit::{split_ideal, SetSplitConfig};
     use ev_core::feature::FeatureVector;
     use ev_core::region::CellId;
     use ev_core::scenario::{Detection, EScenario, VScenario};
@@ -807,9 +796,9 @@ mod tests {
             }
             blocks = done.into_iter().chain(groups.into_values()).collect();
         }
-        attach_anchors(store, &mut lists, false, false);
-        extend_lists(store, &mut lists, 3, seed, true, false);
-        ensure_unique_against_universe(store, &mut lists, seed, true, false);
+        attach_anchors(store, &mut lists, false);
+        let selected = extend_lists(store, &mut lists, 3, seed, true);
+        ensure_unique_against_universe(store, &mut lists, selected, seed, true);
         SplitOutput {
             recorded,
             lists,
@@ -996,13 +985,22 @@ mod tests {
 
     #[test]
     fn dag_match_exports_the_cover_block_count() {
+        use ev_telemetry::names;
         let tel = Telemetry::new(TelemetryLevel::Counters);
-        run_match(2, &VFilterConfig::default(), &tel);
+        let (report, video) = run_match(2, &VFilterConfig::default(), &tel);
         // `world()` tells all eight targets apart.
-        let blocks = tel
-            .registry()
-            .gauge_value(ev_telemetry::names::SETSPLIT_BLOCKS);
+        let blocks = tel.registry().gauge_value(names::SETSPLIT_BLOCKS);
         assert_eq!(blocks, Some(8.0), "the DAG path sets the gauge too");
+        // Nobody contests a VID there, so each list was scored once: a
+        // miss per gallery the warm-up extracted, a hit per other entry.
+        let counter = |name| tel.registry().counter(name).get();
+        let misses = counter(names::VFILTER_GALLERY_MISSES);
+        assert_eq!(misses, video.stats().extracted_scenarios as u64);
+        let entries: usize = report.lists.values().map(Vec::len).sum();
+        assert_eq!(
+            counter(names::VFILTER_GALLERY_HITS) + misses,
+            entries as u64
+        );
     }
 
     #[test]

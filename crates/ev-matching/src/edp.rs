@@ -18,10 +18,10 @@
 //! splitting cheaper simply does not happen, although a scenario picked
 //! independently for two EIDs is only extracted (and counted) once.
 
-use crate::types::{index_counters, MatchOutcome, MatchReport, ScenarioList, StageTimings};
+use crate::types::{MatchOutcome, MatchReport, ScenarioList, StageTimings};
 use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
 use ev_core::ids::Eid;
-use ev_core::scenario::ScenarioId;
+use ev_core::scenario::{EScenario, ScenarioId};
 use ev_dag::{DagConfig, DagSpec, JobError, StageDep};
 use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{Telemetry, TraceCtx};
@@ -57,6 +57,37 @@ impl Default for EdpConfig {
     }
 }
 
+/// The EIDs present in every scenario kept so far — what both
+/// co-presence filters narrow: [`efilter_one`] here and set splitting's
+/// uniqueness pass. A scenario is worth keeping iff it shrinks the set.
+#[derive(Default)]
+pub(crate) struct CoPresence(Option<Vec<Eid>>);
+
+impl CoPresence {
+    /// Narrows the set to the members `scenario` holds too and says
+    /// whether that shrank it. The first scenario offered seeds the set
+    /// and always counts.
+    pub(crate) fn narrow(&mut self, scenario: &EScenario) -> bool {
+        let Some(common) = &mut self.0 else {
+            self.0 = Some(scenario.eids().collect());
+            return true;
+        };
+        let before = common.len();
+        common.retain(|&e| scenario.contains(e));
+        common.len() < before
+    }
+
+    /// Whether no scenario has been offered yet.
+    pub(crate) fn is_unseeded(&self) -> bool {
+        self.0.is_none()
+    }
+
+    /// Whether the scenarios kept so far leave at most one EID.
+    pub(crate) fn is_unique(&self) -> bool {
+        self.0.as_ref().is_some_and(|common| common.len() <= 1)
+    }
+}
+
 /// E-filtering for one EID: scan the scenarios where `eid` was
 /// confidently observed (inclusive zone) in a seeded random order,
 /// keeping those that shrink the co-presence intersection, until `eid`
@@ -70,7 +101,7 @@ impl Default for EdpConfig {
 #[must_use]
 pub fn efilter_one(store: &EScenarioStore, eid: Eid, config: &EdpConfig) -> ScenarioList {
     let cap = config.max_scenarios_per_eid.unwrap_or(usize::MAX);
-    let mut pool: Vec<&ev_core::EScenario> = store
+    let mut pool: Vec<&EScenario> = store
         .containing(eid)
         .filter(|s| s.contains_inclusive(eid))
         .collect();
@@ -78,28 +109,14 @@ pub fn efilter_one(store: &EScenarioStore, eid: Eid, config: &EdpConfig) -> Scen
         config.seed ^ eid.as_u64().wrapping_mul(0x9e3779b97f4a7c15),
     );
     pool.shuffle(&mut rng);
-    let mut candidates: Option<BTreeSet<Eid>> = None;
+    let mut common = CoPresence::default();
     let mut list: ScenarioList = Vec::new();
     for scenario in pool {
-        if list.len() >= cap {
+        if list.len() >= cap || common.is_unique() {
             break;
         }
-        let eids: BTreeSet<Eid> = scenario.eids().collect();
-        let next = match &candidates {
-            None => eids,
-            Some(current) => {
-                let next: BTreeSet<Eid> = current.intersection(&eids).copied().collect();
-                if next.len() == current.len() {
-                    continue; // no discrimination; skip this scenario
-                }
-                next
-            }
-        };
-        list.push(scenario.id());
-        let done = next.len() <= 1;
-        candidates = Some(next);
-        if done {
-            break;
+        if common.narrow(scenario) {
+            list.push(scenario.id());
         }
     }
     list
@@ -119,7 +136,6 @@ pub fn match_edp(
     targets: &BTreeSet<Eid>,
     config: &EdpConfig,
 ) -> ev_core::Result<MatchReport> {
-    let index_before = store.index().stats();
     let e_start = Instant::now();
     let lists: BTreeMap<Eid, ScenarioList> = targets
         .iter()
@@ -148,11 +164,7 @@ pub fn match_edp(
         outcomes,
         lists,
         selected_scenarios: selected,
-        timings: StageTimings {
-            e_stage,
-            v_stage,
-            index: index_counters(store, &index_before, cache.hits()),
-        },
+        timings: StageTimings { e_stage, v_stage },
         rounds: 1,
     })
 }
@@ -194,7 +206,6 @@ pub fn match_edp_parallel(
             ..MatchReport::default()
         });
     }
-    let index_before = store.index().stats();
     let eids: Vec<Eid> = targets.iter().copied().collect();
     let eids = &eids;
 
@@ -257,7 +268,6 @@ pub fn match_edp_parallel(
         timings: StageTimings {
             e_stage,
             v_stage: elapsed.saturating_sub(e_stage),
-            index: index_counters(store, &index_before, 0),
         },
         rounds: 1,
     })

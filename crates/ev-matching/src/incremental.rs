@@ -217,6 +217,6 @@ impl IncrementalSplit {
     /// producing exactly what `split_ideal` over that store would.
     #[must_use]
     pub fn output(&self, store: &EScenarioStore) -> SplitOutput {
-        self.state.clone().into_output(store, &self.config, false)
+        self.state.clone().into_output(store, &self.config)
     }
 }

@@ -73,4 +73,4 @@ pub mod vfilter;
 
 pub use anytime::{AnytimeConfig, PartialMatchOutcome};
 pub use matcher::{EvMatcher, MatcherConfig};
-pub use types::{IndexCounters, MatchOutcome, MatchReport, ScenarioList, StageTimings};
+pub use types::{MatchOutcome, MatchReport, ScenarioList, StageTimings};

@@ -16,9 +16,9 @@
 //!   per EID-VID pair" (§I).
 
 use crate::edp::{efilter_one, EdpConfig};
-use crate::refine::{match_with_refinement, RefineConfig, SplitMode};
+use crate::refine::{match_with_refinement, record_run, RefineConfig, RunFacts, SplitMode};
 use crate::setsplit::SetSplitConfig;
-use crate::types::{index_counters, MatchReport, StageTimings};
+use crate::types::{MatchReport, StageTimings};
 use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
 use ev_core::ids::Eid;
 use ev_dag::JobError;
@@ -39,6 +39,13 @@ pub enum ExecutionMode {
     /// Independent rounds overlap instead of barriering, and a worker
     /// panic reruns only the lost partition, against inputs that are
     /// still cached. The report is byte-identical at every thread count.
+    ///
+    /// Algorithm 3 is the practical reading (vague members are
+    /// non-members), one round, with the default list padding. Of
+    /// [`MatcherConfig`] it reads `vfilter` and the seed of
+    /// `split.strategy`; it does **not** read `split.max_scenarios`,
+    /// `split.min_list_len` or `max_rounds`, and [`SplitMode::Ideal`] is
+    /// refused ([`JobError::InvalidConfig`]) rather than run as practical.
     Dag(usize),
 }
 
@@ -133,7 +140,6 @@ impl<'a> EvMatcher<'a> {
     /// (see [`VideoStore::check_loads`]).
     pub fn match_one(&self, eid: Eid) -> Result<MatchReport, JobError> {
         let mut span = self.telemetry.span("match_one", "pipeline");
-        let index_before = self.estore.index().stats();
         let e_start = Instant::now();
         let edp_cfg = EdpConfig {
             vfilter: self.config.vfilter,
@@ -144,10 +150,11 @@ impl<'a> EvMatcher<'a> {
         let e_stage = e_start.elapsed();
 
         let v_start = Instant::now();
+        let mut cache = GalleryCache::new();
         let outcome = VStage {
             video: self.video,
             config: &self.config.vfilter,
-            cache: &mut GalleryCache::new(),
+            cache: &mut cache,
             telemetry: &self.telemetry,
         }
         .filter_one(eid, &list, &BTreeSet::new());
@@ -160,16 +167,18 @@ impl<'a> EvMatcher<'a> {
             outcomes: vec![outcome],
             lists,
             selected_scenarios: list.into_iter().collect(),
-            timings: StageTimings {
-                e_stage,
-                v_stage,
-                index: index_counters(self.estore, &index_before, 0),
-            },
+            timings: StageTimings { e_stage, v_stage },
             rounds: 1,
         };
-        if self.telemetry.counters_on() {
-            report.timings.record_to(self.telemetry.registry());
-        }
+        // A single-EID query does not split: nothing recorded, no bound.
+        let facts = RunFacts {
+            targets: 1,
+            recorded: 0,
+            fully_split: false,
+            gallery_hits: cache.hits(),
+            gallery_misses: cache.misses(),
+        };
+        record_run(&self.telemetry, &facts, report.timings);
         span.arg(
             "matched",
             serde::Value::Bool(report.outcomes[0].vid.is_some()),
@@ -185,8 +194,9 @@ impl<'a> EvMatcher<'a> {
     /// [`JobError::Input`] in either mode when footage a selected
     /// scenario needs failed to load — never a report computed without
     /// it (see [`VideoStore::check_loads`]); otherwise only in the DAG
-    /// mode, when the scheduler rejects its configuration or a task
-    /// exhausts its retry budget.
+    /// mode: [`JobError::InvalidConfig`] for [`SplitMode::Ideal`], which
+    /// Algorithm 3 has no reading of, or when the scheduler rejects its
+    /// configuration, and a task that exhausts its retry budget.
     pub fn match_many(&self, targets: &BTreeSet<Eid>) -> Result<MatchReport, JobError> {
         match &self.config.execution {
             ExecutionMode::Sequential => {
@@ -205,15 +215,23 @@ impl<'a> EvMatcher<'a> {
                 self.video.check_loads().map_err(JobError::Input)?;
                 Ok(report)
             }
-            ExecutionMode::Dag(threads) => crate::dagflow::dag_match(
-                &ev_dag::DagConfig::new(*threads),
-                self.estore,
-                self.video,
-                targets,
-                self.split_seed(),
-                &self.config.vfilter,
-                &self.telemetry,
-            ),
+            ExecutionMode::Dag(threads) => {
+                if self.config.mode == SplitMode::Ideal {
+                    return Err(JobError::InvalidConfig(ev_core::Error::InvalidParameter {
+                        name: "mode",
+                        reason: "the stage DAG runs the practical setting only".into(),
+                    }));
+                }
+                crate::dagflow::dag_match(
+                    &ev_dag::DagConfig::new(*threads),
+                    self.estore,
+                    self.video,
+                    targets,
+                    self.split_seed(),
+                    &self.config.vfilter,
+                    &self.telemetry,
+                )
+            }
         }
     }
 

@@ -12,7 +12,7 @@
 
 pub use crate::setsplit::SplitMode;
 use crate::setsplit::{split, SelectionStrategy, SetSplitConfig};
-use crate::types::{index_counters, MatchOutcome, MatchReport, ScenarioList};
+use crate::types::{MatchOutcome, MatchReport, ScenarioList, StageTimings};
 use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
 use ev_core::ids::{Eid, Vid};
 use ev_store::{EScenarioStore, VideoStore};
@@ -48,11 +48,10 @@ impl Default for RefineConfig {
 
 /// Runs set splitting and VID filtering with refinement (Algorithm 2).
 ///
-/// Through `tel` the run records pipeline/round spans, refinement-round
-/// and stage-time metrics, plus the paper's semantic gauges (recorded
-/// scenarios against the Theorem 4.2/4.4 bounds, distinct V-frames,
-/// majority-vote accuracy); pass [`Telemetry::disabled()`] to record
-/// nothing.
+/// Through `tel` the run records pipeline/round spans, the splitter's
+/// and the V stage's counters and, once it is over, the run gauges
+/// (stage times, recorded scenarios against the Theorem 4.2/4.4 bounds);
+/// pass [`Telemetry::disabled()`] to record nothing.
 #[must_use]
 pub fn match_with_refinement(
     store: &EScenarioStore,
@@ -71,7 +70,6 @@ pub fn match_with_refinement(
     let mut matched_vids: BTreeSet<Vid> = BTreeSet::new();
     let mut pending: BTreeSet<Eid> = targets.clone();
     let mut rounds = 0;
-    let index_before = store.index().stats();
     // One gallery cache for the whole run: refinement rounds revisit the
     // footage earlier rounds already extracted and grouped.
     let mut cache = GalleryCache::new();
@@ -149,68 +147,69 @@ pub fn match_with_refinement(
         report.timings.v_stage += v_start.elapsed();
     }
 
-    report.timings.index = index_counters(store, &index_before, cache.hits());
     report.outcomes = accepted.into_values().collect();
     report.outcomes.sort_by_key(|o| o.eid);
     report.rounds = rounds;
-    if tel.counters_on() {
-        let registry = tel.registry();
-        registry
-            .counter(names::REFINE_ROUNDS)
-            .add(u64::from(report.rounds));
-        report.timings.record_to(registry);
-        record_paper_gauges(
-            registry,
-            targets.len(),
-            first_round_recorded,
-            first_round_fully_split,
-            cache.misses(),
-            &report,
-        );
-    }
+    let facts = RunFacts {
+        targets: targets.len(),
+        recorded: first_round_recorded,
+        fully_split: first_round_fully_split,
+        gallery_hits: cache.hits(),
+        gallery_misses: cache.misses(),
+    };
+    record_run(tel, &facts, report.timings);
     pipeline_span.arg("rounds", serde::Value::Int(i128::from(report.rounds)));
     drop(pipeline_span);
     report
 }
 
-/// Exports the paper-semantic gauges for a finished run: the recorded
-/// count of the first (whole-target-set) split round next to the
-/// Theorem 4.2 lower bound `ceil(log2 n)` and the Theorem 4.4 upper
-/// bound `n - 1`, whether the bounds' fully-split precondition held,
-/// the distinct V-frames extracted, and the majority-vote accuracy.
-pub(crate) fn record_paper_gauges(
-    registry: &ev_telemetry::MetricsRegistry,
-    n_targets: usize,
-    recorded: usize,
-    fully_split: bool,
-    v_frames: u64,
-    report: &MatchReport,
-) {
+/// What a finished run knows that its report does not say.
+pub(crate) struct RunFacts {
+    /// EIDs the run was asked to match.
+    pub targets: usize,
+    /// Scenarios its first split round — the one over the whole target
+    /// set — recorded; 0 for a run that did not split.
+    pub recorded: usize,
+    /// Whether that round fully split the targets under Algorithm 1's
+    /// recording semantics, the precondition of the theorem bounds.
+    pub fully_split: bool,
+    /// Scenario-list entries the run's [`VStage::filter_one`] calls
+    /// found already fetched: every entry of every list, less the misses.
+    pub gallery_hits: u64,
+    /// Distinct scenarios those lists named — each fetched from the
+    /// [`VideoStore`] once per run.
+    pub gallery_misses: u64,
+}
+
+/// The one run epilogue: [`match_with_refinement`], `dag_match` and
+/// `EvMatcher::match_one` each end here, so the gallery counters and
+/// the run gauges (stage times; the first round's recorded count beside
+/// the Theorem 4.2 lower bound `ceil(log2 n)` and the Theorem 4.4 upper
+/// bound `n - 1`, and whether the bounds apply) are written by one body
+/// and mean one thing on every path.
+pub(crate) fn record_run(tel: &Telemetry, facts: &RunFacts, timings: StageTimings) {
+    if !tel.counters_on() {
+        return;
+    }
+    let registry = tel.registry();
     registry
-        .gauge(names::RECORDED_SCENARIOS)
-        .set(recorded as f64);
+        .counter(names::VFILTER_GALLERY_HITS)
+        .add(facts.gallery_hits);
     registry
-        .gauge(names::THEOREM_LOWER_BOUND)
-        .set(ceil_log2(n_targets) as f64);
-    registry
-        .gauge(names::THEOREM_UPPER_BOUND)
-        .set(n_targets.saturating_sub(1) as f64);
-    registry
-        .gauge(names::FULLY_SPLIT)
-        .set(if fully_split { 1.0 } else { 0.0 });
-    registry
-        .gauge(names::DISTINCT_V_FRAMES)
-        .set(v_frames as f64);
-    registry
-        .gauge(names::MAJORITY_VOTE_ACCURACY)
-        .set(report.majority_rate());
-    registry
-        .gauge(names::SELECTED_SCENARIOS)
-        .set(report.selected_count() as f64);
+        .counter(names::VFILTER_GALLERY_MISSES)
+        .add(facts.gallery_misses);
+    let set = |name, value: f64| registry.gauge(name).set(value);
+    set(names::STAGE_E_SECONDS, timings.e_stage.as_secs_f64());
+    set(names::STAGE_V_SECONDS, timings.v_stage.as_secs_f64());
+    set(names::RECORDED_SCENARIOS, facts.recorded as f64);
+    set(names::THEOREM_LOWER_BOUND, ceil_log2(facts.targets).into());
+    let upper = facts.targets.saturating_sub(1);
+    set(names::THEOREM_UPPER_BOUND, upper as f64);
+    set(names::FULLY_SPLIT, u8::from(facts.fully_split).into());
 }
 
 /// `ceil(log2 n)` over integers; 0 for `n <= 1`.
-pub(crate) fn ceil_log2(n: usize) -> u32 {
+fn ceil_log2(n: usize) -> u32 {
     if n <= 1 {
         0
     } else {
@@ -445,6 +444,14 @@ mod tests {
             let recorded = gauge(names::RECORDED_SCENARIOS);
             assert!((2.0..=3.0).contains(&recorded), "recorded {recorded}");
         }
+        // One round, so every list went through `filter_one` once.
+        assert_eq!(instrumented.rounds, 1);
+        let counter = |name| tel.registry().counter(name).get();
+        let entries: usize = instrumented.lists.values().map(Vec::len).sum();
+        assert_eq!(
+            counter(names::VFILTER_GALLERY_HITS) + counter(names::VFILTER_GALLERY_MISSES),
+            entries as u64
+        );
         assert!(!tel.tracer().is_empty(), "spans recorded at full level");
     }
 }

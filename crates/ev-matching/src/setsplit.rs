@@ -11,8 +11,8 @@
 //!
 //! The step, the scenario order and the output are shared by
 //! [`split_ideal`], [`split_practical`](crate::practical::split_practical),
-//! [`IncrementalSplit`](crate::incremental::IncrementalSplit) and the scan
-//! [`reference`](mod@reference); the [`SplitMode`] enters at two points.
+//! [`IncrementalSplit`](crate::incremental::IncrementalSplit); the
+//! [`SplitMode`] enters at two points.
 //! The **ideal** setting reads every member of a scenario as inclusive,
 //! whatever its zone attribute, so the cover stays a partition. The
 //! **practical** setting keeps vague members on both sides of a split and
@@ -35,9 +35,10 @@
 //! scenarios sharing an EID with a block the last splitter touched
 //! (gains are non-increasing under refinement, so stale heap entries are
 //! safe to recompute on pop). The selection sequence — and therefore the
-//! whole [`SplitOutput`] — is identical to the scan-based twin kept in
-//! [`reference`](mod@reference).
+//! whole [`SplitOutput`] — is identical to the quadratic re-scan the
+//! tests keep as the reference.
 
+use crate::edp::CoPresence;
 use crate::types::ScenarioList;
 use ev_core::ids::Eid;
 use ev_core::partition::EidCover;
@@ -218,7 +219,6 @@ impl SplitState {
         self,
         store: &EScenarioStore,
         config: &SetSplitConfig,
-        scan: bool,
     ) -> SplitOutput {
         let inclusive_only = self.mode == SplitMode::Practical;
         let min_len = config.min_list_len;
@@ -227,9 +227,9 @@ impl SplitState {
             _ => 0,
         };
         let mut lists = self.lists;
-        attach_anchors(store, &mut lists, inclusive_only, scan);
-        extend_lists(store, &mut lists, min_len, seed, inclusive_only, scan);
-        ensure_unique_against_universe(store, &mut lists, seed, inclusive_only, scan);
+        attach_anchors(store, &mut lists, inclusive_only);
+        let selected = extend_lists(store, &mut lists, min_len, seed, inclusive_only);
+        ensure_unique_against_universe(store, &mut lists, selected, seed, inclusive_only);
         SplitOutput {
             recorded: self.recorded,
             lists,
@@ -240,8 +240,7 @@ impl SplitState {
 }
 
 /// Runs ideal-setting EID set splitting (Algorithm 1) over `store` for
-/// the requested `targets`. Produces output identical to
-/// [`reference::split_ideal_scan`].
+/// the requested `targets`.
 ///
 /// EIDs in `targets` that never appear in any scenario simply remain
 /// grouped (they cannot be distinguished or matched); their lists come out
@@ -271,41 +270,37 @@ pub fn split(
     mode: SplitMode,
     tel: &Telemetry,
 ) -> SplitOutput {
-    run(store, targets, config, mode, false, tel)
-}
-
-/// The splitting loop, written once. `scan` selects the index-free twin
-/// of everything that has one (greedy selection, anchors, padding).
-fn run(
-    store: &EScenarioStore,
-    targets: &BTreeSet<Eid>,
-    config: &SetSplitConfig,
-    mode: SplitMode,
-    scan: bool,
-    tel: &Telemetry,
-) -> SplitOutput {
     let mut span = tel.span("setsplit", "stage");
     let mut state = SplitState::new(targets, mode);
-    let mut next = scenario_order(store, targets, config.strategy, &state, scan, tel);
+    let mut next = scenario_order(store, targets, config.strategy, &state, tel);
     while !state.done(config) {
         let Some(scenario) = next(&state.cover) else {
             break; // pool exhausted, or no scenario can improve the cover
         };
         state.examine(scenario);
     }
-    let out = state.into_output(store, config, scan);
-    let (examined, recorded) = (out.scenarios_examined, out.recorded.len());
-    if tel.counters_on() {
-        let registry = tel.registry();
-        let count = |name, n: usize| registry.counter(name).add(n as u64);
-        count(names::SETSPLIT_SCENARIOS_EXAMINED, examined);
-        count(names::SETSPLIT_RECORDED, recorded);
-        let blocks = out.partition.block_count();
-        registry.gauge(names::SETSPLIT_BLOCKS).set(blocks as f64);
-    }
-    span.arg("examined", serde::Value::Int(examined as i128));
-    span.arg("recorded", serde::Value::Int(recorded as i128));
+    let out = state.into_output(store, config);
+    record_split(tel, &out);
+    span.arg(
+        "examined",
+        serde::Value::Int(out.scenarios_examined as i128),
+    );
+    span.arg("recorded", serde::Value::Int(out.recorded.len() as i128));
     out
+}
+
+/// Counts one finished split round — the sequential loop's or the stage
+/// DAG's — into the splitter's three names.
+pub(crate) fn record_split(tel: &Telemetry, out: &SplitOutput) {
+    if !tel.counters_on() {
+        return;
+    }
+    let registry = tel.registry();
+    let count = |name, n: usize| registry.counter(name).add(n as u64);
+    count(names::SETSPLIT_SCENARIOS_EXAMINED, out.scenarios_examined);
+    count(names::SETSPLIT_RECORDED, out.recorded.len());
+    let blocks = out.partition.block_count();
+    registry.gauge(names::SETSPLIT_BLOCKS).set(blocks as f64);
 }
 
 /// Picks the next scenario to examine given the cover as it stands.
@@ -317,7 +312,6 @@ fn scenario_order<'a>(
     targets: &'a BTreeSet<Eid>,
     strategy: SelectionStrategy,
     state: &SplitState,
-    scan: bool,
     tel: &Telemetry,
 ) -> NextScenario<'a> {
     match (strategy, state.mode) {
@@ -326,24 +320,6 @@ fn scenario_order<'a>(
             times.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
             let mut walk = times.into_iter().flat_map(move |t| store.at_time(t));
             Box::new(move |_| walk.next())
-        }
-        // The index-free twin of the heap: re-scan every unused scenario
-        // for the best gain, first one winning ties.
-        (SelectionStrategy::GreedyBalanced, SplitMode::Ideal) if scan => {
-            let mut used: BTreeSet<ScenarioId> = BTreeSet::new();
-            Box::new(move |cover| {
-                let mut best: Option<(u64, &EScenario)> = None;
-                for scenario in store.iter().filter(|s| !used.contains(&s.id())) {
-                    let c = scenario.eids().filter(|e| targets.contains(e)).collect();
-                    let gain = split_gain(cover, &c);
-                    if gain > 0 && best.is_none_or(|(g, _)| gain > g) {
-                        best = Some((gain, scenario));
-                    }
-                }
-                let (_, scenario) = best?;
-                used.insert(scenario.id());
-                Some(scenario)
-            })
         }
         (SelectionStrategy::GreedyBalanced, SplitMode::Ideal) => {
             Box::new(greedy_heap(store, targets, &state.cover, tel))
@@ -457,56 +433,43 @@ fn split_gain(cover: &EidCover, c: &BTreeSet<Eid>) -> u64 {
 /// scenario of the list, otherwise that person's VID is a perfect
 /// "shadow" that VID filtering cannot tell from the right one. Set
 /// splitting alone only separates the *requested* EIDs from each other;
-/// this pass extends lists (preferring scenarios already selected for
-/// someone else) until the co-presence intersection over **all** EIDs is
-/// the singleton `{eid}` — the same guarantee EDP's E-filtering gives —
-/// or the pool runs dry. Pure E-stage work: no footage is touched.
+/// this pass extends lists (preferring `selected`, the scenarios already
+/// in someone's list) until the co-presence intersection over **all**
+/// EIDs is the singleton `{eid}` — the same guarantee EDP's E-filtering
+/// gives, through the same [`CoPresence`] — or the pool runs dry. Pure
+/// E-stage work: no footage is touched.
 pub(crate) fn ensure_unique_against_universe(
     store: &EScenarioStore,
     lists: &mut BTreeMap<Eid, ScenarioList>,
+    mut selected: BTreeSet<ScenarioId>,
     seed: u64,
     inclusive_only: bool,
-    scan: bool,
 ) {
-    let mut selected: BTreeSet<ScenarioId> =
-        lists.values().flat_map(|l| l.iter().copied()).collect();
-    let eids: Vec<Eid> = lists.keys().copied().collect();
-    for eid in eids {
-        let list = lists.get_mut(&eid).expect("key from iteration");
+    for (&eid, list) in lists.iter_mut() {
         // Current co-presence intersection over the full universe.
-        let mut common: Option<BTreeSet<Eid>> = None;
-        for id in list.iter() {
-            if let Some(s) = store.get(*id) {
-                let eids: BTreeSet<Eid> = s.eids().collect();
-                common = Some(match common {
-                    None => eids,
-                    Some(c) => c.intersection(&eids).copied().collect(),
-                });
-            }
+        let mut common = CoPresence::default();
+        for scenario in list.iter().filter_map(|&id| store.get(id)) {
+            common.narrow(scenario);
         }
-        let mut common = match common {
-            Some(c) if c.len() > 1 => c,
-            _ => continue, // already unique (or no usable footage at all)
-        };
-        let (mut reusable, mut fresh): (Vec<&EScenario>, Vec<&EScenario>) =
-            containing_scenarios(store, eid, scan)
-                .filter(|s| !inclusive_only || s.contains_inclusive(eid))
-                .filter(|s| !list.contains(&s.id()))
-                .partition(|s| selected.contains(&s.id()));
+        if common.is_unseeded() || common.is_unique() {
+            continue; // no usable footage at all, or already unique
+        }
+        let (mut reusable, mut fresh): (Vec<&EScenario>, Vec<&EScenario>) = store
+            .containing(eid)
+            .filter(|s| !inclusive_only || s.contains_inclusive(eid))
+            .filter(|s| !list.contains(&s.id()))
+            .partition(|s| selected.contains(&s.id()));
         let mut rng =
             ChaCha8Rng::seed_from_u64(seed ^ eid.as_u64().wrapping_mul(0x2545f4914f6cdd1d));
         reusable.shuffle(&mut rng);
         fresh.shuffle(&mut rng);
         for scenario in reusable.into_iter().chain(fresh) {
-            if common.len() <= 1 {
+            if common.is_unique() {
                 break;
             }
-            let eids: BTreeSet<Eid> = scenario.eids().collect();
-            let next: BTreeSet<Eid> = common.intersection(&eids).copied().collect();
-            if next.len() < common.len() {
+            if common.narrow(scenario) {
                 list.push(scenario.id());
                 selected.insert(scenario.id());
-                common = next;
             }
         }
     }
@@ -515,15 +478,15 @@ pub(crate) fn ensure_unique_against_universe(
 /// Pads short scenario lists up to `min_len` with extra scenarios
 /// containing each EID (inclusively, when `inclusive_only`), drawn in a
 /// seeded random order so consecutive windows of the same dwell do not
-/// dominate.
+/// dominate. Returns every scenario now in some list, for the
+/// uniqueness pass to go on preferring.
 pub(crate) fn extend_lists(
     store: &EScenarioStore,
     lists: &mut BTreeMap<Eid, ScenarioList>,
     min_len: usize,
     seed: u64,
     inclusive_only: bool,
-    scan: bool,
-) {
+) -> BTreeSet<ScenarioId> {
     // Scenarios already selected for anyone: padding prefers these, so
     // one padded scenario serves several EIDs — the same reuse that makes
     // set splitting beat per-EID selection in the first place.
@@ -533,12 +496,12 @@ pub(crate) fn extend_lists(
         if list.len() >= min_len {
             continue;
         }
-        let (mut reusable, mut fresh): (Vec<ScenarioId>, Vec<ScenarioId>) =
-            containing_scenarios(store, eid, scan)
-                .filter(|s| !inclusive_only || s.contains_inclusive(eid))
-                .map(EScenario::id)
-                .filter(|id| !list.contains(id))
-                .partition(|id| selected.contains(id));
+        let (mut reusable, mut fresh): (Vec<ScenarioId>, Vec<ScenarioId>) = store
+            .containing(eid)
+            .filter(|s| !inclusive_only || s.contains_inclusive(eid))
+            .map(EScenario::id)
+            .filter(|id| !list.contains(id))
+            .partition(|id| selected.contains(id));
         let mut rng =
             ChaCha8Rng::seed_from_u64(seed ^ eid.as_u64().wrapping_mul(0x9e3779b97f4a7c15));
         reusable.shuffle(&mut rng);
@@ -551,22 +514,7 @@ pub(crate) fn extend_lists(
         selected.extend(added.iter().copied());
         list.extend(added);
     }
-}
-
-/// The scenarios containing `eid`, in store order, through either the
-/// inverted index (`scan = false`) or a full store scan (`scan = true`,
-/// for the [`reference`] paths). Both yield identical sequences; the
-/// index path is `O(|postings|)` instead of `O(|store|)`.
-fn containing_scenarios<'a>(
-    store: &'a EScenarioStore,
-    eid: Eid,
-    scan: bool,
-) -> Box<dyn Iterator<Item = &'a EScenario> + 'a> {
-    if scan {
-        Box::new(store.containing_scan(eid))
-    } else {
-        Box::new(store.containing(eid))
-    }
+    selected
 }
 
 /// Gives every empty-listed EID one anchor scenario so VID filtering has
@@ -574,18 +522,15 @@ fn containing_scenarios<'a>(
 /// or, when `inclusive_only`, the first containing it *inclusively* (vague
 /// appearances are not trustworthy footage pointers), falling back to the
 /// first appearance if vague ones are all there is.
-///
-/// Postings are in store order, so the index path finds the same anchors
-/// the scan does.
 pub(crate) fn attach_anchors(
     store: &EScenarioStore,
     lists: &mut BTreeMap<Eid, ScenarioList>,
     inclusive_only: bool,
-    scan: bool,
 ) {
     for (&eid, list) in lists.iter_mut().filter(|(_, l)| l.is_empty()) {
         let mut first = None;
-        let confident = containing_scenarios(store, eid, scan)
+        let confident = store
+            .containing(eid)
             .inspect(|s| {
                 first.get_or_insert(s.id());
             })
@@ -595,36 +540,42 @@ pub(crate) fn attach_anchors(
     }
 }
 
-/// The index-free twin of [`split_ideal`], for the equivalence tests.
-///
-/// It runs the same loop and the same [`EidCover`] step as the hot path —
-/// those are certified elsewhere, against the walk-every-block cover in
-/// `ev-core` and the signature-class property — and differs exactly where
-/// the hot path leans on the inverted index: every
-/// [`SelectionStrategy::GreedyBalanced`] step re-scans the whole store
-/// for the best gain instead of popping the lazy heap, and anchors and
-/// padding find the scenarios containing an EID with
-/// [`EScenarioStore::containing_scan`] instead of its posting list. The
-/// tests require byte-identical [`SplitOutput`]s.
-pub mod reference {
-    use super::*;
-
-    /// [`split_ideal`] without the inverted index.
-    #[must_use]
-    pub fn split_ideal_scan(
-        store: &EScenarioStore,
-        targets: &BTreeSet<Eid>,
-        config: &SetSplitConfig,
-    ) -> SplitOutput {
-        run(
-            store,
-            targets,
-            config,
-            SplitMode::Ideal,
-            true,
-            Telemetry::disabled(),
-        )
+/// [`split_ideal`] with the lazy-greedy heap replaced by what it stands
+/// for: every [`SelectionStrategy::GreedyBalanced`] step re-scans the
+/// whole store for the best gain, the first scenario winning ties. The
+/// other strategies take the shipped order. Same step, same padding:
+/// the tests require byte-identical [`SplitOutput`]s.
+#[cfg(test)]
+fn split_ideal_rescan(
+    store: &EScenarioStore,
+    targets: &BTreeSet<Eid>,
+    config: &SetSplitConfig,
+) -> SplitOutput {
+    let mut state = SplitState::new(targets, SplitMode::Ideal);
+    let mut used: BTreeSet<ScenarioId> = BTreeSet::new();
+    let mut next: NextScenario<'_> = match config.strategy {
+        SelectionStrategy::GreedyBalanced => Box::new(move |cover| {
+            let mut best: Option<(u64, &EScenario)> = None;
+            for scenario in store.iter().filter(|s| !used.contains(&s.id())) {
+                let c = scenario.eids().filter(|e| targets.contains(e)).collect();
+                let gain = split_gain(cover, &c);
+                if gain > 0 && best.is_none_or(|(g, _)| gain > g) {
+                    best = Some((gain, scenario));
+                }
+            }
+            let (_, scenario) = best?;
+            used.insert(scenario.id());
+            Some(scenario)
+        }),
+        other => scenario_order(store, targets, other, &state, Telemetry::disabled()),
+    };
+    while !state.done(config) {
+        let Some(scenario) = next(&state.cover) else {
+            break;
+        };
+        state.examine(scenario);
     }
+    state.into_output(store, config)
 }
 
 #[cfg(test)]
@@ -632,6 +583,82 @@ mod tests {
     use super::*;
     use ev_core::region::CellId;
     use ev_core::time::Timestamp;
+    use rand::Rng;
+
+    /// A random E world: `people` persons wander a `cells`-cell corridor
+    /// for `times` steps, each scenario holding a random cohort.
+    pub(super) fn random_store(seed: u64, cells: usize, times: u64, people: u64) -> EScenarioStore {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut es = Vec::new();
+        for t in 0..times {
+            for c in 0..cells {
+                let mut e = EScenario::new(CellId::new(c), Timestamp::new(t));
+                for p in 0..people {
+                    if rng.gen_bool(1.0 / cells as f64) {
+                        e.insert(Eid::from_u64(p), ZoneAttr::Inclusive);
+                        // The draw the V side of these worlds spent on a
+                        // feature, so the seeds name the same E-data as
+                        // they did in `tests/index_equivalence.rs`.
+                        let _: f64 = rng.gen_range(0.0..0.05);
+                    }
+                }
+                if !e.is_empty() {
+                    es.push(e);
+                }
+            }
+        }
+        EScenarioStore::from_scenarios(es)
+    }
+
+    pub(super) fn strategies() -> Vec<SelectionStrategy> {
+        vec![
+            SelectionStrategy::Chronological,
+            SelectionStrategy::RandomTime { seed: 1 },
+            SelectionStrategy::RandomTime { seed: 7 },
+            SelectionStrategy::GreedyBalanced,
+        ]
+    }
+
+    #[test]
+    fn split_ideal_is_identical_to_the_scan_reference() {
+        for world_seed in [1, 2, 3] {
+            let store = random_store(world_seed, 4, 12, 16);
+            for strategy in strategies() {
+                for max_scenarios in [None, Some(5)] {
+                    let cfg = SetSplitConfig {
+                        strategy,
+                        max_scenarios,
+                        min_list_len: 3,
+                    };
+                    let indexed = split_ideal(&store, &targets(0..16), &cfg);
+                    let scanned = split_ideal_rescan(&store, &targets(0..16), &cfg);
+                    assert_eq!(
+                        indexed, scanned,
+                        "divergence: world {world_seed}, {strategy:?}, cap {max_scenarios:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_ideal_equivalence_covers_missing_and_inseparable_eids() {
+        // EIDs 30/31 never appear; 0 and 1 always co-occur.
+        let scenarios = (0..6).map(|t| scenario(0, t, &[0, 1, 2 + t % 3])).collect();
+        let store = EScenarioStore::from_scenarios(scenarios);
+        let t = targets([0, 1, 2, 3, 30, 31]);
+        for strategy in strategies() {
+            let cfg = SetSplitConfig {
+                strategy,
+                max_scenarios: None,
+                min_list_len: 2,
+            };
+            let indexed = split_ideal(&store, &t, &cfg);
+            let scanned = split_ideal_rescan(&store, &t, &cfg);
+            assert_eq!(indexed, scanned, "divergence under {strategy:?}");
+            assert!(!indexed.fully_split(), "0 and 1 are inseparable");
+        }
+    }
 
     fn scenario(cell: usize, time: u64, eids: &[u64]) -> EScenario {
         let mut s = EScenario::new(CellId::new(cell), Timestamp::new(time));
@@ -820,12 +847,29 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{random_store, strategies};
     use super::*;
     use ev_core::region::CellId;
     use ev_core::time::Timestamp;
     use proptest::prelude::*;
 
     proptest! {
+        /// Heap-greedy ≡ re-scan-greedy holds for arbitrary generated
+        /// worlds, not just the hand-picked ones.
+        #[test]
+        fn split_equivalence_holds_for_arbitrary_worlds(
+            world_seed in 0u64..30,
+            strategy_pick in 0usize..4,
+        ) {
+            let store = random_store(world_seed, 3, 8, 10);
+            let targets: BTreeSet<Eid> = (0..10).map(Eid::from_u64).collect();
+            let strategy = strategies()[strategy_pick];
+            let cfg = SetSplitConfig { strategy, max_scenarios: None, min_list_len: 3 };
+            let indexed = split_ideal(&store, &targets, &cfg);
+            let scanned = split_ideal_rescan(&store, &targets, &cfg);
+            prop_assert_eq!(indexed, scanned);
+        }
+
         /// For arbitrary scenario pools, the recorded count respects the
         /// Theorem 4.2 upper bound and the partition matches signature
         /// classes over the *recorded* scenarios only.

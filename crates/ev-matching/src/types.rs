@@ -83,41 +83,14 @@ impl MatchOutcome {
     }
 }
 
-/// Usage counters of the index/cache layer across one pipeline run.
-///
-/// The E stage reads the scenario store through its inverted index
-/// ([`ev_store::ScenarioIndex`]); the V stage reads footage through a
-/// [`GalleryCache`](crate::vfilter::GalleryCache). The type lives in
-/// [`ev_telemetry`], next to the `evm_index_*` names it exports to.
-pub use ev_telemetry::IndexCounters;
-
-/// The index/cache counter triple of one pipeline run: what the
-/// scenario index absorbed since `before` (its stats taken before the
-/// run started) plus the galleries the V stage served from cache.
-pub(crate) fn index_counters(
-    store: &ev_store::EScenarioStore,
-    before: &ev_store::IndexStatsSnapshot,
-    cache_hits: u64,
-) -> IndexCounters {
-    let delta = store.index().stats().since(before);
-    IndexCounters {
-        postings_probed: delta.postings_probed,
-        cache_hits,
-        scans_avoided: delta.scans_avoided,
-    }
-}
-
 /// Wall-clock timings of the two pipeline stages (paper Figs. 8–9 report
-/// E time, V time and their sum), plus the index-layer counters for the
-/// run.
+/// E time, V time and their sum).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StageTimings {
     /// Time spent selecting scenarios from E-data.
     pub e_stage: Duration,
     /// Time spent extracting and comparing V-data.
     pub v_stage: Duration,
-    /// Index and cache usage across both stages.
-    pub index: IndexCounters,
 }
 
 impl StageTimings {
@@ -125,18 +98,6 @@ impl StageTimings {
     #[must_use]
     pub fn total(&self) -> Duration {
         self.e_stage + self.v_stage
-    }
-
-    /// Exports the stage wall times and the index counter triple to
-    /// their canonical metrics.
-    pub fn record_to(&self, registry: &ev_telemetry::MetricsRegistry) {
-        registry
-            .gauge(ev_telemetry::names::STAGE_E_SECONDS)
-            .set(self.e_stage.as_secs_f64());
-        registry
-            .gauge(ev_telemetry::names::STAGE_V_SECONDS)
-            .set(self.v_stage.as_secs_f64());
-        self.index.record_to(registry);
     }
 }
 
@@ -239,7 +200,6 @@ mod tests {
         let t = StageTimings {
             e_stage: Duration::from_millis(3),
             v_stage: Duration::from_millis(7),
-            index: IndexCounters::default(),
         };
         assert_eq!(t.total(), Duration::from_millis(10));
     }

@@ -506,7 +506,7 @@ impl VStage<'_> {
     /// candidacies that follow. Outcomes come back in processing order.
     ///
     /// This is the V stage's one exclusion loop, so it also owns the
-    /// `vfilter` stage span and the gallery hit/miss counters.
+    /// `vfilter` stage span.
     #[must_use]
     pub fn filter_longest_first(
         &mut self,
@@ -516,7 +516,6 @@ impl VStage<'_> {
     ) -> Vec<MatchOutcome> {
         let mut stage_span = self.telemetry.span("vfilter", "stage");
         stage_span.arg("eids", serde::Value::Int(lists.len() as i128));
-        let (hits_before, misses_before) = (self.cache.hits(), self.cache.misses());
         let mut order: Vec<(&Eid, &ScenarioList)> = lists.iter().collect();
         order.sort_by_key(|(eid, list)| (std::cmp::Reverse(list.len()), **eid));
 
@@ -527,15 +526,6 @@ impl VStage<'_> {
                 excluded.extend(outcome.vid);
             }
             outcomes.push(outcome);
-        }
-        if self.telemetry.counters_on() {
-            let registry = self.telemetry.registry();
-            registry
-                .counter(names::VFILTER_GALLERY_HITS)
-                .add(self.cache.hits() - hits_before);
-            registry
-                .counter(names::VFILTER_GALLERY_MISSES)
-                .add(self.cache.misses() - misses_before);
         }
         outcomes
     }

@@ -2,10 +2,10 @@
 //!
 //! The matching pipelines only ever need two things from a corpus: the
 //! indexed E-Scenario store and the video store. This trait abstracts
-//! over where those live — built in memory ([`MemoryBackend`]), loaded
-//! from a persistent segment directory (`ev_disk::DiskBackend`), or
-//! generated (`ev_datagen::EvDataset`) — so `refine`, the incremental
-//! updater and the stage-DAG pipeline run unchanged against any of them.
+//! over where those live — a borrowed pair of stores built in memory,
+//! or a corpus loaded from a persistent segment directory
+//! (`ev_disk::DiskBackend`) — so the matcher runs unchanged against
+//! either.
 
 use crate::estore::EScenarioStore;
 use crate::video::VideoStore;
@@ -46,37 +46,6 @@ impl StoreBackend for (&EScenarioStore, &VideoStore) {
     }
 }
 
-/// The in-memory backend: owns both stores directly.
-#[derive(Debug)]
-pub struct MemoryBackend {
-    estore: EScenarioStore,
-    video: VideoStore,
-}
-
-impl MemoryBackend {
-    /// Wraps already-built stores.
-    #[must_use]
-    pub fn new(estore: EScenarioStore, video: VideoStore) -> Self {
-        MemoryBackend { estore, video }
-    }
-
-    /// Consumes the backend, handing the stores back.
-    #[must_use]
-    pub fn into_parts(self) -> (EScenarioStore, VideoStore) {
-        (self.estore, self.video)
-    }
-}
-
-impl StoreBackend for MemoryBackend {
-    fn estore(&self) -> &EScenarioStore {
-        &self.estore
-    }
-
-    fn video(&self) -> &VideoStore {
-        &self.video
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,31 +55,17 @@ mod tests {
     use ev_core::time::Timestamp;
     use ev_vision::cost::CostModel;
 
-    fn backend() -> MemoryBackend {
-        let mut s = EScenario::new(CellId::new(0), Timestamp::new(0));
-        s.insert(Eid::from_u64(1), ZoneAttr::Inclusive);
-        MemoryBackend::new(
-            EScenarioStore::from_scenarios(vec![s]),
-            VideoStore::new(vec![], CostModel::default()),
-        )
-    }
-
-    #[test]
-    fn memory_backend_borrows_its_stores() {
-        let b = backend();
-        assert_eq!(b.estore().len(), 1);
-        assert!(b.video().is_empty());
-        // A reference to a backend is a backend.
-        let by_ref: &dyn StoreBackend = &&b;
-        assert_eq!(by_ref.estore().len(), 1);
-    }
-
     #[test]
     fn store_pair_is_a_backend() {
-        let b = backend();
-        let (estore, video) = b.into_parts();
+        let mut s = EScenario::new(CellId::new(0), Timestamp::new(0));
+        s.insert(Eid::from_u64(1), ZoneAttr::Inclusive);
+        let estore = EScenarioStore::from_scenarios(vec![s]);
+        let video = VideoStore::new(vec![], CostModel::default());
         let pair = (&estore, &video);
         assert_eq!(pair.estore().len(), 1);
         assert!(pair.video().is_empty());
+        // A reference to a backend is a backend.
+        let by_ref: &dyn StoreBackend = &&pair;
+        assert_eq!(by_ref.estore().len(), 1);
     }
 }

@@ -174,21 +174,12 @@ impl EScenarioStore {
 
     /// All scenarios containing `eid`, in id (= scan) order. Answered
     /// from the inverted index posting list — `O(|postings| log |store|)`
-    /// instead of a full scan — with results identical to
-    /// [`containing_scan`](EScenarioStore::containing_scan).
+    /// instead of a full scan, with identical results.
     pub fn containing(&self, eid: Eid) -> impl Iterator<Item = &EScenario> {
         self.index()
             .postings(eid)
             .iter()
             .filter_map(move |&id| self.get(id))
-    }
-
-    /// Scan-based reference implementation of
-    /// [`containing`](EScenarioStore::containing): walks every scenario's
-    /// membership map. Kept for equivalence tests and as the comparison
-    /// baseline in the index benchmarks.
-    pub fn containing_scan(&self, eid: Eid) -> impl Iterator<Item = &EScenario> {
-        self.scenarios.iter().filter(move |s| s.contains(eid))
     }
 
     /// Picks a uniformly random timestamp among those present
@@ -260,17 +251,6 @@ impl EScenarioStore {
         }
     }
 
-    /// Combines this store with `newer` scenarios (e.g. the next day's
-    /// ingest); on a scenario-id collision the newer scenario wins.
-    /// Delegates to [`EScenarioStore::ingest`], so strictly-newer
-    /// batches splice instead of rebuilding.
-    #[must_use]
-    pub fn merged(&self, newer: &EScenarioStore) -> EScenarioStore {
-        let mut out = self.clone();
-        out.ingest(newer.scenarios.clone());
-        out
-    }
-
     /// Total number of (scenario, EID) membership records — the raw E-data
     /// volume, used by the cost accounting.
     #[must_use]
@@ -291,6 +271,13 @@ mod tests {
             s.insert(Eid::from_u64(e), ZoneAttr::Inclusive);
         }
         s
+    }
+
+    /// The oracle for [`EScenarioStore::containing`]: walk every
+    /// scenario's membership map.
+    fn holding_by_walk(store: &EScenarioStore, eid: Eid) -> Vec<ScenarioId> {
+        let holding = store.iter().filter(|s| s.contains(eid));
+        holding.map(EScenario::id).collect()
     }
 
     fn store() -> EScenarioStore {
@@ -356,8 +343,11 @@ mod tests {
         for e in 0..10 {
             let eid = Eid::from_u64(e);
             let indexed: Vec<ScenarioId> = s.containing(eid).map(EScenario::id).collect();
-            let scanned: Vec<ScenarioId> = s.containing_scan(eid).map(EScenario::id).collect();
-            assert_eq!(indexed, scanned, "order and content for EID {e}");
+            assert_eq!(
+                indexed,
+                holding_by_walk(&s, eid),
+                "order and content for EID {e}"
+            );
         }
     }
 
@@ -432,7 +422,7 @@ mod tests {
         for e in 0..10 {
             let eid = Eid::from_u64(e);
             let spliced: Vec<ScenarioId> = s.containing(eid).map(EScenario::id).collect();
-            let scanned: Vec<ScenarioId> = s.containing_scan(eid).map(EScenario::id).collect();
+            let scanned = holding_by_walk(&s, eid);
             let reference: Vec<ScenarioId> = rebuilt.containing(eid).map(EScenario::id).collect();
             assert_eq!(spliced, scanned, "EID {e}: index matches scan");
             assert_eq!(spliced, reference, "EID {e}: splice matches rebuild");
@@ -442,10 +432,10 @@ mod tests {
 
     #[test]
     fn repeated_small_ingests_never_rebuild() {
-        // The regression this guards: `merged` used to re-index the
-        // whole store per batch, making N daily ingests O(N²·store).
-        // Appending strictly-newer snapshots must stay on the splice
-        // path every single time.
+        // The regression this guards: re-indexing the whole store per
+        // batch makes N daily ingests O(N²·store). Appending
+        // strictly-newer snapshots must stay on the splice path every
+        // single time.
         let mut s = store();
         let _ = s.index();
         for day in 3..40u64 {
@@ -483,20 +473,5 @@ mod tests {
                 rebuilt: false
             }
         );
-    }
-
-    #[test]
-    fn merged_unions_and_prefers_newer() {
-        let old = store();
-        let newer = EScenarioStore::from_scenarios(vec![
-            scenario(0, 0, &[9]),    // collides with (t0, c0): newer wins
-            scenario(5, 7, &[4, 5]), // brand new
-        ]);
-        let merged = old.merged(&newer);
-        assert_eq!(merged.len(), old.len() + 1);
-        let id = ScenarioId::new(Timestamp::new(0), CellId::new(0));
-        assert!(merged.get(id).unwrap().contains(Eid::from_u64(9)));
-        assert!(!merged.get(id).unwrap().contains(Eid::from_u64(1)));
-        assert_eq!(merged.at_time(Timestamp::new(7)).count(), 1);
     }
 }

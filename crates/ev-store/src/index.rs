@@ -39,18 +39,6 @@ pub struct IndexStatsSnapshot {
     pub scans_avoided: u64,
 }
 
-impl IndexStatsSnapshot {
-    /// Counter-wise difference `self - earlier` (for per-stage deltas).
-    #[must_use]
-    pub fn since(&self, earlier: &IndexStatsSnapshot) -> IndexStatsSnapshot {
-        IndexStatsSnapshot {
-            postings_probed: self.postings_probed - earlier.postings_probed,
-            membership_queries: self.membership_queries - earlier.membership_queries,
-            scans_avoided: self.scans_avoided - earlier.scans_avoided,
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct IndexStats {
     postings_probed: AtomicU64,
@@ -70,8 +58,6 @@ pub struct ScenarioIndex {
     /// (cell, time) → the scenario snapshotted there.
     slots: BTreeMap<(CellId, Timestamp), ScenarioId>,
     stats: IndexStats,
-    /// Wall time the one-time build took.
-    build_time: std::time::Duration,
 }
 
 impl ScenarioIndex {
@@ -79,7 +65,6 @@ impl ScenarioIndex {
     /// store's canonical order). One pass over every membership record.
     #[must_use]
     pub fn build<'a>(scenarios: impl IntoIterator<Item = &'a EScenario>) -> Self {
-        let start = std::time::Instant::now();
         let mut postings: BTreeMap<Eid, Vec<ScenarioId>> = BTreeMap::new();
         let mut slots = BTreeMap::new();
         for s in scenarios {
@@ -93,14 +78,7 @@ impl ScenarioIndex {
             postings,
             slots,
             stats: IndexStats::default(),
-            build_time: start.elapsed(),
         }
-    }
-
-    /// Wall time the one-time build took (zero for a defaulted index).
-    #[must_use]
-    pub fn build_time(&self) -> std::time::Duration {
-        self.build_time
     }
 
     /// Splices scenarios into the index *without* a rebuild.
@@ -112,7 +90,7 @@ impl ScenarioIndex {
     /// append-only ingest path of
     /// [`EScenarioStore::ingest`](crate::EScenarioStore::ingest) does —
     /// and fall back to [`ScenarioIndex::build`] otherwise. Usage
-    /// counters and build time are preserved.
+    /// counters are preserved.
     pub fn extend<'a>(&mut self, scenarios: impl IntoIterator<Item = &'a EScenario>) {
         for s in scenarios {
             let id = s.id();
@@ -166,12 +144,6 @@ impl ScenarioIndex {
     /// Iterates `(eid, posting list)` pairs in EID order.
     pub fn iter_postings(&self) -> impl Iterator<Item = (Eid, &[ScenarioId])> {
         self.postings.iter().map(|(&e, p)| (e, p.as_slice()))
-    }
-
-    /// Records that a consumer avoided a full-store scan by other means
-    /// (e.g. a cached intermediate derived from the index).
-    pub fn note_scan_avoided(&self) {
-        self.stats.scans_avoided.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A snapshot of the usage counters.
@@ -248,14 +220,12 @@ mod tests {
     #[test]
     fn stats_count_usage() {
         let idx = index();
-        let before = idx.stats();
         let _ = idx.postings(Eid::from_u64(1));
         let _ = idx.contains(Eid::from_u64(1), sid(0, 0));
-        idx.note_scan_avoided();
-        let delta = idx.stats().since(&before);
-        assert_eq!(delta.postings_probed, 1);
-        assert_eq!(delta.membership_queries, 1);
-        assert_eq!(delta.scans_avoided, 2, "postings() also avoids a scan");
+        let stats = idx.stats();
+        assert_eq!(stats.postings_probed, 1);
+        assert_eq!(stats.membership_queries, 1);
+        assert_eq!(stats.scans_avoided, 1, "postings() avoids a scan");
     }
 
     #[test]

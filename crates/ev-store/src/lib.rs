@@ -38,7 +38,7 @@ mod estore;
 mod index;
 mod video;
 
-pub use backend::{MemoryBackend, StoreBackend};
+pub use backend::StoreBackend;
 pub use estore::{EScenarioStore, IngestStats};
 pub use index::{IndexStatsSnapshot, ScenarioIndex};
 pub use video::{FootageLocation, FootageSource, VideoStore, VideoStoreStats};

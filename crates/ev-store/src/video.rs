@@ -265,25 +265,7 @@ impl VideoStore {
         }
     }
 
-    /// Combines this corpus with `newer` footage (e.g. the next day's
-    /// ingest); on a scenario-id collision the newer footage wins. The
-    /// merged store starts with fresh usage state and this store's cost
-    /// model; a load failure either side has latched stays latched.
-    #[must_use]
-    pub fn merged(&self, newer: &VideoStore) -> VideoStore {
-        let mut footage = self.footage.clone();
-        for (id, slot) in &newer.footage {
-            footage.insert(*id, slot.clone());
-        }
-        let mut merged = VideoStore::over(footage, self.cost);
-        if let Some(e) = self.load_error.get().or(newer.load_error.get()) {
-            merged.load_error = OnceLock::from(e.clone());
-        }
-        merged
-    }
-
-    /// Splices an ingest batch into the store in place — the streaming
-    /// counterpart of [`merged`](Self::merged). On a scenario-id
+    /// Splices an ingest batch into the store in place. On a scenario-id
     /// collision the newer footage wins, and any cached extraction of
     /// the stale footage is forgotten so the next
     /// [`extract`](Self::extract) re-processes (and re-charges) the
@@ -394,18 +376,6 @@ mod tests {
         assert_eq!(s.ledger().v_units(), 20);
     }
 
-    #[test]
-    fn merged_unions_footage_with_fresh_usage() {
-        let a = store();
-        let _ = a.extract(id(0, 0));
-        let newer = VideoStore::new(vec![vscenario(9, 9, &[7])], a.cost_model());
-        let merged = a.merged(&newer);
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged.stats(), VideoStoreStats::default(), "fresh usage");
-        assert!(merged.extract(id(9, 9)).is_some());
-        assert!(merged.extract(id(0, 0)).is_some());
-    }
-
     /// A source over in-memory scenarios that counts its loads and
     /// fails the ones listed in `broken`.
     #[derive(Debug, Default)]
@@ -504,10 +474,7 @@ mod tests {
         assert_eq!(loads(&source), 2);
         assert_eq!(s.scenarios().count(), 1, "the walk skips it");
         s.reset_usage();
-        assert_eq!(s.check_loads(), Err(err.clone()));
-        let newer = VideoStore::new(vec![vscenario(9, 9, &[7])], s.cost_model());
-        assert_eq!(s.merged(&newer).check_loads(), Err(err.clone()));
-        assert_eq!(newer.merged(&s).check_loads(), Err(err));
+        assert_eq!(s.check_loads(), Err(err));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Telemetry substrate for the EV-Matching pipeline: hierarchical
 //! tracing spans with Chrome-trace export, a global-free metrics
 //! registry (counters / gauges / log-bucketed histograms) with
-//! Prometheus text and JSON export, and a shared [`IndexCounters`]
-//! type unifying the index/cache counter plumbing that was previously
-//! duplicated between `ev-matching` and the scheduler (`ev-dag`).
+//! Prometheus text and JSON export, and the one catalogue of metric
+//! names ([`names`]).
 //!
 //! # Cost model
 //!
@@ -21,7 +20,6 @@
 //! `cat` field; ad-hoc markers (failed attempts, cache invalidations)
 //! are instant events under `event`.
 
-mod counters;
 mod flight;
 mod metrics;
 pub mod names;
@@ -29,7 +27,6 @@ pub mod prometheus;
 mod serve;
 mod trace;
 
-pub use counters::IndexCounters;
 pub use flight::{FlightEntry, FlightKind, FlightRecorder, FLIGHT_CAPACITY};
 pub use metrics::{
     bucket_bound, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,

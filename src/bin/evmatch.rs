@@ -281,6 +281,12 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
             other => return Err(format!("unexpected argument {other}")),
         }
     }
+    if out.threads.is_some() && out.mode == SplitMode::Ideal {
+        return Err(
+            "--mode ideal cannot run with --threads: the stage DAG is the practical setting only"
+                .into(),
+        );
+    }
     Ok(out)
 }
 
@@ -369,6 +375,14 @@ fn run_match(args: &CommonArgs) -> Result<(EvDataset, MatchReport), String> {
     }
     args.arm_flight_recorder(&telemetry);
     let server = args.start_metrics_server(&telemetry)?;
+    let run = |matcher: EvMatcher<'_>| {
+        let matcher = matcher.with_telemetry(&telemetry);
+        if args.universal {
+            matcher.match_universal()
+        } else {
+            matcher.match_many(&targets)
+        }
+    };
     // With --data-dir the corpus is read back from the persistent
     // segment store; the regenerated dataset still supplies targets,
     // the cost model and the scoring ground truth.
@@ -382,39 +396,12 @@ fn run_match(args: &CommonArgs) -> Result<(EvDataset, MatchReport), String> {
         if backend.recovery().repaired_anything() {
             eprintln!("recovered corpus {dir}: {:?}", backend.recovery());
         }
-        let matcher = EvMatcher::from_backend(&backend, config).with_telemetry(&telemetry);
-        let report = if args.universal {
-            matcher.match_universal()
-        } else {
-            matcher.match_many(&targets)
-        }
-        .map_err(|e| {
+        run(EvMatcher::from_backend(&backend, config)).map_err(|e| {
             let message = format!("matching from corpus {dir}: {e}");
             disk_failure(&telemetry, e.is_corruption(), message)
-        })?;
-        if telemetry.counters_on() {
-            telemetry
-                .registry()
-                .gauge(names::INDEX_BUILD_NS)
-                .set(backend.estore().index().build_time().as_nanos() as f64);
-        }
-        report
+        })?
     } else {
-        let matcher =
-            EvMatcher::new(&dataset.estore, &dataset.video, config).with_telemetry(&telemetry);
-        let report = if args.universal {
-            matcher.match_universal()
-        } else {
-            matcher.match_many(&targets)
-        }
-        .map_err(|e| e.to_string())?;
-        if telemetry.counters_on() {
-            telemetry
-                .registry()
-                .gauge(names::INDEX_BUILD_NS)
-                .set(dataset.estore.index().build_time().as_nanos() as f64);
-        }
-        report
+        run(EvMatcher::new(&dataset.estore, &dataset.video, config)).map_err(|e| e.to_string())?
     };
     write_telemetry(args, &telemetry)?;
     args.hold_metrics_server(server);
@@ -752,7 +739,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
 
     // 1. Sequential ideal-mode run: set splitting (greedy-balanced, the
     //    only strategy that exercises the gain cache), refinement,
-    //    exhaustive VID scoring, theorem bounds and the paper gauges.
+    //    exhaustive VID scoring and the run gauges.
     {
         let tel = Telemetry::new(TelemetryLevel::Full);
         let mut cfg = MatcherConfig {
@@ -764,32 +751,10 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             .with_telemetry(&tel)
             .match_many(&targets)
             .map_err(|e| format!("smoke sequential run: {e}"))?;
-        tel.registry()
-            .gauge(names::INDEX_BUILD_NS)
-            .set(dataset.estore.index().build_time().as_nanos() as f64);
         absorb_into(&mut seen, &tel);
     }
 
-    // 1b. Sequential run with the anytime scorer, the one step that
-    //     configures it: the anytime pruning counters.
-    {
-        let tel = Telemetry::new(TelemetryLevel::Full);
-        let mut cfg = MatcherConfig {
-            mode: SplitMode::Ideal,
-            ..MatcherConfig::default()
-        };
-        cfg.vfilter.anytime = Some(AnytimeConfig {
-            confidence: 0.9,
-            budget_scenarios: Some(3),
-        });
-        EvMatcher::new(&dataset.estore, &dataset.video, cfg)
-            .with_telemetry(&tel)
-            .match_many(&targets)
-            .map_err(|e| format!("smoke anytime run: {e}"))?;
-        absorb_into(&mut seen, &tel);
-    }
-
-    // 1c. A dimension-mixed gallery the block build rejects (the
+    // 1b. A dimension-mixed gallery the block build rejects (the
     //     galleries-rejected counter); the generated world has none.
     {
         use evmatch::core::feature::FeatureVector;
@@ -1081,14 +1046,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
     let _ = std::fs::remove_dir_all(&scratch);
     gate?;
 
-    let all_names = names::ALL_COUNTERS
-        .iter()
-        .chain(names::ALL_GAUGES)
-        .chain(names::ALL_HISTOGRAMS);
-    let missing: Vec<&str> = all_names
-        .filter(|&&name| !seen.contains(name))
-        .copied()
-        .collect();
+    let missing: Vec<&str> = names::all().filter(|&name| !seen.contains(name)).collect();
     if !missing.is_empty() {
         return Err(format!(
             "smoke battery never emitted {} canonical metric(s): {}",
@@ -1096,7 +1054,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             missing.join(", ")
         ));
     }
-    let total = names::ALL_COUNTERS.len() + names::ALL_GAUGES.len() + names::ALL_HISTOGRAMS.len();
+    let total = names::all().count();
     println!("ok: smoke battery emitted all {total} canonical metrics");
     Ok(())
 }
@@ -1150,6 +1108,19 @@ fn cmd_check_metrics(args: &CommonArgs) -> Result<(), String> {
             value(names::VFILTER_GALLERY_MISSES),
             names::VFILTER_CANDIDATES_SCORED
         ));
+    }
+    // Work a stage counted as it went took time; a zero beside it means
+    // the run ended without its epilogue.
+    for (work, seconds) in [
+        (names::SETSPLIT_SCENARIOS_EXAMINED, names::STAGE_E_SECONDS),
+        (names::VFILTER_CANDIDATES_SCORED, names::STAGE_V_SECONDS),
+    ] {
+        if value(work) > 0.0 && value(seconds) == 0.0 {
+            return Err(format!(
+                "{path}: {work} is {} but {seconds} is 0",
+                value(work)
+            ));
+        }
     }
     // A profile that ran from disk (a load walk opened segments) must
     // account for what it decoded: each walked file is at least a

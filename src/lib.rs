@@ -77,7 +77,7 @@ pub mod prelude {
     pub use ev_matching::{
         AnytimeConfig, EvMatcher, MatchReport, MatcherConfig, PartialMatchOutcome,
     };
-    pub use ev_store::{EScenarioStore, MemoryBackend, StoreBackend, VideoStore};
+    pub use ev_store::{EScenarioStore, StoreBackend, VideoStore};
     pub use ev_telemetry::{Telemetry, TelemetryLevel};
 
     pub use crate::serve::{LiveCorpus, ServeAnswer, ServeConfig};

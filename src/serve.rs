@@ -98,6 +98,9 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Cost model used when loading / extending the video store.
+    /// Defaults to [`CostModel::free()`], like `DatasetConfig`, the CLI
+    /// and the benchmark: the simulated vision cost belongs to
+    /// `experiments fig8`/`fig9`, which set it explicitly.
     pub cost: CostModel,
     /// Matcher configuration used to answer queries.
     pub matcher: MatcherConfig,
@@ -121,7 +124,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            cost: CostModel::default(),
+            cost: CostModel::free(),
             matcher: MatcherConfig::default(),
             apply_every: 0,
             checkpoint_every: 1024,
@@ -360,7 +363,6 @@ impl<'t> LiveCorpus<'t> {
         self.staged_v.extend(v_batch);
         if self.telemetry.counters_on() {
             let reg = self.telemetry.registry();
-            reg.counter(names::SERVE_INGEST_BATCHES).inc();
             reg.counter(names::SERVE_INGEST_EVENTS).add(accepted);
             reg.gauge(names::SERVE_STALENESS_EVENTS)
                 .set(self.staged_events() as f64);
@@ -415,7 +417,6 @@ impl<'t> LiveCorpus<'t> {
         self.epoch += 1;
         if self.telemetry.counters_on() {
             let reg = self.telemetry.registry();
-            reg.counter(names::SERVE_APPLIES).inc();
             reg.gauge(names::SERVE_EPOCH).set(self.epoch as f64);
             reg.gauge(names::SERVE_STALENESS_EVENTS).set(0.0);
         }

@@ -41,3 +41,20 @@ fn zero_threads_is_an_argument_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--threads must be at least 1"), "{stderr}");
 }
+
+/// `--threads` runs Algorithm 3, which is the practical setting only;
+/// `--mode ideal` beside it used to run practical and say nothing.
+#[test]
+fn ideal_mode_with_threads_is_an_argument_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_evmatch"))
+        .args(["match", "--population", "60", "--duration", "100"])
+        .args(["--targets", "5", "--mode", "ideal", "--threads", "2"])
+        .output()
+        .expect("run evmatch match");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("argument error: --mode ideal"),
+        "{stderr}"
+    );
+}

@@ -184,8 +184,12 @@ fn crash_mid_append_recovers_to_a_byte_identical_report() {
 
     // The recovered corpus equals the in-memory merge of both batches,
     // and produces a byte-identical report.
-    let estore = day1.estore.merged(&day2.estore);
-    let video = day1.video.merged(&day2.video);
+    // ... built the way `LiveCorpus::apply` builds it: by `ingest`.
+    let mut estore = day1.estore.clone();
+    estore.ingest(day2.estore.iter().cloned().collect());
+    let day1_footage = day1.video.scenarios().cloned().collect();
+    let mut video = VideoStore::new(day1_footage, day1.video.cost_model());
+    video.ingest(day2.video.scenarios().cloned().collect());
     assert_eq!(backend.estore(), &estore, "recovered E-store == merged");
 
     let targets = sample_targets(&day1, 40, 7);

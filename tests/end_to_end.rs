@@ -4,6 +4,7 @@
 use evmatch::matching::analysis;
 use evmatch::matching::setsplit::{split_ideal, SetSplitConfig};
 use evmatch::prelude::*;
+use evmatch::telemetry::names;
 use std::collections::BTreeSet;
 
 fn dataset() -> EvDataset {
@@ -112,16 +113,19 @@ fn video_extraction_is_shared_across_eids() {
     let d = dataset();
     let targets = sample_targets(&d, 40, 5);
     d.video.reset_usage();
-    let matcher = EvMatcher::new(&d.estore, &d.video, MatcherConfig::default());
+    let tel = Telemetry::new(TelemetryLevel::Counters);
+    let matcher =
+        EvMatcher::new(&d.estore, &d.video, MatcherConfig::default()).with_telemetry(&tel);
     let report = matcher.match_many(&targets).unwrap();
     let stats = d.video.stats();
     // Extraction ran once per distinct scenario, not once per (EID, use).
     assert!(stats.extracted_scenarios <= report.selected_count());
-    // Reuse now lands in the driver-side gallery cache, upstream of the
-    // video store: a scenario serving several EIDs is fetched and
-    // regrouped once, and every further use is a gallery hit.
+    // Reuse lands in the run's gallery cache, upstream of the video
+    // store: a scenario serving several EIDs is fetched and regrouped
+    // once, and every further use is a gallery hit.
+    let gallery_hits = tel.registry().counter(names::VFILTER_GALLERY_HITS).get();
     assert!(
-        report.timings.index.cache_hits + stats.cache_hits > 0,
+        gallery_hits + stats.cache_hits > 0,
         "scenario reuse must produce cache hits"
     );
 }

@@ -257,3 +257,84 @@ fn matcher_facade_runs_dag_mode() {
     assert!(report.timings.e_stage > std::time::Duration::ZERO);
     assert!(report.timings.v_stage > std::time::Duration::ZERO);
 }
+
+/// One run epilogue, one meaning: on one corpus the sequential pipeline
+/// and the stage DAG export the gallery counters and the run gauges
+/// under the same names, and the gallery counters mean the same thing —
+/// `misses` the galleries the run extracted, `hits + misses` every
+/// scenario-list entry its `filter_one` calls were handed — whether one
+/// `GalleryCache` served the batch or each DAG scorer had its own.
+#[test]
+fn both_execution_modes_end_in_the_same_epilogue() {
+    let d = dataset();
+    let targets = sample_targets(&d, 25, 7);
+    let written_by_the_epilogue = [
+        names::VFILTER_GALLERY_HITS,
+        names::VFILTER_GALLERY_MISSES,
+        names::STAGE_E_SECONDS,
+        names::STAGE_V_SECONDS,
+        names::RECORDED_SCENARIOS,
+        names::THEOREM_LOWER_BOUND,
+        names::THEOREM_UPPER_BOUND,
+        names::FULLY_SPLIT,
+    ];
+    let mut exported = Vec::new();
+    for execution in [ExecutionMode::Sequential, ExecutionMode::Dag(2)] {
+        d.video.reset_usage();
+        let tel = Telemetry::new(TelemetryLevel::Counters);
+        let config = MatcherConfig {
+            execution: execution.clone(),
+            ..MatcherConfig::default()
+        };
+        let report = EvMatcher::new(&d.estore, &d.video, config)
+            .with_telemetry(&tel)
+            .match_many(&targets)
+            .unwrap();
+        let listed = report.lists.values().flatten();
+        assert!(
+            listed.clone().all(|&id| d.video.contains(id)),
+            "the comparison needs footage behind every selected scenario"
+        );
+        let counter = |name| tel.registry().counter(name).get();
+        let (hits, misses) = (
+            counter(names::VFILTER_GALLERY_HITS),
+            counter(names::VFILTER_GALLERY_MISSES),
+        );
+        assert_eq!(
+            misses,
+            d.video.stats().extracted_scenarios as u64,
+            "{execution:?}: a miss is a gallery the run extracted"
+        );
+        // Refinement rounds and conflict re-filtering hand lists to
+        // `filter_one` again; the report keeps each EID's last one.
+        let entries = listed.count() as u64;
+        assert!(hits + misses >= entries, "{execution:?}: {hits} + {misses}");
+        let snapshot = tel.registry().snapshot();
+        let names: Vec<&str> = (written_by_the_epilogue.iter().copied())
+            .filter(|&name| {
+                snapshot.counters.contains_key(name) || snapshot.gauges.contains_key(name)
+            })
+            .collect();
+        exported.push(names);
+    }
+    assert_eq!(exported[0], written_by_the_epilogue);
+    assert_eq!(exported[1], written_by_the_epilogue);
+}
+
+/// Algorithm 3 has no ideal reading; asking for one is an error, not a
+/// practical run that says nothing.
+#[test]
+fn ideal_mode_under_the_dag_is_an_invalid_configuration() {
+    let d = dataset();
+    let config = MatcherConfig {
+        mode: SplitMode::Ideal,
+        execution: ExecutionMode::Dag(2),
+        ..MatcherConfig::default()
+    };
+    let matcher = EvMatcher::new(&d.estore, &d.video, config);
+    let refused = matcher.match_many(&sample_targets(&d, 5, 7));
+    assert!(
+        matches!(refused, Err(evmatch::dag::JobError::InvalidConfig(_))),
+        "{refused:?}"
+    );
+}
