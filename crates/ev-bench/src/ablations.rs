@@ -24,7 +24,7 @@ fn scale_params(scale: Scale) -> (u64, u64, usize) {
 /// Scenario-selection order ablation: random-timestamp (Algorithm 3's
 /// choice) vs chronological vs greedy most-balanced splitter.
 #[must_use]
-pub fn ablate_selection(scale: Scale) -> Table {
+pub(crate) fn ablate_selection(scale: Scale) -> Table {
     let (population, duration, matched) = scale_params(scale);
     // Noiseless sensing: selection order is an *ideal-setting* question
     // (greedy has no vague-zone analogue), so give it ideal-setting data.
@@ -84,7 +84,7 @@ pub fn ablate_selection(scale: Scale) -> Table {
 
 /// Vague-zone width ablation under electronic drift noise.
 #[must_use]
-pub fn ablate_vague(scale: Scale) -> Table {
+pub(crate) fn ablate_vague(scale: Scale) -> Table {
     let (population, duration, matched) = scale_params(scale);
     let mut table = Table::new(
         "ablate-vague",
@@ -120,7 +120,7 @@ pub fn ablate_vague(scale: Scale) -> Table {
 
 /// Refinement-budget ablation under heavy VID missing.
 #[must_use]
-pub fn ablate_refine(scale: Scale) -> Table {
+pub(crate) fn ablate_refine(scale: Scale) -> Table {
     let (population, duration, matched) = scale_params(scale);
     let mut config = DatasetConfig {
         population,
@@ -166,7 +166,7 @@ pub fn ablate_refine(scale: Scale) -> Table {
 /// Mobility-model sensitivity: the matching results should not hinge on
 /// the random-waypoint assumption the paper evaluates with.
 #[must_use]
-pub fn ablate_mobility(scale: Scale) -> Table {
+pub(crate) fn ablate_mobility(scale: Scale) -> Table {
     use ev_datagen::Mobility;
     use ev_mobility::{ManhattanParams, WalkParams, WaypointParams};
     let (population, duration, matched) = scale_params(scale);
@@ -212,7 +212,7 @@ pub fn ablate_mobility(scale: Scale) -> Table {
 /// stand-in for the paper's 14-node curve on a host that cannot draw it
 /// in wall time.
 #[must_use]
-pub fn ablate_workers(scale: Scale) -> Table {
+pub(crate) fn ablate_workers(scale: Scale) -> Table {
     let (population, duration, matched) = scale_params(scale);
     let dataset = EvDataset::generate(&DatasetConfig {
         population,

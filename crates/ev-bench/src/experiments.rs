@@ -102,7 +102,7 @@ where
 /// Figs. 5 and 7: number of selected scenarios (total, reuse counted
 /// once) and per matched EID, vs the number of matched EIDs.
 #[must_use]
-pub fn fig5_fig7(scale: Scale) -> (Table, Table) {
+pub(crate) fn fig5_fig7(scale: Scale) -> (Table, Table) {
     let dataset = base_dataset(scale);
     let seeds = scale.seeds();
 
@@ -148,7 +148,7 @@ pub fn fig5_fig7(scale: Scale) -> (Table, Table) {
 /// Fig. 6: number of selected scenarios vs EID density, for 100 and 600
 /// matched EIDs.
 #[must_use]
-pub fn fig6(scale: Scale) -> Table {
+pub(crate) fn fig6(scale: Scale) -> Table {
     let seeds = scale.seeds();
     let mut table = Table::new(
         "fig6",
@@ -204,7 +204,7 @@ pub fn fig6(scale: Scale) -> Table {
 /// algorithms in parallel on `timing_threads` threads with the
 /// vision cost model enabled.
 #[must_use]
-pub fn fig8(scale: Scale) -> Table {
+pub(crate) fn fig8(scale: Scale) -> Table {
     let config = DatasetConfig {
         population: scale.population(),
         cost: CostModel::default(),
@@ -256,7 +256,7 @@ pub fn fig8(scale: Scale) -> Table {
 
 /// Fig. 9: E/V/total processing time vs density.
 #[must_use]
-pub fn fig9(scale: Scale) -> Table {
+pub(crate) fn fig9(scale: Scale) -> Table {
     let threads = timing_threads();
     let matched = match scale {
         Scale::Full => 300,
@@ -299,7 +299,7 @@ pub fn fig9(scale: Scale) -> Table {
 
 /// Table I: accuracy vs number of matched EIDs.
 #[must_use]
-pub fn table1(scale: Scale) -> Table {
+pub(crate) fn table1(scale: Scale) -> Table {
     let dataset = base_dataset(scale);
     let seeds = scale.seeds();
     let mut table = Table::new(
@@ -335,7 +335,7 @@ pub fn table1(scale: Scale) -> Table {
 
 /// Table II: accuracy vs density.
 #[must_use]
-pub fn table2(scale: Scale) -> Table {
+pub(crate) fn table2(scale: Scale) -> Table {
     let seeds = scale.seeds();
     let matched = match scale {
         Scale::Full => 400,
@@ -389,7 +389,7 @@ pub fn table2(scale: Scale) -> Table {
 /// Fig. 10: accuracy vs EID missing rate (device-less people), for SS
 /// and EDP across the matched-EID axis.
 #[must_use]
-pub fn fig10(scale: Scale) -> Table {
+pub(crate) fn fig10(scale: Scale) -> Table {
     missing_sweep(
         scale,
         "fig10",
@@ -404,7 +404,7 @@ pub fn fig10(scale: Scale) -> Table {
 /// Fig. 11: accuracy vs VID missing rate (missed detections), for SS and
 /// EDP across the matched-EID axis.
 #[must_use]
-pub fn fig11(scale: Scale) -> Table {
+pub(crate) fn fig11(scale: Scale) -> Table {
     missing_sweep(
         scale,
         "fig11",

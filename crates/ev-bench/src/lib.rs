@@ -13,7 +13,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablations;
+pub(crate) mod ablations;
 pub mod experiments;
 pub mod report;
 pub mod runner;

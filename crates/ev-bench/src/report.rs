@@ -10,7 +10,7 @@ pub struct Table {
     /// Experiment id, e.g. `"fig5"` or `"table1"`.
     pub id: String,
     /// Human-readable title (matches the paper's caption).
-    pub title: String,
+    pub(crate) title: String,
     /// Column headers.
     pub header: Vec<String>,
     /// Data rows; each must have `header.len()` cells.
@@ -22,7 +22,7 @@ pub struct Table {
 impl Table {
     /// Creates an empty table.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         id: impl Into<String>,
         title: impl Into<String>,
         header: Vec<impl Into<String>>,
@@ -41,7 +41,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row width does not match the header.
-    pub fn push_row(&mut self, row: Vec<String>) {
+    pub(crate) fn push_row(&mut self, row: Vec<String>) {
         assert_eq!(
             row.len(),
             self.header.len(),
@@ -51,30 +51,8 @@ impl Table {
     }
 
     /// Appends a note line.
-    pub fn push_note(&mut self, note: impl Into<String>) {
+    pub(crate) fn push_note(&mut self, note: impl Into<String>) {
         self.notes.push(note.into());
-    }
-
-    /// Renders the table as GitHub-flavoured Markdown.
-    #[must_use]
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("### {} — {}\n\n", self.id, self.title));
-        out.push_str(&format!("| {} |\n", self.header.join(" | ")));
-        out.push_str(&format!(
-            "|{}\n",
-            self.header.iter().map(|_| "---|").collect::<String>()
-        ));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        if !self.notes.is_empty() {
-            out.push('\n');
-            for note in &self.notes {
-                out.push_str(&format!("> {note}\n"));
-            }
-        }
-        out
     }
 
     /// Saves the table as pretty JSON into `dir/<id>.json`.
@@ -125,8 +103,34 @@ impl fmt::Display for Table {
 
 /// Formats a float with `digits` decimal places.
 #[must_use]
-pub fn num(value: f64, digits: usize) -> String {
+pub(crate) fn num(value: f64, digits: usize) -> String {
     format!("{value:.digits$}")
+}
+
+/// Read only by the tests.
+#[cfg(test)]
+impl Table {
+    /// Renders the table as GitHub-flavoured Markdown.
+    #[must_use]
+    pub(crate) fn to_markdown(&self) -> String {
+        let mut out = String::new();
+        out.push_str(&format!("### {} — {}\n\n", self.id, self.title));
+        out.push_str(&format!("| {} |\n", self.header.join(" | ")));
+        out.push_str(&format!(
+            "|{}\n",
+            self.header.iter().map(|_| "---|").collect::<String>()
+        ));
+        for row in &self.rows {
+            out.push_str(&format!("| {} |\n", row.join(" | ")));
+        }
+        if !self.notes.is_empty() {
+            out.push('\n');
+            for note in &self.notes {
+                out.push_str(&format!("> {note}\n"));
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]

@@ -14,41 +14,30 @@ use std::collections::BTreeSet;
 
 /// Which pipeline a measurement ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Algo {
+pub(crate) enum Algo {
     /// Set splitting (the paper's algorithm, labeled SS in §VI).
     Ss,
     /// The EDP baseline.
     Edp,
 }
 
-impl Algo {
-    /// The label used in the paper's plots.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Algo::Ss => "SS",
-            Algo::Edp => "EDP",
-        }
-    }
-}
-
 /// One measured run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RunSummary {
     /// Which algorithm ran.
-    pub algo: Algo,
+    pub(crate) algo: Algo,
     /// Number of matched (requested) EIDs.
     pub matched: usize,
     /// Distinct scenarios selected (reuse counted once) — Figs. 5–6.
     pub selected: usize,
     /// Average scenarios per matched EID — Fig. 7.
-    pub per_eid: f64,
+    pub(crate) per_eid: f64,
     /// Matching accuracy in percent — Tables I–II, Figs. 10–11.
-    pub accuracy_pct: f64,
+    pub(crate) accuracy_pct: f64,
     /// E-stage wall time in seconds — Figs. 8–9.
-    pub e_secs: f64,
+    pub(crate) e_secs: f64,
     /// V-stage wall time in seconds — Figs. 8–9.
-    pub v_secs: f64,
+    pub(crate) v_secs: f64,
     /// Refinement rounds used (SS only; 1 for EDP).
     pub rounds: u32,
 }
@@ -56,14 +45,14 @@ pub struct RunSummary {
 impl RunSummary {
     /// Total pipeline time in seconds.
     #[must_use]
-    pub fn total_secs(&self) -> f64 {
+    pub(crate) fn total_secs(&self) -> f64 {
         self.e_secs + self.v_secs
     }
 }
 
 /// Runs sequential SS (practical splitting + refinement) over `targets`.
 #[must_use]
-pub fn run_ss(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -> RunSummary {
+pub(crate) fn run_ss(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -> RunSummary {
     dataset.video.reset_usage();
     let mut config = RefineConfig {
         mode: SplitMode::Practical,
@@ -91,7 +80,7 @@ pub fn run_ss(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -> RunSum
 /// Panics if footage fails to load — impossible for a generated,
 /// in-memory dataset.
 #[must_use]
-pub fn run_edp(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -> RunSummary {
+pub(crate) fn run_edp(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -> RunSummary {
     dataset.video.reset_usage();
     let config = EdpConfig {
         seed,
@@ -109,7 +98,7 @@ pub fn run_edp(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -> RunSu
 ///
 /// Panics if the scheduler fails — impossible without injected faults.
 #[must_use]
-pub fn run_ss_parallel(
+pub(crate) fn run_ss_parallel(
     dataset: &EvDataset,
     targets: &BTreeSet<Eid>,
     threads: usize,
@@ -136,7 +125,7 @@ pub fn run_ss_parallel(
 ///
 /// Panics if the scheduler fails — impossible without injected faults.
 #[must_use]
-pub fn run_edp_parallel(
+pub(crate) fn run_edp_parallel(
     dataset: &EvDataset,
     targets: &BTreeSet<Eid>,
     threads: usize,
@@ -184,7 +173,7 @@ fn summarize(
 ///
 /// Panics on an empty slice or mixed algorithms.
 #[must_use]
-pub fn average(summaries: &[RunSummary]) -> RunSummary {
+pub(crate) fn average(summaries: &[RunSummary]) -> RunSummary {
     assert!(!summaries.is_empty(), "cannot average zero runs");
     let algo = summaries[0].algo;
     assert!(
@@ -224,8 +213,8 @@ mod tests {
         let targets = sample_targets(&d, 20, 1);
         let ss = run_ss(&d, &targets, 0);
         let edp = run_edp(&d, &targets, 0);
-        assert_eq!(ss.algo.label(), "SS");
-        assert_eq!(edp.algo.label(), "EDP");
+        assert_eq!(ss.algo, Algo::Ss);
+        assert_eq!(edp.algo, Algo::Edp);
         assert_eq!(ss.matched, 20);
         assert!(ss.selected > 0);
         assert!(ss.per_eid >= 1.0);

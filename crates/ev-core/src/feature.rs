@@ -108,9 +108,8 @@ impl FeatureVector {
     /// Normalized distance to `other` under `metric`; always in `[0, 1]`.
     ///
     /// The metric formulas themselves live in [`crate::kernel`] (shared
-    /// with the batch block kernel and the anytime bounds, so the paths
-    /// cannot drift); this method contributes the per-pair dimension
-    /// check.
+    /// with the batch block kernel, so the paths cannot drift); this
+    /// method contributes the per-pair dimension check.
     ///
     /// # Errors
     ///

@@ -29,25 +29,6 @@ impl Point {
         (self - other).norm()
     }
 
-    /// Squared Euclidean distance to `other` (avoids the square root when
-    /// only comparisons are needed).
-    #[must_use]
-    pub fn distance_sq(self, other: Point) -> f64 {
-        let d = self - other;
-        d.dx * d.dx + d.dy * d.dy
-    }
-
-    /// Linear interpolation: returns the point a fraction `t` of the way
-    /// from `self` to `other` (`t` in `[0, 1]` stays on the segment; other
-    /// values extrapolate).
-    #[must_use]
-    pub fn lerp(self, other: Point, t: f64) -> Point {
-        Point::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
-    }
-
     /// Clamps the point into the axis-aligned rectangle `rect`.
     #[must_use]
     pub fn clamped(self, rect: Rect) -> Point {
@@ -75,7 +56,7 @@ pub struct Vector {
 
 impl Vector {
     /// The zero vector.
-    pub const ZERO: Vector = Vector { dx: 0.0, dy: 0.0 };
+    pub(crate) const ZERO: Vector = Vector { dx: 0.0, dy: 0.0 };
 
     /// Creates a vector from components.
     #[must_use]
@@ -99,12 +80,6 @@ impl Vector {
         } else {
             Vector::new(self.dx / n, self.dy / n)
         }
-    }
-
-    /// Dot product with `other`.
-    #[must_use]
-    pub fn dot(self, other: Vector) -> f64 {
-        self.dx * other.dx + self.dy * other.dy
     }
 }
 
@@ -156,7 +131,7 @@ impl Rect {
     /// Creates a rectangle from two opposite corners, normalizing the
     /// corner order.
     #[must_use]
-    pub fn new(a: Point, b: Point) -> Self {
+    pub(crate) fn new(a: Point, b: Point) -> Self {
         Rect {
             min: Point::new(a.x.min(b.x), a.y.min(b.y)),
             max: Point::new(a.x.max(b.x), a.y.max(b.y)),
@@ -181,51 +156,17 @@ impl Rect {
         self.max.y - self.min.y
     }
 
-    /// Area in square metres.
-    #[must_use]
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
     /// Whether `p` lies inside the rectangle (boundary inclusive).
     #[must_use]
     pub fn contains(&self, p: Point) -> bool {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
-    /// The centre point of the rectangle.
-    #[must_use]
-    pub fn center(&self) -> Point {
-        Point::new(
-            (self.min.x + self.max.x) / 2.0,
-            (self.min.y + self.max.y) / 2.0,
-        )
-    }
-
-    /// Returns the rectangle shrunk by `margin` metres on every side, or
-    /// `None` if the margin would invert it.
-    ///
-    /// This is how a scenario cell derives its *inclusive zone*: the region
-    /// far enough from the border that electronic noise cannot have drifted
-    /// the reading in from a neighbouring cell (paper §IV-C, Fig. 2).
-    #[must_use]
-    pub fn shrunk(&self, margin: f64) -> Option<Rect> {
-        let r = Rect {
-            min: Point::new(self.min.x + margin, self.min.y + margin),
-            max: Point::new(self.max.x - margin, self.max.y - margin),
-        };
-        if r.min.x <= r.max.x && r.min.y <= r.max.y {
-            Some(r)
-        } else {
-            None
-        }
-    }
-
     /// Distance from `p` to the nearest edge of the rectangle; positive for
     /// interior points, zero on the border, and negative outside (the
     /// distance to the rectangle itself, negated).
     #[must_use]
-    pub fn signed_border_distance(&self, p: Point) -> f64 {
+    pub(crate) fn signed_border_distance(&self, p: Point) -> f64 {
         if self.contains(p) {
             let dx = (p.x - self.min.x).min(self.max.x - p.x);
             let dy = (p.y - self.min.y).min(self.max.y - p.y);
@@ -234,6 +175,44 @@ impl Rect {
             let cx = p.x.clamp(self.min.x, self.max.x);
             let cy = p.y.clamp(self.min.y, self.max.y);
             -p.distance(Point::new(cx, cy))
+        }
+    }
+}
+
+/// Read only by the tests.
+#[cfg(test)]
+impl Point {
+    /// Linear interpolation: returns the point a fraction `t` of the way
+    /// from `self` to `other` (`t` in `[0, 1]` stays on the segment; other
+    /// values extrapolate).
+    #[must_use]
+    pub(crate) fn lerp(self, other: Point, t: f64) -> Point {
+        Point::new(
+            self.x + (other.x - self.x) * t,
+            self.y + (other.y - self.y) * t,
+        )
+    }
+}
+
+/// Read only by the tests.
+#[cfg(test)]
+impl Rect {
+    /// Returns the rectangle shrunk by `margin` metres on every side, or
+    /// `None` if the margin would invert it.
+    ///
+    /// This is how a scenario cell derives its *inclusive zone*: the region
+    /// far enough from the border that electronic noise cannot have drifted
+    /// the reading in from a neighbouring cell (paper §IV-C, Fig. 2).
+    #[must_use]
+    pub(crate) fn shrunk(&self, margin: f64) -> Option<Rect> {
+        let r = Rect {
+            min: Point::new(self.min.x + margin, self.min.y + margin),
+            max: Point::new(self.max.x - margin, self.max.y - margin),
+        };
+        if r.min.x <= r.max.x && r.min.y <= r.max.y {
+            Some(r)
+        } else {
+            None
         }
     }
 }
@@ -247,7 +226,6 @@ mod tests {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(3.0, 4.0);
         assert!((a.distance(b) - 5.0).abs() < 1e-12);
-        assert!((a.distance_sq(b) - 25.0).abs() < 1e-12);
     }
 
     #[test]
@@ -273,7 +251,6 @@ mod tests {
         let v = Point::new(4.0, 6.0) - Point::new(1.0, 2.0);
         assert_eq!(v, Vector::new(3.0, 4.0));
         assert_eq!(v * 2.0, Vector::new(6.0, 8.0));
-        assert!((v.dot(v) - v.norm() * v.norm()).abs() < 1e-9);
     }
 
     #[test]
@@ -283,8 +260,6 @@ mod tests {
         assert_eq!(r.max, Point::new(5.0, 7.0));
         assert_eq!(r.width(), 4.0);
         assert_eq!(r.height(), 4.0);
-        assert_eq!(r.area(), 16.0);
-        assert_eq!(r.center(), Point::new(3.0, 5.0));
     }
 
     #[test]

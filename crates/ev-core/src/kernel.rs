@@ -21,7 +21,7 @@
 //! The exact `f64` block path reproduces the scalar per-pair path
 //! **bitwise**, not just to a tolerance. The trick is vectorizing
 //! *across gallery rows* instead of across dimensions: the block stores
-//! rows in lanes of [`LANES`] and the inner loop walks dimensions in
+//! rows in lanes of `LANES` (8) and the inner loop walks dimensions in
 //! index order, keeping one accumulator per row. Every row's sum is
 //! therefore accumulated in exactly the sequential order the scalar
 //! `zip(..).sum()` uses — same additions, same order, same rounding,
@@ -33,7 +33,7 @@ use crate::error::{Error, Result};
 use crate::feature::{FeatureVector, Metric};
 
 /// Gallery rows per `f64` lane group: 8 × 8 bytes = one 64-byte line.
-pub const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// One cache-line-sized group of `f64` row values: the components of
 /// [`LANES`] consecutive gallery rows at a single dimension index.
@@ -43,8 +43,8 @@ struct Lane64([f64; LANES]);
 
 /// A gallery packed into structure-of-arrays blocks.
 ///
-/// Rows are grouped into chunks of [`LANES`]; within a chunk, the lane
-/// at index `chunk * dim + j` holds dimension `j` of all [`LANES`] rows
+/// Rows are grouped into chunks of `LANES` (8); within a chunk, the lane
+/// at index `chunk * dim + j` holds dimension `j` of all `LANES` rows
 /// side by side. A candidate-vs-gallery pass therefore walks each
 /// buffer exactly once, front to back, with unit stride — no per-row
 /// heap hop, no per-pair dimension check. Rows past `len` in the last
@@ -176,18 +176,6 @@ impl Kernel {
             });
         }
         Ok(Kernel { metric, dim })
-    }
-
-    /// The prepared metric.
-    #[must_use]
-    pub fn metric(&self) -> Metric {
-        self.metric
-    }
-
-    /// The prepared dimensionality.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Checks `candidate` and `block` against the prepared shape; the
@@ -332,18 +320,18 @@ impl Kernel {
 }
 
 /// Finalizes a normalized L2 distance from a squared-difference sum —
-/// the single definition shared by the scalar path, the block kernel
-/// and the anytime box bound, so they can never drift.
+/// the single definition shared by the scalar path and the block
+/// kernel, so they can never drift.
 #[inline]
 #[must_use]
-pub fn l2_distance_from_sq(sq: f64, dim: usize) -> f64 {
+pub(crate) fn l2_distance_from_sq(sq: f64, dim: usize) -> f64 {
     (sq.sqrt() / (dim as f64).sqrt()).min(1.0)
 }
 
 /// Finalizes a normalized L1 distance from an absolute-difference sum.
 #[inline]
 #[must_use]
-pub fn l1_distance_from_abs(abs: f64, dim: usize) -> f64 {
+pub(crate) fn l1_distance_from_abs(abs: f64, dim: usize) -> f64 {
     (abs / dim as f64).min(1.0)
 }
 
@@ -358,7 +346,7 @@ pub fn l1_distance_from_abs(abs: f64, dim: usize) -> f64 {
 /// the clamp.
 #[inline]
 #[must_use]
-pub fn cosine_distance_from_parts(dot: f64, a_norm_sq: f64, b_norm_sq: f64) -> f64 {
+pub(crate) fn cosine_distance_from_parts(dot: f64, a_norm_sq: f64, b_norm_sq: f64) -> f64 {
     if a_norm_sq == 0.0 || b_norm_sq == 0.0 {
         // A zero vector is equidistant from everything.
         return 0.5;
@@ -388,7 +376,7 @@ fn cosine_norm_sq(metric: Metric, x: &[f64]) -> f64 {
 /// dimension check. Kept in this module so every metric formula has
 /// exactly one home.
 #[must_use]
-pub fn pair_distance(metric: Metric, a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn pair_distance(metric: Metric, a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let dim = a.len();
     match metric {
@@ -406,43 +394,6 @@ pub fn pair_distance(metric: Metric, a: &[f64], b: &[f64]) -> f64 {
             let nb_sq: f64 = b.iter().map(|y| y * y).sum();
             cosine_distance_from_parts(dot, na_sq, nb_sq)
         }
-    }
-}
-
-/// Distance lower bound from a point to an axis-aligned box
-/// (`lo`/`hi` per dimension) — the anytime membership upper bound's
-/// geometric core. Per dimension the gap is
-/// `g = max(0, lo − x, x − hi)`; gaps finalize through the same
-/// functions as exact distances, so `box_bound ≤ dist(x, y)` holds
-/// **bitwise** for every `y` inside the box (subtraction, `max`,
-/// ordered summation, `sqrt` and division are all monotone).
-/// `Cosine` has no useful box bound and returns `0.0`.
-#[must_use]
-pub fn box_bound_distance(metric: Metric, x: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), lo.len());
-    debug_assert_eq!(x.len(), hi.len());
-    let dim = x.len();
-    match metric {
-        Metric::NormalizedL2 => {
-            let sq: f64 = x
-                .iter()
-                .zip(lo.iter().zip(hi))
-                .map(|(&x, (&l, &h))| {
-                    let g = (l - x).max(x - h).max(0.0);
-                    g * g
-                })
-                .sum();
-            l2_distance_from_sq(sq, dim)
-        }
-        Metric::NormalizedL1 => {
-            let abs: f64 = x
-                .iter()
-                .zip(lo.iter().zip(hi))
-                .map(|(&x, (&l, &h))| (l - x).max(x - h).max(0.0))
-                .sum();
-            l1_distance_from_abs(abs, dim)
-        }
-        Metric::Cosine => 0.0,
     }
 }
 
@@ -552,27 +503,5 @@ mod tests {
         let denormal = FeatureVector::new(vec![1e-320, 0.0]).unwrap();
         let d = denormal.distance(&denormal, Metric::Cosine).unwrap();
         assert!(!d.is_nan());
-    }
-
-    #[test]
-    fn box_bound_never_exceeds_any_in_box_distance() {
-        let dim = 6;
-        let gallery = rows(dim, 30, 21);
-        let cand = rows(dim, 1, 22)[0].clone();
-        let mut lo = gallery[0].components().to_vec();
-        let mut hi = lo.clone();
-        for g in &gallery[1..] {
-            for ((l, h), &c) in lo.iter_mut().zip(hi.iter_mut()).zip(g.components()) {
-                *l = l.min(c);
-                *h = h.max(c);
-            }
-        }
-        for m in METRICS {
-            let bound = box_bound_distance(m, cand.components(), &lo, &hi);
-            for g in &gallery {
-                let d = cand.distance(g, m).unwrap();
-                assert!(bound <= d, "{m:?}: bound {bound} > dist {d}");
-            }
-        }
     }
 }

@@ -48,5 +48,5 @@ pub use feature::FeatureVector;
 pub use ids::{Eid, PersonId, Vid};
 pub use kernel::{FeatureBlock, Kernel};
 pub use region::{CellId, GridRegion};
-pub use scenario::{EScenario, EvScenario, ScenarioId, VScenario, ZoneAttr};
+pub use scenario::{EScenario, ScenarioId, VScenario, ZoneAttr};
 pub use time::{TimeRange, Timestamp};

@@ -15,7 +15,7 @@
 //! copies are pruned (mirroring the exclusion step in the proof of
 //! Theorem 4.1). A scenario with no vague member splits the cover exactly
 //! as it splits a partition, so the ideal setting is the special case in
-//! which the blocks stay disjoint ([`EidCover::is_partition`]).
+//! which the blocks stay disjoint.
 //!
 //! EIDs are addressed by dense *ordinals* over the sorted universe, and a
 //! reverse map lists the blocks holding each ordinal, so a split visits
@@ -125,15 +125,10 @@ impl EidCover {
         Ok(cover)
     }
 
-    /// Number of EIDs in the universe.
-    #[must_use]
-    pub fn universe_len(&self) -> usize {
-        self.universe.len()
-    }
-
     /// Whether the universe is empty.
+    #[cfg(test)]
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.universe.is_empty()
     }
 
@@ -183,14 +178,6 @@ impl EidCover {
         })
     }
 
-    /// Whether the blocks are pairwise disjoint — always, in the ideal
-    /// setting; until a scenario with a vague member splits a block, in
-    /// the practical one.
-    #[must_use]
-    pub fn is_partition(&self) -> bool {
-        self.slots_of.iter().all(|slots| slots.len() == 1)
-    }
-
     /// Whether `eid` is distinguished: some block is exactly the singleton
     /// `{eid}`, meaning every other EID has been confidently ruled out of
     /// that block's scenario signature.
@@ -202,15 +189,6 @@ impl EidCover {
     pub fn is_distinguished(&self, eid: Eid) -> bool {
         self.ordinal(eid)
             .is_some_and(|o| self.has_singleton(o, None))
-    }
-
-    /// Whether `eid` is distinguished by a *firm* singleton: every
-    /// placement on its path was inclusive, so its VID is expected in every
-    /// selected V-Scenario.
-    #[must_use]
-    pub fn is_firmly_distinguished(&self, eid: Eid) -> bool {
-        self.ordinal(eid)
-            .is_some_and(|o| self.has_singleton(o, Some(true)))
     }
 
     /// All currently distinguished EIDs, in EID order.
@@ -313,7 +291,8 @@ impl EidCover {
     /// Removes an EID from the cover entirely (accepted-match cleanup in
     /// the refinement loop). The ordinals above it shift down, so this is
     /// linear in the size of the cover.
-    pub fn remove(&mut self, eid: Eid) -> bool {
+    #[cfg(test)]
+    pub(crate) fn remove(&mut self, eid: Eid) -> bool {
         let Some(o) = self.ordinal(eid) else {
             return false;
         };
@@ -410,6 +389,33 @@ impl PartialEq for EidCover {
 /// The walk-every-block cover this module started from, kept verbatim as
 /// the differential reference for [`EidCover`]: every split drains every
 /// block into two fresh maps and re-sorts the whole block list.
+/// Invariant queries only the tests ask.
+#[cfg(test)]
+impl EidCover {
+    /// Number of EIDs in the universe.
+    #[must_use]
+    fn universe_len(&self) -> usize {
+        self.universe.len()
+    }
+
+    /// Whether the blocks are pairwise disjoint — always, in the ideal
+    /// setting; until a scenario with a vague member splits a block, in
+    /// the practical one.
+    #[must_use]
+    fn is_partition(&self) -> bool {
+        self.slots_of.iter().all(|slots| slots.len() == 1)
+    }
+
+    /// Whether `eid` is distinguished by a *firm* singleton: every
+    /// placement on its path was inclusive, so its VID is expected in every
+    /// selected V-Scenario.
+    #[must_use]
+    fn is_firmly_distinguished(&self, eid: Eid) -> bool {
+        self.ordinal(eid)
+            .is_some_and(|o| self.has_singleton(o, Some(true)))
+    }
+}
+
 #[cfg(test)]
 mod reference {
     use super::SplitOutcome;

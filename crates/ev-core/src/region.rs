@@ -136,39 +136,10 @@ impl GridRegion {
         })
     }
 
-    /// Region width in metres.
-    #[must_use]
-    pub fn width(&self) -> f64 {
-        self.width
-    }
-
-    /// Region height in metres.
-    #[must_use]
-    pub fn height(&self) -> f64 {
-        self.height
-    }
-
-    /// Side length of each (square) cell in metres.
-    #[must_use]
-    pub fn cell_size(&self) -> f64 {
-        self.cell_size
-    }
-
-    /// Width of the vague band along each cell border, in metres.
-    #[must_use]
-    pub fn vague_width(&self) -> f64 {
-        self.vague_width
-    }
-
-    /// Number of cell columns.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Number of cell rows.
+    #[cfg(test)]
     #[must_use]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
@@ -206,7 +177,7 @@ impl GridRegion {
     /// # Errors
     ///
     /// Returns [`Error::UnknownCell`] if the id is out of range.
-    pub fn cell_bounds(&self, cell: CellId) -> Result<Rect> {
+    pub(crate) fn cell_bounds(&self, cell: CellId) -> Result<Rect> {
         if cell.0 >= self.cell_count() {
             return Err(Error::UnknownCell { index: cell.0 });
         }
@@ -246,13 +217,17 @@ impl GridRegion {
     pub fn cells(&self) -> impl Iterator<Item = CellId> {
         (0..self.cell_count()).map(CellId)
     }
+}
 
+/// Read only by the tests.
+#[cfg(test)]
+impl GridRegion {
     /// The up-to-8 neighbouring cells of `cell` (diagonals included).
     ///
     /// # Errors
     ///
     /// Returns [`Error::UnknownCell`] if the id is out of range.
-    pub fn neighbors(&self, cell: CellId) -> Result<Vec<CellId>> {
+    pub(crate) fn neighbors(&self, cell: CellId) -> Result<Vec<CellId>> {
         if cell.0 >= self.cell_count() {
             return Err(Error::UnknownCell { index: cell.0 });
         }
@@ -307,7 +282,6 @@ mod tests {
     fn paper_region_has_100_cells() {
         let r = region();
         assert_eq!(r.cell_count(), 100);
-        assert_eq!(r.cols(), 10);
         assert_eq!(r.rows(), 10);
     }
 
@@ -342,7 +316,8 @@ mod tests {
         let r = region();
         let mut area = 0.0;
         for cell in r.cells() {
-            area += r.cell_bounds(cell).unwrap().area();
+            let b = r.cell_bounds(cell).unwrap();
+            area += b.width() * b.height();
         }
         assert!((area - 1_000_000.0).abs() < 1e-6);
         assert!(r.cell_bounds(CellId(100)).is_err());
@@ -370,14 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_vague_band_makes_interior_inclusive() {
-        let r = GridRegion::new(100.0, 100.0, 10.0, 0.0).unwrap();
-        let cell = r.cell_at(Point::new(15.0, 15.0)).unwrap();
-        assert_eq!(r.zone_of(cell, Point::new(15.0, 15.0)), Zone::Inclusive);
-        assert_eq!(r.zone_of(cell, Point::new(25.0, 15.0)), Zone::Exclusive);
-    }
-
-    #[test]
     fn neighbors_counts() {
         let r = region();
         assert_eq!(r.neighbors(CellId(0)).unwrap().len(), 3, "corner");
@@ -387,9 +354,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_vague_band_makes_interior_inclusive() {
+        let r = GridRegion::new(100.0, 100.0, 10.0, 0.0).unwrap();
+        let cell = r.cell_at(Point::new(15.0, 15.0)).unwrap();
+        assert_eq!(r.zone_of(cell, Point::new(15.0, 15.0)), Zone::Inclusive);
+        assert_eq!(r.zone_of(cell, Point::new(25.0, 15.0)), Zone::Exclusive);
+    }
+
+    #[test]
     fn non_divisible_region_rounds_cell_grid_up() {
         let r = GridRegion::new(95.0, 45.0, 10.0, 0.0).unwrap();
-        assert_eq!(r.cols(), 10);
+        assert_eq!(r.cell_count(), 50, "10 columns of 5 rows");
         assert_eq!(r.rows(), 5);
         // Last column cells are clipped to the region border.
         let b = r.cell_bounds(CellId(9)).unwrap();

@@ -107,7 +107,8 @@ impl EScenario {
     }
 
     /// Removes an EID, returning its attribute if it was present.
-    pub fn remove(&mut self, eid: Eid) -> Option<ZoneAttr> {
+    #[cfg(test)]
+    pub(crate) fn remove(&mut self, eid: Eid) -> Option<ZoneAttr> {
         self.eids.remove(&eid)
     }
 
@@ -149,14 +150,6 @@ impl EScenario {
     /// Iterates over all EIDs in the scenario, in order.
     pub fn eids(&self) -> impl Iterator<Item = Eid> + '_ {
         self.eids.keys().copied()
-    }
-
-    /// Iterates over the EIDs with the inclusive attribute only.
-    pub fn inclusive_eids(&self) -> impl Iterator<Item = Eid> + '_ {
-        self.eids
-            .iter()
-            .filter(|(_, &a)| a == ZoneAttr::Inclusive)
-            .map(|(&e, _)| e)
     }
 }
 
@@ -242,15 +235,18 @@ impl VScenario {
     }
 }
 
-/// A full EV-Scenario: the E- and V-sides of the same (cell, time) snapshot.
+/// A full EV-Scenario: the E- and V-sides of the same (cell, time)
+/// snapshot. Read only by the tests.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EvScenario {
+pub(crate) struct EvScenario {
     /// The electronic side.
     pub e: EScenario,
     /// The visual side.
     pub v: VScenario,
 }
 
+#[cfg(test)]
 impl EvScenario {
     /// Pairs an E-Scenario with its corresponding V-Scenario.
     ///
@@ -272,6 +268,18 @@ impl EvScenario {
     #[must_use]
     pub fn id(&self) -> ScenarioId {
         self.e.id()
+    }
+}
+
+/// Read only by the tests.
+#[cfg(test)]
+impl EScenario {
+    /// Iterates over the EIDs with the inclusive attribute only.
+    pub(crate) fn inclusive_eids(&self) -> impl Iterator<Item = Eid> + '_ {
+        self.eids
+            .iter()
+            .filter(|(_, &a)| a == ZoneAttr::Inclusive)
+            .map(|(&e, _)| e)
     }
 }
 
@@ -326,15 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn escenario_inclusive_iterator_filters() {
-        let s = esc();
-        let inc: Vec<Eid> = s.inclusive_eids().collect();
-        assert_eq!(inc, vec![Eid::from_u64(1)]);
-        let all: Vec<Eid> = s.eids().collect();
-        assert_eq!(all, vec![Eid::from_u64(1), Eid::from_u64(2)]);
-    }
-
-    #[test]
     fn vscenario_detections() {
         let mut v = VScenario::new(CellId::new(3), Timestamp::new(7));
         assert!(v.is_empty());
@@ -362,6 +361,15 @@ mod tests {
         let e = esc();
         let v = VScenario::new(CellId::new(4), Timestamp::new(7));
         let _ = EvScenario::new(e, v);
+    }
+
+    #[test]
+    fn escenario_inclusive_iterator_filters() {
+        let s = esc();
+        let inc: Vec<Eid> = s.inclusive_eids().collect();
+        assert_eq!(inc, vec![Eid::from_u64(1)]);
+        let all: Vec<Eid> = s.eids().collect();
+        assert_eq!(all, vec![Eid::from_u64(1), Eid::from_u64(2)]);
     }
 
     #[test]

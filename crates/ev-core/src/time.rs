@@ -33,8 +33,9 @@ impl Timestamp {
     }
 
     /// Returns the timestamp `n` ticks later, saturating at `u64::MAX`.
+    #[cfg(test)]
     #[must_use]
-    pub const fn advanced(self, n: u64) -> Self {
+    pub(crate) const fn advanced(self, n: u64) -> Self {
         Timestamp(self.0.saturating_add(n))
     }
 }
@@ -88,8 +89,9 @@ impl TimeRange {
     }
 
     /// The window of `len` ticks starting at `start`.
+    #[cfg(test)]
     #[must_use]
-    pub fn window(start: Timestamp, len: u64) -> Self {
+    pub(crate) fn window(start: Timestamp, len: u64) -> Self {
         TimeRange {
             start,
             end: start.advanced(len),
@@ -97,14 +99,16 @@ impl TimeRange {
     }
 
     /// Number of ticks in the range.
+    #[cfg(test)]
     #[must_use]
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.end - self.start
     }
 
     /// Whether the range contains no ticks.
+    #[cfg(test)]
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -114,20 +118,9 @@ impl TimeRange {
         t >= self.start && t < self.end
     }
 
-    /// Intersection with `other`, or `None` if disjoint.
-    #[must_use]
-    pub fn intersect(&self, other: &TimeRange) -> Option<TimeRange> {
-        let start = self.start.max(other.start);
-        let end = self.end.min(other.end);
-        if start < end {
-            Some(TimeRange { start, end })
-        } else {
-            None
-        }
-    }
-
     /// Iterates over every tick in the range.
-    pub fn iter(&self) -> impl Iterator<Item = Timestamp> {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Timestamp> {
         (self.start.tick()..self.end.tick()).map(Timestamp::new)
     }
 }
@@ -135,6 +128,22 @@ impl TimeRange {
 impl fmt::Display for TimeRange {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}, {})", self.start.tick(), self.end.tick())
+    }
+}
+
+/// Read only by the tests.
+#[cfg(test)]
+impl TimeRange {
+    /// Intersection with `other`, or `None` if disjoint.
+    #[must_use]
+    pub(crate) fn intersect(&self, other: &TimeRange) -> Option<TimeRange> {
+        let start = self.start.max(other.start);
+        let end = self.end.min(other.end);
+        if start < end {
+            Some(TimeRange { start, end })
+        } else {
+            None
+        }
     }
 }
 
@@ -171,6 +180,13 @@ mod tests {
     }
 
     #[test]
+    fn range_iteration_visits_each_tick_once() {
+        let r = TimeRange::window(Timestamp::new(2), 4);
+        let ticks: Vec<u64> = r.iter().map(Timestamp::tick).collect();
+        assert_eq!(ticks, vec![2, 3, 4, 5]);
+    }
+
+    #[test]
     fn range_intersection() {
         let a = TimeRange::window(Timestamp::new(0), 10);
         let b = TimeRange::window(Timestamp::new(5), 10);
@@ -181,13 +197,6 @@ mod tests {
         assert!(a
             .intersect(&TimeRange::window(Timestamp::new(10), 1))
             .is_none());
-    }
-
-    #[test]
-    fn range_iteration_visits_each_tick_once() {
-        let r = TimeRange::window(Timestamp::new(2), 4);
-        let ticks: Vec<u64> = r.iter().map(Timestamp::tick).collect();
-        assert_eq!(ticks, vec![2, 3, 4, 5]);
     }
 
     #[test]

@@ -146,7 +146,7 @@ pub struct TaskCtx {
     /// Partition index within the stage.
     pub partition: usize,
     /// 0 for the first execution, +1 per retry after a lost attempt.
-    pub attempt: u32,
+    pub(crate) attempt: u32,
 }
 
 type Compute<'a, P> = Box<dyn Fn(TaskCtx, &[Arc<P>]) -> P + Sync + 'a>;
@@ -198,12 +198,12 @@ pub struct DagMetrics {
     /// Attempts that panicked and were retried.
     pub retries: u64,
     /// High-water mark of live cached partitions.
-    pub cache_peak: u64,
+    pub(crate) cache_peak: u64,
 }
 
 impl DagMetrics {
     /// Records the run's counters as `evm_dag_*` metrics.
-    pub fn record_to(&self, registry: &MetricsRegistry) {
+    pub(crate) fn record_to(&self, registry: &MetricsRegistry) {
         registry
             .counter(names::DAG_TASKS_TOTAL)
             .add(self.tasks_submitted);

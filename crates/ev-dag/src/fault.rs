@@ -47,7 +47,7 @@ impl FaultPlan {
     ///
     /// Returns [`ev_core::Error::InvalidParameter`] if the failure rate
     /// is outside `[0, 1)` or `max_attempts` is zero.
-    pub fn validate(&self) -> ev_core::Result<()> {
+    pub(crate) fn validate(&self) -> ev_core::Result<()> {
         if !self.task_failure_rate.is_finite() || !(0.0..1.0).contains(&self.task_failure_rate) {
             return Err(ev_core::Error::InvalidParameter {
                 name: "task_failure_rate",

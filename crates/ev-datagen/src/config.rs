@@ -24,7 +24,7 @@ impl Mobility {
     ///
     /// Returns [`ev_core::Error::InvalidParameter`] from the wrapped
     /// model's validation.
-    pub fn validate(&self) -> ev_core::Result<()> {
+    pub(crate) fn validate(&self) -> ev_core::Result<()> {
         match self {
             Mobility::RandomWaypoint(p) => p.validate(),
             // The random walk has no invalid states beyond NaN speeds,
@@ -115,35 +115,8 @@ impl DatasetConfig {
         }
     }
 
-    /// A configuration with (approximately) the given EID *density* —
-    /// the average number of human objects per cell, the x-axis of paper
-    /// Figs. 6 and 9.
-    ///
-    /// Following §VI-A, the 1000-object database and the 1000 m × 1000 m
-    /// region stay fixed; density varies by re-dividing the region into
-    /// fewer, larger cells. (A square grid cannot hit every density
-    /// exactly; [`DatasetConfig::density`] reports the value actually
-    /// achieved.)
-    #[must_use]
-    pub fn with_density(density: u64) -> Self {
-        let base = DatasetConfig::paper();
-        let target = base.population as f64 / density.max(1) as f64;
-        // Pick the grid side whose achieved density is nearest the
-        // request in log space (a square grid quantizes densities).
-        let side = (1..=32)
-            .min_by(|&a, &b| {
-                let da = (target / f64::from(a * a)).ln().abs();
-                let db = (target / f64::from(b * b)).ln().abs();
-                // total_cmp: NaN (degenerate population) must not make
-                // the comparator claim every pair is equal.
-                da.total_cmp(&db)
-            })
-            .unwrap_or(1);
-        Self::with_grid_side(side)
-    }
-
-    /// A paper-scale configuration over a `side` × `side` cell grid —
-    /// the direct control behind [`DatasetConfig::with_density`].
+    /// A paper-scale configuration over a `side` × `side` cell grid: the
+    /// density control the figures sweep.
     ///
     /// The simulated duration scales inversely with `side`: spatiotemporal
     /// matching relies on people visiting several cells ("two people are
@@ -163,7 +136,7 @@ impl DatasetConfig {
 
     /// Number of grid cells implied by the region and cell size.
     #[must_use]
-    pub fn cell_count(&self) -> u64 {
+    pub(crate) fn cell_count(&self) -> u64 {
         let cols = (self.width / self.cell_size).ceil() as u64;
         let rows = (self.height / self.cell_size).ceil() as u64;
         cols * rows
@@ -181,7 +154,7 @@ impl DatasetConfig {
     ///
     /// Returns the first violated constraint as
     /// [`ev_core::Error::InvalidParameter`].
-    pub fn validate(&self) -> ev_core::Result<()> {
+    pub(crate) fn validate(&self) -> ev_core::Result<()> {
         if self.population == 0 {
             return Err(ev_core::Error::InvalidParameter {
                 name: "population",
@@ -237,6 +210,37 @@ impl DatasetConfig {
         self.thresholds.validate()?;
         self.detection.validate()?;
         Ok(())
+    }
+}
+
+/// Read only by the tests.
+#[cfg(test)]
+impl DatasetConfig {
+    /// A configuration with (approximately) the given EID *density* —
+    /// the average number of human objects per cell, the x-axis of paper
+    /// Figs. 6 and 9.
+    ///
+    /// Following §VI-A, the 1000-object database and the 1000 m × 1000 m
+    /// region stay fixed; density varies by re-dividing the region into
+    /// fewer, larger cells. (A square grid cannot hit every density
+    /// exactly; [`DatasetConfig::density`] reports the value actually
+    /// achieved.)
+    #[must_use]
+    fn with_density(density: u64) -> Self {
+        let base = DatasetConfig::paper();
+        let target = base.population as f64 / density.max(1) as f64;
+        // Pick the grid side whose achieved density is nearest the
+        // request in log space (a square grid quantizes densities).
+        let side = (1..=32)
+            .min_by(|&a, &b| {
+                let da = (target / f64::from(a * a)).ln().abs();
+                let db = (target / f64::from(b * b)).ln().abs();
+                // total_cmp: NaN (degenerate population) must not make
+                // the comparator claim every pair is equal.
+                da.total_cmp(&db)
+            })
+            .unwrap_or(1);
+        Self::with_grid_side(side)
     }
 }
 

@@ -1,7 +1,7 @@
 //! The generated dataset bundle.
 
 use crate::config::DatasetConfig;
-use ev_core::ids::{Eid, PersonId, Vid};
+use ev_core::ids::{Eid, Vid};
 use ev_core::region::GridRegion;
 use ev_mobility::World;
 use ev_sensing::{EScenarioBuilder, EidRoster};
@@ -137,7 +137,7 @@ impl EvDataset {
 
     /// All carried EIDs, in order.
     #[must_use]
-    pub fn eids(&self) -> Vec<Eid> {
+    pub(crate) fn eids(&self) -> Vec<Eid> {
         self.truth.keys().copied().collect()
     }
 
@@ -145,12 +145,6 @@ impl EvDataset {
     #[must_use]
     pub fn true_vid(&self, eid: Eid) -> Option<Vid> {
         self.truth.get(&eid).copied()
-    }
-
-    /// The ground-truth person behind an EID.
-    #[must_use]
-    pub fn person_of(&self, eid: Eid) -> Option<PersonId> {
-        self.roster.owner_of(eid)
     }
 }
 

@@ -45,7 +45,7 @@ use ev_core::time::Timestamp;
 /// input — so a length or count prefix can never drive an allocation
 /// larger than the input that declared it.
 #[derive(Debug)]
-pub struct ByteReader<'a> {
+pub(crate) struct ByteReader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
@@ -53,13 +53,13 @@ pub struct ByteReader<'a> {
 impl<'a> ByteReader<'a> {
     /// A reader over `bytes`, positioned at the start.
     #[must_use]
-    pub fn new(bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
         ByteReader { bytes, pos: 0 }
     }
 
     /// Bytes not yet consumed.
     #[must_use]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
@@ -76,17 +76,17 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads one byte.
-    pub fn get_u8(&mut self, what: &'static str) -> DiskResult<u8> {
+    pub(crate) fn get_u8(&mut self, what: &'static str) -> DiskResult<u8> {
         Ok(self.take(1, what)?[0])
     }
 
     /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self, what: &'static str) -> DiskResult<u32> {
+    pub(crate) fn get_u32(&mut self, what: &'static str) -> DiskResult<u32> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self, what: &'static str) -> DiskResult<u64> {
+    pub(crate) fn get_u64(&mut self, what: &'static str) -> DiskResult<u64> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
@@ -106,7 +106,7 @@ impl<'a> ByteReader<'a> {
 const RECORD_HEAD_LEN: usize = 20;
 
 /// Appends one E-Scenario record payload to `out`.
-pub fn encode_escenario_into(s: &EScenario, out: &mut Vec<u8>) {
+pub(crate) fn encode_escenario_into(s: &EScenario, out: &mut Vec<u8>) {
     out.reserve(s.encoded_len());
     out.extend_from_slice(&s.time().tick().to_le_bytes());
     out.extend_from_slice(&(s.cell().index() as u64).to_le_bytes());
@@ -171,7 +171,7 @@ pub fn record_id(payload: &[u8]) -> DiskResult<ScenarioId> {
 }
 
 /// Appends one V-Scenario record payload to `out`.
-pub fn encode_vscenario_into(s: &VScenario, out: &mut Vec<u8>) {
+pub(crate) fn encode_vscenario_into(s: &VScenario, out: &mut Vec<u8>) {
     out.reserve(s.encoded_len());
     out.extend_from_slice(&s.time().tick().to_le_bytes());
     out.extend_from_slice(&(s.cell().index() as u64).to_le_bytes());

@@ -153,7 +153,7 @@ const LANE_THRESHOLD: usize = 1024;
 
 /// Computes the CRC-32 of `bytes`.
 #[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     let mut rest = bytes;
     if bytes.len() >= LANE_THRESHOLD {

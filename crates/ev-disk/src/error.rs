@@ -5,7 +5,7 @@ use std::io;
 use std::path::Path;
 
 /// Result alias for disk operations.
-pub type DiskResult<T> = Result<T, DiskError>;
+pub(crate) type DiskResult<T> = Result<T, DiskError>;
 
 /// Damage found while opening or reading a corpus that the requested
 /// [`RecoveryMode`](crate::RecoveryMode) refuses to heal.
@@ -93,7 +93,7 @@ pub enum DiskError {
 impl DiskError {
     /// A corruption error with the given description.
     #[must_use]
-    pub fn corrupt(context: impl Into<String>) -> Self {
+    pub(crate) fn corrupt(context: impl Into<String>) -> Self {
         DiskError::Corrupt {
             context: context.into(),
         }
@@ -101,7 +101,7 @@ impl DiskError {
 
     /// Wraps an I/O error with the operation and path it interrupted.
     #[must_use]
-    pub fn io(action: &str, path: &Path, source: io::Error) -> Self {
+    pub(crate) fn io(action: &str, path: &Path, source: io::Error) -> Self {
         DiskError::Io {
             context: format!("{action} {}", path.display()),
             source,

@@ -7,7 +7,7 @@
 //! tail — the one way a crash can *extend* a file on some filesystems —
 //! unambiguously invalid rather than an infinite run of empty frames.
 //!
-//! [`next_frame`] classifies what it finds so callers can implement the
+//! `next_frame` classifies what it finds so callers can implement the
 //! recovery state machine of `DESIGN.md` §6: a frame that cannot be
 //! completed before end-of-file is a **torn tail** (the expected residue
 //! of a crash mid-append — truncate and continue), while a damaged frame
@@ -22,7 +22,7 @@ pub(crate) const CRC_MISMATCH: &str = "frame checksum mismatch";
 
 /// What the parser found at a file position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameEvent {
+pub(crate) enum FrameEvent {
     /// A complete, checksum-valid frame.
     Frame {
         /// Byte offset of the payload within the scanned slice.
@@ -103,7 +103,7 @@ pub(crate) fn crc_matches(framed: &[u8]) -> bool {
 
 /// Classifies the bytes at `pos` (a frame boundary) of `bytes`.
 #[must_use]
-pub fn next_frame(bytes: &[u8], pos: usize) -> FrameEvent {
+pub(crate) fn next_frame(bytes: &[u8], pos: usize) -> FrameEvent {
     let remaining = bytes.len() - pos;
     if remaining == 0 {
         return FrameEvent::End;

@@ -78,7 +78,7 @@ pub struct StreamAppendReceipt {
     pub appended: u64,
     /// Records staged in open segments after this push (zero when the
     /// push triggered an automatic checkpoint).
-    pub staged_records: u64,
+    pub(crate) staged_records: u64,
     /// The manifest entries committed, when this push crossed the
     /// [`CheckpointPolicy`] threshold.
     pub checkpoint: Option<Vec<ManifestEntry>>,

@@ -19,7 +19,7 @@
 //! recovery state machine are specified in `DESIGN.md` §6
 //! ("Persistence"); [`format`](mod@format) pins the magic numbers that spec quotes.
 //! No external dependencies: the codec ([`codec`]), checksum
-//! ([`crc`]) and framing ([`frame`]) are hand-rolled and documented
+//! (`crc`) and framing ([`frame`]) are hand-rolled and documented
 //! byte by byte.
 //!
 //! # Quick tour
@@ -63,7 +63,7 @@
 
 pub mod backend;
 pub mod codec;
-pub mod crc;
+pub(crate) mod crc;
 pub mod error;
 pub mod format;
 pub mod frame;
@@ -73,7 +73,7 @@ pub mod segment;
 pub mod store;
 
 pub use backend::DiskBackend;
-pub use error::{DiskError, DiskResult, RecoveryError};
+pub use error::{DiskError, RecoveryError};
 pub use ingest::{CheckpointPolicy, IngestWriter, StreamAppendReceipt};
 pub use manifest::ManifestEntry;
 pub use segment::{SegmentBounds, SegmentKind};

@@ -65,7 +65,7 @@ impl ManifestEntry {
 
     /// Encodes the fixed 57-byte entry payload.
     #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut bytes = Vec::with_capacity(MANIFEST_ENTRY_PAYLOAD_LEN);
         bytes.extend_from_slice(&self.seq.to_le_bytes());
         bytes.push(self.kind.byte());

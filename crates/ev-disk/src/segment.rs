@@ -52,7 +52,7 @@ pub enum SegmentKind {
 impl SegmentKind {
     /// The on-disk kind byte.
     #[must_use]
-    pub fn byte(self) -> u8 {
+    pub(crate) fn byte(self) -> u8 {
         match self {
             SegmentKind::EScenario => KIND_E,
             SegmentKind::VScenario => KIND_V,
@@ -64,7 +64,7 @@ impl SegmentKind {
     /// # Errors
     ///
     /// [`DiskError::Corrupt`] on an unknown byte.
-    pub fn from_byte(b: u8) -> DiskResult<Self> {
+    pub(crate) fn from_byte(b: u8) -> DiskResult<Self> {
         match b {
             KIND_E => Ok(SegmentKind::EScenario),
             KIND_V => Ok(SegmentKind::VScenario),
@@ -76,7 +76,7 @@ impl SegmentKind {
 
     /// Single-letter tag used in segment file names (`e` / `v`).
     #[must_use]
-    pub fn tag(self) -> char {
+    pub(crate) fn tag(self) -> char {
         match self {
             SegmentKind::EScenario => 'e',
             SegmentKind::VScenario => 'v',

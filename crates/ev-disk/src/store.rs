@@ -434,12 +434,6 @@ impl DiskStore {
         self
     }
 
-    /// The corpus directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Live manifest entries, in commit order.
     #[must_use]
     pub fn segments(&self) -> &[ManifestEntry] {

@@ -55,7 +55,6 @@ pub struct FusedIndex<'a> {
     estore: &'a EScenarioStore,
     video: &'a VideoStore,
     by_eid: BTreeMap<Eid, FusedIdentity>,
-    by_vid: BTreeMap<Vid, FusedIdentity>,
     /// Footage that the matching run already paid to extract.
     processed: BTreeSet<ScenarioId>,
 }
@@ -65,7 +64,6 @@ impl<'a> FusedIndex<'a> {
     #[must_use]
     pub fn build(estore: &'a EScenarioStore, video: &'a VideoStore, report: &MatchReport) -> Self {
         let mut by_eid = BTreeMap::new();
-        let mut by_vid = BTreeMap::new();
         for outcome in &report.outcomes {
             if !outcome.is_majority() {
                 continue;
@@ -78,65 +76,39 @@ impl<'a> FusedIndex<'a> {
                 confidence: outcome.confidence,
             };
             by_eid.insert(outcome.eid, identity);
-            // On a vid collision keep the stronger link.
-            by_vid
-                .entry(vid)
-                .and_modify(|existing: &mut FusedIdentity| {
-                    if identity.vote_share > existing.vote_share {
-                        *existing = identity;
-                    }
-                })
-                .or_insert(identity);
         }
         FusedIndex {
             estore,
             video,
             by_eid,
-            by_vid,
             processed: report.selected_scenarios.clone(),
         }
     }
 
     /// Number of fused identities.
+    #[cfg(test)]
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.by_eid.len()
     }
 
     /// Whether no identities were fused.
+    #[cfg(test)]
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.by_eid.is_empty()
-    }
-
-    /// Iterates over all fused identities in EID order.
-    pub fn identities(&self) -> impl Iterator<Item = &FusedIdentity> {
-        self.by_eid.values()
     }
 
     /// The identity link for an EID, if it was matched.
     #[must_use]
-    pub fn identity_of_eid(&self, eid: Eid) -> Option<FusedIdentity> {
+    pub(crate) fn identity_of_eid(&self, eid: Eid) -> Option<FusedIdentity> {
         self.by_eid.get(&eid).copied()
-    }
-
-    /// The identity link for a VID, if some EID matched to it.
-    #[must_use]
-    pub fn identity_of_vid(&self, vid: Vid) -> Option<FusedIdentity> {
-        self.by_vid.get(&vid).copied()
     }
 
     /// One query, both datasets: the full profile for an EID.
     #[must_use]
     pub fn profile_by_eid(&self, eid: Eid) -> Option<FusedProfile> {
         let identity = self.identity_of_eid(eid)?;
-        Some(self.assemble(identity))
-    }
-
-    /// One query, both datasets: the full profile for a VID.
-    #[must_use]
-    pub fn profile_by_vid(&self, vid: Vid) -> Option<FusedProfile> {
-        let identity = self.identity_of_vid(vid)?;
         Some(self.assemble(identity))
     }
 
@@ -262,7 +234,6 @@ mod tests {
         let majorities = report.outcomes.iter().filter(|o| o.is_majority()).count();
         assert_eq!(index.len(), majorities);
         assert!(!index.is_empty());
-        assert_eq!(index.identities().count(), index.len());
     }
 
     #[test]
@@ -278,9 +249,6 @@ mod tests {
             !profile.v_sightings.is_empty(),
             "person 0 appears in processed footage"
         );
-        // Round-trip by vid.
-        let by_vid = index.profile_by_vid(Vid::new(0)).expect("matched");
-        assert_eq!(by_vid.identity.eid, eid);
     }
 
     #[test]
@@ -288,7 +256,6 @@ mod tests {
         let (estore, video) = world();
         let (index, _) = matched_index(&estore, &video);
         assert!(index.profile_by_eid(Eid::from_u64(99)).is_none());
-        assert!(index.profile_by_vid(Vid::new(99)).is_none());
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! A [`FusedIndex`] is built from a [`MatchReport`](ev_matching::MatchReport)
 //! and the two stores. It answers:
 //!
-//! * [`profile_by_eid`](FusedIndex::profile_by_eid) /
-//!   [`profile_by_vid`](FusedIndex::profile_by_vid) — one query, both
+//! * [`profile_by_eid`](FusedIndex::profile_by_eid) — one query, both
 //!   sides: the electronic trail (every scenario that heard the device)
 //!   and the visual sightings (every *processed* scenario that filmed
 //!   the person).
@@ -36,4 +35,4 @@ mod index;
 mod trail;
 
 pub use index::{Encounter, FusedIdentity, FusedIndex, FusedProfile};
-pub use trail::{ETrail, TrailPoint, VSighting};
+pub use trail::{ETrail, VSighting};

@@ -4,14 +4,14 @@
 use ev_core::ids::Eid;
 use ev_core::region::CellId;
 use ev_core::scenario::ZoneAttr;
-use ev_core::time::{TimeRange, Timestamp};
+use ev_core::time::Timestamp;
 use ev_store::EScenarioStore;
 use serde::{Deserialize, Serialize};
 
 /// One electronic observation: the device was heard in `cell` during the
 /// window starting at `time`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TrailPoint {
+pub(crate) struct TrailPoint {
     /// Window start.
     pub time: Timestamp,
     /// The cell whose base station heard the device.
@@ -25,13 +25,13 @@ pub struct TrailPoint {
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ETrail {
     /// Observations in (time, cell) order.
-    pub points: Vec<TrailPoint>,
+    pub(crate) points: Vec<TrailPoint>,
 }
 
 impl ETrail {
     /// Reconstructs the trail of `eid` from the E-store.
     #[must_use]
-    pub fn of(store: &EScenarioStore, eid: Eid) -> Self {
+    pub(crate) fn of(store: &EScenarioStore, eid: Eid) -> Self {
         let mut points: Vec<TrailPoint> = store
             .containing(eid)
             .filter_map(|s| {
@@ -58,16 +58,6 @@ impl ETrail {
         self.points.is_empty()
     }
 
-    /// The observations within a time range.
-    pub fn within(&self, range: TimeRange) -> impl Iterator<Item = &TrailPoint> {
-        self.points.iter().filter(move |p| range.contains(p.time))
-    }
-
-    /// The confident (inclusive-zone) observations only.
-    pub fn confident(&self) -> impl Iterator<Item = &TrailPoint> {
-        self.points.iter().filter(|p| p.attr == ZoneAttr::Inclusive)
-    }
-
     /// Distinct cells the device was heard in.
     #[must_use]
     pub fn cells_visited(&self) -> Vec<CellId> {
@@ -78,8 +68,9 @@ impl ETrail {
     }
 
     /// First and last observation times, if any.
+    #[cfg(test)]
     #[must_use]
-    pub fn span(&self) -> Option<(Timestamp, Timestamp)> {
+    pub(crate) fn span(&self) -> Option<(Timestamp, Timestamp)> {
         let first = self.points.first()?.time;
         let last = self.points.last()?.time;
         Some((first, last))
@@ -96,10 +87,28 @@ pub struct VSighting {
     pub cell: CellId,
 }
 
+/// Read only by the tests.
+#[cfg(test)]
+impl ETrail {
+    /// The observations within a time range.
+    pub(crate) fn within(
+        &self,
+        range: ev_core::time::TimeRange,
+    ) -> impl Iterator<Item = &TrailPoint> {
+        self.points.iter().filter(move |p| range.contains(p.time))
+    }
+
+    /// The confident (inclusive-zone) observations only.
+    pub(crate) fn confident(&self) -> impl Iterator<Item = &TrailPoint> {
+        self.points.iter().filter(|p| p.attr == ZoneAttr::Inclusive)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ev_core::scenario::EScenario;
+    use ev_core::time::TimeRange;
 
     fn store() -> EScenarioStore {
         let mk = |cell: usize, t: u64, eids: &[(u64, ZoneAttr)]| {

@@ -1038,49 +1038,6 @@ mod tests {
         assert!(total_us <= dur_us("dag_match"), "{timings:?}");
     }
 
-    fn run_anytime(threads: usize, anytime: Option<crate::anytime::AnytimeConfig>) -> MatchReport {
-        let vfilter = VFilterConfig {
-            anytime,
-            ..VFilterConfig::default()
-        };
-        run_match(threads, &vfilter, Telemetry::disabled()).0
-    }
-
-    fn assert_same_report(report: &MatchReport, reference: &MatchReport, threads: usize) {
-        assert_eq!(report.outcomes, reference.outcomes, "threads={threads}");
-        assert_eq!(report.lists, reference.lists, "threads={threads}");
-        assert_eq!(
-            report.selected_scenarios, reference.selected_scenarios,
-            "threads={threads}"
-        );
-    }
-
-    #[test]
-    fn anytime_report_is_thread_count_invariant() {
-        // Approximate matching is a deterministic per-EID function of
-        // (list, gallery, config); the scheduler must not perturb it.
-        let approximate = Some(crate::anytime::AnytimeConfig {
-            confidence: 0.6,
-            budget_scenarios: Some(2),
-        });
-        let reference = run_anytime(1, approximate);
-        for threads in [2, 4] {
-            assert_same_report(&run_anytime(threads, approximate), &reference, threads);
-        }
-    }
-
-    #[test]
-    fn full_confidence_anytime_is_byte_identical_to_exact() {
-        // `confidence: 1.0` with no budget is not approximate at all:
-        // at every thread count the report must equal the default
-        // config's, byte for byte.
-        let exact = run_anytime(1, None);
-        for threads in [1, 2, 4] {
-            let report = run_anytime(threads, Some(crate::anytime::AnytimeConfig::default()));
-            assert_same_report(&report, &exact, threads);
-        }
-    }
-
     #[test]
     fn round_pipeline_shape_overlaps() {
         let dag = round_pipeline_shape(6, 32, 2, 4);

@@ -99,7 +99,7 @@ impl CoPresence {
 /// (people move slowly), so a chronological scan shrinks the
 /// intersection far more slowly than temporally spread picks.
 #[must_use]
-pub fn efilter_one(store: &EScenarioStore, eid: Eid, config: &EdpConfig) -> ScenarioList {
+pub(crate) fn efilter_one(store: &EScenarioStore, eid: Eid, config: &EdpConfig) -> ScenarioList {
     let cap = config.max_scenarios_per_eid.unwrap_or(usize::MAX);
     let mut pool: Vec<&EScenario> = store
         .containing(eid)

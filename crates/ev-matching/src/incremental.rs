@@ -65,7 +65,7 @@ pub struct DeltaStats {
     /// Scenarios examined by this delta (effective or not).
     pub scenarios_absorbed: usize,
     /// Splitters recorded by this delta.
-    pub splitters_recorded: usize,
+    pub(crate) splitters_recorded: usize,
     /// Net partition blocks created by this delta's refinements.
     pub blocks_split: usize,
 }

@@ -21,15 +21,7 @@
 //!   VIDs ("VIDs that have been already matched may help distinguishing
 //!   those remain unmatched", §IV-A). Every caller goes through one
 //!   context, [`vfilter::VStage`] (footage, configuration, gallery
-//!   cache, telemetry handle), and its three methods.
-//! * [`anytime`] — **anytime VID filtering**
-//!   ([`VStage::filter_partial`](vfilter::VStage::filter_partial)): the
-//!   same majority vote over the same candidate model with certified
-//!   early termination — cheap similarity bounds settle per-scenario
-//!   votes without exact scoring, the scan stops once no unscored
-//!   scenario can overturn the leader, and callers get a
-//!   [`PartialMatchOutcome`] whose vote-share interval brackets the
-//!   exact answer at any stopping point.
+//!   cache, telemetry handle), and its two methods.
 //! * [`refine`] — **matching refining** (Algorithm 2): rerun splitting and
 //!   filtering for the EIDs whose match was unacceptable, to cope with
 //!   missing EIDs/VIDs.
@@ -60,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod anytime;
 pub mod dagflow;
 pub mod edp;
 pub mod incremental;
@@ -71,6 +62,5 @@ pub mod setsplit;
 mod types;
 pub mod vfilter;
 
-pub use anytime::{AnytimeConfig, PartialMatchOutcome};
 pub use matcher::{EvMatcher, MatcherConfig};
 pub use types::{MatchOutcome, MatchReport, ScenarioList, StageTimings};

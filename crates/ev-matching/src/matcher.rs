@@ -118,18 +118,6 @@ impl<'a> EvMatcher<'a> {
         self
     }
 
-    /// The telemetry handle in force (disabled unless attached).
-    #[must_use]
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &MatcherConfig {
-        &self.config
-    }
-
     /// Matches a single EID without touching any other
     /// ("we can find the VID corresponding to one specific EID without
     /// matching other EIDs and VIDs", §I).

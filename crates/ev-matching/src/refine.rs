@@ -113,18 +113,17 @@ pub fn match_with_refinement(
         // --- V stage: filter, longest lists first, excluding VIDs that
         // earlier rounds (or earlier EIDs this round) locked in. ---
         let v_start = Instant::now();
-        let acceptable = |o: &MatchOutcome| o.is_confident(config.vfilter.min_margin);
         let outcomes = VStage {
             video,
             config: &config.vfilter,
             cache: &mut cache,
             telemetry: tel,
         }
-        .filter_longest_first(&lists, &mut matched_vids, acceptable);
+        .filter_longest_first(&lists, &mut matched_vids, MatchOutcome::is_confident);
         let last_round = rounds >= config.max_rounds.max(1);
         for outcome in outcomes {
             let eid = outcome.eid;
-            let confident = acceptable(&outcome);
+            let confident = outcome.is_confident();
             if confident {
                 pending.remove(&eid);
             }
@@ -172,7 +171,7 @@ pub(crate) struct RunFacts {
     pub recorded: usize,
     /// Whether that round fully split the targets under Algorithm 1's
     /// recording semantics, the precondition of the theorem bounds.
-    pub fully_split: bool,
+    pub(crate) fully_split: bool,
     /// Scenario-list entries the run's [`VStage::filter_one`] calls
     /// found already fetched: every entry of every list, less the misses.
     pub gallery_hits: u64,

@@ -263,7 +263,7 @@ pub fn split_ideal(
 /// invalidation counts. With a disabled handle this is exactly
 /// [`split_ideal`] / [`split_practical`](crate::practical::split_practical).
 #[must_use]
-pub fn split(
+pub(crate) fn split(
     store: &EScenarioStore,
     targets: &BTreeSet<Eid>,
     config: &SetSplitConfig,

@@ -10,6 +10,10 @@ use std::time::Duration;
 /// large-scale trajectory (paper §IV-B2).
 pub type ScenarioList = Vec<ScenarioId>;
 
+/// The winner margin above which a majority match counts as confident
+/// (see [`MatchOutcome::is_confident`]).
+const MIN_MARGIN: f64 = 0.01;
+
 /// The result of matching one EID.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MatchOutcome {
@@ -33,7 +37,7 @@ pub struct MatchOutcome {
 impl MatchOutcome {
     /// An unmatched outcome for `eid`.
     #[must_use]
-    pub fn unmatched(eid: Eid) -> Self {
+    pub(crate) fn unmatched(eid: Eid) -> Self {
         MatchOutcome {
             eid,
             vid: None,
@@ -48,23 +52,11 @@ impl MatchOutcome {
     /// produced zero usable votes (no recorded scenarios, no footage
     /// for them, or every candidate excluded/pruned), so there is
     /// nothing to take a majority over. The shape is all-zero — never
-    /// `NaN`: `vote_share` must not be computed as `count / 0`.
-    /// Distinguish it from a vote-backed miss with
-    /// [`is_no_evidence`](MatchOutcome::is_no_evidence).
+    /// `NaN`: `vote_share` must not be computed as `count / 0`. Unlike a
+    /// vote-backed miss, its vote vector is empty.
     #[must_use]
-    pub fn no_evidence(eid: Eid) -> Self {
+    pub(crate) fn no_evidence(eid: Eid) -> Self {
         MatchOutcome::unmatched(eid)
-    }
-
-    /// Whether this outcome carries **no evidence at all**: no VID and
-    /// an empty vote vector. Zero recorded scenarios must land here —
-    /// with explicit `0.0` fields — rather than dividing by an empty
-    /// vote count and leaking `NaN` into [`is_majority`] comparisons.
-    ///
-    /// [`is_majority`]: MatchOutcome::is_majority
-    #[must_use]
-    pub fn is_no_evidence(&self) -> bool {
-        self.vid.is_none() && self.votes.is_empty()
     }
 
     /// Whether a VID was produced with a strict vote majority — the
@@ -76,10 +68,11 @@ impl MatchOutcome {
     }
 
     /// Whether the match is acceptable to the refinement loop: a strict
-    /// majority *and* an unambiguous winner (margin above `min_margin`).
+    /// majority *and* an unambiguous winner (margin above 0.01,
+    /// `MIN_MARGIN`).
     #[must_use]
-    pub fn is_confident(&self, min_margin: f64) -> bool {
-        self.is_majority() && self.margin > min_margin
+    pub fn is_confident(&self) -> bool {
+        self.is_majority() && self.margin > MIN_MARGIN
     }
 }
 
@@ -134,19 +127,39 @@ impl MatchReport {
         total as f64 / self.lists.len() as f64
     }
 
-    /// The outcome for a specific EID, if it was requested.
-    #[must_use]
-    pub fn outcome_of(&self, eid: Eid) -> Option<&MatchOutcome> {
-        self.outcomes.iter().find(|o| o.eid == eid)
-    }
-
     /// Fraction of requested EIDs that got a majority match.
+    #[cfg(test)]
     #[must_use]
-    pub fn majority_rate(&self) -> f64 {
+    pub(crate) fn majority_rate(&self) -> f64 {
         if self.outcomes.is_empty() {
             return 0.0;
         }
         self.outcomes.iter().filter(|o| o.is_majority()).count() as f64 / self.outcomes.len() as f64
+    }
+}
+
+/// Read only by the tests.
+#[cfg(test)]
+impl MatchOutcome {
+    /// Whether this outcome carries **no evidence at all**: no VID and
+    /// an empty vote vector. Zero recorded scenarios must land here —
+    /// with explicit `0.0` fields — rather than dividing by an empty
+    /// vote count and leaking `NaN` into [`is_majority`] comparisons.
+    ///
+    /// [`is_majority`]: MatchOutcome::is_majority
+    #[must_use]
+    pub(crate) fn is_no_evidence(&self) -> bool {
+        self.vid.is_none() && self.votes.is_empty()
+    }
+}
+
+/// Read only by the tests.
+#[cfg(test)]
+impl MatchReport {
+    /// The outcome for a specific EID, if it was requested.
+    #[must_use]
+    pub(crate) fn outcome_of(&self, eid: Eid) -> Option<&MatchOutcome> {
+        self.outcomes.iter().find(|o| o.eid == eid)
     }
 }
 

@@ -20,10 +20,9 @@
 //! Every caller — the refinement loop, the stage DAG, EDP, the
 //! single-EID query — builds a [`VStage`] literal (footage,
 //! configuration, gallery cache, telemetry handle) and calls one of its
-//! three methods. Both scorers, the exact scan here and the bounded one
-//! in [`crate::anytime`], read one dense candidate model (candidates
+//! two methods. The scan reads one dense candidate model (candidates
 //! are ordinals into a VID-ascending vector, so every fold visits them
-//! in VID order) and materialise their result through the one tally.
+//! in VID order) and materialises its result through one tally.
 //!
 //! # Numerics and caching
 //!
@@ -46,6 +45,7 @@ use ev_core::kernel::{FeatureBlock, Kernel};
 use ev_core::scenario::{ScenarioId, VScenario};
 use ev_store::VideoStore;
 use ev_telemetry::{names, Telemetry};
+use ev_vision::cost::CostModel;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -57,15 +57,6 @@ pub struct VFilterConfig {
     pub metric: Metric,
     /// Rule already-matched VIDs out of later candidacies.
     pub exclusion: bool,
-    /// Minimum winner margin for a match to count as confident (see
-    /// [`MatchOutcome::is_confident`]).
-    pub min_margin: f64,
-    /// Anytime/approximate evaluation knobs. `None` (the default) runs
-    /// the exhaustive scan; `Some` with an
-    /// [`approximate`](crate::anytime::AnytimeConfig::approximate)
-    /// configuration routes every [`VStage::filter_one`] through
-    /// [`crate::anytime`]'s bounded early-terminating scorer.
-    pub anytime: Option<crate::anytime::AnytimeConfig>,
 }
 
 impl Default for VFilterConfig {
@@ -73,8 +64,6 @@ impl Default for VFilterConfig {
         VFilterConfig {
             metric: Metric::NormalizedL2,
             exclusion: true,
-            min_margin: 0.01,
-            anytime: None,
         }
     }
 }
@@ -85,9 +74,9 @@ impl Default for VFilterConfig {
 /// Both argmaxes of the majority pipeline — the per-scenario choice
 /// (score = joint membership probability) and the majority vote itself
 /// (score = vote count) — resolve ties through this one predicate, so
-/// the sequential, DAG and anytime paths agree bit-for-bit on tied
-/// inputs. Scores compare with [`f64::total_cmp`], so a NaN cannot
-/// poison the ordering.
+/// the sequential and DAG paths agree bit-for-bit on tied inputs.
+/// Scores compare with [`f64::total_cmp`], so a NaN cannot poison the
+/// ordering.
 ///
 /// Returns `true` when `(score_b, b)` beats `(score_a, a)`.
 #[inline]
@@ -138,16 +127,12 @@ pub(crate) struct CacheEntry {
     /// `rows[starts[g]..starts[g + 1]]` are group `g`'s detections.
     starts: Vec<usize>,
     rows: Vec<usize>,
-    /// Per-scenario feature bounding box behind the anytime upper bound
-    /// (see [`crate::anytime`]). A property of the gallery alone — no
-    /// EID or representative enters it — so it is computed at most once
-    /// per scenario and shared by every EID that revisits the entry.
-    bbox: std::cell::OnceCell<Option<crate::anytime::EntryBox>>,
     /// The scenario's detections packed into an SoA [`FeatureBlock`]
-    /// for the batch kernel. Like `bbox`, a property of the gallery
-    /// alone: packed at most once per cache entry and shared by every
-    /// EID that revisits it. `None` means the gallery was rejected
-    /// (rows disagree on dimensionality) — the same condition under
+    /// for the batch kernel. A property of the gallery alone — no EID
+    /// or representative enters it — so it is packed at most once per
+    /// cache entry and shared by every EID that revisits it. `None`
+    /// means the gallery was rejected (rows disagree on
+    /// dimensionality) — the same condition under
     /// which the scalar path's per-pair error maps every membership of
     /// this gallery to `0`.
     block: std::cell::OnceCell<Option<FeatureBlock>>,
@@ -172,7 +157,6 @@ impl CacheEntry {
             vids,
             starts,
             rows,
-            bbox: std::cell::OnceCell::new(),
             block: std::cell::OnceCell::new(),
         }
     }
@@ -181,12 +165,6 @@ impl CacheEntry {
     /// (never empty).
     pub(crate) fn group(&self, group: usize) -> &[usize] {
         &self.rows[self.starts[group]..self.starts[group + 1]]
-    }
-
-    /// The scenario's detection-feature bounding box, computed on first
-    /// use and memoized for the cache entry's lifetime.
-    pub(crate) fn bbox(&self) -> &Option<crate::anytime::EntryBox> {
-        self.bbox.get_or_init(|| crate::anytime::entry_box(self))
     }
 
     /// The scenario's SoA feature block, packed on first use and
@@ -211,8 +189,8 @@ impl CacheEntry {
 }
 
 /// Membership probability `P(VID ∈ S) = max_i sim(rep, f_i)` for one
-/// `(candidate, scenario)` pair — the single scoring point shared by
-/// the exact scan below and the anytime refiner's exact evaluations.
+/// `(candidate, scenario)` pair — the single scoring point of the scan
+/// below.
 ///
 /// Bitwise the scalar reference
 /// `ev_vision::reid::membership_probability(..).unwrap_or(0.0)`: the
@@ -241,8 +219,9 @@ pub(crate) fn score_membership(
 /// EIDs (scenario reuse is the point of set splitting) and, under
 /// exclusion, across refiltering rounds. The cache keeps each extracted
 /// scenario's gallery grouped by VID so every revisit skips both the
-/// [`VideoStore`] lookup and the regrouping pass. Misses charge the cost
-/// ledger exactly as an uncached extraction does; hits touch no footage.
+/// [`VideoStore`] lookup and the regrouping pass. Misses pay the
+/// extraction cost exactly as an uncached extraction does; hits touch no
+/// footage.
 #[derive(Default)]
 pub struct GalleryCache {
     entries: BTreeMap<ScenarioId, Option<CacheEntry>>,
@@ -286,11 +265,9 @@ impl GalleryCache {
     }
 }
 
-/// The candidate model of one EID's scenario list — the **shared front
-/// half** of the exact and the [`crate::anytime`] scorers. Candidate
-/// admission (exclusion, quorum pruning) and representative computation
-/// happen here, once, so the two scorers can never disagree about who
-/// is even in the running.
+/// The candidate model of one EID's scenario list: candidate admission
+/// (exclusion, quorum pruning), representatives, and who is present
+/// where.
 pub(crate) struct CandidateModel<'a> {
     /// The resident cache entries: footage-bearing scenarios, list order.
     pub(crate) entries: Vec<&'a CacheEntry>,
@@ -391,9 +368,7 @@ pub(crate) fn candidate_model<'a>(
 /// The **one tally**: per-scenario choice (the present candidate with
 /// the largest joint probability), majority of those choices, and the
 /// winner's confidence, margin and vote share — every argmax under the
-/// canonical [`beats`] rule. The exact scan and the anytime scorer's
-/// exhaustion branch both materialise their outcome here, from exact
-/// per-candidate log-joints.
+/// canonical [`beats`] rule, from exact per-candidate log-joints.
 pub(crate) fn tally(eid: Eid, model: &CandidateModel<'_>, log_joint: &[f64]) -> MatchOutcome {
     let mut votes: Vec<Vid> = Vec::new();
     let mut counts = vec![0usize; model.vids.len()];
@@ -448,12 +423,6 @@ pub struct VStage<'a> {
 impl VStage<'_> {
     /// Filters the VID for a single EID against its scenario list,
     /// treating `excluded` VIDs as already matched to someone else.
-    ///
-    /// An approximate [`VFilterConfig::anytime`] routes the whole EID
-    /// through [`filter_partial`](Self::filter_partial). A
-    /// non-approximate one (confidence ≥ 1.0, no budget) runs the
-    /// exhaustive scan, so `--confidence 1.0` is *exactly* the exact
-    /// path.
     #[must_use]
     pub fn filter_one(
         &mut self,
@@ -461,9 +430,6 @@ impl VStage<'_> {
         list: &ScenarioList,
         excluded: &BTreeSet<Vid>,
     ) -> MatchOutcome {
-        if self.config.anytime.is_some_and(|at| at.approximate()) {
-            return self.filter_partial(eid, list, excluded).outcome;
-        }
         let (video, tel) = (self.video, self.telemetry);
         let model = candidate_model(list, video, excluded, self.cache);
         if model.vids.is_empty() {
@@ -477,6 +443,15 @@ impl VStage<'_> {
                 .counter(names::VFILTER_CANDIDATES_SCORED)
                 .add(model.vids.len() as u64);
         }
+        // Matching a candidate's appearance model against a scenario's
+        // gallery is one nearest-neighbour query in a real pipeline: the
+        // priced cost model burns one comparison per (candidate,
+        // scenario), all at once.
+        let price = video.cost_model().v_comparison;
+        if price > 0 {
+            let pairs = (model.vids.len() * model.entries.len()) as u64;
+            let _ = CostModel::charge(price * pairs);
+        }
         // Joint membership probability per candidate (paper §IV-B2), in
         // log space: `Σ ln P` survives the long lists that underflow
         // `Π P` to a meaningless all-zero tie. `ln(0) = -inf` keeps the
@@ -487,11 +462,6 @@ impl VStage<'_> {
             .map(|rep| {
                 let mut lp = 0.0;
                 for e in &model.entries {
-                    // One charged comparison per (candidate, scenario):
-                    // matching a candidate's appearance model against a
-                    // scenario's gallery is one nearest-neighbour query
-                    // in a real pipeline.
-                    video.charge_comparison();
                     lp += score_membership(rep, e, self.config.metric, tel).ln();
                 }
                 lp
@@ -561,7 +531,6 @@ mod tests {
     use ev_core::scenario::{Detection, ScenarioId};
     use ev_core::time::Timestamp;
     use ev_telemetry::TelemetryLevel;
-    use ev_vision::cost::CostModel;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -743,28 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn comparisons_are_charged_to_the_ledger() {
-        let video = VideoStore::new(
-            vec![vscenario(0, 0, &[(1, &[0.9, 0.9]), (2, &[0.1, 0.1])])],
-            CostModel {
-                e_record: 0,
-                v_extraction: 3,
-                v_comparison: 5,
-            },
-        );
-        let _ = filter_one(
-            Eid::from_u64(1),
-            &vec![sid(0, 0)],
-            &video,
-            &VFilterConfig::default(),
-            &BTreeSet::new(),
-        );
-        // Extraction: 2 detections x 3 units; comparisons: 2 candidates x
-        // 1 scenario x 5 units.
-        assert_eq!(video.ledger().v_units(), 6 + 10);
-    }
-
-    #[test]
     fn zero_recorded_scenarios_yield_no_evidence_not_nan() {
         // Regression: an EID whose whole list has no footage used to be
         // one `count / votes.len()` away from a NaN vote share. It must
@@ -824,8 +771,7 @@ mod tests {
     fn tied_galleries_vote_identically_end_to_end() {
         // Two identical-feature candidates: every per-scenario score
         // ties, so the whole pipeline must settle on the lower VID —
-        // deterministically, whichever path (sequential/DAG/anytime)
-        // scored it.
+        // deterministically, whichever path (sequential/DAG) scored it.
         let video = VideoStore::new(
             vec![
                 vscenario(0, 0, &[(7, &[0.5, 0.5]), (4, &[0.5, 0.5])]),
@@ -886,7 +832,7 @@ mod tests {
     }
 
     /// Scenarios that exist but hold zero detections cast zero votes:
-    /// the explicit NoEvidence outcome, exact scan and anytime alike.
+    /// the explicit NoEvidence outcome.
     #[test]
     fn empty_galleries_flow_to_no_evidence() {
         let video = VideoStore::new(
@@ -894,18 +840,10 @@ mod tests {
             CostModel::free(),
         );
         let list = vec![sid(0, 0), sid(1, 1)];
-        for anytime in [
-            None,
-            Some(crate::anytime::AnytimeConfig::with_confidence(0.5)),
-        ] {
-            let config = VFilterConfig {
-                anytime,
-                ..VFilterConfig::default()
-            };
-            let out = filter_one(Eid::from_u64(9), &list, &video, &config, &BTreeSet::new());
-            assert!(out.is_no_evidence(), "{anytime:?}: {out:?}");
-            assert!(!out.vote_share.is_nan());
-        }
+        let config = VFilterConfig::default();
+        let out = filter_one(Eid::from_u64(9), &list, &video, &config, &BTreeSet::new());
+        assert!(out.is_no_evidence(), "{out:?}");
+        assert!(!out.vote_share.is_nan());
     }
 
     #[test]
@@ -1020,7 +958,6 @@ mod tests {
         for (&vid, rep) in &representatives {
             let mut lp = 0.0;
             for e in &entries {
-                video.charge_comparison();
                 lp += score_membership(rep, e, config.metric, tel).ln();
             }
             log_joint.insert(vid, lp);
@@ -1111,7 +1048,7 @@ mod tests {
 
         /// The dense candidate model and the one tally against the
         /// map-keyed reference: the whole `MatchOutcome` (floats by
-        /// bits, `votes` included), the cost ledger and the V-stage
+        /// bits, `votes` included), the gallery cache and the V-stage
         /// counters agree — over lists of even and odd footage-bearing
         /// length (the quorum edge), ids with no footage, every edge
         /// `adversarial_scenarios` builds, empty and total exclusion,
@@ -1142,7 +1079,7 @@ mod tests {
                 metric: [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine][metric],
                 ..VFilterConfig::default()
             };
-            let cost = CostModel { e_record: 0, v_extraction: 3, v_comparison: 5 };
+            let cost = CostModel { v_extraction: 3, v_comparison: 5 };
             let model_video = VideoStore::new(scenarios.clone(), CostModel::free());
             let (video, ref_video) = (
                 VideoStore::new(scenarios.clone(), cost),
@@ -1178,7 +1115,6 @@ mod tests {
                 prop_assert_eq!(got.confidence.to_bits(), want.confidence.to_bits());
                 prop_assert_eq!(got.margin.to_bits(), want.margin.to_bits());
             }
-            prop_assert_eq!(video.ledger().v_units(), ref_video.ledger().v_units());
             prop_assert_eq!((cache.hits(), cache.misses()), (ref_cache.hits(), ref_cache.misses()));
             for name in [
                 names::VFILTER_CANDIDATES_SCORED,

@@ -155,7 +155,7 @@ fn one_exclusion_loop_serves_the_harness_and_refinement() {
         let confident = stage(&video, &cfg, &mut GalleryCache::new()).filter_longest_first(
             &split.lists,
             &mut BTreeSet::new(),
-            |o| o.is_confident(cfg.min_margin),
+            MatchOutcome::is_confident,
         );
         assert_eq!(report.outcomes, by_eid(confident), "world {world_seed}");
     }

@@ -6,9 +6,9 @@
 //! model** (Camp et al., *A survey of mobility models for ad hoc network
 //! research*, 2002), controlling "location, velocity and acceleration
 //! change" (paper §VI-A). This crate implements that model plus a simple
-//! random-walk alternative, a [`MobilityModel`] trait to add more, and a
-//! [`World`] that steps a whole population tick by tick while recording
-//! ground-truth trajectories.
+//! random-walk and a Manhattan street alternative, and a [`World`] that
+//! steps a whole population tick by tick while recording ground-truth
+//! trajectories.
 //!
 //! Every experiment rides on these trajectories: the density sweeps of
 //! paper Figs. 6 and 9 and Table II vary how many simulated people
@@ -25,8 +25,8 @@
 //! let region = GridRegion::new(1000.0, 1000.0, 100.0, 10.0).unwrap();
 //! let mut world = World::random_waypoint(region, 50, WaypointParams::default(), 42);
 //! let traces = world.run(100);
-//! assert_eq!(traces.person_count(), 50);
-//! assert_eq!(traces.duration(), 100);
+//! assert_eq!(traces.iter().count(), 50);
+//! assert!(traces.iter().all(|(_, t)| t.positions.len() == 100));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,7 +38,7 @@ mod walk;
 mod waypoint;
 mod world;
 
-pub use manhattan::{ManhattanParams, ManhattanWalk};
+pub use manhattan::ManhattanParams;
 pub use trace::{TraceSet, Trajectory};
 pub use walk::{RandomWalk, WalkParams};
 pub use waypoint::{RandomWaypoint, WaypointParams};
@@ -52,7 +52,7 @@ use rand_chacha::ChaCha8Rng;
 ///
 /// Implementations must keep the returned position inside `bounds` at all
 /// times; the [`World`] debug-asserts this.
-pub trait MobilityModel {
+pub(crate) trait MobilityModel {
     /// Current position.
     fn position(&self) -> Point;
 

@@ -16,9 +16,9 @@ pub struct ManhattanParams {
     /// Street spacing (block side) in metres.
     pub block: f64,
     /// Walking speed in m/s.
-    pub speed: f64,
+    pub(crate) speed: f64,
     /// Probability of turning (left or right) at an intersection.
-    pub turn_probability: f64,
+    pub(crate) turn_probability: f64,
 }
 
 impl Default for ManhattanParams {
@@ -100,7 +100,7 @@ impl Heading {
 
 /// One pedestrian on the street grid.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ManhattanWalk {
+pub(crate) struct ManhattanWalk {
     params: ManhattanParams,
     position: Point,
     heading: Heading,
@@ -109,7 +109,7 @@ pub struct ManhattanWalk {
 impl ManhattanWalk {
     /// Creates a walker snapped to a random intersection with a random
     /// heading.
-    pub fn new(params: ManhattanParams, bounds: Rect, rng: &mut ChaCha8Rng) -> Self {
+    pub(crate) fn new(params: ManhattanParams, bounds: Rect, rng: &mut ChaCha8Rng) -> Self {
         let cols = (bounds.width() / params.block).floor().max(1.0) as u64;
         let rows = (bounds.height() / params.block).floor().max(1.0) as u64;
         let x = bounds.min.x + rng.gen_range(0..=cols) as f64 * params.block;

@@ -27,36 +27,22 @@ impl Trajectory {
     }
 
     /// Number of recorded ticks.
+    #[cfg(test)]
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.positions.len()
     }
 
     /// Whether nothing has been recorded.
+    #[cfg(test)]
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.positions.is_empty()
-    }
-
-    /// Position at tick `t`, if recorded.
-    #[must_use]
-    pub fn at(&self, t: Timestamp) -> Option<Point> {
-        let offset = t - self.start; // saturating: earlier t gives 0
-        if t < self.start {
-            return None;
-        }
-        self.positions.get(offset as usize).copied()
     }
 
     /// Appends the next tick's position.
     pub fn push(&mut self, p: Point) {
         self.positions.push(p);
-    }
-
-    /// Total path length in metres.
-    #[must_use]
-    pub fn path_length(&self) -> f64 {
-        self.positions.windows(2).map(|w| w[0].distance(w[1])).sum()
     }
 }
 
@@ -79,20 +65,16 @@ impl TraceSet {
     }
 
     /// The trajectory of `person`, if present.
+    #[cfg(test)]
     #[must_use]
-    pub fn get(&self, person: PersonId) -> Option<&Trajectory> {
+    pub(crate) fn get(&self, person: PersonId) -> Option<&Trajectory> {
         self.traces.get(&person)
     }
 
-    /// Number of persons with a trajectory.
-    #[must_use]
-    pub fn person_count(&self) -> usize {
-        self.traces.len()
-    }
-
     /// Duration in ticks (the longest trajectory's length).
+    #[cfg(test)]
     #[must_use]
-    pub fn duration(&self) -> u64 {
+    pub(crate) fn duration(&self) -> u64 {
         self.traces
             .values()
             .map(|t| t.len() as u64)
@@ -104,13 +86,34 @@ impl TraceSet {
     pub fn iter(&self) -> impl Iterator<Item = (PersonId, &Trajectory)> {
         self.traces.iter().map(|(&p, t)| (p, t))
     }
+}
 
-    /// The position of every person at tick `t` (persons without a sample
-    /// at `t` are skipped).
-    pub fn positions_at(&self, t: Timestamp) -> impl Iterator<Item = (PersonId, Point)> + '_ {
-        self.traces
-            .iter()
-            .filter_map(move |(&p, tr)| tr.at(t).map(|pos| (p, pos)))
+/// Read only by the tests.
+#[cfg(test)]
+impl Trajectory {
+    /// Total path length in metres.
+    #[must_use]
+    pub(crate) fn path_length(&self) -> f64 {
+        self.positions.windows(2).map(|w| w[0].distance(w[1])).sum()
+    }
+
+    /// Position at tick `t`, if recorded.
+    #[must_use]
+    pub(crate) fn at(&self, t: Timestamp) -> Option<Point> {
+        let offset = t - self.start; // saturating: earlier t gives 0
+        if t < self.start {
+            return None;
+        }
+        self.positions.get(offset as usize).copied()
+    }
+}
+
+#[cfg(test)]
+impl TraceSet {
+    /// Number of persons with a trajectory.
+    #[must_use]
+    pub(crate) fn person_count(&self) -> usize {
+        self.traces.len()
     }
 }
 
@@ -151,9 +154,6 @@ mod tests {
         assert_eq!(s.duration(), 1);
         assert_eq!(s.get(PersonId::new(3)), Some(&t));
         assert!(s.get(PersonId::new(4)).is_none());
-        let at: Vec<_> = s.positions_at(Timestamp::ZERO).collect();
-        assert_eq!(at, vec![(PersonId::new(3), Point::new(1.0, 1.0))]);
-        assert_eq!(s.positions_at(Timestamp::new(5)).count(), 0);
     }
 
     #[test]

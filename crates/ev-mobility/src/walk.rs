@@ -11,9 +11,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WalkParams {
     /// Constant walking speed in m/s.
-    pub speed: f64,
+    pub(crate) speed: f64,
     /// Ticks between direction changes.
-    pub direction_hold: u64,
+    pub(crate) direction_hold: u64,
 }
 
 impl Default for WalkParams {
@@ -38,7 +38,7 @@ pub struct RandomWalk {
 impl RandomWalk {
     /// Creates a walker at a uniformly random position with a random
     /// heading.
-    pub fn new(params: WalkParams, bounds: Rect, rng: &mut ChaCha8Rng) -> Self {
+    pub(crate) fn new(params: WalkParams, bounds: Rect, rng: &mut ChaCha8Rng) -> Self {
         let position = crate::waypoint::random_point(bounds, rng);
         RandomWalk {
             params,

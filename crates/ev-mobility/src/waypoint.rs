@@ -16,13 +16,13 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WaypointParams {
     /// Minimum target walking speed in m/s.
-    pub min_speed: f64,
+    pub(crate) min_speed: f64,
     /// Maximum target walking speed in m/s.
-    pub max_speed: f64,
+    pub(crate) max_speed: f64,
     /// Maximum pause at a reached waypoint, in ticks.
-    pub max_pause: u64,
+    pub(crate) max_pause: u64,
     /// Maximum change of speed per tick (acceleration bound), in m/s².
-    pub max_accel: f64,
+    pub(crate) max_accel: f64,
 }
 
 impl Default for WaypointParams {
@@ -101,7 +101,7 @@ impl RandomWaypoint {
     /// Creates a walker at a uniformly random position inside `bounds`,
     /// initially paused for a random fraction of `max_pause` so a
     /// population does not start in lockstep.
-    pub fn new(params: WaypointParams, bounds: Rect, rng: &mut ChaCha8Rng) -> Self {
+    pub(crate) fn new(params: WaypointParams, bounds: Rect, rng: &mut ChaCha8Rng) -> Self {
         let position = random_point(bounds, rng);
         let remaining = if params.max_pause == 0 {
             0
@@ -114,18 +114,6 @@ impl RandomWaypoint {
             speed: 0.0,
             phase: Phase::Paused { remaining },
         }
-    }
-
-    /// The walker's current scalar speed in m/s.
-    #[must_use]
-    pub fn speed(&self) -> f64 {
-        self.speed
-    }
-
-    /// The parameters this walker was created with.
-    #[must_use]
-    pub fn params(&self) -> &WaypointParams {
-        &self.params
     }
 
     fn pick_new_leg(&mut self, bounds: Rect, rng: &mut ChaCha8Rng) {
@@ -244,10 +232,10 @@ mod tests {
         let mut r = rng(2);
         let params = WaypointParams::default();
         let mut w = RandomWaypoint::new(params, bounds(), &mut r);
-        let mut prev_speed = w.speed();
+        let mut prev_speed = w.speed;
         for _ in 0..5_000 {
             w.step(bounds(), &mut r);
-            let s = w.speed();
+            let s = w.speed;
             assert!(s <= params.max_speed + 1e-9, "over speed: {s}");
             assert!(s >= 0.0);
             // Acceleration bound holds except at arrivals (instant stop).

@@ -96,8 +96,9 @@ impl World {
         let bounds = region.bounds();
         let movers = (0..population)
             .map(|_| {
-                Box::new(crate::ManhattanWalk::new(params, bounds, &mut rng))
-                    as Box<dyn MobilityModel + Send>
+                Box::new(crate::manhattan::ManhattanWalk::new(
+                    params, bounds, &mut rng,
+                )) as Box<dyn MobilityModel + Send>
             })
             .collect();
         World {
@@ -108,41 +109,22 @@ impl World {
         }
     }
 
-    /// Creates a world from externally constructed movers (mixing models).
-    #[must_use]
-    pub fn from_movers(
-        region: GridRegion,
-        movers: Vec<Box<dyn MobilityModel + Send>>,
-        seed: u64,
-    ) -> Self {
-        World {
-            region,
-            movers,
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            now: Timestamp::ZERO,
-        }
-    }
-
-    /// The region this world simulates.
-    #[must_use]
-    pub fn region(&self) -> &GridRegion {
-        &self.region
-    }
-
     /// Number of persons.
+    #[cfg(test)]
     #[must_use]
-    pub fn population(&self) -> usize {
+    pub(crate) fn population(&self) -> usize {
         self.movers.len()
     }
 
     /// The current simulation instant.
+    #[cfg(test)]
     #[must_use]
-    pub fn now(&self) -> Timestamp {
+    pub(crate) fn now(&self) -> Timestamp {
         self.now
     }
 
     /// Advances every person by one tick.
-    pub fn step(&mut self) {
+    pub(crate) fn step(&mut self) {
         let bounds = self.region.bounds();
         for mover in &mut self.movers {
             let p = mover.step(bounds, &mut self.rng);
@@ -170,6 +152,25 @@ impl World {
             set.insert(PersonId::new(i as u64), trace);
         }
         set
+    }
+}
+
+/// Read only by the tests.
+#[cfg(test)]
+impl World {
+    /// Creates a world from externally constructed movers (mixing models).
+    #[must_use]
+    pub(crate) fn from_movers(
+        region: GridRegion,
+        movers: Vec<Box<dyn MobilityModel + Send>>,
+        seed: u64,
+    ) -> Self {
+        World {
+            region,
+            movers,
+            rng: ChaCha8Rng::seed_from_u64(seed),
+            now: Timestamp::ZERO,
+        }
     }
 }
 
@@ -228,18 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn manhattan_world_runs() {
-        let mut w = World::manhattan(region(), 8, crate::ManhattanParams::default(), 4);
-        let traces = w.run(40);
-        assert_eq!(traces.person_count(), 8);
-        for (_, t) in traces.iter() {
-            for &p in &t.positions {
-                assert!(region().bounds().contains(p));
-            }
-        }
-    }
-
-    #[test]
     fn mixed_model_world() {
         use crate::{RandomWalk, RandomWaypoint};
         use rand::SeedableRng;
@@ -257,5 +246,17 @@ mod tests {
         assert_eq!(w.population(), 2);
         let traces = w.run(20);
         assert_eq!(traces.person_count(), 2);
+    }
+
+    #[test]
+    fn manhattan_world_runs() {
+        let mut w = World::manhattan(region(), 8, crate::ManhattanParams::default(), 4);
+        let traces = w.run(40);
+        assert_eq!(traces.person_count(), 8);
+        for (_, t) in traces.iter() {
+            for &p in &t.positions {
+                assert!(region().bounds().contains(p));
+            }
+        }
     }
 }

@@ -1,14 +1,12 @@
 //! E-Scenario construction from ground-truth trajectories.
 //!
-//! * **Ideal** construction snapshots exact positions at every tick: each
-//!   EID lands in exactly the cell its person occupies, always inclusive
-//!   (paper §IV-B assumptions).
-//! * **Practical** construction aggregates noisy captures over a time
-//!   window and classifies each EID per cell by its occurrence fraction:
-//!   "the EIDs which appear mostly are considered in the inclusive zone,
-//!   the ones who appear adequately are considered in the vague zone, and
-//!   the ones who appear occasionally are considered in the exclusive
-//!   zone" (paper §IV-C2).
+//! Construction aggregates noisy captures over a time window and
+//! classifies each EID per cell by its occurrence fraction: "the EIDs
+//! which appear mostly are considered in the inclusive zone, the ones who
+//! appear adequately are considered in the vague zone, and the ones who
+//! appear occasionally are considered in the exclusive zone" (paper
+//! §IV-C2). Noise-free one-tick windows away from cell borders give the
+//! paper's ideal setting (§IV-B): each EID inclusive in its true cell.
 
 use crate::capture::{CaptureEvent, SensingNoise};
 use crate::roster::EidRoster;
@@ -20,7 +18,6 @@ use ev_mobility::TraceSet;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Occurrence-fraction thresholds for window classification.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -89,36 +86,6 @@ impl EScenarioBuilder {
     #[must_use]
     pub fn new(region: GridRegion) -> Self {
         EScenarioBuilder { region }
-    }
-
-    /// The region scenarios are built over.
-    #[must_use]
-    pub fn region(&self) -> &GridRegion {
-        &self.region
-    }
-
-    /// Ideal-setting E-Scenarios: one per (tick, cell) with at least one
-    /// carrier present; every EID inclusive. Sorted by scenario id.
-    #[must_use]
-    pub fn build_ideal(&self, traces: &TraceSet, roster: &EidRoster) -> Vec<EScenario> {
-        let mut scenarios: BTreeMap<(Timestamp, CellId), EScenario> = BTreeMap::new();
-        for (person, trajectory) in traces.iter() {
-            let Some(eid) = roster.eid_of(person) else {
-                continue;
-            };
-            for (offset, &pos) in trajectory.positions.iter().enumerate() {
-                let t = trajectory.start + offset as u64;
-                // Trajectories stay in the region by construction.
-                let Ok(cell) = self.region.cell_at(pos) else {
-                    continue;
-                };
-                scenarios
-                    .entry((t, cell))
-                    .or_insert_with(|| EScenario::new(cell, t))
-                    .insert(eid, ZoneAttr::Inclusive);
-            }
-        }
-        scenarios.into_values().collect()
     }
 
     /// Draws the noisy sensor's captures in the order the `seed` stream
@@ -296,6 +263,16 @@ mod tests {
         s
     }
 
+    /// The paper's ideal setting (exact positions, everyone inclusive)
+    /// is what the practical builder yields for people standing clear of
+    /// the vague band, heard without noise in one-tick windows.
+    fn ideal(traces: &TraceSet, roster: &EidRoster) -> Vec<EScenario> {
+        let thresholds = WindowThresholds::default();
+        EScenarioBuilder::new(region())
+            .build_practical(traces, roster, SensingNoise::none(), 1, thresholds, 0)
+            .unwrap()
+    }
+
     fn merge(a: TraceSet, b: &TraceSet) -> TraceSet {
         let mut out = a;
         for (p, t) in b.iter() {
@@ -308,7 +285,7 @@ mod tests {
     fn ideal_builder_places_eids_in_true_cells() {
         let traces = stationary(0, Point::new(15.0, 15.0), 3);
         let roster = EidRoster::full(1);
-        let scenarios = EScenarioBuilder::new(region()).build_ideal(&traces, &roster);
+        let scenarios = ideal(&traces, &roster);
         assert_eq!(scenarios.len(), 3, "one scenario per tick");
         let eid = PersonId::new(0).canonical_eid();
         for s in &scenarios {
@@ -322,7 +299,7 @@ mod tests {
     fn ideal_builder_skips_device_less_persons() {
         let traces = stationary(0, Point::new(15.0, 15.0), 2);
         let roster = EidRoster::with_missing(1, 1.0, 0);
-        let scenarios = EScenarioBuilder::new(region()).build_ideal(&traces, &roster);
+        let scenarios = ideal(&traces, &roster);
         assert!(scenarios.is_empty());
     }
 
@@ -332,7 +309,7 @@ mod tests {
         let b = stationary(1, Point::new(16.0, 14.0), 2);
         let traces = merge(a, &b);
         let roster = EidRoster::full(2);
-        let scenarios = EScenarioBuilder::new(region()).build_ideal(&traces, &roster);
+        let scenarios = ideal(&traces, &roster);
         assert_eq!(scenarios.len(), 2);
         for s in &scenarios {
             assert_eq!(s.len(), 2, "both EIDs share the cell");

@@ -4,6 +4,7 @@
 use super::*;
 use ev_mobility::{ManhattanParams, WalkParams, WaypointParams, World};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 impl EScenarioBuilder {
     /// `capture_log` as it was before the shared capture loop.

@@ -16,7 +16,7 @@ pub struct CaptureEvent {
     /// When the frame was heard.
     pub time: Timestamp,
     /// Estimated device position (true position plus localization error).
-    pub estimated: Point,
+    pub(crate) estimated: Point,
 }
 
 /// The localization error model: isotropic Gaussian noise with standard
@@ -78,7 +78,7 @@ impl SensingNoise {
 
     /// Attempts to capture a device at true position `truth`; returns the
     /// estimated position or `None` on dropout.
-    pub fn observe(&self, truth: Point, rng: &mut ChaCha8Rng) -> Option<Point> {
+    pub(crate) fn observe(&self, truth: Point, rng: &mut ChaCha8Rng) -> Option<Point> {
         if self.dropout > 0.0 && rng.gen::<f64>() < self.dropout {
             return None;
         }

@@ -2,10 +2,9 @@
 //!
 //! This crate turns ground-truth trajectories into the **E-data** the
 //! matching algorithms consume: per-tick EID capture events with realistic
-//! localization error, and [`EScenario`](ev_core::EScenario)s built either
-//! under the paper's *ideal* consistency assumption or under the
-//! *practical* model with electronic drift, vague-zone classification and
-//! device-less people (missing EIDs, paper §IV-C).
+//! localization error, and [`EScenario`](ev_core::EScenario)s built under
+//! the *practical* model with electronic drift, vague-zone classification
+//! and device-less people (missing EIDs, paper §IV-C).
 //!
 //! The physical story: one base station (or WiFi sniffer) per grid cell
 //! hears the frames a device emits and estimates the device position with
@@ -27,15 +26,18 @@
 //! ```
 //! use ev_core::region::GridRegion;
 //! use ev_mobility::{World, WaypointParams};
-//! use ev_sensing::{EidRoster, EScenarioBuilder};
+//! use ev_sensing::{EidRoster, EScenarioBuilder, SensingNoise, WindowThresholds};
 //!
 //! let region = GridRegion::new(1000.0, 1000.0, 100.0, 10.0).unwrap();
 //! let traces = World::random_waypoint(region.clone(), 30, WaypointParams::default(), 7)
 //!     .run(50);
 //! let roster = EidRoster::full(30);
 //!
-//! // Ideal E-Scenarios: exact positions, everyone inclusive.
-//! let scenarios = EScenarioBuilder::new(region).build_ideal(&traces, &roster);
+//! // Practical E-Scenarios: noisy captures over 10-tick windows.
+//! let noise = SensingNoise::default();
+//! let scenarios = EScenarioBuilder::new(region)
+//!     .build_practical(&traces, &roster, noise, 10, WindowThresholds::default(), 7)
+//!     .unwrap();
 //! assert!(!scenarios.is_empty());
 //! ```
 

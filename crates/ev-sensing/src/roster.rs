@@ -62,8 +62,9 @@ impl EidRoster {
     }
 
     /// Total population size (carriers plus device-less persons).
+    #[cfg(test)]
     #[must_use]
-    pub fn population(&self) -> u64 {
+    pub(crate) fn population(&self) -> u64 {
         self.population
     }
 
@@ -75,7 +76,7 @@ impl EidRoster {
 
     /// The EID carried by `person`, or `None` if they have no device.
     #[must_use]
-    pub fn eid_of(&self, person: PersonId) -> Option<Eid> {
+    pub(crate) fn eid_of(&self, person: PersonId) -> Option<Eid> {
         self.carriers.get(&person).copied()
     }
 
@@ -91,7 +92,8 @@ impl EidRoster {
     }
 
     /// All EIDs in the roster, in order.
-    pub fn eids(&self) -> impl Iterator<Item = Eid> + '_ {
+    #[cfg(test)]
+    pub(crate) fn eids(&self) -> impl Iterator<Item = Eid> + '_ {
         self.owners.keys().copied()
     }
 }

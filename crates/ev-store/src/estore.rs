@@ -5,8 +5,6 @@ use ev_core::ids::Eid;
 use ev_core::region::CellId;
 use ev_core::scenario::{EScenario, ScenarioId};
 use ev_core::time::{TimeRange, Timestamp};
-use rand::seq::SliceRandom;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -25,8 +23,7 @@ pub struct IngestStats {
 /// An immutable, indexed collection of E-Scenarios.
 ///
 /// Indexes are built once at construction: scenario-id lookup and a
-/// time-major index (for Algorithm 3's pick-a-random-timestamp step and
-/// range queries). The inverted EID → scenario
+/// time-major index (for range queries). The inverted EID → scenario
 /// index ([`ScenarioIndex`]) is built lazily on first use and then shared
 /// by every pipeline reading the store.
 #[derive(Debug)]
@@ -184,10 +181,11 @@ impl EScenarioStore {
 
     /// Picks a uniformly random timestamp among those present
     /// (Algorithm 3's preprocess step), or `None` on an empty store.
+    #[cfg(test)]
     #[must_use]
-    pub fn random_time(&self, rng: &mut ChaCha8Rng) -> Option<Timestamp> {
+    fn random_time(&self, rng: &mut rand_chacha::ChaCha8Rng) -> Option<Timestamp> {
         let times: Vec<Timestamp> = self.by_time.keys().copied().collect();
-        times.choose(rng).copied()
+        rand::seq::SliceRandom::choose(&times[..], rng).copied()
     }
 
     /// Appends a batch of scenarios in place, splicing the indexes when
@@ -264,6 +262,7 @@ mod tests {
     use super::*;
     use ev_core::scenario::ZoneAttr;
     use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn scenario(cell: usize, time: u64, eids: &[u64]) -> EScenario {
         let mut s = EScenario::new(CellId::new(cell), Timestamp::new(time));
@@ -377,6 +376,11 @@ mod tests {
     }
 
     #[test]
+    fn record_count_sums_memberships() {
+        assert_eq!(store().record_count(), 6);
+    }
+
+    #[test]
     fn random_time_draws_from_present_times() {
         let s = store();
         let mut rng = ChaCha8Rng::seed_from_u64(0);
@@ -386,11 +390,6 @@ mod tests {
         }
         let empty = EScenarioStore::from_scenarios(vec![]);
         assert!(empty.random_time(&mut rng).is_none());
-    }
-
-    #[test]
-    fn record_count_sums_memberships() {
-        assert_eq!(store().record_count(), 6);
     }
 
     #[test]

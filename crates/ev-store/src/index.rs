@@ -1,5 +1,5 @@
-//! Inverted scenario index: EID → postings and (cell, time) → scenario
-//! lookups over an [`EScenarioStore`](crate::EScenarioStore).
+//! Inverted scenario index: EID → postings over an
+//! [`EScenarioStore`](crate::EScenarioStore).
 //!
 //! The matching pipelines repeatedly ask two questions of the E-data:
 //! *"which scenarios contain this EID?"* (set splitting, EDP
@@ -8,22 +8,18 @@
 //! linear scans over every scenario's membership map. This module
 //! answers them from a one-time inverted build:
 //!
-//! * `postings` — for every EID, the sorted list of [`ScenarioId`]s that
-//!   contain it. Scenario ids order as `(time, cell)`, which is exactly
-//!   the store's iteration order, so walking a posting list visits the
-//!   same scenarios in the same order as a full scan — the index-backed
-//!   paths are drop-in replacements with byte-identical results.
-//! * `slots` — `(cell, time)` → scenario id, for spatiotemporal point
-//!   lookups.
+//! for every EID, the sorted list of [`ScenarioId`]s that contain it
+//! (its *postings*). Scenario ids order as `(time, cell)`, which is
+//! exactly the store's iteration order, so walking a posting list visits
+//! the same scenarios in the same order as a full scan — the index-backed
+//! paths are drop-in replacements with byte-identical results.
 //!
 //! The index also keeps usage counters (postings probed, membership
 //! binary-searches, scans avoided) behind atomics so `&self` consumers
 //! can report them through the pipeline metrics.
 
 use ev_core::ids::Eid;
-use ev_core::region::CellId;
 use ev_core::scenario::{EScenario, ScenarioId};
-use ev_core::time::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,8 +51,6 @@ struct IndexStats {
 pub struct ScenarioIndex {
     /// EID → scenario ids containing it, ascending (= store order).
     postings: BTreeMap<Eid, Vec<ScenarioId>>,
-    /// (cell, time) → the scenario snapshotted there.
-    slots: BTreeMap<(CellId, Timestamp), ScenarioId>,
     stats: IndexStats,
 }
 
@@ -64,19 +58,16 @@ impl ScenarioIndex {
     /// Builds the index from scenarios already sorted in id order (the
     /// store's canonical order). One pass over every membership record.
     #[must_use]
-    pub fn build<'a>(scenarios: impl IntoIterator<Item = &'a EScenario>) -> Self {
+    pub(crate) fn build<'a>(scenarios: impl IntoIterator<Item = &'a EScenario>) -> Self {
         let mut postings: BTreeMap<Eid, Vec<ScenarioId>> = BTreeMap::new();
-        let mut slots = BTreeMap::new();
         for s in scenarios {
             let id = s.id();
-            slots.insert((id.cell, id.time), id);
             for eid in s.eids() {
                 postings.entry(eid).or_default().push(id);
             }
         }
         ScenarioIndex {
             postings,
-            slots,
             stats: IndexStats::default(),
         }
     }
@@ -91,10 +82,9 @@ impl ScenarioIndex {
     /// [`EScenarioStore::ingest`](crate::EScenarioStore::ingest) does —
     /// and fall back to [`ScenarioIndex::build`] otherwise. Usage
     /// counters are preserved.
-    pub fn extend<'a>(&mut self, scenarios: impl IntoIterator<Item = &'a EScenario>) {
+    pub(crate) fn extend<'a>(&mut self, scenarios: impl IntoIterator<Item = &'a EScenario>) {
         for s in scenarios {
             let id = s.id();
-            self.slots.insert((id.cell, id.time), id);
             for eid in s.eids() {
                 self.postings.entry(eid).or_default().push(id);
             }
@@ -113,8 +103,9 @@ impl ScenarioIndex {
 
     /// Whether scenario `id` contains `eid` — one binary search on the
     /// posting list instead of a scenario-map lookup per probe.
+    #[cfg(test)]
     #[must_use]
-    pub fn contains(&self, eid: Eid, id: ScenarioId) -> bool {
+    pub(crate) fn contains(&self, eid: Eid, id: ScenarioId) -> bool {
         self.stats
             .membership_queries
             .fetch_add(1, Ordering::Relaxed);
@@ -123,27 +114,10 @@ impl ScenarioIndex {
             .is_some_and(|p| p.binary_search(&id).is_ok())
     }
 
-    /// Number of scenarios containing `eid`, without a scan.
-    #[must_use]
-    pub fn posting_len(&self, eid: Eid) -> usize {
-        self.postings.get(&eid).map_or(0, Vec::len)
-    }
-
-    /// The scenario snapshotted at `(cell, time)`, if any.
-    #[must_use]
-    pub fn scenario_at(&self, cell: CellId, time: Timestamp) -> Option<ScenarioId> {
-        self.slots.get(&(cell, time)).copied()
-    }
-
     /// Number of distinct EIDs with at least one posting.
     #[must_use]
     pub fn eid_count(&self) -> usize {
         self.postings.len()
-    }
-
-    /// Iterates `(eid, posting list)` pairs in EID order.
-    pub fn iter_postings(&self) -> impl Iterator<Item = (Eid, &[ScenarioId])> {
-        self.postings.iter().map(|(&e, p)| (e, p.as_slice()))
     }
 
     /// A snapshot of the usage counters.
@@ -160,7 +134,9 @@ impl ScenarioIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ev_core::region::CellId;
     use ev_core::scenario::ZoneAttr;
+    use ev_core::time::Timestamp;
 
     fn scenario(cell: usize, time: u64, eids: &[u64]) -> EScenario {
         let mut s = EScenario::new(CellId::new(cell), Timestamp::new(time));
@@ -191,7 +167,7 @@ mod tests {
         assert_eq!(idx.postings(Eid::from_u64(3)), &[sid(1, 0), sid(2, 2)]);
         assert!(idx.postings(Eid::from_u64(9)).is_empty());
         assert_eq!(idx.eid_count(), 3);
-        for (_, p) in idx.iter_postings() {
+        for p in idx.postings.values() {
             assert!(p.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
         }
     }
@@ -203,18 +179,6 @@ mod tests {
         assert!(idx.contains(Eid::from_u64(2), sid(2, 2)));
         assert!(!idx.contains(Eid::from_u64(2), sid(0, 1)));
         assert!(!idx.contains(Eid::from_u64(9), sid(0, 0)));
-        assert_eq!(idx.posting_len(Eid::from_u64(2)), 2);
-        assert_eq!(idx.posting_len(Eid::from_u64(9)), 0);
-    }
-
-    #[test]
-    fn slot_lookup_finds_scenarios() {
-        let idx = index();
-        assert_eq!(
-            idx.scenario_at(CellId::new(2), Timestamp::new(2)),
-            Some(sid(2, 2))
-        );
-        assert_eq!(idx.scenario_at(CellId::new(2), Timestamp::new(0)), None);
     }
 
     #[test]

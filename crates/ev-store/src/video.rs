@@ -2,7 +2,7 @@
 //! with cost-charged, cached V-Scenario extraction.
 
 use ev_core::scenario::{ScenarioId, VScenario};
-use ev_vision::cost::{CostLedger, CostModel};
+use ev_vision::cost::CostModel;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -83,9 +83,8 @@ impl Slot {
 ///
 /// Conceptually the store holds unprocessed footage; calling
 /// [`extract`](VideoStore::extract) runs (simulated) human detection and
-/// feature extraction, charging [`CostModel::v_extraction`] work units per
-/// detection to the store's [`CostLedger`] and burning the equivalent
-/// busy-work. Repeat extractions of the same scenario are free cache hits
+/// feature extraction, burning [`CostModel::v_extraction`] work units per
+/// detection. Repeat extractions of the same scenario are free cache hits
 /// — this is what makes scenario *reuse* across EIDs profitable for the
 /// set-splitting algorithm.
 ///
@@ -113,7 +112,6 @@ impl Slot {
 pub struct VideoStore {
     footage: BTreeMap<ScenarioId, Slot>,
     cost: CostModel,
-    ledger: CostLedger,
     state: Mutex<ExtractState>,
     load_error: OnceLock<ev_core::Error>,
 }
@@ -157,7 +155,6 @@ impl VideoStore {
         VideoStore {
             footage,
             cost,
-            ledger: CostLedger::new(),
             state: Mutex::new(ExtractState::default()),
             load_error: OnceLock::new(),
         }
@@ -226,26 +223,11 @@ impl VideoStore {
         };
         if first_time {
             let units = self.cost.v_extraction * scenario.len() as u64;
-            self.ledger.add_v(units);
             // Burn the work outside the lock so concurrent extractions of
             // different scenarios overlap.
             let _ = CostModel::charge(units);
         }
         Some(Arc::clone(scenario))
-    }
-
-    /// Compares two features' worth of work: charges one
-    /// [`CostModel::v_comparison`] to the ledger and burns it. The caller
-    /// performs the actual similarity computation.
-    pub fn charge_comparison(&self) {
-        self.ledger.add_v(self.cost.v_comparison);
-        let _ = CostModel::charge(self.cost.v_comparison);
-    }
-
-    /// The cost ledger accumulating this store's simulated work.
-    #[must_use]
-    pub fn ledger(&self) -> &CostLedger {
-        &self.ledger
     }
 
     /// The cost model in force.
@@ -286,7 +268,7 @@ impl VideoStore {
         n
     }
 
-    /// Forgets all cached extractions and zeroes the ledger (for running
+    /// Forgets all cached extractions and zeroes the counters (for running
     /// several experiments against the same corpus). Accounting only:
     /// footage already loaded stays resident, and a latched load error
     /// stays latched.
@@ -295,7 +277,6 @@ impl VideoStore {
         state.processed.clear();
         state.cache_hits = 0;
         state.extracted_detections = 0;
-        self.ledger.reset();
     }
 }
 
@@ -323,7 +304,6 @@ mod tests {
         VideoStore::new(
             vec![vscenario(0, 0, &[1, 2]), vscenario(1, 0, &[3])],
             CostModel {
-                e_record: 1,
                 v_extraction: 10,
                 v_comparison: 5,
             },
@@ -347,9 +327,7 @@ mod tests {
     fn extraction_charges_once_and_caches() {
         let s = store();
         let _ = s.extract(id(0, 0));
-        assert_eq!(s.ledger().v_units(), 20, "2 detections x 10 units");
         let _ = s.extract(id(0, 0));
-        assert_eq!(s.ledger().v_units(), 20, "second extract is a cache hit");
         let stats = s.stats();
         assert_eq!(stats.extracted_scenarios, 1);
         assert_eq!(stats.cache_hits, 1);
@@ -357,23 +335,14 @@ mod tests {
     }
 
     #[test]
-    fn comparison_charges_each_time() {
-        let s = store();
-        s.charge_comparison();
-        s.charge_comparison();
-        assert_eq!(s.ledger().v_units(), 10);
-    }
-
-    #[test]
     fn reset_usage_clears_everything() {
         let s = store();
         let _ = s.extract(id(0, 0));
         s.reset_usage();
-        assert_eq!(s.ledger().total_units(), 0);
         assert_eq!(s.stats(), VideoStoreStats::default());
         // Extraction charges again after a reset.
         let _ = s.extract(id(0, 0));
-        assert_eq!(s.ledger().v_units(), 20);
+        assert_eq!(s.stats().extracted_detections, 2);
     }
 
     /// A source over in-memory scenarios that counts its loads and
@@ -515,7 +484,6 @@ mod tests {
         let s = Arc::new(VideoStore::new(
             scenarios,
             CostModel {
-                e_record: 0,
                 v_extraction: 7,
                 v_comparison: 0,
             },
@@ -533,7 +501,9 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(s.ledger().v_units(), 16 * 7, "each scenario charged once");
-        assert_eq!(s.stats().extracted_scenarios, 16);
+        let stats = s.stats();
+        assert_eq!(stats.extracted_detections, 16, "each scenario charged once");
+        assert_eq!(stats.extracted_scenarios, 16);
+        assert_eq!(stats.cache_hits, 7 * 16);
     }
 }

@@ -1,5 +1,5 @@
-//! Crash flight recorder: a fixed-size ring of recent spans, instants
-//! and counter deltas that stays on even when tracing is off, so a
+//! Crash flight recorder: a fixed-size ring of recent spans and
+//! instants that stays on even when tracing is off, so a
 //! worker panic, a `JobError` exhaustion, or disk corruption can be
 //! dumped as a replayable timeline instead of a one-line error.
 //!
@@ -15,17 +15,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Default number of entries the ring retains.
-pub const FLIGHT_CAPACITY: usize = 2048;
+pub(crate) const FLIGHT_CAPACITY: usize = 2048;
 
 /// The kind of a flight-recorder entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlightKind {
+pub(crate) enum FlightKind {
     /// A completed span (`dur_us` is meaningful).
     Span,
     /// A point event.
     Instant,
-    /// A named counter delta (`delta` is meaningful).
-    Counter,
 }
 
 impl FlightKind {
@@ -35,31 +33,28 @@ impl FlightKind {
         match self {
             FlightKind::Span => "span",
             FlightKind::Instant => "instant",
-            FlightKind::Counter => "counter",
         }
     }
 }
 
 /// One recorded flight entry.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FlightEntry {
+pub(crate) struct FlightEntry {
     /// Ring sequence number (monotone; survives wraps, so a dump shows
     /// how many older entries were overwritten).
     pub seq: u64,
     /// Microseconds since the recorder epoch.
     pub ts_us: u64,
-    /// Span duration in microseconds (0 for instants/counters).
+    /// Span duration in microseconds (0 for instants).
     pub dur_us: u64,
     /// Entry kind.
     pub kind: FlightKind,
-    /// Entry name (span/instant name, or counter name).
+    /// Span or instant name.
     pub name: String,
     /// Recording thread id (shared with the tracer's `tid` space).
-    pub tid: u64,
+    pub(crate) tid: u64,
     /// Causal identity — links the entry into the job→round→task tree.
     pub ctx: TraceCtx,
-    /// Counter delta (0 unless `kind == Counter`).
-    pub delta: u64,
     /// Extra structured payload.
     pub args: Vec<(String, Value)>,
 }
@@ -67,7 +62,7 @@ pub struct FlightEntry {
 impl FlightEntry {
     /// The entry as a JSON object for `flight-*.json` dumps.
     #[must_use]
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         Value::Obj(vec![
             ("seq".to_string(), Value::Int(i128::from(self.seq))),
             ("ts_us".to_string(), Value::Int(i128::from(self.ts_us))),
@@ -90,7 +85,6 @@ impl FlightEntry {
                 "parent_span_id".to_string(),
                 Value::Int(i128::from(self.ctx.parent_span)),
             ),
-            ("delta".to_string(), Value::Int(i128::from(self.delta))),
             ("args".to_string(), Value::Obj(self.args.clone())),
         ])
     }
@@ -116,7 +110,7 @@ impl FlightRecorder {
     /// A disabled recorder with `capacity` slots (see
     /// [`FlightRecorder::set_enabled`]).
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         FlightRecorder {
             epoch: Instant::now(),
@@ -138,16 +132,9 @@ impl FlightRecorder {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// The recorder's epoch — span starts should be taken with
-    /// `Instant::now()` and handed back to [`FlightRecorder::span`].
-    #[must_use]
-    pub fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
     /// Total entries ever recorded (retained or overwritten).
     #[must_use]
-    pub fn recorded(&self) -> u64 {
+    pub(crate) fn recorded(&self) -> u64 {
         self.next_seq.load(Ordering::Relaxed)
     }
 
@@ -180,7 +167,6 @@ impl FlightRecorder {
             name: name.into(),
             tid: current_tid(),
             ctx,
-            delta: 0,
             args,
         });
     }
@@ -199,27 +185,7 @@ impl FlightRecorder {
             name: name.into(),
             tid: current_tid(),
             ctx,
-            delta: 0,
             args,
-        });
-    }
-
-    /// Records a named counter delta attributed to `ctx`.
-    pub fn counter_delta(&self, name: impl Into<String>, ctx: TraceCtx, delta: u64) {
-        if !self.enabled() || delta == 0 {
-            return;
-        }
-        let ts_us = u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.push(FlightEntry {
-            seq: 0,
-            ts_us,
-            dur_us: 0,
-            kind: FlightKind::Counter,
-            name: name.into(),
-            tid: current_tid(),
-            ctx,
-            delta,
-            args: Vec::new(),
         });
     }
 
@@ -227,7 +193,7 @@ impl FlightRecorder {
     /// slot by slot; entries recorded concurrently with the snapshot
     /// may or may not be included.
     #[must_use]
-    pub fn snapshot(&self) -> Vec<FlightEntry> {
+    pub(crate) fn snapshot(&self) -> Vec<FlightEntry> {
         let mut entries: Vec<FlightEntry> = self
             .slots
             .iter()
@@ -239,7 +205,7 @@ impl FlightRecorder {
 
     /// The snapshot as the body of a `flight-*.json` dump.
     #[must_use]
-    pub fn to_value(&self, reason: &str) -> Value {
+    pub(crate) fn to_value(&self, reason: &str) -> Value {
         let entries = self.snapshot();
         let retained = entries.len() as u64;
         let recorded = self.recorded();
@@ -276,7 +242,7 @@ mod tests {
         let rec = FlightRecorder::with_capacity(4);
         rec.set_enabled(true);
         for i in 0..10u64 {
-            rec.counter_delta(format!("c{i}"), TraceCtx::default(), i + 1);
+            rec.instant(format!("e{i}"), TraceCtx::default(), Vec::new());
         }
         let entries = rec.snapshot();
         assert_eq!(entries.len(), 4);
@@ -297,13 +263,5 @@ mod tests {
         assert_eq!(entries[0].kind, FlightKind::Span);
         assert_eq!(entries[0].ctx, ctx);
         assert_eq!(entries[0].args[0].0, "task");
-    }
-
-    #[test]
-    fn zero_delta_counters_are_skipped() {
-        let rec = FlightRecorder::with_capacity(8);
-        rec.set_enabled(true);
-        rec.counter_delta("c", TraceCtx::default(), 0);
-        assert_eq!(rec.recorded(), 0);
     }
 }

@@ -9,7 +9,7 @@
 //! A [`Telemetry`] handle is an `Arc` around one atomic level byte, a
 //! [`MetricsRegistry`] and a [`Tracer`]. Every instrumentation site
 //! checks the level with a single relaxed atomic load
-//! ([`Telemetry::counters_on`] / [`Telemetry::tracing_on`]) and does
+//! ([`Telemetry::counters_on`] / `tracing_on`) and does
 //! nothing else when disabled, so `--telemetry off` runs are
 //! bit-identical to uninstrumented code. Hot loops resolve metric
 //! handles once and then pay one relaxed `fetch_add` per update.
@@ -27,13 +27,15 @@ pub mod prometheus;
 mod serve;
 mod trace;
 
-pub use flight::{FlightEntry, FlightKind, FlightRecorder, FLIGHT_CAPACITY};
+pub use flight::FlightRecorder;
 pub use metrics::{
     bucket_bound, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
-    MetricsSnapshot, Reservoir, BUCKET_COUNT, RESERVOIR_CAPACITY,
+    MetricsSnapshot, Reservoir, BUCKET_COUNT,
 };
 pub use serve::MetricsServer;
-pub use trace::{current_tid, next_span_id, TraceCtx, TraceEvent, Tracer, DEFAULT_CAPACITY};
+pub use trace::{TraceCtx, TraceEvent, Tracer};
+
+use trace::DEFAULT_CAPACITY;
 
 use parking_lot::Mutex;
 use serde_json::Value;
@@ -124,7 +126,7 @@ impl Telemetry {
 
     /// Fresh telemetry state whose tracer ring retains at most
     /// `capacity` events (smaller rings surface `evm_trace_dropped_total`
-    /// sooner; the default is [`DEFAULT_CAPACITY`]).
+    /// sooner; the default is 65 536).
     #[must_use]
     pub fn with_trace_capacity(level: TelemetryLevel, capacity: usize) -> Self {
         let registry = MetricsRegistry::new();
@@ -149,7 +151,7 @@ impl Telemetry {
 
     /// Fresh telemetry state that records nothing.
     #[must_use]
-    pub fn off() -> Self {
+    pub(crate) fn off() -> Self {
         Telemetry::new(TelemetryLevel::Off)
     }
 
@@ -163,13 +165,8 @@ impl Telemetry {
 
     /// Current recording level.
     #[must_use]
-    pub fn level(&self) -> TelemetryLevel {
+    pub(crate) fn level(&self) -> TelemetryLevel {
         TelemetryLevel::from_u8(self.inner.level.load(Ordering::Relaxed))
-    }
-
-    /// Changes the recording level for every clone of this handle.
-    pub fn set_level(&self, level: TelemetryLevel) {
-        self.inner.level.store(level as u8, Ordering::Relaxed);
     }
 
     /// Whether counter/gauge/histogram updates are recorded — the one
@@ -183,7 +180,7 @@ impl Telemetry {
     /// Whether trace spans and events are recorded.
     #[inline]
     #[must_use]
-    pub fn tracing_on(&self) -> bool {
+    pub(crate) fn tracing_on(&self) -> bool {
         self.inner.level.load(Ordering::Relaxed) >= TelemetryLevel::Full as u8
     }
 
@@ -207,8 +204,8 @@ impl Telemetry {
     }
 
     /// Opens a span carrying causal identity. The context is retained
-    /// even when tracing is off (so [`Span::ctx`] still chains), but no
-    /// clock is read and nothing is recorded.
+    /// even when tracing is off, but no clock is read and nothing is
+    /// recorded.
     #[must_use]
     pub fn span_ctx(&self, name: impl Into<String>, cat: &'static str, ctx: TraceCtx) -> Span<'_> {
         if self.tracing_on() {
@@ -268,7 +265,7 @@ impl Telemetry {
 
     /// The currently configured flight-dump directory.
     #[must_use]
-    pub fn flight_dir(&self) -> Option<PathBuf> {
+    pub(crate) fn flight_dir(&self) -> Option<PathBuf> {
         self.inner.flight_dir.lock().clone()
     }
 
@@ -353,14 +350,6 @@ impl Span<'_> {
             self.args.push((key.to_string(), value));
         }
     }
-
-    /// The span's causal context (unset unless opened with
-    /// [`Telemetry::span_ctx`]). Derive children with
-    /// [`TraceCtx::child`].
-    #[must_use]
-    pub fn ctx(&self) -> TraceCtx {
-        self.ctx
-    }
 }
 
 impl Drop for Span<'_> {
@@ -415,8 +404,6 @@ mod tests {
         let other = tel.clone();
         other.registry().counter("shared").add(3);
         assert_eq!(tel.registry().counter_value("shared"), Some(3));
-        other.set_level(TelemetryLevel::Full);
-        assert!(tel.tracing_on());
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl Gauge {
 
     /// Current value.
     #[must_use]
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
@@ -198,7 +198,7 @@ impl HistogramSnapshot {
 }
 
 /// Default number of samples a [`Reservoir`] retains.
-pub const RESERVOIR_CAPACITY: usize = 4096;
+pub(crate) const RESERVOIR_CAPACITY: usize = 4096;
 
 /// `splitmix64` — a tiny, high-quality deterministic bit mixer. Used
 /// for reservoir replacement draws so quantiles are reproducible from
@@ -235,7 +235,7 @@ impl Default for Reservoir {
 impl Reservoir {
     /// A reservoir retaining at most `capacity` samples.
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Reservoir {
             samples: Mutex::new(Vec::new()),
             seen: AtomicU64::new(0),
@@ -257,21 +257,9 @@ impl Reservoir {
         }
     }
 
-    /// Total samples ever offered (retained or not).
-    #[must_use]
-    pub fn seen(&self) -> u64 {
-        self.seen.load(Ordering::Relaxed)
-    }
-
-    /// Samples currently retained.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples.lock().len()
-    }
-
     /// Whether no samples have been retained.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.samples.lock().is_empty()
     }
 

@@ -68,9 +68,8 @@ pub const VFILTER_GALLERY_HIT_RATIO: &str = "evm_vfilter_gallery_hit_ratio";
 pub const VFILTER_CANDIDATES_SCORED: &str = "evm_vfilter_candidates_scored";
 
 /// SoA feature blocks packed for gallery-cache entries (count; one per
-/// `GalleryCache` entry that is scored, memoized like the gallery; the
-/// anytime scorer packs only the galleries it scores exactly). Reader:
-/// README, "Profiling a run".
+/// `GalleryCache` entry that is scored, memoized like the gallery).
+/// Reader: README, "Profiling a run".
 pub const KERNEL_BLOCKS_BUILT: &str = "evm_kernel_blocks_built";
 /// Galleries the block builder rejected because their rows disagreed on
 /// dimensionality (count; the whole gallery scores membership 0,
@@ -98,10 +97,10 @@ pub const EXEC_WORKER_TASKS: &str = "evm_exec_worker_tasks";
 pub const EXEC_TASK_LATENCY_P50_NS: &str = "evm_exec_task_latency_p50_ns";
 /// Exact p90 of the same reservoir (nanoseconds). Reader: README,
 /// "Watching a live run".
-pub const EXEC_TASK_LATENCY_P90_NS: &str = "evm_exec_task_latency_p90_ns";
+pub(crate) const EXEC_TASK_LATENCY_P90_NS: &str = "evm_exec_task_latency_p90_ns";
 /// Exact p99 of the same reservoir (nanoseconds). Reader: README,
 /// "Watching a live run".
-pub const EXEC_TASK_LATENCY_P99_NS: &str = "evm_exec_task_latency_p99_ns";
+pub(crate) const EXEC_TASK_LATENCY_P99_NS: &str = "evm_exec_task_latency_p99_ns";
 
 // The run gauges: set together, once, by the run epilogue, so each
 // describes the handle's most recent run.
@@ -245,7 +244,7 @@ pub const INCR_BLOCKS_SPLIT: &str = "evm_incr_blocks_split_total";
 pub const INCR_PARTITION_BLOCKS: &str = "evm_incr_partition_blocks";
 
 /// Every canonical counter name.
-pub const ALL_COUNTERS: &[&str] = &[
+pub(crate) const ALL_COUNTERS: &[&str] = &[
     SETSPLIT_SCENARIOS_EXAMINED,
     SETSPLIT_RECORDED,
     SETSPLIT_GAIN_CACHE_INVALIDATIONS,
@@ -272,7 +271,7 @@ pub const ALL_COUNTERS: &[&str] = &[
 ];
 
 /// Every canonical gauge name.
-pub const ALL_GAUGES: &[&str] = &[
+pub(crate) const ALL_GAUGES: &[&str] = &[
     SETSPLIT_BLOCKS,
     VFILTER_GALLERY_HIT_RATIO,
     EXEC_WORKERS,
@@ -295,7 +294,7 @@ pub const ALL_GAUGES: &[&str] = &[
 ];
 
 /// Every canonical histogram name.
-pub const ALL_HISTOGRAMS: &[&str] = &[
+pub(crate) const ALL_HISTOGRAMS: &[&str] = &[
     SETSPLIT_SPLITTER_GAIN,
     EXEC_WORKER_TASKS,
     SERVE_QUERY_LATENCY_NS,

@@ -24,8 +24,7 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 /// Per-connection read/write timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// A running metrics endpoint. Stops (and joins its thread) on
-/// [`MetricsServer::stop`] or drop.
+/// A running metrics endpoint. Stops (and joins its thread) on drop.
 #[derive(Debug)]
 pub struct MetricsServer {
     addr: SocketAddr,
@@ -57,11 +56,6 @@ impl MetricsServer {
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Stops the accept loop and joins the server thread.
-    pub fn stop(mut self) {
-        self.shutdown_and_join();
     }
 
     fn shutdown_and_join(&mut self) {
@@ -246,7 +240,7 @@ mod tests {
         let (head, _) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
 
-        server.stop();
+        drop(server);
     }
 
     #[test]
@@ -254,7 +248,7 @@ mod tests {
         let tel = Telemetry::off();
         let server = MetricsServer::start("127.0.0.1:0", &tel).unwrap();
         let addr = server.addr();
-        server.stop();
+        drop(server);
         // The port is released: rebinding succeeds.
         let rebound = TcpListener::bind(addr);
         assert!(rebound.is_ok());

@@ -16,7 +16,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Default ring capacity (events retained).
-pub const DEFAULT_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_CAPACITY: usize = 65_536;
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
@@ -26,7 +26,7 @@ static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 /// tracing is off (the flight recorder attributes entries by these ids
 /// regardless of the telemetry level).
 #[must_use]
-pub fn next_span_id() -> u64 {
+pub(crate) fn next_span_id() -> u64 {
     NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
 }
 
@@ -45,7 +45,7 @@ pub struct TraceCtx {
     /// This context's own span id. 0 = unset.
     pub span_id: u64,
     /// The causal parent's span id. 0 = root.
-    pub parent_span: u64,
+    pub(crate) parent_span: u64,
 }
 
 impl TraceCtx {
@@ -78,7 +78,7 @@ impl TraceCtx {
 
     /// Whether this context carries no identity at all.
     #[must_use]
-    pub fn is_unset(&self) -> bool {
+    pub(crate) fn is_unset(&self) -> bool {
         self.span_id == 0
     }
 }
@@ -91,7 +91,7 @@ thread_local! {
 
 /// The id this thread's events carry in the `tid` field.
 #[must_use]
-pub fn current_tid() -> u64 {
+pub(crate) fn current_tid() -> u64 {
     TRACE_TID.with(|t| *t)
 }
 
@@ -110,7 +110,7 @@ pub struct TraceEvent {
     /// Duration in microseconds (0 for instants).
     pub dur_us: u64,
     /// Recording thread id (see [`current_tid`]).
-    pub tid: u64,
+    pub(crate) tid: u64,
     /// Causal identity (all 0 when the event was recorded without a
     /// [`TraceCtx`]). Carried into the Chrome export inside `args` so
     /// the job→round→task→attempt tree can be reconstructed even after
@@ -123,7 +123,7 @@ pub struct TraceEvent {
 impl TraceEvent {
     /// The event as one Chrome trace-event object.
     #[must_use]
-    pub fn to_value(&self, pid: u64) -> Value {
+    pub(crate) fn to_value(&self, pid: u64) -> Value {
         let mut fields = vec![
             ("name".to_string(), Value::Str(self.name.clone())),
             ("cat".to_string(), Value::Str(self.cat.to_string())),
@@ -165,7 +165,7 @@ impl TraceEvent {
     /// identity fields are explicit top-level keys rather than being
     /// folded into Chrome `args`.
     #[must_use]
-    pub fn to_tracez_value(&self) -> Value {
+    pub(crate) fn to_tracez_value(&self) -> Value {
         Value::Obj(vec![
             ("name".to_string(), Value::Str(self.name.clone())),
             ("cat".to_string(), Value::Str(self.cat.to_string())),
@@ -213,7 +213,7 @@ impl Default for Tracer {
 impl Tracer {
     /// A tracer retaining at most `capacity` events.
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Tracer {
             epoch: Instant::now(),
             events: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
@@ -225,20 +225,20 @@ impl Tracer {
 
     /// Attaches the registry counter incremented on every ring
     /// eviction. Only the first call has an effect.
-    pub fn attach_drop_counter(&self, counter: Arc<Counter>) {
+    pub(crate) fn attach_drop_counter(&self, counter: Arc<Counter>) {
         let _ = self.drop_counter.set(counter);
     }
 
     /// The tracer's epoch — span starts should be taken with
     /// `Instant::now()` and handed back to [`Tracer::complete`].
     #[must_use]
-    pub fn epoch(&self) -> Instant {
+    pub(crate) fn epoch(&self) -> Instant {
         self.epoch
     }
 
     /// Microseconds elapsed since the epoch.
     #[must_use]
-    pub fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
@@ -252,17 +252,6 @@ impl Tracer {
             }
         }
         ring.push_back(event);
-    }
-
-    /// Records a complete (`'X'`) span that started at `start`.
-    pub fn complete(
-        &self,
-        name: impl Into<String>,
-        cat: &'static str,
-        start: Instant,
-        args: Vec<(String, Value)>,
-    ) {
-        self.complete_ctx(name, cat, start, TraceCtx::default(), args);
     }
 
     /// Records a complete (`'X'`) span carrying causal identity.
@@ -290,7 +279,12 @@ impl Tracer {
     }
 
     /// Records an instant (`'i'`) event at the current time.
-    pub fn instant(&self, name: impl Into<String>, cat: &'static str, args: Vec<(String, Value)>) {
+    pub(crate) fn instant(
+        &self,
+        name: impl Into<String>,
+        cat: &'static str,
+        args: Vec<(String, Value)>,
+    ) {
         self.instant_ctx(name, cat, TraceCtx::default(), args);
     }
 
@@ -324,7 +318,7 @@ impl Tracer {
 
     /// The most recent `limit` events, oldest first.
     #[must_use]
-    pub fn recent(&self, limit: usize) -> Vec<TraceEvent> {
+    pub(crate) fn recent(&self, limit: usize) -> Vec<TraceEvent> {
         let ring = self.events.lock();
         let skip = ring.len().saturating_sub(limit);
         ring.iter().skip(skip).cloned().collect()
@@ -332,7 +326,7 @@ impl Tracer {
 
     /// Number of events recorded (retained in the ring).
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.lock().len()
     }
 
@@ -344,14 +338,14 @@ impl Tracer {
 
     /// Events evicted because the ring was full.
     #[must_use]
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
     /// The whole ring as a Chrome trace document
     /// (`{"traceEvents": [...]}`), loadable in `chrome://tracing`.
     #[must_use]
-    pub fn chrome_trace(&self) -> Value {
+    pub(crate) fn chrome_trace(&self) -> Value {
         let events: Vec<Value> = self.events.lock().iter().map(|e| e.to_value(1)).collect();
         Value::Obj(vec![
             ("traceEvents".to_string(), Value::Arr(events)),
@@ -359,7 +353,7 @@ impl Tracer {
         ])
     }
 
-    /// [`Tracer::chrome_trace`] rendered as pretty JSON text.
+    /// The trace as Chrome trace-event JSON (`traceEvents`), pretty-printed.
     #[must_use]
     pub fn chrome_trace_json(&self) -> String {
         self.chrome_trace().to_json_pretty()

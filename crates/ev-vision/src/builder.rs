@@ -39,7 +39,7 @@ pub struct DetectionModel {
     /// Probability that a present person is not detected in a scenario.
     pub miss_rate: f64,
     /// Standard deviation of per-component appearance observation noise.
-    pub feature_sigma: f64,
+    pub(crate) feature_sigma: f64,
 }
 
 impl DetectionModel {
@@ -106,22 +106,16 @@ impl VScenarioBuilder {
         VScenarioBuilder { region, gallery }
     }
 
-    /// The gallery backing this builder.
-    #[must_use]
-    pub fn gallery(&self) -> &AppearanceGallery {
-        &self.gallery
-    }
-
-    /// The region scenarios are built over.
-    #[must_use]
-    pub fn region(&self) -> &GridRegion {
-        &self.region
-    }
-
     /// Builds one V-Scenario per (tick, cell) with at least one detection.
     /// Deterministic for a given `seed`. Sorted by scenario id.
+    #[cfg(test)]
     #[must_use]
-    pub fn build(&self, traces: &TraceSet, model: DetectionModel, seed: u64) -> Vec<VScenario> {
+    pub(crate) fn build(
+        &self,
+        traces: &TraceSet,
+        model: DetectionModel,
+        seed: u64,
+    ) -> Vec<VScenario> {
         self.build_windowed(traces, model, 1, seed)
     }
 

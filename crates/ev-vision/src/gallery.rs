@@ -53,7 +53,7 @@ impl AppearanceGallery {
 
     /// Descriptor dimensionality.
     #[must_use]
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
@@ -61,19 +61,6 @@ impl AppearanceGallery {
     #[must_use]
     pub fn feature_of(&self, person: PersonId) -> Option<&FeatureVector> {
         self.features.get(person.as_u64() as usize)
-    }
-
-    /// Packs the whole gallery into an SoA [`FeatureBlock`] for batch
-    /// scoring with [`ev_core::kernel::Kernel`] — the gallery-side entry
-    /// point the kernel microbench and any whole-population scan use.
-    /// Generated galleries are dimension-uniform by construction, so
-    /// packing cannot fail.
-    ///
-    /// [`FeatureBlock`]: ev_core::kernel::FeatureBlock
-    #[must_use]
-    pub fn to_block(&self) -> ev_core::kernel::FeatureBlock {
-        ev_core::kernel::FeatureBlock::build("appearance-gallery", self.features.iter())
-            .expect("generated galleries are dimension-uniform")
     }
 
     /// A noisy observation of `person`'s descriptor: each component gets
@@ -300,9 +287,9 @@ mod tests {
 
     #[test]
     fn block_view_scores_bitwise_like_the_scalar_gallery() {
-        use ev_core::kernel::Kernel;
+        use ev_core::kernel::{FeatureBlock, Kernel};
         let g = AppearanceGallery::generate(37, 24, 4);
-        let block = g.to_block();
+        let block = FeatureBlock::build("appearance-gallery", g.features.iter()).unwrap();
         assert_eq!(block.len(), 37);
         assert_eq!(block.dim(), 24);
         let cand = g.feature_of(PersonId::new(5)).unwrap();

@@ -34,7 +34,7 @@
 //!     .run(30);
 //! let gallery = AppearanceGallery::generate(20, 64, 5);
 //! let builder = VScenarioBuilder::new(region, gallery);
-//! let scenarios = builder.build(&traces, DetectionModel::perfect(), 9);
+//! let scenarios = builder.build_windowed(&traces, DetectionModel::perfect(), 1, 9);
 //! assert!(!scenarios.is_empty());
 //! ```
 

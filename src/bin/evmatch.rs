@@ -11,7 +11,6 @@
 //! evmatch match     [--population N] [--duration T] [--seed S]
 //!                   [--targets K] [--mode ideal|practical]
 //!                   [--threads N] [--universal]
-//!                   [--confidence P] [--budget-scenarios N]
 //!                   [--telemetry off|counters|full] [--trace-out PATH]
 //!                   [--metrics-out PATH] [--json]
 //!                   [--serve-metrics ADDR] [--serve-hold-ms MS]
@@ -20,8 +19,6 @@
 //! evmatch query     [--population N] [--duration T] [--seed S]
 //!                   [--targets K] --eid HEX|--cell C --from T0 --to T1
 //! evmatch check-metrics --in PATH | --smoke
-//! evmatch check-anytime [--population N] [--duration T] [--seed S]
-//!                   [--targets K] [--confidence P]
 //! ```
 //!
 //! Datasets are regenerated deterministically from their parameters, so
@@ -77,13 +74,8 @@
 //! corruption, the ring of recent spans/instants/counter deltas is
 //! dumped to `flight-<ts>-<n>.json` in `--flight-dir` (default `.`).
 //!
-//! `--confidence P` (`0 < P <= 1`) switches VID filtering to the
-//! anytime scorer of `DESIGN.md` §8: scoring stops once the leader's
-//! certified certainty reaches `P`. `--budget-scenarios N` caps exact
-//! scoring to the first `N` scenarios per EID. `--confidence 1.0` with
-//! no budget is the exact path, byte for byte. `check-anytime` runs the
-//! anytime scorer against the exhaustive one on a generated corpus and
-//! fails on any divergence a converged result is not allowed to show.
+//! Argument errors — an unknown subcommand or flag, a bad value — exit
+//! 2; runtime errors exit 1.
 
 use ev_telemetry::{names, prometheus, MetricsServer, Telemetry, TelemetryLevel};
 use evmatch::disk::format::{FRAME_OVERHEAD, HEADER_LEN};
@@ -103,8 +95,6 @@ struct CommonArgs {
     mode: SplitMode,
     threads: Option<usize>,
     universal: bool,
-    confidence: Option<f64>,
-    budget_scenarios: Option<usize>,
     json: bool,
     telemetry: Option<TelemetryLevel>,
     trace_out: Option<String>,
@@ -119,19 +109,6 @@ struct CommonArgs {
 }
 
 impl CommonArgs {
-    /// The anytime config the flags ask for, if any. A plain
-    /// `--confidence 1.0` still round-trips through the config so the
-    /// delegation path (not the CLI) decides that it means "exact".
-    fn anytime(&self) -> Option<AnytimeConfig> {
-        if self.confidence.is_none() && self.budget_scenarios.is_none() {
-            return None;
-        }
-        Some(AnytimeConfig {
-            confidence: self.confidence.unwrap_or(1.0),
-            budget_scenarios: self.budget_scenarios,
-        })
-    }
-
     /// The telemetry level in force: explicit `--telemetry` wins, else
     /// the strongest level an output flag implies, else off.
     /// `--serve-metrics` implies `full` so the live `/tracez` endpoint
@@ -199,8 +176,6 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
         mode: SplitMode::Practical,
         threads: None,
         universal: false,
-        confidence: None,
-        budget_scenarios: None,
         json: false,
         telemetry: None,
         trace_out: None,
@@ -233,16 +208,6 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
                 out.threads = Some(n);
             }
             "--universal" => out.universal = true,
-            "--confidence" => {
-                let p: f64 = take()?.parse().map_err(|e| format!("{e}"))?;
-                if !(p > 0.0 && p <= 1.0) {
-                    return Err(format!("--confidence must be in (0, 1], got {p}"));
-                }
-                out.confidence = Some(p);
-            }
-            "--budget-scenarios" => {
-                out.budget_scenarios = Some(take()?.parse().map_err(|e| format!("{e}"))?);
-            }
             "--mode" => {
                 out.mode = match take()?.as_str() {
                     "ideal" => SplitMode::Ideal,
@@ -363,12 +328,11 @@ fn run_match(args: &CommonArgs) -> Result<(EvDataset, MatchReport), String> {
     let dataset = build_dataset(args)?;
     let targets = sample_targets(&dataset, args.targets, args.seed);
     let execution = execution_mode(args);
-    let mut config = MatcherConfig {
+    let config = MatcherConfig {
         mode: args.mode,
         execution,
         ..MatcherConfig::default()
     };
-    config.vfilter.anytime = args.anytime();
     let telemetry = Telemetry::new(args.telemetry_level());
     if telemetry.counters_on() {
         names::preregister(telemetry.registry());
@@ -524,7 +488,6 @@ fn cmd_serve(args: &CommonArgs) -> Result<(), String> {
     };
     config.matcher.mode = args.mode;
     config.matcher.execution = execution_mode(args);
-    config.matcher.vfilter.anytime = args.anytime();
 
     let mut live = LiveCorpus::open(dir, config, &telemetry).map_err(|e| {
         let message = format!("opening live corpus {dir}: {e}");
@@ -1162,90 +1125,6 @@ fn cmd_check_metrics(args: &CommonArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// `evmatch check-anytime`: certifies the anytime scorer against the
-/// exhaustive one on a generated corpus. Three contracts are enforced
-/// per EID (see `DESIGN.md` §8):
-///
-/// 1. a converged anytime result names the exact winner;
-/// 2. the vote-share interval brackets the exact winner's share;
-/// 3. `--confidence 1.0` (no budget) reproduces the exact
-///    `MatchOutcome`s byte for byte.
-fn cmd_check_anytime(args: &CommonArgs) -> Result<(), String> {
-    use evmatch::matching::vfilter::{GalleryCache, VFilterConfig, VStage};
-
-    const EPS: f64 = 1e-12;
-    let confidence = args.confidence.unwrap_or(0.95);
-    let dataset = build_dataset(args)?;
-    let targets = sample_targets(&dataset, args.targets, args.seed);
-    let matcher = EvMatcher::new(&dataset.estore, &dataset.video, MatcherConfig::default());
-    let report = matcher.match_many(&targets).map_err(|e| e.to_string())?;
-
-    let exact_cfg = VFilterConfig::default();
-    let anytime_cfg = VFilterConfig {
-        anytime: Some(AnytimeConfig {
-            confidence,
-            budget_scenarios: args.budget_scenarios,
-        }),
-        ..VFilterConfig::default()
-    };
-    let none = std::collections::BTreeSet::new();
-    let mut converged = 0usize;
-    let mut scored = 0usize;
-    let mut total = 0usize;
-    for (eid, list) in &report.lists {
-        let exact = VStage {
-            video: &dataset.video,
-            config: &exact_cfg,
-            cache: &mut GalleryCache::new(),
-            telemetry: Telemetry::disabled(),
-        }
-        .filter_one(*eid, list, &none);
-        let partial = VStage {
-            video: &dataset.video,
-            config: &anytime_cfg,
-            cache: &mut GalleryCache::new(),
-            telemetry: Telemetry::disabled(),
-        }
-        .filter_partial(*eid, list, &none);
-        if partial.converged {
-            converged += 1;
-            if partial.vid != exact.vid {
-                return Err(format!(
-                    "{eid}: converged on {:?} but the exact winner is {:?}",
-                    partial.vid, exact.vid
-                ));
-            }
-        }
-        if partial.vote_share_low > exact.vote_share + EPS
-            || partial.vote_share_high < exact.vote_share - EPS
-        {
-            return Err(format!(
-                "{eid}: exact vote share {} escapes the certified interval [{}, {}]",
-                exact.vote_share, partial.vote_share_low, partial.vote_share_high
-            ));
-        }
-        scored += partial.scenarios_scored;
-        total += partial.scenarios_total;
-    }
-
-    // Contract 3: full confidence must be the exact path, byte for byte.
-    let mut full = MatcherConfig::default();
-    full.vfilter.anytime = Some(AnytimeConfig::default());
-    let routed = EvMatcher::new(&dataset.estore, &dataset.video, full)
-        .match_many(&targets)
-        .map_err(|e| e.to_string())?;
-    if routed.outcomes != report.outcomes || routed.lists != report.lists {
-        return Err("--confidence 1.0 diverged from the exact report".into());
-    }
-
-    println!(
-        "ok: {} EIDs at confidence {confidence}: {converged} converged, \
-         {scored}/{total} scenarios scored exactly, exact report reproduced at 1.0",
-        report.lists.len(),
-    );
-    Ok(())
-}
-
 fn cmd_match(args: &CommonArgs) -> Result<(), String> {
     let (dataset, report) = run_match(args)?;
     let stats = score_report(&dataset, &report);
@@ -1367,10 +1246,20 @@ fn cmd_query(args: &CommonArgs) -> Result<(), String> {
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = argv.split_first() else {
-        eprintln!(
-            "usage: evmatch <generate|ingest|serve|match|query|check-metrics|check-anytime> [flags]"
-        );
+        eprintln!("usage: evmatch <generate|ingest|serve|match|query|check-metrics> [flags]");
         return ExitCode::from(2);
+    };
+    let run: fn(&CommonArgs) -> Result<(), String> = match command.as_str() {
+        "generate" => cmd_generate,
+        "ingest" => cmd_ingest,
+        "serve" => cmd_serve,
+        "match" => cmd_match,
+        "query" => cmd_query,
+        "check-metrics" => cmd_check_metrics,
+        other => {
+            eprintln!("argument error: unknown command {other}");
+            return ExitCode::from(2);
+        }
     };
     let args = match parse_args(rest) {
         Ok(a) => a,
@@ -1379,16 +1268,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let result = match command.as_str() {
-        "generate" => cmd_generate(&args),
-        "ingest" => cmd_ingest(&args),
-        "serve" => cmd_serve(&args),
-        "match" => cmd_match(&args),
-        "query" => cmd_query(&args),
-        "check-metrics" => cmd_check_metrics(&args),
-        "check-anytime" => cmd_check_anytime(&args),
-        other => Err(format!("unknown command {other}")),
-    };
+    let result = run(&args);
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

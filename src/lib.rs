@@ -74,9 +74,7 @@ pub mod prelude {
     pub use ev_fusion::FusedIndex;
     pub use ev_matching::matcher::ExecutionMode;
     pub use ev_matching::refine::SplitMode;
-    pub use ev_matching::{
-        AnytimeConfig, EvMatcher, MatchReport, MatcherConfig, PartialMatchOutcome,
-    };
+    pub use ev_matching::{EvMatcher, MatchReport, MatcherConfig};
     pub use ev_store::{EScenarioStore, StoreBackend, VideoStore};
     pub use ev_telemetry::{Telemetry, TelemetryLevel};
 

@@ -1,5 +1,5 @@
 //! `evmatch match --threads N` at the edges of `N`: no thread count a
-//! user can type may panic the process.
+//! user can type may panic the process. Argument errors exit 2.
 
 use std::process::{Command, Output};
 
@@ -57,4 +57,27 @@ fn ideal_mode_with_threads_is_an_argument_error() {
         stderr.starts_with("argument error: --mode ideal"),
         "{stderr}"
     );
+}
+
+/// Retired options are argument errors, never silently ignored: the
+/// anytime scorer's `--confidence` flag and `check-anytime` subcommand
+/// are gone, and an unknown subcommand exits 2 like every other usage
+/// error.
+#[test]
+fn retired_anytime_options_are_argument_errors() {
+    for (args, says) in [
+        (
+            &["match", "--confidence", "0.95"][..],
+            "unknown flag --confidence",
+        ),
+        (&["check-anytime"][..], "unknown command check-anytime"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_evmatch"))
+            .args(args)
+            .output()
+            .expect("run evmatch");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(says), "{args:?}: {stderr}");
+    }
 }
