@@ -128,6 +128,25 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+/// An empty `Vec` with room for exactly `len` items. A length that a
+/// configuration sets must not abort the process when the allocator
+/// refuses it.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidParameter`] naming `name` (the parameter the
+/// length comes from) when the reservation fails.
+pub fn reserved<T>(name: &'static str, len: usize) -> Result<Vec<T>> {
+    let mut items = Vec::new();
+    items
+        .try_reserve_exact(len)
+        .map_err(|e| Error::InvalidParameter {
+            name,
+            reason: format!("cannot hold {len} items: {e}"),
+        })?;
+    Ok(items)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,6 +189,23 @@ mod tests {
     fn error_is_std_error() {
         fn takes_err(_: &dyn std::error::Error) {}
         takes_err(&Error::UnknownCell { index: 3 });
+    }
+
+    #[test]
+    fn a_refused_reservation_is_an_invalid_parameter() {
+        let room = reserved::<u64>("population", 3).unwrap();
+        assert!(room.is_empty() && room.capacity() >= 3);
+        let refused = reserved::<u64>("population", usize::MAX);
+        assert!(
+            matches!(
+                refused,
+                Err(Error::InvalidParameter {
+                    name: "population",
+                    ..
+                })
+            ),
+            "{refused:?}"
+        );
     }
 
     #[test]

@@ -164,12 +164,31 @@ impl GridRegion {
     ///
     /// Returns [`Error::OutOfRegion`] if `p` lies outside the region.
     pub fn cell_at(&self, p: Point) -> Result<CellId> {
+        let (col, row) = self.column_and_row(p)?;
+        Ok(CellId(row * self.cols + col))
+    }
+
+    /// [`GridRegion::cell_at`] and [`GridRegion::zone_of`] that cell in
+    /// one call, for a caller that classifies many points: the cell's
+    /// rectangle comes from the column and row just found, not from
+    /// dividing the cell id back into them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::OutOfRegion`] if `p` lies outside the region.
+    pub fn locate(&self, p: Point) -> Result<(CellId, Zone)> {
+        let (col, row) = self.column_and_row(p)?;
+        let zone = self.zone_in(&self.cell_rect(col, row), p);
+        Ok((CellId(row * self.cols + col), zone))
+    }
+
+    fn column_and_row(&self, p: Point) -> Result<(usize, usize)> {
         if !self.bounds().contains(p) {
             return Err(Error::OutOfRegion { x: p.x, y: p.y });
         }
         let col = ((p.x / self.cell_size) as usize).min(self.cols - 1);
         let row = ((p.y / self.cell_size) as usize).min(self.rows - 1);
-        Ok(CellId(row * self.cols + col))
+        Ok((col, row))
     }
 
     /// The bounding rectangle of `cell`.
@@ -181,14 +200,16 @@ impl GridRegion {
         if cell.0 >= self.cell_count() {
             return Err(Error::UnknownCell { index: cell.0 });
         }
-        let row = cell.0 / self.cols;
-        let col = cell.0 % self.cols;
+        Ok(self.cell_rect(cell.0 % self.cols, cell.0 / self.cols))
+    }
+
+    fn cell_rect(&self, col: usize, row: usize) -> Rect {
         let min = Point::new(col as f64 * self.cell_size, row as f64 * self.cell_size);
         let max = Point::new(
             (min.x + self.cell_size).min(self.width),
             (min.y + self.cell_size).min(self.height),
         );
-        Ok(Rect::new(min, max))
+        Rect::new(min, max)
     }
 
     /// Classifies `p` relative to `cell` into inclusive / vague / exclusive
@@ -203,6 +224,10 @@ impl GridRegion {
         let Ok(bounds) = self.cell_bounds(cell) else {
             return Zone::Exclusive;
         };
+        self.zone_in(&bounds, p)
+    }
+
+    fn zone_in(&self, bounds: &Rect, p: Point) -> Zone {
         let d = bounds.signed_border_distance(p);
         if d >= self.vague_width {
             Zone::Inclusive
@@ -342,6 +367,28 @@ mod tests {
             r.zone_of(CellId(999), Point::new(1.0, 1.0)),
             Zone::Exclusive
         );
+    }
+
+    /// A lattice over the region and a band outside it, on grids whose
+    /// last column and row are clipped or whose cell edges are not exact
+    /// in binary, plus those edges themselves.
+    #[test]
+    fn locate_is_cell_at_then_zone_of() {
+        for r in [
+            region(),
+            GridRegion::new(95.0, 45.0, 10.0, 2.0).unwrap(),
+            GridRegion::new(1.0, 1.0, 0.1, 0.03).unwrap(),
+        ] {
+            let step = r.bounds().max.x / 160.0;
+            let lattice = (-8..=168).flat_map(|i| {
+                (-8..=168).map(move |j| Point::new(f64::from(i) * step, f64::from(j) * step))
+            });
+            let edges = (0..=10).map(|i| Point::new(f64::from(i) * 0.1, 0.3));
+            for p in lattice.chain(edges) {
+                let want = r.cell_at(p).map(|cell| (cell, r.zone_of(cell, p)));
+                assert_eq!(r.locate(p), want, "{p:?}");
+            }
+        }
     }
 
     #[test]

@@ -167,6 +167,17 @@ impl DatasetConfig {
                 reason: "need at least one tick".into(),
             });
         }
+        // One trajectory position per person per tick: a product that
+        // does not fit a `u64` cannot be generated.
+        if self.population.checked_mul(self.duration).is_none() {
+            return Err(ev_core::Error::InvalidParameter {
+                name: "population",
+                reason: format!(
+                    "{} people × {} ticks overflows the trajectories' size",
+                    self.population, self.duration
+                ),
+            });
+        }
         if self.window == 0 || self.window > self.duration {
             return Err(ev_core::Error::InvalidParameter {
                 name: "window",
@@ -304,6 +315,18 @@ mod tests {
         let mut c = DatasetConfig::default();
         c.duration = 0;
         assert!(c.validate().is_err());
+
+        for (population, duration) in [(u64::MAX, 300), (1 << 32, 1 << 32)] {
+            let mut c = DatasetConfig::default();
+            (c.population, c.duration) = (population, duration);
+            assert!(matches!(
+                c.validate(),
+                Err(ev_core::Error::InvalidParameter {
+                    name: "population",
+                    ..
+                })
+            ));
+        }
 
         let mut c = DatasetConfig::default();
         c.window = 0;

@@ -4,10 +4,11 @@ use crate::config::DatasetConfig;
 use ev_core::ids::{Eid, Vid};
 use ev_core::region::GridRegion;
 use ev_mobility::World;
-use ev_sensing::{EScenarioBuilder, EidRoster};
+use ev_sensing::{DrawnAhead, EScenarioBuilder, EidRoster};
 use ev_store::{EScenarioStore, StoreBackend, VideoStore};
 use ev_vision::{AppearanceGallery, VScenarioBuilder};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A fully generated synthetic EV world: the stores the algorithms
 /// consume plus the ground truth the scorer needs.
@@ -30,16 +31,18 @@ pub struct EvDataset {
 }
 
 impl EvDataset {
-    /// Generates a dataset: mobility world → electronic and visual
-    /// sensing, side by side and on every core → stores. The dataset is a
-    /// function of `config` alone: each stage draws from its own stream
-    /// of `config.seed` and the visual fan-out plans its stream offsets
-    /// before it spreads (DESIGN.md §4d).
+    /// Generates a dataset: mobility world (the appearance gallery and the
+    /// first E capture draws made beside it) → electronic and visual
+    /// sensing on one pool of every core → stores. The dataset is a
+    /// function of `config` alone: each
+    /// stage draws from its own stream of `config.seed` and the visual
+    /// fan-out plans its stream offsets before it spreads (DESIGN.md §4d).
     ///
     /// # Errors
     ///
     /// Returns [`ev_core::Error::InvalidParameter`] for an invalid
-    /// configuration.
+    /// configuration, or one whose population, trajectories or gallery
+    /// cannot be allocated.
     pub fn generate(config: &DatasetConfig) -> ev_core::Result<Self> {
         config.validate()?;
         let region = GridRegion::new(
@@ -49,76 +52,85 @@ impl EvDataset {
             config.vague_width,
         )?;
 
-        // 1. Mobility.
+        // 1. Mobility, the one stage no stream layout lets spread. Beside
+        // it, on a core it would leave idle: what everyone looks like, then
+        // as many E capture draws as mobility leaves time for (the draws
+        // do not depend on positions). Three streams, `seed`, `seed + 3`
+        // and `seed + 2`, that share nothing.
+        let population = usize::try_from(config.population).unwrap_or(usize::MAX);
         let mut world = match config.mobility {
             crate::config::Mobility::RandomWaypoint(p) => {
-                World::random_waypoint(region.clone(), config.population as usize, p, config.seed)
+                World::random_waypoint(region.clone(), population, p, config.seed)
             }
             crate::config::Mobility::RandomWalk(p) => {
-                World::random_walk(region.clone(), config.population as usize, p, config.seed)
+                World::random_walk(region.clone(), population, p, config.seed)
             }
             crate::config::Mobility::Manhattan(p) => {
-                World::manhattan(region.clone(), config.population as usize, p, config.seed)
+                World::manhattan(region.clone(), population, p, config.seed)
             }
-        };
-        let traces = world.run(config.duration);
-
-        // 2. Who carries a device, and what everyone looks like: both
-        // cheap, both needed before any sensing starts.
+        }?;
+        // Who carries a device: the E stream draws one capture attempt per
+        // carrier per tick (a product validated to fit).
         let roster = EidRoster::with_missing(
             config.population,
             config.eid_missing_rate,
             config.seed.wrapping_add(1),
         );
-        let gallery = if config.appearance_clusters > 0 {
-            AppearanceGallery::generate_clustered(
-                config.population,
-                config.feature_dim,
-                config.appearance_clusters,
-                config.appearance_spread,
-                config.seed.wrapping_add(3),
-            )
-        } else {
-            AppearanceGallery::generate(
-                config.population,
-                config.feature_dim,
-                config.seed.wrapping_add(3),
-            )
-        };
-
-        // 3. Electronic sensing as one task beside visual sensing (which
-        // fans out itself): they only read `traces` and draw from
-        // independent streams, `seed + 2` and `seed + 4`. Visual sensing
-        // is independent of the roster: every body is filmed, device or
-        // not.
-        let ebuilder = EScenarioBuilder::new(region.clone());
-        let vbuilder = VScenarioBuilder::new(region.clone(), gallery.clone());
-        let (escenarios, vscenarios) = std::thread::scope(|scope| {
-            let electronic = scope.spawn(|| {
-                ebuilder.build_practical(
-                    &traces,
-                    &roster,
-                    config.noise,
-                    config.window,
-                    config.thresholds,
-                    config.seed.wrapping_add(2),
-                )
+        let attempts =
+            usize::try_from(roster.carrier_count() as u64 * config.duration).unwrap_or(usize::MAX);
+        let moved = AtomicBool::new(false);
+        let (traces, gallery, draws) = std::thread::scope(|scope| {
+            let helper = scope.spawn(|| {
+                let gallery = if config.appearance_clusters > 0 {
+                    AppearanceGallery::generate_clustered(
+                        config.population,
+                        config.feature_dim,
+                        config.appearance_clusters,
+                        config.appearance_spread,
+                        config.seed.wrapping_add(3),
+                    )
+                } else {
+                    AppearanceGallery::generate(
+                        config.population,
+                        config.feature_dim,
+                        config.seed.wrapping_add(3),
+                    )
+                };
+                let draws =
+                    DrawnAhead::draw(config.noise, config.seed.wrapping_add(2), attempts, &moved);
+                (gallery, draws)
             });
-            let vscenarios = vbuilder.build_windowed(
-                &traces,
-                config.detection,
-                config.window,
-                config.seed.wrapping_add(4),
-            );
-            let escenarios = electronic
+            let traces = world.run(config.duration);
+            moved.store(true, Ordering::Relaxed);
+            let (gallery, draws) = helper
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            (escenarios, vscenarios)
+            (traces, gallery, draws)
         });
-        let estore = EScenarioStore::from_scenarios(escenarios?);
+        let (traces, gallery) = (traces?, gallery?);
+
+        // 2. Electronic sensing, up to its store, as one task of visual
+        // sensing's pool (the pool's other threads plan and fill the V
+        // side): they only read `traces` and draw from independent
+        // streams, `seed + 2` and `seed + 4`. Visual sensing is
+        // independent of the roster: every body is filmed, device or not.
+        let ebuilder = EScenarioBuilder::new(region.clone());
+        let vbuilder = VScenarioBuilder::new(region.clone(), gallery.clone());
+        let (vscenarios, estore) = vbuilder.build_windowed_beside(
+            &traces,
+            config.detection,
+            config.window,
+            config.seed.wrapping_add(4),
+            || {
+                ebuilder
+                    .build_practical_from(&traces, &roster, config.window, config.thresholds, draws)
+                    .map(EScenarioStore::from_scenarios)
+            },
+        );
+        let estore = estore?;
         let video = VideoStore::new(vscenarios, config.cost);
 
-        // 4. Ground truth.
+        // 3. Ground truth.
         let truth = roster
             .iter()
             .map(|(person, eid)| (eid, person.canonical_vid()))
@@ -232,7 +244,9 @@ mod tests {
         };
         let population = config.population as usize;
         let traces = World::random_waypoint(d.region.clone(), population, params, config.seed)
-            .run(config.duration);
+            .unwrap()
+            .run(config.duration)
+            .unwrap();
         let escenarios = EScenarioBuilder::new(d.region.clone())
             .build_practical(
                 &traces,
@@ -347,5 +361,24 @@ mod tests {
         let mut cfg = small();
         cfg.window = 0;
         assert!(EvDataset::generate(&cfg).is_err());
+    }
+
+    /// 2^62 people × 2 ticks passes validation, but 2^62 movers are more
+    /// bytes than an allocation may ask for: an error, not an abort.
+    #[test]
+    fn a_population_that_cannot_be_allocated_is_an_invalid_parameter() {
+        let cfg = DatasetConfig {
+            population: 1 << 62,
+            duration: 2,
+            window: 1,
+            ..small()
+        };
+        assert!(matches!(
+            EvDataset::generate(&cfg),
+            Err(ev_core::Error::InvalidParameter {
+                name: "population",
+                ..
+            })
+        ));
     }
 }

@@ -23,8 +23,8 @@
 //! use ev_core::region::GridRegion;
 //!
 //! let region = GridRegion::new(1000.0, 1000.0, 100.0, 10.0).unwrap();
-//! let mut world = World::random_waypoint(region, 50, WaypointParams::default(), 42);
-//! let traces = world.run(100);
+//! let mut world = World::random_waypoint(region, 50, WaypointParams::default(), 42).unwrap();
+//! let traces = world.run(100).unwrap();
 //! assert_eq!(traces.iter().count(), 50);
 //! assert!(traces.iter().all(|(_, t)| t.positions.len() == 100));
 //! ```
@@ -54,6 +54,7 @@ use rand_chacha::ChaCha8Rng;
 /// times; the [`World`] debug-asserts this.
 pub(crate) trait MobilityModel {
     /// Current position.
+    #[cfg(test)]
     fn position(&self) -> Point;
 
     /// Advances the model by one tick (one simulated second) and returns

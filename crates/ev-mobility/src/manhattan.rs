@@ -139,6 +139,7 @@ impl ManhattanWalk {
 }
 
 impl MobilityModel for ManhattanWalk {
+    #[cfg(test)]
     fn position(&self) -> Point {
         self.position
     }

@@ -55,6 +55,7 @@ fn random_heading(rng: &mut ChaCha8Rng) -> Vector {
 }
 
 impl MobilityModel for RandomWalk {
+    #[cfg(test)]
     fn position(&self) -> Point {
         self.position
     }

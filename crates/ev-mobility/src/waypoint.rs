@@ -127,6 +127,7 @@ impl RandomWaypoint {
 }
 
 impl MobilityModel for RandomWaypoint {
+    #[cfg(test)]
     fn position(&self) -> Point {
         self.position
     }

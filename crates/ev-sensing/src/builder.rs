@@ -8,7 +8,7 @@
 //! §IV-C2). Noise-free one-tick windows away from cell borders give the
 //! paper's ideal setting (§IV-B): each EID inclusive in its true cell.
 
-use crate::capture::{CaptureEvent, SensingNoise};
+use crate::capture::{Capture, CaptureEvent, SensingNoise};
 use crate::roster::EidRoster;
 use ev_core::ids::Eid;
 use ev_core::region::{CellId, GridRegion};
@@ -18,6 +18,7 @@ use ev_mobility::TraceSet;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Occurrence-fraction thresholds for window classification.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -98,18 +99,23 @@ impl EScenarioBuilder {
     fn for_each_capture(
         traces: &TraceSet,
         roster: &EidRoster,
-        noise: SensingNoise,
-        seed: u64,
+        draws: DrawnAhead,
         mut sink: impl FnMut(CaptureEvent),
     ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let DrawnAhead {
+            noise,
+            captures,
+            mut rng,
+        } = draws;
+        let mut ahead = captures.into_iter();
         for (person, trajectory) in traces.iter() {
             let Some(eid) = roster.eid_of(person) else {
                 continue;
             };
             for (offset, &pos) in trajectory.positions.iter().enumerate() {
                 let time = trajectory.start + offset as u64;
-                if let Some(estimated) = noise.observe(pos, &mut rng) {
+                let capture = ahead.next().unwrap_or_else(|| noise.draw(&mut rng));
+                if let Some(estimated) = capture.applied(pos) {
                     sink(CaptureEvent {
                         eid,
                         time,
@@ -131,7 +137,8 @@ impl EScenarioBuilder {
         seed: u64,
     ) -> Vec<CaptureEvent> {
         let mut log = Vec::new();
-        Self::for_each_capture(traces, roster, noise, seed, |event| log.push(event));
+        let draws = DrawnAhead::none(noise, seed);
+        Self::for_each_capture(traces, roster, draws, |event| log.push(event));
         log.sort_by_key(|e| (e.time, e.eid));
         log
     }
@@ -166,6 +173,25 @@ impl EScenarioBuilder {
         thresholds: WindowThresholds,
         seed: u64,
     ) -> ev_core::Result<Vec<EScenario>> {
+        let draws = DrawnAhead::none(noise, seed);
+        self.build_practical_from(traces, roster, window, thresholds, draws)
+    }
+
+    /// [`EScenarioBuilder::build_practical`] over a stream whose first
+    /// draws were made ahead, by [`DrawnAhead::draw`]: the same scenarios.
+    ///
+    /// # Errors
+    ///
+    /// As [`EScenarioBuilder::build_practical`].
+    pub fn build_practical_from(
+        &self,
+        traces: &TraceSet,
+        roster: &EidRoster,
+        window: u64,
+        thresholds: WindowThresholds,
+        draws: DrawnAhead,
+    ) -> ev_core::Result<Vec<EScenario>> {
+        let noise = draws.noise;
         if window == 0 {
             return Err(ev_core::Error::InvalidParameter {
                 name: "window",
@@ -180,24 +206,34 @@ impl EScenarioBuilder {
         // roster gives each device to one person, so no key repeats.
         let mut rows: Vec<Tally> = Vec::new();
         // `rows[open_from..]` is the tally of the device and window being
-        // drawn: a handful of cells, so a scanned list.
-        let mut open: Option<(Eid, Timestamp)> = None;
+        // drawn: a handful of cells, so a scanned list. A device's ticks
+        // ascend, so its window is found by division only when a capture
+        // falls past the open window's end.
+        let mut open: Option<(Eid, Timestamp, u64)> = None;
         let mut open_from = 0;
-        Self::for_each_capture(traces, roster, noise, seed, |event| {
-            let win_start = Timestamp::new((event.time.tick() / window) * window);
-            if open != Some((event.eid, win_start)) {
-                open = Some((event.eid, win_start));
-                open_from = rows.len();
-            }
-            let clamped = event.estimated.clamped(bounds);
-            let Ok(cell) = self.region.cell_at(clamped) else {
-                return;
+        Self::for_each_capture(traces, roster, draws, |event| {
+            let tick = event.time.tick();
+            let win_start = match open {
+                Some((eid, start, end)) if eid == event.eid && tick < end => start,
+                _ => {
+                    let start = (tick / window) * window;
+                    open = Some((
+                        event.eid,
+                        Timestamp::new(start),
+                        start.saturating_add(window),
+                    ));
+                    open_from = rows.len();
+                    Timestamp::new(start)
+                }
             };
             // Each capture is additionally classified against the cell's
             // vague-zone geometry (paper Fig. 2): estimates landing within
             // `vague_width` of the border are *vague hits* — they could
             // belong to the neighbouring cell.
-            let deep = u64::from(self.region.zone_of(cell, clamped) == crate::Zone::Inclusive);
+            let Ok((cell, zone)) = self.region.locate(event.estimated.clamped(bounds)) else {
+                return;
+            };
+            let deep = u64::from(zone == crate::Zone::Inclusive);
             match rows[open_from..].iter_mut().find(|row| row.cell == cell) {
                 Some(row) => {
                     row.count += 1;
@@ -235,6 +271,43 @@ impl EScenarioBuilder {
             }
         }
         Ok(scenarios)
+    }
+}
+
+/// Capture draws of a noise stream made before the trajectories they
+/// apply to exist (`ev-datagen` draws them on a core mobility leaves
+/// idle), and the stream positioned after them, for the rest.
+#[derive(Debug)]
+pub struct DrawnAhead {
+    noise: SensingNoise,
+    captures: Vec<Capture>,
+    rng: ChaCha8Rng,
+}
+
+impl DrawnAhead {
+    /// The `seed` stream with nothing drawn yet.
+    fn none(noise: SensingNoise, seed: u64) -> Self {
+        DrawnAhead {
+            noise,
+            captures: Vec::new(),
+            rng: ChaCha8Rng::seed_from_u64(seed),
+        }
+    }
+
+    /// Draws `noise`'s capture attempts from the `seed` stream in stream
+    /// order until `stop` is set or `limit` are drawn (past the last
+    /// attempt of a build they are never read). `stop` is looked at once
+    /// every few hundred draws.
+    #[must_use]
+    pub fn draw(noise: SensingNoise, seed: u64, limit: usize, stop: &AtomicBool) -> Self {
+        const BETWEEN_LOOKS: usize = 256;
+        let mut ahead = DrawnAhead::none(noise, seed);
+        while ahead.captures.len() < limit && !stop.load(Ordering::Relaxed) {
+            let n = BETWEEN_LOOKS.min(limit - ahead.captures.len());
+            let (rng, captures) = (&mut ahead.rng, &mut ahead.captures);
+            captures.extend((0..n).map(|_| noise.draw(rng)));
+        }
+        ahead
     }
 }
 

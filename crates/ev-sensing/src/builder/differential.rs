@@ -89,20 +89,23 @@ impl EScenarioBuilder {
     }
 }
 
+/// `ticks` of a world's trajectories, from tick `from`.
 fn traces(
     region: &GridRegion,
     mobility: usize,
     population: usize,
-    ticks: u64,
+    (from, ticks): (u64, u64),
     seed: u64,
 ) -> TraceSet {
     let region = region.clone();
-    let mut world = match mobility {
+    let world = match mobility {
         0 => World::random_waypoint(region, population, WaypointParams::default(), seed),
         1 => World::random_walk(region, population, WalkParams::default(), seed),
         _ => World::manhattan(region, population, ManhattanParams::default(), seed),
     };
-    world.run(ticks)
+    let mut world = world.unwrap();
+    world.run(from).unwrap();
+    world.run(ticks).unwrap()
 }
 
 proptest! {
@@ -112,7 +115,8 @@ proptest! {
     fn streamed_fold_equals_windowing_the_sorted_log(
         (population, duration, seed) in (1usize..=40, 1u64..=120, any::<u64>()),
         (window, dropout, sigma) in (0usize..3, 0usize..3, 0usize..2),
-        (mobility, missing) in (0usize..3, 0usize..2),
+        (mobility, missing, from) in (0usize..3, 0usize..2, 0u64..15),
+        ahead in 0usize..4,
     ) {
         let window = [1, 5, 10][window];
         let noise = SensingNoise {
@@ -120,7 +124,8 @@ proptest! {
             dropout: [0.0, 0.02, 0.5][dropout],
         };
         let region = GridRegion::new(1000.0, 1000.0, 250.0, 10.0).unwrap();
-        let traces = traces(&region, mobility, population, duration, seed);
+        // Trajectories that may start mid-window.
+        let traces = traces(&region, mobility, population, (from, duration), seed);
         let roster = EidRoster::with_missing(population as u64, [0.0, 0.5][missing], seed ^ 1);
         let builder = EScenarioBuilder::new(region);
         let thresholds = WindowThresholds::default();
@@ -128,11 +133,23 @@ proptest! {
             builder.capture_log(&traces, &roster, noise, seed ^ 2),
             builder.capture_log_reference(&traces, &roster, noise, seed ^ 2)
         );
+        let want =
+            builder.build_practical_reference(&traces, &roster, noise, window, thresholds, seed ^ 2);
         prop_assert_eq!(
-            builder
+            &builder
                 .build_practical(&traces, &roster, noise, window, thresholds, seed ^ 2)
                 .unwrap(),
-            builder.build_practical_reference(&traces, &roster, noise, window, thresholds, seed ^ 2)
+            &want
+        );
+        // None of the stream, some, all of it or more drawn ahead.
+        let attempts = roster.carrier_count() * duration as usize;
+        let ahead = [0, 1, attempts / 2, attempts + 5][ahead];
+        let draws = DrawnAhead::draw(noise, seed ^ 2, ahead, &AtomicBool::new(false));
+        prop_assert_eq!(
+            &builder
+                .build_practical_from(&traces, &roster, window, thresholds, draws)
+                .unwrap(),
+            &want
         );
     }
 }
@@ -141,7 +158,7 @@ proptest! {
 /// count.
 fn benchmark_scale(side: f64, population: u64, ticks: u64, seed: u64) -> usize {
     let region = GridRegion::new(1000.0, 1000.0, 1000.0 / side, 10.0).unwrap();
-    let traces = traces(&region, 0, population as usize, ticks, seed);
+    let traces = traces(&region, 0, population as usize, (0, ticks), seed);
     let roster = EidRoster::with_missing(population, 0.0, seed + 1);
     let builder = EScenarioBuilder::new(region);
     let (noise, thresholds) = (SensingNoise::default(), WindowThresholds::default());
@@ -166,4 +183,13 @@ fn streamed_fold_equals_windowing_the_sorted_log_at_benchmark_scale() {
     );
     assert!(benchmark_scale(10.0, 1000, 300, 1) > 0);
     assert!(benchmark_scale(10.0, 600, 1500, 1) > 0);
+}
+
+#[test]
+fn draws_ahead_stop_at_the_limit_or_when_told() {
+    let noise = SensingNoise::default();
+    let drawn = |limit, stop| DrawnAhead::draw(noise, 7, limit, &AtomicBool::new(stop));
+    assert_eq!(drawn(1000, false).captures.len(), 1000);
+    assert_eq!(drawn(0, false).captures.len(), 0);
+    assert_eq!(drawn(usize::MAX, true).captures.len(), 0);
 }

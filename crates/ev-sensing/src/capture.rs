@@ -78,18 +78,44 @@ impl SensingNoise {
 
     /// Attempts to capture a device at true position `truth`; returns the
     /// estimated position or `None` on dropout.
+    #[cfg(test)]
     pub(crate) fn observe(&self, truth: Point, rng: &mut ChaCha8Rng) -> Option<Point> {
+        self.draw(rng).applied(truth)
+    }
+
+    /// What the stream decides for one capture attempt. Nothing drawn
+    /// depends on where the device is, so the draws can be made before
+    /// the trajectories exist.
+    pub(crate) fn draw(&self, rng: &mut ChaCha8Rng) -> Capture {
         if self.dropout > 0.0 && rng.gen::<f64>() < self.dropout {
-            return None;
+            return Capture::Dropped;
         }
         if self.sigma == 0.0 {
-            return Some(truth);
+            return Capture::Exact;
         }
         let (nx, ny) = gaussian_pair(rng);
-        Some(Point::new(
-            truth.x + nx * self.sigma,
-            truth.y + ny * self.sigma,
-        ))
+        Capture::Offset(nx * self.sigma, ny * self.sigma)
+    }
+}
+
+/// One capture attempt's draw: heard or not, and the localization error
+/// to add to the true position.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Capture {
+    Dropped,
+    Exact,
+    Offset(f64, f64),
+}
+
+impl Capture {
+    /// The estimated position of a device at `truth`, or `None` if the
+    /// attempt was dropped.
+    pub(crate) fn applied(self, truth: Point) -> Option<Point> {
+        match self {
+            Capture::Dropped => None,
+            Capture::Exact => Some(truth),
+            Capture::Offset(dx, dy) => Some(Point::new(truth.x + dx, truth.y + dy)),
+        }
     }
 }
 

@@ -17,7 +17,11 @@
 //! words sit depends on every draw before it) and never materialises the
 //! capture log: a device's captures arrive with ticks ascending, so
 //! [`EScenarioBuilder::build_practical`] folds them into per-window
-//! tallies as they are drawn and sorts only those.
+//! tallies as they are drawn and sorts only those. What the stream draws
+//! for an attempt does not depend on where the device is, so a caller
+//! with a core to spare before the trajectories exist can make the first
+//! draws ahead ([`DrawnAhead`]) and fold over them with
+//! [`EScenarioBuilder::build_practical_from`].
 //! [`EScenarioBuilder::capture_log`] is the raw-E-data view over the same
 //! capture loop (DESIGN.md §4d, "The generator's stream contract").
 //!
@@ -30,7 +34,9 @@
 //!
 //! let region = GridRegion::new(1000.0, 1000.0, 100.0, 10.0).unwrap();
 //! let traces = World::random_waypoint(region.clone(), 30, WaypointParams::default(), 7)
-//!     .run(50);
+//!     .unwrap()
+//!     .run(50)
+//!     .unwrap();
 //! let roster = EidRoster::full(30);
 //!
 //! // Practical E-Scenarios: noisy captures over 10-tick windows.
@@ -48,7 +54,7 @@ mod builder;
 mod capture;
 mod roster;
 
-pub use builder::{EScenarioBuilder, WindowThresholds};
+pub use builder::{DrawnAhead, EScenarioBuilder, WindowThresholds};
 pub use capture::{CaptureEvent, SensingNoise};
 pub use roster::EidRoster;
 

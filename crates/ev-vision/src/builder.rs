@@ -11,12 +11,16 @@
 //! 2. **plan** — one sequential walk that makes every miss draw and gives
 //!    each surviving detection the stream offset a single generator would
 //!    have reached it at;
-//! 3. **fill** — the plan cut into contiguous chunks, one scoped thread
-//!    per chunk, each seeking its own generator to the recorded offsets
-//!    and taking an observation's `4 × dim` words in one call.
+//! 3. **fill** — the plan dealt in grains of consecutive observations to
+//!    a pool of `available_parallelism()` threads through one shared
+//!    cursor, each thread seeking its own generator to the recorded
+//!    offsets and taking an observation's `4 × dim` words in one call.
 //!
+//! A caller with a task of its own (`ev-datagen`'s E-sensing) hands it to
+//! [`VScenarioBuilder::build_windowed_beside`], which runs it as one more
+//! task of the same pool: that thread takes grains too once it is done.
 //! Offsets come from the plan, never from which thread fills, so the
-//! scenarios are the same bits at any worker count.
+//! scenarios are the same bits at any worker count and any grain.
 
 use crate::gallery::{AppearanceGallery, WORDS_PER_GAUSSIAN};
 use ev_core::ids::PersonId;
@@ -29,6 +33,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::RwLock;
 
 /// The human-detection model: with probability `miss_rate` a person
 /// present in a scenario produces **no** detection (occlusion or detector
@@ -139,27 +146,38 @@ impl VScenarioBuilder {
         window: u64,
         seed: u64,
     ) -> Vec<VScenario> {
-        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        self.build_windowed_on(traces, model, window, seed, workers)
+        self.build_windowed_beside(traces, model, window, seed, || ())
+            .0
     }
 
-    /// [`VScenarioBuilder::build_windowed`] with the fill cut into at most
-    /// `workers` chunks. The output does not depend on `workers`: every
-    /// observation's stream offset comes from the plan.
-    pub(crate) fn build_windowed_on(
+    /// [`VScenarioBuilder::build_windowed`] with `beside` run as one task
+    /// of the same pool of `available_parallelism()` threads: `beside` on
+    /// one thread, presence + plan on another, and each thread, its task
+    /// done, fills grains of the plan until none are left. At one CPU
+    /// everything runs on the caller, `beside` first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero, and re-raises a panic of `beside` or
+    /// of any fill.
+    pub fn build_windowed_beside<R: Send>(
         &self,
         traces: &TraceSet,
         model: DetectionModel,
         window: u64,
         seed: u64,
-        workers: usize,
-    ) -> Vec<VScenario> {
+        beside: impl FnOnce() -> R + Send,
+    ) -> (Vec<VScenario>, R) {
         assert!(window > 0, "window length must be at least one tick");
-        let plan = self.plan(self.presence(traces, window), model, seed);
-        let detections = fill_chunks(&plan.observations, workers, |chunk| {
-            self.fill(chunk, model.feature_sigma, seed)
-        });
-        plan.assemble(detections)
+        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        let (plan, detections, side) = sense(
+            workers,
+            FILL_GRAIN,
+            || self.plan(self.presence(traces, window), model, seed),
+            beside,
+            |words, grain| self.fill(grain, model.feature_sigma, seed, words),
+        );
+        (plan.assemble(detections), side)
     }
 
     /// Who was physically in which (window, cell): persons in id order.
@@ -167,9 +185,15 @@ impl VScenarioBuilder {
         let mut presence = Presence::new();
         for (person, trajectory) in traces.iter() {
             let mut last: Option<(Timestamp, CellId)> = None;
+            // The window of the tick being read, and the tick it ends at:
+            // ticks ascend, so it is found by division once per window.
+            let (mut win, mut end) = (Timestamp::ZERO, 0);
             for (offset, &pos) in trajectory.positions.iter().enumerate() {
-                let t = trajectory.start + offset as u64;
-                let win = Timestamp::new((t.tick() / window) * window);
+                let tick = trajectory.start.tick() + offset as u64;
+                if tick >= end {
+                    let start = (tick / window) * window;
+                    (win, end) = (Timestamp::new(start), start.saturating_add(window));
+                }
                 let Ok(cell) = self.region.cell_at(pos) else {
                     continue;
                 };
@@ -228,17 +252,23 @@ impl VScenarioBuilder {
         plan
     }
 
-    /// Makes the planned observations of `chunk`, each from the stream
-    /// offset the plan gave it.
-    fn fill(&self, chunk: &[Planned], sigma: f64, seed: u64) -> Vec<Detection> {
+    /// Makes the planned observations of one grain, each from the stream
+    /// offset the plan gave it, drawing through the worker's `words`.
+    fn fill(
+        &self,
+        grain: &[Planned],
+        sigma: f64,
+        seed: u64,
+        words: &mut Vec<u32>,
+    ) -> Vec<Detection> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        chunk
+        grain
             .iter()
             .map(|planned| {
                 rng.set_word_pos(planned.offset.into());
                 let feature = self
                     .gallery
-                    .observe(planned.person, sigma, &mut rng)
+                    .observe(planned.person, sigma, &mut rng, words)
                     .expect("the plan schedules only persons the gallery knows");
                 Detection {
                     vid: planned.person.canonical_vid(),
@@ -273,8 +303,7 @@ struct Plan {
 impl Plan {
     /// Groups `detections` (one per observation, in plan order) into the
     /// planned scenarios.
-    fn assemble(self, detections: Vec<Detection>) -> Vec<VScenario> {
-        let mut detections = detections.into_iter();
+    fn assemble(self, mut detections: impl Iterator<Item = Detection>) -> Vec<VScenario> {
         self.scenarios
             .into_iter()
             .map(|(start, cell, detected)| {
@@ -288,39 +317,89 @@ impl Plan {
     }
 }
 
-/// A chunk smaller than this is not worth a thread spawn (an observation
-/// is a few microseconds). Tiny under test, so the property-scale
-/// differentials really cut their small plans at every worker count.
-const FILL_GRAIN: usize = if cfg!(test) { 8 } else { 256 };
+/// Observations a pool thread takes from the shared cursor at a time: a
+/// millisecond or two of fill, so the cursor is touched rarely and the
+/// threads still finish within a grain of one another.
+const FILL_GRAIN: usize = 512;
 
-/// Runs `fill` over `observations` cut into at most `workers` contiguous,
-/// equally long chunks, one scoped thread per chunk, and concatenates the
-/// results in plan order. A plan of fewer than two grains is one chunk
-/// filled on the caller. A panicking worker panics the caller.
-fn fill_chunks<F>(observations: &[Planned], workers: usize, fill: F) -> Vec<Detection>
-where
-    F: Fn(&[Planned]) -> Vec<Detection> + Sync,
-{
-    let chunks = workers.min(observations.len() / FILL_GRAIN).max(1);
-    if chunks == 1 {
-        return fill(observations);
-    }
-    let fill = &fill;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = observations
-            .chunks(observations.len().div_ceil(chunks))
-            .map(|chunk| scope.spawn(move || fill(chunk)))
-            .collect();
-        let mut detections = Vec::with_capacity(observations.len());
-        for handle in handles {
-            detections.extend(
-                handle
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-            );
+/// The sensing pool. On `workers` threads (the caller among them): the
+/// caller runs `plan`, a second thread `beside`, and every thread, its
+/// task done (or at once, for the rest), waits for the plan and then
+/// takes `grain` observations at a time from one shared cursor and
+/// `fill`s them with a word buffer of its own. The grains come back in
+/// plan order whoever filled them. At one worker it all runs on the
+/// caller, `beside` first.
+///
+/// A panic in `plan`, `beside` or a `fill` re-raises in the caller once
+/// every thread has stopped; the threads waiting on a plan that panicked
+/// stop without filling.
+fn sense<R: Send>(
+    workers: usize,
+    grain: usize,
+    plan: impl FnOnce() -> Plan,
+    beside: impl FnOnce() -> R + Send,
+    fill: impl Fn(&mut Vec<u32>, &[Planned]) -> Vec<Detection> + Sync,
+) -> (Plan, impl Iterator<Item = Detection>, R) {
+    let cursor = AtomicUsize::new(0);
+    let (plan, mut grains, side) = if workers <= 1 {
+        let side = beside();
+        let plan = plan();
+        let grains = take_grains(&plan.observations, grain, &cursor, &fill);
+        (plan, grains, side)
+    } else {
+        // Write-locked until the plan is in it: the pool threads' reads
+        // wait for it, and find the lock poisoned if the plan panicked.
+        let slot = RwLock::new(Plan::default());
+        let (grains, side) = std::thread::scope(|scope| {
+            let mut planned = slot.write().expect("no other thread has seen the lock");
+            let take = || match slot.read() {
+                Ok(plan) => take_grains(&plan.observations, grain, &cursor, &fill),
+                Err(_) => Vec::new(),
+            };
+            let side = scope.spawn(move || (beside(), take()));
+            let rest: Vec<_> = (2..workers).map(|_| scope.spawn(take)).collect();
+            *planned = plan();
+            drop(planned);
+            let mut grains = take();
+            let (side, theirs) = side.join().unwrap_or_else(|panic| resume_unwind(panic));
+            grains.extend(theirs);
+            for handle in rest {
+                grains.extend(handle.join().unwrap_or_else(|panic| resume_unwind(panic)));
+            }
+            (grains, side)
+        });
+        let plan = slot
+            .into_inner()
+            .expect("a panicking plan re-raised in the scope");
+        (plan, grains, side)
+    };
+    grains.sort_unstable_by_key(|&(start, _)| start);
+    (plan, grains.into_iter().flat_map(|(_, grain)| grain), side)
+}
+
+/// Takes `grain` observations at a time from `cursor` until the plan is
+/// exhausted, filling each through one word buffer; returns each grain
+/// with the plan index it starts at.
+fn take_grains(
+    observations: &[Planned],
+    grain: usize,
+    cursor: &AtomicUsize,
+    fill: impl Fn(&mut Vec<u32>, &[Planned]) -> Vec<Detection>,
+) -> Vec<(usize, Vec<Detection>)> {
+    // At most the whole plan, so the cursor cannot overflow.
+    let grain = grain.clamp(1, observations.len().max(1));
+    let mut words = Vec::new();
+    let mut grains = Vec::new();
+    loop {
+        // Relaxed: the cursor hands out disjoint ranges of data every
+        // thread already sees; the results travel through `join`.
+        let start = cursor.fetch_add(grain, Ordering::Relaxed);
+        if start >= observations.len() {
+            return grains;
         }
-        detections
-    })
+        let end = (start + grain).min(observations.len());
+        grains.push((start, fill(&mut words, &observations[start..end])));
+    }
 }
 
 #[cfg(test)]
@@ -359,7 +438,7 @@ mod tests {
             stationary(0, Point::new(15.0, 15.0), 3),
             stationary(1, Point::new(16.0, 14.0), 3),
         ]);
-        let b = VScenarioBuilder::new(region(), AppearanceGallery::generate(2, 16, 0));
+        let b = VScenarioBuilder::new(region(), AppearanceGallery::generate(2, 16, 0).unwrap());
         let scenarios = b.build(&ts, DetectionModel::perfect(), 0);
         assert_eq!(scenarios.len(), 3);
         for s in &scenarios {
@@ -373,7 +452,7 @@ mod tests {
     fn device_less_people_still_appear_in_v_data() {
         // V-data knows nothing about EIDs: every body is detectable.
         let ts = traces(vec![stationary(0, Point::new(55.0, 55.0), 1)]);
-        let b = VScenarioBuilder::new(region(), AppearanceGallery::generate(1, 16, 0));
+        let b = VScenarioBuilder::new(region(), AppearanceGallery::generate(1, 16, 0).unwrap());
         let scenarios = b.build(&ts, DetectionModel::perfect(), 0);
         assert_eq!(scenarios.len(), 1);
         assert_eq!(scenarios[0].len(), 1);
@@ -386,7 +465,7 @@ mod tests {
             miss_rate: 0.3,
             feature_sigma: 0.0,
         };
-        let b = VScenarioBuilder::new(region(), AppearanceGallery::generate(1, 16, 0));
+        let b = VScenarioBuilder::new(region(), AppearanceGallery::generate(1, 16, 0).unwrap());
         let scenarios = b.build(&ts, model, 1);
         // 1000 ticks, each a scenario with one person at 70 % detection.
         let detected = scenarios.len() as f64;
@@ -403,14 +482,14 @@ mod tests {
             miss_rate: 1.0,
             feature_sigma: 0.0,
         };
-        let b = VScenarioBuilder::new(region(), AppearanceGallery::generate(1, 16, 0));
+        let b = VScenarioBuilder::new(region(), AppearanceGallery::generate(1, 16, 0).unwrap());
         assert!(b.build(&ts, model, 1).is_empty());
     }
 
     #[test]
     fn windowed_build_detects_each_person_once_per_window() {
         let ts = traces(vec![stationary(0, Point::new(15.0, 15.0), 10)]);
-        let b = VScenarioBuilder::new(region(), AppearanceGallery::generate(1, 16, 0));
+        let b = VScenarioBuilder::new(region(), AppearanceGallery::generate(1, 16, 0).unwrap());
         let scenarios = b.build_windowed(&ts, DetectionModel::perfect(), 5, 0);
         assert_eq!(scenarios.len(), 2, "10 ticks / window of 5");
         for s in &scenarios {
@@ -431,7 +510,7 @@ mod tests {
             });
         }
         let ts = traces(vec![(PersonId::new(0), t)]);
-        let b = VScenarioBuilder::new(region(), AppearanceGallery::generate(1, 16, 0));
+        let b = VScenarioBuilder::new(region(), AppearanceGallery::generate(1, 16, 0).unwrap());
         let scenarios = b.build_windowed(&ts, DetectionModel::perfect(), 4, 0);
         assert_eq!(scenarios.len(), 2, "present in both cells this window");
     }
@@ -443,7 +522,7 @@ mod tests {
             miss_rate: 0.5,
             feature_sigma: 0.1,
         };
-        let b = VScenarioBuilder::new(region(), AppearanceGallery::generate(1, 16, 0));
+        let b = VScenarioBuilder::new(region(), AppearanceGallery::generate(1, 16, 0).unwrap());
         assert_eq!(b.build(&ts, model, 3), b.build(&ts, model, 3));
         assert_ne!(b.build(&ts, model, 3), b.build(&ts, model, 4));
     }
@@ -470,7 +549,7 @@ mod tests {
     #[should_panic(expected = "window length")]
     fn zero_window_panics() {
         let ts = traces(vec![]);
-        let b = VScenarioBuilder::new(region(), AppearanceGallery::generate(1, 4, 0));
+        let b = VScenarioBuilder::new(region(), AppearanceGallery::generate(1, 4, 0).unwrap());
         let _ = b.build_windowed(&ts, DetectionModel::perfect(), 0, 0);
     }
 }

@@ -4,6 +4,7 @@
 use super::*;
 use ev_mobility::{ManhattanParams, WalkParams, WaypointParams, World};
 use proptest::prelude::*;
+use std::sync::mpsc;
 
 impl VScenarioBuilder {
     /// The builder as it was before the plan / fill split: one generator
@@ -44,7 +45,11 @@ impl VScenarioBuilder {
                 if model.miss_rate > 0.0 && rng.gen::<f64>() < model.miss_rate {
                     continue; // missed detection
                 }
-                if let Some(feature) = self.gallery.observe(person, model.feature_sigma, &mut rng) {
+                let words = &mut Vec::new();
+                if let Some(feature) =
+                    self.gallery
+                        .observe(person, model.feature_sigma, &mut rng, words)
+                {
                     scenario.push(Detection {
                         vid: person.canonical_vid(),
                         feature,
@@ -76,15 +81,63 @@ fn assert_bit_identical(got: &[VScenario], want: &[VScenario], what: &str) {
     }
 }
 
-/// The shipped path at the host's worker count and at 1, 2, 3 and 7
-/// against the sequential reference, which is returned.
+/// Which of the pool's two tasks is done first: whichever the threads
+/// make so, or one forced to wait for the other through a channel.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Finish {
+    Either,
+    BesideFirst,
+    PlanFirst,
+}
+
+impl VScenarioBuilder {
+    /// [`VScenarioBuilder::build_windowed_beside`] on a pool of `workers`
+    /// threads dealing `grain` observations at a time, with a `beside`
+    /// task that does no work but finish as `finish` says.
+    fn build_windowed_on(
+        &self,
+        traces: &TraceSet,
+        (model, window, seed): (DetectionModel, u64, u64),
+        workers: usize,
+        grain: usize,
+        finish: Finish,
+    ) -> Vec<VScenario> {
+        let (planned, plan_heard) = mpsc::channel();
+        let (beside_done, beside_heard) = mpsc::channel();
+        let plan = move || {
+            if finish == Finish::BesideFirst {
+                beside_heard.recv().expect("the beside task signals");
+            }
+            let plan = self.plan(self.presence(traces, window), model, seed);
+            let _ = planned.send(());
+            plan
+        };
+        let beside = move || {
+            if finish == Finish::PlanFirst {
+                plan_heard.recv().expect("the plan signals");
+            }
+            let _ = beside_done.send(());
+        };
+        let fill = |words: &mut Vec<u32>, grain: &[Planned]| {
+            self.fill(grain, model.feature_sigma, seed, words)
+        };
+        let (plan, detections, ()) = sense(workers, grain, plan, beside, fill);
+        plan.assemble(detections)
+    }
+}
+
+/// The shipped path at the host's worker count, then at 1, 2, 3 and 7
+/// workers × every grain × every `finish` order (one worker runs its
+/// `beside` task first, so it cannot wait for the plan), against the
+/// sequential reference, which is returned.
 fn assert_equals_sequential(
     builder: &VScenarioBuilder,
     traces: &TraceSet,
-    model: DetectionModel,
-    window: u64,
-    seed: u64,
+    how: (DetectionModel, u64, u64),
+    grains: &[usize],
+    finishes: &[Finish],
 ) -> Vec<VScenario> {
+    let (model, window, seed) = how;
     let want = builder.build_windowed_sequential(traces, model, window, seed);
     assert_bit_identical(
         &builder.build_windowed(traces, model, window, seed),
@@ -92,11 +145,18 @@ fn assert_equals_sequential(
         "available_parallelism",
     );
     for workers in [1, 2, 3, 7] {
-        assert_bit_identical(
-            &builder.build_windowed_on(traces, model, window, seed, workers),
-            &want,
-            &format!("{workers} workers"),
-        );
+        for &grain in grains {
+            for &finish in finishes {
+                if workers == 1 && finish == Finish::PlanFirst {
+                    continue;
+                }
+                assert_bit_identical(
+                    &builder.build_windowed_on(traces, how, workers, grain, finish),
+                    &want,
+                    &format!("{workers} workers, grain {grain}, {finish:?}"),
+                );
+            }
+        }
     }
     want
 }
@@ -109,12 +169,12 @@ fn traces(
     seed: u64,
 ) -> TraceSet {
     let region = region.clone();
-    let mut world = match mobility {
+    let world = match mobility {
         0 => World::random_waypoint(region, population, WaypointParams::default(), seed),
         1 => World::random_walk(region, population, WalkParams::default(), seed),
         _ => World::manhattan(region, population, ManhattanParams::default(), seed),
     };
-    world.run(ticks)
+    world.unwrap().run(ticks).unwrap()
 }
 
 proptest! {
@@ -141,55 +201,91 @@ proptest! {
         } else {
             AppearanceGallery::generate(known, 8, seed ^ 3)
         };
-        let builder = VScenarioBuilder::new(region, gallery);
-        assert_equals_sequential(&builder, &traces, model, window, seed ^ 4);
+        let builder = VScenarioBuilder::new(region, gallery.unwrap());
+        // A grain of one, of a few, the shipped grain and one longer
+        // than any plan here.
+        let grains = [1, 3, FILL_GRAIN, usize::MAX];
+        let finishes = [Finish::Either, Finish::BesideFirst, Finish::PlanFirst];
+        assert_equals_sequential(&builder, &traces, (model, window, seed ^ 4), &grains, &finishes);
+    }
+}
+
+/// `(person, offset)` of `0..n` in order.
+fn synthetic_plan(n: u64) -> Plan {
+    Plan {
+        scenarios: Vec::new(),
+        observations: (0..n)
+            .map(|i| Planned {
+                person: PersonId::new(i),
+                offset: i * 32,
+            })
+            .collect(),
     }
 }
 
 #[test]
 fn chunks_cover_the_plan_in_order_whatever_the_worker_count() {
-    let plan: Vec<Planned> = (0..1000)
-        .map(|i| Planned {
-            person: PersonId::new(i),
-            offset: i * 32,
-        })
-        .collect();
-    let echo = |chunk: &[Planned]| -> Vec<Detection> {
-        chunk
-            .iter()
-            .map(|p| Detection {
-                vid: p.person.canonical_vid(),
-                feature: ev_core::feature::FeatureVector::new([0.5]).unwrap(),
-            })
-            .collect()
-    };
-    for workers in [0, 1, 2, 3, 7, 64, 5000] {
-        let vids: Vec<_> = fill_chunks(&plan, workers, echo)
-            .iter()
-            .map(|d| d.vid)
-            .collect();
-        let want: Vec<_> = plan.iter().map(|p| p.person.canonical_vid()).collect();
-        assert_eq!(vids, want, "{workers} workers");
+    let one = ev_core::feature::FeatureVector::new([0.5]).unwrap();
+    for n in [0, 1, 1000] {
+        let want: Vec<_> = (0..n).map(|i| PersonId::new(i).canonical_vid()).collect();
+        for workers in [0, 1, 2, 3, 7, 64] {
+            for grain in [0, 1, 3, FILL_GRAIN, 5000, usize::MAX] {
+                // Grains that found their thread's word buffer empty:
+                // at most one per thread, whatever the grain count.
+                let fresh = AtomicUsize::new(0);
+                let echo = |words: &mut Vec<u32>, chunk: &[Planned]| -> Vec<Detection> {
+                    assert!(!chunk.is_empty() && chunk.len() <= grain.max(1));
+                    if words.is_empty() {
+                        fresh.fetch_add(1, Ordering::Relaxed);
+                        words.push(0);
+                    }
+                    let detection = |p: &Planned| Detection {
+                        vid: p.person.canonical_vid(),
+                        feature: one.clone(),
+                    };
+                    chunk.iter().map(detection).collect()
+                };
+                let (plan, detections, side) =
+                    sense(workers, grain, || synthetic_plan(n), || "beside", echo);
+                let vids: Vec<_> = detections.map(|d| d.vid).collect();
+                let what = format!("{n} observations, {workers} workers, grain {grain}");
+                assert_eq!(vids, want, "{what}");
+                assert_eq!(plan.observations.len(), n as usize, "{what}");
+                assert_eq!(side, "beside", "{what}");
+                assert!(fresh.into_inner() <= workers.max(1), "{what}");
+            }
+        }
     }
-    assert!(fill_chunks(&[], 4, echo).is_empty());
 }
 
 #[test]
 #[should_panic(expected = "fill worker down")]
 fn a_panicking_fill_worker_panics_the_build() {
-    let plan: Vec<Planned> = (0..1000)
-        .map(|i| Planned {
-            person: PersonId::new(i),
-            offset: 0,
-        })
-        .collect();
-    let _ = fill_chunks(&plan, 3, |chunk| {
-        // Only the middle chunk fails; the others finish normally.
-        if chunk[0].person == PersonId::new(334) {
-            panic!("fill worker down");
-        }
-        Vec::new()
-    });
+    // Only the grain holding observation 334 fails; the others fill.
+    let _ = sense(
+        3,
+        100,
+        || synthetic_plan(1000),
+        || (),
+        |_, grain| {
+            if grain.iter().any(|p| p.person == PersonId::new(334)) {
+                panic!("fill worker down");
+            }
+            Vec::new()
+        },
+    );
+}
+
+#[test]
+#[should_panic(expected = "plan down")]
+fn a_panicking_plan_panics_the_build_and_frees_the_waiting_threads() {
+    let _ = sense(
+        4,
+        FILL_GRAIN,
+        || -> Plan { panic!("plan down") },
+        || (),
+        |_, _| Vec::new(),
+    );
 }
 
 /// One benchmark corpus through [`assert_equals_sequential`]; returns
@@ -204,9 +300,10 @@ fn benchmark_scale(
     let region = GridRegion::new(1000.0, 1000.0, 1000.0 / side, 10.0).unwrap();
     let traces = traces(&region, 0, population as usize, ticks, seed);
     let gallery = AppearanceGallery::generate_clustered(population, dim, 250, 0.04, seed + 3);
-    let builder = VScenarioBuilder::new(region, gallery);
+    let builder = VScenarioBuilder::new(region, gallery.unwrap());
     let model = DetectionModel::realistic();
-    let want = assert_equals_sequential(&builder, &traces, model, 10, seed + 4);
+    let how = (model, 10, seed + 4);
+    let want = assert_equals_sequential(&builder, &traces, how, &[FILL_GRAIN], &[Finish::Either]);
     (want.len(), want.iter().map(VScenario::len).sum())
 }
 

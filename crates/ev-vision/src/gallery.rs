@@ -13,6 +13,7 @@
 //! same words, same bits, same position afterwards (DESIGN.md §4d). The
 //! one-at-a-time observation stays in the tests as the reference.
 
+use ev_core::error::reserved;
 use ev_core::feature::FeatureVector;
 use ev_core::ids::PersonId;
 use rand::Rng;
@@ -31,18 +32,34 @@ impl AppearanceGallery {
     /// Generates a gallery for `population` persons with `dim`-dimensional
     /// descriptors, deterministically from `seed`.
     ///
+    /// # Errors
+    ///
+    /// Returns [`ev_core::Error::InvalidParameter`] if `population`
+    /// descriptors cannot be allocated.
+    ///
     /// # Panics
     ///
     /// Panics if `dim` is zero — a zero-dimensional appearance model is a
     /// programming error.
-    #[must_use]
-    pub fn generate(population: u64, dim: usize, seed: u64) -> Self {
+    pub fn generate(population: u64, dim: usize, seed: u64) -> ev_core::Result<Self> {
         assert!(dim > 0, "appearance dimension must be positive");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let features = (0..population)
-            .map(|_| FeatureVector::from_clamped((0..dim).map(|_| rng.gen::<f64>())))
-            .collect();
-        AppearanceGallery { features, dim }
+        AppearanceGallery::draw(population, dim, |_| {
+            FeatureVector::from_clamped((0..dim).map(|_| rng.gen::<f64>()))
+        })
+    }
+
+    /// Person `i`'s descriptor is `feature(i)`, for `i` in
+    /// `0..population`, in that order.
+    fn draw(
+        population: u64,
+        dim: usize,
+        feature: impl FnMut(u64) -> FeatureVector,
+    ) -> ev_core::Result<Self> {
+        let len = usize::try_from(population).unwrap_or(usize::MAX);
+        let mut features = reserved("population", len)?;
+        features.extend((0..population).map(feature));
+        Ok(AppearanceGallery { features, dim })
     }
 
     /// Number of persons in the gallery.
@@ -66,19 +83,24 @@ impl AppearanceGallery {
     /// A noisy observation of `person`'s descriptor: each component gets
     /// independent Gaussian noise of standard deviation `sigma`, clamped
     /// back into `[0, 1]`. Returns `None` for unknown persons.
+    ///
+    /// `words` is scratch space for the stream words the noise takes: a
+    /// caller observing many times passes the same buffer each time and
+    /// allocates it once.
     #[must_use]
     pub fn observe(
         &self,
         person: PersonId,
         sigma: f64,
         rng: &mut ChaCha8Rng,
+        words: &mut Vec<u32>,
     ) -> Option<FeatureVector> {
         let truth = self.feature_of(person)?;
         if sigma <= 0.0 {
             return Some(truth.clone());
         }
-        let mut words = vec![0u32; WORDS_PER_GAUSSIAN * self.dim];
-        rng.fill_words(&mut words);
+        words.resize(WORDS_PER_GAUSSIAN * self.dim, 0);
+        rng.fill_words(words);
         // Built straight into the observation's shared storage.
         Some(FeatureVector::from_clamped(
             (truth.components().iter())
@@ -111,30 +133,30 @@ impl AppearanceGallery {
     /// accuracy regime: same-cluster identities have high mutual
     /// similarity and genuinely compete during VID filtering.
     ///
+    /// # Errors
+    ///
+    /// As [`AppearanceGallery::generate`].
+    ///
     /// # Panics
     ///
     /// Panics if `dim` or `clusters` is zero.
-    #[must_use]
     pub fn generate_clustered(
         population: u64,
         dim: usize,
         clusters: usize,
         spread: f64,
         seed: u64,
-    ) -> Self {
+    ) -> ev_core::Result<Self> {
         assert!(dim > 0, "appearance dimension must be positive");
         assert!(clusters > 0, "need at least one appearance cluster");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let centroids: Vec<Vec<f64>> = (0..clusters)
             .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
             .collect();
-        let features = (0..population)
-            .map(|i| {
-                let c = &centroids[(i as usize) % clusters];
-                FeatureVector::from_clamped(c.iter().map(|&x| x + gaussian(&mut rng) * spread))
-            })
-            .collect();
-        AppearanceGallery { features, dim }
+        AppearanceGallery::draw(population, dim, |i| {
+            let c = &centroids[(i as usize) % clusters];
+            FeatureVector::from_clamped(c.iter().map(|&x| x + gaussian(&mut rng) * spread))
+        })
     }
 }
 
@@ -158,9 +180,9 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = AppearanceGallery::generate(10, 32, 1);
-        let b = AppearanceGallery::generate(10, 32, 1);
-        let c = AppearanceGallery::generate(10, 32, 2);
+        let a = AppearanceGallery::generate(10, 32, 1).unwrap();
+        let b = AppearanceGallery::generate(10, 32, 1).unwrap();
+        let c = AppearanceGallery::generate(10, 32, 2).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.population(), 10);
@@ -170,19 +192,35 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension must be positive")]
     fn zero_dim_panics() {
-        let _ = AppearanceGallery::generate(1, 0, 0);
+        let _ = AppearanceGallery::generate(1, 0, 0).unwrap();
+    }
+
+    #[test]
+    fn a_population_that_cannot_be_allocated_is_an_invalid_parameter() {
+        for gallery in [
+            AppearanceGallery::generate(u64::MAX, 4, 0),
+            AppearanceGallery::generate_clustered(u64::MAX, 4, 2, 0.1, 0),
+        ] {
+            assert!(matches!(
+                gallery,
+                Err(ev_core::Error::InvalidParameter {
+                    name: "population",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]
     fn unknown_person_has_no_feature() {
-        let g = AppearanceGallery::generate(3, 8, 0);
+        let g = AppearanceGallery::generate(3, 8, 0).unwrap();
         assert!(g.feature_of(PersonId::new(2)).is_some());
         assert!(g.feature_of(PersonId::new(3)).is_none());
     }
 
     #[test]
     fn distinct_persons_are_well_separated() {
-        let g = AppearanceGallery::generate(50, 64, 7);
+        let g = AppearanceGallery::generate(50, 64, 7).unwrap();
         for i in 0..50u64 {
             for j in (i + 1)..50 {
                 let a = g.feature_of(PersonId::new(i)).unwrap();
@@ -195,11 +233,13 @@ mod tests {
 
     #[test]
     fn observation_noise_is_small_relative_to_identity_gaps() {
-        let g = AppearanceGallery::generate(10, 64, 3);
+        let g = AppearanceGallery::generate(10, 64, 3).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         for i in 0..10u64 {
             let truth = g.feature_of(PersonId::new(i)).unwrap();
-            let obs = g.observe(PersonId::new(i), 0.05, &mut rng).unwrap();
+            let obs = g
+                .observe(PersonId::new(i), 0.05, &mut rng, &mut Vec::new())
+                .unwrap();
             let d = truth.distance(&obs, Metric::NormalizedL2).unwrap();
             assert!(d < 0.12, "observation drifted too far: {d}");
         }
@@ -226,8 +266,10 @@ mod tests {
 
     #[test]
     fn a_bulk_observation_is_the_one_at_a_time_observation_bit_for_bit() {
-        for dim in [1, 3, 4, 5, 16, 64, 128] {
-            let g = AppearanceGallery::generate_clustered(6, dim, 2, 0.04, dim as u64);
+        // One buffer for every observation, growing and shrinking.
+        let mut words = Vec::new();
+        for dim in [1, 64, 3, 4, 128, 5, 16] {
+            let g = AppearanceGallery::generate_clustered(6, dim, 2, 0.04, dim as u64).unwrap();
             // Every alignment of the first word within a ChaCha block.
             for start in 0..20u128 {
                 let mut bulk = ChaCha8Rng::seed_from_u64(11);
@@ -235,7 +277,7 @@ mod tests {
                 let mut by_draw = bulk.clone();
                 for person in 0..6 {
                     let person = PersonId::new(person);
-                    let got = g.observe(person, 0.05, &mut bulk).unwrap();
+                    let got = g.observe(person, 0.05, &mut bulk, &mut words).unwrap();
                     let want = g.observe_by_draw(person, 0.05, &mut by_draw);
                     let bits = |f: &FeatureVector| -> Vec<u64> {
                         f.components().iter().map(|c| c.to_bits()).collect()
@@ -249,22 +291,26 @@ mod tests {
 
     #[test]
     fn zero_sigma_observation_is_exact() {
-        let g = AppearanceGallery::generate(2, 16, 0);
+        let g = AppearanceGallery::generate(2, 16, 0).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let obs = g.observe(PersonId::new(1), 0.0, &mut rng).unwrap();
+        let obs = g
+            .observe(PersonId::new(1), 0.0, &mut rng, &mut Vec::new())
+            .unwrap();
         assert_eq!(&obs, g.feature_of(PersonId::new(1)).unwrap());
     }
 
     #[test]
     fn observation_of_unknown_person_is_none() {
-        let g = AppearanceGallery::generate(1, 4, 0);
+        let g = AppearanceGallery::generate(1, 4, 0).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        assert!(g.observe(PersonId::new(5), 0.1, &mut rng).is_none());
+        assert!(g
+            .observe(PersonId::new(5), 0.1, &mut rng, &mut Vec::new())
+            .is_none());
     }
 
     #[test]
     fn clustered_gallery_groups_identities() {
-        let g = AppearanceGallery::generate_clustered(40, 32, 4, 0.05, 1);
+        let g = AppearanceGallery::generate_clustered(40, 32, 4, 0.05, 1).unwrap();
         assert_eq!(g.population(), 40);
         // Persons 0 and 4 share cluster 0; 0 and 1 do not.
         let a = g.feature_of(PersonId::new(0)).unwrap();
@@ -282,13 +328,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one appearance cluster")]
     fn zero_clusters_panics() {
-        let _ = AppearanceGallery::generate_clustered(4, 8, 0, 0.1, 0);
+        let _ = AppearanceGallery::generate_clustered(4, 8, 0, 0.1, 0).unwrap();
     }
 
     #[test]
     fn block_view_scores_bitwise_like_the_scalar_gallery() {
         use ev_core::kernel::{FeatureBlock, Kernel};
-        let g = AppearanceGallery::generate(37, 24, 4);
+        let g = AppearanceGallery::generate(37, 24, 4).unwrap();
         let block = FeatureBlock::build("appearance-gallery", g.features.iter()).unwrap();
         assert_eq!(block.len(), 37);
         assert_eq!(block.dim(), 24);
@@ -307,10 +353,13 @@ mod tests {
 
     #[test]
     fn observations_stay_in_unit_range() {
-        let g = AppearanceGallery::generate(5, 16, 2);
+        let g = AppearanceGallery::generate(5, 16, 2).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let mut words = Vec::new();
         for _ in 0..100 {
-            let obs = g.observe(PersonId::new(0), 0.5, &mut rng).unwrap();
+            let obs = g
+                .observe(PersonId::new(0), 0.5, &mut rng, &mut words)
+                .unwrap();
             for &c in obs.components() {
                 assert!((0.0..=1.0).contains(&c));
             }

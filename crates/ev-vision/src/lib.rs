@@ -17,7 +17,9 @@
 //! Building the corpus is the one place this crate starts threads:
 //! [`VScenarioBuilder::build_windowed`] plans every observation's offset
 //! in its ChaCha stream in one sequential pass and then makes the
-//! observations on every core the process may use. There is no
+//! observations on every core the process may use, dealt in grains to a
+//! pool that [`VScenarioBuilder::build_windowed_beside`] shares with one
+//! task of the caller's. There is no
 //! thread-count parameter — the scenarios are bit-identical at any
 //! worker count, because offsets come from the plan and not from which
 //! thread fills (DESIGN.md §4d, "The generator's stream contract").
@@ -31,8 +33,10 @@
 //!
 //! let region = GridRegion::new(1000.0, 1000.0, 100.0, 10.0).unwrap();
 //! let traces = World::random_waypoint(region.clone(), 20, WaypointParams::default(), 3)
-//!     .run(30);
-//! let gallery = AppearanceGallery::generate(20, 64, 5);
+//!     .unwrap()
+//!     .run(30)
+//!     .unwrap();
+//! let gallery = AppearanceGallery::generate(20, 64, 5).unwrap();
 //! let builder = VScenarioBuilder::new(region, gallery);
 //! let scenarios = builder.build_windowed(&traces, DetectionModel::perfect(), 1, 9);
 //! assert!(!scenarios.is_empty());

@@ -43,7 +43,7 @@ proptest! {
     #[test]
     fn perfect_detection_equals_presence(paths in arb_paths()) {
         let ts = traces(&paths);
-        let gallery = AppearanceGallery::generate(paths.len() as u64, 8, 3);
+        let gallery = AppearanceGallery::generate(paths.len() as u64, 8, 3).expect("small gallery");
         let builder = VScenarioBuilder::new(region(), gallery);
         let window = 5u64;
         let scenarios = builder.build_windowed(&ts, DetectionModel::perfect(), window, 0);
@@ -124,12 +124,12 @@ proptest! {
     /// sigma — the premise that makes appearance matching work at all.
     #[test]
     fn observations_cluster_around_their_identity(seed in any::<u64>()) {
-        let gallery = AppearanceGallery::generate(20, 64, seed);
+        let gallery = AppearanceGallery::generate(20, 64, seed).expect("small gallery");
         let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(seed);
         for p in 0..20u64 {
             let person = PersonId::new(p);
             let truth = gallery.feature_of(person).expect("exists");
-            let obs = gallery.observe(person, 0.05, &mut rng).expect("exists");
+            let obs = gallery.observe(person, 0.05, &mut rng, &mut Vec::new()).expect("exists");
             let self_dist = truth
                 .distance(&obs, Metric::NormalizedL2)
                 .expect("same dims");

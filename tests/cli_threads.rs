@@ -1,5 +1,6 @@
-//! `evmatch match --threads N` at the edges of `N`: no thread count a
-//! user can type may panic the process. Argument errors exit 2.
+//! `evmatch match --threads N` at the edges of `N`, and corpus sizes at
+//! theirs: no thread count or population a user can type may panic or
+//! abort the process. Argument errors exit 2, refused configurations 1.
 
 use std::process::{Command, Output};
 
@@ -79,5 +80,33 @@ fn retired_anytime_options_are_argument_errors() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(says), "{args:?}: {stderr}");
+    }
+}
+
+/// A generator configuration too large to hold is an error, as
+/// `--population 0` is, never an abort: `u64::MAX` people once panicked
+/// with `capacity overflow`. Each one here is refused before anything is
+/// allocated, since people × ticks overflows.
+#[test]
+fn oversized_populations_are_errors_not_aborts() {
+    for (population, duration) in [
+        ("18446744073709551615", "400"),
+        ("4294967296", "4294967296"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_evmatch"))
+            .args(["match", "--population", population, "--duration", duration])
+            .args(["--targets", "5"])
+            .output()
+            .expect("run evmatch match");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{population} × {duration}: {stderr}"
+        );
+        assert!(
+            stderr.starts_with("error: invalid parameter `population`"),
+            "{stderr}"
+        );
     }
 }
