@@ -136,13 +136,6 @@ impl GridRegion {
         })
     }
 
-    /// Number of cell rows.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Total number of cells.
     #[must_use]
     pub fn cell_count(&self) -> usize {
@@ -307,7 +300,7 @@ mod tests {
     fn paper_region_has_100_cells() {
         let r = region();
         assert_eq!(r.cell_count(), 100);
-        assert_eq!(r.rows(), 10);
+        assert_eq!(r.rows, 10);
     }
 
     #[test]
@@ -412,7 +405,7 @@ mod tests {
     fn non_divisible_region_rounds_cell_grid_up() {
         let r = GridRegion::new(95.0, 45.0, 10.0, 0.0).unwrap();
         assert_eq!(r.cell_count(), 50, "10 columns of 5 rows");
-        assert_eq!(r.rows(), 5);
+        assert_eq!(r.rows, 5);
         // Last column cells are clipped to the region border.
         let b = r.cell_bounds(CellId(9)).unwrap();
         assert!((b.width() - 5.0).abs() < 1e-12);

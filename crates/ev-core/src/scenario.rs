@@ -235,54 +235,6 @@ impl VScenario {
     }
 }
 
-/// A full EV-Scenario: the E- and V-sides of the same (cell, time)
-/// snapshot. Read only by the tests.
-#[cfg(test)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct EvScenario {
-    /// The electronic side.
-    pub e: EScenario,
-    /// The visual side.
-    pub v: VScenario,
-}
-
-#[cfg(test)]
-impl EvScenario {
-    /// Pairs an E-Scenario with its corresponding V-Scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two halves do not share the same scenario id — that
-    /// pairing is a programming error, not a data condition.
-    #[must_use]
-    pub fn new(e: EScenario, v: VScenario) -> Self {
-        assert_eq!(
-            e.id(),
-            v.id(),
-            "E- and V-Scenario halves must describe the same (cell, time)"
-        );
-        EvScenario { e, v }
-    }
-
-    /// The shared scenario identifier.
-    #[must_use]
-    pub fn id(&self) -> ScenarioId {
-        self.e.id()
-    }
-}
-
-/// Read only by the tests.
-#[cfg(test)]
-impl EScenario {
-    /// Iterates over the EIDs with the inclusive attribute only.
-    pub(crate) fn inclusive_eids(&self) -> impl Iterator<Item = Eid> + '_ {
-        self.eids
-            .iter()
-            .filter(|(_, &a)| a == ZoneAttr::Inclusive)
-            .map(|(&e, _)| e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,25 +300,12 @@ mod tests {
     }
 
     #[test]
-    fn evscenario_pairs_matching_halves() {
-        let e = esc();
-        let v = VScenario::new(CellId::new(3), Timestamp::new(7));
-        let ev = EvScenario::new(e, v);
-        assert_eq!(ev.id(), ScenarioId::new(Timestamp::new(7), CellId::new(3)));
-    }
-
-    #[test]
-    #[should_panic(expected = "same (cell, time)")]
-    fn evscenario_rejects_mismatched_halves() {
-        let e = esc();
-        let v = VScenario::new(CellId::new(4), Timestamp::new(7));
-        let _ = EvScenario::new(e, v);
-    }
-
-    #[test]
     fn escenario_inclusive_iterator_filters() {
         let s = esc();
-        let inc: Vec<Eid> = s.inclusive_eids().collect();
+        let inc: Vec<Eid> = (s.iter())
+            .filter(|&(_, attr)| attr == ZoneAttr::Inclusive)
+            .map(|(eid, _)| eid)
+            .collect();
         assert_eq!(inc, vec![Eid::from_u64(1)]);
         let all: Vec<Eid> = s.eids().collect();
         assert_eq!(all, vec![Eid::from_u64(1), Eid::from_u64(2)]);

@@ -31,13 +31,6 @@ impl Timestamp {
     pub const fn tick(self) -> u64 {
         self.0
     }
-
-    /// Returns the timestamp `n` ticks later, saturating at `u64::MAX`.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) const fn advanced(self, n: u64) -> Self {
-        Timestamp(self.0.saturating_add(n))
-    }
 }
 
 impl fmt::Display for Timestamp {
@@ -88,62 +81,16 @@ impl TimeRange {
         }
     }
 
-    /// The window of `len` ticks starting at `start`.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn window(start: Timestamp, len: u64) -> Self {
-        TimeRange {
-            start,
-            end: start.advanced(len),
-        }
-    }
-
-    /// Number of ticks in the range.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn len(&self) -> u64 {
-        self.end - self.start
-    }
-
-    /// Whether the range contains no ticks.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Whether tick `t` falls inside the range.
     #[must_use]
     pub fn contains(&self, t: Timestamp) -> bool {
         t >= self.start && t < self.end
-    }
-
-    /// Iterates over every tick in the range.
-    #[cfg(test)]
-    pub(crate) fn iter(&self) -> impl Iterator<Item = Timestamp> {
-        (self.start.tick()..self.end.tick()).map(Timestamp::new)
     }
 }
 
 impl fmt::Display for TimeRange {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}, {})", self.start.tick(), self.end.tick())
-    }
-}
-
-/// Read only by the tests.
-#[cfg(test)]
-impl TimeRange {
-    /// Intersection with `other`, or `None` if disjoint.
-    #[must_use]
-    pub(crate) fn intersect(&self, other: &TimeRange) -> Option<TimeRange> {
-        let start = self.start.max(other.start);
-        let end = self.end.min(other.end);
-        if start < end {
-            Some(TimeRange { start, end })
-        } else {
-            None
-        }
     }
 }
 
@@ -155,17 +102,13 @@ mod tests {
     fn timestamp_arithmetic() {
         let t = Timestamp::new(10);
         assert_eq!(t + 5, Timestamp::new(15));
-        assert_eq!(t.advanced(5), Timestamp::new(15));
         assert_eq!(Timestamp::new(15) - t, 5);
         assert_eq!(t - Timestamp::new(15), 0, "subtraction saturates");
-        assert_eq!(Timestamp::new(u64::MAX).advanced(1).tick(), u64::MAX);
     }
 
     #[test]
     fn range_basics() {
-        let r = TimeRange::window(Timestamp::new(5), 3);
-        assert_eq!(r.len(), 3);
-        assert!(!r.is_empty());
+        let r = TimeRange::new(Timestamp::new(5), Timestamp::new(8));
         assert!(r.contains(Timestamp::new(5)));
         assert!(r.contains(Timestamp::new(7)));
         assert!(!r.contains(Timestamp::new(8)), "end is exclusive");
@@ -175,35 +118,16 @@ mod tests {
     #[test]
     fn inverted_range_collapses_to_empty() {
         let r = TimeRange::new(Timestamp::new(9), Timestamp::new(3));
-        assert!(r.is_empty());
-        assert_eq!(r.start, Timestamp::new(9));
-    }
-
-    #[test]
-    fn range_iteration_visits_each_tick_once() {
-        let r = TimeRange::window(Timestamp::new(2), 4);
-        let ticks: Vec<u64> = r.iter().map(Timestamp::tick).collect();
-        assert_eq!(ticks, vec![2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn range_intersection() {
-        let a = TimeRange::window(Timestamp::new(0), 10);
-        let b = TimeRange::window(Timestamp::new(5), 10);
-        let c = a.intersect(&b).unwrap();
-        assert_eq!(c, TimeRange::new(Timestamp::new(5), Timestamp::new(10)));
-        let d = TimeRange::window(Timestamp::new(20), 5);
-        assert!(a.intersect(&d).is_none());
-        assert!(a
-            .intersect(&TimeRange::window(Timestamp::new(10), 1))
-            .is_none());
+        assert_eq!((r.start, r.end), (Timestamp::new(9), Timestamp::new(9)));
+        assert!(!r.contains(Timestamp::new(9)));
+        assert!(!r.contains(Timestamp::new(3)));
     }
 
     #[test]
     fn display_formats() {
         assert_eq!(Timestamp::new(7).to_string(), "t=7");
         assert_eq!(
-            TimeRange::window(Timestamp::new(1), 2).to_string(),
+            TimeRange::new(Timestamp::new(1), Timestamp::new(3)).to_string(),
             "[1, 3)"
         );
     }

@@ -19,10 +19,12 @@
 //! manifest tail (truncated on recovery); it can never leave an entry
 //! that points at missing or incomplete data.
 
+use std::io::{self, Read};
+
 use crate::codec::ByteReader;
 use crate::error::{DiskError, DiskResult, RecoveryError};
 use crate::format::{FORMAT_VERSION, HEADER_LEN, MANIFEST_ENTRY_PAYLOAD_LEN, MANIFEST_MAGIC};
-use crate::frame::{next_frame, write_frame, FrameEvent};
+use crate::frame::{read_frames, write_frame, FramedFile, Walk};
 use crate::segment::{self, SegmentBounds, SegmentKind};
 
 /// One committed segment, as recorded in the manifest.
@@ -136,103 +138,29 @@ pub fn encode_entry_frame(entry: &ManifestEntry) -> Vec<u8> {
     out
 }
 
-/// Result of scanning a manifest file.
-#[derive(Debug)]
-pub struct ManifestScan {
-    /// Entries of the valid prefix, in append order.
-    pub entries: Vec<ManifestEntry>,
-    /// Byte length of the valid prefix (header + whole frames).
-    pub valid_len: usize,
-    /// `Some(reason)` when the scan stopped at mid-file damage rather
-    /// than a clean end or a crash-shaped torn tail.
-    pub damage: Option<String>,
-    /// Whether a torn tail follows the valid prefix.
-    pub torn: bool,
-}
-
-/// Scans a manifest, collecting the longest valid prefix of entries.
-///
-/// Torn tails are reported, not errors — they are the expected residue
-/// of a crash during an append. A frame that parses but whose payload
-/// is not a valid entry is treated like a damaged frame.
+/// Reads the `len` bytes of a manifest from `source` through the one
+/// frame reader: the entries of its valid prefix, in append order, and
+/// the walk that found them. A checksum-valid frame holding a malformed
+/// entry cannot come from a torn append: it is damage.
 ///
 /// # Errors
 ///
-/// [`DiskError::Corrupt`] if the header itself is invalid: with no
-/// trustworthy header there is no prefix worth keeping.
-pub fn scan_manifest(bytes: &[u8]) -> DiskResult<ManifestScan> {
-    if bytes.len() < HEADER_LEN {
-        return Err(DiskError::corrupt(format!(
-            "manifest shorter than its {HEADER_LEN}-byte header ({} bytes)",
-            bytes.len()
-        )));
-    }
-    if bytes[..4] != MANIFEST_MAGIC {
-        return Err(DiskError::corrupt("manifest magic is not EVMF"));
-    }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Err(DiskError::corrupt(format!(
-            "unknown manifest format version {version}"
-        )));
-    }
+/// Only `source`'s read errors.
+pub(crate) fn read_manifest(source: impl Read, len: u64) -> io::Result<(Vec<ManifestEntry>, Walk)> {
     let mut entries = Vec::new();
-    let mut pos = HEADER_LEN;
-    loop {
-        match next_frame(bytes, pos) {
-            FrameEvent::Frame {
-                payload_start,
-                payload_len,
-                next_pos,
-            } => {
-                match ManifestEntry::decode(&bytes[payload_start..payload_start + payload_len]) {
-                    Ok(entry) => {
-                        entries.push(entry);
-                        pos = next_pos;
-                    }
-                    Err(e) => {
-                        // A checksum-valid frame holding a malformed
-                        // entry cannot come from a torn append.
-                        return Ok(ManifestScan {
-                            entries,
-                            valid_len: pos,
-                            damage: Some(format!("undecodable manifest entry: {e}")),
-                            torn: false,
-                        });
-                    }
-                }
-            }
-            FrameEvent::End => {
-                return Ok(ManifestScan {
-                    entries,
-                    valid_len: pos,
-                    damage: None,
-                    torn: false,
-                })
-            }
-            FrameEvent::Torn { at } => {
-                return Ok(ManifestScan {
-                    entries,
-                    valid_len: at,
-                    damage: None,
-                    torn: true,
-                })
-            }
-            FrameEvent::Damaged { at, reason } => {
-                return Ok(ManifestScan {
-                    entries,
-                    valid_len: at,
-                    damage: Some(reason.to_string()),
-                    torn: false,
-                })
-            }
-        }
-    }
+    let walk = read_frames(source, len, FramedFile::Manifest, |_, payload| {
+        let entry = ManifestEntry::decode(payload)
+            .map_err(|e| DiskError::corrupt(format!("undecodable manifest entry: {e}")))?;
+        entries.push(entry);
+        Ok(())
+    })?;
+    Ok((entries, walk))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::Stop;
 
     fn entry(seq: u64) -> ManifestEntry {
         ManifestEntry {
@@ -270,15 +198,19 @@ mod tests {
         assert_eq!(entry(43).file_name(), "seg-000043-v.seg");
     }
 
+    /// `read_manifest` over bytes held in memory.
+    fn scanned(bytes: &[u8]) -> (Vec<ManifestEntry>, Walk) {
+        read_manifest(bytes, bytes.len() as u64).expect("reading memory cannot fail")
+    }
+
     #[test]
     fn scan_reads_all_entries() {
         let bytes = manifest_with(4);
-        let scan = scan_manifest(&bytes).unwrap();
-        assert_eq!(scan.entries.len(), 4);
-        assert_eq!(scan.valid_len, bytes.len());
-        assert!(!scan.torn);
-        assert!(scan.damage.is_none());
-        assert_eq!(scan.entries[3], entry(3));
+        let (entries, walk) = scanned(&bytes);
+        assert_eq!(entries.len(), 4);
+        assert_eq!(walk.valid_len, bytes.len() as u64);
+        assert!(matches!(walk.stop, Stop::End));
+        assert_eq!(entries[3], entry(3));
     }
 
     #[test]
@@ -286,24 +218,38 @@ mod tests {
         let bytes = manifest_with(3);
         let frame_len = encode_entry_frame(&entry(0)).len();
         for cut in HEADER_LEN..bytes.len() {
-            let scan = scan_manifest(&bytes[..cut]).unwrap();
+            let (entries, walk) = scanned(&bytes[..cut]);
             let whole = (cut - HEADER_LEN) / frame_len;
-            assert_eq!(scan.entries.len(), whole, "cut at {cut}");
-            assert_eq!(scan.valid_len, HEADER_LEN + whole * frame_len);
-            assert!(scan.damage.is_none());
+            assert_eq!(entries.len(), whole, "cut at {cut}");
+            assert_eq!(walk.valid_len, (HEADER_LEN + whole * frame_len) as u64);
+            assert!(!matches!(walk.stop, Stop::Damaged(_)));
         }
     }
 
     #[test]
     fn header_damage_is_an_error() {
         let bytes = manifest_with(1);
-        assert!(scan_manifest(&bytes[..6]).is_err());
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        assert!(scan_manifest(&bad).is_err());
-        let mut ver = bytes;
+        let mut ver = bytes.clone();
         ver[4] = 9;
-        assert!(scan_manifest(&ver).is_err());
+        for (damaged, says) in [
+            (
+                &bytes[..6],
+                "manifest shorter than its 8-byte header (6 bytes)",
+            ),
+            (&bad[..], "manifest magic is not EVMF"),
+            (&ver[..], "unknown manifest format version 9"),
+        ] {
+            let (entries, walk) = scanned(damaged);
+            assert!(entries.is_empty());
+            assert_eq!(walk.valid_len, 0, "no prefix behind a bad header");
+            assert!(
+                matches!(walk.stop, Stop::Damaged(ref e) if e.to_string().ends_with(says)),
+                "{says}: {:?}",
+                walk.stop
+            );
+        }
     }
 
     #[test]
@@ -311,10 +257,9 @@ mod tests {
         let mut bytes = manifest_with(3);
         // Flip a payload byte of the first entry.
         bytes[HEADER_LEN + 6] ^= 0xFF;
-        let scan = scan_manifest(&bytes).unwrap();
-        assert!(scan.entries.is_empty());
-        assert!(scan.damage.is_some());
-        assert!(!scan.torn);
-        assert_eq!(scan.valid_len, HEADER_LEN);
+        let (entries, walk) = scanned(&bytes);
+        assert!(entries.is_empty());
+        assert!(matches!(walk.stop, Stop::Damaged(_)));
+        assert_eq!(walk.valid_len, HEADER_LEN as u64);
     }
 }

@@ -19,22 +19,22 @@
 //! bytes either way, through a bounded set of buffers — and also
 //! computes the segment's cell/time bounds, which the manifest stores. A
 //! committed segment is read two ways, both through `CommittedSegment`:
-//! the verifying load walk over the whole file (which
-//! `DiskStore::load_video` runs over several segments side by side), and
-//! the read of one V frame that walk located.
+//! the verifying load walk over the whole file — the crate's one frame
+//! reader, [`read_frames`], held to the manifest entry (which
+//! `DiskStore::load_video` runs over several segments side by side) —
+//! and the re-read of one V frame that walk located. Salvage reads a
+//! damaged segment through the same reader.
 
 use std::fs::File;
-use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 
 use crate::codec::{self, Record};
 use crate::error::{DiskError, DiskResult};
-use crate::format::{FORMAT_VERSION, FRAME_OVERHEAD, HEADER_LEN, KIND_E, KIND_V, SEGMENT_MAGIC};
-use crate::frame::{
-    crc_matches, declared_payload_len, next_frame, write_frame, FrameEvent, CRC_MISMATCH,
-};
+use crate::format::{FORMAT_VERSION, FRAME_OVERHEAD, KIND_E, KIND_V, SEGMENT_MAGIC};
+use crate::frame::{crc_matches, read_frames, write_frame, FramedFile, Stop, CRC_MISMATCH};
 use crate::manifest::ManifestEntry;
 use ev_core::scenario::{EScenario, ScenarioId, VScenario};
 use ev_store::FootageSource;
@@ -126,9 +126,9 @@ pub(crate) fn file_name(seq: u64, kind: SegmentKind) -> String {
 /// Large enough that a segment leaves in few writes, small enough that
 /// writing one never holds more than a mebibyte of it in memory.
 ///
-/// Public (here, [`RUN_BYTES`] and [`READ_CHUNK`]) only so that the
-/// allocation budgets of `tests/codec_properties.rs` are stated in the
-/// sizes the writer and the walk really use; nothing can set them.
+/// Public (here and [`RUN_BYTES`]) only so that the allocation budgets
+/// of `tests/codec_properties.rs` are stated in the sizes the writer
+/// really uses; nothing can set them.
 #[doc(hidden)]
 pub const WRITE_CHUNK: usize = 1 << 20;
 
@@ -488,148 +488,6 @@ pub fn encode_v_segment(scenarios: &[VScenario]) -> EncodedSegment {
     encode_segment(scenarios)
 }
 
-/// Validates a segment header and returns its kind.
-///
-/// # Errors
-///
-/// [`DiskError::Corrupt`] on a short file, wrong magic, unknown version
-/// or unknown kind byte.
-pub fn parse_header(bytes: &[u8]) -> DiskResult<SegmentKind> {
-    if bytes.len() < HEADER_LEN {
-        return Err(DiskError::corrupt(format!(
-            "segment shorter than its {HEADER_LEN}-byte header ({} bytes)",
-            bytes.len()
-        )));
-    }
-    if bytes[..4] != SEGMENT_MAGIC {
-        return Err(DiskError::corrupt("segment magic is not EVSG"));
-    }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Err(DiskError::corrupt(format!(
-            "unknown segment format version {version}"
-        )));
-    }
-    SegmentKind::from_byte(bytes[6])
-}
-
-/// Result of a tolerant scan over a segment's frames.
-#[derive(Debug)]
-pub struct SegmentScan {
-    /// Byte offsets `(payload_start, payload_len)` of every valid frame,
-    /// in file order.
-    pub payloads: Vec<(usize, usize)>,
-    /// The byte length of the valid prefix (header + whole frames).
-    pub valid_len: usize,
-    /// `Some(reason)` when the scan stopped at a damaged frame that more
-    /// data follows (true corruption); `None` when it ended cleanly or
-    /// at a crash-shaped torn tail.
-    pub damage: Option<&'static str>,
-    /// Whether a torn tail was truncated away by the scan.
-    pub torn: bool,
-}
-
-/// Walks a segment's frames, stopping at the first torn or damaged one.
-///
-/// # Errors
-///
-/// [`DiskError::Corrupt`] if the header itself is invalid (there is no
-/// usable prefix to salvage).
-pub fn scan(bytes: &[u8]) -> DiskResult<(SegmentKind, SegmentScan)> {
-    let kind = parse_header(bytes)?;
-    let mut payloads = Vec::new();
-    let mut pos = HEADER_LEN;
-    loop {
-        match next_frame(bytes, pos) {
-            FrameEvent::Frame {
-                payload_start,
-                payload_len,
-                next_pos,
-            } => {
-                payloads.push((payload_start, payload_len));
-                pos = next_pos;
-            }
-            FrameEvent::End => {
-                return Ok((
-                    kind,
-                    SegmentScan {
-                        payloads,
-                        valid_len: pos,
-                        damage: None,
-                        torn: false,
-                    },
-                ))
-            }
-            FrameEvent::Torn { at } => {
-                return Ok((
-                    kind,
-                    SegmentScan {
-                        payloads,
-                        valid_len: at,
-                        damage: None,
-                        torn: true,
-                    },
-                ))
-            }
-            FrameEvent::Damaged { at, reason } => {
-                return Ok((
-                    kind,
-                    SegmentScan {
-                        payloads,
-                        valid_len: at,
-                        damage: Some(reason),
-                        torn: false,
-                    },
-                ))
-            }
-        }
-    }
-}
-
-/// Appends every record of a fully valid segment of `R`'s kind to
-/// `out`, checking and decoding frame by frame in one pass.
-///
-/// # Errors
-///
-/// [`DiskError::Corrupt`] when the segment is of the other kind, has a
-/// torn or damaged frame, or a payload fails the record codec.
-pub(crate) fn decode_segment<R: Record>(bytes: &[u8], out: &mut Vec<R>) -> DiskResult<()> {
-    let kind = parse_header(bytes)?;
-    if kind != R::KIND {
-        return Err(DiskError::corrupt(format!(
-            "expected a {:?} segment, found {kind:?}",
-            R::KIND
-        )));
-    }
-    let mut pos = HEADER_LEN;
-    loop {
-        match next_frame(bytes, pos) {
-            FrameEvent::Frame {
-                payload_start,
-                payload_len,
-                next_pos,
-            } => {
-                out.push(R::decode(
-                    &bytes[payload_start..payload_start + payload_len],
-                )?);
-                pos = next_pos;
-            }
-            FrameEvent::End => return Ok(()),
-            FrameEvent::Torn { .. } => return Err(DiskError::corrupt("segment has a torn tail")),
-            FrameEvent::Damaged { reason, .. } => return Err(DiskError::corrupt(reason)),
-        }
-    }
-}
-
-/// Bytes the load walk asks the file for at a time (fewer when the file
-/// is smaller). One such buffer per walking thread, so it is kept small:
-/// 64 KiB, 256 KiB and 1 MiB walked a `dense-query`-shaped corpus (160 MB,
-/// 66 KiB frames) in the same 0.043 s and a `universal-paper`-shaped one
-/// (5 KiB frames) in the same 0.005 s on the 2-core benchmark host, and
-/// the smallest added least to `peak_rss_mib` on `serve-mixed`.
-#[doc(hidden)]
-pub const READ_CHUNK: usize = 64 << 10;
-
 /// A committed segment file as its readers see it. The file is opened,
 /// and its length checked against the manifest entry, on every read:
 /// nothing holds a descriptor between reads, so a served corpus that
@@ -661,13 +519,11 @@ impl CommittedSegment {
         Ok(file)
     }
 
-    /// The load walk: one sequential pass that verifies the whole file
-    /// — header and kind, frame lengths chaining exactly to the
-    /// committed length, every frame's CRC, the record count against
-    /// the manifest — through one reused frame buffer, handing each
-    /// payload and its byte offset in the file to `on_frame`. The
-    /// streaming twin of [`decode_segment`], with what to do with a
-    /// payload left to the caller.
+    /// The load walk: [`read_frames`] over the whole file, which must
+    /// come out whole — header and kind, frame lengths chaining exactly
+    /// to the committed length, every frame's CRC — with the record
+    /// count the manifest committed. Each payload and its byte offset in
+    /// the file go to `on_frame`.
     ///
     /// # Errors
     ///
@@ -677,59 +533,21 @@ impl CommittedSegment {
     /// failed check, and whatever `on_frame` returns.
     pub(crate) fn walk(
         &self,
-        mut on_frame: impl FnMut(u64, &[u8]) -> DiskResult<()>,
+        on_frame: impl FnMut(u64, &[u8]) -> DiskResult<()>,
     ) -> DiskResult<()> {
         let file_len = self.entry.file_len;
-        // Never more buffer than there are bytes to read.
-        let chunk = READ_CHUNK.min(usize::try_from(file_len).unwrap_or(READ_CHUNK));
-        let mut reader = BufReader::with_capacity(chunk, self.open()?);
-
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        (&mut reader)
-            .take(HEADER_LEN as u64)
-            .read_to_end(&mut header)
-            .map_err(|e| self.io(e))?;
-        let kind = parse_header(&header)?;
-        if kind != self.entry.kind {
-            return Err(DiskError::corrupt(format!(
-                "expected a {:?} segment, found {kind:?}",
-                self.entry.kind
-            )));
+        let file = FramedFile::Segment(self.entry.kind);
+        let walk = read_frames(self.open()?, file_len, file, on_frame).map_err(|e| self.io(e))?;
+        match walk.stop {
+            Stop::End => {}
+            Stop::Torn => return Err(DiskError::corrupt("segment has a torn tail")),
+            Stop::Damaged(damage) => return Err(damage),
         }
-
-        let torn = || DiskError::corrupt("segment has a torn tail");
-        let mut frame = Vec::new();
-        let mut records = 0u64;
-        let mut pos = HEADER_LEN as u64;
-        while pos < file_len {
-            let remaining = file_len - pos;
-            if remaining < 4 {
-                return Err(torn());
-            }
-            let mut prefix = [0u8; 4];
-            reader.read_exact(&mut prefix).map_err(|e| self.io(e))?;
-            let len = declared_payload_len(prefix, remaining).ok_or_else(torn)?;
-            frame.resize(len + 4, 0);
-            reader.read_exact(&mut frame).map_err(|e| self.io(e))?;
-            let next = pos + (4 + len + 4) as u64;
-            if !crc_matches(&frame) {
-                // As the in-memory scanner has it: damage in the final
-                // frame is a torn tail, damage with more behind it is
-                // not.
-                return Err(if next == file_len {
-                    torn()
-                } else {
-                    DiskError::corrupt(CRC_MISMATCH)
-                });
-            }
-            on_frame(pos + 4, &frame[..len])?;
-            records += 1;
-            pos = next;
-        }
-        if records != self.entry.records {
+        if walk.frames != self.entry.records {
             return Err(DiskError::corrupt(format!(
-                "segment {} holds {records} records, the manifest committed {}",
+                "segment {} holds {} records, the manifest committed {}",
                 self.entry.file_name(),
+                walk.frames,
                 self.entry.records
             )));
         }
@@ -785,32 +603,10 @@ impl FootageSource for CommittedSegment {
     }
 }
 
-/// Decodes every E-record of a fully valid segment.
-///
-/// # Errors
-///
-/// [`DiskError::Corrupt`] when the segment is not an E segment, has a
-/// torn or damaged frame, or a payload fails the record codec.
-pub fn decode_e_segment(bytes: &[u8]) -> DiskResult<Vec<EScenario>> {
-    let mut out = Vec::new();
-    decode_segment(bytes, &mut out)?;
-    Ok(out)
-}
-
-/// Decodes every V-record of a fully valid segment.
-///
-/// # Errors
-///
-/// As [`decode_e_segment`], for V segments.
-pub fn decode_v_segment(bytes: &[u8]) -> DiskResult<Vec<VScenario>> {
-    let mut out = Vec::new();
-    decode_segment(bytes, &mut out)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::HEADER_LEN;
     use ev_core::feature::FeatureVector;
     use ev_core::ids::{Eid, Vid};
     use ev_core::region::CellId;
@@ -832,6 +628,27 @@ mod tests {
             .collect()
     }
 
+    /// The records of an in-memory segment of `R`s, decoded through the
+    /// one frame reader, and the walk that found them.
+    fn decoded<R: Record>(bytes: &[u8]) -> (Vec<R>, crate::frame::Walk) {
+        let mut records = Vec::new();
+        let file = FramedFile::Segment(R::KIND);
+        let walk = read_frames(bytes, bytes.len() as u64, file, |_, payload| {
+            records.push(R::decode(payload)?);
+            Ok(())
+        })
+        .expect("reading memory cannot fail");
+        (records, walk)
+    }
+
+    /// The reason a walk gives for stopping at damage.
+    fn damage(walk: &crate::frame::Walk) -> String {
+        match &walk.stop {
+            Stop::Damaged(damage) => damage.to_string(),
+            other => panic!("expected damage, got {other:?}"),
+        }
+    }
+
     #[test]
     fn e_segment_round_trips() {
         let original = scenarios();
@@ -841,20 +658,25 @@ mod tests {
         assert_eq!(seg.bounds.max_time, 40);
         assert_eq!(seg.bounds.min_cell, 3);
         assert_eq!(seg.bounds.max_cell, 7);
-        assert_eq!(decode_e_segment(&seg.bytes).unwrap(), original);
+        let (records, walk) = decoded::<EScenario>(&seg.bytes);
+        assert!(matches!(walk.stop, Stop::End));
+        assert_eq!(walk.valid_len, seg.bytes.len() as u64);
+        assert_eq!(records, original);
     }
 
     #[test]
     fn truncated_tail_is_salvageable_prefix() {
-        let seg = encode_e_segment(&scenarios());
+        let original = scenarios();
+        let seg = encode_e_segment(&original);
         for cut in HEADER_LEN..seg.bytes.len() {
-            let (_, scan) = scan(&seg.bytes[..cut]).unwrap();
-            assert!(scan.valid_len <= cut);
-            assert!(scan.damage.is_none(), "truncation is torn, not damaged");
-            // Every surviving payload still decodes.
-            for &(start, len) in &scan.payloads {
-                crate::codec::decode_escenario(&seg.bytes[start..start + len]).unwrap();
-            }
+            let (records, walk) = decoded::<EScenario>(&seg.bytes[..cut]);
+            assert!(walk.valid_len <= cut as u64);
+            assert!(
+                !matches!(walk.stop, Stop::Damaged(_)),
+                "truncation is torn, not damaged"
+            );
+            // Every surviving frame decodes to the record written there.
+            assert_eq!(records, original[..records.len()], "cut at {cut}");
         }
     }
 
@@ -863,17 +685,25 @@ mod tests {
         let seg = encode_e_segment(&scenarios());
         let mut bad = seg.bytes.clone();
         bad[0] = b'X';
-        assert!(scan(&bad).is_err());
         let mut wrong_version = seg.bytes.clone();
         wrong_version[4] = 0xFF;
-        assert!(scan(&wrong_version).is_err());
-        assert!(decode_e_segment(&seg.bytes[..4]).is_err());
+        for (bytes, says) in [
+            (&bad[..], "segment magic is not EVSG"),
+            (&wrong_version[..], "unknown segment format version 255"),
+            (&seg.bytes[..4], "shorter than its 8-byte header (4 bytes)"),
+        ] {
+            let (records, walk) = decoded::<EScenario>(bytes);
+            assert!(damage(&walk).contains(says), "{says}");
+            assert_eq!((records.len(), walk.valid_len), (0, 0), "{says}");
+        }
     }
 
     #[test]
     fn kind_mismatch_is_corruption() {
         let seg = encode_e_segment(&scenarios());
-        assert!(decode_v_segment(&seg.bytes).is_err());
+        let (records, walk) = decoded::<VScenario>(&seg.bytes);
+        assert!(damage(&walk).contains("expected a VScenario segment, found EScenario"));
+        assert_eq!((records.len(), walk.valid_len), (0, 0));
     }
 
     /// The V-Scenario at `(cell i mod 7, tick i)`: `detections`
@@ -992,7 +822,7 @@ mod tests {
             assert_eq!(entry.file_len, want.bytes.len() as u64);
             assert_eq!(spawned, if workers == 1 { 0 } else { workers });
         }
-        assert_eq!(decode_v_segment(&want.bytes).unwrap(), batch);
+        assert_eq!(decoded::<VScenario>(&want.bytes).0, batch);
     }
 
     /// A host out of threads: the writer frames on the caller what the

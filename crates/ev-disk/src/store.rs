@@ -41,6 +41,7 @@ use ev_vision::cost::CostModel;
 
 use crate::codec::{self, Record};
 use crate::error::{DiskError, DiskResult, RecoveryError};
+use crate::frame::{read_frames, FramedFile, Stop, Walk};
 use crate::manifest::{self, ManifestEntry};
 use crate::segment::{self, CommittedSegment, SegmentBounds, SegmentFile, SegmentKind};
 
@@ -126,10 +127,7 @@ fn parse_segment_file_name(name: &str) -> Option<u64> {
     // seg-NNNNNN-e.seg / seg-NNNNNN-v.seg
     let rest = name.strip_prefix("seg-")?;
     let rest = rest.strip_suffix(".seg")?;
-    let (digits, tag) = rest.split_at(rest.len().checked_sub(2)?);
-    if tag != "-e" && tag != "-v" {
-        return None;
-    }
+    let digits = (rest.strip_suffix("-e")).or_else(|| rest.strip_suffix("-v"))?;
     digits.parse().ok()
 }
 
@@ -206,39 +204,48 @@ impl DiskStore {
         let started = Instant::now();
         let dir = dir.into();
         let manifest_path = dir.join(MANIFEST_FILE);
-        let bytes = fs::read(&manifest_path)
-            .map_err(|e| DiskError::io("reading manifest", &manifest_path, e))?;
-        let scan = manifest::scan_manifest(&bytes)?;
+        let reading = |e| DiskError::io("reading manifest", &manifest_path, e);
+        let file = File::open(&manifest_path).map_err(reading)?;
+        let len = file.metadata().map_err(reading)?.len();
+        let (mut entries, walk) = manifest::read_manifest(file, len).map_err(reading)?;
 
         let mut report = RecoveryReport::default();
-        let mut entries = scan.entries;
         let mut manifest_dirty = false;
-
-        if let Some(reason) = scan.damage {
-            match mode {
+        match walk.stop {
+            Stop::End => {}
+            // No trustworthy header: no prefix worth keeping, in either mode.
+            Stop::Damaged(damage) if walk.valid_len == 0 => return Err(damage),
+            Stop::Damaged(damage) => match mode {
                 RecoveryMode::Strict => {
+                    let reason = match damage {
+                        DiskError::Corrupt { context } => context,
+                        other => other.to_string(),
+                    };
                     return Err(RecoveryError::ManifestDamaged {
-                        reason: reason.to_string(),
+                        reason,
                         entries_kept: entries.len(),
                     }
-                    .into())
+                    .into());
                 }
                 RecoveryMode::Salvage => {
-                    report.manifest_bytes_truncated += (bytes.len() - scan.valid_len) as u64;
+                    report.manifest_bytes_truncated += len - walk.valid_len;
                     manifest_dirty = true;
                 }
+            },
+            Stop::Torn => {
+                // Crash-shaped tail: truncate in both modes.
+                report.manifest_bytes_truncated += len - walk.valid_len;
+                let f = OpenOptions::new()
+                    .write(true)
+                    .open(&manifest_path)
+                    .map_err(|e| {
+                        DiskError::io("opening manifest for truncate", &manifest_path, e)
+                    })?;
+                f.set_len(walk.valid_len)
+                    .map_err(|e| DiskError::io("truncating manifest", &manifest_path, e))?;
+                f.sync_all()
+                    .map_err(|e| DiskError::io("fsyncing manifest", &manifest_path, e))?;
             }
-        } else if scan.torn {
-            // Crash-shaped tail: truncate in both modes.
-            report.manifest_bytes_truncated += (bytes.len() - scan.valid_len) as u64;
-            let f = OpenOptions::new()
-                .write(true)
-                .open(&manifest_path)
-                .map_err(|e| DiskError::io("opening manifest for truncate", &manifest_path, e))?;
-            f.set_len(scan.valid_len as u64)
-                .map_err(|e| DiskError::io("truncating manifest", &manifest_path, e))?;
-            f.sync_all()
-                .map_err(|e| DiskError::io("fsyncing manifest", &manifest_path, e))?;
         }
 
         // Validate committed segments against their entries.
@@ -318,97 +325,63 @@ impl DiskStore {
         })
     }
 
-    /// Re-validates one committed segment in salvage mode. Returns the
-    /// (possibly repaired) entry, or `None` when nothing of the segment
-    /// survives.
+    /// Re-validates one committed segment in salvage mode, streaming it
+    /// through the one frame reader. Returns the (possibly truncated)
+    /// entry, or `None` when nothing of the segment survives.
     fn salvage_segment(
         path: &Path,
         entry: ManifestEntry,
         report: &mut RecoveryReport,
     ) -> DiskResult<Option<ManifestEntry>> {
-        let bytes = match fs::read(path) {
-            Ok(b) => b,
+        let reading = |e| DiskError::io("reading committed segment", path, e);
+        let file = match File::open(path) {
+            Ok(file) => file,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 // A committed segment vanished entirely: drop the entry.
                 report.records_dropped += entry.records;
                 report.segments_salvaged += 1;
                 return Ok(None);
             }
-            Err(e) => return Err(DiskError::io("reading committed segment", path, e)),
+            Err(e) => return Err(reading(e)),
         };
-        let Ok((kind, scan)) = segment::scan(&bytes) else {
-            // Unusable header: nothing salvageable.
+        let len = file.metadata().map_err(reading)?.len();
+        let (walk, bounds) = match entry.kind {
+            SegmentKind::EScenario => valid_prefix::<EScenario>(file, len),
+            SegmentKind::VScenario => valid_prefix::<VScenario>(file, len),
+        }
+        .map_err(reading)?;
+
+        if walk.frames == 0 {
+            // An unusable header, or no frame worth keeping behind it.
             report.records_dropped += entry.records;
             report.segments_salvaged += 1;
             fs::remove_file(path)
                 .map_err(|e| DiskError::io("removing unsalvageable segment", path, e))?;
             return Ok(None);
-        };
-
-        // Keep frames only up to the first payload the codec rejects:
-        // a checksum-valid frame with a malformed payload is still
-        // corruption, and everything behind it is untrustworthy.
-        let mut valid_len = crate::format::HEADER_LEN;
-        let mut bounds = SegmentBounds {
-            min_time: u64::MAX,
-            max_time: 0,
-            min_cell: u64::MAX,
-            max_cell: 0,
-        };
-        let mut records = 0u64;
-        for &(start, len) in &scan.payloads {
-            let payload = &bytes[start..start + len];
-            let decoded = match kind {
-                SegmentKind::EScenario => codec::decode_escenario(payload)
-                    .map(|s| (s.time().tick(), s.cell().index() as u64)),
-                SegmentKind::VScenario => codec::decode_vscenario(payload)
-                    .map(|s| (s.time().tick(), s.cell().index() as u64)),
-            };
-            match decoded {
-                Ok((time, cell)) => {
-                    bounds.min_time = bounds.min_time.min(time);
-                    bounds.max_time = bounds.max_time.max(time);
-                    bounds.min_cell = bounds.min_cell.min(cell);
-                    bounds.max_cell = bounds.max_cell.max(cell);
-                    records += 1;
-                    valid_len = start + len + 4;
-                }
-                Err(_) => break,
-            }
         }
 
-        if records == 0 {
-            report.records_dropped += entry.records;
-            report.segments_salvaged += 1;
-            fs::remove_file(path)
-                .map_err(|e| DiskError::io("removing emptied segment", path, e))?;
-            return Ok(None);
-        }
-
-        let intact = valid_len == bytes.len()
-            && valid_len as u64 == entry.file_len
-            && records == entry.records
-            && kind == entry.kind;
+        let intact = walk.valid_len == len
+            && walk.valid_len == entry.file_len
+            && walk.frames == entry.records;
         if intact {
             return Ok(Some(entry));
         }
 
         report.segments_salvaged += 1;
-        report.records_dropped += entry.records.saturating_sub(records);
+        report.records_dropped += entry.records.saturating_sub(walk.frames);
         let f = OpenOptions::new()
             .write(true)
             .open(path)
             .map_err(|e| DiskError::io("opening segment for truncate", path, e))?;
-        f.set_len(valid_len as u64)
+        f.set_len(walk.valid_len)
             .map_err(|e| DiskError::io("truncating segment", path, e))?;
         f.sync_all()
             .map_err(|e| DiskError::io("fsyncing segment", path, e))?;
         Ok(Some(ManifestEntry {
-            seq: entry.seq,
-            kind,
-            records,
+            records: walk.frames,
             bounds,
-            file_len: valid_len as u64,
+            file_len: walk.valid_len,
+            ..entry
         }))
     }
 
@@ -620,18 +593,25 @@ impl DiskStore {
         span.arg("segments", serde_json::Value::Int(segments.len() as i128));
         span.arg("workers", serde_json::Value::Int(workers as i128));
         let mut located = Vec::new();
-        if workers <= 1 {
-            for segment in &segments {
-                located.extend(locate(segment)?);
-            }
-        } else {
-            for walked in walk_side_by_side(&segments, workers) {
-                located.extend(walked?);
-            }
+        for walked in walk_side_by_side(&segments, workers) {
+            located.extend(walked?);
         }
         span.arg("records", serde_json::Value::Int(located.len() as i128));
         Ok(VideoStore::located(located, cost))
     }
+}
+
+/// The valid prefix of a segment of `R`s of `len` bytes, ending at the
+/// first frame that is torn, damaged or a payload `R`'s codec rejects
+/// (everything behind it is untrustworthy), and its records' bounds.
+fn valid_prefix<R: Record>(file: File, len: u64) -> std::io::Result<(Walk, SegmentBounds)> {
+    let mut bounds = SegmentBounds::empty();
+    let walk = read_frames(file, len, FramedFile::Segment(R::KIND), |_, payload| {
+        let (time, cell) = R::decode(payload)?.time_cell();
+        bounds.absorb(time, cell);
+        Ok(())
+    })?;
+    Ok((walk, bounds))
 }
 
 /// Where the V-Scenarios of one segment live, in file order.
@@ -759,6 +739,57 @@ mod tests {
         assert!(!dir.join("seg-000007-e.seg").exists());
         // The orphan's sequence number is never reused for a live file.
         assert_eq!(reopened.next_seq, 8);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `seg-é1.seg` is not a segment name, so it is not an orphan either:
+    /// both modes open past it and leave it where it is. (The `-e` / `-v`
+    /// suffix was once cut two bytes from the end, inside the `é`.)
+    #[test]
+    fn a_non_ascii_file_name_is_left_alone() {
+        let dir = temp_dir("non-ascii");
+        let mut store = DiskStore::create(&dir).unwrap();
+        store.append(&[e(0, 1, 10)], &[]).unwrap();
+        let stray = dir.join("seg-é1.seg");
+        fs::write(&stray, b"not a segment").unwrap();
+        for mode in [RecoveryMode::Strict, RecoveryMode::Salvage] {
+            let reopened = DiskStore::open_with(&dir, mode, Telemetry::disabled()).unwrap();
+            assert!(!reopened.recovery().repaired_anything(), "{mode:?}");
+            assert_eq!(reopened.load_estore().unwrap().len(), 1, "{mode:?}");
+            assert_eq!(fs::read(&stray).unwrap(), b"not a segment", "{mode:?}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A committed segment whose header names the other kind cannot be
+    /// read as the segment its entry commits: salvage drops it like any
+    /// unusable header, and the corpus reopens strict. (Records without
+    /// members decode under either codec; salvage once kept them under
+    /// the header's kind, committing a file name that does not exist.)
+    #[test]
+    fn salvage_drops_a_segment_of_the_other_kind() {
+        let dir = temp_dir("other-kind");
+        let mut store = DiskStore::create(&dir).unwrap();
+        let empty = |cell| EScenario::new(CellId::new(cell), Timestamp::new(1));
+        store.append(&[empty(0), empty(1)], &[]).unwrap();
+        store.append(&[e(2, 1, 12)], &[]).unwrap();
+        let first = dir.join(store.segments()[0].file_name());
+        let mut bytes = fs::read(&first).unwrap();
+        bytes[6] = crate::format::KIND_V;
+        fs::write(&first, bytes).unwrap();
+
+        let err = DiskStore::open(&dir).unwrap().load_estore().unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("expected a EScenario segment, found VScenario"));
+        let salvaged =
+            DiskStore::open_with(&dir, RecoveryMode::Salvage, Telemetry::disabled()).unwrap();
+        let report = salvaged.recovery();
+        assert_eq!((report.segments_salvaged, report.records_dropped), (1, 2));
+        assert!(!first.exists());
+        let reopened = DiskStore::open(&dir).unwrap();
+        assert!(!reopened.recovery().repaired_anything());
+        assert_eq!(reopened.load_estore().unwrap().len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -28,12 +28,11 @@ use ev_core::scenario::{Detection, EScenario, VScenario, ZoneAttr};
 use ev_core::time::Timestamp;
 use ev_disk::codec::{decode_escenario, decode_vscenario, encode_escenario, encode_vscenario};
 use ev_disk::format::{HEADER_LEN, MANIFEST_ENTRY_PAYLOAD_LEN, MAX_FRAME_PAYLOAD};
-use ev_disk::manifest::{encode_entry_frame, manifest_header, scan_manifest, ManifestEntry};
-use ev_disk::segment::{
-    decode_e_segment, decode_v_segment, encode_e_segment, encode_v_segment, scan, READ_CHUNK,
-    RUN_BYTES, WRITE_CHUNK,
-};
-use ev_disk::{DiskError, DiskStore, SegmentBounds, SegmentKind, MANIFEST_FILE};
+use ev_disk::frame::{read_frames, FramedFile, Stop, Walk, READ_CHUNK};
+use ev_disk::manifest::{encode_entry_frame, manifest_header, ManifestEntry};
+use ev_disk::segment::{encode_e_segment, encode_v_segment, RUN_BYTES, WRITE_CHUNK};
+use ev_disk::{DiskError, DiskStore, RecoveryMode, SegmentBounds, SegmentKind, MANIFEST_FILE};
+use ev_telemetry::Telemetry;
 use ev_vision::cost::CostModel;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -150,6 +149,22 @@ fn assert_allocations_bounded_by_input<T>(
     out.expect("decode ran")
 }
 
+/// What `decode` makes of each payload of an in-memory `file`, through
+/// the one frame reader, and the walk that found them.
+fn read_in_memory<T>(
+    file: FramedFile,
+    bytes: &[u8],
+    decode: fn(&[u8]) -> Result<T, DiskError>,
+) -> (Vec<T>, Walk) {
+    let mut records = Vec::new();
+    let walk = read_frames(bytes, bytes.len() as u64, file, |_, payload| {
+        records.push(decode(payload)?);
+        Ok(())
+    })
+    .expect("reading memory cannot fail");
+    (records, walk)
+}
+
 fn assert_corrupt<T: std::fmt::Debug>(what: &str, result: Result<T, DiskError>) {
     assert!(
         matches!(result, Err(DiskError::Corrupt { .. })),
@@ -256,20 +271,35 @@ fn hostile_prefixes_are_corruption_and_never_drive_an_allocation() {
         ("frame len = MAX_FRAME_PAYLOAD", MAX_FRAME_PAYLOAD as u32),
         ("frame len one past the bytes present", 65),
     ] {
+        // The frame reader calls the bytes a torn tail without
+        // allocating for the declared length: it sizes its buffers by
+        // the bytes that remain, never by the length a frame declares.
         let e_seg = segment_with_frame_len(0, len, 64);
-        let result = assert_allocations_bounded_by_input(what, &e_seg, decode_e_segment);
-        assert_corrupt(what, result);
+        let (records, walk) = assert_allocations_bounded_by_input(what, &e_seg, |bytes| {
+            read_in_memory(
+                FramedFile::Segment(SegmentKind::EScenario),
+                bytes,
+                decode_escenario,
+            )
+        });
+        assert!(
+            matches!(walk.stop, Stop::Torn) && records.is_empty(),
+            "{what}"
+        );
         let v_seg = segment_with_frame_len(1, len, 64);
-        let result = assert_allocations_bounded_by_input(what, &v_seg, decode_v_segment);
-        assert_corrupt(what, result);
-        // The tolerant scanner classifies the same bytes as a torn tail
-        // without allocating for the declared length either.
-        let (_, scanned) =
-            assert_allocations_bounded_by_input(what, &v_seg, scan).expect("the header is intact");
-        assert!(scanned.torn && scanned.payloads.is_empty(), "{what}");
-        // The load walk streams the same bytes from a committed file:
-        // it sizes its buffers by the bytes that remain, never by the
-        // length a frame declares.
+        let (records, walk) = assert_allocations_bounded_by_input(what, &v_seg, |bytes| {
+            read_in_memory(
+                FramedFile::Segment(SegmentKind::VScenario),
+                bytes,
+                decode_vscenario,
+            )
+        });
+        assert!(
+            matches!(walk.stop, Stop::Torn) && records.is_empty(),
+            "{what}"
+        );
+        // The load walk reads the same bytes from a committed file, and
+        // a committed segment must end whole: corruption.
         assert_corrupt(what, load_walk(what, SegmentKind::EScenario, &e_seg));
         assert_corrupt(what, load_walk(what, SegmentKind::VScenario, &v_seg));
     }
@@ -289,10 +319,11 @@ fn hostile_prefixes_are_corruption_and_never_drive_an_allocation() {
     let mut manifest = b"EVMF\x01\x00\x00\x00".to_vec();
     manifest.extend_from_slice(&u32::MAX.to_le_bytes());
     manifest.extend_from_slice(&[0xA5; 64]);
-    let scanned =
-        assert_allocations_bounded_by_input("manifest frame len", &manifest, scan_manifest)
-            .expect("the header is intact");
-    assert!(scanned.torn && scanned.entries.is_empty());
+    let (entries, walk) =
+        assert_allocations_bounded_by_input("manifest frame len", &manifest, |bytes| {
+            read_in_memory(FramedFile::Manifest, bytes, ManifestEntry::decode)
+        });
+    assert!(matches!(walk.stop, Stop::Torn) && entries.is_empty());
     let short_entry = vec![0u8; MANIFEST_ENTRY_PAYLOAD_LEN - 1];
     let result = assert_allocations_bounded_by_input(
         "manifest entry length",
@@ -431,6 +462,57 @@ fn load_video_allocates_for_the_index_not_for_the_footage() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// Salvage streams a damaged segment through the frame reader: opening
+/// a corpus whose one V segment is over 8 MiB, with a byte flipped in
+/// its last frame, holds a read buffer, one frame and the record decoded
+/// from it at a time — not the segment.
+#[test]
+fn salvage_holds_a_frame_at_a_time_not_the_segment() {
+    let _serial = serial();
+    // The read buffer, the frame buffer and the record decoded from it;
+    // beside them, that record's bookkeeping (an `Arc` header and a
+    // vector slot per detection, 1.3 KiB here) and the open's paths and
+    // manifest entries.
+    const PEAK_LIVE: usize = READ_CHUNK + 2 * FRAME_BYTES;
+    const BESIDE: usize = 4 << 10;
+    const RECORDS: usize = 256;
+    const _: () = assert!(RECORDS * FRAME_BYTES >= 8 << 20);
+
+    let scenarios = footage();
+    let (dir, mut store) = fresh_corpus("salvage-budget");
+    let entry = (store.append(&[], &scenarios[..RECORDS]).expect("appends"))
+        .v_segment
+        .expect("a V segment");
+    drop(store);
+    let path = dir.join(entry.file_name());
+    let mut bytes = std::fs::read(&path).expect("segment bytes");
+    let last = bytes.len() - FRAME_BYTES / 2;
+    bytes[last] ^= 0xFF;
+    std::fs::write(&path, bytes).expect("flip a byte of the last frame");
+
+    let mut opened = None;
+    let Allocated { held, .. } = allocated_by(|| {
+        opened = Some(DiskStore::open_with(
+            &dir,
+            RecoveryMode::Salvage,
+            Telemetry::disabled(),
+        ));
+    });
+    let store = opened.expect("opened").expect("salvage opens");
+    let report = store.recovery();
+    assert_eq!((report.segments_salvaged, report.records_dropped), (1, 1));
+    assert_eq!(
+        store.record_count(SegmentKind::VScenario),
+        RECORDS as u64 - 1
+    );
+    assert!(
+        held <= PEAK_LIVE + BESIDE,
+        "salvaging a {}-byte segment held {held} bytes; budget {PEAK_LIVE} + {BESIDE}",
+        entry.file_len
+    );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 /// Raw draw for an E-Scenario: time, cell, `(eid, attr)` entries.
 type ERaw = (u64, usize, Vec<(u64, u8)>);
 
@@ -516,8 +598,15 @@ proptest! {
         let _serial = serial();
         let _ = assert_allocations_bounded_by_input("junk e-record", &bytes, decode_escenario);
         let _ = assert_allocations_bounded_by_input("junk v-record", &bytes, decode_vscenario);
-        let _ = assert_allocations_bounded_by_input("junk segment", &bytes, scan);
-        let _ = assert_allocations_bounded_by_input("junk manifest", &bytes, scan_manifest);
+        let _ = assert_allocations_bounded_by_input("junk e-segment", &bytes, |bytes| {
+            read_in_memory(FramedFile::Segment(SegmentKind::EScenario), bytes, decode_escenario)
+        });
+        let _ = assert_allocations_bounded_by_input("junk v-segment", &bytes, |bytes| {
+            read_in_memory(FramedFile::Segment(SegmentKind::VScenario), bytes, decode_vscenario)
+        });
+        let _ = assert_allocations_bounded_by_input("junk manifest", &bytes, |bytes| {
+            read_in_memory(FramedFile::Manifest, bytes, ManifestEntry::decode)
+        });
         let _ = load_walk("junk committed e-segment", SegmentKind::EScenario, &bytes);
         let _ = load_walk("junk committed v-segment", SegmentKind::VScenario, &bytes);
     }
@@ -542,7 +631,9 @@ proptest! {
         let scenarios: Vec<EScenario> = raws.iter().map(build_e).collect();
         let seg = encode_e_segment(&scenarios);
         prop_assert_eq!(seg.records, scenarios.len() as u64);
-        let back = decode_e_segment(&seg.bytes).expect("own segment decodes");
+        let (back, walk) =
+            read_in_memory(FramedFile::Segment(SegmentKind::EScenario), &seg.bytes, decode_escenario);
+        prop_assert!(matches!(walk.stop, Stop::End), "own segment reads whole: {:?}", walk.stop);
         prop_assert_eq!(&back, &scenarios);
         let times: Vec<u64> = scenarios.iter().map(|s| s.time().tick()).collect();
         let cells: Vec<u64> = scenarios.iter().map(|s| s.cell().index() as u64).collect();
@@ -564,17 +655,16 @@ proptest! {
         let scenarios: Vec<VScenario> = raws.iter().map(build_v).collect();
         let seg = encode_v_segment(&scenarios);
         let len = cut.index(seg.bytes.len() - HEADER_LEN) + HEADER_LEN;
-        let (kind, partial) = scan(&seg.bytes[..len]).expect("header intact");
-        prop_assert_eq!(kind, seg.kind);
-        prop_assert!(partial.payloads.len() <= scenarios.len());
+        let (records, partial) =
+            read_in_memory(FramedFile::Segment(seg.kind), &seg.bytes[..len], decode_vscenario);
         // A cut exactly on a frame boundary leaves a shorter *valid*
-        // file; anything else is a torn tail. Never damage.
-        prop_assert_eq!(partial.torn, partial.valid_len < len);
-        prop_assert!(partial.damage.is_none(), "a clean cut is torn, never damaged");
-        for (i, &(start, plen)) in partial.payloads.iter().enumerate() {
-            let record = decode_vscenario(&seg.bytes[start..start + plen])
-                .expect("complete frames decode");
-            prop_assert_eq!(&record, &scenarios[i]);
+        // file; anything else is a torn tail. Never damage: every
+        // complete frame decodes to the record written there.
+        match partial.stop {
+            Stop::End => prop_assert_eq!(partial.valid_len, len as u64),
+            Stop::Torn => prop_assert!(partial.valid_len < len as u64),
+            Stop::Damaged(damage) => prop_assert!(false, "a clean cut is torn, never damaged: {damage}"),
         }
+        prop_assert_eq!(&records[..], &scenarios[..records.len()]);
     }
 }

@@ -268,20 +268,27 @@ fn a_match_from_disk_decodes_only_the_footage_it_extracts() {
 
 /// Flips one payload byte of `id`'s frame in the corpus at `dir`.
 fn flip_a_byte_of(dir: &Path, id: ScenarioId) {
-    use evmatch::disk::{codec, segment};
+    use evmatch::disk::codec;
+    use evmatch::disk::frame::{read_frames, FramedFile};
     for entry in std::fs::read_dir(dir).expect("list corpus") {
         let path = entry.expect("dir entry").path();
         if !path.to_string_lossy().ends_with("-v.seg") {
             continue;
         }
         let mut bytes = std::fs::read(&path).expect("segment bytes");
-        let (_, scan) = segment::scan(&bytes).expect("valid segment");
-        for (start, len) in scan.payloads {
-            if codec::record_id(&bytes[start..start + len]).expect("record head") == id {
-                bytes[start + len / 2] ^= 0xFF;
-                std::fs::write(&path, &bytes).expect("write damaged segment");
-                return;
+        let mut found = None;
+        let file = FramedFile::Segment(evmatch::disk::SegmentKind::VScenario);
+        read_frames(&bytes[..], bytes.len() as u64, file, |at, payload| {
+            if codec::record_id(payload)? == id {
+                found = Some(at as usize + payload.len() / 2);
             }
+            Ok(())
+        })
+        .expect("reading memory cannot fail");
+        if let Some(at) = found {
+            bytes[at] ^= 0xFF;
+            std::fs::write(&path, &bytes).expect("write damaged segment");
+            return;
         }
     }
     panic!("no V frame holds {id}");

@@ -283,7 +283,8 @@ fn serve_stdin_loop_survives_malformed_lines() {
 /// dump. The query gets no answer computed without the footage.
 #[test]
 fn serve_reports_footage_damaged_after_open_and_dumps_the_flight_recorder() {
-    use evmatch::disk::{segment, DiskStore};
+    use evmatch::disk::frame::{read_frames, FramedFile};
+    use evmatch::disk::{DiskStore, SegmentKind};
     use std::io::{BufRead, BufReader, Write};
     use std::process::{Command, Stdio};
 
@@ -326,9 +327,15 @@ fn serve_reports_footage_damaged_after_open_and_dumps_the_flight_recorder() {
     // Flip a byte in every V frame, so whatever the query selects is hit.
     let path = dir.join(entry.file_name());
     let mut bytes = std::fs::read(&path).expect("segment bytes");
-    let (_, scan) = segment::scan(&bytes).expect("valid segment");
-    for (start, len) in scan.payloads {
-        bytes[start + len / 2] ^= 0xFF;
+    let mut middles = Vec::new();
+    let file = FramedFile::Segment(SegmentKind::VScenario);
+    read_frames(&bytes[..], bytes.len() as u64, file, |at, payload| {
+        middles.push(at as usize + payload.len() / 2);
+        Ok(())
+    })
+    .expect("reading memory cannot fail");
+    for at in middles {
+        bytes[at] ^= 0xFF;
     }
     std::fs::write(&path, bytes).expect("write damaged segment");
 
