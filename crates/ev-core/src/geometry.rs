@@ -179,44 +179,6 @@ impl Rect {
     }
 }
 
-/// Read only by the tests.
-#[cfg(test)]
-impl Point {
-    /// Linear interpolation: returns the point a fraction `t` of the way
-    /// from `self` to `other` (`t` in `[0, 1]` stays on the segment; other
-    /// values extrapolate).
-    #[must_use]
-    pub(crate) fn lerp(self, other: Point, t: f64) -> Point {
-        Point::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
-    }
-}
-
-/// Read only by the tests.
-#[cfg(test)]
-impl Rect {
-    /// Returns the rectangle shrunk by `margin` metres on every side, or
-    /// `None` if the margin would invert it.
-    ///
-    /// This is how a scenario cell derives its *inclusive zone*: the region
-    /// far enough from the border that electronic noise cannot have drifted
-    /// the reading in from a neighbouring cell (paper §IV-C, Fig. 2).
-    #[must_use]
-    pub(crate) fn shrunk(&self, margin: f64) -> Option<Rect> {
-        let r = Rect {
-            min: Point::new(self.min.x + margin, self.min.y + margin),
-            max: Point::new(self.max.x - margin, self.max.y - margin),
-        };
-        if r.min.x <= r.max.x && r.min.y <= r.max.y {
-            Some(r)
-        } else {
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,15 +188,6 @@ mod tests {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(3.0, 4.0);
         assert!((a.distance(b) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(10.0, 20.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Point::new(5.0, 10.0));
     }
 
     #[test]
@@ -268,15 +221,6 @@ mod tests {
         assert!(r.contains(Point::new(0.0, 0.0)));
         assert!(r.contains(Point::new(10.0, 10.0)));
         assert!(!r.contains(Point::new(10.0001, 5.0)));
-    }
-
-    #[test]
-    fn rect_shrunk_produces_inclusive_zone() {
-        let r = Rect::from_size(100.0, 100.0);
-        let inner = r.shrunk(10.0).unwrap();
-        assert_eq!(inner.min, Point::new(10.0, 10.0));
-        assert_eq!(inner.max, Point::new(90.0, 90.0));
-        assert!(r.shrunk(60.0).is_none(), "over-shrinking inverts the rect");
     }
 
     #[test]

@@ -237,36 +237,6 @@ impl GridRegion {
     }
 }
 
-/// Read only by the tests.
-#[cfg(test)]
-impl GridRegion {
-    /// The up-to-8 neighbouring cells of `cell` (diagonals included).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownCell`] if the id is out of range.
-    pub(crate) fn neighbors(&self, cell: CellId) -> Result<Vec<CellId>> {
-        if cell.0 >= self.cell_count() {
-            return Err(Error::UnknownCell { index: cell.0 });
-        }
-        let row = (cell.0 / self.cols) as isize;
-        let col = (cell.0 % self.cols) as isize;
-        let mut out = Vec::with_capacity(8);
-        for dr in -1..=1 {
-            for dc in -1..=1 {
-                if dr == 0 && dc == 0 {
-                    continue;
-                }
-                let (r, c) = (row + dr, col + dc);
-                if r >= 0 && r < self.rows as isize && c >= 0 && c < self.cols as isize {
-                    out.push(CellId(r as usize * self.cols + c as usize));
-                }
-            }
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,15 +352,6 @@ mod tests {
                 assert_eq!(r.locate(p), want, "{p:?}");
             }
         }
-    }
-
-    #[test]
-    fn neighbors_counts() {
-        let r = region();
-        assert_eq!(r.neighbors(CellId(0)).unwrap().len(), 3, "corner");
-        assert_eq!(r.neighbors(CellId(5)).unwrap().len(), 5, "edge");
-        assert_eq!(r.neighbors(CellId(55)).unwrap().len(), 8, "interior");
-        assert!(r.neighbors(CellId(100)).is_err());
     }
 
     #[test]

@@ -106,12 +106,6 @@ impl EScenario {
         self.eids.insert(eid, attr)
     }
 
-    /// Removes an EID, returning its attribute if it was present.
-    #[cfg(test)]
-    pub(crate) fn remove(&mut self, eid: Eid) -> Option<ZoneAttr> {
-        self.eids.remove(&eid)
-    }
-
     /// Whether the EID appears in this scenario (in either zone).
     #[must_use]
     pub fn contains(&self, eid: Eid) -> bool {
@@ -275,14 +269,6 @@ mod tests {
         assert_eq!(prev, Some(ZoneAttr::Vague));
         assert!(s.contains_inclusive(Eid::from_u64(2)));
         assert_eq!(s.len(), 2, "re-insert does not duplicate");
-    }
-
-    #[test]
-    fn escenario_remove() {
-        let mut s = esc();
-        assert_eq!(s.remove(Eid::from_u64(1)), Some(ZoneAttr::Inclusive));
-        assert_eq!(s.remove(Eid::from_u64(1)), None);
-        assert_eq!(s.len(), 1);
     }
 
     #[test]

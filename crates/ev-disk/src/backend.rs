@@ -5,9 +5,9 @@
 //! segment once, verifying it. E records are decoded into the same
 //! [`EScenarioStore`] an all-RAM run would build; V records are only
 //! located, and the [`VideoStore`] reads and decodes one when a match
-//! first extracts it (`DESIGN.md` §6.6). Every pipeline downstream of
+//! extracts it (`DESIGN.md` §6.6). Every pipeline downstream of
 //! [`StoreBackend`] is byte-for-byte oblivious to where the corpus came
-//! from — what changes is that memory holds the footage a match
+//! from — what changes is that memory holds the footage a running match
 //! selected, not the corpus.
 
 use std::path::Path;

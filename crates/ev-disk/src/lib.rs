@@ -10,10 +10,10 @@
 //! the committed segments once, verifying every frame. The E-Scenarios
 //! are decoded into the ordinary in-memory store (they are the index);
 //! the V-Scenarios are only *located*, and each is read, re-verified and
-//! decoded when a match first extracts it — so everything downstream of
+//! decoded when a match extracts it — so everything downstream of
 //! [`ev_store::StoreBackend`] is identical between a RAM-built and a
 //! disk-loaded corpus, while a disk-loaded one holds in memory only the
-//! footage its matches selected.
+//! footage its running matches selected.
 //!
 //! The full byte-level format, the append durability protocol, and the
 //! recovery state machine are specified in `DESIGN.md` §6

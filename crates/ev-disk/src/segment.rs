@@ -561,12 +561,21 @@ impl CommittedSegment {
 
     /// Reads the one V frame whose payload the load walk found at
     /// `offset`, verifies its CRC again (the file may have changed
-    /// since the walk) and decodes it.
+    /// since the walk) and decodes it. Released footage is read again by
+    /// the next match that needs it, so the buffer is filled straight
+    /// from the file rather than zeroed first.
     fn read_frame(&self, offset: u64, len: u32) -> DiskResult<VScenario> {
         let mut file = self.open()?;
         file.seek(SeekFrom::Start(offset)).map_err(|e| self.io(e))?;
-        let mut frame = vec![0u8; len as usize + 4];
-        file.read_exact(&mut frame).map_err(|e| self.io(e))?;
+        let want = len as usize + 4;
+        let mut frame = Vec::with_capacity(want);
+        let got = file
+            .take(want as u64)
+            .read_to_end(&mut frame)
+            .map_err(|e| self.io(e))?;
+        if got < want {
+            return Err(self.io(io::ErrorKind::UnexpectedEof.into()));
+        }
         if !crc_matches(&frame) {
             return Err(DiskError::corrupt(CRC_MISMATCH));
         }

@@ -559,9 +559,10 @@ impl DiskStore {
     /// scenario id is read off the head of the payload and recorded with
     /// the segment, byte offset and length, later commits superseding
     /// earlier ones. The store reads, re-verifies and decodes a frame
-    /// when a match first extracts that scenario (see
+    /// when a match extracts that scenario and nobody holds it yet (see
     /// [`VideoStore`]'s "What is resident when"), so what a match holds
-    /// in memory is what it selected, not the corpus.
+    /// in memory is what it selected, not the corpus, and only while it
+    /// runs.
     ///
     /// # Errors
     ///

@@ -31,7 +31,10 @@ use ev_disk::format::{HEADER_LEN, MANIFEST_ENTRY_PAYLOAD_LEN, MAX_FRAME_PAYLOAD}
 use ev_disk::frame::{read_frames, FramedFile, Stop, Walk, READ_CHUNK};
 use ev_disk::manifest::{encode_entry_frame, manifest_header, ManifestEntry};
 use ev_disk::segment::{encode_e_segment, encode_v_segment, RUN_BYTES, WRITE_CHUNK};
-use ev_disk::{DiskError, DiskStore, RecoveryMode, SegmentBounds, SegmentKind, MANIFEST_FILE};
+use ev_disk::{
+    DiskBackend, DiskError, DiskStore, RecoveryMode, SegmentBounds, SegmentKind, MANIFEST_FILE,
+};
+use ev_store::StoreBackend;
 use ev_telemetry::Telemetry;
 use ev_vision::cost::CostModel;
 use proptest::prelude::*;
@@ -459,6 +462,48 @@ fn load_video_allocates_for_the_index_not_for_the_footage() {
     let Allocated { total, .. } = allocated_by(|| extracted = video.extract(scenarios[7].id()));
     assert_eq!(*extracted.expect("footage"), scenarios[7]);
     assert!(total <= 128 << 10, "one extraction requested {total} bytes");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A held backend stays flat: extracting the whole corpus in disjoint
+/// batches, each held and then dropped the way successive matches hold
+/// their footage, leaves as much live after every batch as after the
+/// open, give or take one frame — not every frame ever decoded. (What
+/// stays is a few dozen bytes per released slot: the allocation its
+/// `Weak` keeps, 480 of them under one frame here.)
+#[test]
+fn a_held_backend_holds_no_footage_between_matches() {
+    let _serial = serial();
+    let scenarios = footage();
+    let (dir, mut store) = fresh_corpus("held-flat");
+    for batch in scenarios.chunks(BATCH_RECORDS) {
+        store.append(&[], batch).expect("appends");
+    }
+    drop(store);
+    let backend = DiskBackend::open(&dir, CostModel::free()).expect("corpus opens");
+    let video = backend.video();
+
+    let baseline = LIVE.load(Ordering::Relaxed);
+    for (i, batch) in scenarios.chunks(BATCH_RECORDS / 2).enumerate() {
+        video.reset_usage();
+        let held: Vec<_> = (batch.iter())
+            .map(|s| video.extract(s.id()).expect("footage"))
+            .collect();
+        assert_eq!(*held[0], batch[0]);
+        let holding = LIVE.load(Ordering::Relaxed) - baseline;
+        assert!(
+            holding >= batch.len() * FRAME_BYTES,
+            "batch {i} holds {holding} bytes"
+        );
+        drop(held);
+        let left = LIVE.load(Ordering::Relaxed).saturating_sub(baseline);
+        assert!(
+            left <= FRAME_BYTES,
+            "after batch {i} of {} records, {left} bytes stay live; one frame is {FRAME_BYTES}",
+            batch.len()
+        );
+    }
+    drop(backend);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 

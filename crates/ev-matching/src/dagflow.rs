@@ -53,7 +53,11 @@
 //!   stage extracts every selected V-Scenario ("these visual operations
 //!   require no data dependency"), the next scores per-EID slices with
 //!   exclusion off, and `finalize` resolves conflicting claims, since
-//!   parallel scorers cannot see each other's matches.
+//!   parallel scorers cannot see each other's matches. The `extract`
+//!   partitions carry the footage they extracted and both later stages
+//!   read them, so every scorer's gallery lookup finds it live in the
+//!   [`VideoStore`] and natural release frees it when `finalize` ends:
+//!   each selected frame is read once per match.
 //!
 //! The stage geometry (4 signature partitions, 4 V partitions) is
 //! pinned, so the outputs are a pure function of
@@ -70,7 +74,7 @@ use crate::types::{MatchOutcome, MatchReport, ScenarioList, StageTimings};
 use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
 use ev_core::ids::{Eid, Vid};
 use ev_core::partition::EidCover;
-use ev_core::scenario::{ScenarioId, ZoneAttr};
+use ev_core::scenario::{ScenarioId, VScenario, ZoneAttr};
 use ev_dag::dag::{DagConfig, DagSpec, StageDep, StageId, TaskCtx};
 use ev_dag::JobError;
 use ev_store::{EScenarioStore, VideoStore};
@@ -144,9 +148,12 @@ enum Flow {
     Sigs(Vec<Signature>),
     /// Splitter state after a round (or the initial state).
     Round(RoundState),
-    /// `extract` partition: galleries forced into the cache (the
-    /// payload is the side effect).
-    Extracted,
+    /// `extract` partition: the footage it extracted, held so the
+    /// store serves every later request for it from this copy.
+    Extracted(
+        #[expect(dead_code, reason = "held, never read: dropping it is the release")]
+        Vec<Arc<VScenario>>,
+    ),
     /// `score`: match outcomes.
     Outcomes(Vec<MatchOutcome>),
     /// `finalize`: every outcome in EID order, and the scenario-list
@@ -404,17 +411,16 @@ fn build_match_spec<'a>(
                 .values()
                 .flat_map(|l| l.iter().copied())
                 .collect();
-            for &id in distinct.iter().skip(ctx.partition).step_by(V_PARTITIONS) {
-                let _ = video.extract(id);
-            }
-            Flow::Extracted
+            let mine = distinct.iter().skip(ctx.partition).step_by(V_PARTITIONS);
+            Flow::Extracted(mine.filter_map(|&id| video.extract(id)).collect())
         },
     );
     let score = dag.stage(
         "dag_score",
         V_PARTITIONS,
         // The shuffle edge on extract is the cache-warm-up barrier:
-        // every gallery is extracted once before any scorer reads it.
+        // every gallery is extracted once, and held, before any scorer
+        // reads it.
         vec![StageDep::narrow(assemble), StageDep::shuffle(extract)],
         move |ctx, inputs| {
             let split = inputs[0].as_split();
@@ -443,7 +449,13 @@ fn build_match_spec<'a>(
     let finalize = dag.stage(
         "dag_finalize",
         1,
-        vec![StageDep::shuffle(score), StageDep::narrow(assemble)],
+        // Conflict resolution extracts again, so `finalize` reads the
+        // extracted footage too: it is released when the match ends.
+        vec![
+            StageDep::shuffle(score),
+            StageDep::narrow(assemble),
+            StageDep::shuffle(extract),
+        ],
         move |_ctx, inputs| {
             let split = inputs[V_PARTITIONS].as_split();
             let mut outcomes: Vec<MatchOutcome> = inputs[..V_PARTITIONS]

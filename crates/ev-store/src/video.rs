@@ -1,4 +1,4 @@
-//! The video store: footage that becomes resident when it is extracted,
+//! The video store: footage that is resident while something holds it,
 //! with cost-charged, cached V-Scenario extraction.
 
 use ev_core::scenario::{ScenarioId, VScenario};
@@ -6,7 +6,7 @@ use ev_vision::cost::CostModel;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// Usage statistics of a [`VideoStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,37 +44,59 @@ pub struct FootageLocation {
     pub len: u32,
 }
 
+/// What a located slot remembers between requests.
+#[derive(Debug)]
+enum Loaded {
+    /// The decoded footage while anyone holds it: dangling before the
+    /// first load and after its last holder let go.
+    Live(Weak<VScenario>),
+    /// The load failed (the store has latched why): never retried.
+    Failed,
+}
+
 /// One footage entry: decoded in memory, or still where it is stored.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Slot {
     Resident(Arc<VScenario>),
     Located {
         at: FootageLocation,
-        /// Set by the first request: the decoded footage, or `None` when
-        /// the load failed (the store has latched why).
-        loaded: OnceLock<Option<Arc<VScenario>>>,
+        /// Locked across a load, so concurrent requests for one slot
+        /// load it once.
+        loaded: Mutex<Loaded>,
     },
 }
 
 impl Slot {
-    /// The decoded footage, loading it on first use. `OnceLock` makes
-    /// concurrent first requests for one slot load it once.
+    /// The decoded footage: the live copy if anyone still holds one,
+    /// otherwise read, verified and decoded again. `None` when the load
+    /// fails, now or before (the store has latched why).
     fn footage(
         &self,
         id: ScenarioId,
         load_error: &OnceLock<ev_core::Error>,
-    ) -> Option<&Arc<VScenario>> {
-        match self {
-            Slot::Resident(scenario) => Some(scenario),
-            Slot::Located { at, loaded } => loaded
-                .get_or_init(|| match at.source.load(id, at.offset, at.len) {
-                    Ok(scenario) => Some(Arc::new(scenario)),
-                    Err(e) => {
-                        let _ = load_error.set(e);
-                        None
-                    }
-                })
-                .as_ref(),
+    ) -> Option<Arc<VScenario>> {
+        let (at, loaded) = match self {
+            Slot::Resident(scenario) => return Some(Arc::clone(scenario)),
+            Slot::Located { at, loaded } => (at, loaded),
+        };
+        let mut loaded = loaded.lock();
+        let Loaded::Live(live) = &*loaded else {
+            return None;
+        };
+        if let Some(scenario) = live.upgrade() {
+            return Some(scenario);
+        }
+        match at.source.load(id, at.offset, at.len) {
+            Ok(scenario) => {
+                let scenario = Arc::new(scenario);
+                *loaded = Loaded::Live(Arc::downgrade(&scenario));
+                Some(scenario)
+            }
+            Err(e) => {
+                let _ = load_error.set(e);
+                *loaded = Loaded::Failed;
+                None
+            }
         }
     }
 }
@@ -94,12 +116,17 @@ impl Slot {
 /// [`ingest`](VideoStore::ingest)) is resident from the start. Footage
 /// the store was only told the location of
 /// ([`located`](VideoStore::located) — how `ev-disk` opens a corpus) is
-/// read and decoded by the first [`extract`](VideoStore::extract) that
-/// asks for it (or a [`scenarios`](VideoStore::scenarios) walk) and then
-/// stays resident until the store is dropped: there is no eviction, and
-/// [`reset_usage`](VideoStore::reset_usage) resets accounting only. A
-/// match therefore holds in memory the V-Scenarios it selected, not the
-/// corpus.
+/// read, verified and decoded by an [`extract`](VideoStore::extract)
+/// that asks for it, and lives exactly as long as someone holds the
+/// `Arc` it returned (**natural release**, the DAG's rule for its
+/// partitions): while any holder lives, every `extract` shares that
+/// copy; once the last one drops it, the next `extract` reads and
+/// verifies the frame again. There is no capacity and no eviction. A
+/// match therefore holds in memory the V-Scenarios it selected, for as
+/// long as it runs — and a held store holds none between matches. The
+/// one exception is a [`scenarios`](VideoStore::scenarios) walk, which
+/// lends out `&VScenario` and so pins the corpus until the store is
+/// dropped.
 ///
 /// A load that fails is never reported as "no footage": `extract`
 /// returns `None` for it, but the store latches the first such error and
@@ -114,6 +141,10 @@ pub struct VideoStore {
     cost: CostModel,
     state: Mutex<ExtractState>,
     load_error: OnceLock<ev_core::Error>,
+    /// The located footage a [`scenarios`](Self::scenarios) walk
+    /// loaded, in id order: held for as long as the store lives,
+    /// because the walk lends it out.
+    walked: OnceLock<Vec<Arc<VScenario>>>,
 }
 
 #[derive(Debug, Default)]
@@ -136,8 +167,7 @@ impl VideoStore {
     }
 
     /// Builds a store over footage that stays where `entries` says it is
-    /// until first asked for. On a scenario-id collision the later entry
-    /// wins.
+    /// until asked for. On a scenario-id collision the later entry wins.
     #[must_use]
     pub fn located(
         entries: impl IntoIterator<Item = (ScenarioId, FootageLocation)>,
@@ -145,8 +175,11 @@ impl VideoStore {
     ) -> Self {
         let mut footage = BTreeMap::new();
         for (id, at) in entries {
-            let loaded = OnceLock::new();
-            footage.insert(id, Slot::Located { at, loaded });
+            let slot = Slot::Located {
+                at,
+                loaded: Mutex::new(Loaded::Live(Weak::new())),
+            };
+            footage.insert(id, slot);
         }
         VideoStore::over(footage, cost)
     }
@@ -157,6 +190,7 @@ impl VideoStore {
             cost,
             state: Mutex::new(ExtractState::default()),
             load_error: OnceLock::new(),
+            walked: OnceLock::new(),
         }
     }
 
@@ -181,15 +215,29 @@ impl VideoStore {
     /// Iterates the raw footage in scenario-id order *without*
     /// extracting it (no vision cost is charged). This is the
     /// persistence export path: `ev-disk` walks it to encode
-    /// V-segments. Footage not resident yet is loaded as the walk
-    /// reaches it; an entry whose load fails is skipped and latched, so
-    /// a walk that must be complete ends with
-    /// [`check_loads`](Self::check_loads).
+    /// V-segments. The first walk loads all located footage and keeps
+    /// it until the store is dropped or next [`ingest`](Self::ingest)s
+    /// (the walk lends it out for that long), so later walks and
+    /// extracts load nothing; an entry whose
+    /// load fails is skipped and latched, so a walk that must be
+    /// complete ends with [`check_loads`](Self::check_loads).
     pub fn scenarios(&self) -> impl Iterator<Item = &VScenario> {
+        let walked = self.walked.get_or_init(|| {
+            let located = self
+                .footage
+                .iter()
+                .filter(|(_, slot)| matches!(slot, Slot::Located { .. }));
+            located
+                .filter_map(|(&id, slot)| slot.footage(id, &self.load_error))
+                .collect()
+        });
+        let mut walked = walked.iter().peekable();
         self.footage
             .iter()
-            .filter_map(|(&id, slot)| slot.footage(id, &self.load_error))
-            .map(Arc::as_ref)
+            .filter_map(move |(&id, slot)| match slot {
+                Slot::Resident(scenario) => Some(&**scenario),
+                Slot::Located { .. } => walked.next_if(|s| s.id() == id).map(|s| &**s),
+            })
     }
 
     /// Fails with the first footage-load error since the store was
@@ -203,9 +251,10 @@ impl VideoStore {
     }
 
     /// Extracts the V-Scenario for `id`, charging extraction cost on the
-    /// first call and serving from cache afterwards. Returns `None` when
-    /// no footage covers `id` (e.g. nobody was detected there) — and
-    /// also when its footage failed to load, which
+    /// first call and counting a cache hit afterwards — also when the
+    /// footage was released in between and is read again. Returns
+    /// `None` when no footage covers `id` (e.g. nobody was detected
+    /// there) — and also when its footage failed to load, which
     /// [`check_loads`](Self::check_loads) tells apart.
     #[must_use]
     pub fn extract(&self, id: ScenarioId) -> Option<Arc<VScenario>> {
@@ -227,7 +276,7 @@ impl VideoStore {
             // different scenarios overlap.
             let _ = CostModel::charge(units);
         }
-        Some(Arc::clone(scenario))
+        Some(scenario)
     }
 
     /// The cost model in force.
@@ -254,6 +303,8 @@ impl VideoStore {
     /// replacement. Returns the number of entries inserted or replaced.
     pub fn ingest(&mut self, batch: Vec<VScenario>) -> usize {
         let n = batch.len();
+        // The slots change under a walk's pins: the next walk pins afresh.
+        self.walked = OnceLock::new();
         let state = self.state.get_mut();
         for s in batch {
             let id = s.id();
@@ -270,8 +321,8 @@ impl VideoStore {
 
     /// Forgets all cached extractions and zeroes the counters (for running
     /// several experiments against the same corpus). Accounting only:
-    /// footage already loaded stays resident, and a latched load error
-    /// stays latched.
+    /// footage someone still holds stays shared, and a latched load
+    /// error stays latched.
     pub fn reset_usage(&self) {
         let mut state = self.state.lock();
         state.processed.clear();
@@ -388,7 +439,7 @@ mod tests {
     }
 
     #[test]
-    fn located_footage_loads_on_first_extract_and_stays_resident() {
+    fn located_footage_lives_while_held_and_is_read_again_after() {
         let source = Arc::new(FakeSource {
             held: vec![vscenario(0, 0, &[1, 2]), vscenario(1, 0, &[3])],
             ..FakeSource::default()
@@ -398,19 +449,45 @@ mod tests {
         assert!(s.contains(id(1, 0)));
         assert_eq!(loads(&source), 0, "building the store loads nothing");
 
-        assert_eq!(s.extract(id(0, 0)).unwrap().len(), 2);
-        let _ = s.extract(id(0, 0));
+        let held = s.extract(id(0, 0)).unwrap();
+        assert_eq!(held.len(), 2);
+        let again = s.extract(id(0, 0)).unwrap();
         s.reset_usage();
-        let _ = s.extract(id(0, 0));
+        let after_reset = s.extract(id(0, 0)).unwrap();
         assert_eq!(
             loads(&source),
             1,
-            "loaded once; neither a repeat nor reset_usage reloads"
+            "one load while a holder lives; neither a repeat nor reset_usage reloads"
         );
+        assert!(Arc::ptr_eq(&held, &again) && Arc::ptr_eq(&held, &after_reset));
         assert_eq!(s.stats().extracted_scenarios, 1);
 
-        assert_eq!(s.scenarios().count(), 2, "a walk loads the rest");
-        assert_eq!(loads(&source), 2);
+        drop((held, again, after_reset));
+        let reloaded = s.extract(id(0, 0)).unwrap();
+        assert_eq!(
+            loads(&source),
+            2,
+            "the last holder gone, the next extract reads again"
+        );
+        assert_eq!(*reloaded, source.held[0]);
+        let stats = s.stats();
+        assert_eq!(
+            (stats.extracted_scenarios, stats.cache_hits),
+            (1, 1),
+            "a reload is not charged again"
+        );
+        drop(reloaded);
+
+        assert_eq!(s.scenarios().count(), 2, "a walk loads what nobody holds");
+        assert_eq!(loads(&source), 4);
+        for _ in 0..3 {
+            assert!(s.extract(id(0, 0)).is_some() && s.extract(id(1, 0)).is_some());
+        }
+        assert_eq!(
+            loads(&source),
+            4,
+            "the walk pinned both: later extracts load nothing"
+        );
         s.check_loads().unwrap();
     }
 
@@ -437,45 +514,71 @@ mod tests {
             "a failure extracts nothing"
         );
 
-        // The failure is remembered, not retried, and survives the
+        // The failure is remembered, not retried — though nothing holds
+        // the slot, unlike released footage — and survives the
         // operations that rebuild usage state.
         assert!(s.extract(id(1, 0)).is_none());
         assert_eq!(loads(&source), 2);
         assert_eq!(s.scenarios().count(), 1, "the walk skips it");
+        assert_eq!(
+            loads(&source),
+            3,
+            "the walk reads only the released one again"
+        );
         s.reset_usage();
+        assert!(s.extract(id(1, 0)).is_none());
+        assert_eq!(loads(&source), 3);
         assert_eq!(s.check_loads(), Err(err));
     }
 
     #[test]
     fn ingest_replaces_located_footage_with_resident() {
         let source = Arc::new(FakeSource {
-            held: vec![vscenario(0, 0, &[1, 2])],
+            held: vec![
+                vscenario(0, 0, &[1, 2]),
+                vscenario(1, 0, &[3]),
+                vscenario(2, 0, &[4]),
+            ],
             ..FakeSource::default()
         });
         let mut s = located_store(&source);
         s.ingest(vec![vscenario(0, 0, &[5])]);
         assert_eq!(s.extract(id(0, 0)).unwrap().len(), 1);
         assert_eq!(loads(&source), 0, "the superseded location is never read");
+
+        // After a walk pinned the located footage, an ingest replaces
+        // one of those entries: the next walk shows the replacement
+        // and every entry around it.
+        assert_eq!(s.scenarios().count(), 3);
+        assert_eq!(loads(&source), 2);
+        s.ingest(vec![vscenario(1, 0, &[6, 7])]);
+        let walked: Vec<usize> = s.scenarios().map(VScenario::len).collect();
+        assert_eq!(walked, [1, 2, 1]);
     }
 
     #[test]
-    fn concurrent_extraction_loads_each_located_scenario_once() {
+    fn concurrent_extractors_that_keep_what_they_get_share_one_load() {
         let source = Arc::new(FakeSource {
             held: (0..16).map(|i| vscenario(i, 0, &[i as u64])).collect(),
             ..FakeSource::default()
         });
         let s = located_store(&source);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    for i in 0..16 {
-                        assert!(s.extract(id(i, 0)).is_some());
-                    }
-                });
-            }
+        let kept: Vec<Vec<Arc<VScenario>>> = std::thread::scope(|scope| {
+            let extractors: Vec<_> = (0..8)
+                .map(|_| scope.spawn(|| (0..16).map(|i| s.extract(id(i, 0)).unwrap()).collect()))
+                .collect();
+            extractors.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(loads(&source), 16);
         assert_eq!(s.stats().extracted_scenarios, 16);
+        for copies in &kept {
+            for (mine, first) in copies.iter().zip(&kept[0]) {
+                assert!(Arc::ptr_eq(mine, first), "every extractor shares one copy");
+            }
+        }
+        drop(kept);
+        assert!(s.extract(id(3, 0)).is_some());
+        assert_eq!(loads(&source), 17, "released once all eight let go");
     }
 
     #[test]

@@ -149,8 +149,8 @@ pub const FLIGHT_DUMPS: &str = "evm_flight_dumps_total";
 // corpus directory. Segments are read two ways — a *load walk* verifies
 // a committed segment end to end when a store is loaded (E records are
 // decoded as it passes, V frames only located), and a *frame read*
-// fetches one located V-Scenario when a match first extracts it — and
-// the three read counters are defined over both.
+// fetches one located V-Scenario when a match extracts it and nobody
+// holds it — and the three read counters are defined over both.
 
 /// Segment files committed to the manifest by appends and ingest
 /// checkpoints (count). Reader: README, "Persisting a corpus".
@@ -161,9 +161,10 @@ pub const DISK_SEGMENTS_WRITTEN: &str = "evm_disk_segments_written";
 /// applies its disk accounting check.
 pub const DISK_SEGMENTS_OPENED: &str = "evm_disk_segments_opened";
 /// Scenario records *decoded* from segment files (count): every E
-/// record at load, a V record only when a match first extracts it — so
-/// a disk-backed match reports its E records plus the V-Scenarios it
-/// extracted, not the size of the corpus. Readers: `evmatch
+/// record at load, a V record each time a frame read decodes it — once
+/// per match that extracts it, since a match releases its footage when
+/// it ends — so a disk-backed match reports its E records plus the
+/// V-Scenarios it extracted, not the size of the corpus. Readers: `evmatch
 /// check-metrics` (`--smoke` holds a disk-backed match to exactly that
 /// sum; `--in` checks the bytes account for it).
 pub const DISK_RECORDS_READ: &str = "evm_disk_records_read";

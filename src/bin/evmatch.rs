@@ -1087,8 +1087,8 @@ fn cmd_check_metrics(args: &CommonArgs) -> Result<(), String> {
     }
     // A profile that ran from disk (a load walk opened segments) must
     // account for what it decoded: each walked file is at least a
-    // header, and each decoded record — E at load, V when a match first
-    // extracted it — was read as a frame around at least the
+    // header, and each decoded record — E at load, V each time a match
+    // read its frame — was read as a frame around at least the
     // `time | cell | count` head of a payload.
     let (opened, decoded, bytes) = (
         value(names::DISK_SEGMENTS_OPENED),

@@ -248,8 +248,9 @@ impl fmt::Debug for LiveCorpus<'_> {
 impl<'t> LiveCorpus<'t> {
     /// Opens (or creates) the on-disk corpus at `dir` as epoch 0: the
     /// E-data is loaded, the V-data verified and indexed (its footage is
-    /// read when a query first selects it; footage ingested live stays
-    /// resident until the corpus is reopened). Existing corpora are
+    /// read when a query selects it and released when the query ends;
+    /// footage ingested live stays resident until the corpus is
+    /// reopened). Existing corpora are
     /// recovered under
     /// [`ServeConfig::recovery`] and a non-empty watch set is absorbed
     /// immediately, so the live index is warm before the first ingest.

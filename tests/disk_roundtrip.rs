@@ -310,7 +310,7 @@ fn assert_footage_error(err: &JobError, id: ScenarioId, what: &str) {
 }
 
 /// Footage damaged after the corpus was opened is met by the match that
-/// first selects it. Every entry point then fails with the typed error
+/// next reads it. Every entry point then fails with the typed error
 /// naming the scenario — in both execution modes, for a target set and
 /// for universal matching, and through the serve layer — while a match
 /// that does not select the damaged scenario is unaffected.
@@ -420,4 +420,87 @@ fn footage_damaged_after_open_fails_the_match_that_selects_it() {
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
     std::fs::remove_dir_all(&golden).expect("cleanup");
+}
+
+/// Footage lives as long as a match holds it, and no longer: a second
+/// match on the same open backend reads its frames again and verifies
+/// them again. A frame damaged after the first match released it fails
+/// the next match that selects it, in both execution modes — never a
+/// report computed from a copy decoded before the damage.
+#[test]
+fn footage_damaged_after_a_match_released_it_fails_the_next_match() {
+    let d = EvDataset::generate(&DatasetConfig {
+        population: 100,
+        duration: 200,
+        ..DatasetConfig::default()
+    })
+    .expect("valid config");
+    let targets = sample_targets(&d, 20, 1);
+    for execution in [ExecutionMode::Sequential, ExecutionMode::Dag(2)] {
+        let dir = temp_dir("damage-released");
+        persist(&dir, &d);
+        let config = MatcherConfig {
+            execution: execution.clone(),
+            ..MatcherConfig::default()
+        };
+        let backend = DiskBackend::open(&dir, d.video.cost_model()).expect("open corpus");
+        let matcher = EvMatcher::from_backend(&backend, config);
+        let first = matcher.match_many(&targets).expect("undamaged corpus");
+        let victim = *(first.selected_scenarios.iter())
+            .find(|&&id| d.video.contains(id))
+            .expect("the match selects footage");
+
+        flip_a_byte_of(&dir, victim);
+        let err = matcher
+            .match_many(&targets)
+            .expect_err("the released frame is read, and verified, again");
+        assert_footage_error(&err, victim, &format!("second match {execution:?}"));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+}
+
+/// The stage DAG reads each frame it selects once per match: its
+/// `extract` partitions hold the footage while every per-EID scorer and
+/// conflict resolution ask the store for it again, so a cold universal
+/// match from disk decodes the E records and exactly the V-Scenarios it
+/// extracted — no frame once per list entry, none again while resolving
+/// conflicts.
+#[test]
+fn a_dag_match_from_disk_reads_each_selected_frame_once() {
+    let d = EvDataset::generate(&DatasetConfig {
+        population: 150,
+        duration: 300,
+        ..DatasetConfig::default()
+    })
+    .expect("valid config");
+    let dir = temp_dir("dag-once");
+    persist(&dir, &d);
+
+    let tel = Telemetry::new(TelemetryLevel::Counters);
+    let backend = DiskBackend::open_with(&dir, d.video.cost_model(), RecoveryMode::Strict, &tel)
+        .expect("open corpus");
+    let config = MatcherConfig {
+        execution: ExecutionMode::Dag(2),
+        ..MatcherConfig::default()
+    };
+    let report = EvMatcher::from_backend(&backend, config)
+        .with_telemetry(&tel)
+        .match_universal()
+        .expect("universal match");
+
+    let counter = |name| tel.registry().counter_value(name).unwrap_or(0);
+    let entries: usize = report.lists.values().map(Vec::len).sum();
+    let asked = counter(names::VFILTER_GALLERY_HITS) + counter(names::VFILTER_GALLERY_MISSES);
+    assert!(
+        asked > entries as u64,
+        "conflict resolution asked for galleries again: {asked} requests, {entries} entries"
+    );
+    let extracted = backend.video().stats().extracted_scenarios as u64;
+    assert!(extracted > 0);
+    assert_eq!(
+        counter(names::DISK_RECORDS_READ) - backend.estore().len() as u64,
+        extracted,
+        "V records read = V-Scenarios extracted"
+    );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
