@@ -50,8 +50,9 @@ struct Lane64([f64; LANES]);
 /// heap hop, no per-pair dimension check. Rows past `len` in the last
 /// chunk are zero padding; their scores are computed and discarded.
 ///
-/// Built once per gallery (the matcher memoizes it per gallery-cache
-/// entry); dimension validation happens here, so a gallery whose rows
+/// Built once per gallery (the matcher packs it when it extracts the
+/// gallery and keeps it instead of the footage); dimension validation
+/// happens here, so a gallery whose rows
 /// disagree on dimensionality fails **once, loudly, with the gallery id
 /// in the error** instead of failing per pair inside the hot loop.
 #[derive(Debug, Clone)]
@@ -144,6 +145,19 @@ impl FeatureBlock {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Row `row`'s components in dimension order: the very `f64`s it
+    /// was packed from, so a block stands in for its gallery's features.
+    ///
+    /// # Panics
+    ///
+    /// When `row >= self.len()`.
+    pub fn row(&self, row: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+        assert!(row < self.len, "row {row} of a {}-row block", self.len);
+        let (chunk, slot) = (row / LANES, row % LANES);
+        let lanes = &self.lanes[chunk * self.dim..(chunk + 1) * self.dim];
+        lanes.iter().map(move |lane| lane.0[slot])
     }
 }
 
@@ -444,6 +458,21 @@ mod tests {
                 assert_eq!(scalar_max.to_bits(), max.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn rows_read_back_the_packed_components() {
+        for (dim, n) in [(1, 1), (3, 8), (7, 9), (64, 21)] {
+            let gallery = rows(dim, n, 0x70 + dim as u64);
+            let b = block(&gallery);
+            for (i, r) in gallery.iter().enumerate() {
+                let back: Vec<u64> = b.row(i).map(f64::to_bits).collect();
+                let want: Vec<u64> = r.components().iter().map(|c| c.to_bits()).collect();
+                assert_eq!(back, want, "dim={dim} row={i}");
+            }
+        }
+        let padded = block(&rows(2, 3, 5));
+        assert!(std::panic::catch_unwind(|| padded.row(3).count()).is_err());
     }
 
     #[test]

@@ -33,10 +33,11 @@
 //! [`f64::total_cmp`] so a NaN probability cannot poison an argmax.
 //!
 //! A [`GalleryCache`] memoizes each extracted scenario's detections
-//! grouped by VID. A batch shares one cache across all its EIDs —
-//! scenario reuse across lists is the point of set splitting — so each
-//! V-Scenario is fetched and regrouped once, no matter how many EIDs its
-//! footage serves.
+//! grouped by VID and packed into the kernel's feature block, and lets
+//! the footage go once it is packed. A batch shares one cache across all
+//! its EIDs — scenario reuse across lists is the point of set splitting
+//! — so each V-Scenario is fetched, regrouped and packed once, no matter
+//! how many EIDs its footage serves.
 
 use crate::types::{MatchOutcome, ScenarioList};
 use ev_core::feature::{FeatureVector, Metric};
@@ -114,32 +115,42 @@ pub(crate) fn majority_winner(vids: &[Vid], counts: &[usize]) -> Option<usize> {
     argmax(vids, voted, |c| counts[c] as f64)
 }
 
-/// One scenario's extracted gallery: the V-Scenario handle plus its
-/// detection indices grouped by VID (sorted distinct `vids`, CSR
-/// `starts`/`rows`), each group in detection order. Concatenating a
-/// list's groups in list order reproduces exactly the observation
-/// sequence a direct detection walk would produce, so representatives
-/// computed through the cache are bit-identical to uncached ones.
+/// One scenario's extracted gallery, in the form the V stage reads it:
+/// its detection indices grouped by VID (sorted distinct `vids`, CSR
+/// `starts`/`rows`), each group in detection order, and its features
+/// packed into the kernel's SoA [`FeatureBlock`]. Concatenating a list's
+/// groups in list order reproduces exactly the observation sequence a
+/// direct detection walk would produce, and the block hands back the very
+/// `f64`s it was packed from, so representatives computed through the
+/// cache are bit-identical to ones computed from the footage.
 pub(crate) struct CacheEntry {
-    pub(crate) scenario: Arc<VScenario>,
     /// The distinct VIDs detected in the scenario, ascending.
     pub(crate) vids: Vec<Vid>,
     /// `rows[starts[g]..starts[g + 1]]` are group `g`'s detections.
     starts: Vec<usize>,
     rows: Vec<usize>,
-    /// The scenario's detections packed into an SoA [`FeatureBlock`]
-    /// for the batch kernel. A property of the gallery alone — no EID
-    /// or representative enters it — so it is packed at most once per
-    /// cache entry and shared by every EID that revisits it. `None`
-    /// means the gallery was rejected (rows disagree on
-    /// dimensionality) — the same condition under
-    /// which the scalar path's per-pair error maps every membership of
-    /// this gallery to `0`.
-    block: std::cell::OnceCell<Option<FeatureBlock>>,
+    features: Features,
+}
+
+/// What a [`CacheEntry`] keeps of its gallery's features.
+enum Features {
+    /// The packed block. A property of the gallery alone — no EID or
+    /// representative enters it — so it is packed once, at extraction,
+    /// and the footage is released right there (DESIGN.md §6.6).
+    Packed(FeatureBlock),
+    /// A gallery whose rows disagree on dimensionality has no block: it
+    /// keeps its footage for the representatives and scores membership
+    /// `0` — the same condition under which the scalar path's per-pair
+    /// error maps every membership of this gallery to `0`.
+    Mixed(Arc<VScenario>),
 }
 
 impl CacheEntry {
-    pub(crate) fn new(scenario: Arc<VScenario>) -> Self {
+    /// Groups `scenario`'s detections and packs its block. A
+    /// mixed-dimensionality gallery fails validation **once** here —
+    /// counted, with the scenario id in the error — instead of per pair
+    /// in the hot loop.
+    fn new(scenario: Arc<VScenario>, tel: &Telemetry) -> Self {
         let detections = scenario.detections();
         // One stable sort: within a VID the rows stay in detection order.
         let mut rows: Vec<usize> = (0..detections.len()).collect();
@@ -152,12 +163,24 @@ impl CacheEntry {
             }
         }
         starts.push(rows.len());
+        let gallery = scenario.id().to_string();
+        let block = FeatureBlock::build(&gallery, detections.iter().map(|d| &d.feature));
+        if tel.counters_on() {
+            let name = match block {
+                Ok(_) => names::KERNEL_BLOCKS_BUILT,
+                Err(_) => names::KERNEL_GALLERIES_REJECTED,
+            };
+            tel.registry().counter(name).add(1);
+        }
+        let features = match block {
+            Ok(block) => Features::Packed(block),
+            Err(_) => Features::Mixed(scenario),
+        };
         CacheEntry {
-            scenario,
             vids,
             starts,
             rows,
-            block: std::cell::OnceCell::new(),
+            features,
         }
     }
 
@@ -167,24 +190,28 @@ impl CacheEntry {
         &self.rows[self.starts[group]..self.starts[group + 1]]
     }
 
-    /// The scenario's SoA feature block, packed on first use and
-    /// memoized for the cache entry's lifetime. A mixed-dimensionality
-    /// gallery fails validation **once** here — counted, with the
-    /// scenario id in the error — instead of per pair in the hot loop.
-    pub(crate) fn block(&self, tel: &Telemetry) -> &Option<FeatureBlock> {
-        self.block.get_or_init(|| {
-            let gallery = self.scenario.id().to_string();
-            let features = self.scenario.detections().iter().map(|d| &d.feature);
-            let block = FeatureBlock::build(&gallery, features).ok();
-            if tel.counters_on() {
-                let name = match block {
-                    Some(_) => names::KERNEL_BLOCKS_BUILT,
-                    None => names::KERNEL_GALLERIES_REJECTED,
-                };
-                tel.registry().counter(name).add(1);
+    /// Adds detection `row`'s feature to a candidate's running sum of
+    /// `n` observations. The first observation fixes the dimension;
+    /// malformed ones are ignored.
+    fn observe(&self, row: usize, sum: &mut Vec<f64>, n: &mut f64) {
+        fn add(sum: &mut Vec<f64>, n: &mut f64, dim: usize, values: impl Iterator<Item = f64>) {
+            if *n == 0.0 {
+                sum.resize(dim, 0.0);
+            } else if dim != sum.len() {
+                return;
             }
-            block
-        })
+            for (s, x) in sum.iter_mut().zip(values) {
+                *s += x;
+            }
+            *n += 1.0;
+        }
+        match &self.features {
+            Features::Packed(block) => add(sum, n, block.dim(), block.row(row)),
+            Features::Mixed(footage) => {
+                let feature = &footage.detections()[row].feature;
+                add(sum, n, feature.dim(), feature.components().iter().copied());
+            }
+        }
     }
 }
 
@@ -198,13 +225,8 @@ impl CacheEntry {
 /// [`ev_core::kernel`]), and every error the scalar scan maps to `0.0`
 /// (mixed-dimensionality gallery, candidate vs gallery dimension
 /// mismatch, empty scenario) maps to `0.0` here too.
-pub(crate) fn score_membership(
-    rep: &FeatureVector,
-    entry: &CacheEntry,
-    metric: Metric,
-    tel: &Telemetry,
-) -> f64 {
-    let Some(block) = entry.block(tel) else {
+pub(crate) fn score_membership(rep: &FeatureVector, entry: &CacheEntry, metric: Metric) -> f64 {
+    let Features::Packed(block) = &entry.features else {
         return 0.0;
     };
     match Kernel::prepare(metric, rep.dim()) {
@@ -218,10 +240,11 @@ pub(crate) fn score_membership(
 /// VID filtering revisits the same V-Scenarios over and over: across
 /// EIDs (scenario reuse is the point of set splitting) and, under
 /// exclusion, across refiltering rounds. The cache keeps each extracted
-/// scenario's gallery grouped by VID so every revisit skips both the
-/// [`VideoStore`] lookup and the regrouping pass. Misses pay the
-/// extraction cost exactly as an uncached extraction does; hits touch no
-/// footage.
+/// scenario's gallery grouped by VID and packed into its feature block,
+/// so every revisit skips the [`VideoStore`] lookup, the regrouping pass
+/// and the packing. Misses pay the extraction cost exactly as an
+/// uncached extraction does; hits touch no footage, and the cache holds
+/// none but a mixed-dimension gallery's.
 #[derive(Default)]
 pub struct GalleryCache {
     entries: BTreeMap<ScenarioId, Option<CacheEntry>>,
@@ -249,15 +272,16 @@ impl GalleryCache {
         self.misses
     }
 
-    /// Makes sure `id`'s gallery is resident, extracting it on a miss.
-    fn ensure(&mut self, id: ScenarioId, video: &VideoStore) {
+    /// Makes sure `id`'s gallery is resident, extracting and packing it
+    /// on a miss.
+    fn ensure(&mut self, id: ScenarioId, video: &VideoStore, tel: &Telemetry) {
         if self.entries.contains_key(&id) {
             self.hits += 1;
             return;
         }
         self.misses += 1;
-        self.entries
-            .insert(id, video.extract(id).map(CacheEntry::new));
+        let entry = video.extract(id).map(|s| CacheEntry::new(s, tel));
+        self.entries.insert(id, entry);
     }
 
     fn get(&self, id: ScenarioId) -> Option<&CacheEntry> {
@@ -286,9 +310,10 @@ pub(crate) fn candidate_model<'a>(
     video: &VideoStore,
     excluded: &BTreeSet<Vid>,
     cache: &'a mut GalleryCache,
+    tel: &Telemetry,
 ) -> CandidateModel<'a> {
     for &id in list {
-        cache.ensure(id, video);
+        cache.ensure(id, video, tel);
     }
     let cache: &'a GalleryCache = cache;
     let entries: Vec<&CacheEntry> = list.iter().filter_map(|&id| cache.get(id)).collect();
@@ -331,24 +356,13 @@ pub(crate) fn candidate_model<'a>(
     // Each candidate's appearance model: the component-wise mean of its
     // observed features, received in list order and, within a gallery,
     // detection order — exactly as a direct detection walk would visit
-    // them (re-identification links the detections). The first
-    // observation fixes the dimension; malformed ones are ignored.
+    // them (re-identification links the detections).
     let mut sums: Vec<Vec<f64>> = vec![Vec::new(); vids.len()];
     let mut n = vec![0.0f64; vids.len()];
     for (e, pairs) in entries.iter().zip(&present) {
-        let detections = e.scenario.detections();
         for &(c, group) in pairs {
             for &row in e.group(group) {
-                let feature = &detections[row].feature;
-                if n[c] == 0.0 {
-                    sums[c].resize(feature.dim(), 0.0);
-                } else if feature.dim() != sums[c].len() {
-                    continue;
-                }
-                for (s, &x) in sums[c].iter_mut().zip(feature.components()) {
-                    *s += x;
-                }
-                n[c] += 1.0;
+                e.observe(row, &mut sums[c], &mut n[c]);
             }
         }
     }
@@ -431,7 +445,7 @@ impl VStage<'_> {
         excluded: &BTreeSet<Vid>,
     ) -> MatchOutcome {
         let (video, tel) = (self.video, self.telemetry);
-        let model = candidate_model(list, video, excluded, self.cache);
+        let model = candidate_model(list, video, excluded, self.cache, tel);
         if model.vids.is_empty() {
             // No footage for the whole list, or every candidate was
             // excluded or quorum-pruned: zero votes to take a majority
@@ -462,7 +476,7 @@ impl VStage<'_> {
             .map(|rep| {
                 let mut lp = 0.0;
                 for e in &model.entries {
-                    lp += score_membership(rep, e, self.config.metric, tel).ln();
+                    lp += score_membership(rep, e, self.config.metric).ln();
                 }
                 lp
             })
@@ -796,11 +810,22 @@ mod tests {
     /// reference errors or has nothing to scan.
     #[test]
     fn score_membership_is_bitwise_the_scalar_reference() {
-        let entry = |s: VScenario| CacheEntry::new(Arc::new(s));
-        let check = |rep: &FeatureVector, e: &CacheEntry, metric: Metric| {
-            let got = score_membership(rep, e, metric, Telemetry::disabled());
+        // The entry comes through the cache's `ensure`; the reference
+        // scans the footage the store hands out, not anything the
+        // entry kept.
+        let entry = |s: VScenario| {
+            let id = s.id();
+            let video = VideoStore::new(vec![s], CostModel::free());
+            let mut cache = GalleryCache::new();
+            cache.ensure(id, &video, Telemetry::disabled());
+            (video, cache, id)
+        };
+        let check = |rep: &FeatureVector, e: &(VideoStore, GalleryCache, ScenarioId), metric| {
+            let (video, cache, id) = e;
+            let got = score_membership(rep, cache.get(*id).unwrap(), metric);
+            let footage = video.extract(*id).unwrap();
             let want =
-                ev_vision::reid::membership_probability(rep, &e.scenario, metric).unwrap_or(0.0);
+                ev_vision::reid::membership_probability(rep, &footage, metric).unwrap_or(0.0);
             assert_eq!(got.to_bits(), want.to_bits(), "{metric:?}: {got} vs {want}");
             got
         };
@@ -831,6 +856,46 @@ mod tests {
         }
     }
 
+    /// The cache keeps the packed block, not the footage: after a
+    /// `filter_one` over a resident store, each listed gallery's footage
+    /// is held by the store and the test's handle alone. A
+    /// mixed-dimension gallery has no block, so its entry is the one
+    /// that still holds its footage.
+    #[test]
+    fn the_gallery_cache_holds_no_footage_but_a_mixed_gallery() {
+        let mixed = sid(4, 4);
+        let video = VideoStore::new(
+            vec![
+                vscenario(0, 0, &[(1, &[0.9, 0.9]), (2, &[0.1, 0.1])]),
+                vscenario(1, 1, &[(1, &[0.88, 0.92]), (3, &[0.9, 0.1])]),
+                vscenario(2, 2, &[(1, &[0.91, 0.89])]),
+                vscenario(3, 3, &[]),
+                vscenario(4, 4, &[(1, &[0.9, 0.9]), (2, &[0.1, 0.1, 0.7])]),
+            ],
+            CostModel::free(),
+        );
+        let list: ScenarioList = (0..5).map(|i| sid(i, i as u64)).collect();
+        let tel = Telemetry::new(TelemetryLevel::Counters);
+        let mut cache = GalleryCache::new();
+        let out = VStage {
+            video: &video,
+            config: &VFilterConfig::default(),
+            cache: &mut cache,
+            telemetry: &tel,
+        }
+        .filter_one(Eid::from_u64(7), &list, &BTreeSet::new());
+        assert_eq!(out.vid, Some(Vid::new(1)));
+        assert_eq!(cache.misses(), 5);
+        for &id in &list {
+            let held = video.extract(id).unwrap();
+            let holders = if id == mixed { 3 } else { 2 };
+            assert_eq!(Arc::strong_count(&held), holders, "{id}");
+        }
+        let counted = |name| tel.registry().counter_value(name);
+        assert_eq!(counted(names::KERNEL_BLOCKS_BUILT), Some(4));
+        assert_eq!(counted(names::KERNEL_GALLERIES_REJECTED), Some(1));
+    }
+
     /// Scenarios that exist but hold zero detections cast zero votes:
     /// the explicit NoEvidence outcome.
     #[test]
@@ -859,32 +924,49 @@ mod tests {
         );
         let mut cache = GalleryCache::new();
         let list = vec![sid(0, 0), sid(1, 1)];
-        let model = candidate_model(&list, &video, &BTreeSet::new(), &mut cache);
+        let model = candidate_model(
+            &list,
+            &video,
+            &BTreeSet::new(),
+            &mut cache,
+            Telemetry::disabled(),
+        );
         assert_eq!(model.vids, vec![Vid::new(1)]);
         let m = model.reps[0].components();
         assert!((m[0] - 0.3).abs() < 1e-12);
         assert!((m[1] - 0.6).abs() < 1e-12);
     }
 
+    /// A footage-bearing cache entry beside the footage the store hands
+    /// out for it.
+    type EntryAndFootage<'a> = (&'a CacheEntry, Arc<VScenario>);
+
     /// The candidate model as it stood before the dense one — per-EID
     /// maps keyed by VID — kept as the differential reference. It shares
-    /// only the gallery cache's extraction with production.
+    /// only the gallery cache's extraction with production (so its
+    /// entries, hits and block counters are production's); it groups and
+    /// averages the footage [`VideoStore::extract`] hands it, which it
+    /// returns beside each entry.
     fn reference_model<'a>(
         list: &ScenarioList,
         video: &VideoStore,
         excluded: &BTreeSet<Vid>,
         cache: &'a mut GalleryCache,
-    ) -> (Vec<&'a CacheEntry>, BTreeMap<Vid, FeatureVector>) {
+        tel: &Telemetry,
+    ) -> (Vec<EntryAndFootage<'a>>, BTreeMap<Vid, FeatureVector>) {
         for &id in list {
-            cache.ensure(id, video);
+            cache.ensure(id, video, tel);
         }
         let cache: &'a GalleryCache = cache;
-        let entries: Vec<&CacheEntry> = list.iter().filter_map(|&id| cache.get(id)).collect();
+        let entries: Vec<EntryAndFootage> = list
+            .iter()
+            .filter_map(|&id| Some((cache.get(id)?, video.extract(id)?)))
+            .collect();
         let groups: Vec<BTreeMap<Vid, Vec<usize>>> = entries
             .iter()
-            .map(|e| {
+            .map(|(_, footage)| {
                 let mut groups: BTreeMap<Vid, Vec<usize>> = BTreeMap::new();
-                for (i, d) in e.scenario.detections().iter().enumerate() {
+                for (i, d) in footage.detections().iter().enumerate() {
                     groups.entry(d.vid).or_default().push(i);
                 }
                 groups
@@ -900,8 +982,8 @@ mod tests {
         }
         let quorum = entries.len().div_ceil(2);
         let mut observations: BTreeMap<Vid, Vec<&FeatureVector>> = BTreeMap::new();
-        for (e, g) in entries.iter().zip(&groups) {
-            let detections = e.scenario.detections();
+        for ((_, footage), g) in entries.iter().zip(&groups) {
+            let detections = footage.detections();
             for (&vid, indices) in g {
                 if presence.get(&vid).is_some_and(|&p| p >= quorum) {
                     observations
@@ -944,7 +1026,7 @@ mod tests {
         cache: &mut GalleryCache,
         tel: &Telemetry,
     ) -> MatchOutcome {
-        let (entries, representatives) = reference_model(list, video, excluded, cache);
+        let (entries, representatives) = reference_model(list, video, excluded, cache, tel);
         if representatives.is_empty() {
             return MatchOutcome::no_evidence(eid);
         }
@@ -957,15 +1039,15 @@ mod tests {
         let mut log_joint: BTreeMap<Vid, f64> = BTreeMap::new();
         for (&vid, rep) in &representatives {
             let mut lp = 0.0;
-            for e in &entries {
-                lp += score_membership(rep, e, config.metric, tel).ln();
+            for (e, _) in &entries {
+                lp += score_membership(rep, e, config.metric).ln();
             }
             log_joint.insert(vid, lp);
         }
         let mut votes: Vec<Vid> = Vec::new();
-        for e in &entries {
+        for (_, footage) in &entries {
             let mut best: Option<(f64, Vid)> = None;
-            for vid in e.scenario.vids().filter(|v| log_joint.contains_key(v)) {
+            for vid in footage.vids().filter(|v| log_joint.contains_key(v)) {
                 let s = log_joint[&vid];
                 match best {
                     Some((bs, bv)) if !beats(bs, bv, s, vid) => {}
@@ -1099,8 +1181,10 @@ mod tests {
                     f.components().iter().map(|c| c.to_bits()).collect()
                 };
                 let (mut c, mut rc) = (GalleryCache::new(), GalleryCache::new());
-                let model = candidate_model(list, &model_video, &excluded, &mut c);
-                let (_, representatives) = reference_model(list, &model_video, &excluded, &mut rc);
+                let off = Telemetry::disabled();
+                let model = candidate_model(list, &model_video, &excluded, &mut c, off);
+                let (_, representatives) =
+                    reference_model(list, &model_video, &excluded, &mut rc, off);
                 prop_assert_eq!(
                     model.vids.iter().copied().zip(model.reps.iter().map(bits)).collect::<Vec<_>>(),
                     representatives.iter().map(|(&v, r)| (v, bits(r))).collect::<Vec<_>>()

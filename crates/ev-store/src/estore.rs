@@ -179,15 +179,6 @@ impl EScenarioStore {
             .filter_map(move |&id| self.get(id))
     }
 
-    /// Picks a uniformly random timestamp among those present
-    /// (Algorithm 3's preprocess step), or `None` on an empty store.
-    #[cfg(test)]
-    #[must_use]
-    fn random_time(&self, rng: &mut rand_chacha::ChaCha8Rng) -> Option<Timestamp> {
-        let times: Vec<Timestamp> = self.by_time.keys().copied().collect();
-        rand::seq::SliceRandom::choose(&times[..], rng).copied()
-    }
-
     /// Appends a batch of scenarios in place, splicing the indexes when
     /// possible instead of rebuilding them.
     ///
@@ -261,8 +252,6 @@ impl EScenarioStore {
 mod tests {
     use super::*;
     use ev_core::scenario::ZoneAttr;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn scenario(cell: usize, time: u64, eids: &[u64]) -> EScenario {
         let mut s = EScenario::new(CellId::new(cell), Timestamp::new(time));
@@ -378,18 +367,6 @@ mod tests {
     #[test]
     fn record_count_sums_memberships() {
         assert_eq!(store().record_count(), 6);
-    }
-
-    #[test]
-    fn random_time_draws_from_present_times() {
-        let s = store();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        for _ in 0..20 {
-            let t = s.random_time(&mut rng).unwrap();
-            assert!(t.tick() <= 2);
-        }
-        let empty = EScenarioStore::from_scenarios(vec![]);
-        assert!(empty.random_time(&mut rng).is_none());
     }
 
     #[test]

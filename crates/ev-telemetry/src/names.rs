@@ -68,7 +68,8 @@ pub const VFILTER_GALLERY_HIT_RATIO: &str = "evm_vfilter_gallery_hit_ratio";
 pub const VFILTER_CANDIDATES_SCORED: &str = "evm_vfilter_candidates_scored";
 
 /// SoA feature blocks packed for gallery-cache entries (count; one per
-/// `GalleryCache` entry that is scored, memoized like the gallery).
+/// gallery with footage, packed when a `GalleryCache` extracts it —
+/// the entry keeps the block instead of the footage).
 /// Reader: README, "Profiling a run".
 pub const KERNEL_BLOCKS_BUILT: &str = "evm_kernel_blocks_built";
 /// Galleries the block builder rejected because their rows disagreed on

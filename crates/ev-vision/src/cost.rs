@@ -63,18 +63,6 @@ impl CostModel {
         }
         std::hint::black_box(acc)
     }
-
-    /// Measures how many work units this machine executes per
-    /// microsecond.
-    #[cfg(test)]
-    #[must_use]
-    fn calibrate() -> f64 {
-        let units = 2_000_000;
-        let start = std::time::Instant::now();
-        let _ = Self::charge(units);
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        units as f64 / (elapsed * 1e6)
-    }
 }
 
 #[cfg(test)]
@@ -93,11 +81,5 @@ mod tests {
         assert_eq!(CostModel::charge(1000), CostModel::charge(1000));
         assert_ne!(CostModel::charge(1000), CostModel::charge(1001));
         assert_eq!(CostModel::charge(0), CostModel::charge(0));
-    }
-
-    #[test]
-    fn calibration_reports_positive_throughput() {
-        let per_us = CostModel::calibrate();
-        assert!(per_us > 0.0);
     }
 }

@@ -504,3 +504,44 @@ fn a_dag_match_from_disk_reads_each_selected_frame_once() {
     );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
+
+/// The sequential pipeline reads each frame it selects once per match
+/// too: its one gallery cache packs every gallery's block at extraction
+/// and lets the footage go, and keeps the block for the whole match, so
+/// no refinement round extracts a released frame again. A cold universal
+/// match from disk decodes the E records and exactly the V-Scenarios it
+/// extracted.
+#[test]
+fn a_sequential_match_from_disk_reads_each_selected_frame_once() {
+    let d = EvDataset::generate(&DatasetConfig {
+        population: 150,
+        duration: 300,
+        ..DatasetConfig::default()
+    })
+    .expect("valid config");
+    let dir = temp_dir("sequential-once");
+    persist(&dir, &d);
+
+    let tel = Telemetry::new(TelemetryLevel::Counters);
+    let backend = DiskBackend::open_with(&dir, d.video.cost_model(), RecoveryMode::Strict, &tel)
+        .expect("open corpus");
+    let config = MatcherConfig {
+        execution: ExecutionMode::Sequential,
+        ..MatcherConfig::default()
+    };
+    let report = EvMatcher::from_backend(&backend, config)
+        .with_telemetry(&tel)
+        .match_universal()
+        .expect("universal match");
+    assert!(report.rounds > 1, "refinement rounds revisit galleries");
+
+    let counter = |name| tel.registry().counter_value(name).unwrap_or(0);
+    let extracted = backend.video().stats().extracted_scenarios as u64;
+    assert!(extracted > 0);
+    assert_eq!(
+        counter(names::DISK_RECORDS_READ) - backend.estore().len() as u64,
+        extracted,
+        "V records read = V-Scenarios extracted"
+    );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
