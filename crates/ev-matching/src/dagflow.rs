@@ -47,8 +47,10 @@
 //!   began with, so two scenarios at one timestamp that split the same
 //!   block both count. Both fold into the carried round state.
 //! * `assemble` — back to EIDs: the list log grouped per EID, then
-//!   anchors, list padding and uniqueness fixups, exactly the
-//!   sequential post-processing. Its completion ends the E stage.
+//!   anchors, list padding up to `PAD_LEN` and uniqueness fixups.
+//!   Anchors and uniqueness are the sequential splitter's own passes;
+//!   the pad is the DAG's alone, standing in for the Algorithm 2
+//!   rounds it does not run. Its completion ends the E stage.
 //! * `extract×4` / `score×4` / `finalize` — the V stage (§V-C): one
 //!   stage extracts every selected V-Scenario ("these visual operations
 //!   require no data dependency"), the next scores per-EID slices with
@@ -67,14 +69,12 @@
 //! at every thread count and under injected faults.
 
 use crate::refine::{record_run, RunFacts};
-use crate::setsplit::{
-    attach_anchors, ensure_unique_against_universe, extend_lists, record_split, SplitOutput,
-};
+use crate::setsplit::{attach_anchors, ensure_unique_against_universe, record_split, SplitOutput};
 use crate::types::{MatchOutcome, MatchReport, ScenarioList, StageTimings};
 use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
 use ev_core::ids::{Eid, Vid};
 use ev_core::partition::EidCover;
-use ev_core::scenario::{ScenarioId, VScenario, ZoneAttr};
+use ev_core::scenario::{EScenario, ScenarioId, VScenario, ZoneAttr};
 use ev_dag::dag::{DagConfig, DagSpec, StageDep, StageId, TaskCtx};
 use ev_dag::JobError;
 use ev_store::{EScenarioStore, VideoStore};
@@ -91,6 +91,13 @@ use std::time::Instant;
 const SIG_PARTITIONS: usize = 4;
 /// Extract/score-stage partitions, pinned for the same reason.
 const V_PARTITIONS: usize = 4;
+/// The length `dag_assemble` pads every scenario list up to. The
+/// sequential matcher pads nothing: a short list whose vote is not
+/// confident goes to Algorithm 2, whose later rounds extend it with
+/// EDP's E-filter. The DAG runs one round and no Algorithm 2, so the pad
+/// is all the vote slack a short list gets here; it goes when the DAG
+/// learns Algorithm 2 (ROADMAP item 2(b)).
+const PAD_LEN: usize = 3;
 
 /// One timestamp's scenarios in id order, each with the ordinals of its
 /// inclusive-zone members inside the target universe (possibly none).
@@ -375,8 +382,8 @@ fn build_match_spec<'a>(
             let mut lists: BTreeMap<Eid, ScenarioList> =
                 universe.iter().copied().zip(by_ordinal).collect();
             attach_anchors(store, &mut lists, false);
-            let selected = extend_lists(store, &mut lists, 3, split_seed, true);
-            ensure_unique_against_universe(store, &mut lists, selected, split_seed, true);
+            extend_lists(store, &mut lists, split_seed);
+            ensure_unique_against_universe(store, &mut lists, split_seed, true);
             let mut blocks = vec![BTreeSet::new(); state.block_len.len()];
             for (&eid, &block) in universe.iter().zip(&state.block_of) {
                 blocks[block as usize].insert(eid);
@@ -545,6 +552,38 @@ fn round_times(store: &EScenarioStore, seed: u64) -> Vec<ev_core::time::Timestam
     let mut times: Vec<_> = store.times().collect();
     times.shuffle(&mut rng);
     times
+}
+
+/// Pads short scenario lists up to [`PAD_LEN`] with extra scenarios
+/// holding each EID inclusively, drawn in a seeded random order so
+/// consecutive windows of the same dwell do not dominate.
+fn extend_lists(store: &EScenarioStore, lists: &mut BTreeMap<Eid, ScenarioList>, seed: u64) {
+    // Scenarios already selected for anyone: padding prefers these, so
+    // one padded scenario serves several EIDs — the same reuse that makes
+    // set splitting beat per-EID selection in the first place.
+    let mut selected: BTreeSet<ScenarioId> = lists.values().flatten().copied().collect();
+    for (&eid, list) in lists.iter_mut() {
+        if list.len() >= PAD_LEN {
+            continue;
+        }
+        let (mut reusable, mut fresh): (Vec<ScenarioId>, Vec<ScenarioId>) = store
+            .containing(eid)
+            .filter(|s| s.contains_inclusive(eid))
+            .map(EScenario::id)
+            .filter(|id| !list.contains(id))
+            .partition(|id| selected.contains(id));
+        let mut rng =
+            ChaCha8Rng::seed_from_u64(seed ^ eid.as_u64().wrapping_mul(0x9e3779b97f4a7c15));
+        reusable.shuffle(&mut rng);
+        fresh.shuffle(&mut rng);
+        let added: Vec<ScenarioId> = reusable
+            .into_iter()
+            .chain(fresh)
+            .take(PAD_LEN - list.len())
+            .collect();
+        selected.extend(added.iter().copied());
+        list.extend(added);
+    }
 }
 
 /// Algorithm 3 set splitting as one DAG submission: all snapshot scans
@@ -809,8 +848,8 @@ mod tests {
             blocks = done.into_iter().chain(groups.into_values()).collect();
         }
         attach_anchors(store, &mut lists, false);
-        let selected = extend_lists(store, &mut lists, 3, seed, true);
-        ensure_unique_against_universe(store, &mut lists, selected, seed, true);
+        extend_lists(store, &mut lists, seed);
+        ensure_unique_against_universe(store, &mut lists, seed, true);
         SplitOutput {
             recorded,
             lists,

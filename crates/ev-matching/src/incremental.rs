@@ -3,12 +3,12 @@
 //! Surveillance data never stops arriving. [`IncrementalSplit`] keeps
 //! the live state of a chronological Algorithm-1 run (the splitting
 //! loop's own state — the EID cover, the recorded splitters, the
-//! pre-padding scenario lists — plus the frontier it has walked to) so
-//! that freshly ingested scenarios *refine the existing blocks* instead
-//! of recomputing the whole split. This is the engine behind the
-//! streaming `evmatch serve` mode, which answers its queries with a
-//! fresh [`EvMatcher`](crate::matcher::EvMatcher) run on the applied
-//! snapshot.
+//! scenario lists before the output passes — plus the frontier it has
+//! walked to) so that freshly ingested scenarios *refine the existing
+//! blocks* instead of recomputing the whole split. This is the engine
+//! behind the streaming `evmatch serve` mode, which answers its queries
+//! with a fresh [`EvMatcher`](crate::matcher::EvMatcher) run on the
+//! applied snapshot.
 //!
 //! # The delta-update rule
 //!
@@ -37,12 +37,12 @@
 //! `tests/incremental_split_equivalence.rs` against arbitrary
 //! prefix/suffix splits of a generated pool.
 //!
-//! The **padding passes** (anchors, list extension, uniqueness against
-//! the universe) are *not* prefix-stable: they consult the whole store
-//! at output time. [`IncrementalSplit`] therefore keeps its scenario
-//! lists pre-padding and re-runs those passes against the current store
-//! in [`IncrementalSplit::output`] — they are cheap relative to the
-//! split itself, and running them late is exactly what the batch
+//! The **output passes** (anchors, then uniqueness against the
+//! universe) are *not* prefix-stable: they consult the whole store at
+//! output time. [`IncrementalSplit`] therefore keeps its scenario lists
+//! as the loop left them and re-runs those passes against the current
+//! store in [`IncrementalSplit::output`] — they are cheap relative to
+//! the split itself, and running them late is exactly what the batch
 //! pipeline does too.
 //!
 //! Other selection strategies are **not** delta-safe:
@@ -108,13 +108,13 @@ pub struct DeltaStats {
 /// assert_eq!(stats.scenarios_absorbed, 2);
 /// assert!(live.is_fully_split());
 ///
-/// // The refined state equals a from-scratch rebuild, list padding and all.
+/// // The refined state equals a from-scratch rebuild, anchors and all.
 /// assert_eq!(live.output(&store), split_ideal(&store, &targets, &config));
 /// ```
 #[derive(Debug, Clone)]
 pub struct IncrementalSplit {
     config: SetSplitConfig,
-    /// The splitting loop's state, lists pre-padding: the padding passes
+    /// The splitting loop's state, lists before the output passes: those
     /// run against the *current* store in [`Self::output`].
     state: SplitState,
     /// The largest scenario id examined so far; the next
@@ -212,9 +212,9 @@ impl IncrementalSplit {
     }
 
     /// Materializes the full [`SplitOutput`] by cloning the core state
-    /// and running the padding passes (anchors, minimum list length,
-    /// uniqueness against the EID universe) over the *current* store —
-    /// producing exactly what `split_ideal` over that store would.
+    /// and running the output passes (anchors, uniqueness against the
+    /// EID universe) over the *current* store — producing exactly what
+    /// `split_ideal` over that store would.
     #[must_use]
     pub fn output(&self, store: &EScenarioStore) -> SplitOutput {
         self.state.clone().into_output(store, &self.config)

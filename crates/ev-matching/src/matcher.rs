@@ -41,11 +41,13 @@ pub enum ExecutionMode {
     /// still cached. The report is byte-identical at every thread count.
     ///
     /// Algorithm 3 is the practical reading (vague members are
-    /// non-members), one round, with the default list padding. Of
+    /// non-members), one round, with every scenario list padded to a
+    /// fixed length of 3: it runs no Algorithm 2, whose E-filter extends
+    /// the sequential path's short unconfident lists instead. Of
     /// [`MatcherConfig`] it reads `vfilter` and the seed of
-    /// `split.strategy`; it does **not** read `split.max_scenarios`,
-    /// `split.min_list_len` or `max_rounds`, and [`SplitMode::Ideal`] is
-    /// refused ([`JobError::InvalidConfig`]) rather than run as practical.
+    /// `split.strategy`; it does **not** read `split.max_scenarios` or
+    /// `max_rounds`, and [`SplitMode::Ideal`] is refused
+    /// ([`JobError::InvalidConfig`]) rather than run as practical.
     Dag(usize),
 }
 

@@ -71,7 +71,6 @@ mod tests {
         SetSplitConfig {
             strategy: SelectionStrategy::Chronological,
             max_scenarios: None,
-            min_list_len: 0,
         }
     }
 
@@ -159,7 +158,6 @@ mod tests {
         let cfg = SetSplitConfig {
             strategy: SelectionStrategy::RandomTime { seed: 5 },
             max_scenarios: None,
-            min_list_len: 0,
         };
         let a = split_practical(&store, &targets(0..3), &cfg);
         let b = split_practical(&store, &targets(0..3), &cfg);

@@ -319,6 +319,58 @@ mod tests {
     }
 
     #[test]
+    fn unconfident_short_list_is_extended_by_efilter_in_round_2() {
+        // Chronologically, (0, 0) alone splits 0 from 1, so EID 0's
+        // round-1 list is that one scenario — unique, but its footage
+        // is empty: no vote. Round 2 splits {0} with no scenario and
+        // anchors it to the same footage; only the E-filter extension
+        // reaches the windows where VID 0 was seen.
+        let layout: &[(u64, usize, &[u64], &[u64])] = &[
+            (0, 0, &[0], &[]),
+            (0, 1, &[1], &[1]),
+            (1, 0, &[0], &[0]),
+            (2, 0, &[0], &[0]),
+            (3, 0, &[0], &[0]),
+        ];
+        let (store, video) = world(layout, 4);
+        let cfg = RefineConfig {
+            split: SetSplitConfig {
+                strategy: SelectionStrategy::Chronological,
+                ..SetSplitConfig::default()
+            },
+            max_rounds: 2,
+            ..RefineConfig::default()
+        };
+        let eid = Eid::from_u64(0);
+        let round_1 = split(
+            &store,
+            &targets(0..2),
+            &cfg.split,
+            cfg.mode,
+            Telemetry::disabled(),
+        );
+        assert_eq!(round_1.lists[&eid].len(), 1, "round 1 leaves a short list");
+
+        let report =
+            match_with_refinement(&store, &video, &targets(0..2), &cfg, Telemetry::disabled());
+        assert_eq!(report.rounds, 2);
+        let edp = crate::edp::EdpConfig {
+            vfilter: cfg.vfilter,
+            max_scenarios_per_eid: None,
+            seed: 2,
+        };
+        let efiltered = crate::edp::efilter_one(&store, eid, &edp);
+        let list = &report.lists[&eid];
+        assert!(list.len() > 1, "round 2 extended the list: {list:?}");
+        for id in &efiltered {
+            assert!(list.contains(id), "{id:?} from the E-filter is in {list:?}");
+        }
+        let outcome = report.outcome_of(eid).unwrap();
+        assert!(outcome.is_confident());
+        assert_eq!(outcome.vid, Some(Vid::new(0)));
+    }
+
+    #[test]
     fn exhausted_budget_reports_best_effort() {
         // EID 5 exists in E-data but its VID never appears in V-data.
         let layout: &[(u64, usize, &[u64], &[u64])] =
@@ -371,7 +423,6 @@ mod tests {
         let chrono = SetSplitConfig {
             strategy: SelectionStrategy::Chronological,
             max_scenarios: None,
-            min_list_len: 0,
         };
         assert_eq!(reseeded(&chrono, 5), chrono);
     }

@@ -16,9 +16,9 @@
 //! The **ideal** setting reads every member of a scenario as inclusive,
 //! whatever its zone attribute, so the cover stays a partition. The
 //! **practical** setting keeps vague members on both sides of a split and
-//! builds its lists, anchors and padding from inclusive appearances only —
-//! "we should try to avoid using EV-Scenarios with the target EID in the
-//! vague zone to distinguish that EID".
+//! builds its lists, anchors and uniqueness additions from inclusive
+//! appearances only — "we should try to avoid using EV-Scenarios with
+//! the target EID in the vague zone to distinguish that EID".
 //!
 //! The scenario list attached to each EID — the input to VID filtering —
 //! is the set of recorded scenarios that *contain* the EID. An EID whose
@@ -28,8 +28,8 @@
 //!
 //! # Index-backed paths
 //!
-//! Anchors and padding read the posting lists of the store's inverted
-//! index ([`ev_store::ScenarioIndex`]), and the quadratic
+//! Anchors and the uniqueness pass read the posting lists of the
+//! store's inverted index ([`ev_store::ScenarioIndex`]), and the quadratic
 //! [`SelectionStrategy::GreedyBalanced`] re-scan is replaced by a
 //! lazy-greedy max-heap over cached split gains, invalidated only for
 //! scenarios sharing an EID with a block the last splitter touched
@@ -89,14 +89,6 @@ pub struct SetSplitConfig {
     pub strategy: SelectionStrategy,
     /// Hard cap on examined scenarios (`None` = no cap).
     pub max_scenarios: Option<usize>,
-    /// Pad every EID's scenario list up to this length with additional
-    /// scenarios containing it. Splitting alone can leave very short
-    /// lists — fine for *distinguishing within the matched cohort* but
-    /// fragile for the V-stage majority vote, where an unmatched
-    /// bystander sharing both of a two-scenario list ties it. This is why
-    /// the paper's SS uses "about one more scenario for each EID than
-    /// EDP" (Fig. 7).
-    pub min_list_len: usize,
 }
 
 impl Default for SetSplitConfig {
@@ -104,7 +96,6 @@ impl Default for SetSplitConfig {
         SetSplitConfig {
             strategy: SelectionStrategy::RandomTime { seed: 0 },
             max_scenarios: None,
-            min_list_len: 3,
         }
     }
 }
@@ -116,7 +107,7 @@ pub struct SplitOutput {
     pub recorded: Vec<ScenarioId>,
     /// Per-EID scenario lists (recorded scenarios containing the EID —
     /// inclusively, in the practical setting — plus an anchor when that
-    /// set came out empty, plus padding).
+    /// set came out empty, plus what the uniqueness pass added).
     pub lists: BTreeMap<Eid, ScenarioList>,
     /// The final cover (fully split unless the pool ran dry): a
     /// partition in the ideal setting, possibly overlapping where vague
@@ -155,7 +146,8 @@ pub(crate) struct SplitState {
     mode: SplitMode,
     pub(crate) cover: EidCover,
     pub(crate) recorded: Vec<ScenarioId>,
-    /// Pre-padding lists: the recorded scenarios containing each EID.
+    /// Lists before the output passes: the recorded scenarios
+    /// containing each EID.
     lists: BTreeMap<Eid, ScenarioList>,
     pub(crate) examined: usize,
     /// EIDs whose tentative copies have been pruned already.
@@ -212,24 +204,24 @@ impl SplitState {
         }
     }
 
-    /// Runs the padding passes (anchors, minimum list length, uniqueness
-    /// against the EID universe) over `store` and hands the state out as
-    /// a [`SplitOutput`].
+    /// Runs the output passes (anchors, then uniqueness against the EID
+    /// universe) over `store` and hands the state out as a
+    /// [`SplitOutput`]. Lists are not padded: a short list whose vote is
+    /// not confident is extended by Algorithm 2's E-filtering in the
+    /// next refinement round, which picks footage that discriminates.
     pub(crate) fn into_output(
         self,
         store: &EScenarioStore,
         config: &SetSplitConfig,
     ) -> SplitOutput {
         let inclusive_only = self.mode == SplitMode::Practical;
-        let min_len = config.min_list_len;
         let seed = match config.strategy {
             SelectionStrategy::RandomTime { seed } => seed,
             _ => 0,
         };
         let mut lists = self.lists;
         attach_anchors(store, &mut lists, inclusive_only);
-        let selected = extend_lists(store, &mut lists, min_len, seed, inclusive_only);
-        ensure_unique_against_universe(store, &mut lists, selected, seed, inclusive_only);
+        ensure_unique_against_universe(store, &mut lists, seed, inclusive_only);
         SplitOutput {
             recorded: self.recorded,
             lists,
@@ -433,18 +425,18 @@ fn split_gain(cover: &EidCover, c: &BTreeSet<Eid>) -> u64 {
 /// scenario of the list, otherwise that person's VID is a perfect
 /// "shadow" that VID filtering cannot tell from the right one. Set
 /// splitting alone only separates the *requested* EIDs from each other;
-/// this pass extends lists (preferring `selected`, the scenarios already
-/// in someone's list) until the co-presence intersection over **all**
+/// this pass extends lists (preferring the scenarios already in
+/// someone's list) until the co-presence intersection over **all**
 /// EIDs is the singleton `{eid}` — the same guarantee EDP's E-filtering
 /// gives, through the same [`CoPresence`] — or the pool runs dry. Pure
 /// E-stage work: no footage is touched.
 pub(crate) fn ensure_unique_against_universe(
     store: &EScenarioStore,
     lists: &mut BTreeMap<Eid, ScenarioList>,
-    mut selected: BTreeSet<ScenarioId>,
     seed: u64,
     inclusive_only: bool,
 ) {
+    let mut selected: BTreeSet<ScenarioId> = lists.values().flatten().copied().collect();
     for (&eid, list) in lists.iter_mut() {
         // Current co-presence intersection over the full universe.
         let mut common = CoPresence::default();
@@ -475,48 +467,6 @@ pub(crate) fn ensure_unique_against_universe(
     }
 }
 
-/// Pads short scenario lists up to `min_len` with extra scenarios
-/// containing each EID (inclusively, when `inclusive_only`), drawn in a
-/// seeded random order so consecutive windows of the same dwell do not
-/// dominate. Returns every scenario now in some list, for the
-/// uniqueness pass to go on preferring.
-pub(crate) fn extend_lists(
-    store: &EScenarioStore,
-    lists: &mut BTreeMap<Eid, ScenarioList>,
-    min_len: usize,
-    seed: u64,
-    inclusive_only: bool,
-) -> BTreeSet<ScenarioId> {
-    // Scenarios already selected for anyone: padding prefers these, so
-    // one padded scenario serves several EIDs — the same reuse that makes
-    // set splitting beat per-EID selection in the first place.
-    let mut selected: BTreeSet<ScenarioId> =
-        lists.values().flat_map(|l| l.iter().copied()).collect();
-    for (&eid, list) in lists.iter_mut() {
-        if list.len() >= min_len {
-            continue;
-        }
-        let (mut reusable, mut fresh): (Vec<ScenarioId>, Vec<ScenarioId>) = store
-            .containing(eid)
-            .filter(|s| !inclusive_only || s.contains_inclusive(eid))
-            .map(EScenario::id)
-            .filter(|id| !list.contains(id))
-            .partition(|id| selected.contains(id));
-        let mut rng =
-            ChaCha8Rng::seed_from_u64(seed ^ eid.as_u64().wrapping_mul(0x9e3779b97f4a7c15));
-        reusable.shuffle(&mut rng);
-        fresh.shuffle(&mut rng);
-        let added: Vec<ScenarioId> = reusable
-            .into_iter()
-            .chain(fresh)
-            .take(min_len - list.len())
-            .collect();
-        selected.extend(added.iter().copied());
-        list.extend(added);
-    }
-    selected
-}
-
 /// Gives every empty-listed EID one anchor scenario so VID filtering has
 /// footage to inspect: the first scenario in store order containing it
 /// or, when `inclusive_only`, the first containing it *inclusively* (vague
@@ -543,7 +493,7 @@ pub(crate) fn attach_anchors(
 /// [`split_ideal`] with the lazy-greedy heap replaced by what it stands
 /// for: every [`SelectionStrategy::GreedyBalanced`] step re-scans the
 /// whole store for the best gain, the first scenario winning ties. The
-/// other strategies take the shipped order. Same step, same padding:
+/// other strategies take the shipped order. Same step, same output passes:
 /// the tests require byte-identical [`SplitOutput`]s.
 #[cfg(test)]
 fn split_ideal_rescan(
@@ -628,7 +578,6 @@ mod tests {
                     let cfg = SetSplitConfig {
                         strategy,
                         max_scenarios,
-                        min_list_len: 3,
                     };
                     let indexed = split_ideal(&store, &targets(0..16), &cfg);
                     let scanned = split_ideal_rescan(&store, &targets(0..16), &cfg);
@@ -651,7 +600,6 @@ mod tests {
             let cfg = SetSplitConfig {
                 strategy,
                 max_scenarios: None,
-                min_list_len: 2,
             };
             let indexed = split_ideal(&store, &t, &cfg);
             let scanned = split_ideal_rescan(&store, &t, &cfg);
@@ -690,7 +638,6 @@ mod tests {
             &SetSplitConfig {
                 strategy: SelectionStrategy::Chronological,
                 max_scenarios: None,
-                min_list_len: 0,
             },
         );
         assert!(out.fully_split());
@@ -705,6 +652,30 @@ mod tests {
         assert_eq!(out.lists[&Eid::from_u64(0)].len(), 1);
         let anchor = out.lists[&Eid::from_u64(0)][0];
         assert_eq!(anchor.cell, CellId::new(2), "only scenario containing 0");
+    }
+
+    #[test]
+    fn practical_lists_are_not_padded() {
+        // (0, 0) alone separates EID 0 from EID 1 and leaves EID 0 alone
+        // in the universe, so its list is that one scenario, though EID 0
+        // is inclusive in three more.
+        let mut vague = scenario(1, 1, &[0]);
+        vague.insert(Eid::from_u64(1), ZoneAttr::Vague);
+        let store = EScenarioStore::from_scenarios(vec![
+            scenario(0, 0, &[0]),
+            vague,
+            scenario(0, 2, &[0, 1]),
+            scenario(0, 3, &[0, 1]),
+            scenario(1, 4, &[1]),
+        ]);
+        let cfg = SetSplitConfig {
+            strategy: SelectionStrategy::Chronological,
+            ..SetSplitConfig::default()
+        };
+        let out = crate::practical::split_practical(&store, &targets(0..2), &cfg);
+        assert!(out.fully_split());
+        let first = ScenarioId::new(Timestamp::new(0), CellId::new(0));
+        assert_eq!(out.lists[&Eid::from_u64(0)], vec![first]);
     }
 
     #[test]
@@ -726,7 +697,6 @@ mod tests {
         let cfg = |seed| SetSplitConfig {
             strategy: SelectionStrategy::RandomTime { seed },
             max_scenarios: None,
-            min_list_len: 0,
         };
         let a = split_ideal(&store, &targets(0..4), &cfg(1));
         let b = split_ideal(&store, &targets(0..4), &cfg(1));
@@ -749,7 +719,6 @@ mod tests {
             &SetSplitConfig {
                 strategy: SelectionStrategy::GreedyBalanced,
                 max_scenarios: None,
-                min_list_len: 0,
             },
         );
         assert_eq!(
@@ -788,7 +757,6 @@ mod tests {
             &SetSplitConfig {
                 strategy: SelectionStrategy::Chronological,
                 max_scenarios: Some(1),
-                min_list_len: 0,
             },
         );
         assert_eq!(out.scenarios_examined, 1);
@@ -835,7 +803,6 @@ mod tests {
             &SetSplitConfig {
                 strategy: SelectionStrategy::Chronological,
                 max_scenarios: None,
-                min_list_len: 0,
             },
         );
         assert!(out.fully_split());
@@ -864,7 +831,7 @@ mod proptests {
             let store = random_store(world_seed, 3, 8, 10);
             let targets: BTreeSet<Eid> = (0..10).map(Eid::from_u64).collect();
             let strategy = strategies()[strategy_pick];
-            let cfg = SetSplitConfig { strategy, max_scenarios: None, min_list_len: 3 };
+            let cfg = SetSplitConfig { strategy, max_scenarios: None };
             let indexed = split_ideal(&store, &targets, &cfg);
             let scanned = split_ideal_rescan(&store, &targets, &cfg);
             prop_assert_eq!(indexed, scanned);

@@ -49,7 +49,6 @@ fn chrono_config(max_scenarios: Option<usize>) -> SetSplitConfig {
     SetSplitConfig {
         strategy: SelectionStrategy::Chronological,
         max_scenarios,
-        ..SetSplitConfig::default()
     }
 }
 

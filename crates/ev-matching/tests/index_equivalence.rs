@@ -201,7 +201,6 @@ fn fully_split_count(store: &EScenarioStore, n: u64, strategy: SelectionStrategy
         &SetSplitConfig {
             strategy,
             max_scenarios: None,
-            min_list_len: 0,
         },
     );
     assert!(out.fully_split(), "store must fully split {n} targets");
@@ -245,7 +244,7 @@ proptest! {
         let out = split_ideal(
             &store,
             &targets(n),
-            &SetSplitConfig { strategy, max_scenarios: None, min_list_len: 0 },
+            &SetSplitConfig { strategy, max_scenarios: None },
         );
         prop_assert!(out.recorded.len() < n as usize, "upper bound n - 1");
         if out.fully_split() {

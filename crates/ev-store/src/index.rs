@@ -3,8 +3,8 @@
 //!
 //! The matching pipelines repeatedly ask two questions of the E-data:
 //! *"which scenarios contain this EID?"* (set splitting, EDP
-//! E-filtering, anchor/padding selection) and *"does this scenario
-//! contain this EID?"* (split-gain evaluation). Both were answered by
+//! E-filtering, anchor and uniqueness-pass selection) and *"does this
+//! scenario contain this EID?"* (split-gain evaluation). Both were answered by
 //! linear scans over every scenario's membership map. This module
 //! answers them from a one-time inverted build:
 //!

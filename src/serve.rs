@@ -327,7 +327,8 @@ impl<'t> LiveCorpus<'t> {
         self.writer.store()
     }
 
-    /// The live watch-set partition, padded into full scenario lists —
+    /// The live watch-set partition, anchored and made unique into full
+    /// scenario lists —
     /// `None` when no watch set is configured.
     #[must_use]
     pub fn watch_lists(&self) -> Option<SplitOutput> {
