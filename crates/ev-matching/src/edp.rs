@@ -57,8 +57,9 @@ impl Default for EdpConfig {
     }
 }
 
-/// The EIDs present in every scenario kept so far — what both
-/// co-presence filters narrow: [`efilter_one`] here and set splitting's
+/// The EIDs present in every scenario kept so far — what every
+/// co-presence filter narrows through [`isolate`]: [`efilter_one`] here,
+/// Algorithm 2's extension of unconfident lists and set splitting's
 /// uniqueness pass. A scenario is worth keeping iff it shrinks the set.
 #[derive(Default)]
 pub(crate) struct CoPresence(Option<Vec<Eid>>);
@@ -88,38 +89,68 @@ impl CoPresence {
     }
 }
 
+/// The one co-presence isolator: offers `candidates` to `common` —
+/// those `reused` accepts first, then the fresh ones, each group in its
+/// own random order drawn from `seed` — and keeps every scenario that
+/// shrinks the set, until the set is unique or `cap` scenarios are kept.
+/// Returns the kept ids in pick order.
+///
+/// Shuffling an empty group draws nothing from the generator, so a
+/// caller that reuses nothing gets exactly one seeded shuffle of its
+/// candidates.
+pub(crate) fn isolate<'s>(
+    common: &mut CoPresence,
+    candidates: impl Iterator<Item = &'s EScenario>,
+    reused: impl Fn(ScenarioId) -> bool,
+    seed: u64,
+    cap: usize,
+) -> ScenarioList {
+    let (mut reusable, mut fresh): (Vec<&EScenario>, Vec<&EScenario>) =
+        candidates.partition(|s| reused(s.id()));
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    reusable.shuffle(&mut rng);
+    fresh.shuffle(&mut rng);
+    let mut kept = ScenarioList::new();
+    for scenario in reusable.into_iter().chain(fresh) {
+        if kept.len() >= cap || common.is_unique() {
+            break;
+        }
+        if common.narrow(scenario) {
+            kept.push(scenario.id());
+        }
+    }
+    kept
+}
+
 /// E-filtering for one EID: scan the scenarios where `eid` was
-/// confidently observed (inclusive zone) in a seeded random order,
-/// keeping those that shrink the co-presence intersection, until `eid`
-/// is unique.
+/// confidently observed (inclusive zone) in a seeded random order —
+/// those `reused` accepts first — keeping those that shrink the
+/// co-presence intersection, until `eid` is unique.
 ///
 /// The intersection runs over **all** EIDs in the E-data (not just a
 /// requested subset) — EDP has no notion of a matching cohort. The
 /// random order matters: consecutive time windows share cohabitants
 /// (people move slowly), so a chronological scan shrinks the
 /// intersection far more slowly than temporally spread picks.
+///
+/// EDP and `EvMatcher::match_one` reuse nothing (`|_| false`): each EID
+/// is filtered as if it were the only one. Algorithm 2's refinement
+/// rounds pass the footage the match already selected, so one extracted
+/// scenario serves many EIDs the way set splitting's do.
 #[must_use]
-pub(crate) fn efilter_one(store: &EScenarioStore, eid: Eid, config: &EdpConfig) -> ScenarioList {
-    let cap = config.max_scenarios_per_eid.unwrap_or(usize::MAX);
-    let mut pool: Vec<&EScenario> = store
-        .containing(eid)
-        .filter(|s| s.contains_inclusive(eid))
-        .collect();
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(
+pub(crate) fn efilter_one(
+    store: &EScenarioStore,
+    eid: Eid,
+    config: &EdpConfig,
+    reused: impl Fn(ScenarioId) -> bool,
+) -> ScenarioList {
+    isolate(
+        &mut CoPresence::default(),
+        store.containing(eid).filter(|s| s.contains_inclusive(eid)),
+        reused,
         config.seed ^ eid.as_u64().wrapping_mul(0x9e3779b97f4a7c15),
-    );
-    pool.shuffle(&mut rng);
-    let mut common = CoPresence::default();
-    let mut list: ScenarioList = Vec::new();
-    for scenario in pool {
-        if list.len() >= cap || common.is_unique() {
-            break;
-        }
-        if common.narrow(scenario) {
-            list.push(scenario.id());
-        }
-    }
-    list
+        config.max_scenarios_per_eid.unwrap_or(usize::MAX),
+    )
 }
 
 /// Matches a set of EIDs with sequential EDP: per-EID E-filtering followed
@@ -139,7 +170,7 @@ pub fn match_edp(
     let e_start = Instant::now();
     let lists: BTreeMap<Eid, ScenarioList> = targets
         .iter()
-        .map(|&eid| (eid, efilter_one(store, eid, config)))
+        .map(|&eid| (eid, efilter_one(store, eid, config, |_| false)))
         .collect();
     let e_stage = e_start.elapsed();
 
@@ -211,7 +242,7 @@ pub fn match_edp_parallel(
 
     let mut dag: DagSpec<'_, EdpPart> = DagSpec::new();
     let efilter = dag.stage("efilter", eids.len(), Vec::new(), move |ctx, _| {
-        let list = efilter_one(store, eids[ctx.partition], edp);
+        let list = efilter_one(store, eids[ctx.partition], edp, |_| false);
         EdpPart::List(list, Instant::now())
     });
     // The report reads the lists. A partition completes exactly once,
@@ -323,7 +354,7 @@ mod tests {
     #[test]
     fn efilter_isolates_the_target() {
         let (store, _) = world();
-        let list = efilter_one(&store, Eid::from_u64(0), &EdpConfig::default());
+        let list = efilter_one(&store, Eid::from_u64(0), &EdpConfig::default(), |_| false);
         // t0c0 {0,1} ∩ t1c0 {0,2} = {0}: two scenarios suffice.
         assert_eq!(list.len(), 2);
     }
@@ -335,14 +366,14 @@ mod tests {
             max_scenarios_per_eid: Some(1),
             ..EdpConfig::default()
         };
-        let list = efilter_one(&store, Eid::from_u64(0), &cfg);
+        let list = efilter_one(&store, Eid::from_u64(0), &cfg, |_| false);
         assert_eq!(list.len(), 1);
     }
 
     #[test]
     fn efilter_of_unknown_eid_is_empty() {
         let (store, _) = world();
-        let list = efilter_one(&store, Eid::from_u64(99), &EdpConfig::default());
+        let list = efilter_one(&store, Eid::from_u64(99), &EdpConfig::default(), |_| false);
         assert!(list.is_empty());
     }
 
@@ -370,7 +401,7 @@ mod tests {
         // Each of the 4 EIDs picks ~2 scenarios starting from its own
         // chronological scan; unioned they cover most of the pool.
         let total: BTreeSet<ScenarioId> = (0..4)
-            .flat_map(|e| efilter_one(&store, Eid::from_u64(e), &cfg))
+            .flat_map(|e| efilter_one(&store, Eid::from_u64(e), &cfg, |_| false))
             .collect();
         assert!(total.len() >= 4, "little overlap: {}", total.len());
     }
@@ -418,5 +449,62 @@ mod tests {
         assert_eq!(sequential.lists, report.lists);
         assert_eq!(sequential.selected_scenarios, report.selected_scenarios);
         assert!(parallel(&BTreeSet::new()).outcomes.is_empty());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::setsplit::tests::random_store;
+    use proptest::prelude::*;
+
+    /// EDP's E-filter written out as one loop over one shuffle: the
+    /// reference that pins EDP's lists through [`isolate`].
+    fn efilter_one_reference(store: &EScenarioStore, eid: Eid, config: &EdpConfig) -> ScenarioList {
+        let cap = config.max_scenarios_per_eid.unwrap_or(usize::MAX);
+        let mut pool: Vec<&EScenario> = store
+            .containing(eid)
+            .filter(|s| s.contains_inclusive(eid))
+            .collect();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(
+            config.seed ^ eid.as_u64().wrapping_mul(0x9e3779b97f4a7c15),
+        );
+        pool.shuffle(&mut rng);
+        let mut common = CoPresence::default();
+        let mut list: ScenarioList = Vec::new();
+        for scenario in pool {
+            if list.len() >= cap || common.is_unique() {
+                break;
+            }
+            if common.narrow(scenario) {
+                list.push(scenario.id());
+            }
+        }
+        list
+    }
+
+    proptest! {
+        /// EDP (which reuses nothing) lists exactly what the loop it
+        /// replaced listed, cap or no cap.
+        #[test]
+        fn efilter_without_reuse_is_the_reference_loop(
+            world_seed in 0u64..40,
+            eid in 0u64..12,
+            seed in any::<u64>(),
+            cap in 0usize..4,
+        ) {
+            let store = random_store(world_seed, 3, 10, 12);
+            let config = EdpConfig {
+                // 0 stands for no cap.
+                max_scenarios_per_eid: (cap > 0).then_some(cap),
+                seed,
+                ..EdpConfig::default()
+            };
+            let eid = Eid::from_u64(eid);
+            prop_assert_eq!(
+                efilter_one(&store, eid, &config, |_| false),
+                efilter_one_reference(&store, eid, &config)
+            );
+        }
     }
 }

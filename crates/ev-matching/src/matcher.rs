@@ -136,7 +136,7 @@ impl<'a> EvMatcher<'a> {
             max_scenarios_per_eid: None,
             seed: 0,
         };
-        let list = efilter_one(self.estore, eid, &edp_cfg);
+        let list = efilter_one(self.estore, eid, &edp_cfg, |_| false);
         let e_stage = e_start.elapsed();
 
         let v_start = Instant::now();

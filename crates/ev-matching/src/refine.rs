@@ -9,7 +9,13 @@
 //! random-timestamp order), exclude the VIDs already confidently matched,
 //! and filter again, until everything is acceptable or the round budget
 //! is spent.
+//!
+//! Rounds ≥ 2 also extend each rebuilt list with EDP's E-filter, which
+//! tries the footage the match has already selected before fresh
+//! footage: like Algorithm 1's splitters, one extracted scenario serves
+//! many EIDs, so refinement adds little V-data of its own.
 
+use crate::edp::{efilter_one, EdpConfig};
 pub use crate::setsplit::SplitMode;
 use crate::setsplit::{split, SelectionStrategy, SetSplitConfig};
 use crate::types::{MatchOutcome, MatchReport, ScenarioList, StageTimings};
@@ -90,23 +96,7 @@ pub fn match_with_refinement(
         report.selected_scenarios.extend(out.selected());
         let mut lists: BTreeMap<Eid, ScenarioList> = out.lists;
         if rounds > 1 {
-            // Refinement rounds work on few EIDs, where set splitting
-            // degenerates (a small universe needs almost no splitters);
-            // extend short lists with per-EID greedy E-filtering so the V
-            // stage has discriminating footage to look at.
-            let edp_cfg = crate::edp::EdpConfig {
-                vfilter: config.vfilter,
-                max_scenarios_per_eid: None,
-                seed: u64::from(rounds),
-            };
-            for (&eid, list) in lists.iter_mut() {
-                for id in crate::edp::efilter_one(store, eid, &edp_cfg) {
-                    if !list.contains(&id) {
-                        list.push(id);
-                        report.selected_scenarios.insert(id);
-                    }
-                }
-            }
+            extend_by_efilter(store, &mut lists, &mut report, config.vfilter, rounds);
         }
         report.timings.e_stage += e_start.elapsed();
 
@@ -160,6 +150,41 @@ pub fn match_with_refinement(
     pipeline_span.arg("rounds", serde::Value::Int(i128::from(report.rounds)));
     drop(pipeline_span);
     report
+}
+
+/// Algorithm 2's E stage in rounds ≥ 2. Refinement rounds work on few
+/// EIDs, where set splitting degenerates (a small universe needs almost
+/// no splitters), so each pending list is extended with EDP's
+/// E-filter, seeded by the round: scenarios kept only when they shrink
+/// the co-presence set, i.e. footage that discriminates. Unlike EDP it
+/// tries the footage the match has already selected first — as it
+/// stands when the EID's turn comes, less the list its first attempt
+/// was scored on, which the vote already found wanting — so one
+/// extracted scenario serves many EIDs the way Algorithm 1's do; fresh
+/// footage only where that runs out.
+fn extend_by_efilter(
+    store: &EScenarioStore,
+    lists: &mut BTreeMap<Eid, ScenarioList>,
+    report: &mut MatchReport,
+    vfilter: VFilterConfig,
+    round: u32,
+) {
+    let edp_cfg = EdpConfig {
+        vfilter,
+        max_scenarios_per_eid: None,
+        seed: u64::from(round),
+    };
+    for (&eid, list) in lists.iter_mut() {
+        let selected = &report.selected_scenarios;
+        let failed = report.lists.get(&eid).map_or(&[][..], Vec::as_slice);
+        let reused = |id| selected.contains(&id) && !failed.contains(&id);
+        for id in efilter_one(store, eid, &edp_cfg, reused) {
+            if !list.contains(&id) {
+                list.push(id);
+                report.selected_scenarios.insert(id);
+            }
+        }
+    }
 }
 
 /// What a finished run knows that its report does not say.
@@ -235,7 +260,7 @@ mod tests {
     use super::*;
     use ev_core::feature::FeatureVector;
     use ev_core::region::CellId;
-    use ev_core::scenario::{Detection, EScenario, VScenario, ZoneAttr};
+    use ev_core::scenario::{Detection, EScenario, ScenarioId, VScenario, ZoneAttr};
     use ev_core::time::Timestamp;
     use ev_vision::cost::CostModel;
 
@@ -359,7 +384,7 @@ mod tests {
             max_scenarios_per_eid: None,
             seed: 2,
         };
-        let efiltered = crate::edp::efilter_one(&store, eid, &edp);
+        let efiltered = efilter_one(&store, eid, &edp, |_| false);
         let list = &report.lists[&eid];
         assert!(list.len() > 1, "round 2 extended the list: {list:?}");
         for id in &efiltered {
@@ -368,6 +393,90 @@ mod tests {
         let outcome = report.outcome_of(eid).unwrap();
         assert!(outcome.is_confident());
         assert_eq!(outcome.vid, Some(Vid::new(0)));
+    }
+
+    /// EID 0's scenarios at times 0..6 on one cell, each shared with one
+    /// other EID (1, 5, 2, 3, 4, 6), no footage: any two of them leave
+    /// EID 0 alone in their co-presence set.
+    fn eid_0_store() -> EScenarioStore {
+        let layout: &[(u64, usize, &[u64], &[u64])] = &[
+            (0, 0, &[0, 1], &[]),
+            (1, 0, &[0, 5], &[]),
+            (2, 0, &[0, 2], &[]),
+            (3, 0, &[0, 3], &[]),
+            (4, 0, &[0, 4], &[]),
+            (5, 0, &[0, 6], &[]),
+        ];
+        world(layout, 8).0
+    }
+
+    /// The id of [`eid_0_store`]'s scenario at time `t`.
+    fn at(t: u64) -> ScenarioId {
+        ScenarioId::new(Timestamp::new(t), CellId::new(0))
+    }
+
+    /// What `extend_by_efilter` appends to EID 0's empty round list in
+    /// `round`, given the report so far.
+    fn extension(store: &EScenarioStore, report: &MatchReport, round: u32) -> ScenarioList {
+        let mut lists = BTreeMap::from([(Eid::from_u64(0), ScenarioList::new())]);
+        let mut report = report.clone();
+        extend_by_efilter(
+            store,
+            &mut lists,
+            &mut report,
+            VFilterConfig::default(),
+            round,
+        );
+        lists.remove(&Eid::from_u64(0)).unwrap()
+    }
+
+    #[test]
+    fn round_2_extension_reuses_footage_already_selected() {
+        // EID 0's first attempt was scored on t0 and t1; t2 and t3 sit
+        // on EIDs 2 and 3's lists; t4 and t5 were never selected. The
+        // two reused scenarios isolate EID 0, so no fresh footage is
+        // extracted, whatever the round's seed.
+        let store = eid_0_store();
+        let mut report = MatchReport::default();
+        report.lists.insert(Eid::from_u64(0), vec![at(0), at(1)]);
+        report.lists.insert(Eid::from_u64(2), vec![at(2)]);
+        report.lists.insert(Eid::from_u64(3), vec![at(3)]);
+        report.selected_scenarios = (0..4).map(at).collect();
+        for round in 2..=5u32 {
+            let mut list = extension(&store, &report, round);
+            list.sort();
+            assert_eq!(list, vec![at(2), at(3)], "round {round}");
+        }
+        // EDP's order alone reaches for fresh footage on some seed.
+        let fresh = [at(4), at(5)];
+        let edp_takes_fresh = (2..=5u32).any(|round| {
+            let edp = EdpConfig {
+                seed: u64::from(round),
+                ..EdpConfig::default()
+            };
+            efilter_one(&store, Eid::from_u64(0), &edp, |_| false)
+                .iter()
+                .any(|id| fresh.contains(id))
+        });
+        assert!(edp_takes_fresh, "the fixture must separate the orders");
+    }
+
+    #[test]
+    fn round_2_extension_does_not_prefer_the_failed_list() {
+        // Only EID 0's own failed attempt (t0, t1) was selected: the
+        // extension gets no reuse to prefer and scans in EDP's order.
+        let store = eid_0_store();
+        let mut report = MatchReport::default();
+        report.lists.insert(Eid::from_u64(0), vec![at(0), at(1)]);
+        report.selected_scenarios = [at(0), at(1)].into();
+        for round in 2..=5u32 {
+            let edp = EdpConfig {
+                seed: u64::from(round),
+                ..EdpConfig::default()
+            };
+            let plain = efilter_one(&store, Eid::from_u64(0), &edp, |_| false);
+            assert_eq!(extension(&store, &report, round), plain, "round {round}");
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! whole [`SplitOutput`] — is identical to the quadratic re-scan the
 //! tests keep as the reference.
 
-use crate::edp::CoPresence;
+use crate::edp::{isolate, CoPresence};
 use crate::types::ScenarioList;
 use ev_core::ids::Eid;
 use ev_core::partition::EidCover;
@@ -428,7 +428,7 @@ fn split_gain(cover: &EidCover, c: &BTreeSet<Eid>) -> u64 {
 /// this pass extends lists (preferring the scenarios already in
 /// someone's list) until the co-presence intersection over **all**
 /// EIDs is the singleton `{eid}` — the same guarantee EDP's E-filtering
-/// gives, through the same [`CoPresence`] — or the pool runs dry. Pure
+/// gives, through the same [`isolate`] — or the pool runs dry. Pure
 /// E-stage work: no footage is touched.
 pub(crate) fn ensure_unique_against_universe(
     store: &EScenarioStore,
@@ -446,24 +446,19 @@ pub(crate) fn ensure_unique_against_universe(
         if common.is_unseeded() || common.is_unique() {
             continue; // no usable footage at all, or already unique
         }
-        let (mut reusable, mut fresh): (Vec<&EScenario>, Vec<&EScenario>) = store
+        let candidates = store
             .containing(eid)
             .filter(|s| !inclusive_only || s.contains_inclusive(eid))
-            .filter(|s| !list.contains(&s.id()))
-            .partition(|s| selected.contains(&s.id()));
-        let mut rng =
-            ChaCha8Rng::seed_from_u64(seed ^ eid.as_u64().wrapping_mul(0x2545f4914f6cdd1d));
-        reusable.shuffle(&mut rng);
-        fresh.shuffle(&mut rng);
-        for scenario in reusable.into_iter().chain(fresh) {
-            if common.is_unique() {
-                break;
-            }
-            if common.narrow(scenario) {
-                list.push(scenario.id());
-                selected.insert(scenario.id());
-            }
-        }
+            .filter(|s| !list.contains(&s.id()));
+        let added = isolate(
+            &mut common,
+            candidates,
+            |id| selected.contains(&id),
+            seed ^ eid.as_u64().wrapping_mul(0x2545f4914f6cdd1d),
+            usize::MAX,
+        );
+        selected.extend(&added);
+        list.extend(added);
     }
 }
 
@@ -529,7 +524,7 @@ fn split_ideal_rescan(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ev_core::region::CellId;
     use ev_core::time::Timestamp;
@@ -537,7 +532,7 @@ mod tests {
 
     /// A random E world: `people` persons wander a `cells`-cell corridor
     /// for `times` steps, each scenario holding a random cohort.
-    pub(super) fn random_store(seed: u64, cells: usize, times: u64, people: u64) -> EScenarioStore {
+    pub(crate) fn random_store(seed: u64, cells: usize, times: u64, people: u64) -> EScenarioStore {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut es = Vec::new();
         for t in 0..times {

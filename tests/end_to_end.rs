@@ -147,7 +147,9 @@ fn match_report_serializes() {
 /// recipe (FNV-1a over the `Debug` rendering, which prints floats
 /// exactly). The `Dag(2)` constant comes from a build of 687de3f, the
 /// commit before `EidCover`; the two sequential ones were re-pinned when
-/// the sequential splitter stopped padding lists. A change here means a
+/// the sequential splitter stopped padding lists, then when Algorithm 2's
+/// E-filter extension began trying already-selected footage first. A
+/// change here means a
 /// report changed, not that the pins need refreshing.
 #[test]
 fn report_digests_are_pinned_across_modes() {
@@ -180,8 +182,8 @@ fn report_digests_are_pinned_across_modes() {
             digest(SplitMode::Practical, Dag(2)),
         ],
         [
-            0xf16a_ea05_aced_eb2f,
-            0x7193_72ed_8fef_2cca,
+            0x84d6_a8d8_2fda_f095,
+            0x505a_7c6e_a9f8_64a3,
             0x0ab9_67a9_9a51_3001
         ],
     );
