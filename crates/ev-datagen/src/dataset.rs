@@ -9,6 +9,7 @@ use ev_store::{EScenarioStore, StoreBackend, VideoStore};
 use ev_vision::{AppearanceGallery, VScenarioBuilder};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// A fully generated synthetic EV world: the stores the algorithms
 /// consume plus the ground truth the scorer needs.
@@ -114,17 +115,28 @@ impl EvDataset {
         // side): they only read `traces` and draw from independent
         // streams, `seed + 2` and `seed + 4`. Visual sensing is
         // independent of the roster: every body is filmed, device or not.
+        // Each side drops its share of `traces` once it has read them
+        // (V after presence, E after its build), so the trajectories are
+        // freed before the V fill ends.
         let ebuilder = EScenarioBuilder::new(region.clone());
         let vbuilder = VScenarioBuilder::new(region.clone(), gallery.clone());
+        let traces = Arc::new(traces);
+        let (e_traces, roster_ref) = (Arc::clone(&traces), &roster);
         let (vscenarios, estore) = vbuilder.build_windowed_beside(
-            &traces,
+            traces,
             config.detection,
             config.window,
             config.seed.wrapping_add(4),
-            || {
-                ebuilder
-                    .build_practical_from(&traces, &roster, config.window, config.thresholds, draws)
-                    .map(EScenarioStore::from_scenarios)
+            move || {
+                let built = ebuilder.build_practical_from(
+                    &e_traces,
+                    roster_ref,
+                    config.window,
+                    config.thresholds,
+                    draws,
+                );
+                drop(e_traces);
+                built.map(EScenarioStore::from_scenarios)
             },
         );
         let estore = estore?;

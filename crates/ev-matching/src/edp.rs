@@ -58,9 +58,11 @@ impl Default for EdpConfig {
 }
 
 /// The EIDs present in every scenario kept so far — what every
-/// co-presence filter narrows through [`isolate`]: [`efilter_one`] here,
-/// Algorithm 2's extension of unconfident lists and set splitting's
-/// uniqueness pass. A scenario is worth keeping iff it shrinks the set.
+/// co-presence filter narrows: through [`isolate`] in [`efilter_one`]
+/// here, Algorithm 2's extension of unconfident lists and the reuse
+/// phase of set splitting's uniqueness pass, whose cover then seeds from
+/// [`members`](Self::members). A scenario is worth keeping iff it
+/// shrinks the set.
 #[derive(Default)]
 pub(crate) struct CoPresence(Option<Vec<Eid>>);
 
@@ -76,6 +78,11 @@ impl CoPresence {
         let before = common.len();
         common.retain(|&e| scenario.contains(e));
         common.len() < before
+    }
+
+    /// The EIDs left, in EID order (empty while unseeded).
+    pub(crate) fn members(&self) -> &[Eid] {
+        self.0.as_deref().unwrap_or_default()
     }
 
     /// Whether no scenario has been offered yet.

@@ -43,7 +43,7 @@ use crate::types::ScenarioList;
 use ev_core::ids::Eid;
 use ev_core::partition::EidCover;
 use ev_core::scenario::{EScenario, ScenarioId, ZoneAttr};
-use ev_store::EScenarioStore;
+use ev_store::{EScenarioStore, ScenarioIndex};
 use ev_telemetry::{names, Telemetry};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -51,6 +51,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::ops::Range;
 
 /// Which splitting semantics a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -425,18 +426,33 @@ fn split_gain(cover: &EidCover, c: &BTreeSet<Eid>) -> u64 {
 /// scenario of the list, otherwise that person's VID is a perfect
 /// "shadow" that VID filtering cannot tell from the right one. Set
 /// splitting alone only separates the *requested* EIDs from each other;
-/// this pass extends lists (preferring the scenarios already in
-/// someone's list) until the co-presence intersection over **all**
-/// EIDs is the singleton `{eid}` — the same guarantee EDP's E-filtering
-/// gives, through the same [`isolate`] — or the pool runs dry. Pure
-/// E-stage work: no footage is touched.
+/// this pass extends lists until the co-presence intersection over
+/// **all** EIDs is the singleton `{eid}` — the same guarantee EDP's
+/// E-filtering gives — or every candidate has been tried. Pure E-stage
+/// work: no footage is touched.
+///
+/// Two phases. *Reuse:* each EID, in EID order, is offered the
+/// scenarios already in someone's list through [`isolate`] (seeded
+/// shuffle, keep what shrinks). *Cover:* the EIDs still not unique buy
+/// fresh footage together through a [`ShadowCover`]: one scenario that
+/// rules out the shadows of several EIDs is bought once. No randomness
+/// is drawn there.
+///
+/// Either way an EID ends with `{eid}` or with the intersection over its
+/// list and every candidate: a candidate is only ever passed over when it
+/// cannot shrink the set, now or later (sets only shrink).
 pub(crate) fn ensure_unique_against_universe(
     store: &EScenarioStore,
     lists: &mut BTreeMap<Eid, ScenarioList>,
     seed: u64,
     inclusive_only: bool,
 ) {
-    let mut selected: BTreeSet<ScenarioId> = lists.values().flatten().copied().collect();
+    let mut selected: Vec<ScenarioId> = lists.values().flatten().copied().collect();
+    selected.sort_unstable();
+    selected.dedup();
+    let index = store.index();
+    let mut cover = ShadowCover::default();
+    let (mut reusable, mut fresh) = (Vec::new(), Vec::new());
     for (&eid, list) in lists.iter_mut() {
         // Current co-presence intersection over the full universe.
         let mut common = CoPresence::default();
@@ -445,6 +461,217 @@ pub(crate) fn ensure_unique_against_universe(
         }
         if common.is_unseeded() || common.is_unique() {
             continue; // no usable footage at all, or already unique
+        }
+        // The candidates, selected or fresh: the scenarios holding `eid`
+        // (inclusively, when `inclusive_only`). Both they and `selected`
+        // are ascending, and every list entry is selected.
+        let hosting = index.zoned_postings(eid);
+        let mut rest = selected.as_slice();
+        for (id, _) in hosting.filter(|&(_, attr)| !inclusive_only || attr == ZoneAttr::Inclusive) {
+            rest = &rest[rest.partition_point(|&s| s < id)..];
+            if rest.first() != Some(&id) {
+                fresh.push(id);
+            } else if !list.contains(&id) {
+                reusable.push(id);
+            }
+        }
+        let added = isolate(
+            &mut common,
+            reusable.drain(..).filter_map(|id| store.get(id)),
+            |_| true,
+            seed ^ eid.as_u64().wrapping_mul(0x2545f4914f6cdd1d),
+            usize::MAX,
+        );
+        list.extend(added);
+        if !common.is_unique() {
+            cover.add(index, eid, &common, list, &fresh);
+        }
+        fresh.clear();
+    }
+    cover.buy();
+}
+
+/// The uniqueness pass's cover: a lazy-greedy weighted set cover over
+/// the EIDs [`add`](Self::add)ed (in EID order, each with its list, its
+/// co-presence set and its fresh candidates).
+///
+/// A candidate's gain is the number of *shadows* (co-present EIDs other
+/// than the hosted one) it would rule out, summed over the pending EIDs
+/// it hosts. [`buy`](Self::buy) takes the scenario with the highest
+/// `(gain, smallest id)` and offers it to every pending EID it hosts, in
+/// EID order; it is appended wherever it shrinks the set. Gains only fall
+/// as sets shrink, so a max-heap whose entries are re-checked on pop
+/// (and re-pushed while stale) picks exactly what a full re-scan would.
+///
+/// Each EID's shadows are bits, one per member of its set when it was
+/// added; each candidate is a mask of the shadows it holds too, read off
+/// the shadows' postings. A gain is then a popcount over a word or two
+/// per hosted EID, and all bits live in arenas. Each EID also keeps the
+/// AND of its masks, its *floor*: the set it ends on once every candidate
+/// is bought. The cover stops as soon as every EID sits on its floor —
+/// no candidate can shrink a set then — instead of draining the heap.
+#[derive(Default)]
+struct ShadowCover<'l> {
+    /// Per pending EID: where its shadow bits start in `live` and
+    /// `floor`, and how many words they take.
+    pending: Vec<(usize, usize)>,
+    lists: Vec<&'l mut ScenarioList>,
+    live: Vec<u64>,
+    floor: Vec<u64>,
+    masks: Vec<u64>,
+    /// Per (candidate, EID) pair: the candidate, the pending ordinal
+    /// and where its mask starts in `masks`.
+    pairs: Vec<(ScenarioId, usize, usize)>,
+}
+
+impl<'l> ShadowCover<'l> {
+    /// Adds a pending EID: its set `common` (sorted, holding `eid`), its
+    /// list and its fresh candidates, ascending.
+    fn add(
+        &mut self,
+        index: &ScenarioIndex,
+        eid: Eid,
+        common: &CoPresence,
+        list: &'l mut ScenarioList,
+        fresh: &[ScenarioId],
+    ) {
+        let shadows = common.members().iter().filter(|&&e| e != eid);
+        let count = shadows.clone().count();
+        let width = count.div_ceil(64);
+        let (ordinal, at, base) = (self.lists.len(), self.live.len(), self.masks.len());
+        self.live.resize(at + width, 0);
+        for bit in 0..count {
+            self.live[at + bit / 64] |= 1 << (bit % 64);
+        }
+        self.masks.resize(base + fresh.len() * width, 0);
+        let keys: Vec<u128> = fresh.iter().map(|&id| order_key(id)).collect();
+        for (bit, &shadow) in shadows.enumerate() {
+            // Postings are ascending too: one merge walk finds the
+            // candidates that hold this shadow.
+            let holding = index.postings(shadow);
+            let (mut p, mut j) = (0, 0);
+            while p < holding.len() && j < keys.len() {
+                let (held, key) = (order_key(holding[p]), keys[j]);
+                if held == key {
+                    self.masks[base + j * width + bit / 64] |= 1 << (bit % 64);
+                }
+                p += usize::from(held <= key);
+                j += usize::from(held >= key);
+            }
+        }
+        let masks = (0..fresh.len()).map(|j| base + j * width);
+        let pairs = fresh
+            .iter()
+            .zip(masks)
+            .map(|(&id, mask)| (id, ordinal, mask));
+        self.pairs.extend(pairs);
+        self.floor.resize(at + width, u64::MAX);
+        for mask in self.masks[base..].chunks_exact(width) {
+            let floor = self.floor[at..].iter_mut().zip(mask);
+            floor.for_each(|(f, m)| *f &= m);
+        }
+        self.pending.push((at, width));
+        self.lists.push(list);
+    }
+
+    /// Whether some candidate can still shrink the set of `ordinal`.
+    fn above_floor(&self, ordinal: usize) -> bool {
+        let (at, width) = self.pending[ordinal];
+        let floor = &self.floor[at..at + width];
+        self.live[at..at + width]
+            .iter()
+            .zip(floor)
+            .any(|(l, f)| l & !f != 0)
+    }
+
+    /// Shadows the mask at `mask` would rule out of pending EID `ordinal`.
+    fn ruled_out(&self, ordinal: usize, mask: usize) -> u64 {
+        let (at, width) = self.pending[ordinal];
+        let held = &self.masks[mask..mask + width];
+        let live = self.live[at..at + width].iter().zip(held);
+        live.map(|(l, h)| u64::from((l & !h).count_ones())).sum()
+    }
+
+    fn gain(&self, group: &Range<usize>) -> u64 {
+        self.pairs[group.clone()]
+            .iter()
+            .map(|&(_, ordinal, mask)| self.ruled_out(ordinal, mask))
+            .sum()
+    }
+
+    /// Runs the cover and appends what it buys to the lists.
+    fn buy(mut self) {
+        // Group by candidate, each group in pending (= EID) order.
+        self.pairs.sort_unstable();
+        let mut groups: Vec<Range<usize>> = Vec::new();
+        for (i, &(id, _, _)) in self.pairs.iter().enumerate() {
+            match groups.last_mut() {
+                Some(range) if self.pairs[range.start].0 == id => range.end = i + 1,
+                _ => groups.push(i..i + 1),
+            }
+        }
+        let mut heap: BinaryHeap<(u64, Reverse<ScenarioId>, usize)> = groups
+            .iter()
+            .enumerate()
+            .map(|(g, range)| (self.gain(range), Reverse(self.pairs[range.start].0), g))
+            .filter(|&(gain, _, _)| gain > 0)
+            .collect();
+        let mut left = (0..self.lists.len())
+            .filter(|&o| self.above_floor(o))
+            .count();
+        while left > 0 {
+            let Some((stored, Reverse(id), g)) = heap.pop() else {
+                break;
+            };
+            let now = self.gain(&groups[g]);
+            if now < stored {
+                if now > 0 {
+                    heap.push((now, Reverse(id), g));
+                }
+                continue;
+            }
+            for i in groups[g].clone() {
+                let (_, ordinal, mask) = self.pairs[i];
+                if self.ruled_out(ordinal, mask) == 0 {
+                    continue; // on its floor, or this scenario holds every shadow
+                }
+                let (at, width) = self.pending[ordinal];
+                let live = self.live[at..at + width].iter_mut();
+                live.zip(&self.masks[mask..mask + width])
+                    .for_each(|(l, m)| *l &= m);
+                left -= usize::from(!self.above_floor(ordinal));
+                self.lists[ordinal].push(id);
+            }
+        }
+    }
+}
+
+/// A scenario id as one integer that orders as the id does (time, then
+/// cell), for branch-free merge walks.
+fn order_key(id: ScenarioId) -> u128 {
+    (u128::from(id.time.tick()) << 64) | id.cell.index() as u128
+}
+
+/// The uniqueness pass as it was before the cover: EIDs in EID order,
+/// each offered its candidates through [`isolate`] — the selected ones
+/// first, then fresh ones, each group in a seeded random order — with
+/// every scenario an EID keeps counting as selected for the EIDs after
+/// it. The tests hold the cover to this pass's final co-presence sets.
+#[cfg(test)]
+pub(crate) fn ensure_unique_per_eid_reference(
+    store: &EScenarioStore,
+    lists: &mut BTreeMap<Eid, ScenarioList>,
+    seed: u64,
+    inclusive_only: bool,
+) {
+    let mut selected: BTreeSet<ScenarioId> = lists.values().flatten().copied().collect();
+    for (&eid, list) in lists.iter_mut() {
+        let mut common = CoPresence::default();
+        for scenario in list.iter().filter_map(|&id| store.get(id)) {
+            common.narrow(scenario);
+        }
+        if common.is_unseeded() || common.is_unique() {
+            continue;
         }
         let candidates = store
             .containing(eid)
@@ -805,6 +1032,47 @@ pub(crate) mod tests {
         // pairwise.
         assert_eq!(out.recorded.len(), 5);
     }
+
+    #[test]
+    fn the_cover_buys_one_scenario_for_two_eids_shadows() {
+        // EID 0 is shadowed by 10 and EID 1 by 11. The shared scenario
+        // at time 1 rules out both shadows; each EID also has three
+        // private scenarios that rule out its own.
+        let mut scenarios = vec![
+            scenario(0, 0, &[0, 10]),
+            scenario(1, 0, &[1, 11]),
+            scenario(0, 1, &[0, 1]),
+        ];
+        for t in 2..5 {
+            scenarios.push(scenario(0, t, &[0]));
+            scenarios.push(scenario(1, t, &[1]));
+        }
+        let store = EScenarioStore::from_scenarios(scenarios);
+        let id = |cell, time| ScenarioId::new(Timestamp::new(time), CellId::new(cell));
+        let lists = || {
+            BTreeMap::from([
+                (Eid::from_u64(0), vec![id(0, 0)]),
+                (Eid::from_u64(1), vec![id(1, 0)]),
+            ])
+        };
+        let bought = |lists: &BTreeMap<Eid, ScenarioList>| -> BTreeSet<ScenarioId> {
+            lists.values().map(|list| list[1]).collect()
+        };
+        for inclusive_only in [false, true] {
+            let mut cover = lists();
+            ensure_unique_against_universe(&store, &mut cover, 0, inclusive_only);
+            assert_eq!(cover[&Eid::from_u64(0)], vec![id(0, 0), id(0, 1)]);
+            assert_eq!(cover[&Eid::from_u64(1)], vec![id(1, 0), id(0, 1)]);
+        }
+        // The per-EID pass draws its picks at random; some seeds buy a
+        // private scenario for each EID.
+        let two = (0..8).any(|seed| {
+            let mut reference = lists();
+            ensure_unique_per_eid_reference(&store, &mut reference, seed, true);
+            bought(&reference).len() == 2
+        });
+        assert!(two, "the reference never bought private footage");
+    }
 }
 
 #[cfg(test)]
@@ -814,6 +1082,103 @@ mod proptests {
     use ev_core::region::CellId;
     use ev_core::time::Timestamp;
     use proptest::prelude::*;
+
+    /// `random_store` with roughly a third of its appearances vague.
+    fn with_vague(store: &EScenarioStore) -> EScenarioStore {
+        let scenarios = store.iter().map(|s| {
+            let mut s = s.clone();
+            let vague: Vec<Eid> = s
+                .eids()
+                .filter(|e| (e.as_u64() + s.time().tick()) % 3 == 0)
+                .collect();
+            for eid in vague {
+                s.insert(eid, ZoneAttr::Vague);
+            }
+            s
+        });
+        EScenarioStore::from_scenarios(scenarios.collect())
+    }
+
+    /// Lists of zero to two scenarios holding each EID, drawn by `pick`.
+    fn starting_lists(store: &EScenarioStore, eids: u64, pick: u64) -> BTreeMap<Eid, ScenarioList> {
+        (0..eids)
+            .map(Eid::from_u64)
+            .map(|eid| {
+                let postings = store.index().postings(eid);
+                let len = ((pick >> (eid.as_u64() % 32 * 2)) & 3) as usize % 3;
+                let mut list: ScenarioList = (0..len.min(postings.len()))
+                    .map(|j| postings[(pick as usize + 7 * j) % postings.len()])
+                    .collect();
+                list.dedup();
+                (eid, list)
+            })
+            .collect()
+    }
+
+    /// The EIDs present in every scenario of `list`.
+    fn co_presence(store: &EScenarioStore, list: &[ScenarioId]) -> Vec<Eid> {
+        let mut common = CoPresence::default();
+        for &id in list {
+            common.narrow(store.get(id).unwrap());
+        }
+        common.members().to_vec()
+    }
+
+    /// The cover with the heap replaced by what it stands for: after the
+    /// shipped reuse phase, every pick re-scans all fresh candidates for
+    /// the highest gain, the smallest id winning ties.
+    fn unique_by_rescan(
+        store: &EScenarioStore,
+        lists: &mut BTreeMap<Eid, ScenarioList>,
+        seed: u64,
+        inclusive_only: bool,
+    ) {
+        let selected: BTreeSet<ScenarioId> = lists.values().flatten().copied().collect();
+        let hosts = |eid: Eid, s: &EScenario| {
+            s.contains(eid) && (!inclusive_only || s.contains_inclusive(eid))
+        };
+        let mut pending: Vec<(Eid, CoPresence, &mut ScenarioList)> = Vec::new();
+        for (&eid, list) in lists.iter_mut() {
+            let mut common = CoPresence::default();
+            for &id in list.iter() {
+                common.narrow(store.get(id).unwrap());
+            }
+            if common.is_unseeded() || common.is_unique() {
+                continue;
+            }
+            let reusable = store
+                .containing(eid)
+                .filter(|s| hosts(eid, s) && selected.contains(&s.id()) && !list.contains(&s.id()));
+            let seed = seed ^ eid.as_u64().wrapping_mul(0x2545f4914f6cdd1d);
+            list.extend(isolate(&mut common, reusable, |_| true, seed, usize::MAX));
+            pending.push((eid, common, list));
+        }
+        loop {
+            let gain = |s: &EScenario| -> usize {
+                let hosted = pending
+                    .iter()
+                    .filter(|(eid, common, _)| !common.is_unique() && hosts(*eid, s));
+                hosted
+                    .map(|(_, common, _)| {
+                        common.members().iter().filter(|&&e| !s.contains(e)).count()
+                    })
+                    .sum()
+            };
+            let fresh = store.iter().filter(|s| !selected.contains(&s.id()));
+            let best = fresh
+                .map(|s| (gain(s), Reverse(s.id()), s))
+                .filter(|&(g, ..)| g > 0)
+                .max_by_key(|&(g, id, _)| (g, id));
+            let Some((_, _, scenario)) = best else {
+                break;
+            };
+            for (eid, common, list) in &mut pending {
+                if !common.is_unique() && hosts(*eid, scenario) && common.narrow(scenario) {
+                    list.push(scenario.id());
+                }
+            }
+        }
+    }
 
     proptest! {
         /// Heap-greedy ≡ re-scan-greedy holds for arbitrary generated
@@ -868,6 +1233,45 @@ mod proptests {
                 replay.split(members.map(|e| (e, ZoneAttr::Inclusive)));
             }
             prop_assert_eq!(&replay, &out.partition);
+        }
+
+        /// The uniqueness cover ends every EID on the co-presence set the
+        /// per-EID pass ends it on, appends only scenarios that host the
+        /// EID and shrank its set when appended, picks what a full
+        /// re-scan picks, and does so the same way twice.
+        #[test]
+        fn the_uniqueness_cover_ends_where_the_per_eid_pass_does(
+            world_seed in 0u64..40,
+            pick in any::<u64>(),
+            seed in any::<u64>(),
+            inclusive_only in any::<bool>(),
+        ) {
+            let store = with_vague(&random_store(world_seed, 3, 10, 14));
+            let start = starting_lists(&store, 14, pick);
+            let run = |pass: fn(&EScenarioStore, &mut BTreeMap<Eid, ScenarioList>, u64, bool)| {
+                let mut lists = start.clone();
+                pass(&store, &mut lists, seed, inclusive_only);
+                lists
+            };
+            let cover = run(ensure_unique_against_universe);
+            let reference = run(ensure_unique_per_eid_reference);
+            prop_assert_eq!(&cover, &run(ensure_unique_against_universe));
+            prop_assert_eq!(&cover, &run(unique_by_rescan));
+            for (eid, list) in &cover {
+                let before = &start[eid];
+                prop_assert_eq!(&list[..before.len()], &before[..]);
+                prop_assert_eq!(co_presence(&store, list), co_presence(&store, &reference[eid]));
+                let mut common = CoPresence::default();
+                for &id in before {
+                    common.narrow(store.get(id).unwrap());
+                }
+                for &id in &list[before.len()..] {
+                    let scenario = store.get(id).unwrap();
+                    prop_assert!(scenario.contains(*eid));
+                    prop_assert!(!inclusive_only || scenario.contains_inclusive(*eid));
+                    prop_assert!(common.narrow(scenario), "{} did not shrink {}'s set", id, eid);
+                }
+            }
         }
     }
 }

@@ -378,7 +378,9 @@ mod tests {
         assert_eq!(s.index().stats().postings_probed, 1);
 
         // Every batch id sorts after everything stored: splice path.
-        let stats = s.ingest(vec![scenario(1, 3, &[1, 9]), scenario(0, 4, &[2])]);
+        let mut vague = scenario(1, 3, &[1]);
+        vague.insert(Eid::from_u64(9), ZoneAttr::Vague);
+        let stats = s.ingest(vec![vague, scenario(0, 4, &[2])]);
         assert_eq!(
             stats,
             IngestStats {
@@ -402,6 +404,13 @@ mod tests {
             let reference: Vec<ScenarioId> = rebuilt.containing(eid).map(EScenario::id).collect();
             assert_eq!(spliced, scanned, "EID {e}: index matches scan");
             assert_eq!(spliced, reference, "EID {e}: splice matches rebuild");
+            let zones: Vec<_> = s.index().zoned_postings(eid).collect();
+            let attrs = s.iter().filter_map(|sc| Some((sc.id(), sc.attr(eid)?)));
+            assert_eq!(
+                zones,
+                attrs.collect::<Vec<_>>(),
+                "EID {e}: zones splice too"
+            );
         }
         assert_eq!(s.at_time(Timestamp::new(3)).count(), 1);
     }

@@ -9,17 +9,18 @@
 //! answers them from a one-time inverted build:
 //!
 //! for every EID, the sorted list of [`ScenarioId`]s that contain it
-//! (its *postings*). Scenario ids order as `(time, cell)`, which is
-//! exactly the store's iteration order, so walking a posting list visits
-//! the same scenarios in the same order as a full scan — the index-backed
-//! paths are drop-in replacements with byte-identical results.
+//! (its *postings*), with one bit per posting for its zone. Scenario ids
+//! order as `(time, cell)`, which is exactly the store's iteration
+//! order, so walking a posting list visits the same scenarios in the
+//! same order as a full scan — the index-backed paths are drop-in
+//! replacements with byte-identical results.
 //!
 //! The index also keeps usage counters (postings probed, membership
 //! binary-searches, scans avoided) behind atomics so `&self` consumers
 //! can report them through the pipeline metrics.
 
 use ev_core::ids::Eid;
-use ev_core::scenario::{EScenario, ScenarioId};
+use ev_core::scenario::{EScenario, ScenarioId, ZoneAttr};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,8 +51,29 @@ struct IndexStats {
 #[derive(Debug, Default)]
 pub struct ScenarioIndex {
     /// EID → scenario ids containing it, ascending (= store order).
-    postings: BTreeMap<Eid, Vec<ScenarioId>>,
+    postings: BTreeMap<Eid, Postings>,
     stats: IndexStats,
+}
+
+/// One EID's postings and, one bit per posting, whether that scenario
+/// holds the EID in its inclusive zone.
+#[derive(Debug, Default)]
+struct Postings {
+    ids: Vec<ScenarioId>,
+    inclusive: Vec<u64>,
+}
+
+impl Postings {
+    fn push(&mut self, id: ScenarioId, attr: ZoneAttr) {
+        let at = self.ids.len();
+        if at.is_multiple_of(64) {
+            self.inclusive.push(0);
+        }
+        if attr == ZoneAttr::Inclusive {
+            self.inclusive[at / 64] |= 1 << (at % 64);
+        }
+        self.ids.push(id);
+    }
 }
 
 impl ScenarioIndex {
@@ -59,17 +81,9 @@ impl ScenarioIndex {
     /// store's canonical order). One pass over every membership record.
     #[must_use]
     pub(crate) fn build<'a>(scenarios: impl IntoIterator<Item = &'a EScenario>) -> Self {
-        let mut postings: BTreeMap<Eid, Vec<ScenarioId>> = BTreeMap::new();
-        for s in scenarios {
-            let id = s.id();
-            for eid in s.eids() {
-                postings.entry(eid).or_default().push(id);
-            }
-        }
-        ScenarioIndex {
-            postings,
-            stats: IndexStats::default(),
-        }
+        let mut index = ScenarioIndex::default();
+        index.extend(scenarios);
+        index
     }
 
     /// Splices scenarios into the index *without* a rebuild.
@@ -85,8 +99,8 @@ impl ScenarioIndex {
     pub(crate) fn extend<'a>(&mut self, scenarios: impl IntoIterator<Item = &'a EScenario>) {
         for s in scenarios {
             let id = s.id();
-            for eid in s.eids() {
-                self.postings.entry(eid).or_default().push(id);
+            for (eid, attr) in s.iter() {
+                self.postings.entry(eid).or_default().push(id, attr);
             }
         }
     }
@@ -98,7 +112,25 @@ impl ScenarioIndex {
     pub fn postings(&self, eid: Eid) -> &[ScenarioId] {
         self.stats.postings_probed.fetch_add(1, Ordering::Relaxed);
         self.stats.scans_avoided.fetch_add(1, Ordering::Relaxed);
-        self.postings.get(&eid).map_or(&[], Vec::as_slice)
+        self.postings.get(&eid).map_or(&[], |p| p.ids.as_slice())
+    }
+
+    /// [`postings`](Self::postings) with each scenario's zone for `eid`:
+    /// the inclusive appearances of an EID without a scenario look-up.
+    pub fn zoned_postings(&self, eid: Eid) -> impl Iterator<Item = (ScenarioId, ZoneAttr)> + '_ {
+        self.stats.postings_probed.fetch_add(1, Ordering::Relaxed);
+        self.stats.scans_avoided.fetch_add(1, Ordering::Relaxed);
+        let (ids, bits) = self.postings.get(&eid).map_or((&[][..], &[][..]), |p| {
+            (p.ids.as_slice(), p.inclusive.as_slice())
+        });
+        ids.iter().enumerate().map(move |(at, &id)| {
+            let attr = if bits[at / 64] >> (at % 64) & 1 == 1 {
+                ZoneAttr::Inclusive
+            } else {
+                ZoneAttr::Vague
+            };
+            (id, attr)
+        })
     }
 
     /// Whether scenario `id` contains `eid` — one binary search on the
@@ -111,7 +143,7 @@ impl ScenarioIndex {
             .fetch_add(1, Ordering::Relaxed);
         self.postings
             .get(&eid)
-            .is_some_and(|p| p.binary_search(&id).is_ok())
+            .is_some_and(|p| p.ids.binary_search(&id).is_ok())
     }
 
     /// Number of distinct EIDs with at least one posting.
@@ -168,8 +200,30 @@ mod tests {
         assert!(idx.postings(Eid::from_u64(9)).is_empty());
         assert_eq!(idx.eid_count(), 3);
         for p in idx.postings.values() {
-            assert!(p.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
+            assert!(p.ids.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
         }
+    }
+
+    #[test]
+    fn zoned_postings_carry_each_scenarios_zone() {
+        // 70 scenarios, so the zone bits span two words.
+        let scenarios: Vec<EScenario> = (0..70)
+            .map(|t| {
+                let mut s = scenario(0, t, &[1]);
+                if t % 3 == 0 {
+                    s.insert(Eid::from_u64(1), ZoneAttr::Vague);
+                }
+                s
+            })
+            .collect();
+        let idx = ScenarioIndex::build(scenarios.iter());
+        let zoned: Vec<_> = idx.zoned_postings(Eid::from_u64(1)).collect();
+        let expected: Vec<_> = scenarios
+            .iter()
+            .map(|s| (s.id(), s.attr(Eid::from_u64(1)).unwrap()))
+            .collect();
+        assert_eq!(zoned, expected);
+        assert_eq!(idx.zoned_postings(Eid::from_u64(9)).count(), 0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 /// The human-detection model: with probability `miss_rate` a person
 /// present in a scenario produces **no** detection (occlusion or detector
@@ -146,8 +146,8 @@ impl VScenarioBuilder {
         window: u64,
         seed: u64,
     ) -> Vec<VScenario> {
-        self.build_windowed_beside(traces, model, window, seed, || ())
-            .0
+        let presence = || self.presence(traces, window);
+        self.build_from(presence, model, window, seed, || ()).0
     }
 
     /// [`VScenarioBuilder::build_windowed`] with `beside` run as one task
@@ -156,13 +156,35 @@ impl VScenarioBuilder {
     /// done, fills grains of the plan until none are left. At one CPU
     /// everything runs on the caller, `beside` first.
     ///
+    /// The fill never reads the trajectories: this call drops its share
+    /// of `traces` as soon as presence has been read from them, so a
+    /// caller whose `beside` drops the other share frees them before the
+    /// fill ends.
+    ///
     /// # Panics
     ///
     /// Panics if `window` is zero, and re-raises a panic of `beside` or
     /// of any fill.
     pub fn build_windowed_beside<R: Send>(
         &self,
-        traces: &TraceSet,
+        traces: Arc<TraceSet>,
+        model: DetectionModel,
+        window: u64,
+        seed: u64,
+        beside: impl FnOnce() -> R + Send,
+    ) -> (Vec<VScenario>, R) {
+        let presence = move || {
+            let presence = self.presence(&traces, window);
+            drop(traces);
+            presence
+        };
+        self.build_from(presence, model, window, seed, beside)
+    }
+
+    /// The pool run behind both public builds, given how to read presence.
+    fn build_from<R: Send>(
+        &self,
+        presence: impl FnOnce() -> Presence + Send,
         model: DetectionModel,
         window: u64,
         seed: u64,
@@ -173,7 +195,7 @@ impl VScenarioBuilder {
         let (plan, detections, side) = sense(
             workers,
             FILL_GRAIN,
-            || self.plan(self.presence(traces, window), model, seed),
+            || self.plan(presence(), model, seed),
             beside,
             |words, grain| self.fill(grain, model.feature_sigma, seed, words),
         );
