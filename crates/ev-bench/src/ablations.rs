@@ -6,7 +6,6 @@ use crate::experiments::Scale;
 use crate::report::{num, Table};
 use crate::runner::{run_ss, run_ss_parallel};
 use ev_datagen::{sample_targets, score_report, DatasetConfig, EvDataset};
-use ev_matching::dagflow::round_pipeline_shape;
 use ev_matching::refine::{match_with_refinement, RefineConfig, SplitMode};
 use ev_matching::setsplit::{SelectionStrategy, SetSplitConfig};
 use ev_telemetry::Telemetry;
@@ -51,10 +50,7 @@ pub(crate) fn ablate_selection(scale: Scale) -> Table {
         dataset.video.reset_usage();
         let config = RefineConfig {
             mode: SplitMode::Ideal,
-            split: SetSplitConfig {
-                strategy,
-                ..SetSplitConfig::default()
-            },
+            split: SetSplitConfig { strategy },
             ..RefineConfig::default()
         };
         let start = Instant::now();
@@ -206,11 +202,8 @@ pub(crate) fn ablate_mobility(scale: Scale) -> Table {
     table
 }
 
-/// Cluster-width ablation: wall time of the parallel pipeline (one
-/// stage-DAG submission) vs worker-thread count, beside the
-/// host-independent makespan models of the same round pipeline — the
-/// stand-in for the paper's 14-node curve on a host that cannot draw it
-/// in wall time.
+/// Cluster-width ablation: wall time of the parallel pipeline (round
+/// 1's V stage as one stage-DAG submission) vs worker-thread count.
 #[must_use]
 pub(crate) fn ablate_workers(scale: Scale) -> Table {
     let (population, duration, matched) = scale_params(scale);
@@ -225,50 +218,29 @@ pub(crate) fn ablate_workers(scale: Scale) -> Table {
 
     let mut table = Table::new(
         "ablate-workers",
-        "Parallel pipeline wall time and virtual makespan vs cluster width",
-        vec![
-            "workers",
-            "E secs",
-            "V secs",
-            "total secs",
-            "virtual units",
-            "barriered units",
-        ],
+        "Parallel pipeline wall time vs cluster width",
+        vec!["workers", "E secs", "V secs", "total secs"],
     );
-    // One splitting round per timestamp; snapshot scans dominate a
-    // round, signatures shard four ways, the merge is one cheap task.
-    let rounds = dataset.estore.times().count();
-    let shape = round_pipeline_shape(rounds, 32, 2, 4);
     let max_workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
     for workers in [1usize, 2, 4, 8, 14] {
         // Beyond twice the hardware threads a wall time only measures
-        // oversubscription; the models still price the width.
+        // oversubscription.
         let [e_secs, v_secs, total_secs] = if workers > max_workers.max(2) * 2 {
             ["-"; 3].map(String::from)
         } else {
             let summary = run_ss_parallel(&dataset, &targets, workers, 3);
             [summary.e_secs, summary.v_secs, summary.total_secs()].map(|secs| num(secs, 3))
         };
-        table.push_row(vec![
-            workers.to_string(),
-            e_secs,
-            v_secs,
-            total_secs,
-            shape.virtual_makespan(workers).to_string(),
-            shape.barriered_makespan(workers).to_string(),
-        ]);
+        table.push_row(vec![workers.to_string(), e_secs, v_secs, total_secs]);
     }
     table.push_note(format!(
         "this machine exposes {max_workers} hardware threads; wall speedup saturates there"
     ));
-    table.push_note(format!(
-        "virtual units: list-schedule makespan of the {rounds}-round splitter shape \
-         (snapshot 32, signature 2 x 4 partitions, merge 4 units per round) when a task \
-         starts the moment its inputs exist; barriered units: the same work one stage at \
-         a time, as a job-per-round driver would run it"
-    ));
+    table.push_note(
+        "the report is the sequential pipeline's at every width; one worker runs it inline",
+    );
     table
 }
 
@@ -318,10 +290,11 @@ mod tests {
     fn workers_ablation_prices_every_width() {
         let t = ablate_workers(Scale::Quick);
         assert_eq!(t.rows.len(), 5);
-        let units = |row: usize, col: usize| t.rows[row][col].parse::<u64>().unwrap();
-        for row in 0..5 {
-            assert!(units(row, 4) <= units(row, 5), "overlap never loses");
+        // One and two workers always run; a width is either timed in
+        // full or left blank in full.
+        for (i, row) in t.rows.iter().enumerate() {
+            let timed = row[1..].iter().filter(|cell| *cell != "-").count();
+            assert!(timed == 3 || (i >= 2 && timed == 0), "{row:?}");
         }
-        assert!(units(4, 4) < units(0, 4), "14 workers beat 1");
     }
 }

@@ -4,10 +4,10 @@
 use ev_core::ids::Eid;
 use ev_dag::DagConfig;
 use ev_datagen::{score_report, EvDataset};
-use ev_matching::dagflow::dag_match;
 use ev_matching::edp::{match_edp, match_edp_parallel, EdpConfig};
+use ev_matching::matcher::{EvMatcher, ExecutionMode, MatcherConfig};
 use ev_matching::refine::{match_with_refinement, RefineConfig, SplitMode};
-use ev_matching::vfilter::VFilterConfig;
+use ev_matching::setsplit::{SelectionStrategy, SetSplitConfig};
 use ev_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -54,15 +54,11 @@ impl RunSummary {
 #[must_use]
 pub(crate) fn run_ss(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -> RunSummary {
     dataset.video.reset_usage();
-    let mut config = RefineConfig {
+    let config = RefineConfig {
         mode: SplitMode::Practical,
+        split: seeded(seed),
         ..RefineConfig::default()
     };
-    if let ev_matching::setsplit::SelectionStrategy::RandomTime { seed: s } =
-        &mut config.split.strategy
-    {
-        *s = seed;
-    }
     let report = match_with_refinement(
         &dataset.estore,
         &dataset.video,
@@ -91,8 +87,16 @@ pub(crate) fn run_edp(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -
     summarize(dataset, targets, Algo::Edp, &report)
 }
 
-/// Runs parallel SS (Algorithm 3 as one stage-DAG submission) over
-/// `targets` on `threads` threads.
+/// The random-time splitting order drawn from `seed`.
+fn seeded(seed: u64) -> SetSplitConfig {
+    SetSplitConfig {
+        strategy: SelectionStrategy::RandomTime { seed },
+    }
+}
+
+/// Runs SS on `threads` threads (Algorithm 3: [`run_ss`]'s pipeline,
+/// round 1's V stage on the stage-DAG pool) over `targets`; the report
+/// is `run_ss`'s, only the times differ.
 ///
 /// # Panics
 ///
@@ -105,16 +109,15 @@ pub(crate) fn run_ss_parallel(
     seed: u64,
 ) -> RunSummary {
     dataset.video.reset_usage();
-    let report = dag_match(
-        &DagConfig::new(threads),
-        &dataset.estore,
-        &dataset.video,
-        targets,
-        seed,
-        &VFilterConfig::default(),
-        Telemetry::disabled(),
-    )
-    .expect("a fault-free run cannot fail");
+    let config = MatcherConfig {
+        mode: SplitMode::Practical,
+        split: seeded(seed),
+        execution: ExecutionMode::Dag(threads),
+        ..MatcherConfig::default()
+    };
+    let report = EvMatcher::new(&dataset.estore, &dataset.video, config)
+        .match_many(targets)
+        .expect("a fault-free run cannot fail");
     summarize(dataset, targets, Algo::Ss, &report)
 }
 

@@ -90,15 +90,13 @@ impl EidCover {
         Self::from_blocks((!set.is_empty()).then_some(set)).expect("one non-empty block")
     }
 
-    /// Reassembles a cover from externally computed disjoint blocks, every
-    /// member firm (e.g. the merge step of the parallel set splitting,
-    /// paper Algorithm 3).
+    /// Assembles a cover from disjoint blocks, every member firm.
     ///
     /// # Errors
     ///
     /// Returns [`crate::Error::InvalidParameter`] if any block is empty or
     /// an EID appears in two blocks.
-    pub fn from_blocks(blocks: impl IntoIterator<Item = BTreeSet<Eid>>) -> crate::Result<Self> {
+    fn from_blocks(blocks: impl IntoIterator<Item = BTreeSet<Eid>>) -> crate::Result<Self> {
         let blocks: Vec<BTreeSet<Eid>> = blocks.into_iter().collect();
         let universe: BTreeSet<Eid> = blocks.iter().flatten().copied().collect();
         assert!(u32::try_from(universe.len()).is_ok(), "32-bit ordinals");

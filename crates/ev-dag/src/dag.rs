@@ -60,7 +60,7 @@
 use crate::{pool, FaultPlan, JobError};
 use ev_telemetry::{names, MetricsRegistry, Telemetry, TraceCtx};
 use serde::Value;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Once};
 use std::time::Instant;
 
@@ -156,8 +156,6 @@ struct Stage<'a, P> {
     partitions: usize,
     deps: Vec<StageDep>,
     compute: Compute<'a, P>,
-    /// Virtual cost units per task, for the makespan models.
-    cost: u64,
     keep: bool,
 }
 
@@ -259,8 +257,7 @@ impl<P> Default for DagSpec<'_, P> {
 type Part = (usize, usize);
 
 /// The static task graph of a spec: one task per partition, numbered in
-/// `(stage, partition)` order. [`DagSpec::run`] and
-/// [`DagSpec::virtual_makespan`] both schedule over it.
+/// `(stage, partition)` order. [`DagSpec::run`] schedules over it.
 struct TaskGraph {
     /// Task index → `(stage, partition)`.
     parts: Vec<Part>,
@@ -277,7 +274,7 @@ impl TaskGraph {
         self.offsets[stage] + partition
     }
 
-    /// The schedulers' starting state: per task, how many distinct
+    /// The scheduler's starting state: per task, how many distinct
     /// inputs it waits for (it is ready at zero).
     fn inputs_left(&self) -> Vec<usize> {
         self.inputs.iter().map(Vec::len).collect()
@@ -307,7 +304,6 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
             partitions,
             deps,
             compute: Box::new(compute),
-            cost: 1,
             keep: false,
         });
         StageId(self.stages.len() - 1)
@@ -318,13 +314,6 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
     /// (no consumers) are kept implicitly.
     pub fn keep(&mut self, id: StageId) {
         self.stages[id.0].keep = true;
-    }
-
-    /// Sets a stage's per-task cost in virtual units (default 1), used
-    /// only by the [`virtual_makespan`](DagSpec::virtual_makespan) /
-    /// [`barriered_makespan`](DagSpec::barriered_makespan) models.
-    pub fn set_cost(&mut self, id: StageId, units: u64) {
-        self.stages[id.0].cost = units;
     }
 
     fn validate(&self) -> Result<(), JobError> {
@@ -548,64 +537,6 @@ impl<'a, P: Send + Sync> DagSpec<'a, P> {
             Value::Int(i128::from(run.metrics.tasks_submitted)),
         );
         Ok(run)
-    }
-
-    /// Virtual-time makespan of this DAG on `workers` identical
-    /// workers: an event-driven list schedule (deterministic, no wall
-    /// clock) where each ready task takes its stage's
-    /// [cost](DagSpec::set_cost) units and a task becomes ready the
-    /// moment its producers finish. The overlap counterpart of
-    /// [`barriered_makespan`](DagSpec::barriered_makespan).
-    #[must_use]
-    pub fn virtual_makespan(&self, workers: usize) -> u64 {
-        let workers = workers.max(1);
-        let graph = self.task_graph();
-        let mut deps_left = graph.inputs_left();
-        let mut ready: VecDeque<usize> = (0..deps_left.len())
-            .filter(|&task| deps_left[task] == 0)
-            .collect();
-        // (finish time, seq, task) min-heap via Reverse.
-        let mut events: BinaryHeap<std::cmp::Reverse<(u64, usize, usize)>> = BinaryHeap::new();
-        let mut seq = 0usize;
-        let mut free = workers;
-        let mut now = 0u64;
-        let mut remaining = deps_left.len();
-        while remaining > 0 {
-            while free > 0 {
-                let Some(task) = ready.pop_front() else {
-                    break;
-                };
-                free -= 1;
-                let cost = self.stages[graph.parts[task].0].cost;
-                events.push(std::cmp::Reverse((now + cost, seq, task)));
-                seq += 1;
-            }
-            let Some(std::cmp::Reverse((at, _, task))) = events.pop() else {
-                break; // a cycle would leave tasks unreachable; validate() forbids it
-            };
-            now = at;
-            free += 1;
-            remaining -= 1;
-            for &consumer in &graph.consumers[task] {
-                deps_left[consumer] -= 1;
-                if deps_left[consumer] == 0 {
-                    ready.push_back(consumer);
-                }
-            }
-        }
-        now
-    }
-
-    /// Virtual-time makespan of the same work when stages execute one
-    /// at a time with a full barrier between them (an iterated
-    /// job-per-round driver): `Σ ⌈partitions/workers⌉ · cost`.
-    #[must_use]
-    pub fn barriered_makespan(&self, workers: usize) -> u64 {
-        let workers = workers.max(1) as u64;
-        self.stages
-            .iter()
-            .map(|s| (s.partitions as u64).div_ceil(workers) * s.cost)
-            .sum()
     }
 }
 
@@ -989,44 +920,6 @@ mod tests {
         }
         // Nothing is left behind: the same spec runs on the same thread.
         run_dag(&dag, &DagConfig::new(4));
-    }
-
-    #[test]
-    fn makespan_models_price_round_overlap() {
-        // Two independent chains of 3 stages, 1 partition each, cost 4.
-        let mut dag: DagSpec<'_, u64> = DagSpec::new();
-        let mut prev: Option<StageId> = None;
-        for _ in 0..3 {
-            let deps = prev.map(StageDep::narrow).into_iter().collect();
-            prev = Some(dag.stage("left", 1, deps, |_, _| 0));
-        }
-        let mut prev2: Option<StageId> = None;
-        for _ in 0..3 {
-            let deps = prev2.map(StageDep::narrow).into_iter().collect();
-            prev2 = Some(dag.stage("right", 1, deps, |_, _| 0));
-        }
-        for id in 0..6 {
-            dag.set_cost(StageId(id), 4);
-        }
-        // Barriered: 6 stages × 4 units, serial. Overlapped on 2
-        // workers: the chains run side by side.
-        assert_eq!(dag.barriered_makespan(2), 24);
-        assert_eq!(dag.virtual_makespan(2), 12);
-        assert_eq!(dag.virtual_makespan(1), 24, "1 worker cannot overlap");
-    }
-
-    #[test]
-    fn virtual_makespan_shrinks_with_more_workers() {
-        // The cluster-scaling model: 200 one-unit tasks feeding 4
-        // one-unit tasks over a shuffle edge, whatever the host.
-        let mut dag: DagSpec<'_, u64> = DagSpec::new();
-        let wide = dag.stage("wide", 200, Vec::new(), |_, _| 0);
-        dag.stage("narrow", 4, vec![StageDep::shuffle(wide)], |_, _| 0);
-        let units = |workers| dag.virtual_makespan(workers);
-        assert_eq!((units(1), units(4), units(14)), (204, 50 + 1, 15 + 1));
-        // 4.0x at 4 workers, 12.75x at 14.
-        assert_eq!(units(1) * 4, units(4) * 16);
-        assert_eq!(units(1) * 4, units(14) * 51);
     }
 
     #[test]

@@ -37,9 +37,6 @@ pub struct EdpConfig {
     /// VID filtering settings (EDP never uses exclusion — each EID is
     /// matched independently; the flag is ignored).
     pub vfilter: VFilterConfig,
-    /// Cap on scenarios selected per EID (`None` = until unique or
-    /// exhausted).
-    pub max_scenarios_per_eid: Option<usize>,
     /// Seed for the per-EID random scan order.
     pub seed: u64,
 }
@@ -51,7 +48,6 @@ impl Default for EdpConfig {
                 exclusion: false,
                 ..VFilterConfig::default()
             },
-            max_scenarios_per_eid: None,
             seed: 0,
         }
     }
@@ -99,8 +95,7 @@ impl CoPresence {
 /// The one co-presence isolator: offers `candidates` to `common` —
 /// those `reused` accepts first, then the fresh ones, each group in its
 /// own random order drawn from `seed` — and keeps every scenario that
-/// shrinks the set, until the set is unique or `cap` scenarios are kept.
-/// Returns the kept ids in pick order.
+/// shrinks the set, until the set is unique. Returns the kept ids in pick order.
 ///
 /// Shuffling an empty group draws nothing from the generator, so a
 /// caller that reuses nothing gets exactly one seeded shuffle of its
@@ -110,7 +105,6 @@ pub(crate) fn isolate<'s>(
     candidates: impl Iterator<Item = &'s EScenario>,
     reused: impl Fn(ScenarioId) -> bool,
     seed: u64,
-    cap: usize,
 ) -> ScenarioList {
     let (mut reusable, mut fresh): (Vec<&EScenario>, Vec<&EScenario>) =
         candidates.partition(|s| reused(s.id()));
@@ -119,7 +113,7 @@ pub(crate) fn isolate<'s>(
     fresh.shuffle(&mut rng);
     let mut kept = ScenarioList::new();
     for scenario in reusable.into_iter().chain(fresh) {
-        if kept.len() >= cap || common.is_unique() {
+        if common.is_unique() {
             break;
         }
         if common.narrow(scenario) {
@@ -156,7 +150,6 @@ pub(crate) fn efilter_one(
         store.containing(eid).filter(|s| s.contains_inclusive(eid)),
         reused,
         config.seed ^ eid.as_u64().wrapping_mul(0x9e3779b97f4a7c15),
-        config.max_scenarios_per_eid.unwrap_or(usize::MAX),
     )
 }
 
@@ -367,17 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn efilter_cap_is_respected() {
-        let (store, _) = world();
-        let cfg = EdpConfig {
-            max_scenarios_per_eid: Some(1),
-            ..EdpConfig::default()
-        };
-        let list = efilter_one(&store, Eid::from_u64(0), &cfg, |_| false);
-        assert_eq!(list.len(), 1);
-    }
-
-    #[test]
     fn efilter_of_unknown_eid_is_empty() {
         let (store, _) = world();
         let list = efilter_one(&store, Eid::from_u64(99), &EdpConfig::default(), |_| false);
@@ -468,7 +450,6 @@ mod proptests {
     /// EDP's E-filter written out as one loop over one shuffle: the
     /// reference that pins EDP's lists through [`isolate`].
     fn efilter_one_reference(store: &EScenarioStore, eid: Eid, config: &EdpConfig) -> ScenarioList {
-        let cap = config.max_scenarios_per_eid.unwrap_or(usize::MAX);
         let mut pool: Vec<&EScenario> = store
             .containing(eid)
             .filter(|s| s.contains_inclusive(eid))
@@ -480,7 +461,7 @@ mod proptests {
         let mut common = CoPresence::default();
         let mut list: ScenarioList = Vec::new();
         for scenario in pool {
-            if list.len() >= cap || common.is_unique() {
+            if common.is_unique() {
                 break;
             }
             if common.narrow(scenario) {
@@ -492,18 +473,15 @@ mod proptests {
 
     proptest! {
         /// EDP (which reuses nothing) lists exactly what the loop it
-        /// replaced listed, cap or no cap.
+        /// replaced listed.
         #[test]
         fn efilter_without_reuse_is_the_reference_loop(
             world_seed in 0u64..40,
             eid in 0u64..12,
             seed in any::<u64>(),
-            cap in 0usize..4,
         ) {
             let store = random_store(world_seed, 3, 10, 12);
             let config = EdpConfig {
-                // 0 stands for no cap.
-                max_scenarios_per_eid: (cap > 0).then_some(cap),
                 seed,
                 ..EdpConfig::default()
             };

@@ -30,10 +30,9 @@
 //!     ≡ split_ideal(Sₙ)            (chronological strategy)
 //! ```
 //!
-//! The loop's stop conditions are monotone — a fully split partition
-//! stays fully split, and the examined-scenario cap only fills up — so
-//! a run that stopped early stays stopped, again matching the
-//! from-scratch behaviour. The equivalence is proptested in
+//! The loop's stop condition is monotone — a fully split partition
+//! stays fully split — so a run that stopped stays stopped, again
+//! matching the from-scratch behaviour. The equivalence is proptested in
 //! `tests/incremental_split_equivalence.rs` against arbitrary
 //! prefix/suffix splits of a generated pool.
 //!
@@ -91,7 +90,6 @@ pub struct DeltaStats {
 /// # }
 /// let config = SetSplitConfig {
 ///     strategy: SelectionStrategy::Chronological,
-///     ..SetSplitConfig::default()
 /// };
 /// let targets: BTreeSet<_> = [0u64, 1, 2].map(Eid::from_u64).into();
 ///
@@ -151,12 +149,6 @@ impl IncrementalSplit {
         self.state.cover.is_fully_split()
     }
 
-    /// Scenarios examined so far (effective or not).
-    #[must_use]
-    pub fn scenarios_examined(&self) -> usize {
-        self.state.examined
-    }
-
     /// Replays Algorithm 1 over the scenarios of `store` beyond the
     /// current frontier, refining existing partition blocks in place.
     ///
@@ -180,7 +172,7 @@ impl IncrementalSplit {
             None => Box::new(store.iter()),
         };
         for scenario in suffix {
-            if self.state.done(&self.config) {
+            if self.state.done() {
                 break;
             }
             self.frontier = Some(scenario.id());

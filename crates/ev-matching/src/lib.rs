@@ -28,14 +28,12 @@
 //! * [`edp`] — the **EDP baseline** from Teng et al. \[24\]: per-EID
 //!   two-stage E-filtering and V-identification, with the paper's
 //!   parallel adaptation (one EID per task, as one stage DAG).
-//! * [`dagflow`] — the parallelization (paper §V, Algorithm 3) of both
-//!   stages: every splitting round (shuffle by EID, then by membership
-//!   signature) plus parallel VID filtering as **one stage-DAG
-//!   submission** on the lineage-tracking scheduler in
-//!   [`ev_dag::dag`]. Splitting rounds overlap instead of
-//!   barriering, a lost worker costs only the partitions it was
-//!   computing, and the [`MatchReport`] is byte-identical at every
-//!   thread count.
+//! * [`dagflow`] — the parallelization (paper §V, Algorithm 3): the
+//!   same pipeline, Algorithms 1–2 and the exclusion walk, with round
+//!   1's extraction and scoring as **one stage-DAG submission** on the
+//!   lineage-tracking scheduler in [`ev_dag::dag`]. A lost worker costs
+//!   only the partition it was computing, and the [`MatchReport`] is the
+//!   sequential pipeline's at every thread count.
 //! * [`incremental`] — partition maintenance over a growing corpus:
 //!   feed appended scenarios to the live state of a chronological split
 //!   instead of re-splitting.

@@ -8,8 +8,9 @@
 //!   split), so this path uses the per-EID greedy E-filtering of the EDP
 //!   family, which is exactly what a single-target query wants.
 //! * [`match_many`](EvMatcher::match_many) — a requested EID set, via
-//!   set splitting + VID filtering: sequentially with refinement
-//!   (Algorithms 1–2), or in parallel as one stage DAG (Algorithm 3).
+//!   set splitting + VID filtering with refinement (Algorithms 1–2), on
+//!   the caller's thread or with round 1's V stage on a thread pool
+//!   (Algorithm 3): one pipeline, the same report.
 //! * [`match_universal`](EvMatcher::match_universal) — every EID present
 //!   in the E-data gets labeled; afterwards any query is an index lookup.
 //!   "Note that the larger the matching size is, the less time it costs
@@ -28,26 +29,18 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-/// How [`EvMatcher::match_many`] executes.
+/// How [`EvMatcher::match_many`] executes. The mode changes only where
+/// the work runs, never the report: both run Algorithms 1–2 and the
+/// longest-first exclusion walk over the whole [`MatcherConfig`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ExecutionMode {
-    /// Single-threaded pipeline with refinement (Algorithms 1–2).
+    /// The pipeline on the caller's thread.
     Sequential,
-    /// The parallel pipeline (Algorithm 3): every splitting round plus
-    /// VID filtering as **one submission** to the lineage-tracking
-    /// stage-DAG scheduler on this many threads (see [`crate::dagflow`]).
-    /// Independent rounds overlap instead of barriering, and a worker
-    /// panic reruns only the lost partition, against inputs that are
-    /// still cached. The report is byte-identical at every thread count.
-    ///
-    /// Algorithm 3 is the practical reading (vague members are
-    /// non-members), one round, with every scenario list padded to a
-    /// fixed length of 3: it runs no Algorithm 2, whose E-filter extends
-    /// the sequential path's short unconfident lists instead. Of
-    /// [`MatcherConfig`] it reads `vfilter` and the seed of
-    /// `split.strategy`; it does **not** read `split.max_scenarios` or
-    /// `max_rounds`, and [`SplitMode::Ideal`] is refused
-    /// ([`JobError::InvalidConfig`]) rather than run as practical.
+    /// The pipeline with round 1's extraction and scoring as **one
+    /// submission** to the lineage-tracking stage-DAG scheduler on this
+    /// many threads (see [`crate::dagflow`]); a worker panic reruns only
+    /// the lost partition. One thread runs the pipeline inline: scoring
+    /// ahead of the walk costs kernel work that one thread cannot hide.
     Dag(usize),
 }
 
@@ -60,9 +53,9 @@ pub struct MatcherConfig {
     pub split: SetSplitConfig,
     /// VID filtering settings.
     pub vfilter: VFilterConfig,
-    /// Refinement round budget (sequential execution only).
+    /// Refinement round budget.
     pub max_rounds: u32,
-    /// Sequential or parallel execution.
+    /// Where the pipeline runs.
     pub execution: ExecutionMode,
 }
 
@@ -133,7 +126,6 @@ impl<'a> EvMatcher<'a> {
         let e_start = Instant::now();
         let edp_cfg = EdpConfig {
             vfilter: self.config.vfilter,
-            max_scenarios_per_eid: None,
             seed: 0,
         };
         let list = efilter_one(self.estore, eid, &edp_cfg, |_| false);
@@ -181,55 +173,29 @@ impl<'a> EvMatcher<'a> {
     ///
     /// # Errors
     ///
-    /// [`JobError::Input`] in either mode when footage a selected
-    /// scenario needs failed to load — never a report computed without
-    /// it (see [`VideoStore::check_loads`]); otherwise only in the DAG
-    /// mode: [`JobError::InvalidConfig`] for [`SplitMode::Ideal`], which
-    /// Algorithm 3 has no reading of, or when the scheduler rejects its
+    /// [`JobError::Input`] when footage a selected scenario needs failed
+    /// to load — never a report computed without it (see
+    /// [`VideoStore::check_loads`]); on two or more threads also
+    /// [`JobError::InvalidConfig`] when the scheduler rejects its
     /// configuration, and a task that exhausts its retry budget.
     pub fn match_many(&self, targets: &BTreeSet<Eid>) -> Result<MatchReport, JobError> {
-        match &self.config.execution {
-            ExecutionMode::Sequential => {
-                let report = match_with_refinement(
-                    self.estore,
-                    self.video,
-                    targets,
-                    &RefineConfig {
-                        mode: self.config.mode,
-                        split: self.config.split,
-                        vfilter: self.config.vfilter,
-                        max_rounds: self.config.max_rounds,
-                    },
-                    &self.telemetry,
-                );
-                self.video.check_loads().map_err(JobError::Input)?;
+        let refine = RefineConfig {
+            mode: self.config.mode,
+            split: self.config.split,
+            vfilter: self.config.vfilter,
+            max_rounds: self.config.max_rounds,
+        };
+        let (estore, video, tel) = (self.estore, self.video, &self.telemetry);
+        match self.config.execution {
+            ExecutionMode::Dag(threads) if threads >= 2 => {
+                let config = ev_dag::DagConfig::new(threads);
+                crate::dagflow::dag_match(&config, estore, video, targets, &refine, tel)
+            }
+            ExecutionMode::Sequential | ExecutionMode::Dag(_) => {
+                let report = match_with_refinement(estore, video, targets, &refine, tel);
+                video.check_loads().map_err(JobError::Input)?;
                 Ok(report)
             }
-            ExecutionMode::Dag(threads) => {
-                if self.config.mode == SplitMode::Ideal {
-                    return Err(JobError::InvalidConfig(ev_core::Error::InvalidParameter {
-                        name: "mode",
-                        reason: "the stage DAG runs the practical setting only".into(),
-                    }));
-                }
-                crate::dagflow::dag_match(
-                    &ev_dag::DagConfig::new(*threads),
-                    self.estore,
-                    self.video,
-                    targets,
-                    self.split_seed(),
-                    &self.config.vfilter,
-                    &self.telemetry,
-                )
-            }
-        }
-    }
-
-    /// The splitting seed implied by the selection strategy.
-    fn split_seed(&self) -> u64 {
-        match self.config.split.strategy {
-            crate::setsplit::SelectionStrategy::RandomTime { seed } => seed,
-            _ => 0,
         }
     }
 

@@ -70,7 +70,6 @@ mod tests {
     fn chrono() -> SetSplitConfig {
         SetSplitConfig {
             strategy: SelectionStrategy::Chronological,
-            max_scenarios: None,
         }
     }
 
@@ -157,7 +156,6 @@ mod tests {
         ]);
         let cfg = SetSplitConfig {
             strategy: SelectionStrategy::RandomTime { seed: 5 },
-            max_scenarios: None,
         };
         let a = split_practical(&store, &targets(0..3), &cfg);
         let b = split_practical(&store, &targets(0..3), &cfg);

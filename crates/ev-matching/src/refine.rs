@@ -14,15 +14,23 @@
 //! tries the footage the match has already selected before fresh
 //! footage: like Algorithm 1's splitters, one extracted scenario serves
 //! many EIDs, so refinement adds little V-data of its own.
+//!
+//! This loop is the one matching pipeline: the sequential matcher runs
+//! it on the caller's thread, and the parallel one
+//! ([`crate::dagflow::dag_match`]) runs it with round 1's V stage on a
+//! thread pool, to the same report.
 
+use crate::dagflow::filter_round_1;
 use crate::edp::{efilter_one, EdpConfig};
 pub use crate::setsplit::SplitMode;
 use crate::setsplit::{split, SelectionStrategy, SetSplitConfig};
 use crate::types::{MatchOutcome, MatchReport, ScenarioList, StageTimings};
 use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
 use ev_core::ids::{Eid, Vid};
+use ev_dag::dag::DagConfig;
+use ev_dag::JobError;
 use ev_store::{EScenarioStore, VideoStore};
-use ev_telemetry::{names, Telemetry};
+use ev_telemetry::{names, Telemetry, TraceCtx};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -67,6 +75,28 @@ pub fn match_with_refinement(
     tel: &Telemetry,
 ) -> MatchReport {
     let mut pipeline_span = tel.span("match_with_refinement", "pipeline");
+    let report = run_rounds(store, video, targets, config, tel, None)
+        .expect("the inline pipeline submits nothing to a scheduler");
+    pipeline_span.arg("rounds", serde::Value::Int(i128::from(report.rounds)));
+    report
+}
+
+/// The one matching pipeline: Algorithm 1 splits the pending EIDs,
+/// Algorithm 2's rounds (up to `max_rounds`) extend what stays
+/// unconfident with the E-filter, and each round's V stage is the
+/// longest-first exclusion walk. Given a scheduler, round 1's V stage
+/// runs on its pool (`dagflow::filter_round_1`), which scores
+/// each list before the walk and so leaves every outcome as the inline
+/// walk computes it; later rounds run inline either way, against the
+/// same gallery cache.
+pub(crate) fn run_rounds(
+    store: &EScenarioStore,
+    video: &VideoStore,
+    targets: &BTreeSet<Eid>,
+    config: &RefineConfig,
+    tel: &Telemetry,
+    pool: Option<(&DagConfig, TraceCtx)>,
+) -> Result<MatchReport, JobError> {
     let mut report = MatchReport::default();
     // Theorem 4.2/4.4 gauges describe the *first* split round, where the
     // whole target set is split at once.
@@ -103,13 +133,23 @@ pub fn match_with_refinement(
         // --- V stage: filter, longest lists first, excluding VIDs that
         // earlier rounds (or earlier EIDs this round) locked in. ---
         let v_start = Instant::now();
-        let outcomes = VStage {
-            video,
-            config: &config.vfilter,
-            cache: &mut cache,
-            telemetry: tel,
-        }
-        .filter_longest_first(&lists, &mut matched_vids, MatchOutcome::is_confident);
+        let locks = MatchOutcome::is_confident;
+        let outcomes = match pool.filter(|_| rounds == 1) {
+            Some((dag, ctx)) => {
+                let vfilter = &config.vfilter;
+                let (outcomes, locked, seeded) =
+                    filter_round_1(dag, ctx, video, &lists, vfilter, locks, tel)?;
+                (matched_vids, cache) = (locked, seeded);
+                outcomes
+            }
+            None => VStage {
+                video,
+                config: &config.vfilter,
+                cache: &mut cache,
+                telemetry: tel,
+            }
+            .filter_longest_first(&lists, &mut matched_vids, locks),
+        };
         let last_round = rounds >= config.max_rounds.max(1);
         for outcome in outcomes {
             let eid = outcome.eid;
@@ -147,9 +187,7 @@ pub fn match_with_refinement(
         gallery_misses: cache.misses(),
     };
     record_run(tel, &facts, report.timings);
-    pipeline_span.arg("rounds", serde::Value::Int(i128::from(report.rounds)));
-    drop(pipeline_span);
-    report
+    Ok(report)
 }
 
 /// Algorithm 2's E stage in rounds ≥ 2. Refinement rounds work on few
@@ -171,7 +209,6 @@ fn extend_by_efilter(
 ) {
     let edp_cfg = EdpConfig {
         vfilter,
-        max_scenarios_per_eid: None,
         seed: u64::from(round),
     };
     for (&eid, list) in lists.iter_mut() {
@@ -205,8 +242,8 @@ pub(crate) struct RunFacts {
     pub gallery_misses: u64,
 }
 
-/// The one run epilogue: [`match_with_refinement`], `dag_match` and
-/// `EvMatcher::match_one` each end here, so the gallery counters and
+/// The one run epilogue: the matching pipeline ([`match_with_refinement`]
+/// and `dag_match` alike) and `EvMatcher::match_one` each end here, so the gallery counters and
 /// the run gauges (stage times; the first round's recorded count beside
 /// the Theorem 4.2 lower bound `ceil(log2 n)` and the Theorem 4.4 upper
 /// bound `n - 1`, and whether the bounds apply) are written by one body
@@ -249,7 +286,6 @@ fn reseeded(base: &SetSplitConfig, round: u32) -> SetSplitConfig {
             strategy: SelectionStrategy::RandomTime {
                 seed: seed.wrapping_add(u64::from(round) - 1),
             },
-            ..*base
         },
         _ => *base,
     }
@@ -361,7 +397,6 @@ mod tests {
         let cfg = RefineConfig {
             split: SetSplitConfig {
                 strategy: SelectionStrategy::Chronological,
-                ..SetSplitConfig::default()
             },
             max_rounds: 2,
             ..RefineConfig::default()
@@ -381,7 +416,6 @@ mod tests {
         assert_eq!(report.rounds, 2);
         let edp = crate::edp::EdpConfig {
             vfilter: cfg.vfilter,
-            max_scenarios_per_eid: None,
             seed: 2,
         };
         let efiltered = efilter_one(&store, eid, &edp, |_| false);
@@ -531,7 +565,6 @@ mod tests {
         assert_ne!(base, r2);
         let chrono = SetSplitConfig {
             strategy: SelectionStrategy::Chronological,
-            max_scenarios: None,
         };
         assert_eq!(reseeded(&chrono, 5), chrono);
     }

@@ -6,8 +6,8 @@
 //! gives and applied as splitters; *effective* scenarios (those that
 //! change the cover) are recorded, and the EIDs they distinguish are
 //! pruned from the blocks still holding a tentative copy. The loop ends
-//! when every requested EID is alone in a block, the scenario pool is
-//! exhausted or the examined-scenario cap is hit.
+//! when every requested EID is alone in a block or the scenario pool is
+//! exhausted.
 //!
 //! The step, the scenario order and the output are shared by
 //! [`split_ideal`], [`split_practical`](crate::practical::split_practical),
@@ -88,15 +88,12 @@ pub enum SelectionStrategy {
 pub struct SetSplitConfig {
     /// Scenario selection order.
     pub strategy: SelectionStrategy,
-    /// Hard cap on examined scenarios (`None` = no cap).
-    pub max_scenarios: Option<usize>,
 }
 
 impl Default for SetSplitConfig {
     fn default() -> Self {
         SetSplitConfig {
             strategy: SelectionStrategy::RandomTime { seed: 0 },
-            max_scenarios: None,
         }
     }
 }
@@ -167,10 +164,10 @@ impl SplitState {
         }
     }
 
-    /// The loop's stop condition. Monotone: a fully split cover stays
-    /// fully split and the examined count only grows.
-    pub(crate) fn done(&self, config: &SetSplitConfig) -> bool {
-        self.cover.is_fully_split() || self.examined >= config.max_scenarios.unwrap_or(usize::MAX)
+    /// The loop's stop condition: the cover is fully split. Monotone: a
+    /// fully split cover stays fully split.
+    pub(crate) fn done(&self) -> bool {
+        self.cover.is_fully_split()
     }
 
     /// Examines one scenario: splits the cover by its members within the
@@ -266,7 +263,7 @@ pub(crate) fn split(
     let mut span = tel.span("setsplit", "stage");
     let mut state = SplitState::new(targets, mode);
     let mut next = scenario_order(store, targets, config.strategy, &state, tel);
-    while !state.done(config) {
+    while !state.done() {
         let Some(scenario) = next(&state.cover) else {
             break; // pool exhausted, or no scenario can improve the cover
         };
@@ -480,7 +477,6 @@ pub(crate) fn ensure_unique_against_universe(
             reusable.drain(..).filter_map(|id| store.get(id)),
             |_| true,
             seed ^ eid.as_u64().wrapping_mul(0x2545f4914f6cdd1d),
-            usize::MAX,
         );
         list.extend(added);
         if !common.is_unique() {
@@ -682,7 +678,6 @@ pub(crate) fn ensure_unique_per_eid_reference(
             candidates,
             |id| selected.contains(&id),
             seed ^ eid.as_u64().wrapping_mul(0x2545f4914f6cdd1d),
-            usize::MAX,
         );
         selected.extend(&added);
         list.extend(added);
@@ -741,7 +736,7 @@ fn split_ideal_rescan(
         }),
         other => scenario_order(store, targets, other, &state, Telemetry::disabled()),
     };
-    while !state.done(config) {
+    while !state.done() {
         let Some(scenario) = next(&state.cover) else {
             break;
         };
@@ -796,18 +791,13 @@ pub(crate) mod tests {
         for world_seed in [1, 2, 3] {
             let store = random_store(world_seed, 4, 12, 16);
             for strategy in strategies() {
-                for max_scenarios in [None, Some(5)] {
-                    let cfg = SetSplitConfig {
-                        strategy,
-                        max_scenarios,
-                    };
-                    let indexed = split_ideal(&store, &targets(0..16), &cfg);
-                    let scanned = split_ideal_rescan(&store, &targets(0..16), &cfg);
-                    assert_eq!(
-                        indexed, scanned,
-                        "divergence: world {world_seed}, {strategy:?}, cap {max_scenarios:?}"
-                    );
-                }
+                let cfg = SetSplitConfig { strategy };
+                let indexed = split_ideal(&store, &targets(0..16), &cfg);
+                let scanned = split_ideal_rescan(&store, &targets(0..16), &cfg);
+                assert_eq!(
+                    indexed, scanned,
+                    "divergence: world {world_seed}, {strategy:?}"
+                );
             }
         }
     }
@@ -819,10 +809,7 @@ pub(crate) mod tests {
         let store = EScenarioStore::from_scenarios(scenarios);
         let t = targets([0, 1, 2, 3, 30, 31]);
         for strategy in strategies() {
-            let cfg = SetSplitConfig {
-                strategy,
-                max_scenarios: None,
-            };
+            let cfg = SetSplitConfig { strategy };
             let indexed = split_ideal(&store, &t, &cfg);
             let scanned = split_ideal_rescan(&store, &t, &cfg);
             assert_eq!(indexed, scanned, "divergence under {strategy:?}");
@@ -859,7 +846,6 @@ pub(crate) mod tests {
             &targets(0..4),
             &SetSplitConfig {
                 strategy: SelectionStrategy::Chronological,
-                max_scenarios: None,
             },
         );
         assert!(out.fully_split());
@@ -892,7 +878,6 @@ pub(crate) mod tests {
         ]);
         let cfg = SetSplitConfig {
             strategy: SelectionStrategy::Chronological,
-            ..SetSplitConfig::default()
         };
         let out = crate::practical::split_practical(&store, &targets(0..2), &cfg);
         assert!(out.fully_split());
@@ -918,7 +903,6 @@ pub(crate) mod tests {
         let store = binary_store();
         let cfg = |seed| SetSplitConfig {
             strategy: SelectionStrategy::RandomTime { seed },
-            max_scenarios: None,
         };
         let a = split_ideal(&store, &targets(0..4), &cfg(1));
         let b = split_ideal(&store, &targets(0..4), &cfg(1));
@@ -940,7 +924,6 @@ pub(crate) mod tests {
             &targets(0..4),
             &SetSplitConfig {
                 strategy: SelectionStrategy::GreedyBalanced,
-                max_scenarios: None,
             },
         );
         assert_eq!(
@@ -968,21 +951,6 @@ pub(crate) mod tests {
         let store = binary_store();
         let out = split_ideal(&store, &targets([0, 1, 99]), &SetSplitConfig::default());
         assert!(out.lists[&Eid::from_u64(99)].is_empty(), "no anchor exists");
-    }
-
-    #[test]
-    fn max_scenarios_caps_work() {
-        let store = binary_store();
-        let out = split_ideal(
-            &store,
-            &targets(0..4),
-            &SetSplitConfig {
-                strategy: SelectionStrategy::Chronological,
-                max_scenarios: Some(1),
-            },
-        );
-        assert_eq!(out.scenarios_examined, 1);
-        assert!(!out.fully_split());
     }
 
     #[test]
@@ -1024,7 +992,6 @@ pub(crate) mod tests {
             &targets(0..8),
             &SetSplitConfig {
                 strategy: SelectionStrategy::Chronological,
-                max_scenarios: None,
             },
         );
         assert!(out.fully_split());
@@ -1150,7 +1117,7 @@ mod proptests {
                 .containing(eid)
                 .filter(|s| hosts(eid, s) && selected.contains(&s.id()) && !list.contains(&s.id()));
             let seed = seed ^ eid.as_u64().wrapping_mul(0x2545f4914f6cdd1d);
-            list.extend(isolate(&mut common, reusable, |_| true, seed, usize::MAX));
+            list.extend(isolate(&mut common, reusable, |_| true, seed));
             pending.push((eid, common, list));
         }
         loop {
@@ -1191,7 +1158,7 @@ mod proptests {
             let store = random_store(world_seed, 3, 8, 10);
             let targets: BTreeSet<Eid> = (0..10).map(Eid::from_u64).collect();
             let strategy = strategies()[strategy_pick];
-            let cfg = SetSplitConfig { strategy, max_scenarios: None };
+            let cfg = SetSplitConfig { strategy };
             let indexed = split_ideal(&store, &targets, &cfg);
             let scanned = split_ideal_rescan(&store, &targets, &cfg);
             prop_assert_eq!(indexed, scanned);

@@ -17,12 +17,16 @@
 //!
 //! # One context, one body per job
 //!
-//! Every caller — the refinement loop, the stage DAG, EDP, the
-//! single-EID query — builds a [`VStage`] literal (footage,
-//! configuration, gallery cache, telemetry handle) and calls one of its
-//! two methods. The scan reads one dense candidate model (candidates
-//! are ordinals into a VID-ascending vector, so every fold visits them
-//! in VID order) and materialises its result through one tally.
+//! Every inline caller — the refinement loop, EDP, the single-EID
+//! query — builds a [`VStage`] literal (footage, configuration, gallery
+//! cache, telemetry handle) and calls one of its two methods. The scan
+//! reads one dense candidate model (candidates are ordinals into a
+//! VID-ascending vector, so every fold visits them in VID order), scores
+//! it, and materialises its result through one tally. The stage DAG's
+//! round 1 runs the same model and scoring with nothing excluded, then
+//! the same longest-first walk, tallying each EID without the VIDs
+//! locked before its turn — the same outcome bit for bit, since
+//! exclusion only removes candidates.
 //!
 //! # Numerics and caching
 //!
@@ -150,7 +154,7 @@ impl CacheEntry {
     /// mixed-dimensionality gallery fails validation **once** here —
     /// counted, with the scenario id in the error — instead of per pair
     /// in the hot loop.
-    fn new(scenario: Arc<VScenario>, tel: &Telemetry) -> Self {
+    pub(crate) fn new(scenario: Arc<VScenario>, tel: &Telemetry) -> Self {
         let detections = scenario.detections();
         // One stable sort: within a VID the rows stay in detection order.
         let mut rows: Vec<usize> = (0..detections.len()).collect();
@@ -284,6 +288,32 @@ impl GalleryCache {
         self.entries.insert(id, entry);
     }
 
+    /// Takes in galleries extracted elsewhere (`None` where a scenario
+    /// has no footage), counting `requests` — every list entry a V stage
+    /// was handed — as [`ensure`](Self::ensure) would have: a miss per
+    /// gallery the cache did not hold yet, a hit per other request.
+    ///
+    /// # Panics
+    ///
+    /// If a request the cache cannot serve is missing from `extracted`.
+    pub(crate) fn admit(
+        &mut self,
+        requests: impl IntoIterator<Item = ScenarioId>,
+        mut extracted: BTreeMap<ScenarioId, Option<CacheEntry>>,
+    ) {
+        for id in requests {
+            if self.entries.contains_key(&id) {
+                self.hits += 1;
+                continue;
+            }
+            self.misses += 1;
+            let entry = extracted
+                .remove(&id)
+                .expect("every requested gallery is extracted");
+            self.entries.insert(id, entry);
+        }
+    }
+
     fn get(&self, id: ScenarioId) -> Option<&CacheEntry> {
         self.entries.get(&id).and_then(Option::as_ref)
     }
@@ -305,6 +335,8 @@ pub(crate) struct CandidateModel<'a> {
     pub(crate) present: Vec<Vec<(usize, usize)>>,
 }
 
+/// [`model_of`] over `list`'s galleries, extracting the ones `cache`
+/// does not hold yet.
 pub(crate) fn candidate_model<'a>(
     list: &ScenarioList,
     video: &VideoStore,
@@ -316,8 +348,18 @@ pub(crate) fn candidate_model<'a>(
         cache.ensure(id, video, tel);
     }
     let cache: &'a GalleryCache = cache;
-    let entries: Vec<&CacheEntry> = list.iter().filter_map(|&id| cache.get(id)).collect();
+    model_of(
+        list.iter().filter_map(|&id| cache.get(id)).collect(),
+        excluded,
+    )
+}
 
+/// The candidate model over a list's footage-bearing galleries, in list
+/// order, with `excluded` VIDs ruled out after the quorum count.
+pub(crate) fn model_of<'a>(
+    entries: Vec<&'a CacheEntry>,
+    excluded: &BTreeSet<Vid>,
+) -> CandidateModel<'a> {
     // Candidate pruning (lossless for the final match): the matched VID
     // must win a strict majority of per-scenario votes, and a VID can
     // only be voted where it is present — so anyone present in fewer
@@ -379,24 +421,113 @@ pub(crate) fn candidate_model<'a>(
     }
 }
 
+impl CandidateModel<'_> {
+    /// The scoring step of [`VStage::filter_one`]: each candidate's
+    /// joint membership probability over the list (paper §IV-B2), in
+    /// log space — `Σ ln P` survives the long lists that underflow `Π P`
+    /// to a meaningless all-zero tie, and `ln(0) = -inf` keeps the veto
+    /// semantics of an impossible scenario. Counts the candidates into
+    /// `tel` and charges `video`'s cost model one comparison per
+    /// (candidate, scenario): matching a candidate's appearance model
+    /// against a gallery is one nearest-neighbour query in a real
+    /// pipeline. A model with no candidates (no footage for the whole
+    /// list, or every candidate excluded or quorum-pruned) scores
+    /// nothing and counts nothing.
+    pub(crate) fn score(self, metric: Metric, video: &VideoStore, tel: &Telemetry) -> Scores {
+        if !self.vids.is_empty() {
+            if tel.counters_on() {
+                tel.registry()
+                    .counter(names::VFILTER_CANDIDATES_SCORED)
+                    .add(self.vids.len() as u64);
+            }
+            let price = video.cost_model().v_comparison;
+            if price > 0 {
+                let pairs = (self.vids.len() * self.entries.len()) as u64;
+                let _ = CostModel::charge(price * pairs);
+            }
+        }
+        let log_joint = (self.reps.iter())
+            .map(|rep| {
+                let mut lp = 0.0;
+                for e in &self.entries {
+                    lp += score_membership(rep, e, metric).ln();
+                }
+                lp
+            })
+            .collect();
+        Scores {
+            vids: self.vids,
+            present: self.present,
+            log_joint,
+        }
+    }
+}
+
+/// A list's candidates scored: who is in the running, where each one is
+/// present, and each one's exact log-joint — what the one [`tally`]
+/// reads.
+pub(crate) struct Scores {
+    /// The candidates, ascending: the index is the candidate ordinal.
+    vids: Vec<Vid>,
+    /// Per footage-bearing entry, the `(candidate, group)` pairs present
+    /// there, candidate-ascending.
+    present: Vec<Vec<(usize, usize)>>,
+    /// Each candidate's `Σ ln P(VID ∈ S)` over the list.
+    log_joint: Vec<f64>,
+}
+
+impl Scores {
+    /// These scores with the `locked` VIDs ruled out, ordinals renumbered.
+    ///
+    /// Exclusion only removes candidates: the model drops excluded VIDs
+    /// after the quorum count, and a candidate's representative and
+    /// log-joint read its own observations alone. So scoring every
+    /// quorum candidate once, with nothing excluded, and ruling the
+    /// locked ones out here gives, through [`tally`], exactly
+    /// [`VStage::filter_one`] with `locked` excluded, bit for bit.
+    pub(crate) fn without(&self, locked: &BTreeSet<Vid>) -> Scores {
+        let mut ordinal = vec![None; self.vids.len()];
+        let (mut vids, mut log_joint) = (Vec::new(), Vec::new());
+        for (c, &vid) in self.vids.iter().enumerate() {
+            if !locked.contains(&vid) {
+                ordinal[c] = Some(vids.len());
+                vids.push(vid);
+                log_joint.push(self.log_joint[c]);
+            }
+        }
+        let present = (self.present.iter())
+            .map(|pairs| {
+                let kept = pairs.iter().filter_map(|&(c, g)| Some((ordinal[c]?, g)));
+                kept.collect()
+            })
+            .collect();
+        Scores {
+            vids,
+            present,
+            log_joint,
+        }
+    }
+}
+
 /// The **one tally**: per-scenario choice (the present candidate with
 /// the largest joint probability), majority of those choices, and the
 /// winner's confidence, margin and vote share — every argmax under the
 /// canonical [`beats`] rule, from exact per-candidate log-joints.
-pub(crate) fn tally(eid: Eid, model: &CandidateModel<'_>, log_joint: &[f64]) -> MatchOutcome {
+pub(crate) fn tally(eid: Eid, scores: &Scores) -> MatchOutcome {
+    let (vids, log_joint) = (&scores.vids, &scores.log_joint);
     let mut votes: Vec<Vid> = Vec::new();
-    let mut counts = vec![0usize; model.vids.len()];
-    for pairs in &model.present {
+    let mut counts = vec![0usize; vids.len()];
+    for pairs in &scores.present {
         let present = pairs.iter().map(|&(c, _)| c);
-        if let Some(c) = argmax(&model.vids, present, |c| log_joint[c]) {
-            votes.push(model.vids[c]);
+        if let Some(c) = argmax(vids, present, |c| log_joint[c]) {
+            votes.push(vids[c]);
             counts[c] += 1;
         }
     }
     // No winner means no votes at all — an empty-gallery/no-candidate
     // edge that flows to the explicit NoEvidence outcome (all-zero
     // fields, never `count / 0 = NaN`) instead of aborting the pipeline.
-    let Some(winner) = majority_winner(&model.vids, &counts) else {
+    let Some(winner) = majority_winner(vids, &counts) else {
         return MatchOutcome::no_evidence(eid);
     };
     let confidence = log_joint[winner].exp();
@@ -411,12 +542,39 @@ pub(crate) fn tally(eid: Eid, model: &CandidateModel<'_>, log_joint: &[f64]) -> 
     };
     MatchOutcome {
         eid,
-        vid: Some(model.vids[winner]),
+        vid: Some(vids[winner]),
         vote_share: counts[winner] as f64 / votes.len() as f64,
         confidence,
         margin,
         votes,
     }
+}
+
+/// The longest-first exclusion walk: EIDs in `lists` longest list first
+/// (ties by EID), each filtered by `filter(eid, list, excluded)`; with
+/// `exclusion` on, the VID of every outcome `locks` accepts joins
+/// `excluded` and is ruled out of the candidacies that follow. Outcomes
+/// come back in processing order. The sequential V stage filters each
+/// EID as its turn comes; the stage DAG's `finalize` tallies scores its
+/// partitions computed beforehand.
+pub(crate) fn longest_first(
+    lists: &BTreeMap<Eid, ScenarioList>,
+    excluded: &mut BTreeSet<Vid>,
+    exclusion: bool,
+    locks: impl Fn(&MatchOutcome) -> bool,
+    mut filter: impl FnMut(Eid, &ScenarioList, &BTreeSet<Vid>) -> MatchOutcome,
+) -> Vec<MatchOutcome> {
+    let mut order: Vec<(&Eid, &ScenarioList)> = lists.iter().collect();
+    order.sort_by_key(|(eid, list)| (std::cmp::Reverse(list.len()), **eid));
+    let mut outcomes: Vec<MatchOutcome> = Vec::with_capacity(lists.len());
+    for (&eid, list) in order {
+        let outcome = filter(eid, list, excluded);
+        if exclusion && locks(&outcome) {
+            excluded.extend(outcome.vid);
+        }
+        outcomes.push(outcome);
+    }
+    outcomes
 }
 
 /// The V stage's context: the footage, the configuration, the gallery
@@ -446,51 +604,16 @@ impl VStage<'_> {
     ) -> MatchOutcome {
         let (video, tel) = (self.video, self.telemetry);
         let model = candidate_model(list, video, excluded, self.cache, tel);
-        if model.vids.is_empty() {
-            // No footage for the whole list, or every candidate was
-            // excluded or quorum-pruned: zero votes to take a majority
-            // over.
-            return MatchOutcome::no_evidence(eid);
-        }
-        if tel.counters_on() {
-            tel.registry()
-                .counter(names::VFILTER_CANDIDATES_SCORED)
-                .add(model.vids.len() as u64);
-        }
-        // Matching a candidate's appearance model against a scenario's
-        // gallery is one nearest-neighbour query in a real pipeline: the
-        // priced cost model burns one comparison per (candidate,
-        // scenario), all at once.
-        let price = video.cost_model().v_comparison;
-        if price > 0 {
-            let pairs = (model.vids.len() * model.entries.len()) as u64;
-            let _ = CostModel::charge(price * pairs);
-        }
-        // Joint membership probability per candidate (paper §IV-B2), in
-        // log space: `Σ ln P` survives the long lists that underflow
-        // `Π P` to a meaningless all-zero tie. `ln(0) = -inf` keeps the
-        // veto semantics of an impossible scenario.
-        let log_joint: Vec<f64> = model
-            .reps
-            .iter()
-            .map(|rep| {
-                let mut lp = 0.0;
-                for e in &model.entries {
-                    lp += score_membership(rep, e, self.config.metric).ln();
-                }
-                lp
-            })
-            .collect();
-        tally(eid, &model, &log_joint)
+        tally(eid, &model.score(self.config.metric, video, tel))
     }
 
-    /// Filters VIDs for every EID in `lists`, longest list first (ties
-    /// by EID). With [`VFilterConfig::exclusion`] on, the VID of every
-    /// outcome `locks` accepts joins `excluded` and is ruled out of the
-    /// candidacies that follow. Outcomes come back in processing order.
+    /// Filters VIDs for every EID in `lists` through the longest-first
+    /// exclusion walk: with [`VFilterConfig::exclusion`] on, the VID of
+    /// every outcome `locks` accepts joins `excluded` and is ruled out
+    /// of the candidacies that follow. Outcomes come back in processing
+    /// order.
     ///
-    /// This is the V stage's one exclusion loop, so it also owns the
-    /// `vfilter` stage span.
+    /// It owns the `vfilter` stage span.
     #[must_use]
     pub fn filter_longest_first(
         &mut self,
@@ -500,18 +623,10 @@ impl VStage<'_> {
     ) -> Vec<MatchOutcome> {
         let mut stage_span = self.telemetry.span("vfilter", "stage");
         stage_span.arg("eids", serde::Value::Int(lists.len() as i128));
-        let mut order: Vec<(&Eid, &ScenarioList)> = lists.iter().collect();
-        order.sort_by_key(|(eid, list)| (std::cmp::Reverse(list.len()), **eid));
-
-        let mut outcomes: Vec<MatchOutcome> = Vec::with_capacity(lists.len());
-        for (&eid, list) in order {
-            let outcome = self.filter_one(eid, list, excluded);
-            if self.config.exclusion && locks(&outcome) {
-                excluded.extend(outcome.vid);
-            }
-            outcomes.push(outcome);
-        }
-        outcomes
+        let exclusion = self.config.exclusion;
+        longest_first(lists, excluded, exclusion, locks, |eid, list, excluded| {
+            self.filter_one(eid, list, excluded)
+        })
     }
 }
 
@@ -1210,6 +1325,48 @@ mod tests {
                     ref_tel.registry().counter_value(name),
                     "{}", name
                 );
+            }
+        }
+
+        /// The score/tally split is exact: every quorum candidate scored
+        /// once with nothing excluded, then tallied with the locked VIDs
+        /// ruled out, is [`VStage::filter_one`] with those locks, field
+        /// for field (floats by bits) — over `adversarial_scenarios`'
+        /// worlds (mixed-dimension galleries included), empty lists, ids
+        /// with no footage and empty, random and total lock sets.
+        #[test]
+        fn tallying_eager_scores_without_the_locks_is_filter_one(
+            world_seed in 0u64..1_000_000,
+            metric in 0usize..3,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(world_seed);
+            let video = VideoStore::new(adversarial_scenarios(&mut rng), CostModel::free());
+            let config = VFilterConfig {
+                metric: [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine][metric],
+                ..VFilterConfig::default()
+            };
+            // Ids 7 and 8 have no footage.
+            let ids: Vec<ScenarioId> = (0..9).map(|i| sid(i, i as u64)).collect();
+            let off = Telemetry::disabled();
+            for i in 0..4u64 {
+                let list: ScenarioList = (0..rng.gen_range(0..=8usize))
+                    .map(|_| ids[rng.gen_range(0..ids.len())])
+                    .collect();
+                let locked: BTreeSet<Vid> = match rng.gen_range(0..3u32) {
+                    0 => BTreeSet::new(),
+                    1 => (0..6).filter(|_| rng.gen_bool(0.4)).map(Vid::new).collect(),
+                    _ => (0..6).map(Vid::new).collect(),
+                };
+                let eid = Eid::from_u64(i);
+                let mut cache = GalleryCache::new();
+                let eager = candidate_model(&list, &video, &BTreeSet::new(), &mut cache, off)
+                    .score(config.metric, &video, off);
+                let got = tally(eid, &eager.without(&locked));
+                let want = filter_one(eid, &list, &video, &config, &locked);
+                prop_assert_eq!((got.eid, got.vid, &got.votes), (want.eid, want.vid, &want.votes));
+                prop_assert_eq!(got.vote_share.to_bits(), want.vote_share.to_bits());
+                prop_assert_eq!(got.confidence.to_bits(), want.confidence.to_bits());
+                prop_assert_eq!(got.margin.to_bits(), want.margin.to_bits());
             }
         }
     }

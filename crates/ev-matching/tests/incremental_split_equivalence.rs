@@ -2,7 +2,7 @@
 //! from-scratch rebuild: for any chronological scenario pool, absorbing
 //! it as an arbitrary sequence of time-ordered ingest batches must
 //! leave `IncrementalSplit` in exactly the state `split_ideal` computes
-//! over the final store — partition, recorded splitters, padded lists,
+//! over the final store — partition, recorded splitters, lists,
 //! and examined counts alike.
 
 use ev_core::ids::Eid;
@@ -45,24 +45,18 @@ fn scenario_pool(seed: u64, cells: usize, times: u64, people: u64) -> Vec<EScena
     pool
 }
 
-fn chrono_config(max_scenarios: Option<usize>) -> SetSplitConfig {
+fn chrono_config() -> SetSplitConfig {
     SetSplitConfig {
         strategy: SelectionStrategy::Chronological,
-        max_scenarios,
     }
 }
 
 /// Splits `pool` into batches at the given cut fractions, streams the
 /// batches through store ingest + `IncrementalSplit::absorb`, and
 /// asserts the final output equals the from-scratch `split_ideal`.
-fn assert_delta_equivalence(
-    pool: Vec<EScenario>,
-    cuts: &[f64],
-    n_targets: u64,
-    max_scenarios: Option<usize>,
-) {
+fn assert_delta_equivalence(pool: Vec<EScenario>, cuts: &[f64], n_targets: u64) {
     let targets: BTreeSet<Eid> = (0..n_targets).map(Eid::from_u64).collect();
-    let config = chrono_config(max_scenarios);
+    let config = chrono_config();
 
     let full_store = EScenarioStore::from_scenarios(pool.clone());
     let expected = split_ideal(&full_store, &targets, &config);
@@ -99,8 +93,7 @@ fn assert_delta_equivalence(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Arbitrary worlds, arbitrary batch boundaries, with and without
-    /// an examined-scenario cap.
+    /// Arbitrary worlds, arbitrary batch boundaries.
     #[test]
     fn incremental_split_equals_rebuild(
         seed in 0u64..1000,
@@ -110,11 +103,9 @@ proptest! {
         n_targets in 2u64..8,
         cut_a in 0.0f64..1.0,
         cut_b in 0.0f64..1.0,
-        cap_raw in 0usize..26,
     ) {
         let pool = scenario_pool(seed, cells, times, people);
-        let cap = (cap_raw > 0).then_some(cap_raw);
-        assert_delta_equivalence(pool, &[cut_a, cut_b], n_targets, cap);
+        assert_delta_equivalence(pool, &[cut_a, cut_b], n_targets);
     }
 }
 
@@ -125,7 +116,7 @@ fn scenario_at_a_time_streaming_equals_rebuild() {
     let cuts: Vec<f64> = (0..pool.len())
         .map(|i| i as f64 / pool.len() as f64)
         .collect();
-    assert_delta_equivalence(pool, &cuts, 6, None);
+    assert_delta_equivalence(pool, &cuts, 6);
 }
 
 /// Once fully split, further absorbs must be no-ops that keep
@@ -133,7 +124,7 @@ fn scenario_at_a_time_streaming_equals_rebuild() {
 #[test]
 fn absorb_after_full_split_is_a_noop() {
     let targets: BTreeSet<Eid> = (0..3).map(Eid::from_u64).collect();
-    let config = chrono_config(None);
+    let config = chrono_config();
     let pool = scenario_pool(3, 3, 8, 8);
     let full_store = EScenarioStore::from_scenarios(pool.clone());
     let expected = split_ideal(&full_store, &targets, &config);
@@ -148,25 +139,5 @@ fn absorb_after_full_split_is_a_noop() {
     if was_fully_split {
         assert_eq!(stats.scenarios_absorbed, 0, "fully split: no more work");
     }
-    assert_eq!(live.output(&store), expected);
-}
-
-/// The examined cap is honoured across absorb calls exactly like one
-/// continuous run.
-#[test]
-fn cap_spans_absorb_calls() {
-    let targets: BTreeSet<Eid> = (0..6).map(Eid::from_u64).collect();
-    let config = chrono_config(Some(4));
-    let pool = scenario_pool(11, 3, 10, 10);
-    let full_store = EScenarioStore::from_scenarios(pool.clone());
-    let expected = split_ideal(&full_store, &targets, &config);
-
-    let mut store = EScenarioStore::from_scenarios(Vec::new());
-    let mut live = IncrementalSplit::new(&targets, &config);
-    for chunk in pool.chunks(2) {
-        store.ingest(chunk.to_vec());
-        live.absorb(&store, Telemetry::disabled());
-    }
-    assert!(live.scenarios_examined() <= 4);
     assert_eq!(live.output(&store), expected);
 }

@@ -195,14 +195,7 @@ fn chain_store(n: u64) -> EScenarioStore {
 }
 
 fn fully_split_count(store: &EScenarioStore, n: u64, strategy: SelectionStrategy) -> SplitOutput {
-    let out = split_ideal(
-        store,
-        &targets(n),
-        &SetSplitConfig {
-            strategy,
-            max_scenarios: None,
-        },
-    );
+    let out = split_ideal(store, &targets(n), &SetSplitConfig { strategy });
     assert!(out.fully_split(), "store must fully split {n} targets");
     out
 }
@@ -244,7 +237,7 @@ proptest! {
         let out = split_ideal(
             &store,
             &targets(n),
-            &SetSplitConfig { strategy, max_scenarios: None },
+            &SetSplitConfig { strategy },
         );
         prop_assert!(out.recorded.len() < n as usize, "upper bound n - 1");
         if out.fully_split() {

@@ -61,8 +61,9 @@ pub const VFILTER_GALLERY_MISSES: &str = "evm_vfilter_gallery_misses";
 /// (required metric).
 pub const VFILTER_GALLERY_HIT_RATIO: &str = "evm_vfilter_gallery_hit_ratio";
 /// Candidate VIDs admitted to scoring — quorum survivors after
-/// exclusion — summed over every `VStage::filter_one` call, refiltering
-/// included (count). Reader: `evmatch check-metrics --in` fails a
+/// exclusion — summed over every `VStage::filter_one` call (count).
+/// Under `ExecutionMode::Dag(n)` with `n ≥ 2`, round 1 scores each list
+/// before the exclusion walk and so counts every quorum candidate. Reader: `evmatch check-metrics --in` fails a
 /// profile whose V stage extracted galleries and scored nobody — a
 /// path that dropped the run's telemetry handle.
 pub const VFILTER_CANDIDATES_SCORED: &str = "evm_vfilter_candidates_scored";
@@ -107,14 +108,13 @@ pub(crate) const EXEC_TASK_LATENCY_P99_NS: &str = "evm_exec_task_latency_p99_ns"
 // describes the handle's most recent run.
 
 /// E-stage wall time of the most recent run (seconds): scenario
-/// selection, summed over its refinement rounds; under the stage DAG,
-/// submission to the completion of `assemble`. Reader: `evmatch
+/// selection, summed over its refinement rounds. Reader: `evmatch
 /// check-metrics --in` fails a profile that examined scenarios and
 /// reports 0 — a run that skipped the epilogue.
 pub const STAGE_E_SECONDS: &str = "evm_stage_e_seconds";
 /// V-stage wall time of the most recent run (seconds): gallery
-/// extraction and scoring; under the stage DAG, the rest of the
-/// submission's wall. Reader: `evmatch check-metrics --in` fails a
+/// extraction and scoring, summed over its refinement rounds (round 1's
+/// stage-DAG submission included). Reader: `evmatch check-metrics --in` fails a
 /// profile that scored candidates and reports 0.
 pub const STAGE_V_SECONDS: &str = "evm_stage_v_seconds";
 /// E-Scenarios the most recent run's first split round — the one over
@@ -130,10 +130,8 @@ pub const THEOREM_LOWER_BOUND: &str = "evm_theorem_lower_bound";
 /// `evmatch check-metrics --in`.
 pub const THEOREM_UPPER_BOUND: &str = "evm_theorem_upper_bound";
 /// 1 when the most recent run's first split round fully split the
-/// targets *with Algorithm 1 (sequential) recording semantics*, else 0
-/// (flag) — the precondition under which the theorem bounds apply.
-/// Stage-DAG (Algorithm 3) runs report 0: recording whole timestamp
-/// snapshots can legitimately exceed the `n − 1` bound. Reader:
+/// targets, else 0 (flag) — the precondition under which the theorem
+/// bounds apply. Reader:
 /// `evmatch check-metrics --in` (arms the bound check).
 pub const FULLY_SPLIT: &str = "evm_fully_split";
 

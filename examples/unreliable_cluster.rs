@@ -15,7 +15,7 @@
 use ev_telemetry::{names, TraceEvent};
 use evmatch::dag::{DagConfig, FaultPlan};
 use evmatch::matching::dagflow::dag_match;
-use evmatch::matching::vfilter::VFilterConfig;
+use evmatch::matching::refine::RefineConfig;
 use evmatch::prelude::*;
 use serde_json::Value;
 
@@ -52,6 +52,10 @@ fn main() {
         ..healthy
     };
 
+    let pipeline = RefineConfig {
+        mode: SplitMode::Practical,
+        ..RefineConfig::default()
+    };
     let run = |name: &str, cluster: &DagConfig, telemetry: &Telemetry| {
         dataset.video.reset_usage();
         let report = dag_match(
@@ -59,8 +63,7 @@ fn main() {
             &dataset.estore,
             &dataset.video,
             &targets,
-            0,
-            &VFilterConfig::default(),
+            &pipeline,
             telemetry,
         )
         .expect("retries must absorb the injected failures");

@@ -37,18 +37,16 @@
 //! consistent applied snapshot, and every answer reports its staleness
 //! (see [`evmatch::serve`] and the stdin protocol on `cmd_serve`).
 //!
-//! Without `--threads` the sequential pipeline runs (Algorithms 1–2:
-//! set splitting, VID filtering, refinement). `--threads N` runs the
-//! parallel pipeline (Algorithm 3): the whole job — every splitting
-//! round plus VID filtering — is **one** stage DAG submitted to the
-//! lineage-tracking scheduler (`DESIGN.md` §11) on `N` real threads of
-//! `ev-dag`'s pool (at most one per task of the graph; `N` must be at
-//! least 1), so independent rounds overlap and a lost worker
-//! costs a rerun of only the partition it was computing. Its report is
-//! byte-identical for every `N`, so the value only changes wall time.
-//! `--universal` matches every EID present in the E-data instead of a
-//! sampled target set; with `--threads` the whole universal matching
-//! job is a single DAG submission.
+//! The matcher runs Algorithms 1–2 (set splitting, VID filtering,
+//! refinement) in either `--mode`. Without `--threads`, or with
+//! `--threads 1`, it runs on the calling thread. `--threads N` for `N`
+//! ≥ 2 runs round 1's extraction and scoring (Algorithm 3) as **one**
+//! stage DAG submitted to the lineage-tracking scheduler (`DESIGN.md`
+//! §11) on `N` real threads of `ev-dag`'s pool (at most one per task of
+//! the graph; `N` must be at least 1), so a lost worker costs a rerun of
+//! only the partition it was computing. The report is the same at every
+//! `N`, so the value only changes wall time. `--universal` matches
+//! every EID present in the E-data instead of a sampled target set.
 //!
 //! `--metrics-out` implies the `counters` telemetry level and
 //! `--trace-out` implies `full`; an explicit `--telemetry` wins over
@@ -245,12 +243,6 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
             }
             other => return Err(format!("unexpected argument {other}")),
         }
-    }
-    if out.threads.is_some() && out.mode == SplitMode::Ideal {
-        return Err(
-            "--mode ideal cannot run with --threads: the stage DAG is the practical setting only"
-                .into(),
-        );
     }
     Ok(out)
 }
@@ -679,6 +671,7 @@ const REQUIRED_METRICS: &[&str] = &[
 fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
     use evmatch::dag::{DagConfig, FaultPlan};
     use evmatch::matching::dagflow::dag_match;
+    use evmatch::matching::refine::RefineConfig;
     use evmatch::matching::vfilter::VFilterConfig;
     use std::collections::BTreeSet;
 
@@ -699,6 +692,11 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
     };
     let dataset = EvDataset::generate(&config).map_err(|e| e.to_string())?;
     let targets = sample_targets(&dataset, 16, args.seed);
+    // The pipeline the stage-DAG probes below run: the matcher's default.
+    let refine = RefineConfig {
+        mode: SplitMode::Practical,
+        ..RefineConfig::default()
+    };
 
     // 1. Sequential ideal-mode run: set splitting (greedy-balanced, the
     //    only strategy that exercises the gain cache), refinement,
@@ -883,8 +881,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
                 &dataset.estore,
                 &dataset.video,
                 &targets,
-                args.seed,
-                &VFilterConfig::default(),
+                &refine,
                 &tel,
             );
             if failed.is_ok() {
@@ -970,8 +967,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
                 &dataset.estore,
                 &dataset.video,
                 &targets,
-                args.seed,
-                &VFilterConfig::default(),
+                &refine,
                 Telemetry::disabled(),
             )
             .map_err(|e| format!("smoke dag run: {e}"))?;
@@ -987,8 +983,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
                 &dataset.estore,
                 &dataset.video,
                 &targets,
-                args.seed,
-                &VFilterConfig::default(),
+                &refine,
                 &tel,
             )
             .map_err(|e| format!("smoke dag run (stressed): {e}"))?;

@@ -273,7 +273,7 @@ impl<'t> LiveCorpus<'t> {
         let estore = store.load_estore()?;
         let video = store.load_video(config.cost)?;
         let incr = (!config.watch.is_empty()).then(|| {
-            let mut live = IncrementalSplit::new(&config.watch, &watch_split_config(&config));
+            let mut live = IncrementalSplit::new(&config.watch, &WATCH_SPLIT);
             live.absorb(&estore, telemetry);
             live
         });
@@ -411,8 +411,7 @@ impl<'t> LiveCorpus<'t> {
                 // Out-of-order data forced a store rebuild; the delta
                 // state no longer matches a chronological replay, so
                 // re-absorb from scratch.
-                *live =
-                    IncrementalSplit::new(&self.config.watch, &watch_split_config(&self.config));
+                *live = IncrementalSplit::new(&self.config.watch, &WATCH_SPLIT);
             }
             live.absorb(&self.estore, self.telemetry);
         }
@@ -467,14 +466,10 @@ impl<'t> LiveCorpus<'t> {
     }
 }
 
-/// The split configuration driving the watch-set index: the serve
-/// layer's matcher settings with the strategy forced to
-/// [`SelectionStrategy::Chronological`] — the only order under which
+/// The split configuration driving the watch-set index:
+/// [`SelectionStrategy::Chronological`], the only order under which
 /// the Algorithm-1 delta update is exact (see
 /// [`IncrementalSplit::new`]).
-fn watch_split_config(config: &ServeConfig) -> SetSplitConfig {
-    SetSplitConfig {
-        strategy: SelectionStrategy::Chronological,
-        ..config.matcher.split
-    }
-}
+const WATCH_SPLIT: SetSplitConfig = SetSplitConfig {
+    strategy: SelectionStrategy::Chronological,
+};

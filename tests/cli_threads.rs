@@ -1,6 +1,7 @@
 //! `evmatch match --threads N` at the edges of `N`, and corpus sizes at
 //! theirs: no thread count or population a user can type may panic or
-//! abort the process. Argument errors exit 2, refused configurations 1.
+//! abort the process, and no thread count changes the report. Argument
+//! errors exit 2, refused configurations 1.
 
 use std::process::{Command, Output};
 
@@ -43,21 +44,19 @@ fn zero_threads_is_an_argument_error() {
     assert!(stderr.contains("--threads must be at least 1"), "{stderr}");
 }
 
-/// `--threads` runs Algorithm 3, which is the practical setting only;
-/// `--mode ideal` beside it used to run practical and say nothing.
+/// `--threads` changes only where the pipeline runs: `--mode ideal`
+/// beside it prints the sequential ideal-mode report.
 #[test]
-fn ideal_mode_with_threads_is_an_argument_error() {
-    let out = Command::new(env!("CARGO_BIN_EXE_evmatch"))
-        .args(["match", "--population", "60", "--duration", "100"])
-        .args(["--targets", "5", "--mode", "ideal", "--threads", "2"])
-        .output()
-        .expect("run evmatch match");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.starts_with("argument error: --mode ideal"),
-        "{stderr}"
-    );
+fn ideal_mode_with_threads_prints_the_sequential_report() {
+    let ideal = |threads: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_evmatch"))
+            .args(["match", "--population", "60", "--duration", "100"])
+            .args(["--targets", "5", "--json", "--mode", "ideal"])
+            .args(threads)
+            .output()
+            .expect("run evmatch match")
+    };
+    assert_eq!(report(&ideal(&["--threads", "2"])), report(&ideal(&[])));
 }
 
 /// Retired options are argument errors, never silently ignored: the

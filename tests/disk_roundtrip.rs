@@ -460,11 +460,11 @@ fn footage_damaged_after_a_match_released_it_fails_the_next_match() {
 }
 
 /// The stage DAG reads each frame it selects once per match: its
-/// `extract` partitions hold the footage while every per-EID scorer and
-/// conflict resolution ask the store for it again, so a cold universal
-/// match from disk decodes the E records and exactly the V-Scenarios it
-/// extracted — no frame once per list entry, none again while resolving
-/// conflicts.
+/// `extract` partitions pack each gallery once, every scorer reads the
+/// packed galleries, and the refinement rounds after it reuse them
+/// through the run's gallery cache, so a cold universal match from disk
+/// decodes the E records and exactly the V-Scenarios it extracted — no
+/// frame once per list entry, none again in a later round.
 #[test]
 fn a_dag_match_from_disk_reads_each_selected_frame_once() {
     let d = EvDataset::generate(&DatasetConfig {
@@ -491,9 +491,10 @@ fn a_dag_match_from_disk_reads_each_selected_frame_once() {
     let counter = |name| tel.registry().counter_value(name).unwrap_or(0);
     let entries: usize = report.lists.values().map(Vec::len).sum();
     let asked = counter(names::VFILTER_GALLERY_HITS) + counter(names::VFILTER_GALLERY_MISSES);
+    assert!(report.rounds > 1, "refinement rounds revisit galleries");
     assert!(
         asked > entries as u64,
-        "conflict resolution asked for galleries again: {asked} requests, {entries} entries"
+        "refinement asked for galleries again: {asked} requests, {entries} entries"
     );
     let extracted = backend.video().stats().extracted_scenarios as u64;
     assert!(extracted > 0);

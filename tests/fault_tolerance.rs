@@ -1,12 +1,12 @@
 //! Fault-injection integration: the matching pipelines must survive task
 //! failures with identical results, and report an exhausted retry
-//! budget as `TaskExhausted` — Algorithm 3 and the parallel EDP
-//! baseline alike.
+//! budget as `TaskExhausted` — Algorithm 3's submission and the
+//! parallel EDP baseline alike.
 
 use evmatch::dag::{DagConfig, FaultPlan, JobError};
 use evmatch::matching::dagflow::dag_match;
 use evmatch::matching::edp::{match_edp_parallel, EdpConfig};
-use evmatch::matching::vfilter::VFilterConfig;
+use evmatch::matching::refine::RefineConfig;
 use evmatch::prelude::*;
 
 fn dataset() -> EvDataset {
@@ -16,6 +16,14 @@ fn dataset() -> EvDataset {
         ..DatasetConfig::default()
     })
     .expect("valid config")
+}
+
+/// The pipeline the matcher runs by default.
+fn practical() -> RefineConfig {
+    RefineConfig {
+        mode: SplitMode::Practical,
+        ..RefineConfig::default()
+    }
 }
 
 /// A plan almost every attempt fails under, with room for one retry.
@@ -39,8 +47,7 @@ fn injected_failures_do_not_change_matching_results() {
             &d.estore,
             &d.video,
             &targets,
-            0,
-            &VFilterConfig::default(),
+            &practical(),
             Telemetry::disabled(),
         )
         .unwrap()
@@ -91,8 +98,7 @@ fn hopeless_dag_reports_task_exhaustion() {
         &d.estore,
         &d.video,
         &targets,
-        0,
-        &VFilterConfig::default(),
+        &practical(),
         Telemetry::disabled(),
     );
     match result {

@@ -170,7 +170,6 @@ fn restart_resumes_the_applied_corpus() {
     let lists = live.watch_lists().expect("watch set is configured");
     let split_cfg = evmatch::matching::setsplit::SetSplitConfig {
         strategy: evmatch::matching::setsplit::SelectionStrategy::Chronological,
-        ..Default::default()
     };
     let rebuilt = evmatch::matching::setsplit::split_ideal(live.estore(), &targets, &split_cfg);
     assert_eq!(lists, rebuilt, "live watch index == from-scratch split");
