@@ -66,15 +66,6 @@ impl ETrail {
         cells.dedup();
         cells
     }
-
-    /// First and last observation times, if any.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn span(&self) -> Option<(Timestamp, Timestamp)> {
-        let first = self.points.first()?.time;
-        let last = self.points.last()?.time;
-        Some((first, last))
-    }
 }
 
 /// One visual sighting: the person's VID was detected in `cell`'s
@@ -132,7 +123,6 @@ mod tests {
         assert_eq!(trail.len(), 3);
         let times: Vec<u64> = trail.points.iter().map(|p| p.time.tick()).collect();
         assert_eq!(times, vec![0, 10, 20]);
-        assert_eq!(trail.span(), Some((Timestamp::new(0), Timestamp::new(20))));
         assert_eq!(trail.cells_visited().len(), 3);
     }
 
@@ -140,7 +130,6 @@ mod tests {
     fn unknown_eid_has_empty_trail() {
         let trail = ETrail::of(&store(), Eid::from_u64(9));
         assert!(trail.is_empty());
-        assert_eq!(trail.span(), None);
         assert!(trail.cells_visited().is_empty());
     }
 

@@ -11,16 +11,15 @@
 //! submission** on the [`ev_dag::dag`] scheduler:
 //!
 //! ```text
-//! extract×4 ──► score×4 ──► finalize
-//!     │                         │
-//!     └─ galleries ─────────────┴──► the run's gallery cache, rounds ≥ 2 inline
+//! extract×4 ──► score×4 ──► finalize ──► outcomes, locks; rounds ≥ 2 inline
 //! ```
 //!
 //! * `extract×4` — every distinct scenario round 1's lists name is
 //!   extracted once and packed into its gallery; the footage goes at
 //!   packing, the rule the sequential `GalleryCache` follows.
 //! * `score×4` — each EID's quorum candidates scored against those
-//!   galleries, shared and read-only, with nothing excluded.
+//!   galleries, shared and read-only, with nothing excluded. The
+//!   scheduler releases the galleries once the last scorer is done.
 //! * `finalize` — the longest-first walk over those scores: each EID's
 //!   tally leaves out the VIDs locked before its turn. Exclusion only
 //!   removes candidates (after the quorum count; a representative and a
@@ -28,9 +27,10 @@
 //!   tally is, bit for bit, the outcome of scoring the EID with those
 //!   VIDs excluded, which is what the inline walk does.
 //!
-//! The galleries then seed the run's gallery cache, counted as the
-//! inline walk counts its requests, and rounds ≥ 2 — only the EIDs
-//! round 1 left unconfident — run inline over it. The stage geometry
+//! Round 1's requests are then counted into the run's gallery cache as
+//! the inline walk counts them, and rounds ≥ 2 — only the EIDs round 1
+//! left unconfident — run inline from that cache, empty as the inline
+//! walk leaves it. The stage geometry
 //! (4 extract, 4 score partitions) is pinned, so every output is
 //! independent of [`DagConfig::threads`] and of panic retries. Eager
 //! scoring scores candidates the inline walk would have excluded first:
@@ -38,9 +38,7 @@
 
 use crate::refine::{run_rounds, RefineConfig};
 use crate::types::{MatchOutcome, MatchReport, ScenarioList};
-use crate::vfilter::{
-    longest_first, model_of, tally, CacheEntry, GalleryCache, Scores, VFilterConfig,
-};
+use crate::vfilter::{longest_first, model_of, tally, CacheEntry, Scores, VFilterConfig};
 use ev_core::ids::{Eid, Vid};
 use ev_core::scenario::ScenarioId;
 use ev_dag::dag::{DagConfig, DagSpec, StageDep};
@@ -86,9 +84,8 @@ impl Flow {
 /// Round 1's V stage as one submission on `config`'s pool: extract and
 /// pack every listed gallery, score every list, then walk the lists
 /// longest first, locking the VID of every outcome `locks` accepts.
-/// Returns the outcomes in processing order, the VIDs locked and the
-/// gallery cache the rest of the run continues with — as the inline
-/// walk over a fresh cache leaves them.
+/// Returns the outcomes in processing order and the VIDs locked, as the
+/// inline walk leaves them.
 pub(crate) fn filter_round_1(
     config: &DagConfig,
     ctx: TraceCtx,
@@ -97,7 +94,7 @@ pub(crate) fn filter_round_1(
     vfilter: &VFilterConfig,
     locks: fn(&MatchOutcome) -> bool,
     tel: &Telemetry,
-) -> Result<(Vec<MatchOutcome>, BTreeSet<Vid>, GalleryCache), JobError> {
+) -> Result<(Vec<MatchOutcome>, BTreeSet<Vid>), JobError> {
     let distinct: BTreeSet<ScenarioId> = lists.values().flatten().copied().collect();
     let distinct = &distinct;
     let mut dag: DagSpec<'_, Flow> = DagSpec::new();
@@ -110,7 +107,6 @@ pub(crate) fn filter_round_1(
         };
         Flow::Galleries(mine.map(|&id| (id, pack(id))).collect())
     });
-    dag.keep(extract);
     let score = dag.stage(
         "dag_score",
         V_PARTITIONS,
@@ -150,27 +146,15 @@ pub(crate) fn filter_round_1(
         },
     );
     let mut outputs = dag.run(config, tel, ctx)?.outputs;
-    // The run is over: its outputs hold the last reference to each
-    // partition.
-    let mut take = |stage| {
-        let parts = outputs.remove(&stage).expect("kept stage");
-        parts
-            .into_iter()
-            .map(|part| Arc::into_inner(part).expect("a finished run's outputs are unshared"))
-    };
-    let Some(Flow::Final(outcomes, locked)) = take(finalize).next() else {
+    // The run is over: its outputs hold the last reference to the
+    // finaliser's one partition.
+    let part = outputs
+        .remove(&finalize)
+        .and_then(|parts| parts.into_iter().next());
+    let Some(Flow::Final(outcomes, locked)) = part.and_then(Arc::into_inner) else {
         unreachable!("finalize produces the walk's outcomes");
     };
-    let mut extracted = BTreeMap::new();
-    for part in take(extract) {
-        let Flow::Galleries(galleries) = part else {
-            unreachable!("expected an extract partition");
-        };
-        extracted.extend(galleries);
-    }
-    let mut cache = GalleryCache::new();
-    cache.admit(lists.values().flatten().copied(), extracted);
-    Ok((outcomes, locked, cache))
+    Ok((outcomes, locked))
 }
 
 /// The matching pipeline with round 1's V stage on `config`'s pool —
@@ -317,9 +301,14 @@ mod tests {
         );
     }
 
+    /// Round 1's scorers read the galleries its extract partitions
+    /// packed. Everyone is confident in round 1 here, so no later round
+    /// re-fetches a released gallery and the store is asked once per
+    /// selected scenario.
     #[test]
     fn extraction_warms_the_cache_before_scoring() {
         let (report, video) = run_match(2, Telemetry::disabled());
+        assert_eq!(report.rounds, 1);
         let stats = video.stats();
         assert_eq!(
             stats.extracted_scenarios,

@@ -87,8 +87,9 @@ pub fn match_with_refinement(
 /// longest-first exclusion walk. Given a scheduler, round 1's V stage
 /// runs on its pool (`dagflow::filter_round_1`), which scores
 /// each list before the walk and so leaves every outcome as the inline
-/// walk computes it; later rounds run inline either way, against the
-/// same gallery cache.
+/// walk computes it; later rounds run inline either way. Every round's
+/// requests count into one gallery cache, which holds no gallery between
+/// rounds.
 pub(crate) fn run_rounds(
     store: &EScenarioStore,
     video: &VideoStore,
@@ -106,8 +107,9 @@ pub(crate) fn run_rounds(
     let mut matched_vids: BTreeSet<Vid> = BTreeSet::new();
     let mut pending: BTreeSet<Eid> = targets.clone();
     let mut rounds = 0;
-    // One gallery cache for the whole run: refinement rounds revisit the
-    // footage earlier rounds already extracted and grouped.
+    // One gallery cache for the whole run, counting every request; each
+    // round's walk releases its galleries, so refinement rounds fetch
+    // the footage they revisit again.
     let mut cache = GalleryCache::new();
 
     while !pending.is_empty() && rounds < config.max_rounds.max(1) {
@@ -137,9 +139,10 @@ pub(crate) fn run_rounds(
         let outcomes = match pool.filter(|_| rounds == 1) {
             Some((dag, ctx)) => {
                 let vfilter = &config.vfilter;
-                let (outcomes, locked, seeded) =
+                let (outcomes, locked) =
                     filter_round_1(dag, ctx, video, &lists, vfilter, locks, tel)?;
-                (matched_vids, cache) = (locked, seeded);
+                cache.count_served(lists.values().flatten().copied());
+                matched_vids = locked;
                 outcomes
             }
             None => VStage {
@@ -235,10 +238,11 @@ pub(crate) struct RunFacts {
     /// recording semantics, the precondition of the theorem bounds.
     pub(crate) fully_split: bool,
     /// Scenario-list entries the run's [`VStage::filter_one`] calls
-    /// found already fetched: every entry of every list, less the misses.
+    /// found fetched before, resident or released since: every entry of
+    /// every list, less the misses.
     pub gallery_hits: u64,
-    /// Distinct scenarios those lists named — each fetched from the
-    /// [`VideoStore`] once per run.
+    /// Distinct scenarios those lists named — each first fetched from
+    /// the [`VideoStore`] once per run.
     pub gallery_misses: u64,
 }
 

@@ -38,10 +38,11 @@
 //!
 //! A [`GalleryCache`] memoizes each extracted scenario's detections
 //! grouped by VID and packed into the kernel's feature block, and lets
-//! the footage go once it is packed. A batch shares one cache across all
+//! the footage go once it is packed. A walk shares one cache across all
 //! its EIDs — scenario reuse across lists is the point of set splitting
-//! — so each V-Scenario is fetched, regrouped and packed once, no matter
-//! how many EIDs its footage serves.
+//! — so each V-Scenario is fetched, regrouped and packed once per walk
+//! that lists it, no matter how many EIDs its footage serves, and is
+//! released after the last list entry of the walk that names it.
 
 use crate::types::{MatchOutcome, ScenarioList};
 use ev_core::feature::{FeatureVector, Metric};
@@ -52,6 +53,7 @@ use ev_store::VideoStore;
 use ev_telemetry::{names, Telemetry};
 use ev_vision::cost::CostModel;
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -247,13 +249,25 @@ pub(crate) fn score_membership(rep: &FeatureVector, entry: &CacheEntry, metric: 
 /// scenario's gallery grouped by VID and packed into its feature block,
 /// so every revisit skips the [`VideoStore`] lookup, the regrouping pass
 /// and the packing. Misses pay the extraction cost exactly as an
-/// uncached extraction does; hits touch no footage, and the cache holds
-/// none but a mixed-dimension gallery's.
+/// uncached extraction does; hits on a resident gallery touch no
+/// footage, and the cache holds none but a mixed-dimension gallery's.
+///
+/// A walk ([`VStage::filter_longest_first`]) releases each gallery after
+/// the last list entry of the walk that names it, so a round ends with
+/// nothing resident (natural release, DESIGN.md §11.2). The counters
+/// span the cache's life: a miss is a scenario's first fetch, every
+/// other request a hit — a released gallery fetched again included,
+/// which [`VideoStore::extract`] serves as a cache hit.
 #[derive(Default)]
 pub struct GalleryCache {
     entries: BTreeMap<ScenarioId, Option<CacheEntry>>,
+    /// Every scenario the cache has been asked for, resident or not.
+    fetched: BTreeSet<ScenarioId>,
     hits: u64,
     misses: u64,
+    /// The most entries ever resident at once.
+    #[cfg(test)]
+    peak: usize,
 }
 
 impl GalleryCache {
@@ -263,55 +277,54 @@ impl GalleryCache {
         GalleryCache::default()
     }
 
-    /// Galleries served without touching the video store.
+    /// Requests for a scenario fetched before: resident galleries and
+    /// released ones fetched again.
     #[must_use]
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Galleries extracted and grouped on first sight (including
-    /// scenarios that turned out to have no footage).
+    /// Distinct scenarios fetched (including scenarios that turned out
+    /// to have no footage).
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
-    /// Makes sure `id`'s gallery is resident, extracting and packing it
-    /// on a miss.
-    fn ensure(&mut self, id: ScenarioId, video: &VideoStore, tel: &Telemetry) {
-        if self.entries.contains_key(&id) {
+    /// Counts a request for `id`: a miss on its first, a hit on every
+    /// later one.
+    fn count(&mut self, id: ScenarioId) {
+        if self.fetched.insert(id) {
+            self.misses += 1;
+        } else {
             self.hits += 1;
-            return;
         }
-        self.misses += 1;
-        let entry = video.extract(id).map(|s| CacheEntry::new(s, tel));
-        self.entries.insert(id, entry);
     }
 
-    /// Takes in galleries extracted elsewhere (`None` where a scenario
-    /// has no footage), counting `requests` — every list entry a V stage
-    /// was handed — as [`ensure`](Self::ensure) would have: a miss per
-    /// gallery the cache did not hold yet, a hit per other request.
-    ///
-    /// # Panics
-    ///
-    /// If a request the cache cannot serve is missing from `extracted`.
-    pub(crate) fn admit(
-        &mut self,
-        requests: impl IntoIterator<Item = ScenarioId>,
-        mut extracted: BTreeMap<ScenarioId, Option<CacheEntry>>,
-    ) {
+    /// Counts `requests` served by galleries extracted elsewhere, as
+    /// [`ensure`](Self::ensure) counts its own.
+    pub(crate) fn count_served(&mut self, requests: impl IntoIterator<Item = ScenarioId>) {
         for id in requests {
-            if self.entries.contains_key(&id) {
-                self.hits += 1;
-                continue;
-            }
-            self.misses += 1;
-            let entry = extracted
-                .remove(&id)
-                .expect("every requested gallery is extracted");
-            self.entries.insert(id, entry);
+            self.count(id);
         }
+    }
+
+    /// Makes sure `id`'s gallery is resident, extracting and packing it
+    /// when it is not.
+    fn ensure(&mut self, id: ScenarioId, video: &VideoStore, tel: &Telemetry) {
+        self.count(id);
+        if let Entry::Vacant(slot) = self.entries.entry(id) {
+            slot.insert(video.extract(id).map(|s| CacheEntry::new(s, tel)));
+            #[cfg(test)]
+            {
+                self.peak = self.peak.max(self.entries.len());
+            }
+        }
+    }
+
+    /// Drops `id`'s gallery; a later request fetches it again.
+    fn release(&mut self, id: ScenarioId) {
+        self.entries.remove(&id);
     }
 
     fn get(&self, id: ScenarioId) -> Option<&CacheEntry> {
@@ -586,7 +599,8 @@ pub struct VStage<'a> {
     pub video: &'a VideoStore,
     /// VID filtering settings.
     pub config: &'a VFilterConfig,
-    /// Extracted galleries; share one across the EIDs of a batch.
+    /// Extracted galleries and the request counters; share one across
+    /// the walks of a run. A walk leaves none of its galleries resident.
     pub cache: &'a mut GalleryCache,
     /// Where the stage counts and traces.
     pub telemetry: &'a Telemetry,
@@ -613,6 +627,10 @@ impl VStage<'_> {
     /// of the candidacies that follow. Outcomes come back in processing
     /// order.
     ///
+    /// Each gallery is fetched on its first use in the walk and released
+    /// once the last entry naming it has been scored, so the cache holds
+    /// none of `lists`' galleries afterwards.
+    ///
     /// It owns the `vfilter` stage span.
     #[must_use]
     pub fn filter_longest_first(
@@ -623,9 +641,21 @@ impl VStage<'_> {
     ) -> Vec<MatchOutcome> {
         let mut stage_span = self.telemetry.span("vfilter", "stage");
         stage_span.arg("eids", serde::Value::Int(lists.len() as i128));
+        let mut uses: BTreeMap<ScenarioId, usize> = BTreeMap::new();
+        for &id in lists.values().flatten() {
+            *uses.entry(id).or_insert(0) += 1;
+        }
         let exclusion = self.config.exclusion;
         longest_first(lists, excluded, exclusion, locks, |eid, list, excluded| {
-            self.filter_one(eid, list, excluded)
+            let outcome = self.filter_one(eid, list, excluded);
+            for id in list {
+                let left = uses.get_mut(id).expect("every listed id is counted");
+                *left -= 1;
+                if *left == 0 {
+                    self.cache.release(*id);
+                }
+            }
+            outcome
         })
     }
 }
@@ -633,7 +663,8 @@ impl VStage<'_> {
 /// VID filtering over a whole split, as the benchmark harness times it:
 /// [`VStage::filter_longest_first`] locking in every majority match,
 /// against a caller-owned [`GalleryCache`] (read its hit counters
-/// afterwards), outcomes in EID order.
+/// afterwards; the walk releases every gallery it fetched), outcomes in
+/// EID order.
 #[must_use]
 pub fn filter_vids_cached(
     lists: &BTreeMap<Eid, ScenarioList>,
@@ -1240,6 +1271,33 @@ mod tests {
             .collect()
     }
 
+    /// The longest-first walk as it stood before the countdown: every
+    /// gallery stays resident in `cache` for the cache's life. The
+    /// differential reference for [`VStage::filter_longest_first`].
+    fn reference_longest_first(
+        lists: &BTreeMap<Eid, ScenarioList>,
+        video: &VideoStore,
+        config: &VFilterConfig,
+        cache: &mut GalleryCache,
+        excluded: &mut BTreeSet<Vid>,
+    ) -> Vec<MatchOutcome> {
+        let telemetry = Telemetry::disabled();
+        let mut stage = VStage {
+            video,
+            config,
+            cache,
+            telemetry,
+        };
+        let locks = MatchOutcome::is_majority;
+        longest_first(
+            lists,
+            excluded,
+            config.exclusion,
+            locks,
+            |eid, list, excluded| stage.filter_one(eid, list, excluded),
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1367,6 +1425,75 @@ mod tests {
                 prop_assert_eq!(got.vote_share.to_bits(), want.vote_share.to_bits());
                 prop_assert_eq!(got.confidence.to_bits(), want.confidence.to_bits());
                 prop_assert_eq!(got.margin.to_bits(), want.margin.to_bits());
+            }
+        }
+
+        /// The countdown: a walk fetches each gallery on its first use,
+        /// drops it after its last, and leaves the cache empty; the most
+        /// galleries resident at once is the largest overlap of the
+        /// [first use, last use] intervals in walk order; and outcomes
+        /// (floats by bits), locks and `(hits, misses)` are a
+        /// never-releasing walk's. Two walks share each side's cache, as
+        /// the rounds of a match do, so the second re-fetches what the
+        /// first released — counted as hits.
+        #[test]
+        fn the_walk_holds_each_gallery_from_first_to_last_use(
+            world_seed in 0u64..1_000_000,
+            metric in 0usize..3,
+            exclusion in any::<bool>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(world_seed);
+            let video = VideoStore::new(adversarial_scenarios(&mut rng), CostModel::free());
+            let config = VFilterConfig {
+                metric: [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine][metric],
+                exclusion,
+            };
+            // Ids 7 and 8 have no footage.
+            let ids: Vec<ScenarioId> = (0..9).map(|i| sid(i, i as u64)).collect();
+            let (mut cache, mut ref_cache) = (GalleryCache::new(), GalleryCache::new());
+            let (mut excluded, mut ref_excluded) = (BTreeSet::new(), BTreeSet::new());
+            for _walk in 0..2 {
+                let lists: BTreeMap<Eid, ScenarioList> = (0..rng.gen_range(0..=6u64))
+                    .map(|e| {
+                        let list = (0..rng.gen_range(0..=8usize))
+                            .map(|_| ids[rng.gen_range(0..ids.len())])
+                            .collect();
+                        (Eid::from_u64(e), list)
+                    })
+                    .collect();
+                cache.peak = 0;
+                let got = VStage {
+                    video: &video,
+                    config: &config,
+                    cache: &mut cache,
+                    telemetry: Telemetry::disabled(),
+                }
+                .filter_longest_first(&lists, &mut excluded, MatchOutcome::is_majority);
+                prop_assert!(cache.entries.is_empty(), "{} resident", cache.entries.len());
+
+                let mut span: BTreeMap<ScenarioId, (usize, usize)> = BTreeMap::new();
+                for (at, outcome) in got.iter().enumerate() {
+                    for &id in &lists[&outcome.eid] {
+                        span.entry(id).or_insert((at, at)).1 = at;
+                    }
+                }
+                let overlap = (0..got.len())
+                    .map(|at| span.values().filter(|&&(a, b)| a <= at && at <= b).count())
+                    .max()
+                    .unwrap_or(0);
+                prop_assert_eq!(cache.peak, overlap);
+
+                let want =
+                    reference_longest_first(&lists, &video, &config, &mut ref_cache, &mut ref_excluded);
+                prop_assert_eq!(got.len(), want.len());
+                for (got, want) in got.iter().zip(&want) {
+                    prop_assert_eq!((got.eid, got.vid, &got.votes), (want.eid, want.vid, &want.votes));
+                    prop_assert_eq!(got.vote_share.to_bits(), want.vote_share.to_bits());
+                    prop_assert_eq!(got.confidence.to_bits(), want.confidence.to_bits());
+                    prop_assert_eq!(got.margin.to_bits(), want.margin.to_bits());
+                }
+                prop_assert_eq!(&excluded, &ref_excluded);
+                prop_assert_eq!((cache.hits(), cache.misses()), (ref_cache.hits(), ref_cache.misses()));
             }
         }
     }

@@ -26,20 +26,6 @@ impl Trajectory {
         }
     }
 
-    /// Number of recorded ticks.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn len(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// Whether nothing has been recorded.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.positions.is_empty()
-    }
-
     /// Appends the next tick's position.
     pub fn push(&mut self, p: Point) {
         self.positions.push(p);
@@ -77,7 +63,7 @@ impl TraceSet {
     pub(crate) fn duration(&self) -> u64 {
         self.traces
             .values()
-            .map(|t| t.len() as u64)
+            .map(|t| t.positions.len() as u64)
             .max()
             .unwrap_or(0)
     }
@@ -124,10 +110,10 @@ mod tests {
     #[test]
     fn trajectory_records_and_indexes() {
         let mut t = Trajectory::new(Timestamp::new(10));
-        assert!(t.is_empty());
+        assert!(t.positions.is_empty());
         t.push(Point::new(0.0, 0.0));
         t.push(Point::new(3.0, 4.0));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.positions.len(), 2);
         assert_eq!(t.at(Timestamp::new(10)), Some(Point::new(0.0, 0.0)));
         assert_eq!(t.at(Timestamp::new(11)), Some(Point::new(3.0, 4.0)));
         assert_eq!(t.at(Timestamp::new(12)), None);

@@ -110,13 +110,6 @@ impl World {
         })
     }
 
-    /// Number of persons.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn population(&self) -> usize {
-        self.movers.len()
-    }
-
     /// The current simulation instant.
     #[cfg(test)]
     #[must_use]
@@ -230,7 +223,7 @@ mod tests {
         assert_eq!(traces.duration(), 50);
         assert_eq!(w.now(), Timestamp::new(50));
         for (_, t) in traces.iter() {
-            assert_eq!(t.len(), 50);
+            assert_eq!(t.positions.len(), 50);
             for &p in &t.positions {
                 assert!(region().bounds().contains(p));
             }
@@ -285,7 +278,6 @@ mod tests {
             Box::new(RandomWalk::new(WalkParams::default(), bounds, &mut rng)),
         ];
         let mut w = World::from_movers(region(), movers, 1);
-        assert_eq!(w.population(), 2);
         let traces = w.run(20).unwrap();
         assert_eq!(traces.person_count(), 2);
     }

@@ -41,13 +41,15 @@ pub const SETSPLIT_SPLITTER_GAIN: &str = "evm_setsplit_splitter_gain";
 // depend on how many `GalleryCache`s served those calls.
 
 /// Scenario-list entries the V stage served from a gallery the run had
-/// already fetched (count): over a run's `filter_one` calls,
+/// already fetched (count) — still resident, or released by an earlier
+/// round's walk and fetched again: over a run's `filter_one` calls,
 /// `hits + misses = Σ |list|`. Readers: `sync_derived_metrics` (the hit
 /// ratio); `tests/parallel_consistency.rs` holds the sum to the report's
 /// lists on both execution modes.
 pub const VFILTER_GALLERY_HITS: &str = "evm_vfilter_gallery_hits";
 /// Distinct V-Scenarios a run's V stage asked the `VideoStore` for —
-/// each is fetched once per run, so on a fresh store with footage behind
+/// a miss is a scenario's first fetch in the run (a re-fetch of a
+/// released gallery is a hit), so on a fresh store with footage behind
 /// every selected scenario this is the galleries the run extracted,
 /// `VideoStore::stats().extracted_scenarios` (count). Readers:
 /// `sync_derived_metrics`; `evmatch check-metrics --in` takes a non-zero
@@ -69,8 +71,10 @@ pub const VFILTER_GALLERY_HIT_RATIO: &str = "evm_vfilter_gallery_hit_ratio";
 pub const VFILTER_CANDIDATES_SCORED: &str = "evm_vfilter_candidates_scored";
 
 /// SoA feature blocks packed for gallery-cache entries (count; one per
-/// gallery with footage, packed when a `GalleryCache` extracts it —
-/// the entry keeps the block instead of the footage).
+/// fetch of a gallery with footage, packed when a `GalleryCache` or the
+/// stage DAG's extract partitions take it from the store — the entry
+/// keeps the block instead of the footage, so a gallery a round
+/// re-fetches after an earlier round released it is packed again).
 /// Reader: README, "Profiling a run".
 pub const KERNEL_BLOCKS_BUILT: &str = "evm_kernel_blocks_built";
 /// Galleries the block builder rejected because their rows disagreed on
