@@ -244,8 +244,8 @@ pub(crate) fn fig8(scale: Scale) -> Table {
          faster than EDP overall because EDP processes many more scenarios in its V stage",
     );
     table.push_note(format!(
-        "{} worker threads (SS: the sequential pipeline with round 1's V stage as one \
-         stage-DAG submission; EDP: one stage-DAG submission, one partition per EID); vision \
+        "{} worker threads (SS: the sequential pipeline with each wave of its walk scored as \
+         one stage-DAG submission; EDP: one stage-DAG submission, one partition per EID); vision \
          cost model charges {} work units per extracted detection and {} per feature comparison",
         threads,
         CostModel::default().v_extraction,

@@ -95,7 +95,7 @@ fn seeded(seed: u64) -> SetSplitConfig {
 }
 
 /// Runs SS on `threads` threads (Algorithm 3: [`run_ss`]'s pipeline,
-/// round 1's V stage on the stage-DAG pool) over `targets`; the report
+/// each wave of the walk scored on the stage-DAG pool) over `targets`; the report
 /// is `run_ss`'s, only the times differ.
 ///
 /// # Panics

@@ -123,13 +123,6 @@ impl EidCover {
         Ok(cover)
     }
 
-    /// Whether the universe is empty.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.universe.is_empty()
-    }
-
     /// Number of blocks in the cover.
     #[must_use]
     pub fn block_count(&self) -> usize {
@@ -586,7 +579,7 @@ mod tests {
     fn empty_universe_partition() {
         let p = EidCover::new(std::iter::empty());
         assert_eq!(p.block_count(), 0);
-        assert!(p.is_empty());
+        assert_eq!(p.universe_len(), 0);
         assert!(p.is_fully_split(), "vacuously fully split");
         assert!(p.check_invariants());
     }
@@ -604,7 +597,7 @@ mod tests {
             "overlapping blocks rejected"
         );
         let empty = EidCover::from_blocks(Vec::new()).unwrap();
-        assert!(empty.is_empty());
+        assert_eq!(empty.universe_len(), 0);
         // Equality is over the set of blocks, not the order they came in.
         let mut split = EidCover::new(eids(0..3));
         split_by(&mut split, [2]);
@@ -952,7 +945,7 @@ mod proptests {
                 cover.remove(Eid::from_u64(e));
                 prop_assert!(cover.check_invariants());
             }
-            prop_assert!(cover.is_empty() && cover.block_count() == 0);
+            prop_assert!(cover.universe_len() == 0 && cover.block_count() == 0);
         }
     }
 

@@ -9,10 +9,10 @@
 //! [`DagSpec::run`]: a graph of stages over numbered partitions, joined
 //! by [`DepKind::Narrow`] or [`DepKind::Shuffle`] edges and run on the
 //! real threads of the crate's private FIFO pool (`pool.rs`: one shared
-//! queue, scoped workers, per-task panic isolation). Round 1's V stage
-//! under Algorithm 3 (`ev_matching::dagflow`) and the parallel EDP
-//! baseline (`ev_matching::edp::match_edp_parallel`, one partition per
-//! EID) are both one `DagSpec` submission.
+//! queue, scoped workers, per-task panic isolation). Each wave of the V
+//! stage's walk under Algorithm 3 (`ev_matching::dagflow`) and the
+//! parallel EDP baseline (`ev_matching::edp::match_edp_parallel`, one
+//! partition per EID) are each one `DagSpec` submission.
 //!
 //! The [`dag`] module docs carry the lineage and recovery model
 //! ([`FaultPlan`], [`JobError`], [`DagMetrics`]) and a runnable example.

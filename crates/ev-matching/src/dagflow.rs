@@ -6,169 +6,95 @@
 //! walk exactly as
 //! [`match_with_refinement`](crate::refine::match_with_refinement)
 //! does, and its report is that pipeline's at every thread count. The
-//! pool takes the part of the work that needs no order — scoring round
-//! 1's lists, before anything is locked — as **one stage-DAG
-//! submission** on the [`ev_dag::dag`] scheduler:
+//! walk ([`VStage::filter_longest_first`]) takes each round's
+//! longest-first order in waves, and the pool scores each wave as
+//! **one stage-DAG submission** on the [`ev_dag::dag`] scheduler:
 //!
 //! ```text
-//! extract×4 ──► score×4 ──► finalize ──► outcomes, locks; rounds ≥ 2 inline
+//!            ┌──────────── per wave of the longest-first order ────────────┐
+//! lists ──►  fetch galleries ──► dag_score×4 ──► tally in order, lock, ──► outcomes,
+//!            (calling thread)    (the pool)      release at last use        locks
 //! ```
 //!
-//! * `extract×4` — every distinct scenario round 1's lists name is
-//!   extracted once and packed into its gallery; the footage goes at
-//!   packing, the rule the sequential `GalleryCache` follows.
-//! * `score×4` — each EID's quorum candidates scored against those
-//!   galleries, shared and read-only, with nothing excluded. The
-//!   scheduler releases the galleries once the last scorer is done.
-//! * `finalize` — the longest-first walk over those scores: each EID's
-//!   tally leaves out the VIDs locked before its turn. Exclusion only
+//! * *fetch* — the caller extracts and packs the wave's galleries into
+//!   the run's one gallery cache, counting hits and misses as the
+//!   inline walk does.
+//! * `dag_score×4` — each of the wave's lists scored against those
+//!   galleries, shared and read-only, with the VIDs locked before the
+//!   wave excluded.
+//! * *tally* — the caller tallies the wave's EIDs in walk order, each
+//!   without the VIDs locked since the wave was scored. Exclusion only
 //!   removes candidates (after the quorum count; a representative and a
 //!   log-joint read the candidate's own observations alone), so that
-//!   tally is, bit for bit, the outcome of scoring the EID with those
-//!   VIDs excluded, which is what the inline walk does.
+//!   tally is, bit for bit, the outcome of scoring the EID with every
+//!   lock so far excluded, which is what the inline walk does. Each
+//!   gallery goes once the last entry naming it is tallied.
 //!
-//! Round 1's requests are then counted into the run's gallery cache as
-//! the inline walk counts them, and rounds ≥ 2 — only the EIDs round 1
-//! left unconfident — run inline from that cache, empty as the inline
-//! walk leaves it. The stage geometry
-//! (4 extract, 4 score partitions) is pinned, so every output is
-//! independent of [`DagConfig::threads`] and of panic retries. Eager
-//! scoring scores candidates the inline walk would have excluded first:
-//! the pool buys its parallelism with that extra kernel work.
+//! Every round runs this way. The stage geometry (4 score partitions)
+//! is pinned, so every output is independent of
+//! [`DagConfig::threads`] and of panic retries.
+//!
+//! [`VStage::filter_longest_first`]: crate::vfilter::VStage::filter_longest_first
 
 use crate::refine::{run_rounds, RefineConfig};
-use crate::types::{MatchOutcome, MatchReport, ScenarioList};
-use crate::vfilter::{longest_first, model_of, tally, CacheEntry, Scores, VFilterConfig};
+use crate::types::MatchReport;
+use crate::vfilter::{model_of, CacheEntry, Scores};
+use ev_core::feature::Metric;
 use ev_core::ids::{Eid, Vid};
-use ev_core::scenario::ScenarioId;
-use ev_dag::dag::{DagConfig, DagSpec, StageDep};
+use ev_dag::dag::{DagConfig, DagSpec};
 use ev_dag::JobError;
 use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{Telemetry, TraceCtx};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Extract/score-stage partitions, pinned so the stage outputs are
-/// independent of the thread count.
+/// Score partitions, pinned so the stage outputs are independent of the
+/// thread count.
 const V_PARTITIONS: usize = 4;
 
-/// The partition payload flowing through the V-stage DAG.
-enum Flow {
-    /// `extract` partition: its share of the distinct listed scenarios,
-    /// each packed into its gallery (`None`: the scenario has no
-    /// footage).
-    Galleries(Vec<(ScenarioId, Option<CacheEntry>)>),
-    /// `score` partition: its share of the EIDs, each list's quorum
-    /// candidates scored with nothing excluded.
-    Scores(Vec<(Eid, Scores)>),
-    /// `finalize`: the walk's outcomes in processing order and the VIDs
-    /// it locked.
-    Final(Vec<MatchOutcome>, BTreeSet<Vid>),
-}
-
-impl Flow {
-    fn as_galleries(&self) -> &[(ScenarioId, Option<CacheEntry>)] {
-        match self {
-            Flow::Galleries(g) => g,
-            _ => unreachable!("expected an extract partition"),
-        }
-    }
-    fn as_scores(&self) -> &[(Eid, Scores)] {
-        match self {
-            Flow::Scores(s) => s,
-            _ => unreachable!("expected a score partition"),
-        }
-    }
-}
-
-/// Round 1's V stage as one submission on `config`'s pool: extract and
-/// pack every listed gallery, score every list, then walk the lists
-/// longest first, locking the VID of every outcome `locks` accepts.
-/// Returns the outcomes in processing order and the VIDs locked, as the
-/// inline walk leaves them.
-pub(crate) fn filter_round_1(
+/// One wave of the walk scored on `config`'s pool: `wave[i]` is a list's
+/// footage-bearing galleries in list order, scored with `excluded` ruled
+/// out after the quorum count. Returns the scores in `wave`'s order.
+pub(crate) fn score_wave(
     config: &DagConfig,
     ctx: TraceCtx,
+    wave: &[Vec<&CacheEntry>],
+    excluded: &BTreeSet<Vid>,
+    metric: Metric,
     video: &VideoStore,
-    lists: &BTreeMap<Eid, ScenarioList>,
-    vfilter: &VFilterConfig,
-    locks: fn(&MatchOutcome) -> bool,
     tel: &Telemetry,
-) -> Result<(Vec<MatchOutcome>, BTreeSet<Vid>), JobError> {
-    let distinct: BTreeSet<ScenarioId> = lists.values().flatten().copied().collect();
-    let distinct = &distinct;
-    let mut dag: DagSpec<'_, Flow> = DagSpec::new();
-    let extract = dag.stage("dag_extract", V_PARTITIONS, Vec::new(), move |ctx, _| {
-        let mine = distinct.iter().skip(ctx.partition).step_by(V_PARTITIONS);
-        let pack = |id| {
-            video
-                .extract(id)
-                .map(|footage| CacheEntry::new(footage, tel))
-        };
-        Flow::Galleries(mine.map(|&id| (id, pack(id))).collect())
+) -> Result<Vec<Scores>, JobError> {
+    let mut dag: DagSpec<'_, Vec<Scores>> = DagSpec::new();
+    let score = dag.stage("dag_score", V_PARTITIONS, Vec::new(), move |ctx, _| {
+        let mine = wave.iter().skip(ctx.partition).step_by(V_PARTITIONS);
+        mine.map(|entries| model_of(entries.clone(), excluded).score(metric, video, tel))
+            .collect()
     });
-    let score = dag.stage(
-        "dag_score",
-        V_PARTITIONS,
-        vec![StageDep::shuffle(extract)],
-        move |ctx, inputs| {
-            let galleries: BTreeMap<ScenarioId, &CacheEntry> = (inputs.iter())
-                .flat_map(|part| part.as_galleries())
-                .filter_map(|(id, entry)| Some((*id, entry.as_ref()?)))
-                .collect();
-            let mine = lists.iter().skip(ctx.partition).step_by(V_PARTITIONS);
-            let scored = mine.map(|(&eid, list)| {
-                let entries = list.iter().filter_map(|id| galleries.get(id).copied());
-                let model = model_of(entries.collect(), &BTreeSet::new());
-                (eid, model.score(vfilter.metric, video, tel))
-            });
-            Flow::Scores(scored.collect())
-        },
-    );
-    let finalize = dag.stage(
-        "dag_finalize",
-        1,
-        vec![StageDep::shuffle(score)],
-        move |_, inputs| {
-            let scores: BTreeMap<Eid, &Scores> = (inputs.iter())
-                .flat_map(|part| part.as_scores())
-                .map(|(eid, scores)| (*eid, scores))
-                .collect();
-            let mut locked = BTreeSet::new();
-            let outcomes = longest_first(
-                lists,
-                &mut locked,
-                vfilter.exclusion,
-                locks,
-                |eid, _, locked| tally(eid, &scores[&eid].without(locked)),
-            );
-            Flow::Final(outcomes, locked)
-        },
-    );
     let mut outputs = dag.run(config, tel, ctx)?.outputs;
-    // The run is over: its outputs hold the last reference to the
-    // finaliser's one partition.
-    let part = outputs
-        .remove(&finalize)
-        .and_then(|parts| parts.into_iter().next());
-    let Some(Flow::Final(outcomes, locked)) = part.and_then(Arc::into_inner) else {
-        unreachable!("finalize produces the walk's outcomes");
-    };
-    Ok((outcomes, locked))
+    // The run is over: its outputs hold the last reference to each
+    // partition. Partition `p` scored lists `p`, `p + 4`, ….
+    let mut parts: Vec<_> = (outputs.remove(&score).into_iter().flatten())
+        .map(|part| Arc::into_inner(part).expect("the run is over").into_iter())
+        .collect();
+    let scores = (0..wave.len()).map(|i| parts[i % V_PARTITIONS].next());
+    Ok(scores
+        .map(|s| s.expect("every list is scored once"))
+        .collect())
 }
 
-/// The matching pipeline with round 1's V stage on `config`'s pool —
-/// one submission per match, so a lost worker costs only the partition
-/// it was computing. [`EvMatcher`] with [`ExecutionMode::Dag`] of two or
-/// more threads runs through here; this entry uses the pool at any
-/// thread count.
+/// The matching pipeline with every round's V stage scored on
+/// `config`'s pool — one submission per wave of the walk, so a lost
+/// worker costs only the partition it was computing. [`EvMatcher`] with
+/// [`ExecutionMode::Dag`] of two or more threads runs through here; this
+/// entry uses the pool at any thread count.
 ///
 /// The report equals
 /// [`match_with_refinement`](crate::refine::match_with_refinement)'s
 /// over the same inputs (timings aside), whatever the thread count or
 /// injected task loss, and the run epilogue exports the same counters
-/// but `evm_vfilter_candidates_scored`, which counts every quorum
-/// candidate of round 1.
+/// but `evm_vfilter_candidates_scored`: a wave's lists are scored
+/// before the wave's own locks, so they count the candidates those
+/// locks rule out too.
 ///
 /// [`EvMatcher`]: crate::matcher::EvMatcher
 /// [`ExecutionMode::Dag`]: crate::matcher::ExecutionMode::Dag
@@ -301,8 +227,9 @@ mod tests {
         );
     }
 
-    /// Round 1's scorers read the galleries its extract partitions
-    /// packed. Everyone is confident in round 1 here, so no later round
+    /// The calling thread fetches a wave's galleries into the run's
+    /// cache before the pool scores the wave, and the scorers read only
+    /// those. Everyone is confident in round 1 here, so no later round
     /// re-fetches a released gallery and the store is asked once per
     /// selected scenario.
     #[test]

@@ -29,8 +29,8 @@
 //!   two-stage E-filtering and V-identification, with the paper's
 //!   parallel adaptation (one EID per task, as one stage DAG).
 //! * [`dagflow`] — the parallelization (paper §V, Algorithm 3): the
-//!   same pipeline, Algorithms 1–2 and the exclusion walk, with round
-//!   1's extraction and scoring as **one stage-DAG submission** on the
+//!   same pipeline, Algorithms 1–2 and the exclusion walk, with each
+//!   wave of the walk scored as **one stage-DAG submission** on the
 //!   lineage-tracking scheduler in [`ev_dag::dag`]. A lost worker costs
 //!   only the partition it was computing, and the [`MatchReport`] is the
 //!   sequential pipeline's at every thread count.

@@ -9,7 +9,7 @@
 //!   family, which is exactly what a single-target query wants.
 //! * [`match_many`](EvMatcher::match_many) — a requested EID set, via
 //!   set splitting + VID filtering with refinement (Algorithms 1–2), on
-//!   the caller's thread or with round 1's V stage on a thread pool
+//!   the caller's thread or with its V stage scored on a thread pool
 //!   (Algorithm 3): one pipeline, the same report.
 //! * [`match_universal`](EvMatcher::match_universal) — every EID present
 //!   in the E-data gets labeled; afterwards any query is an index lookup.
@@ -36,11 +36,12 @@ use std::time::Instant;
 pub enum ExecutionMode {
     /// The pipeline on the caller's thread.
     Sequential,
-    /// The pipeline with round 1's extraction and scoring as **one
-    /// submission** to the lineage-tracking stage-DAG scheduler on this
+    /// The pipeline with each wave of the V stage's walk scored as one
+    /// submission to the lineage-tracking stage-DAG scheduler on this
     /// many threads (see [`crate::dagflow`]); a worker panic reruns only
-    /// the lost partition. One thread runs the pipeline inline: scoring
-    /// ahead of the walk costs kernel work that one thread cannot hide.
+    /// the lost partition. One thread runs the pipeline inline: a wave
+    /// scores candidates its own locks rule out, work one thread cannot
+    /// hide.
     Dag(usize),
 }
 

@@ -17,10 +17,9 @@
 //!
 //! This loop is the one matching pipeline: the sequential matcher runs
 //! it on the caller's thread, and the parallel one
-//! ([`crate::dagflow::dag_match`]) runs it with round 1's V stage on a
-//! thread pool, to the same report.
+//! ([`crate::dagflow::dag_match`]) runs it with every round's scoring
+//! on a thread pool, to the same report.
 
-use crate::dagflow::filter_round_1;
 use crate::edp::{efilter_one, EdpConfig};
 pub use crate::setsplit::SplitMode;
 use crate::setsplit::{split, SelectionStrategy, SetSplitConfig};
@@ -84,12 +83,11 @@ pub fn match_with_refinement(
 /// The one matching pipeline: Algorithm 1 splits the pending EIDs,
 /// Algorithm 2's rounds (up to `max_rounds`) extend what stays
 /// unconfident with the E-filter, and each round's V stage is the
-/// longest-first exclusion walk. Given a scheduler, round 1's V stage
-/// runs on its pool (`dagflow::filter_round_1`), which scores
-/// each list before the walk and so leaves every outcome as the inline
-/// walk computes it; later rounds run inline either way. Every round's
-/// requests count into one gallery cache, which holds no gallery between
-/// rounds.
+/// longest-first exclusion walk ([`VStage::filter_longest_first`]).
+/// Given a scheduler, every round's walk scores its lists on the pool,
+/// a wave at a time, and leaves every outcome as the inline walk
+/// computes it. Every round's requests count into one gallery cache,
+/// which holds no gallery between rounds.
 pub(crate) fn run_rounds(
     store: &EScenarioStore,
     video: &VideoStore,
@@ -135,24 +133,18 @@ pub(crate) fn run_rounds(
         // --- V stage: filter, longest lists first, excluding VIDs that
         // earlier rounds (or earlier EIDs this round) locked in. ---
         let v_start = Instant::now();
-        let locks = MatchOutcome::is_confident;
-        let outcomes = match pool.filter(|_| rounds == 1) {
-            Some((dag, ctx)) => {
-                let vfilter = &config.vfilter;
-                let (outcomes, locked) =
-                    filter_round_1(dag, ctx, video, &lists, vfilter, locks, tel)?;
-                cache.count_served(lists.values().flatten().copied());
-                matched_vids = locked;
-                outcomes
-            }
-            None => VStage {
-                video,
-                config: &config.vfilter,
-                cache: &mut cache,
-                telemetry: tel,
-            }
-            .filter_longest_first(&lists, &mut matched_vids, locks),
-        };
+        let outcomes = VStage {
+            video,
+            config: &config.vfilter,
+            cache: &mut cache,
+            telemetry: tel,
+        }
+        .filter_longest_first(
+            &lists,
+            &mut matched_vids,
+            MatchOutcome::is_confident,
+            pool,
+        )?;
         let last_round = rounds >= config.max_rounds.max(1);
         for outcome in outcomes {
             let eid = outcome.eid;
@@ -237,7 +229,7 @@ pub(crate) struct RunFacts {
     /// Whether that round fully split the targets under Algorithm 1's
     /// recording semantics, the precondition of the theorem bounds.
     pub(crate) fully_split: bool,
-    /// Scenario-list entries the run's [`VStage::filter_one`] calls
+    /// Scenario-list entries the run's V-stage walks
     /// found fetched before, resident or released since: every entry of
     /// every list, less the misses.
     pub gallery_hits: u64,

@@ -129,11 +129,14 @@ fn one_exclusion_loop_serves_the_harness_and_refinement() {
             outcomes
         };
 
-        let majorities = stage(&video, &cfg, &mut GalleryCache::new()).filter_longest_first(
-            &split.lists,
-            &mut BTreeSet::new(),
-            MatchOutcome::is_majority,
-        );
+        let majorities = stage(&video, &cfg, &mut GalleryCache::new())
+            .filter_longest_first(
+                &split.lists,
+                &mut BTreeSet::new(),
+                MatchOutcome::is_majority,
+                None,
+            )
+            .unwrap();
         assert_eq!(
             by_eid(majorities),
             filter_vids_cached(&split.lists, &video, &cfg, &mut GalleryCache::new()),
@@ -152,11 +155,14 @@ fn one_exclusion_loop_serves_the_harness_and_refinement() {
             Telemetry::disabled(),
         );
         assert_eq!(report.lists, split.lists, "world {world_seed}");
-        let confident = stage(&video, &cfg, &mut GalleryCache::new()).filter_longest_first(
-            &split.lists,
-            &mut BTreeSet::new(),
-            MatchOutcome::is_confident,
-        );
+        let confident = stage(&video, &cfg, &mut GalleryCache::new())
+            .filter_longest_first(
+                &split.lists,
+                &mut BTreeSet::new(),
+                MatchOutcome::is_confident,
+                None,
+            )
+            .unwrap();
         assert_eq!(report.outcomes, by_eid(confident), "world {world_seed}");
     }
 }

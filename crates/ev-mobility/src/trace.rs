@@ -50,24 +50,6 @@ impl TraceSet {
         self.traces.insert(person, trajectory);
     }
 
-    /// The trajectory of `person`, if present.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn get(&self, person: PersonId) -> Option<&Trajectory> {
-        self.traces.get(&person)
-    }
-
-    /// Duration in ticks (the longest trajectory's length).
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn duration(&self) -> u64 {
-        self.traces
-            .values()
-            .map(|t| t.positions.len() as u64)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Iterates over `(person, trajectory)` pairs in person order.
     pub fn iter(&self) -> impl Iterator<Item = (PersonId, &Trajectory)> {
         self.traces.iter().map(|(&p, t)| (p, t))
@@ -137,14 +119,19 @@ mod tests {
         t.push(Point::new(1.0, 1.0));
         s.insert(PersonId::new(3), t.clone());
         assert_eq!(s.person_count(), 1);
-        assert_eq!(s.duration(), 1);
-        assert_eq!(s.get(PersonId::new(3)), Some(&t));
-        assert!(s.get(PersonId::new(4)).is_none());
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![(PersonId::new(3), &t)]);
+        let mut longer = t.clone();
+        longer.push(Point::new(2.0, 2.0));
+        s.insert(PersonId::new(3), longer.clone());
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            vec![(PersonId::new(3), &longer)]
+        );
     }
 
     #[test]
     fn empty_trace_set_duration_is_zero() {
-        assert_eq!(TraceSet::new().duration(), 0);
+        assert_eq!(TraceSet::new().iter().count(), 0, "no trajectory, no tick");
         assert_eq!(TraceSet::new().person_count(), 0);
     }
 }

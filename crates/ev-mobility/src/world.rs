@@ -110,13 +110,6 @@ impl World {
         })
     }
 
-    /// The current simulation instant.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn now(&self) -> Timestamp {
-        self.now
-    }
-
     /// Runs the world for `ticks` ticks, recording every person's position
     /// at every tick (the position *after* each step).
     ///
@@ -220,13 +213,16 @@ mod tests {
         let mut w = World::random_waypoint(region(), 20, WaypointParams::default(), 1).unwrap();
         let traces = w.run(50).unwrap();
         assert_eq!(traces.person_count(), 20);
-        assert_eq!(traces.duration(), 50);
-        assert_eq!(w.now(), Timestamp::new(50));
         for (_, t) in traces.iter() {
+            assert_eq!(t.start, Timestamp::ZERO);
             assert_eq!(t.positions.len(), 50);
             for &p in &t.positions {
                 assert!(region().bounds().contains(p));
             }
+        }
+        // The clock advanced by the run: the next one starts at tick 50.
+        for (_, t) in w.run(0).unwrap().iter() {
+            assert_eq!(t.start, Timestamp::new(50));
         }
     }
 
@@ -256,11 +252,13 @@ mod tests {
         let mut w = World::random_waypoint(region(), 3, WaypointParams::default(), 5).unwrap();
         let first = w.run(10).unwrap();
         let second = w.run(10).unwrap();
-        assert_eq!(first.get(PersonId::new(0)).unwrap().start, Timestamp::ZERO);
-        assert_eq!(
-            second.get(PersonId::new(0)).unwrap().start,
-            Timestamp::new(10)
-        );
+        let start = |traces: &TraceSet| {
+            let (person, t) = traces.iter().next().unwrap();
+            assert_eq!(person, PersonId::new(0));
+            t.start
+        };
+        assert_eq!(start(&first), Timestamp::ZERO);
+        assert_eq!(start(&second), Timestamp::new(10));
     }
 
     #[test]
@@ -332,8 +330,10 @@ mod tests {
             for &n in &ticks {
                 let got = one.run(n).unwrap();
                 proptest::prop_assert_eq!(bits(&got), bits(&two.run_two_pass(n)));
-                proptest::prop_assert_eq!(one.now(), two.now());
             }
+            // Both clocks stand where the last run left them: an empty
+            // run starts every trajectory there.
+            proptest::prop_assert_eq!(bits(&one.run(0).unwrap()), bits(&two.run_two_pass(0)));
         }
     }
 

@@ -64,15 +64,16 @@ pub const VFILTER_GALLERY_MISSES: &str = "evm_vfilter_gallery_misses";
 pub const VFILTER_GALLERY_HIT_RATIO: &str = "evm_vfilter_gallery_hit_ratio";
 /// Candidate VIDs admitted to scoring — quorum survivors after
 /// exclusion — summed over every `VStage::filter_one` call (count).
-/// Under `ExecutionMode::Dag(n)` with `n ≥ 2`, round 1 scores each list
-/// before the exclusion walk and so counts every quorum candidate. Reader: `evmatch check-metrics --in` fails a
+/// Under `ExecutionMode::Dag(n)` with `n ≥ 2`, each wave of the walk is
+/// scored before its own locks, so it counts the candidates those locks
+/// rule out too. Reader: `evmatch check-metrics --in` fails a
 /// profile whose V stage extracted galleries and scored nobody — a
 /// path that dropped the run's telemetry handle.
 pub const VFILTER_CANDIDATES_SCORED: &str = "evm_vfilter_candidates_scored";
 
 /// SoA feature blocks packed for gallery-cache entries (count; one per
-/// fetch of a gallery with footage, packed when a `GalleryCache` or the
-/// stage DAG's extract partitions take it from the store — the entry
+/// fetch of a gallery with footage, packed when a `GalleryCache` takes
+/// it from the store, on the calling thread at every width — the entry
 /// keeps the block instead of the footage, so a gallery a round
 /// re-fetches after an earlier round released it is packed again).
 /// Reader: README, "Profiling a run".
@@ -117,8 +118,8 @@ pub(crate) const EXEC_TASK_LATENCY_P99_NS: &str = "evm_exec_task_latency_p99_ns"
 /// reports 0 — a run that skipped the epilogue.
 pub const STAGE_E_SECONDS: &str = "evm_stage_e_seconds";
 /// V-stage wall time of the most recent run (seconds): gallery
-/// extraction and scoring, summed over its refinement rounds (round 1's
-/// stage-DAG submission included). Reader: `evmatch check-metrics --in` fails a
+/// extraction and scoring, summed over its refinement rounds (the
+/// stage-DAG submissions included). Reader: `evmatch check-metrics --in` fails a
 /// profile that scored candidates and reports 0.
 pub const STAGE_V_SECONDS: &str = "evm_stage_v_seconds";
 /// E-Scenarios the most recent run's first split round — the one over

@@ -58,11 +58,11 @@ fn span_tree_with_steal_and_retry_edges_survives_serialization() {
         attempt_a,
         vec![("failures".to_string(), Value::Int(2))],
     );
-    tracer.complete_ctx("extract[0]#0", "task", t0, attempt_a, Vec::new());
+    tracer.complete_ctx("dag_score[0]#0", "task", t0, attempt_a, Vec::new());
     tracer.instant_ctx("retry_scheduled", "event", attempt_b0, Vec::new());
-    tracer.complete_ctx("extract[1]#0", "task", t0, attempt_b0, Vec::new());
-    tracer.complete_ctx("extract[1]#1", "task", t0, attempt_b1, Vec::new());
-    tracer.complete_ctx("dag_extract", "stage", t0, stage, Vec::new());
+    tracer.complete_ctx("dag_score[1]#0", "task", t0, attempt_b0, Vec::new());
+    tracer.complete_ctx("dag_score[1]#1", "task", t0, attempt_b1, Vec::new());
+    tracer.complete_ctx("dag_score", "stage", t0, stage, Vec::new());
     tracer.complete_ctx("dag_run", "pipeline", t0, job, Vec::new());
 
     // Serialize to text and forget the in-memory events: everything
@@ -90,10 +90,10 @@ fn span_tree_with_steal_and_retry_edges_survives_serialization() {
     // Parent/child nesting: job → stage → each attempt, joined purely
     // on the serialized span ids.
     let job_span = int_field(find(events, "dag_run"), "span_id").expect("job span_id");
-    let stage_event = find(events, "dag_extract");
+    let stage_event = find(events, "dag_score");
     assert_eq!(int_field(stage_event, "parent_span_id"), Some(job_span));
     let stage_span = int_field(stage_event, "span_id").expect("stage span_id");
-    for name in ["extract[0]#0", "extract[1]#0", "extract[1]#1"] {
+    for name in ["dag_score[0]#0", "dag_score[1]#0", "dag_score[1]#1"] {
         let attempt = find(events, name);
         assert_eq!(
             int_field(attempt, "parent_span_id"),
@@ -105,8 +105,8 @@ fn span_tree_with_steal_and_retry_edges_survives_serialization() {
 
     // Retry attempts are siblings — distinct spans under one parent.
     assert_ne!(
-        int_field(find(events, "extract[1]#0"), "span_id"),
-        int_field(find(events, "extract[1]#1"), "span_id"),
+        int_field(find(events, "dag_score[1]#0"), "span_id"),
+        int_field(find(events, "dag_score[1]#1"), "span_id"),
         "each attempt gets its own span id",
     );
 
@@ -116,7 +116,7 @@ fn span_tree_with_steal_and_retry_edges_survives_serialization() {
     assert_eq!(str_field(failed, "ph"), Some("i"));
     assert_eq!(
         int_field(failed, "span_id"),
-        int_field(find(events, "extract[0]#0"), "span_id"),
+        int_field(find(events, "dag_score[0]#0"), "span_id"),
         "failure edge must name the lost attempt's span",
     );
     assert_eq!(
@@ -128,7 +128,7 @@ fn span_tree_with_steal_and_retry_edges_survives_serialization() {
     assert_eq!(str_field(retry, "ph"), Some("i"));
     assert_eq!(
         int_field(retry, "span_id"),
-        int_field(find(events, "extract[1]#0"), "span_id"),
+        int_field(find(events, "dag_score[1]#0"), "span_id"),
         "retry edge must name the failed attempt's span",
     );
 }

@@ -40,11 +40,11 @@
 //! The matcher runs Algorithms 1–2 (set splitting, VID filtering,
 //! refinement) in either `--mode`. Without `--threads`, or with
 //! `--threads 1`, it runs on the calling thread. `--threads N` for `N`
-//! ≥ 2 runs round 1's extraction and scoring (Algorithm 3) as **one**
-//! stage DAG submitted to the lineage-tracking scheduler (`DESIGN.md`
-//! §11) on `N` real threads of `ev-dag`'s pool (at most one per task of
-//! the graph; `N` must be at least 1), so a lost worker costs a rerun of
-//! only the partition it was computing. The report is the same at every
+//! ≥ 2 scores each wave of every round's exclusion walk (Algorithm 3)
+//! as one stage DAG submitted to the lineage-tracking scheduler
+//! (`DESIGN.md` §11) on `N` real threads of `ev-dag`'s pool (at most
+//! one per task of the graph; `N` must be at least 1), so a lost worker
+//! costs a rerun of only the partition it was computing. The report is the same at every
 //! `N`, so the value only changes wall time. `--universal` matches
 //! every EID present in the E-data instead of a sampled target set.
 //!

@@ -6,6 +6,7 @@
 use evmatch::dag::{DagConfig, FaultPlan};
 use evmatch::matching::dagflow::dag_match;
 use evmatch::matching::edp::{match_edp, match_edp_parallel, EdpConfig};
+use evmatch::matching::practical::split_practical;
 use evmatch::matching::refine::RefineConfig;
 use evmatch::matching::setsplit::{SelectionStrategy, SetSplitConfig};
 use evmatch::matching::vfilter::VFilterConfig;
@@ -219,15 +220,19 @@ fn worker_loss_recomputes_only_lost_partitions() {
     );
 }
 
-/// Round 1's V stage runs inside DAG tasks; its scorers must count into
-/// the run's telemetry as the sequential refine loop's do, and the
-/// counts are the same at every pool width. (One thread runs the walk
-/// inline, which scores only the candidates not locked before each
-/// EID's turn, so `Dag(1)` counts fewer.)
+/// Every round's scoring runs inside DAG tasks; its scorers must count
+/// into the run's telemetry as the sequential refine loop's do, and the
+/// counts are the same at every pool width. Each EID of a wave is
+/// scored before the wave's own locks, so a pool counts at least the
+/// inline walk's candidates (one thread runs the walk inline), but
+/// fewer than scoring round 1's lists with nothing excluded would —
+/// once round 1 spans more than one wave of the walk (64 EIDs), hence
+/// 100 targets. Feature blocks are packed on
+/// the calling thread, once per gallery fetch, at every width.
 #[test]
 fn dag_v_stage_exports_its_counters_at_every_thread_count() {
     let d = dataset();
-    let targets = sample_targets(&d, 25, 7);
+    let targets = sample_targets(&d, 100, 7);
     let counters = |threads| {
         d.video.reset_usage();
         let tel = Telemetry::new(TelemetryLevel::Counters);
@@ -247,13 +252,33 @@ fn dag_v_stage_exports_its_counters_at_every_thread_count() {
     };
     let (scored, blocks) = counters(2);
     assert!(scored > 0, "dag_score counted no candidates");
-    assert!(blocks > 0, "dag_extract counted no feature blocks");
+    assert!(blocks > 0, "the walk counted no feature blocks");
     for threads in [3, 4] {
         assert_eq!(counters(threads), (scored, blocks), "threads={threads}");
     }
     let (inline_scored, inline_blocks) = counters(1);
     assert!(inline_scored <= scored, "{inline_scored} > {scored}");
-    assert_eq!(inline_blocks, blocks, "one block per extracted gallery");
+    assert_eq!(inline_blocks, blocks, "one block per gallery fetch");
+
+    // Eager scoring: every quorum candidate of round 1's lists — VIDs
+    // present in at least half of a list's footage-bearing scenarios.
+    let round_1 = split_practical(&d.estore, &targets, &SetSplitConfig::default());
+    let eager: u64 = (round_1.lists.values())
+        .map(|list| {
+            let footage: Vec<_> = list.iter().filter_map(|&id| d.video.extract(id)).collect();
+            let mut presence = std::collections::BTreeMap::new();
+            for scenario in &footage {
+                let vids: std::collections::BTreeSet<_> =
+                    scenario.detections().iter().map(|det| det.vid).collect();
+                for vid in vids {
+                    *presence.entry(vid).or_insert(0) += 1;
+                }
+            }
+            let quorum = footage.len().div_ceil(2);
+            presence.values().filter(|&&n| n >= quorum).count() as u64
+        })
+        .sum();
+    assert!(scored < eager, "{scored} >= {eager} scored eagerly");
 }
 
 #[test]
