@@ -202,8 +202,8 @@ pub(crate) fn ablate_mobility(scale: Scale) -> Table {
     table
 }
 
-/// Cluster-width ablation: wall time of the parallel pipeline (round
-/// 1's V stage as one stage-DAG submission) vs worker-thread count.
+/// Cluster-width ablation: wall time of the parallel pipeline (each
+/// wave of the walk scored as one `par_map`) vs worker-thread count.
 #[must_use]
 pub(crate) fn ablate_workers(scale: Scale) -> Table {
     let (population, duration, matched) = scale_params(scale);

@@ -245,7 +245,7 @@ pub(crate) fn fig8(scale: Scale) -> Table {
     );
     table.push_note(format!(
         "{} worker threads (SS: the sequential pipeline with each wave of its walk scored as \
-         one stage-DAG submission; EDP: one stage-DAG submission, one partition per EID); vision \
+         one parallel map; EDP: an E map and a V map, one partition per EID); vision \
          cost model charges {} work units per extracted detection and {} per feature comparison",
         threads,
         CostModel::default().v_extraction,

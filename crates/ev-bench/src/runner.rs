@@ -95,12 +95,12 @@ fn seeded(seed: u64) -> SetSplitConfig {
 }
 
 /// Runs SS on `threads` threads (Algorithm 3: [`run_ss`]'s pipeline,
-/// each wave of the walk scored on the stage-DAG pool) over `targets`; the report
+/// each wave of the walk scored as one `par_map`) over `targets`; the report
 /// is `run_ss`'s, only the times differ.
 ///
 /// # Panics
 ///
-/// Panics if the scheduler fails — impossible without injected faults.
+/// Panics if a map fails — impossible without injected faults.
 #[must_use]
 pub(crate) fn run_ss_parallel(
     dataset: &EvDataset,
@@ -121,12 +121,12 @@ pub(crate) fn run_ss_parallel(
     summarize(dataset, targets, Algo::Ss, &report)
 }
 
-/// Runs parallel EDP (one stage-DAG submission, one partition per
-/// EID) over `targets` on `threads` threads.
+/// Runs parallel EDP (two maps, one partition per EID) over `targets`
+/// on `threads` threads.
 ///
 /// # Panics
 ///
-/// Panics if the scheduler fails — impossible without injected faults.
+/// Panics if a map fails — impossible without injected faults.
 #[must_use]
 pub(crate) fn run_edp_parallel(
     dataset: &EvDataset,

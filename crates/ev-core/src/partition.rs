@@ -279,22 +279,6 @@ impl EidCover {
         true
     }
 
-    /// Removes an EID from the cover entirely (accepted-match cleanup in
-    /// the refinement loop). The ordinals above it shift down, so this is
-    /// linear in the size of the cover.
-    #[cfg(test)]
-    pub(crate) fn remove(&mut self, eid: Eid) -> bool {
-        let Some(o) = self.ordinal(eid) else {
-            return false;
-        };
-        self.strip(o, |_| true);
-        self.universe.remove(o as usize);
-        self.slots_of.remove(o as usize);
-        let above = self.blocks.iter_mut().flatten().filter(|m| m.0 > o);
-        above.for_each(|member| member.0 -= 1);
-        true
-    }
-
     /// Deletes ordinal `o` from the blocks holding it that `from` selects.
     fn strip(&mut self, o: u32, from: impl Fn(&[(u32, bool)]) -> bool) {
         for slot in self.slots_of[o as usize].clone() {
@@ -694,22 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_shrinks_universe_and_blocks() {
-        let mut p = EidCover::new(eids(0..4));
-        split_by(&mut p, [0, 1]);
-        assert!(p.remove(Eid::from_u64(0)));
-        assert!(!p.remove(Eid::from_u64(0)), "double remove is a no-op");
-        assert_eq!(p.universe_len(), 3);
-        assert!(p.is_distinguished(Eid::from_u64(1)));
-        assert!(p.check_invariants());
-        // Removing the last element of a block drops the block.
-        assert!(p.remove(Eid::from_u64(1)));
-        assert_eq!(p.block_count(), 1);
-        assert_eq!(block_of(&p, 3), Some(eids([2, 3]).into_iter().collect()));
-        assert!(p.check_invariants());
-    }
-
-    #[test]
     fn split_by_scenario_uses_all_eids() {
         let mut p = EidCover::new(eids(0..4));
         let s = scenario(&[0], &[1]);
@@ -796,18 +764,6 @@ mod tests {
             !fresh.prune_distinguished(Eid::from_u64(0)),
             "nothing distinguished in a fresh cover"
         );
-    }
-
-    #[test]
-    fn cover_remove_eid() {
-        let mut c = EidCover::new(eids(0..3));
-        c.split(scenario(&[0], &[1]).iter()); // {0,1?} | {1?,2}
-        assert!(c.remove(Eid::from_u64(0)));
-        assert!(!c.remove(Eid::from_u64(0)));
-        assert_eq!(c.universe_len(), 2);
-        assert_eq!(c.block_count(), 2, "{{1?}} | {{1?,2}}");
-        assert!(c.is_distinguished(Eid::from_u64(1)));
-        assert!(c.check_invariants());
     }
 
     #[test]
@@ -940,12 +896,6 @@ mod proptests {
                 cover.prune_distinguished(eid);
                 prop_assert!(cover.check_invariants());
             }
-            // Removal closes the ordinal gap it leaves.
-            for &e in &universe {
-                cover.remove(Eid::from_u64(e));
-                prop_assert!(cover.check_invariants());
-            }
-            prop_assert!(cover.universe_len() == 0 && cover.block_count() == 0);
         }
     }
 

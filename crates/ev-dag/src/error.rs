@@ -2,18 +2,19 @@
 
 use std::fmt;
 
-/// Errors a job can end with.
+/// Errors a [`par_map`](crate::par_map) can end with.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum JobError {
-    /// The stage graph or the fault plan failed validation.
+    /// The fault plan failed validation, or the OS refused a worker
+    /// thread.
     InvalidConfig(ev_core::Error),
     /// A task lost its last allowed attempt to an injected
     /// [`FaultPlan`](crate::FaultPlan) fault.
     TaskExhausted {
-        /// Which stage the task belonged to.
+        /// The name of the map the task belonged to.
         stage: &'static str,
-        /// Task index within the stage.
+        /// The task's partition index.
         task: usize,
         /// Attempts consumed.
         attempts: u32,
@@ -22,7 +23,7 @@ pub enum JobError {
     /// are isolated per task attempt and retried like injected faults;
     /// this error means the retry budget ran out on one.
     WorkerPanicked {
-        /// Which stage the task belonged to.
+        /// The name of the map the task belonged to.
         stage: &'static str,
         /// The panic payload message of the final attempt.
         message: String,

@@ -4,8 +4,8 @@ use serde::{Deserialize, Serialize};
 
 /// Injected fault behaviour of a run.
 ///
-/// Failures are drawn deterministically from `seed`, the stage, the task
-/// and the attempt number, so a job either always or never exercises a
+/// Failures are drawn deterministically from `seed`, the partition and
+/// the attempt number, so a map either always or never exercises a
 /// given fault path for a fixed configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
@@ -28,10 +28,9 @@ impl Default for FaultPlan {
     }
 }
 
-/// SplitMix64: cheap deterministic per-(seed, stage, task, attempt) draw.
-fn fault_draw(seed: u64, stage: u64, task: u64, attempt: u64) -> f64 {
+/// SplitMix64: cheap deterministic per-(seed, task, attempt) draw.
+fn fault_draw(seed: u64, task: u64, attempt: u64) -> f64 {
     let mut z = seed
-        .wrapping_add(stage.wrapping_mul(0x9e3779b97f4a7c15))
         .wrapping_add(task.wrapping_mul(0xbf58476d1ce4e5b9))
         .wrapping_add(attempt.wrapping_mul(0x94d049bb133111eb));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -63,12 +62,11 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Does this attempt fail? Pure in (plan, stage, task, attempt), so
-    /// the fault story of a run repeats exactly whatever the schedule.
-    pub(crate) fn attempt_fails(&self, stage: usize, task: usize, attempt: u32) -> bool {
+    /// Does this attempt fail? Pure in (plan, task, attempt), so the
+    /// fault story of a run repeats exactly whatever the schedule.
+    pub(crate) fn attempt_fails(&self, task: usize, attempt: u32) -> bool {
         self.task_failure_rate > 0.0
-            && fault_draw(self.seed, stage as u64, task as u64, attempt.into())
-                < self.task_failure_rate
+            && fault_draw(self.seed, task as u64, attempt.into()) < self.task_failure_rate
     }
 }
 
@@ -78,10 +76,10 @@ mod tests {
 
     #[test]
     fn fault_draw_is_deterministic_and_uniform() {
-        let a = fault_draw(1, 0, 2, 3);
-        assert_eq!(a, fault_draw(1, 0, 2, 3));
-        assert_ne!(a, fault_draw(1, 0, 2, 4));
-        let mean: f64 = (0..10_000).map(|i| fault_draw(42, 0, i, 0)).sum::<f64>() / 10_000.0;
+        let a = fault_draw(1, 2, 3);
+        assert_eq!(a, fault_draw(1, 2, 3));
+        assert_ne!(a, fault_draw(1, 2, 4));
+        let mean: f64 = (0..10_000).map(|i| fault_draw(42, i, 0)).sum::<f64>() / 10_000.0;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
     }
 

@@ -1,188 +1,91 @@
-//! Property tests for the stage-DAG scheduler: for random DAG shapes
-//! and thread counts, the execution order must respect every declared
-//! dependency, and the outputs must depend neither on the thread count
-//! nor on injected task loss.
+//! Property tests for `par_map`: for random partition counts, thread
+//! counts and fault plans, the outputs are the sequential map's in
+//! partition order, every counted retry was run, and neither the
+//! outputs nor the retry count depend on the thread count.
 
-use ev_dag::{DagConfig, DagMetrics, DagSpec, DepKind, FaultPlan, JobError, StageDep, StageId};
-use ev_telemetry::{Telemetry, TraceCtx};
+use ev_dag::{par_map, DagConfig, FaultPlan, JobError};
+use ev_telemetry::{names, Telemetry, TelemetryLevel, TraceCtx};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
+use std::time::Duration;
 
-/// A random DAG shape: per stage, a partition count plus raw dependency
-/// draws (resolved modulo the number of earlier stages), and a thread
-/// count to run it on.
-type Shape = Vec<(usize, Vec<(usize, bool)>)>;
-
-fn arb_shape() -> impl Strategy<Value = (Shape, usize)> {
-    (
-        prop::collection::vec(
-            (
-                1usize..4,
-                prop::collection::vec((0usize..64, any::<bool>()), 0..3),
-            ),
-            1..7,
-        ),
-        1usize..5,
-    )
+/// What one map did: its result, `evm_dag_tasks_total`,
+/// `evm_dag_task_retries_total` and how often `f` ran per partition.
+struct Run {
+    result: Result<Vec<usize>, JobError>,
+    tasks: u64,
+    retries: u64,
+    runs: Vec<u32>,
 }
 
-/// Resolved edges per stage: `(parent index, kind)`, one per parent.
-fn resolve(shape: &Shape) -> Vec<(usize, Vec<(usize, DepKind)>)> {
-    shape
-        .iter()
-        .enumerate()
-        .map(|(i, (partitions, raw))| {
-            let mut edges: Vec<(usize, DepKind)> = Vec::new();
-            if i > 0 {
-                for &(draw, shuffle) in raw {
-                    let parent = draw % i;
-                    if edges.iter().any(|(p, _)| *p == parent) {
-                        continue; // one edge per parent
-                    }
-                    let kind = if shuffle {
-                        DepKind::Shuffle
-                    } else {
-                        DepKind::Narrow
-                    };
-                    edges.push((parent, kind));
-                }
-            }
-            (*partitions, edges)
-        })
-        .collect()
-}
-
-/// The input partitions task `(stage, partition)` reads, from the
-/// declared edge semantics: narrow → `p % parent_partitions`, shuffle →
-/// every parent partition.
-fn required_inputs(
-    stages: &[(usize, Vec<(usize, DepKind)>)],
-    stage: usize,
-    partition: usize,
-) -> Vec<(usize, usize)> {
-    let mut inputs = Vec::new();
-    for &(parent, kind) in &stages[stage].1 {
-        let parent_partitions = stages[parent].0;
-        match kind {
-            DepKind::Narrow => inputs.push((parent, partition % parent_partitions)),
-            DepKind::Shuffle => inputs.extend((0..parent_partitions).map(|q| (parent, q))),
-        }
+fn run(parts: usize, threads: usize, faults: FaultPlan) -> Run {
+    let tel = Telemetry::new(TelemetryLevel::Counters);
+    let runs: Vec<AtomicU32> = (0..parts).map(|_| AtomicU32::new(0)).collect();
+    let config = DagConfig {
+        faults,
+        ..DagConfig::new(threads)
+    };
+    let result = par_map("prop", parts, &config, &tel, TraceCtx::root(), |p| {
+        runs[p].fetch_add(1, Ordering::Relaxed);
+        // Earlier partitions take longer, so on two or more workers the
+        // completion order is not the partition order.
+        std::thread::sleep(Duration::from_micros(30 * (parts - p) as u64));
+        p * p + 1
+    });
+    let counter = |name| tel.registry().counter_value(name).unwrap_or(0);
+    Run {
+        result,
+        tasks: counter(names::DAG_TASKS_TOTAL),
+        retries: counter(names::DAG_TASK_RETRIES),
+        runs: runs.into_iter().map(AtomicU32::into_inner).collect(),
     }
-    inputs
-}
-
-/// Execution-order log `(stage, partition)` per started task.
-type StartLog = Vec<(usize, usize)>;
-/// Kept/terminal outputs per stage: `(stage, partition values)`.
-type StageOutputs = Vec<(usize, Vec<u64>)>;
-
-fn run_shape(
-    stages: &[(usize, Vec<(usize, DepKind)>)],
-    config: &DagConfig,
-) -> (StartLog, StageOutputs, DagMetrics) {
-    let log: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
-    let mut dag: DagSpec<'_, u64> = DagSpec::new();
-    for (partitions, edges) in stages {
-        let deps: Vec<StageDep> = edges
-            .iter()
-            .map(|&(parent, kind)| match kind {
-                DepKind::Narrow => StageDep::narrow(StageId(parent)),
-                DepKind::Shuffle => StageDep::shuffle(StageId(parent)),
-            })
-            .collect();
-        let log_ref = &log;
-        dag.stage("prop_stage", *partitions, deps, move |ctx, inputs| {
-            log_ref
-                .lock()
-                .unwrap()
-                .push((ctx.stage_id.0, ctx.partition));
-            let carried: u64 = inputs.iter().map(|i| **i).sum();
-            carried + (ctx.stage_id.0 as u64) * 31 + ctx.partition as u64 + 1
-        });
-    }
-    let run = dag
-        .run(config, Telemetry::disabled(), TraceCtx::root())
-        .expect("the retry budget covers every injected loss");
-    let outputs: Vec<(usize, Vec<u64>)> = run
-        .outputs
-        .iter()
-        .map(|(id, parts)| (id.0, parts.iter().map(|p| **p).collect()))
-        .collect();
-    drop(dag);
-    (log.into_inner().unwrap(), outputs, run.metrics)
 }
 
 proptest! {
-    /// Every task starts only after every partition it reads has
-    /// already started (and, since a task is launched only on its
-    /// inputs' *completion*, finished).
-    #[test]
-    fn execution_order_respects_declared_dependencies(
-        (shape, threads) in arb_shape(),
-    ) {
-        let stages = resolve(&shape);
-        let (order, _, _) = run_shape(&stages, &DagConfig::new(threads));
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
-        let total: usize = stages.iter().map(|(p, _)| *p).sum();
-        prop_assert_eq!(order.len(), total, "each task runs exactly once");
-        let position: BTreeMap<(usize, usize), usize> = order
-            .iter()
-            .enumerate()
-            .map(|(at, &task)| (task, at))
-            .collect();
-        prop_assert_eq!(position.len(), total, "no task ran twice");
-
-        for (stage, (partitions, _)) in stages.iter().enumerate() {
-            for partition in 0..*partitions {
-                let at = position[&(stage, partition)];
-                for input in required_inputs(&stages, stage, partition) {
-                    prop_assert!(
-                        position[&input] < at,
-                        "task {:?} ran at {} before its input {:?} at {}",
-                        (stage, partition),
-                        at,
-                        input,
-                        position[&input],
-                    );
-                }
-            }
-        }
-    }
-
-    /// Kept/terminal outputs are a pure function of the DAG — neither
-    /// the thread count nor injected task loss changes them. A lost
-    /// attempt costs exactly one resubmission, and every relaunch finds
-    /// its inputs still cached (`launch` panics otherwise, which would
-    /// fail the run).
+    /// A successful map returns `(0..parts).map(f)`, counts
+    /// `parts + retries` attempts and the same retries at every thread
+    /// count; a map stopped by an exhaustion runs nothing past the doomed
+    /// partition on one worker.
     #[test]
     fn outputs_do_not_depend_on_the_thread_count(
-        (shape, threads) in arb_shape(),
+        parts in 0usize..12,
+        threads in 1usize..5,
         flaky in any::<bool>(),
+        seed in any::<u64>(),
     ) {
-        let stages = resolve(&shape);
-        let (_, reference, _) = run_shape(&stages, &DagConfig::new(1));
-        let config = DagConfig {
-            faults: FaultPlan {
-                task_failure_rate: if flaky { 0.2 } else { 0.0 },
-                max_attempts: 40,
-                seed: threads as u64,
-            },
-            ..DagConfig::new(threads)
+        let faults = FaultPlan {
+            task_failure_rate: if flaky { 0.2 } else { 0.0 },
+            max_attempts: 2,
+            seed,
         };
-        let (_, outputs, metrics) = run_shape(&stages, &config);
-        prop_assert_eq!(outputs, reference);
-        let total: usize = stages.iter().map(|(p, _)| *p).sum();
-        prop_assert_eq!(metrics.tasks_submitted, total as u64 + metrics.retries);
-        prop_assert!(flaky || metrics.retries == 0, "a clean run retried");
+        let wide = run(parts, threads, faults);
+        let narrow = run(parts, 1, faults);
+        match (&wide.result, &narrow.result) {
+            (Ok(outputs), Ok(reference)) => {
+                let expected: Vec<usize> = (0..parts).map(|p| p * p + 1).collect();
+                prop_assert_eq!(outputs, &expected);
+                prop_assert_eq!(reference, &expected);
+                prop_assert_eq!(wide.tasks, parts as u64 + wide.retries);
+                prop_assert_eq!(wide.retries, narrow.retries);
+                prop_assert!(flaky || wide.retries == 0, "a clean run retried");
+            }
+            (Err(_), Err(JobError::TaskExhausted { task, attempts, .. })) => {
+                prop_assert_eq!(*attempts, 2);
+                // One worker claims in index order and the exhaustion
+                // stops it: partitions after `task` never ran.
+                prop_assert!(narrow.runs[task + 1..].iter().all(|&r| r == 0));
+            }
+            _ => prop_assert!(false, "exhaustion depends on the thread count"),
+        }
     }
 }
 
-/// One retry budget: the scheduler honours `faults.max_attempts`, so a
-/// partition that always fails runs exactly that many times before the
-/// run aborts — `WorkerPanicked` for a real panic, `TaskExhausted` when
-/// the final loss was an injected fault.
+/// One retry budget: a partition that always fails runs exactly
+/// `faults.max_attempts` times before the map aborts — `WorkerPanicked`
+/// for a real panic, `TaskExhausted` when the final loss was an
+/// injected fault.
 #[test]
 fn an_always_failing_partition_aborts_after_exactly_max_attempts() {
     let config = |task_failure_rate| DagConfig {
@@ -194,25 +97,19 @@ fn an_always_failing_partition_aborts_after_exactly_max_attempts() {
         ..DagConfig::new(2)
     };
     let executions = AtomicU32::new(0);
-    let mut dag: DagSpec<'_, u64> = DagSpec::new();
-    dag.stage("doomed", 1, Vec::new(), |_, _| {
+    let tel = Telemetry::disabled();
+    let err = par_map("doomed", 1, &config(0.0), tel, TraceCtx::root(), |_| {
         executions.fetch_add(1, Ordering::Relaxed);
         panic!("partition bug");
-    });
-    let err = dag
-        .run(&config(0.0), Telemetry::disabled(), TraceCtx::root())
-        .unwrap_err();
+    })
+    .unwrap_err();
     assert!(
         matches!(&err, JobError::WorkerPanicked { stage: "doomed", message } if message.contains("partition bug")),
         "got {err:?}"
     );
     assert_eq!(executions.load(Ordering::Relaxed), 2);
 
-    let mut dag: DagSpec<'_, u64> = DagSpec::new();
-    dag.stage("flaky", 1, Vec::new(), |_, _| 0);
-    let err = dag
-        .run(&config(0.999_999), Telemetry::disabled(), TraceCtx::root())
-        .unwrap_err();
+    let err = par_map("flaky", 1, &config(0.999_999), tel, TraceCtx::root(), |_| 0).unwrap_err();
     assert_eq!(
         err,
         JobError::TaskExhausted {

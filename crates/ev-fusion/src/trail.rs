@@ -81,14 +81,6 @@ pub struct VSighting {
 /// Read only by the tests.
 #[cfg(test)]
 impl ETrail {
-    /// The observations within a time range.
-    pub(crate) fn within(
-        &self,
-        range: ev_core::time::TimeRange,
-    ) -> impl Iterator<Item = &TrailPoint> {
-        self.points.iter().filter(move |p| range.contains(p.time))
-    }
-
     /// The confident (inclusive-zone) observations only.
     pub(crate) fn confident(&self) -> impl Iterator<Item = &TrailPoint> {
         self.points.iter().filter(|p| p.attr == ZoneAttr::Inclusive)
@@ -99,7 +91,6 @@ impl ETrail {
 mod tests {
     use super::*;
     use ev_core::scenario::EScenario;
-    use ev_core::time::TimeRange;
 
     fn store() -> EScenarioStore {
         let mk = |cell: usize, t: u64, eids: &[(u64, ZoneAttr)]| {
@@ -139,16 +130,5 @@ mod tests {
         let confident: Vec<_> = trail.confident().collect();
         assert_eq!(confident.len(), 2);
         assert!(confident.iter().all(|p| p.attr == ZoneAttr::Inclusive));
-    }
-
-    #[test]
-    fn within_respects_the_range() {
-        let trail = ETrail::of(&store(), Eid::from_u64(1));
-        let range = TimeRange::new(Timestamp::new(5), Timestamp::new(25));
-        let hits: Vec<_> = trail.within(range).collect();
-        assert_eq!(hits.len(), 2);
-        assert!(hits
-            .iter()
-            .all(|p| p.time.tick() >= 5 && p.time.tick() < 25));
     }
 }

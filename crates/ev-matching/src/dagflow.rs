@@ -8,12 +8,12 @@
 //! does, and its report is that pipeline's at every thread count. The
 //! walk ([`VStage::filter_longest_first`]) takes each round's
 //! longest-first order in waves, and the pool scores each wave as
-//! **one stage-DAG submission** on the [`ev_dag::dag`] scheduler:
+//! **one [`par_map`]** of 4 partitions:
 //!
 //! ```text
 //!            ┌──────────── per wave of the longest-first order ────────────┐
 //! lists ──►  fetch galleries ──► dag_score×4 ──► tally in order, lock, ──► outcomes,
-//!            (calling thread)    (the pool)      release at last use        locks
+//!            (calling thread)    (par_map)       release at last use        locks
 //! ```
 //!
 //! * *fetch* — the caller extracts and packs the wave's galleries into
@@ -30,7 +30,7 @@
 //!   lock so far excluded, which is what the inline walk does. Each
 //!   gallery goes once the last entry naming it is tallied.
 //!
-//! Every round runs this way. The stage geometry (4 score partitions)
+//! Every round runs this way. The map's geometry (4 score partitions)
 //! is pinned, so every output is independent of
 //! [`DagConfig::threads`] and of panic retries.
 //!
@@ -41,14 +41,12 @@ use crate::types::MatchReport;
 use crate::vfilter::{model_of, CacheEntry, Scores};
 use ev_core::feature::Metric;
 use ev_core::ids::{Eid, Vid};
-use ev_dag::dag::{DagConfig, DagSpec};
-use ev_dag::JobError;
+use ev_dag::{par_map, DagConfig, JobError};
 use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{Telemetry, TraceCtx};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-/// Score partitions, pinned so the stage outputs are independent of the
+/// Score partitions, pinned so the map's outputs are independent of the
 /// thread count.
 const V_PARTITIONS: usize = 4;
 
@@ -64,18 +62,13 @@ pub(crate) fn score_wave(
     video: &VideoStore,
     tel: &Telemetry,
 ) -> Result<Vec<Scores>, JobError> {
-    let mut dag: DagSpec<'_, Vec<Scores>> = DagSpec::new();
-    let score = dag.stage("dag_score", V_PARTITIONS, Vec::new(), move |ctx, _| {
-        let mine = wave.iter().skip(ctx.partition).step_by(V_PARTITIONS);
+    let parts = par_map("dag_score", V_PARTITIONS, config, tel, ctx, |p| {
+        let mine = wave.iter().skip(p).step_by(V_PARTITIONS);
         mine.map(|entries| model_of(entries.clone(), excluded).score(metric, video, tel))
-            .collect()
-    });
-    let mut outputs = dag.run(config, tel, ctx)?.outputs;
-    // The run is over: its outputs hold the last reference to each
-    // partition. Partition `p` scored lists `p`, `p + 4`, ….
-    let mut parts: Vec<_> = (outputs.remove(&score).into_iter().flatten())
-        .map(|part| Arc::into_inner(part).expect("the run is over").into_iter())
-        .collect();
+            .collect::<Vec<Scores>>()
+    })?;
+    // Partition `p` scored lists `p`, `p + 4`, ….
+    let mut parts: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
     let scores = (0..wave.len()).map(|i| parts[i % V_PARTITIONS].next());
     Ok(scores
         .map(|s| s.expect("every list is scored once"))
@@ -83,8 +76,8 @@ pub(crate) fn score_wave(
 }
 
 /// The matching pipeline with every round's V stage scored on
-/// `config`'s pool — one submission per wave of the walk, so a lost
-/// worker costs only the partition it was computing. [`EvMatcher`] with
+/// `config`'s pool — one [`par_map`] per wave of the walk, so a lost
+/// attempt costs only the partition it was computing. [`EvMatcher`] with
 /// [`ExecutionMode::Dag`] of two or more threads runs through here; this
 /// entry uses the pool at any thread count.
 ///
@@ -101,7 +94,7 @@ pub(crate) fn score_wave(
 ///
 /// # Errors
 ///
-/// Propagates [`JobError`] from the scheduler, and fails with
+/// Propagates [`JobError`] from [`par_map`], and fails with
 /// [`JobError::Input`] when footage the V stages asked for failed to
 /// load (see [`VideoStore::check_loads`]).
 pub fn dag_match(
@@ -258,7 +251,7 @@ mod tests {
             timings.v_stage > std::time::Duration::ZERO,
             "V follows E: {timings:?}"
         );
-        // The pool's submission is part of the V stage, and e + v is no
+        // The pool's map is part of the V stage, and e + v is no
         // longer than the pipeline span around the whole call.
         let events = tel.tracer().events();
         let dur_us = |name: &str| {

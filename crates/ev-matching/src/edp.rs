@@ -13,7 +13,7 @@
 //! For a fair comparison with the parallel set-splitting algorithm, the
 //! paper adapts EDP to MapReduce "by assigning each mapper one EID
 //! matching task" (§VI-B); [`match_edp_parallel`] does exactly that as
-//! one [`ev_dag::DagSpec`] with a partition per EID. Scenario
+//! two [`ev_dag::par_map`]s with a partition per EID. Scenario
 //! selections are *not* shared between EIDs — the reuse that makes set
 //! splitting cheaper simply does not happen, although a scenario picked
 //! independently for two EIDs is only extracted (and counted) once.
@@ -22,7 +22,7 @@ use crate::types::{MatchOutcome, MatchReport, ScenarioList, StageTimings};
 use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
 use ev_core::ids::Eid;
 use ev_core::scenario::{EScenario, ScenarioId};
-use ev_dag::{DagConfig, DagSpec, JobError, StageDep};
+use ev_dag::{par_map, DagConfig, JobError};
 use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{Telemetry, TraceCtx};
 use rand::seq::SliceRandom;
@@ -200,27 +200,17 @@ pub fn match_edp(
     })
 }
 
-/// One partition of the parallel EDP job.
-enum EdpPart {
-    /// `efilter`: one EID's scenario list, stamped when it was ready.
-    List(ScenarioList, Instant),
-    /// `videntify`: that EID's match.
-    Outcome(MatchOutcome),
-}
-
 /// The paper's parallel adaptation of EDP: "assigning each mapper one
-/// EID matching task" (§VI-B), as one [`DagSpec`] submission — an
-/// `efilter` stage with one partition per EID and a `videntify` stage
-/// on a narrow edge, so an EID is identified as soon as its own list
-/// exists. `timings.e_stage` runs from submission to the last `efilter`
-/// completion and `timings.v_stage` is the rest of the submission's
-/// wall, so the E- and V-stage times stay separable the way Figs. 8–9
-/// report them.
+/// EID matching task" (§VI-B), as two [`par_map`]s with a partition per
+/// EID — `efilter`, then `videntify` over the lists it returned.
+/// `timings.e_stage` and `timings.v_stage` are the two maps' walls, so
+/// the E- and V-stage times stay separable the way Figs. 8–9 report
+/// them.
 ///
 /// # Errors
 ///
-/// Propagates [`JobError`] from the scheduler (an invalid fault plan,
-/// or a partition that exhausts its retry budget), and fails with
+/// Propagates [`JobError`] from [`par_map`] (an invalid fault plan, or a
+/// partition that exhausts its retry budget), and fails with
 /// [`JobError::Input`] when footage a list selects failed to load.
 pub fn match_edp_parallel(
     config: &DagConfig,
@@ -230,76 +220,36 @@ pub fn match_edp_parallel(
     edp: &EdpConfig,
     telemetry: &Telemetry,
 ) -> Result<MatchReport, JobError> {
-    // A stage needs at least one partition; no targets, no job.
-    if targets.is_empty() {
-        return Ok(MatchReport {
-            rounds: 1,
-            ..MatchReport::default()
-        });
-    }
     let eids: Vec<Eid> = targets.iter().copied().collect();
-    let eids = &eids;
-
-    let mut dag: DagSpec<'_, EdpPart> = DagSpec::new();
-    let efilter = dag.stage("efilter", eids.len(), Vec::new(), move |ctx, _| {
-        let list = efilter_one(store, eids[ctx.partition], edp, |_| false);
-        EdpPart::List(list, Instant::now())
-    });
-    // The report reads the lists. A partition completes exactly once,
-    // so its stamp is that completion's.
-    dag.keep(efilter);
+    let ctx = TraceCtx::root();
+    let e_start = Instant::now();
+    let lists = par_map("efilter", eids.len(), config, telemetry, ctx, |p| {
+        efilter_one(store, eids[p], edp, |_| false)
+    })?;
+    let e_stage = e_start.elapsed();
     // The video store deduplicates extraction of incidentally shared
     // scenarios.
-    let videntify = dag.stage(
-        "videntify",
-        eids.len(),
-        vec![StageDep::narrow(efilter)],
-        move |ctx, inputs| {
-            let EdpPart::List(list, _) = &*inputs[0] else {
-                unreachable!("videntify reads only efilter partitions");
-            };
-            let mut stage = VStage {
-                video,
-                config: &edp.vfilter,
-                cache: &mut GalleryCache::new(),
-                telemetry,
-            };
-            EdpPart::Outcome(stage.filter_one(eids[ctx.partition], list, &BTreeSet::new()))
-        },
-    );
-    let start = Instant::now();
-    let run = dag.run(config, telemetry, TraceCtx::root())?;
-    let elapsed = start.elapsed();
+    let v_start = Instant::now();
+    let outcomes = par_map("videntify", eids.len(), config, telemetry, ctx, |p| {
+        let mut stage = VStage {
+            video,
+            config: &edp.vfilter,
+            cache: &mut GalleryCache::new(),
+            telemetry,
+        };
+        stage.filter_one(eids[p], &lists[p], &BTreeSet::new())
+    })?;
+    let v_stage = v_start.elapsed();
     video.check_loads().map_err(JobError::Input)?;
 
-    let mut lists: BTreeMap<Eid, ScenarioList> = BTreeMap::new();
-    let mut e_end = start;
-    for (&eid, part) in eids.iter().zip(&run.outputs[&efilter]) {
-        let EdpPart::List(list, finished) = &**part else {
-            unreachable!("the efilter stage produces lists");
-        };
-        lists.insert(eid, list.clone());
-        e_end = e_end.max(*finished);
-    }
     // Partition order is EID order.
-    let outcomes = run.outputs[&videntify]
-        .iter()
-        .map(|part| match &**part {
-            EdpPart::Outcome(outcome) => outcome.clone(),
-            EdpPart::List(..) => unreachable!("the videntify stage produces outcomes"),
-        })
-        .collect();
-    let e_stage = e_end - start;
-
+    let lists: BTreeMap<Eid, ScenarioList> = eids.into_iter().zip(lists).collect();
     let selected = lists.values().flat_map(|l| l.iter().copied()).collect();
     Ok(MatchReport {
         outcomes,
         lists,
         selected_scenarios: selected,
-        timings: StageTimings {
-            e_stage,
-            v_stage: elapsed.saturating_sub(e_stage),
-        },
+        timings: StageTimings { e_stage, v_stage },
         rounds: 1,
     })
 }

@@ -27,13 +27,13 @@
 //!   missing EIDs/VIDs.
 //! * [`edp`] — the **EDP baseline** from Teng et al. \[24\]: per-EID
 //!   two-stage E-filtering and V-identification, with the paper's
-//!   parallel adaptation (one EID per task, as one stage DAG).
+//!   parallel adaptation (one EID per task, as two parallel maps).
 //! * [`dagflow`] — the parallelization (paper §V, Algorithm 3): the
 //!   same pipeline, Algorithms 1–2 and the exclusion walk, with each
-//!   wave of the walk scored as **one stage-DAG submission** on the
-//!   lineage-tracking scheduler in [`ev_dag::dag`]. A lost worker costs
-//!   only the partition it was computing, and the [`MatchReport`] is the
-//!   sequential pipeline's at every thread count.
+//!   wave of the walk scored as **one [`ev_dag::par_map`]** of 4
+//!   pinned partitions. A lost attempt costs only the partition it was
+//!   computing, and the [`MatchReport`] is the sequential pipeline's at
+//!   every thread count.
 //! * [`incremental`] — partition maintenance over a growing corpus:
 //!   feed appended scenarios to the live state of a chronological split
 //!   instead of re-splitting.

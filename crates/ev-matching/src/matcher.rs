@@ -37,9 +37,8 @@ pub enum ExecutionMode {
     /// The pipeline on the caller's thread.
     Sequential,
     /// The pipeline with each wave of the V stage's walk scored as one
-    /// submission to the lineage-tracking stage-DAG scheduler on this
-    /// many threads (see [`crate::dagflow`]); a worker panic reruns only
-    /// the lost partition. One thread runs the pipeline inline: a wave
+    /// [`ev_dag::par_map`] on this many threads (see [`crate::dagflow`]);
+    /// a worker panic reruns only the lost partition. One thread runs the pipeline inline: a wave
     /// scores candidates its own locks rule out, work one thread cannot
     /// hide.
     Dag(usize),
@@ -106,7 +105,7 @@ impl<'a> EvMatcher<'a> {
     }
 
     /// Attaches a telemetry handle; every pipeline the matcher runs —
-    /// including the stage-DAG scheduler in DAG mode — records spans
+    /// including its parallel maps in DAG mode — records spans
     /// and metrics through it.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
@@ -177,7 +176,7 @@ impl<'a> EvMatcher<'a> {
     /// [`JobError::Input`] when footage a selected scenario needs failed
     /// to load — never a report computed without it (see
     /// [`VideoStore::check_loads`]); on two or more threads also
-    /// [`JobError::InvalidConfig`] when the scheduler rejects its
+    /// [`JobError::InvalidConfig`] when the parallel map rejects its
     /// configuration, and a task that exhausts its retry budget.
     pub fn match_many(&self, targets: &BTreeSet<Eid>) -> Result<MatchReport, JobError> {
         let refine = RefineConfig {
@@ -320,7 +319,7 @@ mod tests {
         let report = matcher.match_universal().unwrap();
         assert_eq!(report.outcomes.len(), 4, "4 distinct EIDs in E-data");
         assert!(report.majority_rate() > 0.9);
-        assert_eq!(report.rounds, 1, "one DAG submission covers the job");
+        assert_eq!(report.rounds, 1, "one round covers the job");
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub fn match_with_refinement(
 ) -> MatchReport {
     let mut pipeline_span = tel.span("match_with_refinement", "pipeline");
     let report = run_rounds(store, video, targets, config, tel, None)
-        .expect("the inline pipeline submits nothing to a scheduler");
+        .expect("the inline pipeline runs no parallel map");
     pipeline_span.arg("rounds", serde::Value::Int(i128::from(report.rounds)));
     report
 }
@@ -84,7 +84,7 @@ pub fn match_with_refinement(
 /// Algorithm 2's rounds (up to `max_rounds`) extend what stays
 /// unconfident with the E-filter, and each round's V stage is the
 /// longest-first exclusion walk ([`VStage::filter_longest_first`]).
-/// Given a scheduler, every round's walk scores its lists on the pool,
+/// Given a pool, every round's walk scores its lists on it,
 /// a wave at a time, and leaves every outcome as the inline walk
 /// computes it. Every round's requests count into one gallery cache,
 /// which holds no gallery between rounds.

@@ -257,7 +257,7 @@ pub(crate) fn score_membership(rep: &FeatureVector, entry: &CacheEntry, metric: 
 ///
 /// A walk ([`VStage::filter_longest_first`]) releases each gallery after
 /// the last list entry of the walk that names it, so a round ends with
-/// nothing resident (natural release, DESIGN.md §11.2). The counters
+/// nothing resident (natural release, DESIGN.md §6.6). The counters
 /// span the cache's life: a miss is a scenario's first fetch, every
 /// other request a hit — a released gallery fetched again included,
 /// which [`VideoStore::extract`] serves as a cache hit.
@@ -543,12 +543,12 @@ pub(crate) fn longest_first(lists: &BTreeMap<Eid, ScenarioList>) -> Vec<(Eid, &S
     order
 }
 
-/// EIDs a pooled walk scores per submission. A wave's galleries are all
+/// EIDs a pooled walk scores per `par_map`. A wave's galleries are all
 /// resident while it is scored, and each EID of a wave also scores the
 /// candidates the EIDs before it in the wave lock. Chosen on seeds 1–5
 /// of universal matching at paper scale: waves of 16 to 128 peaked
 /// within 1 MiB of each other; 64 scores 1.07× the inline walk's
-/// candidates in 16 submissions per 1 000 EIDs.
+/// candidates in 16 maps per 1 000 EIDs.
 const WAVE: usize = 64;
 
 /// The V stage's context: the footage, the configuration, the gallery
@@ -592,7 +592,7 @@ impl VStage<'_> {
     /// given a `pool`. For each wave it fetches the wave's galleries
     /// into the cache on the calling thread, scores each list with the
     /// VIDs locked before the wave excluded — inline, or as one
-    /// submission on the pool — and tallies the wave in order, ruling
+    /// `par_map` on the pool — and tallies the wave in order, ruling
     /// out the VIDs locked since. Exclusion only removes candidates, so
     /// every outcome is the inline walk's, bit for bit, at any width.
     /// Each gallery is released once the last entry naming it has been

@@ -19,7 +19,6 @@ pub struct EidRoster {
     carriers: BTreeMap<PersonId, Eid>,
     /// Reverse lookup.
     owners: BTreeMap<Eid, PersonId>,
-    population: u64,
 }
 
 impl EidRoster {
@@ -34,11 +33,7 @@ impl EidRoster {
             })
             .collect();
         let owners = carriers.iter().map(|(&p, &e)| (e, p)).collect();
-        EidRoster {
-            carriers,
-            owners,
-            population,
-        }
+        EidRoster { carriers, owners }
     }
 
     /// A roster where a uniformly random fraction `missing_rate` of the

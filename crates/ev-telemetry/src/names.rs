@@ -3,8 +3,8 @@
 //! different runs and runners are directly comparable.
 //!
 //! A name is here because something reads it. Each constant's doc gives
-//! the unit, one definition that holds on the sequential pipeline, the
-//! stage DAG and under `evmatch serve` alike, and ends in the `Reader:`
+//! the unit, one definition that holds on the sequential pipeline, on
+//! `--threads N` and under `evmatch serve` alike, and ends in the `Reader:`
 //! that looks at it; a name without one goes, with its emission site. A
 //! *run* below is one call of `EvMatcher::match_one`, `match_many`
 //! (either execution mode) or `match_universal` on the handle.
@@ -85,21 +85,21 @@ pub const KERNEL_BLOCKS_BUILT: &str = "evm_kernel_blocks_built";
 /// rejected.
 pub const KERNEL_GALLERIES_REJECTED: &str = "evm_kernel_galleries_rejected";
 
-// The executor family describes the one `ev-dag` pool session behind a
-// stage-DAG submission (every worker pops one shared FIFO).
+// The executor family describes the workers of one `ev-dag` map (every
+// worker claims from one shared cursor).
 
-/// Worker threads of the most recent pool session (count; `N` capped
-/// at the number of tasks in the run's graph). Reader: README, "Running
-/// on real threads".
+/// Workers of the most recent map, the calling thread included (count;
+/// `N` capped at the map's partitions). Reader: README, "Running on
+/// real threads".
 pub const EXEC_WORKERS: &str = "evm_exec_workers";
 /// Histogram of per-worker executed task attempts (count; one
-/// observation per worker per session) — its spread shows how evenly
-/// the shared queue fed the workers. Reader: README, "Running on real
+/// observation per worker per map) — its spread shows how evenly the
+/// shared cursor fed the workers. Reader: README, "Running on real
 /// threads".
 pub const EXEC_WORKER_TASKS: &str = "evm_exec_worker_tasks";
 /// Exact median wall time of a DAG task attempt (nanoseconds; panicked
-/// attempts included), from the bounded reservoir the scheduler's work
-/// closure feeds; published by `sync_derived_metrics`. Reader: `evmatch
+/// attempts included), from the bounded reservoir `par_map`'s attempts
+/// feed; published by `sync_derived_metrics`. Reader: `evmatch
 /// check-metrics --in` fails a profile that ran DAG tasks and exports 0.
 pub const EXEC_TASK_LATENCY_P50_NS: &str = "evm_exec_task_latency_p50_ns";
 /// Exact p90 of the same reservoir (nanoseconds). Reader: README,
@@ -119,7 +119,7 @@ pub(crate) const EXEC_TASK_LATENCY_P99_NS: &str = "evm_exec_task_latency_p99_ns"
 pub const STAGE_E_SECONDS: &str = "evm_stage_e_seconds";
 /// V-stage wall time of the most recent run (seconds): gallery
 /// extraction and scoring, summed over its refinement rounds (the
-/// stage-DAG submissions included). Reader: `evmatch check-metrics --in` fails a
+/// pooled maps included). Reader: `evmatch check-metrics --in` fails a
 /// profile that scored candidates and reports 0.
 pub const STAGE_V_SECONDS: &str = "evm_stage_v_seconds";
 /// E-Scenarios the most recent run's first split round — the one over
@@ -213,21 +213,14 @@ pub const SERVE_EPOCH: &str = "evm_serve_epoch";
 /// README, "Running a live service".
 pub const SERVE_QUERY_LATENCY_NS: &str = "evm_serve_query_latency_ns";
 
-/// Task attempts the DAG scheduler submitted (count; first runs plus
-/// retries, so a clean run reports the spec's partition count). Reader:
+/// Task attempts the maps ran (count; first runs plus retries, so a
+/// clean map reports its partition count). Reader:
 /// `evmatch check-metrics --in` (required; gates the latency gauges).
 pub const DAG_TASKS_TOTAL: &str = "evm_dag_tasks_total";
-/// DAG task attempts that were lost to a panic and retried (count).
+/// Map task attempts that were lost to a panic and run again (count).
 /// Reader: `evmatch check-metrics` (`--in` requires it, `--smoke` fails
 /// when injected faults leave it at 0).
 pub const DAG_TASK_RETRIES: &str = "evm_dag_task_retries_total";
-/// Stages in the most recent DAG submission (count). Reader: README,
-/// "Running on real threads".
-pub const DAG_STAGES: &str = "evm_dag_stages";
-/// High-water mark of live cached partitions in the most recent DAG run
-/// (count) — against `evm_dag_tasks_total` it shows natural release at
-/// work. Reader: README, "Running on real threads".
-pub const DAG_CACHE_PEAK_PARTITIONS: &str = "evm_dag_cache_peak_partitions";
 
 // The delta-updater is chronological and ideal-mode by construction
 // (`IncrementalSplit`), so these have one definition.
@@ -293,8 +286,6 @@ pub(crate) const ALL_GAUGES: &[&str] = &[
     DISK_MANIFEST_ENTRIES,
     SERVE_STALENESS_EVENTS,
     SERVE_EPOCH,
-    DAG_STAGES,
-    DAG_CACHE_PEAK_PARTITIONS,
     INCR_PARTITION_BLOCKS,
 ];
 
@@ -339,7 +330,7 @@ mod tests {
     fn the_catalogue_is_duplicate_free_and_its_size_is_pinned() {
         let distinct: std::collections::BTreeSet<&str> = all().collect();
         assert_eq!(distinct.len(), all().count(), "a name is listed twice");
-        assert_eq!(all().count(), 45);
+        assert_eq!(all().count(), 43);
         assert!(all().all(|name| name.starts_with("evm_")));
     }
 }

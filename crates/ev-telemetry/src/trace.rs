@@ -31,8 +31,8 @@ pub(crate) fn next_span_id() -> u64 {
 }
 
 /// Causal trace context: the identity of one span plus the ids linking
-/// it to its trace and parent. Propagated by value from job submission
-/// through `ev-dag` stages into every pool task closure, so
+/// it to its trace and parent. Propagated by value from the job's entry
+/// point through an `ev-dag` map's stage context into every attempt, so
 /// distributed work can always be attributed to the job → stage → task
 /// → attempt chain that caused it.
 ///

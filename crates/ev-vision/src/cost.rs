@@ -8,7 +8,7 @@
 //!
 //! [`CostModel`] restores the asymmetry with deterministic **busy-work**
 //! ([`CostModel::charge`]) calibrated in abstract *work units*, so
-//! parallel execution on the stage-DAG scheduler yields genuine
+//! parallel execution on `ev-dag`'s worker threads yields genuine
 //! wall-clock speedups. Only the experiment figures price work; every
 //! other caller runs [`CostModel::free`].
 

@@ -1,11 +1,10 @@
-//! Matching on an unreliable cluster: the scheduler reruns each lost
-//! task attempt from its lineage (the same compute over inputs that are
-//! still cached), and the matching results come out identical to a
-//! healthy run (paper §V-A: "task failure recovery [is]
+//! Matching on an unreliable cluster: the parallel map reruns each lost
+//! task attempt in place (the same partition of a pure function), and
+//! the matching results come out identical to a healthy run (paper §V-A: "task failure recovery [is]
 //! managed by a master machine").
 //!
 //! The flaky run carries a full-level [`Telemetry`] handle, so after it
-//! finishes we can replay the scheduler's lost attempts as a timeline
+//! finishes we can replay the map's lost attempts as a timeline
 //! of trace events.
 //!
 //! ```text

@@ -41,10 +41,9 @@
 //! refinement) in either `--mode`. Without `--threads`, or with
 //! `--threads 1`, it runs on the calling thread. `--threads N` for `N`
 //! ≥ 2 scores each wave of every round's exclusion walk (Algorithm 3)
-//! as one stage DAG submitted to the lineage-tracking scheduler
-//! (`DESIGN.md` §11) on `N` real threads of `ev-dag`'s pool (at most
-//! one per task of the graph; `N` must be at least 1), so a lost worker
-//! costs a rerun of only the partition it was computing. The report is the same at every
+//! as one `ev_dag::par_map` (`DESIGN.md` §7) on `N` real threads (at
+//! most one per partition of the map; `N` must be at least 1), so a
+//! lost attempt costs a rerun of only the partition it was computing. The report is the same at every
 //! `N`, so the value only changes wall time. `--universal` matches
 //! every EID present in the E-data instead of a sampled target set.
 //!
@@ -692,7 +691,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
     };
     let dataset = EvDataset::generate(&config).map_err(|e| e.to_string())?;
     let targets = sample_targets(&dataset, 16, args.seed);
-    // The pipeline the stage-DAG probes below run: the matcher's default.
+    // The pipeline the pooled probes below run: the matcher's default.
     let refine = RefineConfig {
         mode: SplitMode::Practical,
         ..RefineConfig::default()
@@ -750,9 +749,9 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
         }
     }
 
-    // 2. The parallel EDP baseline (one stage-DAG submission, one
-    //    partition per EID) with injected failures on real threads:
-    //    scheduler, retry and exec metrics.
+    // 2. The parallel EDP baseline (two maps, one partition per EID)
+    //    with injected failures on real threads: retry and exec
+    //    metrics.
     {
         use evmatch::matching::edp::{match_edp_parallel, EdpConfig};
         let tel = Telemetry::new(TelemetryLevel::Full);
@@ -858,9 +857,8 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             absorb_into(&mut seen, &tel);
         }
 
-        // 6. A flight dump triggered the scheduler-internal way: a
-        //    submission whose retry budget a 95% failure rate must
-        //    exhaust.
+        // 6. A flight dump triggered the map-internal way: a run whose
+        //    retry budget a 95% failure rate must exhaust.
         {
             let tel = Telemetry::new(TelemetryLevel::Counters);
             tel.flight().set_enabled(true);
@@ -957,7 +955,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             absorb_into(&mut seen, &tel);
         }
 
-        // 8. The stage-DAG pipeline under injected worker loss, so
+        // 8. The pooled pipeline under injected worker loss, so
         //    every `evm_dag_*` metric carries a live value. The report
         //    must still be byte-identical to an unfaulted run.
         {

@@ -466,10 +466,10 @@ fn footage_damaged_after_a_match_released_it_fails_the_next_match() {
     }
 }
 
-/// The stage DAG reads each frame it selects once per round that lists
-/// it: its `extract` partitions pack each gallery once, every scorer
-/// reads the packed galleries, and the scheduler releases them when
-/// scoring ends, so a refinement round re-fetches what it reuses. A
+/// The pooled pipeline reads each frame it selects once per round that
+/// lists it: the calling thread packs each gallery once, every scorer
+/// reads the packed galleries, and the walk releases each at its last
+/// use, so a refinement round re-fetches what it reuses. A
 /// cold universal match from disk decodes the E records, the V-Scenarios
 /// it extracted and one frame per re-fetch — no frame once per list
 /// entry.

@@ -186,7 +186,7 @@ fn report_digests_are_pinned_across_modes() {
         [
             0x7502_3dba_66d8_585e,
             0x31a5_fba0_fd01_cfd8,
-            // One pipeline: the stage DAG's report is the sequential one.
+            // One pipeline: the pooled report is the sequential one.
             0x7502_3dba_66d8_585e
         ],
     );

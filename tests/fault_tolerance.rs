@@ -1,6 +1,6 @@
 //! Fault-injection integration: the matching pipelines must survive task
 //! failures with identical results, and report an exhausted retry
-//! budget as `TaskExhausted` — Algorithm 3's submission and the
+//! budget as `TaskExhausted` — Algorithm 3's pooled walk and the
 //! parallel EDP baseline alike.
 
 use evmatch::dag::{DagConfig, FaultPlan, JobError};
@@ -87,7 +87,7 @@ fn hopeless_cluster_reports_task_exhaustion() {
 
 #[test]
 fn hopeless_dag_reports_task_exhaustion() {
-    // The same hopeless plan through the one-submission pipeline.
+    // The same hopeless plan through the pooled pipeline.
     let d = dataset();
     let targets = sample_targets(&d, 10, 3);
     let result = dag_match(

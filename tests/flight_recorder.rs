@@ -3,7 +3,7 @@
 //! attempt to its job, stage and task — the artifact an operator reads
 //! when a run died and the process is already gone.
 
-use evmatch::dag::{DagConfig, DagSpec, FaultPlan, JobError};
+use evmatch::dag::{par_map, DagConfig, FaultPlan, JobError};
 use evmatch::prelude::*;
 use evmatch::telemetry::TraceCtx;
 use serde_json::Value;
@@ -37,26 +37,26 @@ fn worker_panic_dumps_an_attributable_flight_recording() {
     // attributed to its exact task, not just "the job died".
     let mut lines: Vec<String> = (0..8).map(|i| format!("line{i}")).collect();
     lines.insert(5, "poison".to_string());
-    let mut dag: DagSpec<'_, usize> = DagSpec::new();
-    let lines = &lines;
-    dag.stage("map", lines.len(), Vec::new(), move |task, _| {
-        let line = &lines[task.partition];
-        assert!(!line.contains("poison"), "injected mapper panic");
-        line.len()
-    });
-    let err = dag
-        .run(
-            &DagConfig {
-                faults: FaultPlan {
-                    max_attempts: 2,
-                    ..FaultPlan::default()
-                },
-                ..DagConfig::new(2)
-            },
-            &telemetry,
-            TraceCtx::root(),
-        )
-        .unwrap_err();
+    let config = DagConfig {
+        faults: FaultPlan {
+            max_attempts: 2,
+            ..FaultPlan::default()
+        },
+        ..DagConfig::new(2)
+    };
+    let err = par_map(
+        "map",
+        lines.len(),
+        &config,
+        &telemetry,
+        TraceCtx::root(),
+        |p| {
+            let line = &lines[p];
+            assert!(!line.contains("poison"), "injected mapper panic");
+            line.len()
+        },
+    )
+    .unwrap_err();
     assert!(
         matches!(err, JobError::WorkerPanicked { stage: "map", .. }),
         "expected WorkerPanicked, got {err:?}"

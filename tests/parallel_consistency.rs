@@ -1,7 +1,7 @@
 //! The parallel pipelines must compute the same thing as their
 //! sequential references, deterministically: the parallel EDP baseline,
-//! and the matcher with round 1 on the stage DAG (Algorithm 3), at any
-//! thread count and under injected worker loss.
+//! and the matcher with every round's walk scored on `par_map`
+//! (Algorithm 3), at any thread count and under injected worker loss.
 
 use evmatch::dag::{DagConfig, FaultPlan};
 use evmatch::matching::dagflow::dag_match;
@@ -22,7 +22,7 @@ fn dataset() -> EvDataset {
     .expect("valid config")
 }
 
-/// One DAG submission over `d` with a fresh extraction cache.
+/// One pooled match over `d` with a fresh extraction cache.
 fn run_dag(
     d: &EvDataset,
     targets: &std::collections::BTreeSet<Eid>,
@@ -175,7 +175,7 @@ fn dag_report_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// Injected worker panics lose partitions mid-run; lineage must retry
+/// Injected worker panics lose partitions mid-run; the maps must rerun
 /// exactly the lost partitions (tasks = clean + retries) and the final
 /// report must not change.
 #[test]
@@ -300,7 +300,7 @@ fn matcher_facade_runs_dag_mode() {
 }
 
 /// One run epilogue, one meaning: on one corpus the sequential pipeline
-/// and the stage DAG export the gallery counters and the run gauges
+/// and the pooled one export the gallery counters and the run gauges
 /// under the same names, and the same gallery counts — `misses` the
 /// galleries the run extracted plus the listed scenarios that have no
 /// footage to extract, `hits + misses` every scenario-list entry a V
