@@ -4,7 +4,7 @@
 
 use crate::experiments::Scale;
 use crate::report::{num, Table};
-use crate::runner::{run_ss, run_ss_parallel};
+use crate::runner::{median_timings, run_ss, run_ss_parallel, TIMING_RUNS};
 use ev_datagen::{sample_targets, score_report, DatasetConfig, EvDataset};
 use ev_matching::refine::{match_with_refinement, RefineConfig, SplitMode};
 use ev_matching::setsplit::{SelectionStrategy, SetSplitConfig};
@@ -230,13 +230,13 @@ pub(crate) fn ablate_workers(scale: Scale) -> Table {
         let [e_secs, v_secs, total_secs] = if workers > max_workers.max(2) * 2 {
             ["-"; 3].map(String::from)
         } else {
-            let summary = run_ss_parallel(&dataset, &targets, workers, 3);
-            [summary.e_secs, summary.v_secs, summary.total_secs()].map(|secs| num(secs, 3))
+            median_timings(|| run_ss_parallel(&dataset, &targets, workers, 3))
         };
         table.push_row(vec![workers.to_string(), e_secs, v_secs, total_secs]);
     }
     table.push_note(format!(
-        "this machine exposes {max_workers} hardware threads; wall speedup saturates there"
+        "this machine exposes {max_workers} hardware threads; wall speedup saturates there; \
+         each cell is the median of {TIMING_RUNS} runs"
     ));
     table.push_note(
         "the report is the sequential pipeline's at every width; one worker runs it inline",

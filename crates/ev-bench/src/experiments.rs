@@ -7,7 +7,10 @@
 //! `EXPERIMENTS.md` records a full paper-vs-measured account.
 
 use crate::report::{num, Table};
-use crate::runner::{average, run_edp, run_edp_parallel, run_ss, run_ss_parallel, RunSummary};
+use crate::runner::{
+    average, median_timings, run_edp, run_edp_parallel, run_ss, run_ss_parallel, RunSummary,
+    TIMING_RUNS,
+};
 use ev_datagen::{sample_targets, DatasetConfig, EvDataset};
 use ev_vision::cost::CostModel;
 
@@ -227,17 +230,14 @@ pub(crate) fn fig8(scale: Scale) -> Table {
     );
     for matched in scale.timing_matched_axis() {
         let targets = sample_targets(&dataset, matched, 11);
-        let ss = run_ss_parallel(&dataset, &targets, threads, 11);
-        let edp = run_edp_parallel(&dataset, &targets, threads, 11);
-        table.push_row(vec![
-            matched.to_string(),
-            num(ss.e_secs, 3),
-            num(ss.v_secs, 3),
-            num(ss.total_secs(), 3),
-            num(edp.e_secs, 3),
-            num(edp.v_secs, 3),
-            num(edp.total_secs(), 3),
-        ]);
+        let mut row = vec![matched.to_string()];
+        row.extend(median_timings(|| {
+            run_ss_parallel(&dataset, &targets, threads, 11)
+        }));
+        row.extend(median_timings(|| {
+            run_edp_parallel(&dataset, &targets, threads, 11)
+        }));
+        table.push_row(row);
     }
     table.push_note(
         "paper expectation: E stage costs negligible time; V stage dominates; SS is \
@@ -246,7 +246,8 @@ pub(crate) fn fig8(scale: Scale) -> Table {
     table.push_note(format!(
         "{} worker threads (SS: the sequential pipeline with each wave of its walk scored as \
          one parallel map; EDP: an E map and a V map, one partition per EID); vision \
-         cost model charges {} work units per extracted detection and {} per feature comparison",
+         cost model charges {} work units per extracted detection and {} per feature comparison; \
+         each cell is the median of {TIMING_RUNS} runs",
         threads,
         CostModel::default().v_extraction,
         CostModel::default().v_comparison,
@@ -278,22 +279,22 @@ pub(crate) fn fig9(scale: Scale) -> Table {
     for side in scale.grid_sides() {
         let dataset = density_dataset(scale, side, CostModel::default());
         let targets = sample_targets(&dataset, matched, 11);
-        let ss = run_ss_parallel(&dataset, &targets, threads, 11);
-        let edp = run_edp_parallel(&dataset, &targets, threads, 11);
-        table.push_row(vec![
-            num(dataset.config.density(), 0),
-            num(ss.e_secs, 3),
-            num(ss.v_secs, 3),
-            num(ss.total_secs(), 3),
-            num(edp.e_secs, 3),
-            num(edp.v_secs, 3),
-            num(edp.total_secs(), 3),
-        ]);
+        let mut row = vec![num(dataset.config.density(), 0)];
+        row.extend(median_timings(|| {
+            run_ss_parallel(&dataset, &targets, threads, 11)
+        }));
+        row.extend(median_timings(|| {
+            run_edp_parallel(&dataset, &targets, threads, 11)
+        }));
+        table.push_row(row);
     }
     table.push_note(
         "paper expectation: V dominates at every density; the SS/EDP gap grows with \
          density because SS's scenario reuse compounds while EDP's selections keep growing",
     );
+    table.push_note(format!(
+        "{threads} worker threads, as in fig8; each cell is the median of {TIMING_RUNS} runs"
+    ));
     table
 }
 

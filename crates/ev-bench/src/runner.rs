@@ -1,6 +1,7 @@
 //! Shared measurement plumbing: run one algorithm over one dataset and
 //! summarize the metrics every experiment needs.
 
+use crate::report::num;
 use ev_core::ids::Eid;
 use ev_dag::DagConfig;
 use ev_datagen::{score_report, EvDataset};
@@ -170,6 +171,28 @@ fn summarize(
     }
 }
 
+/// Runs behind every timing cell of Figs. 8–9 and the workers ablation.
+pub(crate) const TIMING_RUNS: usize = 3;
+
+/// The E, V and E+V seconds of [`TIMING_RUNS`] runs of one
+/// configuration, each column the median of its own samples, formatted
+/// to the millisecond. One run's scheduling hiccup on a shared host
+/// cannot set a cell; the runs' reports are equal, only their times
+/// differ.
+pub(crate) fn median_timings(mut run: impl FnMut() -> RunSummary) -> [String; 3] {
+    let runs: Vec<RunSummary> = (0..TIMING_RUNS).map(|_| run()).collect();
+    let median = |secs: fn(&RunSummary) -> f64| {
+        let mut samples: Vec<f64> = runs.iter().map(secs).collect();
+        samples.sort_by(f64::total_cmp);
+        num(samples[samples.len() / 2], 3)
+    };
+    [
+        median(|s| s.e_secs),
+        median(|s| s.v_secs),
+        median(RunSummary::total_secs),
+    ]
+}
+
 /// Averages a set of summaries point-wise (used to smooth over seeds).
 ///
 /// # Panics
@@ -264,6 +287,25 @@ mod tests {
         assert!((avg.accuracy_pct - 80.0).abs() < 1e-12);
         assert!((avg.total_secs() - 6.0).abs() < 1e-12);
         assert_eq!(avg.rounds, 2);
+    }
+
+    #[test]
+    fn median_timings_take_each_column_on_its_own() {
+        let run = |e_secs, v_secs| RunSummary {
+            algo: Algo::Ss,
+            matched: 1,
+            selected: 1,
+            per_eid: 1.0,
+            accuracy_pct: 100.0,
+            e_secs,
+            v_secs,
+            rounds: 1,
+        };
+        // Totals 7, 2 and 5: the median total is no run's E + median V.
+        let mut runs = [run(1.0, 6.0), run(1.5, 0.5), run(4.0, 1.0)].into_iter();
+        let cells = median_timings(|| runs.next().unwrap());
+        assert_eq!(cells, ["1.500", "1.000", "5.000"]);
+        assert!(runs.next().is_none(), "{TIMING_RUNS} runs per cell");
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::time::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of one EV-Scenario: a (cell, timestamp) pair.
 ///
@@ -66,10 +67,15 @@ pub enum ZoneAttr {
 ///
 /// In the ideal setting every EID is [`ZoneAttr::Inclusive`]; the vague
 /// attribute only appears under the practical drift model.
+///
+/// A scenario is a value whose EIDs are shared: a clone bumps a
+/// reference count and never copies the membership map, and
+/// [`insert`](Self::insert) copies it only when another clone still
+/// reads it (copy-on-write).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EScenario {
     id: ScenarioId,
-    eids: BTreeMap<Eid, ZoneAttr>,
+    eids: Arc<BTreeMap<Eid, ZoneAttr>>,
 }
 
 impl EScenario {
@@ -78,7 +84,7 @@ impl EScenario {
     pub fn new(cell: CellId, time: Timestamp) -> Self {
         EScenario {
             id: ScenarioId::new(time, cell),
-            eids: BTreeMap::new(),
+            eids: Arc::default(),
         }
     }
 
@@ -103,7 +109,7 @@ impl EScenario {
     /// Adds (or re-attributes) an EID. Returns the previous attribute if
     /// the EID was already present.
     pub fn insert(&mut self, eid: Eid, attr: ZoneAttr) -> Option<ZoneAttr> {
-        self.eids.insert(eid, attr)
+        Arc::make_mut(&mut self.eids).insert(eid, attr)
     }
 
     /// Whether the EID appears in this scenario (in either zone).
@@ -160,10 +166,14 @@ pub struct Detection {
 
 /// A V-Scenario: the set of human figures detected in one cell's video at
 /// one time, after (expensive) extraction.
+///
+/// Like [`EScenario`], a value whose detections are shared: a clone
+/// never copies them, and [`push`](Self::push) copies them only when
+/// another clone still reads them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VScenario {
     id: ScenarioId,
-    detections: Vec<Detection>,
+    detections: Arc<Vec<Detection>>,
 }
 
 impl VScenario {
@@ -172,7 +182,7 @@ impl VScenario {
     pub fn new(cell: CellId, time: Timestamp) -> Self {
         VScenario {
             id: ScenarioId::new(time, cell),
-            detections: Vec::new(),
+            detections: Arc::default(),
         }
     }
 
@@ -196,7 +206,7 @@ impl VScenario {
 
     /// Records a detection.
     pub fn push(&mut self, detection: Detection) {
-        self.detections.push(detection);
+        Arc::make_mut(&mut self.detections).push(detection);
     }
 
     /// The detections in this scenario.
@@ -295,6 +305,52 @@ mod tests {
         assert_eq!(inc, vec![Eid::from_u64(1)]);
         let all: Vec<Eid> = s.eids().collect();
         assert_eq!(all, vec![Eid::from_u64(1), Eid::from_u64(2)]);
+    }
+
+    fn vsc() -> VScenario {
+        let mut v = VScenario::new(CellId::new(3), Timestamp::new(7));
+        v.push(Detection {
+            vid: Vid::new(4),
+            feature: FeatureVector::new(vec![0.5, 0.5]).unwrap(),
+        });
+        v
+    }
+
+    #[test]
+    fn clone_shares_the_payload() {
+        let e = esc();
+        let e2 = e.clone();
+        assert!(Arc::ptr_eq(&e.eids, &e2.eids), "E clone shares the EIDs");
+        assert_eq!(e, e2);
+        let v = vsc();
+        let v2 = v.clone();
+        assert_eq!(v.detections().as_ptr(), v2.detections().as_ptr());
+        assert_eq!(v, v2);
+    }
+
+    #[test]
+    fn writes_to_a_clone_copy_on_write() {
+        let e = esc();
+        let mut e2 = e.clone();
+        e2.insert(Eid::from_u64(3), ZoneAttr::Inclusive);
+        assert_eq!(e, esc(), "the original is unchanged");
+        assert_eq!((e.len(), e2.len()), (2, 3));
+        assert!(!Arc::ptr_eq(&e.eids, &e2.eids));
+
+        let v = vsc();
+        let mut v2 = v.clone();
+        v2.push(Detection {
+            vid: Vid::new(5),
+            feature: FeatureVector::new(vec![0.1, 0.9]).unwrap(),
+        });
+        assert_eq!(v, vsc(), "the original is unchanged");
+        assert_eq!((v.len(), v2.len()), (1, 2));
+
+        // A sole owner writes in place: nothing to copy.
+        let mut owned = vsc();
+        let before = Arc::as_ptr(&owned.detections);
+        owned.push(vsc().detections()[0].clone());
+        assert_eq!(Arc::as_ptr(&owned.detections), before);
     }
 
     #[test]

@@ -78,15 +78,6 @@ pub struct VSighting {
     pub cell: CellId,
 }
 
-/// Read only by the tests.
-#[cfg(test)]
-impl ETrail {
-    /// The confident (inclusive-zone) observations only.
-    pub(crate) fn confident(&self) -> impl Iterator<Item = &TrailPoint> {
-        self.points.iter().filter(|p| p.attr == ZoneAttr::Inclusive)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,9 +117,13 @@ mod tests {
 
     #[test]
     fn confident_filter_drops_vague_points() {
+        // Each point keeps its zone, so a reader can keep the confident
+        // (inclusive-zone) observations only.
         let trail = ETrail::of(&store(), Eid::from_u64(1));
-        let confident: Vec<_> = trail.confident().collect();
-        assert_eq!(confident.len(), 2);
-        assert!(confident.iter().all(|p| p.attr == ZoneAttr::Inclusive));
+        let attrs: Vec<_> = trail.points.iter().map(|p| p.attr).collect();
+        assert_eq!(
+            attrs,
+            [ZoneAttr::Inclusive, ZoneAttr::Vague, ZoneAttr::Inclusive]
+        );
     }
 }

@@ -318,7 +318,7 @@ mod tests {
         let matcher = EvMatcher::new(&store, &video, config);
         let report = matcher.match_universal().unwrap();
         assert_eq!(report.outcomes.len(), 4, "4 distinct EIDs in E-data");
-        assert!(report.majority_rate() > 0.9);
+        assert!(report.outcomes.iter().all(crate::MatchOutcome::is_majority));
         assert_eq!(report.rounds, 1, "one round covers the job");
     }
 
@@ -328,7 +328,7 @@ mod tests {
         let matcher = EvMatcher::new(&store, &video, MatcherConfig::default());
         let report = matcher.match_universal().unwrap();
         assert_eq!(report.outcomes.len(), 4, "4 distinct EIDs in E-data");
-        assert!(report.majority_rate() > 0.9);
+        assert!(report.outcomes.iter().all(crate::MatchOutcome::is_majority));
     }
 
     #[test]

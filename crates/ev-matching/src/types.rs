@@ -126,16 +126,6 @@ impl MatchReport {
         let total: usize = self.lists.values().map(Vec::len).sum();
         total as f64 / self.lists.len() as f64
     }
-
-    /// Fraction of requested EIDs that got a majority match.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn majority_rate(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        self.outcomes.iter().filter(|o| o.is_majority()).count() as f64 / self.outcomes.len() as f64
-    }
 }
 
 /// Read only by the tests.
@@ -224,14 +214,18 @@ mod tests {
         let sid = |t| ScenarioId::new(Timestamp::new(t), CellId::new(0));
         let mut report = MatchReport::default();
         assert_eq!(report.scenarios_per_eid(), 0.0);
-        assert_eq!(report.majority_rate(), 0.0);
         report.outcomes = vec![outcome(1, Some(1), 0.9), outcome(2, None, 0.0)];
         report.lists.insert(Eid::from_u64(1), vec![sid(0), sid(1)]);
         report.lists.insert(Eid::from_u64(2), vec![sid(1)]);
         report.selected_scenarios = [sid(0), sid(1)].into_iter().collect();
         assert_eq!(report.selected_count(), 2);
         assert!((report.scenarios_per_eid() - 1.5).abs() < 1e-12);
-        assert!((report.majority_rate() - 0.5).abs() < 1e-12);
+        let majority: Vec<bool> = report
+            .outcomes
+            .iter()
+            .map(MatchOutcome::is_majority)
+            .collect();
+        assert_eq!(majority, [true, false]);
         assert!(report.outcome_of(Eid::from_u64(2)).unwrap().vid.is_none());
         assert!(report.outcome_of(Eid::from_u64(3)).is_none());
     }

@@ -22,15 +22,15 @@ pub struct IngestStats {
 
 /// An immutable, indexed collection of E-Scenarios.
 ///
-/// Indexes are built once at construction: scenario-id lookup and a
-/// time-major index (for range queries). The inverted EID → scenario
-/// index ([`ScenarioIndex`]) is built lazily on first use and then shared
-/// by every pipeline reading the store.
+/// The scenarios are kept in one id-sorted vector. Ids order time-major,
+/// so the vector is its own lookup structure: an id lookup, a time slice
+/// and a range query are each a binary search over it. The inverted
+/// EID → scenario index ([`ScenarioIndex`]) is built lazily on first use
+/// and then shared by every pipeline reading the store.
 #[derive(Debug)]
 pub struct EScenarioStore {
+    /// Sorted by id, no duplicates.
     scenarios: Vec<EScenario>,
-    by_id: BTreeMap<ScenarioId, usize>,
-    by_time: BTreeMap<Timestamp, Vec<usize>>,
     /// Lazily built inverted index. Excluded from equality, cloning and
     /// serialization: it is derived state, rebuilt on demand.
     inverted: OnceLock<ScenarioIndex>,
@@ -40,8 +40,6 @@ impl Clone for EScenarioStore {
     fn clone(&self) -> Self {
         EScenarioStore {
             scenarios: self.scenarios.clone(),
-            by_id: self.by_id.clone(),
-            by_time: self.by_time.clone(),
             // A clone starts with a fresh (unbuilt) index so its usage
             // counters are independent of the original's.
             inverted: OnceLock::new(),
@@ -51,8 +49,8 @@ impl Clone for EScenarioStore {
 
 impl PartialEq for EScenarioStore {
     fn eq(&self, other: &Self) -> bool {
-        // The lookup maps and the inverted index are all derived from
-        // `scenarios`; comparing the source of truth is enough.
+        // The inverted index is derived from `scenarios`; comparing the
+        // source of truth is enough.
         self.scenarios == other.scenarios
     }
 }
@@ -82,19 +80,16 @@ impl EScenarioStore {
         for s in scenarios {
             dedup.insert(s.id(), s);
         }
-        let scenarios: Vec<EScenario> = dedup.into_values().collect();
-        let mut by_id = BTreeMap::new();
-        let mut by_time: BTreeMap<Timestamp, Vec<usize>> = BTreeMap::new();
-        for (i, s) in scenarios.iter().enumerate() {
-            by_id.insert(s.id(), i);
-            by_time.entry(s.time()).or_default().push(i);
-        }
         EScenarioStore {
-            scenarios,
-            by_id,
-            by_time,
+            scenarios: dedup.into_values().collect(),
             inverted: OnceLock::new(),
         }
+    }
+
+    /// The scenarios from the first whose time is at least `t` on.
+    fn since(&self, t: Timestamp) -> &[EScenario] {
+        let start = self.scenarios.partition_point(|s| s.time() < t);
+        &self.scenarios[start..]
     }
 
     /// The inverted EID → scenario index, built on first call and cached
@@ -120,7 +115,8 @@ impl EScenarioStore {
     /// Looks a scenario up by id.
     #[must_use]
     pub fn get(&self, id: ScenarioId) -> Option<&EScenario> {
-        self.by_id.get(&id).map(|&i| &self.scenarios[i])
+        let at = self.scenarios.binary_search_by_key(&id, EScenario::id);
+        at.ok().map(|i| &self.scenarios[i])
     }
 
     /// Iterates over all scenarios in id order.
@@ -135,24 +131,18 @@ impl EScenarioStore {
     /// set-splitting delta-update walks only this suffix instead of
     /// re-scanning the store.
     pub fn iter_after(&self, after: ScenarioId) -> impl Iterator<Item = &EScenario> {
-        use std::ops::Bound;
-        self.by_id
-            .range((Bound::Excluded(after), Bound::Unbounded))
-            .map(|(_, &i)| &self.scenarios[i])
+        let start = self.scenarios.partition_point(|s| s.id() <= after);
+        self.scenarios[start..].iter()
     }
 
     /// All distinct timestamps with at least one scenario, ascending.
     pub fn times(&self) -> impl Iterator<Item = Timestamp> + '_ {
-        self.by_time.keys().copied()
+        (self.scenarios.chunk_by(|a, b| a.time() == b.time())).map(|run| run[0].time())
     }
 
     /// Scenarios snapshotted at exactly `t`.
     pub fn at_time(&self, t: Timestamp) -> impl Iterator<Item = &EScenario> {
-        self.by_time
-            .get(&t)
-            .into_iter()
-            .flatten()
-            .map(|&i| &self.scenarios[i])
+        self.since(t).iter().take_while(move |s| s.time() == t)
     }
 
     /// Spatiotemporal range query: scenarios within `range` and, if given,
@@ -162,10 +152,8 @@ impl EScenarioStore {
         range: TimeRange,
         cells: Option<&'a [CellId]>,
     ) -> impl Iterator<Item = &'a EScenario> + 'a {
-        self.by_time
-            .range(range.start..range.end)
-            .flat_map(|(_, idxs)| idxs.iter())
-            .map(move |&i| &self.scenarios[i])
+        (self.since(range.start).iter())
+            .take_while(move |s| s.time() < range.end)
             .filter(move |s| cells.is_none_or(|cs| cs.contains(&s.cell())))
     }
 
@@ -186,9 +174,9 @@ impl EScenarioStore {
     /// id strictly greater than everything already stored (the common
     /// shape of an incremental ingest: today's snapshots all sort after
     /// yesterday's, because scenario ids order time-major). It appends
-    /// to the scenario vector, splices the id/time maps, and — if
-    /// the inverted index was already built — extends its posting lists
-    /// in place, all in `O(batch × log |store|)` work. Posting lists
+    /// to the scenario vector and — if the inverted index was already
+    /// built — extends its posting lists in place, all in
+    /// `O(batch × log |store|)` work. Posting lists
     /// stay sorted because every appended id is greater than every id
     /// already posted.
     ///
@@ -228,12 +216,7 @@ impl EScenarioStore {
             let _ = self.inverted.set(index);
         }
         let appended = batch.len();
-        for s in batch {
-            let i = self.scenarios.len();
-            self.by_id.insert(s.id(), i);
-            self.by_time.entry(s.time()).or_default().push(i);
-            self.scenarios.push(s);
-        }
+        self.scenarios.extend(batch);
         IngestStats {
             appended,
             rebuilt: false,

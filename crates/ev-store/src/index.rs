@@ -1,12 +1,11 @@
 //! Inverted scenario index: EID → postings over an
 //! [`EScenarioStore`](crate::EScenarioStore).
 //!
-//! The matching pipelines repeatedly ask two questions of the E-data:
+//! The matching pipelines repeatedly ask one question of the E-data:
 //! *"which scenarios contain this EID?"* (set splitting, EDP
-//! E-filtering, anchor and uniqueness-pass selection) and *"does this
-//! scenario contain this EID?"* (split-gain evaluation). Both were answered by
-//! linear scans over every scenario's membership map. This module
-//! answers them from a one-time inverted build:
+//! E-filtering, anchor and uniqueness-pass selection). It was answered
+//! by linear scans over every scenario's membership map. This module
+//! answers it from a one-time inverted build:
 //!
 //! for every EID, the sorted list of [`ScenarioId`]s that contain it
 //! (its *postings*), with one bit per posting for its zone. Scenario ids
@@ -15,9 +14,9 @@
 //! same order as a full scan — the index-backed paths are drop-in
 //! replacements with byte-identical results.
 //!
-//! The index also keeps usage counters (postings probed, membership
-//! binary-searches, scans avoided) behind atomics so `&self` consumers
-//! can report them through the pipeline metrics.
+//! The index also keeps usage counters (postings probed, scans avoided)
+//! behind atomics so `&self` consumers can report them through the
+//! pipeline metrics.
 
 use ev_core::ids::Eid;
 use ev_core::scenario::{EScenario, ScenarioId, ZoneAttr};
@@ -30,7 +29,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct IndexStatsSnapshot {
     /// Posting lists fetched (one per `postings`/`containing` call).
     pub postings_probed: u64,
-    /// O(log n) membership queries answered by binary search.
+    /// Membership queries answered by the index: always 0, since "does
+    /// this scenario contain this EID?" is answered by the scenario's own
+    /// map ([`EScenario::contains`]). Kept for the snapshot's readers.
     pub membership_queries: u64,
     /// Full-store scans avoided by answering from the index instead.
     pub scans_avoided: u64,
@@ -39,7 +40,6 @@ pub struct IndexStatsSnapshot {
 #[derive(Debug, Default)]
 struct IndexStats {
     postings_probed: AtomicU64,
-    membership_queries: AtomicU64,
     scans_avoided: AtomicU64,
 }
 
@@ -133,19 +133,6 @@ impl ScenarioIndex {
         })
     }
 
-    /// Whether scenario `id` contains `eid` — one binary search on the
-    /// posting list instead of a scenario-map lookup per probe.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn contains(&self, eid: Eid, id: ScenarioId) -> bool {
-        self.stats
-            .membership_queries
-            .fetch_add(1, Ordering::Relaxed);
-        self.postings
-            .get(&eid)
-            .is_some_and(|p| p.ids.binary_search(&id).is_ok())
-    }
-
     /// Number of distinct EIDs with at least one posting.
     #[must_use]
     pub fn eid_count(&self) -> usize {
@@ -157,7 +144,7 @@ impl ScenarioIndex {
     pub fn stats(&self) -> IndexStatsSnapshot {
         IndexStatsSnapshot {
             postings_probed: self.stats.postings_probed.load(Ordering::Relaxed),
-            membership_queries: self.stats.membership_queries.load(Ordering::Relaxed),
+            membership_queries: 0,
             scans_avoided: self.stats.scans_avoided.load(Ordering::Relaxed),
         }
     }
@@ -228,22 +215,25 @@ mod tests {
 
     #[test]
     fn membership_queries_answer_in_log_time() {
+        // A membership probe is one binary search on a sorted posting
+        // list.
         let idx = index();
-        assert!(idx.contains(Eid::from_u64(2), sid(0, 0)));
-        assert!(idx.contains(Eid::from_u64(2), sid(2, 2)));
-        assert!(!idx.contains(Eid::from_u64(2), sid(0, 1)));
-        assert!(!idx.contains(Eid::from_u64(9), sid(0, 0)));
+        let holds = |e: u64, id| idx.postings(Eid::from_u64(e)).binary_search(&id).is_ok();
+        assert!(holds(2, sid(0, 0)));
+        assert!(holds(2, sid(2, 2)));
+        assert!(!holds(2, sid(0, 1)));
+        assert!(!holds(9, sid(0, 0)));
     }
 
     #[test]
     fn stats_count_usage() {
         let idx = index();
         let _ = idx.postings(Eid::from_u64(1));
-        let _ = idx.contains(Eid::from_u64(1), sid(0, 0));
+        let _ = idx.zoned_postings(Eid::from_u64(2)).count();
         let stats = idx.stats();
-        assert_eq!(stats.postings_probed, 1);
-        assert_eq!(stats.membership_queries, 1);
-        assert_eq!(stats.scans_avoided, 1, "postings() avoids a scan");
+        assert_eq!(stats.postings_probed, 2);
+        assert_eq!(stats.membership_queries, 0, "membership is the scenario's");
+        assert_eq!(stats.scans_avoided, 2, "each probe avoids a scan");
     }
 
     #[test]
