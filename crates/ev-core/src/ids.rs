@@ -52,6 +52,12 @@ impl Eid {
         self.0
     }
 
+    /// The EID whose [`as_u64`](Self::as_u64) is `raw`, unmasked: the
+    /// inverse of `as_u64` for a value read back from packed storage.
+    pub(crate) const fn from_raw(raw: u64) -> Self {
+        Eid(raw)
+    }
+
     /// Returns the six octets of the MAC address, most significant first.
     #[must_use]
     pub(crate) const fn octets(self) -> [u8; 6] {

@@ -25,8 +25,7 @@
 //! let region = GridRegion::new(1000.0, 1000.0, 100.0, 10.0).unwrap();
 //! let cell = region.cell_at(Point::new(250.0, 730.0)).unwrap();
 //!
-//! let mut esc = EScenario::new(cell, 42.into());
-//! esc.insert(Eid::from_u64(7), ZoneAttr::Inclusive);
+//! let esc = EScenario::from_members(cell, 42.into(), [(Eid::from_u64(7), ZoneAttr::Inclusive)]);
 //! assert!(esc.contains(Eid::from_u64(7)));
 //! ```
 

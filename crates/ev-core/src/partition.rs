@@ -514,14 +514,11 @@ mod tests {
     }
 
     fn scenario(inclusive: &[u64], vague: &[u64]) -> EScenario {
-        let mut s = EScenario::new(CellId::new(0), Timestamp::ZERO);
-        for &e in inclusive {
-            s.insert(Eid::from_u64(e), ZoneAttr::Inclusive);
-        }
-        for &e in vague {
-            s.insert(Eid::from_u64(e), ZoneAttr::Vague);
-        }
-        s
+        let inclusive = inclusive
+            .iter()
+            .map(|&e| (Eid::from_u64(e), ZoneAttr::Inclusive));
+        let vague = vague.iter().map(|&e| (Eid::from_u64(e), ZoneAttr::Vague));
+        EScenario::from_members(CellId::new(0), Timestamp::ZERO, inclusive.chain(vague))
     }
 
     /// `SplitBy` of Algorithm 1: every listed EID is inclusive.
@@ -803,16 +800,14 @@ mod proptests {
     }
 
     fn scenario(inclusive: &[u64], vague: &[u64]) -> EScenario {
-        let mut s = EScenario::new(crate::region::CellId::new(0), crate::time::Timestamp::ZERO);
-        for &e in inclusive {
-            s.insert(Eid::from_u64(e), ZoneAttr::Inclusive);
-        }
-        for &e in vague {
-            // Vague attribution wins on conflict to stress the
-            // duplication path.
-            s.insert(Eid::from_u64(e), ZoneAttr::Vague);
-        }
-        s
+        let inclusive = inclusive
+            .iter()
+            .map(|&e| (Eid::from_u64(e), ZoneAttr::Inclusive));
+        // Vague attribution wins on conflict (the last attribute of a
+        // repeated EID) to stress the duplication path.
+        let vague = vague.iter().map(|&e| (Eid::from_u64(e), ZoneAttr::Vague));
+        let (cell, time) = (crate::region::CellId::new(0), crate::time::Timestamp::ZERO);
+        EScenario::from_members(cell, time, inclusive.chain(vague))
     }
 
     fn inclusive(c: &[u64]) -> impl Iterator<Item = (Eid, ZoneAttr)> + '_ {

@@ -55,7 +55,7 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// The most the clones may allocate per scenario: one word of slack. A
-/// reference-count bump allocates nothing; a copied membership map or
+/// reference-count bump allocates nothing; a copied member list or
 /// detection list needs a node or a buffer of its own, which does not
 /// fit.
 const BYTES_PER_SCENARIO: usize = std::mem::size_of::<usize>();

@@ -128,7 +128,16 @@ pub fn encode_escenario(s: &EScenario) -> Vec<u8> {
     out
 }
 
+/// Bytes of one `eid u64 | attr u8` membership of an E-record.
+const E_MEMBER_LEN: usize = 9;
+
 /// Decodes one E-Scenario record payload.
+///
+/// Every membership is checked before the scenario is built, so a
+/// declared count the bytes do not back is corruption found before any
+/// allocation. The scenario is then built in one allocation; memberships
+/// out of EID order or repeated (which the encoder never writes) are
+/// sorted, and a repeated EID keeps its last attribute.
 ///
 /// # Errors
 ///
@@ -139,22 +148,32 @@ pub fn decode_escenario(payload: &[u8]) -> DiskResult<EScenario> {
     let time = Timestamp::new(r.get_u64("e-record time")?);
     let cell = CellId::new(r.get_u64("e-record cell")? as usize);
     let count = r.get_u32("e-record membership count")?;
-    let mut s = EScenario::new(cell, time);
     for _ in 0..count {
-        let eid = Eid::from_u64(r.get_u64("e-record eid")?);
-        let attr = match r.get_u8("e-record zone attr")? {
-            0 => ZoneAttr::Inclusive,
-            1 => ZoneAttr::Vague,
+        r.get_u64("e-record eid")?;
+        match r.get_u8("e-record zone attr")? {
+            0 | 1 => {}
             other => {
                 return Err(DiskError::corrupt(format!(
                     "unknown zone attribute byte {other:#04x}"
                 )))
             }
-        };
-        s.insert(eid, attr);
+        }
     }
     r.finish("e-record")?;
-    Ok(s)
+    let members = payload[RECORD_HEAD_LEN..].chunks_exact(E_MEMBER_LEN);
+    let members = members.map(|m| {
+        let eid = m[..8]
+            .try_into()
+            .expect("a membership opens with 8 EID bytes");
+        let eid = Eid::from_u64(u64::from_le_bytes(eid));
+        let attr = if m[8] == 0 {
+            ZoneAttr::Inclusive
+        } else {
+            ZoneAttr::Vague
+        };
+        (eid, attr)
+    });
+    Ok(EScenario::from_members(cell, time, members))
 }
 
 /// The id of the scenario a record payload encodes, without decoding
@@ -265,7 +284,7 @@ impl Record for EScenario {
     }
 
     fn encoded_len(&self) -> usize {
-        RECORD_HEAD_LEN + self.len() * 9
+        RECORD_HEAD_LEN + self.len() * E_MEMBER_LEN
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -303,10 +322,11 @@ mod tests {
     use super::*;
 
     fn escenario() -> EScenario {
-        let mut s = EScenario::new(CellId::new(7), Timestamp::new(42));
-        s.insert(Eid::from_u64(0xaabb_cc00_0102), ZoneAttr::Inclusive);
-        s.insert(Eid::from_u64(3), ZoneAttr::Vague);
-        s
+        let members = [
+            (Eid::from_u64(0xaabb_cc00_0102), ZoneAttr::Inclusive),
+            (Eid::from_u64(3), ZoneAttr::Vague),
+        ];
+        EScenario::from_members(CellId::new(7), Timestamp::new(42), members)
     }
 
     fn vscenario() -> VScenario {
@@ -387,8 +407,8 @@ mod tests {
 
     #[test]
     fn e_record_layout_is_the_documented_bytes() {
-        let mut s = EScenario::new(CellId::new(2), Timestamp::new(1));
-        s.insert(Eid::from_u64(5), ZoneAttr::Vague);
+        let members = [(Eid::from_u64(5), ZoneAttr::Vague)];
+        let s = EScenario::from_members(CellId::new(2), Timestamp::new(1), members);
         let bytes = encode_escenario(&s);
         let mut expect = Vec::new();
         expect.extend_from_slice(&1u64.to_le_bytes()); // time

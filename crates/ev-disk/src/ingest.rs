@@ -105,8 +105,8 @@ pub struct StreamAppendReceipt {
 /// let store = DiskStore::create(&dir).unwrap();
 /// let mut writer = IngestWriter::new(store, CheckpointPolicy::manual());
 ///
-/// let mut s = EScenario::new(CellId::new(0), Timestamp::new(5));
-/// s.insert(Eid::from_u64(1), ZoneAttr::Inclusive);
+/// let members = [(Eid::from_u64(1), ZoneAttr::Inclusive)];
+/// let s = EScenario::from_members(CellId::new(0), Timestamp::new(5), members);
 /// writer.push(&[s], &[]).unwrap();        // staged, not yet committed
 /// assert_eq!(writer.staged_records(), 1);
 /// let store = writer.finish().unwrap();   // checkpoint: now durable

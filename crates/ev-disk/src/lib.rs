@@ -34,8 +34,8 @@
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! let mut store = DiskStore::create(&dir).unwrap();
 //!
-//! let mut s = EScenario::new(CellId::new(0), Timestamp::new(5));
-//! s.insert(Eid::from_u64(1), ZoneAttr::Inclusive);
+//! let members = [(Eid::from_u64(1), ZoneAttr::Inclusive)];
+//! let s = EScenario::from_members(CellId::new(0), Timestamp::new(5), members);
 //! store.append(&[s], &[]).unwrap();           // durable once it returns
 //!
 //! let reopened = DiskStore::open(&dir).unwrap();   // replay + recover

@@ -39,6 +39,7 @@ use ev_telemetry::Telemetry;
 use ev_vision::cost::CostModel;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -56,12 +57,22 @@ static TOTAL_REQUESTED: AtomicUsize = AtomicUsize::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK_LIVE: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Bytes this thread requested: what a call that allocates only on
+    /// its caller's thread requested, whatever other tests allocate
+    /// meanwhile (proptest draws a case's input before its body takes
+    /// [`serial`]).
+    static THREAD_REQUESTED: Cell<usize> = const { Cell::new(0) };
+}
+
 /// Notes a request for `size` bytes, `grown` of them new.
 fn note(size: usize, grown: usize) {
     LARGEST_REQUEST.fetch_max(size, Ordering::Relaxed);
     TOTAL_REQUESTED.fetch_add(grown, Ordering::Relaxed);
     let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
     PEAK_LIVE.fetch_max(live, Ordering::Relaxed);
+    // A thread being torn down has no counter left to bump.
+    let _ = THREAD_REQUESTED.try_with(|bytes| bytes.set(bytes.get() + grown));
 }
 
 /// Held by every test of this binary for its whole body, so that what
@@ -184,6 +195,17 @@ fn record_head(count: u32) -> Vec<u8> {
     payload
 }
 
+/// An E payload announcing `count` memberships and holding `members`
+/// as raw `(eid, attr byte)` pairs, in the order given.
+fn e_payload(count: u32, members: impl IntoIterator<Item = (u64, u8)>) -> Vec<u8> {
+    let mut payload = record_head(count);
+    for (eid, attr) in members {
+        payload.extend_from_slice(&eid.to_le_bytes());
+        payload.push(attr);
+    }
+    payload
+}
+
 /// A V payload announcing one detection of dimension `dim`, followed by
 /// only `present` component bytes.
 fn v_payload_with_dim(dim: u32, present: usize) -> Vec<u8> {
@@ -268,6 +290,21 @@ fn hostile_prefixes_are_corruption_and_never_drive_an_allocation() {
     let result =
         assert_allocations_bounded_by_input("e count = u32::MAX", &e_count, decode_escenario);
     assert_corrupt("e count = u32::MAX", result);
+    // Memberships present but fewer than declared: every one is checked
+    // before the scenario is built, so the decoder allocates nothing for
+    // them (a scenario built member by member would have allocated for
+    // the 200 before finding the cut) — only the error it returns.
+    for (what, count) in [
+        ("e count one past the memberships present", 201),
+        ("e count = u32::MAX over memberships", u32::MAX),
+    ] {
+        let payload = e_payload(count, (0..200).map(|eid| (eid, 0)));
+        let before = THREAD_REQUESTED.with(Cell::get);
+        let result = decode_escenario(&payload);
+        let requested = THREAD_REQUESTED.with(Cell::get) - before;
+        assert_corrupt(what, result);
+        assert!(requested <= 256, "{what}: {requested} bytes requested");
+    }
 
     for (what, len) in [
         ("frame len = u32::MAX", u32::MAX),
@@ -654,6 +691,46 @@ proptest! {
         });
         let _ = load_walk("junk committed e-segment", SegmentKind::EScenario, &bytes);
         let _ = load_walk("junk committed v-segment", SegmentKind::VScenario, &bytes);
+    }
+
+    /// Memberships out of EID order, repeated, or equal once masked to
+    /// 48 bits decode to what inserting them one by one in record order
+    /// gives: EIDs ascending, a repeated EID with its last attribute.
+    /// Hand-written serde input of the same memberships, keys in the
+    /// same order, reads back as the same scenario.
+    #[test]
+    fn unordered_and_repeated_members_normalise_like_inserts(
+        raw in prop::collection::vec((0u64..24, 0u64..4, 0u8..2), 0..40),
+    ) {
+        let _serial = serial();
+        // The high bits land above the 48 an EID keeps: a repeat once
+        // masked.
+        let members: Vec<(u64, u8)> =
+            raw.iter().map(|&(low, high, attr)| (low | high << 48, attr)).collect();
+        let attr_of = |byte: u8| if byte == 0 { ZoneAttr::Inclusive } else { ZoneAttr::Vague };
+        let mut expected = EScenario::new(CellId::new(3), Timestamp::new(7));
+        for &(eid, attr) in &members {
+            expected.insert(Eid::from_u64(eid), attr_of(attr));
+        }
+
+        let payload = e_payload(members.len() as u32, members.iter().copied());
+        let decoded = decode_escenario(&payload).expect("well-formed memberships decode");
+        prop_assert_eq!(&decoded, &expected);
+        prop_assert!(decoded.eids().collect::<Vec<_>>().windows(2).all(|w| w[0] < w[1]));
+        // Re-encoded, the record is the canonical one: ascending, no repeat.
+        let canonical = e_payload(
+            expected.len() as u32,
+            expected.iter().map(|(eid, attr)| (eid.as_u64(), u8::from(attr == ZoneAttr::Vague))),
+        );
+        prop_assert_eq!(encode_escenario(&decoded), canonical);
+
+        let entries: Vec<String> = members
+            .iter()
+            .map(|&(eid, attr)| format!("\"{}\":\"{:?}\"", eid & 0xffff_ffff_ffff, attr_of(attr)))
+            .collect();
+        let json = format!(r#"{{"id":{{"time":7,"cell":3}},"eids":{{{}}}}}"#, entries.join(","));
+        let read: EScenario = serde_json::from_str(&json).expect("hand-written scenario reads");
+        prop_assert_eq!(read, expected);
     }
 
     /// A decoded payload with trailing garbage is rejected: record

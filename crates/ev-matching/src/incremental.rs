@@ -84,9 +84,8 @@ pub struct DeltaStats {
 /// # use ev_telemetry::Telemetry;
 /// # use std::collections::BTreeSet;
 /// # fn scenario(t: u64, c: usize, people: &[u64]) -> EScenario {
-/// #     let mut s = EScenario::new(CellId::new(c), Timestamp::new(t));
-/// #     for &p in people { s.insert(Eid::from_u64(p), ZoneAttr::Inclusive); }
-/// #     s
+/// #     let members = people.iter().map(|&p| (Eid::from_u64(p), ZoneAttr::Inclusive));
+/// #     EScenario::from_members(CellId::new(c), Timestamp::new(t), members)
 /// # }
 /// let config = SetSplitConfig {
 ///     strategy: SelectionStrategy::Chronological,

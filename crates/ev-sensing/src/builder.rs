@@ -250,24 +250,28 @@ impl EScenarioBuilder {
         });
         rows.sort_unstable();
 
+        let attr = |row: &Tally| {
+            let fraction = row.count as f64 / window as f64;
+            if fraction < thresholds.vague {
+                return None; // exclusive, i.e. absent
+            }
+            // Inclusive needs both a dominant occurrence fraction and a
+            // majority of hits safely away from the border.
+            if fraction >= thresholds.inclusive && row.deep_hits * 2 > row.count {
+                Some((row.eid, ZoneAttr::Inclusive))
+            } else {
+                Some((row.eid, ZoneAttr::Vague))
+            }
+        };
+        // A group's rows ascend by EID, so each scenario is copied
+        // straight into its one allocation; a group with no member left
+        // allocates nothing.
         let mut scenarios = Vec::new();
         for group in rows.chunk_by(|a, b| (a.window, a.cell) == (b.window, b.cell)) {
-            let mut scenario = EScenario::new(group[0].cell, group[0].window);
-            for row in group {
-                let fraction = row.count as f64 / window as f64;
-                if fraction < thresholds.vague {
-                    continue; // exclusive, i.e. absent
-                }
-                // Inclusive needs both a dominant occurrence fraction and
-                // a majority of hits safely away from the border.
-                if fraction >= thresholds.inclusive && row.deep_hits * 2 > row.count {
-                    scenario.insert(row.eid, ZoneAttr::Inclusive);
-                } else {
-                    scenario.insert(row.eid, ZoneAttr::Vague);
-                }
-            }
-            if !scenario.is_empty() {
-                scenarios.push(scenario);
+            let members = group.iter().filter_map(attr);
+            if members.clone().next().is_some() {
+                let (cell, start) = (group[0].cell, group[0].window);
+                scenarios.push(EScenario::from_members(cell, start, members));
             }
         }
         Ok(scenarios)

@@ -69,20 +69,20 @@ impl EScenarioBuilder {
 
         let mut scenarios = Vec::new();
         for ((start, cell), eids) in counts {
-            let mut scenario = EScenario::new(cell, start);
+            let mut members = Vec::new();
             for (eid, (count, deep_hits)) in eids {
                 let fraction = count as f64 / window as f64;
                 if fraction < thresholds.vague {
                     continue; // exclusive, i.e. absent
                 }
                 if fraction >= thresholds.inclusive && deep_hits * 2 > count {
-                    scenario.insert(eid, ZoneAttr::Inclusive);
+                    members.push((eid, ZoneAttr::Inclusive));
                 } else {
-                    scenario.insert(eid, ZoneAttr::Vague);
+                    members.push((eid, ZoneAttr::Vague));
                 }
             }
-            if !scenario.is_empty() {
-                scenarios.push(scenario);
+            if !members.is_empty() {
+                scenarios.push(EScenario::from_members(cell, start, members));
             }
         }
         scenarios

@@ -6,7 +6,6 @@ use ev_core::region::CellId;
 use ev_core::scenario::{EScenario, ScenarioId};
 use ev_core::time::{TimeRange, Timestamp};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// What one [`EScenarioStore::ingest`] call did.
@@ -75,13 +74,22 @@ impl EScenarioStore {
     /// Builds a store from scenarios. Later duplicates of the same
     /// scenario id replace earlier ones.
     #[must_use]
-    pub fn from_scenarios(scenarios: Vec<EScenario>) -> Self {
-        let mut dedup: BTreeMap<ScenarioId, EScenario> = BTreeMap::new();
-        for s in scenarios {
-            dedup.insert(s.id(), s);
+    pub fn from_scenarios(mut scenarios: Vec<EScenario>) -> Self {
+        if !scenarios.is_sorted_by(|a, b| a.id() < b.id()) {
+            // Stable, so each run of one id keeps its input order and
+            // the last of the run is the one kept.
+            scenarios.sort_by_key(EScenario::id);
+            scenarios.dedup_by(|later, kept| {
+                let repeat = later.id() == kept.id();
+                if repeat {
+                    std::mem::swap(later, kept);
+                }
+                repeat
+            });
         }
+        scenarios.shrink_to_fit();
         EScenarioStore {
-            scenarios: dedup.into_values().collect(),
+            scenarios,
             inverted: OnceLock::new(),
         }
     }
@@ -97,7 +105,7 @@ impl EScenarioStore {
     #[must_use]
     pub fn index(&self) -> &ScenarioIndex {
         self.inverted
-            .get_or_init(|| ScenarioIndex::build(self.scenarios.iter()))
+            .get_or_init(|| ScenarioIndex::build(&self.scenarios))
     }
 
     /// Number of scenarios stored.
@@ -245,7 +253,7 @@ mod tests {
     }
 
     /// The oracle for [`EScenarioStore::containing`]: walk every
-    /// scenario's membership map.
+    /// scenario's members.
     fn holding_by_walk(store: &EScenarioStore, eid: Eid) -> Vec<ScenarioId> {
         let holding = store.iter().filter(|s| s.contains(eid));
         holding.map(EScenario::id).collect()

@@ -4,7 +4,7 @@
 //! The matching pipelines repeatedly ask one question of the E-data:
 //! *"which scenarios contain this EID?"* (set splitting, EDP
 //! E-filtering, anchor and uniqueness-pass selection). It was answered
-//! by linear scans over every scenario's membership map. This module
+//! by linear scans over every scenario's members. This module
 //! answers it from a one-time inverted build:
 //!
 //! for every EID, the sorted list of [`ScenarioId`]s that contain it
@@ -13,6 +13,10 @@
 //! order, so walking a posting list visits the same scenarios in the
 //! same order as a full scan — the index-backed paths are drop-in
 //! replacements with byte-identical results.
+//!
+//! A build sorts every membership by EID once, so each posting list is
+//! allocated once at its final size; only the splice path for live
+//! appends grows lists as they arrive.
 //!
 //! The index also keeps usage counters (postings probed, scans avoided)
 //! behind atomics so `&self` consumers can report them through the
@@ -31,7 +35,7 @@ pub struct IndexStatsSnapshot {
     pub postings_probed: u64,
     /// Membership queries answered by the index: always 0, since "does
     /// this scenario contain this EID?" is answered by the scenario's own
-    /// map ([`EScenario::contains`]). Kept for the snapshot's readers.
+    /// members ([`EScenario::contains`]). Kept for the snapshot's readers.
     pub membership_queries: u64,
     /// Full-store scans avoided by answering from the index instead.
     pub scans_avoided: u64,
@@ -78,12 +82,37 @@ impl Postings {
 
 impl ScenarioIndex {
     /// Builds the index from scenarios already sorted in id order (the
-    /// store's canonical order). One pass over every membership record.
+    /// store's canonical order).
+    ///
+    /// Every membership becomes one `(EID, position << 1 | inclusive)`
+    /// entry, `position` being its scenario's place in `scenarios`, and
+    /// one sort groups the entries by EID with positions ascending: each
+    /// run is then an EID's postings in store order, copied into lists
+    /// allocated once at their exact size.
     #[must_use]
-    pub(crate) fn build<'a>(scenarios: impl IntoIterator<Item = &'a EScenario>) -> Self {
-        let mut index = ScenarioIndex::default();
-        index.extend(scenarios);
-        index
+    pub(crate) fn build(scenarios: &[EScenario]) -> Self {
+        let total = scenarios.iter().map(EScenario::len).sum();
+        let mut memberships: Vec<(Eid, usize)> = Vec::with_capacity(total);
+        for (at, s) in scenarios.iter().enumerate() {
+            let entry = |(eid, attr)| (eid, at << 1 | usize::from(attr == ZoneAttr::Inclusive));
+            memberships.extend(s.iter().map(entry));
+        }
+        memberships.sort_unstable();
+        let postings = memberships.chunk_by(|a, b| a.0 == b.0).map(|run| {
+            let ids = run
+                .iter()
+                .map(|&(_, entry)| scenarios[entry >> 1].id())
+                .collect();
+            let mut inclusive = vec![0; run.len().div_ceil(64)];
+            for (i, &(_, entry)) in run.iter().enumerate() {
+                inclusive[i / 64] |= ((entry & 1) as u64) << (i % 64);
+            }
+            (run[0].0, Postings { ids, inclusive })
+        });
+        ScenarioIndex {
+            postings: postings.collect(),
+            stats: IndexStats::default(),
+        }
     }
 
     /// Splices scenarios into the index *without* a rebuild.
@@ -176,7 +205,7 @@ mod tests {
             scenario(0, 1, &[1]),
             scenario(2, 2, &[2, 3]),
         ];
-        ScenarioIndex::build(scenarios.iter())
+        ScenarioIndex::build(&scenarios)
     }
 
     #[test]
@@ -188,6 +217,8 @@ mod tests {
         assert_eq!(idx.eid_count(), 3);
         for p in idx.postings.values() {
             assert!(p.ids.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
+            assert_eq!(p.ids.capacity(), p.ids.len(), "built at its final size");
+            assert_eq!(p.inclusive.capacity(), p.inclusive.len());
         }
     }
 
@@ -203,7 +234,7 @@ mod tests {
                 s
             })
             .collect();
-        let idx = ScenarioIndex::build(scenarios.iter());
+        let idx = ScenarioIndex::build(&scenarios);
         let zoned: Vec<_> = idx.zoned_postings(Eid::from_u64(1)).collect();
         let expected: Vec<_> = scenarios
             .iter()
@@ -238,7 +269,7 @@ mod tests {
 
     #[test]
     fn empty_store_indexes_cleanly() {
-        let idx = ScenarioIndex::build(std::iter::empty());
+        let idx = ScenarioIndex::build(&[]);
         assert_eq!(idx.eid_count(), 0);
         assert!(idx.postings(Eid::from_u64(0)).is_empty());
     }

@@ -23,8 +23,8 @@
 //! use ev_core::time::Timestamp;
 //! use ev_store::EScenarioStore;
 //!
-//! let mut s = EScenario::new(CellId::new(0), Timestamp::new(5));
-//! s.insert(Eid::from_u64(1), ZoneAttr::Inclusive);
+//! let members = [(Eid::from_u64(1), ZoneAttr::Inclusive)];
+//! let s = EScenario::from_members(CellId::new(0), Timestamp::new(5), members);
 //! let store = EScenarioStore::from_scenarios(vec![s]);
 //! assert_eq!(store.len(), 1);
 //! assert_eq!(store.at_time(Timestamp::new(5)).count(), 1);
