@@ -4,13 +4,22 @@
 
 use crate::experiments::Scale;
 use crate::report::{num, Table};
-use crate::runner::{median_timings, run_ss, run_ss_parallel, TIMING_RUNS};
+use crate::runner::{median_timings, run_ss, TIMING_RUNS};
+use ev_core::ids::Eid;
 use ev_datagen::{sample_targets, score_report, DatasetConfig, EvDataset};
-use ev_matching::refine::{match_with_refinement, RefineConfig, SplitMode};
+use ev_matching::refine::SplitMode;
 use ev_matching::setsplit::{SelectionStrategy, SetSplitConfig};
-use ev_telemetry::Telemetry;
+use ev_matching::{EvMatcher, MatchReport, MatcherConfig};
 use ev_vision::cost::CostModel;
+use std::collections::BTreeSet;
 use std::time::Instant;
+
+/// The matching pipeline under `config` on the calling thread.
+fn run(dataset: &EvDataset, targets: &BTreeSet<Eid>, config: MatcherConfig) -> MatchReport {
+    EvMatcher::new(&dataset.estore, &dataset.video, config)
+        .match_many(targets)
+        .expect("generated footage is resident")
+}
 
 fn scale_params(scale: Scale) -> (u64, u64, usize) {
     // (population, duration, matched)
@@ -48,19 +57,13 @@ pub(crate) fn ablate_selection(scale: Scale) -> Table {
     ];
     for (name, strategy) in strategies {
         dataset.video.reset_usage();
-        let config = RefineConfig {
+        let config = MatcherConfig {
             mode: SplitMode::Ideal,
             split: SetSplitConfig { strategy },
-            ..RefineConfig::default()
+            ..MatcherConfig::default()
         };
         let start = Instant::now();
-        let report = match_with_refinement(
-            &dataset.estore,
-            &dataset.video,
-            &targets,
-            &config,
-            Telemetry::disabled(),
-        );
+        let report = run(&dataset, &targets, config);
         let elapsed = start.elapsed();
         let stats = score_report(&dataset, &report);
         table.push_row(vec![
@@ -100,7 +103,7 @@ pub(crate) fn ablate_vague(scale: Scale) -> Table {
         })
         .expect("valid config");
         let targets = sample_targets(&dataset, matched, 5);
-        let summary = run_ss(&dataset, &targets, 3);
+        let summary = run_ss(&dataset, &targets, 1, 3);
         table.push_row(vec![
             num(width, 0),
             summary.selected.to_string(),
@@ -134,17 +137,11 @@ pub(crate) fn ablate_refine(scale: Scale) -> Table {
     );
     for rounds in [1u32, 2, 3, 5] {
         dataset.video.reset_usage();
-        let report = match_with_refinement(
-            &dataset.estore,
-            &dataset.video,
-            &targets,
-            &RefineConfig {
-                mode: SplitMode::Practical,
-                max_rounds: rounds,
-                ..RefineConfig::default()
-            },
-            Telemetry::disabled(),
-        );
+        let config = MatcherConfig {
+            max_rounds: rounds,
+            ..MatcherConfig::default()
+        };
+        let report = run(&dataset, &targets, config);
         let stats = score_report(&dataset, &report);
         table.push_row(vec![
             rounds.to_string(),
@@ -188,7 +185,7 @@ pub(crate) fn ablate_mobility(scale: Scale) -> Table {
         })
         .expect("valid config");
         let targets = sample_targets(&dataset, matched, 5);
-        let summary = run_ss(&dataset, &targets, 3);
+        let summary = run_ss(&dataset, &targets, 1, 3);
         table.push_row(vec![
             name.to_string(),
             summary.selected.to_string(),
@@ -230,7 +227,7 @@ pub(crate) fn ablate_workers(scale: Scale) -> Table {
         let [e_secs, v_secs, total_secs] = if workers > max_workers.max(2) * 2 {
             ["-"; 3].map(String::from)
         } else {
-            median_timings(|| run_ss_parallel(&dataset, &targets, workers, 3))
+            median_timings(|| run_ss(&dataset, &targets, workers, 3))
         };
         table.push_row(vec![workers.to_string(), e_secs, v_secs, total_secs]);
     }

@@ -7,10 +7,7 @@
 //! `EXPERIMENTS.md` records a full paper-vs-measured account.
 
 use crate::report::{num, Table};
-use crate::runner::{
-    average, median_timings, run_edp, run_edp_parallel, run_ss, run_ss_parallel, RunSummary,
-    TIMING_RUNS,
-};
+use crate::runner::{average, median_timings, run_edp, run_ss, RunSummary, TIMING_RUNS};
 use ev_datagen::{sample_targets, DatasetConfig, EvDataset};
 use ev_vision::cost::CostModel;
 
@@ -121,10 +118,10 @@ pub(crate) fn fig5_fig7(scale: Scale) -> (Table, Table) {
     );
     for matched in scale.matched_axis() {
         let ss = averaged(&seeds, |s| {
-            run_ss(&dataset, &sample_targets(&dataset, matched, s), s)
+            run_ss(&dataset, &sample_targets(&dataset, matched, s), 1, s)
         });
         let edp = averaged(&seeds, |s| {
-            run_edp(&dataset, &sample_targets(&dataset, matched, s), s)
+            run_edp(&dataset, &sample_targets(&dataset, matched, s), 1, s)
         });
         fig5.push_row(vec![
             matched.to_string(),
@@ -172,16 +169,16 @@ pub(crate) fn fig6(scale: Scale) -> Table {
         let dataset = density_dataset(scale, side, CostModel::free());
         let density = dataset.config.density();
         let ss_small = averaged(&seeds, |s| {
-            run_ss(&dataset, &sample_targets(&dataset, m_small, s), s)
+            run_ss(&dataset, &sample_targets(&dataset, m_small, s), 1, s)
         });
         let edp_small = averaged(&seeds, |s| {
-            run_edp(&dataset, &sample_targets(&dataset, m_small, s), s)
+            run_edp(&dataset, &sample_targets(&dataset, m_small, s), 1, s)
         });
         let ss_large = averaged(&seeds, |s| {
-            run_ss(&dataset, &sample_targets(&dataset, m_large, s), s)
+            run_ss(&dataset, &sample_targets(&dataset, m_large, s), 1, s)
         });
         let edp_large = averaged(&seeds, |s| {
-            run_edp(&dataset, &sample_targets(&dataset, m_large, s), s)
+            run_edp(&dataset, &sample_targets(&dataset, m_large, s), 1, s)
         });
         table.push_row(vec![
             num(density, 0),
@@ -231,12 +228,8 @@ pub(crate) fn fig8(scale: Scale) -> Table {
     for matched in scale.timing_matched_axis() {
         let targets = sample_targets(&dataset, matched, 11);
         let mut row = vec![matched.to_string()];
-        row.extend(median_timings(|| {
-            run_ss_parallel(&dataset, &targets, threads, 11)
-        }));
-        row.extend(median_timings(|| {
-            run_edp_parallel(&dataset, &targets, threads, 11)
-        }));
+        row.extend(median_timings(|| run_ss(&dataset, &targets, threads, 11)));
+        row.extend(median_timings(|| run_edp(&dataset, &targets, threads, 11)));
         table.push_row(row);
     }
     table.push_note(
@@ -280,12 +273,8 @@ pub(crate) fn fig9(scale: Scale) -> Table {
         let dataset = density_dataset(scale, side, CostModel::default());
         let targets = sample_targets(&dataset, matched, 11);
         let mut row = vec![num(dataset.config.density(), 0)];
-        row.extend(median_timings(|| {
-            run_ss_parallel(&dataset, &targets, threads, 11)
-        }));
-        row.extend(median_timings(|| {
-            run_edp_parallel(&dataset, &targets, threads, 11)
-        }));
+        row.extend(median_timings(|| run_ss(&dataset, &targets, threads, 11)));
+        row.extend(median_timings(|| run_edp(&dataset, &targets, threads, 11)));
         table.push_row(row);
     }
     table.push_note(
@@ -312,10 +301,10 @@ pub(crate) fn table1(scale: Scale) -> Table {
     let paper_edp = [93.0, 92.0, 88.21, 87.70];
     for (i, matched) in scale.accuracy_axis().into_iter().enumerate() {
         let ss = averaged(&seeds, |s| {
-            run_ss(&dataset, &sample_targets(&dataset, matched, s), s)
+            run_ss(&dataset, &sample_targets(&dataset, matched, s), 1, s)
         });
         let edp = averaged(&seeds, |s| {
-            run_edp(&dataset, &sample_targets(&dataset, matched, s), s)
+            run_edp(&dataset, &sample_targets(&dataset, matched, s), 1, s)
         });
         let (p_ss, p_edp) = if scale == Scale::Full && i < paper_ss.len() {
             (num(paper_ss[i], 2), num(paper_edp[i], 2))
@@ -363,10 +352,10 @@ pub(crate) fn table2(scale: Scale) -> Table {
     for (i, side) in sides.into_iter().enumerate() {
         let dataset = density_dataset(scale, side, CostModel::free());
         let ss = averaged(&seeds, |s| {
-            run_ss(&dataset, &sample_targets(&dataset, matched, s), s)
+            run_ss(&dataset, &sample_targets(&dataset, matched, s), 1, s)
         });
         let edp = averaged(&seeds, |s| {
-            run_edp(&dataset, &sample_targets(&dataset, matched, s), s)
+            run_edp(&dataset, &sample_targets(&dataset, matched, s), 1, s)
         });
         let (p_ss, p_edp) = if scale == Scale::Full && i < paper_ss.len() {
             (num(paper_ss[i], 2), num(paper_edp[i], 2))
@@ -456,10 +445,10 @@ fn missing_sweep(
             // The matched-EID sample must come from the EIDs that exist
             // (device-less people have none).
             let ss = averaged(&seeds, |s| {
-                run_ss(dataset, &sample_targets(dataset, matched, s), s)
+                run_ss(dataset, &sample_targets(dataset, matched, s), 1, s)
             });
             let edp = averaged(&seeds, |s| {
-                run_edp(dataset, &sample_targets(dataset, matched, s), s)
+                run_edp(dataset, &sample_targets(dataset, matched, s), 1, s)
             });
             ss_cells.push(num(ss.accuracy_pct, 1));
             edp_cells.push(num(edp.accuracy_pct, 1));

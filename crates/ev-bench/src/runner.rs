@@ -5,9 +5,8 @@ use crate::report::num;
 use ev_core::ids::Eid;
 use ev_dag::DagConfig;
 use ev_datagen::{score_report, EvDataset};
-use ev_matching::edp::{match_edp, match_edp_parallel, EdpConfig};
+use ev_matching::edp::{match_edp, EdpConfig};
 use ev_matching::matcher::{EvMatcher, ExecutionMode, MatcherConfig};
-use ev_matching::refine::{match_with_refinement, RefineConfig, SplitMode};
 use ev_matching::setsplit::{SelectionStrategy, SetSplitConfig};
 use ev_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
@@ -51,59 +50,17 @@ impl RunSummary {
     }
 }
 
-/// Runs sequential SS (practical splitting + refinement) over `targets`.
-#[must_use]
-pub(crate) fn run_ss(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -> RunSummary {
-    dataset.video.reset_usage();
-    let config = RefineConfig {
-        mode: SplitMode::Practical,
-        split: seeded(seed),
-        ..RefineConfig::default()
-    };
-    let report = match_with_refinement(
-        &dataset.estore,
-        &dataset.video,
-        targets,
-        &config,
-        Telemetry::disabled(),
-    );
-    summarize(dataset, targets, Algo::Ss, &report)
-}
-
-/// Runs sequential EDP over `targets`.
-///
-/// # Panics
-///
-/// Panics if footage fails to load — impossible for a generated,
-/// in-memory dataset.
-#[must_use]
-pub(crate) fn run_edp(dataset: &EvDataset, targets: &BTreeSet<Eid>, seed: u64) -> RunSummary {
-    dataset.video.reset_usage();
-    let config = EdpConfig {
-        seed,
-        ..EdpConfig::default()
-    };
-    let report = match_edp(&dataset.estore, &dataset.video, targets, &config)
-        .expect("generated footage is resident");
-    summarize(dataset, targets, Algo::Edp, &report)
-}
-
-/// The random-time splitting order drawn from `seed`.
-fn seeded(seed: u64) -> SetSplitConfig {
-    SetSplitConfig {
-        strategy: SelectionStrategy::RandomTime { seed },
-    }
-}
-
-/// Runs SS on `threads` threads (Algorithm 3: [`run_ss`]'s pipeline,
-/// each wave of the walk scored as one `par_map`) over `targets`; the report
-/// is `run_ss`'s, only the times differ.
+/// Runs SS — the matcher's default pipeline: practical splitting in the
+/// random-time order drawn from `seed`, plus refinement — over
+/// `targets` on `threads` threads: on the calling thread at one, each
+/// wave of the walk scored as one `par_map` (Algorithm 3) at more. The
+/// report is the same at every width; only the times differ.
 ///
 /// # Panics
 ///
 /// Panics if a map fails — impossible without injected faults.
 #[must_use]
-pub(crate) fn run_ss_parallel(
+pub(crate) fn run_ss(
     dataset: &EvDataset,
     targets: &BTreeSet<Eid>,
     threads: usize,
@@ -111,8 +68,9 @@ pub(crate) fn run_ss_parallel(
 ) -> RunSummary {
     dataset.video.reset_usage();
     let config = MatcherConfig {
-        mode: SplitMode::Practical,
-        split: seeded(seed),
+        split: SetSplitConfig {
+            strategy: SelectionStrategy::RandomTime { seed },
+        },
         execution: ExecutionMode::Dag(threads),
         ..MatcherConfig::default()
     };
@@ -122,14 +80,14 @@ pub(crate) fn run_ss_parallel(
     summarize(dataset, targets, Algo::Ss, &report)
 }
 
-/// Runs parallel EDP (two maps, one partition per EID) over `targets`
-/// on `threads` threads.
+/// Runs EDP (two maps, one partition per EID) over `targets` on
+/// `threads` threads; the report is the same at every width.
 ///
 /// # Panics
 ///
 /// Panics if a map fails — impossible without injected faults.
 #[must_use]
-pub(crate) fn run_edp_parallel(
+pub(crate) fn run_edp(
     dataset: &EvDataset,
     targets: &BTreeSet<Eid>,
     threads: usize,
@@ -140,7 +98,7 @@ pub(crate) fn run_edp_parallel(
         seed,
         ..EdpConfig::default()
     };
-    let report = match_edp_parallel(
+    let report = match_edp(
         &DagConfig::new(threads),
         &dataset.estore,
         &dataset.video,
@@ -237,8 +195,8 @@ mod tests {
     fn sequential_runners_produce_sane_summaries() {
         let d = dataset();
         let targets = sample_targets(&d, 20, 1);
-        let ss = run_ss(&d, &targets, 0);
-        let edp = run_edp(&d, &targets, 0);
+        let ss = run_ss(&d, &targets, 1, 0);
+        let edp = run_edp(&d, &targets, 1, 0);
         assert_eq!(ss.algo, Algo::Ss);
         assert_eq!(edp.algo, Algo::Edp);
         assert_eq!(ss.matched, 20);
@@ -253,8 +211,8 @@ mod tests {
     fn parallel_runners_work() {
         let d = dataset();
         let targets = sample_targets(&d, 15, 2);
-        let ss = run_ss_parallel(&d, &targets, 2, 0);
-        let edp = run_edp_parallel(&d, &targets, 2, 0);
+        let ss = run_ss(&d, &targets, 2, 0);
+        let edp = run_edp(&d, &targets, 2, 0);
         assert_eq!(ss.matched, 15);
         assert!(edp.selected > 0);
         assert!(ss.accuracy_pct > 50.0);

@@ -29,9 +29,18 @@ use std::str::FromStr;
 /// assert_eq!(eid.to_string(), "aa:bb:cc:00:01:02");
 /// assert_eq!(Eid::from_u64(0xaabbcc000102), eid);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct Eid(u64);
+
+/// Reads the bare number [`Serialize`] writes through
+/// [`Eid::from_u64`], so a value wider than 48 bits is masked like any
+/// other: two EIDs that print alike compare equal.
+impl Deserialize for Eid {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        u64::from_value(v).map(Eid::from_u64)
+    }
+}
 
 impl Eid {
     /// Mask of the 48 significant bits of a MAC address.
@@ -275,5 +284,17 @@ mod tests {
         assert_eq!(json, "42");
         let back: Eid = serde_json::from_str(&json).unwrap();
         assert_eq!(back, eid);
+    }
+
+    #[test]
+    fn deserialized_eid_is_masked_to_48_bits() {
+        let wide = u64::MAX.to_string();
+        let back: Eid = serde_json::from_str(&wide).unwrap();
+        assert_eq!(back, Eid::from_u64(u64::MAX));
+        assert_eq!(back.as_u64(), 0xffff_ffff_ffff);
+        // As a map key too.
+        let map: std::collections::BTreeMap<Eid, u8> =
+            serde_json::from_str(&format!("{{\"{wide}\": 1}}")).unwrap();
+        assert_eq!(map.keys().copied().collect::<Vec<_>>(), [back]);
     }
 }

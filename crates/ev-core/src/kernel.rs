@@ -12,9 +12,10 @@
 //!   64-byte-aligned structure-of-arrays `f64` lanes, validated once
 //!   at build time so a mismatched gallery fails loudly with the
 //!   gallery id in the error.
-//! * [`Kernel`] — a prepared `(metric, dim)` pair whose batch methods
-//!   score a candidate against a whole block in one streaming pass with
-//!   branch-free, autovectorizer-friendly inner loops.
+//! * [`Kernel`] — a prepared `(metric, dim)` pair whose one batch
+//!   method, [`Kernel::score_max`], scores a candidate against a whole
+//!   block in one streaming pass with branch-free,
+//!   autovectorizer-friendly inner loops.
 //!
 //! # Bit-equivalence contract
 //!
@@ -163,7 +164,7 @@ impl FeatureBlock {
 
 /// A prepared `(metric, dim)` scoring kernel.
 ///
-/// Preparation is where per-call validation lives: every batch method
+/// Preparation is where per-call validation lives: the batch method
 /// checks the candidate and block against the prepared dimensionality
 /// **once**, then runs a branch-free inner loop. Comparing a kernel
 /// against a block of a different dimensionality is a single
@@ -192,63 +193,6 @@ impl Kernel {
         Ok(Kernel { metric, dim })
     }
 
-    /// Checks `candidate` and `block` against the prepared shape; the
-    /// single validation point for every batch method.
-    fn check(&self, candidate: &FeatureVector, block: &FeatureBlock) -> Result<()> {
-        if candidate.dim() != self.dim {
-            return Err(Error::DimensionMismatch {
-                left: candidate.dim(),
-                right: self.dim,
-            });
-        }
-        if block.dim != self.dim {
-            return Err(Error::DimensionMismatch {
-                left: self.dim,
-                right: block.dim,
-            });
-        }
-        Ok(())
-    }
-
-    /// Scores `candidate` against every row of `block`, writing paper
-    /// Eq. (1) similarities (`1 − dist`) into `out` in row order. Each
-    /// value is bitwise identical to
-    /// `candidate.similarity(&row, metric)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] when the candidate or the
-    /// block disagree with the prepared dimensionality, or when
-    /// `out.len() != block.len()`. An empty block with an empty `out`
-    /// is fine.
-    pub fn score_into(
-        &self,
-        candidate: &FeatureVector,
-        block: &FeatureBlock,
-        out: &mut [f64],
-    ) -> Result<()> {
-        if out.len() != block.len {
-            return Err(Error::DimensionMismatch {
-                left: out.len(),
-                right: block.len,
-            });
-        }
-        if block.is_empty() {
-            return Ok(());
-        }
-        self.check(candidate, block)?;
-        let x = candidate.components();
-        let x_norm_sq = cosine_norm_sq(self.metric, x);
-        let mut sims = [0.0; LANES];
-        for (chunk, lanes) in block.lanes.chunks_exact(self.dim).enumerate() {
-            self.score_chunk(x, x_norm_sq, block, chunk, lanes, &mut sims);
-            let base = chunk * LANES;
-            let rows = LANES.min(block.len - base);
-            out[base..base + rows].copy_from_slice(&sims[..rows]);
-        }
-        Ok(())
-    }
-
     /// Membership probability `P = max_row sim(candidate, row)` over the
     /// block, folded from `0.0` exactly like the scalar gallery scan —
     /// bitwise identical to it. An empty block scores `0.0`.
@@ -261,7 +205,18 @@ impl Kernel {
         if block.is_empty() {
             return Ok(0.0);
         }
-        self.check(candidate, block)?;
+        if candidate.dim() != self.dim {
+            return Err(Error::DimensionMismatch {
+                left: candidate.dim(),
+                right: self.dim,
+            });
+        }
+        if block.dim != self.dim {
+            return Err(Error::DimensionMismatch {
+                left: self.dim,
+                right: block.dim,
+            });
+        }
         let x = candidate.components();
         let x_norm_sq = cosine_norm_sq(self.metric, x);
         let mut best = 0.0f64;
@@ -447,14 +402,18 @@ mod tests {
             let b = block(&gallery);
             for m in METRICS {
                 let k = Kernel::prepare(m, dim).unwrap();
-                let mut out = vec![0.0; gallery.len()];
-                k.score_into(&cand, &b, &mut out).unwrap();
-                for (row, sim) in gallery.iter().zip(&out) {
-                    let scalar = cand.similarity(row, m).unwrap();
-                    assert_eq!(scalar.to_bits(), sim.to_bits(), "{m:?} dim={dim}");
+                // Per row: a one-row block scores the row's similarity,
+                // folded from 0.0.
+                let sims: Vec<f64> = (gallery.iter())
+                    .map(|row| cand.similarity(row, m).unwrap())
+                    .collect();
+                for (row, sim) in gallery.iter().zip(&sims) {
+                    let one = k.score_max(&cand, &block(std::slice::from_ref(row)));
+                    let want = 0.0f64.max(*sim).to_bits();
+                    assert_eq!(one.unwrap().to_bits(), want, "{m:?} dim={dim}");
                 }
                 let max = k.score_max(&cand, &b).unwrap();
-                let scalar_max = out.iter().fold(0.0f64, |a, &s| a.max(s));
+                let scalar_max = sims.iter().fold(0.0f64, |a, &s| a.max(s));
                 assert_eq!(scalar_max.to_bits(), max.to_bits());
             }
         }
@@ -500,7 +459,6 @@ mod tests {
         let k = Kernel::prepare(Metric::NormalizedL2, 4).unwrap();
         let cand = fv(&[0.1, 0.2, 0.3, 0.4]);
         assert_eq!(k.score_max(&cand, &b).unwrap(), 0.0);
-        k.score_into(&cand, &b, &mut []).unwrap();
     }
 
     #[test]

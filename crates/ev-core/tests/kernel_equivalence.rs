@@ -30,8 +30,9 @@ fn world(dim: usize, n: usize, raw: &[f64]) -> (Vec<FeatureVector>, FeatureVecto
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Batch block scores are bitwise the scalar per-pair similarities,
-    /// for every metric, at random dims in `1..512`.
+    /// Block scores are bitwise the scalar per-pair similarities, for
+    /// every metric, at random dims in `1..512`: each row alone in a
+    /// one-row block, and the membership fold over the whole block.
     #[test]
     fn block_is_bitwise_equal_to_scalar(
         dim in 1usize..512,
@@ -41,15 +42,17 @@ proptest! {
     ) {
         let (rows, cand) = world(dim, n, &raw);
         let metric = metric_of(pick as u8);
-        let block = FeatureBlock::build("prop", rows.iter()).expect("uniform dims");
         let kernel = Kernel::prepare(metric, dim).expect("dim >= 1");
-        let mut sims = vec![0.0; rows.len()];
-        kernel.score_into(&cand, &block, &mut sims).expect("shapes agree");
-        for (row, sim) in rows.iter().zip(&sims) {
+        let mut sims = Vec::with_capacity(rows.len());
+        for row in &rows {
             let scalar = cand.similarity(row, metric).expect("same dim");
-            prop_assert_eq!(scalar.to_bits(), sim.to_bits());
+            let one = FeatureBlock::build("row", [row]).expect("one row");
+            let sim = kernel.score_max(&cand, &one).expect("shapes agree");
+            prop_assert_eq!(0.0f64.max(scalar).to_bits(), sim.to_bits());
+            sims.push(scalar);
         }
         // The membership fold (max from 0.0) agrees bitwise too.
+        let block = FeatureBlock::build("prop", rows.iter()).expect("uniform dims");
         let scalar_max = sims.iter().fold(0.0f64, |a, &s| a.max(s));
         let max = kernel.score_max(&cand, &block).expect("shapes agree");
         prop_assert_eq!(scalar_max.to_bits(), max.to_bits());

@@ -1,7 +1,7 @@
 //! [`par_map`]: a parallel map over numbered partitions, with per-partition
 //! retry, on scoped worker threads. It runs both parallel jobs — each
 //! wave of Algorithm 3's walk (`ev_matching::dagflow`, 4 pinned
-//! partitions) and the parallel EDP baseline's `efilter` and `videntify`
+//! partitions) and the EDP baseline's `efilter` and `videntify`
 //! maps (`ev_matching::edp`, a partition per EID):
 //!
 //! * **Claims.** Workers are scoped threads that claim partition indices

@@ -1,14 +1,14 @@
 //! The matching pipeline on a thread pool (paper §V, Algorithm 3).
 //!
 //! The paper's Algorithm 3 is Algorithms 1–2 in MapReduce form, so the
-//! parallel pipeline *is* the sequential one: [`dag_match`] runs
-//! Algorithm 1, Algorithm 2's rounds and the longest-first exclusion
-//! walk exactly as
-//! [`match_with_refinement`](crate::refine::match_with_refinement)
-//! does, and its report is that pipeline's at every thread count. The
-//! walk ([`VStage::filter_longest_first`]) takes each round's
+//! parallel pipeline *is* the sequential one:
+//! [`EvMatcher::match_many_on`] runs Algorithm 1, Algorithm 2's rounds
+//! and the longest-first exclusion walk exactly as the inline
+//! [`EvMatcher::match_many`] does, and its report is that pipeline's at
+//! every thread count. All this module adds is where a wave is scored:
+//! the walk ([`VStage::filter_longest_first`]) takes each round's
 //! longest-first order in waves, and the pool scores each wave as
-//! **one [`par_map`]** of 4 partitions:
+//! **one [`par_map`]** of 4 partitions (`score_wave`):
 //!
 //! ```text
 //!            ┌──────────── per wave of the longest-first order ────────────┐
@@ -35,14 +35,14 @@
 //! [`DagConfig::threads`] and of panic retries.
 //!
 //! [`VStage::filter_longest_first`]: crate::vfilter::VStage::filter_longest_first
+//! [`EvMatcher::match_many_on`]: crate::matcher::EvMatcher::match_many_on
+//! [`EvMatcher::match_many`]: crate::matcher::EvMatcher::match_many
 
-use crate::refine::{run_rounds, RefineConfig};
-use crate::types::MatchReport;
 use crate::vfilter::{model_of, CacheEntry, Scores};
 use ev_core::feature::Metric;
-use ev_core::ids::{Eid, Vid};
+use ev_core::ids::Vid;
 use ev_dag::{par_map, DagConfig, JobError};
-use ev_store::{EScenarioStore, VideoStore};
+use ev_store::VideoStore;
 use ev_telemetry::{Telemetry, TraceCtx};
 use std::collections::BTreeSet;
 
@@ -75,62 +75,20 @@ pub(crate) fn score_wave(
         .collect())
 }
 
-/// The matching pipeline with every round's V stage scored on
-/// `config`'s pool — one [`par_map`] per wave of the walk, so a lost
-/// attempt costs only the partition it was computing. [`EvMatcher`] with
-/// [`ExecutionMode::Dag`] of two or more threads runs through here; this
-/// entry uses the pool at any thread count.
-///
-/// The report equals
-/// [`match_with_refinement`](crate::refine::match_with_refinement)'s
-/// over the same inputs (timings aside), whatever the thread count or
-/// injected task loss, and the run epilogue exports the same counters
-/// but `evm_vfilter_candidates_scored`: a wave's lists are scored
-/// before the wave's own locks, so they count the candidates those
-/// locks rule out too.
-///
-/// [`EvMatcher`]: crate::matcher::EvMatcher
-/// [`ExecutionMode::Dag`]: crate::matcher::ExecutionMode::Dag
-///
-/// # Errors
-///
-/// Propagates [`JobError`] from [`par_map`], and fails with
-/// [`JobError::Input`] when footage the V stages asked for failed to
-/// load (see [`VideoStore::check_loads`]).
-pub fn dag_match(
-    config: &DagConfig,
-    store: &EScenarioStore,
-    video: &VideoStore,
-    targets: &BTreeSet<Eid>,
-    refine: &RefineConfig,
-    telemetry: &Telemetry,
-) -> Result<MatchReport, JobError> {
-    let pipeline_ctx = TraceCtx::root();
-    let mut pipeline_span = telemetry.span_ctx("dag_match", "pipeline", pipeline_ctx);
-    pipeline_span.arg("threads", serde::Value::Int(config.threads as i128));
-    let report = run_rounds(
-        store,
-        video,
-        targets,
-        refine,
-        telemetry,
-        Some((config, pipeline_ctx)),
-    )?;
-    video.check_loads().map_err(JobError::Input)?;
-    pipeline_span.arg("rounds", serde::Value::Int(i128::from(report.rounds)));
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::refine::SplitMode;
+    use crate::matcher::{EvMatcher, MatcherConfig};
+    use crate::types::MatchReport;
     use ev_core::feature::FeatureVector;
+    use ev_core::ids::{Eid, Vid};
     use ev_core::region::CellId;
     use ev_core::scenario::{Detection, EScenario, VScenario, ZoneAttr};
     use ev_core::time::Timestamp;
-    use ev_telemetry::TelemetryLevel;
+    use ev_dag::DagConfig;
+    use ev_store::{EScenarioStore, VideoStore};
+    use ev_telemetry::{Telemetry, TelemetryLevel};
     use ev_vision::cost::CostModel;
+    use std::collections::BTreeSet;
 
     fn world() -> (EScenarioStore, VideoStore) {
         // 8 persons; the three timestamps split them by one bit each,
@@ -170,19 +128,13 @@ mod tests {
         (0..8).map(Eid::from_u64).collect()
     }
 
-    fn refine() -> RefineConfig {
-        RefineConfig {
-            mode: SplitMode::Practical,
-            ..RefineConfig::default()
-        }
-    }
-
     fn run_match(threads: usize, telemetry: &Telemetry) -> (MatchReport, VideoStore) {
         // Fresh stores per run so extraction caching cannot leak across
         // runs.
         let (store, video) = world();
-        let config = DagConfig::new(threads);
-        let report = dag_match(&config, &store, &video, &targets(), &refine(), telemetry);
+        let report = EvMatcher::new(&store, &video, MatcherConfig::default())
+            .with_telemetry(telemetry)
+            .match_many_on(&DagConfig::new(threads), &targets());
         (report.unwrap(), video)
     }
 
@@ -263,6 +215,6 @@ mod tests {
             dur_us("dag_run") <= timings.v_stage.as_micros(),
             "{timings:?}"
         );
-        assert!(total_us <= dur_us("dag_match"), "{timings:?}");
+        assert!(total_us <= dur_us("match_many"), "{timings:?}");
     }
 }

@@ -10,16 +10,18 @@
 //! unique survivor; then identify the VID common to the corresponding
 //! V-Scenarios.
 //!
-//! For a fair comparison with the parallel set-splitting algorithm, the
-//! paper adapts EDP to MapReduce "by assigning each mapper one EID
-//! matching task" (§VI-B); [`match_edp_parallel`] does exactly that as
-//! two [`ev_dag::par_map`]s with a partition per EID. Scenario
-//! selections are *not* shared between EIDs — the reuse that makes set
-//! splitting cheaper simply does not happen, although a scenario picked
-//! independently for two EIDs is only extracted (and counted) once.
+//! The paper adapts EDP to MapReduce "by assigning each mapper one EID
+//! matching task" (§VI-B), and [`match_edp`] is that adaptation and
+//! nothing else: two [`ev_dag::par_map`]s with a partition per EID, on
+//! whatever pool it is handed — [`DagConfig::new(1)`](DagConfig::new)
+//! is the sequential run. Scenario selections are *not* shared between
+//! EIDs — the reuse that makes set splitting cheaper simply does not
+//! happen, although a scenario picked independently for two EIDs is
+//! only extracted (and charged) once by the [`VideoStore`].
 
-use crate::types::{MatchOutcome, MatchReport, ScenarioList, StageTimings};
+use crate::types::{MatchReport, ScenarioList, StageTimings};
 use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
+use ev_core::feature::Metric;
 use ev_core::ids::Eid;
 use ev_core::scenario::{EScenario, ScenarioId};
 use ev_dag::{par_map, DagConfig, JobError};
@@ -31,12 +33,12 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-/// Configuration of the EDP baseline.
+/// Configuration of the EDP baseline. EDP matches each EID on its own,
+/// so it has no exclusion to configure.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EdpConfig {
-    /// VID filtering settings (EDP never uses exclusion — each EID is
-    /// matched independently; the flag is ignored).
-    pub vfilter: VFilterConfig,
+    /// Feature distance metric of the V-identification.
+    pub metric: Metric,
     /// Seed for the per-EID random scan order.
     pub seed: u64,
 }
@@ -44,10 +46,7 @@ pub struct EdpConfig {
 impl Default for EdpConfig {
     fn default() -> Self {
         EdpConfig {
-            vfilter: VFilterConfig {
-                exclusion: false,
-                ..VFilterConfig::default()
-            },
+            metric: VFilterConfig::default().metric,
             seed: 0,
         }
     }
@@ -134,106 +133,63 @@ pub(crate) fn isolate<'s>(
 /// (people move slowly), so a chronological scan shrinks the
 /// intersection far more slowly than temporally spread picks.
 ///
-/// EDP and `EvMatcher::match_one` reuse nothing (`|_| false`): each EID
-/// is filtered as if it were the only one. Algorithm 2's refinement
-/// rounds pass the footage the match already selected, so one extracted
-/// scenario serves many EIDs the way set splitting's do.
+/// EDP reuses nothing (`|_| false`): each EID is filtered as if it were
+/// the only one. Algorithm 2's refinement rounds pass the footage the
+/// match already selected, so one extracted scenario serves many EIDs
+/// the way set splitting's do.
 #[must_use]
 pub(crate) fn efilter_one(
     store: &EScenarioStore,
     eid: Eid,
-    config: &EdpConfig,
+    seed: u64,
     reused: impl Fn(ScenarioId) -> bool,
 ) -> ScenarioList {
     isolate(
         &mut CoPresence::default(),
         store.containing(eid).filter(|s| s.contains_inclusive(eid)),
         reused,
-        config.seed ^ eid.as_u64().wrapping_mul(0x9e3779b97f4a7c15),
+        seed ^ eid.as_u64().wrapping_mul(0x9e3779b97f4a7c15),
     )
 }
 
-/// Matches a set of EIDs with sequential EDP: per-EID E-filtering followed
-/// by per-EID V-identification. Scenario reuse across EIDs is incidental;
-/// the [`VideoStore`] still extracts any shared scenario only once.
-///
-/// # Errors
-///
-/// [`ev_core::Error::FootageUnavailable`] when footage a list selects
-/// failed to load (see [`VideoStore::check_loads`]).
-pub fn match_edp(
-    store: &EScenarioStore,
-    video: &VideoStore,
-    targets: &BTreeSet<Eid>,
-    config: &EdpConfig,
-) -> ev_core::Result<MatchReport> {
-    let e_start = Instant::now();
-    let lists: BTreeMap<Eid, ScenarioList> = targets
-        .iter()
-        .map(|&eid| (eid, efilter_one(store, eid, config, |_| false)))
-        .collect();
-    let e_stage = e_start.elapsed();
-
-    let v_start = Instant::now();
-    let mut cache = GalleryCache::new();
-    let mut stage = VStage {
-        video,
-        config: &config.vfilter,
-        cache: &mut cache,
-        telemetry: Telemetry::disabled(),
-    };
-    // Map order is EID order.
-    let outcomes: Vec<MatchOutcome> = lists
-        .iter()
-        .map(|(&eid, list)| stage.filter_one(eid, list, &BTreeSet::new()))
-        .collect();
-    let v_stage = v_start.elapsed();
-    video.check_loads()?;
-
-    let selected: BTreeSet<ScenarioId> = lists.values().flat_map(|l| l.iter().copied()).collect();
-    Ok(MatchReport {
-        outcomes,
-        lists,
-        selected_scenarios: selected,
-        timings: StageTimings { e_stage, v_stage },
-        rounds: 1,
-    })
-}
-
-/// The paper's parallel adaptation of EDP: "assigning each mapper one
-/// EID matching task" (§VI-B), as two [`par_map`]s with a partition per
-/// EID — `efilter`, then `videntify` over the lists it returned.
-/// `timings.e_stage` and `timings.v_stage` are the two maps' walls, so
-/// the E- and V-stage times stay separable the way Figs. 8–9 report
-/// them.
+/// Matches a set of EIDs with EDP on `pool`: per-EID E-filtering, then
+/// per-EID V-identification, as two [`par_map`]s with a partition per
+/// EID — `efilter`, then `videntify` over the lists it returned. Each
+/// EID's V partition keeps its own gallery cache, so its galleries go
+/// with it. `timings.e_stage` and `timings.v_stage` are the two maps'
+/// walls, so the E- and V-stage times stay separable the way Figs. 8–9
+/// report them. The report is the same on every pool.
 ///
 /// # Errors
 ///
 /// Propagates [`JobError`] from [`par_map`] (an invalid fault plan, or a
 /// partition that exhausts its retry budget), and fails with
-/// [`JobError::Input`] when footage a list selects failed to load.
-pub fn match_edp_parallel(
-    config: &DagConfig,
+/// [`JobError::Input`] when footage a list selects failed to load (see
+/// [`VideoStore::check_loads`]).
+pub fn match_edp(
+    pool: &DagConfig,
     store: &EScenarioStore,
     video: &VideoStore,
     targets: &BTreeSet<Eid>,
-    edp: &EdpConfig,
+    config: &EdpConfig,
     telemetry: &Telemetry,
 ) -> Result<MatchReport, JobError> {
     let eids: Vec<Eid> = targets.iter().copied().collect();
     let ctx = TraceCtx::root();
     let e_start = Instant::now();
-    let lists = par_map("efilter", eids.len(), config, telemetry, ctx, |p| {
-        efilter_one(store, eids[p], edp, |_| false)
+    let lists = par_map("efilter", eids.len(), pool, telemetry, ctx, |p| {
+        efilter_one(store, eids[p], config.seed, |_| false)
     })?;
     let e_stage = e_start.elapsed();
-    // The video store deduplicates extraction of incidentally shared
-    // scenarios.
+    let vfilter = VFilterConfig {
+        metric: config.metric,
+        exclusion: false,
+    };
     let v_start = Instant::now();
-    let outcomes = par_map("videntify", eids.len(), config, telemetry, ctx, |p| {
+    let outcomes = par_map("videntify", eids.len(), pool, telemetry, ctx, |p| {
         let mut stage = VStage {
             video,
-            config: &edp.vfilter,
+            config: &vfilter,
             cache: &mut GalleryCache::new(),
             telemetry,
         };
@@ -301,10 +257,21 @@ mod tests {
         )
     }
 
+    /// [`match_edp`] with the default configuration on `pool`.
+    fn edp(
+        pool: &DagConfig,
+        store: &EScenarioStore,
+        video: &VideoStore,
+        targets: &BTreeSet<Eid>,
+        tel: &Telemetry,
+    ) -> MatchReport {
+        match_edp(pool, store, video, targets, &EdpConfig::default(), tel).unwrap()
+    }
+
     #[test]
     fn efilter_isolates_the_target() {
         let (store, _) = world();
-        let list = efilter_one(&store, Eid::from_u64(0), &EdpConfig::default(), |_| false);
+        let list = efilter_one(&store, Eid::from_u64(0), 0, |_| false);
         // t0c0 {0,1} ∩ t1c0 {0,2} = {0}: two scenarios suffice.
         assert_eq!(list.len(), 2);
     }
@@ -312,7 +279,7 @@ mod tests {
     #[test]
     fn efilter_of_unknown_eid_is_empty() {
         let (store, _) = world();
-        let list = efilter_one(&store, Eid::from_u64(99), &EdpConfig::default(), |_| false);
+        let list = efilter_one(&store, Eid::from_u64(99), 0, |_| false);
         assert!(list.is_empty());
     }
 
@@ -320,7 +287,13 @@ mod tests {
     fn edp_matches_everyone_in_the_clean_world() {
         let (store, video) = world();
         let targets: BTreeSet<Eid> = (0..4).map(Eid::from_u64).collect();
-        let report = match_edp(&store, &video, &targets, &EdpConfig::default()).unwrap();
+        let report = edp(
+            &DagConfig::new(1),
+            &store,
+            &video,
+            &targets,
+            Telemetry::disabled(),
+        );
         assert_eq!(report.outcomes.len(), 4);
         for o in &report.outcomes {
             assert_eq!(
@@ -336,11 +309,10 @@ mod tests {
     #[test]
     fn edp_does_not_share_scenarios_deliberately() {
         let (store, _) = world();
-        let cfg = EdpConfig::default();
         // Each of the 4 EIDs picks ~2 scenarios starting from its own
         // chronological scan; unioned they cover most of the pool.
         let total: BTreeSet<ScenarioId> = (0..4)
-            .flat_map(|e| efilter_one(&store, Eid::from_u64(e), &cfg, |_| false))
+            .flat_map(|e| efilter_one(&store, Eid::from_u64(e), 0, |_| false))
             .collect();
         assert!(total.len() >= 4, "little overlap: {}", total.len());
     }
@@ -351,19 +323,10 @@ mod tests {
         let (store, video) = world();
         let targets: BTreeSet<Eid> = (0..4).map(Eid::from_u64).collect();
         let tel = Telemetry::new(TelemetryLevel::Counters);
-        let config = DagConfig::new(2);
-        match_edp_parallel(
-            &config,
-            &store,
-            &video,
-            &targets,
-            &EdpConfig::default(),
-            &tel,
-        )
-        .unwrap();
+        edp(&DagConfig::new(2), &store, &video, &targets, &tel);
         for name in [names::VFILTER_CANDIDATES_SCORED, names::KERNEL_BLOCKS_BUILT] {
             let counted = tel.registry().counter_value(name).unwrap_or(0);
-            assert!(counted > 0, "{name} is {counted} under parallel EDP");
+            assert!(counted > 0, "{name} is {counted} under EDP on two workers");
         }
     }
 
@@ -371,18 +334,12 @@ mod tests {
     fn parallel_edp_agrees_with_sequential() {
         let (store, video) = world();
         let targets: BTreeSet<Eid> = (0..4).map(Eid::from_u64).collect();
-        let sequential = match_edp(&store, &video, &targets, &EdpConfig::default()).unwrap();
-        let parallel = |targets: &BTreeSet<Eid>| {
-            match_edp_parallel(
-                &DagConfig::new(2),
-                &store,
-                &video,
-                targets,
-                &EdpConfig::default(),
-                Telemetry::disabled(),
-            )
-            .unwrap()
+        let run = |threads, targets: &BTreeSet<Eid>| {
+            let pool = DagConfig::new(threads);
+            edp(&pool, &store, &video, targets, Telemetry::disabled())
         };
+        let sequential = run(1, &targets);
+        let parallel = |targets: &BTreeSet<Eid>| run(2, targets);
         let report = parallel(&targets);
         assert_eq!(sequential.outcomes, report.outcomes);
         assert_eq!(sequential.lists, report.lists);
@@ -399,13 +356,13 @@ mod proptests {
 
     /// EDP's E-filter written out as one loop over one shuffle: the
     /// reference that pins EDP's lists through [`isolate`].
-    fn efilter_one_reference(store: &EScenarioStore, eid: Eid, config: &EdpConfig) -> ScenarioList {
+    fn efilter_one_reference(store: &EScenarioStore, eid: Eid, seed: u64) -> ScenarioList {
         let mut pool: Vec<&EScenario> = store
             .containing(eid)
             .filter(|s| s.contains_inclusive(eid))
             .collect();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(
-            config.seed ^ eid.as_u64().wrapping_mul(0x9e3779b97f4a7c15),
+            seed ^ eid.as_u64().wrapping_mul(0x9e3779b97f4a7c15),
         );
         pool.shuffle(&mut rng);
         let mut common = CoPresence::default();
@@ -431,14 +388,10 @@ mod proptests {
             seed in any::<u64>(),
         ) {
             let store = random_store(world_seed, 3, 10, 12);
-            let config = EdpConfig {
-                seed,
-                ..EdpConfig::default()
-            };
             let eid = Eid::from_u64(eid);
             prop_assert_eq!(
-                efilter_one(&store, eid, &config, |_| false),
-                efilter_one_reference(&store, eid, &config)
+                efilter_one(&store, eid, seed, |_| false),
+                efilter_one_reference(&store, eid, seed)
             );
         }
     }

@@ -24,22 +24,23 @@
 //!   cache, telemetry handle), and its two methods.
 //! * [`refine`] — **matching refining** (Algorithm 2): rerun splitting and
 //!   filtering for the EIDs whose match was unacceptable, to cope with
-//!   missing EIDs/VIDs.
+//!   missing EIDs/VIDs. Its loop is the one set-splitting pipeline, and
+//!   [`EvMatcher`] is its one door.
 //! * [`edp`] — the **EDP baseline** from Teng et al. \[24\]: per-EID
-//!   two-stage E-filtering and V-identification, with the paper's
-//!   parallel adaptation (one EID per task, as two parallel maps).
-//! * [`dagflow`] — the parallelization (paper §V, Algorithm 3): the
-//!   same pipeline, Algorithms 1–2 and the exclusion walk, with each
-//!   wave of the walk scored as **one [`ev_dag::par_map`]** of 4
-//!   pinned partitions. A lost attempt costs only the partition it was
-//!   computing, and the [`MatchReport`] is the sequential pipeline's at
-//!   every thread count.
+//!   two-stage E-filtering and V-identification in the paper's parallel
+//!   form (one EID per task, as two parallel maps), one function on any
+//!   pool — one worker is the sequential run.
+//! * [`dagflow`] — the parallelization (paper §V, Algorithm 3): each
+//!   wave of the pipeline's walk scored as **one [`ev_dag::par_map`]**
+//!   of 4 pinned partitions. A lost attempt costs only the partition it
+//!   was computing, and the [`MatchReport`] is the sequential
+//!   pipeline's at every thread count.
 //! * [`incremental`] — partition maintenance over a growing corpus:
 //!   feed appended scenarios to the live state of a chronological split
 //!   instead of re-splitting.
 //! * [`matcher`] — the high-level [`EvMatcher`] API
-//!   with elastic matching sizes: single EID, a requested set, or the
-//!   universal dataset.
+//!   with elastic matching sizes: single EID, a requested set (inline or
+//!   on a pool), or the universal dataset.
 //!
 //! # Quick start
 //!

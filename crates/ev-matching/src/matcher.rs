@@ -1,33 +1,34 @@
-//! The high-level matching API with elastic matching sizes.
+//! The high-level matching API with elastic matching sizes, and the one
+//! door to set splitting.
 //!
 //! The paper supports "single, multiple and universal EID-VID matching"
 //! (§I). [`EvMatcher`] wraps the whole pipeline behind three calls:
 //!
 //! * [`match_one`](EvMatcher::match_one) — one EID. Set splitting
 //!   degenerates on a one-element universe (the partition starts fully
-//!   split), so this path uses the per-EID greedy E-filtering of the EDP
-//!   family, which is exactly what a single-target query wants.
+//!   split), so this path is [`match_edp`] on that one EID, which is
+//!   exactly what a single-target query wants.
 //! * [`match_many`](EvMatcher::match_many) — a requested EID set, via
 //!   set splitting + VID filtering with refinement (Algorithms 1–2), on
 //!   the caller's thread or with its V stage scored on a thread pool
-//!   (Algorithm 3): one pipeline, the same report.
+//!   (Algorithm 3, [`match_many_on`](EvMatcher::match_many_on)): one
+//!   pipeline, the same report.
 //! * [`match_universal`](EvMatcher::match_universal) — every EID present
 //!   in the E-data gets labeled; afterwards any query is an index lookup.
 //!   "Note that the larger the matching size is, the less time it costs
 //!   per EID-VID pair" (§I).
 
-use crate::edp::{efilter_one, EdpConfig};
-use crate::refine::{match_with_refinement, record_run, RefineConfig, RunFacts, SplitMode};
+use crate::edp::{match_edp, EdpConfig};
+use crate::refine::{record_run, run_rounds, RunFacts, SplitMode};
 use crate::setsplit::SetSplitConfig;
-use crate::types::{MatchReport, StageTimings};
-use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
+use crate::types::MatchReport;
+use crate::vfilter::VFilterConfig;
 use ev_core::ids::Eid;
-use ev_dag::JobError;
+use ev_dag::{DagConfig, JobError};
 use ev_store::{EScenarioStore, StoreBackend, VideoStore};
-use ev_telemetry::Telemetry;
+use ev_telemetry::{Telemetry, TraceCtx};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
+use std::collections::BTreeSet;
 
 /// How [`EvMatcher::match_many`] executes. The mode changes only where
 /// the work runs, never the report: both run Algorithms 1–2 and the
@@ -115,7 +116,8 @@ impl<'a> EvMatcher<'a> {
 
     /// Matches a single EID without touching any other
     /// ("we can find the VID corresponding to one specific EID without
-    /// matching other EIDs and VIDs", §I).
+    /// matching other EIDs and VIDs", §I): [`match_edp`] on `{eid}` at
+    /// one worker, seed 0, in the matcher's metric.
     ///
     /// # Errors
     ///
@@ -123,44 +125,26 @@ impl<'a> EvMatcher<'a> {
     /// (see [`VideoStore::check_loads`]).
     pub fn match_one(&self, eid: Eid) -> Result<MatchReport, JobError> {
         let mut span = self.telemetry.span("match_one", "pipeline");
-        let e_start = Instant::now();
-        let edp_cfg = EdpConfig {
-            vfilter: self.config.vfilter,
+        let config = EdpConfig {
+            metric: self.config.vfilter.metric,
             seed: 0,
         };
-        let list = efilter_one(self.estore, eid, &edp_cfg, |_| false);
-        let e_stage = e_start.elapsed();
-
-        let v_start = Instant::now();
-        let mut cache = GalleryCache::new();
-        let outcome = VStage {
-            video: self.video,
-            config: &self.config.vfilter,
-            cache: &mut cache,
-            telemetry: &self.telemetry,
-        }
-        .filter_one(eid, &list, &BTreeSet::new());
-        let v_stage = v_start.elapsed();
-        self.video.check_loads().map_err(JobError::Input)?;
-
-        let mut lists = BTreeMap::new();
-        lists.insert(eid, list.clone());
-        let report = MatchReport {
-            outcomes: vec![outcome],
-            lists,
-            selected_scenarios: list.into_iter().collect(),
-            timings: StageTimings { e_stage, v_stage },
-            rounds: 1,
-        };
+        let (estore, video, tel) = (self.estore, self.video, &self.telemetry);
+        let targets = BTreeSet::from([eid]);
+        let report = match_edp(&DagConfig::new(1), estore, video, &targets, &config, tel)?;
+        // One list through one fresh cache: a miss per distinct
+        // scenario, a hit per repeat.
+        let list = &report.lists[&eid];
+        let misses = list.iter().collect::<BTreeSet<_>>().len();
         // A single-EID query does not split: nothing recorded, no bound.
         let facts = RunFacts {
             targets: 1,
             recorded: 0,
             fully_split: false,
-            gallery_hits: cache.hits(),
-            gallery_misses: cache.misses(),
+            gallery_hits: (list.len() - misses) as u64,
+            gallery_misses: misses as u64,
         };
-        record_run(&self.telemetry, &facts, report.timings);
+        record_run(tel, &facts, report.timings);
         span.arg(
             "matched",
             serde::Value::Bool(report.outcomes[0].vid.is_some()),
@@ -169,34 +153,70 @@ impl<'a> EvMatcher<'a> {
         Ok(report)
     }
 
-    /// Matches a set of EIDs simultaneously via EID set splitting.
+    /// Matches a set of EIDs simultaneously via EID set splitting, on
+    /// the pool [`ExecutionMode::Dag`] names when it has two or more
+    /// threads (through [`match_many_on`](Self::match_many_on)), and on
+    /// the caller's thread otherwise.
     ///
     /// # Errors
     ///
     /// [`JobError::Input`] when footage a selected scenario needs failed
     /// to load — never a report computed without it (see
-    /// [`VideoStore::check_loads`]); on two or more threads also
-    /// [`JobError::InvalidConfig`] when the parallel map rejects its
-    /// configuration, and a task that exhausts its retry budget.
+    /// [`VideoStore::check_loads`]); on two or more threads also what
+    /// [`match_many_on`](Self::match_many_on) returns.
     pub fn match_many(&self, targets: &BTreeSet<Eid>) -> Result<MatchReport, JobError> {
-        let refine = RefineConfig {
-            mode: self.config.mode,
-            split: self.config.split,
-            vfilter: self.config.vfilter,
-            max_rounds: self.config.max_rounds,
-        };
-        let (estore, video, tel) = (self.estore, self.video, &self.telemetry);
         match self.config.execution {
             ExecutionMode::Dag(threads) if threads >= 2 => {
-                let config = ev_dag::DagConfig::new(threads);
-                crate::dagflow::dag_match(&config, estore, video, targets, &refine, tel)
+                self.match_many_on(&DagConfig::new(threads), targets)
             }
-            ExecutionMode::Sequential | ExecutionMode::Dag(_) => {
-                let report = match_with_refinement(estore, video, targets, &refine, tel);
-                video.check_loads().map_err(JobError::Input)?;
-                Ok(report)
-            }
+            ExecutionMode::Sequential | ExecutionMode::Dag(_) => self.run(targets, None),
         }
+    }
+
+    /// [`match_many`](Self::match_many) with every round's V stage
+    /// scored on `pool` — one [`ev_dag::par_map`] per wave of the walk
+    /// (see [`crate::dagflow`]), so a lost attempt costs only the
+    /// partition it was computing — whatever the configured
+    /// [`ExecutionMode`]. The pool's [`FaultPlan`](ev_dag::FaultPlan)
+    /// injects task loss.
+    ///
+    /// The report is the inline pipeline's (timings aside) at every
+    /// thread count and under any injected task loss, and the run
+    /// exports the same counters but `evm_vfilter_candidates_scored`: a
+    /// wave's lists are scored before the wave's own locks, so they
+    /// count the candidates those locks rule out too.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`JobError`] from [`ev_dag::par_map`] (an invalid
+    /// fault plan, or a partition that exhausts its retry budget), and
+    /// fails with [`JobError::Input`] when footage the V stages asked
+    /// for failed to load (see [`VideoStore::check_loads`]).
+    pub fn match_many_on(
+        &self,
+        pool: &DagConfig,
+        targets: &BTreeSet<Eid>,
+    ) -> Result<MatchReport, JobError> {
+        self.run(targets, Some(pool))
+    }
+
+    /// The pipeline under its `match_many` span, inline or on `pool`.
+    fn run(
+        &self,
+        targets: &BTreeSet<Eid>,
+        pool: Option<&DagConfig>,
+    ) -> Result<MatchReport, JobError> {
+        let tel = &self.telemetry;
+        let ctx = TraceCtx::root();
+        let mut span = tel.span_ctx("match_many", "pipeline", ctx);
+        if let Some(pool) = pool {
+            span.arg("threads", serde::Value::Int(pool.threads as i128));
+        }
+        let pool = pool.map(|pool| (pool, ctx));
+        let report = run_rounds(self.estore, self.video, targets, &self.config, tel, pool)?;
+        self.video.check_loads().map_err(JobError::Input)?;
+        span.arg("rounds", serde::Value::Int(i128::from(report.rounds)));
+        Ok(report)
     }
 
     /// Universal matching: label every EID that appears anywhere in the
@@ -278,6 +298,37 @@ mod tests {
             let counted = tel.registry().counter_value(name).unwrap_or(0);
             assert!(counted > 0, "{name} is {counted} for a single-EID query");
         }
+    }
+
+    /// `match_one` is EDP on the one EID at one worker, seed 0: the same
+    /// outcome, list and selected scenarios. Its counters are those of
+    /// one list scored through a fresh cache: EID 2's two scenarios
+    /// fetched once each, three candidates scored.
+    #[test]
+    fn match_one_is_edp_on_the_one_eid() {
+        use ev_telemetry::{names, TelemetryLevel};
+        let (store, video) = world();
+        let eid = Eid::from_u64(2);
+        let tel = Telemetry::new(TelemetryLevel::Counters);
+        let matcher = EvMatcher::new(&store, &video, MatcherConfig::default()).with_telemetry(&tel);
+        let one = matcher.match_one(eid).unwrap();
+        let edp = match_edp(
+            &DagConfig::new(1),
+            &store,
+            &video,
+            &BTreeSet::from([eid]),
+            &EdpConfig::default(),
+            Telemetry::disabled(),
+        )
+        .unwrap();
+        assert_eq!(one.outcomes, edp.outcomes);
+        assert_eq!(one.lists, edp.lists);
+        assert_eq!(one.selected_scenarios, edp.selected_scenarios);
+        assert_eq!(one.rounds, 1);
+        let counter = |name| tel.registry().counter_value(name).unwrap_or(0);
+        assert_eq!(counter(names::VFILTER_GALLERY_HITS), 0);
+        assert_eq!(counter(names::VFILTER_GALLERY_MISSES), 2);
+        assert_eq!(counter(names::VFILTER_CANDIDATES_SCORED), 3);
     }
 
     #[test]

@@ -15,72 +15,30 @@
 //! footage: like Algorithm 1's splitters, one extracted scenario serves
 //! many EIDs, so refinement adds little V-data of its own.
 //!
-//! This loop is the one matching pipeline: the sequential matcher runs
-//! it on the caller's thread, and the parallel one
-//! ([`crate::dagflow::dag_match`]) runs it with every round's scoring
-//! on a thread pool, to the same report.
+//! This loop is the one matching pipeline: [`EvMatcher::match_many`]
+//! runs it on the caller's thread, and
+//! [`EvMatcher::match_many_on`] with every round's scoring on a thread
+//! pool, to the same report.
+//!
+//! [`EvMatcher::match_many`]: crate::matcher::EvMatcher::match_many
+//! [`EvMatcher::match_many_on`]: crate::matcher::EvMatcher::match_many_on
 
-use crate::edp::{efilter_one, EdpConfig};
+use crate::edp::efilter_one;
+use crate::matcher::MatcherConfig;
 pub use crate::setsplit::SplitMode;
 use crate::setsplit::{split, SelectionStrategy, SetSplitConfig};
 use crate::types::{MatchOutcome, MatchReport, ScenarioList, StageTimings};
-use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
+use crate::vfilter::{GalleryCache, VStage};
 use ev_core::ids::{Eid, Vid};
 use ev_dag::dag::DagConfig;
 use ev_dag::JobError;
 use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{names, Telemetry, TraceCtx};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-/// Configuration of the refinement loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RefineConfig {
-    /// Splitting semantics.
-    pub mode: SplitMode,
-    /// Base set-splitting configuration; each round reseeds the
-    /// random-time strategy so retries see different scenarios.
-    pub split: SetSplitConfig,
-    /// VID filtering configuration.
-    pub vfilter: VFilterConfig,
-    /// Maximum refinement rounds (1 = no refinement).
-    pub max_rounds: u32,
-}
-
-impl Default for RefineConfig {
-    fn default() -> Self {
-        RefineConfig {
-            mode: SplitMode::Ideal,
-            split: SetSplitConfig::default(),
-            vfilter: VFilterConfig::default(),
-            max_rounds: 3,
-        }
-    }
-}
-
-/// Runs set splitting and VID filtering with refinement (Algorithm 2).
-///
-/// Through `tel` the run records pipeline/round spans, the splitter's
-/// and the V stage's counters and, once it is over, the run gauges
-/// (stage times, recorded scenarios against the Theorem 4.2/4.4 bounds);
-/// pass [`Telemetry::disabled()`] to record nothing.
-#[must_use]
-pub fn match_with_refinement(
-    store: &EScenarioStore,
-    video: &VideoStore,
-    targets: &BTreeSet<Eid>,
-    config: &RefineConfig,
-    tel: &Telemetry,
-) -> MatchReport {
-    let mut pipeline_span = tel.span("match_with_refinement", "pipeline");
-    let report = run_rounds(store, video, targets, config, tel, None)
-        .expect("the inline pipeline runs no parallel map");
-    pipeline_span.arg("rounds", serde::Value::Int(i128::from(report.rounds)));
-    report
-}
-
-/// The one matching pipeline: Algorithm 1 splits the pending EIDs,
+/// The one matching pipeline over `config`'s `mode`, `split`, `vfilter`
+/// and `max_rounds`: Algorithm 1 splits the pending EIDs,
 /// Algorithm 2's rounds (up to `max_rounds`) extend what stays
 /// unconfident with the E-filter, and each round's V stage is the
 /// longest-first exclusion walk ([`VStage::filter_longest_first`]).
@@ -92,7 +50,7 @@ pub(crate) fn run_rounds(
     store: &EScenarioStore,
     video: &VideoStore,
     targets: &BTreeSet<Eid>,
-    config: &RefineConfig,
+    config: &MatcherConfig,
     tel: &Telemetry,
     pool: Option<(&DagConfig, TraceCtx)>,
 ) -> Result<MatchReport, JobError> {
@@ -126,7 +84,7 @@ pub(crate) fn run_rounds(
         report.selected_scenarios.extend(out.selected());
         let mut lists: BTreeMap<Eid, ScenarioList> = out.lists;
         if rounds > 1 {
-            extend_by_efilter(store, &mut lists, &mut report, config.vfilter, rounds);
+            extend_by_efilter(store, &mut lists, &mut report, rounds);
         }
         report.timings.e_stage += e_start.elapsed();
 
@@ -199,18 +157,13 @@ fn extend_by_efilter(
     store: &EScenarioStore,
     lists: &mut BTreeMap<Eid, ScenarioList>,
     report: &mut MatchReport,
-    vfilter: VFilterConfig,
     round: u32,
 ) {
-    let edp_cfg = EdpConfig {
-        vfilter,
-        seed: u64::from(round),
-    };
     for (&eid, list) in lists.iter_mut() {
         let selected = &report.selected_scenarios;
         let failed = report.lists.get(&eid).map_or(&[][..], Vec::as_slice);
         let reused = |id| selected.contains(&id) && !failed.contains(&id);
-        for id in efilter_one(store, eid, &edp_cfg, reused) {
+        for id in efilter_one(store, eid, u64::from(round), reused) {
             if !list.contains(&id) {
                 list.push(id);
                 report.selected_scenarios.insert(id);
@@ -238,8 +191,8 @@ pub(crate) struct RunFacts {
     pub gallery_misses: u64,
 }
 
-/// The one run epilogue: the matching pipeline ([`match_with_refinement`]
-/// and `dag_match` alike) and `EvMatcher::match_one` each end here, so the gallery counters and
+/// The one run epilogue: the matching pipeline, inline or pooled, and
+/// `EvMatcher::match_one` each end here, so the gallery counters and
 /// the run gauges (stage times; the first round's recorded count beside
 /// the Theorem 4.2 lower bound `ceil(log2 n)` and the Theorem 4.4 upper
 /// bound `n - 1`, and whether the bounds apply) are written by one body
@@ -290,6 +243,7 @@ fn reseeded(base: &SetSplitConfig, round: u32) -> SetSplitConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matcher::EvMatcher;
     use ev_core::feature::FeatureVector;
     use ev_core::region::CellId;
     use ev_core::scenario::{Detection, EScenario, ScenarioId, VScenario, ZoneAttr};
@@ -328,6 +282,26 @@ mod tests {
         raw.into_iter().map(Eid::from_u64).collect()
     }
 
+    /// The ideal-mode pipeline these clean worlds are written for.
+    fn ideal() -> MatcherConfig {
+        MatcherConfig {
+            mode: SplitMode::Ideal,
+            ..MatcherConfig::default()
+        }
+    }
+
+    /// The pipeline under `config` on the caller's thread.
+    fn run(
+        store: &EScenarioStore,
+        video: &VideoStore,
+        targets: &BTreeSet<Eid>,
+        config: &MatcherConfig,
+        tel: &Telemetry,
+    ) -> MatchReport {
+        let matcher = EvMatcher::new(store, video, config.clone()).with_telemetry(tel);
+        matcher.match_many(targets).unwrap()
+    }
+
     #[test]
     fn clean_world_matches_in_one_round() {
         let layout: &[(u64, usize, &[u64], &[u64])] = &[
@@ -337,11 +311,11 @@ mod tests {
             (1, 1, &[1, 3], &[1, 3]),
         ];
         let (store, video) = world(layout, 4);
-        let report = match_with_refinement(
+        let report = run(
             &store,
             &video,
             &targets(0..4),
-            &RefineConfig::default(),
+            &ideal(),
             Telemetry::disabled(),
         );
         assert_eq!(report.rounds, 1);
@@ -365,12 +339,11 @@ mod tests {
             (2, 1, &[0, 2], &[0, 2]),
         ];
         let (store, video) = world(layout, 4);
-        let cfg = RefineConfig {
+        let cfg = MatcherConfig {
             max_rounds: 4,
-            ..RefineConfig::default()
+            ..ideal()
         };
-        let report =
-            match_with_refinement(&store, &video, &targets(0..3), &cfg, Telemetry::disabled());
+        let report = run(&store, &video, &targets(0..3), &cfg, Telemetry::disabled());
         let o1 = report.outcome_of(Eid::from_u64(1)).unwrap();
         assert_eq!(o1.vid, Some(Vid::new(1)), "refinement must recover EID 1");
     }
@@ -390,12 +363,12 @@ mod tests {
             (3, 0, &[0], &[0]),
         ];
         let (store, video) = world(layout, 4);
-        let cfg = RefineConfig {
+        let cfg = MatcherConfig {
             split: SetSplitConfig {
                 strategy: SelectionStrategy::Chronological,
             },
             max_rounds: 2,
-            ..RefineConfig::default()
+            ..ideal()
         };
         let eid = Eid::from_u64(0);
         let round_1 = split(
@@ -407,14 +380,9 @@ mod tests {
         );
         assert_eq!(round_1.lists[&eid].len(), 1, "round 1 leaves a short list");
 
-        let report =
-            match_with_refinement(&store, &video, &targets(0..2), &cfg, Telemetry::disabled());
+        let report = run(&store, &video, &targets(0..2), &cfg, Telemetry::disabled());
         assert_eq!(report.rounds, 2);
-        let edp = crate::edp::EdpConfig {
-            vfilter: cfg.vfilter,
-            seed: 2,
-        };
-        let efiltered = efilter_one(&store, eid, &edp, |_| false);
+        let efiltered = efilter_one(&store, eid, 2, |_| false);
         let list = &report.lists[&eid];
         assert!(list.len() > 1, "round 2 extended the list: {list:?}");
         for id in &efiltered {
@@ -450,13 +418,7 @@ mod tests {
     fn extension(store: &EScenarioStore, report: &MatchReport, round: u32) -> ScenarioList {
         let mut lists = BTreeMap::from([(Eid::from_u64(0), ScenarioList::new())]);
         let mut report = report.clone();
-        extend_by_efilter(
-            store,
-            &mut lists,
-            &mut report,
-            VFilterConfig::default(),
-            round,
-        );
+        extend_by_efilter(store, &mut lists, &mut report, round);
         lists.remove(&Eid::from_u64(0)).unwrap()
     }
 
@@ -480,11 +442,7 @@ mod tests {
         // EDP's order alone reaches for fresh footage on some seed.
         let fresh = [at(4), at(5)];
         let edp_takes_fresh = (2..=5u32).any(|round| {
-            let edp = EdpConfig {
-                seed: u64::from(round),
-                ..EdpConfig::default()
-            };
-            efilter_one(&store, Eid::from_u64(0), &edp, |_| false)
+            efilter_one(&store, Eid::from_u64(0), u64::from(round), |_| false)
                 .iter()
                 .any(|id| fresh.contains(id))
         });
@@ -500,11 +458,7 @@ mod tests {
         report.lists.insert(Eid::from_u64(0), vec![at(0), at(1)]);
         report.selected_scenarios = [at(0), at(1)].into();
         for round in 2..=5u32 {
-            let edp = EdpConfig {
-                seed: u64::from(round),
-                ..EdpConfig::default()
-            };
-            let plain = efilter_one(&store, Eid::from_u64(0), &edp, |_| false);
+            let plain = efilter_one(&store, Eid::from_u64(0), u64::from(round), |_| false);
             assert_eq!(extension(&store, &report, round), plain, "round {round}");
         }
     }
@@ -515,11 +469,11 @@ mod tests {
         let layout: &[(u64, usize, &[u64], &[u64])] =
             &[(0, 0, &[5], &[]), (1, 0, &[5, 6], &[6]), (2, 0, &[6], &[6])];
         let (store, video) = world(layout, 8);
-        let cfg = RefineConfig {
+        let cfg = MatcherConfig {
             max_rounds: 2,
-            ..RefineConfig::default()
+            ..ideal()
         };
-        let report = match_with_refinement(
+        let report = run(
             &store,
             &video,
             &targets([5, 6]),
@@ -542,12 +496,8 @@ mod tests {
             (2, 0, &[1, 2], &[1, 2]),
         ];
         let (store, video) = world(layout, 4);
-        let cfg = RefineConfig {
-            mode: SplitMode::Practical,
-            ..RefineConfig::default()
-        };
-        let report =
-            match_with_refinement(&store, &video, &targets(0..3), &cfg, Telemetry::disabled());
+        let cfg = MatcherConfig::default();
+        let report = run(&store, &video, &targets(0..3), &cfg, Telemetry::disabled());
         assert_eq!(report.outcomes.len(), 3);
         for o in &report.outcomes {
             assert_eq!(o.vid.map(Vid::as_u64), Some(o.eid.as_u64()));
@@ -573,12 +523,11 @@ mod tests {
             (2, 0, &[1], &[1]),
         ];
         let (store, video) = world(layout, 4);
-        let cfg = RefineConfig {
+        let cfg = MatcherConfig {
             max_rounds: 3,
-            ..RefineConfig::default()
+            ..ideal()
         };
-        let report =
-            match_with_refinement(&store, &video, &targets(0..2), &cfg, Telemetry::disabled());
+        let report = run(&store, &video, &targets(0..2), &cfg, Telemetry::disabled());
         assert!(!report.selected_scenarios.is_empty());
         for list in report.lists.values() {
             for id in list {
@@ -614,14 +563,10 @@ mod tests {
             (1, 1, &[1, 3], &[1, 3]),
         ];
         let (store, video) = world(layout, 8);
-        let cfg = RefineConfig {
-            mode: SplitMode::Ideal,
-            ..RefineConfig::default()
-        };
-        let plain =
-            match_with_refinement(&store, &video, &targets(0..4), &cfg, Telemetry::disabled());
+        let cfg = ideal();
+        let plain = run(&store, &video, &targets(0..4), &cfg, Telemetry::disabled());
         let tel = Telemetry::new(ev_telemetry::TelemetryLevel::Full);
-        let instrumented = match_with_refinement(&store, &video, &targets(0..4), &cfg, &tel);
+        let instrumented = run(&store, &video, &targets(0..4), &cfg, &tel);
         assert_eq!(plain.outcomes, instrumented.outcomes);
         assert_eq!(plain.lists, instrumented.lists);
         let snap = tel.registry().snapshot();

@@ -13,10 +13,10 @@ use ev_core::ids::{Eid, Vid};
 use ev_core::region::CellId;
 use ev_core::scenario::{Detection, EScenario, VScenario, ZoneAttr};
 use ev_core::time::Timestamp;
-use ev_matching::refine::{match_with_refinement, RefineConfig, SplitMode};
+use ev_matching::refine::SplitMode;
 use ev_matching::setsplit::{split_ideal, SelectionStrategy, SetSplitConfig, SplitOutput};
 use ev_matching::vfilter::{filter_vids_cached, GalleryCache, VFilterConfig, VStage};
-use ev_matching::MatchOutcome;
+use ev_matching::{EvMatcher, MatchOutcome, MatcherConfig};
 use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::Telemetry;
 use ev_vision::cost::CostModel;
@@ -143,17 +143,14 @@ fn one_exclusion_loop_serves_the_harness_and_refinement() {
             "world {world_seed}"
         );
 
-        let report = match_with_refinement(
-            &store,
-            &video,
-            &targets(16),
-            &RefineConfig {
-                mode: SplitMode::Ideal,
-                max_rounds: 1,
-                ..RefineConfig::default()
-            },
-            Telemetry::disabled(),
-        );
+        let one_round = MatcherConfig {
+            mode: SplitMode::Ideal,
+            max_rounds: 1,
+            ..MatcherConfig::default()
+        };
+        let report = EvMatcher::new(&store, &video, one_round)
+            .match_many(&targets(16))
+            .unwrap();
         assert_eq!(report.lists, split.lists, "world {world_seed}");
         let confident = stage(&video, &cfg, &mut GalleryCache::new())
             .filter_longest_first(

@@ -7,7 +7,8 @@
 //! `--threads N` and under `evmatch serve` alike, and ends in the `Reader:`
 //! that looks at it; a name without one goes, with its emission site. A
 //! *run* below is one call of `EvMatcher::match_one`, `match_many`
-//! (either execution mode) or `match_universal` on the handle.
+//! (either execution mode), `match_many_on` or `match_universal` on the
+//! handle.
 
 // The set-splitting family means the same thing in both split modes and
 // under every selection strategy.

@@ -341,13 +341,18 @@ mod tests {
         let cand = g.feature_of(PersonId::new(5)).unwrap();
         for m in [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine] {
             let kernel = Kernel::prepare(m, 24).unwrap();
-            let mut sims = vec![0.0; 37];
-            kernel.score_into(cand, &block, &mut sims).unwrap();
-            for (p, sim) in sims.iter().enumerate() {
-                let truth = g.feature_of(PersonId::new(p as u64)).unwrap();
+            let mut best = 0.0f64;
+            for p in 0..37 {
+                let truth = g.feature_of(PersonId::new(p)).unwrap();
                 let scalar = cand.similarity(truth, m).unwrap();
-                assert_eq!(scalar.to_bits(), sim.to_bits(), "{m:?} person {p}");
+                let row = FeatureBlock::build("person", [truth]).unwrap();
+                let sim = kernel.score_max(cand, &row).unwrap();
+                let want = 0.0f64.max(scalar).to_bits();
+                assert_eq!(sim.to_bits(), want, "{m:?} person {p}");
+                best = best.max(scalar);
             }
+            let max = kernel.score_max(cand, &block).unwrap();
+            assert_eq!(best.to_bits(), max.to_bits(), "{m:?}");
         }
     }
 

@@ -13,8 +13,6 @@
 
 use ev_telemetry::{names, TraceEvent};
 use evmatch::dag::{DagConfig, FaultPlan};
-use evmatch::matching::dagflow::dag_match;
-use evmatch::matching::refine::RefineConfig;
 use evmatch::prelude::*;
 use serde_json::Value;
 
@@ -51,21 +49,12 @@ fn main() {
         ..healthy
     };
 
-    let pipeline = RefineConfig {
-        mode: SplitMode::Practical,
-        ..RefineConfig::default()
-    };
     let run = |name: &str, cluster: &DagConfig, telemetry: &Telemetry| {
         dataset.video.reset_usage();
-        let report = dag_match(
-            cluster,
-            &dataset.estore,
-            &dataset.video,
-            &targets,
-            &pipeline,
-            telemetry,
-        )
-        .expect("retries must absorb the injected failures");
+        let report = EvMatcher::new(&dataset.estore, &dataset.video, MatcherConfig::default())
+            .with_telemetry(telemetry)
+            .match_many_on(cluster, &targets)
+            .expect("retries must absorb the injected failures");
         let stats = score_report(&dataset, &report);
         println!(
             "{name:>8}: accuracy {:.1}%, {} scenarios, E {:?} V {:?}",

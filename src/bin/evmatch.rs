@@ -669,8 +669,6 @@ const REQUIRED_METRICS: &[&str] = &[
 /// name drifted from the constant) fails this gate.
 fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
     use evmatch::dag::{DagConfig, FaultPlan};
-    use evmatch::matching::dagflow::dag_match;
-    use evmatch::matching::refine::RefineConfig;
     use evmatch::matching::vfilter::VFilterConfig;
     use std::collections::BTreeSet;
 
@@ -692,9 +690,9 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
     let dataset = EvDataset::generate(&config).map_err(|e| e.to_string())?;
     let targets = sample_targets(&dataset, 16, args.seed);
     // The pipeline the pooled probes below run: the matcher's default.
-    let refine = RefineConfig {
-        mode: SplitMode::Practical,
-        ..RefineConfig::default()
+    let pipeline = |tel: &Telemetry| {
+        EvMatcher::new(&dataset.estore, &dataset.video, MatcherConfig::default())
+            .with_telemetry(tel)
     };
 
     // 1. Sequential ideal-mode run: set splitting (greedy-balanced, the
@@ -749,11 +747,10 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
         }
     }
 
-    // 2. The parallel EDP baseline (two maps, one partition per EID)
-    //    with injected failures on real threads: retry and exec
-    //    metrics.
+    // 2. The EDP baseline (two maps, one partition per EID) with
+    //    injected failures on real threads: retry and exec metrics.
     {
-        use evmatch::matching::edp::{match_edp_parallel, EdpConfig};
+        use evmatch::matching::edp::{match_edp, EdpConfig};
         let tel = Telemetry::new(TelemetryLevel::Full);
         let flaky = DagConfig {
             faults: FaultPlan {
@@ -763,7 +760,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             },
             ..DagConfig::new(4)
         };
-        match_edp_parallel(
+        match_edp(
             &flaky,
             &dataset.estore,
             &dataset.video,
@@ -771,7 +768,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             &EdpConfig::default(),
             &tel,
         )
-        .map_err(|e| format!("smoke parallel EDP run: {e}"))?;
+        .map_err(|e| format!("smoke EDP run: {e}"))?;
         let retries = tel
             .registry()
             .counter_value(names::DAG_TASK_RETRIES)
@@ -867,7 +864,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
                 .registry()
                 .counter_value(names::FLIGHT_DUMPS)
                 .unwrap_or(0);
-            let failed = dag_match(
+            let failed = pipeline(&tel).match_many_on(
                 &DagConfig {
                     faults: FaultPlan {
                         task_failure_rate: 0.95,
@@ -876,11 +873,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
                     },
                     ..DagConfig::new(2)
                 },
-                &dataset.estore,
-                &dataset.video,
                 &targets,
-                &refine,
-                &tel,
             );
             if failed.is_ok() {
                 return Err("exhaustion probe unexpectedly succeeded".into());
@@ -960,31 +953,22 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
         //    must still be byte-identical to an unfaulted run.
         {
             let tel = Telemetry::new(TelemetryLevel::Full);
-            let healthy = dag_match(
-                &DagConfig::new(2),
-                &dataset.estore,
-                &dataset.video,
-                &targets,
-                &refine,
-                Telemetry::disabled(),
-            )
-            .map_err(|e| format!("smoke dag run: {e}"))?;
-            let stressed = dag_match(
-                &DagConfig {
-                    faults: FaultPlan {
-                        task_failure_rate: 0.2,
-                        max_attempts: 24,
-                        seed: 7,
+            let healthy = pipeline(Telemetry::disabled())
+                .match_many_on(&DagConfig::new(2), &targets)
+                .map_err(|e| format!("smoke dag run: {e}"))?;
+            let stressed = pipeline(&tel)
+                .match_many_on(
+                    &DagConfig {
+                        faults: FaultPlan {
+                            task_failure_rate: 0.2,
+                            max_attempts: 24,
+                            seed: 7,
+                        },
+                        ..DagConfig::new(2)
                     },
-                    ..DagConfig::new(2)
-                },
-                &dataset.estore,
-                &dataset.video,
-                &targets,
-                &refine,
-                &tel,
-            )
-            .map_err(|e| format!("smoke dag run (stressed): {e}"))?;
+                    &targets,
+                )
+                .map_err(|e| format!("smoke dag run (stressed): {e}"))?;
             if stressed.outcomes != healthy.outcomes || stressed.lists != healthy.lists {
                 return Err("stressed dag run diverged from the healthy report".into());
             }

@@ -1,7 +1,8 @@
 //! Disk round-trip integration: a corpus persisted through `ev-disk`
 //! must be **indistinguishable** from the in-memory stores it came
-//! from — same loaded store, same `MatchReport`, byte for byte — even
-//! after a crash mid-append is healed on reopen. What differs is what
+//! from — same loaded store, same `MatchReport`, byte for byte, through
+//! `EvMatcher` in the default practical mode and in the ideal one —
+//! even after a crash mid-append is healed on reopen. What differs is what
 //! is *held*: a match from disk decodes the V-Scenarios it extracts and
 //! no others, and footage that fails to load ends the match with a
 //! typed error, never a report computed without it.
@@ -9,7 +10,6 @@
 use evmatch::core::scenario::ScenarioId;
 use evmatch::dag::JobError;
 use evmatch::disk::{DiskBackend, DiskStore};
-use evmatch::matching::refine::{match_with_refinement, RefineConfig};
 use evmatch::matching::MatchReport;
 use evmatch::prelude::*;
 use evmatch::serve::ServeError;
@@ -35,6 +35,37 @@ fn persist(dir: &std::path::Path, d: &EvDataset) {
     let e: Vec<_> = d.estore.iter().cloned().collect();
     let v: Vec<_> = d.video.scenarios().cloned().collect();
     store.append(&e, &v).expect("durable append");
+}
+
+/// The matcher's reports over one corpus: in the mode users get
+/// ([`MatcherConfig::default`], practical splitting), then in the ideal
+/// mode.
+fn reports(
+    estore: &EScenarioStore,
+    video: &VideoStore,
+    targets: &BTreeSet<Eid>,
+) -> Vec<MatchReport> {
+    let ideal = MatcherConfig {
+        mode: SplitMode::Ideal,
+        ..MatcherConfig::default()
+    };
+    [MatcherConfig::default(), ideal]
+        .into_iter()
+        .map(|config| {
+            let matcher = EvMatcher::new(estore, video, config);
+            matcher
+                .match_many(targets)
+                .expect("the corpus footage loads")
+        })
+        .collect()
+}
+
+/// Disk and memory agree in every mode [`reports`] runs.
+fn assert_same_reports(disk: &[MatchReport], memory: &[MatchReport]) {
+    assert_eq!(disk.len(), memory.len());
+    for (disk, memory) in disk.iter().zip(memory) {
+        assert_same_report(disk, memory);
+    }
 }
 
 /// Wall-clock timings legitimately differ between two runs; everything
@@ -68,22 +99,9 @@ fn persisted_corpus_matches_byte_identically_to_memory() {
     );
 
     let targets = sample_targets(&d, 50, 1);
-    let config = RefineConfig::default();
-    let memory = match_with_refinement(
-        &d.estore,
-        &d.video,
-        &targets,
-        &config,
-        Telemetry::disabled(),
-    );
-    let disk = match_with_refinement(
-        backend.estore(),
-        backend.video(),
-        &targets,
-        &config,
-        Telemetry::disabled(),
-    );
-    assert_same_report(&disk, &memory);
+    let memory = reports(&d.estore, &d.video, &targets);
+    let disk = reports(backend.estore(), backend.video(), &targets);
+    assert_same_reports(&disk, &memory);
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
@@ -122,22 +140,9 @@ fn multi_chunk_v_segment_matches_byte_identically_to_memory() {
     );
 
     let targets = sample_targets(&d, 50, 1);
-    let config = RefineConfig::default();
-    let memory = match_with_refinement(
-        &d.estore,
-        &d.video,
-        &targets,
-        &config,
-        Telemetry::disabled(),
-    );
-    let disk = match_with_refinement(
-        backend.estore(),
-        backend.video(),
-        &targets,
-        &config,
-        Telemetry::disabled(),
-    );
-    assert_same_report(&disk, &memory);
+    let memory = reports(&d.estore, &d.video, &targets);
+    let disk = reports(backend.estore(), backend.video(), &targets);
+    assert_same_reports(&disk, &memory);
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
@@ -193,16 +198,9 @@ fn crash_mid_append_recovers_to_a_byte_identical_report() {
     assert_eq!(backend.estore(), &estore, "recovered E-store == merged");
 
     let targets = sample_targets(&day1, 40, 7);
-    let config = RefineConfig::default();
-    let memory = match_with_refinement(&estore, &video, &targets, &config, Telemetry::disabled());
-    let disk = match_with_refinement(
-        backend.estore(),
-        backend.video(),
-        &targets,
-        &config,
-        Telemetry::disabled(),
-    );
-    assert_same_report(&disk, &memory);
+    let memory = reports(&estore, &video, &targets);
+    let disk = reports(backend.estore(), backend.video(), &targets);
+    assert_same_reports(&disk, &memory);
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

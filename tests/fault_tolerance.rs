@@ -1,12 +1,10 @@
 //! Fault-injection integration: the matching pipelines must survive task
 //! failures with identical results, and report an exhausted retry
 //! budget as `TaskExhausted` — Algorithm 3's pooled walk and the
-//! parallel EDP baseline alike.
+//! EDP baseline alike.
 
 use evmatch::dag::{DagConfig, FaultPlan, JobError};
-use evmatch::matching::dagflow::dag_match;
-use evmatch::matching::edp::{match_edp_parallel, EdpConfig};
-use evmatch::matching::refine::RefineConfig;
+use evmatch::matching::edp::{match_edp, EdpConfig};
 use evmatch::prelude::*;
 
 fn dataset() -> EvDataset {
@@ -18,12 +16,17 @@ fn dataset() -> EvDataset {
     .expect("valid config")
 }
 
-/// The pipeline the matcher runs by default.
-fn practical() -> RefineConfig {
-    RefineConfig {
-        mode: SplitMode::Practical,
-        ..RefineConfig::default()
-    }
+/// The matcher's default pipeline over `d` on `faults`' 4-worker pool.
+fn pooled(
+    d: &EvDataset,
+    targets: &std::collections::BTreeSet<Eid>,
+    faults: FaultPlan,
+) -> Result<MatchReport, JobError> {
+    let pool = DagConfig {
+        faults,
+        ..DagConfig::new(4)
+    };
+    EvMatcher::new(&d.estore, &d.video, MatcherConfig::default()).match_many_on(&pool, targets)
 }
 
 /// A plan almost every attempt fails under, with room for one retry.
@@ -39,18 +42,7 @@ fn injected_failures_do_not_change_matching_results() {
     let targets = sample_targets(&d, 30, 1);
     let run = |faults: FaultPlan| {
         d.video.reset_usage();
-        dag_match(
-            &DagConfig {
-                faults,
-                ..DagConfig::new(4)
-            },
-            &d.estore,
-            &d.video,
-            &targets,
-            &practical(),
-            Telemetry::disabled(),
-        )
-        .unwrap()
+        pooled(&d, &targets, faults).unwrap()
     };
     let clean = run(FaultPlan::default());
     let flaky = run(FaultPlan {
@@ -65,10 +57,10 @@ fn injected_failures_do_not_change_matching_results() {
 
 #[test]
 fn hopeless_cluster_reports_task_exhaustion() {
-    // The parallel EDP baseline's job.
+    // The EDP baseline's job.
     let d = dataset();
     let targets = sample_targets(&d, 10, 3);
-    let result = match_edp_parallel(
+    let result = match_edp(
         &DagConfig {
             faults: HOPELESS,
             ..DagConfig::new(4)
@@ -90,17 +82,7 @@ fn hopeless_dag_reports_task_exhaustion() {
     // The same hopeless plan through the pooled pipeline.
     let d = dataset();
     let targets = sample_targets(&d, 10, 3);
-    let result = dag_match(
-        &DagConfig {
-            faults: HOPELESS,
-            ..DagConfig::new(4)
-        },
-        &d.estore,
-        &d.video,
-        &targets,
-        &practical(),
-        Telemetry::disabled(),
-    );
+    let result = pooled(&d, &targets, HOPELESS);
     match result {
         Err(JobError::TaskExhausted { attempts: 2, .. }) => {}
         other => panic!("expected TaskExhausted after 2 attempts, got {other:?}"),

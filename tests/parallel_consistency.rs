@@ -1,13 +1,11 @@
 //! The parallel pipelines must compute the same thing as their
-//! sequential references, deterministically: the parallel EDP baseline,
-//! and the matcher with every round's walk scored on `par_map`
+//! sequential runs, deterministically: the EDP baseline at any pool
+//! width, and the matcher with every round's walk scored on `par_map`
 //! (Algorithm 3), at any thread count and under injected worker loss.
 
 use evmatch::dag::{DagConfig, FaultPlan};
-use evmatch::matching::dagflow::dag_match;
-use evmatch::matching::edp::{match_edp, match_edp_parallel, EdpConfig};
+use evmatch::matching::edp::{match_edp, EdpConfig};
 use evmatch::matching::practical::split_practical;
-use evmatch::matching::refine::RefineConfig;
 use evmatch::matching::setsplit::{SelectionStrategy, SetSplitConfig};
 use evmatch::matching::vfilter::VFilterConfig;
 use evmatch::prelude::*;
@@ -31,14 +29,16 @@ fn run_dag(
     telemetry: &Telemetry,
 ) -> MatchReport {
     d.video.reset_usage();
-    let refine = RefineConfig {
-        mode: SplitMode::Practical,
+    let pipeline = MatcherConfig {
         split: SetSplitConfig {
             strategy: SelectionStrategy::RandomTime { seed },
         },
-        ..RefineConfig::default()
+        ..MatcherConfig::default()
     };
-    dag_match(config, &d.estore, &d.video, targets, &refine, telemetry).expect("dag pipeline")
+    EvMatcher::new(&d.estore, &d.video, pipeline)
+        .with_telemetry(telemetry)
+        .match_many_on(config, targets)
+        .expect("dag pipeline")
 }
 
 /// `match_many` over `d` in `mode`, with exclusion on or off, on the
@@ -78,22 +78,23 @@ fn assert_same(report: &MatchReport, reference: &MatchReport, what: &str) {
 fn parallel_edp_equals_sequential_edp() {
     let d = dataset();
     let targets = sample_targets(&d, 30, 1);
-    let config = EdpConfig::default();
-
-    d.video.reset_usage();
-    let sequential = match_edp(&d.estore, &d.video, &targets, &config).unwrap();
-    for threads in [1, 2, 4] {
+    let run = |threads| {
         d.video.reset_usage();
-        let parallel = match_edp_parallel(
-            &DagConfig::new(threads),
+        let pool = DagConfig::new(threads);
+        let config = EdpConfig::default();
+        match_edp(
+            &pool,
             &d.estore,
             &d.video,
             &targets,
             &config,
             Telemetry::disabled(),
         )
-        .unwrap();
-        assert_same(&parallel, &sequential, &format!("threads={threads}"));
+        .unwrap()
+    };
+    let sequential = run(1);
+    for threads in [2, 4] {
+        assert_same(&run(threads), &sequential, &format!("threads={threads}"));
     }
 }
 
@@ -110,7 +111,7 @@ fn dag_match_accuracy_is_comparable_to_sequential() {
     let par = run_dag(&d, &targets, &DagConfig::new(4), 0, Telemetry::disabled());
     let par_stats = score_report(&d, &par);
 
-    assert_same(&par, &sequential, "dag_match at 4 threads");
+    assert_same(&par, &sequential, "match_many_on at 4 threads");
     assert_eq!(par_stats.accuracy, seq_stats.accuracy);
     assert!(par_stats.accuracy > 0.7, "{:.1}%", par_stats.percent());
 }
@@ -133,13 +134,13 @@ fn every_thread_count_gives_the_sequential_report() {
                 assert_same(&dag, &sequential, &what(&format!("Dag({threads})")));
             }
             d.video.reset_usage();
-            let refine = RefineConfig {
+            let pipeline = MatcherConfig {
                 mode,
                 vfilter: VFilterConfig {
                     exclusion,
                     ..VFilterConfig::default()
                 },
-                ..RefineConfig::default()
+                ..MatcherConfig::default()
             };
             let faulty = DagConfig {
                 faults: FaultPlan {
@@ -149,8 +150,9 @@ fn every_thread_count_gives_the_sequential_report() {
                 },
                 ..DagConfig::new(2)
             };
-            let tel = Telemetry::disabled();
-            let faulted = dag_match(&faulty, &d.estore, &d.video, &targets, &refine, tel).unwrap();
+            let faulted = EvMatcher::new(&d.estore, &d.video, pipeline)
+                .match_many_on(&faulty, &targets)
+                .unwrap();
             assert_same(&faulted, &sequential, &what("Dag(2) under task loss"));
         }
     }
