@@ -21,8 +21,10 @@
 //! The paper's evaluation (§VI) stops at matching, so nothing here maps
 //! to a figure; this crate reproduces the *application* layer §I
 //! promises on top of the matched identities (see `DESIGN.md` §14,
-//! "Beyond the paper"). The `crime_scene` and `universal_labeling`
-//! examples drive it end to end.
+//! "Beyond the paper"). Its one in-tree reader is `evmatch query`
+//! (`--eid` for a profile with its encounters, `--cell` for presence);
+//! the `crime_scene` and `universal_labeling` examples build their
+//! lookups from the match report without it.
 //!
 //! Visual evidence only covers footage that has already been extracted
 //! (extraction is the expensive operation the matcher minimizes); the

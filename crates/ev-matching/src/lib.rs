@@ -35,9 +35,6 @@
 //!   of 4 pinned partitions. A lost attempt costs only the partition it
 //!   was computing, and the [`MatchReport`] is the sequential
 //!   pipeline's at every thread count.
-//! * [`incremental`] — partition maintenance over a growing corpus:
-//!   feed appended scenarios to the live state of a chronological split
-//!   instead of re-splitting.
 //! * [`matcher`] — the high-level [`EvMatcher`] API
 //!   with elastic matching sizes: single EID, a requested set (inline or
 //!   on a pool), or the universal dataset.
@@ -53,7 +50,6 @@
 pub mod analysis;
 pub mod dagflow;
 pub mod edp;
-pub mod incremental;
 pub mod matcher;
 pub mod practical;
 pub mod refine;

@@ -10,9 +10,8 @@
 //! exhausted.
 //!
 //! The step, the scenario order and the output are shared by
-//! [`split_ideal`], [`split_practical`](crate::practical::split_practical),
-//! [`IncrementalSplit`](crate::incremental::IncrementalSplit); the
-//! [`SplitMode`] enters at two points.
+//! [`split_ideal`] and [`split_practical`](crate::practical::split_practical);
+//! the [`SplitMode`] enters at two points.
 //! The **ideal** setting reads every member of a scenario as inclusive,
 //! whatever its zone attribute, so the cover stays a partition. The
 //! **practical** setting keeps vague members on both sides of a split and
@@ -136,24 +135,21 @@ impl SplitOutput {
 }
 
 /// The live state of a splitting run and its one step,
-/// [`examine`](Self::examine). The batch loop ([`split`]) and the
-/// streaming delta-update in [`crate::incremental`] both drive this, so
-/// they refine blocks with identical semantics by construction.
-#[derive(Debug, Clone)]
-pub(crate) struct SplitState {
+/// [`examine`](Self::examine), driven by [`split`].
+struct SplitState {
     mode: SplitMode,
-    pub(crate) cover: EidCover,
-    pub(crate) recorded: Vec<ScenarioId>,
+    cover: EidCover,
+    recorded: Vec<ScenarioId>,
     /// Lists before the output passes: the recorded scenarios
     /// containing each EID.
     lists: BTreeMap<Eid, ScenarioList>,
-    pub(crate) examined: usize,
+    examined: usize,
     /// EIDs whose tentative copies have been pruned already.
     pruned: BTreeSet<Eid>,
 }
 
 impl SplitState {
-    pub(crate) fn new(targets: &BTreeSet<Eid>, mode: SplitMode) -> Self {
+    fn new(targets: &BTreeSet<Eid>, mode: SplitMode) -> Self {
         SplitState {
             mode,
             cover: EidCover::new(targets.iter().copied()),
@@ -166,7 +162,7 @@ impl SplitState {
 
     /// The loop's stop condition: the cover is fully split. Monotone: a
     /// fully split cover stays fully split.
-    pub(crate) fn done(&self) -> bool {
+    fn done(&self) -> bool {
         self.cover.is_fully_split()
     }
 
@@ -176,7 +172,7 @@ impl SplitState {
     /// prunes the EIDs distinguished *at that moment*, in EID order. An
     /// EID that only becomes distinguished through those prunes waits for
     /// the next effective split.
-    pub(crate) fn examine(&mut self, scenario: &EScenario) {
+    fn examine(&mut self, scenario: &EScenario) {
         self.examined += 1;
         let ideal = self.mode == SplitMode::Ideal;
         let read = |attr| if ideal { ZoneAttr::Inclusive } else { attr };
@@ -207,11 +203,7 @@ impl SplitState {
     /// [`SplitOutput`]. Lists are not padded: a short list whose vote is
     /// not confident is extended by Algorithm 2's E-filtering in the
     /// next refinement round, which picks footage that discriminates.
-    pub(crate) fn into_output(
-        self,
-        store: &EScenarioStore,
-        config: &SetSplitConfig,
-    ) -> SplitOutput {
+    fn into_output(self, store: &EScenarioStore, config: &SetSplitConfig) -> SplitOutput {
         let inclusive_only = self.mode == SplitMode::Practical;
         let seed = match config.strategy {
             SelectionStrategy::RandomTime { seed } => seed,

@@ -132,17 +132,6 @@ impl EScenarioStore {
         self.scenarios.iter()
     }
 
-    /// Iterates, in id order, over the scenarios whose id is strictly
-    /// greater than `after` — the suffix a streaming
-    /// [`ingest`](Self::ingest) splices in. `O(log n)` to locate the
-    /// start, then one step per yielded scenario; the incremental
-    /// set-splitting delta-update walks only this suffix instead of
-    /// re-scanning the store.
-    pub fn iter_after(&self, after: ScenarioId) -> impl Iterator<Item = &EScenario> {
-        let start = self.scenarios.partition_point(|s| s.id() <= after);
-        self.scenarios[start..].iter()
-    }
-
     /// All distinct timestamps with at least one scenario, ascending.
     pub fn times(&self) -> impl Iterator<Item = Timestamp> + '_ {
         (self.scenarios.chunk_by(|a, b| a.time() == b.time())).map(|run| run[0].time())

@@ -223,25 +223,6 @@ pub const DAG_TASKS_TOTAL: &str = "evm_dag_tasks_total";
 /// when injected faults leave it at 0).
 pub const DAG_TASK_RETRIES: &str = "evm_dag_task_retries_total";
 
-// The delta-updater is chronological and ideal-mode by construction
-// (`IncrementalSplit`), so these have one definition.
-
-/// E-Scenarios examined by incremental delta-updates since the corpus
-/// was opened (count) — each stored scenario at most once, where a
-/// re-split per apply would re-examine the whole store. Reader: README,
-/// "Running a live service".
-pub const INCR_SCENARIOS_ABSORBED: &str = "evm_incr_scenarios_absorbed_total";
-/// Effective E-Scenarios recorded by delta-updates (count). Reader:
-/// README, "Running a live service".
-pub const INCR_SPLITTERS_RECORDED: &str = "evm_incr_splitters_recorded_total";
-/// Blocks the watch-set partition gained through delta-updates (count).
-/// Reader: README, "Running a live service".
-pub const INCR_BLOCKS_SPLIT: &str = "evm_incr_blocks_split_total";
-/// Blocks of the watch-set partition after the latest delta-update
-/// (count; equals the watch-set size once it is fully split). Reader:
-/// README, "Running a live service".
-pub const INCR_PARTITION_BLOCKS: &str = "evm_incr_partition_blocks";
-
 /// Every canonical counter name.
 pub(crate) const ALL_COUNTERS: &[&str] = &[
     SETSPLIT_SCENARIOS_EXAMINED,
@@ -264,9 +245,6 @@ pub(crate) const ALL_COUNTERS: &[&str] = &[
     SERVE_QUERIES,
     DAG_TASKS_TOTAL,
     DAG_TASK_RETRIES,
-    INCR_SCENARIOS_ABSORBED,
-    INCR_SPLITTERS_RECORDED,
-    INCR_BLOCKS_SPLIT,
 ];
 
 /// Every canonical gauge name.
@@ -287,7 +265,6 @@ pub(crate) const ALL_GAUGES: &[&str] = &[
     DISK_MANIFEST_ENTRIES,
     SERVE_STALENESS_EVENTS,
     SERVE_EPOCH,
-    INCR_PARTITION_BLOCKS,
 ];
 
 /// Every canonical histogram name.
@@ -331,7 +308,7 @@ mod tests {
     fn the_catalogue_is_duplicate_free_and_its_size_is_pinned() {
         let distinct: std::collections::BTreeSet<&str> = all().collect();
         assert_eq!(distinct.len(), all().count(), "a name is listed twice");
-        assert_eq!(all().count(), 43);
+        assert_eq!(all().count(), 39);
         assert!(all().all(|name| name.starts_with("evm_")));
     }
 }

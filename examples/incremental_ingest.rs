@@ -10,8 +10,8 @@
 //! without shutting down — exactly what a crash leaves behind: open
 //! uncommitted segments. Act 3 reopens the directory, shows the
 //! recovery report, replays the lost tail from the applied frontier and
-//! finishes the day; the watched cohort's set-splitting partition was
-//! maintained incrementally (Algorithm-1 delta updates) the whole way.
+//! finishes the day, then prints the watched cohort's Algorithm-1 split
+//! of the applied corpus.
 //!
 //! ```text
 //! cargo run --release --example incremental_ingest
@@ -110,8 +110,7 @@ fn main() {
         .map_or(0, |s| s.time().tick() + 1);
     println!("  applied frontier at tick {resume}; replaying the lost tail from there");
 
-    // Replay from the frontier and finish the day. The watch index
-    // absorbs each applied batch incrementally instead of re-splitting.
+    // Replay from the frontier and finish the day.
     let (e, v) = slice(&world, resume, 300);
     live.ingest(e, v).expect("replay + evening ingest");
     live.apply().expect("publish the rest");
@@ -126,7 +125,7 @@ fn main() {
         final_answer.report.selected_count(),
     );
     println!(
-        "  live watch index: {} recorded splitters, fully split: {}",
+        "  watch lists: {} recorded splitters, fully split: {}",
         lists.recorded.len(),
         lists.fully_split(),
     );

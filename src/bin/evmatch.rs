@@ -71,8 +71,9 @@
 //! corruption, the ring of recent spans/instants/counter deltas is
 //! dumped to `flight-<ts>-<n>.json` in `--flight-dir` (default `.`).
 //!
-//! Argument errors — an unknown subcommand or flag, a bad value — exit
-//! 2; runtime errors exit 1.
+//! Argument errors — an unknown subcommand or flag, a flag of another
+//! subcommand, a bad value, a `query` without its question — exit 2;
+//! runtime errors exit 1.
 
 use ev_telemetry::{names, prometheus, MetricsServer, Telemetry, TelemetryLevel};
 use evmatch::disk::format::{FRAME_OVERHEAD, HEADER_LEN};
@@ -102,8 +103,27 @@ struct CommonArgs {
     serve_hold_ms: u64,
     flight_dir: Option<String>,
     smoke: bool,
-    rest: BTreeMap<String, String>,
+    /// `serve --apply-every N` (`0` = apply on command only).
+    apply_every: usize,
+    /// `serve --checkpoint-every N`.
+    checkpoint_every: u64,
+    /// `check-metrics --in PATH`.
+    metrics_in: Option<String>,
+    /// What `query` asks, checked before its match runs.
+    query: Option<Query>,
 }
+
+/// The question `evmatch query` puts to the fused index.
+#[derive(Debug)]
+enum Query {
+    /// `--eid HEX`: one EID's identity, trail and contacts.
+    Eid(Eid),
+    /// `--cell C [--from T0] [--to T1]`: the matched identities present
+    /// in cell `C` during `[T0, T1)`.
+    Cell { cell: usize, from: u64, to: u64 },
+}
+
+const QUERY_USAGE: &str = "query needs --eid HEX or --cell N [--from T0 --to T1]";
 
 impl CommonArgs {
     /// The telemetry level in force: explicit `--telemetry` wins, else
@@ -153,18 +173,22 @@ impl CommonArgs {
     }
 }
 
-/// Value flags only one subcommand reads (kept in `CommonArgs::rest`).
-const SUBCOMMAND_FLAGS: &[&str] = &[
-    "apply-every",
-    "checkpoint-every",
-    "in",
-    "eid",
-    "cell",
-    "from",
-    "to",
+/// Flags only one subcommand reads, each with that subcommand.
+const SUBCOMMAND_FLAGS: &[(&str, &str)] = &[
+    ("--apply-every", "serve"),
+    ("--checkpoint-every", "serve"),
+    ("--in", "check-metrics"),
+    ("--eid", "query"),
+    ("--cell", "query"),
+    ("--from", "query"),
+    ("--to", "query"),
 ];
 
-fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
+/// Parses the flags of `command`. A flag nobody reads must not be
+/// swallowed: an unknown one, or another subcommand's, is an argument
+/// error, so a retired or misspelt execution flag can never silently
+/// select the sequential pipeline.
+fn parse_args(command: &str, args: &[String]) -> Result<CommonArgs, String> {
     let mut out = CommonArgs {
         population: 300,
         duration: 400,
@@ -183,22 +207,31 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
         serve_hold_ms: 0,
         flight_dir: None,
         smoke: false,
-        rest: BTreeMap::new(),
+        apply_every: 0,
+        checkpoint_every: 1024,
+        metrics_in: None,
+        query: None,
     };
+    let (mut eid, mut cell, mut from, mut to) = (None, None, None, None);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if let Some((_, owner)) = SUBCOMMAND_FLAGS.iter().find(|(flag, _)| flag == arg) {
+            if *owner != command {
+                return Err(format!("flag {arg} belongs to `evmatch {owner}`"));
+            }
+        }
         let mut take = || {
             it.next()
                 .cloned()
                 .ok_or_else(|| format!("flag {arg} needs a value"))
         };
         match arg.as_str() {
-            "--population" => out.population = take()?.parse().map_err(|e| format!("{e}"))?,
-            "--duration" => out.duration = take()?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => out.seed = take()?.parse().map_err(|e| format!("{e}"))?,
-            "--targets" => out.targets = take()?.parse().map_err(|e| format!("{e}"))?,
+            "--population" => out.population = value(&take()?)?,
+            "--duration" => out.duration = value(&take()?)?,
+            "--seed" => out.seed = value(&take()?)?,
+            "--targets" => out.targets = value(&take()?)?,
             "--threads" => {
-                let n: usize = take()?.parse().map_err(|e| format!("{e}"))?;
+                let n: usize = value(&take()?)?;
                 if n == 0 {
                     return Err("--threads must be at least 1".into());
                 }
@@ -218,9 +251,7 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
             "--metrics-out" => out.metrics_out = Some(take()?),
             "--data-dir" => out.data_dir = Some(take()?),
             "--serve-metrics" => out.serve_metrics = Some(take()?),
-            "--serve-hold-ms" => {
-                out.serve_hold_ms = take()?.parse().map_err(|e| format!("{e}"))?;
-            }
+            "--serve-hold-ms" => out.serve_hold_ms = value(&take()?)?,
             "--flight-dir" => out.flight_dir = Some(take()?),
             "--smoke" => out.smoke = true,
             "--recovery" => {
@@ -230,20 +261,38 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
                     other => return Err(format!("unknown recovery mode {other}")),
                 }
             }
-            other if other.starts_with("--") => {
-                let key = other.trim_start_matches("--");
-                // A flag nobody reads must not be swallowed: a retired
-                // or misspelt execution flag would silently select the
-                // sequential pipeline.
-                if !SUBCOMMAND_FLAGS.contains(&key) {
-                    return Err(format!("unknown flag {other}"));
-                }
-                out.rest.insert(key.to_string(), take()?);
-            }
+            "--apply-every" => out.apply_every = value(&take()?)?,
+            "--checkpoint-every" => out.checkpoint_every = value(&take()?)?,
+            "--in" => out.metrics_in = Some(take()?),
+            "--eid" => eid = Some(value(&take()?)?),
+            "--cell" => cell = Some(value(&take()?)?),
+            "--from" => from = Some(value(&take()?)?),
+            "--to" => to = Some(value(&take()?)?),
+            other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
             other => return Err(format!("unexpected argument {other}")),
         }
     }
+    if command == "query" {
+        out.query = Some(match (eid, cell) {
+            (Some(eid), None) if from.is_none() && to.is_none() => Query::Eid(eid),
+            (None, Some(cell)) => Query::Cell {
+                cell,
+                from: from.unwrap_or(0),
+                to: to.unwrap_or(out.duration),
+            },
+            _ => return Err(QUERY_USAGE.into()),
+        });
+    }
     Ok(out)
+}
+
+/// A flag's value, parsed; a bad one is an argument error.
+fn value<T>(text: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    text.parse().map_err(|e| format!("{e}"))
 }
 
 fn build_dataset(args: &CommonArgs) -> Result<EvDataset, String> {
@@ -424,7 +473,7 @@ fn cmd_ingest(args: &CommonArgs) -> Result<(), String> {
 /// ```text
 /// ingest N    stream the next N ticks of the generated world in
 /// apply       publish staged events (checkpoint, splice, epoch bump)
-/// query [K]   match the first K watch targets on the applied snapshot
+/// query [K]   match the first K sampled targets on the applied snapshot
 /// stats       print epoch / staleness / store sizes
 /// quit        final apply + checkpoint, then clean shutdown
 /// ```
@@ -438,9 +487,8 @@ fn cmd_ingest(args: &CommonArgs) -> Result<(), String> {
 /// The event source is the deterministic dataset the flags describe,
 /// replayed in time order from a cursor that resumes past whatever the
 /// corpus already holds — so repeated serve sessions model a service
-/// that is stopped and restarted mid-stream. The sampled targets double
-/// as the live watch set, so the Algorithm-1 delta-update index is
-/// maintained across applies. `--apply-every N` bounds staleness by
+/// that is stopped and restarted mid-stream; `query [K]` matches the
+/// first K of the sampled targets. `--apply-every N` bounds staleness by
 /// auto-applying after N staged events; `--checkpoint-every N` bounds
 /// crash loss (see `ServeConfig`).
 fn cmd_serve(args: &CommonArgs) -> Result<(), String> {
@@ -450,15 +498,6 @@ fn cmd_serve(args: &CommonArgs) -> Result<(), String> {
     use std::io::BufRead;
 
     let dir = args.data_dir.as_ref().ok_or("serve needs --data-dir DIR")?;
-    let apply_every: usize = args
-        .rest
-        .get("apply-every")
-        .map_or(Ok(0), |v| v.parse().map_err(|e| format!("{e}")))?;
-    let checkpoint_every: u64 = args
-        .rest
-        .get("checkpoint-every")
-        .map_or(Ok(1024), |v| v.parse().map_err(|e| format!("{e}")))?;
-
     let dataset = build_dataset(args)?;
     let targets = sample_targets(&dataset, args.targets, args.seed);
 
@@ -471,10 +510,9 @@ fn cmd_serve(args: &CommonArgs) -> Result<(), String> {
 
     let mut config = ServeConfig {
         cost: dataset.video.cost_model(),
-        apply_every,
-        checkpoint_every,
+        apply_every: args.apply_every,
+        checkpoint_every: args.checkpoint_every,
         recovery: args.recovery,
-        watch: targets.clone(),
         ..ServeConfig::default()
     };
     config.matcher.mode = args.mode;
@@ -890,21 +928,13 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
 
         // 7. Streaming serve loop: ingest half the world, apply, stage
         //    the rest, query stale then fresh — the serve-layer
-        //    counters, staleness/epoch gauges, query-latency histogram
-        //    and the Algorithm-1 delta-update (incr) metrics.
+        //    counters, staleness/epoch gauges and query-latency histogram.
         {
             use evmatch::serve::{LiveCorpus, ServeConfig};
             let tel = Telemetry::new(TelemetryLevel::Counters);
             let dir = scratch.join("live");
-            let mut live = LiveCorpus::open(
-                &dir,
-                ServeConfig {
-                    watch: targets.clone(),
-                    ..ServeConfig::default()
-                },
-                &tel,
-            )
-            .map_err(|e| format!("opening live corpus: {e}"))?;
+            let mut live = LiveCorpus::open(&dir, ServeConfig::default(), &tel)
+                .map_err(|e| format!("opening live corpus: {e}"))?;
             let mid = config.duration / 2;
             let slice = |from: u64, to: u64| {
                 let es: Vec<_> = dataset
@@ -1004,8 +1034,8 @@ fn cmd_check_metrics(args: &CommonArgs) -> Result<(), String> {
         return smoke_coverage_gate(args);
     }
     let path = args
-        .rest
-        .get("in")
+        .metrics_in
+        .as_ref()
         .ok_or("check-metrics needs --in PATH (or --smoke)")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let exposition =
@@ -1156,14 +1186,12 @@ fn cmd_match(args: &CommonArgs) -> Result<(), String> {
 }
 
 fn cmd_query(args: &CommonArgs) -> Result<(), String> {
+    let query = args.query.as_ref().ok_or(QUERY_USAGE)?;
     let (dataset, report) = run_match(args)?;
     let index = FusedIndex::build(&dataset.estore, &dataset.video, &report);
 
-    if let Some(eid_text) = args.rest.get("eid") {
-        let eid: Eid = eid_text
-            .parse()
-            .map_err(|e: evmatch::core::Error| e.to_string())?;
-        match index.profile_by_eid(eid) {
+    match *query {
+        Query::Eid(eid) => match index.profile_by_eid(eid) {
             None => println!("{eid}: not matched (or not in the requested target set)"),
             Some(profile) => {
                 println!(
@@ -1187,37 +1215,24 @@ fn cmd_query(args: &CommonArgs) -> Result<(), String> {
                     );
                 }
             }
+        },
+        Query::Cell { cell, from, to } => {
+            let cells = [evmatch::core::region::CellId::new(cell)];
+            let range = evmatch::core::time::TimeRange::new(
+                evmatch::core::time::Timestamp::new(from),
+                evmatch::core::time::Timestamp::new(to),
+            );
+            let present = index.present_at(&cells, range);
+            println!(
+                "{} matched identit(ies) present in cell#{cell} during [{from}, {to}):",
+                present.len()
+            );
+            for identity in present {
+                println!("  {} == {}", identity.eid, identity.vid);
+            }
         }
-        return Ok(());
     }
-
-    if let Some(cell_text) = args.rest.get("cell") {
-        let cell: usize = cell_text.parse().map_err(|e| format!("{e}"))?;
-        let from: u64 = args
-            .rest
-            .get("from")
-            .map_or(Ok(0), |v| v.parse().map_err(|e| format!("{e}")))?;
-        let to: u64 = args
-            .rest
-            .get("to")
-            .map_or(Ok(args.duration), |v| v.parse().map_err(|e| format!("{e}")))?;
-        let cells = [evmatch::core::region::CellId::new(cell)];
-        let range = evmatch::core::time::TimeRange::new(
-            evmatch::core::time::Timestamp::new(from),
-            evmatch::core::time::Timestamp::new(to),
-        );
-        let present = index.present_at(&cells, range);
-        println!(
-            "{} matched identit(ies) present in cell#{cell} during [{from}, {to}):",
-            present.len()
-        );
-        for identity in present {
-            println!("  {} == {}", identity.eid, identity.vid);
-        }
-        return Ok(());
-    }
-
-    Err("query needs --eid HEX or --cell N [--from T0 --to T1]".into())
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -1238,7 +1253,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let args = match parse_args(rest) {
+    let args = match parse_args(command, rest) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("argument error: {e}");

@@ -4,7 +4,7 @@
 //!
 //! # Model
 //!
-//! [`LiveCorpus`] owns three layers, updated strictly in this order:
+//! [`LiveCorpus`] owns two layers, updated strictly in this order:
 //!
 //! 1. **Durability** — an [`IngestWriter`] appends arriving events to
 //!    open `ev-disk` segments. A *checkpoint* seals the open segments
@@ -16,9 +16,6 @@
 //!    **epoch** counter. Data becomes query-visible only *after* it is
 //!    durable, so a recovered corpus is never behind what a query ever
 //!    observed.
-//! 3. **Index maintenance** — when a *watch set* of EIDs is configured,
-//!    an [`IncrementalSplit`] absorbs each applied batch via the
-//!    Algorithm-1 delta-update instead of re-splitting from scratch.
 //!
 //! # Staleness
 //!
@@ -45,15 +42,7 @@
 //! .unwrap();
 //! let targets = sample_targets(&dataset, 6, 42);
 //!
-//! let mut live = LiveCorpus::open(
-//!     &dir,
-//!     ServeConfig {
-//!         watch: targets.clone(),
-//!         ..ServeConfig::default()
-//!     },
-//!     Telemetry::disabled(),
-//! )
-//! .unwrap();
+//! let mut live = LiveCorpus::open(&dir, ServeConfig::default(), Telemetry::disabled()).unwrap();
 //!
 //! // Stream the day in, a tick at a time.
 //! for tick in 0..60 {
@@ -83,8 +72,7 @@
 use ev_core::ids::Eid;
 use ev_core::scenario::{EScenario, VScenario};
 use ev_disk::{CheckpointPolicy, DiskError, DiskStore, IngestWriter, RecoveryMode, MANIFEST_FILE};
-use ev_matching::incremental::IncrementalSplit;
-use ev_matching::setsplit::{SelectionStrategy, SetSplitConfig, SplitOutput};
+use ev_matching::setsplit::{split_ideal, SelectionStrategy, SetSplitConfig, SplitOutput};
 use ev_matching::{EvMatcher, MatchReport, MatcherConfig};
 use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{names, Telemetry};
@@ -115,9 +103,9 @@ pub struct ServeConfig {
     pub checkpoint_every: u64,
     /// Recovery mode when opening an existing on-disk corpus.
     pub recovery: RecoveryMode,
-    /// Optional watch set: EIDs whose set-splitting partition is
-    /// maintained incrementally across applies (Algorithm-1 delta
-    /// update). Empty = no live index.
+    /// Optional watch set: EIDs whose set-splitting lists
+    /// [`LiveCorpus::watch_lists`] computes on the applied snapshot.
+    /// Empty = no watch lists.
     pub watch: BTreeSet<Eid>,
 }
 
@@ -219,8 +207,8 @@ pub struct IngestReceipt {
 
 /// A live, queryable corpus with streaming ingest.
 ///
-/// See the [module docs](self) for the durability / visibility / index
-/// layering and the staleness contract.
+/// See the [module docs](self) for the durability / visibility layering
+/// and the staleness contract.
 pub struct LiveCorpus<'t> {
     writer: IngestWriter,
     estore: EScenarioStore,
@@ -228,7 +216,6 @@ pub struct LiveCorpus<'t> {
     staged_e: Vec<EScenario>,
     staged_v: Vec<VScenario>,
     epoch: u64,
-    incr: Option<IncrementalSplit>,
     telemetry: &'t Telemetry,
     config: ServeConfig,
 }
@@ -250,10 +237,8 @@ impl<'t> LiveCorpus<'t> {
     /// E-data is loaded, the V-data verified and indexed (its footage is
     /// read when a query selects it and released when the query ends;
     /// footage ingested live stays resident until the corpus is
-    /// reopened). Existing corpora are
-    /// recovered under
-    /// [`ServeConfig::recovery`] and a non-empty watch set is absorbed
-    /// immediately, so the live index is warm before the first ingest.
+    /// reopened). Existing corpora are recovered under
+    /// [`ServeConfig::recovery`].
     ///
     /// # Errors
     ///
@@ -272,11 +257,6 @@ impl<'t> LiveCorpus<'t> {
         };
         let estore = store.load_estore()?;
         let video = store.load_video(config.cost)?;
-        let incr = (!config.watch.is_empty()).then(|| {
-            let mut live = IncrementalSplit::new(&config.watch, &WATCH_SPLIT);
-            live.absorb(&estore, telemetry);
-            live
-        });
         let writer = IngestWriter::new(
             store,
             CheckpointPolicy {
@@ -290,7 +270,6 @@ impl<'t> LiveCorpus<'t> {
             staged_e: Vec::new(),
             staged_v: Vec::new(),
             epoch: 0,
-            incr,
             telemetry,
             config,
         })
@@ -327,12 +306,14 @@ impl<'t> LiveCorpus<'t> {
         self.writer.store()
     }
 
-    /// The live watch-set partition, anchored and made unique into full
-    /// scenario lists —
-    /// `None` when no watch set is configured.
+    /// The watch set's Algorithm-1 split of the applied snapshot,
+    /// anchored and made unique into full scenario lists (computed on
+    /// each call, without telemetry) — `None` when no watch set is
+    /// configured.
     #[must_use]
     pub fn watch_lists(&self) -> Option<SplitOutput> {
-        self.incr.as_ref().map(|live| live.output(&self.estore))
+        let watch = &self.config.watch;
+        (!watch.is_empty()).then(|| split_ideal(&self.estore, watch, &WATCH_SPLIT))
     }
 
     /// Accepts a batch of arriving events: appends them to the open
@@ -383,7 +364,7 @@ impl<'t> LiveCorpus<'t> {
 
     /// Publishes the staged events: checkpoints the disk writer
     /// (durable first), splices the events into the in-memory stores,
-    /// delta-updates the watch-set index, and bumps the epoch.
+    /// and bumps the epoch.
     ///
     /// A no-op (no epoch bump) when nothing is staged.
     ///
@@ -404,17 +385,8 @@ impl<'t> LiveCorpus<'t> {
                 .counter(names::SERVE_CHECKPOINTS)
                 .inc();
         }
-        let stats = self.estore.ingest(std::mem::take(&mut self.staged_e));
+        self.estore.ingest(std::mem::take(&mut self.staged_e));
         self.video.ingest(std::mem::take(&mut self.staged_v));
-        if let Some(live) = &mut self.incr {
-            if stats.rebuilt {
-                // Out-of-order data forced a store rebuild; the delta
-                // state no longer matches a chronological replay, so
-                // re-absorb from scratch.
-                *live = IncrementalSplit::new(&self.config.watch, &WATCH_SPLIT);
-            }
-            live.absorb(&self.estore, self.telemetry);
-        }
         self.epoch += 1;
         if self.telemetry.counters_on() {
             let reg = self.telemetry.registry();
@@ -466,10 +438,8 @@ impl<'t> LiveCorpus<'t> {
     }
 }
 
-/// The split configuration driving the watch-set index:
-/// [`SelectionStrategy::Chronological`], the only order under which
-/// the Algorithm-1 delta update is exact (see
-/// [`IncrementalSplit::new`]).
+/// The split configuration of [`LiveCorpus::watch_lists`]: scenarios
+/// in (time, cell) order.
 const WATCH_SPLIT: SetSplitConfig = SetSplitConfig {
     strategy: SelectionStrategy::Chronological,
 };

@@ -79,7 +79,6 @@ fn query_during_ingest_is_byte_identical_to_its_snapshot() {
         &dir,
         ServeConfig {
             cost: d.video.cost_model(),
-            watch: targets.clone(),
             ..ServeConfig::default()
         },
         &tel,
@@ -130,7 +129,7 @@ fn query_during_ingest_is_byte_identical_to_its_snapshot() {
 
 /// A restarted service resumes from the applied state: the full
 /// streamed corpus answers byte-identically to a never-restarted
-/// in-memory run, and the live watch index agrees with the applied
+/// in-memory run, and the watch lists are the split of the applied
 /// store.
 #[test]
 fn restart_resumes_the_applied_corpus() {
@@ -165,8 +164,7 @@ fn restart_resumes_the_applied_corpus() {
         .expect("offline query");
     assert_same_report(&answer.report, &offline);
 
-    // The incrementally maintained watch partition equals a
-    // from-scratch chronological split over the applied store.
+    // The watch lists are the chronological split of the applied store.
     let lists = live.watch_lists().expect("watch set is configured");
     let split_cfg = evmatch::matching::setsplit::SetSplitConfig {
         strategy: evmatch::matching::setsplit::SelectionStrategy::Chronological,
