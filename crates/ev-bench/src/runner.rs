@@ -3,7 +3,6 @@
 
 use crate::report::num;
 use ev_core::ids::Eid;
-use ev_dag::DagConfig;
 use ev_datagen::{score_report, EvDataset};
 use ev_matching::edp::{match_edp, EdpConfig};
 use ev_matching::matcher::{EvMatcher, ExecutionMode, MatcherConfig};
@@ -58,7 +57,8 @@ impl RunSummary {
 ///
 /// # Panics
 ///
-/// Panics if a map fails — impossible without injected faults.
+/// Panics if a map fails: a mapped task panicked, or the OS refused a
+/// worker thread.
 #[must_use]
 pub(crate) fn run_ss(
     dataset: &EvDataset,
@@ -76,7 +76,7 @@ pub(crate) fn run_ss(
     };
     let report = EvMatcher::new(&dataset.estore, &dataset.video, config)
         .match_many(targets)
-        .expect("a fault-free run cannot fail");
+        .expect("SS run");
     summarize(dataset, targets, Algo::Ss, &report)
 }
 
@@ -85,7 +85,8 @@ pub(crate) fn run_ss(
 ///
 /// # Panics
 ///
-/// Panics if a map fails — impossible without injected faults.
+/// Panics if a map fails: a mapped task panicked, or the OS refused a
+/// worker thread.
 #[must_use]
 pub(crate) fn run_edp(
     dataset: &EvDataset,
@@ -99,14 +100,14 @@ pub(crate) fn run_edp(
         ..EdpConfig::default()
     };
     let report = match_edp(
-        &DagConfig::new(threads),
+        threads,
         &dataset.estore,
         &dataset.video,
         targets,
         &config,
         Telemetry::disabled(),
     )
-    .expect("a fault-free run cannot fail");
+    .expect("EDP run");
     summarize(dataset, targets, Algo::Edp, &report)
 }
 

@@ -6,26 +6,14 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum JobError {
-    /// The fault plan failed validation, or the OS refused a worker
-    /// thread.
+    /// The OS refused a worker thread.
     InvalidConfig(ev_core::Error),
-    /// A task lost its last allowed attempt to an injected
-    /// [`FaultPlan`](crate::FaultPlan) fault.
-    TaskExhausted {
-        /// The name of the map the task belonged to.
-        stage: &'static str,
-        /// The task's partition index.
-        task: usize,
-        /// Attempts consumed.
-        attempts: u32,
-    },
-    /// A task lost its last allowed attempt to a real panic. Panics
-    /// are isolated per task attempt and retried like injected faults;
-    /// this error means the retry budget ran out on one.
+    /// A task panicked. Each task runs once, under its own
+    /// `catch_unwind`, and the first panic stops the map.
     WorkerPanicked {
         /// The name of the map the task belonged to.
         stage: &'static str,
-        /// The panic payload message of the final attempt.
+        /// The panic payload message.
         message: String,
     },
     /// Data the job's tasks read could not be loaded, so there is no
@@ -47,16 +35,8 @@ impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JobError::InvalidConfig(e) => write!(f, "invalid job configuration: {e}"),
-            JobError::TaskExhausted {
-                stage,
-                task,
-                attempts,
-            } => write!(f, "{stage} task {task} failed after {attempts} attempts"),
             JobError::WorkerPanicked { stage, message } => {
-                write!(
-                    f,
-                    "{stage} task panicked on every allowed attempt: {message}"
-                )
+                write!(f, "{stage} task panicked: {message}")
             }
             JobError::Input(e) => write!(f, "job input could not be loaded: {e}"),
         }
@@ -67,7 +47,7 @@ impl std::error::Error for JobError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             JobError::InvalidConfig(e) | JobError::Input(e) => Some(e),
-            JobError::TaskExhausted { .. } | JobError::WorkerPanicked { .. } => None,
+            JobError::WorkerPanicked { .. } => None,
         }
     }
 }

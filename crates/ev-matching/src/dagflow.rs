@@ -1,11 +1,11 @@
 //! The matching pipeline on a thread pool (paper §V, Algorithm 3).
 //!
 //! The paper's Algorithm 3 is Algorithms 1–2 in MapReduce form, so the
-//! parallel pipeline *is* the sequential one:
-//! [`EvMatcher::match_many_on`] runs Algorithm 1, Algorithm 2's rounds
-//! and the longest-first exclusion walk exactly as the inline
-//! [`EvMatcher::match_many`] does, and its report is that pipeline's at
-//! every thread count. All this module adds is where a wave is scored:
+//! parallel pipeline *is* the sequential one: [`EvMatcher::match_many`]
+//! under [`ExecutionMode::Dag`] runs Algorithm 1, Algorithm 2's rounds
+//! and the longest-first exclusion walk exactly as it does inline, and
+//! its report is the inline pipeline's at every thread count. All this
+//! module adds is where a wave is scored:
 //! the walk ([`VStage::filter_longest_first`]) takes each round's
 //! longest-first order in waves, and the pool scores each wave as
 //! **one [`par_map`]** of 4 partitions (`score_wave`):
@@ -31,17 +31,16 @@
 //!   gallery goes once the last entry naming it is tallied.
 //!
 //! Every round runs this way. The map's geometry (4 score partitions)
-//! is pinned, so every output is independent of
-//! [`DagConfig::threads`] and of panic retries.
+//! is pinned, so every output is independent of the thread count.
 //!
 //! [`VStage::filter_longest_first`]: crate::vfilter::VStage::filter_longest_first
-//! [`EvMatcher::match_many_on`]: crate::matcher::EvMatcher::match_many_on
 //! [`EvMatcher::match_many`]: crate::matcher::EvMatcher::match_many
+//! [`ExecutionMode::Dag`]: crate::matcher::ExecutionMode::Dag
 
 use crate::vfilter::{model_of, CacheEntry, Scores};
 use ev_core::feature::Metric;
 use ev_core::ids::Vid;
-use ev_dag::{par_map, DagConfig, JobError};
+use ev_dag::{par_map, JobError};
 use ev_store::VideoStore;
 use ev_telemetry::{Telemetry, TraceCtx};
 use std::collections::BTreeSet;
@@ -50,11 +49,12 @@ use std::collections::BTreeSet;
 /// thread count.
 const V_PARTITIONS: usize = 4;
 
-/// One wave of the walk scored on `config`'s pool: `wave[i]` is a list's
-/// footage-bearing galleries in list order, scored with `excluded` ruled
-/// out after the quorum count. Returns the scores in `wave`'s order.
+/// One wave of the walk scored on `threads` workers: `wave[i]` is a
+/// list's footage-bearing galleries in list order, scored with
+/// `excluded` ruled out after the quorum count. Returns the scores in
+/// `wave`'s order.
 pub(crate) fn score_wave(
-    config: &DagConfig,
+    threads: usize,
     ctx: TraceCtx,
     wave: &[Vec<&CacheEntry>],
     excluded: &BTreeSet<Vid>,
@@ -62,7 +62,7 @@ pub(crate) fn score_wave(
     video: &VideoStore,
     tel: &Telemetry,
 ) -> Result<Vec<Scores>, JobError> {
-    let parts = par_map("dag_score", V_PARTITIONS, config, tel, ctx, |p| {
+    let parts = par_map("dag_score", V_PARTITIONS, threads, tel, ctx, |p| {
         let mine = wave.iter().skip(p).step_by(V_PARTITIONS);
         mine.map(|entries| model_of(entries.clone(), excluded).score(metric, video, tel))
             .collect::<Vec<Scores>>()
@@ -77,14 +77,13 @@ pub(crate) fn score_wave(
 
 #[cfg(test)]
 mod tests {
-    use crate::matcher::{EvMatcher, MatcherConfig};
+    use crate::matcher::{EvMatcher, ExecutionMode, MatcherConfig};
     use crate::types::MatchReport;
     use ev_core::feature::FeatureVector;
     use ev_core::ids::{Eid, Vid};
     use ev_core::region::CellId;
     use ev_core::scenario::{Detection, EScenario, VScenario, ZoneAttr};
     use ev_core::time::Timestamp;
-    use ev_dag::DagConfig;
     use ev_store::{EScenarioStore, VideoStore};
     use ev_telemetry::{Telemetry, TelemetryLevel};
     use ev_vision::cost::CostModel;
@@ -132,9 +131,13 @@ mod tests {
         // Fresh stores per run so extraction caching cannot leak across
         // runs.
         let (store, video) = world();
-        let report = EvMatcher::new(&store, &video, MatcherConfig::default())
+        let config = MatcherConfig {
+            execution: ExecutionMode::Dag(threads),
+            ..MatcherConfig::default()
+        };
+        let report = EvMatcher::new(&store, &video, config)
             .with_telemetry(telemetry)
-            .match_many_on(&DagConfig::new(threads), &targets());
+            .match_many(&targets());
         (report.unwrap(), video)
     }
 

@@ -13,18 +13,18 @@
 //! The paper adapts EDP to MapReduce "by assigning each mapper one EID
 //! matching task" (§VI-B), and [`match_edp`] is that adaptation and
 //! nothing else: two [`ev_dag::par_map`]s with a partition per EID, on
-//! whatever pool it is handed — [`DagConfig::new(1)`](DagConfig::new)
-//! is the sequential run. Scenario selections are *not* shared between
-//! EIDs — the reuse that makes set splitting cheaper simply does not
-//! happen, although a scenario picked independently for two EIDs is
-//! only extracted (and charged) once by the [`VideoStore`].
+//! however many threads it is handed — one is the sequential run.
+//! Scenario selections are *not* shared between EIDs — the reuse that
+//! makes set splitting cheaper simply does not happen, although a
+//! scenario picked independently for two EIDs is only extracted (and
+//! charged) once by the [`VideoStore`].
 
 use crate::types::{MatchReport, ScenarioList, StageTimings};
 use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
 use ev_core::feature::Metric;
 use ev_core::ids::Eid;
 use ev_core::scenario::{EScenario, ScenarioId};
-use ev_dag::{par_map, DagConfig, JobError};
+use ev_dag::{par_map, JobError};
 use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{Telemetry, TraceCtx};
 use rand::seq::SliceRandom;
@@ -152,22 +152,23 @@ pub(crate) fn efilter_one(
     )
 }
 
-/// Matches a set of EIDs with EDP on `pool`: per-EID E-filtering, then
-/// per-EID V-identification, as two [`par_map`]s with a partition per
-/// EID — `efilter`, then `videntify` over the lists it returned. Each
+/// Matches a set of EIDs with EDP on `threads` workers: per-EID
+/// E-filtering, then per-EID V-identification, as two [`par_map`]s
+/// with a partition per EID — `efilter`, then `videntify` over the
+/// lists it returned. Each
 /// EID's V partition keeps its own gallery cache, so its galleries go
 /// with it. `timings.e_stage` and `timings.v_stage` are the two maps'
 /// walls, so the E- and V-stage times stay separable the way Figs. 8–9
-/// report them. The report is the same on every pool.
+/// report them. The report is the same at every thread count.
 ///
 /// # Errors
 ///
-/// Propagates [`JobError`] from [`par_map`] (an invalid fault plan, or a
-/// partition that exhausts its retry budget), and fails with
+/// Propagates [`JobError`] from [`par_map`] (a refused worker thread,
+/// or a panicking partition), and fails with
 /// [`JobError::Input`] when footage a list selects failed to load (see
 /// [`VideoStore::check_loads`]).
 pub fn match_edp(
-    pool: &DagConfig,
+    threads: usize,
     store: &EScenarioStore,
     video: &VideoStore,
     targets: &BTreeSet<Eid>,
@@ -177,7 +178,7 @@ pub fn match_edp(
     let eids: Vec<Eid> = targets.iter().copied().collect();
     let ctx = TraceCtx::root();
     let e_start = Instant::now();
-    let lists = par_map("efilter", eids.len(), pool, telemetry, ctx, |p| {
+    let lists = par_map("efilter", eids.len(), threads, telemetry, ctx, |p| {
         efilter_one(store, eids[p], config.seed, |_| false)
     })?;
     let e_stage = e_start.elapsed();
@@ -186,7 +187,7 @@ pub fn match_edp(
         exclusion: false,
     };
     let v_start = Instant::now();
-    let outcomes = par_map("videntify", eids.len(), pool, telemetry, ctx, |p| {
+    let outcomes = par_map("videntify", eids.len(), threads, telemetry, ctx, |p| {
         let mut stage = VStage {
             video,
             config: &vfilter,
@@ -257,15 +258,15 @@ mod tests {
         )
     }
 
-    /// [`match_edp`] with the default configuration on `pool`.
+    /// [`match_edp`] with the default configuration on `threads` workers.
     fn edp(
-        pool: &DagConfig,
+        threads: usize,
         store: &EScenarioStore,
         video: &VideoStore,
         targets: &BTreeSet<Eid>,
         tel: &Telemetry,
     ) -> MatchReport {
-        match_edp(pool, store, video, targets, &EdpConfig::default(), tel).unwrap()
+        match_edp(threads, store, video, targets, &EdpConfig::default(), tel).unwrap()
     }
 
     #[test]
@@ -287,13 +288,7 @@ mod tests {
     fn edp_matches_everyone_in_the_clean_world() {
         let (store, video) = world();
         let targets: BTreeSet<Eid> = (0..4).map(Eid::from_u64).collect();
-        let report = edp(
-            &DagConfig::new(1),
-            &store,
-            &video,
-            &targets,
-            Telemetry::disabled(),
-        );
+        let report = edp(1, &store, &video, &targets, Telemetry::disabled());
         assert_eq!(report.outcomes.len(), 4);
         for o in &report.outcomes {
             assert_eq!(
@@ -323,7 +318,7 @@ mod tests {
         let (store, video) = world();
         let targets: BTreeSet<Eid> = (0..4).map(Eid::from_u64).collect();
         let tel = Telemetry::new(TelemetryLevel::Counters);
-        edp(&DagConfig::new(2), &store, &video, &targets, &tel);
+        edp(2, &store, &video, &targets, &tel);
         for name in [names::VFILTER_CANDIDATES_SCORED, names::KERNEL_BLOCKS_BUILT] {
             let counted = tel.registry().counter_value(name).unwrap_or(0);
             assert!(counted > 0, "{name} is {counted} under EDP on two workers");
@@ -335,8 +330,7 @@ mod tests {
         let (store, video) = world();
         let targets: BTreeSet<Eid> = (0..4).map(Eid::from_u64).collect();
         let run = |threads, targets: &BTreeSet<Eid>| {
-            let pool = DagConfig::new(threads);
-            edp(&pool, &store, &video, targets, Telemetry::disabled())
+            edp(threads, &store, &video, targets, Telemetry::disabled())
         };
         let sequential = run(1, &targets);
         let parallel = |targets: &BTreeSet<Eid>| run(2, targets);

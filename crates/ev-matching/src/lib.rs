@@ -32,8 +32,7 @@
 //!   pool — one worker is the sequential run.
 //! * [`dagflow`] — the parallelization (paper §V, Algorithm 3): each
 //!   wave of the pipeline's walk scored as **one [`ev_dag::par_map`]**
-//!   of 4 pinned partitions. A lost attempt costs only the partition it
-//!   was computing, and the [`MatchReport`] is the sequential
+//!   of 4 pinned partitions. The [`MatchReport`] is the sequential
 //!   pipeline's at every thread count.
 //! * [`matcher`] — the high-level [`EvMatcher`] API
 //!   with elastic matching sizes: single EID, a requested set (inline or

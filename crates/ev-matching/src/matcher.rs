@@ -11,8 +11,8 @@
 //! * [`match_many`](EvMatcher::match_many) — a requested EID set, via
 //!   set splitting + VID filtering with refinement (Algorithms 1–2), on
 //!   the caller's thread or with its V stage scored on a thread pool
-//!   (Algorithm 3, [`match_many_on`](EvMatcher::match_many_on)): one
-//!   pipeline, the same report.
+//!   (Algorithm 3, [`ExecutionMode::Dag`]): one pipeline, the same
+//!   report.
 //! * [`match_universal`](EvMatcher::match_universal) — every EID present
 //!   in the E-data gets labeled; afterwards any query is an index lookup.
 //!   "Note that the larger the matching size is, the less time it costs
@@ -24,7 +24,7 @@ use crate::setsplit::SetSplitConfig;
 use crate::types::MatchReport;
 use crate::vfilter::VFilterConfig;
 use ev_core::ids::Eid;
-use ev_dag::{DagConfig, JobError};
+use ev_dag::JobError;
 use ev_store::{EScenarioStore, StoreBackend, VideoStore};
 use ev_telemetry::{Telemetry, TraceCtx};
 use serde::{Deserialize, Serialize};
@@ -39,9 +39,10 @@ pub enum ExecutionMode {
     Sequential,
     /// The pipeline with each wave of the V stage's walk scored as one
     /// [`ev_dag::par_map`] on this many threads (see [`crate::dagflow`]);
-    /// a worker panic reruns only the lost partition. One thread runs the pipeline inline: a wave
-    /// scores candidates its own locks rule out, work one thread cannot
-    /// hide.
+    /// a panicking partition ends the run as
+    /// [`JobError::WorkerPanicked`]. One thread runs the pipeline
+    /// inline: a wave scores candidates its own locks rule out, work one
+    /// thread cannot hide.
     Dag(usize),
 }
 
@@ -131,7 +132,7 @@ impl<'a> EvMatcher<'a> {
         };
         let (estore, video, tel) = (self.estore, self.video, &self.telemetry);
         let targets = BTreeSet::from([eid]);
-        let report = match_edp(&DagConfig::new(1), estore, video, &targets, &config, tel)?;
+        let report = match_edp(1, estore, video, &targets, &config, tel)?;
         // One list through one fresh cache: a miss per distinct
         // scenario, a hit per repeat.
         let list = &report.lists[&eid];
@@ -153,66 +154,37 @@ impl<'a> EvMatcher<'a> {
         Ok(report)
     }
 
-    /// Matches a set of EIDs simultaneously via EID set splitting, on
-    /// the pool [`ExecutionMode::Dag`] names when it has two or more
-    /// threads (through [`match_many_on`](Self::match_many_on)), and on
-    /// the caller's thread otherwise.
+    /// Matches a set of EIDs simultaneously via EID set splitting: on
+    /// the caller's thread, or, when [`ExecutionMode::Dag`] names two or
+    /// more threads, with every round's V stage scored on that many —
+    /// one [`ev_dag::par_map`] per wave of the walk (see
+    /// [`crate::dagflow`]).
+    ///
+    /// The report is the inline pipeline's (timings aside) at every
+    /// thread count, and the run exports the same counters but
+    /// `evm_vfilter_candidates_scored`: a pooled wave's lists are scored
+    /// before the wave's own locks, so they count the candidates those
+    /// locks rule out too.
     ///
     /// # Errors
     ///
     /// [`JobError::Input`] when footage a selected scenario needs failed
     /// to load — never a report computed without it (see
     /// [`VideoStore::check_loads`]); on two or more threads also what
-    /// [`match_many_on`](Self::match_many_on) returns.
+    /// [`ev_dag::par_map`] returns (a refused worker thread, or a
+    /// panicking partition).
     pub fn match_many(&self, targets: &BTreeSet<Eid>) -> Result<MatchReport, JobError> {
-        match self.config.execution {
-            ExecutionMode::Dag(threads) if threads >= 2 => {
-                self.match_many_on(&DagConfig::new(threads), targets)
-            }
-            ExecutionMode::Sequential | ExecutionMode::Dag(_) => self.run(targets, None),
-        }
-    }
-
-    /// [`match_many`](Self::match_many) with every round's V stage
-    /// scored on `pool` — one [`ev_dag::par_map`] per wave of the walk
-    /// (see [`crate::dagflow`]), so a lost attempt costs only the
-    /// partition it was computing — whatever the configured
-    /// [`ExecutionMode`]. The pool's [`FaultPlan`](ev_dag::FaultPlan)
-    /// injects task loss.
-    ///
-    /// The report is the inline pipeline's (timings aside) at every
-    /// thread count and under any injected task loss, and the run
-    /// exports the same counters but `evm_vfilter_candidates_scored`: a
-    /// wave's lists are scored before the wave's own locks, so they
-    /// count the candidates those locks rule out too.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`JobError`] from [`ev_dag::par_map`] (an invalid
-    /// fault plan, or a partition that exhausts its retry budget), and
-    /// fails with [`JobError::Input`] when footage the V stages asked
-    /// for failed to load (see [`VideoStore::check_loads`]).
-    pub fn match_many_on(
-        &self,
-        pool: &DagConfig,
-        targets: &BTreeSet<Eid>,
-    ) -> Result<MatchReport, JobError> {
-        self.run(targets, Some(pool))
-    }
-
-    /// The pipeline under its `match_many` span, inline or on `pool`.
-    fn run(
-        &self,
-        targets: &BTreeSet<Eid>,
-        pool: Option<&DagConfig>,
-    ) -> Result<MatchReport, JobError> {
+        let threads = match self.config.execution {
+            ExecutionMode::Dag(threads) if threads >= 2 => Some(threads),
+            ExecutionMode::Sequential | ExecutionMode::Dag(_) => None,
+        };
         let tel = &self.telemetry;
         let ctx = TraceCtx::root();
         let mut span = tel.span_ctx("match_many", "pipeline", ctx);
-        if let Some(pool) = pool {
-            span.arg("threads", serde::Value::Int(pool.threads as i128));
+        if let Some(threads) = threads {
+            span.arg("threads", serde::Value::Int(threads as i128));
         }
-        let pool = pool.map(|pool| (pool, ctx));
+        let pool = threads.map(|threads| (threads, ctx));
         let report = run_rounds(self.estore, self.video, targets, &self.config, tel, pool)?;
         self.video.check_loads().map_err(JobError::Input)?;
         span.arg("rounds", serde::Value::Int(i128::from(report.rounds)));
@@ -313,7 +285,7 @@ mod tests {
         let matcher = EvMatcher::new(&store, &video, MatcherConfig::default()).with_telemetry(&tel);
         let one = matcher.match_one(eid).unwrap();
         let edp = match_edp(
-            &DagConfig::new(1),
+            1,
             &store,
             &video,
             &BTreeSet::from([eid]),

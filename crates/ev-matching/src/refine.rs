@@ -16,12 +16,10 @@
 //! many EIDs, so refinement adds little V-data of its own.
 //!
 //! This loop is the one matching pipeline: [`EvMatcher::match_many`]
-//! runs it on the caller's thread, and
-//! [`EvMatcher::match_many_on`] with every round's scoring on a thread
-//! pool, to the same report.
+//! runs it on the caller's thread, or with every round's scoring on a
+//! thread pool, to the same report.
 //!
 //! [`EvMatcher::match_many`]: crate::matcher::EvMatcher::match_many
-//! [`EvMatcher::match_many_on`]: crate::matcher::EvMatcher::match_many_on
 
 use crate::edp::efilter_one;
 use crate::matcher::MatcherConfig;
@@ -30,7 +28,6 @@ use crate::setsplit::{split, SelectionStrategy, SetSplitConfig};
 use crate::types::{MatchOutcome, MatchReport, ScenarioList, StageTimings};
 use crate::vfilter::{GalleryCache, VStage};
 use ev_core::ids::{Eid, Vid};
-use ev_dag::dag::DagConfig;
 use ev_dag::JobError;
 use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{names, Telemetry, TraceCtx};
@@ -42,17 +39,17 @@ use std::time::Instant;
 /// Algorithm 2's rounds (up to `max_rounds`) extend what stays
 /// unconfident with the E-filter, and each round's V stage is the
 /// longest-first exclusion walk ([`VStage::filter_longest_first`]).
-/// Given a pool, every round's walk scores its lists on it,
-/// a wave at a time, and leaves every outcome as the inline walk
-/// computes it. Every round's requests count into one gallery cache,
-/// which holds no gallery between rounds.
+/// Given a pool (a thread count and the run's context), every round's
+/// walk scores its lists on it, a wave at a time, and leaves every
+/// outcome as the inline walk computes it. Every round's requests count
+/// into one gallery cache, which holds no gallery between rounds.
 pub(crate) fn run_rounds(
     store: &EScenarioStore,
     video: &VideoStore,
     targets: &BTreeSet<Eid>,
     config: &MatcherConfig,
     tel: &Telemetry,
-    pool: Option<(&DagConfig, TraceCtx)>,
+    pool: Option<(usize, TraceCtx)>,
 ) -> Result<MatchReport, JobError> {
     let mut report = MatchReport::default();
     // Theorem 4.2/4.4 gauges describe the *first* split round, where the

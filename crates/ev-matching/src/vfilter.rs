@@ -50,7 +50,6 @@ use ev_core::feature::{FeatureVector, Metric};
 use ev_core::ids::{Eid, Vid};
 use ev_core::kernel::{FeatureBlock, Kernel};
 use ev_core::scenario::{ScenarioId, VScenario};
-use ev_dag::dag::DagConfig;
 use ev_dag::JobError;
 use ev_store::VideoStore;
 use ev_telemetry::{names, Telemetry, TraceCtx};
@@ -609,7 +608,7 @@ impl VStage<'_> {
         lists: &BTreeMap<Eid, ScenarioList>,
         excluded: &mut BTreeSet<Vid>,
         locks: impl Fn(&MatchOutcome) -> bool,
-        pool: Option<(&DagConfig, TraceCtx)>,
+        pool: Option<(usize, TraceCtx)>,
     ) -> Result<Vec<MatchOutcome>, JobError> {
         let mut stage_span = self.telemetry.span("vfilter", "stage");
         stage_span.arg("eids", serde::Value::Int(lists.len() as i128));
@@ -628,8 +627,8 @@ impl VStage<'_> {
                 .map(|(_, list)| list.iter().filter_map(|&id| cache.get(id)).collect())
                 .collect();
             let scores: Vec<Scores> = match pool {
-                Some((config, ctx)) => {
-                    score_wave(config, ctx, &galleries, excluded, metric, video, tel)?
+                Some((threads, ctx)) => {
+                    score_wave(threads, ctx, &galleries, excluded, metric, video, tel)?
                 }
                 None => (galleries.into_iter())
                     .map(|entries| model_of(entries, excluded).score(metric, video, tel))
@@ -1295,20 +1294,21 @@ mod tests {
         outcomes
     }
 
-    /// Runs two walks over random lists of `eids` EIDs on `pool` (or
-    /// inline) against the never-releasing reference, sharing each
-    /// side's cache across the walks as the rounds of a match do, so
-    /// the second re-fetches what the first released — counted as
-    /// hits. Checks that each walk leaves the cache empty; that outcomes
-    /// (floats by bits), locks and `(hits, misses)` are the reference's;
-    /// and returns, per walk, the most galleries resident at once with
-    /// the largest overlap of the [first use, last use] intervals in
-    /// walk order and the most distinct galleries of one wave.
+    /// Runs two walks over random lists of `eids` EIDs on a pool of
+    /// `pool` threads (or inline) against the never-releasing
+    /// reference, sharing each side's cache across the walks as the
+    /// rounds of a match do, so the second re-fetches what the first
+    /// released — counted as hits. Checks that each walk leaves the
+    /// cache empty; that outcomes (floats by bits), locks and
+    /// `(hits, misses)` are the reference's; and returns, per walk, the
+    /// most galleries resident at once with the largest overlap of the
+    /// [first use, last use] intervals in walk order and the most
+    /// distinct galleries of one wave.
     fn walk_against_the_reference(
         rng: &mut ChaCha8Rng,
         config: &VFilterConfig,
         eids: std::ops::RangeInclusive<u64>,
-        pool: Option<&ev_dag::DagConfig>,
+        pool: Option<usize>,
     ) -> Result<Vec<(usize, usize, usize)>, TestCaseError> {
         let video = VideoStore::new(adversarial_scenarios(rng), CostModel::free());
         // Ids 7 and 8 have no footage.
@@ -1336,7 +1336,7 @@ mod tests {
                 &lists,
                 &mut excluded,
                 MatchOutcome::is_majority,
-                pool.map(|config| (config, TraceCtx::root())),
+                pool.map(|threads| (threads, TraceCtx::root())),
             )
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
             prop_assert!(cache.entries.is_empty(), "{} resident", cache.entries.len());
@@ -1557,8 +1557,8 @@ mod tests {
             let eids = 0..=2 * WAVE as u64 + 6;
             for threads in [2, 4] {
                 let mut rng = ChaCha8Rng::seed_from_u64(world_seed);
-                let pool = ev_dag::DagConfig::new(threads);
-                let peaks = walk_against_the_reference(&mut rng, &config, eids.clone(), Some(&pool))?;
+                let eids = eids.clone();
+                let peaks = walk_against_the_reference(&mut rng, &config, eids, Some(threads))?;
                 for (peak, overlap, widest) in peaks {
                     prop_assert!(peak <= overlap + widest, "{} > {} + {}", peak, overlap, widest);
                 }

@@ -7,8 +7,7 @@
 //! `--threads N` and under `evmatch serve` alike, and ends in the `Reader:`
 //! that looks at it; a name without one goes, with its emission site. A
 //! *run* below is one call of `EvMatcher::match_one`, `match_many`
-//! (either execution mode), `match_many_on` or `match_universal` on the
-//! handle.
+//! (either execution mode) or `match_universal` on the handle.
 
 // The set-splitting family means the same thing in both split modes and
 // under every selection strategy.
@@ -145,9 +144,9 @@ pub const FULLY_SPLIT: &str = "evm_fully_split";
 /// Readers: `evmatch check-metrics --smoke` overflows a small ring and
 /// requires it; README, "Watching a live run".
 pub const TRACE_DROPPED: &str = "evm_trace_dropped_total";
-/// Flight-recorder dumps written — worker panic, job-error exhaustion
-/// or disk corruption (count). Reader: `evmatch check-metrics --smoke`
-/// fails if an exhausted retry budget leaves it unchanged.
+/// Flight-recorder dumps written — worker panic or disk corruption
+/// (count). Reader: `evmatch check-metrics --smoke` fails if its dump
+/// probe leaves it unchanged.
 pub const FLIGHT_DUMPS: &str = "evm_flight_dumps_total";
 
 // The disk family describes a process's traffic against one `ev-disk`
@@ -214,14 +213,10 @@ pub const SERVE_EPOCH: &str = "evm_serve_epoch";
 /// README, "Running a live service".
 pub const SERVE_QUERY_LATENCY_NS: &str = "evm_serve_query_latency_ns";
 
-/// Task attempts the maps ran (count; first runs plus retries, so a
-/// clean map reports its partition count). Reader:
-/// `evmatch check-metrics --in` (required; gates the latency gauges).
+/// Tasks the finished maps ran (count; each partition runs once, so a
+/// map adds its partition count). Reader: `evmatch check-metrics --in`
+/// (required; gates the latency gauges).
 pub const DAG_TASKS_TOTAL: &str = "evm_dag_tasks_total";
-/// Map task attempts that were lost to a panic and run again (count).
-/// Reader: `evmatch check-metrics` (`--in` requires it, `--smoke` fails
-/// when injected faults leave it at 0).
-pub const DAG_TASK_RETRIES: &str = "evm_dag_task_retries_total";
 
 /// Every canonical counter name.
 pub(crate) const ALL_COUNTERS: &[&str] = &[
@@ -244,7 +239,6 @@ pub(crate) const ALL_COUNTERS: &[&str] = &[
     SERVE_CHECKPOINTS,
     SERVE_QUERIES,
     DAG_TASKS_TOTAL,
-    DAG_TASK_RETRIES,
 ];
 
 /// Every canonical gauge name.
@@ -284,7 +278,7 @@ pub fn all() -> impl Iterator<Item = &'static str> {
 
 /// Registers every canonical metric at its zero value, so an exported
 /// profile always contains the full schema even when a run never touched
-/// some subsystem (e.g. a sequential run records no DAG task retries).
+/// some subsystem (e.g. a sequential run runs no DAG tasks).
 pub fn preregister(registry: &crate::MetricsRegistry) {
     for &name in ALL_COUNTERS {
         let _ = registry.counter(name);
@@ -308,7 +302,7 @@ mod tests {
     fn the_catalogue_is_duplicate_free_and_its_size_is_pinned() {
         let distinct: std::collections::BTreeSet<&str> = all().collect();
         assert_eq!(distinct.len(), all().count(), "a name is listed twice");
-        assert_eq!(all().count(), 39);
+        assert_eq!(all().count(), 38);
         assert!(all().all(|name| name.starts_with("evm_")));
     }
 }

@@ -290,7 +290,7 @@ impl Tracer {
 
     /// Records an instant (`'i'`) event carrying causal identity — the
     /// context names the span the instant is an edge of (e.g. a
-    /// `task_failed` instant carries the stage span's context).
+    /// `task_panicked` instant carries the stage span's context).
     pub fn instant_ctx(
         &self,
         name: impl Into<String>,

@@ -42,10 +42,10 @@
 //! `--threads 1`, it runs on the calling thread. `--threads N` for `N`
 //! ≥ 2 scores each wave of every round's exclusion walk (Algorithm 3)
 //! as one `ev_dag::par_map` (`DESIGN.md` §7) on `N` real threads (at
-//! most one per partition of the map; `N` must be at least 1), so a
-//! lost attempt costs a rerun of only the partition it was computing. The report is the same at every
-//! `N`, so the value only changes wall time. `--universal` matches
-//! every EID present in the E-data instead of a sampled target set.
+//! most one per partition of the map; `N` must be at least 1). The
+//! report is the same at every `N`, so the value only changes wall
+//! time. `--universal` matches every EID present in the E-data instead
+//! of a sampled target set.
 //!
 //! `--metrics-out` implies the `counters` telemetry level and
 //! `--trace-out` implies `full`; an explicit `--telemetry` wins over
@@ -67,13 +67,14 @@
 //! `DESIGN.md` §5). `--serve-hold-ms MS` keeps the process (and the
 //! endpoint) alive that long after the run finishes so external
 //! scrapers get a stable window. The flight recorder is always on for
-//! CLI runs: on a worker panic, retry exhaustion, or detected disk
-//! corruption, the ring of recent spans/instants/counter deltas is
-//! dumped to `flight-<ts>-<n>.json` in `--flight-dir` (default `.`).
+//! CLI runs: on a worker panic or detected disk corruption, the ring
+//! of recent spans/instants/counter deltas is dumped to
+//! `flight-<ts>-<n>.json` in `--flight-dir` (default `.`).
 //!
 //! Argument errors — an unknown subcommand or flag, a flag of another
-//! subcommand, a bad value, a `query` without its question — exit 2;
-//! runtime errors exit 1.
+//! subcommand, a bad value, a missing required flag (`--data-dir` of
+//! `ingest` and `serve`, `--in` or `--smoke` of `check-metrics`), a
+//! `query` without its question — exit 2; runtime errors exit 1.
 
 use ev_telemetry::{names, prometheus, MetricsServer, Telemetry, TelemetryLevel};
 use evmatch::disk::format::{FRAME_OVERHEAD, HEADER_LEN};
@@ -178,6 +179,7 @@ const SUBCOMMAND_FLAGS: &[(&str, &str)] = &[
     ("--apply-every", "serve"),
     ("--checkpoint-every", "serve"),
     ("--in", "check-metrics"),
+    ("--smoke", "check-metrics"),
     ("--eid", "query"),
     ("--cell", "query"),
     ("--from", "query"),
@@ -282,6 +284,14 @@ fn parse_args(command: &str, args: &[String]) -> Result<CommonArgs, String> {
             },
             _ => return Err(QUERY_USAGE.into()),
         });
+    }
+    let missing = match command {
+        "ingest" | "serve" if out.data_dir.is_none() => Some("--data-dir DIR"),
+        "check-metrics" if out.metrics_in.is_none() && !out.smoke => Some("--in PATH (or --smoke)"),
+        _ => None,
+    };
+    if let Some(flag) = missing {
+        return Err(format!("{command} needs {flag}"));
     }
     Ok(out)
 }
@@ -417,10 +427,7 @@ fn run_match(args: &CommonArgs) -> Result<(EvDataset, MatchReport), String> {
 /// first use). Each invocation commits one E-segment and one V-segment,
 /// so repeated ingests model daily corpus growth.
 fn cmd_ingest(args: &CommonArgs) -> Result<(), String> {
-    let dir = args
-        .data_dir
-        .as_ref()
-        .ok_or("ingest needs --data-dir DIR")?;
+    let dir = args.data_dir.as_ref().expect("parse_args requires it");
     let dataset = build_dataset(args)?;
     let telemetry = Telemetry::new(args.telemetry_level());
     if telemetry.counters_on() {
@@ -497,7 +504,7 @@ fn cmd_serve(args: &CommonArgs) -> Result<(), String> {
     use std::collections::BTreeSet;
     use std::io::BufRead;
 
-    let dir = args.data_dir.as_ref().ok_or("serve needs --data-dir DIR")?;
+    let dir = args.data_dir.as_ref().expect("parse_args requires it");
     let dataset = build_dataset(args)?;
     let targets = sample_targets(&dataset, args.targets, args.seed);
 
@@ -682,9 +689,9 @@ fn write_telemetry(args: &CommonArgs, telemetry: &Telemetry) -> Result<(), Strin
     Ok(())
 }
 
-/// Metrics that every exported `match` profile must contain. The two
-/// `evm_dag_*` names are real counts under `--threads N`; a sequential
-/// profile carries them at zero through `names::preregister`.
+/// Metrics that every exported `match` profile must contain.
+/// `evm_dag_tasks_total` is a real count under `--threads N`; a
+/// sequential profile carries it at zero through `names::preregister`.
 const REQUIRED_METRICS: &[&str] = &[
     names::STAGE_E_SECONDS,
     names::STAGE_V_SECONDS,
@@ -696,7 +703,6 @@ const REQUIRED_METRICS: &[&str] = &[
     names::FULLY_SPLIT,
     names::VFILTER_GALLERY_HIT_RATIO,
     names::DAG_TASKS_TOTAL,
-    names::DAG_TASK_RETRIES,
 ];
 
 /// `check-metrics --smoke`: runs an in-process battery that touches
@@ -706,7 +712,6 @@ const REQUIRED_METRICS: &[&str] = &[
 /// there without an emission site (or an emission site whose metric
 /// name drifted from the constant) fails this gate.
 fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
-    use evmatch::dag::{DagConfig, FaultPlan};
     use evmatch::matching::vfilter::VFilterConfig;
     use std::collections::BTreeSet;
 
@@ -727,11 +732,6 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
     };
     let dataset = EvDataset::generate(&config).map_err(|e| e.to_string())?;
     let targets = sample_targets(&dataset, 16, args.seed);
-    // The pipeline the pooled probes below run: the matcher's default.
-    let pipeline = |tel: &Telemetry| {
-        EvMatcher::new(&dataset.estore, &dataset.video, MatcherConfig::default())
-            .with_telemetry(tel)
-    };
 
     // 1. Sequential ideal-mode run: set splitting (greedy-balanced, the
     //    only strategy that exercises the gain cache), refinement,
@@ -785,21 +785,13 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
         }
     }
 
-    // 2. The EDP baseline (two maps, one partition per EID) with
-    //    injected failures on real threads: retry and exec metrics.
+    // 2. The EDP baseline (two maps, one partition per EID) on 4 real
+    //    threads: the `evm_dag_*` and `evm_exec_*` metrics.
     {
         use evmatch::matching::edp::{match_edp, EdpConfig};
         let tel = Telemetry::new(TelemetryLevel::Full);
-        let flaky = DagConfig {
-            faults: FaultPlan {
-                task_failure_rate: 0.2,
-                max_attempts: 50,
-                seed: 11,
-            },
-            ..DagConfig::new(4)
-        };
         match_edp(
-            &flaky,
+            4,
             &dataset.estore,
             &dataset.video,
             &targets,
@@ -807,13 +799,6 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             &tel,
         )
         .map_err(|e| format!("smoke EDP run: {e}"))?;
-        let retries = tel
-            .registry()
-            .counter_value(names::DAG_TASK_RETRIES)
-            .unwrap_or(0);
-        if retries == 0 {
-            return Err("flaky smoke EDP job recorded no task retries".into());
-        }
         absorb_into(&mut seen, &tel);
     }
 
@@ -849,6 +834,9 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
                 serde_json::from_str(&text).map_err(|e| format!("{path:?}: bad JSON: {e}"))?;
             if dump.get("reason") != Some(&serde_json::Value::Str("smoke".to_string())) {
                 return Err(format!("{path:?}: dump reason missing or wrong"));
+            }
+            if tel.registry().counter_value(names::FLIGHT_DUMPS) != Some(1) {
+                return Err("the flight dump was not counted".into());
             }
             absorb_into(&mut seen, &tel);
         }
@@ -892,41 +880,7 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             absorb_into(&mut seen, &tel);
         }
 
-        // 6. A flight dump triggered the map-internal way: a run whose
-        //    retry budget a 95% failure rate must exhaust.
-        {
-            let tel = Telemetry::new(TelemetryLevel::Counters);
-            tel.flight().set_enabled(true);
-            tel.set_flight_dir(Some(scratch.clone()));
-            let before = tel
-                .registry()
-                .counter_value(names::FLIGHT_DUMPS)
-                .unwrap_or(0);
-            let failed = pipeline(&tel).match_many_on(
-                &DagConfig {
-                    faults: FaultPlan {
-                        task_failure_rate: 0.95,
-                        max_attempts: 2,
-                        seed: 1,
-                    },
-                    ..DagConfig::new(2)
-                },
-                &targets,
-            );
-            if failed.is_ok() {
-                return Err("exhaustion probe unexpectedly succeeded".into());
-            }
-            let after = tel
-                .registry()
-                .counter_value(names::FLIGHT_DUMPS)
-                .unwrap_or(0);
-            if after <= before {
-                return Err("retry exhaustion did not write a flight dump".into());
-            }
-            absorb_into(&mut seen, &tel);
-        }
-
-        // 7. Streaming serve loop: ingest half the world, apply, stage
+        // 6. Streaming serve loop: ingest half the world, apply, stage
         //    the rest, query stale then fresh — the serve-layer
         //    counters, staleness/epoch gauges and query-latency histogram.
         {
@@ -978,36 +932,25 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
             absorb_into(&mut seen, &tel);
         }
 
-        // 8. The pooled pipeline under injected worker loss, so
-        //    every `evm_dag_*` metric carries a live value. The report
-        //    must still be byte-identical to an unfaulted run.
+        // 7. The pooled pipeline: its report must be the sequential
+        //    one.
         {
+            let pipeline = |execution, tel: &Telemetry| {
+                let config = MatcherConfig {
+                    execution,
+                    ..MatcherConfig::default()
+                };
+                EvMatcher::new(&dataset.estore, &dataset.video, config).with_telemetry(tel)
+            };
             let tel = Telemetry::new(TelemetryLevel::Full);
-            let healthy = pipeline(Telemetry::disabled())
-                .match_many_on(&DagConfig::new(2), &targets)
+            let sequential = pipeline(ExecutionMode::Sequential, Telemetry::disabled())
+                .match_many(&targets)
+                .map_err(|e| format!("smoke sequential run: {e}"))?;
+            let pooled = pipeline(ExecutionMode::Dag(2), &tel)
+                .match_many(&targets)
                 .map_err(|e| format!("smoke dag run: {e}"))?;
-            let stressed = pipeline(&tel)
-                .match_many_on(
-                    &DagConfig {
-                        faults: FaultPlan {
-                            task_failure_rate: 0.2,
-                            max_attempts: 24,
-                            seed: 7,
-                        },
-                        ..DagConfig::new(2)
-                    },
-                    &targets,
-                )
-                .map_err(|e| format!("smoke dag run (stressed): {e}"))?;
-            if stressed.outcomes != healthy.outcomes || stressed.lists != healthy.lists {
-                return Err("stressed dag run diverged from the healthy report".into());
-            }
-            let retries = tel
-                .registry()
-                .counter_value(names::DAG_TASK_RETRIES)
-                .unwrap_or(0);
-            if retries == 0 {
-                return Err("dag smoke run injected faults but recorded no retries".into());
+            if pooled.outcomes != sequential.outcomes || pooled.lists != sequential.lists {
+                return Err("pooled smoke run diverged from the sequential report".into());
             }
             absorb_into(&mut seen, &tel);
         }
@@ -1033,10 +976,7 @@ fn cmd_check_metrics(args: &CommonArgs) -> Result<(), String> {
     if args.smoke {
         return smoke_coverage_gate(args);
     }
-    let path = args
-        .metrics_in
-        .as_ref()
-        .ok_or("check-metrics needs --in PATH (or --smoke)")?;
+    let path = args.metrics_in.as_ref().expect("parse_args requires it");
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let exposition =
         prometheus::parse_exposition(&text).map_err(|e| format!("{path}: parse error: {e}"))?;

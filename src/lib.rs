@@ -20,7 +20,7 @@
 //! | [`vision`] | `ev-vision` | synthetic appearance, detection, re-id, costs |
 //! | [`store`] | `ev-store` | scenario database and lazy video store |
 //! | [`disk`] | `ev-disk` | persistent segmented corpus with crash-safe append |
-//! | [`dag`] | `ev-dag` | the parallel map (`par_map`) with per-partition retry, fault plans, job errors |
+//! | [`dag`] | `ev-dag` | the parallel map (`par_map`) and its job errors |
 //! | [`matching`] | `ev-matching` | set splitting, VID filtering, EDP, Algorithm 3 |
 //! | [`datagen`] | `ev-datagen` | end-to-end synthetic dataset generation |
 //! | [`fusion`] | `ev-fusion` | fused E+V queries over matched identities |

@@ -406,8 +406,8 @@ impl<'t> LiveCorpus<'t> {
     ///
     /// [`ServeError::Match`] when footage the query selected fails to
     /// load from the corpus — the answer is never computed without it —
-    /// and, in parallel execution only, when the engine rejects its
-    /// configuration or exhausts retries.
+    /// and, in parallel execution only, when the OS refuses a worker
+    /// thread or a mapped task panics.
     pub fn query(&self, targets: &BTreeSet<Eid>) -> ServeResult<ServeAnswer> {
         let started = Instant::now();
         let matcher = EvMatcher::new(&self.estore, &self.video, self.config.matcher.clone())

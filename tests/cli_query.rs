@@ -1,8 +1,8 @@
 //! `evmatch query` and the subcommand-only flags: a flag belongs to the
 //! one subcommand that reads it and is an argument error (exit 2)
-//! anywhere else, and `query` checks its question before it runs a
-//! match, so a bad question exits 2 at once instead of 1 after a whole
-//! match.
+//! anywhere else, a subcommand without its required flag is one too,
+//! and `query` checks its question before it runs a match, so a bad
+//! question exits 2 at once instead of 1 after a whole match.
 
 use std::process::{Command, Output};
 
@@ -28,6 +28,7 @@ fn subcommand_flags_are_argument_errors_elsewhere() {
         ("match", "--cell", "query"),
         ("serve", "--from", "query"),
         ("match", "--in", "check-metrics"),
+        ("match", "--smoke", "check-metrics"),
         ("query", "--apply-every", "serve"),
         ("match", "--checkpoint-every", "serve"),
     ] {
@@ -36,6 +37,21 @@ fn subcommand_flags_are_argument_errors_elsewhere() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         let says = format!("flag {flag} belongs to `evmatch {owner}`");
         assert!(stderr.contains(&says), "{command} {flag}: {stderr}");
+    }
+}
+
+#[test]
+fn a_missing_required_flag_is_an_argument_error() {
+    for (command, flag) in [
+        ("check-metrics", "--in PATH (or --smoke)"),
+        ("ingest", "--data-dir DIR"),
+        ("serve", "--data-dir DIR"),
+    ] {
+        let out = evmatch(&[command]);
+        assert_eq!(out.status.code(), Some(2), "{command}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let says = format!("{command} needs {flag}");
+        assert!(stderr.contains(&says), "{command}: {stderr}");
     }
 }
 

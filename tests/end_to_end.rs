@@ -49,7 +49,7 @@ fn ss_selects_fewer_scenarios_than_edp() {
 
     d.video.reset_usage();
     let edp = evmatch::matching::edp::match_edp(
-        &evmatch::dag::DagConfig::new(1),
+        1,
         &d.estore,
         &d.video,
         &targets,

@@ -1,9 +1,9 @@
 //! Flight-recorder post-mortem integration: a worker panic mid-job must
 //! leave a `flight-*.json` on disk whose entries attribute the failed
-//! attempt to its job, stage and task — the artifact an operator reads
+//! task to its job, stage and partition — the artifact an operator reads
 //! when a run died and the process is already gone.
 
-use evmatch::dag::{par_map, DagConfig, FaultPlan, JobError};
+use evmatch::dag::{par_map, JobError};
 use evmatch::prelude::*;
 use evmatch::telemetry::TraceCtx;
 use serde_json::Value;
@@ -37,25 +37,11 @@ fn worker_panic_dumps_an_attributable_flight_recording() {
     // attributed to its exact task, not just "the job died".
     let mut lines: Vec<String> = (0..8).map(|i| format!("line{i}")).collect();
     lines.insert(5, "poison".to_string());
-    let config = DagConfig {
-        faults: FaultPlan {
-            max_attempts: 2,
-            ..FaultPlan::default()
-        },
-        ..DagConfig::new(2)
-    };
-    let err = par_map(
-        "map",
-        lines.len(),
-        &config,
-        &telemetry,
-        TraceCtx::root(),
-        |p| {
-            let line = &lines[p];
-            assert!(!line.contains("poison"), "injected mapper panic");
-            line.len()
-        },
-    )
+    let err = par_map("map", lines.len(), 2, &telemetry, TraceCtx::root(), |p| {
+        let line = &lines[p];
+        assert!(!line.contains("poison"), "injected mapper panic");
+        line.len()
+    })
     .unwrap_err();
     assert!(
         matches!(err, JobError::WorkerPanicked { stage: "map", .. }),
@@ -113,11 +99,7 @@ fn worker_panic_dumps_an_attributable_flight_recording() {
         .iter()
         .filter(|e| str_field(e, "name") == Some("task_panicked"))
         .collect();
-    assert_eq!(
-        panics.len(),
-        2,
-        "the poisoned task panics once per allowed attempt"
-    );
+    assert_eq!(panics.len(), 1, "the poisoned task runs once");
     for p in &panics {
         assert_eq!(int_field(p, "trace_id"), Some(trace_id));
         assert_eq!(
@@ -136,7 +118,7 @@ fn worker_panic_dumps_an_attributable_flight_recording() {
         );
     }
 
-    // Healthy attempts are in the recording too — the dump is a flight
+    // Healthy tasks are in the recording too — the dump is a flight
     // recording of the whole run, not only the crash site.
     assert!(
         entries.iter().any(|e| {
@@ -144,12 +126,12 @@ fn worker_panic_dumps_an_attributable_flight_recording() {
                 && int_field(e, "parent_span_id") == Some(stage_span)
                 && str_field(e, "outcome") == Some("done")
         }),
-        "completed attempt spans must appear, parented to the stage",
+        "completed task spans must appear, parented to the stage",
     );
     assert!(
         entries
             .iter()
-            .any(|e| str_field(e, "name") == Some("retry_budget_exhausted")),
-        "the exhaustion edge that triggered the dump must be recorded",
+            .all(|e| str_field(e, "name") != Some("retry_budget_exhausted")),
+        "the panic itself triggers the dump: no task is retried",
     );
 }

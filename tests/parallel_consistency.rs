@@ -1,9 +1,8 @@
 //! The parallel pipelines must compute the same thing as their
 //! sequential runs, deterministically: the EDP baseline at any pool
 //! width, and the matcher with every round's walk scored on `par_map`
-//! (Algorithm 3), at any thread count and under injected worker loss.
+//! (Algorithm 3), at any thread count.
 
-use evmatch::dag::{DagConfig, FaultPlan};
 use evmatch::matching::edp::{match_edp, EdpConfig};
 use evmatch::matching::practical::split_practical;
 use evmatch::matching::setsplit::{SelectionStrategy, SetSplitConfig};
@@ -20,24 +19,24 @@ fn dataset() -> EvDataset {
     .expect("valid config")
 }
 
-/// One pooled match over `d` with a fresh extraction cache.
+/// One match over `d` on `threads` threads (`Dag(threads)`) with a
+/// fresh extraction cache.
 fn run_dag(
     d: &EvDataset,
     targets: &std::collections::BTreeSet<Eid>,
-    config: &DagConfig,
+    threads: usize,
     seed: u64,
-    telemetry: &Telemetry,
 ) -> MatchReport {
     d.video.reset_usage();
     let pipeline = MatcherConfig {
         split: SetSplitConfig {
             strategy: SelectionStrategy::RandomTime { seed },
         },
+        execution: ExecutionMode::Dag(threads),
         ..MatcherConfig::default()
     };
     EvMatcher::new(&d.estore, &d.video, pipeline)
-        .with_telemetry(telemetry)
-        .match_many_on(config, targets)
+        .match_many(targets)
         .expect("dag pipeline")
 }
 
@@ -80,10 +79,9 @@ fn parallel_edp_equals_sequential_edp() {
     let targets = sample_targets(&d, 30, 1);
     let run = |threads| {
         d.video.reset_usage();
-        let pool = DagConfig::new(threads);
         let config = EdpConfig::default();
         match_edp(
-            &pool,
+            threads,
             &d.estore,
             &d.video,
             &targets,
@@ -108,18 +106,17 @@ fn dag_match_accuracy_is_comparable_to_sequential() {
     let sequential = matcher.match_many(&targets).unwrap();
     let seq_stats = score_report(&d, &sequential);
 
-    let par = run_dag(&d, &targets, &DagConfig::new(4), 0, Telemetry::disabled());
+    let par = run_dag(&d, &targets, 4, 0);
     let par_stats = score_report(&d, &par);
 
-    assert_same(&par, &sequential, "match_many_on at 4 threads");
+    assert_same(&par, &sequential, "Dag(4)");
     assert_eq!(par_stats.accuracy, seq_stats.accuracy);
     assert!(par_stats.accuracy > 0.7, "{:.1}%", par_stats.percent());
 }
 
 /// One pipeline: `Sequential` and `Dag(1)`, `Dag(2)` and `Dag(4)` give
 /// one report — outcomes, lists, selected scenarios and rounds — in
-/// both split modes, with exclusion on and off, and `Dag(2)` gives it
-/// under injected worker loss too.
+/// both split modes, with exclusion on and off.
 #[test]
 fn every_thread_count_gives_the_sequential_report() {
     let d = dataset();
@@ -133,27 +130,6 @@ fn every_thread_count_gives_the_sequential_report() {
                 let dag = run(ExecutionMode::Dag(threads));
                 assert_same(&dag, &sequential, &what(&format!("Dag({threads})")));
             }
-            d.video.reset_usage();
-            let pipeline = MatcherConfig {
-                mode,
-                vfilter: VFilterConfig {
-                    exclusion,
-                    ..VFilterConfig::default()
-                },
-                ..MatcherConfig::default()
-            };
-            let faulty = DagConfig {
-                faults: FaultPlan {
-                    task_failure_rate: 0.25,
-                    max_attempts: 24,
-                    seed: 5,
-                },
-                ..DagConfig::new(2)
-            };
-            let faulted = EvMatcher::new(&d.estore, &d.video, pipeline)
-                .match_many_on(&faulty, &targets)
-                .unwrap();
-            assert_same(&faulted, &sequential, &what("Dag(2) under task loss"));
         }
     }
 }
@@ -162,64 +138,11 @@ fn every_thread_count_gives_the_sequential_report() {
 fn dag_report_is_byte_identical_across_thread_counts() {
     let d = dataset();
     let targets = sample_targets(&d, 40, 6);
-    let run = |threads| {
-        run_dag(
-            &d,
-            &targets,
-            &DagConfig::new(threads),
-            11,
-            Telemetry::disabled(),
-        )
-    };
+    let run = |threads| run_dag(&d, &targets, threads, 11);
     let reference = run(1);
     for threads in [2, 4] {
         assert_same(&run(threads), &reference, &format!("threads={threads}"));
     }
-}
-
-/// Injected worker panics lose partitions mid-run; the maps must rerun
-/// exactly the lost partitions (tasks = clean + retries) and the final
-/// report must not change.
-#[test]
-fn worker_loss_recomputes_only_lost_partitions() {
-    let d = dataset();
-    let targets = sample_targets(&d, 25, 8);
-    let clean_tel = Telemetry::new(TelemetryLevel::Counters);
-    let reference = run_dag(&d, &targets, &DagConfig::new(2), 7, &clean_tel);
-    let clean_tasks = clean_tel.registry().counter(names::DAG_TASKS_TOTAL).get();
-    assert!(clean_tasks > 0, "the run is observable");
-    assert_eq!(
-        clean_tel.registry().counter(names::DAG_TASK_RETRIES).get(),
-        0,
-        "no retries without faults"
-    );
-
-    let faulty_tel = Telemetry::new(TelemetryLevel::Counters);
-    let faulty = run_dag(
-        &d,
-        &targets,
-        &DagConfig {
-            faults: FaultPlan {
-                task_failure_rate: 0.25,
-                max_attempts: 24,
-                seed: 9,
-            },
-            ..DagConfig::new(2)
-        },
-        7,
-        &faulty_tel,
-    );
-    assert_same(&faulty, &reference, "after injected worker loss");
-
-    let registry = faulty_tel.registry();
-    let tasks = registry.counter(names::DAG_TASKS_TOTAL).get();
-    let retries = registry.counter(names::DAG_TASK_RETRIES).get();
-    assert!(retries > 0, "a 25% failure rate must lose partitions");
-    assert_eq!(
-        tasks,
-        clean_tasks + retries,
-        "only lost partitions reran — untouched partitions were not resubmitted"
-    );
 }
 
 /// Every round's scoring runs inside DAG tasks; its scorers must count
