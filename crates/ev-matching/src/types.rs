@@ -126,6 +126,12 @@ impl MatchReport {
         let total: usize = self.lists.values().map(Vec::len).sum();
         total as f64 / self.lists.len() as f64
     }
+
+    /// The outcome for a specific EID, if it was requested.
+    #[must_use]
+    pub fn outcome_of(&self, eid: Eid) -> Option<&MatchOutcome> {
+        self.outcomes.iter().find(|o| o.eid == eid)
+    }
 }
 
 /// Read only by the tests.
@@ -140,16 +146,6 @@ impl MatchOutcome {
     #[must_use]
     pub(crate) fn is_no_evidence(&self) -> bool {
         self.vid.is_none() && self.votes.is_empty()
-    }
-}
-
-/// Read only by the tests.
-#[cfg(test)]
-impl MatchReport {
-    /// The outcome for a specific EID, if it was requested.
-    #[must_use]
-    pub(crate) fn outcome_of(&self, eid: Eid) -> Option<&MatchOutcome> {
-        self.outcomes.iter().find(|o| o.eid == eid)
     }
 }
 

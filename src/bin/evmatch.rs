@@ -28,9 +28,10 @@
 //! `--data-dir` load the corpus from that directory instead of from
 //! memory — the matching pipeline and its report are identical either
 //! way (ground truth for scoring still comes from the regenerated
-//! dataset). A corpus interrupted mid-append is healed on open; pass
-//! `--recovery salvage` to additionally keep the valid prefix of a
-//! damaged (not merely torn) corpus.
+//! dataset), and `query` answers from the corpus its match read. A
+//! corpus interrupted mid-append is healed on open; pass `--recovery
+//! salvage` to additionally keep the valid prefix of a damaged (not
+//! merely torn) corpus.
 //!
 //! `serve` turns the same corpus into a long-running **streaming
 //! service**: events arrive incrementally, queries run against a
@@ -73,16 +74,19 @@
 //!
 //! Argument errors — an unknown subcommand or flag, a flag of another
 //! subcommand, a bad value, a missing required flag (`--data-dir` of
-//! `ingest` and `serve`, `--in` or `--smoke` of `check-metrics`), a
-//! `query` without its question — exit 2; runtime errors exit 1.
+//! `ingest` and `serve`, `--in` or `--smoke` of `check-metrics`), both
+//! `--in` and `--smoke`, a `query` without its question — exit 2;
+//! runtime errors exit 1.
 
 use ev_telemetry::{names, prometheus, MetricsServer, Telemetry, TelemetryLevel};
+use evmatch::core::region::CellId;
+use evmatch::core::time::{TimeRange, Timestamp};
 use evmatch::disk::format::{FRAME_OVERHEAD, HEADER_LEN};
 use evmatch::disk::{AppendReceipt, DiskBackend, DiskError, DiskStore, RecoveryMode};
-use evmatch::fusion::FusedIndex;
 use evmatch::matching::refine::SplitMode;
 use evmatch::prelude::*;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 #[derive(Debug)]
@@ -114,7 +118,7 @@ struct CommonArgs {
     query: Option<Query>,
 }
 
-/// The question `evmatch query` puts to the fused index.
+/// The question `evmatch query` puts to the matched corpus.
 #[derive(Debug)]
 enum Query {
     /// `--eid HEX`: one EID's identity, trail and contacts.
@@ -293,6 +297,9 @@ fn parse_args(command: &str, args: &[String]) -> Result<CommonArgs, String> {
     if let Some(flag) = missing {
         return Err(format!("{command} needs {flag}"));
     }
+    if out.smoke && out.metrics_in.is_some() {
+        return Err("check-metrics takes --in PATH or --smoke, not both".into());
+    }
     Ok(out)
 }
 
@@ -374,7 +381,10 @@ fn execution_mode(args: &CommonArgs) -> ExecutionMode {
         .map_or(ExecutionMode::Sequential, ExecutionMode::Dag)
 }
 
-fn run_match(args: &CommonArgs) -> Result<(EvDataset, MatchReport), String> {
+/// Runs the match the flags describe. Returns the regenerated dataset,
+/// the opened `--data-dir` corpus the match read instead of it (if
+/// any), and the report.
+fn run_match(args: &CommonArgs) -> Result<(EvDataset, Option<DiskBackend>, MatchReport), String> {
     let dataset = build_dataset(args)?;
     let targets = sample_targets(&dataset, args.targets, args.seed);
     let execution = execution_mode(args);
@@ -400,7 +410,7 @@ fn run_match(args: &CommonArgs) -> Result<(EvDataset, MatchReport), String> {
     // With --data-dir the corpus is read back from the persistent
     // segment store; the regenerated dataset still supplies targets,
     // the cost model and the scoring ground truth.
-    let report = if let Some(dir) = &args.data_dir {
+    let (backend, report) = if let Some(dir) = &args.data_dir {
         let backend =
             DiskBackend::open_with(dir, dataset.video.cost_model(), args.recovery, &telemetry)
                 .map_err(|e| {
@@ -410,16 +420,18 @@ fn run_match(args: &CommonArgs) -> Result<(EvDataset, MatchReport), String> {
         if backend.recovery().repaired_anything() {
             eprintln!("recovered corpus {dir}: {:?}", backend.recovery());
         }
-        run(EvMatcher::from_backend(&backend, config)).map_err(|e| {
+        let report = run(EvMatcher::from_backend(&backend, config)).map_err(|e| {
             let message = format!("matching from corpus {dir}: {e}");
             disk_failure(&telemetry, e.is_corruption(), message)
-        })?
+        })?;
+        (Some(backend), report)
     } else {
-        run(EvMatcher::new(&dataset.estore, &dataset.video, config)).map_err(|e| e.to_string())?
+        let matcher = EvMatcher::new(&dataset.estore, &dataset.video, config);
+        (None, run(matcher).map_err(|e| e.to_string())?)
     };
     write_telemetry(args, &telemetry)?;
     args.hold_metrics_server(server);
-    Ok((dataset, report))
+    Ok((dataset, backend, report))
 }
 
 /// `evmatch ingest`: generates the dataset the flags describe and
@@ -1073,7 +1085,7 @@ fn cmd_check_metrics(args: &CommonArgs) -> Result<(), String> {
 }
 
 fn cmd_match(args: &CommonArgs) -> Result<(), String> {
-    let (dataset, report) = run_match(args)?;
+    let (dataset, _, report) = run_match(args)?;
     let stats = score_report(&dataset, &report);
     if args.json {
         println!(
@@ -1127,48 +1139,66 @@ fn cmd_match(args: &CommonArgs) -> Result<(), String> {
 
 fn cmd_query(args: &CommonArgs) -> Result<(), String> {
     let query = args.query.as_ref().ok_or(QUERY_USAGE)?;
-    let (dataset, report) = run_match(args)?;
-    let index = FusedIndex::build(&dataset.estore, &dataset.video, &report);
+    let (dataset, backend, report) = run_match(args)?;
+    // Answer from the corpus the match read: the persisted one under
+    // --data-dir, else the regenerated one.
+    let (estore, video) = match &backend {
+        Some(backend) => (backend.estore(), backend.video()),
+        None => (&dataset.estore, &dataset.video),
+    };
+    // Only majority matches are trusted to label anyone.
+    let matched: BTreeMap<Eid, Vid> = (report.outcomes.iter())
+        .filter(|o| o.is_majority())
+        .filter_map(|o| Some((o.eid, o.vid?)))
+        .collect();
 
     match *query {
-        Query::Eid(eid) => match index.profile_by_eid(eid) {
-            None => println!("{eid}: not matched (or not in the requested target set)"),
-            Some(profile) => {
-                println!(
-                    "{eid} == {} (vote share {:.0}%)",
-                    profile.identity.vid,
-                    profile.identity.vote_share * 100.0,
-                );
-                println!(
-                    "electronic trail: {} observations over {} cells",
-                    profile.e_trail.len(),
-                    profile.e_trail.cells_visited().len(),
-                );
-                println!(
-                    "visual sightings in processed footage: {}",
-                    profile.v_sightings.len()
-                );
-                for e in index.encounters(eid, 2).iter().take(5) {
-                    println!(
-                        "  frequent contact: {} ({} shared scenarios)",
-                        e.eid, e.shared_scenarios
-                    );
+        Query::Eid(eid) => {
+            let (Some(&vid), Some(outcome)) = (matched.get(&eid), report.outcome_of(eid)) else {
+                println!("{eid}: not matched (or not in the requested target set)");
+                return Ok(());
+            };
+            println!(
+                "{eid} == {vid} (vote share {:.0}%)",
+                outcome.vote_share * 100.0
+            );
+            let trail: Vec<_> = estore.containing(eid).collect();
+            let cells: BTreeSet<_> = trail.iter().map(|s| s.cell()).collect();
+            println!(
+                "electronic trail: {} observations over {} cells",
+                trail.len(),
+                cells.len(),
+            );
+            // Sightings only in footage the match already paid to extract.
+            let sightings = (report.selected_scenarios.iter())
+                .filter(|&&id| video.extract(id).is_some_and(|v| v.contains(vid)))
+                .count();
+            video.check_loads().map_err(|e| e.to_string())?;
+            println!("visual sightings in processed footage: {sightings}");
+            let mut shared: BTreeMap<Eid, usize> = BTreeMap::new();
+            for other in trail.iter().flat_map(|s| s.eids()) {
+                if other != eid && matched.contains_key(&other) {
+                    *shared.entry(other).or_default() += 1;
                 }
             }
-        },
+            let mut contacts: Vec<_> = shared.into_iter().filter(|&(_, n)| n >= 2).collect();
+            contacts.sort_by_key(|&(other, n)| (Reverse(n), other));
+            for (other, n) in contacts.into_iter().take(5) {
+                println!("  frequent contact: {other} ({n} shared scenarios)");
+            }
+        }
         Query::Cell { cell, from, to } => {
-            let cells = [evmatch::core::region::CellId::new(cell)];
-            let range = evmatch::core::time::TimeRange::new(
-                evmatch::core::time::Timestamp::new(from),
-                evmatch::core::time::Timestamp::new(to),
-            );
-            let present = index.present_at(&cells, range);
+            let range = TimeRange::new(Timestamp::new(from), Timestamp::new(to));
+            let present: BTreeMap<Eid, Vid> = (estore.query(range, Some(&[CellId::new(cell)])))
+                .flat_map(|s| s.eids())
+                .filter_map(|eid| Some((eid, *matched.get(&eid)?)))
+                .collect();
             println!(
                 "{} matched identit(ies) present in cell#{cell} during [{from}, {to}):",
                 present.len()
             );
-            for identity in present {
-                println!("  {} == {}", identity.eid, identity.vid);
+            for (eid, vid) in present {
+                println!("  {eid} == {vid}");
             }
         }
     }

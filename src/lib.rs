@@ -23,7 +23,6 @@
 //! | [`dag`] | `ev-dag` | the parallel map (`par_map`) and its job errors |
 //! | [`matching`] | `ev-matching` | set splitting, VID filtering, EDP, Algorithm 3 |
 //! | [`datagen`] | `ev-datagen` | end-to-end synthetic dataset generation |
-//! | [`fusion`] | `ev-fusion` | fused E+V queries over matched identities |
 //! | [`serve`] | (this crate) | streaming ingest service with live queries |
 //!
 //! # Quick start
@@ -56,7 +55,6 @@ pub use ev_core as core;
 pub use ev_dag as dag;
 pub use ev_datagen as datagen;
 pub use ev_disk as disk;
-pub use ev_fusion as fusion;
 pub use ev_matching as matching;
 pub use ev_mobility as mobility;
 pub use ev_sensing as sensing;
@@ -71,7 +69,6 @@ pub mod prelude {
     pub use ev_core::{Eid, PersonId, Vid};
     pub use ev_datagen::{sample_targets, score_report, DatasetConfig, EvDataset};
     pub use ev_disk::{DiskBackend, DiskStore, RecoveryMode};
-    pub use ev_fusion::FusedIndex;
     pub use ev_matching::matcher::ExecutionMode;
     pub use ev_matching::refine::SplitMode;
     pub use ev_matching::{EvMatcher, MatchReport, MatcherConfig};
