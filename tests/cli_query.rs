@@ -199,26 +199,42 @@ fn eid(text: &str) -> Eid {
     text.parse().expect("an EID")
 }
 
+const NOT_MATCHED: &str = "not matched (or not in the requested target set)";
+
 #[test]
 fn query_by_eid_names_the_vid_of_exactly_the_majority_outcomes() {
-    let world = corpus(60, 100);
-    let mut outcomes = majority_outcomes(&WORLD);
+    let outcomes = majority_outcomes(&WORLD);
     assert!(outcomes.iter().any(|(_, vid)| vid.is_some()));
-    // Not a target of this world (its EIDs end at 00:3b).
-    outcomes.push(("02:00:00:00:ff:ff".into(), None));
     for (text, vid) in outcomes {
         let out = run(&[&["query", "--eid", &text], &WORLD]);
-        let Some(vid) = vid else {
-            assert_eq!(
-                out,
-                format!("{text}: not matched (or not in the requested target set)\n")
-            );
-            continue;
-        };
-        let mut lines = out.lines();
-        let head = lines.next().expect("the identity line");
-        assert!(head.starts_with(&format!("{text} == VID#{vid} (")), "{out}");
-        let trail: Vec<_> = world.estore.containing(eid(&text)).collect();
+        match vid {
+            Some(vid) => {
+                let head = out.lines().next().expect("the identity line");
+                assert!(head.starts_with(&format!("{text} == VID#{vid} (")), "{out}");
+            }
+            None => assert_eq!(out, format!("{text}: {NOT_MATCHED}\n")),
+        }
+    }
+}
+
+#[test]
+fn an_eid_outside_the_targets_is_not_matched() {
+    // This world's EIDs end at 00:3b, so this one is no target.
+    let text = "02:00:00:00:ff:ff";
+    assert!(majority_outcomes(&WORLD).iter().all(|(e, _)| e != text));
+    let out = run(&[&["query", "--eid", text], &WORLD]);
+    assert_eq!(out, format!("{text}: {NOT_MATCHED}\n"));
+}
+
+#[test]
+fn query_by_eid_links_the_electronic_trail_and_the_visual_sightings() {
+    let world = corpus(60, 100);
+    let matched = matched(&WORLD);
+    assert!(!matched.is_empty());
+    for text in matched.keys() {
+        let out = run(&[&["query", "--eid", text], &WORLD]);
+        let mut lines = out.lines().skip(1);
+        let trail: Vec<_> = world.estore.containing(eid(text)).collect();
         let cells: BTreeSet<_> = trail.iter().map(|s| s.cell()).collect();
         let says = format!(
             "electronic trail: {} observations over {} cells",
