@@ -4,15 +4,20 @@
 //! experiments [--quick] [--out DIR] <id>... | all
 //! ```
 //!
-//! Known ids: fig5, fig6, fig7, fig8, fig9, fig10, fig11, table1,
-//! table2, ablate-selection, ablate-vague, ablate-refine,
-//! ablate-workers, all.
+//! Known ids: fig5, fig7, fig5+7 (both from one sweep), fig6, fig8,
+//! fig9, fig10, fig11, table1, table2, ablate-selection, ablate-vague,
+//! ablate-refine, ablate-mobility, ablate-workers, all.
+//!
+//! Every id and flag is resolved before anything runs: an unknown one,
+//! or `--out` without its directory, is an argument error (exit 2) and
+//! writes nothing. A table that cannot be saved ends the run with exit 1.
 
-use ev_bench::{all_experiment_ids, run_experiment, Scale};
+use ev_bench::{all_experiment_ids, experiment, Scale};
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() {
+fn main() -> ExitCode {
     let mut scale = Scale::Full;
     let mut out_dir = PathBuf::from("results");
     let mut ids: Vec<String> = Vec::new();
@@ -21,21 +26,20 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => scale = Scale::Quick,
-            "--out" => {
-                if let Some(dir) = args.next() {
-                    out_dir = PathBuf::from(dir);
-                }
-            }
+            "--out" => match args.next() {
+                Some(dir) => out_dir = PathBuf::from(dir),
+                None => return usage_error("--out needs a directory"),
+            },
             "--help" | "-h" => {
                 print_usage();
-                return;
+                return ExitCode::SUCCESS;
             }
-            other => ids.push(other.to_string()),
+            flag if flag.starts_with('-') => return usage_error(&format!("unknown flag {flag}")),
+            id => ids.push(id.to_string()),
         }
     }
     if ids.is_empty() {
-        print_usage();
-        std::process::exit(2);
+        return usage_error("no experiment id given");
     }
     if ids.iter().any(|i| i == "all") {
         ids = all_experiment_ids()
@@ -43,32 +47,40 @@ fn main() {
             .map(ToString::to_string)
             .collect();
     }
+    let mut runs = Vec::with_capacity(ids.len());
+    for id in &ids {
+        let Some(run) = experiment(id) else {
+            return usage_error(&format!("unknown experiment id: {id}"));
+        };
+        runs.push((id, run));
+    }
 
     let overall = Instant::now();
-    for id in &ids {
+    for (id, run) in runs {
         let start = Instant::now();
-        match run_experiment(id, scale) {
-            None => {
-                eprintln!("unknown experiment id: {id}");
-                eprintln!("known ids: {}", all_experiment_ids().join(", "));
-                std::process::exit(2);
-            }
-            Some(tables) => {
-                for table in tables {
-                    println!("{table}");
-                    if let Err(e) = table.save_json(&out_dir) {
-                        eprintln!("warning: could not save {}.json: {e}", table.id);
-                    }
-                }
-                println!("[{id} took {:.1?}]\n", start.elapsed());
+        for table in run(scale) {
+            println!("{table}");
+            if let Err(e) = table.save_json(&out_dir) {
+                eprintln!("error: could not save {}.json: {e}", table.id);
+                return ExitCode::FAILURE;
             }
         }
+        println!("[{id} took {:.1?}]\n", start.elapsed());
     }
     println!(
         "all done in {:.1?}; JSON results in {}",
         overall.elapsed(),
         out_dir.display()
     );
+    ExitCode::SUCCESS
+}
+
+/// Reports an argument error with the usage and exits 2.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("argument error: {message}");
+    eprintln!("usage: experiments [--quick] [--out DIR] <id>... | all");
+    eprintln!("known ids: {}", all_experiment_ids().join(", "));
+    ExitCode::from(2)
 }
 
 fn print_usage() {

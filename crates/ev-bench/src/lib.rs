@@ -22,9 +22,11 @@ pub use experiments::Scale;
 pub use report::Table;
 
 /// The regeneration function behind an experiment id, or `None` for an
-/// unknown id. `fig5` and `fig7` share their sweep and each id returns
-/// its own table.
-fn experiment(id: &str) -> Option<fn(Scale) -> Vec<Table>> {
+/// unknown id, so a caller can resolve every id before it runs any.
+/// `fig5` and `fig7` share their sweep and each id returns its own
+/// table; `fig5+7` runs the sweep once and returns both.
+#[must_use]
+pub fn experiment(id: &str) -> Option<fn(Scale) -> Vec<Table>> {
     let run: fn(Scale) -> Vec<Table> = match id {
         "fig5" => |scale| vec![experiments::fig5_fig7(scale).0],
         "fig7" => |scale| vec![experiments::fig5_fig7(scale).1],
@@ -47,14 +49,6 @@ fn experiment(id: &str) -> Option<fn(Scale) -> Vec<Table>> {
         _ => return None,
     };
     Some(run)
-}
-
-/// Runs the experiment with the given id at the given scale.
-///
-/// Returns `None` for an unknown id.
-#[must_use]
-pub fn run_experiment(id: &str, scale: Scale) -> Option<Vec<Table>> {
-    experiment(id).map(|run| run(scale))
 }
 
 /// All experiment ids in presentation order.
@@ -83,7 +77,7 @@ mod tests {
 
     #[test]
     fn unknown_experiment_is_none() {
-        assert!(run_experiment("fig99", Scale::Quick).is_none());
+        assert!(experiment("fig99").is_none());
     }
 
     #[test]
@@ -97,7 +91,7 @@ mod tests {
         }
         assert!(experiment("fig99").is_none());
         // A known-cheap one end to end.
-        let tables = run_experiment("ablate-vague", Scale::Quick).unwrap();
+        let tables = experiment("ablate-vague").unwrap()(Scale::Quick);
         assert_eq!(tables.len(), 1);
     }
 }

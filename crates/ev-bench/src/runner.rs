@@ -4,7 +4,7 @@
 use crate::report::num;
 use ev_core::ids::Eid;
 use ev_datagen::{score_report, EvDataset};
-use ev_matching::edp::{match_edp, EdpConfig};
+use ev_matching::edp::match_edp;
 use ev_matching::matcher::{EvMatcher, ExecutionMode, MatcherConfig};
 use ev_matching::setsplit::{SelectionStrategy, SetSplitConfig};
 use ev_telemetry::Telemetry;
@@ -95,16 +95,12 @@ pub(crate) fn run_edp(
     seed: u64,
 ) -> RunSummary {
     dataset.video.reset_usage();
-    let config = EdpConfig {
-        seed,
-        ..EdpConfig::default()
-    };
     let report = match_edp(
         threads,
         &dataset.estore,
         &dataset.video,
         targets,
-        &config,
+        seed,
         Telemetry::disabled(),
     )
     .expect("EDP run");

@@ -4,23 +4,21 @@
 //! re-identification pipeline would extract from an image crop (the paper
 //! uses CUHK02 snapshots; see DESIGN.md §2 for the substitution). The paper
 //! defines VID similarity as `sim(v1, v2) = 1 − dist(f1, f2)` where `dist`
-//! is a *normalized* vector distance, so all metrics here map into `[0, 1]`.
+//! is a *normalized* vector distance; here it is normalized L2, which maps
+//! into `[0, 1]`.
 
 use crate::error::{Error, Result};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// The distance metric used to compare feature vectors.
+/// The distance behind `sim`. It has one value: every path scores
+/// normalized L2 ([`FeatureVector::distance`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Metric {
     /// Euclidean distance normalized by the maximum possible distance of
     /// unit-box vectors (`sqrt(d)` for dimension `d`).
     #[default]
     NormalizedL2,
-    /// Manhattan distance normalized by the dimension.
-    NormalizedL1,
-    /// Cosine distance `(1 − cos θ) / 2`, mapped into `[0, 1]`.
-    Cosine,
 }
 
 /// A dense appearance descriptor with components in `[0, 1]`.
@@ -33,12 +31,12 @@ pub enum Metric {
 /// # Examples
 ///
 /// ```
-/// use ev_core::feature::{FeatureVector, Metric};
+/// use ev_core::feature::FeatureVector;
 ///
 /// let a = FeatureVector::new(vec![0.0, 0.0, 0.0]).unwrap();
 /// let b = FeatureVector::new(vec![1.0, 1.0, 1.0]).unwrap();
-/// assert_eq!(a.similarity(&b, Metric::NormalizedL2).unwrap(), 0.0);
-/// assert_eq!(a.similarity(&a, Metric::NormalizedL2).unwrap(), 1.0);
+/// assert_eq!(a.similarity(&b).unwrap(), 0.0);
+/// assert_eq!(a.similarity(&a).unwrap(), 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FeatureVector {
@@ -105,16 +103,17 @@ impl FeatureVector {
         &self.components
     }
 
-    /// Normalized distance to `other` under `metric`; always in `[0, 1]`.
+    /// Normalized L2 distance to `other`, `‖a − b‖ / sqrt(d)`; always in
+    /// `[0, 1]`.
     ///
-    /// The metric formulas themselves live in [`crate::kernel`] (shared
-    /// with the batch block kernel, so the paths cannot drift); this
-    /// method contributes the per-pair dimension check.
+    /// The formula itself lives in [`crate::kernel`] (shared with the
+    /// batch block kernel, so the paths cannot drift); this method
+    /// contributes the per-pair dimension check.
     ///
     /// # Errors
     ///
     /// Returns [`Error::DimensionMismatch`] if dimensions differ.
-    pub fn distance(&self, other: &FeatureVector, metric: Metric) -> Result<f64> {
+    pub fn distance(&self, other: &FeatureVector) -> Result<f64> {
         if self.dim() != other.dim() {
             return Err(Error::DimensionMismatch {
                 left: self.dim(),
@@ -122,7 +121,6 @@ impl FeatureVector {
             });
         }
         Ok(crate::kernel::pair_distance(
-            metric,
             &self.components,
             &other.components,
         ))
@@ -133,8 +131,8 @@ impl FeatureVector {
     /// # Errors
     ///
     /// Returns [`Error::DimensionMismatch`] if dimensions differ.
-    pub fn similarity(&self, other: &FeatureVector, metric: Metric) -> Result<f64> {
-        Ok(1.0 - self.distance(other, metric)?)
+    pub fn similarity(&self, other: &FeatureVector) -> Result<f64> {
+        Ok(1.0 - self.distance(other)?)
     }
 }
 
@@ -180,31 +178,14 @@ mod tests {
     #[test]
     fn identical_vectors_have_similarity_one() {
         let a = fv(&[0.2, 0.8, 0.5]);
-        for m in [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine] {
-            assert!((a.similarity(&a, m).unwrap() - 1.0).abs() < 1e-12, "{m:?}");
-        }
+        assert!((a.similarity(&a).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn opposite_corners_have_similarity_zero_under_l_metrics() {
         let a = fv(&[0.0, 0.0]);
         let b = fv(&[1.0, 1.0]);
-        assert!((a.distance(&b, Metric::NormalizedL2).unwrap() - 1.0).abs() < 1e-12);
-        assert!((a.distance(&b, Metric::NormalizedL1).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cosine_of_orthogonal_vectors_is_half() {
-        let a = fv(&[1.0, 0.0]);
-        let b = fv(&[0.0, 1.0]);
-        assert!((a.distance(&b, Metric::Cosine).unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cosine_zero_vector_is_neutral() {
-        let a = fv(&[0.0, 0.0]);
-        let b = fv(&[1.0, 0.5]);
-        assert_eq!(a.distance(&b, Metric::Cosine).unwrap(), 0.5);
+        assert!((a.distance(&b).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -212,29 +193,27 @@ mod tests {
         let a = fv(&[0.1, 0.2]);
         let b = fv(&[0.1, 0.2, 0.3]);
         assert!(matches!(
-            a.distance(&b, Metric::NormalizedL2),
+            a.distance(&b),
             Err(Error::DimensionMismatch { left: 2, right: 3 })
         ));
-        assert!(a.similarity(&b, Metric::Cosine).is_err());
+        assert!(a.similarity(&b).is_err());
     }
 
     #[test]
     fn distance_is_symmetric() {
         let a = fv(&[0.1, 0.9, 0.4]);
         let b = fv(&[0.7, 0.2, 0.6]);
-        for m in [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine] {
-            let ab = a.distance(&b, m).unwrap();
-            let ba = b.distance(&a, m).unwrap();
-            assert!((ab - ba).abs() < 1e-12, "{m:?}");
-        }
+        let ab = a.distance(&b).unwrap();
+        let ba = b.distance(&a).unwrap();
+        assert!((ab - ba).abs() < 1e-12);
     }
 
     #[test]
     fn similarity_complements_distance() {
         let a = fv(&[0.3, 0.6]);
         let b = fv(&[0.5, 0.1]);
-        let d = a.distance(&b, Metric::NormalizedL2).unwrap();
-        let s = a.similarity(&b, Metric::NormalizedL2).unwrap();
+        let d = a.distance(&b).unwrap();
+        let s = a.similarity(&b).unwrap();
         assert!((d + s - 1.0).abs() < 1e-12);
     }
 }

@@ -2,20 +2,19 @@
 //! scoring (DESIGN.md §9).
 //!
 //! Paper Eq. (1) makes every match decision a stream of
-//! candidate-vs-gallery distance evaluations. The per-pair
-//! [`FeatureVector::distance`] path re-checks dimensions, re-dispatches
-//! on the metric and pointer-chases a `Vec<f64>` per gallery row on
-//! every single comparison. This module hoists all of that out of the
-//! inner loop:
+//! candidate-vs-gallery distance evaluations, each one normalized L2.
+//! The per-pair [`FeatureVector::distance`] path re-checks dimensions
+//! and pointer-chases a `Vec<f64>` per gallery row on every single
+//! comparison. This module hoists all of that out of the inner loop:
 //!
 //! * [`FeatureBlock`] — a gallery packed once into contiguous,
 //!   64-byte-aligned structure-of-arrays `f64` lanes, validated once
 //!   at build time so a mismatched gallery fails loudly with the
 //!   gallery id in the error.
-//! * [`Kernel`] — a prepared `(metric, dim)` pair whose one batch
-//!   method, [`Kernel::score_max`], scores a candidate against a whole
-//!   block in one streaming pass with branch-free,
-//!   autovectorizer-friendly inner loops.
+//! * [`Kernel`] — a prepared dimensionality whose one batch method,
+//!   [`Kernel::score_max`], scores a candidate against a whole block in
+//!   one streaming pass with branch-free, autovectorizer-friendly inner
+//!   loops.
 //!
 //! # Bit-equivalence contract
 //!
@@ -62,9 +61,6 @@ pub struct FeatureBlock {
     len: usize,
     /// Exact values, `ceil(len / LANES) * dim` lanes.
     lanes: Vec<Lane64>,
-    /// Per-row squared norm (`Σ c²`, accumulated in dimension order —
-    /// the same order the scalar cosine path uses), for `Cosine`.
-    norms_sq: Vec<f64>,
 }
 
 impl FeatureBlock {
@@ -90,7 +86,6 @@ impl FeatureBlock {
                 dim: 0,
                 len: 0,
                 lanes: Vec::new(),
-                norms_sq: Vec::new(),
             });
         };
         let dim = first.dim();
@@ -114,20 +109,7 @@ impl FeatureBlock {
                 lanes[chunk * dim + j].0[slot] = c;
             }
         }
-
-        // Dimension-ordered accumulation: bitwise the same squared norm
-        // the scalar cosine path computes per pair.
-        let norms_sq: Vec<f64> = rows
-            .iter()
-            .map(|r| r.components().iter().map(|c| c * c).sum())
-            .collect();
-
-        Ok(FeatureBlock {
-            dim,
-            len,
-            lanes,
-            norms_sq,
-        })
+        Ok(FeatureBlock { dim, len, lanes })
     }
 
     /// Dimensionality of every row (`0` for an empty block).
@@ -162,7 +144,7 @@ impl FeatureBlock {
     }
 }
 
-/// A prepared `(metric, dim)` scoring kernel.
+/// A prepared normalized-L2 scoring kernel at one dimensionality.
 ///
 /// Preparation is where per-call validation lives: the batch method
 /// checks the candidate and block against the prepared dimensionality
@@ -173,24 +155,24 @@ impl FeatureBlock {
 /// `0` for every pair of the gallery anyway).
 #[derive(Debug, Clone, Copy)]
 pub struct Kernel {
-    metric: Metric,
     dim: usize,
 }
 
 impl Kernel {
-    /// Prepares a kernel for `metric` at dimensionality `dim`.
+    /// Prepares a kernel at dimensionality `dim`. [`Metric`] has one
+    /// value, normalized L2, so the first argument selects nothing.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameter`] when `dim == 0`.
-    pub fn prepare(metric: Metric, dim: usize) -> Result<Kernel> {
+    pub fn prepare(_metric: Metric, dim: usize) -> Result<Kernel> {
         if dim == 0 {
             return Err(Error::InvalidParameter {
                 name: "dim",
                 reason: "kernel dimensionality must be at least 1".into(),
             });
         }
-        Ok(Kernel { metric, dim })
+        Ok(Kernel { dim })
     }
 
     /// Membership probability `P = max_row sim(candidate, row)` over the
@@ -218,11 +200,10 @@ impl Kernel {
             });
         }
         let x = candidate.components();
-        let x_norm_sq = cosine_norm_sq(self.metric, x);
         let mut best = 0.0f64;
         let mut sims = [0.0; LANES];
         for (chunk, lanes) in block.lanes.chunks_exact(self.dim).enumerate() {
-            self.score_chunk(x, x_norm_sq, block, chunk, lanes, &mut sims);
+            self.score_chunk(x, lanes, &mut sims);
             let base = chunk * LANES;
             let rows = LANES.min(block.len - base);
             for &s in &sims[..rows] {
@@ -240,50 +221,16 @@ impl Kernel {
     /// sequence (bit-identical sums) while the compiler vectorizes
     /// across the lanes.
     #[inline]
-    fn score_chunk(
-        &self,
-        x: &[f64],
-        x_norm_sq: f64,
-        block: &FeatureBlock,
-        chunk: usize,
-        lanes: &[Lane64],
-        sims: &mut [f64; LANES],
-    ) {
+    fn score_chunk(&self, x: &[f64], lanes: &[Lane64], sims: &mut [f64; LANES]) {
         let mut acc = [0.0f64; LANES];
-        match self.metric {
-            Metric::NormalizedL2 => {
-                for (&a, lane) in x.iter().zip(lanes) {
-                    for (s, &b) in acc.iter_mut().zip(&lane.0) {
-                        let d = a - b;
-                        *s += d * d;
-                    }
-                }
-                for (out, &sq) in sims.iter_mut().zip(&acc) {
-                    *out = 1.0 - l2_distance_from_sq(sq, self.dim);
-                }
+        for (&a, lane) in x.iter().zip(lanes) {
+            for (s, &b) in acc.iter_mut().zip(&lane.0) {
+                let d = a - b;
+                *s += d * d;
             }
-            Metric::NormalizedL1 => {
-                for (&a, lane) in x.iter().zip(lanes) {
-                    for (s, &b) in acc.iter_mut().zip(&lane.0) {
-                        *s += (a - b).abs();
-                    }
-                }
-                for (out, &abs) in sims.iter_mut().zip(&acc) {
-                    *out = 1.0 - l1_distance_from_abs(abs, self.dim);
-                }
-            }
-            Metric::Cosine => {
-                for (&a, lane) in x.iter().zip(lanes) {
-                    for (s, &b) in acc.iter_mut().zip(&lane.0) {
-                        *s += a * b;
-                    }
-                }
-                let base = chunk * LANES;
-                for (r, (out, &dot)) in sims.iter_mut().zip(&acc).enumerate() {
-                    let nb_sq = block.norms_sq.get(base + r).copied().unwrap_or(0.0);
-                    *out = 1.0 - cosine_distance_from_parts(dot, x_norm_sq, nb_sq);
-                }
-            }
+        }
+        for (out, &sq) in sims.iter_mut().zip(&acc) {
+            *out = 1.0 - l2_distance_from_sq(sq, self.dim);
         }
     }
 }
@@ -297,80 +244,20 @@ pub(crate) fn l2_distance_from_sq(sq: f64, dim: usize) -> f64 {
     (sq.sqrt() / (dim as f64).sqrt()).min(1.0)
 }
 
-/// Finalizes a normalized L1 distance from an absolute-difference sum.
-#[inline]
-#[must_use]
-pub(crate) fn l1_distance_from_abs(abs: f64, dim: usize) -> f64 {
-    (abs / dim as f64).min(1.0)
-}
-
-/// Finalizes a cosine distance from `Σ a·b`, `Σ a²` and `Σ b²`.
-///
-/// This is where the zero-norm bugfix lives: the guard is on an
-/// **exactly zero squared norm** — only the true zero vector, which has
-/// no direction, gets the neutral `0.5`. The old per-pair code compared
-/// the *norm* against `f64::EPSILON`, silently snapping tiny-but-valid
-/// vectors (norm ≤ ~2.2e-16) to `0.5` as well. A denormal-underflow
-/// `0/0` (NaN) also resolves to the neutral value instead of poisoning
-/// the clamp.
-#[inline]
-#[must_use]
-pub(crate) fn cosine_distance_from_parts(dot: f64, a_norm_sq: f64, b_norm_sq: f64) -> f64 {
-    if a_norm_sq == 0.0 || b_norm_sq == 0.0 {
-        // A zero vector is equidistant from everything.
-        return 0.5;
-    }
-    let cos = dot / (a_norm_sq.sqrt() * b_norm_sq.sqrt());
-    if cos.is_nan() {
-        // Both norms underflowed to a zero product: no direction left.
-        0.5
-    } else {
-        ((1.0 - cos) / 2.0).clamp(0.0, 1.0)
-    }
-}
-
-/// `Σ a²` when `metric` needs it (`Cosine`), else `0.0` — hoisted out
-/// of the row loop so the candidate norm is computed once per gallery
-/// instead of once per pair.
-#[inline]
-fn cosine_norm_sq(metric: Metric, x: &[f64]) -> f64 {
-    match metric {
-        Metric::Cosine => x.iter().map(|a| a * a).sum(),
-        _ => 0.0,
-    }
-}
-
 /// Scalar reference distance over pre-validated equal-length slices —
 /// the per-pair path [`FeatureVector::distance`] delegates to after its
-/// dimension check. Kept in this module so every metric formula has
-/// exactly one home.
+/// dimension check. Kept in this module so the formula has exactly one
+/// home.
 #[must_use]
-pub(crate) fn pair_distance(metric: Metric, a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn pair_distance(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    let dim = a.len();
-    match metric {
-        Metric::NormalizedL2 => {
-            let sq: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-            l2_distance_from_sq(sq, dim)
-        }
-        Metric::NormalizedL1 => {
-            let abs: f64 = a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum();
-            l1_distance_from_abs(abs, dim)
-        }
-        Metric::Cosine => {
-            let dot: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-            let na_sq: f64 = a.iter().map(|x| x * x).sum();
-            let nb_sq: f64 = b.iter().map(|y| y * y).sum();
-            cosine_distance_from_parts(dot, na_sq, nb_sq)
-        }
-    }
+    let sq: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
+    l2_distance_from_sq(sq, a.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const METRICS: [Metric; 3] = [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine];
 
     fn fv(v: &[f64]) -> FeatureVector {
         FeatureVector::new(v.to_vec()).unwrap()
@@ -400,22 +287,20 @@ mod tests {
             let gallery = rows(dim, 21, 0xE0 + dim as u64);
             let cand = rows(dim, 1, 99)[0].clone();
             let b = block(&gallery);
-            for m in METRICS {
-                let k = Kernel::prepare(m, dim).unwrap();
-                // Per row: a one-row block scores the row's similarity,
-                // folded from 0.0.
-                let sims: Vec<f64> = (gallery.iter())
-                    .map(|row| cand.similarity(row, m).unwrap())
-                    .collect();
-                for (row, sim) in gallery.iter().zip(&sims) {
-                    let one = k.score_max(&cand, &block(std::slice::from_ref(row)));
-                    let want = 0.0f64.max(*sim).to_bits();
-                    assert_eq!(one.unwrap().to_bits(), want, "{m:?} dim={dim}");
-                }
-                let max = k.score_max(&cand, &b).unwrap();
-                let scalar_max = sims.iter().fold(0.0f64, |a, &s| a.max(s));
-                assert_eq!(scalar_max.to_bits(), max.to_bits());
+            let k = Kernel::prepare(Metric::NormalizedL2, dim).unwrap();
+            // Per row: a one-row block scores the row's similarity,
+            // folded from 0.0.
+            let sims: Vec<f64> = (gallery.iter())
+                .map(|row| cand.similarity(row).unwrap())
+                .collect();
+            for (row, sim) in gallery.iter().zip(&sims) {
+                let one = k.score_max(&cand, &block(std::slice::from_ref(row)));
+                let want = 0.0f64.max(*sim).to_bits();
+                assert_eq!(one.unwrap().to_bits(), want, "dim={dim}");
             }
+            let max = k.score_max(&cand, &b).unwrap();
+            let scalar_max = sims.iter().fold(0.0f64, |a, &s| a.max(s));
+            assert_eq!(scalar_max.to_bits(), max.to_bits());
         }
     }
 
@@ -470,25 +355,6 @@ mod tests {
             k.score_max(&cand, &b),
             Err(Error::DimensionMismatch { left: 4, right: 3 })
         ));
-        assert!(Kernel::prepare(Metric::Cosine, 0).is_err());
-    }
-
-    #[test]
-    fn cosine_guard_fires_only_on_the_true_zero_vector() {
-        // Tiny but valid: norm far below f64::EPSILON (the old guard's
-        // snap threshold), yet a direction exists — similarity to
-        // itself must be exactly 1.
-        let tiny = FeatureVector::new(vec![1e-30, 0.0]).unwrap();
-        assert_eq!(tiny.distance(&tiny, Metric::Cosine).unwrap(), 0.0);
-        assert_eq!(tiny.similarity(&tiny, Metric::Cosine).unwrap(), 1.0);
-        // The true zero vector still gets the neutral distance.
-        let zero = fv(&[0.0, 0.0]);
-        assert_eq!(zero.distance(&tiny, Metric::Cosine).unwrap(), 0.5);
-        assert_eq!(zero.distance(&zero, Metric::Cosine).unwrap(), 0.5);
-        // Denormal underflow (norm² underflows to 0) resolves to the
-        // guard, not NaN.
-        let denormal = FeatureVector::new(vec![1e-320, 0.0]).unwrap();
-        let d = denormal.distance(&denormal, Metric::Cosine).unwrap();
-        assert!(!d.is_nan());
+        assert!(Kernel::prepare(Metric::NormalizedL2, 0).is_err());
     }
 }

@@ -38,7 +38,6 @@
 //! [`ExecutionMode::Dag`]: crate::matcher::ExecutionMode::Dag
 
 use crate::vfilter::{model_of, CacheEntry, Scores};
-use ev_core::feature::Metric;
 use ev_core::ids::Vid;
 use ev_dag::{par_map, JobError};
 use ev_store::VideoStore;
@@ -58,13 +57,12 @@ pub(crate) fn score_wave(
     ctx: TraceCtx,
     wave: &[Vec<&CacheEntry>],
     excluded: &BTreeSet<Vid>,
-    metric: Metric,
     video: &VideoStore,
     tel: &Telemetry,
 ) -> Result<Vec<Scores>, JobError> {
     let parts = par_map("dag_score", V_PARTITIONS, threads, tel, ctx, |p| {
         let mine = wave.iter().skip(p).step_by(V_PARTITIONS);
-        mine.map(|entries| model_of(entries.clone(), excluded).score(metric, video, tel))
+        mine.map(|entries| model_of(entries.clone(), excluded).score(video, tel))
             .collect::<Vec<Scores>>()
     })?;
     // Partition `p` scored lists `p`, `p + 4`, ….

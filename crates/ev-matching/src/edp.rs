@@ -20,8 +20,7 @@
 //! charged) once by the [`VideoStore`].
 
 use crate::types::{MatchReport, ScenarioList, StageTimings};
-use crate::vfilter::{GalleryCache, VFilterConfig, VStage};
-use ev_core::feature::Metric;
+use crate::vfilter::{GalleryCache, VStage};
 use ev_core::ids::Eid;
 use ev_core::scenario::{EScenario, ScenarioId};
 use ev_dag::{par_map, JobError};
@@ -29,28 +28,8 @@ use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{Telemetry, TraceCtx};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
-
-/// Configuration of the EDP baseline. EDP matches each EID on its own,
-/// so it has no exclusion to configure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EdpConfig {
-    /// Feature distance metric of the V-identification.
-    pub metric: Metric,
-    /// Seed for the per-EID random scan order.
-    pub seed: u64,
-}
-
-impl Default for EdpConfig {
-    fn default() -> Self {
-        EdpConfig {
-            metric: VFilterConfig::default().metric,
-            seed: 0,
-        }
-    }
-}
 
 /// The EIDs present in every scenario kept so far — what every
 /// co-presence filter narrows: through [`isolate`] in [`efilter_one`]
@@ -153,9 +132,10 @@ pub(crate) fn efilter_one(
 }
 
 /// Matches a set of EIDs with EDP on `threads` workers: per-EID
-/// E-filtering, then per-EID V-identification, as two [`par_map`]s
-/// with a partition per EID — `efilter`, then `videntify` over the
-/// lists it returned. Each
+/// E-filtering in a random scan order drawn from `seed`, then per-EID
+/// V-identification, as two [`par_map`]s with a partition per EID —
+/// `efilter`, then `videntify` over the lists it returned. EDP matches
+/// each EID on its own, so nothing is excluded. Each
 /// EID's V partition keeps its own gallery cache, so its galleries go
 /// with it. `timings.e_stage` and `timings.v_stage` are the two maps'
 /// walls, so the E- and V-stage times stay separable the way Figs. 8–9
@@ -172,25 +152,20 @@ pub fn match_edp(
     store: &EScenarioStore,
     video: &VideoStore,
     targets: &BTreeSet<Eid>,
-    config: &EdpConfig,
+    seed: u64,
     telemetry: &Telemetry,
 ) -> Result<MatchReport, JobError> {
     let eids: Vec<Eid> = targets.iter().copied().collect();
     let ctx = TraceCtx::root();
     let e_start = Instant::now();
     let lists = par_map("efilter", eids.len(), threads, telemetry, ctx, |p| {
-        efilter_one(store, eids[p], config.seed, |_| false)
+        efilter_one(store, eids[p], seed, |_| false)
     })?;
     let e_stage = e_start.elapsed();
-    let vfilter = VFilterConfig {
-        metric: config.metric,
-        exclusion: false,
-    };
     let v_start = Instant::now();
     let outcomes = par_map("videntify", eids.len(), threads, telemetry, ctx, |p| {
         let mut stage = VStage {
             video,
-            config: &vfilter,
             cache: &mut GalleryCache::new(),
             telemetry,
         };
@@ -258,7 +233,7 @@ mod tests {
         )
     }
 
-    /// [`match_edp`] with the default configuration on `threads` workers.
+    /// [`match_edp`] at seed 0 on `threads` workers.
     fn edp(
         threads: usize,
         store: &EScenarioStore,
@@ -266,7 +241,7 @@ mod tests {
         targets: &BTreeSet<Eid>,
         tel: &Telemetry,
     ) -> MatchReport {
-        match_edp(threads, store, video, targets, &EdpConfig::default(), tel).unwrap()
+        match_edp(threads, store, video, targets, 0, tel).unwrap()
     }
 
     #[test]

@@ -17,11 +17,12 @@
 //!   split and lists use inclusive appearances only.
 //! * [`vfilter`] — **VID filtering**: in the V-Scenarios of an EID's
 //!   recorded list, score every VID by the probability product of
-//!   paper §IV-B2 and pick the majority winner, excluding already-matched
-//!   VIDs ("VIDs that have been already matched may help distinguishing
-//!   those remain unmatched", §IV-A). Every caller goes through one
-//!   context, [`vfilter::VStage`] (footage, configuration, gallery
-//!   cache, telemetry handle), and its two methods.
+//!   paper §IV-B2 over one similarity, normalized L2 (Eq. 1), and pick
+//!   the majority winner, excluding already-matched VIDs ("VIDs that
+//!   have been already matched may help distinguishing those remain
+//!   unmatched", §IV-A). Every caller goes through one context,
+//!   [`vfilter::VStage`] (footage, gallery cache, telemetry handle),
+//!   and its two methods; there is no setting to choose.
 //! * [`refine`] — **matching refining** (Algorithm 2): rerun splitting and
 //!   filtering for the EIDs whose match was unacceptable, to cope with
 //!   missing EIDs/VIDs. Its loop is the one set-splitting pipeline, and

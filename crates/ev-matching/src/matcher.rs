@@ -18,11 +18,10 @@
 //!   "Note that the larger the matching size is, the less time it costs
 //!   per EID-VID pair" (§I).
 
-use crate::edp::{match_edp, EdpConfig};
+use crate::edp::match_edp;
 use crate::refine::{record_run, run_rounds, RunFacts, SplitMode};
 use crate::setsplit::SetSplitConfig;
 use crate::types::MatchReport;
-use crate::vfilter::VFilterConfig;
 use ev_core::ids::Eid;
 use ev_dag::JobError;
 use ev_store::{EScenarioStore, StoreBackend, VideoStore};
@@ -53,8 +52,6 @@ pub struct MatcherConfig {
     pub mode: SplitMode,
     /// Scenario selection for the splitting stage.
     pub split: SetSplitConfig,
-    /// VID filtering settings.
-    pub vfilter: VFilterConfig,
     /// Refinement round budget.
     pub max_rounds: u32,
     /// Where the pipeline runs.
@@ -70,7 +67,6 @@ impl Default for MatcherConfig {
         MatcherConfig {
             mode: SplitMode::Practical,
             split: SetSplitConfig::default(),
-            vfilter: VFilterConfig::default(),
             max_rounds: 3,
             execution: ExecutionMode::Sequential,
         }
@@ -118,7 +114,7 @@ impl<'a> EvMatcher<'a> {
     /// Matches a single EID without touching any other
     /// ("we can find the VID corresponding to one specific EID without
     /// matching other EIDs and VIDs", §I): [`match_edp`] on `{eid}` at
-    /// one worker, seed 0, in the matcher's metric.
+    /// one worker, seed 0.
     ///
     /// # Errors
     ///
@@ -126,13 +122,9 @@ impl<'a> EvMatcher<'a> {
     /// (see [`VideoStore::check_loads`]).
     pub fn match_one(&self, eid: Eid) -> Result<MatchReport, JobError> {
         let mut span = self.telemetry.span("match_one", "pipeline");
-        let config = EdpConfig {
-            metric: self.config.vfilter.metric,
-            seed: 0,
-        };
         let (estore, video, tel) = (self.estore, self.video, &self.telemetry);
         let targets = BTreeSet::from([eid]);
-        let report = match_edp(1, estore, video, &targets, &config, tel)?;
+        let report = match_edp(1, estore, video, &targets, 0, tel)?;
         // One list through one fresh cache: a miss per distinct
         // scenario, a hit per repeat.
         let list = &report.lists[&eid];
@@ -289,7 +281,7 @@ mod tests {
             &store,
             &video,
             &BTreeSet::from([eid]),
-            &EdpConfig::default(),
+            0,
             Telemetry::disabled(),
         )
         .unwrap();

@@ -34,8 +34,8 @@ use ev_telemetry::{names, Telemetry, TraceCtx};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-/// The one matching pipeline over `config`'s `mode`, `split`, `vfilter`
-/// and `max_rounds`: Algorithm 1 splits the pending EIDs,
+/// The one matching pipeline over `config`'s `mode`, `split` and
+/// `max_rounds`: Algorithm 1 splits the pending EIDs,
 /// Algorithm 2's rounds (up to `max_rounds`) extend what stays
 /// unconfident with the E-filter, and each round's V stage is the
 /// longest-first exclusion walk ([`VStage::filter_longest_first`]).
@@ -90,7 +90,6 @@ pub(crate) fn run_rounds(
         let v_start = Instant::now();
         let outcomes = VStage {
             video,
-            config: &config.vfilter,
             cache: &mut cache,
             telemetry: tel,
         }

@@ -10,7 +10,7 @@
 //! matched VID is the majority of those per-scenario choices — exactly
 //! the accuracy rule of paper §VI-B.
 //!
-//! Already-matched VIDs can be *excluded* from later candidacies ("VIDs
+//! Already-matched VIDs are *excluded* from later candidacies ("VIDs
 //! that have been already matched may help distinguishing those remain
 //! unmatched", §IV-A); EIDs are processed longest-list-first so the most
 //! constrained matches land before they are needed for exclusion.
@@ -18,8 +18,11 @@
 //! # One context, one body per job
 //!
 //! Every caller — the refinement loop at any width, EDP, the single-EID
-//! query — builds a [`VStage`] literal (footage, configuration, gallery
-//! cache, telemetry handle) and calls one of its two methods. The scan
+//! query — builds a [`VStage`] literal (footage, gallery cache,
+//! telemetry handle) and calls one of its two methods. There is nothing
+//! to configure: `sim` is normalized L2 (paper Eq. 1) and the walk's
+//! caller says, through its `locks` predicate, which outcomes exclude
+//! their VID. The scan
 //! reads one dense candidate model (candidates are ordinals into a
 //! VID-ascending vector, so every fold visits them in VID order), scores
 //! it, and materialises its result through one tally. Given a pool, the
@@ -59,22 +62,12 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Configuration of the VID filtering stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// The distance behind `sim`, as [`filter_vids_cached`]'s callers name
+/// it. [`Metric`] has one value, so the stage reads nothing here.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct VFilterConfig {
-    /// Feature distance metric behind `sim`.
+    /// Feature distance metric behind `sim`: normalized L2.
     pub metric: Metric,
-    /// Rule already-matched VIDs out of later candidacies.
-    pub exclusion: bool,
-}
-
-impl Default for VFilterConfig {
-    fn default() -> Self {
-        VFilterConfig {
-            metric: Metric::NormalizedL2,
-            exclusion: true,
-        }
-    }
 }
 
 /// The **single argmax tie-break rule** of the V stage: a higher score
@@ -233,11 +226,11 @@ impl CacheEntry {
 /// [`ev_core::kernel`]), and every error the scalar scan maps to `0.0`
 /// (mixed-dimensionality gallery, candidate vs gallery dimension
 /// mismatch, empty scenario) maps to `0.0` here too.
-pub(crate) fn score_membership(rep: &FeatureVector, entry: &CacheEntry, metric: Metric) -> f64 {
+pub(crate) fn score_membership(rep: &FeatureVector, entry: &CacheEntry) -> f64 {
     let Features::Packed(block) = &entry.features else {
         return 0.0;
     };
-    match Kernel::prepare(metric, rep.dim()) {
+    match Kernel::prepare(Metric::NormalizedL2, rep.dim()) {
         Ok(kernel) => kernel.score_max(rep, block).unwrap_or(0.0),
         Err(_) => 0.0,
     }
@@ -440,7 +433,7 @@ impl CandidateModel<'_> {
     /// pipeline. A model with no candidates (no footage for the whole
     /// list, or every candidate excluded or quorum-pruned) scores
     /// nothing and counts nothing.
-    pub(crate) fn score(self, metric: Metric, video: &VideoStore, tel: &Telemetry) -> Scores {
+    pub(crate) fn score(self, video: &VideoStore, tel: &Telemetry) -> Scores {
         if !self.vids.is_empty() {
             if tel.counters_on() {
                 tel.registry()
@@ -457,7 +450,7 @@ impl CandidateModel<'_> {
             .map(|rep| {
                 let mut lp = 0.0;
                 for e in &self.entries {
-                    lp += score_membership(rep, e, metric).ln();
+                    lp += score_membership(rep, e).ln();
                 }
                 lp
             })
@@ -550,15 +543,13 @@ pub(crate) fn longest_first(lists: &BTreeMap<Eid, ScenarioList>) -> Vec<(Eid, &S
 /// candidates in 16 maps per 1 000 EIDs.
 const WAVE: usize = 64;
 
-/// The V stage's context: the footage, the configuration, the gallery
-/// cache and the run's telemetry handle. Built as a literal — a caller
+/// The V stage's context: the footage, the gallery cache and the run's
+/// telemetry handle. Built as a literal — a caller
 /// that keeps neither a cache nor a profile writes
 /// `&mut GalleryCache::new()` and [`Telemetry::disabled()`].
 pub struct VStage<'a> {
     /// The footage scenario lists point into.
     pub video: &'a VideoStore,
-    /// VID filtering settings.
-    pub config: &'a VFilterConfig,
     /// Extracted galleries and the request counters; share one across
     /// the walks of a run. A walk leaves none of its galleries resident.
     pub cache: &'a mut GalleryCache,
@@ -578,14 +569,13 @@ impl VStage<'_> {
     ) -> MatchOutcome {
         let (video, tel) = (self.video, self.telemetry);
         let model = candidate_model(list, video, excluded, self.cache, tel);
-        tally(eid, &model.score(self.config.metric, video, tel), excluded)
+        tally(eid, &model.score(video, tel), excluded)
     }
 
     /// Filters VIDs for every EID in `lists` through the longest-first
-    /// exclusion walk: with [`VFilterConfig::exclusion`] on, the VID of
-    /// every outcome `locks` accepts joins `excluded` and is ruled out
-    /// of the candidacies that follow. Outcomes come back in processing
-    /// order.
+    /// exclusion walk: the VID of every outcome `locks` accepts joins
+    /// `excluded` and is ruled out of the candidacies that follow.
+    /// Outcomes come back in processing order.
     ///
     /// The walk takes the order in waves: one EID inline, 64 EIDs
     /// given a `pool`. For each wave it fetches the wave's galleries
@@ -616,7 +606,7 @@ impl VStage<'_> {
         for &id in lists.values().flatten() {
             *uses.entry(id).or_insert(0) += 1;
         }
-        let (video, tel, metric) = (self.video, self.telemetry, self.config.metric);
+        let (video, tel) = (self.video, self.telemetry);
         let mut outcomes = Vec::with_capacity(lists.len());
         for wave in longest_first(lists).chunks(if pool.is_some() { WAVE } else { 1 }) {
             for &id in wave.iter().flat_map(|(_, list)| *list) {
@@ -627,16 +617,14 @@ impl VStage<'_> {
                 .map(|(_, list)| list.iter().filter_map(|&id| cache.get(id)).collect())
                 .collect();
             let scores: Vec<Scores> = match pool {
-                Some((threads, ctx)) => {
-                    score_wave(threads, ctx, &galleries, excluded, metric, video, tel)?
-                }
+                Some((threads, ctx)) => score_wave(threads, ctx, &galleries, excluded, video, tel)?,
                 None => (galleries.into_iter())
-                    .map(|entries| model_of(entries, excluded).score(metric, video, tel))
+                    .map(|entries| model_of(entries, excluded).score(video, tel))
                     .collect(),
             };
             for (&(eid, list), scores) in wave.iter().zip(scores) {
                 let outcome = tally(eid, &scores, excluded);
-                if self.config.exclusion && locks(&outcome) {
+                if locks(&outcome) {
                     excluded.extend(outcome.vid);
                 }
                 for id in list {
@@ -657,17 +645,16 @@ impl VStage<'_> {
 /// [`VStage::filter_longest_first`] locking in every majority match,
 /// against a caller-owned [`GalleryCache`] (read its hit counters
 /// afterwards; the walk releases every gallery it fetched), outcomes in
-/// EID order.
+/// EID order. `_config` names the one metric and selects nothing.
 #[must_use]
 pub fn filter_vids_cached(
     lists: &BTreeMap<Eid, ScenarioList>,
     video: &VideoStore,
-    config: &VFilterConfig,
+    _config: &VFilterConfig,
     cache: &mut GalleryCache,
 ) -> Vec<MatchOutcome> {
     let mut stage = VStage {
         video,
-        config,
         cache,
         telemetry: Telemetry::disabled(),
     };
@@ -714,12 +701,10 @@ mod tests {
         eid: Eid,
         list: &ScenarioList,
         video: &VideoStore,
-        config: &VFilterConfig,
         excluded: &BTreeSet<Vid>,
     ) -> MatchOutcome {
         VStage {
             video,
-            config,
             cache: &mut GalleryCache::new(),
             telemetry: Telemetry::disabled(),
         }
@@ -745,13 +730,7 @@ mod tests {
         let video = video();
         // EID X's list: scenarios 0, 1, 2 — only VID 1 appears in all.
         let list = vec![sid(0, 0), sid(1, 1), sid(2, 2)];
-        let out = filter_one(
-            Eid::from_u64(7),
-            &list,
-            &video,
-            &VFilterConfig::default(),
-            &BTreeSet::new(),
-        );
+        let out = filter_one(Eid::from_u64(7), &list, &video, &BTreeSet::new());
         assert_eq!(out.vid, Some(Vid::new(1)));
         assert!(out.is_majority());
         assert_eq!(out.votes.len(), 3);
@@ -762,13 +741,7 @@ mod tests {
     #[test]
     fn empty_list_is_unmatched() {
         let video = video();
-        let out = filter_one(
-            Eid::from_u64(7),
-            &vec![],
-            &video,
-            &VFilterConfig::default(),
-            &BTreeSet::new(),
-        );
+        let out = filter_one(Eid::from_u64(7), &vec![], &video, &BTreeSet::new());
         assert!(out.vid.is_none());
     }
 
@@ -779,7 +752,6 @@ mod tests {
             Eid::from_u64(7),
             &vec![sid(9, 9), sid(0, 0)],
             &video,
-            &VFilterConfig::default(),
             &BTreeSet::new(),
         );
         // Only scenario (0,0) exists; its best candidate still wins.
@@ -793,23 +765,11 @@ mod tests {
         let list = vec![sid(0, 0)];
         let mut excluded = BTreeSet::new();
         excluded.insert(Vid::new(1));
-        let out = filter_one(
-            Eid::from_u64(7),
-            &list,
-            &video,
-            &VFilterConfig::default(),
-            &excluded,
-        );
+        let out = filter_one(Eid::from_u64(7), &list, &video, &excluded);
         assert_eq!(out.vid, Some(Vid::new(2)), "VID 1 is spoken for");
         // Excluding everyone leaves no candidates.
         excluded.insert(Vid::new(2));
-        let out = filter_one(
-            Eid::from_u64(7),
-            &list,
-            &video,
-            &VFilterConfig::default(),
-            &excluded,
-        );
+        let out = filter_one(Eid::from_u64(7), &list, &video, &excluded);
         assert!(out.vid.is_none());
     }
 
@@ -833,19 +793,25 @@ mod tests {
         assert_eq!(outcomes[1].vid, Some(Vid::new(2)));
     }
 
+    /// A walk whose `locks` accepts nothing excludes nothing: both
+    /// EIDs take the best VID.
     #[test]
     fn without_exclusion_both_take_the_best_vid() {
         let video = video();
         let mut lists = BTreeMap::new();
         lists.insert(Eid::from_u64(10), vec![sid(0, 0), sid(1, 1), sid(2, 2)]);
         lists.insert(Eid::from_u64(20), vec![sid(0, 0)]);
-        let cfg = VFilterConfig {
-            exclusion: false,
-            ..VFilterConfig::default()
-        };
-        let outcomes = filter_vids_cached(&lists, &video, &cfg, &mut GalleryCache::new());
+        let mut excluded = BTreeSet::new();
+        let outcomes = VStage {
+            video: &video,
+            cache: &mut GalleryCache::new(),
+            telemetry: Telemetry::disabled(),
+        }
+        .filter_longest_first(&lists, &mut excluded, |_| false, None)
+        .unwrap();
         assert_eq!(outcomes[0].vid, Some(Vid::new(1)));
         assert_eq!(outcomes[1].vid, Some(Vid::new(1)), "conflict allowed");
+        assert!(excluded.is_empty());
     }
 
     #[test]
@@ -854,13 +820,7 @@ mod tests {
         // (missing VID). The majority still picks VID 1.
         let video = video();
         let list = vec![sid(0, 0), sid(1, 1), sid(2, 2), sid(3, 3)];
-        let out = filter_one(
-            Eid::from_u64(7),
-            &list,
-            &video,
-            &VFilterConfig::default(),
-            &BTreeSet::new(),
-        );
+        let out = filter_one(Eid::from_u64(7), &list, &video, &BTreeSet::new());
         assert_eq!(out.vid, Some(Vid::new(1)));
         assert!(out.vote_share >= 0.75, "3 of 4 scenarios vote for VID 1");
     }
@@ -872,13 +832,7 @@ mod tests {
         // come back as the explicit NoEvidence shape with finite fields.
         let video = video();
         for list in [vec![], vec![sid(9, 9), sid(8, 8)]] {
-            let out = filter_one(
-                Eid::from_u64(7),
-                &list,
-                &video,
-                &VFilterConfig::default(),
-                &BTreeSet::new(),
-            );
+            let out = filter_one(Eid::from_u64(7), &list, &video, &BTreeSet::new());
             assert!(out.is_no_evidence());
             assert!(!out.vote_share.is_nan());
             assert_eq!(out.vote_share, 0.0);
@@ -886,13 +840,7 @@ mod tests {
         }
         // Excluding every candidate is also zero votes, not NaN.
         let excluded: BTreeSet<Vid> = [Vid::new(1), Vid::new(2)].into_iter().collect();
-        let out = filter_one(
-            Eid::from_u64(7),
-            &vec![sid(0, 0)],
-            &video,
-            &VFilterConfig::default(),
-            &excluded,
-        );
+        let out = filter_one(Eid::from_u64(7), &vec![sid(0, 0)], &video, &excluded);
         assert!(out.is_no_evidence());
         assert!(!out.vote_share.is_nan());
     }
@@ -937,7 +885,6 @@ mod tests {
             Eid::from_u64(1),
             &vec![sid(0, 0), sid(1, 1)],
             &video,
-            &VFilterConfig::default(),
             &BTreeSet::new(),
         );
         assert_eq!(out.vid, Some(Vid::new(4)), "lower VID wins the tie");
@@ -946,8 +893,8 @@ mod tests {
     }
 
     /// The production scorer against the scalar reference: same bits on
-    /// random galleries under every metric, and `0.0` wherever the
-    /// reference errors or has nothing to scan.
+    /// random galleries, and `0.0` wherever the reference errors or has
+    /// nothing to scan.
     #[test]
     fn score_membership_is_bitwise_the_scalar_reference() {
         // The entry comes through the cache's `ensure`; the reference
@@ -960,16 +907,14 @@ mod tests {
             cache.ensure(id, &video, Telemetry::disabled());
             (video, cache, id)
         };
-        let check = |rep: &FeatureVector, e: &(VideoStore, GalleryCache, ScenarioId), metric| {
+        let check = |rep: &FeatureVector, e: &(VideoStore, GalleryCache, ScenarioId)| {
             let (video, cache, id) = e;
-            let got = score_membership(rep, cache.get(*id).unwrap(), metric);
+            let got = score_membership(rep, cache.get(*id).unwrap());
             let footage = video.extract(*id).unwrap();
-            let want =
-                ev_vision::reid::membership_probability(rep, &footage, metric).unwrap_or(0.0);
-            assert_eq!(got.to_bits(), want.to_bits(), "{metric:?}: {got} vs {want}");
+            let want = ev_vision::reid::membership_probability(rep, &footage).unwrap_or(0.0);
+            assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
             got
         };
-        let metrics = [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine];
 
         let mut rng = ChaCha8Rng::seed_from_u64(0x5C0E);
         for _ in 0..60 {
@@ -980,20 +925,16 @@ mod tests {
             let rep = fv(&random());
             let people: Vec<(u64, &[f64])> = people.iter().map(|(v, f)| (*v, &f[..])).collect();
             let e = entry(vscenario(0, 0, &people));
-            for metric in metrics {
-                assert!(check(&rep, &e, metric) > 0.0);
-            }
+            assert!(check(&rep, &e) > 0.0);
         }
 
         let rep = fv(&[0.9, 0.9]);
         let mixed = entry(vscenario(0, 1, &[(1, &[0.9, 0.9]), (2, &[0.1, 0.1, 0.7])]));
         let other_dim = entry(vscenario(0, 2, &[(1, &[0.9, 0.9, 0.9])]));
         let empty = entry(vscenario(0, 3, &[]));
-        for metric in metrics {
-            assert_eq!(check(&rep, &mixed, metric), 0.0, "stray row dimension");
-            assert_eq!(check(&rep, &other_dim, metric), 0.0, "candidate dimension");
-            assert_eq!(check(&rep, &empty, metric), 0.0, "empty gallery");
-        }
+        assert_eq!(check(&rep, &mixed), 0.0, "stray row dimension");
+        assert_eq!(check(&rep, &other_dim), 0.0, "candidate dimension");
+        assert_eq!(check(&rep, &empty), 0.0, "empty gallery");
     }
 
     /// The cache keeps the packed block, not the footage: after a
@@ -1019,7 +960,6 @@ mod tests {
         let mut cache = GalleryCache::new();
         let out = VStage {
             video: &video,
-            config: &VFilterConfig::default(),
             cache: &mut cache,
             telemetry: &tel,
         }
@@ -1045,8 +985,7 @@ mod tests {
             CostModel::free(),
         );
         let list = vec![sid(0, 0), sid(1, 1)];
-        let config = VFilterConfig::default();
-        let out = filter_one(Eid::from_u64(9), &list, &video, &config, &BTreeSet::new());
+        let out = filter_one(Eid::from_u64(9), &list, &video, &BTreeSet::new());
         assert!(out.is_no_evidence(), "{out:?}");
         assert!(!out.vote_share.is_nan());
     }
@@ -1161,7 +1100,6 @@ mod tests {
         eid: Eid,
         list: &ScenarioList,
         video: &VideoStore,
-        config: &VFilterConfig,
         excluded: &BTreeSet<Vid>,
         cache: &mut GalleryCache,
         tel: &Telemetry,
@@ -1180,7 +1118,7 @@ mod tests {
         for (&vid, rep) in &representatives {
             let mut lp = 0.0;
             for (e, _) in &entries {
-                lp += score_membership(rep, e, config.metric).ln();
+                lp += score_membership(rep, e).ln();
             }
             log_joint.insert(vid, lp);
         }
@@ -1272,21 +1210,19 @@ mod tests {
     fn reference_longest_first(
         lists: &BTreeMap<Eid, ScenarioList>,
         video: &VideoStore,
-        config: &VFilterConfig,
         cache: &mut GalleryCache,
         excluded: &mut BTreeSet<Vid>,
     ) -> Vec<MatchOutcome> {
         let telemetry = Telemetry::disabled();
         let mut stage = VStage {
             video,
-            config,
             cache,
             telemetry,
         };
         let mut outcomes = Vec::new();
         for (eid, list) in longest_first(lists) {
             let outcome = stage.filter_one(eid, list, excluded);
-            if config.exclusion && outcome.is_majority() {
+            if outcome.is_majority() {
                 excluded.extend(outcome.vid);
             }
             outcomes.push(outcome);
@@ -1306,7 +1242,6 @@ mod tests {
     /// distinct galleries of one wave.
     fn walk_against_the_reference(
         rng: &mut ChaCha8Rng,
-        config: &VFilterConfig,
         eids: std::ops::RangeInclusive<u64>,
         pool: Option<usize>,
     ) -> Result<Vec<(usize, usize, usize)>, TestCaseError> {
@@ -1328,7 +1263,6 @@ mod tests {
             cache.peak = 0;
             let got = VStage {
                 video: &video,
-                config,
                 cache: &mut cache,
                 telemetry: Telemetry::disabled(),
             }
@@ -1361,8 +1295,7 @@ mod tests {
                 .unwrap_or(0);
             peaks.push((cache.peak, overlap, widest));
 
-            let want =
-                reference_longest_first(&lists, &video, config, &mut ref_cache, &mut ref_excluded);
+            let want = reference_longest_first(&lists, &video, &mut ref_cache, &mut ref_excluded);
             prop_assert_eq!(got.len(), want.len());
             for (got, want) in got.iter().zip(&want) {
                 prop_assert_eq!(
@@ -1390,12 +1323,11 @@ mod tests {
         /// bits, `votes` included), the gallery cache and the V-stage
         /// counters agree — over lists of even and odd footage-bearing
         /// length (the quorum edge), ids with no footage, every edge
-        /// `adversarial_scenarios` builds, empty and total exclusion,
-        /// and all three metrics; two lists share each side's cache.
+        /// `adversarial_scenarios` builds, and empty and total exclusion;
+        /// two lists share each side's cache.
         #[test]
         fn filter_one_is_bitwise_the_map_keyed_reference(
             world_seed in 0u64..1_000_000,
-            metric in 0usize..3,
             exclude in 0u32..3,
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(world_seed);
@@ -1413,10 +1345,6 @@ mod tests {
                 0 => BTreeSet::new(),
                 1 => (0..6).filter(|_| rng.gen_bool(0.3)).map(Vid::new).collect(),
                 _ => (0..6).map(Vid::new).collect(),
-            };
-            let config = VFilterConfig {
-                metric: [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine][metric],
-                ..VFilterConfig::default()
             };
             let cost = CostModel { v_extraction: 3, v_comparison: 5 };
             let model_video = VideoStore::new(scenarios.clone(), CostModel::free());
@@ -1446,10 +1374,10 @@ mod tests {
                     model.vids.iter().copied().zip(model.reps.iter().map(bits)).collect::<Vec<_>>(),
                     representatives.iter().map(|(&v, r)| (v, bits(r))).collect::<Vec<_>>()
                 );
-                let got = VStage { video: &video, config: &config, cache: &mut cache, telemetry: &tel }
+                let got = VStage { video: &video, cache: &mut cache, telemetry: &tel }
                     .filter_one(eid, list, &excluded);
                 let want = reference_filter_one(
-                    eid, list, &ref_video, &config, &excluded, &mut ref_cache, &ref_tel,
+                    eid, list, &ref_video, &excluded, &mut ref_cache, &ref_tel,
                 );
                 prop_assert_eq!((got.eid, got.vid, &got.votes), (want.eid, want.vid, &want.votes));
                 prop_assert_eq!(got.vote_share.to_bits(), want.vote_share.to_bits());
@@ -1479,14 +1407,9 @@ mod tests {
         #[test]
         fn tallying_eager_scores_without_the_locks_is_filter_one(
             world_seed in 0u64..1_000_000,
-            metric in 0usize..3,
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(world_seed);
             let video = VideoStore::new(adversarial_scenarios(&mut rng), CostModel::free());
-            let config = VFilterConfig {
-                metric: [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine][metric],
-                ..VFilterConfig::default()
-            };
             // Ids 7 and 8 have no footage.
             let ids: Vec<ScenarioId> = (0..9).map(|i| sid(i, i as u64)).collect();
             let off = Telemetry::disabled();
@@ -1502,9 +1425,9 @@ mod tests {
                 let eid = Eid::from_u64(i);
                 let mut cache = GalleryCache::new();
                 let eager = candidate_model(&list, &video, &BTreeSet::new(), &mut cache, off)
-                    .score(config.metric, &video, off);
+                    .score(&video, off);
                 let got = tally(eid, &eager, &locked);
-                let want = filter_one(eid, &list, &video, &config, &locked);
+                let want = filter_one(eid, &list, &video, &locked);
                 prop_assert_eq!((got.eid, got.vid, &got.votes), (want.eid, want.vid, &want.votes));
                 prop_assert_eq!(got.vote_share.to_bits(), want.vote_share.to_bits());
                 prop_assert_eq!(got.confidence.to_bits(), want.confidence.to_bits());
@@ -1519,17 +1442,9 @@ mod tests {
         /// order; and outcomes (floats by bits), locks and
         /// `(hits, misses)` are a never-releasing walk's.
         #[test]
-        fn the_walk_holds_each_gallery_from_first_to_last_use(
-            world_seed in 0u64..1_000_000,
-            metric in 0usize..3,
-            exclusion in any::<bool>(),
-        ) {
+        fn the_walk_holds_each_gallery_from_first_to_last_use(world_seed in 0u64..1_000_000) {
             let mut rng = ChaCha8Rng::seed_from_u64(world_seed);
-            let config = VFilterConfig {
-                metric: [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine][metric],
-                exclusion,
-            };
-            for (peak, overlap, _) in walk_against_the_reference(&mut rng, &config, 0..=6, None)? {
+            for (peak, overlap, _) in walk_against_the_reference(&mut rng, 0..=6, None)? {
                 prop_assert_eq!(peak, overlap);
             }
         }
@@ -1545,20 +1460,12 @@ mod tests {
         /// until it is tallied — never more resident at once than the
         /// interval overlap plus one wave's distinct galleries.
         #[test]
-        fn the_pooled_walk_is_the_inline_walk_at_every_width(
-            world_seed in 0u64..1_000_000,
-            metric in 0usize..3,
-            exclusion in any::<bool>(),
-        ) {
-            let config = VFilterConfig {
-                metric: [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine][metric],
-                exclusion,
-            };
+        fn the_pooled_walk_is_the_inline_walk_at_every_width(world_seed in 0u64..1_000_000) {
             let eids = 0..=2 * WAVE as u64 + 6;
             for threads in [2, 4] {
                 let mut rng = ChaCha8Rng::seed_from_u64(world_seed);
                 let eids = eids.clone();
-                let peaks = walk_against_the_reference(&mut rng, &config, eids, Some(threads))?;
+                let peaks = walk_against_the_reference(&mut rng, eids, Some(threads))?;
                 for (peak, overlap, widest) in peaks {
                     prop_assert!(peak <= overlap + widest, "{} > {} + {}", peak, overlap, widest);
                 }

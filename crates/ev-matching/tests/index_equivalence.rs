@@ -59,14 +59,9 @@ fn random_world(seed: u64, cells: usize, times: u64, people: u64) -> (EScenarioS
     )
 }
 
-fn stage<'a>(
-    video: &'a VideoStore,
-    config: &'a VFilterConfig,
-    cache: &'a mut GalleryCache,
-) -> VStage<'a> {
+fn stage<'a>(video: &'a VideoStore, cache: &'a mut GalleryCache) -> VStage<'a> {
     VStage {
         video,
-        config,
         cache,
         telemetry: Telemetry::disabled(),
     }
@@ -81,35 +76,26 @@ fn cached_vfilter_is_identical_to_the_uncached_reference() {
     for world_seed in [1, 2, 3] {
         let (store, video) = random_world(world_seed, 4, 12, 16);
         let split = split_ideal(&store, &targets(16), &SetSplitConfig::default());
-        for exclusion in [true, false] {
-            let cfg = VFilterConfig {
-                exclusion,
-                ..VFilterConfig::default()
-            };
-            video.reset_usage();
-            let cached = filter_vids_cached(&split.lists, &video, &cfg, &mut GalleryCache::new());
-            // The uncached side: the same longest-list-first order, but a
-            // fresh gallery per EID, so every list entry re-extracts and
-            // regroups.
-            video.reset_usage();
-            let mut order: Vec<_> = split.lists.iter().collect();
-            order.sort_by_key(|(eid, list)| (std::cmp::Reverse(list.len()), **eid));
-            let mut excluded = BTreeSet::new();
-            let mut uncached: Vec<MatchOutcome> = Vec::new();
-            for (&eid, list) in order {
-                let outcome =
-                    stage(&video, &cfg, &mut GalleryCache::new()).filter_one(eid, list, &excluded);
-                if exclusion && outcome.is_majority() {
-                    excluded.extend(outcome.vid);
-                }
-                uncached.push(outcome);
+        let cfg = VFilterConfig::default();
+        video.reset_usage();
+        let cached = filter_vids_cached(&split.lists, &video, &cfg, &mut GalleryCache::new());
+        // The uncached side: the same longest-list-first order, but a
+        // fresh gallery per EID, so every list entry re-extracts and
+        // regroups.
+        video.reset_usage();
+        let mut order: Vec<_> = split.lists.iter().collect();
+        order.sort_by_key(|(eid, list)| (std::cmp::Reverse(list.len()), **eid));
+        let mut excluded = BTreeSet::new();
+        let mut uncached: Vec<MatchOutcome> = Vec::new();
+        for (&eid, list) in order {
+            let outcome = stage(&video, &mut GalleryCache::new()).filter_one(eid, list, &excluded);
+            if outcome.is_majority() {
+                excluded.extend(outcome.vid);
             }
-            uncached.sort_by_key(|o| o.eid);
-            assert_eq!(
-                cached, uncached,
-                "divergence: world {world_seed}, exclusion {exclusion}"
-            );
+            uncached.push(outcome);
         }
+        uncached.sort_by_key(|o| o.eid);
+        assert_eq!(cached, uncached, "divergence: world {world_seed}");
     }
 }
 
@@ -129,7 +115,7 @@ fn one_exclusion_loop_serves_the_harness_and_refinement() {
             outcomes
         };
 
-        let majorities = stage(&video, &cfg, &mut GalleryCache::new())
+        let majorities = stage(&video, &mut GalleryCache::new())
             .filter_longest_first(
                 &split.lists,
                 &mut BTreeSet::new(),
@@ -152,7 +138,7 @@ fn one_exclusion_loop_serves_the_harness_and_refinement() {
             .match_many(&targets(16))
             .unwrap();
         assert_eq!(report.lists, split.lists, "world {world_seed}");
-        let confident = stage(&video, &cfg, &mut GalleryCache::new())
+        let confident = stage(&video, &mut GalleryCache::new())
             .filter_longest_first(
                 &split.lists,
                 &mut BTreeSet::new(),

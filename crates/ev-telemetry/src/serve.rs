@@ -13,7 +13,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Maximum spans returned by `/tracez` (most recent first retained).
 const TRACEZ_LIMIT: usize = 512;
@@ -21,7 +21,8 @@ const TRACEZ_LIMIT: usize = 512;
 /// Maximum request bytes read before giving up on a connection.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
-/// Per-connection read/write timeout.
+/// How long a connection may take to send its request head, counted
+/// from accept; also the timeout of each response write.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A running metrics endpoint. Stops (and joins its thread) on drop.
@@ -89,9 +90,9 @@ fn accept_loop(listener: &TcpListener, tel: &Telemetry, shutdown: &AtomicBool) {
 }
 
 fn serve_connection(mut stream: TcpStream, tel: &Telemetry) -> io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    let deadline = Instant::now() + IO_TIMEOUT;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let request_line = match read_request_line(&mut stream) {
+    let request_line = match read_request_line(&mut stream, deadline) {
         Some(line) => line,
         None => return Ok(()),
     };
@@ -133,11 +134,17 @@ fn serve_connection(mut stream: TcpStream, tel: &Telemetry) -> io::Result<()> {
 }
 
 /// Reads up to the end of the request head and returns its first line.
-/// Returns `None` on timeouts, oversized requests, or non-UTF-8 bytes.
-fn read_request_line(stream: &mut TcpStream) -> Option<String> {
+/// Returns `None` when the head is not in by `deadline` (so a client
+/// trickling bytes holds the one-thread accept loop no longer than a
+/// silent one), on oversized requests, or on non-UTF-8 bytes.
+fn read_request_line(stream: &mut TcpStream, deadline: Instant) -> Option<String> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 512];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return None;
+        }
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
@@ -241,6 +248,56 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
 
         drop(server);
+    }
+
+    /// A client that sends its head one byte at a time holds the accept
+    /// loop for `IO_TIMEOUT` after accept at most: a second client is
+    /// answered after that, and a drop during another trickle returns
+    /// within it.
+    #[test]
+    fn a_trickling_client_is_cut_off_at_the_deadline() {
+        /// Connects and sends a byte every 100 ms, for up to 8 s.
+        fn trickle(addr: SocketAddr) -> std::thread::JoinHandle<()> {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            std::thread::spawn(move || {
+                for _ in 0..80 {
+                    if stream.write_all(b"G").is_err() {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            })
+        }
+        let slack = Duration::from_secs(1);
+        let tel = Telemetry::off();
+        let server = MetricsServer::start("127.0.0.1:0", &tel).unwrap();
+        let addr = server.addr();
+
+        let start = Instant::now();
+        let first = trickle(addr);
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.set_read_timeout(Some(2 * IO_TIMEOUT)).unwrap();
+        write!(client, "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+        let mut response = String::new();
+        let read = client.read_to_string(&mut response);
+        assert!(read.is_ok(), "{read:?} after {:?}", start.elapsed());
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        assert!(
+            start.elapsed() < IO_TIMEOUT + slack,
+            "{:?}",
+            start.elapsed()
+        );
+
+        // Give the loop time to take the second trickler. Should the drop
+        // win that race, the loop stops at the accept instead, inside the
+        // same bound.
+        let second = trickle(addr);
+        std::thread::sleep(Duration::from_millis(200));
+        let stop = Instant::now();
+        drop(server);
+        assert!(stop.elapsed() < IO_TIMEOUT + slack, "{:?}", stop.elapsed());
+        first.join().unwrap();
+        second.join().unwrap();
     }
 
     #[test]

@@ -176,7 +176,6 @@ fn gaussian(rng: &mut ChaCha8Rng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ev_core::feature::Metric;
 
     #[test]
     fn generation_is_deterministic() {
@@ -225,7 +224,7 @@ mod tests {
             for j in (i + 1)..50 {
                 let a = g.feature_of(PersonId::new(i)).unwrap();
                 let b = g.feature_of(PersonId::new(j)).unwrap();
-                let d = a.distance(b, Metric::NormalizedL2).unwrap();
+                let d = a.distance(b).unwrap();
                 assert!(d > 0.15, "persons {i} and {j} too close: {d}");
             }
         }
@@ -240,7 +239,7 @@ mod tests {
             let obs = g
                 .observe(PersonId::new(i), 0.05, &mut rng, &mut Vec::new())
                 .unwrap();
-            let d = truth.distance(&obs, Metric::NormalizedL2).unwrap();
+            let d = truth.distance(&obs).unwrap();
             assert!(d < 0.12, "observation drifted too far: {d}");
         }
     }
@@ -316,8 +315,8 @@ mod tests {
         let a = g.feature_of(PersonId::new(0)).unwrap();
         let mate = g.feature_of(PersonId::new(4)).unwrap();
         let other = g.feature_of(PersonId::new(1)).unwrap();
-        let d_mate = a.distance(mate, Metric::NormalizedL2).unwrap();
-        let d_other = a.distance(other, Metric::NormalizedL2).unwrap();
+        let d_mate = a.distance(mate).unwrap();
+        let d_other = a.distance(other).unwrap();
         assert!(
             d_mate < d_other,
             "cluster mates must look more alike ({d_mate} vs {d_other})"
@@ -333,27 +332,26 @@ mod tests {
 
     #[test]
     fn block_view_scores_bitwise_like_the_scalar_gallery() {
+        use ev_core::feature::Metric;
         use ev_core::kernel::{FeatureBlock, Kernel};
         let g = AppearanceGallery::generate(37, 24, 4).unwrap();
         let block = FeatureBlock::build("appearance-gallery", g.features.iter()).unwrap();
         assert_eq!(block.len(), 37);
         assert_eq!(block.dim(), 24);
         let cand = g.feature_of(PersonId::new(5)).unwrap();
-        for m in [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine] {
-            let kernel = Kernel::prepare(m, 24).unwrap();
-            let mut best = 0.0f64;
-            for p in 0..37 {
-                let truth = g.feature_of(PersonId::new(p)).unwrap();
-                let scalar = cand.similarity(truth, m).unwrap();
-                let row = FeatureBlock::build("person", [truth]).unwrap();
-                let sim = kernel.score_max(cand, &row).unwrap();
-                let want = 0.0f64.max(scalar).to_bits();
-                assert_eq!(sim.to_bits(), want, "{m:?} person {p}");
-                best = best.max(scalar);
-            }
-            let max = kernel.score_max(cand, &block).unwrap();
-            assert_eq!(best.to_bits(), max.to_bits(), "{m:?}");
+        let kernel = Kernel::prepare(Metric::NormalizedL2, 24).unwrap();
+        let mut best = 0.0f64;
+        for p in 0..37 {
+            let truth = g.feature_of(PersonId::new(p)).unwrap();
+            let scalar = cand.similarity(truth).unwrap();
+            let row = FeatureBlock::build("person", [truth]).unwrap();
+            let sim = kernel.score_max(cand, &row).unwrap();
+            let want = 0.0f64.max(scalar).to_bits();
+            assert_eq!(sim.to_bits(), want, "person {p}");
+            best = best.max(scalar);
         }
+        let max = kernel.score_max(cand, &block).unwrap();
+        assert_eq!(best.to_bits(), max.to_bits());
     }
 
     #[test]

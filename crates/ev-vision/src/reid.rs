@@ -8,9 +8,11 @@
 //! * `P(VID* ∉ S)  = 1 − max_i sim(VID*, VID_i)`
 //!
 //! and scores a candidate against an EID's scenario list as the product of
-//! per-scenario membership probabilities.
+//! per-scenario membership probabilities. The V stage computes that
+//! product in log space over the block kernel; this scalar scan is the
+//! reference its membership scores are checked against bit for bit.
 
-use ev_core::feature::{FeatureVector, Metric};
+use ev_core::feature::FeatureVector;
 use ev_core::scenario::VScenario;
 
 /// `P(VID* ∈ S)`: the best similarity between the candidate feature and
@@ -23,51 +25,13 @@ use ev_core::scenario::VScenario;
 pub fn membership_probability(
     candidate: &FeatureVector,
     scenario: &VScenario,
-    metric: Metric,
 ) -> ev_core::Result<f64> {
     let mut best: f64 = 0.0;
     for detection in scenario.detections() {
-        let sim = candidate.similarity(&detection.feature, metric)?;
+        let sim = candidate.similarity(&detection.feature)?;
         best = best.max(sim);
     }
     Ok(best)
-}
-
-/// `P(VID* ∉ S) = 1 − P(VID* ∈ S)`.
-///
-/// # Errors
-///
-/// Returns [`ev_core::Error::DimensionMismatch`] on mismatched feature
-/// dimensions.
-pub fn absence_probability(
-    candidate: &FeatureVector,
-    scenario: &VScenario,
-    metric: Metric,
-) -> ev_core::Result<f64> {
-    Ok(1.0 - membership_probability(candidate, scenario, metric)?)
-}
-
-/// Joint probability that the candidate appears in *all* the scenarios:
-/// `Π_S P(VID* ∈ S)` (paper's `P(VID = VID*)` for the selected scenario
-/// list).
-///
-/// # Errors
-///
-/// Returns [`ev_core::Error::DimensionMismatch`] on mismatched feature
-/// dimensions.
-pub fn joint_membership_probability<'a>(
-    candidate: &FeatureVector,
-    scenarios: impl IntoIterator<Item = &'a VScenario>,
-    metric: Metric,
-) -> ev_core::Result<f64> {
-    let mut p = 1.0;
-    for s in scenarios {
-        p *= membership_probability(candidate, s, metric)?;
-        if p == 0.0 {
-            break;
-        }
-    }
-    Ok(p)
 }
 
 #[cfg(test)]
@@ -97,7 +61,7 @@ mod tests {
     fn membership_takes_the_best_match() {
         let s = scenario(&[&[0.0, 0.0], &[0.9, 0.9]]);
         let candidate = fv(&[1.0, 1.0]);
-        let p = membership_probability(&candidate, &s, Metric::NormalizedL2).unwrap();
+        let p = membership_probability(&candidate, &s).unwrap();
         // Closest detection is (0.9, 0.9): dist = sqrt(0.02)/sqrt(2) = 0.1.
         assert!((p - 0.9).abs() < 1e-9);
     }
@@ -106,52 +70,13 @@ mod tests {
     fn empty_scenario_has_zero_membership() {
         let s = scenario(&[]);
         let candidate = fv(&[0.5]);
-        assert_eq!(
-            membership_probability(&candidate, &s, Metric::NormalizedL2).unwrap(),
-            0.0
-        );
-        assert_eq!(
-            absence_probability(&candidate, &s, Metric::NormalizedL2).unwrap(),
-            1.0
-        );
-    }
-
-    #[test]
-    fn membership_and_absence_sum_to_one() {
-        let s = scenario(&[&[0.2, 0.4], &[0.8, 0.1]]);
-        let candidate = fv(&[0.3, 0.3]);
-        let m = membership_probability(&candidate, &s, Metric::NormalizedL1).unwrap();
-        let a = absence_probability(&candidate, &s, Metric::NormalizedL1).unwrap();
-        assert!((m + a - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn joint_probability_multiplies() {
-        let s1 = scenario(&[&[1.0, 1.0]]);
-        let s2 = scenario(&[&[0.9, 0.9]]);
-        let candidate = fv(&[1.0, 1.0]);
-        let joint =
-            joint_membership_probability(&candidate, [&s1, &s2], Metric::NormalizedL2).unwrap();
-        let p1 = membership_probability(&candidate, &s1, Metric::NormalizedL2).unwrap();
-        let p2 = membership_probability(&candidate, &s2, Metric::NormalizedL2).unwrap();
-        assert!((joint - p1 * p2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn joint_probability_short_circuits_on_zero() {
-        let empty = scenario(&[]);
-        let s2 = scenario(&[&[0.5, 0.5]]);
-        let candidate = fv(&[0.5, 0.5]);
-        let joint =
-            joint_membership_probability(&candidate, [&empty, &s2], Metric::NormalizedL2).unwrap();
-        assert_eq!(joint, 0.0);
+        assert_eq!(membership_probability(&candidate, &s).unwrap(), 0.0);
     }
 
     #[test]
     fn dimension_mismatch_propagates() {
         let s = scenario(&[&[0.5, 0.5]]);
         let candidate = fv(&[0.5]);
-        assert!(membership_probability(&candidate, &s, Metric::NormalizedL2).is_err());
-        assert!(joint_membership_probability(&candidate, [&s], Metric::NormalizedL2).is_err());
+        assert!(membership_probability(&candidate, &s).is_err());
     }
 }

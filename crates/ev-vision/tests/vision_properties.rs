@@ -1,13 +1,13 @@
 //! Property tests for the vision substrate: gallery separation, builder
 //! consistency with ground truth, and the re-id probability model.
 
-use ev_core::feature::{FeatureVector, Metric};
+use ev_core::feature::FeatureVector;
 use ev_core::geometry::Point;
 use ev_core::ids::PersonId;
 use ev_core::region::GridRegion;
 use ev_core::time::Timestamp;
 use ev_mobility::{TraceSet, Trajectory};
-use ev_vision::reid::{absence_probability, joint_membership_probability, membership_probability};
+use ev_vision::reid::membership_probability;
 use ev_vision::{AppearanceGallery, DetectionModel, VScenarioBuilder};
 use proptest::prelude::*;
 
@@ -66,8 +66,8 @@ proptest! {
         prop_assert_eq!(filmed, presence);
     }
 
-    /// Membership probability is a probability, symmetric in scenario
-    /// content order, and complements absence.
+    /// Membership probability is a probability and symmetric in
+    /// scenario content order.
     #[test]
     fn reid_probabilities_are_probabilities(
         candidate in prop::collection::vec(0.0f64..=1.0, 4),
@@ -84,15 +84,14 @@ proptest! {
                 feature: FeatureVector::new(f.clone()).expect("in range"),
             });
         }
-        for metric in [Metric::NormalizedL2, Metric::NormalizedL1, Metric::Cosine] {
-            let p = membership_probability(&cand, &scenario, metric).expect("same dims");
-            let q = absence_probability(&cand, &scenario, metric).expect("same dims");
-            prop_assert!((0.0..=1.0).contains(&p), "{metric:?}: {p}");
-            prop_assert!((p + q - 1.0).abs() < 1e-12);
-            let joint = joint_membership_probability(&cand, [&scenario, &scenario], metric)
-                .expect("same dims");
-            prop_assert!((joint - p * p).abs() < 1e-12);
+        let p = membership_probability(&cand, &scenario).expect("same dims");
+        prop_assert!((0.0..=1.0).contains(&p), "{p}");
+        let mut reversed = VScenario::new(CellId::new(0), Timestamp::ZERO);
+        for d in scenario.detections().iter().rev() {
+            reversed.push(d.clone());
         }
+        let q = membership_probability(&cand, &reversed).expect("same dims");
+        prop_assert_eq!(p.to_bits(), q.to_bits());
     }
 
     /// A candidate identical to some detection always achieves the
@@ -114,8 +113,7 @@ proptest! {
         }
         let chosen = pick.get(&features);
         let cand = FeatureVector::new(chosen.clone()).expect("in range");
-        let p = membership_probability(&cand, &scenario, Metric::NormalizedL2)
-            .expect("same dims");
+        let p = membership_probability(&cand, &scenario).expect("same dims");
         prop_assert!((p - 1.0).abs() < 1e-12);
     }
 
@@ -130,15 +128,11 @@ proptest! {
             let person = PersonId::new(p);
             let truth = gallery.feature_of(person).expect("exists");
             let obs = gallery.observe(person, 0.05, &mut rng, &mut Vec::new()).expect("exists");
-            let self_dist = truth
-                .distance(&obs, Metric::NormalizedL2)
-                .expect("same dims");
+            let self_dist = truth.distance(&obs).expect("same dims");
             let other = gallery
                 .feature_of(PersonId::new((p + 1) % 20))
                 .expect("exists");
-            let other_dist = truth
-                .distance(other, Metric::NormalizedL2)
-                .expect("same dims");
+            let other_dist = truth.distance(other).expect("same dims");
             prop_assert!(
                 self_dist < other_dist,
                 "person {p}: self {self_dist} vs other {other_dist}"

@@ -1,24 +1,26 @@
 //! `evmatch` — command-line front end for the EV-Matching reproduction.
 //!
 //! ```text
-//! evmatch generate  [--population N] [--duration T] [--seed S]
+//! evmatch generate  [--population N] [--duration T] [--seed S] [--json]
 //! evmatch ingest    --data-dir DIR [--population N] [--duration T]
-//!                   [--seed S] [--json]
+//!                   [--seed S] [--json] [telemetry flags]
 //! evmatch serve     --data-dir DIR [--apply-every N]
-//!                   [--checkpoint-every N] [--targets K]
-//!                   [--serve-metrics ADDR] [--recovery strict|salvage]
-//!                   [dataset + matcher flags as for match]
+//!                   [--checkpoint-every N] [--population N]
+//!                   [--duration T] [--seed S] [--targets K]
+//!                   [--mode ideal|practical] [--threads N]
+//!                   [--recovery strict|salvage] [telemetry flags]
 //! evmatch match     [--population N] [--duration T] [--seed S]
 //!                   [--targets K] [--mode ideal|practical]
-//!                   [--threads N] [--universal]
-//!                   [--telemetry off|counters|full] [--trace-out PATH]
-//!                   [--metrics-out PATH] [--json]
-//!                   [--serve-metrics ADDR] [--serve-hold-ms MS]
-//!                   [--flight-dir DIR]
+//!                   [--threads N] [--universal] [--json]
 //!                   [--data-dir DIR] [--recovery strict|salvage]
-//! evmatch query     [--population N] [--duration T] [--seed S]
-//!                   [--targets K] --eid HEX|--cell C --from T0 --to T1
-//! evmatch check-metrics --in PATH | --smoke
+//!                   [telemetry flags]
+//! evmatch query     [the flags of match but --json]
+//!                   --eid HEX | --cell C [--from T0] [--to T1]
+//! evmatch check-metrics --in PATH | --smoke [--seed S]
+//!
+//! telemetry flags:  [--telemetry off|counters|full] [--trace-out PATH]
+//!                   [--metrics-out PATH] [--flight-dir DIR]
+//!                   [--serve-metrics ADDR [--serve-hold-ms MS]]
 //! ```
 //!
 //! Datasets are regenerated deterministically from their parameters, so
@@ -72,10 +74,12 @@
 //! of recent spans/instants/counter deltas is dumped to
 //! `flight-<ts>-<n>.json` in `--flight-dir` (default `.`).
 //!
-//! Argument errors — an unknown subcommand or flag, a flag of another
-//! subcommand, a bad value, a missing required flag (`--data-dir` of
-//! `ingest` and `serve`, `--in` or `--smoke` of `check-metrics`), both
-//! `--in` and `--smoke`, a `query` without its question — exit 2;
+//! Argument errors — an unknown subcommand or flag, a flag the
+//! subcommand does not read (each flag's readers are listed in
+//! `SUBCOMMAND_FLAGS`), a bad value, a missing required flag
+//! (`--data-dir` of `ingest` and `serve`, `--in` or `--smoke` of
+//! `check-metrics`), both `--in` and `--smoke`, `--serve-hold-ms`
+//! without `--serve-metrics`, a `query` without its question — exit 2;
 //! runtime errors exit 1.
 
 use ev_telemetry::{names, prometheus, MetricsServer, Telemetry, TelemetryLevel};
@@ -178,22 +182,55 @@ impl CommonArgs {
     }
 }
 
-/// Flags only one subcommand reads, each with that subcommand.
-const SUBCOMMAND_FLAGS: &[(&str, &str)] = &[
-    ("--apply-every", "serve"),
-    ("--checkpoint-every", "serve"),
-    ("--in", "check-metrics"),
-    ("--smoke", "check-metrics"),
-    ("--eid", "query"),
-    ("--cell", "query"),
-    ("--from", "query"),
-    ("--to", "query"),
+/// The subcommands that generate the dataset the flags describe.
+const DATASET: &[&str] = &["generate", "ingest", "serve", "match", "query"];
+/// The subcommands that run with a telemetry handle and may use a corpus.
+const RUNS: &[&str] = &["ingest", "serve", "match", "query"];
+/// The subcommands that match.
+const MATCHES: &[&str] = &["serve", "match", "query"];
+
+/// Every flag, each with the subcommands that read it.
+const SUBCOMMAND_FLAGS: &[(&str, &[&str])] = &[
+    ("--population", DATASET),
+    ("--duration", DATASET),
+    (
+        "--seed",
+        &[
+            "generate",
+            "ingest",
+            "serve",
+            "match",
+            "query",
+            "check-metrics",
+        ],
+    ),
+    ("--json", &["generate", "ingest", "match"]),
+    ("--targets", MATCHES),
+    ("--mode", MATCHES),
+    ("--threads", MATCHES),
+    ("--recovery", MATCHES),
+    ("--universal", &["match", "query"]),
+    ("--telemetry", RUNS),
+    ("--trace-out", RUNS),
+    ("--metrics-out", RUNS),
+    ("--serve-metrics", RUNS),
+    ("--serve-hold-ms", RUNS),
+    ("--flight-dir", RUNS),
+    ("--data-dir", RUNS),
+    ("--apply-every", &["serve"]),
+    ("--checkpoint-every", &["serve"]),
+    ("--in", &["check-metrics"]),
+    ("--smoke", &["check-metrics"]),
+    ("--eid", &["query"]),
+    ("--cell", &["query"]),
+    ("--from", &["query"]),
+    ("--to", &["query"]),
 ];
 
 /// Parses the flags of `command`. A flag nobody reads must not be
-/// swallowed: an unknown one, or another subcommand's, is an argument
-/// error, so a retired or misspelt execution flag can never silently
-/// select the sequential pipeline.
+/// swallowed: an unknown one, or one `command` does not read, is an
+/// argument error, so a retired or misspelt execution flag can never
+/// silently select the sequential pipeline.
 fn parse_args(command: &str, args: &[String]) -> Result<CommonArgs, String> {
     let mut out = CommonArgs {
         population: 300,
@@ -219,11 +256,14 @@ fn parse_args(command: &str, args: &[String]) -> Result<CommonArgs, String> {
         query: None,
     };
     let (mut eid, mut cell, mut from, mut to) = (None, None, None, None);
+    let mut hold = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if let Some((_, owner)) = SUBCOMMAND_FLAGS.iter().find(|(flag, _)| flag == arg) {
-            if *owner != command {
-                return Err(format!("flag {arg} belongs to `evmatch {owner}`"));
+        if let Some((_, readers)) = SUBCOMMAND_FLAGS.iter().find(|(flag, _)| flag == arg) {
+            if !readers.contains(&command) {
+                let owners: Vec<String> =
+                    readers.iter().map(|r| format!("`evmatch {r}`")).collect();
+                return Err(format!("flag {arg} belongs to {}", owners.join(" or ")));
             }
         }
         let mut take = || {
@@ -257,7 +297,7 @@ fn parse_args(command: &str, args: &[String]) -> Result<CommonArgs, String> {
             "--metrics-out" => out.metrics_out = Some(take()?),
             "--data-dir" => out.data_dir = Some(take()?),
             "--serve-metrics" => out.serve_metrics = Some(take()?),
-            "--serve-hold-ms" => out.serve_hold_ms = value(&take()?)?,
+            "--serve-hold-ms" => hold = Some(value(&take()?)?),
             "--flight-dir" => out.flight_dir = Some(take()?),
             "--smoke" => out.smoke = true,
             "--recovery" => {
@@ -299,6 +339,12 @@ fn parse_args(command: &str, args: &[String]) -> Result<CommonArgs, String> {
     }
     if out.smoke && out.metrics_in.is_some() {
         return Err("check-metrics takes --in PATH or --smoke, not both".into());
+    }
+    if let Some(ms) = hold {
+        if out.serve_metrics.is_none() {
+            return Err("--serve-hold-ms needs --serve-metrics ADDR".into());
+        }
+        out.serve_hold_ms = ms;
     }
     Ok(out)
 }
@@ -724,7 +770,6 @@ const REQUIRED_METRICS: &[&str] = &[
 /// there without an emission site (or an emission site whose metric
 /// name drifted from the constant) fails this gate.
 fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
-    use evmatch::matching::vfilter::VFilterConfig;
     use std::collections::BTreeSet;
 
     fn absorb_into(seen: &mut BTreeSet<String>, tel: &Telemetry) {
@@ -782,7 +827,6 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
         let video = VideoStore::new(vec![mixed], evmatch::vision::cost::CostModel::free());
         let _ = VStage {
             video: &video,
-            config: &VFilterConfig::default(),
             cache: &mut GalleryCache::new(),
             telemetry: &tel,
         }
@@ -800,17 +844,10 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
     // 2. The EDP baseline (two maps, one partition per EID) on 4 real
     //    threads: the `evm_dag_*` and `evm_exec_*` metrics.
     {
-        use evmatch::matching::edp::{match_edp, EdpConfig};
+        use evmatch::matching::edp::match_edp;
         let tel = Telemetry::new(TelemetryLevel::Full);
-        match_edp(
-            4,
-            &dataset.estore,
-            &dataset.video,
-            &targets,
-            &EdpConfig::default(),
-            &tel,
-        )
-        .map_err(|e| format!("smoke EDP run: {e}"))?;
+        match_edp(4, &dataset.estore, &dataset.video, &targets, 0, &tel)
+            .map_err(|e| format!("smoke EDP run: {e}"))?;
         absorb_into(&mut seen, &tel);
     }
 

@@ -1,6 +1,6 @@
-//! `evmatch query` and the subcommand-only flags: a flag belongs to the
-//! one subcommand that reads it and is an argument error (exit 2)
-//! anywhere else, a subcommand without its required flag is one too,
+//! `evmatch query` and the subcommand flags: a flag belongs to the
+//! subcommands that read it and is an argument error (exit 2) anywhere
+//! else, a subcommand without its required flag is one too,
 //! and `query` checks its question before it runs a match, so a bad
 //! question exits 2 at once instead of 1 after a whole match. `query`
 //! answers from the report of its match and the corpus that match read.
@@ -36,21 +36,57 @@ fn stdout(out: &Output) -> String {
 
 #[test]
 fn subcommand_flags_are_argument_errors_elsewhere() {
-    for (command, flag, owner) in [
-        ("match", "--eid", "query"),
-        ("match", "--cell", "query"),
-        ("serve", "--from", "query"),
-        ("match", "--in", "check-metrics"),
-        ("match", "--smoke", "check-metrics"),
-        ("query", "--apply-every", "serve"),
-        ("match", "--checkpoint-every", "serve"),
+    const MATCHES: &str = "`evmatch serve` or `evmatch match` or `evmatch query`";
+    const DATASET: &str =
+        "`evmatch generate` or `evmatch ingest` or `evmatch serve` or `evmatch match` or `evmatch query`";
+    const RUNS: &str = "`evmatch ingest` or `evmatch serve` or `evmatch match` or `evmatch query`";
+    for (command, flag, owners) in [
+        ("match", "--eid", "`evmatch query`"),
+        ("match", "--cell", "`evmatch query`"),
+        ("serve", "--from", "`evmatch query`"),
+        ("match", "--in", "`evmatch check-metrics`"),
+        ("match", "--smoke", "`evmatch check-metrics`"),
+        ("query", "--apply-every", "`evmatch serve`"),
+        ("match", "--checkpoint-every", "`evmatch serve`"),
+        ("generate", "--threads", MATCHES),
+        (
+            "generate",
+            "--universal",
+            "`evmatch match` or `evmatch query`",
+        ),
+        ("generate", "--mode", MATCHES),
+        ("generate", "--data-dir", RUNS),
+        ("ingest", "--threads", MATCHES),
+        ("ingest", "--targets", MATCHES),
+        (
+            "ingest",
+            "--universal",
+            "`evmatch match` or `evmatch query`",
+        ),
+        ("ingest", "--mode", MATCHES),
+        ("check-metrics", "--threads", MATCHES),
+        ("check-metrics", "--population", DATASET),
     ] {
         let out = evmatch(&[command, flag, "1"]);
         assert_eq!(out.status.code(), Some(2), "{command} {flag}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let says = format!("flag {flag} belongs to `evmatch {owner}`");
+        let says = format!("flag {flag} belongs to {owners}");
         assert!(stderr.contains(&says), "{command} {flag}: {stderr}");
     }
+}
+
+/// `--serve-hold-ms` holds the `--serve-metrics` endpoint open; without
+/// one there is nothing to hold.
+#[test]
+fn serve_hold_ms_needs_serve_metrics() {
+    let out = evmatch(&[&["match", "--serve-hold-ms", "100000"], &WORLD[..]].concat());
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "a match ran");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--serve-hold-ms needs --serve-metrics ADDR"),
+        "{stderr}"
+    );
 }
 
 #[test]

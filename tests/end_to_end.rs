@@ -53,7 +53,7 @@ fn ss_selects_fewer_scenarios_than_edp() {
         &d.estore,
         &d.video,
         &targets,
-        &evmatch::matching::edp::EdpConfig::default(),
+        0,
         Telemetry::disabled(),
     )
     .unwrap();

@@ -3,10 +3,9 @@
 //! width, and the matcher with every round's walk scored on `par_map`
 //! (Algorithm 3), at any thread count.
 
-use evmatch::matching::edp::{match_edp, EdpConfig};
+use evmatch::matching::edp::match_edp;
 use evmatch::matching::practical::split_practical;
 use evmatch::matching::setsplit::{SelectionStrategy, SetSplitConfig};
-use evmatch::matching::vfilter::VFilterConfig;
 use evmatch::prelude::*;
 use evmatch::telemetry::names;
 
@@ -40,22 +39,17 @@ fn run_dag(
         .expect("dag pipeline")
 }
 
-/// `match_many` over `d` in `mode`, with exclusion on or off, on the
-/// given execution mode, with a fresh extraction cache.
+/// `match_many` over `d` in `mode` on the given execution mode, with a
+/// fresh extraction cache.
 fn run_matcher(
     d: &EvDataset,
     targets: &std::collections::BTreeSet<Eid>,
     mode: SplitMode,
-    exclusion: bool,
     execution: ExecutionMode,
 ) -> MatchReport {
     d.video.reset_usage();
     let config = MatcherConfig {
         mode,
-        vfilter: VFilterConfig {
-            exclusion,
-            ..VFilterConfig::default()
-        },
         execution,
         ..MatcherConfig::default()
     };
@@ -79,13 +73,12 @@ fn parallel_edp_equals_sequential_edp() {
     let targets = sample_targets(&d, 30, 1);
     let run = |threads| {
         d.video.reset_usage();
-        let config = EdpConfig::default();
         match_edp(
             threads,
             &d.estore,
             &d.video,
             &targets,
-            &config,
+            0,
             Telemetry::disabled(),
         )
         .unwrap()
@@ -116,20 +109,17 @@ fn dag_match_accuracy_is_comparable_to_sequential() {
 
 /// One pipeline: `Sequential` and `Dag(1)`, `Dag(2)` and `Dag(4)` give
 /// one report — outcomes, lists, selected scenarios and rounds — in
-/// both split modes, with exclusion on and off.
+/// both split modes.
 #[test]
 fn every_thread_count_gives_the_sequential_report() {
     let d = dataset();
     let targets = sample_targets(&d, 40, 5);
     for mode in [SplitMode::Practical, SplitMode::Ideal] {
-        for exclusion in [true, false] {
-            let run = |execution| run_matcher(&d, &targets, mode, exclusion, execution);
-            let sequential = run(ExecutionMode::Sequential);
-            let what = |how: &str| format!("{mode:?}, exclusion {exclusion}: {how}");
-            for threads in [1, 2, 4] {
-                let dag = run(ExecutionMode::Dag(threads));
-                assert_same(&dag, &sequential, &what(&format!("Dag({threads})")));
-            }
+        let run = |execution| run_matcher(&d, &targets, mode, execution);
+        let sequential = run(ExecutionMode::Sequential);
+        for threads in [1, 2, 4] {
+            let dag = run(ExecutionMode::Dag(threads));
+            assert_same(&dag, &sequential, &format!("{mode:?}: Dag({threads})"));
         }
     }
 }
