@@ -114,7 +114,7 @@ pub(crate) fn isolate<'s>(
 ///
 /// EDP reuses nothing (`|_| false`): each EID is filtered as if it were
 /// the only one. Algorithm 2's refinement rounds pass the footage the
-/// match already selected, so one extracted scenario serves many EIDs
+/// match already extracted, so one extracted scenario serves many EIDs
 /// the way set splitting's do.
 #[must_use]
 pub(crate) fn efilter_one(

@@ -40,6 +40,7 @@ pub fn split_practical(
         targets,
         config,
         SplitMode::Practical,
+        &BTreeSet::new(),
         Telemetry::disabled(),
     )
 }

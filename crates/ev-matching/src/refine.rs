@@ -10,10 +10,14 @@
 //! and filter again, until everything is acceptable or the round budget
 //! is spent.
 //!
-//! Rounds ≥ 2 also extend each rebuilt list with EDP's E-filter, which
-//! tries the footage the match has already selected before fresh
-//! footage: like Algorithm 1's splitters, one extracted scenario serves
-//! many EIDs, so refinement adds little V-data of its own.
+//! The run keeps one ledger of footage already extracted:
+//! [`MatchReport::selected_scenarios`], the union of every list the V
+//! stage has been given. Rounds ≥ 2 read it twice. Their split walks the
+//! ledger's scenarios before the rest, each group in the round's
+//! random-time order; and each rebuilt list is extended with EDP's
+//! E-filter, which tries ledger footage before fresh footage. Like
+//! Algorithm 1's splitters, one extracted scenario serves many EIDs, so
+//! refinement adds little V-data of its own.
 //!
 //! This loop is the one matching pipeline: [`EvMatcher::match_many`]
 //! runs it on the caller's thread, or with every round's scoring on a
@@ -72,8 +76,10 @@ pub(crate) fn run_rounds(
 
         // --- E stage: rebuild scenario lists for the pending EIDs. ---
         let e_start = Instant::now();
+        // Rounds ≥ 2 split on the ledger's footage first.
         let split_cfg = reseeded(&config.split, rounds);
-        let out = split(store, &pending, &split_cfg, config.mode, tel);
+        let ledger = &report.selected_scenarios;
+        let out = split(store, &pending, &split_cfg, config.mode, ledger, tel);
         if rounds == 1 {
             first_round_recorded = out.recorded.len();
             first_round_fully_split = out.fully_split();
@@ -144,11 +150,12 @@ pub(crate) fn run_rounds(
 /// no splitters), so each pending list is extended with EDP's
 /// E-filter, seeded by the round: scenarios kept only when they shrink
 /// the co-presence set, i.e. footage that discriminates. Unlike EDP it
-/// tries the footage the match has already selected first — as it
+/// tries the ledger's footage first (`report.selected_scenarios`: every
+/// list the V stage has been given, this round's included) — as it
 /// stands when the EID's turn comes, less the list its first attempt
 /// was scored on, which the vote already found wanting — so one
 /// extracted scenario serves many EIDs the way Algorithm 1's do; fresh
-/// footage only where that runs out.
+/// footage only where that runs out, and it joins the ledger.
 fn extend_by_efilter(
     store: &EScenarioStore,
     lists: &mut BTreeMap<Eid, ScenarioList>,
@@ -156,9 +163,9 @@ fn extend_by_efilter(
     round: u32,
 ) {
     for (&eid, list) in lists.iter_mut() {
-        let selected = &report.selected_scenarios;
+        let ledger = &report.selected_scenarios;
         let failed = report.lists.get(&eid).map_or(&[][..], Vec::as_slice);
-        let reused = |id| selected.contains(&id) && !failed.contains(&id);
+        let reused = |id| ledger.contains(&id) && !failed.contains(&id);
         for id in efilter_one(store, eid, u64::from(round), reused) {
             if !list.contains(&id) {
                 list.push(id);
@@ -372,6 +379,7 @@ mod tests {
             &targets(0..2),
             &cfg.split,
             cfg.mode,
+            &BTreeSet::new(),
             Telemetry::disabled(),
         );
         assert_eq!(round_1.lists[&eid].len(), 1, "round 1 leaves a short list");
@@ -457,6 +465,54 @@ mod tests {
             let plain = efilter_one(&store, Eid::from_u64(0), u64::from(round), |_| false);
             assert_eq!(extension(&store, &report, round), plain, "round {round}");
         }
+    }
+
+    #[test]
+    fn round_2_splits_on_footage_already_extracted() {
+        // EID 0's own footage at (1, 1) shows VIDs 0 and 1 together, a
+        // tie; EID 1's at (0, 0) misses VID 1, a split vote. Both stay
+        // pending. In round 2's time order the fresh (2, 0) comes before
+        // (3, 0), which round 1 extracted; both split {0, 1}.
+        let layout: &[(u64, usize, &[u64], &[u64])] = &[
+            (0, 0, &[1, 3], &[3]),
+            (1, 0, &[0, 1, 3], &[3]),
+            (1, 1, &[0, 1], &[0, 1]),
+            (2, 0, &[1, 3], &[1, 3]),
+            (3, 0, &[1], &[1]),
+            (3, 1, &[2], &[2]),
+        ];
+        let (store, video) = world(layout, 4);
+        let id = |t, c| ScenarioId::new(Timestamp::new(t), CellId::new(c));
+        let cfg = |max_rounds| MatcherConfig {
+            max_rounds,
+            ..ideal()
+        };
+        let tel = Telemetry::disabled();
+        let round_1 = run(&store, &video, &targets(0..4), &cfg(1), tel);
+        let pending: BTreeSet<Eid> = (round_1.outcomes.iter())
+            .filter(|o| !o.is_confident())
+            .map(|o| o.eid)
+            .collect();
+        assert_eq!(pending, targets(0..2));
+        let extracted = &round_1.selected_scenarios;
+        assert!(extracted.contains(&id(3, 0)) && !extracted.contains(&id(2, 0)));
+
+        let (split_cfg, mode, nothing) = (
+            reseeded(&cfg(2).split, 2),
+            SplitMode::Ideal,
+            BTreeSet::new(),
+        );
+        let split_on = |extracted| split(&store, &pending, &split_cfg, mode, extracted, tel);
+        assert_eq!(
+            split_on(&nothing).recorded,
+            [id(2, 0)],
+            "the round's time order alone records the fresh splitter"
+        );
+        assert_eq!(split_on(extracted).recorded, [id(3, 0)]);
+
+        let report = run(&store, &video, &targets(0..4), &cfg(2), tel);
+        assert_eq!(report.rounds, 2);
+        assert_eq!(&report.selected_scenarios, extracted, "no fresh footage");
     }
 
     #[test]

@@ -23,7 +23,17 @@
 //! is the set of recorded scenarios that *contain* the EID. An EID whose
 //! blocks were always carved off by absence can end with an empty list;
 //! such EIDs get an *anchor* scenario (the first scenario containing them)
-//! so the V stage has footage to look at.
+//! so the V stage has footage to look at. The uniqueness pass then extends
+//! each list until its co-presence set over the whole EID universe is the
+//! EID alone, and the redundancy prune (`prune_redundant`) deletes the
+//! entries that no longer narrow any list's set: footage no vote needs.
+//! [`SplitOutput::recorded`] keeps every effective splitter; only the
+//! lists, and so the footage, shrink.
+//!
+//! Algorithm 2's later rounds split with the footage the match has
+//! extracted so far: the walk examines those scenarios first (see
+//! `scenario_order`), so a splitter the V stage already paid for wins
+//! over a fresh one.
 //!
 //! # Index-backed paths
 //!
@@ -41,6 +51,7 @@ use crate::edp::{isolate, CoPresence};
 use crate::types::ScenarioList;
 use ev_core::ids::Eid;
 use ev_core::partition::EidCover;
+use ev_core::region::CellId;
 use ev_core::scenario::{EScenario, ScenarioId, ZoneAttr};
 use ev_store::{EScenarioStore, ScenarioIndex};
 use ev_telemetry::{names, Telemetry};
@@ -121,16 +132,13 @@ impl SplitOutput {
         self.partition.is_fully_split()
     }
 
-    /// Every distinct scenario the V stage will have to process (recorded
-    /// splitters plus anchors) — the paper's "number of selected
-    /// scenarios".
+    /// Every distinct scenario the lists name: the footage the V stage
+    /// will have to extract, and the paper's "number of selected
+    /// scenarios". A recorded splitter no list names (pruned, or holding
+    /// its targets only vaguely) is not extracted and not counted.
     #[must_use]
     pub fn selected(&self) -> BTreeSet<ScenarioId> {
-        let mut set: BTreeSet<ScenarioId> = self.recorded.iter().copied().collect();
-        for list in self.lists.values() {
-            set.extend(list.iter().copied());
-        }
-        set
+        self.lists.values().flatten().copied().collect()
     }
 }
 
@@ -198,11 +206,12 @@ impl SplitState {
         }
     }
 
-    /// Runs the output passes (anchors, then uniqueness against the EID
-    /// universe) over `store` and hands the state out as a
-    /// [`SplitOutput`]. Lists are not padded: a short list whose vote is
-    /// not confident is extended by Algorithm 2's E-filtering in the
-    /// next refinement round, which picks footage that discriminates.
+    /// Runs the output passes (anchors, uniqueness against the EID
+    /// universe, then the redundancy prune) over `store` and hands the
+    /// state out as a [`SplitOutput`]. Lists are not padded: a short list
+    /// whose vote is not confident is extended by Algorithm 2's
+    /// E-filtering in the next refinement round, which picks footage that
+    /// discriminates.
     fn into_output(self, store: &EScenarioStore, config: &SetSplitConfig) -> SplitOutput {
         let inclusive_only = self.mode == SplitMode::Practical;
         let seed = match config.strategy {
@@ -212,6 +221,7 @@ impl SplitState {
         let mut lists = self.lists;
         attach_anchors(store, &mut lists, inclusive_only);
         ensure_unique_against_universe(store, &mut lists, seed, inclusive_only);
+        prune_redundant(store, &mut lists);
         SplitOutput {
             recorded: self.recorded,
             lists,
@@ -233,8 +243,8 @@ pub fn split_ideal(
     targets: &BTreeSet<Eid>,
     config: &SetSplitConfig,
 ) -> SplitOutput {
-    let tel = Telemetry::disabled();
-    split(store, targets, config, SplitMode::Ideal, tel)
+    let (tel, none) = (Telemetry::disabled(), BTreeSet::new());
+    split(store, targets, config, SplitMode::Ideal, &none, tel)
 }
 
 /// Runs EID set splitting over `store` for `targets` in the given
@@ -242,19 +252,23 @@ pub fn split_ideal(
 /// examined, the effective (recorded) scenarios and the final block
 /// count — the same names in both modes — and, for the greedy strategy,
 /// a histogram of the selected splitters' gains plus gain-cache
-/// invalidation counts. With a disabled handle this is exactly
+/// invalidation counts. The walk strategies examine the `extracted`
+/// scenarios (footage an earlier round already paid for) before the
+/// rest. With a disabled handle and nothing extracted this is exactly
 /// [`split_ideal`] / [`split_practical`](crate::practical::split_practical).
 #[must_use]
-pub(crate) fn split(
-    store: &EScenarioStore,
-    targets: &BTreeSet<Eid>,
+pub(crate) fn split<'a>(
+    store: &'a EScenarioStore,
+    targets: &'a BTreeSet<Eid>,
     config: &SetSplitConfig,
     mode: SplitMode,
+    extracted: &'a BTreeSet<ScenarioId>,
     tel: &Telemetry,
 ) -> SplitOutput {
     let mut span = tel.span("setsplit", "stage");
     let mut state = SplitState::new(targets, mode);
-    let mut next = scenario_order(store, targets, config.strategy, &state, tel);
+    let strategy = config.strategy;
+    let mut next = scenario_order(store, targets, strategy, &state, extracted, tel);
     while !state.done() {
         let Some(scenario) = next(&state.cover) else {
             break; // pool exhausted, or no scenario can improve the cover
@@ -289,25 +303,43 @@ pub(crate) fn record_split(tel: &Telemetry, out: &SplitOutput) {
 type NextScenario<'a> = Box<dyn FnMut(&EidCover) -> Option<&'a EScenario> + 'a>;
 
 /// The one place a [`SelectionStrategy`] becomes a scenario order.
+///
+/// The two walks, random-time and chronological, visit the `extracted`
+/// scenarios first and then the rest, each group in the strategy's
+/// order: a splitter already extracted costs the V stage nothing. With
+/// nothing extracted (a first round) that is the strategy's order.
+/// The greedy heap ignores `extracted`.
 fn scenario_order<'a>(
     store: &'a EScenarioStore,
     targets: &'a BTreeSet<Eid>,
     strategy: SelectionStrategy,
     state: &SplitState,
+    extracted: &'a BTreeSet<ScenarioId>,
     tel: &Telemetry,
 ) -> NextScenario<'a> {
+    let fresh = move |s: &&EScenario| !extracted.contains(&s.id());
+    let stored = move |&id| store.get(id);
     match (strategy, state.mode) {
         (SelectionStrategy::RandomTime { seed }, _) => {
             let mut times: Vec<_> = store.times().collect();
             times.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
-            let mut walk = times.into_iter().flat_map(move |t| store.at_time(t));
+            let from = |t| ScenarioId::new(t, CellId::new(0));
+            let reused = times.clone().into_iter().flat_map(move |t| {
+                let at_t = extracted
+                    .range(from(t)..)
+                    .take_while(move |id| id.time == t);
+                at_t.filter_map(stored)
+            });
+            let rest = times.into_iter().flat_map(move |t| store.at_time(t));
+            let mut walk = reused.chain(rest.filter(fresh));
             Box::new(move |_| walk.next())
         }
         (SelectionStrategy::GreedyBalanced, SplitMode::Ideal) => {
             Box::new(greedy_heap(store, targets, &state.cover, tel))
         }
         (SelectionStrategy::Chronological | SelectionStrategy::GreedyBalanced, _) => {
-            let mut walk = store.iter();
+            let reused = extracted.iter().filter_map(stored);
+            let mut walk = reused.chain(store.iter().filter(fresh));
             Box::new(move |_| walk.next())
         }
     }
@@ -676,6 +708,69 @@ pub(crate) fn ensure_unique_per_eid_reference(
     }
 }
 
+/// The redundancy prune, run after the uniqueness pass: reverse-delete
+/// over the lists. The listed scenarios are walked once, fewest lists
+/// naming it first, then by id; a scenario is dropped from every list
+/// naming it when each of those lists, without it, is not empty and
+/// keeps exactly its co-presence set over the universe. Such an entry
+/// narrows no EID's set, so no vote needs its footage.
+///
+/// A list's set never changes, and a scenario kept stays needed as the
+/// lists shrink around it (fewer entries only widen what the others
+/// leave), so a second prune drops nothing.
+pub(crate) fn prune_redundant(store: &EScenarioStore, lists: &mut BTreeMap<Eid, ScenarioList>) {
+    let mut naming: BTreeMap<ScenarioId, Vec<Eid>> = BTreeMap::new();
+    for (&eid, list) in lists.iter() {
+        for &id in list {
+            naming.entry(id).or_default().push(eid);
+        }
+    }
+    // Each listed scenario looked up in the store once.
+    let listed: BTreeMap<ScenarioId, &EScenario> = (naming.keys())
+        .filter_map(|&id| Some((id, store.get(id)?)))
+        .collect();
+    let mut order: Vec<(usize, ScenarioId)> =
+        naming.iter().map(|(&id, eids)| (eids.len(), id)).collect();
+    order.sort_unstable();
+    for (_, id) in order {
+        let Some(&scenario) = listed.get(&id) else {
+            continue;
+        };
+        let eids = &naming[&id];
+        if eids
+            .iter()
+            .all(|eid| narrows_nothing(&lists[eid], scenario, &listed))
+        {
+            for eid in eids {
+                if let Some(list) = lists.get_mut(eid) {
+                    list.retain(|&other| other != id);
+                }
+            }
+        }
+    }
+}
+
+/// Whether `list` without `scenario` is not empty and has the same
+/// co-presence set: every EID in all its other entries is in `scenario`
+/// too.
+fn narrows_nothing(
+    list: &[ScenarioId],
+    scenario: &EScenario,
+    listed: &BTreeMap<ScenarioId, &EScenario>,
+) -> bool {
+    let id = scenario.id();
+    let mut others = (list.iter())
+        .filter(|&&other| other != id)
+        .filter_map(|other| listed.get(other));
+    let Some(first) = others.next() else {
+        return false;
+    };
+    let rest: Vec<&EScenario> = others.copied().collect();
+    first
+        .eids()
+        .all(|eid| scenario.contains(eid) || rest.iter().any(|s| !s.contains(eid)))
+}
+
 /// Gives every empty-listed EID one anchor scenario so VID filtering has
 /// footage to inspect: the first scenario in store order containing it
 /// or, when `inclusive_only`, the first containing it *inclusively* (vague
@@ -711,6 +806,7 @@ fn split_ideal_rescan(
     config: &SetSplitConfig,
 ) -> SplitOutput {
     let mut state = SplitState::new(targets, SplitMode::Ideal);
+    let none = BTreeSet::new();
     let mut used: BTreeSet<ScenarioId> = BTreeSet::new();
     let mut next: NextScenario<'_> = match config.strategy {
         SelectionStrategy::GreedyBalanced => Box::new(move |cover| {
@@ -726,7 +822,7 @@ fn split_ideal_rescan(
             used.insert(scenario.id());
             Some(scenario)
         }),
-        other => scenario_order(store, targets, other, &state, Telemetry::disabled()),
+        other => scenario_order(store, targets, other, &state, &none, Telemetry::disabled()),
     };
     while !state.done() {
         let Some(scenario) = next(&state.cover) else {
@@ -1139,6 +1235,35 @@ mod proptests {
         }
     }
 
+    /// The split's lists before the prune: the loop, the anchors and the
+    /// uniqueness pass, as [`split`] runs them with nothing extracted.
+    fn unpruned(
+        store: &EScenarioStore,
+        targets: &BTreeSet<Eid>,
+        strategy: SelectionStrategy,
+        mode: SplitMode,
+    ) -> BTreeMap<Eid, ScenarioList> {
+        let none = BTreeSet::new();
+        let mut state = SplitState::new(targets, mode);
+        let tel = Telemetry::disabled();
+        let mut next = scenario_order(store, targets, strategy, &state, &none, tel);
+        while !state.done() {
+            let Some(scenario) = next(&state.cover) else {
+                break;
+            };
+            state.examine(scenario);
+        }
+        let inclusive_only = mode == SplitMode::Practical;
+        let seed = match strategy {
+            SelectionStrategy::RandomTime { seed } => seed,
+            _ => 0,
+        };
+        let mut lists = state.lists;
+        attach_anchors(store, &mut lists, inclusive_only);
+        ensure_unique_against_universe(store, &mut lists, seed, inclusive_only);
+        lists
+    }
+
     proptest! {
         /// Heap-greedy ≡ re-scan-greedy holds for arbitrary generated
         /// worlds, not just the hand-picked ones.
@@ -1231,6 +1356,39 @@ mod proptests {
                     prop_assert!(common.narrow(scenario), "{} did not shrink {}'s set", id, eid);
                 }
             }
+        }
+
+        /// The prune keeps every list's co-presence set and leaves no
+        /// list that had an entry empty; a scenario it drops is named by
+        /// no list after it; a second prune changes nothing; and the
+        /// split's lists are the unpruned ones pruned.
+        #[test]
+        fn the_prune_keeps_every_set_and_drops_whole_scenarios(
+            world_seed in 0u64..40,
+            seed in any::<u64>(),
+            practical in any::<bool>(),
+        ) {
+            let store = with_vague(&random_store(world_seed, 3, 10, 14));
+            let targets: BTreeSet<Eid> = (0..14).map(Eid::from_u64).collect();
+            let mode = if practical { SplitMode::Practical } else { SplitMode::Ideal };
+            let strategy = SelectionStrategy::RandomTime { seed };
+            let before = unpruned(&store, &targets, strategy, mode);
+            let mut lists = before.clone();
+            prune_redundant(&store, &mut lists);
+            let named: BTreeSet<ScenarioId> = lists.values().flatten().copied().collect();
+            for (eid, list) in &lists {
+                let had = &before[eid];
+                prop_assert_eq!(co_presence(&store, list), co_presence(&store, had));
+                prop_assert!(had.is_empty() || !list.is_empty(), "{}'s list emptied", eid);
+                for id in had.iter().filter(|id| !list.contains(id)) {
+                    prop_assert!(!named.contains(id), "{} dropped from {}'s list only", id, eid);
+                }
+            }
+            let mut again = lists.clone();
+            prune_redundant(&store, &mut again);
+            prop_assert_eq!(&again, &lists);
+            let out = split(&store, &targets, &SetSplitConfig { strategy }, mode, &BTreeSet::new(), Telemetry::disabled());
+            prop_assert_eq!(&out.lists, &lists);
         }
     }
 }

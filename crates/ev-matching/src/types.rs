@@ -101,8 +101,9 @@ pub struct MatchReport {
     pub outcomes: Vec<MatchOutcome>,
     /// The scenario list selected for each EID.
     pub lists: BTreeMap<Eid, ScenarioList>,
-    /// Every distinct scenario selected across all EIDs (reuse counted
-    /// once — the quantity of paper Figs. 5–6).
+    /// Every distinct scenario a list named, over every round and EID:
+    /// the footage the V stage extracted, reuse counted once — the
+    /// quantity of paper Figs. 5–6.
     pub selected_scenarios: BTreeSet<ScenarioId>,
     /// Stage timings.
     pub timings: StageTimings,

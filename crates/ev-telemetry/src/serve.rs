@@ -21,8 +21,8 @@ const TRACEZ_LIMIT: usize = 512;
 /// Maximum request bytes read before giving up on a connection.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
-/// How long a connection may take to send its request head, counted
-/// from accept; also the timeout of each response write.
+/// How long a connection may hold the accept loop, counted from accept:
+/// the request head must be in and the response written by then.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A running metrics endpoint. Stops (and joins its thread) on drop.
@@ -91,7 +91,6 @@ fn accept_loop(listener: &TcpListener, tel: &Telemetry, shutdown: &AtomicBool) {
 
 fn serve_connection(mut stream: TcpStream, tel: &Telemetry) -> io::Result<()> {
     let deadline = Instant::now() + IO_TIMEOUT;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let request_line = match read_request_line(&mut stream, deadline) {
         Some(line) => line,
         None => return Ok(()),
@@ -129,8 +128,27 @@ fn serve_connection(mut stream: TcpStream, tel: &Telemetry) -> io::Result<()> {
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
+    write_by(&mut stream, response.as_bytes(), deadline)
+}
+
+/// Writes `bytes` unless `deadline` passes first: each write may block
+/// only for the time left, so a client that reads slowly holds the
+/// one-thread accept loop no longer than one that sends slowly.
+fn write_by(stream: &mut TcpStream, mut bytes: &[u8], deadline: Instant) -> io::Result<()> {
+    while !bytes.is_empty() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        match stream.write(bytes) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Reads up to the end of the request head and returns its first line.
@@ -298,6 +316,47 @@ mod tests {
         assert!(stop.elapsed() < IO_TIMEOUT + slack, "{:?}", stop.elapsed());
         first.join().unwrap();
         second.join().unwrap();
+    }
+
+    /// A client that reads its response slowly holds the accept loop for
+    /// `IO_TIMEOUT` after accept at most, as a trickling request does: a
+    /// second client is answered after that.
+    #[test]
+    fn a_slow_reader_is_cut_off_at_the_deadline() {
+        let tel = Telemetry::new(TelemetryLevel::Full);
+        // A `/tracez` response far larger than loopback's socket buffers.
+        let pad = Value::Str("x".repeat(16 << 20));
+        tel.span("bulk", "test").arg("pad", pad);
+        let server = MetricsServer::start("127.0.0.1:0", &tel).unwrap();
+        let addr = server.addr();
+
+        let start = Instant::now();
+        let mut slow = TcpStream::connect(addr).unwrap();
+        write!(slow, "GET /tracez HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+        let done = Arc::new(AtomicBool::new(false));
+        let stop = Arc::clone(&done);
+        // 16 KiB every 50 ms: always some progress, for up to 8 s.
+        let reader = std::thread::spawn(move || {
+            let mut chunk = vec![0u8; 16 << 10];
+            for _ in 0..160 {
+                if stop.load(Ordering::SeqCst) || matches!(slow.read(&mut chunk), Ok(0) | Err(_)) {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.set_read_timeout(Some(4 * IO_TIMEOUT)).unwrap();
+        write!(client, "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+        let mut response = String::new();
+        let read = client.read_to_string(&mut response);
+        let elapsed = start.elapsed();
+        done.store(true, Ordering::SeqCst);
+        reader.join().unwrap();
+        assert!(read.is_ok(), "{read:?} after {elapsed:?}");
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        let slack = Duration::from_secs(1);
+        assert!(elapsed < IO_TIMEOUT + slack, "{elapsed:?}");
     }
 
     #[test]

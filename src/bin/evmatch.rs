@@ -78,8 +78,9 @@
 //! subcommand does not read (each flag's readers are listed in
 //! `SUBCOMMAND_FLAGS`), a bad value, a missing required flag
 //! (`--data-dir` of `ingest` and `serve`, `--in` or `--smoke` of
-//! `check-metrics`), both `--in` and `--smoke`, `--serve-hold-ms`
-//! without `--serve-metrics`, a `query` without its question — exit 2;
+//! `check-metrics`), both `--in` and `--smoke`, `--seed` with `--in`,
+//! `--serve-hold-ms` without `--serve-metrics`, a `query` without its
+//! question — exit 2;
 //! runtime errors exit 1.
 
 use ev_telemetry::{names, prometheus, MetricsServer, Telemetry, TelemetryLevel};
@@ -256,7 +257,7 @@ fn parse_args(command: &str, args: &[String]) -> Result<CommonArgs, String> {
         query: None,
     };
     let (mut eid, mut cell, mut from, mut to) = (None, None, None, None);
-    let mut hold = None;
+    let (mut hold, mut seeded) = (None, false);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if let Some((_, readers)) = SUBCOMMAND_FLAGS.iter().find(|(flag, _)| flag == arg) {
@@ -274,7 +275,10 @@ fn parse_args(command: &str, args: &[String]) -> Result<CommonArgs, String> {
         match arg.as_str() {
             "--population" => out.population = value(&take()?)?,
             "--duration" => out.duration = value(&take()?)?,
-            "--seed" => out.seed = value(&take()?)?,
+            "--seed" => {
+                out.seed = value(&take()?)?;
+                seeded = true;
+            }
             "--targets" => out.targets = value(&take()?)?,
             "--threads" => {
                 let n: usize = value(&take()?)?;
@@ -339,6 +343,9 @@ fn parse_args(command: &str, args: &[String]) -> Result<CommonArgs, String> {
     }
     if out.smoke && out.metrics_in.is_some() {
         return Err("check-metrics takes --in PATH or --smoke, not both".into());
+    }
+    if command == "check-metrics" && seeded && !out.smoke {
+        return Err("check-metrics reads --seed only with --smoke".into());
     }
     if let Some(ms) = hold {
         if out.serve_metrics.is_none() {

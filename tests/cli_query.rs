@@ -160,6 +160,18 @@ fn check_metrics_takes_one_mode() {
     );
 }
 
+#[test]
+fn check_metrics_reads_seed_only_with_smoke() {
+    let out = evmatch(&["check-metrics", "--in", "/nonexistent/x", "--seed", "5"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "the profile was read");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("check-metrics reads --seed only with --smoke"),
+        "{stderr}"
+    );
+}
+
 /// `(EID, Some(VID) if its outcome is a majority)` for every outcome of
 /// `match --json` on `world`.
 fn majority_outcomes(world: &[&str]) -> Vec<(String, Option<i128>)> {

@@ -152,8 +152,10 @@ fn match_report_serializes() {
 /// the sequential splitter stopped padding lists, then when Algorithm 2's
 /// E-filter extension began trying already-selected footage first. All
 /// three were re-pinned when the uniqueness pass, which both modes run,
-/// began buying fresh footage by one greedy cover over every pending EID.
-/// A change here means a report changed, not that the pins need
+/// began buying fresh footage by one greedy cover over every pending EID,
+/// and again when the split began pruning list entries that narrow no
+/// co-presence set and rounds ≥ 2 began splitting on footage already
+/// extracted. A change here means a report changed, not that the pins need
 /// refreshing.
 #[test]
 fn report_digests_are_pinned_across_modes() {
@@ -186,10 +188,10 @@ fn report_digests_are_pinned_across_modes() {
             digest(SplitMode::Practical, Dag(2)),
         ],
         [
-            0x7502_3dba_66d8_585e,
-            0x31a5_fba0_fd01_cfd8,
+            0xea58_28c0_f9f6_f5a8,
+            0x58b0_6390_3bc2_df8a,
             // One pipeline: the pooled report is the sequential one.
-            0x7502_3dba_66d8_585e
+            0xea58_28c0_f9f6_f5a8
         ],
     );
 }
