@@ -1,18 +1,15 @@
 //! Ablation studies for the design choices DESIGN.md calls out:
-//! scenario-selection order, vague-zone width, refinement budget, and
-//! cluster width.
+//! vague-zone width, refinement budget, mobility model and cluster
+//! width.
 
 use crate::experiments::Scale;
 use crate::report::{num, Table};
 use crate::runner::{median_timings, run_ss, TIMING_RUNS};
 use ev_core::ids::Eid;
 use ev_datagen::{sample_targets, score_report, DatasetConfig, EvDataset};
-use ev_matching::refine::SplitMode;
-use ev_matching::setsplit::{SelectionStrategy, SetSplitConfig};
 use ev_matching::{EvMatcher, MatchReport, MatcherConfig};
 use ev_vision::cost::CostModel;
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 /// The matching pipeline under `config` on the calling thread.
 fn run(dataset: &EvDataset, targets: &BTreeSet<Eid>, config: MatcherConfig) -> MatchReport {
@@ -27,58 +24,6 @@ fn scale_params(scale: Scale) -> (u64, u64, usize) {
         Scale::Full => (400, 400, 120),
         Scale::Quick => (120, 150, 30),
     }
-}
-
-/// Scenario-selection order ablation: random-timestamp (Algorithm 3's
-/// choice) vs chronological vs greedy most-balanced splitter.
-#[must_use]
-pub(crate) fn ablate_selection(scale: Scale) -> Table {
-    let (population, duration, matched) = scale_params(scale);
-    // Noiseless sensing: selection order is an *ideal-setting* question
-    // (greedy has no vague-zone analogue), so give it ideal-setting data.
-    let dataset = EvDataset::generate(&DatasetConfig {
-        population,
-        duration,
-        noise: ev_sensing::SensingNoise::none(),
-        ..DatasetConfig::default()
-    })
-    .expect("valid config");
-    let targets = sample_targets(&dataset, matched, 5);
-
-    let mut table = Table::new(
-        "ablate-selection",
-        "Scenario selection order (SS, sequential)",
-        vec!["strategy", "selected", "per EID", "accuracy %", "E secs"],
-    );
-    let strategies = [
-        ("random-time", SelectionStrategy::RandomTime { seed: 3 }),
-        ("chronological", SelectionStrategy::Chronological),
-        ("greedy-balanced", SelectionStrategy::GreedyBalanced),
-    ];
-    for (name, strategy) in strategies {
-        dataset.video.reset_usage();
-        let config = MatcherConfig {
-            mode: SplitMode::Ideal,
-            split: SetSplitConfig { strategy },
-            ..MatcherConfig::default()
-        };
-        let start = Instant::now();
-        let report = run(&dataset, &targets, config);
-        let elapsed = start.elapsed();
-        let stats = score_report(&dataset, &report);
-        table.push_row(vec![
-            name.to_string(),
-            report.selected_count().to_string(),
-            num(report.scenarios_per_eid(), 2),
-            num(stats.percent(), 1),
-            num(elapsed.as_secs_f64(), 3),
-        ]);
-    }
-    table.push_note(
-        "greedy scans the whole pool per step (quadratic): usually fewest scenarios, \
-         far slower selection; random-time is what Algorithm 3 parallelizes",
-    );
-    table
 }
 
 /// Vague-zone width ablation under electronic drift noise.
@@ -244,16 +189,6 @@ pub(crate) fn ablate_workers(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn selection_ablation_runs_all_strategies() {
-        let t = ablate_selection(Scale::Quick);
-        assert_eq!(t.rows.len(), 3);
-        for row in &t.rows {
-            let selected: usize = row[1].parse().unwrap();
-            assert!(selected > 0);
-        }
-    }
 
     #[test]
     fn vague_ablation_covers_widths() {

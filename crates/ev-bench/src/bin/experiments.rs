@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Known ids: fig5, fig7, fig5+7 (both from one sweep), fig6, fig8,
-//! fig9, fig10, fig11, table1, table2, ablate-selection, ablate-vague,
-//! ablate-refine, ablate-mobility, ablate-workers, all.
+//! fig9, fig10, fig11, table1, table2, ablate-vague, ablate-refine,
+//! ablate-mobility, ablate-workers, all.
 //!
 //! Every id and flag is resolved before anything runs: an unknown one,
 //! or `--out` without its directory, is an argument error (exit 2) and

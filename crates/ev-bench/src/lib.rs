@@ -41,7 +41,6 @@ pub fn experiment(id: &str) -> Option<fn(Scale) -> Vec<Table>> {
         "fig11" => |scale| vec![experiments::fig11(scale)],
         "table1" => |scale| vec![experiments::table1(scale)],
         "table2" => |scale| vec![experiments::table2(scale)],
-        "ablate-selection" => |scale| vec![ablations::ablate_selection(scale)],
         "ablate-vague" => |scale| vec![ablations::ablate_vague(scale)],
         "ablate-refine" => |scale| vec![ablations::ablate_refine(scale)],
         "ablate-mobility" => |scale| vec![ablations::ablate_mobility(scale)],
@@ -63,7 +62,6 @@ pub fn all_experiment_ids() -> Vec<&'static str> {
         "table2",
         "fig10",
         "fig11",
-        "ablate-selection",
         "ablate-vague",
         "ablate-refine",
         "ablate-mobility",

@@ -6,7 +6,7 @@ use ev_core::ids::Eid;
 use ev_datagen::{score_report, EvDataset};
 use ev_matching::edp::match_edp;
 use ev_matching::matcher::{EvMatcher, ExecutionMode, MatcherConfig};
-use ev_matching::setsplit::{SelectionStrategy, SetSplitConfig};
+use ev_matching::setsplit::SetSplitConfig;
 use ev_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -68,9 +68,7 @@ pub(crate) fn run_ss(
 ) -> RunSummary {
     dataset.video.reset_usage();
     let config = MatcherConfig {
-        split: SetSplitConfig {
-            strategy: SelectionStrategy::RandomTime { seed },
-        },
+        split: SetSplitConfig { seed },
         execution: ExecutionMode::Dag(threads),
         ..MatcherConfig::default()
     };

@@ -48,7 +48,7 @@ pub fn split_practical(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::setsplit::SelectionStrategy;
+    use crate::setsplit::tests::in_store_order;
     use ev_core::region::CellId;
     use ev_core::scenario::{EScenario, ZoneAttr};
     use ev_core::time::Timestamp;
@@ -68,19 +68,13 @@ mod tests {
         raw.into_iter().map(Eid::from_u64).collect()
     }
 
-    fn chrono() -> SetSplitConfig {
-        SetSplitConfig {
-            strategy: SelectionStrategy::Chronological,
-        }
-    }
-
     #[test]
     fn clean_scenarios_split_like_ideal() {
         let store = EScenarioStore::from_scenarios(vec![
             scenario(0, 0, &[2, 3], &[]),
             scenario(1, 1, &[1, 3], &[]),
         ]);
-        let out = split_practical(&store, &targets(0..4), &chrono());
+        let out = in_store_order(&store, &targets(0..4), SplitMode::Practical);
         assert!(out.fully_split());
         assert_eq!(out.recorded.len(), 2);
         assert_eq!(out.lists[&Eid::from_u64(3)].len(), 2);
@@ -93,7 +87,7 @@ mod tests {
             scenario(1, 1, &[1], &[]),
             scenario(2, 2, &[2], &[]),
         ]);
-        let out = split_practical(&store, &targets(0..3), &chrono());
+        let out = in_store_order(&store, &targets(0..3), SplitMode::Practical);
         // EID 1 was vague in the first scenario; only the second (where it
         // is inclusive) may appear in its list.
         for id in &out.lists[&Eid::from_u64(1)] {
@@ -108,7 +102,7 @@ mod tests {
             scenario(0, 1, &[1], &[]),
             scenario(1, 2, &[2], &[]),
         ]);
-        let out = split_practical(&store, &targets(0..3), &chrono());
+        let out = in_store_order(&store, &targets(0..3), SplitMode::Practical);
         assert!(out.fully_split(), "cover: {:?}", out.partition);
     }
 
@@ -118,7 +112,7 @@ mod tests {
             scenario(0, 0, &[], &[0, 1]),
             scenario(1, 1, &[], &[0, 1]),
         ]);
-        let out = split_practical(&store, &targets(0..2), &chrono());
+        let out = in_store_order(&store, &targets(0..2), SplitMode::Practical);
         assert!(!out.fully_split());
         assert!(out.recorded.is_empty());
         // Anchors fall back to vague appearances when nothing better
@@ -137,14 +131,14 @@ mod tests {
             scenario(0, 0, &[1], &[0]),
             scenario(1, 1, &[0, 1], &[]),
         ]);
-        let out = split_practical(&store, &targets(0..2), &chrono());
+        let out = in_store_order(&store, &targets(0..2), SplitMode::Practical);
         assert!(out.recorded.is_empty());
         let anchor = |e| out.lists[&Eid::from_u64(e)].as_slice();
         assert_eq!(anchor(0).len(), 1);
         assert_eq!(anchor(0)[0].time, Timestamp::new(1));
         assert_eq!(anchor(1)[0].time, Timestamp::new(0));
         // The ideal setting reads the vague appearance as an appearance.
-        let ideal = crate::setsplit::split_ideal(&store, &targets(0..2), &chrono());
+        let ideal = in_store_order(&store, &targets(0..2), SplitMode::Ideal);
         assert_eq!(ideal.lists[&Eid::from_u64(0)][0].time, Timestamp::new(0));
     }
 
@@ -155,9 +149,7 @@ mod tests {
             scenario(1, 1, &[2], &[]),
             scenario(2, 2, &[0], &[]),
         ]);
-        let cfg = SetSplitConfig {
-            strategy: SelectionStrategy::RandomTime { seed: 5 },
-        };
+        let cfg = SetSplitConfig { seed: 5 };
         let a = split_practical(&store, &targets(0..3), &cfg);
         let b = split_practical(&store, &targets(0..3), &cfg);
         assert_eq!(a.recorded, b.recorded);
@@ -169,7 +161,7 @@ mod tests {
             scenario(0, 0, &[0], &[1]),
             scenario(1, 1, &[1, 2], &[]),
         ]);
-        let out = split_practical(&store, &targets(0..3), &chrono());
+        let out = in_store_order(&store, &targets(0..3), SplitMode::Practical);
         let selected = out.selected();
         for list in out.lists.values() {
             for id in list {

@@ -25,10 +25,11 @@
 //!
 //! [`EvMatcher::match_many`]: crate::matcher::EvMatcher::match_many
 
+use crate::analysis::theorem_4_2_bounds;
 use crate::edp::efilter_one;
 use crate::matcher::MatcherConfig;
 pub use crate::setsplit::SplitMode;
-use crate::setsplit::{split, SelectionStrategy, SetSplitConfig};
+use crate::setsplit::{split, SetSplitConfig};
 use crate::types::{MatchOutcome, MatchReport, ScenarioList, StageTimings};
 use crate::vfilter::{GalleryCache, VStage};
 use ev_core::ids::{Eid, Vid};
@@ -215,31 +216,17 @@ pub(crate) fn record_run(tel: &Telemetry, facts: &RunFacts, timings: StageTiming
     set(names::STAGE_E_SECONDS, timings.e_stage.as_secs_f64());
     set(names::STAGE_V_SECONDS, timings.v_stage.as_secs_f64());
     set(names::RECORDED_SCENARIOS, facts.recorded as f64);
-    set(names::THEOREM_LOWER_BOUND, ceil_log2(facts.targets).into());
-    let upper = facts.targets.saturating_sub(1);
+    let (lower, upper) = theorem_4_2_bounds(facts.targets);
+    set(names::THEOREM_LOWER_BOUND, lower as f64);
     set(names::THEOREM_UPPER_BOUND, upper as f64);
     set(names::FULLY_SPLIT, u8::from(facts.fully_split).into());
 }
 
-/// `ceil(log2 n)` over integers; 0 for `n <= 1`.
-fn ceil_log2(n: usize) -> u32 {
-    if n <= 1 {
-        0
-    } else {
-        usize::BITS - (n - 1).leading_zeros()
-    }
-}
-
-/// Derives the per-round splitting configuration: random-time runs get a
-/// fresh seed each round so refinement actually sees different scenarios.
+/// Derives the per-round splitting configuration: each round gets a
+/// fresh seed so refinement actually sees different scenarios.
 fn reseeded(base: &SetSplitConfig, round: u32) -> SetSplitConfig {
-    match base.strategy {
-        SelectionStrategy::RandomTime { seed } => SetSplitConfig {
-            strategy: SelectionStrategy::RandomTime {
-                seed: seed.wrapping_add(u64::from(round) - 1),
-            },
-        },
-        _ => *base,
+    SetSplitConfig {
+        seed: base.seed.wrapping_add(u64::from(round) - 1),
     }
 }
 
@@ -353,10 +340,10 @@ mod tests {
 
     #[test]
     fn unconfident_short_list_is_extended_by_efilter_in_round_2() {
-        // Chronologically, (0, 0) alone splits 0 from 1, so EID 0's
-        // round-1 list is that one scenario — unique, but its footage
-        // is empty: no vote. Round 2 splits {0} with no scenario and
-        // anchors it to the same footage; only the E-filter extension
+        // On a walk that starts at time 0, (0, 0) alone splits 0 from 1,
+        // so EID 0's round-1 list is that one scenario — unique, but its
+        // footage is empty: no vote. Round 2 splits {0} with no scenario
+        // and anchors it to the same footage; only the E-filter extension
         // reaches the windows where VID 0 was seen.
         let layout: &[(u64, usize, &[u64], &[u64])] = &[
             (0, 0, &[0], &[]),
@@ -366,23 +353,29 @@ mod tests {
             (3, 0, &[0], &[0]),
         ];
         let (store, video) = world(layout, 4);
+        let eid = Eid::from_u64(0);
+        let footage_free = ScenarioId::new(Timestamp::new(0), CellId::new(0));
+        let round_1 = |seed| {
+            let config = SetSplitConfig { seed };
+            let none = BTreeSet::new();
+            let out = split(
+                &store,
+                &targets(0..2),
+                &config,
+                SplitMode::Ideal,
+                &none,
+                Telemetry::disabled(),
+            );
+            out.lists[&eid].clone()
+        };
+        let seed = (0..64)
+            .find(|&seed| round_1(seed) == [footage_free])
+            .expect("some seed walks time 0 first");
         let cfg = MatcherConfig {
-            split: SetSplitConfig {
-                strategy: SelectionStrategy::Chronological,
-            },
+            split: SetSplitConfig { seed },
             max_rounds: 2,
             ..ideal()
         };
-        let eid = Eid::from_u64(0);
-        let round_1 = split(
-            &store,
-            &targets(0..2),
-            &cfg.split,
-            cfg.mode,
-            &BTreeSet::new(),
-            Telemetry::disabled(),
-        );
-        assert_eq!(round_1.lists[&eid].len(), 1, "round 1 leaves a short list");
 
         let report = run(&store, &video, &targets(0..2), &cfg, Telemetry::disabled());
         assert_eq!(report.rounds, 2);
@@ -558,13 +551,14 @@ mod tests {
 
     #[test]
     fn reseeding_changes_only_random_time() {
-        let base = SetSplitConfig::default();
-        let r2 = reseeded(&base, 2);
-        assert_ne!(base, r2);
-        let chrono = SetSplitConfig {
-            strategy: SelectionStrategy::Chronological,
-        };
-        assert_eq!(reseeded(&chrono, 5), chrono);
+        // Each round walks a fresh random-time order; nothing else moves.
+        let base = SetSplitConfig { seed: 7 };
+        assert_eq!(
+            reseeded(&base, 1),
+            base,
+            "round 1 splits on the caller's seed"
+        );
+        assert_eq!(reseeded(&base, 3), SetSplitConfig { seed: 9 });
     }
 
     #[test]
@@ -590,20 +584,41 @@ mod tests {
 
     #[test]
     fn ceil_log2_matches_the_theorem_bound_table() {
-        for (n, want) in [
-            (0, 0),
-            (1, 0),
-            (2, 1),
-            (3, 2),
-            (4, 2),
-            (5, 3),
-            (8, 3),
-            (9, 4),
-        ] {
-            assert_eq!(ceil_log2(n), want, "ceil(log2 {n})");
+        // The epilogue's bound gauges: ceil(log2 n) and n - 1, 0 for n <= 1.
+        let table = [
+            (0, 0, 0),
+            (1, 0, 0),
+            (2, 1, 1),
+            (3, 2, 2),
+            (4, 2, 3),
+            (5, 3, 4),
+            (8, 3, 7),
+            (9, 4, 8),
+            (1 << 20, 20, (1 << 20) - 1),
+            ((1 << 20) + 1, 21, 1 << 20),
+        ];
+        for (n, lower, upper) in table {
+            let tel = Telemetry::new(ev_telemetry::TelemetryLevel::Counters);
+            let facts = RunFacts {
+                targets: n,
+                recorded: 0,
+                fully_split: false,
+                gallery_hits: 0,
+                gallery_misses: 0,
+            };
+            record_run(&tel, &facts, StageTimings::default());
+            let gauge = |name| tel.registry().gauge_value(name);
+            assert_eq!(
+                gauge(names::THEOREM_LOWER_BOUND),
+                Some(lower as f64),
+                "ceil(log2 {n})"
+            );
+            assert_eq!(
+                gauge(names::THEOREM_UPPER_BOUND),
+                Some(upper as f64),
+                "{n} - 1"
+            );
         }
-        assert_eq!(ceil_log2(1 << 20), 20);
-        assert_eq!(ceil_log2((1 << 20) + 1), 21);
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //! variant, §IV-B1 and §IV-C2) — one splitting loop for both.
 //!
 //! Starting from the trivial cover `{Ueid}` ([`EidCover`]), E-Scenarios
-//! are examined one at a time in the order the [`SelectionStrategy`]
-//! gives and applied as splitters; *effective* scenarios (those that
-//! change the cover) are recorded, and the EIDs they distinguish are
-//! pruned from the blocks still holding a tentative copy. The loop ends
-//! when every requested EID is alone in a block or the scenario pool is
-//! exhausted.
+//! are examined one at a time in random-time order — pick a random
+//! timestamp, process every scenario snapshotted there, repeat with the
+//! remaining timestamps, the order of Algorithm 3's preprocess step,
+//! drawn from [`SetSplitConfig::seed`] — and applied as splitters;
+//! *effective* scenarios (those that change the cover) are recorded, and
+//! the EIDs they distinguish are pruned from the blocks still holding a
+//! tentative copy. The loop ends when every requested EID is alone in a
+//! block or the scenario pool is exhausted.
 //!
 //! The step, the scenario order and the output are shared by
 //! [`split_ideal`] and [`split_practical`](crate::practical::split_practical);
@@ -28,24 +30,14 @@
 //! EID alone, and the redundancy prune (`prune_redundant`) deletes the
 //! entries that no longer narrow any list's set: footage no vote needs.
 //! [`SplitOutput::recorded`] keeps every effective splitter; only the
-//! lists, and so the footage, shrink.
+//! lists, and so the footage, shrink. Anchors and the uniqueness pass
+//! read the posting lists of the store's inverted index
+//! ([`ev_store::ScenarioIndex`]).
 //!
 //! Algorithm 2's later rounds split with the footage the match has
 //! extracted so far: the walk examines those scenarios first (see
 //! `scenario_order`), so a splitter the V stage already paid for wins
 //! over a fresh one.
-//!
-//! # Index-backed paths
-//!
-//! Anchors and the uniqueness pass read the posting lists of the
-//! store's inverted index ([`ev_store::ScenarioIndex`]), and the quadratic
-//! [`SelectionStrategy::GreedyBalanced`] re-scan is replaced by a
-//! lazy-greedy max-heap over cached split gains, invalidated only for
-//! scenarios sharing an EID with a block the last splitter touched
-//! (gains are non-increasing under refinement, so stale heap entries are
-//! safe to recompute on pop). The selection sequence — and therefore the
-//! whole [`SplitOutput`] — is identical to the quadratic re-scan the
-//! tests keep as the reference.
 
 use crate::edp::{isolate, CoPresence};
 use crate::types::ScenarioList;
@@ -73,39 +65,12 @@ pub enum SplitMode {
     Practical,
 }
 
-/// How the splitting loop picks the next scenarios to try.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SelectionStrategy {
-    /// Pick a random timestamp and process every scenario snapshotted
-    /// there, repeating with the remaining timestamps — the strategy of
-    /// the parallel Algorithm 3's preprocess step.
-    RandomTime {
-        /// RNG seed for the timestamp draws.
-        seed: u64,
-    },
-    /// Process scenarios in (time, cell) order.
-    Chronological,
-    /// At every step apply the unused scenario with the highest split
-    /// gain (sum over blocks of `min(|A∩C|, |A\C|)`). Intended for the
-    /// selection-order ablation only. The gain has no clean analogue
-    /// under vague semantics, so under [`SplitMode::Practical`] this
-    /// falls back to [`Chronological`](Self::Chronological).
-    GreedyBalanced,
-}
-
 /// Configuration of a set-splitting run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SetSplitConfig {
-    /// Scenario selection order.
-    pub strategy: SelectionStrategy,
-}
-
-impl Default for SetSplitConfig {
-    fn default() -> Self {
-        SetSplitConfig {
-            strategy: SelectionStrategy::RandomTime { seed: 0 },
-        }
-    }
+    /// RNG seed of the random-time order's timestamp draws (and of the
+    /// uniqueness pass's reuse shuffle).
+    pub seed: u64,
 }
 
 /// The result of EID set splitting, in either [`SplitMode`].
@@ -214,13 +179,9 @@ impl SplitState {
     /// discriminates.
     fn into_output(self, store: &EScenarioStore, config: &SetSplitConfig) -> SplitOutput {
         let inclusive_only = self.mode == SplitMode::Practical;
-        let seed = match config.strategy {
-            SelectionStrategy::RandomTime { seed } => seed,
-            _ => 0,
-        };
         let mut lists = self.lists;
         attach_anchors(store, &mut lists, inclusive_only);
-        ensure_unique_against_universe(store, &mut lists, seed, inclusive_only);
+        ensure_unique_against_universe(store, &mut lists, config.seed, inclusive_only);
         prune_redundant(store, &mut lists);
         SplitOutput {
             recorded: self.recorded,
@@ -250,32 +211,22 @@ pub fn split_ideal(
 /// Runs EID set splitting over `store` for `targets` in the given
 /// [`SplitMode`], with telemetry: a `setsplit` span, the scenarios
 /// examined, the effective (recorded) scenarios and the final block
-/// count — the same names in both modes — and, for the greedy strategy,
-/// a histogram of the selected splitters' gains plus gain-cache
-/// invalidation counts. The walk strategies examine the `extracted`
-/// scenarios (footage an earlier round already paid for) before the
-/// rest. With a disabled handle and nothing extracted this is exactly
-/// [`split_ideal`] / [`split_practical`](crate::practical::split_practical).
+/// count — the same names in both modes. The walk examines the
+/// `extracted` scenarios (footage an earlier round already paid for)
+/// before the rest. With a disabled handle and nothing extracted this is
+/// exactly [`split_ideal`] / [`split_practical`](crate::practical::split_practical).
 #[must_use]
-pub(crate) fn split<'a>(
-    store: &'a EScenarioStore,
-    targets: &'a BTreeSet<Eid>,
+pub(crate) fn split(
+    store: &EScenarioStore,
+    targets: &BTreeSet<Eid>,
     config: &SetSplitConfig,
     mode: SplitMode,
-    extracted: &'a BTreeSet<ScenarioId>,
+    extracted: &BTreeSet<ScenarioId>,
     tel: &Telemetry,
 ) -> SplitOutput {
     let mut span = tel.span("setsplit", "stage");
-    let mut state = SplitState::new(targets, mode);
-    let strategy = config.strategy;
-    let mut next = scenario_order(store, targets, strategy, &state, extracted, tel);
-    while !state.done() {
-        let Some(scenario) = next(&state.cover) else {
-            break; // pool exhausted, or no scenario can improve the cover
-        };
-        state.examine(scenario);
-    }
-    let out = state.into_output(store, config);
+    let order = scenario_order(store, config.seed, extracted);
+    let out = split_in_order(store, targets, config, mode, order);
     record_split(tel, &out);
     span.arg(
         "examined",
@@ -285,9 +236,29 @@ pub(crate) fn split<'a>(
     out
 }
 
-/// Counts one finished split round — the sequential loop's or the stage
-/// DAG's — into the splitter's three names.
-pub(crate) fn record_split(tel: &Telemetry, out: &SplitOutput) {
+/// The splitting loop over a given scenario `order`: examines scenarios
+/// until the cover is fully split or the order runs out, then runs the
+/// output passes. [`split`] feeds it the random-time walk; the tests
+/// feed hand-built worlds their store order.
+pub(crate) fn split_in_order<'a>(
+    store: &EScenarioStore,
+    targets: &BTreeSet<Eid>,
+    config: &SetSplitConfig,
+    mode: SplitMode,
+    order: impl IntoIterator<Item = &'a EScenario>,
+) -> SplitOutput {
+    let mut state = SplitState::new(targets, mode);
+    for scenario in order {
+        if state.done() {
+            break;
+        }
+        state.examine(scenario);
+    }
+    state.into_output(store, config)
+}
+
+/// Counts one finished split round into the splitter's three names.
+fn record_split(tel: &Telemetry, out: &SplitOutput) {
     if !tel.counters_on() {
         return;
     }
@@ -299,147 +270,27 @@ pub(crate) fn record_split(tel: &Telemetry, out: &SplitOutput) {
     registry.gauge(names::SETSPLIT_BLOCKS).set(blocks as f64);
 }
 
-/// Picks the next scenario to examine given the cover as it stands.
-type NextScenario<'a> = Box<dyn FnMut(&EidCover) -> Option<&'a EScenario> + 'a>;
-
-/// The one place a [`SelectionStrategy`] becomes a scenario order.
-///
-/// The two walks, random-time and chronological, visit the `extracted`
-/// scenarios first and then the rest, each group in the strategy's
-/// order: a splitter already extracted costs the V stage nothing. With
-/// nothing extracted (a first round) that is the strategy's order.
-/// The greedy heap ignores `extracted`.
+/// The random-time order: the timestamps shuffled by `seed`, each
+/// visited whole. The `extracted` scenarios come first and then the
+/// rest, each group in that order: a splitter already extracted costs
+/// the V stage nothing. With nothing extracted (a first round) that is
+/// the random-time order itself.
 fn scenario_order<'a>(
     store: &'a EScenarioStore,
-    targets: &'a BTreeSet<Eid>,
-    strategy: SelectionStrategy,
-    state: &SplitState,
+    seed: u64,
     extracted: &'a BTreeSet<ScenarioId>,
-    tel: &Telemetry,
-) -> NextScenario<'a> {
-    let fresh = move |s: &&EScenario| !extracted.contains(&s.id());
-    let stored = move |&id| store.get(id);
-    match (strategy, state.mode) {
-        (SelectionStrategy::RandomTime { seed }, _) => {
-            let mut times: Vec<_> = store.times().collect();
-            times.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
-            let from = |t| ScenarioId::new(t, CellId::new(0));
-            let reused = times.clone().into_iter().flat_map(move |t| {
-                let at_t = extracted
-                    .range(from(t)..)
-                    .take_while(move |id| id.time == t);
-                at_t.filter_map(stored)
-            });
-            let rest = times.into_iter().flat_map(move |t| store.at_time(t));
-            let mut walk = reused.chain(rest.filter(fresh));
-            Box::new(move |_| walk.next())
-        }
-        (SelectionStrategy::GreedyBalanced, SplitMode::Ideal) => {
-            Box::new(greedy_heap(store, targets, &state.cover, tel))
-        }
-        (SelectionStrategy::Chronological | SelectionStrategy::GreedyBalanced, _) => {
-            let reused = extracted.iter().filter_map(stored);
-            let mut walk = reused.chain(store.iter().filter(fresh));
-            Box::new(move |_| walk.next())
-        }
-    }
-}
-
-/// Incremental greedy selection: a max-heap over `(gain, smallest id)`
-/// with a split-gain cache that is invalidated only for scenarios sharing
-/// an EID with a block the last splitter touched.
-///
-/// Correctness: a partition refinement can only *decrease* a scenario's
-/// split gain (`min` is superadditive: `min(a+c, b+d) >= min(a,b) +
-/// min(c,d)`), so a popped heap entry whose gain is still current is the
-/// true argmax — the same scenario the quadratic re-scan would pick,
-/// including its smallest-id tie-break. Scenarios whose gain reaches 0
-/// are dropped for good (it can never grow back).
-fn greedy_heap<'a>(
-    store: &'a EScenarioStore,
-    targets: &BTreeSet<Eid>,
-    cover: &EidCover,
-    tel: &Telemetry,
-) -> impl FnMut(&EidCover) -> Option<&'a EScenario> + 'a {
-    let index = store.index();
-    // Each scenario's intersection with the targets, materialized once
-    // by merging the targets' posting lists.
-    let mut candidates: BTreeMap<ScenarioId, BTreeSet<Eid>> = BTreeMap::new();
-    for &eid in targets {
-        for &id in index.postings(eid) {
-            candidates.entry(id).or_default().insert(eid);
-        }
-    }
-    let mut gain_cache: BTreeMap<ScenarioId, u64> = candidates
-        .iter()
-        .map(|(&id, c)| (id, split_gain(cover, c)))
-        .filter(|&(_, gain)| gain > 0)
-        .collect();
-    // (gain, Reverse(id)) orders the heap by gain descending, then id
-    // ascending — matching the scan's first-strictly-greater selection.
-    let mut heap: BinaryHeap<(u64, Reverse<ScenarioId>)> = gain_cache
-        .iter()
-        .map(|(&id, &g)| (g, Reverse(id)))
-        .collect();
-    let mut dirty: BTreeSet<ScenarioId> = BTreeSet::new();
-    let metrics = tel.counters_on().then(|| {
-        let gains = tel.registry().histogram(names::SETSPLIT_SPLITTER_GAIN);
-        let invalidations = tel
-            .registry()
-            .counter(names::SETSPLIT_GAIN_CACHE_INVALIDATIONS);
-        (gains, invalidations)
+) -> impl Iterator<Item = &'a EScenario> + 'a {
+    let mut times: Vec<_> = store.times().collect();
+    times.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
+    let from = |t| ScenarioId::new(t, CellId::new(0));
+    let reused = times.clone().into_iter().flat_map(move |t| {
+        let at_t = extracted
+            .range(from(t)..)
+            .take_while(move |id| id.time == t);
+        at_t.filter_map(|&id| store.get(id))
     });
-
-    move |cover| {
-        // Lazily pop until a current, positive-gain entry surfaces.
-        let (id, gain) = loop {
-            let (g, Reverse(id)) = heap.pop()?;
-            let Some(&cached) = gain_cache.get(&id) else {
-                continue; // already used or dropped
-            };
-            if dirty.remove(&id) {
-                let gain = split_gain(cover, &candidates[&id]);
-                if gain == 0 {
-                    gain_cache.remove(&id);
-                } else {
-                    gain_cache.insert(id, gain);
-                    heap.push((gain, Reverse(id)));
-                }
-            } else if g == cached {
-                break (id, g);
-            } // else a stale duplicate; a fresher entry exists
-        };
-        gain_cache.remove(&id);
-        // EIDs of every block the splitter intersects: the only blocks —
-        // and therefore the only gains — its split can change.
-        let touched: BTreeSet<Eid> = candidates[&id]
-            .iter()
-            .flat_map(|&eid| cover.blocks_of(eid).flatten())
-            .map(|(eid, _)| eid)
-            .collect();
-        let stale = touched.iter().flat_map(|&eid| index.postings(eid));
-        let invalidated = stale
-            .filter(|&sid| gain_cache.contains_key(sid) && dirty.insert(*sid))
-            .count();
-        if let Some((gains, invalidations)) = &metrics {
-            gains.record(gain);
-            invalidations.add(invalidated as u64);
-        }
-        store.get(id)
-    }
-}
-
-/// Sum over blocks of `min(|A ∩ C|, |A \ C|)` — how much discriminating
-/// work the scenario would do.
-fn split_gain(cover: &EidCover, c: &BTreeSet<Eid>) -> u64 {
-    cover
-        .blocks()
-        .map(|block| {
-            let len = block.len();
-            let inside = block.filter(|(eid, _)| c.contains(eid)).count();
-            inside.min(len - inside) as u64
-        })
-        .sum()
+    let rest = times.into_iter().flat_map(move |t| store.at_time(t));
+    reused.chain(rest.filter(move |s| !extracted.contains(&s.id())))
 }
 
 /// Ensures each EID's list is *discriminating against the full EID
@@ -794,45 +645,6 @@ pub(crate) fn attach_anchors(
     }
 }
 
-/// [`split_ideal`] with the lazy-greedy heap replaced by what it stands
-/// for: every [`SelectionStrategy::GreedyBalanced`] step re-scans the
-/// whole store for the best gain, the first scenario winning ties. The
-/// other strategies take the shipped order. Same step, same output passes:
-/// the tests require byte-identical [`SplitOutput`]s.
-#[cfg(test)]
-fn split_ideal_rescan(
-    store: &EScenarioStore,
-    targets: &BTreeSet<Eid>,
-    config: &SetSplitConfig,
-) -> SplitOutput {
-    let mut state = SplitState::new(targets, SplitMode::Ideal);
-    let none = BTreeSet::new();
-    let mut used: BTreeSet<ScenarioId> = BTreeSet::new();
-    let mut next: NextScenario<'_> = match config.strategy {
-        SelectionStrategy::GreedyBalanced => Box::new(move |cover| {
-            let mut best: Option<(u64, &EScenario)> = None;
-            for scenario in store.iter().filter(|s| !used.contains(&s.id())) {
-                let c = scenario.eids().filter(|e| targets.contains(e)).collect();
-                let gain = split_gain(cover, &c);
-                if gain > 0 && best.is_none_or(|(g, _)| gain > g) {
-                    best = Some((gain, scenario));
-                }
-            }
-            let (_, scenario) = best?;
-            used.insert(scenario.id());
-            Some(scenario)
-        }),
-        other => scenario_order(store, targets, other, &state, &none, Telemetry::disabled()),
-    };
-    while !state.done() {
-        let Some(scenario) = next(&state.cover) else {
-            break;
-        };
-        state.examine(scenario);
-    }
-    state.into_output(store, config)
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -865,46 +677,6 @@ pub(crate) mod tests {
         EScenarioStore::from_scenarios(es)
     }
 
-    pub(super) fn strategies() -> Vec<SelectionStrategy> {
-        vec![
-            SelectionStrategy::Chronological,
-            SelectionStrategy::RandomTime { seed: 1 },
-            SelectionStrategy::RandomTime { seed: 7 },
-            SelectionStrategy::GreedyBalanced,
-        ]
-    }
-
-    #[test]
-    fn split_ideal_is_identical_to_the_scan_reference() {
-        for world_seed in [1, 2, 3] {
-            let store = random_store(world_seed, 4, 12, 16);
-            for strategy in strategies() {
-                let cfg = SetSplitConfig { strategy };
-                let indexed = split_ideal(&store, &targets(0..16), &cfg);
-                let scanned = split_ideal_rescan(&store, &targets(0..16), &cfg);
-                assert_eq!(
-                    indexed, scanned,
-                    "divergence: world {world_seed}, {strategy:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn split_ideal_equivalence_covers_missing_and_inseparable_eids() {
-        // EIDs 30/31 never appear; 0 and 1 always co-occur.
-        let scenarios = (0..6).map(|t| scenario(0, t, &[0, 1, 2 + t % 3])).collect();
-        let store = EScenarioStore::from_scenarios(scenarios);
-        let t = targets([0, 1, 2, 3, 30, 31]);
-        for strategy in strategies() {
-            let cfg = SetSplitConfig { strategy };
-            let indexed = split_ideal(&store, &t, &cfg);
-            let scanned = split_ideal_rescan(&store, &t, &cfg);
-            assert_eq!(indexed, scanned, "divergence under {strategy:?}");
-            assert!(!indexed.fully_split(), "0 and 1 are inseparable");
-        }
-    }
-
     fn scenario(cell: usize, time: u64, eids: &[u64]) -> EScenario {
         let mut s = EScenario::new(CellId::new(cell), Timestamp::new(time));
         for &e in eids {
@@ -915,6 +687,16 @@ pub(crate) mod tests {
 
     fn targets(raw: impl IntoIterator<Item = u64>) -> BTreeSet<Eid> {
         raw.into_iter().map(Eid::from_u64).collect()
+    }
+
+    /// Splits a hand-built world in its store order, (time, cell).
+    pub(crate) fn in_store_order(
+        store: &EScenarioStore,
+        targets: &BTreeSet<Eid>,
+        mode: SplitMode,
+    ) -> SplitOutput {
+        let config = SetSplitConfig::default();
+        split_in_order(store, targets, &config, mode, store.iter())
     }
 
     /// Four EIDs, binary-code scenarios: bit scenarios distinguish all.
@@ -929,13 +711,7 @@ pub(crate) mod tests {
     #[test]
     fn chronological_split_distinguishes_all() {
         let store = binary_store();
-        let out = split_ideal(
-            &store,
-            &targets(0..4),
-            &SetSplitConfig {
-                strategy: SelectionStrategy::Chronological,
-            },
-        );
+        let out = in_store_order(&store, &targets(0..4), SplitMode::Ideal);
         assert!(out.fully_split());
         assert_eq!(out.recorded.len(), 2, "the all-EIDs scenario is skipped");
         assert_eq!(
@@ -964,10 +740,7 @@ pub(crate) mod tests {
             scenario(0, 3, &[0, 1]),
             scenario(1, 4, &[1]),
         ]);
-        let cfg = SetSplitConfig {
-            strategy: SelectionStrategy::Chronological,
-        };
-        let out = crate::practical::split_practical(&store, &targets(0..2), &cfg);
+        let out = in_store_order(&store, &targets(0..2), SplitMode::Practical);
         assert!(out.fully_split());
         let first = ScenarioId::new(Timestamp::new(0), CellId::new(0));
         assert_eq!(out.lists[&Eid::from_u64(0)], vec![first]);
@@ -989,36 +762,11 @@ pub(crate) mod tests {
     #[test]
     fn random_time_strategy_is_deterministic_per_seed() {
         let store = binary_store();
-        let cfg = |seed| SetSplitConfig {
-            strategy: SelectionStrategy::RandomTime { seed },
-        };
+        let cfg = |seed| SetSplitConfig { seed };
         let a = split_ideal(&store, &targets(0..4), &cfg(1));
         let b = split_ideal(&store, &targets(0..4), &cfg(1));
         assert_eq!(a.recorded, b.recorded);
         assert!(a.fully_split());
-    }
-
-    #[test]
-    fn greedy_prefers_balanced_splits() {
-        // A lopsided scenario {0} vs a balanced one {0,1}: greedy must
-        // take the balanced one first for 4 EIDs.
-        let store = EScenarioStore::from_scenarios(vec![
-            scenario(0, 0, &[0]),
-            scenario(1, 1, &[0, 1]),
-            scenario(2, 2, &[1, 2]),
-        ]);
-        let out = split_ideal(
-            &store,
-            &targets(0..4),
-            &SetSplitConfig {
-                strategy: SelectionStrategy::GreedyBalanced,
-            },
-        );
-        assert_eq!(
-            out.recorded[0],
-            ScenarioId::new(Timestamp::new(1), CellId::new(1)),
-            "balanced splitter goes first"
-        );
     }
 
     #[test]
@@ -1075,13 +823,7 @@ pub(crate) mod tests {
             scenario(3, 3, &[4, 5]),
             scenario(4, 4, &[4, 6]),
         ]);
-        let out = split_ideal(
-            &store,
-            &targets(0..8),
-            &SetSplitConfig {
-                strategy: SelectionStrategy::Chronological,
-            },
-        );
+        let out = in_store_order(&store, &targets(0..8), SplitMode::Ideal);
         assert!(out.fully_split());
         // 5 recorded scenarios distinguish 8 EIDs: 0..3 from 4..7, then
         // pairwise.
@@ -1132,7 +874,7 @@ pub(crate) mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::{random_store, strategies};
+    use super::tests::random_store;
     use super::*;
     use ev_core::region::CellId;
     use ev_core::time::Timestamp;
@@ -1240,24 +982,18 @@ mod proptests {
     fn unpruned(
         store: &EScenarioStore,
         targets: &BTreeSet<Eid>,
-        strategy: SelectionStrategy,
+        seed: u64,
         mode: SplitMode,
     ) -> BTreeMap<Eid, ScenarioList> {
         let none = BTreeSet::new();
         let mut state = SplitState::new(targets, mode);
-        let tel = Telemetry::disabled();
-        let mut next = scenario_order(store, targets, strategy, &state, &none, tel);
-        while !state.done() {
-            let Some(scenario) = next(&state.cover) else {
+        for scenario in scenario_order(store, seed, &none) {
+            if state.done() {
                 break;
-            };
+            }
             state.examine(scenario);
         }
         let inclusive_only = mode == SplitMode::Practical;
-        let seed = match strategy {
-            SelectionStrategy::RandomTime { seed } => seed,
-            _ => 0,
-        };
         let mut lists = state.lists;
         attach_anchors(store, &mut lists, inclusive_only);
         ensure_unique_against_universe(store, &mut lists, seed, inclusive_only);
@@ -1265,20 +1001,40 @@ mod proptests {
     }
 
     proptest! {
-        /// Heap-greedy ≡ re-scan-greedy holds for arbitrary generated
-        /// worlds, not just the hand-picked ones.
+        /// The walk visits every scenario once: the `extracted` ones
+        /// first, then the rest, each group a timestamp at a time in
+        /// the one shuffled order of the store's times that a first
+        /// round walks.
         #[test]
-        fn split_equivalence_holds_for_arbitrary_worlds(
-            world_seed in 0u64..30,
-            strategy_pick in 0usize..4,
+        fn the_walk_visits_the_ledger_first_then_the_rest_a_timestamp_at_a_time(
+            world_seed in 0u64..40,
+            seed in any::<u64>(),
+            pick in any::<u64>(),
         ) {
-            let store = random_store(world_seed, 3, 8, 10);
-            let targets: BTreeSet<Eid> = (0..10).map(Eid::from_u64).collect();
-            let strategy = strategies()[strategy_pick];
-            let cfg = SetSplitConfig { strategy };
-            let indexed = split_ideal(&store, &targets, &cfg);
-            let scanned = split_ideal_rescan(&store, &targets, &cfg);
-            prop_assert_eq!(indexed, scanned);
+            let store = random_store(world_seed, 3, 10, 14);
+            let ids = || store.iter().map(EScenario::id);
+            let extracted: BTreeSet<ScenarioId> = ids()
+                .filter(|id| pick >> ((id.time.tick() * 3 + id.cell.index() as u64) % 64) & 1 == 1)
+                .collect();
+            let walk: Vec<ScenarioId> = scenario_order(&store, seed, &extracted).map(EScenario::id).collect();
+            let mut sorted = walk.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(sorted, ids().collect::<Vec<_>>());
+            let (reused, fresh) = walk.split_at(extracted.len());
+            prop_assert!(reused.iter().all(|id| extracted.contains(id)));
+            let times = |group: &[ScenarioId]| {
+                let mut times: Vec<_> = group.iter().map(|id| id.time).collect();
+                times.dedup();
+                times
+            };
+            let none = BTreeSet::new();
+            let first_round: Vec<ScenarioId> = scenario_order(&store, seed, &none).map(EScenario::id).collect();
+            let order = times(&first_round);
+            for group in [reused, fresh] {
+                let mut rest = order.iter();
+                let in_order = times(group).iter().all(|t| rest.any(|u| u == t));
+                prop_assert!(in_order, "a timestamp visited twice or out of order");
+            }
         }
 
         /// For arbitrary scenario pools, the recorded count respects the
@@ -1371,8 +1127,7 @@ mod proptests {
             let store = with_vague(&random_store(world_seed, 3, 10, 14));
             let targets: BTreeSet<Eid> = (0..14).map(Eid::from_u64).collect();
             let mode = if practical { SplitMode::Practical } else { SplitMode::Ideal };
-            let strategy = SelectionStrategy::RandomTime { seed };
-            let before = unpruned(&store, &targets, strategy, mode);
+            let before = unpruned(&store, &targets, seed, mode);
             let mut lists = before.clone();
             prune_redundant(&store, &mut lists);
             let named: BTreeSet<ScenarioId> = lists.values().flatten().copied().collect();
@@ -1387,7 +1142,7 @@ mod proptests {
             let mut again = lists.clone();
             prune_redundant(&store, &mut again);
             prop_assert_eq!(&again, &lists);
-            let out = split(&store, &targets, &SetSplitConfig { strategy }, mode, &BTreeSet::new(), Telemetry::disabled());
+            let out = split(&store, &targets, &SetSplitConfig { seed }, mode, &BTreeSet::new(), Telemetry::disabled());
             prop_assert_eq!(&out.lists, &lists);
         }
     }

@@ -5,8 +5,7 @@
 //! **identical** outputs (`==` on every field, including float scores
 //! and list orders) to a fresh gallery per EID, across seeds — and the V
 //! stage's one exclusion loop is the loop both the harness and
-//! refinement run. (Heap-greedy ≡ re-scan-greedy set splitting is
-//! certified next to the splitter, in `setsplit.rs`'s unit tests.)
+//! refinement run.
 
 use ev_core::feature::FeatureVector;
 use ev_core::ids::{Eid, Vid};
@@ -14,7 +13,7 @@ use ev_core::region::CellId;
 use ev_core::scenario::{Detection, EScenario, VScenario, ZoneAttr};
 use ev_core::time::Timestamp;
 use ev_matching::refine::SplitMode;
-use ev_matching::setsplit::{split_ideal, SelectionStrategy, SetSplitConfig, SplitOutput};
+use ev_matching::setsplit::{split_ideal, SetSplitConfig, SplitOutput};
 use ev_matching::vfilter::{filter_vids_cached, GalleryCache, VFilterConfig, VStage};
 use ev_matching::{EvMatcher, MatchOutcome, MatcherConfig};
 use ev_store::{EScenarioStore, VideoStore};
@@ -183,28 +182,32 @@ fn chain_store(n: u64) -> EScenarioStore {
     EScenarioStore::from_scenarios(scenarios)
 }
 
-fn fully_split_count(store: &EScenarioStore, n: u64, strategy: SelectionStrategy) -> SplitOutput {
-    let out = split_ideal(store, &targets(n), &SetSplitConfig { strategy });
+fn fully_split_count(store: &EScenarioStore, n: u64, seed: u64) -> SplitOutput {
+    let out = split_ideal(store, &targets(n), &SetSplitConfig { seed });
     assert!(out.fully_split(), "store must fully split {n} targets");
     out
 }
 
+/// Every scenario of both stores is effective whatever the order, so the
+/// counts hold under any seed.
 #[test]
 fn theorem_bounds_are_tight_at_both_ends() {
-    for k in [2u32, 3, 4, 5] {
-        let n = 1u64 << k;
-        let best = fully_split_count(&bit_store(k), n, SelectionStrategy::Chronological);
-        assert_eq!(
-            best.recorded.len(),
-            k as usize,
-            "bit store: exactly log2(n) scenarios"
-        );
-        let worst = fully_split_count(&chain_store(n), n, SelectionStrategy::Chronological);
-        assert_eq!(
-            worst.recorded.len(),
-            (n - 1) as usize,
-            "chain store: exactly n - 1 scenarios"
-        );
+    for seed in [0, 1, 7] {
+        for k in [2u32, 3, 4, 5] {
+            let n = 1u64 << k;
+            let best = fully_split_count(&bit_store(k), n, seed);
+            assert_eq!(
+                best.recorded.len(),
+                k as usize,
+                "bit store: exactly log2(n) scenarios (seed {seed})"
+            );
+            let worst = fully_split_count(&chain_store(n), n, seed);
+            assert_eq!(
+                worst.recorded.len(),
+                (n - 1) as usize,
+                "chain store: exactly n - 1 scenarios (seed {seed})"
+            );
+        }
     }
 }
 
@@ -214,20 +217,11 @@ proptest! {
     #[test]
     fn fully_split_recorded_counts_respect_both_bounds(
         world_seed in 0u64..50,
-        greedy in any::<bool>(),
+        seed in any::<u64>(),
     ) {
         let n = 12u64;
         let (store, _) = random_world(world_seed, 3, 16, n);
-        let strategy = if greedy {
-            SelectionStrategy::GreedyBalanced
-        } else {
-            SelectionStrategy::Chronological
-        };
-        let out = split_ideal(
-            &store,
-            &targets(n),
-            &SetSplitConfig { strategy },
-        );
+        let out = split_ideal(&store, &targets(n), &SetSplitConfig { seed });
         prop_assert!(out.recorded.len() < n as usize, "upper bound n - 1");
         if out.fully_split() {
             let log_n = (n as f64).log2().ceil() as usize;

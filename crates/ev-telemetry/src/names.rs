@@ -9,8 +9,7 @@
 //! *run* below is one call of `EvMatcher::match_one`, `match_many`
 //! (either execution mode) or `match_universal` on the handle.
 
-// The set-splitting family means the same thing in both split modes and
-// under every selection strategy.
+// The set-splitting family means the same thing in both split modes.
 
 /// E-Scenarios examined by set splitting, effective or not, summed over
 /// the refinement rounds of every run on the handle (count). Reader:
@@ -20,20 +19,10 @@ pub const SETSPLIT_SCENARIOS_EXAMINED: &str = "evm_setsplit_scenarios_examined";
 /// examined count (count). Reader: `evmatch check-metrics --in` requires
 /// it to cover `evm_recorded_scenarios`, the first round's share.
 pub const SETSPLIT_RECORDED: &str = "evm_setsplit_recorded_total";
-/// Cached split gains the `GreedyBalanced` heap marked stale because a
-/// split touched a block they share an EID with (count). Stays 0 under
-/// the other strategies and in practical mode, where greedy falls back
-/// to chronological. Reader: README, "Profiling a run".
-pub const SETSPLIT_GAIN_CACHE_INVALIDATIONS: &str = "evm_setsplit_gain_cache_invalidations";
 /// Blocks of the EID cover after the latest split round (count; at
 /// least the round's EID count once it fully split). Reader: README,
 /// "Profiling a run".
 pub const SETSPLIT_BLOCKS: &str = "evm_setsplit_blocks";
-/// Histogram of the split gain (EIDs, `Σ min(|A∩C|, |A\C|)` over
-/// blocks) of each scenario `GreedyBalanced` selected. Empty under the
-/// other strategies and in practical mode. Reader: README, "Profiling a
-/// run".
-pub const SETSPLIT_SPLITTER_GAIN: &str = "evm_setsplit_splitter_gain";
 
 // The V-stage family. The two gallery counters are written by the one
 // run epilogue (`ev_matching`'s `record_run`) from the scenario lists
@@ -222,7 +211,6 @@ pub const DAG_TASKS_TOTAL: &str = "evm_dag_tasks_total";
 pub(crate) const ALL_COUNTERS: &[&str] = &[
     SETSPLIT_SCENARIOS_EXAMINED,
     SETSPLIT_RECORDED,
-    SETSPLIT_GAIN_CACHE_INVALIDATIONS,
     VFILTER_GALLERY_HITS,
     VFILTER_GALLERY_MISSES,
     VFILTER_CANDIDATES_SCORED,
@@ -262,11 +250,7 @@ pub(crate) const ALL_GAUGES: &[&str] = &[
 ];
 
 /// Every canonical histogram name.
-pub(crate) const ALL_HISTOGRAMS: &[&str] = &[
-    SETSPLIT_SPLITTER_GAIN,
-    EXEC_WORKER_TASKS,
-    SERVE_QUERY_LATENCY_NS,
-];
+pub(crate) const ALL_HISTOGRAMS: &[&str] = &[EXEC_WORKER_TASKS, SERVE_QUERY_LATENCY_NS];
 
 /// The whole catalogue: counters, then gauges, then histograms.
 pub fn all() -> impl Iterator<Item = &'static str> {
@@ -302,7 +286,7 @@ mod tests {
     fn the_catalogue_is_duplicate_free_and_its_size_is_pinned() {
         let distinct: std::collections::BTreeSet<&str> = all().collect();
         assert_eq!(distinct.len(), all().count(), "a name is listed twice");
-        assert_eq!(all().count(), 38);
+        assert_eq!(all().count(), 36);
         assert!(all().all(|name| name.starts_with("evm_")));
     }
 }

@@ -184,7 +184,8 @@ fn family_of(sample_name: &str) -> &str {
 /// Every sample line must be `name[{labels}] value`; every sample must
 /// belong to a family declared by a preceding `# TYPE` line (histogram
 /// suffixes `_bucket`/`_sum`/`_count` resolve to their stem family
-/// when the stem was declared a histogram).
+/// when the stem was declared a histogram), and no name and label set
+/// may appear twice, so [`Exposition::value`] has one answer.
 ///
 /// # Errors
 ///
@@ -250,6 +251,9 @@ pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
             .families
             .get_mut(&family_name)
             .ok_or_else(|| format!("line {lineno}: sample {name} has no preceding TYPE"))?;
+        if (family.samples.iter()).any(|s| s.name == name && s.labels == labels) {
+            return Err(format!("line {lineno}: duplicate sample {name}"));
+        }
         family.samples.push(Sample {
             name,
             labels,

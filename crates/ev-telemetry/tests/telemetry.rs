@@ -149,6 +149,10 @@ fn parser_rejects_malformed_expositions() {
     assert!(parse_exposition("# TYPE x counter\nx one\n").is_err());
     // Duplicate TYPE declaration.
     assert!(parse_exposition("# TYPE x counter\n# TYPE x counter\nx 1\n").is_err());
+    // Duplicate sample: which value would a reader take?
+    assert!(parse_exposition("# TYPE x gauge\nx 1\nx NaN\n").is_err());
+    let buckets = "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 1\n";
+    assert!(parse_exposition(buckets).is_ok());
     // HELP comments and blank lines are fine.
     let ok = parse_exposition("# HELP x about x\n# TYPE x counter\n\nx 5\n").unwrap();
     assert_eq!(ok.value("x"), Some(5.0));

@@ -54,7 +54,9 @@
 //! `--trace-out` implies `full`; an explicit `--telemetry` wins over
 //! both (so `--telemetry off` always runs the uninstrumented paths).
 //! `check-metrics --in PATH` strictly parses an exported Prometheus
-//! profile and verifies the Theorem 4.2/4.4 invariant
+//! profile, refuses any value it reads that is not finite and `>= 0`
+//! (a count or bound that is not whole, `evm_fully_split` other than
+//! 0 or 1), and verifies the Theorem 4.2/4.4 invariant
 //! `log2(n) <= recorded <= n-1` whenever the run reported a fully split
 //! first round, plus the set-splitting consistency
 //! `examined >= recorded_total >= recorded` that holds in both split
@@ -770,6 +772,28 @@ const REQUIRED_METRICS: &[&str] = &[
     names::DAG_TASKS_TOTAL,
 ];
 
+/// Every value `check-metrics --in` reads, and whether it must be a
+/// whole number (a count, a bound, the fully-split flag) rather than
+/// any finite one (a time, a ratio). All must be `>= 0`.
+const READ_METRICS: &[(&str, bool)] = &[
+    (names::SETSPLIT_SCENARIOS_EXAMINED, true),
+    (names::SETSPLIT_RECORDED, true),
+    (names::RECORDED_SCENARIOS, true),
+    (names::THEOREM_LOWER_BOUND, true),
+    (names::THEOREM_UPPER_BOUND, true),
+    (names::FULLY_SPLIT, true),
+    (names::DAG_TASKS_TOTAL, true),
+    (names::VFILTER_GALLERY_MISSES, true),
+    (names::VFILTER_CANDIDATES_SCORED, true),
+    (names::DISK_SEGMENTS_OPENED, true),
+    (names::DISK_RECORDS_READ, true),
+    (names::DISK_BYTES_READ, true),
+    (names::STAGE_E_SECONDS, false),
+    (names::STAGE_V_SECONDS, false),
+    (names::EXEC_TASK_LATENCY_P50_NS, false),
+    (names::VFILTER_GALLERY_HIT_RATIO, false),
+];
+
 /// `check-metrics --smoke`: runs an in-process battery that touches
 /// every subsystem with **no** schema preregistration, then fails if
 /// any canonical metric name was never emitted by real instrumentation.
@@ -797,16 +821,14 @@ fn smoke_coverage_gate(args: &CommonArgs) -> Result<(), String> {
     let dataset = EvDataset::generate(&config).map_err(|e| e.to_string())?;
     let targets = sample_targets(&dataset, 16, args.seed);
 
-    // 1. Sequential ideal-mode run: set splitting (greedy-balanced, the
-    //    only strategy that exercises the gain cache), refinement,
+    // 1. Sequential ideal-mode run: set splitting, refinement,
     //    exhaustive VID scoring and the run gauges.
     {
         let tel = Telemetry::new(TelemetryLevel::Full);
-        let mut cfg = MatcherConfig {
+        let cfg = MatcherConfig {
             mode: SplitMode::Ideal,
             ..MatcherConfig::default()
         };
-        cfg.split.strategy = evmatch::matching::setsplit::SelectionStrategy::GreedyBalanced;
         EvMatcher::new(&dataset.estore, &dataset.video, cfg)
             .with_telemetry(&tel)
             .match_many(&targets)
@@ -1039,6 +1061,22 @@ fn cmd_check_metrics(args: &CommonArgs) -> Result<(), String> {
     for &name in REQUIRED_METRICS {
         if exposition.value(name).is_none() {
             return Err(format!("{path}: required metric {name} is missing"));
+        }
+    }
+    // NaN fails every comparison and a negative count passes some, so
+    // the checks below only mean something on sane values.
+    for &(name, whole) in READ_METRICS {
+        let Some(v) = exposition.value(name) else {
+            continue;
+        };
+        let sane = v.is_finite() && v >= 0.0 && (!whole || v.fract() == 0.0);
+        if !sane || (name == names::FULLY_SPLIT && v > 1.0) {
+            let want = match (name == names::FULLY_SPLIT, whole) {
+                (true, _) => "0 or 1",
+                (false, true) => "a whole number >= 0",
+                (false, false) => "a finite number >= 0",
+            };
+            return Err(format!("{path}: {name} is {v}, not {want}"));
         }
     }
     // The splitter's own counters must account for what the report says

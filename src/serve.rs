@@ -72,7 +72,7 @@
 use ev_core::ids::Eid;
 use ev_core::scenario::{EScenario, VScenario};
 use ev_disk::{CheckpointPolicy, DiskError, DiskStore, IngestWriter, RecoveryMode, MANIFEST_FILE};
-use ev_matching::setsplit::{split_ideal, SelectionStrategy, SetSplitConfig, SplitOutput};
+use ev_matching::setsplit::{split_ideal, SetSplitConfig, SplitOutput};
 use ev_matching::{EvMatcher, MatchReport, MatcherConfig};
 use ev_store::{EScenarioStore, VideoStore};
 use ev_telemetry::{names, Telemetry};
@@ -306,14 +306,14 @@ impl<'t> LiveCorpus<'t> {
         self.writer.store()
     }
 
-    /// The watch set's Algorithm-1 split of the applied snapshot,
-    /// anchored and made unique into full scenario lists (computed on
+    /// The watch set's Algorithm-1 split of the applied snapshot (the
+    /// default [`SetSplitConfig`]'s random-time order), anchored and made unique into full scenario lists (computed on
     /// each call, without telemetry) — `None` when no watch set is
     /// configured.
     #[must_use]
     pub fn watch_lists(&self) -> Option<SplitOutput> {
         let watch = &self.config.watch;
-        (!watch.is_empty()).then(|| split_ideal(&self.estore, watch, &WATCH_SPLIT))
+        (!watch.is_empty()).then(|| split_ideal(&self.estore, watch, &SetSplitConfig::default()))
     }
 
     /// Accepts a batch of arriving events: appends them to the open
@@ -437,9 +437,3 @@ impl<'t> LiveCorpus<'t> {
         Ok(self.writer.finish()?)
     }
 }
-
-/// The split configuration of [`LiveCorpus::watch_lists`]: scenarios
-/// in (time, cell) order.
-const WATCH_SPLIT: SetSplitConfig = SetSplitConfig {
-    strategy: SelectionStrategy::Chronological,
-};

@@ -172,6 +172,83 @@ fn check_metrics_reads_seed_only_with_smoke() {
     );
 }
 
+/// A profile holding every metric `check-metrics --in` requires, at
+/// values that pass it (a fully split first round of 2 recorded
+/// scenarios for 4 EIDs), except that `name` reads `value`.
+fn profile_with(name: &str, value: &str) -> String {
+    let metrics = [
+        ("evm_setsplit_scenarios_examined", "counter", "10"),
+        ("evm_setsplit_recorded_total", "counter", "3"),
+        ("evm_dag_tasks_total", "counter", "0"),
+        ("evm_recorded_scenarios", "gauge", "2"),
+        ("evm_theorem_lower_bound", "gauge", "2"),
+        ("evm_theorem_upper_bound", "gauge", "3"),
+        ("evm_fully_split", "gauge", "1"),
+        ("evm_stage_e_seconds", "gauge", "0.25"),
+        ("evm_stage_v_seconds", "gauge", "0.5"),
+        ("evm_vfilter_gallery_hit_ratio", "gauge", "0.5"),
+    ];
+    let mut text = String::new();
+    for (metric, kind, sane) in metrics {
+        let v = if metric == name { value } else { sane };
+        text.push_str(&format!("# TYPE {metric} {kind}\n{metric} {v}\n"));
+    }
+    text
+}
+
+#[test]
+fn check_metrics_refuses_hostile_values() {
+    let dir = std::env::temp_dir().join(format!("evmatch-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let check = |name: &str, value: &str| {
+        let path = dir.join("m.prom");
+        std::fs::write(&path, profile_with(name, value)).expect("write profile");
+        evmatch(&["check-metrics", "--in", path.to_str().expect("utf-8 path")])
+    };
+    let sane = check("", "");
+    assert!(
+        sane.status.success(),
+        "{}",
+        String::from_utf8_lossy(&sane.stderr)
+    );
+    for (name, value) in [
+        ("evm_recorded_scenarios", "NaN"),
+        ("evm_theorem_upper_bound", "+Inf"),
+        ("evm_dag_tasks_total", "-3"),
+        ("evm_setsplit_recorded_total", "2.5"),
+        ("evm_stage_e_seconds", "-0.25"),
+        ("evm_fully_split", "2"),
+    ] {
+        let out = check(name, value);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name} {value}: {stderr}");
+        assert!(stderr.contains(name), "{name} {value}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn check_metrics_passes_the_profiles_match_exports() {
+    let dir = std::env::temp_dir().join(format!("evmatch-profiles-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("m.prom");
+    let path = path.to_str().expect("utf-8 path");
+    for threads in [&[][..], &["--threads", "2"]] {
+        run(&[&["match", "--metrics-out", path], &WORLD, threads]);
+        let profile = std::fs::read_to_string(path).expect("profile written");
+        // Theorem 4.2's bounds for the 5 targets: ceil(log2 5) and 5 - 1.
+        for line in ["evm_theorem_lower_bound 3", "evm_theorem_upper_bound 4"] {
+            assert!(
+                profile.lines().any(|l| l == line),
+                "{threads:?}: no {line:?}"
+            );
+        }
+        let checked = run(&[&["check-metrics", "--in", path]]);
+        assert!(checked.starts_with("ok: "), "{threads:?}: {checked}");
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 /// `(EID, Some(VID) if its outcome is a majority)` for every outcome of
 /// `match --json` on `world`.
 fn majority_outcomes(world: &[&str]) -> Vec<(String, Option<i128>)> {

@@ -5,7 +5,7 @@
 
 use evmatch::matching::edp::match_edp;
 use evmatch::matching::practical::split_practical;
-use evmatch::matching::setsplit::{SelectionStrategy, SetSplitConfig};
+use evmatch::matching::setsplit::SetSplitConfig;
 use evmatch::prelude::*;
 use evmatch::telemetry::names;
 
@@ -28,9 +28,7 @@ fn run_dag(
 ) -> MatchReport {
     d.video.reset_usage();
     let pipeline = MatcherConfig {
-        split: SetSplitConfig {
-            strategy: SelectionStrategy::RandomTime { seed },
-        },
+        split: SetSplitConfig { seed },
         execution: ExecutionMode::Dag(threads),
         ..MatcherConfig::default()
     };

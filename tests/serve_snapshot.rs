@@ -164,11 +164,9 @@ fn restart_resumes_the_applied_corpus() {
         .expect("offline query");
     assert_same_report(&answer.report, &offline);
 
-    // The watch lists are the chronological split of the applied store.
+    // The watch lists are the default split of the applied store.
     let lists = live.watch_lists().expect("watch set is configured");
-    let split_cfg = evmatch::matching::setsplit::SetSplitConfig {
-        strategy: evmatch::matching::setsplit::SelectionStrategy::Chronological,
-    };
+    let split_cfg = evmatch::matching::setsplit::SetSplitConfig::default();
     let rebuilt = evmatch::matching::setsplit::split_ideal(live.estore(), &targets, &split_cfg);
     assert_eq!(lists, rebuilt, "live watch index == from-scratch split");
 
